@@ -77,34 +77,43 @@ impl Atc {
         governor: &SourceGovernor,
         stats: &mut ExecStats,
     ) -> bool {
-        let mut rms = graph.rank_merge_ids();
-        if rms.is_empty() {
+        let n = graph.rank_merge_ids().len();
+        if n == 0 {
             return false;
         }
         match self.policy {
             SchedulingPolicy::RoundRobin => {
-                let n = rms.len();
-                rms.rotate_left(self.rr_offset % n);
-                self.rr_offset = (self.rr_offset + 1) % n.max(1);
+                // Serve the resident list rotated left by the offset.
+                // Servicing never adds or removes a rank-merge, so the
+                // list is stable across the loop.
+                let start = self.rr_offset % n;
+                self.rr_offset = (self.rr_offset + 1) % n;
+                let mut progress = false;
+                for i in 0..n {
+                    let rm = graph.rank_merge_ids()[(start + i) % n];
+                    progress |= Self::service(graph, sources, governor, stats, rm);
+                }
+                progress
             }
             SchedulingPolicy::GreedyThreshold => {
-                let bounds = graph.stream_bounds();
                 // Completed operators keep a residual threshold; serving
-                // them forever would starve the rest.
-                rms.retain(|id| !graph.rank_merge(*id).is_done());
-                rms.sort_by(|a, b| {
-                    let ta = graph.rank_merge(*a).overall_threshold(&bounds);
-                    let tb = graph.rank_merge(*b).overall_threshold(&bounds);
-                    tb.total_cmp(&ta)
-                });
-                rms.truncate(1);
+                // them forever would starve the rest. Ties go to the
+                // lowest id.
+                let bounds = graph.bound_table();
+                let mut best: Option<(f64, NodeId)> = None;
+                for &id in graph.rank_merge_ids() {
+                    let rm = graph.rank_merge(id);
+                    if rm.is_done() {
+                        continue;
+                    }
+                    let thr = rm.overall_threshold(bounds);
+                    if best.is_none_or(|(t, _)| thr.total_cmp(&t).is_gt()) {
+                        best = Some((thr, id));
+                    }
+                }
+                best.is_some_and(|(_, rm)| Self::service(graph, sources, governor, stats, rm))
             }
         }
-        let mut progress = false;
-        for rm in rms {
-            progress |= Self::service(graph, sources, governor, stats, rm);
-        }
-        progress
     }
 
     /// Serve one rank-merge: run its maintenance cycle, read from its
@@ -122,33 +131,27 @@ impl Atc {
         if graph.rank_merge(rm_id).is_done() {
             return false;
         }
-        let bounds = graph.stream_bounds();
         let now = sources.clock().now_us();
-        let rm = graph.rank_merge_mut(rm_id);
-        rm.maintain(&bounds, now);
-        if rm.is_done() {
+        graph.maintain_rank_merge(rm_id, now);
+        if graph.rank_merge(rm_id).is_done() {
             Self::record_completion(graph, sources, governor, stats, rm_id);
             return true;
         }
-        let Some(stream) = graph.rank_merge(rm_id).choose_read(&bounds) else {
+        let Some(stream) = graph.rank_merge(rm_id).choose_read(graph.bound_table()) else {
             // Nothing readable: either done (caught next round) or every
             // stream this UQ wants is exhausted; maintenance above already
             // drained what it could.
-            let bounds = graph.stream_bounds();
-            let rm = graph.rank_merge_mut(rm_id);
-            rm.maintain(&bounds, now);
-            if rm.is_done() {
+            graph.maintain_rank_merge(rm_id, now);
+            if graph.rank_merge(rm_id).is_done() {
                 Self::record_completion(graph, sources, governor, stats, rm_id);
                 return true;
             }
             return false;
         };
         graph.read_stream_governed(stream, sources, governor);
-        let bounds = graph.stream_bounds();
         let now = sources.clock().now_us();
-        let rm = graph.rank_merge_mut(rm_id);
-        rm.maintain(&bounds, now);
-        if rm.is_done() {
+        graph.maintain_rank_merge(rm_id, now);
+        if graph.rank_merge(rm_id).is_done() {
             Self::record_completion(graph, sources, governor, stats, rm_id);
         }
         true

@@ -15,6 +15,7 @@ use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
 use qsys_types::{Epoch, TimeCategory, Tuple};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::mem;
 
 /// Outcome of one governed stream read.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,6 +33,21 @@ pub enum StreamRead {
 #[derive(Debug, Default)]
 pub struct QueryPlanGraph {
     nodes: Vec<Option<Node>>,
+    /// Number of `Some` slots in `nodes`.
+    live: usize,
+    /// Every stream leaf's [`StreamLeaf::effective_bound`], indexed by
+    /// [`NodeId::index`]; `0.0` for non-stream and removed slots. Written
+    /// in place wherever a bound can change (stream creation, every read,
+    /// quarantine, removal), so the threshold machinery reads a slice
+    /// instead of rescanning the arena per tuple.
+    bounds: Vec<f64>,
+    /// Ids of the live rank-merge nodes, ascending. Operators that are
+    /// done stay listed until the QS manager removes them: the ATC's
+    /// round-robin offset is taken modulo this list's length.
+    rank_merges: Vec<NodeId>,
+    /// Routing queue storage, kept between reads so a tuple's trip through
+    /// the graph allocates nothing once the queue has grown.
+    route_queue: VecDeque<(NodeId, usize, Tuple)>,
     epoch: Epoch,
     /// Reuse index: interned subexpression signature → the node computing
     /// it. Keyed on [`SigId`], so lookups hash one `u32`.
@@ -79,6 +95,16 @@ impl QueryPlanGraph {
             // index points at the producer.
             self.sig_index.entry(s).or_insert(id);
         }
+        let bound = match &kind {
+            NodeKind::Stream(leaf) => leaf.effective_bound(),
+            _ => 0.0,
+        };
+        if matches!(kind, NodeKind::RankMerge(_)) {
+            // Ids only grow, so appending keeps the list ascending.
+            self.rank_merges.push(id);
+        }
+        self.bounds.push(bound);
+        self.live += 1;
         self.nodes.push(Some(Node {
             id,
             kind,
@@ -153,10 +179,16 @@ impl QueryPlanGraph {
                 self.sig_index.remove(&sig);
             }
         }
-        if let NodeKind::MJoin(mj) = &node.kind {
-            for input in mj.inputs() {
-                self.modules.release(input.module);
+        self.live -= 1;
+        match &node.kind {
+            NodeKind::MJoin(mj) => {
+                for input in mj.inputs() {
+                    self.modules.release(input.module);
+                }
             }
+            NodeKind::Stream(_) => self.bounds[id.index()] = 0.0,
+            NodeKind::RankMerge(_) => self.rank_merges.retain(|rm| *rm != id),
+            NodeKind::Split => {}
         }
     }
 
@@ -171,7 +203,12 @@ impl QueryPlanGraph {
         self.nodes.get(id.index()).and_then(|n| n.as_ref())
     }
 
-    /// Mutable node access.
+    /// Mutable node access. Changing a stream leaf's `backing` or
+    /// `quarantined` through this bypasses the bound table
+    /// ([`QueryPlanGraph::bound_table`]); read through
+    /// [`QueryPlanGraph::read_stream`] /
+    /// [`QueryPlanGraph::read_stream_governed`] and quarantine through
+    /// [`QueryPlanGraph::quarantine_stream`] instead.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         // lint:allow(panic-path): same contract as node() — a dead id is corruption
         self.nodes[id.index()].as_mut().expect("live node")
@@ -184,12 +221,12 @@ impl QueryPlanGraph {
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.live
     }
 
     /// Whether the graph has no live nodes.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// The node currently computing `sig`, if any (the reuse index the
@@ -247,14 +284,10 @@ impl QueryPlanGraph {
         self.sig_index.iter().map(|(&sig, &id)| (sig, id))
     }
 
-    /// Ids of all rank-merge nodes.
-    pub fn rank_merge_ids(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(|n| matches!(n.kind, NodeKind::RankMerge(_)))
-            .map(|n| n.id)
-            .collect()
+    /// Ids of all rank-merge nodes, ascending (done operators included
+    /// until they are removed).
+    pub fn rank_merge_ids(&self) -> &[NodeId] {
+        &self.rank_merges
     }
 
     /// Mutable access to a rank-merge operator.
@@ -273,17 +306,38 @@ impl QueryPlanGraph {
         }
     }
 
-    /// Current raw-product bounds of every stream leaf (zero for
-    /// quarantined leaves, so the threshold machinery drains around them).
-    pub fn stream_bounds(&self) -> HashMap<NodeId, f64> {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter_map(|n| match &n.kind {
-                NodeKind::Stream(leaf) => Some((n.id, leaf.effective_bound())),
-                _ => None,
-            })
-            .collect()
+    /// Current raw-product bound of every stream leaf, indexed by
+    /// [`NodeId::index`]: zero for quarantined and exhausted leaves (so the
+    /// threshold machinery drains around them) and for every slot that is
+    /// not a live stream.
+    pub fn bound_table(&self) -> &[f64] {
+        &self.bounds
+    }
+
+    /// Run rank-merge `id`'s maintenance cycle against the live bound
+    /// table; returns the number of results emitted.
+    pub fn maintain_rank_merge(&mut self, id: NodeId, now_us: u64) -> usize {
+        // Split borrow: the operator is mutated, the table only read.
+        let bounds = &self.bounds;
+        // lint:allow(panic-path): same contract as node() — a dead id is corruption
+        match &mut self.nodes[id.index()].as_mut().expect("live node").kind {
+            NodeKind::RankMerge(rm) => rm.maintain(bounds, now_us),
+            other => panic!("{id} is a {}, not a rank-merge", other.label()),
+        }
+    }
+
+    fn stream_leaf_mut(&mut self, id: NodeId) -> &mut StreamLeaf {
+        match &mut self.node_mut(id).kind {
+            NodeKind::Stream(leaf) => leaf,
+            other => panic!("{id} is a {}, not a stream", other.label()),
+        }
+    }
+
+    /// Quarantine the stream leaf `id`: its bound reads as zero from now
+    /// on and grafting stops reusing the subtree it feeds.
+    pub fn quarantine_stream(&mut self, id: NodeId) {
+        self.stream_leaf_mut(id).quarantined = true;
+        self.bounds[id.index()] = 0.0;
     }
 
     /// Read one tuple from the stream leaf `id` and route it through the
@@ -292,19 +346,13 @@ impl QueryPlanGraph {
     /// [`QueryPlanGraph::read_stream_governed`].
     pub fn read_stream(&mut self, id: NodeId, sources: &Sources) -> bool {
         let epoch = self.epoch;
-        let tuple = {
-            let node = self.node_mut(id);
-            match &mut node.kind {
-                NodeKind::Stream(leaf) => {
-                    let t = leaf.backing.read(sources);
-                    if let Some(t) = &t {
-                        leaf.archive.push((t.clone(), epoch));
-                    }
-                    t
-                }
-                other => panic!("{id} is a {}, not a stream", other.label()),
-            }
-        };
+        let leaf = self.stream_leaf_mut(id);
+        let tuple = leaf.backing.read(sources);
+        if let Some(t) = &tuple {
+            leaf.archive.push((t.clone(), epoch));
+        }
+        let bound = leaf.effective_bound();
+        self.bounds[id.index()] = bound;
         let Some(tuple) = tuple else {
             return false;
         };
@@ -324,39 +372,36 @@ impl QueryPlanGraph {
         governor: &SourceGovernor,
     ) -> StreamRead {
         let epoch = self.epoch;
-        let tuple = {
-            // lint:allow(panic-path): the ATC drives only ids it was handed from this graph
-            let node = self.nodes[id.index()].as_mut().expect("live node");
-            match &mut node.kind {
-                NodeKind::Stream(leaf) => {
-                    if leaf.quarantined {
-                        return StreamRead::Exhausted;
-                    }
-                    let read = match &mut leaf.backing {
-                        StreamBacking::Remote(s) => governor.read_stream(sources, s),
-                        replay => Ok(replay.read(sources)),
-                    };
-                    match read {
-                        Ok(Some(t)) => {
-                            leaf.archive.push((t.clone(), epoch));
-                            t
-                        }
-                        Ok(None) => return StreamRead::Exhausted,
-                        Err(e) => {
-                            leaf.quarantined = true;
-                            // Blame the relation named by the error, not the
-                            // leaf's whole rel set: a pushdown leaf over
-                            // {A, B} dying because B is faulted must not mark
-                            // A failed for queries reading A through healthy
-                            // leaves. Every consumer of this leaf reads
-                            // `e.rel()` too, so they still degrade.
-                            governor.note_quarantined(&[e.rel()]);
-                            return StreamRead::Failed(e);
-                        }
-                    }
+        let leaf = self.stream_leaf_mut(id);
+        if leaf.quarantined {
+            return StreamRead::Exhausted;
+        }
+        let read = match &mut leaf.backing {
+            StreamBacking::Remote(s) => governor.read_stream(sources, s),
+            replay => Ok(replay.read(sources)),
+        };
+        let tuple = match read {
+            Ok(tuple) => {
+                if let Some(t) = &tuple {
+                    leaf.archive.push((t.clone(), epoch));
                 }
-                other => panic!("{id} is a {}, not a stream", other.label()),
+                let bound = leaf.effective_bound();
+                self.bounds[id.index()] = bound;
+                tuple
             }
+            Err(e) => {
+                self.quarantine_stream(id);
+                // Blame the relation named by the error, not the leaf's
+                // whole rel set: a pushdown leaf over {A, B} dying because
+                // B is faulted must not mark A failed for queries reading A
+                // through healthy leaves. Every consumer of this leaf reads
+                // `e.rel()` too, so they still degrade.
+                governor.note_quarantined(&[e.rel()]);
+                return StreamRead::Failed(e);
+            }
+        };
+        let Some(tuple) = tuple else {
+            return StreamRead::Exhausted;
         };
         self.route_from(id, tuple, sources, Some(governor));
         StreamRead::Delivered
@@ -373,44 +418,40 @@ impl QueryPlanGraph {
         governor: Option<&SourceGovernor>,
     ) {
         let epoch = self.epoch;
-        let start: Vec<(NodeId, usize)> = self.node(id).children.clone();
-        let mut queue: VecDeque<(NodeId, usize, Tuple)> = start
-            .into_iter()
-            .map(|(c, i)| (c, i, tuple.clone()))
-            .collect();
         let route_us = sources.cost_profile().route_us;
+        let mut queue = mem::take(&mut self.route_queue);
+        for (c, i) in &self.node(id).children {
+            queue.push_back((*c, *i, tuple.clone()));
+        }
         while let Some((nid, idx, t)) = queue.pop_front() {
             sources.clock().charge(TimeCategory::Join, route_us);
-            let outputs: Vec<Tuple> = {
-                // Split borrow: the node is mutated, the module arena is
-                // only read (module state is behind per-slot `RefCell`s).
-                let modules = &self.modules;
-                // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
-                let node = self.nodes[nid.index()].as_mut().expect("live node");
-                match &mut node.kind {
-                    NodeKind::Split => vec![t],
-                    NodeKind::MJoin(mj) => {
-                        mj.insert_governed(idx, t, epoch, sources, governor, modules)
-                    }
-                    NodeKind::RankMerge(rm) => {
-                        rm.accept(idx, t);
-                        Vec::new()
-                    }
-                    NodeKind::Stream(_) => {
-                        panic!("stream {nid} cannot be a routing target")
+            // Split borrow: the node is mutated, the module arena is
+            // only read (module state is behind per-slot `RefCell`s).
+            let modules = &self.modules;
+            // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
+            let node = self.nodes[nid.index()].as_mut().expect("live node");
+            let Node { kind, children, .. } = node;
+            match kind {
+                NodeKind::Split => {
+                    for (c, i) in children.iter() {
+                        queue.push_back((*c, *i, t.clone()));
                     }
                 }
-            };
-            if outputs.is_empty() {
-                continue;
-            }
-            let children = self.node(nid).children.clone();
-            for out in outputs {
-                for (c, i) in &children {
-                    queue.push_back((*c, *i, out.clone()));
+                NodeKind::MJoin(mj) => {
+                    for out in mj.insert_governed(idx, t, epoch, sources, governor, modules) {
+                        for (c, i) in children.iter() {
+                            queue.push_back((*c, *i, out.clone()));
+                        }
+                    }
+                }
+                NodeKind::RankMerge(rm) => rm.accept(idx, t),
+                NodeKind::Stream(_) => {
+                    panic!("stream {nid} cannot be a routing target")
                 }
             }
         }
+        // Drained, so only the capacity is carried to the next read.
+        self.route_queue = queue;
     }
 
     /// Human-readable plan dump (an `EXPLAIN` for the running graph):
@@ -594,11 +635,11 @@ mod tests {
         while g.read_stream(s0, &sources) {}
         while g.read_stream(s1, &sources) {}
         // Join results should be pending in the rank-merge.
-        let bounds = g.stream_bounds();
-        assert_eq!(bounds[&s0], 0.0);
-        assert_eq!(bounds[&s1], 0.0);
-        let rm = g.rank_merge_mut(rmn);
-        rm.maintain(&bounds, 0);
+        let bounds = g.bound_table();
+        assert_eq!(bounds[s0.index()], 0.0);
+        assert_eq!(bounds[s1.index()], 0.0);
+        g.maintain_rank_merge(rmn, 0);
+        let rm = g.rank_merge(rmn);
         // 5 rows per side, keys alternate 0/1: 3 with key ≤... key0: rows
         // 0,2,4 on both sides → 9; key1: rows 1,3 both sides → 4; total 13,
         // top-4 requested.
@@ -628,9 +669,8 @@ mod tests {
         let sources = sources_with_tables();
         let (mut g, s0, s1, rmn) = small_graph(&sources);
         assert!(!g.subtree_quarantined(rmn));
-        if let NodeKind::Stream(leaf) = &mut g.node_mut(s0).kind {
-            leaf.quarantined = true;
-        }
+        g.quarantine_stream(s0);
+        assert_eq!(g.bound_table()[s0.index()], 0.0);
         assert!(g.subtree_quarantined(s0));
         // The rank-merge sits downstream of both streams, so the poisoned
         // leaf taints it; the sibling stream on its own stays clean.
@@ -655,13 +695,15 @@ mod tests {
     }
 
     #[test]
-    fn stream_bounds_cover_all_leaves() {
+    fn bound_table_covers_all_leaves() {
         let sources = sources_with_tables();
         let (g, s0, s1, _) = small_graph(&sources);
-        let bounds = g.stream_bounds();
-        assert_eq!(bounds.len(), 2);
-        assert!((bounds[&s0] - 1.0).abs() < 1e-12);
-        assert!((bounds[&s1] - 1.0).abs() < 1e-12);
+        let bounds = g.bound_table();
+        // One slot per arena slot; exactly the two leaves carry a bound.
+        assert_eq!(bounds.len(), g.len());
+        assert_eq!(bounds.iter().filter(|b| **b != 0.0).count(), 2);
+        assert!((bounds[s0.index()] - 1.0).abs() < 1e-12);
+        assert!((bounds[s1.index()] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 use crate::access::{AccessModule, AccessModuleArena, ModuleId};
 use qsys_source::Sources;
 use qsys_types::{Epoch, RelId, Selection, Tuple};
-use std::collections::HashMap;
 
 /// One join predicate between two relations handled by this m-join.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,11 +79,13 @@ pub struct MJoin {
     preds: Vec<JoinPred>,
     stats: Vec<InputStats>,
     output_rels: Vec<RelId>,
-    /// Relation → index of the input covering it. Inputs of one m-join
-    /// cover disjoint relation sets (a CQ references each relation once),
-    /// so probe routing reduces to bitmask tests over input indices — no
-    /// per-insert relation-set clones.
-    owner: HashMap<RelId, usize>,
+    /// Per predicate (parallel to `preds`): the indices of the inputs
+    /// covering its left and right relation, resolved once when the
+    /// predicate is added. Inputs of one m-join cover disjoint relation
+    /// sets (a CQ references each relation once), so probe routing reduces
+    /// to bitmask tests over input indices — no per-insert relation-set
+    /// clones and no per-candidate map lookups.
+    pred_owners: Vec<(Option<usize>, Option<usize>)>,
 }
 
 impl MJoin {
@@ -102,35 +103,46 @@ impl MJoin {
             inputs.iter().flat_map(|i| i.rels.iter().copied()).collect();
         output_rels.sort_unstable();
         output_rels.dedup();
-        let mut owner = HashMap::with_capacity(output_rels.len());
-        for (idx, input) in inputs.iter().enumerate() {
-            for rel in &input.rels {
-                let prev = owner.insert(*rel, idx);
-                debug_assert!(prev.is_none(), "inputs cover disjoint relations");
-            }
-        }
-        let mj = MJoin {
+        debug_assert!(
+            output_rels.len() == inputs.iter().map(|i| i.rels.len()).sum::<usize>(),
+            "inputs cover disjoint relations"
+        );
+        let mut mj = MJoin {
             stats: vec![InputStats::default(); inputs.len()],
             inputs,
-            preds,
+            preds: Vec::with_capacity(preds.len()),
             output_rels,
-            owner,
+            pred_owners: Vec::with_capacity(preds.len()),
         };
+        for pred in preds {
+            mj.push_pred(pred);
+        }
         mj.register_probe_keys(modules);
         mj
     }
 
-    /// If `pred` connects relations covered by `mask` (a bitmask of input
-    /// indices) to the `target` input, return
+    /// Index of the input covering `rel`, if any.
+    fn owner_of(&self, rel: RelId) -> Option<usize> {
+        self.inputs.iter().position(|i| i.rels.contains(&rel))
+    }
+
+    fn push_pred(&mut self, pred: JoinPred) {
+        self.pred_owners
+            .push((self.owner_of(pred.left_rel), self.owner_of(pred.right_rel)));
+        self.preds.push(pred);
+    }
+
+    /// If predicate `pred_idx` connects relations covered by `mask` (a
+    /// bitmask of input indices) to the `target` input, return
     /// `(covered_rel, covered_col, target_rel, target_col)`.
     fn oriented(
         &self,
-        pred: &JoinPred,
+        pred_idx: usize,
         mask: u64,
         target: usize,
     ) -> Option<(RelId, usize, RelId, usize)> {
-        let left = self.owner.get(&pred.left_rel).copied();
-        let right = self.owner.get(&pred.right_rel).copied();
+        let pred = &self.preds[pred_idx];
+        let (left, right) = self.pred_owners[pred_idx];
         let in_mask = |o: Option<usize>| o.is_some_and(|i| mask & (1 << i) != 0);
         if in_mask(left) && right == Some(target) {
             Some((pred.left_rel, pred.left_col, pred.right_rel, pred.right_col))
@@ -179,7 +191,7 @@ impl MJoin {
     /// Add a predicate (grafting may extend a component).
     pub fn add_pred(&mut self, pred: JoinPred, modules: &AccessModuleArena) {
         if !self.preds.contains(&pred) {
-            self.preds.push(pred);
+            self.push_pred(pred);
             self.register_probe_keys(modules);
         }
         self.stats.resize(self.inputs.len(), InputStats::default());
@@ -256,11 +268,7 @@ impl MJoin {
         remaining
             .iter()
             .copied()
-            .filter(|&i| {
-                self.preds
-                    .iter()
-                    .any(|p| self.oriented(p, covered, i).is_some())
-            })
+            .filter(|&i| (0..self.preds.len()).any(|p| self.oriented(p, covered, i).is_some()))
             .min_by(|&a, &b| {
                 let sa = self.stats[a].selectivity().unwrap_or(1.0);
                 let sb = self.stats[b].selectivity().unwrap_or(1.0);
@@ -279,9 +287,7 @@ impl MJoin {
         governor: Option<&crate::govern::SourceGovernor>,
         modules: &AccessModuleArena,
     ) -> Vec<Tuple> {
-        let conds: Vec<(RelId, usize, RelId, usize)> = self
-            .preds
-            .iter()
+        let conds: Vec<(RelId, usize, RelId, usize)> = (0..self.preds.len())
             .filter_map(|p| self.oriented(p, covered, target))
             .collect();
         debug_assert!(!conds.is_empty());

@@ -31,7 +31,6 @@
 use crate::node::NodeId;
 use qsys_query::ScoreFn;
 use qsys_types::{CqId, RelId, Score, Tuple, UqId, UserId};
-use std::collections::HashMap;
 
 /// Registration of one conjunctive query with a rank-merge operator.
 #[derive(Debug, Clone)]
@@ -78,6 +77,13 @@ pub struct TopKResult {
     pub emitted_at_us: u64,
 }
 
+/// The bound of stream `node` in the graph's bound table; a node the table
+/// does not cover has nothing left to deliver.
+#[inline]
+fn bound_of(bounds: &[f64], node: NodeId) -> f64 {
+    bounds.get(node.index()).copied().unwrap_or(0.0)
+}
+
 #[derive(Debug)]
 struct CqState {
     reg: CqRegistration,
@@ -90,8 +96,9 @@ struct CqState {
 }
 
 impl CqState {
-    /// Current TA threshold given per-node stream bounds.
-    fn threshold(&self, bounds: &HashMap<NodeId, f64>) -> f64 {
+    /// Current TA threshold given the graph's stream-bound table (indexed
+    /// by [`NodeId::index`]; a slot past its end reads as exhausted).
+    fn threshold(&self, bounds: &[f64]) -> f64 {
         if self.u_run == 0.0 {
             return 0.0;
         }
@@ -100,18 +107,18 @@ impl CqState {
             if s.max_bound <= 0.0 {
                 continue;
             }
-            let b = bounds.get(&s.node).copied().unwrap_or(0.0);
+            let b = bound_of(bounds, s.node);
             best = best.max(b / s.max_bound);
         }
         self.u_run * best.min(1.0)
     }
 
     /// Whether every streaming input is exhausted.
-    fn exhausted(&self, bounds: &HashMap<NodeId, f64>) -> bool {
+    fn exhausted(&self, bounds: &[f64]) -> bool {
         self.reg
             .streaming
             .iter()
-            .all(|s| bounds.get(&s.node).copied().unwrap_or(0.0) <= 0.0)
+            .all(|s| bound_of(bounds, s.node) <= 0.0)
     }
 }
 
@@ -258,7 +265,7 @@ impl RankMerge {
 
     /// The highest score any not-yet-seen result could achieve: active CQs
     /// contribute their TA threshold, inactive ones their full `U_run`.
-    pub fn overall_threshold(&self, bounds: &HashMap<NodeId, f64>) -> f64 {
+    pub fn overall_threshold(&self, bounds: &[f64]) -> f64 {
         self.cqs
             .iter()
             .map(|s| {
@@ -275,7 +282,7 @@ impl RankMerge {
     /// every candidate provably in the top-k, prune CQs that can no longer
     /// contribute, and update the done flag. Returns the number of results
     /// emitted during this call.
-    pub fn maintain(&mut self, bounds: &HashMap<NodeId, f64>, now_us: u64) -> usize {
+    pub fn maintain(&mut self, bounds: &[f64], now_us: u64) -> usize {
         let mut emitted_now = 0;
         loop {
             if self.emitted.len() >= self.k {
@@ -359,7 +366,7 @@ impl RankMerge {
     /// Deactivate CQs whose threshold falls below the k-th pending
     /// candidate — they "may no longer be able to contribute to top-k
     /// results" (Section 3).
-    fn prune(&mut self, bounds: &HashMap<NodeId, f64>) {
+    fn prune(&mut self, bounds: &[f64]) {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 || self.candidates.len() < need {
             return;
@@ -378,7 +385,7 @@ impl RankMerge {
     /// Choose the next stream to read: for the active, unpruned CQ with the
     /// highest threshold, the streaming input defining that threshold
     /// (reading it drops the threshold the most).
-    pub fn choose_read(&self, bounds: &HashMap<NodeId, f64>) -> Option<NodeId> {
+    pub fn choose_read(&self, bounds: &[f64]) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
         for s in &self.cqs {
             if !s.active || s.pruned {
@@ -394,7 +401,7 @@ impl RankMerge {
                 if inp.max_bound <= 0.0 {
                     continue;
                 }
-                let b = bounds.get(&inp.node).copied().unwrap_or(0.0);
+                let b = bound_of(bounds, inp.node);
                 if b <= 0.0 {
                     continue;
                 }
@@ -476,8 +483,7 @@ mod tests {
     fn emits_only_above_threshold() {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 2);
         rm.register(reg(0, 0, 1.0));
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.9); // threshold = 0.9
+        let mut bounds = [0.9]; // threshold = 0.9
         rm.accept(0, tup(0, 1, 0.95));
         rm.accept(0, tup(0, 2, 0.5));
         let n = rm.maintain(&bounds, 0);
@@ -485,7 +491,7 @@ mod tests {
         assert_eq!(rm.results().len(), 1);
         assert_eq!(rm.results()[0].score.get(), 0.95);
         // Stream bound drops → second result becomes emittable.
-        bounds.insert(NodeId(0), 0.4);
+        bounds[0] = 0.4;
         let n = rm.maintain(&bounds, 1);
         assert_eq!(n, 1);
         assert!(rm.is_done());
@@ -496,9 +502,7 @@ mod tests {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 1);
         rm.register(reg(0, 0, 1.0));
         rm.register(reg(1, 1, 0.8)); // inactive, U = 0.8
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.1);
-        bounds.insert(NodeId(1), 0.8);
+        let mut bounds = [0.1, 0.8];
         // Candidate with score 0.5 < U(CQ1)=0.8: maintain must activate CQ1
         // rather than emit unsoundly.
         rm.accept(0, tup(0, 1, 0.5));
@@ -506,7 +510,7 @@ mod tests {
         assert_eq!(rm.activated().len(), 2, "CQ1 must be activated");
         assert_eq!(rm.results().len(), 0, "0.5 not emittable yet");
         // Once CQ1's stream drains below 0.5, emission proceeds.
-        bounds.insert(NodeId(1), 0.3);
+        bounds[1] = 0.3;
         rm.maintain(&bounds, 1);
         assert_eq!(rm.results().len(), 1);
         assert!(rm.is_done());
@@ -517,12 +521,10 @@ mod tests {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 3);
         rm.register(reg(0, 0, 1.0));
         rm.register(reg(1, 1, 1.0));
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.9);
-        bounds.insert(NodeId(1), 0.4);
+        let mut bounds = [0.9, 0.4];
         rm.maintain(&bounds, 0); // activates CQ1 (nothing to emit)
         assert_eq!(rm.choose_read(&bounds), Some(NodeId(0)));
-        bounds.insert(NodeId(0), 0.2);
+        bounds[0] = 0.2;
         assert_eq!(rm.choose_read(&bounds), Some(NodeId(1)));
     }
 
@@ -530,8 +532,7 @@ mod tests {
     fn done_when_streams_exhausted_short_of_k() {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 10);
         rm.register(reg(0, 0, 1.0));
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.0); // exhausted
+        let bounds = [0.0]; // exhausted
         rm.accept(0, tup(0, 1, 0.7));
         rm.maintain(&bounds, 0);
         assert!(rm.is_done());
@@ -543,9 +544,7 @@ mod tests {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 2);
         rm.register(reg(0, 0, 1.0));
         rm.register(reg(1, 1, 1.0));
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.9);
-        bounds.insert(NodeId(1), 0.9);
+        let mut bounds = [0.9, 0.9];
         rm.maintain(&bounds, 0);
         assert_eq!(rm.activated().len(), 2);
         // CQ0 produces 0.95 (emittable past thr 0.9) and 0.85 (pending).
@@ -554,7 +553,7 @@ mod tests {
         // 0.9 ≥ 0.85) stays.
         rm.accept(0, tup(0, 1, 0.95));
         rm.accept(0, tup(0, 2, 0.85));
-        bounds.insert(NodeId(1), 0.05);
+        bounds[1] = 0.05;
         rm.maintain(&bounds, 0);
         assert_eq!(rm.results().len(), 1);
         assert!(!rm.slot_active(1), "CQ1 should be pruned");
@@ -565,8 +564,7 @@ mod tests {
     fn results_emit_in_score_order() {
         let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 3);
         rm.register(reg(0, 0, 1.0));
-        let mut bounds = HashMap::new();
-        bounds.insert(NodeId(0), 0.0);
+        let bounds = [0.0];
         rm.accept(0, tup(0, 1, 0.3));
         rm.accept(0, tup(0, 2, 0.9));
         rm.accept(0, tup(0, 3, 0.6));

@@ -76,12 +76,16 @@ impl TimeBreakdown {
     }
 
     /// Component-wise difference (for measuring a window of execution).
+    /// A component on which `earlier` is actually the later snapshot reads
+    /// as an empty window, not an overflow.
     pub fn since(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
         TimeBreakdown {
-            stream_read_us: self.stream_read_us - earlier.stream_read_us,
-            random_access_us: self.random_access_us - earlier.random_access_us,
-            join_us: self.join_us - earlier.join_us,
-            optimize_us: self.optimize_us - earlier.optimize_us,
+            stream_read_us: self.stream_read_us.saturating_sub(earlier.stream_read_us),
+            random_access_us: self
+                .random_access_us
+                .saturating_sub(earlier.random_access_us),
+            join_us: self.join_us.saturating_sub(earlier.join_us),
+            optimize_us: self.optimize_us.saturating_sub(earlier.optimize_us),
         }
     }
 }
@@ -244,7 +248,10 @@ mod tests {
         clock.charge(TimeCategory::Join, 5);
         let t0 = clock.breakdown();
         clock.charge(TimeCategory::Join, 9);
-        let window = clock.breakdown().since(&t0);
-        assert_eq!(window.join_us, 9);
+        let t1 = clock.breakdown();
+        assert_eq!(t1.since(&t0).join_us, 9);
+        // Misordered snapshots: an empty window, no overflow.
+        assert_eq!(t0.since(&t1).join_us, 0);
+        assert_eq!(t0.since(&t1).total_us(), 0);
     }
 }

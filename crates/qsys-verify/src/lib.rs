@@ -23,7 +23,7 @@
 //! paths, …) without network access or compiler plugins.
 
 use qsys_exec::access::ModuleId;
-use qsys_exec::{NodeKind, QueryPlanGraph};
+use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::adaptive::{ObservedCard, ObservedStats};
 use qsys_opt::warm::{WarmExport, MAX_PLANS};
 use qsys_query::{CqSet, SigId, SigInterner, SubExprSig};
@@ -545,10 +545,12 @@ pub fn verify_shards(
 
 /// Check plan-graph well-formedness: edge symmetry between producers and
 /// consumers, live endpoints, m-join input-index sanity, a truthful reuse
-/// index, and — the arena contract — every live module slot's refcount
-/// equal to its graph residency (m-join inputs naming it) plus the
-/// caller-supplied external registrations (the QS manager's shared
-/// probe-cache table holds one reference per entry).
+/// index, the executor's resident caches (every bound-table slot equal to
+/// its leaf's effective bound, zero elsewhere; the rank-merge list equal to
+/// the ascending arena scan), and — the arena contract — every live module
+/// slot's refcount equal to its graph residency (m-join inputs naming it)
+/// plus the caller-supplied external registrations (the QS manager's
+/// shared probe-cache table holds one reference per entry).
 pub fn verify_graph(
     graph: &QueryPlanGraph,
     external_module_refs: &[ModuleId],
@@ -556,9 +558,29 @@ pub fn verify_graph(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut residency: HashMap<ModuleId, u32> = HashMap::new();
+    let mut rank_merges: Vec<NodeId> = Vec::new();
     for id in graph.node_ids() {
         let node = graph.node(id);
         let at = format!("{path}/node[{id}]");
+        // The bound table is written in place at read/quarantine/removal;
+        // a slot that disagrees with its leaf means some mutation bypassed
+        // those paths and the thresholds are being computed from a stale
+        // bound.
+        let want = match &node.kind {
+            NodeKind::Stream(leaf) => leaf.effective_bound(),
+            _ => 0.0,
+        };
+        if matches!(node.kind, NodeKind::RankMerge(_)) {
+            rank_merges.push(id);
+        }
+        let cached = graph.bound_table().get(id.index()).copied();
+        if cached.map(f64::to_bits) != Some(want.to_bits()) {
+            out.push(Violation::new(
+                ViolationClass::GraphMalformed,
+                &at,
+                format!("bound table holds {cached:?}, the node's bound is {want}"),
+            ));
+        }
         // Consumer edges point at live nodes that acknowledge us.
         for (consumer, input_idx) in &node.children {
             match graph.try_node(*consumer) {
@@ -649,6 +671,17 @@ pub fn verify_graph(
                 format!("slot holds {refs} refs but {resident} are accounted for"),
             ));
         }
+    }
+    // `node_ids` walks the arena in id order, so the scan is ascending.
+    if graph.rank_merge_ids() != rank_merges {
+        out.push(Violation::new(
+            ViolationClass::GraphMalformed,
+            format!("{path}/rank_merges"),
+            format!(
+                "resident list {:?} != arena scan {rank_merges:?}",
+                graph.rank_merge_ids()
+            ),
+        ));
     }
     // The reuse index must be truthful: live target carrying that sig.
     for (sig, node_id) in graph.sig_entries() {

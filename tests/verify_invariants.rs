@@ -5,7 +5,8 @@
 //! 1. **Seeded corruption, one per invariant family** — build a structure
 //!    that verifies clean, apply exactly one class of damage (a cycle
 //!    edge, a refcount skew, an overlapping shard split, a stale warm
-//!    closure, a cross-section snapshot dangler), and require that the
+//!    closure, a cross-section snapshot dangler, a stream bound changed
+//!    behind the executor's bound table), and require that the
 //!    verifier reports *that* class and nothing else. A verifier that
 //!    misses the damage is useless; one that mislabels it sends whoever
 //!    reads the report to the wrong subsystem.
@@ -23,13 +24,16 @@ use qsys::verify as qv;
 use qsys_exec::access::{AccessModule, StoredModule};
 use qsys_exec::graph::QueryPlanGraph;
 use qsys_exec::mjoin::{MJoin, MJoinInput};
+use qsys_exec::{NodeKind, StreamBacking};
 use qsys_opt::adaptive::ObservedCard;
 use qsys_opt::warm::{WarmExport, WarmPlan};
 use qsys_opt::OptStats;
 use qsys_query::{CqIdx, CqSet, SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage};
-use qsys_types::RelId;
+use qsys_source::{Sources, Table};
+use qsys_types::{BaseTuple, CostProfile, RelId, SimClock};
 use qsys_workload::gus::{self, GusConfig};
+use std::sync::Arc;
 
 /// A leaf signature over the given relations (sorted, no joins).
 fn sig(rels: &[u32]) -> SubExprSig {
@@ -192,6 +196,44 @@ proptest! {
         for class in classes(&report.violations) {
             prop_assert_eq!(class, ViolationClass::SectionMismatch);
         }
+    }
+
+    /// Corruption class 6: a stream leaf's bound changed without going
+    /// through the graph's read/quarantine paths leaves the executor's
+    /// bound table stale — the thresholds would keep steering reads at a
+    /// dead leaf — and is reported as `GraphMalformed`. The sanctioned
+    /// mutator on an identical graph stays clean.
+    #[test]
+    fn bound_table_skew_is_caught(reads in 0usize..7) {
+        let rel = RelId::new(0);
+        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let rows = (0..8)
+            .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
+            .collect();
+        sources.register(Table::new(rel, rows));
+        let build = || {
+            let mut graph = QueryPlanGraph::new();
+            let leaf = graph.add_stream(StreamBacking::Remote(sources.open_stream(rel, None)), None);
+            for _ in 0..reads {
+                assert!(graph.read_stream(leaf, &sources));
+            }
+            assert!(qv::verify_graph(&graph, &[], "t").is_empty());
+            (graph, leaf)
+        };
+
+        let (mut graph, leaf) = build();
+        if let NodeKind::Stream(l) = &mut graph.node_mut(leaf).kind {
+            l.quarantined = true; // the table still holds the live bound
+        }
+        let violations = qv::verify_graph(&graph, &[], "t");
+        prop_assert!(!violations.is_empty());
+        for class in classes(&violations) {
+            prop_assert_eq!(class, ViolationClass::GraphMalformed);
+        }
+
+        let (mut graph, leaf) = build();
+        graph.quarantine_stream(leaf);
+        prop_assert!(qv::verify_graph(&graph, &[], "t").is_empty());
     }
 }
 
