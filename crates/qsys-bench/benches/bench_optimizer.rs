@@ -1,10 +1,16 @@
-//! Micro-benchmark: BestPlan search scaling in the number of push-down
-//! candidates — the wall-clock companion of Figure 11's exponential curve.
+//! Micro-benchmarks where the per-layer table said the planning time was:
+//! BestPlan search scaling in the number of push-down candidates — the
+//! wall-clock companion of Figure 11's exponential curve, up to the default
+//! (and the benchmark's) cap of 12 — and candidate-network generation for
+//! one GUS script against a cold and a warmed schema-path table.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use qsys::catalog::Catalog;
 use qsys::generate_user_queries;
 use qsys::opt::cost::NoReuse;
 use qsys::opt::{HeuristicConfig, Optimizer, OptimizerConfig};
+use qsys::query::CandidateGenerator;
+use qsys::types::UqId;
 use qsys::SharingMode;
 use qsys_bench::{gus_engine, gus_workload, Scale};
 use std::hint::black_box;
@@ -21,7 +27,7 @@ fn bench_optimizer(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("bestplan");
     group.sample_size(10);
-    for cap in [0usize, 2, 4, 6, 8] {
+    for cap in [0usize, 2, 4, 6, 8, 10, 12] {
         group.bench_with_input(BenchmarkId::new("candidates", cap), &cap, |b, &cap| {
             let config = OptimizerConfig {
                 k: 50,
@@ -39,6 +45,57 @@ fn bench_optimizer(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The script's 10 keyword queries → candidate networks. `cold` runs on
+    // a catalog rebuilt for each sample, so every shortest-path tree the
+    // script needs is built inside it; `warm` finds them in the table.
+    let cqgen = |catalog: &Catalog| {
+        let generator = CandidateGenerator::new(catalog, &workload.index, engine.candidate.clone());
+        let mut next_cq = 0u32;
+        let uqs: Vec<_> = workload
+            .queries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| {
+                let uq = UqId::new(i as u32);
+                generator
+                    .generate(&q.keywords, uq, q.user, &mut next_cq, q.edge_costs.as_ref())
+                    .ok()
+            })
+            .collect();
+        black_box(uqs)
+    };
+    let mut group = c.benchmark_group("cqgen");
+    group.sample_size(10);
+    group.bench_function("gus41_cold_table", |b| {
+        b.iter_batched(
+            || rebuilt(&workload.catalog),
+            |fresh| cqgen(&fresh),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("gus41_warm_table", |b| b.iter(|| cqgen(&workload.catalog)));
+    group.finish();
+}
+
+/// A copy of `catalog` through the builder: same relations and edges, none
+/// of the state a catalog accumulates while it is queried.
+fn rebuilt(catalog: &Catalog) -> Catalog {
+    let mut b = Catalog::builder();
+    for r in catalog.relations() {
+        b.relation(
+            r.name.clone(),
+            r.source_db,
+            r.columns.clone(),
+            r.score_col,
+            r.node_cost,
+            r.stats.clone(),
+        );
+    }
+    for e in catalog.edges() {
+        b.edge(e.from, e.from_col, e.to, e.to_col, e.kind, e.cost, e.fanout);
+    }
+    b.build()
 }
 
 criterion_group!(benches, bench_optimizer);

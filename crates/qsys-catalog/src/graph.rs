@@ -9,8 +9,10 @@
 
 use crate::stats::RelationStats;
 use qsys_types::{QsysError, QsysResult, RelId, SourceId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::sync::{Arc, RwLock};
 
 /// Identifier of a schema-graph edge.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -140,6 +142,43 @@ impl Edge {
     }
 }
 
+/// One full single-source shortest-path tree over the schema graph, dense
+/// by `RelId::index()`.
+struct PathTree {
+    /// Settle order of each relation (`u32::MAX` = unreachable). An
+    /// early-exit search for any target set stops at the member settled
+    /// first, so the member with the smallest rank is its answer.
+    rank: Vec<u32>,
+    /// The edge each relation was settled through (unset for the source and
+    /// for unreachable relations). A settled relation's chain is final.
+    back: Vec<EdgeId>,
+}
+
+/// The lazily filled schema-path table: one [`PathTree`] per `(source,
+/// banned edge)` ever asked about. Edge costs are fixed at
+/// [`CatalogBuilder::build`], so a tree is a pure function of the catalog
+/// and clones share one table.
+#[derive(Clone, Default)]
+struct PathTable(Arc<RwLock<PathTrees>>);
+
+type PathTrees = HashMap<(RelId, Option<EdgeId>), Arc<PathTree>>;
+
+impl PathTable {
+    fn len(&self) -> usize {
+        self.0.read().expect(PATHS_POISONED).len()
+    }
+}
+
+/// Trees are inserted whole, so a poisoned lock still guards valid data —
+/// but a panic on a thread holding it is a bug worth stopping on.
+const PATHS_POISONED: &str = "a thread panicked while holding the schema-path table";
+
+impl fmt::Debug for PathTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PathTable({} trees)", self.len())
+    }
+}
+
 /// The global schema graph with adjacency and name lookup.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
@@ -147,6 +186,7 @@ pub struct Catalog {
     edges: Vec<Edge>,
     adjacency: Vec<Vec<EdgeId>>,
     by_name: HashMap<String, RelId>,
+    paths: PathTable,
 }
 
 impl Catalog {
@@ -219,6 +259,94 @@ impl Catalog {
     /// runtime statistics refresh).
     pub fn stats_mut(&mut self, id: RelId) -> &mut RelationStats {
         &mut self.relations[id.index()].stats
+    }
+
+    /// Integer weight of an edge in path searches: its cost in thousandths,
+    /// at least 1 (zero, negative and NaN costs clamp to 1), so distances
+    /// are exact and strictly increasing along a path.
+    pub fn edge_weight(&self, id: EdgeId) -> u64 {
+        (self.edge(id).cost * 1000.0).max(1.0) as u64
+    }
+
+    /// The cheapest edge-path from `from` to the nearest relation in
+    /// `targets`, never crossing `banned`; `None` when no target is
+    /// reachable. Among equally near targets, and equally cheap routes, the
+    /// choice is the one a Dijkstra search stopping at the first settled
+    /// target makes (equal distances settle the larger `RelId` first, a
+    /// relation keeps the first cheapest edge that reached it).
+    ///
+    /// Answered from the catalog's path table: the first question about a
+    /// `(from, banned)` pair builds its full shortest-path tree, every later
+    /// one — whatever its target set — is a rank scan and a chain walk.
+    pub fn cheapest_path(
+        &self,
+        from: RelId,
+        targets: impl IntoIterator<Item = RelId>,
+        banned: Option<EdgeId>,
+    ) -> Option<Vec<EdgeId>> {
+        let tree = self.path_tree(from, banned);
+        let nearest = targets
+            .into_iter()
+            .min_by_key(|t| tree.rank[t.index()])
+            .filter(|t| tree.rank[t.index()] != u32::MAX)?;
+        let mut path = Vec::new();
+        let mut cur = nearest;
+        while cur != from {
+            let eid = tree.back[cur.index()];
+            path.push(eid);
+            (cur, _, _) = self
+                .edge(eid)
+                .other(cur)
+                .expect("back edge touches its node");
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    fn path_tree(&self, from: RelId, banned: Option<EdgeId>) -> Arc<PathTree> {
+        let key = (from, banned);
+        if let Some(tree) = self.paths.0.read().expect(PATHS_POISONED).get(&key) {
+            return Arc::clone(tree);
+        }
+        // Built outside the lock; a racing builder computed the same tree.
+        let tree = Arc::new(self.build_path_tree(from, banned));
+        let mut table = self.paths.0.write().expect(PATHS_POISONED);
+        Arc::clone(table.entry(key).or_insert(tree))
+    }
+
+    /// Dijkstra from `from` over [`Catalog::edge_weight`], run to
+    /// exhaustion. The heap order (equal distances pop the larger `RelId`
+    /// first) and the strict-improvement relaxation fix every tie, and the
+    /// path table's answers inherit them.
+    fn build_path_tree(&self, from: RelId, banned: Option<EdgeId>) -> PathTree {
+        let n = self.relations.len();
+        let mut dist = vec![u64::MAX; n];
+        let mut rank = vec![u32::MAX; n];
+        let mut back = vec![EdgeId(u32::MAX); n];
+        let mut heap: BinaryHeap<(Reverse<u64>, RelId)> = BinaryHeap::new();
+        let mut settled = 0u32;
+        dist[from.index()] = 0;
+        heap.push((Reverse(0), from));
+        while let Some((Reverse(d), rel)) = heap.pop() {
+            if dist[rel.index()] < d {
+                continue; // stale entry
+            }
+            rank[rel.index()] = settled;
+            settled += 1;
+            for &eid in self.incident_edges(rel) {
+                if banned == Some(eid) {
+                    continue;
+                }
+                let (next, _, _) = self.edge(eid).other(rel).expect("incident edge");
+                let nd = d + self.edge_weight(eid);
+                if nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    back[next.index()] = eid;
+                    heap.push((Reverse(nd), next));
+                }
+            }
+        }
+        PathTree { rank, back }
     }
 }
 
@@ -314,6 +442,7 @@ impl CatalogBuilder {
             edges: self.edges,
             adjacency,
             by_name,
+            paths: PathTable::default(),
         }
     }
 }
@@ -412,5 +541,43 @@ mod tests {
         let c = small_catalog();
         assert!(c.try_relation(RelId::new(99)).is_err());
         assert!(c.try_relation(RelId::new(0)).is_ok());
+    }
+
+    #[test]
+    fn edge_weight_is_thousandths_clamped_to_one() {
+        let mut b = Catalog::builder();
+        let stats = || RelationStats::with_cardinality(1);
+        let x = b.relation("X", SourceId::new(0), vec!["k".into()], None, 1.0, stats());
+        let y = b.relation("Y", SourceId::new(0), vec!["k".into()], None, 1.0, stats());
+        let costs = [1.5, 0.0, -3.0, f64::NAN, 0.0004];
+        let ids: Vec<EdgeId> = costs
+            .iter()
+            .map(|&cost| b.edge(x, 0, y, 0, EdgeKind::Link, cost, 1.0))
+            .collect();
+        let c = b.build();
+        let weights: Vec<u64> = ids.iter().map(|&e| c.edge_weight(e)).collect();
+        assert_eq!(weights, [1500, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn path_table_fills_lazily_and_is_shared_by_clones() {
+        let c = small_catalog();
+        let t = c.relation_by_name("Term").unwrap().id;
+        let gi = c.relation_by_name("GeneInfo").unwrap().id;
+        assert_eq!(c.paths.len(), 0, "nothing is precomputed");
+        let path = c.cheapest_path(t, [gi], None).expect("connected");
+        assert_eq!(path, [EdgeId(0), EdgeId(1)]);
+        assert_eq!(c.cheapest_path(t, [gi, t], None), Some(Vec::new()));
+        assert_eq!(c.cheapest_path(t, [gi], Some(EdgeId(1))), None);
+        assert_eq!(c.paths.len(), 2, "one tree per (from, banned)");
+
+        // A clone (the engine's copy, a lane's copy) reads and fills the
+        // same table; stats edits do not detach it.
+        let mut clone = c.clone();
+        clone.stats_mut(t).cardinality = 7;
+        assert_eq!(clone.cheapest_path(gi, [t], None).map(|p| p.len()), Some(2));
+        assert_eq!(c.paths.len(), 3);
+        // Debug names the table by size only.
+        assert!(format!("{c:?}").contains("PathTable(3 trees)"));
     }
 }

@@ -28,21 +28,32 @@
 //!   [`CqTable`] indices, so line 14's set difference, the emptiness test,
 //!   and candidate cloning are word ops.
 //! - **Candidates live once in an arena** (`cands`, deduplicated by
-//!   `(SigId, CqSet)`); the recursion passes small `Vec<CandIdx>` index
-//!   vectors for `S` and `A` instead of cloning `Vec<Candidate>`s.
-//! - **The memo stores indices, not assignments**: it maps a sorted
-//!   `[SigId]` state key to `(plan arena index, cost)`, and winning
-//!   completed assignments are stored exactly once in the `plans` arena.
-//!   A memo hit returns two `Copy` words.
-//! - **Completion and costing are incremental** against an all-defaults
-//!   baseline hoisted once per batch: each state copies the baseline
-//!   default sets and per-query stream counts (a few `memcpy`s) and applies
-//!   only the committed candidates' deltas via precomputed
-//!   per-(signature, query) covered-default tables. The final cost sum is
-//!   still accumulated input-by-input in the exact order (and with the
-//!   exact floating-point operations) the original `BTreeSet`-based code
-//!   used, so sharing decisions and costs are bit-for-bit unchanged — the
-//!   golden tests in `tests/interner_invariants.rs` pin that.
+//!   `(SigId, CqSet)`); a state's `S` is a slice of [`CandIdx`] and `A` is
+//!   one push/pop stack shared by the whole recursion.
+//! - **The memo is keyed by a `u64` mask and consulted by the parent.**
+//!   Root candidates have distinct signatures and line 14's reduction keeps
+//!   a candidate's signature, so `A` is exactly a set of root positions:
+//!   the key is carried down as `mask | 1 << position`, and a parent looks
+//!   each child's mask up *before* building `S′` — four children in five
+//!   hit and cost one probe.
+//! - **No state stores an assignment.** A memo entry is the best cost at
+//!   or below the state, the mask of the state whose stop plan achieves it,
+//!   and the candidate whose commit first entered the state. The overall
+//!   winner is materialized once, after the search, by re-committing the
+//!   winning stop state's entry chain and reading the live completion.
+//! - **Completion is one live state, edited in place.** The all-defaults
+//!   completion (which queries still need each default input, and how many
+//!   streaming inputs each query has) is built once per batch; committing a
+//!   candidate applies only that candidate's delta through its precomputed
+//!   per-query covered-default table, logging every default it displaces,
+//!   and returning from the child undoes the log. Every state is costed
+//!   from that live pair, input by input and sharer by sharer in the exact
+//!   order (and with the exact floating-point operations) the original
+//!   `BTreeSet`-based code used, so sharing decisions and costs are
+//!   bit-for-bit unchanged — the golden tests in
+//!   `tests/interner_invariants.rs` and the differential proptest against
+//!   the rebuild-per-state recursion (kept below as a test reference) pin
+//!   that.
 //!
 //! Per-signature facts (cardinality, streamability, reuse) are answered
 //! from a dense id-indexed cache precomputed before the recursion starts;
@@ -51,7 +62,7 @@
 use crate::cost::{CostModel, ReuseOracle};
 use crate::heuristics::{Candidate, HeuristicConfig};
 use crate::warm::WarmStore;
-use qsys_query::{ConjunctiveQuery, CqSet, CqTable, SigId, SigInterner};
+use qsys_query::{ConjunctiveQuery, CqIdx, CqSet, CqTable, SigId, SigInterner};
 use std::collections::HashMap;
 
 /// Search statistics (Figure 11's x-axis is `candidates`; its y-axis grows
@@ -60,7 +71,8 @@ use std::collections::HashMap;
 pub struct OptStats {
     /// Multi-relation candidates entering the search.
     pub candidates: usize,
-    /// Recursive `BestPlan` invocations.
+    /// States named by the search: entered, or answered from the memo by
+    /// the parent.
     pub explored: usize,
     /// Memo hits.
     pub memo_hits: usize,
@@ -83,8 +95,21 @@ pub type Assignment = Vec<Candidate>;
 /// Index into the search's candidate arena.
 type CandIdx = u32;
 
-/// Index into the search's winning-plan arena.
-type PlanIdx = u32;
+/// A searched state's outcome. The best plan below a state is always the
+/// stop plan of some state at or below it, named here by memo mask; that
+/// state's `A` is recovered from the `via` chain (each state's mask minus
+/// its `via` position is the state that first entered it), so no state
+/// ever stores an assignment.
+#[derive(Clone, Copy, Debug)]
+struct Memoized {
+    /// Cost of the best plan at or below the state.
+    cost: f64,
+    /// The state whose stop plan that is.
+    stops_at: u64,
+    /// The candidate whose commit first entered the state (unread for the
+    /// root).
+    via: CandIdx,
+}
 
 /// Per-signature facts the recursion consults, computed once per id.
 #[derive(Clone, Copy, Debug)]
@@ -114,10 +139,8 @@ pub struct BestPlanSearch<'a> {
     cands: Vec<CandData>,
     /// Arena deduplication: `(sig, queries)` → index.
     cand_ids: HashMap<(SigId, CqSet), CandIdx>,
-    /// Winning completed assignments, stored once; the memo points here.
-    plans: Vec<Box<[CandIdx]>>,
-    /// Memo: sorted signatures of `A` → (winning plan index, cost).
-    memo: HashMap<Box<[SigId]>, (PlanIdx, f64)>,
+    /// Memo: root positions of `A` as a bitmask → the state's outcome.
+    memo: HashMap<u64, Memoized>,
     /// Per-signature facts, indexed by `SigId` (defaults and candidates are
     /// seeded up front; recursion never interns).
     facts: Vec<Option<SigFacts>>,
@@ -134,17 +157,24 @@ pub struct BestPlanSearch<'a> {
     rank_sigs: Vec<SigId>,
     /// Whether the default at each rank is a streaming input.
     rank_streamed: Vec<bool>,
-    /// All-defaults baseline, hoisted once per batch: which queries need
-    /// each default when nothing is pushed down…
-    baseline_defaults: Vec<CqSet>,
-    /// …and how many streaming inputs each query has in that baseline.
-    baseline_m: Vec<u32>,
-    /// Per candidate signature and batch index: the default ranks a commit
-    /// of that signature displaces for that query.
-    cover: HashMap<SigId, Vec<Box<[u16]>>>,
-    /// Reusable per-state buffers (reset from the baseline each state).
-    scratch_defaults: Vec<CqSet>,
-    scratch_m: Vec<u32>,
+    /// The live completion of `a`: which queries still need each default
+    /// (by rank) — the all-defaults baseline at the root, edited in place
+    /// by [`commit`](Self::commit) / [`retract`](Self::retract)…
+    live_defaults: Vec<CqSet>,
+    /// …and how many streaming inputs each query has under it.
+    live_m: Vec<u32>,
+    /// The committed candidates `A` of the state being searched, in commit
+    /// order.
+    a: Vec<CandIdx>,
+    /// Every default displaced by a commit still on `a`, as `(rank,
+    /// query)`, in displacement order.
+    displaced: Vec<(u16, CqIdx)>,
+    /// Per root position and batch index: the default ranks a commit of
+    /// that root candidate displaces for that query.
+    cover: Vec<Vec<Box<[u16]>>>,
+    /// Per root position: the root positions whose signatures share a
+    /// relation with it (line 14 reduces exactly those).
+    overlaps: Vec<u64>,
     stats: OptStats,
 }
 
@@ -153,6 +183,8 @@ pub struct BestPlanSearch<'a> {
 struct CandData {
     sig: SigId,
     queries: CqSet,
+    /// Position of `sig` among the root candidates (its memo-mask bit).
+    pos: u8,
 }
 
 impl<'a> BestPlanSearch<'a> {
@@ -169,10 +201,10 @@ impl<'a> BestPlanSearch<'a> {
     }
 
     /// Set up a search over `queries`, precomputing every per-signature
-    /// fact the recursion will need and hoisting the all-defaults baseline
-    /// completion. With `warm`, batch-invariant facts and the canonical
-    /// default order come from (and extend) the lane's warm store; results
-    /// are bit-identical to a cold setup.
+    /// fact the recursion will need and building the all-defaults
+    /// completion it starts from. With `warm`, batch-invariant facts and
+    /// the canonical default order come from (and extend) the lane's warm
+    /// store; results are bit-identical to a cold setup.
     pub fn new_warm(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
@@ -229,7 +261,7 @@ impl<'a> BestPlanSearch<'a> {
             .map(|(rank, id)| (*id, rank))
             .collect();
         let rank_sigs = default_ids;
-        // Ranks travel as u16 through the cover tables and survivor lists.
+        // Ranks travel as u16 through the cover tables and the undo log.
         assert!(
             rank_sigs.len() <= u16::MAX as usize + 1,
             "batch with {} default signatures exceeds the dense-rank range",
@@ -244,7 +276,6 @@ impl<'a> BestPlanSearch<'a> {
             warm,
             cands: Vec::new(),
             cand_ids: HashMap::new(),
-            plans: Vec::new(),
             memo: HashMap::new(),
             facts: Vec::new(),
             cq_card,
@@ -252,11 +283,12 @@ impl<'a> BestPlanSearch<'a> {
             default_rank,
             rank_sigs,
             rank_streamed: Vec::new(),
-            baseline_defaults: Vec::new(),
-            baseline_m: Vec::new(),
-            cover: HashMap::new(),
-            scratch_defaults: vec![CqSet::new(); n_ranks],
-            scratch_m: vec![0; n_cq],
+            live_defaults: vec![CqSet::new(); n_ranks],
+            live_m: vec![0; n_cq],
+            a: Vec::new(),
+            displaced: Vec::new(),
+            cover: Vec::new(),
+            overlaps: Vec::new(),
             stats: OptStats::default(),
         };
         let ids: Vec<SigId> = search
@@ -267,22 +299,19 @@ impl<'a> BestPlanSearch<'a> {
         for id in ids {
             search.seed_facts(id);
         }
-        // The hoisted baseline: default sets and per-query stream counts of
-        // the all-defaults completion (the `A = ∅` stop plan). Every state
-        // starts from a copy of these and applies its candidates' deltas.
+        // The all-defaults completion (the `A = ∅` stop plan): default sets
+        // and per-query stream counts. Commits edit it in place from here.
         search.rank_streamed = search
             .rank_sigs
             .iter()
             .map(|sig| search.facts(*sig).streamed)
             .collect();
-        search.baseline_defaults = vec![CqSet::new(); n_ranks];
-        search.baseline_m = vec![0; n_cq];
         for qi in 0..n_cq {
             for (_, sig) in &search.defaults_of[qi] {
                 let rank = search.default_rank[sig];
-                search.baseline_defaults[rank].insert(qsys_query::CqIdx(qi as u16));
+                search.live_defaults[rank].insert(CqIdx(qi as u16));
                 if search.rank_streamed[rank] {
-                    search.baseline_m[qi] += 1;
+                    search.live_m[qi] += 1;
                 }
             }
         }
@@ -322,30 +351,25 @@ impl<'a> BestPlanSearch<'a> {
     }
 
     /// Intern a `(sig, queries)` pair in the candidate arena.
-    fn cand_idx(&mut self, sig: SigId, queries: CqSet) -> CandIdx {
+    fn cand_idx(&mut self, sig: SigId, pos: u8, queries: CqSet) -> CandIdx {
         use std::collections::hash_map::Entry;
         match self.cand_ids.entry((sig, queries)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let idx = self.cands.len() as CandIdx;
                 let queries = e.key().1.clone();
-                self.cands.push(CandData { sig, queries });
+                self.cands.push(CandData { sig, queries, pos });
                 e.insert(idx);
                 idx
             }
         }
     }
 
-    /// Precompute, per query, which default ranks a commit of `sig`
-    /// displaces (its covered relations intersected with the query's
-    /// default list).
-    fn build_cover(&mut self, sig: SigId) {
-        if self.cover.contains_key(&sig) {
-            return;
-        }
-        let rels: Vec<qsys_types::RelId> = self.interner.rels(sig).to_vec();
-        let per_query: Vec<Box<[u16]>> = self
-            .defaults_of
+    /// Per query, the default ranks a commit of `sig` displaces (its
+    /// covered relations intersected with the query's default list).
+    fn cover_of(&self, sig: SigId) -> Vec<Box<[u16]>> {
+        let rels = self.interner.rels(sig);
+        self.defaults_of
             .iter()
             .map(|defs| {
                 defs.iter()
@@ -353,13 +377,13 @@ impl<'a> BestPlanSearch<'a> {
                     .map(|(_, dsig)| self.default_rank[dsig] as u16)
                     .collect()
             })
-            .collect();
-        self.cover.insert(sig, per_query);
+            .collect()
     }
 
-    /// Run the search over multi-relation `candidates`; returns the best
-    /// assignment (already completed with defaults) and stats.
-    pub fn run(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
+    /// Enter the multi-relation `candidates` into the arena as the root
+    /// `S`, with the per-position tables the recursion reads: covered
+    /// defaults and the `shares_relation` matrix.
+    fn seed_root(&mut self, candidates: Vec<Candidate>) -> Vec<CandIdx> {
         for c in &candidates {
             self.seed_facts(c.sig);
         }
@@ -367,103 +391,190 @@ impl<'a> BestPlanSearch<'a> {
             .into_iter()
             .filter(|c| self.facts(c.sig).size > 1 && !c.queries.is_empty())
             .collect();
+        // A state's memo key is one bit per root candidate, which names the
+        // set `A` only while signatures are distinct.
+        assert!(
+            multi.len() <= HeuristicConfig::MAX_CANDIDATES_LIMIT,
+            "{} multi-relation candidates exceed the {}-bit memo mask \
+             (HeuristicConfig::max_candidates bounds them)",
+            multi.len(),
+            HeuristicConfig::MAX_CANDIDATES_LIMIT
+        );
+        for (i, c) in multi.iter().enumerate() {
+            assert!(
+                multi[..i].iter().all(|earlier| earlier.sig != c.sig),
+                "candidate signature {} entered the search twice",
+                c.sig
+            );
+        }
         self.stats.candidates = multi.len();
-        let root: Vec<CandIdx> = multi
-            .into_iter()
-            .map(|c| {
-                self.build_cover(c.sig);
-                self.cand_idx(c.sig, c.queries)
-            })
-            .collect();
-        let (plan, cost) = self.best_plan(root, Vec::new());
-        self.stats.best_cost = cost;
-        let assignment: Assignment = self.plans[plan as usize]
+        self.cover = multi.iter().map(|c| self.cover_of(c.sig)).collect();
+        self.overlaps = multi
             .iter()
-            .map(|&ci| {
-                let cd = &self.cands[ci as usize];
-                Candidate {
-                    sig: cd.sig,
-                    queries: cd.queries.clone(),
-                }
+            .map(|c| {
+                multi.iter().enumerate().fold(0u64, |bits, (pos, other)| {
+                    bits | u64::from(self.interner.shares_relation(c.sig, other.sig)) << pos
+                })
             })
             .collect();
-        (assignment, self.stats)
+        multi
+            .into_iter()
+            .enumerate()
+            .map(|(pos, c)| self.cand_idx(c.sig, pos as u8, c.queries))
+            .collect()
     }
 
-    /// The recursive search (Algorithm 1), over arena indices.
-    fn best_plan(&mut self, s: Vec<CandIdx>, a: Vec<CandIdx>) -> (PlanIdx, f64) {
-        self.stats.explored += 1;
-        let mut key: Vec<SigId> = a.iter().map(|&c| self.cands[c as usize].sig).collect();
-        key.sort_unstable();
-        if let Some(&(plan, cost)) = self.memo.get(key.as_slice()) {
-            self.stats.memo_hits += 1;
-            return (plan, cost);
-        }
+    /// The stop plan of the current state as an assignment: `A`, then the
+    /// defaults still live in canonical rank order.
+    fn live_assignment(&self) -> Assignment {
+        let committed = self.a.iter().map(|&ci| {
+            let cd = &self.cands[ci as usize];
+            (cd.sig, &cd.queries)
+        });
+        let defaults = self
+            .live_defaults
+            .iter()
+            .enumerate()
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(rank, set)| (self.rank_sigs[rank], set));
+        committed
+            .chain(defaults)
+            .map(|(sig, queries)| Candidate {
+                sig,
+                queries: queries.clone(),
+            })
+            .collect()
+    }
 
-        // Option 0 (and the |S| = 0 base case): stop here — complete `A`
-        // with default per-relation inputs and cost the plan.
-        let (survivors, mut best_cost) = self.complete_and_cost(&a);
-        let mut best_plan: Option<PlanIdx> = None;
+    /// Run the search over multi-relation `candidates`; returns the best
+    /// assignment (already completed with defaults) and stats.
+    pub fn run(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
+        let root = self.seed_root(candidates);
+        self.stats.explored += 1;
+        let best = self.best_plan(&root, 0);
+        self.stats.best_cost = best.cost;
+        // Re-enter the winning stop state the way the search first did
+        // (every commit has been retracted, so the live state is the
+        // all-defaults completion again) and read its plan off.
+        let mut path = Vec::new();
+        let mut mask = best.stops_at;
+        while mask != 0 {
+            let via = self.memo[&mask].via;
+            path.push(via);
+            mask &= !(1 << self.cands[via as usize].pos);
+        }
+        for &j in path.iter().rev() {
+            self.commit(j);
+        }
+        (self.live_assignment(), self.stats)
+    }
+
+    /// The recursive search (Algorithm 1) for the state whose committed
+    /// set `A` is on `self.a` (memo key `mask`, completion in the live
+    /// state) and whose remaining candidates are `s`. The caller has
+    /// counted the state and found it missing from the memo.
+    fn best_plan(&mut self, s: &[CandIdx], mask: u64) -> Memoized {
+        // Option 0 (and the |S| = 0 base case): stop here — `A` completed
+        // with the default per-relation inputs still live.
+        let mut best = Memoized {
+            cost: self.live_cost(),
+            stops_at: mask,
+            via: self.a.last().copied().unwrap_or_default(),
+        };
 
         // Otherwise commit to each candidate J in turn (lines 11–23).
+        let mut s_prime: Vec<CandIdx> = Vec::with_capacity(s.len().saturating_sub(1));
         for (idx, &j) in s.iter().enumerate() {
-            let mut s_prime: Vec<CandIdx> = Vec::with_capacity(s.len() - 1);
-            for (idx2, &j2) in s.iter().enumerate() {
-                if idx2 == idx {
-                    continue;
+            self.stats.explored += 1;
+            let j_pos = self.cands[j as usize].pos;
+            let child_mask = mask | 1 << j_pos;
+            let child = match self.memo.get(&child_mask) {
+                Some(&hit) => {
+                    self.stats.memo_hits += 1;
+                    hit
                 }
-                let j2_sig = self.cands[j2 as usize].sig;
-                if self
-                    .interner
-                    .shares_relation(j2_sig, self.cands[j as usize].sig)
-                {
-                    // Queries sourced by J must not also use an overlapping
-                    // J′ (line 14: S′[J′] = S[J′] − S[J]).
-                    let reduced = self.cands[j2 as usize]
-                        .queries
-                        .difference(&self.cands[j as usize].queries);
-                    if !reduced.is_empty() {
-                        s_prime.push(self.cand_idx(j2_sig, reduced));
+                None => {
+                    let j_queries = self.cands[j as usize].queries.clone();
+                    let reduces = self.overlaps[j_pos as usize];
+                    s_prime.clear();
+                    for (idx2, &j2) in s.iter().enumerate() {
+                        if idx2 == idx {
+                            continue;
+                        }
+                        let cd2 = &self.cands[j2 as usize];
+                        if reduces >> cd2.pos & 1 == 1 && cd2.queries.intersects(&j_queries) {
+                            // Queries sourced by J must not also use an
+                            // overlapping J′ (line 14: S′[J′] = S[J′] − S[J]).
+                            let reduced = cd2.queries.difference(&j_queries);
+                            if !reduced.is_empty() {
+                                let (sig, pos) = (cd2.sig, cd2.pos);
+                                s_prime.push(self.cand_idx(sig, pos, reduced));
+                            }
+                        } else {
+                            s_prime.push(j2);
+                        }
                     }
-                } else {
-                    s_prime.push(j2);
+                    let mark = self.commit(j);
+                    let child = self.best_plan(&s_prime, child_mask);
+                    self.retract(mark);
+                    child
                 }
-            }
-            let mut a_prime = a.clone();
-            a_prime.push(j);
-            let (plan, cost) = self.best_plan(s_prime, a_prime);
-            if cost < best_cost {
-                best_cost = cost;
-                best_plan = Some(plan);
+            };
+            if child.cost < best.cost {
+                best.cost = child.cost;
+                best.stops_at = child.stops_at;
             }
         }
-
-        // Only a *winning* stop plan is materialized: its surviving
-        // defaults are interned into the candidate arena and the completed
-        // index list is stored once. Losing stops cost nothing beyond the
-        // cost computation itself.
-        let plan = match best_plan {
-            Some(p) => p,
-            None => {
-                let mut completed: Vec<CandIdx> = Vec::with_capacity(a.len() + survivors.len());
-                completed.extend_from_slice(&a);
-                for (rank, set) in survivors {
-                    let ci = self.cand_idx(self.rank_sigs[rank as usize], set);
-                    completed.push(ci);
-                }
-                let p = self.plans.len() as PlanIdx;
-                self.plans.push(completed.into_boxed_slice());
-                p
-            }
-        };
-        self.memo.insert(key.into_boxed_slice(), (plan, best_cost));
-        (plan, best_cost)
+        self.memo.insert(mask, best);
+        best
     }
 
-    /// Complete a partial assignment and cost the resulting plan, starting
-    /// from the hoisted all-defaults baseline and applying only `a`'s
-    /// deltas: committed candidates displace the defaults they cover
-    /// (per-rank bit clears) and adjust the per-query stream counts.
+    /// Push `j` onto `A` and apply its delta to the live completion: it
+    /// displaces the defaults it covers (per-rank bit clears, each actual
+    /// removal logged) and adjusts the per-query stream counts. Returns the
+    /// undo-log mark [`retract`](Self::retract) needs.
+    fn commit(&mut self, j: CandIdx) -> usize {
+        let mark = self.displaced.len();
+        let cd = &self.cands[j as usize];
+        let streamed = self.facts(cd.sig).streamed;
+        let cover = &self.cover[cd.pos as usize];
+        for qi in cd.queries.iter() {
+            if streamed {
+                self.live_m[qi.index()] += 1;
+            }
+            for &rank in cover[qi.index()].iter() {
+                if self.live_defaults[rank as usize].remove(qi) {
+                    self.displaced.push((rank, qi));
+                    if self.rank_streamed[rank as usize] {
+                        self.live_m[qi.index()] -= 1;
+                    }
+                }
+            }
+        }
+        self.a.push(j);
+        mark
+    }
+
+    /// Undo the most recent [`commit`](Self::commit): the live state is
+    /// again, bit for bit, what it was before it.
+    fn retract(&mut self, mark: usize) {
+        let j = self.a.pop().expect("retract follows a commit");
+        for (rank, qi) in self.displaced.drain(mark..) {
+            self.live_defaults[rank as usize].insert(qi);
+            if self.rank_streamed[rank as usize] {
+                self.live_m[qi.index()] += 1;
+            }
+        }
+        let cd = &self.cands[j as usize];
+        if self.facts(cd.sig).streamed {
+            for qi in cd.queries.iter() {
+                self.live_m[qi.index()] -= 1;
+            }
+        }
+    }
+
+    /// Cost the plan that stops at the current state: `A` plus the defaults
+    /// still live.
     ///
     /// Costing follows the paper's model: streaming inputs cost per
     /// expected read; shared inputs are read once (the maximum of the
@@ -473,53 +584,18 @@ impl<'a> BestPlanSearch<'a> {
     /// (committed candidates, then defaults in canonical rank order) and
     /// sharers in ascending `CqId` order, reproducing the original
     /// accumulation order exactly.
-    ///
-    /// Returns the surviving defaults as owned `(rank, set)` pairs — they
-    /// must outlive the child recursion (which clobbers the scratch
-    /// buffers) so the caller can materialize the stop plan if it wins;
-    /// nothing is interned into the candidate arena here.
-    fn complete_and_cost(&mut self, a: &[CandIdx]) -> (Vec<(u16, CqSet)>, f64) {
-        let mut defaults = std::mem::take(&mut self.scratch_defaults);
-        let mut m = std::mem::take(&mut self.scratch_m);
-        defaults.clone_from(&self.baseline_defaults);
-        m.clone_from(&self.baseline_m);
-
-        for &ci in a {
+    fn live_cost(&self) -> f64 {
+        let mut total = 0.0;
+        for &ci in &self.a {
             let cd = &self.cands[ci as usize];
-            let streamed = self.facts(cd.sig).streamed;
-            let cover = &self.cover[&cd.sig];
-            for qi in cd.queries.iter() {
-                if streamed {
-                    m[qi.index()] += 1;
-                }
-                for &rank in cover[qi.index()].iter() {
-                    let rank = rank as usize;
-                    if defaults[rank].remove(qi) && self.rank_streamed[rank] {
-                        m[qi.index()] -= 1;
-                    }
-                }
+            self.add_input_cost(cd.sig, &cd.queries, &self.live_m, &mut total);
+        }
+        for (rank, set) in self.live_defaults.iter().enumerate() {
+            if !set.is_empty() {
+                self.add_input_cost(self.rank_sigs[rank], set, &self.live_m, &mut total);
             }
         }
-
-        let survivors: Vec<(u16, CqSet)> = defaults
-            .iter()
-            .enumerate()
-            .filter(|(_, set)| !set.is_empty())
-            .map(|(rank, set)| (rank as u16, set.clone()))
-            .collect();
-
-        let mut total = 0.0;
-        for &ci in a {
-            let cd = &self.cands[ci as usize];
-            self.add_input_cost(cd.sig, &cd.queries, &m, &mut total);
-        }
-        for (rank, set) in &survivors {
-            self.add_input_cost(self.rank_sigs[*rank as usize], set, &m, &mut total);
-        }
-
-        self.scratch_defaults = defaults;
-        self.scratch_m = m;
-        (survivors, total)
+        total
     }
 
     /// Accumulate one input's cost into `total` with the exact additions
@@ -578,9 +654,300 @@ pub fn is_valid_assignment(
 mod tests {
     use super::*;
     use crate::cost::NoReuse;
+    use proptest::prelude::*;
     use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin, SubExprSig};
     use qsys_types::{CostProfile, CqId, RelId, SourceId, UqId, UserId};
+
+    /// The recursion the mask-keyed, edit-in-place search replaced, kept as
+    /// the reference it is checked against: every state allocates its sorted
+    /// `[SigId]` memo key and its own `S′`, looks itself up on entry, and
+    /// rebuilds its completion from the all-defaults baseline; every state
+    /// whose stop plan wins stores that assignment.
+    struct Reference {
+        memo: HashMap<Box<[SigId]>, (usize, f64)>,
+        plans: Vec<Assignment>,
+        baseline_defaults: Vec<CqSet>,
+        baseline_m: Vec<u32>,
+    }
+
+    impl BestPlanSearch<'_> {
+        fn run_reference(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
+            let root = self.seed_root(candidates);
+            let mut reference = Reference {
+                memo: HashMap::new(),
+                plans: Vec::new(),
+                baseline_defaults: self.live_defaults.clone(),
+                baseline_m: self.live_m.clone(),
+            };
+            let (plan, cost) = self.reference_best_plan(&mut reference, root, Vec::new());
+            self.stats.best_cost = cost;
+            (reference.plans.swap_remove(plan), self.stats)
+        }
+
+        fn reference_best_plan(
+            &mut self,
+            reference: &mut Reference,
+            s: Vec<CandIdx>,
+            a: Vec<CandIdx>,
+        ) -> (usize, f64) {
+            self.stats.explored += 1;
+            let mut key: Vec<SigId> = a.iter().map(|&c| self.cands[c as usize].sig).collect();
+            key.sort_unstable();
+            if let Some(&(plan, cost)) = reference.memo.get(key.as_slice()) {
+                self.stats.memo_hits += 1;
+                return (plan, cost);
+            }
+
+            let (survivors, mut best_cost) = self.reference_complete_and_cost(reference, &a);
+            let mut best_plan: Option<usize> = None;
+
+            for (idx, &j) in s.iter().enumerate() {
+                let mut s_prime: Vec<CandIdx> = Vec::with_capacity(s.len() - 1);
+                for (idx2, &j2) in s.iter().enumerate() {
+                    if idx2 == idx {
+                        continue;
+                    }
+                    let (j2_sig, j2_pos) =
+                        (self.cands[j2 as usize].sig, self.cands[j2 as usize].pos);
+                    if self
+                        .interner
+                        .shares_relation(j2_sig, self.cands[j as usize].sig)
+                    {
+                        let reduced = self.cands[j2 as usize]
+                            .queries
+                            .difference(&self.cands[j as usize].queries);
+                        if !reduced.is_empty() {
+                            s_prime.push(self.cand_idx(j2_sig, j2_pos, reduced));
+                        }
+                    } else {
+                        s_prime.push(j2);
+                    }
+                }
+                let mut a_prime = a.clone();
+                a_prime.push(j);
+                let (plan, cost) = self.reference_best_plan(reference, s_prime, a_prime);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_plan = Some(plan);
+                }
+            }
+
+            let plan = best_plan.unwrap_or_else(|| {
+                let committed = a.iter().map(|&ci| {
+                    let cd = &self.cands[ci as usize];
+                    (cd.sig, cd.queries.clone())
+                });
+                let defaults = survivors
+                    .into_iter()
+                    .map(|(rank, set)| (self.rank_sigs[rank as usize], set));
+                let completed = committed
+                    .chain(defaults)
+                    .map(|(sig, queries)| Candidate { sig, queries })
+                    .collect();
+                reference.plans.push(completed);
+                reference.plans.len() - 1
+            });
+            reference
+                .memo
+                .insert(key.into_boxed_slice(), (plan, best_cost));
+            (plan, best_cost)
+        }
+
+        fn reference_complete_and_cost(
+            &self,
+            reference: &Reference,
+            a: &[CandIdx],
+        ) -> (Vec<(u16, CqSet)>, f64) {
+            let mut defaults = reference.baseline_defaults.clone();
+            let mut m = reference.baseline_m.clone();
+
+            for &ci in a {
+                let cd = &self.cands[ci as usize];
+                let streamed = self.facts(cd.sig).streamed;
+                let cover = &self.cover[cd.pos as usize];
+                for qi in cd.queries.iter() {
+                    if streamed {
+                        m[qi.index()] += 1;
+                    }
+                    for &rank in cover[qi.index()].iter() {
+                        let rank = rank as usize;
+                        if defaults[rank].remove(qi) && self.rank_streamed[rank] {
+                            m[qi.index()] -= 1;
+                        }
+                    }
+                }
+            }
+
+            let survivors: Vec<(u16, CqSet)> = defaults
+                .iter()
+                .enumerate()
+                .filter(|(_, set)| !set.is_empty())
+                .map(|(rank, set)| (rank as u16, set.clone()))
+                .collect();
+
+            let mut total = 0.0;
+            for &ci in a {
+                let cd = &self.cands[ci as usize];
+                self.add_input_cost(cd.sig, &cd.queries, &m, &mut total);
+            }
+            for (rank, set) in &survivors {
+                self.add_input_cost(self.rank_sigs[*rank as usize], set, &m, &mut total);
+            }
+            (survivors, total)
+        }
+    }
+
+    /// Eight relations joined as a chain (`R0 - R1 - … - R7`) or as a star
+    /// around `R0`; relations named in `scoreless` have no score attribute
+    /// and are too large to stream, so inputs over them are probed.
+    fn shaped_catalog(star: bool, scoreless: u32) -> Catalog {
+        let mut b = CatalogBuilder::default();
+        let mut ids = Vec::new();
+        for i in 0..8 {
+            let mut stats = RelationStats::with_cardinality(10_000);
+            stats.columns = vec![ColumnStats { distinct: 500 }, ColumnStats { distinct: 500 }];
+            ids.push(b.relation(
+                format!("R{i}"),
+                SourceId::new(0),
+                vec!["k".into(), "j".into()],
+                (scoreless >> i & 1 == 0).then_some(0),
+                1.0,
+                stats,
+            ));
+        }
+        for i in 1..8 {
+            let from = if star { ids[0] } else { ids[i - 1] };
+            b.edge(from, 1, ids[i], 0, EdgeKind::ForeignKey, 1.0, 2.0);
+        }
+        b.build()
+    }
+
+    /// The join edges of a connected `len`-relation piece of
+    /// [`shaped_catalog`]: the run of the chain from `R{start}`, or the hub
+    /// with `len - 1` consecutive spokes from the `start`-th.
+    fn piece(star: bool, start: u32, len: u32) -> Vec<(u32, u32)> {
+        if star {
+            (0..len - 1).map(|i| (0, (start + i) % 7 + 1)).collect()
+        } else {
+            (start..start + len - 1).map(|r| (r, r + 1)).collect()
+        }
+    }
+
+    fn rels_of(joins: &[(u32, u32)]) -> Vec<RelId> {
+        let mut rels: Vec<RelId> = joins
+            .iter()
+            .flat_map(|&(l, r)| [RelId::new(l), RelId::new(r)])
+            .collect();
+        rels.sort_unstable();
+        rels.dedup();
+        rels
+    }
+
+    fn cq_over(id: u32, catalog: &Catalog, joins: &[(u32, u32)]) -> ConjunctiveQuery {
+        let atoms = rels_of(joins)
+            .into_iter()
+            .map(|rel| CqAtom {
+                rel,
+                selection: None,
+            })
+            .collect();
+        let joins = joins
+            .iter()
+            .map(|&(l, r)| {
+                let e = catalog.edge_between(RelId::new(l), RelId::new(r)).unwrap();
+                CqJoin {
+                    edge: e.id,
+                    left: e.from,
+                    left_col: e.from_col,
+                    right: e.to,
+                    right_col: e.to_col,
+                }
+            })
+            .collect();
+        ConjunctiveQuery::new(CqId::new(id), UqId::new(0), UserId::new(0), atoms, joins)
+    }
+
+    /// Reports a pseudo-random half of all signatures as resident.
+    struct Resident(u32);
+
+    impl ReuseOracle for Resident {
+        fn streamed(&self, sig: SigId) -> Option<u64> {
+            let h = (sig.0 ^ self.0).wrapping_mul(0x9E37_79B9);
+            (h >> 16 & 1 == 1).then_some(u64::from(h >> 20) * 8)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The search is the reference recursion in everything it reports:
+        /// the winning assignment (signatures and query sets, in order),
+        /// the bits of its cost, and both counters.
+        #[test]
+        fn search_matches_reference_recursion(
+            shape in (0u32..2, 0u32..256, 0u32..3),
+            query_pieces in prop::collection::vec((0u32..8, 2u32..=5), 1..=6),
+            cand_pieces in prop::collection::vec((0usize..6, 0u32..4, 2u32..=3, 1u32..64), 0..=8),
+        ) {
+            let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
+            let cat = shaped_catalog(star, scoreless);
+            let model = CostModel::new(&cat, CostProfile::default(), 50);
+            let config = HeuristicConfig::default();
+            let mut interner = SigInterner::new();
+            let query_pieces: Vec<(u32, u32)> = query_pieces
+                .into_iter()
+                .map(|(start, len)| (if star { start } else { start % (8 - len + 1) }, len))
+                .collect();
+            let queries: Vec<ConjunctiveQuery> = query_pieces
+                .iter()
+                .enumerate()
+                .map(|(id, &(start, len))| cq_over(id as u32, &cat, &piece(star, start, len)))
+                .collect();
+            let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
+            let table = CqTable::from_queries(query_refs.iter().copied());
+
+            // Each candidate is a sub-piece of one query and sources a
+            // random subset of the queries it is a subexpression of;
+            // candidates overlap each other freely.
+            let mut cands: Vec<Candidate> = Vec::new();
+            for &(of, offset, len, sharers) in &cand_pieces {
+                let (q_start, q_len) = query_pieces[of % query_pieces.len()];
+                let len = len.min(q_len);
+                let joins = piece(star, q_start + offset % (q_len - len + 1), len);
+                let rels = rels_of(&joins);
+                let users = queries
+                    .iter()
+                    .filter(|cq| rels.iter().all(|r| cq.atom(*r).is_some()))
+                    .enumerate()
+                    .filter(|(nth, _)| sharers >> nth & 1 == 1);
+                let users = table.set_of(users.map(|(_, cq)| cq.id));
+                let sig = interner.intern(SubExprSig::of_cq(&cq_over(0, &cat, &joins)));
+                if !users.is_empty() && cands.iter().all(|c| c.sig != sig) {
+                    cands.push(Candidate { sig, queries: users });
+                }
+            }
+
+            let oracle: &dyn ReuseOracle = match residency {
+                0 => &NoReuse,
+                salt => &Resident(salt),
+            };
+            let qs = query_refs.clone();
+            let (expected_plan, expected) =
+                BestPlanSearch::new(&model, oracle, &config, qs, &mut interner, &table)
+                    .run_reference(cands.clone());
+            let qs = query_refs.clone();
+            let (plan, stats) =
+                BestPlanSearch::new(&model, oracle, &config, qs, &mut interner, &table).run(cands);
+            prop_assert!(is_valid_assignment(&query_refs, &plan, &interner, &table));
+            prop_assert_eq!(plan, expected_plan);
+            prop_assert_eq!(stats.best_cost.to_bits(), expected.best_cost.to_bits());
+            prop_assert_eq!(
+                (stats.candidates, stats.explored, stats.memo_hits),
+                (expected.candidates, expected.explored, expected.memo_hits)
+            );
+        }
+    }
 
     fn catalog(n: u32) -> Catalog {
         let mut b = CatalogBuilder::default();

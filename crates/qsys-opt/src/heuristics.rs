@@ -59,8 +59,15 @@ pub struct HeuristicConfig {
     /// Largest candidate size in atoms (bounds the AND-OR enumeration).
     pub max_candidate_atoms: usize,
     /// Hard cap on candidates handed to BestPlan (keeps Figure 11's
-    /// exponential in check for large batches).
+    /// exponential in check for large batches); at most
+    /// [`MAX_CANDIDATES_LIMIT`](Self::MAX_CANDIDATES_LIMIT).
     pub max_candidates: usize,
+}
+
+impl HeuristicConfig {
+    /// Largest usable [`max_candidates`](Self::max_candidates): BestPlan
+    /// memoizes a search state as a `u64` with one bit per candidate.
+    pub const MAX_CANDIDATES_LIMIT: usize = u64::BITS as usize;
 }
 
 impl Default for HeuristicConfig {

@@ -21,7 +21,9 @@ use crate::cost::{CostModel, ReuseOracle};
 use crate::heuristics::{enumerate_candidates_warm, is_streamable, Candidate, HeuristicConfig};
 use crate::warm::{WarmCell, WarmPlan, WarmStore};
 use qsys_catalog::Catalog;
-use qsys_query::{ConjunctiveQuery, CqTable, ScoreFn, SigCell, SigId, SigInterner, SubExprSig};
+use qsys_query::{
+    ConjunctiveQuery, CqSet, CqTable, ScoreFn, SigCell, SigId, SigInterner, SubExprSig,
+};
 use qsys_types::{CostProfile, CqId, RelId, Selection, SimClock, TimeCategory, UqId, UserId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -456,33 +458,43 @@ impl<'a> Optimizer<'a> {
         }
 
         // Greedy component merging: repeatedly combine the pair of terms
-        // co-appearing (joinable, identically) in the most queries.
+        // co-appearing (joinable, identically) in the most queries. Each
+        // round walks the term lists once, recording every co-appearing
+        // pair at first sight with the queries holding it.
         if share {
+            let mut pair_slot: HashMap<(usize, usize), usize> = HashMap::new();
+            let mut pairs: Vec<((usize, usize), CqSet)> = Vec::new();
             loop {
-                let mut best: Option<(usize, usize, Vec<CqId>, Vec<PredSpec>)> = None;
-                let cq_ids: Vec<CqId> = term_map.keys().copied().collect();
-                let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-                for cq in &cq_ids {
-                    let terms = &term_map[cq];
+                pair_slot.clear();
+                pairs.clear();
+                for (cq, terms) in &term_map {
+                    let qi = table.idx(*cq);
                     for i in 0..terms.len() {
                         for j in i + 1..terms.len() {
                             let (x, y) = (terms[i].min(terms[j]), terms[i].max(terms[j]));
-                            if x == y || !seen_pairs.insert((x, y)) {
+                            if x == y {
                                 continue;
                             }
-                            let Some((users, preds)) =
-                                self.mergeable(batch, &term_map, &spec, x, y, interner)
-                            else {
-                                continue;
-                            };
-                            if users.len() >= 2
-                                && best
-                                    .as_ref()
-                                    .is_none_or(|(_, _, u, _)| users.len() > u.len())
-                            {
-                                best = Some((x, y, users, preds));
-                            }
+                            let slot = *pair_slot.entry((x, y)).or_insert_with(|| {
+                                pairs.push(((x, y), CqSet::new()));
+                                pairs.len() - 1
+                            });
+                            pairs[slot].1.insert(qi);
                         }
+                    }
+                }
+                // First pair seen with the most holders wins: a later pair
+                // replaces the best so far only with strictly more, so one
+                // that cannot is skipped before its predicates are built.
+                let mut best: Option<(usize, usize, Vec<CqId>, Vec<PredSpec>)> = None;
+                for ((x, y), holders) in &pairs {
+                    let to_beat = best.as_ref().map_or(1, |(_, _, users, _)| users.len());
+                    if holders.len() <= to_beat {
+                        continue;
+                    }
+                    let users: Vec<CqId> = holders.iter().map(|qi| table.id(qi)).collect();
+                    if let Some(preds) = self.common_preds(batch, &users, &spec, *x, *y, interner) {
+                        best = Some((*x, *y, users, preds));
                     }
                 }
                 let Some((x, y, users, preds)) = best else {
@@ -552,30 +564,22 @@ impl<'a> Optimizer<'a> {
         spec
     }
 
-    /// If terms `x` and `y` can merge, return the queries currently holding
-    /// both and the (identical across those queries) connecting predicates.
-    #[allow(clippy::too_many_arguments)]
-    fn mergeable(
+    /// The connecting predicates of terms `x` and `y` if they can merge —
+    /// every query in `users` (those currently holding both) joins them,
+    /// and all identically.
+    fn common_preds(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
-        term_map: &BTreeMap<CqId, Vec<usize>>,
+        users: &[CqId],
         spec: &PlanSpec,
         x: usize,
         y: usize,
         interner: &SigInterner,
-    ) -> Option<(Vec<CqId>, Vec<PredSpec>)> {
-        let users: Vec<CqId> = term_map
-            .iter()
-            .filter(|(_, terms)| terms.contains(&x) && terms.contains(&y))
-            .map(|(cq, _)| *cq)
-            .collect();
-        if users.len() < 2 {
-            return None;
-        }
+    ) -> Option<Vec<PredSpec>> {
         let rels_x = interner.rels(spec.nodes[x].sig);
         let rels_y = interner.rels(spec.nodes[y].sig);
         let mut common: Option<Vec<PredSpec>> = None;
-        for cq_id in &users {
+        for cq_id in users {
             let (cq, _) = batch.iter().find(|(c, _)| c.id == *cq_id)?;
             let mut preds: Vec<PredSpec> = cq
                 .joins
@@ -605,7 +609,7 @@ impl<'a> Optimizer<'a> {
                 Some(_) => return None, // queries join these terms differently
             }
         }
-        common.map(|preds| (users, preds))
+        common
     }
 }
 

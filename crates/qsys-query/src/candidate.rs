@@ -7,7 +7,11 @@
 //! find join trees connecting the matched relations (cheapest paths first,
 //! with alternatives — which is how variants like the paper's CQ5/CQ6, one
 //! routing through `Term_Syn` and one not, arise); each tree becomes a
-//! conjunctive query scored under the configured model. The result is a
+//! conjunctive query scored under the configured model. No path is searched
+//! for here: the schema graph and its edge costs are fixed once a catalog is
+//! built (per-user edge costs enter scoring only), so the catalog answers
+//! every cheapest-path question from a shortest-path table it fills on first
+//! use and shares with its clones ([`Catalog::cheapest_path`]). The result is a
 //! [`UserQuery`] whose CQs are sorted by score upper bound `U`, exactly the
 //! triples `[(UQ_j, CQ_i, C_i)]` the query batcher expects.
 
@@ -16,7 +20,7 @@ use crate::score::{ScoreFn, ScoreModel};
 use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex, KeywordMatch, MatchKind};
 use qsys_types::{CqId, QsysError, QsysResult, RelId, Selection, UqId, UserId};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Tuning knobs for candidate generation.
 #[derive(Clone, Debug)]
@@ -210,16 +214,22 @@ impl<'a> CandidateGenerator<'a> {
     }
 
     /// Up to `variants` cheapest edge-paths from `from` to any relation in
-    /// `targets`. The cheapest path comes from Dijkstra over edge costs;
-    /// alternatives are found Yen-style, by banning each edge of the
-    /// cheapest path in turn and keeping the cheapest distinct detours.
+    /// `targets`. The cheapest path is read off the catalog's schema-path
+    /// table ([`Catalog::cheapest_path`]); alternatives are found Yen-style,
+    /// by banning each edge of the cheapest path in turn and keeping the
+    /// cheapest distinct detours — each of those one more table entry,
+    /// shared by every later query that routes the same way.
     fn paths_to_set(
         &self,
         from: RelId,
         targets: &BTreeSet<RelId>,
         variants: usize,
     ) -> Vec<Vec<EdgeId>> {
-        let Some(best) = self.dijkstra(from, targets, &BTreeSet::new()) else {
+        let cheapest = |banned| {
+            self.catalog
+                .cheapest_path(from, targets.iter().copied(), banned)
+        };
+        let Some(best) = cheapest(None) else {
             return Vec::new();
         };
         let mut out = vec![best.clone()];
@@ -228,7 +238,7 @@ impl<'a> CandidateGenerator<'a> {
         }
         let mut alts: Vec<Vec<EdgeId>> = Vec::new();
         for &banned_edge in &best {
-            if let Some(p) = self.dijkstra(from, targets, &BTreeSet::from([banned_edge])) {
+            if let Some(p) = cheapest(Some(banned_edge)) {
                 if p != best && !alts.contains(&p) {
                     alts.push(p);
                 }
@@ -245,59 +255,7 @@ impl<'a> CandidateGenerator<'a> {
     }
 
     fn path_cost(&self, path: &[EdgeId]) -> u64 {
-        path.iter()
-            .map(|&e| (self.catalog.edge(e).cost * 1000.0).max(1.0) as u64)
-            .sum()
-    }
-
-    fn dijkstra(
-        &self,
-        from: RelId,
-        targets: &BTreeSet<RelId>,
-        banned: &BTreeSet<EdgeId>,
-    ) -> Option<Vec<EdgeId>> {
-        if targets.contains(&from) {
-            return Some(Vec::new());
-        }
-        // Max-heap on negative cost → min-heap behaviour.
-        let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, RelId)> = BinaryHeap::new();
-        let mut dist: BTreeMap<RelId, u64> = BTreeMap::new();
-        let mut back: BTreeMap<RelId, EdgeId> = BTreeMap::new();
-        dist.insert(from, 0);
-        heap.push((std::cmp::Reverse(0), from));
-        while let Some((std::cmp::Reverse(d), rel)) = heap.pop() {
-            if dist.get(&rel).copied().unwrap_or(u64::MAX) < d {
-                continue;
-            }
-            if targets.contains(&rel) {
-                // Reconstruct edge path.
-                let mut path = Vec::new();
-                let mut cur = rel;
-                while cur != from {
-                    let eid = back[&cur];
-                    path.push(eid);
-                    let e = self.catalog.edge(eid);
-                    cur = if e.from == cur { e.to } else { e.from };
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for eid in self.catalog.incident_edges(rel) {
-                if banned.contains(eid) {
-                    continue;
-                }
-                let e = self.catalog.edge(*eid);
-                let (next, _, _) = e.other(rel).expect("incident edge");
-                // Integer-scaled edge cost keeps Dijkstra exact.
-                let nd = d + (e.cost * 1000.0).max(1.0) as u64;
-                if nd < dist.get(&next).copied().unwrap_or(u64::MAX) {
-                    dist.insert(next, nd);
-                    back.insert(next, *eid);
-                    heap.push((std::cmp::Reverse(nd), next));
-                }
-            }
-        }
-        None
+        path.iter().map(|&e| self.catalog.edge_weight(e)).sum()
     }
 
     /// Turn a tree into atoms and joins, applying keyword selections.
@@ -410,8 +368,146 @@ fn merge_combo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qsys_catalog::{CatalogBuilder, EdgeKind, RelationStats};
     use qsys_types::{SourceId, Value};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The per-call search the schema-path table replaced, kept as the
+    /// reference its answers are checked against: Dijkstra from `from`,
+    /// stopping at the first settled member of `targets`.
+    fn reference_dijkstra(
+        catalog: &Catalog,
+        from: RelId,
+        targets: &BTreeSet<RelId>,
+        banned: &BTreeSet<EdgeId>,
+    ) -> Option<Vec<EdgeId>> {
+        if targets.contains(&from) {
+            return Some(Vec::new());
+        }
+        // Max-heap on negative cost → min-heap behaviour.
+        let mut heap: BinaryHeap<(Reverse<u64>, RelId)> = BinaryHeap::new();
+        let mut dist: BTreeMap<RelId, u64> = BTreeMap::new();
+        let mut back: BTreeMap<RelId, EdgeId> = BTreeMap::new();
+        dist.insert(from, 0);
+        heap.push((Reverse(0), from));
+        while let Some((Reverse(d), rel)) = heap.pop() {
+            if dist.get(&rel).copied().unwrap_or(u64::MAX) < d {
+                continue;
+            }
+            if targets.contains(&rel) {
+                // Reconstruct edge path.
+                let mut path = Vec::new();
+                let mut cur = rel;
+                while cur != from {
+                    let eid = back[&cur];
+                    path.push(eid);
+                    let e = catalog.edge(eid);
+                    cur = if e.from == cur { e.to } else { e.from };
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for eid in catalog.incident_edges(rel) {
+                if banned.contains(eid) {
+                    continue;
+                }
+                let e = catalog.edge(*eid);
+                let (next, _, _) = e.other(rel).expect("incident edge");
+                let nd = d + catalog.edge_weight(*eid);
+                if nd < dist.get(&next).copied().unwrap_or(u64::MAX) {
+                    dist.insert(next, nd);
+                    back.insert(next, *eid);
+                    heap.push((Reverse(nd), next));
+                }
+            }
+        }
+        None
+    }
+
+    /// A small catalog built to provoke ties: `n` relations of which the
+    /// last two (when `n >= 4`) form a component of their own, edge costs
+    /// from `{1.0, 1.0, 2.0}`, and the first edge doubled as a parallel edge.
+    fn tie_catalog(n: usize, edges: &[(usize, usize, usize)], parallel_cost: usize) -> Catalog {
+        const COSTS: [f64; 3] = [1.0, 1.0, 2.0];
+        let mut b = CatalogBuilder::default();
+        let rels: Vec<RelId> = (0..n)
+            .map(|i| {
+                b.relation(
+                    format!("R{i}"),
+                    SourceId::new(0),
+                    vec!["k".into()],
+                    None,
+                    1.0,
+                    RelationStats::with_cardinality(10),
+                )
+            })
+            .collect();
+        let main = if n >= 4 { n - 2 } else { n };
+        let mut first = None;
+        for &(x, y, cost) in edges {
+            let (x, y) = (x % main, y % main);
+            if x != y {
+                b.edge(rels[x], 0, rels[y], 0, EdgeKind::Link, COSTS[cost], 1.0);
+                first.get_or_insert((x, y));
+            }
+        }
+        if let Some((x, y)) = first {
+            b.edge(
+                rels[y],
+                0,
+                rels[x],
+                0,
+                EdgeKind::Link,
+                COSTS[parallel_cost],
+                1.0,
+            );
+        }
+        if main < n {
+            b.edge(rels[main], 0, rels[main + 1], 0, EdgeKind::Link, 1.0, 1.0);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The path table answers every `(from, targets, banned)` question
+        /// exactly as the per-call search did — `None`, the empty path, and
+        /// every tie included — for all the target sets one tree serves.
+        #[test]
+        fn path_table_matches_reference_dijkstra(
+            n in 2usize..=12,
+            edges in prop::collection::vec((0usize..12, 0usize..12, 0usize..3), 1..=20),
+            parallel_cost in 0usize..3,
+            asks in prop::collection::vec((0usize..12, 1u32..4096), 1..=8),
+        ) {
+            let catalog = tie_catalog(n, &edges, parallel_cost);
+            for (from, mask) in asks {
+                let from = RelId::new((from % n) as u32);
+                let mut targets: BTreeSet<RelId> = (0..n)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| RelId::new(i as u32))
+                    .collect();
+                if targets.is_empty() {
+                    targets.insert(RelId::new(((from.index() + 1) % n) as u32));
+                }
+                let table = |banned| catalog.cheapest_path(from, targets.iter().copied(), banned);
+                let best = table(None);
+                prop_assert_eq!(
+                    &best,
+                    &reference_dijkstra(&catalog, from, &targets, &BTreeSet::new())
+                );
+                for banned in best.into_iter().flatten() {
+                    prop_assert_eq!(
+                        table(Some(banned)),
+                        reference_dijkstra(&catalog, from, &targets, &BTreeSet::from([banned]))
+                    );
+                }
+            }
+        }
+    }
 
     /// Build a mini bio-style schema:
     /// Protein - Entry2Meth - InterPro2GO - Term - Gene2GO - GeneInfo

@@ -440,6 +440,14 @@ impl EngineConfig {
             "batches hold at least one query",
         );
         invariant(
+            self.heuristics.max_candidates <= HeuristicConfig::MAX_CANDIDATES_LIMIT,
+            "heuristics.max_candidates",
+            &format!(
+                "BestPlan memoizes a state as one bit per candidate: at most {}",
+                HeuristicConfig::MAX_CANDIDATES_LIMIT
+            ),
+        );
+        invariant(
             self.lane_threads >= 1,
             "lane_threads",
             "at least one lane thread",
@@ -921,13 +929,23 @@ mod tests {
         };
         config.k = 0;
         config.batch_size = 0;
+        config.heuristics.max_candidates = 65;
         config.snapshot_every = 0;
         let errors = config.validate_all();
         let fields: Vec<&str> = errors.iter().map(|e| e.field).collect();
         // Every failure reported at once, env capture first, then the
         // invariants in declaration order — and validate() stays the
         // first-error view of the same list.
-        assert_eq!(fields, ["faults", "k", "batch_size", "snapshot_every"]);
+        assert_eq!(
+            fields,
+            [
+                "faults",
+                "k",
+                "batch_size",
+                "heuristics.max_candidates",
+                "snapshot_every"
+            ]
+        );
         assert_eq!(
             config.validate().expect_err("same first error").field,
             "faults"
@@ -935,6 +953,7 @@ mod tests {
         config.env_errors.clear();
         config.k = 1;
         config.batch_size = 1;
+        config.heuristics.max_candidates = 64;
         config.snapshot_every = 1;
         assert!(
             config.validate_all().is_empty(),

@@ -335,6 +335,36 @@ fn warm_start_replays_bit_identical_decisions() {
     }
 }
 
+/// Candidate-network golden: the CQs `generate_user_queries` emits on the
+/// pinned GUS streams — ids, atoms, selections, joins, in emitted order —
+/// digested as a count plus FNV-1a over each CQ's `CqId` and the `Debug` of
+/// its signature. Recorded with the per-call early-exit Dijkstra, before the
+/// catalog's schema-path table replaced it: every path choice, ties
+/// included, must come out of the table the same.
+#[test]
+fn gus_candidate_networks_are_unchanged_by_the_path_table() {
+    let golden = [
+        (41u64, 207usize, 0x2cb8_7f98_d35b_d052u64),
+        (48, 159, 0x4186_b18d_66b8_1b90),
+        (55, 127, 0x4027_08e8_ba03_6538),
+    ];
+    for (seed, count, fnv) in golden {
+        let workload = qsys_bench_like_workload(seed);
+        let engine = qsys_bench_like_engine();
+        let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
+        let mut seen = 0usize;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (cq, _) in uqs.iter().flat_map(|uq| &uq.cqs) {
+            seen += 1;
+            for b in format!("{:?}|{:?}", cq.id, SubExprSig::of_cq(cq)).bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        assert_eq!(seen, count, "seed {seed}: CQ count changed");
+        assert_eq!(h, fnv, "seed {seed}: emitted CQs changed ({h:#018x})");
+    }
+}
+
 /// The GUS workload `qsys-bench` uses (duplicated here because the bench
 /// crate depends on `qsys`, not the other way around).
 fn qsys_bench_like_workload(seed: u64) -> qsys_workload::Workload {
