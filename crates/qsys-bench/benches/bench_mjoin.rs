@@ -1,6 +1,5 @@
 //! Micro-benchmark: m-join insert/probe throughput, fixed vs adaptive
-//! probe ordering (the ablation DESIGN.md calls out for the STeM eddy's
-//! runtime adaptivity).
+//! probe ordering (the ablation of the STeM eddy's runtime adaptivity).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qsys::exec::access::{AccessModule, AccessModuleArena, StoredModule};

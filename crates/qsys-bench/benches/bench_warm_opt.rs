@@ -2,8 +2,9 @@
 //!
 //! Streams of 8 / 40 / 128 user queries are optimized in 5-UQ batches, (a)
 //! cold — a fresh manager per iteration, no warm store — and (b) warm — one
-//! live manager whose warm store recorded the stream on a priming pass, so
-//! every batch replays its winning assignment. Before timing anything, the
+//! live manager whose warm store saw the stream on a priming pass, so every
+//! batch searches from cached cost inputs, candidate enumerations and
+//! canonical ranks. Before timing anything, the
 //! bench asserts the two arms' plans and statistics are bit-identical —
 //! the decision-identity check the CI bench smoke runs on every push.
 
@@ -53,8 +54,7 @@ fn bench_warm_opt(c: &mut Criterion) {
         let cold_rows = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
         for (w, c) in warm_rows.iter().zip(cold_rows.iter()) {
             assert_eq!(
-                w.decisions(),
-                c.decisions(),
+                w, c,
                 "warm-started decisions diverged from cold at {n_uqs} UQs"
             );
         }
@@ -70,7 +70,7 @@ fn bench_warm_opt(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("warm", n_uqs), &n_uqs, |b, _| {
-            // Live manager + primed store: the measured passes replay.
+            // Live manager + primed store: the measured passes search warm.
             let manager = QsManager::new(usize::MAX);
             let interner = manager.shared_interner();
             let warm = manager.warm_cell();

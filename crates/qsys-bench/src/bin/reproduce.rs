@@ -8,12 +8,12 @@
 //!
 //! Experiments: `table4 fig7 fig8 fig9 fig10 fig11 fig12`
 //! Ablations:   `ablation-atc ablation-recovery ablation-eviction`
-//! Restart:     `restart [--out BENCH_6.json] [--check] [--iters N]` —
-//! warm-state persistence sweep: cold vs warm-in-process vs
-//! warm-from-snapshot optimize time for a recurring batch, snapshot
-//! size/write/load cost, and a full engine restart, gated on decision
-//! identity. `restart --phase prime --dir D` then `--phase reload --dir D`
-//! split the restart across two OS processes (the CI smoke).
+//! Restart:     `restart --phase prime --dir D` then `restart --phase reload
+//! --dir D` — a restart across two OS processes (the CI smoke): the reload
+//! must rehydrate from the snapshot the prime published, feed its first
+//! batch's search from the rehydrated warm store (more cache hits than a
+//! cold start's first batch), and stay decision-identical to a
+//! persistence-off run.
 //! Chaos:       `chaos [--out BENCH_5.json]` — fault-rate sweep (0 / 1% / 5%
 //! transient, plus one hard outage) over the fault-injection layer: degraded
 //! and failed ticket counts, retries, breaker trips, and p50/p99 response,
@@ -168,12 +168,8 @@ fn main() {
                         100.0 * (1.0 - snapshot.opt_graft_us() / b.opt_graft_us.max(1e-9));
                     let opt_reduction =
                         100.0 * (1.0 - snapshot.optimize_us / b.optimize_us.max(1e-9));
-                    // The headline of the warm-start work: a warm batch's
-                    // optimize time against the baseline's cold figure.
-                    let warm_vs_baseline =
-                        100.0 * (1.0 - snapshot.warm_optimize_us / b.optimize_us.max(1e-9));
                     format!(
-                        "{{\n  \"bench\": \"optimizer+graft hot path (GUS seed 41, batch of 5 UQs) and end-to-end ATC-FULL workload\",\n  \"machine_note\": \"before/after measured back-to-back on the same machine and build flags\",\n  \"iters\": {iters},\n  \"before\": {before},\n  \"after\": {after},\n  \"optimize_reduction_pct\": {opt_reduction:.1},\n  \"opt_graft_reduction_pct\": {reduction:.1},\n  \"warm_optimize_vs_baseline_reduction_pct\": {warm_vs_baseline:.1}\n}}\n"
+                        "{{\n  \"bench\": \"optimizer+graft hot path (GUS seed 41, batch of 5 UQs) and end-to-end ATC-FULL workload\",\n  \"machine_note\": \"before/after measured back-to-back on the same machine and build flags\",\n  \"iters\": {iters},\n  \"before\": {before},\n  \"after\": {after},\n  \"optimize_reduction_pct\": {opt_reduction:.1},\n  \"opt_graft_reduction_pct\": {reduction:.1}\n}}\n"
                     )
                 }
                 // No baseline: emit the bare snapshot, usable as the
@@ -339,105 +335,70 @@ fn main() {
             );
         }
         "restart" => {
-            // Warm-state persistence sweep: cold vs warm-in-process vs
-            // warm-from-snapshot optimize time for a recurring batch, plus
-            // a full engine restart. `--out FILE` writes the BENCH_6.json
-            // trajectory point; `--check` gates on decision identity.
-            //
-            // `--phase prime --dir D` / `--phase reload --dir D` split the
+            // `--phase prime --dir D` / `--phase reload --dir D` split a
             // restart across two *processes* (the CI smoke): prime runs
             // with persistence rooted at D and exits; reload starts from
             // nothing but D's snapshot file and self-gates.
-            match flag_value(&args, "--phase").as_deref() {
-                Some(phase @ ("prime" | "reload")) => {
-                    let Some(dir) = flag_value(&args, "--dir") else {
-                        eprintln!("--phase requires --dir DIR (shared across both phases)");
-                        std::process::exit(2);
-                    };
-                    let dir = std::path::PathBuf::from(dir);
-                    std::fs::create_dir_all(&dir).expect("create snapshot dir");
-                    let reload = phase == "reload";
-                    let p = restart_phase(seeds[0], scale, &dir, reload);
-                    println!(
-                        "phase {phase}: snapshot_writes={} bytes_on_disk={} loaded={} \
-                         lanes_loaded={} first_batch_warm_hits={}",
-                        p.writes,
-                        p.bytes_on_disk,
-                        p.loaded,
-                        p.lanes_loaded,
-                        p.first_batch_warm_hits
-                    );
-                    if !reload {
-                        if p.writes == 0 || p.bytes_on_disk == 0 {
-                            eprintln!("CHECK FAILED: priming run published no snapshot");
-                            std::process::exit(1);
-                        }
-                        eprintln!("prime ok: snapshot published for the reload phase");
-                    } else {
-                        if !p.loaded {
-                            eprintln!(
-                                "CHECK FAILED: restarted process did not rehydrate from the \
-                                 snapshot ({})",
-                                p.reason.as_deref().unwrap_or("no reason recorded")
-                            );
-                            std::process::exit(1);
-                        }
-                        if p.first_batch_warm_hits == 0 {
-                            eprintln!(
-                                "CHECK FAILED: first post-restart batch did not replay the \
-                                 warm plan (restart must skip the cold search)"
-                            );
-                            std::process::exit(1);
-                        }
-                        if !p.identical {
-                            eprintln!(
-                                "CHECK FAILED: restarted run diverged from a cold run \
-                                 (rehydrated warm state must be decision-invisible)"
-                            );
-                            std::process::exit(1);
-                        }
-                        eprintln!(
-                            "reload ok: rehydrated warm, first batch replayed, decisions \
-                             identical to cold"
-                        );
-                    }
-                }
-                Some(other) => {
-                    eprintln!("unknown --phase '{other}' (choose: prime reload)");
+            let phase = flag_value(&args, "--phase");
+            let reload = match phase.as_deref() {
+                Some("prime") => false,
+                Some("reload") => true,
+                _ => {
+                    eprintln!("restart wants --phase prime|reload --dir DIR");
                     std::process::exit(2);
                 }
-                None => {
-                    let iters: usize = flag_value(&args, "--iters")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(10);
-                    let sweep = restart_sweep(seeds[0], scale, iters);
-                    print_restart(&sweep);
-                    let json = restart_json(&sweep);
-                    if let Some(path) = flag_value(&args, "--out") {
-                        std::fs::write(&path, &json).expect("write restart output");
-                        eprintln!("wrote {path}");
-                    }
-                    let ok = sweep.identical
-                        && sweep.engine.loaded
-                        && sweep.engine.identical
-                        && sweep.engine.first_batch_warm_hits > 0;
-                    if !ok {
-                        eprintln!(
-                            "CHECK FAILED: restart sweep gate (decisions_identical={} \
-                             engine.loaded={} engine.identical={} first_batch_warm_hits={}) — \
-                             warm state is a cache; persisting it must never change a decision",
-                            sweep.identical,
-                            sweep.engine.loaded,
-                            sweep.engine.identical,
-                            sweep.engine.first_batch_warm_hits
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!(
-                        "gate ok: decisions identical cold/warm/snapshot and across an \
-                         engine restart"
-                    );
+            };
+            let Some(dir) = flag_value(&args, "--dir") else {
+                eprintln!("--phase requires --dir DIR (shared across both phases)");
+                std::process::exit(2);
+            };
+            let dir = std::path::PathBuf::from(dir);
+            std::fs::create_dir_all(&dir).expect("create snapshot dir");
+            let p = restart_phase(seeds[0], scale, &dir, reload);
+            println!(
+                "phase {}: snapshot_writes={} bytes_on_disk={} loaded={} \
+                 lanes_loaded={} first_batch_warm_fact_hits={} (cold run: {})",
+                if reload { "reload" } else { "prime" },
+                p.writes,
+                p.bytes_on_disk,
+                p.loaded,
+                p.lanes_loaded,
+                p.first_batch_warm_fact_hits,
+                p.cold_first_batch_warm_fact_hits
+            );
+            if !reload {
+                if p.writes == 0 || p.bytes_on_disk == 0 {
+                    eprintln!("CHECK FAILED: priming run published no snapshot");
+                    std::process::exit(1);
                 }
+                eprintln!("prime ok: snapshot published for the reload phase");
+            } else {
+                if !p.loaded {
+                    eprintln!(
+                        "CHECK FAILED: restarted process did not rehydrate from the \
+                         snapshot ({})",
+                        p.reason.as_deref().unwrap_or("no reason recorded")
+                    );
+                    std::process::exit(1);
+                }
+                if p.first_batch_warm_fact_hits <= p.cold_first_batch_warm_fact_hits {
+                    eprintln!(
+                        "CHECK FAILED: first post-restart batch read no more from the \
+                         warm store than a cold start does"
+                    );
+                    std::process::exit(1);
+                }
+                if !p.identical {
+                    eprintln!(
+                        "CHECK FAILED: restarted run diverged from a cold run \
+                         (rehydrated warm state must be decision-invisible)"
+                    );
+                    std::process::exit(1);
+                }
+                eprintln!(
+                    "reload ok: rehydrated warm, first batch searched from the warm \
+                     store, decisions identical to cold"
+                );
             }
         }
         "verify" => {

@@ -1,11 +1,13 @@
 //! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (Section 7), plus the ablations DESIGN.md calls out.
+//! evaluation (Section 7), plus ablations of this reproduction's own
+//! choices (ATC scheduling, recovery, eviction, probe-cache sharing).
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
 //! printable data; the `reproduce` binary is a thin argument parser over
-//! them. All numbers are *simulated* (virtual-clock) quantities — see
-//! DESIGN.md's substitution notes; the claims under reproduction are about
-//! relative behaviour between configurations, not absolute seconds.
+//! them. All numbers are *simulated* (virtual-clock) quantities — the
+//! sources are in-process tables charged on a virtual clock, not MySQL
+//! over a WAN — so the claims under reproduction are about relative
+//! behaviour between configurations, not absolute seconds.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::opt::cost::NoReuse;
@@ -183,14 +185,6 @@ pub struct PerfSnapshot {
     pub atc_cl_tuples: u64,
     /// Host wall-clock µs per lane in the parallel arm, by lane index.
     pub lane_wall_us: Vec<u64>,
-    /// Mean wall-clock µs per `Optimizer::optimize_warm` call on a *warm*
-    /// batch: the reference batch re-optimized against a lane whose warm
-    /// store already recorded it (shape + residency validate → the winning
-    /// assignment replays; compare with `optimize_us`, the cold figure).
-    pub warm_optimize_us: f64,
-    /// Warm-plan replays observed during the warm measurement (one per
-    /// iteration when the memo behaves).
-    pub warm_plan_hits: usize,
     /// Whether a warm-started optimizer produced bit-identical plans and
     /// statistics to a cold optimizer over a multi-batch GUS stream (must
     /// be true — the warm store is a cache, never a policy change).
@@ -265,8 +259,7 @@ pub fn print_fetch_batch_sweep(points: &[FetchBatchPoint]) {
 }
 
 /// One batch's decision fingerprint, as produced by
-/// [`optimize_decision_stream`]: everything the optimizer decided plus the
-/// diagnostic warm-hit count.
+/// [`optimize_decision_stream`]: everything the optimizer decided.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecisionRow {
     /// Full `PlanSpec` debug dump (pins plan shape and signatures).
@@ -279,21 +272,6 @@ pub struct DecisionRow {
     pub candidates: usize,
     /// Winning cost, bit-exact.
     pub best_cost_bits: u64,
-    /// Warm-plan replays (diagnostic — excluded from identity compares).
-    pub warm_hits: usize,
-}
-
-impl DecisionRow {
-    /// The decision-relevant fields (everything except `warm_hits`).
-    pub fn decisions(&self) -> (&str, usize, usize, usize, u64) {
-        (
-            &self.spec_debug,
-            self.explored,
-            self.memo_hits,
-            self.candidates,
-            self.best_cost_bits,
-        )
-    }
 }
 
 /// Optimize a stream of batches against one live QS manager — warm-started
@@ -326,27 +304,17 @@ pub fn optimize_decision_stream(
                 memo_hits: stats.memo_hits,
                 candidates: stats.candidates,
                 best_cost_bits: stats.best_cost.to_bits(),
-                warm_hits: stats.warm_hits,
             }
         })
         .collect()
 }
 
-/// Outcome of the warm-vs-cold decision-identity check.
-pub struct WarmCheck {
-    /// Plans, costs, explored-state counts, and memo hits all
-    /// bit-identical per batch.
-    pub identical: bool,
-    /// Warm-plan replays the warm lane produced (> 0 once a batch shape
-    /// recurs).
-    pub plan_hits: usize,
-}
-
 /// Drive the first three 5-UQ batches of the seed-41 GUS stream — plus a
-/// repeat of the first batch, so the plan memo actually replays — through
-/// two lanes: one warm-started, one cold. Decisions must be bit-identical;
-/// this is the check the CI bench smoke gate enforces.
-pub fn warm_cold_identity() -> WarmCheck {
+/// repeat of the first batch, which the warm lane searches entirely from
+/// cached inputs — through two lanes: one warm-started, one cold. Whether
+/// plans, costs, explored-state counts, and memo hits are all bit-identical
+/// per batch; this is the check the CI bench smoke gate enforces.
+pub fn warm_cold_identity() -> bool {
     let workload = gus_workload(41, Scale::Small);
     let engine = gus_engine(SharingMode::AtcFull, 5);
     let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
@@ -372,14 +340,7 @@ pub fn warm_cold_identity() -> WarmCheck {
 
     let warm_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
     let cold_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
-    let identical = warm_side
-        .iter()
-        .zip(cold_side.iter())
-        .all(|(w, c)| w.decisions() == c.decisions());
-    WarmCheck {
-        identical,
-        plan_hits: warm_side.iter().map(|w| w.warm_hits).sum(),
-    }
+    warm_side == cold_side
 }
 
 /// The multi-cluster ATC-CL reference workload: the seed-41 GUS instance
@@ -499,29 +460,7 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
         warm_us += t0.elapsed().as_secs_f64() * 1e6;
     }
 
-    // Warm-start arm: one live manager + warm store. The priming call
-    // optimizes the reference batch cold and records it; every measured
-    // call re-optimizes the same batch, which validates (shape + residency
-    // unchanged — nothing executed in between) and replays.
-    let (warm_optimize_us, warm_plan_hits) = {
-        let manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let interner = manager.shared_interner();
-        let warm = manager.warm_cell();
-        {
-            let oracle = manager.reuse_oracle();
-            optimizer.optimize_warm(&batch, &oracle, None, &interner, Some(&warm));
-        }
-        let mut hits = 0usize;
-        let t0 = Instant::now();
-        for _ in 0..iters.max(1) {
-            let oracle = manager.reuse_oracle();
-            let (_, stats) = optimizer.optimize_warm(&batch, &oracle, None, &interner, Some(&warm));
-            hits += stats.warm_hits;
-        }
-        (t0.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64, hits)
-    };
-    let warm_check = warm_cold_identity();
+    let warm_identical = warm_cold_identity();
 
     // Fetch-ahead sweep: the response-time shift stream batching buys on
     // the figure workload (10 UQs keep the sweep to seconds).
@@ -627,9 +566,7 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
         session_api_identical,
         atc_cl_tuples: par.tuples_consumed,
         lane_wall_us: par.lane_wall_us,
-        warm_optimize_us,
-        warm_plan_hits,
-        warm_identical: warm_check.identical,
+        warm_identical,
         stream_rounds: report.stream_rounds,
         fetch_batch_sweep,
     }
@@ -644,12 +581,6 @@ impl PerfSnapshot {
     /// Lane speedup of the parallel ATC-CL arm over sequential, percent.
     pub fn atc_cl_speedup_pct(&self) -> f64 {
         100.0 * (1.0 - self.atc_cl_par_ms / self.atc_cl_seq_ms.max(1e-9))
-    }
-
-    /// Host-time reduction of a warm-batch optimize vs this run's cold
-    /// optimize, percent.
-    pub fn warm_optimize_reduction_pct(&self) -> f64 {
-        100.0 * (1.0 - self.warm_optimize_us / self.optimize_us.max(1e-9))
     }
 
     /// Render as a JSON object (no external dependencies available).
@@ -669,8 +600,7 @@ impl PerfSnapshot {
         format!(
             "{{\n    \"optimize_us\": {:.1},\n    \"graft_us\": {:.1},\n    \
              \"opt_graft_us\": {:.1},\n    \"opt_graft_warm_us\": {:.1},\n    \
-             \"warm_optimize_us\": {:.1},\n    \"warm_optimize_reduction_pct\": {:.1},\n    \
-             \"warm_plan_hits\": {},\n    \"warm_identical\": {},\n    \
+             \"warm_identical\": {},\n    \
              \"spec_nodes\": {},\n    \"spec_edges\": {},\n    \
              \"spec_stream_leaves\": {},\n    \"batch_cqs\": {},\n    \
              \"explored\": {},\n    \"memo_hits\": {},\n    \
@@ -687,9 +617,6 @@ impl PerfSnapshot {
             self.graft_us,
             self.opt_graft_us(),
             self.opt_graft_warm_us,
-            self.warm_optimize_us,
-            self.warm_optimize_reduction_pct(),
-            self.warm_plan_hits,
             self.warm_identical,
             self.spec_nodes,
             self.spec_edges,
@@ -853,19 +780,12 @@ pub fn print_fig7(runs: &[ConfigRun]) {
         print!(" {m:>9.3}");
     }
     println!();
-    // End-of-run source/optimizer accounting: network rounds spent on
-    // stream reads (the quantity fetch-ahead amortizes) and batches the
-    // optimizer served from its cross-batch warm memo.
+    // End-of-run source accounting: network rounds spent on stream reads
+    // (the quantity fetch-ahead amortizes).
     print!("rnds");
     for r in runs {
         let rounds: u64 = r.reports.iter().map(|rep| rep.stream_rounds).sum();
         print!(" {rounds:>9}");
-    }
-    println!();
-    print!("warm");
-    for r in runs {
-        let hits: usize = r.reports.iter().map(|rep| rep.warm_hits()).sum();
-        print!(" {hits:>9}");
     }
     println!();
     // Adaptive accounting, only when any run engaged the adaptive path —
@@ -1140,7 +1060,7 @@ pub fn print_fig12(runs: &[ConfigRun]) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4).
+// Ablations.
 // ---------------------------------------------------------------------------
 
 /// ATC scheduling ablation: round-robin vs greedy-threshold mean response.
@@ -1183,7 +1103,7 @@ pub fn ablation_recovery(seed: u64, scale: Scale) -> (u64, u64) {
 /// ATC-FULL with shared vs private probe caches. Sharing probe results is
 /// the load-bearing half of "we cache tuples from random probes" (§7.1);
 /// without it, a stream fanning out to N consumers re-probes every key N
-/// times (see DESIGN.md decision 6).
+/// times.
 pub fn ablation_probe_cache(seed: u64, scale: Scale) -> Vec<(String, u64, f64)> {
     [true, false]
         .into_iter()
@@ -1485,269 +1405,8 @@ pub fn chaos_json(sweep: &ChaosSweep) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Restart sweep: cold vs warm vs warm-from-snapshot (BENCH_6.json).
+// Two-process restart gate.
 // ---------------------------------------------------------------------------
-
-/// One arm of the restart sweep: how long the probe batch (a repeat of
-/// batch 0 after three primed batches) took to optimize, and what the
-/// optimizer decided.
-pub struct RestartArm {
-    /// `cold` / `warm` / `snapshot`.
-    pub label: &'static str,
-    /// Host µs optimizing the probe batch (min over the measured iters).
-    pub probe_us: u128,
-    /// Warm-plan replays the probe produced.
-    pub warm_hits: usize,
-    /// The probe's decision fingerprint (identity-gated across arms).
-    pub row: DecisionRow,
-}
-
-/// The full-`Engine` restart leg: run a workload with persistence on,
-/// "restart" (a second engine over the same directory), and compare
-/// against a fresh engine with persistence off.
-pub struct EngineRestart {
-    /// The restarted engine rehydrated from the snapshot.
-    pub loaded: bool,
-    /// Lanes that came back warm.
-    pub lanes_loaded: usize,
-    /// Snapshots the priming run published.
-    pub writes: usize,
-    /// Warm-plan replays in the restarted run's *first* batch — the
-    /// restart actually skipping the cold search.
-    pub first_batch_warm_hits: usize,
-    /// Restarted run bit-identical (per-query times, results, work, and
-    /// optimizer decisions) to the cold run.
-    pub identical: bool,
-}
-
-/// Outcome of [`restart_sweep`].
-pub struct RestartSweep {
-    /// Probe-batch arms: cold search, in-process warm memo, warm memo
-    /// rehydrated from disk in a fresh manager.
-    pub cold: RestartArm,
-    pub warm: RestartArm,
-    pub snap: RestartArm,
-    /// All three arms made bit-identical decisions.
-    pub identical: bool,
-    /// Published snapshot size, bytes.
-    pub snapshot_bytes: u64,
-    /// Host µs to publish (encode + write + fsync + rename).
-    pub write_us: u128,
-    /// Host µs to load + validate + rebuild.
-    pub load_us: u64,
-    /// Sections admitted by the loader.
-    pub sections_salvaged: usize,
-    /// The full-`Engine` restart leg.
-    pub engine: EngineRestart,
-}
-
-/// A scratch directory for snapshot benches (under the system temp dir;
-/// removed by the caller).
-fn restart_tmp_dir(tag: &str) -> std::path::PathBuf {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("qsys-restart-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
-}
-
-/// Like [`optimize_decision_stream`], but keeps the manager (so its warm
-/// state can be snapshotted) and times each batch's optimize call.
-#[allow(clippy::type_complexity)]
-fn drive_decision_stream(
-    catalog: &qsys::catalog::Catalog,
-    opt_config: &OptimizerConfig,
-    batches: &[Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>],
-    warm: bool,
-) -> (qsys::state::QsManager, Vec<(DecisionRow, u128)>) {
-    use qsys::state::QsManager;
-
-    let manager = QsManager::new(usize::MAX);
-    let optimizer = Optimizer::new(catalog, opt_config.clone());
-    let interner = manager.shared_interner();
-    let warm_cell = warm.then(|| manager.warm_cell());
-    let rows = batches
-        .iter()
-        .map(|batch| {
-            let oracle = manager.reuse_oracle();
-            let t = std::time::Instant::now();
-            let (spec, stats) =
-                optimizer.optimize_warm(batch, &oracle, None, &interner, warm_cell.as_deref());
-            let us = t.elapsed().as_micros();
-            (
-                DecisionRow {
-                    spec_debug: format!("{spec:?}"),
-                    explored: stats.explored,
-                    memo_hits: stats.memo_hits,
-                    candidates: stats.candidates,
-                    best_cost_bits: stats.best_cost.to_bits(),
-                    warm_hits: stats.warm_hits,
-                },
-                us,
-            )
-        })
-        .collect();
-    (manager, rows)
-}
-
-/// Cold vs warm-in-process vs warm-from-snapshot optimize time for a
-/// recurring batch, plus the full-`Engine` restart comparison — the
-/// `reproduce restart` sweep behind `BENCH_6.json`.
-///
-/// The probe is a repeat of batch 0 after three primed 5-UQ batches of the
-/// seed-`seed` GUS stream; each arm's probe optimize is re-measured
-/// `iters` times (state-idempotent — replaying a warm plan records the
-/// same plan) and the minimum is reported, since the comparison is about
-/// the code path, not scheduler noise.
-pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> RestartSweep {
-    use qsys::snapshot::{
-        catalog_fingerprint, load_snapshot, write_snapshot, LaneImage, SnapshotImage,
-    };
-
-    let workload = gus_workload(seed, scale);
-    let engine_cfg = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&workload, &engine_cfg).expect("generates");
-    let opt_config = OptimizerConfig {
-        k: engine_cfg.k,
-        heuristics: engine_cfg.heuristics.clone(),
-        cost_profile: engine_cfg.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
-    let prime: Vec<Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>> = uqs
-        .chunks(5)
-        .take(3)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect()
-        })
-        .collect();
-    let probe = prime[0].clone();
-    let iters = iters.max(1);
-
-    // Measure one arm's probe time: prime the manager, then optimize the
-    // probe batch `iters` times and keep the fastest.
-    let measure = |manager: &qsys::state::QsManager, warm: bool| -> (DecisionRow, u128) {
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let interner = manager.shared_interner();
-        let warm_cell = warm.then(|| manager.warm_cell());
-        let mut best_us = u128::MAX;
-        let mut row = None;
-        for _ in 0..iters {
-            let oracle = manager.reuse_oracle();
-            let t = std::time::Instant::now();
-            let (spec, stats) =
-                optimizer.optimize_warm(&probe, &oracle, None, &interner, warm_cell.as_deref());
-            best_us = best_us.min(t.elapsed().as_micros());
-            row = Some(DecisionRow {
-                spec_debug: format!("{spec:?}"),
-                explored: stats.explored,
-                memo_hits: stats.memo_hits,
-                candidates: stats.candidates,
-                best_cost_bits: stats.best_cost.to_bits(),
-                warm_hits: stats.warm_hits,
-            });
-        }
-        (row.expect("iters >= 1"), best_us)
-    };
-
-    // Arm 1 — cold: primed interner, no warm store, full search each time.
-    let (cold_mgr, _) = drive_decision_stream(&workload.catalog, &opt_config, &prime, false);
-    let (cold_row, cold_us) = measure(&cold_mgr, false);
-
-    // Arm 2 — warm in-process: the same lane keeps its warm memo.
-    let (warm_mgr, _) = drive_decision_stream(&workload.catalog, &opt_config, &prime, true);
-    let (warm_row, warm_us) = measure(&warm_mgr, true);
-
-    // Arm 3 — warm from snapshot: persist arm 2's state, reload it into a
-    // fresh manager (a restarted process), and optimize there.
-    let fp = opt_config.warm_fingerprint();
-    let image = SnapshotImage {
-        engine_fingerprint: fp.clone(),
-        catalog_fingerprint: catalog_fingerprint(&workload.catalog),
-        lanes: vec![LaneImage {
-            interner: warm_mgr.shared_interner().borrow().export_entries(),
-            warm: warm_mgr.warm_cell().borrow().export(),
-            observed: Vec::new(),
-        }],
-    };
-    let dir = restart_tmp_dir("sweep");
-    let t = std::time::Instant::now();
-    let snapshot_bytes = write_snapshot(&dir, &image, None).expect("publish snapshot");
-    let write_us = t.elapsed().as_micros();
-    let (mut lanes, summary) = load_snapshot(&dir, &fp, &workload.catalog, None);
-    assert!(
-        summary.loaded && summary.reason.is_none(),
-        "clean snapshot must load cleanly: {summary:?}"
-    );
-    let loaded = lanes
-        .first_mut()
-        .and_then(Option::take)
-        .expect("one lane in the image");
-    let snap_mgr = qsys::state::QsManager::new(usize::MAX);
-    *snap_mgr.shared_interner().borrow_mut() = loaded.interner;
-    *snap_mgr.warm_cell().borrow_mut() = loaded.warm;
-    let (snap_row, snap_us) = measure(&snap_mgr, true);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let identical = cold_row.decisions() == warm_row.decisions()
-        && cold_row.decisions() == snap_row.decisions();
-
-    // The full-Engine leg: prime with persistence on, "restart" (second
-    // engine over the same directory), compare against persistence off.
-    let engine = {
-        let dir = restart_tmp_dir("engine");
-        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.snapshot_dir = Some(dir.clone());
-        let primed = run_workload(&workload, &cfg, Some(15)).expect("priming run");
-        let restarted = run_workload(&workload, &cfg, Some(15)).expect("restarted run");
-        let mut cold_cfg = gus_engine(SharingMode::AtcFull, 5);
-        cold_cfg.snapshot_dir = None;
-        let baseline = run_workload(&workload, &cold_cfg, Some(15)).expect("baseline run");
-        let _ = std::fs::remove_dir_all(&dir);
-        EngineRestart {
-            loaded: restarted.snapshot.loaded,
-            lanes_loaded: restarted.snapshot.lanes_loaded,
-            writes: primed.snapshot.writes,
-            first_batch_warm_hits: restarted
-                .opt_events
-                .first()
-                .map(|e| e.warm_hits)
-                .unwrap_or(0),
-            identical: reports_identical(&restarted, &baseline),
-        }
-    };
-
-    RestartSweep {
-        cold: RestartArm {
-            label: "cold",
-            probe_us: cold_us,
-            warm_hits: cold_row.warm_hits,
-            row: cold_row,
-        },
-        warm: RestartArm {
-            label: "warm",
-            probe_us: warm_us,
-            warm_hits: warm_row.warm_hits,
-            row: warm_row,
-        },
-        snap: RestartArm {
-            label: "snapshot",
-            probe_us: snap_us,
-            warm_hits: snap_row.warm_hits,
-            row: snap_row,
-        },
-        identical,
-        snapshot_bytes,
-        write_us,
-        load_us: summary.load_us,
-        sections_salvaged: summary.sections_salvaged,
-        engine,
-    }
-}
 
 /// Decision-level equality of two runs: per-query outcomes and the
 /// optimizer's work/decision counters (host wall time excluded).
@@ -1767,53 +1426,6 @@ pub fn reports_identical(a: &RunReport, b: &RunReport) -> bool {
         })
 }
 
-/// Human-readable restart sweep.
-pub fn print_restart(sweep: &RestartSweep) {
-    println!("Restart sweep: probe = repeat of batch 0 after 3 primed 5-UQ batches");
-    println!("  arm            optimize_us   warm_plan_replays");
-    for arm in [&sweep.cold, &sweep.warm, &sweep.snap] {
-        println!(
-            "  {:<12} {:>12}   {:>5}",
-            arm.label, arm.probe_us, arm.warm_hits
-        );
-    }
-    println!(
-        "  decisions identical across arms: {}",
-        if sweep.identical { "yes" } else { "NO" }
-    );
-    println!(
-        "  snapshot: {} bytes, write {} µs, load+validate {} µs, {} sections",
-        sweep.snapshot_bytes, sweep.write_us, sweep.load_us, sweep.sections_salvaged
-    );
-    let e = &sweep.engine;
-    println!(
-        "  engine restart: loaded={} lanes={} writes={} first_batch_warm_hits={} identical={}",
-        e.loaded, e.lanes_loaded, e.writes, e.first_batch_warm_hits, e.identical
-    );
-}
-
-/// The `BENCH_6.json` document for a restart sweep.
-pub fn restart_json(sweep: &RestartSweep) -> String {
-    let ratio = sweep.snap.probe_us as f64 / (sweep.warm.probe_us as f64).max(1.0);
-    let e = &sweep.engine;
-    format!(
-        "{{\n  \"bench\": \"restart sweep: cold vs warm-in-process vs warm-from-snapshot optimize time (GUS seed 41, repeat of batch 0 after 3 primed 5-UQ batches; min of measured iters)\",\n  \"gate\": \"decisions bit-identical across all arms and across an engine restart; first post-restart batch replays the warm plan\",\n  \"cold_optimize_us\": {},\n  \"warm_optimize_us\": {},\n  \"snapshot_optimize_us\": {},\n  \"snapshot_vs_warm_ratio\": {ratio:.2},\n  \"snapshot_bytes\": {},\n  \"snapshot_write_us\": {},\n  \"snapshot_load_us\": {},\n  \"sections_salvaged\": {},\n  \"decisions_identical\": {},\n  \"engine_restart\": {{\n    \"loaded\": {},\n    \"lanes_loaded\": {},\n    \"snapshot_writes\": {},\n    \"first_batch_warm_hits\": {},\n    \"identical\": {}\n  }}\n}}\n",
-        sweep.cold.probe_us,
-        sweep.warm.probe_us,
-        sweep.snap.probe_us,
-        sweep.snapshot_bytes,
-        sweep.write_us,
-        sweep.load_us,
-        sweep.sections_salvaged,
-        sweep.identical,
-        e.loaded,
-        e.lanes_loaded,
-        e.writes,
-        e.first_batch_warm_hits,
-        e.identical,
-    )
-}
-
 /// One half of the cross-process restart check: CI runs `--phase prime`
 /// and `--phase reload` as *separate processes* over the same directory,
 /// so the reload genuinely starts from nothing but the snapshot file.
@@ -1826,8 +1438,13 @@ pub struct RestartPhase {
     pub loaded: bool,
     /// (reload only) lanes that came back warm.
     pub lanes_loaded: usize,
-    /// (reload only) warm-plan replays in the first post-restart batch.
-    pub first_batch_warm_hits: usize,
+    /// Warm-store cache hits feeding this run's first batch.
+    pub first_batch_warm_fact_hits: usize,
+    /// (reload only) the same count in the persistence-off run. A cold
+    /// first batch is not 0 (verdicts cached earlier in the same search
+    /// count when re-read), so the reload proves it read rehydrated state
+    /// by exceeding this, not by exceeding 0.
+    pub cold_first_batch_warm_fact_hits: usize,
     /// (reload only) run bit-identical to a cold run with persistence off.
     pub identical: bool,
     /// (reload only) the loader's rejection reason, if any.
@@ -1846,20 +1463,25 @@ pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: boo
     let bytes_on_disk = std::fs::metadata(dir.join("qsys.snapshot"))
         .map(|m| m.len())
         .unwrap_or(0);
-    let identical = if reload {
+    let first_batch_hits = |r: &RunReport| r.opt_events.first().map_or(0, |e| e.warm_fact_hits);
+    let (identical, cold_first_batch_warm_fact_hits) = if reload {
         let mut cold_cfg = gus_engine(SharingMode::AtcFull, 5);
         cold_cfg.snapshot_dir = None;
         let baseline = run_workload(&workload, &cold_cfg, Some(15)).expect("baseline run");
-        reports_identical(&report, &baseline)
+        (
+            reports_identical(&report, &baseline),
+            first_batch_hits(&baseline),
+        )
     } else {
-        true
+        (true, 0)
     };
     RestartPhase {
         writes: report.snapshot.writes,
         bytes_on_disk,
         loaded: report.snapshot.loaded,
         lanes_loaded: report.snapshot.lanes_loaded,
-        first_batch_warm_hits: report.opt_events.first().map(|e| e.warm_hits).unwrap_or(0),
+        first_batch_warm_fact_hits: first_batch_hits(&report),
+        cold_first_batch_warm_fact_hits,
         identical,
         reason: report.snapshot.reason.clone(),
     }

@@ -206,7 +206,6 @@ impl QueryPlanGraph {
     /// Mutable node access. Changing a stream leaf's `backing` or
     /// `quarantined` through this bypasses the bound table
     /// ([`QueryPlanGraph::bound_table`]); read through
-    /// [`QueryPlanGraph::read_stream`] /
     /// [`QueryPlanGraph::read_stream_governed`] and quarantine through
     /// [`QueryPlanGraph::quarantine_stream`] instead.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -341,30 +340,12 @@ impl QueryPlanGraph {
     }
 
     /// Read one tuple from the stream leaf `id` and route it through the
-    /// graph. Returns `false` if the stream was exhausted. Infallible —
-    /// fault injection applies only through
-    /// [`QueryPlanGraph::read_stream_governed`].
-    pub fn read_stream(&mut self, id: NodeId, sources: &Sources) -> bool {
-        let epoch = self.epoch;
-        let leaf = self.stream_leaf_mut(id);
-        let tuple = leaf.backing.read(sources);
-        if let Some(t) = &tuple {
-            leaf.archive.push((t.clone(), epoch));
-        }
-        let bound = leaf.effective_bound();
-        self.bounds[id.index()] = bound;
-        let Some(tuple) = tuple else {
-            return false;
-        };
-        self.route_from(id, tuple, sources, None);
-        true
-    }
-
-    /// Fault-aware stream read: fetch through the governor's retry/breaker
-    /// loop; on a fetch that gives up, quarantine the leaf (bound drops to
-    /// zero, the failure is recorded against the batch) and report
-    /// [`StreamRead::Failed`]. Downstream joins of a delivered tuple probe
-    /// through the governor too.
+    /// graph. The fetch goes through the governor's retry/breaker loop (a
+    /// plain read when no faults are configured); on a fetch that gives
+    /// up, quarantine the leaf (bound drops to zero, the failure is
+    /// recorded against the batch) and report [`StreamRead::Failed`].
+    /// Downstream joins of a delivered tuple probe through the governor
+    /// too.
     pub fn read_stream_governed(
         &mut self,
         id: NodeId,
@@ -403,19 +384,19 @@ impl QueryPlanGraph {
         let Some(tuple) = tuple else {
             return StreamRead::Exhausted;
         };
-        self.route_from(id, tuple, sources, Some(governor));
+        self.route_from(id, tuple, sources, governor);
         StreamRead::Delivered
     }
 
     /// Route a tuple delivered by leaf `id` through the graph (BFS over
     /// consumer edges, charging routing time per hop). Joins probe through
-    /// `governor` when one is supplied.
+    /// `governor`.
     fn route_from(
         &mut self,
         id: NodeId,
         tuple: Tuple,
         sources: &Sources,
-        governor: Option<&SourceGovernor>,
+        governor: &SourceGovernor,
     ) {
         let epoch = self.epoch;
         let route_us = sources.cost_profile().route_us;
@@ -438,7 +419,7 @@ impl QueryPlanGraph {
                     }
                 }
                 NodeKind::MJoin(mj) => {
-                    for out in mj.insert_governed(idx, t, epoch, sources, governor, modules) {
+                    for out in mj.insert_governed(idx, t, epoch, sources, Some(governor), modules) {
                         for (c, i) in children.iter() {
                             queue.push_back((*c, *i, out.clone()));
                         }
@@ -534,6 +515,7 @@ impl QueryPlanGraph {
 mod tests {
     use super::*;
     use crate::access::{AccessModule, AccessModuleArena, StoredModule};
+    use crate::govern::RetryPolicy;
     use crate::mjoin::{JoinPred, MJoin, MJoinInput};
     use crate::rank_merge::{CqRegistration, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
@@ -558,6 +540,10 @@ mod tests {
             s.register(Table::new(id, rows));
         }
         s
+    }
+
+    fn governor() -> SourceGovernor {
+        SourceGovernor::new(RetryPolicy::default())
     }
 
     fn stored_input(rel: u32, modules: &mut AccessModuleArena) -> MJoinInput {
@@ -632,8 +618,10 @@ mod tests {
         let sources = sources_with_tables();
         let (mut g, s0, s1, rmn) = small_graph(&sources);
         // Read everything from both streams.
-        while g.read_stream(s0, &sources) {}
-        while g.read_stream(s1, &sources) {}
+        let governor = governor();
+        for leaf in [s0, s1] {
+            while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {}
+        }
         // Join results should be pending in the rank-merge.
         let bounds = g.bound_table();
         assert_eq!(bounds[s0.index()], 0.0);
@@ -676,6 +664,13 @@ mod tests {
         // leaf taints it; the sibling stream on its own stays clean.
         assert!(g.subtree_quarantined(rmn));
         assert!(!g.subtree_quarantined(s1));
+        // A read on the quarantined leaf delivers nothing and costs nothing.
+        let streamed = sources.tuples_streamed();
+        assert_eq!(
+            g.read_stream_governed(s0, &sources, &governor()),
+            StreamRead::Exhausted
+        );
+        assert_eq!(sources.tuples_streamed(), streamed);
     }
 
     #[test]
@@ -710,7 +705,7 @@ mod tests {
     fn explain_renders_every_node() {
         let sources = sources_with_tables();
         let (mut g, s0, _, _) = small_graph(&sources);
-        g.read_stream(s0, &sources);
+        g.read_stream_governed(s0, &sources, &governor());
         let dump = g.explain();
         assert!(dump.contains("plan graph @ e0 (5 nodes)"), "{dump}");
         assert!(dump.contains("stream"), "{dump}");

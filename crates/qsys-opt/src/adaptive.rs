@@ -28,8 +28,6 @@
 //!   so the *next* optimization — the mid-batch re-plan, and every
 //!   later batch on this lane — re-costs the whole candidate space,
 //!   not just the incumbent's operators, with corrected cardinalities.
-//!   Corrections drop the plan memo (a recorded plan was won under the
-//!   old facts) but keep everything else warm.
 //!
 //! The engine drives the loop (`src/session.rs`): every few ATC rounds
 //! it taps observations, checks drift, and — when past the
@@ -274,11 +272,10 @@ const REL_FACTOR_DEAD_BAND: f64 = 1.05;
 /// shares the leaf). Factors multiply per involved relation, clamped to
 /// `MAX_REL_FACTOR` and ignored inside a ±5% dead band.
 ///
-/// When anything changed, the plan memo is dropped — recorded plans
-/// were won under the old facts — while facts, enumerations, and ranks
-/// stay warm, so the very next optimization re-costs with corrected
-/// inputs at warm speed. Repeat applications are idempotent: once the
-/// deriving leaf is exact, its factor collapses into the dead band.
+/// Facts, enumerations, and ranks stay warm, so the very next
+/// optimization re-costs with corrected inputs at warm speed. Repeat
+/// applications are idempotent: once the deriving leaf is exact, its
+/// factor collapses into the dead band.
 pub fn apply_observed(
     warm: &mut WarmStore,
     observed: &ObservedStats,
@@ -365,9 +362,6 @@ pub fn apply_observed(
             None => continue,
         };
         correct(warm, *sig, new);
-    }
-    if corrected > 0 {
-        warm.note_state_change();
     }
     corrected
 }
@@ -528,16 +522,6 @@ mod tests {
         warm.set_fact(SigId(1), fact(10.0)); // live at 25 → raised to 25
         warm.set_fact(SigId(2), fact(50.0)); // live at 5 → bound below est, kept
         warm.set_fact(SigId(3), fact(10.0)); // state 40 → raised to 40
-        warm.record_plan(
-            Box::new([SigId(0)]),
-            crate::warm::WarmPlan {
-                cand_sigs: Box::new([]),
-                assignment: Box::new([]),
-                stats: crate::bestplan::OptStats::default(),
-                snapshot: Box::new([]),
-                generation: 0,
-            },
-        );
         let mut o = ObservedStats::new();
         o.note_stream(SigId(0), 20, true);
         o.note_stream(SigId(1), 25, false);
@@ -550,7 +534,6 @@ mod tests {
         assert_eq!(warm.peek_fact(SigId(1)).unwrap().card, 25.0);
         assert_eq!(warm.peek_fact(SigId(2)).unwrap().card, 50.0);
         assert_eq!(warm.peek_fact(SigId(3)).unwrap().card, 40.0);
-        assert_eq!(warm.plan_count(), 0, "corrections invalidate the plan memo");
         // A second application is idempotent: nothing further changes.
         assert_eq!(apply_observed(&mut warm, &o, &interner), 0);
     }

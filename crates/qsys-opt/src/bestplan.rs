@@ -78,12 +78,10 @@ pub struct OptStats {
     pub memo_hits: usize,
     /// Cost of the winning plan (µs estimate).
     pub best_cost: f64,
-    /// Whole-batch warm-plan replays (0 or 1 per optimize; see the
-    /// [`warm`](crate::warm) module). Purely diagnostic: a replay returns
-    /// the recorded cold statistics for every other field.
+    /// Always 0: every batch searches. Kept because `perf/` reads it by name.
     pub warm_hits: usize,
     /// Warm-store cache hits (per-signature cost inputs and candidate
-    /// enumerations) while this batch was optimized cold.
+    /// enumerations) while this batch was searched; 0 without a store.
     pub warm_fact_hits: usize,
 }
 

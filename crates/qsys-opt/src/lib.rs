@@ -14,12 +14,12 @@
 //! The optimizer also implements the Section 6.1 machinery for dynamic
 //! operation: reuse-aware cost adjustment (via a [`ReuseOracle`] answered
 //! by the QS manager) and hierarchical user-query clustering.
-
 //!
-//! Across batches, the optimizer warm-starts from a lane-persistent reuse
-//! memo over the interner's child DAG (the [`warm`] module): cost inputs,
-//! candidate enumerations, and whole winning assignments recur across the
-//! query stream and are replayed — bit-identically — instead of re-derived.
+//! Across batches, the search warm-starts from lane-persistent caches of
+//! its batch-invariant inputs (the [`warm`] module): per-signature cost
+//! inputs, candidate enumerations and the canonical processing order recur
+//! across the query stream and are read back instead of re-derived. Every
+//! batch still searches, with bit-identical decisions either way.
 
 pub mod adaptive;
 pub mod andor;
@@ -44,4 +44,4 @@ pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode,
 pub use shard::{
     estimate_uq_cost, normalize_weights, shard_cluster, shard_cluster_affine, ShardConfig,
 };
-pub use warm::{shared_warm, SharedWarm, WarmCell, WarmExport, WarmFact, WarmPlan, WarmStore};
+pub use warm::{shared_warm, SharedWarm, WarmCell, WarmExport, WarmFact, WarmStore};

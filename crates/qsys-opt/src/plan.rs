@@ -18,14 +18,12 @@
 
 use crate::bestplan::{Assignment, BestPlanSearch, OptStats};
 use crate::cost::{CostModel, ReuseOracle};
-use crate::heuristics::{enumerate_candidates_warm, is_streamable, Candidate, HeuristicConfig};
-use crate::warm::{WarmCell, WarmPlan, WarmStore};
+use crate::heuristics::{enumerate_candidates_warm, is_streamable, HeuristicConfig};
+use crate::warm::WarmCell;
 use qsys_catalog::Catalog;
-use qsys_query::{
-    ConjunctiveQuery, CqSet, CqTable, ScoreFn, SigCell, SigId, SigInterner, SubExprSig,
-};
+use qsys_query::{ConjunctiveQuery, CqSet, CqTable, ScoreFn, SigCell, SigId, SigInterner};
 use qsys_types::{CostProfile, CqId, RelId, Selection, SimClock, TimeCategory, UqId, UserId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// One equi-join predicate in a plan spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,11 +194,9 @@ impl<'a> Optimizer<'a> {
     /// [`Optimizer::optimize`] with a lane-persistent warm store (see the
     /// [`warm`](crate::warm) module): batch-invariant cost inputs,
     /// candidate enumerations, and the canonical processing order are
-    /// served from `warm`, and a batch whose shape and residency snapshot
-    /// match a recorded entry replays the recorded winning assignment and
-    /// statistics instead of searching. Decisions, statistics, and the
-    /// simulated optimize charge are bit-identical to a cold run — the
-    /// store is a cache, never a policy change.
+    /// served from `warm`; the search itself runs every batch. Decisions,
+    /// statistics, and the simulated optimize charge are bit-identical to
+    /// a cold run — the store is a cache, never a policy change.
     pub fn optimize_warm(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
@@ -225,58 +221,6 @@ impl<'a> Optimizer<'a> {
         // cold path too, so warm and cold lanes assign identical ids in
         // identical order (the bit-identity tests compare spec dumps).
         let whole_of: Vec<SigId> = queries.iter().map(|cq| guard.of_cq(cq)).collect();
-        // The batch *shape*: the signature sequence in dense index order —
-        // the batch-stable identity a warm plan is keyed by, under which
-        // its CqSet bitmasks survive re-densing verbatim. Only the warm
-        // paths read it, so only they pay for it.
-        let shape: Option<Box<[SigId]>> = warm_guard.is_some().then(|| {
-            let mut dense = vec![SigId(0); table.len()];
-            for (cq, &whole) in queries.iter().zip(&whole_of) {
-                dense[table.idx(cq.id).index()] = whole;
-            }
-            dense.into()
-        });
-
-        // Warm-plan replay: shape matches and every involved signature's
-        // effective residency is what the recorded search saw, so a cold
-        // search would re-derive exactly the recorded outcome.
-        if let (Some(w), Some(shape)) = (warm_guard.as_deref_mut(), shape.as_deref()) {
-            if let Some(plan) = w.plan(shape) {
-                let valid = plan.generation <= guard.generation()
-                    && plan
-                        .snapshot
-                        .iter()
-                        .all(|(sig, already)| reuse.streamed(*sig).unwrap_or(0) == *already);
-                if valid {
-                    // Reproduce the cold path's pinning side effects
-                    // against the *live* oracle (Section 6.1).
-                    for &sig in plan.cand_sigs.iter() {
-                        if reuse.streamed(sig).is_some() {
-                            reuse.pin(sig);
-                        }
-                    }
-                    let assignment: Assignment = plan
-                        .assignment
-                        .iter()
-                        .map(|(sig, qs)| Candidate {
-                            sig: *sig,
-                            queries: qs.clone(),
-                        })
-                        .collect();
-                    let mut stats = plan.stats;
-                    stats.warm_hits = 1;
-                    stats.warm_fact_hits = 0;
-                    if let Some(clock) = clock {
-                        clock.charge(
-                            TimeCategory::Optimize,
-                            stats.explored as u64 * self.config.opt_step_us,
-                        );
-                    }
-                    let spec = self.factorize(batch, &assignment, &model, &mut guard, &table);
-                    return (spec, stats);
-                }
-            }
-        }
 
         let candidates = if self.config.share_subexpressions {
             enumerate_candidates_warm(
@@ -297,9 +241,6 @@ impl<'a> Optimizer<'a> {
                 reuse.pin(c.sig);
             }
         }
-        let cand_sigs: Option<Box<[SigId]>> = warm_guard
-            .is_some()
-            .then(|| candidates.iter().map(|c| c.sig).collect());
         let search = BestPlanSearch::new_warm(
             &model,
             reuse,
@@ -310,18 +251,8 @@ impl<'a> Optimizer<'a> {
             warm_guard.as_deref_mut(),
         );
         let (assignment, mut stats) = search.run(candidates);
-        if let Some(w) = warm_guard.as_deref_mut() {
+        if let Some(w) = warm_guard.as_deref() {
             stats.warm_fact_hits = w.batch_hits();
-            self.record_warm_plan(
-                w,
-                &guard,
-                reuse,
-                &queries,
-                shape.expect("shape built whenever warm is on"),
-                cand_sigs.expect("cand_sigs built whenever warm is on"),
-                &assignment,
-                stats,
-            );
         }
         if let Some(clock) = clock {
             clock.charge(
@@ -338,59 +269,6 @@ impl<'a> Optimizer<'a> {
     /// included — a lane keeps one catalog for life, like its interner.)
     fn fingerprint(&self) -> String {
         self.config.warm_fingerprint()
-    }
-
-    /// Record a cold batch's outcome in the warm store: the winning
-    /// assignment, its statistics, and the residency snapshot over the
-    /// child-DAG closure of every involved signature (so a stale child —
-    /// evicted, or streamed further — invalidates its ancestors).
-    #[allow(clippy::too_many_arguments)]
-    fn record_warm_plan(
-        &self,
-        warm: &mut WarmStore,
-        interner: &SigInterner,
-        reuse: &dyn ReuseOracle,
-        queries: &[&ConjunctiveQuery],
-        shape: Box<[SigId]>,
-        cand_sigs: Box<[SigId]>,
-        assignment: &Assignment,
-        stats: OptStats,
-    ) {
-        let mut involved: BTreeSet<SigId> = cand_sigs.iter().copied().collect();
-        involved.extend(assignment.iter().map(|c| c.sig));
-        // Default single-relation inputs enter costing too; they were all
-        // interned during the search, so lookups cannot miss.
-        for cq in queries {
-            for atom in &cq.atoms {
-                let sig = SubExprSig::relation(atom.rel, atom.selection.clone());
-                let Some(id) = interner.get(&sig) else {
-                    // Defensive: never record a partial residency view. A
-                    // search always interns its defaults, so this firing
-                    // means the invariant broke — say so in debug builds.
-                    debug_assert!(false, "default signature missing post-search");
-                    return;
-                };
-                involved.insert(id);
-            }
-        }
-        let closure = interner.children_closure(involved);
-        let snapshot: Box<[(SigId, u64)]> = closure
-            .into_iter()
-            .map(|sig| (sig, reuse.streamed(sig).unwrap_or(0)))
-            .collect();
-        warm.record_plan(
-            shape,
-            WarmPlan {
-                cand_sigs,
-                assignment: assignment
-                    .iter()
-                    .map(|c| (c.sig, c.queries.clone()))
-                    .collect(),
-                stats,
-                snapshot,
-                generation: interner.generation(),
-            },
-        );
     }
 
     /// Section 5.2: factor the assignment into a shared component DAG.
@@ -784,13 +662,6 @@ mod tests {
         assert!(
             join_nodes.iter().any(|&j| uses(j) >= 2),
             "expected a shared middleware component: {spec:#?}"
-        );
-        // The merged components record their derivation in the interner's
-        // child DAG (Cascades-memo style).
-        let it = interner.borrow();
-        assert!(
-            spec.nodes.iter().any(|n| it.children(n.sig).is_some()),
-            "combine() must record child ids"
         );
     }
 

@@ -1,16 +1,14 @@
-//! Cross-batch warm start for the optimizer: a lane-persistent reuse memo
-//! over the interner's child DAG.
+//! Cross-batch warm start for the optimizer: lane-persistent caches of the
+//! search's batch-invariant inputs.
 //!
 //! The paper's premise is that sharing decisions *recur* across the query
-//! stream, yet a cold optimizer re-derives every winning sub-assignment
-//! from scratch each batch. With per-state constant factors gone (dense
-//! indices, PR 2), the remaining optimize time sits in candidate
-//! enumeration and first-visit states — work whose inputs are largely
-//! **batch-invariant**: a subexpression's cardinality, streamability, and
-//! source-side expense depend only on the (fixed) catalog and heuristics,
-//! and a conjunctive query's candidate subexpressions depend only on its
-//! canonical whole-query signature. [`WarmStore`] persists exactly those
-//! quantities per engine lane, keyed by the lane's stable [`SigId`]s:
+//! stream, yet a cold optimizer re-derives every input of its search from
+//! scratch each batch. Much of that work is **batch-invariant**: a
+//! subexpression's cardinality, streamability, and source-side expense
+//! depend only on the (fixed) catalog and heuristics, and a conjunctive
+//! query's candidate subexpressions depend only on its canonical
+//! whole-query signature. [`WarmStore`] persists exactly those quantities
+//! per engine lane, keyed by the lane's stable [`SigId`]s:
 //!
 //! - **Cost inputs** ([`WarmFact`]): per-signature cardinality /
 //!   streamability / size, plus the heuristic-3a "expensive at the source"
@@ -24,39 +22,21 @@
 //!   the lane has seen, maintained in deep canonical (`SubExprSig`) order.
 //!   The optimizer's two per-batch deep sorts (candidate pool, default
 //!   ranks) become integer-key sorts that provably produce the same order.
-//! - **The plan memo** ([`WarmPlan`]): batch shape → the winning completed
-//!   assignment, its search statistics, and a residency snapshot. The
-//!   *shape* of a batch is the sequence of whole-query signatures in dense
-//!   ([`CqTable`]) order — so a stored assignment's [`CqSet`]s survive
-//!   `CqTable` re-densing across batches verbatim: equal shapes imply the
-//!   dense index `i` names a structurally identical query in both batches
-//!   (permutations of duplicate signatures are cost-symmetric and collapse
-//!   to the same shape).
+//! - **Relation correction factors**: the adaptive loop's runtime evidence,
+//!   applied when a new signature's fact is first computed.
 //!
-//! ### Replay is a cache hit, never a policy change
+//! Every batch still runs the one BestPlan search; with adaptive execution
+//! off (no correction factors) the store only feeds it inputs a cold run
+//! would recompute to the same values, so decisions, statistics and the
+//! simulated optimize charge are bit-identical with the store on or off.
+//! The goldens in `tests/interner_invariants.rs` and the property test in
+//! `tests/proptest_invariants.rs` pin that. Nothing here depends on which
+//! state the plan graph currently holds resident, so eviction never has to
+//! invalidate it.
 //!
-//! A [`WarmPlan`] replays only when (a) the current batch's shape equals
-//! the recorded one and (b) every signature in the recorded **residency
-//! snapshot** — the assignment's and candidates' signatures closed over
-//! [`SigInterner::children`] — reports the same effective resident tuple
-//! count from the live reuse oracle. A stale child therefore invalidates
-//! its ancestors: if a subexpression some input was derived from was
-//! evicted or has streamed further, the entry fails validation and the
-//! batch re-costs cold (with the fact caches still warm). Under those two
-//! conditions a cold search would re-derive the identical assignment with
-//! identical statistics, so replay returns the recorded stats (the
-//! simulated optimize-time charge stays bit-identical) and the recorded
-//! assignment (the factorization step always runs live). The goldens in
-//! `tests/interner_invariants.rs` and the property test in
-//! `tests/proptest_invariants.rs` pin warm-vs-cold bit-identity.
-//!
-//! The QS manager owns one store per lane next to the shared interner and
-//! feeds eviction back into it ([`WarmStore::note_state_change`]): evicting
-//! any node drops the plan memo, so entries whose materialized state was
-//! reclaimed re-cost instead of relying on validation alone.
+//! The QS manager owns one store per lane next to the shared interner.
 
-use crate::bestplan::OptStats;
-use qsys_query::{CqSet, SigId, SigInterner};
+use qsys_query::{SigId, SigInterner};
 use qsys_types::RelId;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -71,36 +51,6 @@ pub struct WarmFact {
     /// Atom count.
     pub size: u32,
 }
-
-/// One recorded winning assignment, keyed by batch shape.
-#[derive(Clone, Debug)]
-pub struct WarmPlan {
-    /// Every candidate signature the batch enumerated (base + multi), in
-    /// enumeration order — replayed against the live oracle to reproduce
-    /// the cold path's pinning side effects exactly.
-    pub cand_sigs: Box<[SigId]>,
-    /// The winning completed assignment: `(signature, sourced queries)`
-    /// with query sets as dense batch bitmasks (valid for any batch with
-    /// the same shape).
-    pub assignment: Box<[(SigId, CqSet)]>,
-    /// The recorded search statistics; replay returns these verbatim so
-    /// the simulated optimize charge and every reported count stay
-    /// bit-identical to a cold search.
-    pub stats: OptStats,
-    /// Effective resident tuple count (`streamed(sig).unwrap_or(0)`) per
-    /// involved signature — the assignment, candidates, and defaults,
-    /// closed over the interner's child DAG — at record time.
-    pub snapshot: Box<[(SigId, u64)]>,
-    /// Interner generation at record time (every id in this entry is below
-    /// it; a mismatch means the entry predates the current arena).
-    pub generation: u64,
-}
-
-/// Upper bound on retained plan memos; past it the memo is dropped
-/// wholesale (a cache reset, deterministic and decision-neutral).
-/// Public so external auditors (`qsys-verify`) can check exports against
-/// the same cap `from_export` enforces.
-pub const MAX_PLANS: usize = 256;
 
 /// The lane-persistent warm store. One per engine lane, owned by the QS
 /// manager alongside the shared interner whose ids key everything here.
@@ -122,8 +72,6 @@ pub struct WarmStore {
     canon_order: Vec<SigId>,
     /// …and each signature's position therein (rebuilt after inserts).
     canon_rank: HashMap<SigId, u32>,
-    /// Batch shape → recorded winning plan.
-    plans: HashMap<Box<[SigId]>, WarmPlan>,
     /// Cache hits (facts + enumerations) since `begin_batch`.
     batch_hits: usize,
     /// Facts first published during the current batch: re-reads of these
@@ -310,33 +258,6 @@ impl WarmStore {
         self.canon_rank[&sig]
     }
 
-    /// The recorded plan for a batch shape, if any (no validation here —
-    /// the optimizer validates residency against its live oracle).
-    pub fn plan(&self, shape: &[SigId]) -> Option<&WarmPlan> {
-        self.plans.get(shape)
-    }
-
-    /// Record the winning plan for a batch shape.
-    pub fn record_plan(&mut self, shape: Box<[SigId]>, plan: WarmPlan) {
-        if self.plans.len() >= MAX_PLANS && !self.plans.contains_key(&shape) {
-            self.plans.clear();
-        }
-        self.plans.insert(shape, plan);
-    }
-
-    /// Number of recorded plans.
-    pub fn plan_count(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// The QS manager's eviction feedback: materialized state was
-    /// reclaimed, so every recorded plan's residency snapshot is suspect.
-    /// Drop the plan memo (facts, enumerations, and ranks are
-    /// state-independent and survive).
-    pub fn note_state_change(&mut self) {
-        self.plans.clear();
-    }
-
     /// Export the store's cross-batch state as a serializable image with
     /// deterministic ordering (hash-map sections sorted by key, so equal
     /// stores export byte-equal snapshots). Per-batch transients
@@ -358,27 +279,19 @@ impl WarmStore {
             .map(|(k, v)| (*k, v.clone()))
             .collect();
         cq_candidates.sort_unstable_by_key(|(id, _)| *id);
-        let mut plans: Vec<(Box<[SigId]>, WarmPlan)> = self
-            .plans
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        plans.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         WarmExport {
             fingerprint: self.fingerprint.clone(),
             facts,
             expensive,
             cq_candidates,
             canon_order: self.canon_order.clone(),
-            plans,
         }
     }
 
     /// Rebuild a store from an exported image, validating every id against
     /// the (already rebuilt) interner instead of trusting the bytes: ids
-    /// must be below the arena length, the canonical order must really be
-    /// in strictly increasing deep order, and every plan's generation
-    /// stamp must not exceed the interner's. A violated invariant returns
+    /// must be below the arena length and the canonical order must really
+    /// be in strictly increasing deep order. A violated invariant returns
     /// an error — snapshot recovery treats it as corruption and cold-starts
     /// the section rather than admitting state that could change decisions.
     pub fn from_export(export: WarmExport, interner: &SigInterner) -> Result<WarmStore, String> {
@@ -421,26 +334,6 @@ impl WarmStore {
         for (rank, id) in store.canon_order.iter().enumerate() {
             store.canon_rank.insert(*id, rank as u32);
         }
-        for (shape, plan) in export.plans {
-            if plan.generation > interner.generation() {
-                return Err(format!(
-                    "plan generation {} exceeds interner generation {}",
-                    plan.generation,
-                    interner.generation()
-                ));
-            }
-            let ids_ok = shape.iter().all(|&s| in_bounds(s))
-                && plan.cand_sigs.iter().all(|&s| in_bounds(s))
-                && plan.assignment.iter().all(|(s, _)| in_bounds(*s))
-                && plan.snapshot.iter().all(|(s, _)| in_bounds(*s));
-            if !ids_ok {
-                return Err("plan names ids out of arena bounds".into());
-            }
-            if store.plans.len() >= MAX_PLANS {
-                return Err(format!("more than {MAX_PLANS} plans in export"));
-            }
-            store.plans.insert(shape, plan);
-        }
         Ok(store)
     }
 }
@@ -461,8 +354,6 @@ pub struct WarmExport {
     pub cq_candidates: Vec<(SigId, Box<[SigId]>)>,
     /// All ranked signatures in deep canonical order (ranks are positions).
     pub canon_order: Vec<SigId>,
-    /// Batch shape → recorded winning plan, sorted by shape.
-    pub plans: Vec<(Box<[SigId]>, WarmPlan)>,
 }
 
 /// Shared-ownership cell around the warm store, mirroring
@@ -490,7 +381,8 @@ impl WarmCell {
 }
 
 /// The engine-lane handle: one warm store shared by the QS manager (which
-/// invalidates on eviction) and the optimizer (which reads and extends it).
+/// owns it for the lane's life) and the optimizer (which reads and extends
+/// it).
 pub type SharedWarm = Arc<WarmCell>;
 
 /// A fresh shareable warm store.
@@ -501,7 +393,7 @@ pub fn shared_warm() -> SharedWarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsys_query::{CqIdx, SubExprSig};
+    use qsys_query::SubExprSig;
     use qsys_types::RelId;
 
     fn sig(rels: &[u32]) -> SubExprSig {
@@ -571,21 +463,13 @@ mod tests {
                 size: 1,
             },
         );
-        store.record_plan(
-            Box::new([SigId(0)]),
-            WarmPlan {
-                cand_sigs: Box::new([]),
-                assignment: Box::new([]),
-                stats: OptStats::default(),
-                snapshot: Box::new([]),
-                generation: 1,
-            },
-        );
         store.ensure_config("a");
-        assert_eq!(store.plan_count(), 1, "same config keeps the cache");
+        assert!(
+            store.peek_fact(SigId(0)).is_some(),
+            "same config keeps the cache"
+        );
         store.ensure_config("b");
-        assert_eq!(store.plan_count(), 0);
-        assert!(store.fact(SigId(0)).is_none());
+        assert!(store.peek_fact(SigId(0)).is_none());
     }
 
     #[test]
@@ -608,16 +492,6 @@ mod tests {
         );
         store.set_expensive(ids[1], true);
         store.set_cq_candidates(ids[1], Box::new([ids[0], ids[2]]));
-        store.record_plan(
-            Box::new([ids[1]]),
-            WarmPlan {
-                cand_sigs: Box::new([ids[0]]),
-                assignment: Box::new([(ids[0], CqSet::from_indices([CqIdx(0)]))]),
-                stats: OptStats::default(),
-                snapshot: Box::new([(ids[0], 0)]),
-                generation: interner.generation(),
-            },
-        );
         let export = store.export();
         let mut rebuilt = WarmStore::from_export(export, &interner).expect("valid export");
         rebuilt.begin_batch();
@@ -634,11 +508,9 @@ mod tests {
         for id in &ids {
             assert_eq!(rebuilt.rank(*id), store.rank(*id));
         }
-        assert_eq!(rebuilt.plan_count(), 1);
-        assert!(rebuilt.plan(&[ids[1]]).is_some());
         // ensure_config with the same fingerprint keeps the loaded state.
         rebuilt.ensure_config("cfg");
-        assert_eq!(rebuilt.plan_count(), 1);
+        assert!(rebuilt.peek_fact(ids[0]).is_some());
     }
 
     #[test]
@@ -663,47 +535,5 @@ mod tests {
             ..WarmExport::default()
         };
         assert!(WarmStore::from_export(misordered, &interner).is_err());
-
-        let mut stale = WarmExport::default();
-        stale.plans.push((
-            Box::new([a]),
-            WarmPlan {
-                cand_sigs: Box::new([]),
-                assignment: Box::new([]),
-                stats: OptStats::default(),
-                snapshot: Box::new([]),
-                generation: interner.generation() + 1,
-            },
-        ));
-        assert!(WarmStore::from_export(stale, &interner).is_err());
-    }
-
-    #[test]
-    fn state_change_drops_plans_but_keeps_facts() {
-        let mut store = WarmStore::new();
-        store.set_fact(
-            SigId(7),
-            WarmFact {
-                card: 9.0,
-                streamed: true,
-                size: 1,
-            },
-        );
-        store.record_plan(
-            Box::new([SigId(7)]),
-            WarmPlan {
-                cand_sigs: Box::new([]),
-                assignment: Box::new([]),
-                stats: OptStats::default(),
-                snapshot: Box::new([]),
-                generation: 8,
-            },
-        );
-        store.note_state_change();
-        assert_eq!(store.plan_count(), 0);
-        assert!(
-            store.fact(SigId(7)).is_some(),
-            "facts are state-independent"
-        );
     }
 }

@@ -54,7 +54,7 @@ impl CqJoin {
 /// A conjunctive query: a connected tree of atoms over the schema graph.
 ///
 /// Invariant: atoms reference distinct relations (candidate networks are
-/// trees of distinct schema nodes; see DESIGN.md), are sorted by relation
+/// trees of distinct schema nodes), are sorted by relation
 /// id, and `joins` form a spanning tree over them.
 #[derive(Clone, Debug)]
 pub struct ConjunctiveQuery {

@@ -15,10 +15,8 @@
 //!
 //! - signature equality is a `u32` compare,
 //! - map/set keys over signatures hash one integer instead of two vectors,
-//! - signatures move around as `Copy` ids instead of cloned vectors, and
-//! - composite signatures record the [`SigId`]s they were built from
-//!   (see [`SigInterner::combine`]), giving the arena a child DAG exactly
-//!   like a Cascades memo's group expressions.
+//!   and
+//! - signatures move around as `Copy` ids instead of cloned vectors.
 //!
 //! Interning is a representation change only: one interner is shared per
 //! engine lane (`SharedInterner`), so ids are stable across query batches —
@@ -69,9 +67,6 @@ struct SigEntry {
     /// Sorted relations covered (mirror of `sig.atoms`, cached so overlap
     /// checks never allocate).
     rels: Box<[RelId]>,
-    /// For composites built by [`SigInterner::combine`]: the ids joined to
-    /// produce this signature (the Cascades-style child DAG).
-    children: Option<(SigId, SigId)>,
 }
 
 /// The hash-consing table: canonical [`SubExprSig`] → dense [`SigId`].
@@ -154,22 +149,22 @@ impl SigInterner {
             sig.joins.sort();
         }
         sig.joins.dedup();
-        self.intern_canonical(sig, None)
+        self.intern_canonical(sig)
     }
 
     /// Intern the signature of a single (optionally filtered) relation.
     pub fn relation(&mut self, rel: RelId, selection: Option<Selection>) -> SigId {
-        self.intern_canonical(SubExprSig::relation(rel, selection), None)
+        self.intern_canonical(SubExprSig::relation(rel, selection))
     }
 
     /// Intern the whole-query signature of a conjunctive query.
     pub fn of_cq(&mut self, cq: &ConjunctiveQuery) -> SigId {
-        self.intern_canonical(SubExprSig::of_cq(cq), None)
+        self.intern_canonical(SubExprSig::of_cq(cq))
     }
 
     /// Intern the join of two interned signatures under `preds` (each
-    /// `(left, left_col, right, right_col)`), recording the child pair in
-    /// the arena's DAG. The result is the canonical union signature.
+    /// `(left, left_col, right, right_col)`). The result is the canonical
+    /// union signature, whichever pair of parts it was assembled from.
     pub fn combine(&mut self, a: SigId, b: SigId, preds: &[(RelId, usize, RelId, usize)]) -> SigId {
         let (ea, eb) = (&self.arena[a.index()].sig, &self.arena[b.index()].sig);
         let mut atoms = Vec::with_capacity(ea.atoms.len() + eb.atoms.len());
@@ -188,30 +183,18 @@ impl SigInterner {
         }
         joins.sort();
         joins.dedup();
-        self.intern_canonical(SubExprSig { atoms, joins }, Some((a, b)))
+        self.intern_canonical(SubExprSig { atoms, joins })
     }
 
-    fn intern_canonical(&mut self, sig: SubExprSig, children: Option<(SigId, SigId)>) -> SigId {
+    fn intern_canonical(&mut self, sig: SubExprSig) -> SigId {
         debug_assert!(sig.atoms.is_sorted() && sig.joins.is_sorted());
         if let Some(&id) = self.map.get(&sig) {
-            // First derivation wins; re-deriving the same signature from a
-            // different decomposition does not rewrite the DAG. A signature
-            // first seen underived (e.g. via subexpression enumeration)
-            // adopts the first derivation that reaches it.
-            let entry = &mut self.arena[id.index()];
-            if entry.children.is_none() {
-                entry.children = children;
-            }
             return id;
         }
         let id = SigId(self.arena.len() as u32);
         let rels: Box<[RelId]> = sig.atoms.iter().map(|(r, _)| *r).collect();
         self.map.insert(sig.clone(), id);
-        self.arena.push(SigEntry {
-            sig,
-            rels,
-            children,
-        });
+        self.arena.push(SigEntry { sig, rels });
         id
     }
 
@@ -238,78 +221,26 @@ impl SigInterner {
         self.arena[id.index()].sig.atoms.len()
     }
 
-    /// The child pair `id` was combined from, when it was built by
-    /// [`SigInterner::combine`].
-    pub fn children(&self, id: SigId) -> Option<(SigId, SigId)> {
-        self.arena[id.index()].children
-    }
-
-    /// Monotone generation stamp of the arena: it advances exactly when a
-    /// new signature is interned and never otherwise. Cross-batch caches
-    /// keyed on [`SigId`] (the optimizer's warm store) record this stamp so
-    /// a stale entry — one naming ids this arena never issued, i.e. built
-    /// against a different interner — is detectable in O(1).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.arena.len() as u64
-    }
-
-    /// Transitive closure of `seeds` over the child DAG (each signature
-    /// plus, recursively, the ids it was [`combine`](SigInterner::combine)d
-    /// from), deduplicated and in ascending id order. This is the set a
-    /// cached sharing decision about `seeds` transitively depends on: if
-    /// any member's materialized state changed, ancestors built on it must
-    /// be re-costed.
-    pub fn children_closure(&self, seeds: impl IntoIterator<Item = SigId>) -> Vec<SigId> {
-        let mut out: Vec<SigId> = Vec::new();
-        let mut stack: Vec<SigId> = seeds.into_iter().collect();
-        let mut seen = vec![false; self.arena.len()];
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                continue;
-            }
-            seen[id.index()] = true;
-            out.push(id);
-            if let Some((a, b)) = self.children(id) {
-                stack.push(a);
-                stack.push(b);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Export the arena in id order for snapshot serialization: each
-    /// entry's canonical signature plus the child pair it was combined
-    /// from. Feeding the result to [`SigInterner::from_entries`] rebuilds
-    /// an interner that issues the exact same [`SigId`] for every
-    /// signature, which is what lets snapshot-loaded caches keyed on ids
-    /// stay valid.
-    pub fn export_entries(&self) -> Vec<(SubExprSig, Option<(SigId, SigId)>)> {
-        self.arena
-            .iter()
-            .map(|e| (e.sig.clone(), e.children))
-            .collect()
+    /// entry's canonical signature. Feeding the result to
+    /// [`SigInterner::from_entries`] rebuilds an interner that issues the
+    /// exact same [`SigId`] for every signature, which is what lets
+    /// snapshot-loaded caches keyed on ids stay valid.
+    pub fn export_entries(&self) -> Vec<SubExprSig> {
+        self.arena.iter().map(|e| e.sig.clone()).collect()
     }
 
     /// Rebuild an interner from exported entries, re-checking every
     /// hash-consing invariant instead of trusting the bytes: each
     /// signature must be in canonical form (atoms sorted; joins oriented
     /// left ≤ right, sorted, deduplicated) and distinct from all earlier
-    /// entries, and any recorded children must name in-range ids with
-    /// strictly fewer atoms than their parent (a signature first seen
-    /// underived adopts its first derivation, so a child's *id* may be
-    /// larger than its parent's — the atom count is what keeps the DAG
-    /// acyclic). A violated invariant returns an error — the caller
+    /// entries. A violated invariant returns an error — the caller
     /// (snapshot recovery) treats that as corruption and falls back to a
     /// cold interner rather than constructing one whose id assignment
     /// disagrees with what live interning would produce.
-    pub fn from_entries(
-        entries: Vec<(SubExprSig, Option<(SigId, SigId)>)>,
-    ) -> Result<SigInterner, String> {
+    pub fn from_entries(entries: Vec<SubExprSig>) -> Result<SigInterner, String> {
         let mut interner = SigInterner::new();
-        let mut pairs = Vec::with_capacity(entries.len());
-        for (index, (sig, children)) in entries.into_iter().enumerate() {
+        for (index, sig) in entries.into_iter().enumerate() {
             if !sig.atoms.is_sorted() {
                 return Err(format!("entry {index}: atoms not in canonical order"));
             }
@@ -321,28 +252,8 @@ impl SigInterner {
             if interner.map.contains_key(&sig) {
                 return Err(format!("entry {index}: duplicate signature"));
             }
-            pairs.push(children);
-            let id = interner.intern_canonical(sig, None);
+            let id = interner.intern_canonical(sig);
             debug_assert_eq!(id.index(), index);
-        }
-        // Child pairs may point forward in id order, so they can only be
-        // checked once the whole arena exists.
-        let len = interner.arena.len();
-        for (index, children) in pairs.into_iter().enumerate() {
-            if let Some((a, b)) = children {
-                if a.index() >= len || b.index() >= len {
-                    return Err(format!("entry {index}: children {a}/{b} out of range"));
-                }
-                let parent_atoms = interner.arena[index].sig.atoms.len();
-                if interner.arena[a.index()].sig.atoms.len() >= parent_atoms
-                    || interner.arena[b.index()].sig.atoms.len() >= parent_atoms
-                {
-                    return Err(format!(
-                        "entry {index}: children {a}/{b} are not strictly smaller"
-                    ));
-                }
-                interner.arena[index].children = Some((a, b));
-            }
         }
         Ok(interner)
     }
@@ -402,26 +313,23 @@ mod tests {
     }
 
     #[test]
-    fn combine_records_children_and_normalizes() {
+    fn combine_normalizes_to_the_union_signature() {
         let mut interner = SigInterner::new();
         let a = interner.relation(RelId::new(1), None);
         let b = interner.relation(RelId::new(2), None);
         let ab = interner.combine(a, b, &[(RelId::new(2), 0, RelId::new(1), 1)]);
-        assert_eq!(interner.children(ab), Some((a, b)));
         assert_eq!(interner.rels(ab), &[RelId::new(1), RelId::new(2)]);
         // The join was flipped into left < right normal form.
         assert_eq!(
             interner.resolve(ab).joins,
             vec![(RelId::new(1), 1, RelId::new(2), 0)]
         );
-        // Interning the same union directly resolves to the same id — and
-        // keeps the original derivation.
+        // Interning the same union directly resolves to the same id.
         let direct = interner.intern(SubExprSig {
             atoms: vec![(RelId::new(1), None), (RelId::new(2), None)],
             joins: vec![(RelId::new(1), 1, RelId::new(2), 0)],
         });
         assert_eq!(direct, ab);
-        assert_eq!(interner.children(direct), Some((a, b)));
     }
 
     #[test]
@@ -451,26 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn children_closure_walks_the_dag() {
-        let mut interner = SigInterner::new();
-        let a = interner.relation(RelId::new(1), None);
-        let b = interner.relation(RelId::new(2), None);
-        let c = interner.relation(RelId::new(3), None);
-        let ab = interner.combine(a, b, &[(RelId::new(1), 1, RelId::new(2), 0)]);
-        let abc = interner.combine(ab, c, &[(RelId::new(2), 1, RelId::new(3), 0)]);
-        let gen_before = interner.generation();
-        // The closure reaches every ancestor-to-leaf dependency exactly once.
-        assert_eq!(interner.children_closure([abc]), vec![a, b, c, ab, abc]);
-        // Leaves close over themselves; duplicates collapse.
-        assert_eq!(interner.children_closure([a, a, b]), vec![a, b]);
-        // Walking never interns: the generation stamp is untouched.
-        assert_eq!(interner.generation(), gen_before);
-        // The stamp advances exactly with fresh interns.
-        interner.relation(RelId::new(9), None);
-        assert_eq!(interner.generation(), gen_before + 1);
-    }
-
-    #[test]
     fn export_roundtrip_reissues_identical_ids() {
         let mut interner = SigInterner::new();
         let a = interner.relation(RelId::new(1), None);
@@ -478,29 +366,10 @@ mod tests {
         let ab = interner.combine(a, b, &[(RelId::new(2), 0, RelId::new(1), 1)]);
         let rebuilt = SigInterner::from_entries(interner.export_entries()).expect("valid export");
         assert_eq!(rebuilt.len(), interner.len());
-        assert_eq!(rebuilt.generation(), interner.generation());
         for id in [a, b, ab] {
             assert_eq!(rebuilt.resolve(id), interner.resolve(id));
-            assert_eq!(rebuilt.children(id), interner.children(id));
             assert_eq!(rebuilt.get(interner.resolve(id)), Some(id));
         }
-    }
-
-    #[test]
-    fn export_roundtrip_keeps_late_adopted_children() {
-        // A signature first interned underived (subexpression enumeration)
-        // adopts the first derivation that reaches it — which can name
-        // children with *larger* ids. The roundtrip must keep that DAG.
-        let mut interner = SigInterner::new();
-        let union = interner.intern(sig(&[1, 2]));
-        let a = interner.relation(RelId::new(1), None);
-        let b = interner.relation(RelId::new(2), None);
-        let ab = interner.combine(a, b, &[]);
-        assert_eq!(ab, union);
-        assert_eq!(interner.children(union), Some((a, b)));
-        assert!(a.0 > union.0 && b.0 > union.0);
-        let rebuilt = SigInterner::from_entries(interner.export_entries()).expect("valid export");
-        assert_eq!(rebuilt.children(union), Some((a, b)));
     }
 
     #[test]
@@ -511,30 +380,20 @@ mod tests {
         interner.combine(a, b, &[(RelId::new(1), 0, RelId::new(2), 0)]);
         let good = interner.export_entries();
 
-        // A child that is the entry itself (equal atom count — a cycle).
-        let mut cyc = good.clone();
-        cyc[2].1 = Some((SigId(2), SigId(0)));
-        assert!(SigInterner::from_entries(cyc).is_err());
-
-        // A child id the arena never issued.
-        let mut oob = good.clone();
-        oob[2].1 = Some((SigId(0), SigId(99)));
-        assert!(SigInterner::from_entries(oob).is_err());
-
         // Duplicate signature.
         let mut dup = good.clone();
-        dup.push((good[0].0.clone(), None));
+        dup.push(good[0].clone());
         assert!(SigInterner::from_entries(dup).is_err());
 
         // Non-canonical atoms.
         let mut unsorted = good.clone();
-        unsorted[2].0.atoms.reverse();
+        unsorted[2].atoms.reverse();
         assert!(SigInterner::from_entries(unsorted).is_err());
 
         // Mis-oriented join.
         let mut flipped = good;
-        let j = flipped[2].0.joins[0];
-        flipped[2].0.joins[0] = (j.2, j.3, j.0, j.1);
+        let j = flipped[2].joins[0];
+        flipped[2].joins[0] = (j.2, j.3, j.0, j.1);
         assert!(SigInterner::from_entries(flipped).is_err());
     }
 

@@ -1,12 +1,12 @@
 //! Crash-safe persistence of a lane's warm state.
 //!
-//! The `SigInterner` arena (with its child DAG and generation stamp) and
-//! the optimizer's `WarmStore` (cost inputs, candidate enumerations,
-//! canonical rank, batch-shape plan memo) are the system's accumulated
+//! The `SigInterner` arena and the optimizer's `WarmStore` (cost inputs,
+//! candidate enumerations, canonical rank) are the system's accumulated
 //! knowledge; without persistence a process restart throws them away and
-//! the first batch after every deploy pays the full cold-optimize penalty.
-//! This crate serializes that state to a single snapshot file and
-//! rehydrates it on engine construction — crash-safely in both directions:
+//! the first batches after every deploy re-derive every cost input and
+//! candidate enumeration. This crate serializes that state to a single
+//! snapshot file and rehydrates it on engine construction — crash-safely in
+//! both directions:
 //!
 //! - **Writes are atomic.** The image is built in memory, written to
 //!   `qsys.snapshot.tmp`, fsynced, and renamed over `qsys.snapshot` (the
@@ -34,7 +34,7 @@
 pub mod wire;
 
 use qsys_catalog::Catalog;
-use qsys_opt::{ObservedCard, ObservedStats, OptStats, WarmExport, WarmFact, WarmPlan, WarmStore};
+use qsys_opt::{ObservedCard, ObservedStats, WarmExport, WarmFact, WarmStore};
 use qsys_query::{SigId, SigInterner, SubExprSig};
 use qsys_source::SnapFaults;
 use std::fs;
@@ -48,13 +48,13 @@ pub const SNAPSHOT_FILE: &str = "qsys.snapshot";
 pub const SNAPSHOT_TMP: &str = "qsys.snapshot.tmp";
 /// Magic tag opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"QSYSSNAP";
-/// Current format version. Version 2 added the observed-cardinality
-/// section ([`SEC_OBSERVED`]); files back to [`MIN_FORMAT_VERSION`] still
-/// load (a v1 file simply rehydrates with no observations). Newer or
-/// pre-v1 files are rejected whole.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current format version. Version 3 dropped the interner's child pairs
+/// and the plan-memo section; a snapshot is a cache, not a compatibility
+/// promise, so older (and newer) files are rejected whole and the engine
+/// cold-starts.
+pub const FORMAT_VERSION: u32 = 3;
 /// Oldest format version this loader still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+pub const MIN_FORMAT_VERSION: u32 = 3;
 
 const SEC_HEADER: u8 = 0x01;
 const SEC_INTERNER: u8 = 0x10;
@@ -62,7 +62,7 @@ const SEC_FACTS: u8 = 0x11;
 const SEC_EXPENSIVE: u8 = 0x12;
 const SEC_CANDIDATES: u8 = 0x13;
 const SEC_RANK: u8 = 0x14;
-const SEC_PLANS: u8 = 0x15;
+// 0x15 is retired (the plan-memo section of formats 1–2); do not reuse it.
 const SEC_OBSERVED: u8 = 0x16;
 const SEC_LANE_END: u8 = 0x1F;
 
@@ -103,8 +103,8 @@ pub struct SnapshotSummary {
 /// Serializable image of one lane's warm state.
 #[derive(Clone, Debug, Default)]
 pub struct LaneImage {
-    /// The interner arena in id order: canonical signature + child pair.
-    pub interner: Vec<(SubExprSig, Option<(SigId, SigId)>)>,
+    /// The interner arena in id order: one canonical signature per id.
+    pub interner: Vec<SubExprSig>,
     /// The warm store's exportable state.
     pub warm: WarmExport,
     /// Observed per-leaf cardinalities learned by the adaptive loop
@@ -132,7 +132,7 @@ pub struct LoadedLane {
     /// Rebuilt warm store, validated against that interner.
     pub warm: WarmStore,
     /// Rehydrated observed cardinalities, validated against that
-    /// interner (empty for v1 snapshots or when nothing was observed).
+    /// interner (empty when nothing was observed).
     pub observed: ObservedStats,
 }
 
@@ -158,16 +158,8 @@ fn push_section(out: &mut Vec<u8>, id: u8, body: &[u8]) {
 fn encode_interner(lane: &LaneImage) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(lane.interner.len() as u32);
-    for (sig, children) in &lane.interner {
+    for sig in &lane.interner {
         e.sub_expr_sig(sig);
-        match children {
-            None => e.u8(0),
-            Some((a, b)) => {
-                e.u8(1);
-                e.sig_id(*a);
-                e.sig_id(*b);
-            }
-        }
     }
     e.into_bytes()
 }
@@ -217,33 +209,6 @@ fn encode_rank(warm: &WarmExport) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn encode_plans(warm: &WarmExport) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(warm.plans.len() as u32);
-    for (shape, plan) in &warm.plans {
-        e.sig_ids(shape);
-        e.sig_ids(&plan.cand_sigs);
-        e.u32(plan.assignment.len() as u32);
-        for (sig, cqs) in plan.assignment.iter() {
-            e.sig_id(*sig);
-            e.cq_set(cqs);
-        }
-        e.u64(plan.stats.candidates as u64);
-        e.u64(plan.stats.explored as u64);
-        e.u64(plan.stats.memo_hits as u64);
-        e.f64(plan.stats.best_cost);
-        e.u64(plan.stats.warm_hits as u64);
-        e.u64(plan.stats.warm_fact_hits as u64);
-        e.u32(plan.snapshot.len() as u32);
-        for (sig, already) in plan.snapshot.iter() {
-            e.sig_id(*sig);
-            e.u64(*already);
-        }
-        e.u64(plan.generation);
-    }
-    e.into_bytes()
-}
-
 fn encode_observed(lane: &LaneImage) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(lane.observed.len() as u32);
@@ -272,7 +237,6 @@ pub fn encode_snapshot(image: &SnapshotImage) -> Vec<u8> {
         push_section(&mut out, SEC_EXPENSIVE, &encode_expensive(&lane.warm));
         push_section(&mut out, SEC_CANDIDATES, &encode_candidates(&lane.warm));
         push_section(&mut out, SEC_RANK, &encode_rank(&lane.warm));
-        push_section(&mut out, SEC_PLANS, &encode_plans(&lane.warm));
         push_section(&mut out, SEC_OBSERVED, &encode_observed(lane));
         push_section(&mut out, SEC_LANE_END, &[]);
     }
@@ -365,7 +329,6 @@ impl<'a> Iterator for Sections<'a> {
                 | SEC_EXPENSIVE
                 | SEC_CANDIDATES
                 | SEC_RANK
-                | SEC_PLANS
                 | SEC_OBSERVED
                 | SEC_LANE_END
         );
@@ -391,29 +354,18 @@ impl<'a> Iterator for Sections<'a> {
     }
 }
 
-/// Decoded interner arena — the argument shape of
-/// `SigInterner::from_entries`.
-type InternerEntries = Vec<(SubExprSig, Option<(SigId, SigId)>)>;
 /// Decoded facts section: the store's config fingerprint plus per-sig
 /// cost facts.
 type FactsSection = (Option<String>, Vec<(SigId, WarmFact)>);
 /// Decoded candidate-memo rows: whole-query sig → candidate sigs.
 type CandidateRows = Vec<(SigId, Box<[SigId]>)>;
-/// Decoded plan-memo rows: batch shape → recorded winning plan.
-type PlanRows = Vec<(Box<[SigId]>, WarmPlan)>;
 
-fn decode_interner(body: &[u8]) -> Result<InternerEntries, String> {
+fn decode_interner(body: &[u8]) -> Result<Vec<SubExprSig>, String> {
     let mut d = Dec::new(body);
     let n = d.count(1)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let sig = d.sub_expr_sig()?;
-        let children = match d.u8()? {
-            0 => None,
-            1 => Some((d.sig_id()?, d.sig_id()?)),
-            t => return Err(format!("unknown children tag {t}")),
-        };
-        entries.push((sig, children));
+        entries.push(d.sub_expr_sig()?);
     }
     d.finish()?;
     Ok(entries)
@@ -486,49 +438,6 @@ fn decode_observed(body: &[u8]) -> Result<Vec<(SigId, ObservedCard)>, String> {
         let tuples = d.u64()?;
         let exhausted = d.u8()? != 0;
         out.push((id, ObservedCard { tuples, exhausted }));
-    }
-    d.finish()?;
-    Ok(out)
-}
-
-fn decode_plans(body: &[u8]) -> Result<PlanRows, String> {
-    let mut d = Dec::new(body);
-    let n = d.count(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let shape = d.sig_ids()?.into_boxed_slice();
-        let cand_sigs = d.sig_ids()?.into_boxed_slice();
-        let n_assign = d.count(8)?;
-        let mut assignment = Vec::with_capacity(n_assign);
-        for _ in 0..n_assign {
-            let sig = d.sig_id()?;
-            let cqs = d.cq_set()?;
-            assignment.push((sig, cqs));
-        }
-        let stats = OptStats {
-            candidates: d.usize()?,
-            explored: d.usize()?,
-            memo_hits: d.usize()?,
-            best_cost: d.f64()?,
-            warm_hits: d.usize()?,
-            warm_fact_hits: d.usize()?,
-        };
-        let n_snap = d.count(12)?;
-        let mut snapshot = Vec::with_capacity(n_snap);
-        for _ in 0..n_snap {
-            snapshot.push((d.sig_id()?, d.u64()?));
-        }
-        let generation = d.u64()?;
-        out.push((
-            shape,
-            WarmPlan {
-                cand_sigs,
-                assignment: assignment.into_boxed_slice(),
-                stats,
-                snapshot: snapshot.into_boxed_slice(),
-                generation,
-            },
-        ));
     }
     d.finish()?;
     Ok(out)
@@ -725,13 +634,6 @@ fn parse_snapshot(
                 }
                 Err(e) => note_reject(summary, format!("rank section: {e}")),
             },
-            SEC_PLANS => match decode_plans(section.body) {
-                Ok(plans) => {
-                    build.export.plans = plans;
-                    build.salvaged += 1;
-                }
-                Err(e) => note_reject(summary, format!("plans section: {e}")),
-            },
             SEC_OBSERVED => match decode_observed(section.body) {
                 Ok(observed) => {
                     build.observed = observed;
@@ -760,10 +662,10 @@ fn parse_snapshot(
     lanes
 }
 
-/// The interner's ids must all name relations the live catalog knows —
-/// the "generation disagrees with the catalog" rejection: replaying cost
-/// facts or plans against relations that do not exist (or a reshaped
-/// schema) could change decisions, so the whole lane cold-starts instead.
+/// The interner's ids must all name relations the live catalog knows:
+/// reading cost facts back against relations that do not exist (or a
+/// reshaped schema) could change decisions, so the whole lane cold-starts
+/// instead.
 fn validate_catalog_bounds(
     interner: SigInterner,
     catalog: &Catalog,
@@ -782,8 +684,7 @@ fn validate_catalog_bounds(
 /// Close out one lane: build the warm store from whatever sections
 /// survived, validated against the rebuilt interner. A lane without a
 /// valid interner salvages nothing (every other section is keyed on its
-/// ids); a warm store that fails validation falls back to retrying
-/// without the plan memo, then to cold.
+/// ids); a warm store that fails validation falls back to cold.
 fn finish_lane(
     build: LaneBuild,
     expected_fingerprint: &str,
@@ -803,23 +704,13 @@ fn finish_lane(
     // fingerprint either way so the optimizer's first `ensure_config`
     // call keeps the loaded state instead of resetting a `None` store.
     export.fingerprint = Some(expected_fingerprint.to_string());
-    let warm = match WarmStore::from_export(export.clone(), &interner) {
+    let warm = match WarmStore::from_export(export, &interner) {
         Ok(warm) => warm,
         Err(e) => {
             note_reject(summary, format!("warm state validation: {e}"));
-            // Retry without the plan memo — the most generation-sensitive
-            // section — before giving up on warmth entirely.
-            let mut no_plans = export;
-            no_plans.plans = Vec::new();
-            match WarmStore::from_export(no_plans, &interner) {
-                Ok(warm) => warm,
-                Err(e2) => {
-                    note_reject(summary, format!("warm state validation (sans plans): {e2}"));
-                    let mut cold = WarmStore::new();
-                    cold.ensure_config(expected_fingerprint);
-                    cold
-                }
-            }
+            let mut cold = WarmStore::new();
+            cold.ensure_config(expected_fingerprint);
+            cold
         }
     };
     // Observed cards are hints, not decisions: an image that fails the
@@ -903,29 +794,6 @@ mod tests {
         }
     }
 
-    /// Encode `image` in the version-1 wire layout: v1 header, no
-    /// observed section — what a pre-adaptive build would have written.
-    fn encode_v1(image: &SnapshotImage) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        let mut header = Enc::new();
-        header.u32(1);
-        header.str(&image.engine_fingerprint);
-        header.u64(image.catalog_fingerprint);
-        header.u32(image.lanes.len() as u32);
-        push_section(&mut out, SEC_HEADER, &header.into_bytes());
-        for lane in &image.lanes {
-            push_section(&mut out, SEC_INTERNER, &encode_interner(lane));
-            push_section(&mut out, SEC_FACTS, &encode_facts(&lane.warm));
-            push_section(&mut out, SEC_EXPENSIVE, &encode_expensive(&lane.warm));
-            push_section(&mut out, SEC_CANDIDATES, &encode_candidates(&lane.warm));
-            push_section(&mut out, SEC_RANK, &encode_rank(&lane.warm));
-            push_section(&mut out, SEC_PLANS, &encode_plans(&lane.warm));
-            push_section(&mut out, SEC_LANE_END, &[]);
-        }
-        out
-    }
-
     fn tmp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -964,24 +832,6 @@ mod tests {
                 exhausted: true
             }),
             "observed cards survive the roundtrip"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version_1_snapshot_still_loads_without_observations() {
-        let cat = catalog();
-        let img = image(&cat);
-        let dir = tmp_dir("v1compat");
-        fs::write(dir.join(SNAPSHOT_FILE), encode_v1(&img)).unwrap();
-        let (lanes, summary) = load_snapshot(&dir, "fp", &cat, None);
-        assert_eq!(summary.reason, None, "{summary:?}");
-        assert!(summary.loaded);
-        let lane = lanes[0].as_ref().unwrap();
-        assert_eq!(lane.interner.len(), 3);
-        assert!(
-            lane.observed.is_empty(),
-            "a pre-adaptive snapshot carries no observations"
         );
         let _ = fs::remove_dir_all(&dir);
     }

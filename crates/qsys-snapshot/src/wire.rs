@@ -8,7 +8,7 @@
 //! Compactness is a non-goal — snapshots are tens of kilobytes and the
 //! value of a format a debugger can eyeball exceeds a varint's savings.
 
-use qsys_query::{CqIdx, CqSet, SigId, SubExprSig};
+use qsys_query::{SigId, SubExprSig};
 use qsys_types::{RelId, Selection, Value};
 
 /// Checksum used for per-section framing: CRC-32 (IEEE 802.3 polynomial,
@@ -54,10 +54,6 @@ impl Enc {
 
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn u32(&mut self, v: u32) {
@@ -125,14 +121,6 @@ impl Enc {
         }
     }
 
-    pub fn cq_set(&mut self, set: &CqSet) {
-        let indices: Vec<u16> = set.iter().map(|i| i.0).collect();
-        self.u32(indices.len() as u32);
-        for i in indices {
-            self.u16(i);
-        }
-    }
-
     pub fn sig_ids(&mut self, ids: &[SigId]) {
         self.u32(ids.len() as u32);
         for &id in ids {
@@ -184,10 +172,6 @@ impl<'a> Dec<'a> {
 
     pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.bytes(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, String> {
@@ -267,15 +251,6 @@ impl<'a> Dec<'a> {
         Ok(SubExprSig { atoms, joins })
     }
 
-    pub fn cq_set(&mut self) -> Result<CqSet, String> {
-        let n = self.count(2)?;
-        let mut indices = Vec::with_capacity(n);
-        for _ in 0..n {
-            indices.push(CqIdx(self.u16()?));
-        }
-        Ok(CqSet::from_indices(indices))
-    }
-
     pub fn sig_ids(&mut self) -> Result<Vec<SigId>, String> {
         let n = self.count(4)?;
         let mut ids = Vec::with_capacity(n);
@@ -316,7 +291,6 @@ mod tests {
     fn primitives_round_trip() {
         let mut e = Enc::new();
         e.u8(7);
-        e.u16(300);
         e.u32(70_000);
         e.u64(1 << 40);
         e.f64(-2.5);
@@ -325,7 +299,6 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
-        assert_eq!(d.u16().unwrap(), 300);
         assert_eq!(d.u32().unwrap(), 70_000);
         assert_eq!(d.u64().unwrap(), 1 << 40);
         assert_eq!(d.f64().unwrap(), -2.5);
@@ -343,21 +316,14 @@ mod tests {
             ],
             joins: vec![(RelId::new(1), 0, RelId::new(2), 1)],
         };
-        let set = CqSet::from_indices([CqIdx(0), CqIdx(5), CqIdx(300)]);
         let mut e = Enc::new();
         e.sub_expr_sig(&sig);
-        e.cq_set(&set);
         e.value(&Value::Null);
         e.value(&Value::Int(-9));
         e.value(&Value::Float(f64::NEG_INFINITY));
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.sub_expr_sig().unwrap(), sig);
-        let decoded = d.cq_set().unwrap();
-        assert_eq!(
-            decoded.iter().collect::<Vec<_>>(),
-            set.iter().collect::<Vec<_>>()
-        );
         assert_eq!(d.value().unwrap(), Value::Null);
         assert_eq!(d.value().unwrap(), Value::Int(-9));
         assert_eq!(d.value().unwrap(), Value::Float(f64::NEG_INFINITY));
@@ -371,7 +337,6 @@ mod tests {
         let bytes = e.into_bytes();
         assert!(Dec::new(&bytes).sig_ids().is_err());
         assert!(Dec::new(&bytes).str().is_err());
-        assert!(Dec::new(&bytes).cq_set().is_err());
         assert!(Dec::new(&[]).u32().is_err());
         assert!(Dec::new(&[9]).value().is_err(), "unknown tag rejected");
     }

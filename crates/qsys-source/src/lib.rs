@@ -11,9 +11,9 @@
 //!
 //! The original evaluation used MySQL over JDBC with *simulated* Poisson
 //! (mean 2 ms) delays per tuple read and per probe. We reproduce the same
-//! cost model against in-process tables and a virtual clock (see DESIGN.md
-//! "Substitutions"): every stream read and probe charges simulated time,
-//! drawn from the same Poisson distribution, to a shared [`SimClock`].
+//! cost model against in-process tables and a virtual clock: every stream
+//! read and probe charges simulated time, drawn from the same Poisson
+//! distribution, to a shared [`SimClock`].
 //!
 //! The module also implements **select-project-join push-down**
 //! ([`pushdown`]): the optimizer may decide to evaluate a subexpression "at

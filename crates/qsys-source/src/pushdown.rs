@@ -32,7 +32,8 @@ pub struct JoinCond {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpjSpec {
     /// Participating relations with their pushed-down selections. Must not
-    /// repeat a relation (candidate networks never do; see DESIGN.md).
+    /// repeat a relation (candidate networks never do: they are trees of
+    /// distinct schema-graph nodes).
     pub atoms: Vec<(RelId, Option<Selection>)>,
     /// Equi-join conditions connecting the atoms.
     pub joins: Vec<JoinCond>,

@@ -18,8 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Callback that materializes a relation's table on first access (lazy
-/// population — see DESIGN.md: only relations a query actually touches are
-/// generated). Returning `Arc<Table>` lets several source registries (one
+/// population: only relations a query actually touches are generated). Returning `Arc<Table>` lets several source registries (one
 /// per clustered ATC lane) share a single materialized dataset. `Send` so
 /// a registry (and the lane owning it) can move onto a lane thread.
 pub type TableProvider = Box<dyn Fn(RelId) -> Arc<Table> + Send>;

@@ -46,10 +46,8 @@ pub struct QsManager {
     /// the plan graph all name subexpressions by [`SigId`] through it, so
     /// ids stay stable across batches (the across-time sharing memo).
     interner: SharedInterner,
-    /// The lane's optimizer warm store (cross-batch plan/fact memo), owned
-    /// here next to the interner whose ids key it so the pin/evict index
-    /// can feed state changes back into it: evicting materialized state
-    /// drops the recorded plans, forcing affected batches to re-cost.
+    /// The lane's optimizer warm store (cross-batch cost-input caches),
+    /// owned here next to the interner whose ids key it.
     warm: SharedWarm,
     /// Pinned subexpressions (protected from eviction; Section 6.1).
     pinned: RefCell<BTreeSet<SigId>>,
@@ -105,9 +103,9 @@ impl QsManager {
         self.policy
     }
 
-    /// Disable cross-operator probe-cache sharing (ablation: DESIGN.md §3
-    /// decision 6 — without shared caches, a stream fanning out to N
-    /// consumers re-probes the same keys N times and sharing loses).
+    /// Disable cross-operator probe-cache sharing (ablation: without
+    /// shared caches, a stream fanning out to N consumers re-probes the
+    /// same keys N times and sharing loses).
     pub fn with_private_probe_caches(mut self) -> QsManager {
         self.share_probe_caches = false;
         self
@@ -157,9 +155,9 @@ impl QsManager {
 
     /// The lane's optimizer warm store. Hand this to
     /// [`Optimizer::optimize_warm`](qsys_opt::Optimizer::optimize_warm) so
-    /// recurring batches warm-start from prior winning assignments; this
-    /// manager invalidates the plan memo whenever eviction reclaims
-    /// materialized state (see [`QsManager::evict_to_budget`]).
+    /// recurring query shapes skip re-deriving their cost inputs and
+    /// candidate enumerations. Nothing cached there depends on resident
+    /// state, so eviction leaves it alone.
     pub fn warm_cell(&self) -> SharedWarm {
         Arc::clone(&self.warm)
     }
@@ -637,13 +635,7 @@ impl QsManager {
     }
 
     /// Evict detached, unpinned state until the graph fits the budget.
-    ///
-    /// Eviction feeds back into the optimizer's warm store: any reclaimed
-    /// node changes what the reuse oracle will answer, so the recorded
-    /// plan memo — whose residency snapshots assumed that state was live —
-    /// is dropped rather than left to fail validation one entry at a time.
     pub fn evict_to_budget(&mut self) {
-        let before = self.eviction_stats.evicted_nodes;
         crate::evict::evict_to_budget(
             &mut self.graph,
             self.budget,
@@ -652,9 +644,6 @@ impl QsManager {
             &self.last_used,
             &mut self.eviction_stats,
         );
-        if self.eviction_stats.evicted_nodes != before {
-            self.warm.borrow_mut().note_state_change();
-        }
     }
 
     /// Approximate resident bytes.

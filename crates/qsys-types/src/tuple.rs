@@ -5,7 +5,7 @@
 //! attribute values of source tuples). A [`Tuple`] is a join result: an
 //! ordered set of base tuples, at most one per relation.
 //!
-//! Design note (see DESIGN.md §3): intermediate tuples carry *per-relation
+//! Design note: intermediate tuples carry *per-relation
 //! score components* rather than a single combined score, because a shared
 //! subexpression may feed conjunctive queries owned by different users with
 //! different scoring functions. Each rank-merge operator applies its own
@@ -76,7 +76,7 @@ impl BaseTuple {
 ///
 /// Invariant: `parts` is strictly sorted by relation id — conjunctive queries
 /// in this system never repeat a relation (candidate networks are trees of
-/// distinct schema-graph nodes; see DESIGN.md). This makes the representation
+/// distinct schema-graph nodes). This makes the representation
 /// canonical: two tuples are equal iff they joined the same rows.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Tuple {

@@ -1,8 +1,8 @@
 //! Whole-system invariant verifier for the Q System reproduction.
 //!
-//! Nine layers of sharing machinery — the hash-consed signature DAG, the
+//! Nine layers of sharing machinery — the hash-consed signature arena, the
 //! refcounted access-module arena, the plan graph the QS manager grafts
-//! into, the warm-store memo, the checksummed snapshot format — each
+//! into, the warm-store caches, the checksummed snapshot format — each
 //! maintain structural invariants that the answer-identity goldens only
 //! check *indirectly*: a golden catches that something broke, never what
 //! or where. This crate is the direct check: a pure, read-only pass over
@@ -25,7 +25,7 @@
 use qsys_exec::access::ModuleId;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::adaptive::{ObservedCard, ObservedStats};
-use qsys_opt::warm::{WarmExport, MAX_PLANS};
+use qsys_opt::warm::WarmExport;
 use qsys_query::{CqSet, SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage, MAX_LANES};
 use qsys_state::QsManager;
@@ -38,16 +38,11 @@ use std::fmt;
 /// coincidental neighbour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViolationClass {
-    /// A signature's child pair does not strictly decrease in atom count —
-    /// the well-founded measure that keeps the child DAG acyclic.
-    CycleEdge,
     /// A signature is not in canonical form (atoms unsorted, joins
     /// unoriented/unsorted) or appears twice in the arena.
     MalformedSig,
     /// An id references past the end of the arena or section it indexes.
     IdOutOfRange,
-    /// `children_closure` disagrees with the arena's child pairs.
-    ClosureInconsistent,
     /// A module slot's refcount differs from its graph residency plus
     /// external probe-cache registrations.
     RefcountSkew,
@@ -69,10 +64,6 @@ pub enum ViolationClass {
     /// Warm-store export ordering broken (facts/candidates not id-sorted,
     /// canonical order not strictly deep-increasing).
     WarmDisorder,
-    /// A memoized plan's sig set escapes its recorded closure snapshot.
-    WarmClosureStale,
-    /// A generation stamp exceeds the interner's current generation.
-    GenerationSkew,
     /// Observed-stats export not strictly ascending by id.
     ObservedDisorder,
     /// Snapshot sections disagree: one section references ids another
@@ -175,19 +166,12 @@ impl From<Vec<Violation>> for VerifyReport {
 // Signature-interner invariants.
 // ---------------------------------------------------------------------------
 
-/// Check an exported interner arena: canonical signature form, uniqueness,
-/// in-range child pairs, and the strict atom-count decrease that keeps the
-/// derivation DAG acyclic (ids may point *forward* — first derivation
-/// wins, so a child adopted late can carry a larger id than its parent —
-/// which is exactly why the well-founded measure is atom count, not id
-/// order).
-pub fn verify_interner_entries(
-    entries: &[(SubExprSig, Option<(SigId, SigId)>)],
-    path: &str,
-) -> Vec<Violation> {
+/// Check an exported interner arena: every signature in canonical form
+/// and present exactly once (the hash-consing contract ids rest on).
+pub fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut seen: HashMap<&SubExprSig, usize> = HashMap::with_capacity(entries.len());
-    for (index, (sig, children)) in entries.iter().enumerate() {
+    for (index, sig) in entries.iter().enumerate() {
         let at = format!("{path}/sig[{index}]");
         if !sig.atoms.is_sorted() {
             out.push(Violation::new(
@@ -210,95 +194,13 @@ pub fn verify_interner_entries(
                 format!("duplicate of sig[{first}]: {sig:?}"),
             ));
         }
-        if let Some((a, b)) = children {
-            for child in [a, b] {
-                if child.index() >= entries.len() {
-                    out.push(Violation::new(
-                        ViolationClass::IdOutOfRange,
-                        &at,
-                        format!("child {child} out of range (arena len {})", entries.len()),
-                    ));
-                }
-            }
-            let parent_atoms = sig.atoms.len();
-            for child in [a, b] {
-                if let Some((child_sig, _)) = entries.get(child.index()) {
-                    if child_sig.atoms.len() >= parent_atoms {
-                        out.push(Violation::new(
-                            ViolationClass::CycleEdge,
-                            &at,
-                            format!(
-                                "child {child} has {} atoms, parent only {parent_atoms} — \
-                                 derivation is not strictly shrinking",
-                                child_sig.atoms.len()
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
     }
     out
 }
 
-/// How many ids get an individual `children_closure` consistency check;
-/// larger arenas are sampled (the full-arena closure is always checked)
-/// so the verifier stays linear at phase boundaries.
-const CLOSURE_FULL_CHECK_LIMIT: usize = 512;
-
-/// Check a live interner: the exported arena plus `children_closure`
-/// consistency against the arena's child pairs.
+/// Check a live interner's arena ([`verify_interner_entries`]).
 pub fn verify_interner(interner: &SigInterner, path: &str) -> Vec<Violation> {
-    let entries = interner.export_entries();
-    let mut out = verify_interner_entries(&entries, path);
-    let n = entries.len();
-    if n == 0 {
-        return out;
-    }
-    // Closure over every id must enumerate the arena exactly once,
-    // ascending: anything else means the walk lost or duplicated ids.
-    let all = interner.children_closure((0..n as u32).map(SigId));
-    if all.len() != n || !all.iter().enumerate().all(|(i, id)| id.index() == i) {
-        out.push(Violation::new(
-            ViolationClass::ClosureInconsistent,
-            format!("{path}/closure"),
-            format!("closure of all {n} ids returned {} ids", all.len()),
-        ));
-    }
-    // Per-id closures: membership, order, and closure under `children`.
-    let stride = if n <= CLOSURE_FULL_CHECK_LIMIT { 1 } else { 97 };
-    for id in (0..n).step_by(stride).map(|i| SigId(i as u32)) {
-        let closure = interner.children_closure([id]);
-        let at = format!("{path}/closure[{id:?}]");
-        if closure.binary_search(&id).is_err() {
-            out.push(Violation::new(
-                ViolationClass::ClosureInconsistent,
-                &at,
-                "closure does not contain its own seed",
-            ));
-        }
-        if !closure.windows(2).all(|w| w[0] < w[1]) {
-            out.push(Violation::new(
-                ViolationClass::ClosureInconsistent,
-                &at,
-                "closure not strictly ascending",
-            ));
-        }
-        for &member in &closure {
-            if let Some((a, b)) = interner.children(member) {
-                for child in [a, b] {
-                    if closure.binary_search(&child).is_err() {
-                        out.push(Violation::new(
-                            ViolationClass::ClosureInconsistent,
-                            &at,
-                            format!("member {member:?} has child {child:?} outside the closure"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    out
+    verify_interner_entries(&interner.export_entries(), path)
 }
 
 // ---------------------------------------------------------------------------
@@ -306,18 +208,7 @@ pub fn verify_interner(interner: &SigInterner, path: &str) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 /// Check a warm-store export against the interner its ids index: id
-/// bounds, the export's sorted-order contracts, plan-memo closure
-/// snapshots, and generation monotonicity.
-///
-/// The closure check is deliberately *seed containment*, not
-/// closure-at-the-current-DAG: `intern_canonical` adopts the first
-/// derivation that reaches a signature, so an id's child pair can appear
-/// (and its closure grow) *after* a plan recorded its snapshot. Requiring
-/// today's closure to be inside yesterday's snapshot would therefore fire
-/// on legal late adoptions; what must always hold is that every sig the
-/// plan actually uses (candidates and assignment) was captured in the
-/// snapshot when it was recorded, that the snapshot is sorted and
-/// duplicate-free, and that no stamp postdates the arena.
+/// bounds and the export's sorted-order contracts.
 pub fn verify_warm_export(
     export: &WarmExport,
     interner: &SigInterner,
@@ -383,65 +274,6 @@ pub fn verify_warm_export(
             format!("{path}/canon_order"),
             "canonical order not strictly deep-increasing",
         ));
-    }
-    if export.plans.len() > MAX_PLANS {
-        out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/plans"),
-            format!(
-                "{} plan memos exceed the cap of {MAX_PLANS}",
-                export.plans.len()
-            ),
-        ));
-    }
-    let generation = interner.generation();
-    for (pi, (shape, plan)) in export.plans.iter().enumerate() {
-        let at = format!("{path}/plan[{pi}]");
-        for id in shape.iter() {
-            check_bound(&mut out, *id, &at);
-        }
-        if plan.generation > generation {
-            out.push(Violation::new(
-                ViolationClass::GenerationSkew,
-                &at,
-                format!(
-                    "plan stamped generation {} but the interner is at {generation}",
-                    plan.generation
-                ),
-            ));
-        }
-        if !plan.snapshot.windows(2).all(|w| w[0].0 < w[1].0) {
-            out.push(Violation::new(
-                ViolationClass::WarmDisorder,
-                format!("{at}/snapshot"),
-                "closure snapshot not strictly ascending (sorted, duplicate-free)",
-            ));
-        }
-        for (id, _) in plan.snapshot.iter() {
-            check_bound(&mut out, *id, &format!("{at}/snapshot"));
-        }
-        // Every sig the plan actually uses must have been captured.
-        let captured = |id: SigId| plan.snapshot.binary_search_by_key(&id, |e| e.0).is_ok();
-        for id in plan.cand_sigs.iter() {
-            check_bound(&mut out, *id, &format!("{at}/cand_sigs"));
-            if !captured(*id) {
-                out.push(Violation::new(
-                    ViolationClass::WarmClosureStale,
-                    format!("{at}/cand_sigs"),
-                    format!("candidate {id:?} escapes the plan's closure snapshot"),
-                ));
-            }
-        }
-        for (id, _) in plan.assignment.iter() {
-            check_bound(&mut out, *id, &format!("{at}/assignment"));
-            if !captured(*id) {
-                out.push(Violation::new(
-                    ViolationClass::WarmClosureStale,
-                    format!("{at}/assignment"),
-                    format!("assigned input {id:?} escapes the plan's closure snapshot"),
-                ));
-            }
-        }
     }
     out
 }
@@ -777,7 +609,7 @@ pub fn verify_no_quarantined_grafts(manager: &QsManager, path: &str) -> Vec<Viol
 // Lane and snapshot entry points.
 // ---------------------------------------------------------------------------
 
-/// Verify one execution lane end to end: interner DAG, warm store, the
+/// Verify one execution lane end to end: interner arena, warm store, the
 /// lane's observed stats, and the plan graph with module-refcount
 /// accounting. Pure and read-only (borrows the lane's interner and warm
 /// cells for reading; never mutates).
@@ -805,10 +637,6 @@ pub fn verify_lane(manager: &QsManager, observed: &ObservedStats) -> VerifyRepor
 /// cross-references into the interner section, ordering contracts, and
 /// the loader's lane ceiling. Works on the in-memory image — run it
 /// before publishing (the pre-publish hook) or after decoding.
-///
-/// Version note: a v1 image simply has no observed section (`observed`
-/// empty), so the same checks cover both wire versions — there is no
-/// v1-specific invariant beyond "absent, not partial".
 pub fn verify_snapshot(image: &SnapshotImage) -> VerifyReport {
     let mut out = Vec::new();
     if image.engine_fingerprint.is_empty() {
@@ -852,7 +680,7 @@ pub fn verify_lane_image(lane: &LaneImage, path: &str) -> Vec<Violation> {
             _ => v,
         })
     };
-    // The warm section's ordering/closure contracts need resolved sigs;
+    // The warm section's ordering contracts need resolved sigs;
     // rebuilding an interner would re-run the structural validation we
     // just did (and fail on the corruptions we want to *report*), so the
     // image path checks bounds and orderings directly.
@@ -893,60 +721,13 @@ pub fn verify_lane_image(lane: &LaneImage, path: &str) -> Vec<Violation> {
         && !warm
             .canon_order
             .windows(2)
-            .all(|w| lane.interner[w[0].index()].0 < lane.interner[w[1].index()].0)
+            .all(|w| lane.interner[w[0].index()] < lane.interner[w[1].index()])
     {
         warm_out.push(Violation::new(
             ViolationClass::WarmDisorder,
             format!("{path}/warm/canon_order"),
             "canonical order not strictly deep-increasing",
         ));
-    }
-    for (pi, (shape, plan)) in warm.plans.iter().enumerate() {
-        let at = format!("{path}/warm/plan[{pi}]");
-        for id in shape.iter() {
-            check(&mut warm_out, *id, &at);
-        }
-        if plan.generation > n as u64 {
-            warm_out.push(Violation::new(
-                ViolationClass::GenerationSkew,
-                &at,
-                format!(
-                    "plan stamped generation {} but the interner section has {n} entries",
-                    plan.generation
-                ),
-            ));
-        }
-        if !plan.snapshot.windows(2).all(|w| w[0].0 < w[1].0) {
-            warm_out.push(Violation::new(
-                ViolationClass::WarmDisorder,
-                format!("{at}/snapshot"),
-                "closure snapshot not strictly ascending",
-            ));
-        }
-        for (id, _) in plan.snapshot.iter() {
-            check(&mut warm_out, *id, &format!("{at}/snapshot"));
-        }
-        let captured = |id: SigId| plan.snapshot.binary_search_by_key(&id, |e| e.0).is_ok();
-        for id in plan.cand_sigs.iter() {
-            check(&mut warm_out, *id, &format!("{at}/cand_sigs"));
-            if !captured(*id) {
-                warm_out.push(Violation::new(
-                    ViolationClass::WarmClosureStale,
-                    format!("{at}/cand_sigs"),
-                    format!("candidate {id:?} escapes the plan's closure snapshot"),
-                ));
-            }
-        }
-        for (id, _) in plan.assignment.iter() {
-            check(&mut warm_out, *id, &format!("{at}/assignment"));
-            if !captured(*id) {
-                warm_out.push(Violation::new(
-                    ViolationClass::WarmClosureStale,
-                    format!("{at}/assignment"),
-                    format!("assigned input {id:?} escapes the plan's closure snapshot"),
-                ));
-            }
-        }
     }
     out.extend(remap(warm_out));
     out.extend(remap(verify_observed(
@@ -971,39 +752,16 @@ mod tests {
 
     #[test]
     fn clean_entries_verify_clean() {
-        let entries = vec![
-            (sig(&[0]), None),
-            (sig(&[1]), None),
-            (sig(&[0, 1]), Some((SigId(0), SigId(1)))),
-        ];
+        let entries = vec![sig(&[0]), sig(&[1]), sig(&[0, 1])];
         assert!(verify_interner_entries(&entries, "t").is_empty());
     }
 
     #[test]
-    fn cycle_edge_is_flagged_as_cycle() {
-        // Child with as many atoms as its parent: the well-founded
-        // measure breaks, which is how a cycle would smuggle itself in.
-        let entries = vec![
-            (sig(&[0]), None),
-            (sig(&[1]), None),
-            (sig(&[0, 1]), Some((SigId(2), SigId(0)))),
-        ];
+    fn duplicate_signature_is_flagged() {
+        let entries = vec![sig(&[0]), sig(&[1]), sig(&[0])];
         let v = verify_interner_entries(&entries, "t");
         assert!(
-            v.iter().any(|v| v.class == ViolationClass::CycleEdge),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn out_of_range_child_is_flagged() {
-        let entries = vec![
-            (sig(&[0]), None),
-            (sig(&[0, 1]), Some((SigId(0), SigId(9)))),
-        ];
-        let v = verify_interner_entries(&entries, "t");
-        assert!(
-            v.iter().any(|v| v.class == ViolationClass::IdOutOfRange),
+            v.iter().any(|v| v.class == ViolationClass::MalformedSig),
             "{v:?}"
         );
     }
@@ -1040,15 +798,15 @@ mod tests {
     fn report_display_lists_violations() {
         let report = VerifyReport {
             violations: vec![Violation::new(
-                ViolationClass::CycleEdge,
+                ViolationClass::MalformedSig,
                 "lane/interner/sig[3]",
-                "child not smaller",
+                "atoms not in canonical order",
             )],
         };
         let text = report.to_string();
-        assert!(text.contains("CycleEdge"));
+        assert!(text.contains("MalformedSig"));
         assert!(text.contains("lane/interner/sig[3]"));
         assert!(!report.is_clean());
-        assert_eq!(report.classes(), vec![ViolationClass::CycleEdge]);
+        assert_eq!(report.classes(), vec![ViolationClass::MalformedSig]);
     }
 }

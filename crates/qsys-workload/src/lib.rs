@@ -7,7 +7,7 @@
 //! - [`pfam`]: the "real data" substitute — a faithful miniature of the
 //!   Pfam + InterPro integrated protein-family databases with a cross-
 //!   database mapping table, text-similarity scores, and a publication-year
-//!   score attribute (see DESIGN.md "Substitutions").
+//!   score attribute.
 //!
 //! Both produce a [`Workload`]: catalog + keyword index + shared lazy table
 //! store + the query script.

@@ -5,8 +5,8 @@
 //! mapping table, matched keywords with MySQL full-text similarity, and
 //! added the publication year as an extra score attribute.
 //!
-//! We cannot ship those database dumps, so this module builds the faithful
-//! miniature described in DESIGN.md: the same relation topology (including
+//! We cannot ship those database dumps, so this module builds a faithful
+//! miniature: the same relation topology (including
 //! the Pfam↔InterPro mapping table), synthetic text-similarity scores, a
 //! publication-year-scored literature table, and **substantially larger
 //! cardinalities** than the GUS workload — the property that drives

@@ -88,8 +88,8 @@ fn main() {
 
     // ---- The paper's configuration comparison ---------------------------
     println!(
-        "\n{:10} {:>9} {:>10} {:>8} {:>10} {:>8} {:>6} {:>5}",
-        "config", "mean(s)", "streamed", "rounds", "probes", "opt(ms)", "lanes", "warm"
+        "\n{:10} {:>9} {:>10} {:>8} {:>10} {:>8} {:>6}",
+        "config", "mean(s)", "streamed", "rounds", "probes", "opt(ms)", "lanes"
     );
     for mode in [
         SharingMode::AtcCq,
@@ -99,7 +99,7 @@ fn main() {
     ] {
         let report = run_workload(&workload, &engine_cfg(mode), None).expect("workload runs");
         println!(
-            "{:10} {:>9.3} {:>10} {:>8} {:>10} {:>8.1} {:>6} {:>5}",
+            "{:10} {:>9.3} {:>10} {:>8} {:>10} {:>8.1} {:>6}",
             report.config,
             report.mean_response_us() / 1e6,
             report.tuples_streamed,
@@ -107,7 +107,6 @@ fn main() {
             report.probes,
             report.opt_us() as f64 / 1e3,
             report.lanes,
-            report.warm_hits(),
         );
     }
 

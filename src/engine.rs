@@ -8,6 +8,7 @@
 //! experimental systems), the lane type the engine executes on, and
 //! [`QSystem`], the one-query-at-a-time interactive facade.
 
+use crate::report::OptEvent;
 use crate::session::Engine;
 use qsys_catalog::{Catalog, KeywordIndex};
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
@@ -92,11 +93,13 @@ pub struct EngineConfig {
     /// environment variable if set, else the machine's available
     /// parallelism.
     pub lane_threads: usize,
-    /// Warm-start the optimizer from the lane's cross-batch reuse memo
-    /// (`qsys_opt::warm`). Decisions are bit-identical either way — the
-    /// memo is a cache, never a policy change — so this knob only trades
-    /// host time. Defaults to on; `QSYS_WARM_OPT=0` disables it (the CI
-    /// leg keeping the cold path exercised).
+    /// Feed each batch's search from the lane's cross-batch caches of its
+    /// batch-invariant inputs (`qsys_opt::warm`: cost facts, candidate
+    /// enumerations, canonical rank). Every batch searches either way and
+    /// decisions are bit-identical — the store is a cache, never a policy
+    /// change — so this knob only trades host time. Defaults to on;
+    /// `QSYS_WARM_OPT=0` disables it (the CI leg keeping the cold path
+    /// exercised).
     pub warm_opt: bool,
     /// Deterministic fault schedule for the source layer (chaos testing).
     /// `None` — the default when `QSYS_FAULTS` is unset — leaves every
@@ -679,7 +682,8 @@ pub(crate) fn batch_share(mode: &SharingMode) -> bool {
 }
 
 /// Optimize and graft a set of user queries as one batch onto a lane.
-/// Returns the combined graft outcome and optimizer stats. `replan`
+/// Returns the combined graft outcome, the optimizer stats, and the
+/// report event of this optimizer invocation. `replan`
 /// marks an adaptive mid-batch re-graft: the manager then instantiates
 /// CQ roots fresh instead of merging them back onto the abandoned
 /// plan's roots (whose signatures they necessarily share).
@@ -690,7 +694,7 @@ pub(crate) fn graft_batch(
     config: &EngineConfig,
     share: bool,
     replan: bool,
-) -> (qsys_state::GraftOutcome, OptStats) {
+) -> (qsys_state::GraftOutcome, OptStats, OptEvent) {
     let batch: Vec<(&qsys_query::ConjunctiveQuery, &ScoreFn)> = uqs
         .iter()
         .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
@@ -702,12 +706,12 @@ pub(crate) fn graft_batch(
         share_subexpressions: share,
         ..OptimizerConfig::default()
     };
+    let step_us = opt_config.opt_step_us;
     let optimizer = Optimizer::new(catalog, opt_config);
     let (spec, opt_stats) = {
         // The lane's shared interner: the spec's signature ids must be the
         // ones the manager's reuse index is keyed on. The warm store rides
-        // along (same ids, invalidated by the manager on eviction) unless
-        // the config runs the optimizer cold.
+        // along (same ids) unless the config runs the optimizer cold.
         let interner = lane.manager.shared_interner();
         let warm = config.warm_opt.then(|| lane.manager.warm_cell());
         let oracle = lane.manager.reuse_oracle();
@@ -724,7 +728,8 @@ pub(crate) fn graft_batch(
     } else {
         lane.manager.graft(&spec, &lane.sources, config.k)
     };
-    (outcome, opt_stats)
+    let event = OptEvent::new(batch.len(), &opt_stats, step_us);
+    (outcome, opt_stats, event)
 }
 
 #[cfg(test)]

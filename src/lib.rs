@@ -78,13 +78,13 @@
 //! plan-arena indices — with sharing decisions pinned bit-for-bit by the
 //! goldens in `tests/interner_invariants.rs`.
 //!
-//! Across batches the optimizer **warm-starts** from a lane-persistent
-//! reuse memo over the interner's child DAG (`opt::warm`, owned by each
-//! lane's QS manager): recurring query shapes skip candidate enumeration,
-//! and a recurring batch whose residency snapshot still validates replays
-//! its recorded winning assignment outright — bit-identically, as the same
-//! goldens prove. `EngineConfig::warm_opt` / `QSYS_WARM_OPT=0` selects the
-//! cold path.
+//! Across batches the optimizer **warm-starts** from lane-persistent
+//! caches of its search's batch-invariant inputs (`opt::warm`, owned by
+//! each lane's QS manager): recurring signatures skip cost-input
+//! derivation and recurring query shapes skip candidate enumeration. Every
+//! batch still runs the one search, bit-identically to a cold run, as the
+//! same goldens prove. `EngineConfig::warm_opt` / `QSYS_WARM_OPT=0` selects
+//! the cold path.
 //!
 //! Execution is organized into `Send` **lanes** (plan graph + ATC + source
 //! registry + clock), an implementation detail behind the engine's

@@ -17,7 +17,7 @@
 use crate::engine::EngineConfig;
 use crate::session::{Engine, QueryTicket};
 use qsys_exec::FaultStats;
-use qsys_opt::AdaptiveSummary;
+use qsys_opt::{AdaptiveSummary, OptStats};
 use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_types::{QsysError, QsysResult, RelId, TimeBreakdown, UqId, UserId};
 use qsys_workload::Workload;
@@ -129,10 +129,27 @@ pub struct OptEvent {
     pub explored: usize,
     /// Simulated optimization time, µs.
     pub opt_us: u64,
-    /// Whether this batch replayed a recorded warm plan instead of
-    /// searching (host-time only; `explored`/`opt_us` are the recorded
-    /// cold values either way).
+    /// Always 0: every batch searches. Kept because `perf/` reads it by name.
     pub warm_hits: usize,
+    /// Warm-store cache hits (cost inputs, candidate enumerations) that fed
+    /// this batch's search; 0 with `EngineConfig::warm_opt` off.
+    pub warm_fact_hits: usize,
+}
+
+impl OptEvent {
+    /// The event of one optimizer invocation over `batch_cqs` conjunctive
+    /// queries, charged `step_us` simulated µs per explored state
+    /// (`OptimizerConfig::opt_step_us`).
+    pub(crate) fn new(batch_cqs: usize, opt: &OptStats, step_us: u64) -> OptEvent {
+        OptEvent {
+            batch_cqs,
+            candidates: opt.candidates,
+            explored: opt.explored,
+            opt_us: opt.explored as u64 * step_us,
+            warm_hits: opt.warm_hits,
+            warm_fact_hits: opt.warm_fact_hits,
+        }
+    }
 }
 
 /// The full outcome of one workload run (or of everything an
@@ -235,11 +252,6 @@ impl RunReport {
     /// Total simulated optimization time, µs.
     pub fn opt_us(&self) -> u64 {
         self.opt_events.iter().map(|e| e.opt_us).sum()
-    }
-
-    /// Batches served by the optimizer's cross-batch warm memo.
-    pub fn warm_hits(&self) -> usize {
-        self.opt_events.iter().map(|e| e.warm_hits).sum()
     }
 
     /// This user's report lines, in UQ order — the per-session view a
@@ -417,21 +429,19 @@ mod tests {
     #[test]
     fn opt_events_sum() {
         let mut r = RunReport::default();
-        r.opt_events.push(OptEvent {
-            batch_cqs: 3,
-            candidates: 1,
-            explored: 10,
-            opt_us: 150,
-            warm_hits: 0,
-        });
-        r.opt_events.push(OptEvent {
-            batch_cqs: 2,
-            candidates: 0,
-            explored: 1,
-            opt_us: 15,
-            warm_hits: 1,
-        });
-        assert_eq!(r.opt_us(), 165);
-        assert_eq!(r.warm_hits(), 1);
+        let searched = |candidates, explored, warm_fact_hits| OptStats {
+            candidates,
+            explored,
+            warm_fact_hits,
+            ..OptStats::default()
+        };
+        r.opt_events.push(OptEvent::new(3, &searched(1, 10, 0), 15));
+        r.opt_events.push(OptEvent::new(2, &searched(0, 1, 7), 20));
+        assert_eq!(
+            r.opt_us(),
+            150 + 20,
+            "each event at the step it was charged"
+        );
+        assert_eq!(r.opt_events[1].warm_fact_hits, 7);
     }
 }

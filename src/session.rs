@@ -927,7 +927,8 @@ impl Engine {
     /// decoded lane — the on-disk half of the `reproduce verify` audit.
     /// The load path already drops sections that fail CRC or structural
     /// validation; this checks the *semantic* invariants of what survived
-    /// (child closure, warm-plan containment, observed monotonicity).
+    /// (canonical signatures, warm-store ordering and id bounds, observed
+    /// monotonicity).
     /// `Err` means nothing could be audited (no dir, or nothing loaded).
     pub fn audit_snapshot(&self) -> Result<VerifyReport, String> {
         let Some(dir) = &self.config.snapshot_dir else {
@@ -1427,14 +1428,8 @@ fn run_batch(
         SharingMode::AtcCq | SharingMode::AtcUq => {
             for admitted in &batch {
                 let uq = &admitted.uq;
-                let (outcome, opt) = graft_batch(catalog, lane, &[uq], config, share, false);
-                slot.opt_events.push(OptEvent {
-                    batch_cqs: uq.cqs.len(),
-                    candidates: opt.candidates,
-                    explored: opt.explored,
-                    opt_us: opt.explored as u64 * 15,
-                    warm_hits: opt.warm_hits,
-                });
+                let (outcome, opt, event) = graft_batch(catalog, lane, &[uq], config, share, false);
+                slot.opt_events.push(event);
                 grafts.push((outcome, opt, vec![uq.id]));
                 if matches!(config.sharing, SharingMode::AtcUq) {
                     // Sharing stays within the user query.
@@ -1445,15 +1440,8 @@ fn run_batch(
         // ATC-FULL / ATC-CL: one multi-query optimization per batch.
         _ => {
             let uqs: Vec<&UserQuery> = batch.iter().map(|a| &a.uq).collect();
-            let n_cqs: usize = uqs.iter().map(|uq| uq.cqs.len()).sum();
-            let (outcome, opt) = graft_batch(catalog, lane, &uqs, config, share, false);
-            slot.opt_events.push(OptEvent {
-                batch_cqs: n_cqs,
-                candidates: opt.candidates,
-                explored: opt.explored,
-                opt_us: opt.explored as u64 * 15,
-                warm_hits: opt.warm_hits,
-            });
+            let (outcome, opt, event) = graft_batch(catalog, lane, &uqs, config, share, false);
+            slot.opt_events.push(event);
             let ids = uqs.iter().map(|uq| uq.id).collect();
             grafts.push((outcome, opt, ids));
         }
@@ -1674,7 +1662,7 @@ fn adaptive_drive(
             continue;
         }
         let opt_before = lane.sources.clock().breakdown().optimize_us;
-        let (_, opt) = graft_batch(catalog, lane, &replanned, config, share, true);
+        let (_, _, event) = graft_batch(catalog, lane, &replanned, config, share, true);
         if config.verify_phases() {
             // Post-replan boundary: structural invariants only. The
             // quarantine check is deliberately absent — mid-execution the
@@ -1688,13 +1676,7 @@ fn adaptive_drive(
             .breakdown()
             .optimize_us
             .saturating_sub(opt_before);
-        opt_events.push(OptEvent {
-            batch_cqs: replanned.iter().map(|uq| uq.cqs.len()).sum(),
-            candidates: opt.candidates,
-            explored: opt.explored,
-            opt_us: opt.explored as u64 * 15,
-            warm_hits: opt.warm_hits,
-        });
+        opt_events.push(event);
         lane.adaptive.summary.replans += 1;
         replans += 1;
     }
@@ -1706,8 +1688,7 @@ fn adaptive_drive(
     // every stream has settled — exhausted leaves are exact counts and
     // their relation-level factors re-cost the whole candidate space.
     // Unlike the mid-batch surgery this charges nothing: the next batch
-    // was going to optimize anyway, and a dropped plan memo cannot hurt
-    // a batch shape that has never been seen.
+    // was going to optimize anyway.
     let corrected = {
         let interner_cell = lane.manager.shared_interner();
         let interner = interner_cell.borrow();
