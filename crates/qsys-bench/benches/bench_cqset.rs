@@ -5,8 +5,9 @@
 //! set difference (line 14's `S′[J′] = S[J′] − S[J]` adjustment), the
 //! emptiness test that decides whether the reduced candidate survives,
 //! and cloning a candidate's set into the next search state — at batch
-//! sizes bracketing the reference workload (BENCH_1's batch is 71 CQs,
-//! which notably does not fit one `u64` word).
+//! sizes bracketing the reference workload (the first 5-UQ batch of the
+//! GUS seed-41 script is 71 CQs, which notably does not fit one `u64`
+//! word).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsys::query::{CqIdx, CqSet};

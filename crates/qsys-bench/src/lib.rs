@@ -1,23 +1,37 @@
 //! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (Section 7), plus ablations of this reproduction's own
-//! choices (ATC scheduling, recovery, eviction, probe-cache sharing).
+//! evaluation (Section 7), plus what this reproduction adds beside them:
+//! ablations of its own choices (ATC scheduling, recovery, eviction,
+//! probe-cache sharing), the print-only, self-gated `chaos` / `shard` /
+//! `adaptive` / `fetch-batch` sweeps, the `verify` invariant audit, and the
+//! two-process `restart` check.
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
 //! printable data; the `reproduce` binary is a thin argument parser over
 //! them. All numbers are *simulated* (virtual-clock) quantities — the
 //! sources are in-process tables charged on a virtual clock, not MySQL
 //! over a WAN — so the claims under reproduction are about relative
-//! behaviour between configurations, not absolute seconds.
+//! behaviour between configurations, not absolute seconds. Nothing here
+//! times the host for the record: host-clock measurement is `perf/run.sh`
+//! (`BENCHMARK.json`, `perf/README.md`), and the few host walls printed
+//! here (Figure 11's wall column, the shard sweep's lane balance) are
+//! observations of one run.
+//!
+//! The sweeps and the audit share one shape: [`drive`] submits a script
+//! through `Engine::submit_script`, drains the engine and fingerprints every
+//! ticket; [`answer_gate`] compares an arm's answers with the baseline's.
+//! A sweep adds only its arm table and its column printer.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::opt::cost::NoReuse;
 use qsys::opt::{HeuristicConfig, Optimizer, OptimizerConfig};
 use qsys::query::CandidateConfig;
-use qsys::types::SimClock;
-use qsys::{run_workload, EngineConfig, RunReport, SharingMode};
+use qsys::source::FaultSpec;
+use qsys::types::{SimClock, UqId};
+use qsys::{run_workload, Engine, EngineConfig, QueryOutcome, RunReport, SharingMode};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::pfam::{self, PfamConfig};
 use qsys_workload::Workload;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,86 +130,8 @@ pub fn pfam_engine(mode: SharingMode) -> EngineConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Perf snapshot: the repo's benchmark trajectory (BENCH_*.json).
+// Fetch-ahead sweep: what `CostProfile::fetch_batch` buys on the figure workload.
 // ---------------------------------------------------------------------------
-
-/// One measured point of the hot path, plus the plan shape it produced.
-///
-/// `spec_*` pin the optimizer's *sharing decisions* (PlanSpec node / edge /
-/// leaf counts) so that representation changes — like rekeying the sharing
-/// structures on interned signature ids — can be verified decision-neutral.
-#[derive(Clone, Debug)]
-pub struct PerfSnapshot {
-    /// Mean wall-clock µs per `Optimizer::optimize` call (reference batch).
-    pub optimize_us: f64,
-    /// Mean wall-clock µs per `QsManager::graft` of the resulting spec.
-    pub graft_us: f64,
-    /// Mean wall-clock µs per combined optimize+graft cycle over a warm
-    /// manager (includes reuse-oracle and sig-index lookups).
-    pub opt_graft_warm_us: f64,
-    /// PlanSpec node count for the reference batch.
-    pub spec_nodes: usize,
-    /// PlanSpec edge count (join-input edges + one root edge per CQ).
-    pub spec_edges: usize,
-    /// Shared stream-leaf count in the reference spec.
-    pub spec_stream_leaves: usize,
-    /// CQ count of the reference batch.
-    pub batch_cqs: usize,
-    /// BestPlan states explored for the reference batch (search-space
-    /// shape, independent of wall time — the trajectory should show the
-    /// state count holding steady while µs/state falls).
-    pub explored: usize,
-    /// BestPlan memo hits for the reference batch.
-    pub memo_hits: usize,
-    /// Wall-clock ms for the full GUS workload end to end (ATC-FULL).
-    pub end_to_end_ms: f64,
-    /// Input tuples consumed by the end-to-end run.
-    pub tuples_consumed: u64,
-    /// Tuples consumed per wall-clock second end to end.
-    pub tuples_per_sec: f64,
-    /// Host threads available to the measurement (`available_parallelism`);
-    /// a 1 here means the parallel arm below could only time-slice.
-    pub host_parallelism: usize,
-    /// Lane-thread cap the parallel ATC-CL arm ran under.
-    pub lane_threads: usize,
-    /// Lanes (clustered plan graphs) of the multi-cluster ATC-CL workload.
-    pub atc_cl_lanes: usize,
-    /// Wall-clock ms for the multi-cluster ATC-CL workload, lanes strictly
-    /// sequential (`lane_threads = 1`).
-    pub atc_cl_seq_ms: f64,
-    /// Same workload with lanes on `lane_threads` worker threads.
-    pub atc_cl_par_ms: f64,
-    /// Upper bound on lane-parallel speedup for this workload, from the
-    /// sequential arm's per-lane wall times (Σ / max): what
-    /// `lane_threads ≥ lanes` approaches on a host with at least that many
-    /// cores. On a single-core host the measured `atc_cl_par_ms` cannot
-    /// reach this — compare it with `host_parallelism` when reading.
-    pub atc_cl_speedup_bound: f64,
-    /// Whether the parallel arm consumed bit-identical tuples and produced
-    /// identical per-UQ statistics to the sequential arm (must be true —
-    /// threading changes wall time, never results).
-    pub atc_cl_identical: bool,
-    /// Whether driving the figure workload incrementally through the
-    /// sessionized `Engine`/`Session` API (submit one, step one) produced
-    /// bit-identical per-UQ statistics and optimizer decisions to the
-    /// scripted `run_workload` driver (must be true — admission timing is
-    /// a scheduling freedom, never a semantic one).
-    pub session_api_identical: bool,
-    /// Tuples consumed by the ATC-CL workload (same in both arms).
-    pub atc_cl_tuples: u64,
-    /// Host wall-clock µs per lane in the parallel arm, by lane index.
-    pub lane_wall_us: Vec<u64>,
-    /// Whether a warm-started optimizer produced bit-identical plans and
-    /// statistics to a cold optimizer over a multi-batch GUS stream (must
-    /// be true — the warm store is a cache, never a policy change).
-    pub warm_identical: bool,
-    /// Simulated stream-read network rounds of the end-to-end run
-    /// (`Sources::stream_rounds`, summed over lanes).
-    pub stream_rounds: u64,
-    /// Fetch-ahead sweep over the figure workload: how response time and
-    /// network rounds shift with `CostProfile::fetch_batch`.
-    pub fetch_batch_sweep: Vec<FetchBatchPoint>,
-}
 
 /// One point of the fetch-ahead sweep: the GUS figure workload run with
 /// `CostProfile::fetch_batch` set to `fetch_batch`. Tuple sequences are
@@ -258,6 +194,10 @@ pub fn print_fetch_batch_sweep(points: &[FetchBatchPoint]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Warm-vs-cold decision stream: `bench_warm_opt`'s identity harness.
+// ---------------------------------------------------------------------------
+
 /// One batch's decision fingerprint, as produced by
 /// [`optimize_decision_stream`]: everything the optimizer decided.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -275,11 +215,10 @@ pub struct DecisionRow {
 }
 
 /// Optimize a stream of batches against one live QS manager — warm-started
-/// or cold — and fingerprint every batch's decisions. This is **the**
-/// warm-vs-cold identity harness: [`warm_cold_identity`] (the `reproduce
-/// bench` gate) and `bench_warm_opt` (the CI micro-bench smoke) both
-/// compare its warm and cold outputs, so the two gates enforce one
-/// invariant by construction.
+/// or cold — and fingerprint every batch's decisions. `bench_warm_opt` (the
+/// CI micro-bench smoke) compares its warm and cold outputs before timing
+/// anything; `tests/interner_invariants.rs` pins the same identity in
+/// tier-1.
 pub fn optimize_decision_stream(
     catalog: &qsys::catalog::Catalog,
     opt_config: &OptimizerConfig,
@@ -307,341 +246,6 @@ pub fn optimize_decision_stream(
             }
         })
         .collect()
-}
-
-/// Drive the first three 5-UQ batches of the seed-41 GUS stream — plus a
-/// repeat of the first batch, which the warm lane searches entirely from
-/// cached inputs — through two lanes: one warm-started, one cold. Whether
-/// plans, costs, explored-state counts, and memo hits are all bit-identical
-/// per batch; this is the check the CI bench smoke gate enforces.
-pub fn warm_cold_identity() -> bool {
-    let workload = gus_workload(41, Scale::Small);
-    let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let opt_config = OptimizerConfig {
-        k: engine.k,
-        heuristics: engine.heuristics.clone(),
-        cost_profile: engine.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
-    let mut batches: Vec<Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>> = uqs
-        .chunks(5)
-        .take(3)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect()
-        })
-        .collect();
-    let repeat = batches[0].clone();
-    batches.push(repeat);
-
-    let warm_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
-    let cold_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
-    warm_side == cold_side
-}
-
-/// The multi-cluster ATC-CL reference workload: the seed-41 GUS instance
-/// with a longer script (40 UQs) and clustering thresholds that actually
-/// split it (several plan graphs with real work in each) — the shape the
-/// lane-threading tentpole exists for.
-pub fn atc_cl_reference_engine(lane_threads_cap: usize) -> EngineConfig {
-    let mut engine = gus_engine(SharingMode::AtcCl(ClusterConfig { t_m: 2, t_c: 0.9 }), 5);
-    engine.lane_threads = lane_threads_cap;
-    engine
-}
-
-/// The workload for [`atc_cl_reference_engine`].
-pub fn atc_cl_reference_workload() -> Workload {
-    let mut cfg = GusConfig::small(41);
-    cfg.user_queries = 40;
-    gus::generate(&cfg)
-}
-
-/// The optimizer+graft shape of one batch: node/edge/leaf counts.
-pub fn spec_shape(spec: &qsys::opt::PlanSpec) -> (usize, usize, usize) {
-    use qsys::opt::SpecNodeKind;
-    let nodes = spec.nodes.len();
-    let mut edges = spec.cq_plans.len(); // one root edge per CQ
-    let mut leaves = 0;
-    for node in &spec.nodes {
-        match &node.kind {
-            SpecNodeKind::Stream => leaves += 1,
-            SpecNodeKind::Join { inputs, .. } => edges += inputs.len(),
-        }
-    }
-    (nodes, edges, leaves)
-}
-
-/// Measure the optimizer+graft hot path, an end-to-end workload run, and
-/// the sequential-vs-threaded multi-cluster ATC-CL comparison.
-///
-/// `iters` controls how many optimize/graft cycles are averaged; the
-/// reference batch is the first `batch_size`-UQ batch of the seed-41 GUS
-/// workload — the same inputs `bench_optimizer` uses. `lane_threads_cap`
-/// sets the parallel ATC-CL arm's thread count (defaults to the host's
-/// parallelism, min 2 so the threaded path is exercised even on one core).
-pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnapshot {
-    use qsys::state::QsManager;
-    use std::time::Instant;
-
-    let workload = gus_workload(41, Scale::Small);
-    let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let batch: Vec<_> = uqs
-        .iter()
-        .take(5)
-        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-        .collect();
-    let opt_config = OptimizerConfig {
-        k: engine.k,
-        heuristics: engine.heuristics.clone(),
-        cost_profile: engine.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
-
-    // Cold optimize (fresh manager each cycle) and the graft of its spec.
-    let mut optimize_us = 0.0;
-    let mut graft_us = 0.0;
-    let mut shape = (0, 0, 0);
-    let mut opt_stats = qsys::opt::OptStats::default();
-    for _ in 0..iters {
-        let mut manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let sources = qsys::source::Sources::with_provider(
-            SimClock::new(),
-            engine.cost_profile,
-            engine.seed,
-            workload.tables.provider(),
-        );
-        let t0 = Instant::now();
-        let (spec, stats) = {
-            let interner = manager.shared_interner();
-            let oracle = manager.reuse_oracle();
-            optimizer.optimize(&batch, &oracle, None, &interner)
-        };
-        let t1 = Instant::now();
-        manager.graft(&spec, &sources, engine.k);
-        let t2 = Instant::now();
-        optimize_us += (t1 - t0).as_secs_f64() * 1e6;
-        graft_us += (t2 - t1).as_secs_f64() * 1e6;
-        shape = spec_shape(&spec);
-        opt_stats = stats;
-    }
-
-    // Warm cycles: successive batches grafted onto one live manager, so
-    // reuse-oracle probes and sig-index hits are on the measured path.
-    let mut warm_us = 0.0;
-    for _ in 0..iters {
-        let mut manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let sources = qsys::source::Sources::with_provider(
-            SimClock::new(),
-            engine.cost_profile,
-            engine.seed,
-            workload.tables.provider(),
-        );
-        let t0 = Instant::now();
-        for chunk in uqs.chunks(5).take(3) {
-            let batch: Vec<_> = chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect();
-            let (spec, _) = {
-                let interner = manager.shared_interner();
-                let oracle = manager.reuse_oracle();
-                optimizer.optimize(&batch, &oracle, None, &interner)
-            };
-            manager.graft(&spec, &sources, engine.k);
-        }
-        warm_us += t0.elapsed().as_secs_f64() * 1e6;
-    }
-
-    let warm_identical = warm_cold_identity();
-
-    // Fetch-ahead sweep: the response-time shift stream batching buys on
-    // the figure workload (10 UQs keep the sweep to seconds).
-    let fetch_batch_sweep = sweep_fetch_batch(41, Scale::Small, &[1, 8, 32], Some(10));
-
-    // End to end: the full workload under ATC-FULL, wall-clocked.
-    let t0 = std::time::Instant::now();
-    let report = run_workload(&workload, &engine, None).expect("runs");
-    let end_to_end = t0.elapsed();
-
-    // Multi-cluster ATC-CL: the same lanes strictly sequential, then on
-    // worker threads. Everything except wall time must be identical.
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = lane_threads_cap.unwrap_or(host_parallelism).max(2);
-    let cl_workload = atc_cl_reference_workload();
-    let t0 = std::time::Instant::now();
-    let seq = run_workload(&cl_workload, &atc_cl_reference_engine(1), None).expect("runs");
-    let atc_cl_seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = std::time::Instant::now();
-    let par = run_workload(&cl_workload, &atc_cl_reference_engine(threads), None).expect("runs");
-    let atc_cl_par_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let seq_total: u64 = seq.lane_wall_us.iter().sum();
-    let seq_max: u64 = seq.lane_wall_us.iter().copied().max().unwrap_or(1);
-    let atc_cl_speedup_bound = seq_total as f64 / seq_max.max(1) as f64;
-    let atc_cl_identical = seq.tuples_consumed == par.tuples_consumed
-        && seq.tuples_streamed == par.tuples_streamed
-        && seq.probes == par.probes
-        && seq.per_uq.len() == par.per_uq.len()
-        && seq.per_uq.iter().zip(par.per_uq.iter()).all(|(a, b)| {
-            a.uq == b.uq
-                && a.response_us == b.response_us
-                && a.results == b.results
-                && a.cqs_executed == b.cqs_executed
-                && a.lane == b.lane
-        });
-
-    // Sessionized-API arm: the same figure workload submitted one query
-    // at a time through per-user sessions, stepping after every arrival —
-    // the service-shaped drive must reproduce the scripted driver's
-    // decisions and statistics bit for bit.
-    let session_api_identical = {
-        let mut session_engine = qsys::Engine::for_workload(&workload, engine.clone());
-        for q in &workload.queries {
-            let mut session = session_engine.session(q.user);
-            if let Some(costs) = &q.edge_costs {
-                session = session.with_edge_costs(costs.clone());
-            }
-            let _ = session.submit(&q.keywords, q.arrival_us);
-            session_engine.step();
-        }
-        session_engine.run_until_idle();
-        let stepped = session_engine.report();
-        stepped.tuples_consumed == report.tuples_consumed
-            && stepped.tuples_streamed == report.tuples_streamed
-            && stepped.probes == report.probes
-            && stepped.breakdown == report.breakdown
-            && stepped.per_uq.len() == report.per_uq.len()
-            && stepped
-                .per_uq
-                .iter()
-                .zip(report.per_uq.iter())
-                .all(|(a, b)| {
-                    a.uq == b.uq
-                        && a.response_us == b.response_us
-                        && a.results == b.results
-                        && a.cqs_executed == b.cqs_executed
-                })
-            && stepped.opt_events.len() == report.opt_events.len()
-            && stepped
-                .opt_events
-                .iter()
-                .zip(report.opt_events.iter())
-                .all(|(a, b)| {
-                    a.batch_cqs == b.batch_cqs
-                        && a.candidates == b.candidates
-                        && a.explored == b.explored
-                })
-    };
-
-    let secs = end_to_end.as_secs_f64().max(1e-9);
-    PerfSnapshot {
-        optimize_us: optimize_us / iters.max(1) as f64,
-        graft_us: graft_us / iters.max(1) as f64,
-        opt_graft_warm_us: warm_us / iters.max(1) as f64,
-        spec_nodes: shape.0,
-        spec_edges: shape.1,
-        spec_stream_leaves: shape.2,
-        batch_cqs: batch.len(),
-        explored: opt_stats.explored,
-        memo_hits: opt_stats.memo_hits,
-        end_to_end_ms: secs * 1e3,
-        tuples_consumed: report.tuples_consumed,
-        tuples_per_sec: report.tuples_consumed as f64 / secs,
-        host_parallelism,
-        lane_threads: threads,
-        atc_cl_lanes: par.lanes,
-        atc_cl_seq_ms,
-        atc_cl_par_ms,
-        atc_cl_speedup_bound,
-        atc_cl_identical,
-        session_api_identical,
-        atc_cl_tuples: par.tuples_consumed,
-        lane_wall_us: par.lane_wall_us,
-        warm_identical,
-        stream_rounds: report.stream_rounds,
-        fetch_batch_sweep,
-    }
-}
-
-impl PerfSnapshot {
-    /// Combined optimize+graft µs (the headline hot-path number).
-    pub fn opt_graft_us(&self) -> f64 {
-        self.optimize_us + self.graft_us
-    }
-
-    /// Lane speedup of the parallel ATC-CL arm over sequential, percent.
-    pub fn atc_cl_speedup_pct(&self) -> f64 {
-        100.0 * (1.0 - self.atc_cl_par_ms / self.atc_cl_seq_ms.max(1e-9))
-    }
-
-    /// Render as a JSON object (no external dependencies available).
-    pub fn to_json(&self) -> String {
-        let lane_wall: Vec<String> = self.lane_wall_us.iter().map(u64::to_string).collect();
-        let sweep: Vec<String> = self
-            .fetch_batch_sweep
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"fetch_batch\": {}, \"mean_response_us\": {:.1}, \
-                     \"stream_rounds\": {}, \"tuples_consumed\": {}}}",
-                    p.fetch_batch, p.mean_response_us, p.stream_rounds, p.tuples_consumed
-                )
-            })
-            .collect();
-        format!(
-            "{{\n    \"optimize_us\": {:.1},\n    \"graft_us\": {:.1},\n    \
-             \"opt_graft_us\": {:.1},\n    \"opt_graft_warm_us\": {:.1},\n    \
-             \"warm_identical\": {},\n    \
-             \"spec_nodes\": {},\n    \"spec_edges\": {},\n    \
-             \"spec_stream_leaves\": {},\n    \"batch_cqs\": {},\n    \
-             \"explored\": {},\n    \"memo_hits\": {},\n    \
-             \"end_to_end_ms\": {:.1},\n    \"tuples_consumed\": {},\n    \
-             \"tuples_per_sec\": {:.0},\n    \"stream_rounds\": {},\n    \
-             \"host_parallelism\": {},\n    \"lane_threads\": {},\n    \
-             \"atc_cl_lanes\": {},\n    \"atc_cl_seq_ms\": {:.1},\n    \
-             \"atc_cl_par_ms\": {:.1},\n    \"atc_cl_speedup_pct\": {:.1},\n    \
-             \"atc_cl_speedup_bound\": {:.2},\n    \
-             \"atc_cl_identical\": {},\n    \"session_api_identical\": {},\n    \
-             \"atc_cl_tuples\": {},\n    \
-             \"lane_wall_us\": [{}],\n    \"fetch_batch_sweep\": [{}]\n  }}",
-            self.optimize_us,
-            self.graft_us,
-            self.opt_graft_us(),
-            self.opt_graft_warm_us,
-            self.warm_identical,
-            self.spec_nodes,
-            self.spec_edges,
-            self.spec_stream_leaves,
-            self.batch_cqs,
-            self.explored,
-            self.memo_hits,
-            self.end_to_end_ms,
-            self.tuples_consumed,
-            self.tuples_per_sec,
-            self.stream_rounds,
-            self.host_parallelism,
-            self.lane_threads,
-            self.atc_cl_lanes,
-            self.atc_cl_seq_ms,
-            self.atc_cl_par_ms,
-            self.atc_cl_speedup_pct(),
-            self.atc_cl_speedup_bound,
-            self.atc_cl_identical,
-            self.session_api_identical,
-            self.atc_cl_tuples,
-            lane_wall.join(", "),
-            sweep.join(", "),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1158,55 +762,20 @@ pub fn ablation_eviction(seed: u64, scale: Scale) -> Vec<(String, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos sweep: resilience under deterministic fault schedules (BENCH_5.json).
+// The session-driven run and the answer gate the sweeps and the audit share.
 // ---------------------------------------------------------------------------
 
-/// Per-query outcome + exact answer fingerprint (score bits, tuple text).
-type ChaosAnswers =
-    std::collections::BTreeMap<qsys::types::UqId, (qsys::QueryOutcome, Vec<(u64, String)>)>;
+/// Per-query outcome + answer fingerprint (score bits, tuple text), in
+/// delivery order.
+pub type Answers = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 
-/// One arm of the chaos sweep: a fault schedule, the run's resilience
-/// counters, and its tuple-loss gate result.
-pub struct ChaosArm {
-    /// Arm name ("fault-free", "transient-1pct", …).
-    pub label: &'static str,
-    /// The `QSYS_FAULTS` schedule string (`None` = fault-free baseline).
-    pub spec: Option<String>,
-    /// Full run report (resilience counters under `report.faults`).
-    pub report: RunReport,
-    /// Gate failures: queries that resolved `Complete` with answers
-    /// drifted from the fault-free run, or — for relation-scoped arms —
-    /// degraded/failed without reading the faulted relation.
-    pub gate_violations: usize,
-}
-
-/// The full sweep: one fault-free baseline plus transient-rate and
-/// hard-outage arms over the same workload.
-pub struct ChaosSweep {
-    /// The relation the outage arm takes dark at t = 0.
-    pub victim: u32,
-    /// How many of the workload's user queries read the victim.
-    pub victim_readers: usize,
-    /// Arms in sweep order (index 0 is the fault-free baseline).
-    pub arms: Vec<ChaosArm>,
-}
-
-/// Session-driven run capturing per-ticket outcomes and answers (the
-/// scripted driver discards payloads, and the gate needs them).
-fn chaos_run(w: &Workload, spec: Option<&str>) -> (RunReport, ChaosAnswers) {
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.faults = spec.map(|s| qsys::source::FaultSpec::parse(s).expect("valid fault spec"));
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
+/// Drive `w`'s whole script through a fresh engine under `cfg`: submit
+/// everything, drain, fingerprint every ticket (the scripted driver
+/// discards payloads, and the gates need them). The engine comes back
+/// drained — for its report, its verifier, or a snapshot.
+pub fn drive(w: &Workload, cfg: EngineConfig) -> (Engine, Answers) {
+    let mut engine = Engine::for_workload(w, cfg);
+    let tickets = engine.submit_script(w);
     engine.run_until_idle();
     let answers = tickets
         .iter()
@@ -1221,18 +790,149 @@ fn chaos_run(w: &Workload, spec: Option<&str>) -> (RunReport, ChaosAnswers) {
             (t.id(), (outcome, tuples))
         })
         .collect();
-    (engine.report(), answers)
+    (engine, answers)
+}
+
+/// Tie-aware answer equivalence, in any delivery order: score multisets
+/// match bit-for-bit, and every tuple scored strictly above the k-th
+/// (minimum returned) score matches exactly. Tuples *at* the boundary score
+/// only need matching counts: when more than k-boundary candidates tie at
+/// the cut, the top-k set is inherently non-unique, and a different lane
+/// composition or read order may surface a different — equally ranked —
+/// tied subset.
+pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
+    if want.len() != got.len() {
+        return false;
+    }
+    let scores = |v: &[(u64, String)]| {
+        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
+        s.sort_unstable();
+        s
+    };
+    if scores(want) != scores(got) {
+        return false;
+    }
+    let boundary = want
+        .iter()
+        .map(|(b, _)| f64::from_bits(*b))
+        .fold(f64::INFINITY, f64::min);
+    fn above(v: &[(u64, String)], boundary: f64) -> Vec<&(u64, String)> {
+        let mut s: Vec<&(u64, String)> = v
+            .iter()
+            .filter(|(b, _)| f64::from_bits(*b) > boundary)
+            .collect();
+        s.sort();
+        s
+    }
+    above(want, boundary) == above(got, boundary)
+}
+
+/// What an arm's answers owe the baseline's — an answer is defined
+/// independently of how it was computed, so this is all a sweep checks.
+#[derive(Clone, Copy)]
+pub enum GateMode<'a> {
+    /// The arm took a different *physical* decision (a shard split, a
+    /// mid-flight replan): every query resolves with the baseline's outcome
+    /// and an [`answers_equivalent`] answer.
+    TieAware,
+    /// The arm injected faults, which may degrade a query but never corrupt
+    /// one — "no tuple loss on unfaulted relations": a `Complete` answer is
+    /// the baseline's exact sequence, and under a relation-scoped schedule
+    /// (`faulted_readers` = the queries reading the faulted relation) every
+    /// other query must resolve `Complete`.
+    Exact {
+        faulted_readers: Option<&'a BTreeSet<UqId>>,
+    },
+}
+
+/// How many of `arm`'s queries fail `mode` against `base`.
+pub fn answer_gate(base: &Answers, arm: &Answers, mode: GateMode<'_>) -> usize {
+    arm.iter()
+        .filter(|(uq, (outcome, tuples))| {
+            let Some((want_outcome, want)) = base.get(uq) else {
+                return true;
+            };
+            match mode {
+                GateMode::TieAware => outcome != want_outcome || !answers_equivalent(want, tuples),
+                GateMode::Exact { faulted_readers } => match outcome {
+                    QueryOutcome::Complete => tuples != want,
+                    _ => faulted_readers.is_some_and(|r| !r.contains(uq)),
+                },
+            }
+        })
+        .count()
+}
+
+/// One arm of a sweep: its run, and how many queries failed the sweep's
+/// answer gate against the baseline arm.
+pub struct SweepArm {
+    /// Arm name ("fault-free", "shards<=2", "drift>1.5x", …).
+    pub label: String,
+    /// Full run report.
+    pub report: RunReport,
+    /// [`answer_gate`] failures (0 for the baseline itself).
+    pub gate_violations: usize,
+}
+
+impl SweepArm {
+    /// The printed gate column.
+    fn gate(&self) -> &'static str {
+        if self.gate_violations == 0 {
+            "ok"
+        } else {
+            "FAIL"
+        }
+    }
+}
+
+/// The one sweep driver: [`drive`] every arm over `w`. The first arm is the
+/// baseline; each later arm's answers are gated against it in that arm's
+/// mode. A sweep is its arm table plus a printer.
+fn run_arms<'a>(
+    w: &Workload,
+    arms: impl IntoIterator<Item = (String, EngineConfig, GateMode<'a>)>,
+) -> Vec<SweepArm> {
+    let mut base: Option<Answers> = None;
+    arms.into_iter()
+        .map(|(label, cfg, mode)| {
+            let (engine, answers) = drive(w, cfg);
+            let gate_violations = match &base {
+                Some(base) => answer_gate(base, &answers, mode),
+                None => {
+                    base = Some(answers);
+                    0
+                }
+            };
+            SweepArm {
+                label,
+                report: engine.report(),
+                gate_violations,
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Chaos sweep: resilience under deterministic fault schedules.
+// ---------------------------------------------------------------------------
+
+/// One fault-free baseline plus transient-rate and hard-outage arms over the
+/// same workload.
+pub struct ChaosSweep {
+    /// The relation the outage arm takes dark at t = 0.
+    pub victim: u32,
+    /// How many of the workload's user queries read the victim.
+    pub victim_readers: usize,
+    /// Arms in sweep order (index 0 is the fault-free baseline).
+    pub arms: Vec<SweepArm>,
 }
 
 /// The outage victim: the most-read relation that still has non-readers,
 /// so the arm both bites and leaves bystanders to check.
-fn chaos_victim(w: &Workload) -> (u32, std::collections::BTreeSet<qsys::types::UqId>) {
+fn chaos_victim(w: &Workload) -> (u32, BTreeSet<UqId>) {
     let (uqs, _) = qsys::generate_user_queries(w, &gus_engine(SharingMode::AtcFull, 5))
         .expect("workload generates");
-    let mut readers: std::collections::BTreeMap<
-        u32,
-        std::collections::BTreeSet<qsys::types::UqId>,
-    > = std::collections::BTreeMap::new();
+    let mut readers: BTreeMap<u32, BTreeSet<UqId>> = BTreeMap::new();
     for uq in &uqs {
         for (cq, _) in &uq.cqs {
             for rel in cq.rels() {
@@ -1247,34 +947,6 @@ fn chaos_victim(w: &Workload) -> (u32, std::collections::BTreeSet<qsys::types::U
         .expect("some relation has a minority of readers")
 }
 
-/// The sweep's gate — "no tuple loss on unfaulted relations": a query the
-/// engine reports `Complete` must answer bit-identically to the fault-free
-/// run, and under a relation-scoped schedule a query that never reads the
-/// faulted relation must resolve `Complete`.
-fn chaos_gate(
-    base: &ChaosAnswers,
-    arm: &ChaosAnswers,
-    faulted_readers: Option<&std::collections::BTreeSet<qsys::types::UqId>>,
-) -> usize {
-    let mut violations = 0;
-    for (uq, (outcome, tuples)) in arm {
-        let clean = &base[uq];
-        match outcome {
-            qsys::QueryOutcome::Complete => {
-                if tuples != &clean.1 {
-                    violations += 1;
-                }
-            }
-            _ => {
-                if faulted_readers.is_some_and(|r| !r.contains(uq)) {
-                    violations += 1;
-                }
-            }
-        }
-    }
-    violations
-}
-
 /// Run the chaos sweep: fault-free baseline, 1% and 5% transient-error
 /// rates, and a hard outage of one relation from t = 0. All schedules are
 /// seeded, so the sweep replays identically.
@@ -1282,40 +954,25 @@ pub fn chaos_sweep(seed: u64, scale: Scale) -> ChaosSweep {
     use qsys_workload::faults::FaultPlan;
     let w = gus_workload(seed, scale);
     let (victim, victim_readers) = chaos_victim(&w);
-    let (base_report, base) = chaos_run(&w, None);
-    let mut arms = vec![ChaosArm {
-        label: "fault-free",
-        spec: None,
-        report: base_report,
-        gate_violations: 0,
-    }];
-    let cases: [(&'static str, String, bool); 3] = [
-        (
-            "transient-1pct",
-            FaultPlan::new(1009).transient(0.01).build(),
-            false,
-        ),
-        (
-            "transient-5pct",
-            FaultPlan::new(1009).transient(0.05).build(),
-            false,
-        ),
-        (
-            "hard-outage",
-            FaultPlan::new(1009).outage(victim, 0, None).build(),
-            true,
-        ),
-    ];
-    for (label, spec, scoped) in cases {
-        let (report, answers) = chaos_run(&w, Some(&spec));
-        let gate_violations = chaos_gate(&base, &answers, scoped.then_some(&victim_readers));
-        arms.push(ChaosArm {
-            label,
-            spec: Some(spec),
-            report,
-            gate_violations,
-        });
-    }
+    let arm = |label: &str, plan: Option<FaultPlan>, faulted_readers| {
+        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+        cfg.faults = plan.map(|p| FaultSpec::parse(&p.build()).expect("valid fault spec"));
+        (label.to_string(), cfg, GateMode::Exact { faulted_readers })
+    };
+    let plan = || FaultPlan::new(1009);
+    let arms = run_arms(
+        &w,
+        [
+            arm("fault-free", None, None),
+            arm("transient-1pct", Some(plan().transient(0.01)), None),
+            arm("transient-5pct", Some(plan().transient(0.05)), None),
+            arm(
+                "hard-outage",
+                Some(plan().outage(victim, 0, None)),
+                Some(&victim_readers),
+            ),
+        ],
+    );
     ChaosSweep {
         victim,
         victim_readers: victim_readers.len(),
@@ -1356,52 +1013,9 @@ pub fn print_chaos(sweep: &ChaosSweep) {
             f.source.exhausted_fetches,
             arm.report.response_percentile_us(50.0) as f64 / 1e3,
             arm.report.response_percentile_us(99.0) as f64 / 1e3,
-            if arm.gate_violations == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
+            arm.gate(),
         );
     }
-}
-
-/// Render the sweep as the repo's `BENCH_5.json` trajectory point.
-pub fn chaos_json(sweep: &ChaosSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        let f = &arm.report.faults;
-        let spec = match &arm.spec {
-            Some(s) => format!("\"{s}\""),
-            None => "null".to_string(),
-        };
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"spec\": {spec},\n      \"queries\": {},\n      \"degraded\": {},\n      \"failed\": {},\n      \"retries\": {},\n      \"transient_errors\": {},\n      \"outage_errors\": {},\n      \"timeouts\": {},\n      \"breaker_trips\": {},\n      \"breaker_fast_fails\": {},\n      \"exhausted_fetches\": {},\n      \"quarantined_streams\": {},\n      \"failed_probes\": {},\n      \"p50_response_us\": {},\n      \"p99_response_us\": {},\n      \"gate_violations\": {}\n    }}",
-            arm.label,
-            arm.report.per_uq.len(),
-            f.degraded,
-            f.failed,
-            f.source.retries,
-            f.source.transient_errors,
-            f.source.outage_errors,
-            f.source.timeouts,
-            f.source.breaker_trips,
-            f.source.breaker_fast_fails,
-            f.source.exhausted_fetches,
-            f.source.quarantined_streams,
-            f.source.failed_probes,
-            arm.report.response_percentile_us(50.0),
-            arm.report.response_percentile_us(99.0),
-            arm.gate_violations,
-        ));
-    }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    format!(
-        "{{\n  \"bench\": \"chaos sweep: deterministic fault injection vs per-query degradation (ATC-FULL)\",\n  \"gate\": \"no tuple loss on unfaulted relations; Complete answers bit-identical to the fault-free run\",\n  \"outage_victim_rel\": {},\n  \"outage_victim_readers\": {},\n  \"gate_ok\": {gate_ok},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.victim, sweep.victim_readers,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1488,163 +1102,68 @@ pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: boo
 }
 
 // ---------------------------------------------------------------------------
-// Shard sweep: oversized-cluster sharding vs lane balance (BENCH_7.json).
+// Shard sweep: oversized-cluster sharding vs lane balance.
 // ---------------------------------------------------------------------------
 
-/// One arm of the shard sweep: a shard cap, the run, and the identity
-/// gate against the unsharded baseline.
-pub struct ShardArm {
-    /// Arm name ("unsharded", "shards<=2", …).
-    pub label: &'static str,
-    /// `max_shards` for the arm (0 = sharding off).
-    pub max_shards: usize,
-    /// Full run report (per-lane ancestry under `report.lane_summaries`).
-    pub report: RunReport,
-    /// Lanes that are shards of a split cluster.
-    pub sharded_lanes: usize,
-    /// Queries whose answer multiset drifted from the unsharded run.
-    pub gate_violations: usize,
-}
-
-/// The full sweep: the unsharded baseline plus shard caps 2 / 4 / 8 at a
-/// threshold of one UQ-equivalent (every multi-UQ cluster splits).
+/// The unsharded baseline plus shard caps 2 / 4 / 8 at a threshold of one
+/// UQ-equivalent (every multi-UQ cluster splits).
 pub struct ShardSweep {
     /// Arms in sweep order (index 0 is the unsharded baseline).
-    pub arms: Vec<ShardArm>,
-    /// Σ/max of per-lane walls without sharding — the parallel speedup
-    /// the unsharded lane topology can ever reach.
-    pub bound_unsharded: f64,
-    /// The best post-sharding Σ/max across arms — the same bound after
-    /// splitting oversized clusters (comparable before/after).
-    pub bound_sharded: f64,
+    pub arms: Vec<SweepArm>,
 }
 
-/// Session-driven run of the ATC-CL reference workload under `sharding`,
-/// capturing per-ticket answers as *sorted* multisets (the correctness
-/// bar is multiset identity; shard interleaving may reorder equal-score
-/// answers).
-fn shard_run(w: &Workload, sharding: qsys::ShardConfig) -> (RunReport, ChaosAnswers) {
-    let mut cfg = atc_cl_reference_engine(1);
-    cfg.sharding = sharding;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
+impl ShardSweep {
+    /// Σ/max of per-lane walls without sharding — the parallel speedup the
+    /// unsharded lane topology can ever reach. Host walls of one run: an
+    /// observation to print, not a gate.
+    pub fn bound_unsharded(&self) -> f64 {
+        self.arms[0].report.lane_balance()
     }
-    engine.run_until_idle();
-    let answers = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolves every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(s, tu)| (s.get().to_bits(), format!("{tu:?}")))
-                .collect();
-            tuples.sort();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), answers)
-}
 
-/// The sweep's gate — sharding must be invisible in results: every query
-/// resolves with the same outcome and the same answer multiset as the
-/// unsharded run.
-/// Tie-aware answer equivalence: outcomes match, score multisets match
-/// bit-for-bit, and every tuple scored strictly above the k-th (minimum
-/// returned) score matches exactly. Tuples *at* the boundary score only
-/// need matching counts: when more than k-boundary candidates tie at the
-/// cut, the top-k set is inherently non-unique, and a different lane
-/// composition may surface a different — equally ranked — tied subset.
-pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
-    if want.len() != got.len() {
-        return false;
-    }
-    let scores = |v: &[(u64, String)]| {
-        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
-        s.sort_unstable();
-        s
-    };
-    if scores(want) != scores(got) {
-        return false;
-    }
-    let boundary = want
-        .iter()
-        .map(|(b, _)| f64::from_bits(*b))
-        .fold(f64::INFINITY, f64::min);
-    fn above(v: &[(u64, String)], boundary: f64) -> Vec<&(u64, String)> {
-        let mut s: Vec<&(u64, String)> = v
+    /// The best Σ/max across the sharded arms only.
+    pub fn bound_sharded(&self) -> f64 {
+        self.arms[1..]
             .iter()
-            .filter(|(b, _)| f64::from_bits(*b) > boundary)
-            .collect();
-        s.sort();
-        s
+            .map(|a| a.report.lane_balance())
+            .fold(0.0, f64::max)
     }
-    above(want, boundary) == above(got, boundary)
 }
 
-fn shard_gate(base: &ChaosAnswers, arm: &ChaosAnswers) -> usize {
-    arm.iter()
-        .filter(|(uq, got)| match base.get(uq) {
-            Some(want) => want.0 != got.0 || !answers_equivalent(&want.1, &got.1),
-            None => true,
-        })
-        .count()
+/// Split every cluster above one UQ-equivalent into at most `cap` shards.
+fn shards_up_to(cap: usize) -> qsys::ShardConfig {
+    qsys::ShardConfig {
+        threshold: Some(1.0),
+        max_shards: cap,
+    }
 }
 
-/// Run the shard sweep on the multi-cluster ATC-CL reference workload:
-/// unsharded baseline, then shard caps 2 / 4 / 8 at threshold 1.0 (one
-/// UQ-equivalent, so every multi-UQ cluster splits up to the cap). Lanes
-/// run sequentially (`lane_threads = 1`) so per-lane walls attribute
+/// Run the shard sweep on the multi-cluster ATC-CL reference workload —
+/// the seed-41 GUS instance with a longer script (40 UQs) and clustering
+/// thresholds that actually split it (several plan graphs with real work
+/// in each), the shape lane threading and sharding exist for: unsharded
+/// baseline, then shard caps 2 / 4 / 8, gated on per-UQ answer identity
+/// with the unsharded run (the split is a physical routing decision).
+/// Lanes run sequentially (`lane_threads = 1`) so per-lane walls attribute
 /// cleanly and Σ/max is the achievable parallel speedup bound.
 pub fn shard_sweep() -> ShardSweep {
-    let w = atc_cl_reference_workload();
-    let (base_report, base) = shard_run(&w, qsys::ShardConfig::off());
-    let bound_unsharded = base_report.lane_balance();
-    let mut arms = vec![ShardArm {
-        label: "unsharded",
-        max_shards: 0,
-        report: base_report,
-        sharded_lanes: 0,
-        gate_violations: 0,
-    }];
-    let cases: [(&'static str, usize); 3] = [("shards<=2", 2), ("shards<=4", 4), ("shards<=8", 8)];
-    for (label, cap) in cases {
-        let mut sharding = qsys::ShardConfig::at(1.0);
-        sharding.max_shards = cap;
-        let (report, answers) = shard_run(&w, sharding);
-        let gate_violations = shard_gate(&base, &answers);
-        let sharded_lanes = report
-            .lane_summaries
-            .iter()
-            .filter(|l| l.shard_of.is_some())
-            .count();
-        arms.push(ShardArm {
-            label,
-            max_shards: cap,
-            report,
-            sharded_lanes,
-            gate_violations,
-        });
-    }
-    let bound_sharded = arms
-        .iter()
-        .skip(1)
-        .map(|a| a.report.lane_balance())
-        .fold(bound_unsharded, f64::max);
-    ShardSweep {
-        arms,
-        bound_unsharded,
-        bound_sharded,
-    }
+    let mut script = GusConfig::small(41);
+    script.user_queries = 40;
+    let arm = |label: &str, sharding: qsys::ShardConfig| {
+        let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig { t_m: 2, t_c: 0.9 }), 5);
+        cfg.lane_threads = 1;
+        cfg.sharding = sharding;
+        (label.to_string(), cfg, GateMode::TieAware)
+    };
+    let arms = run_arms(
+        &gus::generate(&script),
+        [
+            arm("unsharded", qsys::ShardConfig::off()),
+            arm("shards<=2", shards_up_to(2)),
+            arm("shards<=4", shards_up_to(4)),
+            arm("shards<=8", shards_up_to(8)),
+        ],
+    );
+    ShardSweep { arms }
 }
 
 /// Print the sweep as a table.
@@ -1661,85 +1180,43 @@ pub fn print_shard(sweep: &ShardSweep) {
         let walls = &arm.report.lane_wall_us;
         let max = walls.iter().copied().max().unwrap_or(0);
         let sum: u64 = walls.iter().sum();
+        let sharded_lanes = arm
+            .report
+            .lane_summaries
+            .iter()
+            .filter(|l| l.shard_of.is_some())
+            .count();
         println!(
             "{:>11} {:>6} {:>7} {:>12.1} {:>12.1} {:>9.2} {:>10} {:>5}",
             arm.label,
             arm.report.lanes,
-            arm.sharded_lanes,
+            sharded_lanes,
             max as f64 / 1e3,
             sum as f64 / 1e3,
             arm.report.lane_balance(),
             arm.report.tuples_consumed,
-            if arm.gate_violations == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
+            arm.gate(),
         );
     }
     println!(
         "speedup bound: {:.2}x unsharded -> {:.2}x best sharded",
-        sweep.bound_unsharded, sweep.bound_sharded
+        sweep.bound_unsharded(),
+        sweep.bound_sharded()
     );
 }
 
-/// Render the sweep as the repo's `BENCH_7.json` trajectory point.
-pub fn shard_json(sweep: &ShardSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        let walls: Vec<String> = arm.report.lane_wall_us.iter().map(u64::to_string).collect();
-        let lanes: Vec<String> = arm
-            .report
-            .lane_summaries
-            .iter()
-            .map(|l| {
-                let shard = match l.shard_of {
-                    Some((i, n)) => format!("\"{}/{}\"", i + 1, n),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "        {{\"lane\": {}, \"cluster\": {}, \"shard\": {shard}, \"wall_us\": {}, \"uqs\": {}, \"tuples_consumed\": {}}}",
-                    l.lane, l.cluster, l.wall_us, l.uqs, l.tuples_consumed,
-                )
-            })
-            .collect();
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"max_shards\": {},\n      \"lanes\": {},\n      \"sharded_lanes\": {},\n      \"lane_wall_us\": [{}],\n      \"lane_balance\": {:.2},\n      \"tuples_consumed\": {},\n      \"tuples_streamed\": {},\n      \"gate_violations\": {},\n      \"lane_summaries\": [\n{}\n      ]\n    }}",
-            arm.label,
-            arm.max_shards,
-            arm.report.lanes,
-            arm.sharded_lanes,
-            walls.join(", "),
-            arm.report.lane_balance(),
-            arm.report.tuples_consumed,
-            arm.report.tuples_streamed,
-            arm.gate_violations,
-            lanes.join(",\n"),
-        ));
-    }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    format!(
-        "{{\n  \"bench\": \"shard sweep: oversized-cluster sharding vs lane balance (ATC-CL)\",\n  \"gate\": \"per-UQ answer multisets identical to the unsharded run at every shard cap (up to ties at the k-th score)\",\n  \"shard_threshold\": 1.0,\n  \"gate_ok\": {gate_ok},\n  \"atc_cl_speedup_bound_unsharded\": {:.2},\n  \"atc_cl_speedup_bound_sharded\": {:.2},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.bound_unsharded, sweep.bound_sharded,
-    )
-}
-
 // ---------------------------------------------------------------------------
-// Adaptive sweep: mid-flight re-optimization under drifting statistics
-// (BENCH_8.json).
+// Adaptive sweep: mid-flight re-optimization under drifting statistics.
 // ---------------------------------------------------------------------------
 
-/// How hard the adaptive bench's catalog lies: each relation's reported
+/// How hard the adaptive sweep's catalog lies: each relation's reported
 /// cardinality is `×0.25` or `×4` the truth (deterministic per-relation
 /// spread — see `GusConfig::stats_error`), so the optimizer's relative
 /// cost ordering is wrong and the executor's observations contradict the
 /// frozen facts early.
 pub const ADAPTIVE_STATS_ERROR: f64 = 0.25;
 
-/// The GUS instance the adaptive bench runs: chosen (by scanning seeds)
+/// The GUS instance the adaptive sweep runs: chosen (by scanning seeds)
 /// so the skewed priors genuinely mislead the plan search *and keep
 /// misleading it in later batches* — the static arm reads ~2.5k more
 /// tuples than truthful priors would, most of it in batches after the
@@ -1750,26 +1227,11 @@ pub const ADAPTIVE_STATS_ERROR: f64 = 0.25;
 /// to recover.
 pub const ADAPTIVE_SEED: u64 = 81;
 
-/// One arm of the adaptive sweep: a drift threshold (0.0 = the static
-/// baseline), the run, and the identity gate against that baseline.
-pub struct AdaptiveArm {
-    /// Arm name ("static", "drift>1.5x", …).
-    pub label: String,
-    /// The arm's `QSYS_ADAPT_DRIFT` ratio (0.0 = adaptive off).
-    pub drift: f64,
-    /// Full run report (adaptive counters under `report.adaptive`).
-    pub report: RunReport,
-    /// Queries whose answer multiset drifted from the static run.
-    pub gate_violations: usize,
-}
-
-/// The full sweep: a static baseline plus adaptive arms at a spread of
-/// drift thresholds, all over the same drift-heavy workload.
+/// A static baseline plus adaptive arms at a spread of drift thresholds, all
+/// over the same drift-heavy workload.
 pub struct AdaptiveSweep {
-    /// The catalog's stats-error multiplier (see [`ADAPTIVE_STATS_ERROR`]).
-    pub stats_error: f64,
     /// Arms in sweep order (index 0 is the static baseline).
-    pub arms: Vec<AdaptiveArm>,
+    pub arms: Vec<SweepArm>,
 }
 
 impl AdaptiveSweep {
@@ -1781,9 +1243,8 @@ impl AdaptiveSweep {
     /// The best adaptive arm's mean response, µs (the baseline's if no
     /// adaptive arm beats it).
     pub fn mean_best_us(&self) -> f64 {
-        self.arms
+        self.arms[1..]
             .iter()
-            .skip(1)
             .map(|a| a.report.mean_response_us())
             .fold(self.mean_static_us(), f64::min)
     }
@@ -1813,67 +1274,26 @@ pub fn adaptive_workload(seed: u64) -> Workload {
     gus::generate(&cfg)
 }
 
-/// Session-driven run under an adaptive config, capturing per-ticket
-/// answers for the identity gate (sorted multisets — a re-planned lane
-/// may surface equal-score ties in a different order).
-fn adaptive_run(w: &Workload, adaptive: qsys::opt::AdaptiveConfig) -> (RunReport, ChaosAnswers) {
+/// The engine the adaptive arms run: ATC-FULL on one lane thread under
+/// `adaptive`.
+fn adaptive_engine(adaptive: qsys::opt::AdaptiveConfig) -> EngineConfig {
     let mut cfg = gus_engine(SharingMode::AtcFull, 5);
     cfg.lane_threads = 1;
     cfg.adaptive = adaptive;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
-    engine.run_until_idle();
-    let answers = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolves every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(s, tu)| (s.get().to_bits(), format!("{tu:?}")))
-                .collect();
-            tuples.sort();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), answers)
+    cfg
 }
 
 /// Run the adaptive sweep: static baseline, then drift thresholds 1.25 /
-/// 1.5 / 2.0, gated on per-UQ answer-multiset identity with the static
-/// run (re-planning is a physical decision; the top-k must not move).
+/// 1.5 / 2.0, gated on per-UQ answer identity with the static run
+/// (re-planning is a physical decision; the top-k must not move).
 pub fn adaptive_sweep(seed: u64) -> AdaptiveSweep {
-    let w = adaptive_workload(seed);
-    let (base_report, base) = adaptive_run(&w, qsys::opt::AdaptiveConfig::off());
-    let mut arms = vec![AdaptiveArm {
-        label: "static".into(),
-        drift: 0.0,
-        report: base_report,
-        gate_violations: 0,
-    }];
-    for drift in [1.25, 1.5, 2.0] {
-        let (report, answers) = adaptive_run(&w, qsys::opt::AdaptiveConfig::at(drift));
-        let gate_violations = shard_gate(&base, &answers);
-        arms.push(AdaptiveArm {
-            label: format!("drift>{drift}x"),
-            drift,
-            report,
-            gate_violations,
-        });
-    }
+    use qsys::opt::AdaptiveConfig;
+    let arm = |label: String, adaptive| (label, adaptive_engine(adaptive), GateMode::TieAware);
+    let arms = std::iter::once(arm("static".into(), AdaptiveConfig::off())).chain(
+        [1.25, 1.5, 2.0].map(|drift| arm(format!("drift>{drift}x"), AdaptiveConfig::at(drift))),
+    );
     AdaptiveSweep {
-        stats_error: ADAPTIVE_STATS_ERROR,
-        arms,
+        arms: run_arms(&adaptive_workload(seed), arms),
     }
 }
 
@@ -1882,7 +1302,7 @@ pub fn print_adaptive(sweep: &AdaptiveSweep) {
     println!(
         "Adaptive sweep: mid-flight re-optimization vs static plans \
          (GUS, catalog priors at {:.0}% of true cardinality)",
-        sweep.stats_error * 100.0
+        ADAPTIVE_STATS_ERROR * 100.0
     );
     println!(
         "{:>11} {:>12} {:>7} {:>8} {:>10} {:>10} {:>10} {:>5}",
@@ -1899,11 +1319,7 @@ pub fn print_adaptive(sweep: &AdaptiveSweep) {
             a.cards_corrected,
             a.replan_us,
             arm.report.tuples_consumed,
-            if arm.gate_violations == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
+            arm.gate(),
         );
     }
     let static_us = sweep.mean_static_us();
@@ -1914,40 +1330,6 @@ pub fn print_adaptive(sweep: &AdaptiveSweep) {
         best_us / 1e3,
         100.0 * (best_us / static_us.max(1e-9) - 1.0),
     );
-}
-
-/// Render the sweep as the repo's `BENCH_8.json` trajectory point.
-pub fn adaptive_json(sweep: &AdaptiveSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        let a = &arm.report.adaptive;
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"drift_threshold\": {},\n      \"mean_response_us\": {:.1},\n      \"p99_response_us\": {},\n      \"drift_checks\": {},\n      \"replans\": {},\n      \"replan_us\": {},\n      \"cards_corrected\": {},\n      \"tuples_consumed\": {},\n      \"tuples_streamed\": {},\n      \"gate_violations\": {}\n    }}",
-            arm.label,
-            arm.drift,
-            arm.report.mean_response_us(),
-            arm.report.response_percentile_us(99.0),
-            a.drift_checks,
-            a.replans,
-            a.replan_us,
-            a.cards_corrected,
-            arm.report.tuples_consumed,
-            arm.report.tuples_streamed,
-            arm.gate_violations,
-        ));
-    }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    let static_us = sweep.mean_static_us();
-    let best_us = sweep.mean_best_us();
-    format!(
-        "{{\n  \"bench\": \"adaptive sweep: mid-flight re-optimization vs static plans (GUS, drift-heavy priors)\",\n  \"gate\": \"per-UQ answer multisets identical to the static run at every drift threshold (up to ties at the k-th score)\",\n  \"stats_error\": {},\n  \"gate_ok\": {gate_ok},\n  \"mean_static_us\": {static_us:.1},\n  \"mean_best_adaptive_us\": {best_us:.1},\n  \"mean_improvement_pct\": {:.1},\n  \"total_replans\": {},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.stats_error,
-        100.0 * (1.0 - best_us / static_us.max(1e-9)),
-        sweep.total_replans(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1992,7 +1374,7 @@ impl VerifyAudit {
     }
 }
 
-/// Drive one engine over `w` under `cfg`, then audit it twice: the live
+/// [`drive`] one engine over `w` under `cfg`, then audit it twice: the live
 /// structures via [`qsys::Engine::verify`], and the on-disk image via a
 /// snapshot publish → reload → verify round trip rooted at `dir`.
 fn audited_run(
@@ -2007,15 +1389,7 @@ fn audited_run(
     // after the drain, not the auto-cadence mid-run partials.
     cfg.snapshot_dir = Some(snap_dir);
     cfg.snapshot_every = usize::MAX;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        let _ = session.submit(&q.keywords, q.arrival_us);
-    }
-    engine.run_until_idle();
+    let (mut engine, _) = drive(w, cfg);
     let live: Vec<String> = engine
         .verify()
         .violations
@@ -2064,13 +1438,11 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
         // Sharded arm: force clusters past the one-UQ-equivalent
         // threshold so the shard-partition invariants actually fire.
         let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig::default()), 5);
-        let mut sharding = qsys::ShardConfig::at(1.0);
-        sharding.max_shards = 4;
-        cfg.sharding = sharding;
+        cfg.sharding = shards_up_to(4);
         arms.push(audited_run(format!("seed {seed} / shard<=4"), &w, cfg, dir));
         // Chaos arm: 5% transient faults — quarantine/degradation paths.
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.faults = qsys::source::FaultSpec::parse(
+        cfg.faults = FaultSpec::parse(
             &qsys_workload::faults::FaultPlan::new(1009)
                 .transient(0.05)
                 .build(),
@@ -2086,9 +1458,7 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
     // Adaptive arm: the drift-regime instance where replans genuinely
     // fire, so post-replan verification runs on a re-grafted graph.
     let w = adaptive_workload(ADAPTIVE_SEED);
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.lane_threads = 1;
-    cfg.adaptive = qsys::opt::AdaptiveConfig::at(1.25);
+    let cfg = adaptive_engine(qsys::opt::AdaptiveConfig::at(1.25));
     arms.push(audited_run("adaptive drift>1.25x".into(), &w, cfg, dir));
     VerifyAudit { arms }
 }
@@ -2111,5 +1481,70 @@ pub fn print_verify(audit: &VerifyAudit) {
         for v in arm.live.iter().chain(&arm.disk) {
             println!("  VIOLATION [{}] {v}", arm.label);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two queries' answers: query 0 as given, query 1 one fixed tuple
+    /// (or nothing, when it did not complete).
+    fn answers(q0: &[(f64, &str)], q1: QueryOutcome) -> Answers {
+        let fingerprint = |tuples: &[(f64, &str)]| -> Vec<(u64, String)> {
+            tuples
+                .iter()
+                .map(|(score, text)| (score.to_bits(), text.to_string()))
+                .collect()
+        };
+        let q1_tuples: &[(f64, &str)] = if q1.is_complete() { &[(5.0, "x")] } else { &[] };
+        BTreeMap::from([
+            (UqId::new(0), (QueryOutcome::Complete, fingerprint(q0))),
+            (UqId::new(1), (q1, fingerprint(q1_tuples))),
+        ])
+    }
+
+    #[test]
+    fn answer_gate_counts_per_mode() {
+        use QueryOutcome::Complete;
+        let readers = BTreeSet::from([UqId::new(0)]);
+        let exact = GateMode::Exact {
+            faulted_readers: None,
+        };
+        let scoped = GateMode::Exact {
+            faulted_readers: Some(&readers),
+        };
+        let modes = [exact, scoped, GateMode::TieAware];
+        let q0 = [(3.0, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")];
+        let base = answers(&q0, Complete);
+        for mode in modes {
+            assert_eq!(answer_gate(&base, &base, mode), 0);
+        }
+
+        // A flipped score bit is a wrong answer however it is compared.
+        let mut flipped = q0;
+        flipped[0].0 = f64::from_bits(3.0f64.to_bits() ^ 1);
+        for mode in modes {
+            assert_eq!(answer_gate(&base, &answers(&flipped, Complete), mode), 1);
+        }
+
+        // Equal-score answers delivered in another order: a different
+        // sequence, the same answer.
+        let mut reordered = q0;
+        reordered.swap(1, 2);
+        let arm = answers(&reordered, Complete);
+        assert_eq!(answer_gate(&base, &arm, exact), 1);
+        assert_eq!(answer_gate(&base, &arm, GateMode::TieAware), 0);
+
+        // A degraded query: allowed under faults unless the schedule was
+        // scoped to a relation it never reads; never allowed when only a
+        // physical decision changed.
+        let degraded = QueryOutcome::Degraded {
+            missing_rels: vec![qsys::types::RelId::new(2)],
+        };
+        let arm = answers(&q0, degraded);
+        assert_eq!(answer_gate(&base, &arm, exact), 0);
+        assert_eq!(answer_gate(&base, &arm, scoped), 1);
+        assert_eq!(answer_gate(&base, &arm, GateMode::TieAware), 1);
     }
 }

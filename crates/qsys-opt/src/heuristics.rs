@@ -56,7 +56,7 @@ pub struct HeuristicConfig {
     /// Joins whose source-side fanout exceeds this are "expensive to
     /// compute at the source" and pruned (heuristic 3).
     pub max_source_fanout: f64,
-    /// Largest candidate size in atoms (bounds the AND-OR enumeration).
+    /// Largest candidate size in atoms (bounds the subexpression enumeration).
     pub max_candidate_atoms: usize,
     /// Hard cap on candidates handed to BestPlan (keeps Figure 11's
     /// exponential in check for large batches); at most
@@ -173,7 +173,7 @@ pub fn enumerate_candidates_warm(
     mut warm: Option<&mut WarmStore>,
 ) -> Vec<Candidate> {
     // Pool subexpressions across queries via interned canonical signatures
-    // (the AND-OR graph's OR-node sharing): sharing detection is a u32 map
+    // (what an AND-OR graph's OR nodes share): sharing detection is a u32 map
     // probe per enumerated subexpression, and the sharer set is a bitmask
     // insert. The set of streamable subexpression signatures is determined
     // by the whole-query signature alone, so a warm hit replays it without

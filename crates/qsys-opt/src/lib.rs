@@ -4,9 +4,13 @@
 //!
 //! 1. **Cost-based push-down** — enumerate candidate subexpressions that
 //!    could be evaluated at the remote sources (pruned by the Section 5.1.1
-//!    heuristics, memoized in an AND-OR graph), then run **Algorithm 1
-//!    (BestPlan)**: a memoized, Volcano-style top-down search for the
-//!    input assignment `(I, 𝕀)` minimizing estimated cost.
+//!    heuristics), then run **Algorithm 1 (BestPlan)**: a memoized,
+//!    Volcano-style top-down search for the input assignment `(I, 𝕀)`
+//!    minimizing estimated cost. Section 5.1.2's AND-OR memo has no
+//!    structure of its own here: equivalent subexpressions are one
+//!    hash-consed `SigId`, the queries sharing one are a `CqSet` bitmask in
+//!    the candidate pool, and BestPlan memoizes on a `u64` mask of the
+//!    candidates still open.
 //! 2. **Heuristic factorization** — factor the middleware portion of the
 //!    plan into shared components (Section 5.2), deferring join ordering
 //!    inside each component to the m-join's runtime adaptivity.
@@ -22,7 +26,6 @@
 //! batch still searches, with bit-identical decisions either way.
 
 pub mod adaptive;
-pub mod andor;
 pub mod bestplan;
 pub mod cluster;
 pub mod cost;
@@ -35,7 +38,6 @@ pub use adaptive::{
     apply_observed, detect_drift, AdaptiveConfig, AdaptiveSummary, DriftReport, ObservedCard,
     ObservedStats,
 };
-pub use andor::AndOrGraph;
 pub use bestplan::{BestPlanSearch, OptStats};
 pub use cluster::{cluster_user_queries, ClusterConfig};
 pub use cost::{CostModel, NoReuse, ReuseOracle};

@@ -129,7 +129,7 @@ impl WarmStore {
 
     /// Cached cost inputs for `sig` without touching the per-batch hit
     /// counter — for read-only consumers outside the optimizer's batch
-    /// accounting (e.g. [`AndOrGraph`](crate::AndOrGraph) costing).
+    /// accounting (drift detection, shard cost estimates).
     pub fn peek_fact(&self, sig: SigId) -> Option<WarmFact> {
         self.facts.get(sig.index()).copied().flatten()
     }

@@ -6,17 +6,17 @@
 //! cloning a candidate into the next search state. Represented as
 //! `BTreeSet<CqId>`, each of those walks and reallocates a pointer-chasing
 //! tree of heap nodes per branch of the search. A query batch, however, is
-//! small and fixed for the whole search — BENCH_1's reference batch is 71
-//! CQs — so the same move the interner made for signatures works one level
-//! up: number the batch's queries densely at batch start ([`CqTable`]:
-//! `CqId` ↔ [`CqIdx`]) and make every query set a bitmask over those
-//! indices ([`CqSet`]). Difference, union, intersection, and emptiness
-//! become a handful of word ops; cloning is a small `memcpy`.
+//! small and fixed for the whole search — the first 5-UQ batch of the GUS
+//! seed-41 script is 71 CQs — so the same move the interner made for
+//! signatures works one level up: number the batch's queries densely at
+//! batch start ([`CqTable`]: `CqId` ↔ [`CqIdx`]) and make every query set a
+//! bitmask over those indices ([`CqSet`]). Difference, union, intersection,
+//! and emptiness become a handful of word ops; cloning is a small `memcpy`.
 //!
 //! The mask is a fixed inline array of `u64` words (4 words = 256 queries,
 //! comfortably above the paper's ≤ 100-CQ batches but *not* a universal
-//! bound — one word would already overflow on BENCH_1), with a heap spill
-//! for the rare oversized batch so no configuration panics.
+//! bound — one word would already overflow on that 71-CQ batch), with a
+//! heap spill for the rare oversized batch so no configuration panics.
 //!
 //! Iteration yields indices in ascending order, and [`CqTable`] assigns
 //! indices in ascending `CqId` order — so code that used to iterate a

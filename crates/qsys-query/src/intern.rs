@@ -1,7 +1,7 @@
 //! Hash-consed subexpression signatures.
 //!
-//! Every sharing structure in the system — the AND-OR graph, BestPlan's
-//! memo, the candidate pool, the reuse oracle, plan factorization, the QS
+//! Every sharing structure in the system — BestPlan's memo, the
+//! candidate pool, the reuse oracle, plan factorization, the QS
 //! manager's pin/evict index, and the live plan graph's signature index —
 //! ultimately asks "are these two subexpressions *the same*?". Answering
 //! that with deep [`SubExprSig`] comparisons (two `Vec`s each) on every

@@ -10,7 +10,7 @@
 //!
 //! It also hosts the system-wide sharing vocabulary: canonical
 //! subexpression signatures ([`subexpr`]) and their hash-consed interning
-//! ([`intern`]). Every sharing decision downstream — the AND-OR graph,
+//! ([`intern`]). Every sharing decision downstream — the candidate pool,
 //! BestPlan's memo, the reuse oracle, plan factorization, the QS manager's
 //! pin/evict index, and the live plan graph's signature index — is keyed on
 //! dense [`SigId`]s from one per-lane [`SigInterner`], so "are these two

@@ -1,6 +1,6 @@
 //! Subexpression algebra with canonical signatures.
 //!
-//! Sharing decisions everywhere in the system — the AND-OR graph, BestPlan's
+//! Sharing decisions everywhere in the system — the candidate pool, BestPlan's
 //! memo, plan-graph factorization, grafting, and the QS manager's reuse
 //! index — reduce to asking "are these two subexpressions *the same*?".
 //! Because conjunctive queries are trees over the schema graph with distinct

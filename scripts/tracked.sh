@@ -21,6 +21,8 @@ echo "rust_lines.tests_bench_verify $checks"
 echo "rust_lines.perf          $perf"
 echo "rust_lines.shims         $shims"
 echo "rust_lines.total         $((engine + checks + perf + shims))"
+# The largest file of the checks area: the experiment and sweep drivers.
+echo "qsys_bench_lib_lines     $(wc -l <crates/qsys-bench/src/lib.rs)"
 
 # Fields of `pub struct EngineConfig { … }`.
 awk '/^pub struct EngineConfig \{/ {on = 1; next}

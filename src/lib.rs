@@ -64,7 +64,7 @@
 //! | simulated remote DBMSs | `qsys-source` |
 //! | CQs, scoring, candidate networks, sharing vocabulary (`SigInterner` ids, `CqSet` batch bitmasks) | `qsys-query` |
 //! | operators, plan graph, ATC | `qsys-exec` |
-//! | multi-query optimizer (arena-indexed BestPlan, AND-OR memo, clustering) | `qsys-opt` |
+//! | multi-query optimizer (arena-indexed BestPlan behind a `u64` mask memo, warm store, clustering) | `qsys-opt` |
 //! | state manager (graft/recover/evict, policy via `EngineConfig::eviction`) | `qsys-state` |
 //! | invariant verifier + repo lint (see [`Engine::verify`]) | `qsys-verify` |
 //! | workload generators | `qsys-workload` |

@@ -450,6 +450,21 @@ impl Engine {
         }
     }
 
+    /// Submit a workload's whole script in order, each query through its
+    /// user's session with that user's learned edge costs, and return the
+    /// tickets of the queries that admitted (one matching no candidate
+    /// network is recorded as skipped, as [`Session::submit`] does).
+    pub fn submit_script(&mut self, workload: &qsys_workload::Workload) -> Vec<QueryTicket> {
+        let submit = |q: &qsys_workload::WorkloadQuery| {
+            let mut session = self.session(q.user);
+            if let Some(costs) = &q.edge_costs {
+                session = session.with_edge_costs(costs.clone());
+            }
+            session.submit(&q.keywords, q.arrival_us).ok()
+        };
+        workload.queries.iter().filter_map(submit).collect()
+    }
+
     /// The schema catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -24,11 +24,12 @@ use qsys::opt::AdaptiveConfig;
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
-use qsys::types::UqId;
 use qsys_workload::faults::FaultPlan;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
-use std::collections::{BTreeMap, BTreeSet};
+
+mod common;
+use common::{assert_equivalent, run, Outcomes};
 
 /// The drift-heavy instance: same generated data as the other identity
 /// suites' seeds, but the catalog's reported cardinalities are skewed
@@ -68,88 +69,6 @@ fn engine_cfg(lane_threads: usize, adaptive: AdaptiveConfig, faults: Option<&str
     }
 }
 
-/// Per-query outcome + answer multiset (score bits, tuple text), sorted.
-type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
-
-fn run(w: &Workload, cfg: EngineConfig) -> (RunReport, Outcomes) {
-    let mut engine = Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
-    engine.run_until_idle();
-    let outcomes = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolved every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(score, tuple)| (score.get().to_bits(), format!("{tuple:?}")))
-                .collect();
-            tuples.sort();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), outcomes)
-}
-
-/// Tie-aware answer equivalence: score multisets bit-identical, and every
-/// tuple scored strictly above the minimum returned score identical.
-/// Tuples *at* the boundary score only need matching counts — when more
-/// candidates tie at the top-k cut than fit, which tied tuples are kept
-/// legitimately depends on read order, and a re-planned lane reads in a
-/// different order.
-fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
-    if want.len() != got.len() {
-        return false;
-    }
-    let scores = |v: &[(u64, String)]| {
-        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
-        s.sort_unstable();
-        s
-    };
-    if scores(want) != scores(got) {
-        return false;
-    }
-    let boundary = want
-        .iter()
-        .map(|(b, _)| f64::from_bits(*b))
-        .fold(f64::INFINITY, f64::min);
-    let above = |v: &[(u64, String)]| -> Vec<(u64, String)> {
-        let mut s: Vec<(u64, String)> = v
-            .iter()
-            .filter(|(b, _)| f64::from_bits(*b) > boundary)
-            .cloned()
-            .collect();
-        s.sort();
-        s
-    };
-    above(want) == above(got)
-}
-
-fn assert_equivalent(base: &Outcomes, arm: &Outcomes, context: &str) {
-    assert_eq!(base.len(), arm.len(), "{context}: ticket count");
-    for (uq, want) in base {
-        let got = &arm[uq];
-        assert_eq!(want.0, got.0, "{context}: outcome of {uq:?}");
-        assert!(
-            answers_equivalent(&want.1, &got.1),
-            "{context}: answer multiset of {uq:?} diverged \
-             ({} vs {} answers)",
-            want.1.len(),
-            got.1.len(),
-        );
-    }
-}
-
 /// Per-UQ result multisets are identical adaptive vs static, across three
 /// GUS seeds, two thread caps, and two drift thresholds — and the matrix
 /// as a whole must re-plan at least once, or the claim is vacuous.
@@ -186,33 +105,15 @@ fn adaptive_results_identical_across_seeds_and_threads() {
     );
 }
 
-/// Under a deterministic hard outage on the most-shared relation,
-/// adaptive re-planning keeps degradation strictly per-query: a degraded
-/// query blames exactly the outaged relation in both runs, a query that
-/// never reads it is untouched, and a query Complete in both runs
-/// answers equivalently. Whether a *reader* degrades at all is
-/// legitimately schedule-dependent, and re-planning changes schedules.
+/// Under a deterministic hard outage on the most-shared relation, adaptive
+/// re-planning keeps degradation strictly per-query (the contract is
+/// `common::assert_blames_same_relations`; re-planning changes schedules, so
+/// which readers degrade may differ).
 #[test]
 fn adaptive_chaos_blames_same_relations() {
     let w = workload(41);
-    let (uqs, _) = qsys::generate_user_queries(&w, &engine_cfg(1, AdaptiveConfig::off(), None))
-        .expect("workload generates");
-    let mut readers: BTreeMap<u32, BTreeSet<UqId>> = BTreeMap::new();
-    for uq in &uqs {
-        for (cq, _) in &uq.cqs {
-            for rel in cq.rels() {
-                readers.entry(rel.0).or_default().insert(uq.id);
-            }
-        }
-    }
-    // The most-read relation that still has non-readers: the outage both
-    // bites and leaves bystanders to check.
-    let (victim, victim_readers) = readers
-        .iter()
-        .filter(|(_, r)| r.len() < uqs.len())
-        .max_by_key(|(rel, r)| (r.len(), std::cmp::Reverse(**rel)))
-        .map(|(rel, r)| (*rel, r.clone()))
-        .expect("a relation read by some but not all queries");
+    let (victim, victim_readers) =
+        common::outage_victim(&w, &engine_cfg(1, AdaptiveConfig::off(), None));
     let spec = FaultPlan::new(7).outage(victim, 0, None).build();
 
     let (_, base) = run(&w, engine_cfg(1, AdaptiveConfig::off(), Some(&spec)));
@@ -221,41 +122,7 @@ fn adaptive_chaos_blames_same_relations() {
         report.adaptive.drift_checks > 0,
         "chaos arm: the adaptive loop never engaged"
     );
-    for outcomes in [&base, &arm] {
-        assert!(
-            outcomes
-                .values()
-                .any(|(o, _)| matches!(o, QueryOutcome::Degraded { .. })),
-            "outage must degrade at least one query in each run"
-        );
-    }
-    let blames =
-        |rels: &[qsys::types::RelId]| -> BTreeSet<u32> { rels.iter().map(|r| r.0).collect() };
-    for (uq, (want_outcome, want_answers)) in &base {
-        let (got_outcome, got_answers) = &arm[uq];
-        for outcome in [want_outcome, got_outcome] {
-            if let QueryOutcome::Degraded { missing_rels } = outcome {
-                assert_eq!(
-                    blames(missing_rels),
-                    BTreeSet::from([victim]),
-                    "degraded {uq:?} must blame exactly the outaged relation"
-                );
-            }
-        }
-        if !victim_readers.contains(uq) {
-            assert_eq!(want_outcome, got_outcome, "non-reader {uq:?} outcome");
-            assert!(
-                want_outcome.is_complete(),
-                "non-reader {uq:?} must complete"
-            );
-        }
-        if want_outcome.is_complete() && got_outcome.is_complete() {
-            assert!(
-                answers_equivalent(want_answers, got_answers),
-                "chaos: answer multiset of {uq:?} diverged"
-            );
-        }
-    }
+    common::assert_blames_same_relations(&base, &arm, victim, &victim_readers);
 }
 
 proptest! {

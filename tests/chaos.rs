@@ -27,6 +27,9 @@ use qsys_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
+mod common;
+use common::{run, Outcomes};
+
 fn workload() -> Workload {
     let mut cfg = GusConfig::small(41);
     cfg.min_rows = 150;
@@ -55,53 +58,9 @@ fn engine_cfg(faults: Option<&str>) -> EngineConfig {
     }
 }
 
-/// Per-query outcome + exact answer fingerprint (score bits, tuple text).
-type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
-
-fn run(w: &Workload, cfg: EngineConfig) -> (RunReport, Outcomes) {
-    let mut engine = Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        if let Ok(t) = engine.session(q.user).submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
-    engine.run_until_idle();
-    let outcomes = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolved every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(score, tuple)| (score.get().to_bits(), format!("{tuple:?}")))
-                .collect();
-            // Canonical order: equality below means identical answer
-            // *multisets*. Equal-score ties may legitimately arrive in a
-            // different order under the adaptive CI leg (a mid-batch
-            // re-plan reorders tie delivery without changing answers),
-            // and this file's contract is fault isolation, not tie order.
-            tuples.sort_unstable();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), outcomes)
-}
-
-/// Which user queries read each relation (streamed or probed), from the
-/// generated candidate networks — the ground truth for "reader of".
+/// Which user queries read each relation, under this file's engine.
 fn rel_readers(w: &Workload) -> BTreeMap<u32, BTreeSet<UqId>> {
-    let (uqs, _) = qsys::generate_user_queries(w, &engine_cfg(None)).unwrap();
-    let mut readers: BTreeMap<u32, BTreeSet<UqId>> = BTreeMap::new();
-    for uq in &uqs {
-        for (cq, _) in &uq.cqs {
-            for rel in cq.rels() {
-                readers.entry(rel.0).or_default().insert(uq.id);
-            }
-        }
-    }
-    readers
+    common::rel_readers(w, &engine_cfg(None))
 }
 
 /// Fault-free baseline, computed once for the whole file.
@@ -280,10 +239,10 @@ fn cancel_and_deadline_resolve_tickets() {
     let mut engine = Engine::for_workload(&w, engine_cfg(None));
     let mut tickets = Vec::new();
     for q in &w.queries {
-        if let Ok(t) = engine
-            .session(q.user)
-            .submit_with_deadline(&q.keywords, 0, 1)
-        {
+        // The baseline poses each query under its user's learned costs.
+        let costs = q.edge_costs.clone().unwrap_or_default();
+        let mut session = engine.session(q.user).with_edge_costs(costs);
+        if let Ok(t) = session.submit_with_deadline(&q.keywords, 0, 1) {
             tickets.push(t);
         }
         if tickets.len() == 3 {

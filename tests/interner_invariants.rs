@@ -373,6 +373,24 @@ fn gus_candidate_networks_are_unchanged_by_the_path_table() {
     }
 }
 
+/// Work golden beside the plan-shape golden: the whole seed-41 GUS script
+/// under ATC-FULL consumes exactly this many input tuples. A change to what
+/// the optimizer shares or the executor reads moves it even when the first
+/// batch's plan shape holds.
+#[test]
+fn gus_script_tuples_consumed_is_pinned() {
+    let report = qsys::run_workload(
+        &qsys_bench_like_workload(41),
+        &qsys_bench_like_engine(),
+        None,
+    )
+    .expect("runs");
+    assert_eq!(
+        report.tuples_consumed, 47_956,
+        "seed 41: total work changed"
+    );
+}
+
 /// The GUS workload `qsys-bench` uses (duplicated here because the bench
 /// crate depends on `qsys`, not the other way around).
 fn qsys_bench_like_workload(seed: u64) -> qsys_workload::Workload {
@@ -384,9 +402,12 @@ fn qsys_bench_like_engine() -> qsys::EngineConfig {
         k: 50,
         batch_size: 5,
         sharing: SharingMode::AtcFull,
-        // Plan-shape and warm-start goldens: pinned fault-free even under
-        // the CI chaos leg (fault coverage lives in chaos.rs).
+        // Plan-shape, warm-start and work goldens: pinned fault-free, static
+        // and unsharded even under the CI chaos, adaptive and sharded legs
+        // (those have their own suites; retries and replans move tuple counts).
         faults: None,
+        adaptive: qsys::opt::AdaptiveConfig::off(),
+        sharding: qsys::ShardConfig::off(),
         candidate: qsys::query::CandidateConfig {
             max_cqs: 20,
             max_atoms: 6,

@@ -188,13 +188,7 @@ fn small_gus(seed: u64) -> qsys_workload::Workload {
 
 fn drive(workload: &qsys_workload::Workload, config: EngineConfig) -> Engine {
     let mut engine = Engine::for_workload(workload, config);
-    for q in &workload.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        let _ = session.submit(&q.keywords, q.arrival_us);
-    }
+    engine.submit_script(workload);
     engine.run_until_idle();
     engine
 }
