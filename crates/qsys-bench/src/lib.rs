@@ -770,9 +770,9 @@ pub fn ablation_eviction(seed: u64, scale: Scale) -> Vec<(String, u64)> {
 pub type Answers = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 
 /// Drive `w`'s whole script through a fresh engine under `cfg`: submit
-/// everything, drain, fingerprint every ticket (the scripted driver
-/// discards payloads, and the gates need them). The engine comes back
-/// drained — for its report, its verifier, or a snapshot.
+/// everything, drain, fingerprint every ticket (`run_workload` returns
+/// only the report, and the gates need the answers). The engine comes
+/// back drained — for its report, its verifier, or a snapshot.
 pub fn drive(w: &Workload, cfg: EngineConfig) -> (Engine, Answers) {
     let mut engine = Engine::for_workload(w, cfg);
     let tickets = engine.submit_script(w);

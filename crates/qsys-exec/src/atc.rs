@@ -10,7 +10,7 @@
 //! The greedy-threshold alternative the paper explored is kept as an
 //! ablation ([`SchedulingPolicy::GreedyThreshold`]).
 
-use crate::govern::{RetryPolicy, SourceGovernor};
+use crate::govern::SourceGovernor;
 use crate::graph::QueryPlanGraph;
 use crate::node::NodeId;
 use crate::stats::ExecStats;
@@ -42,14 +42,6 @@ impl Atc {
             policy,
             rr_offset: 0,
         }
-    }
-
-    /// Drive the graph until every rank-merge is done, with a throwaway
-    /// default-policy governor (equivalent to [`Atc::run_governed`] when
-    /// no faults are configured — the usual case for tests and tools).
-    pub fn run(&mut self, graph: &mut QueryPlanGraph, sources: &Sources, stats: &mut ExecStats) {
-        let governor = SourceGovernor::new(RetryPolicy::default());
-        self.run_governed(graph, sources, &governor, stats);
     }
 
     /// Drive the graph until every rank-merge is done, fetching through
@@ -184,6 +176,7 @@ impl Atc {
 mod tests {
     use super::*;
     use crate::access::{AccessModule, AccessModuleArena, StoredModule};
+    use crate::govern::RetryPolicy;
     use crate::mjoin::{JoinPred, MJoin, MJoinInput};
     use crate::node::StreamBacking;
     use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
@@ -210,6 +203,11 @@ mod tests {
             s.register(Table::new(id, rows));
         }
         s
+    }
+
+    /// The pass-through governor of a fault-free run.
+    fn governor() -> SourceGovernor {
+        SourceGovernor::new(RetryPolicy::default())
     }
 
     fn stored_input(rel: u32, modules: &mut AccessModuleArena) -> MJoinInput {
@@ -281,7 +279,7 @@ mod tests {
         let mut stats = ExecStats::new();
         stats.submit(UqId::new(0), 0);
         let mut atc = Atc::new(SchedulingPolicy::RoundRobin);
-        atc.run(&mut graph, &sources, &mut stats);
+        atc.run_governed(&mut graph, &sources, &governor(), &mut stats);
         let s = stats.uq(UqId::new(0)).unwrap();
         assert_eq!(s.results, 5);
         assert!(s.completed_us.is_some());
@@ -300,7 +298,12 @@ mod tests {
         build(&mut graph, &sources_a, 0, 8);
         let mut stats = ExecStats::new();
         stats.submit(UqId::new(0), 0);
-        Atc::new(SchedulingPolicy::RoundRobin).run(&mut graph, &sources_a, &mut stats);
+        Atc::new(SchedulingPolicy::RoundRobin).run_governed(
+            &mut graph,
+            &sources_a,
+            &governor(),
+            &mut stats,
+        );
         let rm_id = graph.rank_merge_ids()[0];
         let got: Vec<f64> = graph
             .rank_merge(rm_id)
@@ -341,7 +344,7 @@ mod tests {
         stats.submit(UqId::new(0), 0);
         stats.submit(UqId::new(1), 0);
         let mut atc = Atc::new(SchedulingPolicy::RoundRobin);
-        atc.run(&mut graph, &sources, &mut stats);
+        atc.run_governed(&mut graph, &sources, &governor(), &mut stats);
         assert!(stats.all_complete());
         assert_eq!(stats.uq(UqId::new(0)).unwrap().results, 3);
         assert_eq!(stats.uq(UqId::new(1)).unwrap().results, 3);
@@ -357,7 +360,7 @@ mod tests {
         stats.submit(UqId::new(0), 0);
         stats.submit(UqId::new(1), 0);
         let mut atc = Atc::new(SchedulingPolicy::GreedyThreshold);
-        atc.run(&mut graph, &sources, &mut stats);
+        atc.run_governed(&mut graph, &sources, &governor(), &mut stats);
         assert!(stats.all_complete());
     }
 
@@ -367,7 +370,7 @@ mod tests {
         let mut graph = QueryPlanGraph::new();
         let mut stats = ExecStats::new();
         let mut atc = Atc::new(SchedulingPolicy::RoundRobin);
-        atc.run(&mut graph, &sources, &mut stats);
+        atc.run_governed(&mut graph, &sources, &governor(), &mut stats);
         assert!(graph.is_empty());
     }
 }

@@ -1189,8 +1189,8 @@ mod tests {
         );
     }
 
-    /// The memo stores indices into the plan arena; a memoized state is
-    /// stored once no matter how many orderings reach it.
+    /// The memo is keyed by the mask of committed root positions, so a
+    /// state is entered once no matter how many orderings reach it.
     #[test]
     fn memo_and_plan_arena_stay_index_sized() {
         let cat = catalog(8);

@@ -6,7 +6,7 @@
 
 use crate::manager::QsManager;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-use qsys_exec::{Atc, ExecStats, SchedulingPolicy};
+use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
@@ -146,7 +146,8 @@ fn run(manager: &mut QsManager, sources: &Sources, uqs: &[UqId]) -> ExecStats {
         stats.submit(*uq, sources.clock().now_us());
     }
     let mut atc = Atc::new(SchedulingPolicy::RoundRobin);
-    atc.run(manager.graph_mut(), sources, &mut stats);
+    let governor = SourceGovernor::new(RetryPolicy::default());
+    atc.run_governed(manager.graph_mut(), sources, &governor, &mut stats);
     stats
 }
 

@@ -8,9 +8,6 @@
 //! cargo run --release --example score_models
 //! ```
 
-// `QSystem` is the one-shot interactive facade — since the sessionized
-// redesign it admits each search through the same Engine/Session path the
-// service API uses, so this example exercises that path too.
 use qsys::prelude::*;
 use qsys_query::{CandidateConfig, ScoreModel};
 use qsys_workload::gus::{self, GusConfig};
@@ -22,12 +19,10 @@ fn main() {
     let keywords = "protein gene";
 
     for model in [ScoreModel::Discover, ScoreModel::QSystem, ScoreModel::Banks] {
-        // Fresh system per model so rankings are directly comparable.
+        // Fresh engine per model so rankings are directly comparable.
         let workload = gus::generate(&cfg);
-        let mut system = QSystem::new(
-            workload.catalog,
-            workload.index,
-            workload.tables.provider(),
+        let mut engine = Engine::for_workload(
+            &workload,
             EngineConfig {
                 k: 5,
                 sharing: SharingMode::AtcFull,
@@ -39,19 +34,25 @@ fn main() {
                 ..EngineConfig::default()
             },
         );
-        let result = system.search(keywords, UserId::new(0)).expect("answers");
+        let ticket = engine
+            .session(UserId::new(0))
+            .submit_now(keywords)
+            .expect("answers");
+        engine.run_until_idle();
+        let report = ticket.report().expect("the drained engine ran the query");
+        let answers = ticket.take_results().unwrap_or_default();
         println!("model {model:?}: \"{keywords}\"");
         println!(
             "  {} CQs generated, {} executed, {} answers",
-            result.cqs_generated,
-            result.cqs_executed,
-            result.results.len()
+            report.cqs_generated,
+            report.cqs_executed,
+            answers.len()
         );
-        for (rank, (score, tuple)) in result.results.iter().enumerate() {
+        for (rank, (score, tuple)) in answers.iter().enumerate() {
             let rels: Vec<String> = tuple
                 .parts()
                 .iter()
-                .map(|p| system.catalog().relation(p.rel).name.clone())
+                .map(|p| engine.catalog().relation(p.rel).name.clone())
                 .collect();
             println!(
                 "  {:1}. {:.6}  [{} rels] {}",

@@ -24,6 +24,10 @@ echo "rust_lines.total         $((engine + checks + perf + shims))"
 # The largest file of the checks area: the experiment and sweep drivers.
 echo "qsys_bench_lib_lines     $(wc -l <crates/qsys-bench/src/lib.rs)"
 
+# The root facade: its size, and the items a caller can name.
+echo "src_lines                $(cat src/*.rs | wc -l)"
+echo "facade_pub_items         $(grep -hE '^\s*pub (fn|struct|enum|type|trait|const) ' src/*.rs | wc -l)"
+
 # Fields of `pub struct EngineConfig { … }`.
 awk '/^pub struct EngineConfig \{/ {on = 1; next}
      on && /^\}/ {on = 0}

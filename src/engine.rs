@@ -1,16 +1,18 @@
-//! Engine configuration, execution lanes, and the interactive facade.
+//! Engine configuration and the execution lane.
 //!
 //! The pipeline of Figure 3 — keyword query → candidate networks →
 //! batcher → optimizer (consulting the QS manager's reuse oracle) →
 //! graft → ATC execution → top-k answers — is served by the sessionized
-//! [`Engine`] in [`crate::session`]; this module holds its configuration
-//! vocabulary ([`EngineConfig`], [`SharingMode`] selecting Section 7.1's
-//! experimental systems), the lane type the engine executes on, and
-//! [`QSystem`], the one-query-at-a-time interactive facade.
+//! [`Engine`](crate::Engine) in [`crate::session`], which generates the
+//! candidate networks and batches them; this module holds its
+//! configuration vocabulary ([`EngineConfig`], [`SharingMode`] selecting
+//! Section 7.1's experimental systems) and the lane a sealed batch runs
+//! on, whose `run_batch` is the rest of the figure: admit → plan →
+//! execute → publish → retire.
 
-use crate::report::OptEvent;
-use crate::session::Engine;
-use qsys_catalog::{Catalog, KeywordIndex};
+use crate::report::{OptEvent, QueryOutcome, UqReport};
+use crate::session::{ledger_lock, Admitted, Ledger, TicketSlot};
+use qsys_catalog::Catalog;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::adaptive::{AdaptiveConfig, AdaptiveSummary, ObservedStats};
 use qsys_opt::cluster::ClusterConfig;
@@ -18,8 +20,12 @@ use qsys_opt::shard::ShardConfig;
 use qsys_opt::{HeuristicConfig, OptStats, Optimizer, OptimizerConfig};
 use qsys_query::{CandidateConfig, ScoreFn, UserQuery};
 use qsys_source::{FaultInjector, FaultSpec, Sources, TableProvider};
-use qsys_state::{EvictionPolicy, QsManager};
-use qsys_types::{CostProfile, QsysError, QsysResult, Score, SimClock, Tuple, UqId, UserId};
+use qsys_state::{EvictionPolicy, GraftOutcome, QsManager};
+use qsys_types::{CostProfile, RelId, Score, SimClock, Tuple, UqId};
+use qsys_verify::VerifyReport;
+use std::collections::{BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Which sharing configuration to run (Section 7.1's four systems).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -510,8 +516,10 @@ impl EngineConfig {
     }
 }
 
-/// One execution lane: a plan graph, its ATC, and its gateway to the
-/// sources. ATC-CL runs several lanes; the other modes run one.
+/// One execution lane: a plan graph, its ATC, its gateway to the sources,
+/// and its admission state — the open arrival window, the queue of sealed
+/// batches awaiting dispatch, and what the lane has produced so far.
+/// ATC-CL runs several lanes; the other modes run one.
 ///
 /// A lane is `Send` (checked below) and internally single-threaded: all
 /// state sharing happens *within* a lane (the plan graph's module arena,
@@ -519,10 +527,13 @@ impl EngineConfig {
 /// lanes onto worker threads and run them concurrently with no locks on
 /// the execution path.
 ///
-/// Lanes are an implementation detail of the [`Engine`] facade
-/// (`crate::Engine`), which is why neither the type nor its constructor
-/// is public: queries reach a lane only through admission.
+/// Lanes are an implementation detail of the [`Engine`](crate::Engine)
+/// facade, which is why neither the type nor its constructor is public:
+/// queries reach a lane only through admission.
 pub(crate) struct Lane {
+    /// This lane's index in the engine: seeds its sources and fault
+    /// injector, and is the `UqReport::lane` of every query it serves.
+    pub(crate) idx: usize,
     /// The QS manager owning this lane's plan graph.
     pub(crate) manager: QsManager,
     /// This lane's source gateway (own clock, own counters).
@@ -538,6 +549,34 @@ pub(crate) struct Lane {
     /// the lane's drift/replan counters. Untouched (default-empty) when
     /// `EngineConfig::adaptive` is off.
     pub(crate) adaptive: AdaptiveState,
+    /// The open admission window (seals into `ready`).
+    pub(crate) open: Vec<Admitted>,
+    /// Sealed batches, dispatched in order by `Engine::step`.
+    pub(crate) ready: VecDeque<Vec<Admitted>>,
+    /// Optimizer invocations, in this lane's batch order.
+    pub(crate) opt_events: Vec<OptEvent>,
+    /// Host wall-clock µs spent executing on this lane.
+    pub(crate) wall_us: u64,
+    /// Relations referenced by queries routed here (ATC-CL's cluster
+    /// footprint; drives incremental routing of late arrivals).
+    pub(crate) footprint: BTreeSet<RelId>,
+    /// The logical ATC-CL cluster this lane serves. Lanes born by
+    /// sharding one oversized cluster share the id, which is what groups
+    /// them for least-loaded routing of late arrivals.
+    pub(crate) cluster: usize,
+    /// Shard ancestry: `(shard index, shard count)` when this lane was
+    /// born by splitting an oversized cluster; `None` for unsharded
+    /// lanes.
+    pub(crate) shard: Option<(usize, usize)>,
+    /// Σ estimated work (raw per-UQ stream-leaf cost) routed here —
+    /// the load metric shard-aware routing balances on. Tracked only
+    /// when sharding is enabled.
+    pub(crate) routed_cost: f64,
+    /// Set when a batch panicked on this lane: its plan graph and clocks
+    /// can no longer be trusted, so later batches routed here fail fast
+    /// with [`QueryOutcome::Failed`] instead of executing on poisoned
+    /// state. Other lanes — and the engine — keep serving.
+    pub(crate) poisoned: Option<String>,
 }
 
 /// A lane's adaptive-execution state (see [`EngineConfig::adaptive`]).
@@ -558,8 +597,34 @@ const _: fn() = || {
     assert_send::<Lane>();
 };
 
+/// What a batch needs from the engine that owns its lane.
+pub(crate) struct BatchCx<'a> {
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) ledger: &'a Mutex<Ledger>,
+}
+
+/// A batch member that survived admission, with its ticket's deadline.
+type Live<'b> = (&'b Admitted, Option<u64>);
+
+/// One optimize + graft of a batch: its outcome, the optimizer's stats,
+/// and the members it covered.
+type Graft = (GraftOutcome, OptStats, Vec<UqId>);
+
+/// Rounds between drift checks in the drive loop: frequent enough to catch
+/// drift while most of a batch is still ahead, rare enough that
+/// observation never dominates a round.
+const DRIFT_CHECK_INTERVAL: u64 = 4;
+
+/// Mid-batch replans one batch may perform. Corrections persist in the
+/// warm store (and are re-applied wholesale at batch end), so one
+/// surgery per batch captures nearly all of the correction's value;
+/// every further replan re-pays the optimize charge for marginal
+/// fact deltas — churn, not adaptation.
+const MAX_REPLANS_PER_BATCH: u64 = 1;
+
 impl Lane {
-    pub(crate) fn new(config: &EngineConfig, provider: TableProvider, lane_idx: u64) -> Lane {
+    pub(crate) fn new(config: &EngineConfig, provider: TableProvider, idx: usize) -> Lane {
         let mut manager = QsManager::new(config.memory_budget).with_policy(config.eviction);
         if !config.share_probe_caches {
             manager = manager.with_private_probe_caches();
@@ -567,112 +632,437 @@ impl Lane {
         let mut sources = Sources::with_provider(
             SimClock::new(),
             config.cost_profile,
-            config.seed ^ (lane_idx.wrapping_mul(0x517c_c1b7_2722_0a95)),
+            config.seed ^ ((idx as u64).wrapping_mul(0x517c_c1b7_2722_0a95)),
             provider,
         );
         if let Some(spec) = &config.faults {
-            sources.set_injector(FaultInjector::new(spec.clone(), lane_idx as usize));
+            sources.set_injector(FaultInjector::new(spec.clone(), idx));
             sources.set_fetch_timeout(config.retry.fetch_timeout_us);
         }
         Lane {
+            idx,
             manager,
             sources,
             atc: Atc::new(config.scheduling),
             stats: ExecStats::new(),
             governor: SourceGovernor::new(config.retry),
             adaptive: AdaptiveState::default(),
-        }
-    }
-}
-
-/// Result of one interactive search.
-#[derive(Debug)]
-pub struct SearchResult {
-    /// The user query id assigned.
-    pub uq: UqId,
-    /// Top-k answers, best first: `(score, join result)`.
-    pub results: Vec<(Score, Tuple)>,
-    /// Conjunctive queries generated for the search.
-    pub cqs_generated: usize,
-    /// Conjunctive queries the ATC actually executed (Table 4's metric).
-    pub cqs_executed: usize,
-    /// Plan-graph nodes reused from previous searches.
-    pub reused_nodes: usize,
-    /// Virtual response time, µs.
-    pub response_us: u64,
-    /// Optimizer stats for this search.
-    pub opt: OptStats,
-}
-
-/// The interactive Q System facade: a single-lane [`Engine`] driven one
-/// keyword query at a time, with each search run to completion.
-///
-/// Since the sessionized redesign this is a thin wrapper over
-/// [`Engine::single_lane`]: `search` admits the query through the *same*
-/// admission code every batch run uses (submit → seal → optimize → graft
-/// → execute → publish), so the one-off path can no longer drift from
-/// workload execution. Service callers that want to interleave several
-/// users or control stepping should use [`Engine`] directly.
-pub struct QSystem {
-    engine: Engine,
-}
-
-impl QSystem {
-    /// Stand up a system over a catalog, keyword index, and table provider.
-    pub fn new(
-        catalog: Catalog,
-        index: KeywordIndex,
-        provider: TableProvider,
-        config: EngineConfig,
-    ) -> QSystem {
-        QSystem {
-            engine: Engine::single_lane(catalog, index, provider, config),
+            open: Vec::new(),
+            ready: VecDeque::new(),
+            opt_events: Vec::new(),
+            wall_us: 0,
+            footprint: BTreeSet::new(),
+            cluster: 0,
+            shard: None,
+            routed_cost: 0.0,
+            poisoned: None,
         }
     }
 
-    /// The catalog.
-    pub fn catalog(&self) -> &Catalog {
-        self.engine.catalog()
+    /// Seal the open admission window into a dispatchable batch.
+    pub(crate) fn seal(&mut self) {
+        if !self.open.is_empty() {
+            self.ready.push_back(std::mem::take(&mut self.open));
+        }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        self.engine.config()
+    /// Run sealed batches in order: the next one, or all of them when
+    /// `drain`. A batch that panics resolves its members as failed and
+    /// poisons the lane; the lane's later batches then fail fast — its
+    /// graph/clock state is unknown, and silently wrong answers would be
+    /// worse than loud failures.
+    pub(crate) fn run_ready(&mut self, cx: &BatchCx, drain: bool) {
+        while let Some(batch) = self.ready.pop_front() {
+            if let Some(earlier) = &self.poisoned {
+                let reason = format!("lane poisoned by an earlier panic: {earlier}");
+                self.fail_batch(cx, &batch, &reason);
+            } else if let Err(payload) =
+                catch_unwind(AssertUnwindSafe(|| self.run_batch(cx, &batch)))
+            {
+                let reason = panic_reason(payload);
+                self.fail_batch(cx, &batch, &reason);
+                self.poisoned = Some(reason);
+            }
+            if !drain {
+                break;
+            }
+        }
     }
 
-    /// The lane's source gateway (work counters, clock).
-    pub fn sources(&self) -> &Sources {
-        self.engine.sources()
+    /// Resolve the members of a batch this lane could not run — it
+    /// panicked under them, or was already poisoned. A member resolves
+    /// once: one the batch had already resolved keeps that outcome, and a
+    /// cancelled one is [`QueryOutcome::Cancelled`], as it would have been
+    /// on a healthy lane; the rest are [`QueryOutcome::Failed`].
+    fn fail_batch(&self, cx: &BatchCx, batch: &[Admitted], reason: &str) {
+        let mut ledger = ledger_lock(cx.ledger);
+        for admitted in batch {
+            let id = admitted.uq.id;
+            let (completed, cancelled) = ledger
+                .slots
+                .get(&id)
+                .map_or((false, false), |s| (s.completed, s.cancelled));
+            if completed {
+                continue;
+            }
+            let outcome = if cancelled {
+                QueryOutcome::Cancelled
+            } else {
+                QueryOutcome::Failed {
+                    reason: reason.to_string(),
+                }
+            };
+            ledger
+                .slots
+                .insert(id, TicketSlot::unran(admitted, self.idx, outcome));
+        }
     }
 
-    /// The underlying sessionized engine, for callers that start
-    /// interactive and then need incremental admission.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+    /// Execute one sealed batch — Figure 3, left to right. This is *the*
+    /// execution path: scripted runs and incremental stepping both come
+    /// through here.
+    fn run_batch(&mut self, cx: &BatchCx, batch: &[Admitted]) {
+        let wall = std::time::Instant::now();
+        let live = self.admit(cx, batch);
+        if !live.is_empty() {
+            let grafts = self.plan(cx, &live);
+            self.execute(cx, &live);
+            self.publish(cx, &live, &grafts);
+            self.retire();
+        }
+        self.wall_us += wall.elapsed().as_micros() as u64;
     }
 
-    /// Pose a keyword query and run it to completion, reusing whatever
-    /// state previous searches left in the plan graph. Equivalent to
-    /// submitting through a [`Session`](crate::Session) and draining the
-    /// engine — that is literally what it does.
-    pub fn search(&mut self, keywords: &str, user: UserId) -> QsysResult<SearchResult> {
-        let ticket = self.engine.session(user).submit_now(keywords)?;
-        self.engine.run_until_idle();
-        let report = ticket.report().ok_or_else(|| {
-            QsysError::Internal(
-                "drained single-lane engine left an admitted query unexecuted".into(),
+    /// Members cancelled (or already past their deadline) before dispatch
+    /// drop out here: their slots resolve immediately and the survivors,
+    /// stamped with the batch's submission time, run exactly as if the
+    /// batch had been admitted without them.
+    fn admit<'b>(&mut self, cx: &BatchCx, batch: &'b [Admitted]) -> Vec<Live<'b>> {
+        let submit = self.sources.clock().now_us();
+        let mut live = Vec::with_capacity(batch.len());
+        let mut ledger = ledger_lock(cx.ledger);
+        for admitted in batch {
+            let id = admitted.uq.id;
+            let (cancelled, deadline) = ledger
+                .slots
+                .get(&id)
+                .map_or((false, None), |s| (s.cancelled, s.deadline_us));
+            let outcome = if cancelled {
+                QueryOutcome::Cancelled
+            } else if deadline.is_some_and(|d| submit >= d) {
+                QueryOutcome::DeadlineExceeded
+            } else {
+                live.push((admitted, deadline));
+                continue;
+            };
+            ledger
+                .slots
+                .insert(id, TicketSlot::unran(admitted, self.idx, outcome));
+        }
+        drop(ledger);
+        for (admitted, _) in &live {
+            self.stats.submit(admitted.uq.id, submit);
+        }
+        live
+    }
+
+    /// Optimize and graft the batch as its sharing mode prescribes,
+    /// remembering which queries each graft covered so reuse/recovery
+    /// status can be attributed per ticket.
+    fn plan(&mut self, cx: &BatchCx, live: &[Live]) -> Vec<Graft> {
+        let mut grafts = Vec::new();
+        match cx.config.sharing {
+            // ATC-CQ / ATC-UQ: optimize each user query separately.
+            SharingMode::AtcCq | SharingMode::AtcUq => {
+                for (admitted, _) in live {
+                    let uq = &admitted.uq;
+                    let (outcome, opt) = self.graft_batch(cx, &[uq], false);
+                    grafts.push((outcome, opt, vec![uq.id]));
+                    if matches!(cx.config.sharing, SharingMode::AtcUq) {
+                        // Sharing stays within the user query.
+                        self.manager.isolate();
+                    }
+                }
+            }
+            // ATC-FULL / ATC-CL: one multi-query optimization per batch.
+            SharingMode::AtcFull | SharingMode::AtcCl(_) => {
+                let uqs: Vec<&UserQuery> = live.iter().map(|(a, _)| &a.uq).collect();
+                let (outcome, opt) = self.graft_batch(cx, &uqs, false);
+                grafts.push((outcome, opt, uqs.iter().map(|uq| uq.id).collect()));
+            }
+        }
+        if cx.config.verify_phases() {
+            // Post-graft boundary: the freshly grafted plan graph must
+            // satisfy every structural invariant, and — before execution
+            // starts — no rank-merge may be bound into a quarantined
+            // subtree (execution later drains *around* quarantined leaves,
+            // so this second check is only valid here, not after replans).
+            qsys_verify::verify_lane(&self.manager, &self.adaptive.observed)
+                .assert_clean("post-graft");
+            VerifyReport::from(qsys_verify::verify_no_quarantined_grafts(
+                &self.manager,
+                "lane/graph",
+            ))
+            .assert_clean("post-graft");
+        }
+        grafts
+    }
+
+    /// Optimize and graft a set of user queries as one batch onto this
+    /// lane, recording the optimizer invocation in `opt_events`. `replan`
+    /// marks an adaptive mid-batch re-graft: the manager then instantiates
+    /// CQ roots fresh instead of merging them back onto the abandoned
+    /// plan's roots (whose signatures they necessarily share).
+    fn graft_batch(
+        &mut self,
+        cx: &BatchCx,
+        uqs: &[&UserQuery],
+        replan: bool,
+    ) -> (GraftOutcome, OptStats) {
+        let batch: Vec<(&qsys_query::ConjunctiveQuery, &ScoreFn)> = uqs
+            .iter()
+            .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
+            .collect();
+        let opt_config = OptimizerConfig {
+            k: cx.config.k,
+            heuristics: cx.config.heuristics.clone(),
+            cost_profile: cx.config.cost_profile,
+            share_subexpressions: batch_share(&cx.config.sharing),
+            ..OptimizerConfig::default()
+        };
+        let step_us = opt_config.opt_step_us;
+        let optimizer = Optimizer::new(cx.catalog, opt_config);
+        let (spec, opt_stats) = {
+            // The lane's shared interner: the spec's signature ids must be the
+            // ones the manager's reuse index is keyed on. The warm store rides
+            // along (same ids) unless the config runs the optimizer cold.
+            let interner = self.manager.shared_interner();
+            let warm = cx.config.warm_opt.then(|| self.manager.warm_cell());
+            let oracle = self.manager.reuse_oracle();
+            optimizer.optimize_warm(
+                &batch,
+                &oracle,
+                Some(self.sources.clock()),
+                &interner,
+                warm.as_deref(),
             )
-        })?;
-        let results = ticket.take_results().unwrap_or_default();
-        Ok(SearchResult {
-            uq: ticket.id(),
-            results,
-            cqs_generated: report.cqs_generated,
-            cqs_executed: report.cqs_executed,
-            reused_nodes: report.reused_nodes,
-            response_us: report.response_us,
-            opt: ticket.opt_stats().unwrap_or_default(),
-        })
+        };
+        let outcome = if replan {
+            self.manager.graft_replan(&spec, &self.sources, cx.config.k)
+        } else {
+            self.manager.graft(&spec, &self.sources, cx.config.k)
+        };
+        self.opt_events
+            .push(OptEvent::new(batch.len(), &opt_stats, step_us));
+        (outcome, opt_stats)
+    }
+
+    /// Drive the ATC until every rank-merge of the batch is done: the one
+    /// drive loop. Where mid-batch re-planning runs (see [`replan_drift`]),
+    /// every [`DRIFT_CHECK_INTERVAL`] rounds it may re-plan the members
+    /// that have emitted nothing, and the batch's observations are folded
+    /// into the warm store at the end.
+    fn execute(&mut self, cx: &BatchCx, live: &[Live]) {
+        let drift = replan_drift(cx.config);
+        self.governor.begin_batch();
+        let mut rounds: u64 = 0;
+        let mut replans: u64 = 0;
+        while self.atc.round(
+            self.manager.graph_mut(),
+            &self.sources,
+            &self.governor,
+            &mut self.stats,
+        ) {
+            rounds += 1;
+            if let Some(drift) = drift {
+                if rounds.is_multiple_of(DRIFT_CHECK_INTERVAL) && replans < MAX_REPLANS_PER_BATCH {
+                    replans += u64::from(self.maybe_replan(cx, live, drift));
+                }
+            }
+        }
+        if drift.is_some() {
+            self.adaptive.observed.add_rounds(rounds);
+            // Final tap: later batches' shard routing, live estimates, and
+            // snapshots should see end-of-batch truth even if no check fired.
+            self.manager.observe_into(&mut self.adaptive.observed);
+            // Fold the batch's full observations into the warm store now
+            // that every stream has settled — exhausted leaves are exact
+            // counts and their relation-level factors re-cost the whole
+            // candidate space. Unlike the mid-batch surgery this charges
+            // nothing: the next batch was going to optimize anyway.
+            self.adaptive.summary.cards_corrected += self.apply_observed();
+        }
+        self.manager.unpin_all();
+    }
+
+    /// Fold the lane's runtime observations into its warm store,
+    /// returning how many cardinalities changed.
+    fn apply_observed(&mut self) -> u64 {
+        let interner_cell = self.manager.shared_interner();
+        let interner = interner_cell.borrow();
+        let warm_cell = self.manager.warm_cell();
+        let mut warm = warm_cell.borrow_mut();
+        qsys_opt::adaptive::apply_observed(&mut warm, &self.adaptive.observed, &interner)
+    }
+
+    /// One drift check of the drive loop: tap the live graph's observed
+    /// cardinalities and compare them against the frozen warm-store facts.
+    /// When drift exceeds the configured ratio and enough of the batch is
+    /// still re-plannable, fold the observations into the warm store,
+    /// detach every member that has emitted nothing, and re-graft those
+    /// members through the warm optimizer path — their fresh rank-merges
+    /// rebuild from the archived state via `RecoverState` (the same
+    /// machinery a late-arriving query uses), so no tuple is lost and, with
+    /// nothing yet emitted, none can be duplicated. Returns whether it
+    /// re-planned.
+    fn maybe_replan(&mut self, cx: &BatchCx, live: &[Live], drift: f64) -> bool {
+        self.adaptive.summary.drift_checks += 1;
+        self.manager.observe_into(&mut self.adaptive.observed);
+        let drifted = {
+            let warm_cell = self.manager.warm_cell();
+            let warm = warm_cell.borrow();
+            qsys_opt::adaptive::detect_drift(&warm, &self.adaptive.observed, drift).any()
+        };
+        if !drifted {
+            return false;
+        }
+        // Only members that have emitted nothing are safely re-plannable;
+        // a replan must also still be worth it (enough of the batch left).
+        let remaining: Vec<&UserQuery> = live
+            .iter()
+            .map(|(a, _)| &a.uq)
+            .filter(|uq| self.manager.replannable(uq.id))
+            .collect();
+        if remaining.is_empty()
+            || (remaining.len() as f64) < cx.config.adaptive.min_remaining * live.len() as f64
+        {
+            return false;
+        }
+        // Correct the warm store from what was observed. If nothing
+        // actually changed, the re-plan would re-derive the same plan —
+        // skip the surgery.
+        let corrected = self.apply_observed();
+        self.adaptive.summary.cards_corrected += corrected;
+        if corrected == 0 {
+            return false;
+        }
+        let replanned: Vec<&UserQuery> = remaining
+            .into_iter()
+            .filter(|uq| self.manager.detach_for_replan(uq.id))
+            .collect();
+        if replanned.is_empty() {
+            return false;
+        }
+        let opt_before = self.sources.clock().breakdown().optimize_us;
+        self.graft_batch(cx, &replanned, true);
+        if cx.config.verify_phases() {
+            // Post-replan boundary: structural invariants only. The
+            // quarantine check is deliberately absent — mid-execution the
+            // legal degradation path drains around quarantined leaves.
+            qsys_verify::verify_lane(&self.manager, &self.adaptive.observed)
+                .assert_clean("post-replan");
+        }
+        self.adaptive.summary.replan_us += self
+            .sources
+            .clock()
+            .breakdown()
+            .optimize_us
+            .saturating_sub(opt_before);
+        self.adaptive.summary.replans += 1;
+        true
+    }
+
+    /// Harvest each member's ranked answers and report line into the
+    /// ledger, before completed rank-merges are unlinked. The per-query
+    /// slots are assembled outside the ledger lock — concurrent lanes
+    /// contend only on the final inserts, not on the O(k) clones.
+    fn publish(&self, cx: &BatchCx, live: &[Live], grafts: &[Graft]) {
+        let published: Vec<(UqId, TicketSlot)> = live
+            .iter()
+            .map(|&(admitted, deadline)| {
+                let id = admitted.uq.id;
+                let (outcome, opt) = grafts
+                    .iter()
+                    .find(|(_, _, ids)| ids.contains(&id))
+                    .map(|(o, s, _)| (o, *s))
+                    // lint:allow(panic-path): `plan` pushes an entry covering every live member
+                    .expect("every batch member was grafted");
+                let results: Vec<(Score, Tuple)> = self
+                    .manager
+                    .rank_merge_of(id)
+                    .map(|rm| {
+                        self.manager
+                            .graph()
+                            .rank_merge(rm)
+                            .results()
+                            .iter()
+                            .map(|r| (r.score, r.tuple.clone()))
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                // lint:allow(panic-path): `admit` ran stats.submit for every live member
+                let stats = self.stats.uq(id).expect("submitted at admission");
+                // Outcome, worst first: finishing past a deadline trumps
+                // degradation (the results are retained either way), and any
+                // relation lost mid-batch marks the top-k degraded.
+                let completed_us = stats.completed_us.unwrap_or(stats.submitted_us);
+                let query_outcome = if deadline.is_some_and(|d| completed_us > d) {
+                    QueryOutcome::DeadlineExceeded
+                } else if !stats.missing_rels.is_empty() {
+                    QueryOutcome::Degraded {
+                        missing_rels: stats.missing_rels.clone(),
+                    }
+                } else {
+                    QueryOutcome::Complete
+                };
+                let report = UqReport {
+                    uq: id,
+                    user: admitted.uq.user,
+                    keywords: admitted.uq.keywords.clone(),
+                    arrival_us: admitted.arrival_us,
+                    response_us: stats.response_us().unwrap_or(0),
+                    results: stats.results,
+                    cqs_generated: admitted.uq.cqs.len(),
+                    cqs_executed: stats.cqs_executed.len(),
+                    lane: self.idx,
+                    reused_nodes: outcome.reused_nodes,
+                    recovered_cqs: outcome.recovered_uqs.iter().filter(|u| **u == id).count(),
+                    outcome: query_outcome,
+                };
+                (
+                    id,
+                    TicketSlot {
+                        completed: true,
+                        cancelled: false,
+                        deadline_us: None,
+                        results: Some(results),
+                        report: Some(report),
+                        opt: Some(opt),
+                    },
+                )
+            })
+            .collect();
+        let mut ledger = ledger_lock(cx.ledger);
+        for (id, slot) in published {
+            ledger.slots.insert(id, slot);
+        }
+    }
+
+    /// Release what the batch completed and enforce the memory budget.
+    fn retire(&mut self) {
+        self.manager.unlink_completed();
+        self.manager.evict_to_budget();
+    }
+}
+
+/// Render a panic payload for [`QueryOutcome::Failed`] reporting.
+fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "lane panicked".to_string()
     }
 }
 
@@ -681,55 +1071,18 @@ pub(crate) fn batch_share(mode: &SharingMode) -> bool {
     !matches!(mode, SharingMode::AtcCq)
 }
 
-/// Optimize and graft a set of user queries as one batch onto a lane.
-/// Returns the combined graft outcome, the optimizer stats, and the
-/// report event of this optimizer invocation. `replan`
-/// marks an adaptive mid-batch re-graft: the manager then instantiates
-/// CQ roots fresh instead of merging them back onto the abandoned
-/// plan's roots (whose signatures they necessarily share).
-pub(crate) fn graft_batch(
-    catalog: &Catalog,
-    lane: &mut Lane,
-    uqs: &[&UserQuery],
-    config: &EngineConfig,
-    share: bool,
-    replan: bool,
-) -> (qsys_state::GraftOutcome, OptStats, OptEvent) {
-    let batch: Vec<(&qsys_query::ConjunctiveQuery, &ScoreFn)> = uqs
-        .iter()
-        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-        .collect();
-    let opt_config = OptimizerConfig {
-        k: config.k,
-        heuristics: config.heuristics.clone(),
-        cost_profile: config.cost_profile,
-        share_subexpressions: share,
-        ..OptimizerConfig::default()
-    };
-    let step_us = opt_config.opt_step_us;
-    let optimizer = Optimizer::new(catalog, opt_config);
-    let (spec, opt_stats) = {
-        // The lane's shared interner: the spec's signature ids must be the
-        // ones the manager's reuse index is keyed on. The warm store rides
-        // along (same ids) unless the config runs the optimizer cold.
-        let interner = lane.manager.shared_interner();
-        let warm = config.warm_opt.then(|| lane.manager.warm_cell());
-        let oracle = lane.manager.reuse_oracle();
-        optimizer.optimize_warm(
-            &batch,
-            &oracle,
-            Some(lane.sources.clock()),
-            &interner,
-            warm.as_deref(),
-        )
-    };
-    let outcome = if replan {
-        lane.manager.graft_replan(&spec, &lane.sources, config.k)
-    } else {
-        lane.manager.graft(&spec, &lane.sources, config.k)
-    };
-    let event = OptEvent::new(batch.len(), &opt_stats, step_us);
-    (outcome, opt_stats, event)
+/// The drift ratio mid-batch re-planning runs at, or `None` where it does
+/// not run: it needs a configured ratio, the warm store (corrections live
+/// there) and cross-query sharing (a re-graft must merge back onto the
+/// live leaves) — ATC-CQ shares nothing and ATC-UQ isolates its signature
+/// index between queries, so both always run the static plan.
+fn replan_drift(config: &EngineConfig) -> Option<f64> {
+    let shares_across_queries =
+        matches!(config.sharing, SharingMode::AtcFull | SharingMode::AtcCl(_));
+    config
+        .adaptive
+        .drift
+        .filter(|_| config.warm_opt && shares_across_queries)
 }
 
 #[cfg(test)]

@@ -48,12 +48,10 @@
 //! assert_eq!(report.user, UserId::new(1));
 //! ```
 //!
-//! For one-shot interactive use there is still [`QSystem`], now a thin
-//! wrapper that pushes each `search` through the same admission path; and
-//! for scripted experiments there is [`run_workload`], the
-//! reproduction/bench driver that admits a whole [`qsys_workload::Workload`]
-//! and drains the engine — bit-identical to the historical run-to-completion
-//! runner by construction.
+//! That is the one way in. For scripted experiments [`run_workload`] is the
+//! same thing over a whole [`qsys_workload::Workload`]: a fresh engine,
+//! [`Engine::submit_script`], [`Engine::run_until_idle`],
+//! [`Engine::report`].
 //!
 //! ## Crate map
 //!
@@ -74,9 +72,10 @@
 //! per engine lane, stable across batches), and within a batch every
 //! "which queries use this input?" set is a [`query::CqSet`] bitmask over
 //! the batch's [`query::CqTable`]. The BestPlan search runs entirely on
-//! those indices — candidates in an arena, the memo mapping state keys to
-//! plan-arena indices — with sharing decisions pinned bit-for-bit by the
-//! goldens in `tests/interner_invariants.rs`.
+//! those indices — candidates in an arena, the memo keyed by a `u64` mask
+//! of committed candidates and holding costs, never plans — with sharing
+//! decisions pinned bit-for-bit by the goldens in
+//! `tests/interner_invariants.rs`.
 //!
 //! Across batches the optimizer **warm-starts** from lane-persistent
 //! caches of its search's batch-invariant inputs (`opt::warm`, owned by
@@ -87,18 +86,20 @@
 //! the cold path.
 //!
 //! Execution is organized into `Send` **lanes** (plan graph + ATC + source
-//! registry + clock), an implementation detail behind the engine's
-//! admission boundary; ATC-CL runs one lane per query cluster on worker
-//! threads capped by [`EngineConfig::lane_threads`], with results
-//! bit-identical to a sequential run (`tests/parallel_identity.rs`,
-//! `tests/session_api.rs`). See the `qsys-exec` crate docs for the
-//! threading model.
+//! registry + clock + admission window), an implementation detail behind
+//! the engine's admission boundary: a sealed batch runs through one
+//! pipeline, the lane's `run_batch` (admit → plan → execute → publish →
+//! retire, Figure 3 left to right). ATC-CL runs one lane per query cluster
+//! on worker threads capped by [`EngineConfig::lane_threads`], with
+//! results bit-identical to a sequential run
+//! (`tests/parallel_identity.rs`, `tests/session_api.rs`). See the
+//! `qsys-exec` crate docs for the threading model.
 
 pub mod engine;
 pub mod report;
 pub mod session;
 
-pub use engine::{ConfigError, EngineConfig, QSystem, SearchResult, SharingMode};
+pub use engine::{ConfigError, EngineConfig, SharingMode};
 pub use qsys_opt::shard::ShardConfig;
 pub use report::{
     generate_user_queries, run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome,
@@ -110,7 +111,7 @@ pub use session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
 /// configuration vocabulary, the reporting types, and the id newtypes the
 /// API speaks in.
 pub mod prelude {
-    pub use crate::engine::{ConfigError, EngineConfig, QSystem, SearchResult, SharingMode};
+    pub use crate::engine::{ConfigError, EngineConfig, SharingMode};
     pub use crate::report::{
         run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport,
     };

@@ -5,21 +5,17 @@
 //! breakdowns (Figure 8), conjunctive queries executed (Table 4), total
 //! tuples consumed (Figure 10), and optimizer statistics (Figure 11).
 //!
-//! [`run_workload`] is the reproduction/bench driver: a thin compatibility
-//! shim that admits a whole scripted [`Workload`] into a sessionized
-//! [`Engine`] and drains it. Interactive service callers
-//! should use the [`Engine`]/[`Session`](crate::Session)
-//! API directly; this driver exists so that every experiment, bench, and
-//! golden keeps one canonical run-to-completion entry point — and it is
-//! bit-identical to the historical scripted runner by construction, since
-//! admission forms exactly the batches the old per-lane loop formed.
+//! [`run_workload`] runs a scripted [`Workload`] to completion on a fresh
+//! [`Engine`] and returns its report: the one call every experiment, bench
+//! and golden goes through. Interactive callers use the
+//! [`Engine`]/[`Session`](crate::Session) API directly.
 
 use crate::engine::EngineConfig;
 use crate::session::{Engine, QueryTicket};
 use qsys_exec::FaultStats;
 use qsys_opt::{AdaptiveSummary, OptStats};
 use qsys_query::{CandidateGenerator, UserQuery};
-use qsys_types::{QsysError, QsysResult, RelId, TimeBreakdown, UqId, UserId};
+use qsys_types::{QsysResult, RelId, TimeBreakdown, UqId, UserId};
 use qsys_workload::Workload;
 
 /// How one user query's execution ended. Every outcome other than
@@ -283,8 +279,8 @@ impl RunReport {
     }
 }
 
-/// Generate the user queries of a workload (shared by the runner, the
-/// benches, and the examples). Queries whose keywords cannot be connected
+/// Generate the user queries of a workload, with the ids a fresh engine
+/// would give them (shared by the benches and the tests). Queries whose keywords cannot be connected
 /// into any candidate network are skipped (returned second) — a real system
 /// reports "no results" for them rather than failing the batch.
 pub fn generate_user_queries(
@@ -311,54 +307,19 @@ pub fn generate_user_queries(
     Ok((uqs, skipped))
 }
 
-/// Run `workload` (optionally truncated to its first `limit` user queries)
-/// under `config`, returning the experiment report.
-///
-/// This is the scripted compatibility driver over the sessionized
-/// [`Engine`]: pre-generate the script's candidate networks
-/// (preserving the historical UQ/CQ id assignment, including ids consumed
-/// by skipped queries), admit everything, drain the engine, and read its
-/// report. Admission seals batches exactly where the old per-lane loop
-/// chunked them, so every reported quantity is bit-identical to the
-/// pre-sessionized runner.
+/// Run `workload` (optionally stopping once `limit` of its user queries
+/// have admitted) under `config`, returning the experiment report:
+/// submit the script through each user's [`Session`](crate::Session),
+/// drain the engine, read its report. A script entry that matches no
+/// candidate network is reported in [`RunReport::skipped`] and does not
+/// count towards `limit`.
 pub fn run_workload(
     workload: &Workload,
     config: &EngineConfig,
     limit: Option<usize>,
 ) -> QsysResult<RunReport> {
-    let (mut uqs, skipped) = generate_user_queries(workload, config)?;
-    if let Some(n) = limit {
-        uqs.truncate(n);
-    }
     let mut engine = Engine::for_workload(workload, config.clone());
-    // The report reads counts, not payloads — skip the per-ticket clones.
-    engine.discard_results();
-    for kw in &skipped {
-        engine.note_skipped(kw);
-    }
-    for uq in uqs {
-        // generate_user_queries assigns UqId = script index (skipped
-        // queries consume ids too); resolve the arrival through that
-        // invariant and fail loudly if it ever drifts — a silent arrival
-        // of 0 would re-shape batches under a configured arrival window.
-        let script = workload.queries.get(uq.id.index()).ok_or_else(|| {
-            QsysError::Internal(format!(
-                "UqId {} does not index the workload script ({} entries)",
-                uq.id.index(),
-                workload.queries.len()
-            ))
-        })?;
-        if script.keywords != uq.keywords {
-            return Err(QsysError::Internal(format!(
-                "UqId/script alignment drifted in generate_user_queries: \
-                 script '{}' vs generated '{}' at id {}",
-                script.keywords,
-                uq.keywords,
-                uq.id.index()
-            )));
-        }
-        engine.admit(uq, script.arrival_us);
-    }
+    engine.submit_script_until(workload, limit.unwrap_or(usize::MAX));
     engine.run_until_idle();
     Ok(engine.report())
 }

@@ -24,18 +24,15 @@
 //!   collect a query's ranked answers and its per-query [`UqReport`] as
 //!   they materialize, without holding any borrow of the engine.
 //!
-//! ## Equivalence with the scripted driver
+//! ## Stepping is a scheduling freedom, never a semantic one
 //!
-//! [`run_workload`](crate::run_workload) is a thin compatibility driver
-//! over this API: it admits a whole workload script and calls
-//! [`Engine::run_until_idle`]. Admission is carefully arranged so that the
-//! driver reproduces the historical run-to-completion semantics **bit for
-//! bit** (same batches, same lane clocks, same optimizer decisions, same
-//! tuples): batches are formed per lane in arrival order, sealed at
-//! `batch_size`, and processed in order, with each lane's state evolving
-//! exactly as the old sequential loop evolved it. The goldens in
-//! `tests/parallel_identity.rs`, `tests/interner_invariants.rs`, and
-//! `tests/session_api.rs` pin this equivalence.
+//! Batches are formed per lane in arrival order, sealed at `batch_size`,
+//! and processed in order, so *when* the caller steps changes nothing:
+//! submit-everything-then-drain ([`run_workload`](crate::run_workload) is
+//! exactly that, over a workload script) and step-after-every-submission
+//! produce the same batches, lane clocks, optimizer decisions and tuples,
+//! **bit for bit**. The goldens in `tests/parallel_identity.rs`,
+//! `tests/interner_invariants.rs`, and `tests/session_api.rs` pin this.
 //!
 //! ATC-CL clustering needs a population of queries to cluster, so lanes for
 //! that mode are created at the first flush from everything admitted so
@@ -43,8 +40,8 @@
 //! to the lane whose cluster footprint they overlap most (a fresh lane when
 //! they overlap none).
 
-use crate::engine::{batch_share, graft_batch, EngineConfig, Lane, SharingMode};
-use crate::report::{LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport};
+use crate::engine::{BatchCx, EngineConfig, Lane, SharingMode};
+use crate::report::{LaneSummary, QueryOutcome, RunReport, UqReport};
 use qsys_catalog::{Catalog, KeywordIndex};
 use qsys_opt::{estimate_uq_cost, normalize_weights, shard_cluster_affine, OptStats};
 use qsys_query::{CandidateGenerator, CqIdx, CqSet, UserQuery};
@@ -56,9 +53,7 @@ use qsys_source::{SnapFaults, TableProvider};
 use qsys_state::EvictionStats;
 use qsys_types::{QsysResult, RelId, Score, Tuple, UqId, UserId};
 use qsys_verify::VerifyReport;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Factory handing each lane its own gateway to the (simulated) remote
@@ -73,38 +68,65 @@ pub enum TicketStatus {
     Queued,
     /// Its batch ran to completion: results and the [`UqReport`] are ready.
     Completed,
-    /// Results were already collected with [`QueryTicket::take_results`]
-    /// (or were never retained — the scripted driver discards payloads
-    /// and reads only the aggregate report).
+    /// Results were already collected with [`QueryTicket::take_results`],
+    /// or the query never ran (cancelled, expired, or failed).
     Drained,
 }
 
 /// One admitted query's slot in the shared ledger.
 #[derive(Debug, Default)]
-struct TicketSlot {
-    completed: bool,
+pub(crate) struct TicketSlot {
+    pub(crate) completed: bool,
     /// Caller asked for this query to be dropped before its batch runs.
-    cancelled: bool,
+    pub(crate) cancelled: bool,
     /// Virtual-time deadline: at batch start an expired member is skipped;
     /// a member finishing past it keeps its results but reports
     /// [`QueryOutcome::DeadlineExceeded`].
-    deadline_us: Option<u64>,
-    results: Option<Vec<(Score, Tuple)>>,
-    report: Option<UqReport>,
-    opt: Option<OptStats>,
+    pub(crate) deadline_us: Option<u64>,
+    pub(crate) results: Option<Vec<(Score, Tuple)>>,
+    pub(crate) report: Option<UqReport>,
+    pub(crate) opt: Option<OptStats>,
+}
+
+impl TicketSlot {
+    /// The slot of a query its batch never executed (cancelled, expired,
+    /// or failed): completed with no results, carrying only its outcome.
+    pub(crate) fn unran(admitted: &Admitted, lane: usize, outcome: QueryOutcome) -> TicketSlot {
+        TicketSlot {
+            completed: true,
+            cancelled: matches!(outcome, QueryOutcome::Cancelled),
+            deadline_us: None,
+            results: None,
+            report: Some(UqReport {
+                uq: admitted.uq.id,
+                user: admitted.uq.user,
+                keywords: admitted.uq.keywords.clone(),
+                arrival_us: admitted.arrival_us,
+                response_us: 0,
+                results: 0,
+                cqs_generated: admitted.uq.cqs.len(),
+                cqs_executed: 0,
+                lane,
+                reused_nodes: 0,
+                recovered_cqs: 0,
+                outcome,
+            }),
+            opt: None,
+        }
+    }
 }
 
 /// The engine↔ticket mailbox: worker threads publish each query's results
 /// here the moment its batch completes; tickets read without borrowing the
 /// engine.
 #[derive(Debug, Default)]
-struct Ledger {
-    slots: BTreeMap<UqId, TicketSlot>,
+pub(crate) struct Ledger {
+    pub(crate) slots: BTreeMap<UqId, TicketSlot>,
 }
 
 type SharedLedger = Arc<Mutex<Ledger>>;
 
-fn ledger_lock(ledger: &Mutex<Ledger>) -> std::sync::MutexGuard<'_, Ledger> {
+pub(crate) fn ledger_lock(ledger: &Mutex<Ledger>) -> std::sync::MutexGuard<'_, Ledger> {
     ledger.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -196,67 +218,9 @@ impl QueryTicket {
 
 /// A query admitted but not yet dispatched: the generated candidate
 /// networks plus its virtual arrival time (drives window sealing).
-struct Admitted {
-    uq: UserQuery,
-    arrival_us: u64,
-}
-
-/// One execution lane plus its admission state: the open (unsealed)
-/// arrival window, the queue of sealed batches awaiting dispatch, and the
-/// quantities the lane has produced so far.
-struct LaneSlot {
-    lane: Lane,
-    /// The open admission window (seals into `ready`).
-    open: Vec<Admitted>,
-    /// Sealed batches, dispatched in order by [`Engine::step`].
-    ready: VecDeque<Vec<Admitted>>,
-    /// Optimizer invocations, in this lane's batch order.
-    opt_events: Vec<OptEvent>,
-    /// Host wall-clock µs spent executing on this lane.
-    wall_us: u64,
-    /// Relations referenced by queries routed here (ATC-CL's cluster
-    /// footprint; drives incremental routing of late arrivals).
-    footprint: BTreeSet<RelId>,
-    /// The logical ATC-CL cluster this lane serves. Lanes born by
-    /// sharding one oversized cluster share the id, which is what groups
-    /// them for least-loaded routing of late arrivals.
-    cluster: usize,
-    /// Shard ancestry: `(shard index, shard count)` when this lane was
-    /// born by splitting an oversized cluster; `None` for unsharded
-    /// lanes.
-    shard: Option<(usize, usize)>,
-    /// Σ estimated work (raw per-UQ stream-leaf cost) routed here —
-    /// the load metric shard-aware routing balances on. Tracked only
-    /// when sharding is enabled.
-    routed_cost: f64,
-    /// Set when a batch panicked on this lane: its plan graph and clocks
-    /// can no longer be trusted, so later batches routed here fail fast
-    /// with [`QueryOutcome::Failed`] instead of executing on poisoned
-    /// state. Other lanes — and the engine — keep serving.
-    poisoned: Option<String>,
-}
-
-impl LaneSlot {
-    fn new(lane: Lane) -> LaneSlot {
-        LaneSlot {
-            lane,
-            open: Vec::new(),
-            ready: VecDeque::new(),
-            opt_events: Vec::new(),
-            wall_us: 0,
-            footprint: BTreeSet::new(),
-            cluster: 0,
-            shard: None,
-            routed_cost: 0.0,
-            poisoned: None,
-        }
-    }
-
-    fn seal(&mut self) {
-        if !self.open.is_empty() {
-            self.ready.push_back(std::mem::take(&mut self.open));
-        }
-    }
+pub(crate) struct Admitted {
+    pub(crate) uq: UserQuery,
+    pub(crate) arrival_us: u64,
 }
 
 /// The long-lived Q System service: admit keyword queries incrementally
@@ -268,24 +232,15 @@ pub struct Engine {
     index: KeywordIndex,
     config: EngineConfig,
     provider: ProviderFactory,
-    lanes: Vec<LaneSlot>,
+    lanes: Vec<Lane>,
     /// ATC-CL queries admitted before the first flush (no lanes exist yet
     /// to route onto); clustered en masse when lanes are created.
     unrouted: Vec<Admitted>,
-    /// Pin the engine to exactly one lane (the interactive [`QSystem`]
-    /// facade, built from a single provider): clustering is skipped and
-    /// every query routes to lane 0.
-    single_lane: bool,
     next_uq: u32,
     next_cq: u32,
     ledger: SharedLedger,
     /// Keyword queries that matched no candidate network.
     skipped: Vec<String>,
-    /// Whether batch execution clones each query's ranked tuples into the
-    /// ledger for its ticket (the default). The scripted driver opts out:
-    /// it reads only the aggregate report, and the pre-sessionized runner
-    /// never materialized result payloads either.
-    retain_results: bool,
     /// Lanes rehydrated from the warm-state snapshot at construction,
     /// waiting to be installed as lanes are created (index = lane index at
     /// recording time; ATC-CL may create lanes lazily, long after load).
@@ -324,16 +279,6 @@ fn thaw(config: &EngineConfig, catalog: &Catalog) -> (Vec<Option<LoadedLane>>, S
     }
 }
 
-/// Install rehydrated state into a freshly created lane. Must run before
-/// the lane interns anything: the snapshot's `SigId`s are positional, so
-/// the arena has to be rebuilt onto an empty interner for the ids to mean
-/// what the warm store thinks they mean.
-fn install(lane: &mut Lane, loaded: LoadedLane) {
-    *lane.manager.shared_interner().borrow_mut() = loaded.interner;
-    *lane.manager.warm_cell().borrow_mut() = loaded.warm;
-    lane.adaptive.observed = loaded.observed;
-}
-
 impl Engine {
     /// Stand up an engine over a catalog, keyword index, and a provider
     /// factory (one provider per lane).
@@ -351,12 +296,10 @@ impl Engine {
             provider,
             lanes: Vec::new(),
             unrouted: Vec::new(),
-            single_lane: false,
             next_uq: 0,
             next_cq: 0,
             ledger: Arc::default(),
             skipped: Vec::new(),
-            retain_results: true,
             thawed,
             snapshot,
             batches_since_snapshot: 0,
@@ -383,60 +326,23 @@ impl Engine {
         )
     }
 
-    /// An engine pinned to exactly one lane, built from a single table
-    /// provider. This is the interactive [`QSystem`](crate::QSystem)
-    /// substrate: clustering is disabled and every query is served by lane
-    /// 0, whatever the sharing mode says.
-    pub fn single_lane(
-        catalog: Catalog,
-        index: KeywordIndex,
-        provider: TableProvider,
-        config: EngineConfig,
-    ) -> Engine {
-        let (mut thawed, snapshot) = thaw(&config, &catalog);
-        let mut lane = Lane::new(&config, provider, 0);
-        if let Some(loaded) = thawed.get_mut(0).and_then(Option::take) {
-            install(&mut lane, loaded);
-        }
-        Engine {
-            catalog,
-            index,
-            config,
-            provider: Box::new(|| unreachable!("single-lane engine never adds lanes")),
-            lanes: vec![LaneSlot::new(lane)],
-            unrouted: Vec::new(),
-            single_lane: true,
-            next_uq: 0,
-            next_cq: 0,
-            ledger: Arc::default(),
-            skipped: Vec::new(),
-            retain_results: true,
-            thawed,
-            snapshot,
-            batches_since_snapshot: 0,
-            next_cluster: 0,
-        }
-    }
-
     /// Create the next lane (index = current lane count), installing any
     /// rehydrated snapshot state for that index before the lane can intern
     /// its first signature. All lane creation funnels through here so a
     /// loaded snapshot warms every lane topology the engine can grow.
     fn add_lane(&mut self) -> usize {
         let idx = self.lanes.len();
-        let mut lane = Lane::new(&self.config, (self.provider)(), idx as u64);
+        let mut lane = Lane::new(&self.config, (self.provider)(), idx);
         if let Some(loaded) = self.thawed.get_mut(idx).and_then(Option::take) {
-            install(&mut lane, loaded);
+            // The snapshot's `SigId`s are positional: the arena has to be
+            // rebuilt onto an empty interner for the ids to mean what the
+            // warm store thinks they mean.
+            *lane.manager.shared_interner().borrow_mut() = loaded.interner;
+            *lane.manager.warm_cell().borrow_mut() = loaded.warm;
+            lane.adaptive.observed = loaded.observed;
         }
-        self.lanes.push(LaneSlot::new(lane));
+        self.lanes.push(lane);
         idx
-    }
-
-    /// Stop retaining per-ticket result payloads: tickets will report and
-    /// poll as usual, but `take_results` has nothing to hand out. The
-    /// scripted driver uses this — it only reads the aggregate report.
-    pub(crate) fn discard_results(&mut self) {
-        self.retain_results = false;
     }
 
     /// Open a session for one user. Sessions are lightweight handles;
@@ -455,6 +361,17 @@ impl Engine {
     /// tickets of the queries that admitted (one matching no candidate
     /// network is recorded as skipped, as [`Session::submit`] does).
     pub fn submit_script(&mut self, workload: &qsys_workload::Workload) -> Vec<QueryTicket> {
+        self.submit_script_until(workload, usize::MAX)
+    }
+
+    /// [`Engine::submit_script`], stopping once `limit` queries have
+    /// admitted: a skipped query consumes a `UqId` but not the limit, and
+    /// nothing after the last admitted query is attempted.
+    pub(crate) fn submit_script_until(
+        &mut self,
+        workload: &qsys_workload::Workload,
+        limit: usize,
+    ) -> Vec<QueryTicket> {
         let submit = |q: &qsys_workload::WorkloadQuery| {
             let mut session = self.session(q.user);
             if let Some(costs) = &q.edge_costs {
@@ -462,7 +379,12 @@ impl Engine {
             }
             session.submit(&q.keywords, q.arrival_us).ok()
         };
-        workload.queries.iter().filter_map(submit).collect()
+        workload
+            .queries
+            .iter()
+            .filter_map(submit)
+            .take(limit)
+            .collect()
     }
 
     /// The schema catalog.
@@ -488,7 +410,7 @@ impl Engine {
             + self
                 .lanes
                 .iter()
-                .map(|slot| slot.open.len() + slot.ready.iter().map(Vec::len).sum::<usize>())
+                .map(|lane| lane.open.len() + lane.ready.iter().map(Vec::len).sum::<usize>())
                 .sum::<usize>()
     }
 
@@ -498,12 +420,12 @@ impl Engine {
     pub fn now_us(&self) -> u64 {
         self.lanes
             .first()
-            .map(|slot| slot.lane.sources.clock().now_us())
+            .map(|lane| lane.sources.clock().now_us())
             .unwrap_or(0)
     }
 
-    /// Lane 0's source gateway (work counters, clock) — the interactive
-    /// single-lane facade reads its traffic accounting here.
+    /// Lane 0's source gateway (work counters, clock): the whole engine's
+    /// traffic accounting in the single-graph modes.
     ///
     /// # Panics
     ///
@@ -517,38 +439,23 @@ impl Engine {
             .first()
             // lint:allow(panic-path): documented panic (see `# Panics` above) — the fallible path is Engine::report
             .expect("no lanes yet: an ATC-CL engine creates them at the first flush")
-            .lane
             .sources
     }
 
     /// Cumulative eviction statistics, summed over lanes.
     pub fn eviction_stats(&self) -> EvictionStats {
         let mut total = EvictionStats::default();
-        for slot in &self.lanes {
-            let s = slot.lane.manager.eviction_stats();
+        for lane in &self.lanes {
+            let s = lane.manager.eviction_stats();
             total.evicted_nodes += s.evicted_nodes;
             total.reclaimed_bytes += s.reclaimed_bytes;
         }
         total
     }
 
-    /// Record a keyword query that matched no candidate network (reported
-    /// as skipped, like a real service reporting "no results").
-    pub(crate) fn note_skipped(&mut self, keywords: &str) {
-        self.skipped.push(keywords.to_string());
-    }
-
-    /// Admit an already-generated user query at a virtual arrival time,
-    /// returning its ticket. [`Session::submit`] is the keyword-level
-    /// entry; this one exists for drivers that generate candidate networks
-    /// themselves (the workload runner, benches).
-    ///
-    /// The caller is responsible for id discipline: `uq.id` must be unique
-    /// for the lifetime of the engine. The engine's own id allocator is
-    /// bumped past `uq.id`, so interleaving `admit` with
-    /// [`Session::submit`] on one engine can never collide.
-    pub fn admit(&mut self, uq: UserQuery, arrival_us: u64) -> QueryTicket {
-        self.next_uq = self.next_uq.max(uq.id.0.saturating_add(1));
+    /// Admit a generated user query at a virtual arrival time, returning
+    /// its ticket: the second half of [`Session::submit`], the one way in.
+    fn admit(&mut self, uq: UserQuery, arrival_us: u64) -> QueryTicket {
         let ticket = QueryTicket {
             uq: uq.id,
             user: uq.user,
@@ -572,26 +479,20 @@ impl Engine {
     }
 
     /// Whether shard-aware routing is active: ATC-CL with sharding
-    /// enabled (the single-lane facade never shards).
+    /// enabled.
     fn shard_routing(&self) -> bool {
-        !self.single_lane
-            && self.config.sharding.enabled()
-            && matches!(self.config.sharing, SharingMode::AtcCl(_))
+        self.config.sharding.enabled() && matches!(self.config.sharing, SharingMode::AtcCl(_))
     }
 
     /// Estimate a query's stream-leaf work against one lane's live warm
     /// state (cost inputs recorded by that lane's optimizer runs).
     fn live_estimate(&self, lane: usize, uq: &UserQuery) -> f64 {
-        let slot = &self.lanes[lane];
-        let interner_cell = slot.lane.manager.shared_interner();
-        let warm_cell = slot.lane.manager.warm_cell();
+        let lane = &self.lanes[lane];
+        let interner_cell = lane.manager.shared_interner();
+        let warm_cell = lane.manager.warm_cell();
         let interner = interner_cell.borrow();
         let warm = warm_cell.borrow();
-        estimate_uq_cost(
-            uq,
-            Some((&interner, &warm)),
-            Some(&slot.lane.adaptive.observed),
-        )
+        estimate_uq_cost(uq, Some((&interner, &warm)), Some(&lane.adaptive.observed))
     }
 
     /// Pick the lane for a query once lanes exist: lane 0 unless ATC-CL,
@@ -599,7 +500,7 @@ impl Engine {
     /// overlap most (ties to the lowest lane index; a fresh lane when no
     /// footprint overlaps).
     fn route(&mut self, admitted: &Admitted) -> usize {
-        if self.single_lane || !matches!(self.config.sharing, SharingMode::AtcCl(_)) {
+        if !matches!(self.config.sharing, SharingMode::AtcCl(_)) {
             return 0;
         }
         let refs: BTreeSet<RelId> = admitted
@@ -612,7 +513,7 @@ impl Engine {
             .lanes
             .iter()
             .enumerate()
-            .map(|(idx, slot)| (idx, slot.footprint.intersection(&refs).count()))
+            .map(|(idx, lane)| (idx, lane.footprint.intersection(&refs).count()))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .unwrap_or((0, 0));
         if overlap == 0 {
@@ -632,7 +533,7 @@ impl Engine {
         self.lanes
             .iter()
             .enumerate()
-            .filter(|(_, slot)| slot.cluster == cid && slot.poisoned.is_none())
+            .filter(|(_, lane)| lane.cluster == cid && lane.poisoned.is_none())
             .min_by(|a, b| {
                 a.1.routed_cost
                     .partial_cmp(&b.1.routed_cost)
@@ -649,31 +550,30 @@ impl Engine {
         let window = self.config.arrival_window_us;
         let batch_size = self.config.batch_size.max(1);
         let grow_footprint = matches!(self.config.sharing, SharingMode::AtcCl(_));
-        let slot = &mut self.lanes[lane];
-        if let (Some(w), Some(first)) = (window, slot.open.first()) {
+        let lane = &mut self.lanes[lane];
+        if let (Some(w), Some(first)) = (window, lane.open.first()) {
             if admitted.arrival_us.saturating_sub(first.arrival_us) > w {
-                slot.seal();
+                lane.seal();
             }
         }
         if grow_footprint {
             // Only ATC-CL routing reads the cluster footprint.
-            slot.footprint
+            lane.footprint
                 .extend(admitted.uq.cqs.iter().flat_map(|(cq, _)| cq.rels()));
         }
-        slot.open.push(admitted);
-        if slot.open.len() >= batch_size {
-            slot.seal();
+        lane.open.push(admitted);
+        if lane.open.len() >= batch_size {
+            lane.seal();
         }
     }
 
     /// Seal every open admission window into a dispatchable batch. For
     /// ATC-CL's first flush this is also where lanes are born: everything
-    /// admitted so far is clustered (Section 6.1) and routed en masse —
-    /// exactly the shape the scripted driver has always produced.
+    /// admitted so far is clustered (Section 6.1) and routed en masse.
     pub fn flush(&mut self) {
         self.route_unrouted();
-        for slot in &mut self.lanes {
-            slot.seal();
+        for lane in &mut self.lanes {
+            lane.seal();
         }
     }
 
@@ -817,8 +717,8 @@ impl Engine {
                 self.enqueue(lane, admitted);
             }
             if self.config.verify_phases() {
-                for (idx, slot) in self.lanes.iter().enumerate() {
-                    qsys_verify::verify_lane(&slot.lane.manager, &slot.lane.adaptive.observed)
+                for (idx, lane) in self.lanes.iter().enumerate() {
+                    qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed)
                         .assert_clean(&format!("post-cluster (lane {idx})"));
                 }
             }
@@ -879,15 +779,15 @@ impl Engine {
             lanes: self
                 .lanes
                 .iter()
-                .map(|slot| {
-                    let interner_cell = slot.lane.manager.shared_interner();
-                    let warm_cell = slot.lane.manager.warm_cell();
+                .map(|lane| {
+                    let interner_cell = lane.manager.shared_interner();
+                    let warm_cell = lane.manager.warm_cell();
                     let interner = interner_cell.borrow();
                     let warm = warm_cell.borrow();
                     LaneImage {
                         interner: interner.export_entries(),
                         warm: warm.export(),
-                        observed: slot.lane.adaptive.observed.export(),
+                        observed: lane.adaptive.observed.export(),
                     }
                 })
                 .collect(),
@@ -1000,8 +900,8 @@ impl Engine {
     /// returning.
     pub fn verify(&self) -> VerifyReport {
         let mut violations = Vec::new();
-        for (idx, slot) in self.lanes.iter().enumerate() {
-            let report = qsys_verify::verify_lane(&slot.lane.manager, &slot.lane.adaptive.observed);
+        for (idx, lane) in self.lanes.iter().enumerate() {
+            let report = qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed);
             violations.extend(report.violations.into_iter().map(|mut v| {
                 // verify_lane paths start "lane/…" — pin which lane.
                 v.path = v.path.replacen("lane", &format!("lane[{idx}]"), 1);
@@ -1018,91 +918,47 @@ impl Engine {
     /// quantities are per-lane or per-query, keeping results bit-identical
     /// to sequential execution.
     fn dispatch(&mut self, drain: bool) -> usize {
-        let catalog = &self.catalog;
-        let config = &self.config;
-        let share = batch_share(&config.sharing);
-        let retain_results = self.retain_results;
-        let ledger = &self.ledger;
-        let run_slot = |lane_idx: usize, slot: &mut LaneSlot| -> usize {
-            let mut ran = 0;
-            while let Some(batch) = slot.ready.pop_front() {
-                match slot.poisoned.clone() {
-                    // A lane that panicked once fails its later batches
-                    // fast: its graph/clock state is unknown, and silently
-                    // wrong answers would be worse than loud failures.
-                    Some(earlier) => publish_failed(
-                        lane_idx,
-                        &batch,
-                        &format!("lane poisoned by an earlier panic: {earlier}"),
-                        ledger,
-                    ),
-                    None => {
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_batch(
-                                catalog,
-                                config,
-                                share,
-                                retain_results,
-                                lane_idx,
-                                slot,
-                                &batch,
-                                ledger,
-                            )
-                        }));
-                        if let Err(payload) = run {
-                            let reason = panic_reason(payload);
-                            publish_failed(lane_idx, &batch, &reason, ledger);
-                            slot.poisoned = Some(reason);
-                        }
-                    }
-                }
-                ran += 1;
-                if !drain {
-                    break;
-                }
-            }
-            ran
+        let cx = BatchCx {
+            catalog: &self.catalog,
+            config: &self.config,
+            ledger: &self.ledger,
         };
-
-        let mut jobs: Vec<(usize, &mut LaneSlot)> = self
+        let jobs: Vec<&mut Lane> = self
             .lanes
             .iter_mut()
-            .enumerate()
-            .filter(|(_, slot)| !slot.ready.is_empty())
+            .filter(|lane| !lane.ready.is_empty())
             .collect();
-        let threads = self.config.lane_threads.max(1).min(jobs.len().max(1));
-        if threads <= 1 || jobs.len() <= 1 {
-            return jobs
-                .iter_mut()
-                .map(|(idx, slot)| run_slot(*idx, slot))
-                .sum();
+        // A lane with work runs its next batch, or all of them on a drain.
+        let ran = jobs
+            .iter()
+            .map(|lane| if drain { lane.ready.len() } else { 1 })
+            .sum();
+        let threads = self.config.lane_threads.max(1).min(jobs.len());
+        if threads <= 1 {
+            for lane in jobs {
+                lane.run_ready(&cx, drain);
+            }
+            return ran;
         }
 
-        // Work queue: each entry hands exactly one worker exclusive
-        // `&mut LaneSlot` access; no ordering is imposed on the workers and
-        // none is needed — lanes are fully independent.
-        let queue: Vec<Mutex<Option<(usize, &mut LaneSlot)>>> =
-            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        let ran = AtomicUsize::new(0);
-        let next = AtomicUsize::new(0);
+        // Work queue: popping hands one worker exclusive `&mut Lane`
+        // access; no ordering is imposed on the workers and none is needed
+        // — lanes are fully independent.
+        let queue = Mutex::new(jobs.into_iter());
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queue.len() {
-                        break;
+                    // The guard drops with this statement: the queue is
+                    // locked to pop, never while a lane runs.
+                    let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
+                    match next {
+                        Some(lane) => lane.run_ready(&cx, drain),
+                        None => break,
                     }
-                    let (idx, slot) = queue[i]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        // lint:allow(panic-path): the atomic cursor hands each queue index to exactly one worker
-                        .expect("each job is taken once");
-                    ran.fetch_add(run_slot(idx, slot), Ordering::Relaxed);
                 });
             }
         });
-        ran.into_inner()
+        ran
     }
 
     /// Whether any admitted query still awaits execution.
@@ -1115,11 +971,19 @@ impl Engine {
     /// [`Engine::report`] can assemble the full run; a service consuming
     /// an unbounded query stream should forget each query once its
     /// ticket's payload has been collected and accounted for. Returns
-    /// whether a slot was dropped. Outstanding tickets for a forgotten
-    /// query read as [`TicketStatus::Queued`] again — forget only what
-    /// you are done observing.
+    /// whether a slot was dropped: `false`, and nothing changes, for a
+    /// query that is unknown or has not resolved yet (its batch still
+    /// needs the slot — [`Engine::cancel`] is the way to drop a queued
+    /// query). Outstanding tickets for a forgotten query read as
+    /// [`TicketStatus::Queued`] again — forget only what you are done
+    /// observing.
     pub fn forget(&mut self, uq: UqId) -> bool {
-        ledger_lock(&self.ledger).slots.remove(&uq).is_some()
+        let mut ledger = ledger_lock(&self.ledger);
+        let resolved = ledger.slots.get(&uq).is_some_and(|slot| slot.completed);
+        if resolved {
+            ledger.slots.remove(&uq);
+        }
+        resolved
     }
 
     /// Cancel an admitted query that has not yet executed. Its batch skips
@@ -1143,14 +1007,13 @@ impl Engine {
     pub fn poisoned_lanes(&self) -> usize {
         self.lanes
             .iter()
-            .filter(|slot| slot.poisoned.is_some())
+            .filter(|lane| lane.poisoned.is_some())
             .count()
     }
 
     /// Assemble the experiment report from everything executed so far:
     /// per-query lines in UQ order, lane wall times, the virtual-time
-    /// breakdown, and total work, exactly as the scripted runner has
-    /// always reported them.
+    /// breakdown, and total work.
     pub fn report(&self) -> RunReport {
         let mut report = RunReport {
             config: self.config.sharing.label().to_string(),
@@ -1159,23 +1022,23 @@ impl Engine {
             opt_events: self
                 .lanes
                 .iter()
-                .flat_map(|slot| slot.opt_events.iter().copied())
+                .flat_map(|lane| lane.opt_events.iter().copied())
                 .collect(),
-            lane_wall_us: self.lanes.iter().map(|slot| slot.wall_us).collect(),
+            lane_wall_us: self.lanes.iter().map(|lane| lane.wall_us).collect(),
             lane_summaries: self
                 .lanes
                 .iter()
                 .enumerate()
-                .map(|(idx, slot)| LaneSummary {
+                .map(|(idx, lane)| LaneSummary {
                     lane: idx,
-                    cluster: slot.cluster,
-                    shard_of: slot.shard,
-                    wall_us: slot.wall_us,
-                    tuples_consumed: slot.lane.sources.tuples_consumed(),
-                    tuples_streamed: slot.lane.sources.tuples_streamed(),
+                    cluster: lane.cluster,
+                    shard_of: lane.shard,
+                    wall_us: lane.wall_us,
+                    tuples_consumed: lane.sources.tuples_consumed(),
+                    tuples_streamed: lane.sources.tuples_streamed(),
                     uqs: 0,
-                    poisoned: slot.poisoned.is_some(),
-                    adaptive: slot.lane.adaptive.summary,
+                    poisoned: lane.poisoned.is_some(),
+                    adaptive: lane.adaptive.summary,
                 })
                 .collect(),
             skipped: self.skipped.clone(),
@@ -1188,18 +1051,18 @@ impl Engine {
                 .collect(),
             ..RunReport::default()
         };
-        for slot in &self.lanes {
-            let b = slot.lane.sources.clock().breakdown();
+        for lane in &self.lanes {
+            let b = lane.sources.clock().breakdown();
             report.breakdown.stream_read_us += b.stream_read_us;
             report.breakdown.random_access_us += b.random_access_us;
             report.breakdown.join_us += b.join_us;
             report.breakdown.optimize_us += b.optimize_us;
-            report.tuples_consumed += slot.lane.sources.tuples_consumed();
-            report.tuples_streamed += slot.lane.sources.tuples_streamed();
-            report.stream_rounds += slot.lane.sources.stream_rounds();
-            report.probes += slot.lane.sources.probes();
-            report.faults.source.absorb(&slot.lane.governor.snapshot());
-            report.adaptive.absorb(&slot.lane.adaptive.summary);
+            report.tuples_consumed += lane.sources.tuples_consumed();
+            report.tuples_streamed += lane.sources.tuples_streamed();
+            report.stream_rounds += lane.sources.stream_rounds();
+            report.probes += lane.sources.probes();
+            report.faults.source.absorb(&lane.governor.snapshot());
+            report.adaptive.absorb(&lane.adaptive.summary);
         }
         let ledger = ledger_lock(&self.ledger);
         report.per_uq = ledger
@@ -1225,8 +1088,7 @@ impl Engine {
     }
 
     /// Generate candidate networks for a keyword query, consuming the
-    /// engine's UQ/CQ id sequences (shared by every admission path, so
-    /// single-query and scripted execution can no longer drift).
+    /// engine's UQ/CQ id sequences.
     fn generate(
         &mut self,
         keywords: &str,
@@ -1281,7 +1143,7 @@ impl Session<'_> {
         {
             Ok(uq) => Ok(self.engine.admit(uq, arrival_us)),
             Err(e) => {
-                self.engine.note_skipped(keywords);
+                self.engine.skipped.push(keywords.to_string());
                 Err(e)
             }
         }
@@ -1317,399 +1179,4 @@ impl Session<'_> {
     pub fn cancel(&mut self, ticket: &QueryTicket) -> bool {
         self.engine.cancel(ticket.id())
     }
-}
-
-/// Render a panic payload for [`QueryOutcome::Failed`] reporting.
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "lane panicked".to_string()
-    }
-}
-
-/// Ledger slot for a query its batch never executed (cancelled, expired,
-/// or failed): completed with no results, carrying only its outcome.
-fn unran_slot(admitted: &Admitted, lane_idx: usize, outcome: QueryOutcome) -> TicketSlot {
-    TicketSlot {
-        completed: true,
-        cancelled: matches!(outcome, QueryOutcome::Cancelled),
-        deadline_us: None,
-        results: None,
-        report: Some(UqReport {
-            uq: admitted.uq.id,
-            user: admitted.uq.user,
-            keywords: admitted.uq.keywords.clone(),
-            arrival_us: admitted.arrival_us,
-            response_us: 0,
-            results: 0,
-            cqs_generated: admitted.uq.cqs.len(),
-            cqs_executed: 0,
-            lane: lane_idx,
-            reused_nodes: 0,
-            recovered_cqs: 0,
-            outcome,
-        }),
-        opt: None,
-    }
-}
-
-/// Resolve every member of a batch as [`QueryOutcome::Failed`] — the lane
-/// panicked under it (or was already poisoned).
-fn publish_failed(lane_idx: usize, batch: &[Admitted], reason: &str, ledger: &Mutex<Ledger>) {
-    let mut guard = ledger_lock(ledger);
-    for admitted in batch {
-        guard.slots.insert(
-            admitted.uq.id,
-            unran_slot(
-                admitted,
-                lane_idx,
-                QueryOutcome::Failed {
-                    reason: reason.to_string(),
-                },
-            ),
-        );
-    }
-}
-
-/// Execute one sealed batch on a lane: optimize (per the sharing mode),
-/// graft, run the ATC to completion, publish each member query's results
-/// and report to the ledger, then release completed state and enforce the
-/// memory budget. This is *the* execution path — the scripted driver, the
-/// interactive facade, and incremental stepping all come through here.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    catalog: &Catalog,
-    config: &EngineConfig,
-    share: bool,
-    retain_results: bool,
-    lane_idx: usize,
-    slot: &mut LaneSlot,
-    full_batch: &[Admitted],
-    ledger: &Mutex<Ledger>,
-) {
-    let wall = std::time::Instant::now();
-    let lane = &mut slot.lane;
-    let submit = lane.sources.clock().now_us();
-
-    // Members cancelled (or already past their deadline) before dispatch
-    // drop out here: their slots resolve immediately and the survivors run
-    // exactly as if the batch had been admitted without them.
-    let mut deadlines: HashMap<UqId, u64> = HashMap::new();
-    let mut batch: Vec<&Admitted> = Vec::with_capacity(full_batch.len());
-    {
-        let mut guard = ledger_lock(ledger);
-        for admitted in full_batch {
-            let id = admitted.uq.id;
-            let (cancelled, deadline) = guard
-                .slots
-                .get(&id)
-                .map(|s| (s.cancelled, s.deadline_us))
-                .unwrap_or((false, None));
-            let verdict = if cancelled {
-                Some(QueryOutcome::Cancelled)
-            } else if deadline.is_some_and(|d| submit >= d) {
-                Some(QueryOutcome::DeadlineExceeded)
-            } else {
-                if let Some(d) = deadline {
-                    deadlines.insert(id, d);
-                }
-                batch.push(admitted);
-                None
-            };
-            if let Some(outcome) = verdict {
-                guard
-                    .slots
-                    .insert(id, unran_slot(admitted, lane_idx, outcome));
-            }
-        }
-    }
-    if batch.is_empty() {
-        slot.wall_us += wall.elapsed().as_micros() as u64;
-        return;
-    }
-
-    for admitted in &batch {
-        lane.stats.submit(admitted.uq.id, submit);
-    }
-
-    // Optimize + graft, remembering which queries each graft covered so
-    // reuse/recovery status can be attributed per ticket.
-    let mut grafts: Vec<(qsys_state::GraftOutcome, OptStats, Vec<UqId>)> = Vec::new();
-    match config.sharing {
-        // ATC-CQ / ATC-UQ: optimize each user query separately.
-        SharingMode::AtcCq | SharingMode::AtcUq => {
-            for admitted in &batch {
-                let uq = &admitted.uq;
-                let (outcome, opt, event) = graft_batch(catalog, lane, &[uq], config, share, false);
-                slot.opt_events.push(event);
-                grafts.push((outcome, opt, vec![uq.id]));
-                if matches!(config.sharing, SharingMode::AtcUq) {
-                    // Sharing stays within the user query.
-                    lane.manager.isolate();
-                }
-            }
-        }
-        // ATC-FULL / ATC-CL: one multi-query optimization per batch.
-        _ => {
-            let uqs: Vec<&UserQuery> = batch.iter().map(|a| &a.uq).collect();
-            let (outcome, opt, event) = graft_batch(catalog, lane, &uqs, config, share, false);
-            slot.opt_events.push(event);
-            let ids = uqs.iter().map(|uq| uq.id).collect();
-            grafts.push((outcome, opt, ids));
-        }
-    }
-
-    if config.verify_phases() {
-        // Post-graft boundary: the freshly grafted plan graph must satisfy
-        // every structural invariant, and — before execution starts — no
-        // rank-merge may be bound into a quarantined subtree (execution
-        // later drains *around* quarantined leaves, so this second check
-        // is only valid here, not after replans).
-        qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed).assert_clean("post-graft");
-        VerifyReport::from(qsys_verify::verify_no_quarantined_grafts(
-            &lane.manager,
-            "lane/graph",
-        ))
-        .assert_clean("post-graft");
-    }
-
-    // The adaptive loop needs the warm store (corrections live there) and
-    // cross-query sharing semantics (a re-graft must merge back onto the
-    // live leaves); ATC-CQ shares nothing and ATC-UQ isolates its
-    // signature index between queries, so both run the static path.
-    let adaptive_on = config.adaptive.enabled()
-        && config.warm_opt
-        && share
-        && !matches!(config.sharing, SharingMode::AtcCq | SharingMode::AtcUq);
-    if adaptive_on {
-        adaptive_drive(catalog, config, share, lane, &batch, &mut slot.opt_events);
-    } else {
-        lane.atc.run_governed(
-            lane.manager.graph_mut(),
-            &lane.sources,
-            &lane.governor,
-            &mut lane.stats,
-        );
-    }
-    lane.manager.unpin_all();
-
-    // Harvest results before completed rank-merges are unlinked. The
-    // per-query slots are assembled outside the ledger lock — concurrent
-    // lanes contend only on the final inserts, not on the O(k) clones.
-    let published: Vec<(UqId, TicketSlot)> = batch
-        .iter()
-        .map(|admitted| {
-            let id = admitted.uq.id;
-            let (outcome, opt) = grafts
-                .iter()
-                .find(|(_, _, ids)| ids.contains(&id))
-                .map(|(o, s, _)| (o, *s))
-                // lint:allow(panic-path): the graft loop above pushes an entry covering every batch member
-                .expect("every batch member was grafted");
-            // Result payloads are cloned only when a ticket can read them
-            // (the scripted driver opts out: it reports counts, and the
-            // old runner never materialized tuples either).
-            let results: Option<Vec<(Score, Tuple)>> = retain_results.then(|| {
-                lane.manager
-                    .rank_merge_of(id)
-                    .map(|rm| {
-                        lane.manager
-                            .graph()
-                            .rank_merge(rm)
-                            .results()
-                            .iter()
-                            .map(|r| (r.score, r.tuple.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            });
-            // lint:allow(panic-path): stats.submit ran for this id at the top of run_batch
-            let stats = lane.stats.uq(id).expect("submitted above");
-            // Outcome, worst first: finishing past a deadline trumps
-            // degradation (the results are retained either way), and any
-            // relation lost mid-batch marks the top-k degraded.
-            let completed_us = stats.completed_us.unwrap_or(submit);
-            let query_outcome = if deadlines.get(&id).is_some_and(|d| completed_us > *d) {
-                QueryOutcome::DeadlineExceeded
-            } else if !stats.missing_rels.is_empty() {
-                QueryOutcome::Degraded {
-                    missing_rels: stats.missing_rels.clone(),
-                }
-            } else {
-                QueryOutcome::Complete
-            };
-            let report = UqReport {
-                uq: id,
-                user: admitted.uq.user,
-                keywords: admitted.uq.keywords.clone(),
-                arrival_us: admitted.arrival_us,
-                response_us: stats.response_us().unwrap_or(0),
-                results: stats.results,
-                cqs_generated: admitted.uq.cqs.len(),
-                cqs_executed: stats.cqs_executed.len(),
-                lane: lane_idx,
-                reused_nodes: outcome.reused_nodes,
-                recovered_cqs: outcome.recovered_uqs.iter().filter(|u| **u == id).count(),
-                outcome: query_outcome,
-            };
-            (
-                id,
-                TicketSlot {
-                    completed: true,
-                    cancelled: false,
-                    deadline_us: None,
-                    results,
-                    report: Some(report),
-                    opt: Some(opt),
-                },
-            )
-        })
-        .collect();
-    let mut ledger = ledger_lock(ledger);
-    for (id, slot_data) in published {
-        ledger.slots.insert(id, slot_data);
-    }
-    drop(ledger);
-
-    lane.manager.unlink_completed();
-    lane.manager.evict_to_budget();
-    slot.wall_us += wall.elapsed().as_micros() as u64;
-}
-
-/// Rounds between drift checks in the adaptive drive loop: frequent
-/// enough to catch drift while most of a batch is still ahead, rare
-/// enough that observation never dominates a round.
-const DRIFT_CHECK_INTERVAL: u64 = 4;
-
-/// Mid-batch replans one batch may perform. Corrections persist in the
-/// warm store (and are re-applied wholesale at batch end), so one
-/// surgery per batch captures nearly all of the correction's value;
-/// every further replan re-pays the optimize charge for marginal
-/// fact deltas — churn, not adaptation.
-const MAX_REPLANS_PER_BATCH: u64 = 1;
-
-/// Drive one batch's ATC with the adaptive feedback loop (see
-/// [`EngineConfig::adaptive`](crate::EngineConfig)): run scheduling
-/// rounds exactly like `Atc::run_governed`, but every
-/// [`DRIFT_CHECK_INTERVAL`] rounds tap the live graph's observed
-/// cardinalities and compare them against the frozen warm-store facts.
-/// When drift exceeds the configured ratio and enough of the batch is
-/// still re-plannable, fold the observations into the warm store,
-/// detach every member that has emitted nothing, and re-graft those
-/// members through the warm optimizer path — their fresh rank-merges
-/// rebuild from the archived state via `RecoverState` (the same
-/// machinery a late-arriving query uses), so no tuple is lost and, with
-/// nothing yet emitted, none can be duplicated.
-fn adaptive_drive(
-    catalog: &Catalog,
-    config: &EngineConfig,
-    share: bool,
-    lane: &mut Lane,
-    batch: &[&Admitted],
-    opt_events: &mut Vec<OptEvent>,
-) {
-    let drift = config
-        .adaptive
-        .drift
-        // lint:allow(panic-path): the adaptive_on gate requires adaptive.enabled(), which needs a drift threshold
-        .expect("adaptive drive requires a threshold");
-    lane.governor.begin_batch();
-    let mut rounds: u64 = 0;
-    let mut replans: u64 = 0;
-    loop {
-        let progress = lane.atc.round(
-            lane.manager.graph_mut(),
-            &lane.sources,
-            &lane.governor,
-            &mut lane.stats,
-        );
-        if !progress {
-            break;
-        }
-        rounds += 1;
-        if !rounds.is_multiple_of(DRIFT_CHECK_INTERVAL) || replans >= MAX_REPLANS_PER_BATCH {
-            continue;
-        }
-        lane.adaptive.summary.drift_checks += 1;
-        lane.manager.observe_into(&mut lane.adaptive.observed);
-        let drifted = {
-            let warm_cell = lane.manager.warm_cell();
-            let warm = warm_cell.borrow();
-            qsys_opt::adaptive::detect_drift(&warm, &lane.adaptive.observed, drift).any()
-        };
-        if !drifted {
-            continue;
-        }
-        // Only members that have emitted nothing are safely re-plannable;
-        // a replan must also still be worth it (enough of the batch left).
-        let remaining: Vec<&UserQuery> = batch
-            .iter()
-            .map(|a| &a.uq)
-            .filter(|uq| lane.manager.replannable(uq.id))
-            .collect();
-        if remaining.is_empty()
-            || (remaining.len() as f64) < config.adaptive.min_remaining * batch.len() as f64
-        {
-            continue;
-        }
-        // Correct the warm store from what was observed. If nothing
-        // actually changed, the re-plan would re-derive the same plan —
-        // skip the surgery.
-        let corrected = {
-            let interner_cell = lane.manager.shared_interner();
-            let interner = interner_cell.borrow();
-            let warm_cell = lane.manager.warm_cell();
-            let mut warm = warm_cell.borrow_mut();
-            qsys_opt::adaptive::apply_observed(&mut warm, &lane.adaptive.observed, &interner)
-        };
-        lane.adaptive.summary.cards_corrected += corrected;
-        if corrected == 0 {
-            continue;
-        }
-        let replanned: Vec<&UserQuery> = remaining
-            .into_iter()
-            .filter(|uq| lane.manager.detach_for_replan(uq.id))
-            .collect();
-        if replanned.is_empty() {
-            continue;
-        }
-        let opt_before = lane.sources.clock().breakdown().optimize_us;
-        let (_, _, event) = graft_batch(catalog, lane, &replanned, config, share, true);
-        if config.verify_phases() {
-            // Post-replan boundary: structural invariants only. The
-            // quarantine check is deliberately absent — mid-execution the
-            // legal degradation path drains around quarantined leaves.
-            qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed)
-                .assert_clean("post-replan");
-        }
-        lane.adaptive.summary.replan_us += lane
-            .sources
-            .clock()
-            .breakdown()
-            .optimize_us
-            .saturating_sub(opt_before);
-        opt_events.push(event);
-        lane.adaptive.summary.replans += 1;
-        replans += 1;
-    }
-    lane.adaptive.observed.add_rounds(rounds);
-    // Final tap: later batches' shard routing, live estimates, and
-    // snapshots should see end-of-batch truth even if no check fired.
-    lane.manager.observe_into(&mut lane.adaptive.observed);
-    // Fold the batch's full observations into the warm store now that
-    // every stream has settled — exhausted leaves are exact counts and
-    // their relation-level factors re-cost the whole candidate space.
-    // Unlike the mid-batch surgery this charges nothing: the next batch
-    // was going to optimize anyway.
-    let corrected = {
-        let interner_cell = lane.manager.shared_interner();
-        let interner = interner_cell.borrow();
-        let warm_cell = lane.manager.warm_cell();
-        let mut warm = warm_cell.borrow_mut();
-        qsys_opt::adaptive::apply_observed(&mut warm, &lane.adaptive.observed, &interner)
-    };
-    lane.adaptive.summary.cards_corrected += corrected;
 }

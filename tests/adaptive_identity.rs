@@ -65,6 +65,9 @@ fn engine_cfg(lane_threads: usize, adaptive: AdaptiveConfig, faults: Option<&str
         // own adaptive/fault/shard knobs even under the CI matrix legs.
         sharding: qsys::ShardConfig::off(),
         faults: faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
+        // The corrections live in the warm store: the loop is inert without
+        // it, so the `warm_opt=0` CI leg must not reach these arms either.
+        warm_opt: true,
         ..EngineConfig::default()
     }
 }

@@ -191,6 +191,69 @@ fn lane_panic_is_contained() {
     }
 }
 
+/// A ticket resolves exactly once: a member cancelled before dispatch stays
+/// `Cancelled` when its lane panics under the batch, and so does one
+/// cancelled in a later batch on the poisoned lane.
+#[test]
+fn cancelled_members_stay_cancelled_when_their_lane_panics() {
+    let w = workload();
+    // The relation most of the first member's candidate networks read —
+    // fetched the moment its best CQ runs, so the hook is sure to fire.
+    let (uqs, _) = qsys::generate_user_queries(&w, &engine_cfg(None)).unwrap();
+    let mut reads: BTreeMap<u32, usize> = BTreeMap::new();
+    for rel in uqs[0].cqs.iter().flat_map(|(cq, _)| cq.rels()) {
+        *reads.entry(rel.0).or_default() += 1;
+    }
+    let (victim, _) = reads
+        .into_iter()
+        .max_by_key(|(rel, n)| (*n, std::cmp::Reverse(*rel)))
+        .expect("the first member reads something");
+    let spec = FaultPlan::new(3).panic_on(victim).build();
+
+    let mut engine = Engine::for_workload(&w, engine_cfg(Some(&spec)));
+    let mut script = w.queries.iter();
+    let mut admit = |engine: &mut Engine| loop {
+        let q = script.next().expect("script has enough live queries");
+        let costs = q.edge_costs.clone().unwrap_or_default();
+        let mut session = engine.session(q.user).with_edge_costs(costs);
+        if let Ok(t) = session.submit(&q.keywords, 0) {
+            return t;
+        }
+    };
+    // Every ticket carries one outcome, and the report counts those.
+    let check = |engine: &Engine, tickets: &[QueryTicket], cancelled: &[&QueryTicket]| {
+        let report = engine.report();
+        for t in tickets {
+            let outcome = t.outcome().expect("a drained engine resolved the ticket");
+            assert_eq!(report.per_ticket(t).map(|l| &l.outcome), Some(&outcome));
+            assert!(t.take_results().is_none(), "{t:?} never ran");
+            if cancelled.iter().any(|c| c.id() == t.id()) {
+                assert_eq!(outcome, QueryOutcome::Cancelled, "{t:?}");
+            } else {
+                assert!(matches!(outcome, QueryOutcome::Failed { .. }), "{t:?}");
+            }
+        }
+        assert_eq!(report.per_uq.len(), tickets.len(), "one line per ticket");
+        assert_eq!(report.faults.cancelled, cancelled.len());
+        assert_eq!(report.faults.failed, tickets.len() - cancelled.len());
+    };
+
+    // One full batch (batch_size 3), its middle member cancelled: the
+    // first member's fetch panics the lane under the other two.
+    let mut tickets: Vec<QueryTicket> = (0..3).map(|_| admit(&mut engine)).collect();
+    assert!(engine.cancel(tickets[1].id()));
+    engine.run_until_idle();
+    assert_eq!(engine.poisoned_lanes(), 1, "the panic hook never fired");
+    check(&engine, &tickets, &[&tickets[1]]);
+
+    // The poisoned lane fails its later batches fast — except a member
+    // that was cancelled, which resolves as on a healthy lane.
+    tickets.extend((0..2).map(|_| admit(&mut engine)));
+    assert!(engine.cancel(tickets[3].id()));
+    engine.run_until_idle();
+    check(&engine, &tickets, &[&tickets[1], &tickets[3]]);
+}
+
 /// Cancellation and deadlines: resolved without execution (or despite it),
 /// batch peers untouched.
 #[test]

@@ -1,15 +1,51 @@
-//! What the answer-identity suites (`chaos`, `shard_identity`,
-//! `adaptive_identity`) share: the session-driven run that fingerprints
-//! every ticket, and the tie-aware equivalence an arm's answers owe the
-//! baseline's when only a physical decision changed.
+//! What the integration suites share: the session-driven run that
+//! fingerprints every ticket and the tie-aware equivalence an arm's
+//! answers owe the baseline's when only a physical decision changed
+//! (`chaos`, `shard_identity`, `adaptive_identity`); the one-query
+//! `search` (`state_reuse`, `pfam_integration`); and which CI leg the
+//! environment selects (`parallel_identity`, `session_api`).
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
 
 use qsys::prelude::*;
-use qsys::types::UqId;
+use qsys::types::{QsysResult, UqId};
 use qsys_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// True when the CI chaos leg injects faults through `QSYS_FAULTS`. The
+/// injector is deterministic per lane index (not per thread or drive
+/// shape), so identity invariants must survive chaos; only absolute golden
+/// numbers are skipped, since retried rounds shift timing-sensitive
+/// counters.
+pub fn chaos_active() -> bool {
+    std::env::var_os("QSYS_FAULTS").is_some_and(|v| !v.is_empty())
+}
+
+/// True under the CI adaptive leg (`QSYS_ADAPT_DRIFT` set). Mid-batch
+/// re-plans change how many tuples a plan reads, so absolute golden counts
+/// are skipped — but identity invariants still run: runs that seal
+/// identical batches observe identical runtime statistics and re-plan
+/// identically, whatever the thread count or drive shape.
+pub fn adaptive_active() -> bool {
+    EngineConfig::default().adaptive.enabled()
+}
+
+/// Pose one keyword query and run it to completion, reusing whatever
+/// state earlier searches left in the engine: its report line and its
+/// ranked answers, best first.
+pub fn search(
+    engine: &mut Engine,
+    keywords: &str,
+    user: UserId,
+) -> QsysResult<(UqReport, Vec<(Score, Tuple)>)> {
+    let ticket = engine.session(user).submit_now(keywords)?;
+    engine.run_until_idle();
+    let report = ticket
+        .report()
+        .expect("a drained engine resolved the ticket");
+    Ok((report, ticket.take_results().unwrap_or_default()))
+}
 
 /// Per-query outcome + answer multiset (score bits, tuple text), sorted:
 /// equality means identical *multisets*. Equal-score ties may legitimately

@@ -14,6 +14,9 @@ use qsys::{run_workload, EngineConfig, RunReport, SharingMode};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
+mod common;
+use common::{adaptive_active, chaos_active};
+
 fn workload(seed: u64) -> Workload {
     let mut cfg = GusConfig::small(seed);
     cfg.min_rows = 150;
@@ -41,22 +44,6 @@ fn engine(lane_threads: usize) -> EngineConfig {
         sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
-}
-
-/// True when the CI chaos leg injects faults through `QSYS_FAULTS`. The
-/// lane injector is seeded per lane index, not per thread, so the 1-vs-N
-/// thread identity must survive chaos; only the absolute golden numbers
-/// are skipped, since retried rounds shift timing-sensitive counters.
-fn chaos_active() -> bool {
-    std::env::var_os("QSYS_FAULTS").is_some_and(|v| !v.is_empty())
-}
-
-/// True under the CI adaptive leg (`QSYS_ADAPT_DRIFT` set). Mid-batch
-/// re-plans change how many tuples a plan reads, so the absolute golden
-/// counts are skipped — but the 1-vs-N thread identity below still runs
-/// and now also pins that the adaptive loop is thread-count-invariant.
-fn adaptive_active() -> bool {
-    EngineConfig::default().adaptive.enabled()
 }
 
 /// Every reported quantity except host wall times must match.

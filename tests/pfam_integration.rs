@@ -8,6 +8,8 @@ use qsys_query::CandidateConfig;
 use qsys_workload::pfam::{self, PfamConfig};
 use qsys_workload::Workload;
 
+mod common;
+
 fn workload(seed: u64) -> Workload {
     let mut cfg = PfamConfig::small(seed);
     cfg.scale = 0.05; // keep debug-mode tests quick
@@ -71,18 +73,13 @@ fn cross_database_joins_appear_in_answers() {
     assert_ne!(pfam_db, interpro_db);
     // Run and check that at least one answer joins relations from both
     // databases (the data-integration point of the paper).
-    let mut sys = qsys::QSystem::new(
-        w.catalog,
-        w.index,
-        w.tables.provider(),
-        engine(SharingMode::AtcFull),
-    );
+    let mut sys = qsys::Engine::for_workload(&w, engine(SharingMode::AtcFull));
     let mut saw_cross = false;
     for q in ["kinase domain", "binding receptor", "domain membrane"] {
-        let Ok(res) = sys.search(q, qsys_types::UserId::new(0)) else {
+        let Ok((_, answers)) = common::search(&mut sys, q, qsys_types::UserId::new(0)) else {
             continue;
         };
-        for (_, tuple) in &res.results {
+        for (_, tuple) in &answers {
             let dbs: std::collections::BTreeSet<_> = tuple
                 .parts()
                 .iter()

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_exec::access::{AccessModule, AccessModuleArena, StoredModule};
 use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
-use qsys_exec::{Atc, ExecStats, SchedulingPolicy};
+use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
@@ -128,6 +128,17 @@ fn brute_force_scores(data: &[RelData], f: &ScoreFn, k: usize) -> Vec<f64> {
     scores
 }
 
+/// Drive the manager's plan graph to completion, fault-free.
+fn run_atc(manager: &mut QsManager, sources: &Sources, stats: &mut ExecStats) {
+    let governor = SourceGovernor::new(RetryPolicy::default());
+    Atc::new(SchedulingPolicy::RoundRobin).run_governed(
+        manager.graph_mut(),
+        sources,
+        &governor,
+        stats,
+    );
+}
+
 fn run_engine(data: &[RelData], key_range: i64, k: usize) -> (Vec<f64>, f64) {
     let catalog = chain_catalog(data, key_range);
     let sources = build_sources(data);
@@ -150,7 +161,7 @@ fn run_engine(data: &[RelData], key_range: i64, k: usize) -> (Vec<f64>, f64) {
     manager.graft(&spec, &sources, k);
     let mut stats = ExecStats::new();
     stats.submit(UqId::new(0), 0);
-    Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+    run_atc(&mut manager, &sources, &mut stats);
     let rm = manager.rank_merge_of(UqId::new(0)).unwrap();
     let scores = manager
         .graph()
@@ -291,7 +302,7 @@ proptest! {
         manager.graft(&spec, &sources, k);
         let mut stats = ExecStats::new();
         stats.submit(UqId::new(0), 0);
-        Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+        run_atc(&mut manager, &sources, &mut stats);
 
         let cq3 = chain_cq(1, 1, &catalog, 3);
         let (spec, _) = {
@@ -301,7 +312,7 @@ proptest! {
         };
         manager.graft(&spec, &sources, k);
         stats.submit(UqId::new(1), 0);
-        Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+        run_atc(&mut manager, &sources, &mut stats);
         let rm = manager.rank_merge_of(UqId::new(1)).unwrap();
         let warm: Vec<f64> = manager.graph().rank_merge(rm).results()
             .iter().map(|r| r.score.get()).collect();

@@ -16,6 +16,9 @@ use qsys::types::UqId;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
+mod common;
+use common::{adaptive_active, chaos_active};
+
 fn workload(seed: u64) -> Workload {
     let mut cfg = GusConfig::small(seed);
     cfg.min_rows = 150;
@@ -41,24 +44,6 @@ fn engine_cfg(lane_threads: usize) -> EngineConfig {
         sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
-}
-
-/// True when the CI chaos leg injects faults through `QSYS_FAULTS`. The
-/// cross-drive equivalence invariants must hold even then (the injector is
-/// deterministic per lane, so identical schedules see identical faults);
-/// only the absolute golden numbers are skipped, since retried rounds
-/// shift timing-sensitive counters.
-fn chaos_active() -> bool {
-    std::env::var_os("QSYS_FAULTS").is_some_and(|v| !v.is_empty())
-}
-
-/// True under the CI adaptive leg (`QSYS_ADAPT_DRIFT` set). Mid-batch
-/// re-plans change how many tuples a plan reads, so the absolute goldens
-/// are skipped — but every cross-drive equivalence below still runs: the
-/// three drive shapes seal identical batches, so they observe identical
-/// runtime statistics and re-plan identically.
-fn adaptive_active() -> bool {
-    EngineConfig::default().adaptive.enabled()
 }
 
 /// How the driver interleaves submission and execution.
@@ -186,6 +171,12 @@ fn tickets_report_lifecycle_and_windows_hold_until_sealed() {
     assert_eq!(engine.pending(), 2);
     assert_eq!(engine.step(), 0, "an open window never dispatches");
     assert_eq!(t0.poll(), TicketStatus::Queued);
+    // A queued query's slot is still owed to its batch: not forgettable.
+    assert!(
+        !engine.forget(t0.id()),
+        "forget drops only resolved queries"
+    );
+    assert_eq!(engine.pending(), 2);
 
     // The third arrival seals the window; one step executes the batch.
     let t2 = admit(&mut engine);
@@ -218,7 +209,36 @@ fn tickets_report_lifecycle_and_windows_hold_until_sealed() {
     // slot can be dropped once it has been observed.
     assert!(engine.forget(t0.id()));
     assert!(!engine.forget(t0.id()), "forget is idempotent");
-    assert_eq!(engine.report().per_uq.len(), 2);
+    let report = engine.report();
+    assert_eq!(report.per_uq.len(), 2);
+    assert!(report.per_uq_id(t0.id()).is_none(), "forgotten for good");
+}
+
+#[test]
+fn run_workload_limit_counts_admitted_queries() {
+    // Seed 41's third script entry matches no candidate network: it
+    // consumes a UqId and is reported as skipped, but does not count
+    // towards the limit.
+    let w = workload(41);
+    let n = 4;
+    let (uqs, skipped) = qsys::generate_user_queries(&w, &engine_cfg(1)).unwrap();
+    let admitted: Vec<UqId> = uqs.iter().take(n).map(|uq| uq.id).collect();
+    assert!(
+        admitted[n - 1].index() >= n && !skipped.is_empty(),
+        "an unmatched query sits among the first {n} that admit: {admitted:?}"
+    );
+    let scripted = run_workload(&w, &engine_cfg(1), Some(n)).expect("workload runs");
+
+    // By hand: submit the script up to its n-th admitting entry, drain.
+    let mut prefix = workload(41);
+    prefix.queries.truncate(admitted[n - 1].index() + 1);
+    let (by_hand, _) = run_session(&prefix, engine_cfg(1), Drive::SubmitAllThenRun);
+
+    assert_reports_identical(&scripted, &by_hand, "limit vs submit-until-admitted");
+    let ran: Vec<UqId> = scripted.per_uq.iter().map(|u| u.uq).collect();
+    assert_eq!(ran, admitted, "the first {n} queries that admit, no others");
+    assert_eq!(scripted.skipped, skipped);
+    assert_eq!(by_hand.skipped, skipped);
 }
 
 #[test]

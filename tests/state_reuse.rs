@@ -2,10 +2,13 @@
 //! keyword query (KQ1 → KQ3 of Examples 1–3), and the system answers the
 //! refinement largely from state retained after the first execution.
 
-use qsys::{EngineConfig, QSystem, SharingMode};
+use qsys::{Engine, EngineConfig, SharingMode};
 use qsys_query::CandidateConfig;
 use qsys_types::UserId;
 use qsys_workload::gus::{self, GusConfig};
+
+mod common;
+use common::search;
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -24,12 +27,11 @@ fn config() -> EngineConfig {
     }
 }
 
-fn system(seed: u64) -> QSystem {
+fn system(seed: u64) -> Engine {
     let mut cfg = GusConfig::small(seed);
     cfg.min_rows = 150;
     cfg.max_rows = 400;
-    let w = gus::generate(&cfg);
-    QSystem::new(w.catalog, w.index, w.tables.provider(), config())
+    Engine::for_workload(&gus::generate(&cfg), config())
 }
 
 #[test]
@@ -40,11 +42,11 @@ fn refinement_reuses_prior_state() {
     let mut reused_somewhere = false;
     for seed in [1u64, 3, 5, 9] {
         let mut sys = system(seed);
-        let first = sys.search("protein gene", UserId::new(0)).unwrap();
+        let (first, _) = search(&mut sys, "protein gene", UserId::new(0)).unwrap();
         assert!(first.cqs_generated >= 1);
         assert!(sys.sources().tuples_streamed() > 0);
         // Refinement sharing a keyword: overlapping candidate networks.
-        let refined = sys.search("gene membrane", UserId::new(0)).unwrap();
+        let (refined, _) = search(&mut sys, "gene membrane", UserId::new(0)).unwrap();
         if refined.reused_nodes > 0 {
             reused_somewhere = true;
             break;
@@ -59,31 +61,34 @@ fn refinement_reuses_prior_state() {
 #[test]
 fn identical_search_returns_identical_answers() {
     let mut sys = system(5);
-    let a = sys.search("protein metabolism", UserId::new(0)).unwrap();
-    let b = sys.search("protein metabolism", UserId::new(1)).unwrap();
-    assert_eq!(a.results.len(), b.results.len());
-    for ((sa, _), (sb, _)) in a.results.iter().zip(b.results.iter()) {
+    let (_, a) = search(&mut sys, "protein metabolism", UserId::new(0)).unwrap();
+    let (second, b) = search(&mut sys, "protein metabolism", UserId::new(1)).unwrap();
+    assert_eq!(a.len(), b.len());
+    for ((sa, _), (sb, _)) in a.iter().zip(b.iter()) {
         assert_eq!(sa, sb, "same query, same ranking");
     }
-    assert!(b.reused_nodes > 0, "second run reuses state: {b:?}");
+    assert!(
+        second.reused_nodes > 0,
+        "second run reuses state: {second:?}"
+    );
 }
 
 #[test]
 fn warm_system_answers_match_cold_system() {
     // Warm path: search X, then Y. Cold path: search only Y.
     let mut warm = system(9);
-    warm.search("protein gene", UserId::new(0)).unwrap();
-    let warm_y = warm.search("gene expression", UserId::new(0)).unwrap();
+    search(&mut warm, "protein gene", UserId::new(0)).unwrap();
+    let (_, warm_y) = search(&mut warm, "gene expression", UserId::new(0)).unwrap();
 
     let mut cold = system(9);
-    let cold_y = cold.search("gene expression", UserId::new(7)).unwrap();
+    let (_, cold_y) = search(&mut cold, "gene expression", UserId::new(7)).unwrap();
 
     assert_eq!(
-        warm_y.results.len(),
-        cold_y.results.len(),
+        warm_y.len(),
+        cold_y.len(),
         "reuse must not change the answer set size"
     );
-    for ((sa, _), (sb, _)) in warm_y.results.iter().zip(cold_y.results.iter()) {
+    for ((sa, _), (sb, _)) in warm_y.iter().zip(cold_y.iter()) {
         assert!(
             (sa.get() - sb.get()).abs() < 1e-9,
             "score mismatch: warm {sa} vs cold {sb}"
@@ -94,7 +99,7 @@ fn warm_system_answers_match_cold_system() {
 #[test]
 fn cqs_activate_lazily() {
     let mut sys = system(11);
-    let r = sys.search("protein gene", UserId::new(0)).unwrap();
+    let (r, _) = search(&mut sys, "protein gene", UserId::new(0)).unwrap();
     // Table 4's core claim: the rank-merge activates only the CQs it needs.
     assert!(
         r.cqs_executed <= r.cqs_generated,
@@ -105,6 +110,6 @@ fn cqs_activate_lazily() {
 #[test]
 fn unknown_keywords_error_cleanly() {
     let mut sys = system(13);
-    let err = sys.search("zzzunknownzzz", UserId::new(0)).unwrap_err();
+    let err = search(&mut sys, "zzzunknownzzz", UserId::new(0)).unwrap_err();
     assert!(matches!(err, qsys_types::QsysError::NoMatches(_)));
 }
