@@ -15,16 +15,36 @@
 //!   site by join key ([`RemoteModule`]), caching results so repeat probes
 //!   are free ("given that we cache tuples from random probes, we can
 //!   expect the rate of probing to decrease over time", Section 7.1).
+//!
+//! ### What is hashed, and with what
+//!
+//! Both kinds of module are maps from a join-column [`Value`] to the rows
+//! carrying it, consulted once per m-join insert (per index) and once per
+//! probe — the innermost loop of the executor. They are keyed by
+//! [`FxHashMap`] (`qsys_types::hash`: a rotate, an xor and a multiply per
+//! word) instead of the standard library's SipHash, and the outer level —
+//! which probe key of a stored module, which column of a probe cache — is
+//! a short `Vec` scanned linearly (an m-join input carries one to three
+//! probe keys), so a lookup hashes exactly one `Value`, by reference.
+//!
+//! Dropping SipHash drops its HashDoS protection. That is sound here
+//! because the keys are join-column values of the *simulated* sources: the
+//! workload generators produce them, no party outside the program chooses
+//! them, and a degenerate bucket would cost host time only, never an
+//! answer. A real backend (the parked *real backends* roadmap item) feeds
+//! these maps values a remote party controls and must revisit the choice.
 
 use qsys_source::Sources;
-use qsys_types::{Epoch, RelId, SimClock, TimeCategory, Tuple, Value};
+use qsys_types::{Epoch, FxHashMap, RelId, SimClock, TimeCategory, Tuple, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// A probe key: which (relation, column) the lookup addresses.
 pub type ProbeKey = (RelId, usize);
+
+/// The inner level of both module kinds: join-column value → `T`.
+type ByValue<T> = FxHashMap<Value, T>;
 
 /// Dense identifier of an access module in a lane's [`AccessModuleArena`].
 ///
@@ -183,8 +203,9 @@ impl AccessModuleArena {
 pub struct StoredModule {
     /// Tuples in arrival order (the paper's embedded linked list).
     entries: Vec<(Tuple, Epoch)>,
-    /// Hash indexes: probe key → value → positions into `entries`.
-    indexes: HashMap<ProbeKey, HashMap<Value, Vec<u32>>>,
+    /// Hash indexes, one per registered probe key in registration order:
+    /// value → positions into `entries`.
+    indexes: Vec<(ProbeKey, ByValue<Vec<u32>>)>,
 }
 
 impl StoredModule {
@@ -192,7 +213,7 @@ impl StoredModule {
     pub fn new(probe_keys: impl IntoIterator<Item = ProbeKey>) -> StoredModule {
         let mut m = StoredModule::default();
         for k in probe_keys {
-            m.indexes.entry(k).or_default();
+            m.add_probe_key(k);
         }
         m
     }
@@ -200,16 +221,14 @@ impl StoredModule {
     /// Register an additional probe key, indexing existing entries
     /// (needed when grafting adds a consumer that joins on a new column).
     pub fn add_probe_key(&mut self, key: ProbeKey) {
-        if self.indexes.contains_key(&key) {
+        if self.indexes.iter().any(|(k, _)| *k == key) {
             return;
         }
-        let mut index: HashMap<Value, Vec<u32>> = HashMap::new();
+        let mut index = ByValue::default();
         for (pos, (tuple, _)) in self.entries.iter().enumerate() {
-            if let Some(v) = key_value(tuple, key) {
-                index.entry(v.clone()).or_default().push(pos as u32);
-            }
+            index_position(&mut index, tuple, key, pos as u32);
         }
-        self.indexes.insert(key, index);
+        self.indexes.push((key, index));
     }
 
     /// Insert a tuple (stamped with the current epoch), maintaining all
@@ -219,16 +238,37 @@ impl StoredModule {
         let cost = self.indexes.len().max(1) as u64;
         clock.charge(TimeCategory::Join, 2 * cost);
         for (key, index) in &mut self.indexes {
-            if let Some(v) = key_value(&tuple, *key) {
-                index.entry(v.clone()).or_default().push(pos);
-            }
+            index_position(index, &tuple, *key, pos);
         }
         self.entries.push((tuple, epoch));
     }
 
-    /// Probe for matches of `value` under `key`. When `before` is set, only
-    /// tuples inserted in an earlier epoch are returned (RecoverState's
-    /// pre-epoch view). Results come back in arrival order.
+    /// Probe for matches of `value` under `key`, borrowing them from the
+    /// module in arrival order. When `before` is set, only tuples inserted
+    /// in an earlier epoch are yielded (RecoverState's pre-epoch view). The
+    /// probe is charged when called, whether or not the result is walked.
+    pub fn probe_iter<'a>(
+        &'a self,
+        key: ProbeKey,
+        value: &Value,
+        before: Option<Epoch>,
+        clock: &SimClock,
+    ) -> impl Iterator<Item = &'a Tuple> + 'a {
+        clock.charge(TimeCategory::Join, 2);
+        let positions = self
+            .indexes
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, index)| index.get(value))
+            .map_or(&[][..], Vec::as_slice);
+        positions
+            .iter()
+            .map(move |&p| &self.entries[p as usize])
+            .filter(move |(_, e)| before.is_none_or(|b| *e < b))
+            .map(|(t, _)| t)
+    }
+
+    /// [`Self::probe_iter`], collected (for callers that keep the matches).
     pub fn probe(
         &self,
         key: ProbeKey,
@@ -236,18 +276,8 @@ impl StoredModule {
         before: Option<Epoch>,
         clock: &SimClock,
     ) -> Vec<Tuple> {
-        clock.charge(TimeCategory::Join, 2);
-        let Some(index) = self.indexes.get(&key) else {
-            return Vec::new();
-        };
-        let Some(positions) = index.get(value) else {
-            return Vec::new();
-        };
-        positions
-            .iter()
-            .map(|&p| &self.entries[p as usize])
-            .filter(|(_, e)| before.is_none_or(|b| *e < b))
-            .map(|(t, _)| t.clone())
+        self.probe_iter(key, value, before, clock)
+            .cloned()
             .collect()
     }
 
@@ -283,8 +313,11 @@ impl StoredModule {
 pub struct RemoteModule {
     /// The remote relation.
     rel: RelId,
-    /// Cache: (column, key value) → base rows, wrapped as tuples.
-    cache: HashMap<(usize, Value), Arc<[Tuple]>>,
+    /// Cache, one map per probed column (a relation is probed on one or
+    /// two): key value → base rows, wrapped as tuples. Keyed per column so
+    /// a lookup borrows the caller's value instead of building an owned
+    /// `(column, value)` key.
+    cache: Vec<(usize, ByValue<Arc<[Tuple]>>)>,
     /// Probes answered from cache (Figure 8 commentary: probe rate decays).
     cache_hits: u64,
     /// Probes that went to the network.
@@ -296,7 +329,7 @@ impl RemoteModule {
     pub fn new(rel: RelId) -> RemoteModule {
         RemoteModule {
             rel,
-            cache: HashMap::new(),
+            cache: Vec::new(),
             cache_hits: 0,
             remote_probes: 0,
         }
@@ -311,17 +344,7 @@ impl RemoteModule {
     /// First hit goes over the (simulated) network via `sources`; repeats
     /// are served from the cache for the cost of a hash lookup.
     pub fn probe(&mut self, column: usize, value: &Value, sources: &Sources) -> Arc<[Tuple]> {
-        let key = (column, value.clone());
-        if let Some(hit) = self.cache.get(&key) {
-            self.cache_hits += 1;
-            sources.clock().charge(TimeCategory::Join, 2);
-            return Arc::clone(hit);
-        }
-        self.remote_probes += 1;
-        let rows = sources.probe(self.rel, column, value);
-        let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
-        self.cache.insert(key, Arc::clone(&tuples));
-        tuples
+        self.probe_governed(column, value, sources, None)
     }
 
     /// Like [`RemoteModule::probe`], but the network hop goes through the
@@ -337,27 +360,32 @@ impl RemoteModule {
         sources: &Sources,
         governor: Option<&crate::govern::SourceGovernor>,
     ) -> Arc<[Tuple]> {
-        let Some(governor) = governor.filter(|_| sources.faults_enabled()) else {
-            return self.probe(column, value, sources);
-        };
-        let key = (column, value.clone());
-        if let Some(hit) = self.cache.get(&key) {
+        let cached = self.cache.iter().position(|(c, _)| *c == column);
+        if let Some(hit) = cached.and_then(|i| self.cache[i].1.get(value)) {
             self.cache_hits += 1;
             sources.clock().charge(TimeCategory::Join, 2);
             return Arc::clone(hit);
         }
-        match governor.probe(sources, self.rel, column, value) {
-            Ok(rows) => {
-                self.remote_probes += 1;
-                let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
-                self.cache.insert(key, Arc::clone(&tuples));
-                tuples
-            }
-            Err(_) => {
-                governor.note_failed_probe(self.rel);
-                Vec::new().into()
-            }
-        }
+        let rows = match governor.filter(|_| sources.faults_enabled()) {
+            None => sources.probe(self.rel, column, value),
+            Some(governor) => match governor.probe(sources, self.rel, column, value) {
+                Ok(rows) => rows,
+                Err(_) => {
+                    governor.note_failed_probe(self.rel);
+                    return Vec::new().into();
+                }
+            },
+        };
+        self.remote_probes += 1;
+        let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
+        let slot = cached.unwrap_or_else(|| {
+            self.cache.push((column, ByValue::default()));
+            self.cache.len() - 1
+        });
+        self.cache[slot]
+            .1
+            .insert(value.clone(), Arc::clone(&tuples));
+        tuples
     }
 
     /// Probes served from cache so far.
@@ -373,7 +401,8 @@ impl RemoteModule {
     /// Approximate resident bytes of the cache.
     pub fn approx_bytes(&self) -> usize {
         self.cache
-            .values()
+            .iter()
+            .flat_map(|(_, by_value)| by_value.values())
             .map(|v| 48 + v.len() * 32)
             .sum::<usize>()
     }
@@ -406,8 +435,18 @@ impl AccessModule {
     }
 }
 
-fn key_value(tuple: &Tuple, key: ProbeKey) -> Option<&Value> {
-    tuple.value_of(key.0, key.1)
+/// Record `tuple` at arrival position `pos` under its value for `key`, if
+/// it has one. The value is cloned only when it opens a new bucket.
+fn index_position(index: &mut ByValue<Vec<u32>>, tuple: &Tuple, key: ProbeKey, pos: u32) {
+    let Some(value) = tuple.value_of(key.0, key.1) else {
+        return;
+    };
+    match index.get_mut(value) {
+        Some(positions) => positions.push(pos),
+        None => {
+            index.insert(value.clone(), vec![pos]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -474,6 +513,71 @@ mod tests {
         assert!(m.probe(k1, &Value::Int(5), None, &clock).is_empty());
     }
 
+    /// The collecting `probe` and the borrowing `probe_iter` are one
+    /// lookup: same tuples in the same (arrival) order, and the same
+    /// single charge, whichever index answers and whatever the epoch cap.
+    #[test]
+    fn probe_equals_probe_iter_element_for_element() {
+        let clock = SimClock::new();
+        let two_col = |id: u64, a: i64, b: i64| {
+            Tuple::single(Arc::new(BaseTuple::new(
+                RelId::new(0),
+                id,
+                vec![Value::Int(a), Value::Int(b)],
+                1.0,
+            )))
+        };
+        let (k0, k1) = ((RelId::new(0), 0), (RelId::new(0), 1));
+        let mut m = StoredModule::new([k0]);
+        for (id, a, b, epoch) in [(1, 5, 9, 0), (2, 7, 9, 1), (3, 5, 8, 1), (4, 5, 9, 2)] {
+            m.insert(two_col(id, a, b), Epoch(epoch), &clock);
+        }
+        // A second index, registered when the module already holds tuples.
+        m.add_probe_key(k1);
+        let unknown = (RelId::new(3), 0);
+        let ids =
+            |ts: Vec<&Tuple>| -> Vec<u64> { ts.iter().map(|t| t.parts()[0].row_id).collect() };
+        for (key, value, cap, want) in [
+            (k0, 5, None, vec![1, 3, 4]),
+            (k0, 5, Some(Epoch(2)), vec![1, 3]),
+            (k0, 5, Some(Epoch(0)), vec![]),
+            (k1, 9, None, vec![1, 2, 4]),
+            (k1, 9, Some(Epoch(1)), vec![1]),
+            (k1, 8, None, vec![3]),
+            (k0, 6, None, vec![]),
+            (unknown, 5, None, vec![]),
+        ] {
+            let value = Value::Int(value);
+            let before = clock.breakdown().join_us;
+            let collected = m.probe(key, &value, cap, &clock);
+            let charged = clock.breakdown().join_us - before;
+            let borrowed: Vec<&Tuple> = m.probe_iter(key, &value, cap, &clock).collect();
+            assert_eq!(clock.breakdown().join_us - before, 2 * charged);
+            assert_eq!(ids(collected.iter().collect()), want, "{key:?} = {value}");
+            assert_eq!(ids(borrowed), want, "{key:?} = {value}");
+        }
+        // Dropping the iterator unwalked still pays for the probe.
+        let before = clock.breakdown().join_us;
+        drop(m.probe_iter(k0, &Value::Int(5), None, &clock));
+        assert!(clock.breakdown().join_us > before);
+    }
+
+    /// The eviction budget (`gus-evict`'s 512 KiB) is computed from this
+    /// estimate: 64 bytes per stored tuple plus 24 per tuple per index,
+    /// whatever the index representation underneath.
+    #[test]
+    fn approx_bytes_is_pinned() {
+        let clock = SimClock::new();
+        let mut m = StoredModule::new([(RelId::new(0), 0), (RelId::new(0), 0)]);
+        assert_eq!(m.approx_bytes(), 0);
+        for i in 0..10 {
+            m.insert(tup(0, i, (i % 3) as i64, 0.5), Epoch(0), &clock);
+        }
+        assert_eq!(m.approx_bytes(), 880); // one index: the repeated key is one
+        m.add_probe_key((RelId::new(0), 1));
+        assert_eq!(m.approx_bytes(), 1120);
+    }
+
     #[test]
     fn remote_module_caches_probes() {
         let clock = SimClock::new();
@@ -501,6 +605,35 @@ mod tests {
         // Cache hit charged no random-access time.
         assert_eq!(clock.breakdown().random_access_us, ra_after_first);
         assert_eq!(sources.probes(), 1);
+    }
+
+    /// One value probed on two columns is two cache entries; a repeat on
+    /// either column is a hit; the byte estimate sums over both.
+    #[test]
+    fn remote_cache_is_keyed_per_column() {
+        let clock = SimClock::new();
+        let sources = Sources::new(clock.clone(), CostProfile::default(), 7);
+        let rel = RelId::new(3);
+        let rows = (0..4i64)
+            .map(|i| {
+                Arc::new(BaseTuple::new(
+                    rel,
+                    i as u64,
+                    vec![Value::Int(i % 2), Value::Int(1)],
+                    1.0,
+                ))
+            })
+            .collect();
+        sources.register(Table::new(rel, rows));
+        let mut m = RemoteModule::new(rel);
+        assert_eq!(m.probe(0, &Value::Int(1), &sources).len(), 2);
+        assert_eq!(m.probe(1, &Value::Int(1), &sources).len(), 4);
+        assert_eq!((m.remote_probes(), m.cache_hits()), (2, 0));
+        assert_eq!(m.probe(1, &Value::Int(1), &sources).len(), 4);
+        assert_eq!(m.probe(0, &Value::Int(1), &sources).len(), 2);
+        assert_eq!((m.remote_probes(), m.cache_hits()), (2, 2));
+        assert_eq!(sources.probes(), 2);
+        assert_eq!(m.approx_bytes(), (48 + 2 * 32) + (48 + 4 * 32));
     }
 
     #[test]

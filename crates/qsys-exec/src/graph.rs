@@ -9,8 +9,10 @@
 
 use crate::access::AccessModuleArena;
 use crate::govern::SourceGovernor;
+use crate::mjoin::JoinCx;
 use crate::node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
-use crate::rank_merge::RankMerge;
+use crate::rank_merge::{Accepted, RankMerge};
+use crate::stats::ExecWork;
 use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
 use qsys_types::{Epoch, TimeCategory, Tuple};
@@ -48,9 +50,15 @@ pub struct QueryPlanGraph {
     /// Routing queue storage, kept between reads so a tuple's trip through
     /// the graph allocates nothing once the queue has grown.
     route_queue: VecDeque<(NodeId, usize, Tuple)>,
+    /// Where an m-join on the route leaves its complete results; drained
+    /// into `route_queue` after every insert, kept for its capacity.
+    route_out: Vec<Tuple>,
+    /// What routing has done so far, counted as it happens.
+    work: ExecWork,
     epoch: Epoch,
     /// Reuse index: interned subexpression signature → the node computing
     /// it. Keyed on [`SigId`], so lookups hash one `u32`.
+    // lint:allow(hot-hash): consulted per graft (per batch), never per tuple
     sig_index: HashMap<SigId, NodeId>,
     /// The lane's access modules: every m-join input names its hash table
     /// or probe cache by [`ModuleId`](crate::access::ModuleId) into this
@@ -251,6 +259,7 @@ impl QueryPlanGraph {
     /// the (possibly recovered) source another chance.
     pub fn subtree_quarantined(&self, id: NodeId) -> bool {
         let mut stack = vec![id];
+        // lint:allow(hot-hash): graft-time walk (per batch), never per tuple
         let mut seen: HashSet<NodeId> = HashSet::new();
         while let Some(nid) = stack.pop() {
             if !seen.insert(nid) {
@@ -388,6 +397,18 @@ impl QueryPlanGraph {
         StreamRead::Delivered
     }
 
+    /// Per-tuple work counted by the routing loop since this graph was
+    /// created (a lane keeps one graph for life).
+    pub fn work(&self) -> &ExecWork {
+        &self.work
+    }
+
+    /// Mutable access to the work counters, for the QS manager to add its
+    /// graft-time history reconstructions.
+    pub fn work_mut(&mut self) -> &mut ExecWork {
+        &mut self.work
+    }
+
     /// Route a tuple delivered by leaf `id` through the graph (BFS over
     /// consumer edges, charging routing time per hop). Joins probe through
     /// `governor`.
@@ -401,31 +422,40 @@ impl QueryPlanGraph {
         let epoch = self.epoch;
         let route_us = sources.cost_profile().route_us;
         let mut queue = mem::take(&mut self.route_queue);
-        for (c, i) in &self.node(id).children {
-            queue.push_back((*c, *i, tuple.clone()));
-        }
+        let mut outputs = mem::take(&mut self.route_out);
+        self.work.stream_reads += 1;
+        fan_out(&mut queue, &self.node(id).children, tuple);
+        // Split borrow: nodes and counters are mutated, the module arena
+        // is only read (module state is behind per-slot `RefCell`s).
+        let cx = JoinCx {
+            sources,
+            governor: Some(governor),
+            modules: &self.modules,
+        };
+        let work = &mut self.work;
         while let Some((nid, idx, t)) = queue.pop_front() {
             sources.clock().charge(TimeCategory::Join, route_us);
-            // Split borrow: the node is mutated, the module arena is
-            // only read (module state is behind per-slot `RefCell`s).
-            let modules = &self.modules;
             // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
             let node = self.nodes[nid.index()].as_mut().expect("live node");
             let Node { kind, children, .. } = node;
             match kind {
-                NodeKind::Split => {
-                    for (c, i) in children.iter() {
-                        queue.push_back((*c, *i, t.clone()));
-                    }
-                }
+                NodeKind::Split => fan_out(&mut queue, children, t),
                 NodeKind::MJoin(mj) => {
-                    for out in mj.insert_governed(idx, t, epoch, sources, Some(governor), modules) {
-                        for (c, i) in children.iter() {
-                            queue.push_back((*c, *i, out.clone()));
-                        }
+                    work.mjoin_inserts += 1;
+                    mj.insert_governed(idx, t, epoch, cx, &mut outputs, work);
+                    work.mjoin_outputs += outputs.len() as u64;
+                    for out in outputs.drain(..) {
+                        fan_out(&mut queue, children, out);
                     }
                 }
-                NodeKind::RankMerge(rm) => rm.accept(idx, t),
+                NodeKind::RankMerge(rm) => {
+                    work.accepts += 1;
+                    match rm.accept(idx, t) {
+                        Accepted::AfterK => work.after_k += 1,
+                        Accepted::Dominated => work.dominated += 1,
+                        Accepted::Enqueued => work.enqueued += 1,
+                    }
+                }
                 NodeKind::Stream(_) => {
                     panic!("stream {nid} cannot be a routing target")
                 }
@@ -433,6 +463,7 @@ impl QueryPlanGraph {
         }
         // Drained, so only the capacity is carried to the next read.
         self.route_queue = queue;
+        self.route_out = outputs;
     }
 
     /// Human-readable plan dump (an `EXPLAIN` for the running graph):
@@ -509,6 +540,18 @@ impl QueryPlanGraph {
             })
             .sum()
     }
+}
+
+/// Queue `t` for every consumer edge in `children`, in edge order: cloned
+/// for all but the last, which takes the tuple itself.
+fn fan_out(queue: &mut VecDeque<(NodeId, usize, Tuple)>, children: &[(NodeId, usize)], t: Tuple) {
+    let Some((&(last, last_idx), rest)) = children.split_last() else {
+        return;
+    };
+    for &(c, i) in rest {
+        queue.push_back((c, i, t.clone()));
+    }
+    queue.push_back((last, last_idx, t));
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ pub use access::{AccessModule, AccessModuleArena, ModuleId, RemoteModule, Stored
 pub use atc::{Atc, SchedulingPolicy};
 pub use govern::{FaultStats, RetryPolicy, SourceGovernor};
 pub use graph::{QueryPlanGraph, StreamRead};
-pub use mjoin::{MJoin, MJoinInput};
+pub use mjoin::{JoinCx, MJoin, MJoinInput};
 pub use node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
-pub use rank_merge::{CqRegistration, RankMerge, TopKResult};
-pub use stats::{ExecStats, UqStats};
+pub use rank_merge::{Accepted, CqRegistration, RankMerge, TopKResult};
+pub use stats::{ExecStats, ExecWork, UqStats};

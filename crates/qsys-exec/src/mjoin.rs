@@ -20,10 +20,27 @@
 //! transient recovery joins borrow ids without retaining. This keeps the
 //! whole executor `Send`: the arena moves with its lane onto a lane
 //! thread, and no `Rc` ties operators to the spawning thread.
+//!
+//! ### The per-tuple path
+//!
+//! [`MJoin::insert_governed`] runs once per tuple per m-join it reaches —
+//! millions of times a run — so it allocates and hashes as little as the
+//! algorithm allows: predicate orientations are resolved once, when a
+//! predicate is added ([`Link`]s per target input), not per insert; the
+//! inputs still to probe are a `u64` mask; partial results ping-pong
+//! between two buffers the m-join keeps; matches are borrowed from the
+//! probed module, so the only allocation per match is the joined tuple
+//! itself; and complete results go straight into the caller's buffer. The
+//! one thing hashed is the probe's join-column value, inside the access
+//! module — see the `access` module docs for the hasher and why its lack
+//! of HashDoS resistance is acceptable for simulated sources.
 
 use crate::access::{AccessModule, AccessModuleArena, ModuleId};
+use crate::govern::SourceGovernor;
+use crate::stats::ExecWork;
 use qsys_source::Sources;
 use qsys_types::{Epoch, RelId, Selection, Tuple};
+use std::mem;
 
 /// One join predicate between two relations handled by this m-join.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,6 +89,35 @@ impl InputStats {
     }
 }
 
+/// One predicate as seen from the input it probes *into*: resolved once
+/// when the predicate is added, so an insert never re-derives which side
+/// of a predicate faces which input.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    /// Index of the input covering the other end of the predicate; the
+    /// link applies once that input is in the covered set.
+    from: usize,
+    /// The covered side: relation and column the key is read from.
+    from_rel: RelId,
+    from_col: usize,
+    /// The probed side: relation and column on the target input.
+    to_rel: RelId,
+    to_col: usize,
+}
+
+/// What an insert works against: the lane's sources, the governor remote
+/// probes go through (if any), and the arena holding the access modules.
+#[derive(Clone, Copy)]
+pub struct JoinCx<'a> {
+    /// The lane's source gateway (and, through it, the virtual clock).
+    pub sources: &'a Sources,
+    /// Retry/breaker loop for remote probes; `None` bypasses fault
+    /// injection.
+    pub governor: Option<&'a SourceGovernor>,
+    /// The lane's access modules.
+    pub modules: &'a AccessModuleArena,
+}
+
 /// An m-way pipelined hash join.
 #[derive(Debug)]
 pub struct MJoin {
@@ -79,13 +125,18 @@ pub struct MJoin {
     preds: Vec<JoinPred>,
     stats: Vec<InputStats>,
     output_rels: Vec<RelId>,
-    /// Per predicate (parallel to `preds`): the indices of the inputs
-    /// covering its left and right relation, resolved once when the
-    /// predicate is added. Inputs of one m-join cover disjoint relation
-    /// sets (a CQ references each relation once), so probe routing reduces
-    /// to bitmask tests over input indices — no per-insert relation-set
-    /// clones and no per-candidate map lookups.
-    pred_owners: Vec<(Option<usize>, Option<usize>)>,
+    /// Per input: the predicates that can probe into it, in predicate
+    /// order, each oriented with that input as the probed side. Inputs of
+    /// one m-join cover disjoint relation sets (a CQ references each
+    /// relation once), so probe routing reduces to bitmask tests over
+    /// input indices — no per-insert relation-set clones, orientation
+    /// buffers or per-candidate map lookups.
+    links: Vec<Vec<Link>>,
+    /// Partial results of the probe sequence in flight, and the buffer
+    /// the next step fills; empty between inserts, kept for their
+    /// capacity.
+    partials: Vec<Tuple>,
+    next_partials: Vec<Tuple>,
 }
 
 impl MJoin {
@@ -109,10 +160,12 @@ impl MJoin {
         );
         let mut mj = MJoin {
             stats: vec![InputStats::default(); inputs.len()],
+            links: vec![Vec::new(); inputs.len()],
             inputs,
             preds: Vec::with_capacity(preds.len()),
             output_rels,
-            pred_owners: Vec::with_capacity(preds.len()),
+            partials: Vec::new(),
+            next_partials: Vec::new(),
         };
         for pred in preds {
             mj.push_pred(pred);
@@ -127,30 +180,28 @@ impl MJoin {
     }
 
     fn push_pred(&mut self, pred: JoinPred) {
-        self.pred_owners
-            .push((self.owner_of(pred.left_rel), self.owner_of(pred.right_rel)));
-        self.preds.push(pred);
-    }
-
-    /// If predicate `pred_idx` connects relations covered by `mask` (a
-    /// bitmask of input indices) to the `target` input, return
-    /// `(covered_rel, covered_col, target_rel, target_col)`.
-    fn oriented(
-        &self,
-        pred_idx: usize,
-        mask: u64,
-        target: usize,
-    ) -> Option<(RelId, usize, RelId, usize)> {
-        let pred = &self.preds[pred_idx];
-        let (left, right) = self.pred_owners[pred_idx];
-        let in_mask = |o: Option<usize>| o.is_some_and(|i| mask & (1 << i) != 0);
-        if in_mask(left) && right == Some(target) {
-            Some((pred.left_rel, pred.left_col, pred.right_rel, pred.right_col))
-        } else if in_mask(right) && left == Some(target) {
-            Some((pred.right_rel, pred.right_col, pred.left_rel, pred.left_col))
-        } else {
-            None
+        let owners = (self.owner_of(pred.left_rel), self.owner_of(pred.right_rel));
+        // A predicate inside one input is the producer's business; one
+        // with an uncovered side can never be evaluated here.
+        if let (Some(left), Some(right)) = owners {
+            if left != right {
+                self.links[right].push(Link {
+                    from: left,
+                    from_rel: pred.left_rel,
+                    from_col: pred.left_col,
+                    to_rel: pred.right_rel,
+                    to_col: pred.right_col,
+                });
+                self.links[left].push(Link {
+                    from: right,
+                    from_rel: pred.right_rel,
+                    from_col: pred.right_col,
+                    to_rel: pred.left_rel,
+                    to_col: pred.left_col,
+                });
+            }
         }
+        self.preds.push(pred);
     }
 
     fn register_probe_keys(&self, modules: &AccessModuleArena) {
@@ -201,7 +252,8 @@ impl MJoin {
     /// a replay), then probe the other access modules following the
     /// adaptive probe sequence. Returns complete join results covering
     /// [`Self::output_rels`]. Infallible: remote probes bypass fault
-    /// injection (see [`MJoin::insert_governed`] for the fault-aware path).
+    /// injection (see [`MJoin::insert_governed`] for the fault-aware path
+    /// the plan graph routes through).
     pub fn insert(
         &mut self,
         input_idx: usize,
@@ -210,139 +262,172 @@ impl MJoin {
         sources: &Sources,
         modules: &AccessModuleArena,
     ) -> Vec<Tuple> {
-        self.insert_governed(input_idx, tuple, epoch, sources, None, modules)
+        let cx = JoinCx {
+            sources,
+            governor: None,
+            modules,
+        };
+        let mut out = Vec::new();
+        self.insert_governed(
+            input_idx,
+            tuple,
+            epoch,
+            cx,
+            &mut out,
+            &mut ExecWork::default(),
+        );
+        out
     }
 
-    /// Like [`MJoin::insert`], but remote probes go through `governor`'s
-    /// retry/breaker loop when one is supplied: a probe that gives up
-    /// contributes no matches (the loss is recorded against the batch so
-    /// affected queries resolve as degraded) instead of panicking the lane.
+    /// [`MJoin::insert`] for the routing loop: complete results are
+    /// appended to the caller's `out`, probes and joins are counted into
+    /// `work`, and remote probes go through `cx.governor`'s retry/breaker
+    /// loop when one is supplied — a probe that gives up contributes no
+    /// matches (the loss is recorded against the batch so affected queries
+    /// resolve as degraded) instead of panicking the lane.
     pub fn insert_governed(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
         epoch: Epoch,
-        sources: &Sources,
-        governor: Option<&crate::govern::SourceGovernor>,
-        modules: &AccessModuleArena,
-    ) -> Vec<Tuple> {
+        cx: JoinCx<'_>,
+        out: &mut Vec<Tuple>,
+        work: &mut ExecWork,
+    ) {
         debug_assert!(input_idx < self.inputs.len());
         if self.inputs[input_idx].store_arrivals {
-            if let Some(module) = modules.module(self.inputs[input_idx].module) {
+            if let Some(module) = cx.modules.module(self.inputs[input_idx].module) {
                 if let AccessModule::Stored(s) = &mut *module.borrow_mut() {
-                    s.insert(tuple.clone(), epoch, sources.clock());
+                    s.insert(tuple.clone(), epoch, cx.sources.clock());
                 }
             }
         }
         if self.inputs.len() == 1 {
-            return vec![tuple];
+            out.push(tuple);
+            return;
         }
 
         let mut covered: u64 = 1 << input_idx;
-        let mut partials = vec![tuple];
-        let mut remaining: Vec<usize> =
-            (0..self.inputs.len()).filter(|&i| i != input_idx).collect();
+        // 2..=64 inputs here (`new` asserts the upper end), so the shift
+        // is 0..=62 and the mask is exact.
+        let all = u64::MAX >> (64 - self.inputs.len());
+        let mut remaining = all & !covered;
+        let mut partials = mem::take(&mut self.partials);
+        let mut next = mem::take(&mut self.next_partials);
+        partials.push(tuple);
 
-        while !remaining.is_empty() {
-            if partials.is_empty() {
-                return Vec::new();
-            }
+        // An empty partial set, or a component no predicate connects to
+        // the covered inputs, cannot complete the join.
+        while remaining != 0 && !partials.is_empty() {
             // Probe sequence: among inputs connected to the covered set,
             // pick the most selective (fewest matches per probe) first —
             // the runtime adaptivity of [24].
-            let Some(pick) = self.pick_next(covered, &remaining) else {
-                // Disconnected component: cannot complete the join.
-                return Vec::new();
+            let Some(pick) = self.pick_next(covered, remaining) else {
+                break;
             };
-            remaining.retain(|&i| i != pick);
-            partials = self.probe_step(pick, covered, partials, sources, governor, modules);
+            remaining &= !(1 << pick);
+            if remaining == 0 {
+                self.probe_step(pick, covered, &partials, cx, out, work);
+            } else {
+                self.probe_step(pick, covered, &partials, cx, &mut next, work);
+                partials.clear();
+                mem::swap(&mut partials, &mut next);
+            }
             covered |= 1 << pick;
         }
-        partials
+        partials.clear();
+        self.partials = partials;
+        self.next_partials = next;
     }
 
-    /// Choose the next input to probe: connected to the `covered` input
-    /// mask, lowest observed selectivity (unknowns use a neutral prior of
-    /// 1.0).
-    fn pick_next(&self, covered: u64, remaining: &[usize]) -> Option<usize> {
-        remaining
-            .iter()
-            .copied()
-            .filter(|&i| (0..self.preds.len()).any(|p| self.oriented(p, covered, i).is_some()))
-            .min_by(|&a, &b| {
-                let sa = self.stats[a].selectivity().unwrap_or(1.0);
-                let sb = self.stats[b].selectivity().unwrap_or(1.0);
-                sa.total_cmp(&sb)
-            })
+    /// Choose the next input to probe: in `remaining`, connected to the
+    /// `covered` input mask, lowest observed selectivity (unknowns use a
+    /// neutral prior of 1.0; ties go to the lowest input index).
+    fn pick_next(&self, covered: u64, remaining: u64) -> Option<usize> {
+        let mut best: Option<(f64, usize)> = None;
+        let mut candidates = remaining;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            if !self.links[i].iter().any(|l| covered & (1 << l.from) != 0) {
+                continue;
+            }
+            let sel = self.stats[i].selectivity().unwrap_or(1.0);
+            if best.is_none_or(|(b, _)| sel.total_cmp(&b).is_lt()) {
+                best = Some((sel, i));
+            }
+        }
+        best.map(|(_, i)| i)
     }
 
     /// Probe `target` with every partial, extending matches and applying
-    /// any additional predicates linking `target` to the covered set.
+    /// any additional predicates linking `target` to the covered set;
+    /// results are appended to `out`.
     fn probe_step(
         &mut self,
         target: usize,
         covered: u64,
-        partials: Vec<Tuple>,
-        sources: &Sources,
-        governor: Option<&crate::govern::SourceGovernor>,
-        modules: &AccessModuleArena,
-    ) -> Vec<Tuple> {
-        let conds: Vec<(RelId, usize, RelId, usize)> = (0..self.preds.len())
-            .filter_map(|p| self.oriented(p, covered, target))
-            .collect();
-        debug_assert!(!conds.is_empty());
-        // lint:allow(panic-path): join graphs are connected by construction (checked by the debug_assert above)
-        let (probe_cond, extra_conds) = conds.split_first().expect("connected");
-        let epoch_cap = self.inputs[target].epoch_cap;
+        partials: &[Tuple],
+        cx: JoinCx<'_>,
+        out: &mut Vec<Tuple>,
+        work: &mut ExecWork,
+    ) {
+        let input = &self.inputs[target];
+        let mut links = self.links[target]
+            .iter()
+            .filter(|l| covered & (1 << l.from) != 0);
+        // lint:allow(panic-path): pick_next only returns inputs with a link into the covered set
+        let probe = links.next().expect("connected");
+        let Some(module) = cx.modules.module(input.module) else {
+            // A detached (stateless) input can never contribute matches.
+            return;
+        };
+        // Held across the whole step: nothing below touches another
+        // module, and stored matches are borrowed from this one.
+        let mut module = module.borrow_mut();
+        let stats = &mut self.stats[target];
+        let target_rel = input.rels.first().copied();
+        let clock = cx.sources.clock();
 
-        let mut out = Vec::new();
-        for partial in &partials {
-            let Some(key) = partial.value_of(probe_cond.0, probe_cond.1) else {
+        for partial in partials {
+            let Some(key) = partial.value_of(probe.from_rel, probe.from_col) else {
                 continue;
             };
-            let Some(module) = modules.module(self.inputs[target].module) else {
-                // A detached (stateless) input can never contribute matches.
-                continue;
-            };
-            let matches: Vec<Tuple> = match &mut *module.borrow_mut() {
-                AccessModule::Stored(s) => s.probe(
-                    (probe_cond.2, probe_cond.3),
-                    key,
-                    epoch_cap,
-                    sources.clock(),
-                ),
-                AccessModule::Remote(r) => r
-                    .probe_governed(probe_cond.3, key, sources, governor)
-                    .to_vec(),
-            };
-            self.stats[target].probes += 1;
-            // Disjoint field borrows: the residual selection is read through
-            // `self.inputs`, the match counter bumped through `self.stats` —
-            // no per-probe clone of the selection.
-            let residual = &self.inputs[target].selection;
-            let target_rel = self.inputs[target].rels.first().copied();
-            for m in matches {
+            let mut extend = |m: &Tuple| {
                 // Residual selection on the probed relation.
-                if let (Some(sel), Some(rel)) = (residual, target_rel) {
-                    let passes = m.part(rel).is_some_and(|p| sel.matches(&p.values));
-                    if !passes {
-                        continue;
+                if let (Some(sel), Some(rel)) = (&input.selection, target_rel) {
+                    if !m.part(rel).is_some_and(|p| sel.matches(&p.values)) {
+                        return;
                     }
                 }
                 // Remaining predicates between the covered set and target.
-                let ok = extra_conds.iter().all(|(lr, lc, rr, rc)| {
-                    match (partial.value_of(*lr, *lc), m.value_of(*rr, *rc)) {
+                let ok = links.clone().all(|l| {
+                    match (
+                        partial.value_of(l.from_rel, l.from_col),
+                        m.value_of(l.to_rel, l.to_col),
+                    ) {
                         (Some(a), Some(b)) => a.joins_with(b),
                         _ => false,
                     }
                 });
                 if ok {
-                    self.stats[target].matches += 1;
-                    out.push(partial.join(&m));
+                    stats.matches += 1;
+                    work.joins += 1;
+                    out.push(partial.join(m));
                 }
+            };
+            match &mut *module {
+                AccessModule::Stored(s) => s
+                    .probe_iter((probe.to_rel, probe.to_col), key, input.epoch_cap, clock)
+                    .for_each(&mut extend),
+                AccessModule::Remote(r) => r
+                    .probe_governed(probe.to_col, key, cx.sources, cx.governor)
+                    .iter()
+                    .for_each(&mut extend),
             }
+            stats.probes += 1;
+            work.mjoin_probes += 1;
         }
-        out
     }
 
     /// Observed selectivity per input (for tests and the optimizer's

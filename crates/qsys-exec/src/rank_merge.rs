@@ -77,6 +77,18 @@ pub struct TopKResult {
     pub emitted_at_us: u64,
 }
 
+/// What [`RankMerge::accept`] did with a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Accepted {
+    /// Dropped unscored: the operator has already emitted its k.
+    AfterK,
+    /// Scored and dropped: enough better candidates are pending to fill
+    /// the remaining top-k.
+    Dominated,
+    /// Entered the pending queue.
+    Enqueued,
+}
+
 /// The bound of stream `node` in the graph's bound table; a node the table
 /// does not cover has nothing left to deliver.
 #[inline]
@@ -207,20 +219,21 @@ impl RankMerge {
     /// candidates to fill the remaining top-k and can never be output.
     /// This keeps `accept` O(k) instead of letting the queue (and the
     /// insertion cost) grow with every sub-threshold join result.
-    pub fn accept(&mut self, slot: usize, tuple: Tuple) {
+    pub fn accept(&mut self, slot: usize, tuple: Tuple) -> Accepted {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 {
-            return;
+            return Accepted::AfterK;
         }
         let state = &self.cqs[slot];
         let score = state.reg.score_fn.score(&tuple);
         let cq = state.reg.reports_as;
         let pos = self.candidates.partition_point(|c| c.score >= score);
         if pos >= need {
-            return; // dominated: can never enter the top-k
+            return Accepted::Dominated; // can never enter the top-k
         }
         self.candidates.insert(pos, Candidate { score, cq, tuple });
         self.candidates.truncate(need);
+        Accepted::Enqueued
     }
 
     /// The registration slots and ids of all member CQs.

@@ -1,8 +1,10 @@
-//! Execution statistics, per user query.
+//! Execution statistics: per user query, and per-tuple work per lane.
 //!
 //! Figures 7, 9, and 12 plot per-UQ running time; Table 4 reports
 //! conjunctive queries executed; Figure 10 reports total input tuples
-//! consumed. The ATC feeds this ledger.
+//! consumed. The ATC feeds the per-UQ ledger ([`ExecStats`]); the plan
+//! graph's routing loop counts what each delivered tuple fans out into
+//! ([`ExecWork`]).
 
 use qsys_types::{CqId, RelId, UqId};
 use std::collections::BTreeMap;
@@ -32,6 +34,59 @@ impl UqStats {
     pub fn response_us(&self) -> Option<u64> {
         self.completed_us
             .map(|c| c.saturating_sub(self.submitted_us))
+    }
+}
+
+/// What the tuples a lane's streams delivered turned into on their way
+/// through the plan graph — the work the virtual clock barely charges and
+/// the host clock mostly spends. Plain counters on lane-local state (the
+/// plan graph owns one), exact per workload and seed, identical at any
+/// lane-thread count.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExecWork {
+    /// Tuples delivered by stream leaves and routed (remote reads and
+    /// replays of retained state alike).
+    pub stream_reads: u64,
+    /// Tuples handed to an m-join input.
+    pub mjoin_inserts: u64,
+    /// Access-module probes those inserts issued (stored and remote).
+    pub mjoin_probes: u64,
+    /// Probe matches that passed every predicate and were materialised
+    /// (`Tuple::join` calls: intermediate and complete results).
+    pub joins: u64,
+    /// Complete join results m-joins emitted downstream.
+    pub mjoin_outputs: u64,
+    /// Results offered to a rank-merge; always the sum of the three
+    /// outcomes below.
+    pub accepts: u64,
+    /// … that reached an operator which had already emitted its k.
+    pub after_k: u64,
+    /// … that scored below the last pending candidate still needed.
+    pub dominated: u64,
+    /// … that entered the pending queue.
+    pub enqueued: u64,
+    /// Probes the state manager issued at graft time, reconstructing a
+    /// reused m-join's output history to prefill a new consumer (free on
+    /// the virtual clock, not on the host's).
+    pub recovery_probes: u64,
+    /// Tuples those reconstructions materialised.
+    pub recovery_joins: u64,
+}
+
+impl ExecWork {
+    /// Add another lane's counters to these.
+    pub fn absorb(&mut self, other: &ExecWork) {
+        self.stream_reads += other.stream_reads;
+        self.mjoin_inserts += other.mjoin_inserts;
+        self.mjoin_probes += other.mjoin_probes;
+        self.joins += other.joins;
+        self.mjoin_outputs += other.mjoin_outputs;
+        self.accepts += other.accepts;
+        self.after_k += other.after_k;
+        self.dominated += other.dominated;
+        self.enqueued += other.enqueued;
+        self.recovery_probes += other.recovery_probes;
+        self.recovery_joins += other.recovery_joins;
     }
 }
 

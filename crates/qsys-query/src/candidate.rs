@@ -324,8 +324,7 @@ impl<'a> CandidateGenerator<'a> {
         // Matched relations carry their keyword similarity as an extra
         // multiplicative weight (the IR component of the score).
         for (rel, sim) in similarity {
-            let w = f.weights.entry(*rel).or_insert(1.0);
-            *w *= *sim;
+            f.scale_weight(*rel, *sim);
         }
         f
     }

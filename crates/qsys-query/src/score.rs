@@ -24,7 +24,6 @@
 use crate::cq::ConjunctiveQuery;
 use qsys_catalog::Catalog;
 use qsys_types::{RelId, Score, Tuple, UserId};
-use std::collections::HashMap;
 
 /// Which published model a score function was built from (for reporting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,9 +44,12 @@ pub struct ScoreFn {
     pub model: ScoreModel,
     /// Static component: depends only on the query formulation.
     pub static_factor: f64,
-    /// Per-relation multiplicative weights (user preference / authority);
-    /// relations absent from the map weigh `1.0`.
-    pub weights: HashMap<RelId, f64>,
+    /// Per-relation multiplicative weights (user preference / authority),
+    /// sorted by relation; relations absent from the list weigh `1.0`. A
+    /// CQ has at most a handful of relations, and [`ScoreFn::score`] runs
+    /// once per join result reaching a rank-merge, so this is a sorted
+    /// slice walked beside the tuple's (equally sorted) parts, not a map.
+    weights: Vec<(RelId, f64)>,
     /// The owning user (different users may weigh the same relation
     /// differently).
     pub user: UserId,
@@ -60,7 +62,7 @@ impl ScoreFn {
         ScoreFn {
             model: ScoreModel::Discover,
             static_factor: 1.0 / cq_size.max(1) as f64,
-            weights: HashMap::new(),
+            weights: Vec::new(),
             user,
         }
     }
@@ -75,15 +77,14 @@ impl ScoreFn {
         node_costs: impl IntoIterator<Item = (RelId, f64)>,
     ) -> ScoreFn {
         let edge_sum: f64 = edge_costs.into_iter().sum();
-        let mut weights = HashMap::new();
-        for (rel, cost) in node_costs {
-            // 2^-cost becomes a multiplicative weight.
-            weights.insert(rel, (2.0f64).powf(-cost));
-        }
+        // 2^-cost becomes a multiplicative weight.
+        let weights = node_costs
+            .into_iter()
+            .map(|(rel, cost)| (rel, (2.0f64).powf(-cost)));
         ScoreFn {
             model: ScoreModel::QSystem,
             static_factor: (2.0f64).powf(-edge_sum),
-            weights,
+            weights: sorted_weights(weights),
             user,
         }
     }
@@ -98,7 +99,7 @@ impl ScoreFn {
         ScoreFn {
             model: ScoreModel::Banks,
             static_factor: edge_weight_product,
-            weights: node_weights.into_iter().collect(),
+            weights: sorted_weights(node_weights),
             user,
         }
     }
@@ -106,14 +107,33 @@ impl ScoreFn {
     /// The weight of relation `r` (1.0 if unspecified).
     #[inline]
     pub fn weight(&self, rel: RelId) -> f64 {
-        self.weights.get(&rel).copied().unwrap_or(1.0)
+        match self.weights.binary_search_by_key(&rel, |w| w.0) {
+            Ok(i) => self.weights[i].1,
+            Err(_) => 1.0,
+        }
     }
 
-    /// Score a complete result tuple of the CQ.
+    /// Multiply relation `rel`'s weight by `factor` (a keyword-match
+    /// similarity folded into the score).
+    pub fn scale_weight(&mut self, rel: RelId, factor: f64) {
+        *weight_slot(&mut self.weights, rel) *= factor;
+    }
+
+    /// Score a complete result tuple of the CQ: `static · ∏ (w_r · s_r)`
+    /// in relation order, the weights found by one merge walk.
     pub fn score(&self, tuple: &Tuple) -> Score {
         let mut s = self.static_factor;
+        let mut weights = self.weights.iter();
+        let mut next = weights.next();
         for (rel, raw) in tuple.components() {
-            s *= self.weight(rel) * raw;
+            while next.is_some_and(|w| w.0 < rel) {
+                next = weights.next();
+            }
+            let w = match next {
+                Some(&(r, w)) if r == rel => w,
+                _ => 1.0,
+            };
+            s *= w * raw;
         }
         Score::new(s)
     }
@@ -145,6 +165,29 @@ impl ScoreFn {
             .map(|r| self.weight(*r) * catalog.relation(*r).stats.max_score)
             .product()
     }
+}
+
+/// Relation `rel`'s entry in a relation-sorted weight list, added at the
+/// neutral `1.0` if absent.
+fn weight_slot(weights: &mut Vec<(RelId, f64)>, rel: RelId) -> &mut f64 {
+    let i = match weights.binary_search_by_key(&rel, |w| w.0) {
+        Ok(i) => i,
+        Err(i) => {
+            weights.insert(i, (rel, 1.0));
+            i
+        }
+    };
+    &mut weights[i].1
+}
+
+/// Weights as [`ScoreFn`] keeps them: sorted by relation, the last entry
+/// of a repeated relation winning (what collecting into a map did).
+fn sorted_weights(weights: impl IntoIterator<Item = (RelId, f64)>) -> Vec<(RelId, f64)> {
+    let mut sorted = Vec::new();
+    for (rel, w) in weights {
+        *weight_slot(&mut sorted, rel) = w;
+    }
+    sorted
 }
 
 #[cfg(test)]

@@ -434,9 +434,13 @@ impl QsManager {
             // not re-pay join time the original execution already paid.
             let scratch = qsys_types::SimClock::new();
             let mut module = StoredModule::new([]);
-            for (tuple, tuple_epoch) in recover::node_history(&self.graph, producer, epoch) {
+            let mut replayed = qsys_exec::ExecWork::default();
+            for (tuple, tuple_epoch) in
+                recover::node_history(&self.graph, producer, epoch, &mut replayed)
+            {
                 module.insert(tuple, tuple_epoch, &scratch);
             }
+            self.graph.work_mut().absorb(&replayed);
             mj_inputs.push(MJoinInput {
                 rels,
                 module: self.graph.modules_mut().alloc(AccessModule::Stored(module)),

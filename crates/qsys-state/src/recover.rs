@@ -24,9 +24,9 @@
 //! Together these partitions cover every result exactly once.
 
 use qsys_exec::access::{AccessModule, AccessModuleArena, ModuleId};
-use qsys_exec::mjoin::{MJoin, MJoinInput};
+use qsys_exec::mjoin::{JoinCx, MJoin, MJoinInput};
 use qsys_exec::rank_merge::{CqRegistration, StreamingInput};
-use qsys_exec::{NodeId, NodeKind, QueryPlanGraph, StreamBacking};
+use qsys_exec::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::plan::CqPlan;
 use qsys_query::SigInterner;
 use qsys_types::{CqId, Epoch, SimClock, Tuple};
@@ -38,7 +38,15 @@ use qsys_types::{CqId, Epoch, SimClock, Tuple};
 ///   input's pre-epoch entries against the other access modules capped at
 ///   the epoch — an in-memory, charge-free computation (the original
 ///   execution already paid for this work; reuse must not pay again).
-pub fn node_history(graph: &QueryPlanGraph, node: NodeId, before: Epoch) -> Vec<(Tuple, Epoch)> {
+///
+/// Reconstruction probes and joins are counted into `work` (as
+/// `recovery_*`: they run at graft, outside the routing loop).
+pub fn node_history(
+    graph: &QueryPlanGraph,
+    node: NodeId,
+    before: Epoch,
+    work: &mut ExecWork,
+) -> Vec<(Tuple, Epoch)> {
     match &graph.node(node).kind {
         NodeKind::Stream(leaf) => leaf
             .archive
@@ -48,7 +56,7 @@ pub fn node_history(graph: &QueryPlanGraph, node: NodeId, before: Epoch) -> Vec<
             .collect(),
         NodeKind::MJoin(mj) => {
             let stamp = Epoch(before.0.saturating_sub(1));
-            reconstruct_mjoin_history(mj, graph.modules(), before)
+            reconstruct_mjoin_history(mj, graph.modules(), before, work)
                 .into_iter()
                 .map(|t| (t, stamp))
                 .collect()
@@ -57,7 +65,7 @@ pub fn node_history(graph: &QueryPlanGraph, node: NodeId, before: Epoch) -> Vec<
             .node(node)
             .parents
             .first()
-            .map(|p| node_history(graph, *p, before))
+            .map(|p| node_history(graph, *p, before, work))
             .unwrap_or_default(),
         NodeKind::RankMerge(_) => Vec::new(),
     }
@@ -66,7 +74,12 @@ pub fn node_history(graph: &QueryPlanGraph, node: NodeId, before: Epoch) -> Vec<
 /// Replay one stored input of `mj` (pre-epoch entries, original order)
 /// against the other modules capped at `before`, reproducing exactly the
 /// outputs the m-join emitted before that epoch.
-fn reconstruct_mjoin_history(mj: &MJoin, modules: &AccessModuleArena, before: Epoch) -> Vec<Tuple> {
+fn reconstruct_mjoin_history(
+    mj: &MJoin,
+    modules: &AccessModuleArena,
+    before: Epoch,
+    work: &mut ExecWork,
+) -> Vec<Tuple> {
     // Choose the storing input with pre-epoch entries to replay.
     let mut replay: Option<(usize, Vec<Tuple>)> = None;
     for (idx, input) in mj.inputs().iter().enumerate() {
@@ -118,10 +131,18 @@ fn reconstruct_mjoin_history(mj: &MJoin, modules: &AccessModuleArena, before: Ep
     // Free in-memory recomputation: scratch clock and scratch sources.
     let scratch_sources =
         qsys_source::Sources::new(SimClock::new(), qsys_types::CostProfile::default(), 0);
+    let cx = JoinCx {
+        sources: &scratch_sources,
+        governor: None,
+        modules,
+    };
     let mut out = Vec::new();
+    let mut replayed = ExecWork::default();
     for t in entries {
-        out.extend(temp.insert(replay_idx, t, before, &scratch_sources, modules));
+        temp.insert_governed(replay_idx, t, before, cx, &mut out, &mut replayed);
     }
+    work.recovery_probes += replayed.mjoin_probes;
+    work.recovery_joins += replayed.joins;
     out
 }
 

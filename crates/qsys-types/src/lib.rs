@@ -5,6 +5,7 @@
 //! - strongly-typed identifiers ([`ids`]),
 //! - attribute values and rows ([`value`], [`tuple`]),
 //! - the ordered score wrapper ([`score`]),
+//! - the fast hasher under the executor's per-tuple maps ([`hash`]),
 //! - the simulated wide-area clock and time accounting ([`clock`]),
 //! - deterministic random distributions (Zipf, Poisson) used by both the
 //!   source simulator and the workload generators ([`dist`]),
@@ -17,6 +18,7 @@
 pub mod clock;
 pub mod dist;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod predicate;
 pub mod score;
@@ -25,6 +27,7 @@ pub mod value;
 
 pub use clock::{CostProfile, SimClock, TimeBreakdown, TimeCategory};
 pub use error::{QsysError, QsysResult};
+pub use hash::{FxHashMap, FxHasher};
 pub use ids::{AtomId, CqId, Epoch, RelId, SourceId, UqId, UserId};
 pub use predicate::Selection;
 pub use score::Score;

@@ -87,7 +87,7 @@ impl Tuple {
     /// A tuple over a single base row.
     pub fn single(base: Arc<BaseTuple>) -> Tuple {
         Tuple {
-            parts: Arc::from(vec![base]),
+            parts: Arc::from([base]),
         }
     }
 
@@ -105,11 +105,29 @@ impl Tuple {
 
     /// Join this tuple with another (disjoint) tuple. The caller must have
     /// verified the join predicate; this only merges provenance.
+    ///
+    /// Both part lists are already sorted by relation, so this is one merge
+    /// pass into one exactly-sized allocation (`Map<Range, _>` reports its
+    /// exact length, which `Arc<[_]>`'s `FromIterator` allocates from).
     pub fn join(&self, other: &Tuple) -> Tuple {
-        let mut parts = Vec::with_capacity(self.parts.len() + other.parts.len());
-        parts.extend(self.parts.iter().cloned());
-        parts.extend(other.parts.iter().cloned());
-        Tuple::from_parts(parts)
+        let (a, b) = (&*self.parts, &*other.parts);
+        let (mut i, mut j) = (0, 0);
+        let parts: Arc<[Arc<BaseTuple>]> = (0..a.len() + b.len())
+            .map(|_| {
+                if j == b.len() || (i < a.len() && a[i].rel < b[j].rel) {
+                    i += 1;
+                    Arc::clone(&a[i - 1])
+                } else {
+                    j += 1;
+                    Arc::clone(&b[j - 1])
+                }
+            })
+            .collect();
+        debug_assert!(
+            parts.windows(2).all(|w| w[0].rel < w[1].rel),
+            "a tuple must not contain two rows of the same relation"
+        );
+        Tuple { parts }
     }
 
     /// The participating base rows, sorted by relation.
@@ -203,6 +221,16 @@ mod tests {
         assert_eq!(j1, j2);
         let rels: Vec<_> = j1.parts().iter().map(|p| p.rel.0).collect();
         assert_eq!(rels, vec![2, 5, 9]);
+    }
+
+    /// The merge keeps the distinct-relations check the sort-based
+    /// construction had (debug builds only, like the assertion itself).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two rows of the same relation")]
+    fn joining_tuples_that_share_a_relation_panics() {
+        let ab = Tuple::single(row(1, 10, 1.0)).join(&Tuple::single(row(2, 20, 1.0)));
+        let _ = ab.join(&Tuple::single(row(2, 21, 1.0)));
     }
 
     #[test]

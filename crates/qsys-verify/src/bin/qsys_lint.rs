@@ -27,6 +27,11 @@
 //! 5. `bench-clock` — no wall-clock/entropy nondeterminism
 //!    (`SystemTime::now`, `thread_rng`, `from_entropy`) in bench code;
 //!    the repro numbers must come from the virtual clock and seeded RNGs.
+//! 6. `hot-hash` — no default-hasher (SipHash) `HashMap`/`HashSet` in the
+//!    executor's per-tuple modules (`qsys-exec`'s `access`, `mjoin`,
+//!    `rank_merge`, `graph`): maps there are `qsys_types::FxHashMap` or
+//!    not maps at all. A map that is only touched per batch says so with
+//!    `lint:allow(hot-hash)`.
 //!
 //! Suppression: append `// lint:allow(<rule>): <why>` to the offending
 //! line, or put it on its own comment line immediately above (the
@@ -159,6 +164,8 @@ struct FileScope {
     test_file: bool,
     /// `src/engine.rs` — the one legal home for environment reads.
     engine_config: bool,
+    /// One of the executor's per-tuple modules (rule `hot-hash`).
+    hot_path: bool,
     /// This lint's own source (its rule list would flag itself).
     lint_self: bool,
 }
@@ -182,6 +189,9 @@ fn scope_of(rel: &str) -> FileScope {
         bench,
         test_file,
         engine_config: rel == "src/engine.rs",
+        hot_path: ["access", "mjoin", "rank_merge", "graph"]
+            .iter()
+            .any(|m| rel == format!("crates/qsys-exec/src/{m}.rs")),
         lint_self: rel.ends_with("bin/qsys_lint.rs"),
     }
 }
@@ -330,9 +340,38 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             });
         }
 
+        // Rule 6: the per-tuple modules do not pay SipHash.
+        if scope.hot_path && !in_tests && names_std_hash(code) && !allowed("hot-hash") {
+            findings.push(Finding {
+                rule: "hot-hash",
+                file: file.to_path_buf(),
+                line: lineno,
+                message: "default-hasher HashMap/HashSet in a per-tuple executor module — use \
+                          qsys_types::FxHashMap, or justify with `lint:allow(hot-hash): <why \
+                          not per tuple>`"
+                    .into(),
+            });
+        }
+
         prev_line_comment = raw.trim_start().starts_with("//");
         prev_raw = raw;
     }
+}
+
+/// Whether `code` names a std `HashMap`/`HashSet` as a type or constructs
+/// one (`HashMap<…>`, `HashSet::new()` …). Imports do not count, and
+/// neither does `FxHashMap`, whose hasher is the point of the rule.
+fn names_std_hash(code: &str) -> bool {
+    ["HashMap", "HashSet"].iter().any(|name| {
+        code.match_indices(name).any(|(at, _)| {
+            let prefixed = code[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            let rest = &code[at + name.len()..];
+            !prefixed && (rest.starts_with('<') || rest.starts_with("::"))
+        })
+    })
 }
 
 /// Blank out string literals so tokens inside them do not trip rules

@@ -12,7 +12,7 @@
 
 use crate::engine::EngineConfig;
 use crate::session::{Engine, QueryTicket};
-use qsys_exec::FaultStats;
+use qsys_exec::{ExecWork, FaultStats};
 use qsys_opt::{AdaptiveSummary, OptStats};
 use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_types::{QsysResult, RelId, TimeBreakdown, UqId, UserId};
@@ -177,6 +177,11 @@ pub struct RunReport {
     pub stream_rounds: u64,
     /// Remote probes issued.
     pub probes: u64,
+    /// What the delivered tuples fanned out into inside the plan graphs
+    /// (m-join inserts, probes and joins, rank-merge accepts by outcome),
+    /// summed over lanes: exact per workload, identical at any
+    /// `lane_threads`.
+    pub exec_work: ExecWork,
     /// Optimizer invocations.
     pub opt_events: Vec<OptEvent>,
     /// Keyword queries that matched no candidate network (skipped).

@@ -1061,6 +1061,7 @@ impl Engine {
             report.tuples_streamed += lane.sources.tuples_streamed();
             report.stream_rounds += lane.sources.stream_rounds();
             report.probes += lane.sources.probes();
+            report.exec_work.absorb(lane.manager.graph().work());
             report.faults.source.absorb(&lane.governor.snapshot());
             report.adaptive.absorb(&lane.adaptive.summary);
         }

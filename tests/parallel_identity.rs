@@ -58,6 +58,7 @@ fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
         "seed {seed}: tuples streamed"
     );
     assert_eq!(seq.probes, par.probes, "seed {seed}: remote probes");
+    assert_eq!(seq.exec_work, par.exec_work, "seed {seed}: per-tuple work");
     assert_eq!(seq.breakdown, par.breakdown, "seed {seed}: virtual time");
     assert_eq!(seq.per_uq.len(), par.per_uq.len(), "seed {seed}: UQ count");
     for (a, b) in seq.per_uq.iter().zip(par.per_uq.iter()) {
@@ -89,6 +90,31 @@ fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
     }
 }
 
+/// `RunReport::exec_work` accounts for itself: every result offered to a
+/// rank-merge has exactly one outcome, and the parts are consistent with
+/// each other and with the source counters. (That the block is the same
+/// at every lane-thread count is part of [`assert_identical`].)
+fn assert_work_accounted(report: &RunReport, seed: u64) {
+    let work = report.exec_work;
+    assert_eq!(
+        work.accepts,
+        work.after_k + work.dominated + work.enqueued,
+        "seed {seed}: {work:?}"
+    );
+    assert!(work.enqueued > 0, "seed {seed}: {work:?}");
+    // Every remote read is routed; replays of retained state add to it.
+    assert!(
+        work.stream_reads >= report.tuples_streamed,
+        "seed {seed}: {work:?}"
+    );
+    // A complete output is a materialised join or a single-input
+    // pass-through.
+    assert!(
+        work.mjoin_outputs <= work.joins + work.mjoin_inserts,
+        "seed {seed}: {work:?}"
+    );
+}
+
 #[test]
 fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     // Golden (lanes, tuples_consumed) per seed: pinned so a clustering or
@@ -109,6 +135,7 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
             seq.lanes > 1,
             "seed {seed}: the identity test needs a genuinely clustered workload"
         );
+        assert_work_accounted(&seq, seed);
         for threads in [2usize, 4] {
             let par = run_workload(&w, &engine(threads), None).unwrap();
             assert_eq!(par.lane_threads, threads);

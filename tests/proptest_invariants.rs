@@ -275,6 +275,61 @@ proptest! {
         prop_assert_eq!(prov.len(), expected);
     }
 
+    /// `Tuple::join`'s one-pass merge equals the sort-based construction:
+    /// for up to `max_atoms` (6) distinct relations and *every* split of
+    /// them into two sides, both join orders give the tuple
+    /// `Tuple::from_parts` builds from the concatenation — same parts,
+    /// strictly sorted, bit-identical raw product and score.
+    #[test]
+    fn tuple_join_equals_sorted_construction(
+        parts in prop::collection::vec((0u32..40, 0.0f64..=1.0, 0.25f64..4.0), 2..=6),
+        static_factor in 0.1f64..2.0,
+    ) {
+        // Distinct relations, in the (arbitrary) order they were drawn.
+        let mut rows: Vec<Arc<BaseTuple>> = Vec::new();
+        let mut weights = Vec::new();
+        for (i, (rel, score, weight)) in parts.iter().enumerate() {
+            let rel = RelId::new(*rel);
+            if rows.iter().all(|r| r.rel != rel) {
+                rows.push(Arc::new(BaseTuple::new(rel, i as u64, vec![], *score)));
+                // Every other relation stays at the implicit weight 1.0.
+                if i % 2 == 0 {
+                    weights.push((rel, *weight));
+                }
+            }
+        }
+        let f = ScoreFn::banks(UserId::new(0), static_factor, weights);
+        let whole = Tuple::from_parts(rows.clone());
+        // The score walk itself: static · ∏ (w_r · s_r) in relation order.
+        let by_lookup = whole
+            .parts()
+            .iter()
+            .fold(static_factor, |s, p| s * (f.weight(p.rel) * p.raw_score));
+        prop_assert_eq!(f.score(&whole).get().to_bits(), by_lookup.to_bits());
+        for mask in 0u32..(1 << rows.len()) {
+            let side = |want: bool| -> Vec<Arc<BaseTuple>> {
+                rows.iter()
+                    .enumerate()
+                    .filter(|(i, _)| (mask >> i & 1 == 1) == want)
+                    .map(|(_, r)| Arc::clone(r))
+                    .collect()
+            };
+            let (a, b) = (Tuple::from_parts(side(true)), Tuple::from_parts(side(false)));
+            let ab = a.join(&b);
+            prop_assert_eq!(&ab, &b.join(&a));
+            prop_assert_eq!(&ab, &whole);
+            prop_assert!(ab.parts().windows(2).all(|w| w[0].rel < w[1].rel));
+            prop_assert_eq!(
+                ab.raw_score_product().to_bits(),
+                whole.raw_score_product().to_bits()
+            );
+            prop_assert_eq!(
+                f.score(&ab).get().to_bits(),
+                f.score(&whole).get().to_bits()
+            );
+        }
+    }
+
     /// Warm two-session execution == cold execution (RecoverState is
     /// lossless and duplicate-free).
     #[test]
