@@ -4,8 +4,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qsys::exec::access::{AccessModule, AccessModuleArena, StoredModule};
 use qsys::exec::mjoin::{JoinPred, MJoin, MJoinInput};
-use qsys::source::Sources;
-use qsys::types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple, Value};
+use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
+use qsys::exec::{QueryPlanGraph, RetryPolicy, SourceGovernor, StreamBacking, StreamRead};
+use qsys::query::ScoreFn;
+use qsys::source::{Sources, Table};
+use qsys::types::{
+    BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -110,6 +115,73 @@ fn bench_mjoin(c: &mut Criterion) {
                     out += mj.insert(0, t.clone(), Epoch(0), &sources, &modules).len();
                 }
                 black_box(out)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    // The m-join's sink is a rank-merge whose queue is full: R1 is read
+    // dry (nothing joins yet), then R0 in score order — the first rows
+    // fill the top-10, and each of the 390 timed reads finds 25 matches
+    // that the operator rejects before they are built.
+    group.bench_function("rank_merge_sink_full_queue", |b| {
+        b.iter_batched(
+            || {
+                let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                for rel in 0..2u32 {
+                    let rows = tuples(rel, 400, 16)
+                        .iter()
+                        .map(|t| t.parts()[0].clone())
+                        .collect();
+                    sources.register(Table::new(RelId::new(rel), rows));
+                }
+                let mut graph = QueryPlanGraph::new();
+                let leaves = [0u32, 1].map(|rel| {
+                    let stream = sources.open_stream(RelId::new(rel), None);
+                    graph.add_stream(StreamBacking::Remote(stream), None)
+                });
+                let inputs = vec![
+                    stored_input(0, graph.modules_mut()),
+                    stored_input(1, graph.modules_mut()),
+                ];
+                let mj = MJoin::new(inputs, vec![pred(0, 0, 1, 0)], graph.modules());
+                let mjn = graph.add_mjoin(mj, None);
+                let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 10);
+                let slot = rm.register(CqRegistration {
+                    cq: CqId::new(0),
+                    reports_as: CqId::new(0),
+                    score_fn: ScoreFn::discover(UserId::new(0), 2),
+                    streaming: leaves
+                        .iter()
+                        .zip(0u32..)
+                        .map(|(&node, rel)| StreamingInput {
+                            node,
+                            rels: vec![RelId::new(rel)],
+                            max_bound: 1.0,
+                        })
+                        .collect(),
+                    probed: vec![],
+                });
+                let rmn = graph.add_rank_merge(rm);
+                graph.connect(leaves[0], mjn, 0);
+                graph.connect(leaves[1], mjn, 1);
+                graph.connect(mjn, rmn, slot);
+                let governor = SourceGovernor::new(RetryPolicy::default());
+                while graph.read_stream_governed(leaves[1], &sources, &governor)
+                    == StreamRead::Delivered
+                {}
+                for _ in 0..10 {
+                    graph.read_stream_governed(leaves[0], &sources, &governor);
+                }
+                assert_eq!(graph.rank_merge(rmn).pending(), 10);
+                (graph, sources, governor, leaves[0])
+            },
+            |(mut graph, sources, governor, r0)| {
+                while graph.read_stream_governed(r0, &sources, &governor) == StreamRead::Delivered {
+                }
+                let work = *graph.work();
+                assert!(work.outputs_skipped >= 390 * 25, "{work:?}");
+                black_box(work.mjoin_outputs)
             },
             BatchSize::SmallInput,
         );

@@ -53,10 +53,10 @@ fn bench_rank_merge(c: &mut Criterion) {
                     let score = 1.0 - (i as f64) / 1100.0;
                     rm.accept(slot, tup(i, score));
                     if i % 16 == 0 {
-                        rm.maintain(&[1.0 - (i as f64) / 1000.0; 4], i);
+                        rm.maintain(&[1.0 - (i as f64) / 1000.0; 4], i, i);
                     }
                 }
-                rm.maintain(&[0.0; 4], 2000);
+                rm.maintain(&[0.0; 4], 2000, 2000);
                 black_box(rm.results().len())
             },
             BatchSize::SmallInput,
@@ -70,8 +70,43 @@ fn bench_rank_merge(c: &mut Criterion) {
             rm.register(reg(i, i));
             bounds[i as usize] = 1.0 - i as f64 / 40.0;
         }
-        rm.maintain(&bounds, 0);
-        b.iter(|| black_box(rm.choose_read(&bounds)));
+        rm.maintain(&bounds, 0, 0);
+        b.iter(|| black_box(rm.choose_read(&bounds, 0)));
+    });
+
+    // What `Atc::service` asks of one operator: maintain, choose a read,
+    // maintain again — 10 CQs of 3 streaming inputs each over 30 leaves,
+    // with one bound moving (and the generation with it) every fourth
+    // iteration. The other three find the thresholds computed and the
+    // operator clean.
+    group.bench_function("service_loop_10cqs_3inputs", |b| {
+        let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), 50);
+        for cq in 0..10u32 {
+            rm.register(CqRegistration {
+                streaming: (0..3)
+                    .map(|j| StreamingInput {
+                        node: NodeId(3 * cq + j),
+                        rels: vec![RelId::new(j)],
+                        max_bound: 1.0,
+                    })
+                    .collect(),
+                ..reg(cq, 0)
+            });
+        }
+        let mut bounds = [1.0f64; 30];
+        let (mut generation, mut i) = (0u64, 0usize);
+        b.iter(|| {
+            if i % 4 == 0 {
+                let slot = &mut bounds[(i / 4) % 30];
+                *slot = (*slot * 0.999).max(0.5);
+                generation += 1;
+            }
+            i += 1;
+            rm.maintain(&bounds, generation, i as u64);
+            let read = rm.choose_read(&bounds, generation);
+            rm.maintain(&bounds, generation, i as u64);
+            black_box(read)
+        });
     });
 
     // The shape `gus-full` ends an instance with (perf/README.md,

@@ -88,7 +88,7 @@ impl RelationStats {
             return 0.0;
         }
         let f = read as f64 / self.cardinality as f64;
-        self.max_score * (2.0f64).powf(-f / self.score_decay.max(1e-9))
+        self.max_score * (-f / self.score_decay.max(1e-9)).exp2()
     }
 }
 

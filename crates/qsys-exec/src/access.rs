@@ -283,12 +283,11 @@ impl StoredModule {
 
     /// All tuples inserted before `epoch`, in arrival order — the
     /// "linked list ... recorded before epoch e" of Algorithm 2.
-    pub fn entries_before(&self, epoch: Epoch) -> Vec<Tuple> {
+    pub fn entries_before(&self, epoch: Epoch) -> impl Iterator<Item = &Tuple> + '_ {
         self.entries
             .iter()
-            .filter(|(_, e)| *e < epoch)
-            .map(|(t, _)| t.clone())
-            .collect()
+            .filter(move |(_, e)| *e < epoch)
+            .map(|(t, _)| t)
     }
 
     /// Number of stored tuples.
@@ -493,7 +492,7 @@ mod tests {
         assert_eq!(before_e2.len(), 2);
         let all = m.probe(key, &Value::Int(5), None, &clock);
         assert_eq!(all.len(), 3);
-        let replay = m.entries_before(Epoch(1));
+        let replay: Vec<&Tuple> = m.entries_before(Epoch(1)).collect();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].parts()[0].row_id, 1);
     }

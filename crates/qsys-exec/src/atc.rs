@@ -91,14 +91,13 @@ impl Atc {
                 // Completed operators keep a residual threshold; serving
                 // them forever would starve the rest. Ties go to the
                 // lowest id.
-                let bounds = graph.bound_table();
                 let mut best: Option<(f64, NodeId)> = None;
-                for &id in graph.rank_merge_ids() {
-                    let rm = graph.rank_merge(id);
-                    if rm.is_done() {
+                for i in 0..n {
+                    let id = graph.rank_merge_ids()[i];
+                    if graph.rank_merge(id).is_done() {
                         continue;
                     }
-                    let thr = rm.overall_threshold(bounds);
+                    let thr = graph.overall_threshold(id);
                     if best.is_none_or(|(t, _)| thr.total_cmp(&t).is_gt()) {
                         best = Some((thr, id));
                     }
@@ -129,7 +128,7 @@ impl Atc {
             Self::record_completion(graph, sources, governor, stats, rm_id);
             return true;
         }
-        let Some(stream) = graph.rank_merge(rm_id).choose_read(graph.bound_table()) else {
+        let Some(stream) = graph.choose_read(rm_id) else {
             // Nothing readable: either done (caught next round) or every
             // stream this UQ wants is exhausted; maintenance above already
             // drained what it could.

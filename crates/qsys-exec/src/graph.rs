@@ -9,7 +9,7 @@
 
 use crate::access::AccessModuleArena;
 use crate::govern::SourceGovernor;
-use crate::mjoin::JoinCx;
+use crate::mjoin::{JoinCx, JoinSink};
 use crate::node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
 use crate::rank_merge::{Accepted, RankMerge};
 use crate::stats::ExecWork;
@@ -43,13 +43,18 @@ pub struct QueryPlanGraph {
     /// quarantine, removal), so the threshold machinery reads a slice
     /// instead of rescanning the arena per tuple.
     bounds: Vec<f64>,
+    /// Bumped whenever a slot of `bounds` is written with a different bit
+    /// pattern: equal generations mean a bit-identical table, which is
+    /// what lets a rank-merge keep its thresholds and skip a maintenance
+    /// cycle (see the `rank_merge` module docs).
+    bounds_gen: u64,
     /// Ids of the live rank-merge nodes, ascending. Operators that are
     /// done stay listed until the QS manager removes them: the ATC's
     /// round-robin offset is taken modulo this list's length.
     rank_merges: Vec<NodeId>,
     /// Routing queue storage, kept between reads so a tuple's trip through
     /// the graph allocates nothing once the queue has grown.
-    route_queue: VecDeque<(NodeId, usize, Tuple)>,
+    route_queue: VecDeque<Routed>,
     /// Where an m-join on the route leaves its complete results; drained
     /// into `route_queue` after every insert, kept for its capacity.
     route_out: Vec<Tuple>,
@@ -65,6 +70,31 @@ pub struct QueryPlanGraph {
     /// arena. Owning it here (rather than `Rc`-sharing modules) is what
     /// makes the whole graph — and the lane around it — `Send`.
     modules: AccessModuleArena,
+    /// Tests only: build and deliver every complete result, as if no
+    /// rank-merge ever rejected one early — the reference the early
+    /// rejection is compared against.
+    #[cfg(test)]
+    build_all: bool,
+    /// Tests only: the virtual clock as read at every m-join insert of
+    /// the routing loop — the only places inside a routing pass where
+    /// anything (the governor's breaker, the fault injector) reads it.
+    #[cfg(test)]
+    insert_clock: Vec<u64>,
+}
+
+/// One entry of the routing queue.
+#[derive(Debug)]
+enum Routed {
+    /// A tuple on its way into input `.1` of node `.0`.
+    Tuple(NodeId, usize, Tuple),
+    /// `n` complete results that every sink of an m-join rejected unbuilt,
+    /// on their way out of `from` (the m-join, then each split below it).
+    /// Queued where the built results' entries are, so that the hop
+    /// charge of every consumer edge they would have crossed is paid
+    /// where those entries would have been popped: splits and rank-merges
+    /// never read the clock, so one aggregated charge per fan-out level
+    /// leaves every clock read as it was.
+    Unbuilt { from: NodeId, n: u64 },
 }
 
 impl QueryPlanGraph {
@@ -111,7 +141,9 @@ impl QueryPlanGraph {
             // Ids only grow, so appending keeps the list ascending.
             self.rank_merges.push(id);
         }
-        self.bounds.push(bound);
+        // A slot past the table's end reads as 0.0 already.
+        self.bounds.push(0.0);
+        self.set_bound(id, bound);
         self.live += 1;
         self.nodes.push(Some(Node {
             id,
@@ -194,7 +226,7 @@ impl QueryPlanGraph {
                     self.modules.release(input.module);
                 }
             }
-            NodeKind::Stream(_) => self.bounds[id.index()] = 0.0,
+            NodeKind::Stream(_) => self.set_bound(id, 0.0),
             NodeKind::RankMerge(_) => self.rank_merges.retain(|rm| *rm != id),
             NodeKind::Split => {}
         }
@@ -322,16 +354,48 @@ impl QueryPlanGraph {
         &self.bounds
     }
 
-    /// Run rank-merge `id`'s maintenance cycle against the live bound
-    /// table; returns the number of results emitted.
-    pub fn maintain_rank_merge(&mut self, id: NodeId, now_us: u64) -> usize {
-        // Split borrow: the operator is mutated, the table only read.
-        let bounds = &self.bounds;
+    /// Write stream `id`'s slot of the bound table, bumping the table's
+    /// generation if the bits change.
+    fn set_bound(&mut self, id: NodeId, bound: f64) {
+        let slot = &mut self.bounds[id.index()];
+        if slot.to_bits() != bound.to_bits() {
+            *slot = bound;
+            self.bounds_gen += 1;
+        }
+    }
+
+    /// Rank-merge `id` beside the live bound table and its generation
+    /// (split borrow: the operator is mutated, the table only read).
+    fn rank_merge_over_bounds(&mut self, id: NodeId) -> (&mut RankMerge, &[f64], u64) {
         // lint:allow(panic-path): same contract as node() — a dead id is corruption
         match &mut self.nodes[id.index()].as_mut().expect("live node").kind {
-            NodeKind::RankMerge(rm) => rm.maintain(bounds, now_us),
+            NodeKind::RankMerge(rm) => (rm, &self.bounds, self.bounds_gen),
             other => panic!("{id} is a {}, not a rank-merge", other.label()),
         }
+    }
+
+    /// Run rank-merge `id`'s maintenance cycle against the live bound
+    /// table; returns the number of results emitted (0 for a cycle the
+    /// operator skipped because nothing it reads had changed).
+    pub fn maintain_rank_merge(&mut self, id: NodeId, now_us: u64) -> usize {
+        let (rm, bounds, generation) = self.rank_merge_over_bounds(id);
+        let emitted = rm.maintain(bounds, generation, now_us);
+        self.work.maintains += 1;
+        self.work.maintains_skipped += u64::from(emitted.is_none());
+        emitted.unwrap_or(0)
+    }
+
+    /// The stream rank-merge `id` wants read next, under the live bound
+    /// table.
+    pub fn choose_read(&mut self, id: NodeId) -> Option<NodeId> {
+        let (rm, bounds, generation) = self.rank_merge_over_bounds(id);
+        rm.choose_read(bounds, generation)
+    }
+
+    /// Rank-merge `id`'s overall threshold under the live bound table.
+    pub fn overall_threshold(&mut self, id: NodeId) -> f64 {
+        let (rm, bounds, generation) = self.rank_merge_over_bounds(id);
+        rm.overall_threshold(bounds, generation)
     }
 
     fn stream_leaf_mut(&mut self, id: NodeId) -> &mut StreamLeaf {
@@ -345,7 +409,7 @@ impl QueryPlanGraph {
     /// on and grafting stops reusing the subtree it feeds.
     pub fn quarantine_stream(&mut self, id: NodeId) {
         self.stream_leaf_mut(id).quarantined = true;
-        self.bounds[id.index()] = 0.0;
+        self.set_bound(id, 0.0);
     }
 
     /// Read one tuple from the stream leaf `id` and route it through the
@@ -376,7 +440,7 @@ impl QueryPlanGraph {
                     leaf.archive.push((t.clone(), epoch));
                 }
                 let bound = leaf.effective_bound();
-                self.bounds[id.index()] = bound;
+                self.set_bound(id, bound);
                 tuple
             }
             Err(e) => {
@@ -411,7 +475,8 @@ impl QueryPlanGraph {
 
     /// Route a tuple delivered by leaf `id` through the graph (BFS over
     /// consumer edges, charging routing time per hop). Joins probe through
-    /// `governor`.
+    /// `governor`; their complete results are judged by the rank-merges
+    /// they would reach before they are built (see [`Judged`]).
     fn route_from(
         &mut self,
         id: NodeId,
@@ -433,19 +498,74 @@ impl QueryPlanGraph {
             modules: &self.modules,
         };
         let work = &mut self.work;
-        while let Some((nid, idx, t)) = queue.pop_front() {
+        while let Some(entry) = queue.pop_front() {
+            let (nid, idx, t) = match entry {
+                Routed::Tuple(nid, idx, t) => (nid, idx, t),
+                Routed::Unbuilt { from, n } => {
+                    let from = self.nodes[from.index()].as_ref();
+                    // lint:allow(panic-path): queued by this node's own routing step earlier in the pass
+                    let children = &from.expect("live node").children;
+                    let hops = n * children.len() as u64;
+                    sources.clock().charge(TimeCategory::Join, hops * route_us);
+                    for &(c, _) in children {
+                        if matches!(
+                            self.nodes[c.index()],
+                            Some(Node {
+                                kind: NodeKind::Split,
+                                ..
+                            })
+                        ) {
+                            queue.push_back(Routed::Unbuilt { from: c, n });
+                        }
+                    }
+                    continue;
+                }
+            };
             sources.clock().charge(TimeCategory::Join, route_us);
+            // Split borrow: the node is mutated while an m-join's sink
+            // reads the rank-merges around it.
+            let (before, rest) = self.nodes.split_at_mut(nid.index());
             // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
-            let node = self.nodes[nid.index()].as_mut().expect("live node");
-            let Node { kind, children, .. } = node;
+            let (node, after) = rest.split_first_mut().expect("live node");
+            // lint:allow(panic-path): as above
+            let Node { kind, children, .. } = node.as_mut().expect("live node");
             match kind {
                 NodeKind::Split => fan_out(&mut queue, children, t),
                 NodeKind::MJoin(mj) => {
                     work.mjoin_inserts += 1;
-                    mj.insert_governed(idx, t, epoch, cx, &mut outputs, work);
-                    work.mjoin_outputs += outputs.len() as u64;
+                    #[cfg(test)]
+                    self.insert_clock.push(sources.clock().now_us());
+                    let mut sink = Judged {
+                        out: &mut outputs,
+                        before,
+                        after,
+                        children,
+                        skipped: 0,
+                        after_k: 0,
+                        dominated: 0,
+                        #[cfg(test)]
+                        build_all: self.build_all,
+                    };
+                    mj.insert_governed(idx, t, epoch, cx, &mut sink, work);
+                    let Judged {
+                        skipped,
+                        after_k,
+                        dominated,
+                        ..
+                    } = sink;
+                    work.mjoin_outputs += outputs.len() as u64 + skipped;
+                    work.outputs_skipped += skipped;
+                    work.accepts += after_k + dominated;
+                    work.after_k += after_k;
+                    work.dominated += dominated;
                     for out in outputs.drain(..) {
                         fan_out(&mut queue, children, out);
+                    }
+                    if skipped > 0 {
+                        queue.push_back(Routed::Unbuilt {
+                            from: nid,
+                            n: skipped,
+                        });
                     }
                 }
                 NodeKind::RankMerge(rm) => {
@@ -544,14 +664,104 @@ impl QueryPlanGraph {
 
 /// Queue `t` for every consumer edge in `children`, in edge order: cloned
 /// for all but the last, which takes the tuple itself.
-fn fan_out(queue: &mut VecDeque<(NodeId, usize, Tuple)>, children: &[(NodeId, usize)], t: Tuple) {
+fn fan_out(queue: &mut VecDeque<Routed>, children: &[(NodeId, usize)], t: Tuple) {
     let Some((&(last, last_idx), rest)) = children.split_last() else {
         return;
     };
     for &(c, i) in rest {
-        queue.push_back((c, i, t.clone()));
+        queue.push_back(Routed::Tuple(c, i, t.clone()));
     }
-    queue.push_back((last, last_idx, t));
+    queue.push_back(Routed::Tuple(last, last_idx, t));
+}
+
+/// The sink an m-join on the route emits into: each complete result is
+/// offered, unbuilt, to every rank-merge it would reach — the m-join's
+/// consumer edges followed through splits — and built into `out` unless
+/// all of them reject it. Rejections are tallied as the accepts they
+/// replace; the caller folds them into [`ExecWork`] and queues the hop
+/// charges ([`Routed::Unbuilt`]). The contract is in the `mjoin` module
+/// docs.
+struct Judged<'a> {
+    out: &'a mut Vec<Tuple>,
+    /// The node arena on either side of the emitting m-join.
+    before: &'a [Option<Node>],
+    after: &'a [Option<Node>],
+    /// The m-join's consumer edges.
+    children: &'a [(NodeId, usize)],
+    /// Results never built, and the verdicts that rejected them.
+    skipped: u64,
+    after_k: u64,
+    dominated: u64,
+    #[cfg(test)]
+    build_all: bool,
+}
+
+impl Judged<'_> {
+    /// The live node `id`, unless it is the emitting m-join itself.
+    fn node(&self, id: NodeId) -> Option<&Node> {
+        match id.index().checked_sub(self.before.len()) {
+            None => self.before[id.index()].as_ref(),
+            Some(past) => self.after.get(past.checked_sub(1)?)?.as_ref(),
+        }
+    }
+
+    /// Whether every sink below `edges` rejects `a.join(b)`; the verdicts
+    /// seen so far are added to `verdicts` (after-k, dominated).
+    fn all_reject(
+        &self,
+        edges: &[(NodeId, usize)],
+        a: &Tuple,
+        b: &Tuple,
+        verdicts: &mut (u64, u64),
+    ) -> bool {
+        edges.iter().all(|&(c, slot)| match self.node(c) {
+            Some(Node {
+                kind: NodeKind::RankMerge(rm),
+                ..
+            }) => match rm.rejects_pair(slot, a, b) {
+                Some(Accepted::AfterK) => {
+                    verdicts.0 += 1;
+                    true
+                }
+                Some(Accepted::Dominated) => {
+                    verdicts.1 += 1;
+                    true
+                }
+                _ => false,
+            },
+            Some(Node {
+                kind: NodeKind::Split,
+                children,
+                ..
+            }) => self.all_reject(children, a, b, verdicts),
+            // An m-join consumer needs the tuple.
+            _ => false,
+        })
+    }
+}
+
+impl JoinSink for Judged<'_> {
+    fn emit(&mut self, tuple: Tuple) {
+        self.out.push(tuple);
+    }
+
+    fn emit_pair(&mut self, a: &Tuple, b: &Tuple) -> bool {
+        #[cfg(test)]
+        if self.build_all {
+            self.out.push(a.join(b));
+            return true;
+        }
+        let mut verdicts = (0, 0);
+        if self.all_reject(self.children, a, b, &mut verdicts) {
+            self.skipped += 1;
+            self.after_k += verdicts.0;
+            self.dominated += verdicts.1;
+            false
+        } else {
+            self.out.push(a.join(b));
+            true
+        }
+    }
 }
 
 #[cfg(test)]
@@ -759,5 +969,274 @@ mod tests {
         for id in g.node_ids() {
             assert!(dump.contains(&format!("{id} ")), "{id} missing:\n{dump}");
         }
+    }
+
+    /// Three relations of 12 rows, scores falling with the row id, join
+    /// keys alternating — a row matches six rows of any other relation.
+    fn fan_sources() -> Sources {
+        let s = Sources::new(SimClock::new(), CostProfile::default(), 11);
+        for rel in 0..3u32 {
+            let id = RelId::new(rel);
+            let rows = (0..12)
+                .map(|i| {
+                    Arc::new(BaseTuple::new(
+                        id,
+                        i,
+                        vec![Value::Int((i % 2) as i64)],
+                        1.0 - 0.05 * i as f64,
+                    ))
+                })
+                .collect();
+            s.register(Table::new(id, rows));
+        }
+        s
+    }
+
+    fn join_on_col0(l: u32, r: u32) -> JoinPred {
+        JoinPred {
+            left_rel: RelId::new(l),
+            left_col: 0,
+            right_rel: RelId::new(r),
+            right_col: 0,
+        }
+    }
+
+    /// A rank-merge of one CQ over R0 ⋈ R1, streamed from `s0` and `s1`.
+    fn top_k(uq: u32, k: usize, s0: NodeId, s1: NodeId) -> RankMerge {
+        let mut rm = RankMerge::new(UqId::new(uq), UserId::new(0), k);
+        rm.register(CqRegistration {
+            cq: CqId::new(uq),
+            reports_as: CqId::new(uq),
+            score_fn: ScoreFn::discover(UserId::new(0), 2),
+            streaming: vec![
+                StreamingInput {
+                    node: s0,
+                    rels: vec![RelId::new(0)],
+                    max_bound: 1.0,
+                },
+                StreamingInput {
+                    node: s1,
+                    rels: vec![RelId::new(1)],
+                    max_bound: 1.0,
+                },
+            ],
+            probed: vec![],
+        });
+        rm
+    }
+
+    /// stream(R0), stream(R1) → m-join → rank-merges of k = 1 and k = 2
+    /// directly, and one of k = 4 through a split.
+    fn fan_graph(sources: &Sources) -> (QueryPlanGraph, [NodeId; 2], NodeId, [NodeId; 3]) {
+        let mut g = QueryPlanGraph::new();
+        let s0 = g.add_stream(
+            StreamBacking::Remote(sources.open_stream(RelId::new(0), None)),
+            None,
+        );
+        let s1 = g.add_stream(
+            StreamBacking::Remote(sources.open_stream(RelId::new(1), None)),
+            None,
+        );
+        let inputs = vec![
+            stored_input(0, g.modules_mut()),
+            stored_input(1, g.modules_mut()),
+        ];
+        let mj = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
+        let mjn = g.add_mjoin(mj, None);
+        let split = g.add_split(None);
+        let rms = [1, 2, 4].map(|k| g.add_rank_merge(top_k(k as u32, k, s0, s1)));
+        g.connect(s0, mjn, 0);
+        g.connect(s1, mjn, 1);
+        g.connect(mjn, rms[0], 0);
+        g.connect(mjn, rms[1], 0);
+        g.connect(mjn, split, 0);
+        g.connect(split, rms[2], 0);
+        (g, [s0, s1], mjn, rms)
+    }
+
+    /// Early rejection against its reference: the same reads and the same
+    /// maintenance cycles on two graphs, one judging results before it
+    /// builds them, one building and delivering every result. While the
+    /// R0 stream is read, the k = 1 operator is past its k, the k = 2
+    /// one's queue is full and the k = 4 one goes from hungry to full —
+    /// so results are built at first and skipped later. Answers, the
+    /// virtual clock after every read, the probe-order statistics and
+    /// every work counter but the two that count built tuples agree.
+    #[test]
+    fn early_rejection_changes_nothing_but_what_is_built() {
+        let run = |build_all: bool| {
+            let sources = fan_sources();
+            let (mut g, [s0, s1], mjn, rms) = fan_graph(&sources);
+            g.build_all = build_all;
+            let governor = governor();
+            let mut trace = Vec::new();
+            for leaf in [s1, s0] {
+                while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {
+                    let now = sources.clock().now_us();
+                    for rm in rms {
+                        g.maintain_rank_merge(rm, now);
+                    }
+                    let answers: Vec<Vec<(u64, u64)>> = rms
+                        .iter()
+                        .map(|&rm| {
+                            g.rank_merge(rm)
+                                .results()
+                                .iter()
+                                .map(|r| (r.score.get().to_bits(), r.emitted_at_us))
+                                .collect()
+                        })
+                        .collect();
+                    let pending: Vec<usize> =
+                        rms.iter().map(|&rm| g.rank_merge(rm).pending()).collect();
+                    trace.push((sources.clock().breakdown(), answers, pending));
+                }
+            }
+            let NodeKind::MJoin(mj) = &g.node(mjn).kind else {
+                unreachable!()
+            };
+            (trace, mj.observed_selectivities(), *g.work())
+        };
+        let (judged, judged_sel, judged_work) = run(false);
+        let (built, built_sel, built_work) = run(true);
+        assert_eq!(judged, built);
+        assert_eq!(judged_sel, built_sel);
+        // The reference built all 72 results; the judged run found as
+        // many, skipped some and still built the ones somebody wanted.
+        assert_eq!(built_work.mjoin_outputs, 72);
+        assert_eq!(built_work.outputs_skipped, 0);
+        assert!(judged_work.outputs_skipped > 0, "{judged_work:?}");
+        assert!(
+            judged_work.outputs_skipped < judged_work.mjoin_outputs,
+            "{judged_work:?}"
+        );
+        assert_eq!(
+            built_work.joins - judged_work.joins,
+            judged_work.outputs_skipped
+        );
+        assert_eq!(
+            ExecWork {
+                joins: built_work.joins,
+                outputs_skipped: 0,
+                ..judged_work
+            },
+            built_work
+        );
+        assert_eq!(
+            judged_work.accepts,
+            judged_work.after_k + judged_work.dominated + judged_work.enqueued
+        );
+    }
+
+    /// A result another m-join consumes is always built, whatever the
+    /// rank-merge beside that m-join says about it.
+    #[test]
+    fn an_mjoin_sink_gets_every_result() {
+        let sources = fan_sources();
+        let mut g = QueryPlanGraph::new();
+        let streams = [0u32, 1, 2].map(|rel| {
+            g.add_stream(
+                StreamBacking::Remote(sources.open_stream(RelId::new(rel), None)),
+                None,
+            )
+        });
+        let inputs = vec![
+            stored_input(0, g.modules_mut()),
+            stored_input(1, g.modules_mut()),
+        ];
+        let lower = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
+        let lower = g.add_mjoin(lower, None);
+        let pair = MJoinInput {
+            rels: vec![RelId::new(0), RelId::new(1)],
+            ..stored_input(0, g.modules_mut())
+        };
+        let inputs = vec![pair, stored_input(2, g.modules_mut())];
+        let upper = MJoin::new(inputs, vec![join_on_col0(1, 2)], g.modules());
+        let upper = g.add_mjoin(upper, None);
+        // k = 0: rejects everything as after-k from the first result on.
+        let sated = g.add_rank_merge(top_k(0, 0, streams[0], streams[1]));
+        let hungry = g.add_rank_merge(top_k(1, 1000, streams[0], streams[1]));
+        g.connect(streams[0], lower, 0);
+        g.connect(streams[1], lower, 1);
+        g.connect(streams[2], upper, 1);
+        g.connect(lower, sated, 0);
+        g.connect(lower, upper, 0);
+        g.connect(upper, hungry, 0);
+        let governor = governor();
+        for leaf in streams {
+            while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {}
+        }
+        let work = g.work();
+        assert_eq!(work.outputs_skipped, 0, "{work:?}");
+        // 72 pairs reach the sated operator built, and are dropped there.
+        assert_eq!(work.after_k, 72, "{work:?}");
+        assert_eq!(g.rank_merge(hungry).pending(), 72 * 6);
+    }
+
+    /// Unbuilt results pay their routing hops where the hops would have
+    /// been taken. R0 feeds two m-joins: the first finds six results per
+    /// tuple that nobody wants (a sated rank-merge directly, another
+    /// through a split), the second builds its results for a third m-join
+    /// whose inserts read the clock *between* the first one's two levels
+    /// of hops. Every m-join insert sees the clock the reference run
+    /// (everything built and delivered) shows it.
+    #[test]
+    fn hop_charges_land_where_the_hops_were() {
+        let run = |build_all: bool| {
+            let sources = fan_sources();
+            let mut g = QueryPlanGraph::new();
+            g.build_all = build_all;
+            let streams = [0u32, 1, 2].map(|rel| {
+                g.add_stream(
+                    StreamBacking::Remote(sources.open_stream(RelId::new(rel), None)),
+                    None,
+                )
+            });
+            let inputs = vec![
+                stored_input(0, g.modules_mut()),
+                stored_input(1, g.modules_mut()),
+            ];
+            let unwanted = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
+            let unwanted = g.add_mjoin(unwanted, None);
+            let inputs = vec![
+                stored_input(0, g.modules_mut()),
+                stored_input(2, g.modules_mut()),
+            ];
+            let lower = MJoin::new(inputs, vec![join_on_col0(0, 2)], g.modules());
+            let lower = g.add_mjoin(lower, None);
+            let pair = MJoinInput {
+                rels: vec![RelId::new(0), RelId::new(2)],
+                ..stored_input(0, g.modules_mut())
+            };
+            let inputs = vec![pair, stored_input(1, g.modules_mut())];
+            let upper = MJoin::new(inputs, vec![join_on_col0(2, 1)], g.modules());
+            let upper = g.add_mjoin(upper, None);
+            let split = g.add_split(None);
+            let sated = [0u32, 1].map(|uq| g.add_rank_merge(top_k(uq, 0, streams[0], streams[1])));
+            let hungry = g.add_rank_merge(top_k(2, 1000, streams[0], streams[1]));
+            g.connect(streams[0], unwanted, 0);
+            g.connect(streams[0], lower, 0);
+            g.connect(streams[1], unwanted, 1);
+            g.connect(streams[1], upper, 1);
+            g.connect(streams[2], lower, 1);
+            g.connect(unwanted, sated[0], 0);
+            g.connect(unwanted, split, 0);
+            g.connect(split, sated[1], 0);
+            g.connect(lower, upper, 0);
+            g.connect(upper, hungry, 0);
+            let governor = governor();
+            for leaf in [streams[1], streams[2], streams[0]] {
+                while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {}
+            }
+            (
+                mem::take(&mut g.insert_clock),
+                sources.clock().breakdown(),
+                g.work().outputs_skipped,
+            )
+        };
+        let (judged_clock, judged_total, skipped) = run(false);
+        let (built_clock, built_total, _) = run(true);
+        assert_eq!(skipped, 72);
+        assert_eq!(judged_clock, built_clock);
+        assert_eq!(judged_total, built_total);
     }
 }

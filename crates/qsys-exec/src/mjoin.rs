@@ -30,10 +30,35 @@
 //! inputs still to probe are a `u64` mask; partial results ping-pong
 //! between two buffers the m-join keeps; matches are borrowed from the
 //! probed module, so the only allocation per match is the joined tuple
-//! itself; and complete results go straight into the caller's buffer. The
+//! itself; and complete results go straight into the caller's sink. The
 //! one thing hashed is the probe's join-column value, inside the access
 //! module — see the `access` module docs for the hasher and why its lack
 //! of HashDoS resistance is acceptable for simulated sources.
+//!
+//! **Early rejection.** Almost every complete result is dropped on arrival
+//! by the rank-merges it reaches (they have their k, or enough better
+//! candidates pending), so the *final* step of the probe sequence hands
+//! each match that passed its predicates to the caller's [`JoinSink`] as
+//! an unbuilt pair, and the sink decides whether `Tuple::join` is called
+//! at all. A `Vec<Tuple>` builds everything; the plan graph's sink judges
+//! first, under this contract:
+//!
+//! - a pair may be dropped only if *every* consumer the result would
+//!   reach is a rank-merge whose `accept` would reject it — an m-join
+//!   consumer needs the tuple, so then everything is built;
+//! - a rejection must still hold when the result would have been
+//!   delivered. Within one routing pass it does: no maintenance cycle runs
+//!   inside one, so the number of results an operator still needs is fixed
+//!   and its k-th pending score only rises. Survivors are built once and
+//!   re-judged by `accept` on delivery, in the order they always were;
+//! - the sink owes what delivery would have recorded: one accept and its
+//!   verdict per rank-merge reached ([`ExecWork`]), and the routing hops'
+//!   virtual-clock charges, at the point the hops would have been taken.
+//!
+//! What this m-join records does not depend on the verdict: the match is
+//! counted into the probed input's selectivity monitor either way (the
+//! probe sequence must not adapt differently); only `ExecWork::joins`
+//! falls to what is materialised.
 
 use crate::access::{AccessModule, AccessModuleArena, ModuleId};
 use crate::govern::SourceGovernor;
@@ -116,6 +141,30 @@ pub struct JoinCx<'a> {
     pub governor: Option<&'a SourceGovernor>,
     /// The lane's access modules.
     pub modules: &'a AccessModuleArena,
+}
+
+/// Where an m-join's complete results go (see *Early rejection* in the
+/// module docs for what a sink that drops results owes).
+pub trait JoinSink {
+    /// A complete result that is the arriving tuple itself (a single-input
+    /// m-join passes its input through).
+    fn emit(&mut self, tuple: Tuple);
+    /// The complete result `a.join(b)`, not built yet; returns whether the
+    /// sink materialised it.
+    fn emit_pair(&mut self, a: &Tuple, b: &Tuple) -> bool;
+}
+
+/// The sink that wants every result as a tuple: intermediate probe steps,
+/// tests, benches and the state manager's graft-time history replays.
+impl JoinSink for Vec<Tuple> {
+    fn emit(&mut self, tuple: Tuple) {
+        self.push(tuple);
+    }
+
+    fn emit_pair(&mut self, a: &Tuple, b: &Tuple) -> bool {
+        self.push(a.join(b));
+        true
+    }
 }
 
 /// An m-way pipelined hash join.
@@ -279,19 +328,20 @@ impl MJoin {
         out
     }
 
-    /// [`MJoin::insert`] for the routing loop: complete results are
-    /// appended to the caller's `out`, probes and joins are counted into
-    /// `work`, and remote probes go through `cx.governor`'s retry/breaker
-    /// loop when one is supplied — a probe that gives up contributes no
-    /// matches (the loss is recorded against the batch so affected queries
-    /// resolve as degraded) instead of panicking the lane.
+    /// [`MJoin::insert`] for the routing loop: complete results are handed
+    /// to the caller's `out` (unbuilt, when they come out of a probe step),
+    /// probes and materialised joins are counted into `work`, and remote
+    /// probes go through `cx.governor`'s retry/breaker loop when one is
+    /// supplied — a probe that gives up contributes no matches (the loss
+    /// is recorded against the batch so affected queries resolve as
+    /// degraded) instead of panicking the lane.
     pub fn insert_governed(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
         epoch: Epoch,
         cx: JoinCx<'_>,
-        out: &mut Vec<Tuple>,
+        out: &mut impl JoinSink,
         work: &mut ExecWork,
     ) {
         debug_assert!(input_idx < self.inputs.len());
@@ -303,7 +353,7 @@ impl MJoin {
             }
         }
         if self.inputs.len() == 1 {
-            out.push(tuple);
+            out.emit(tuple);
             return;
         }
 
@@ -362,14 +412,14 @@ impl MJoin {
 
     /// Probe `target` with every partial, extending matches and applying
     /// any additional predicates linking `target` to the covered set;
-    /// results are appended to `out`.
+    /// results go to `out`.
     fn probe_step(
         &mut self,
         target: usize,
         covered: u64,
         partials: &[Tuple],
         cx: JoinCx<'_>,
-        out: &mut Vec<Tuple>,
+        out: &mut impl JoinSink,
         work: &mut ExecWork,
     ) {
         let input = &self.inputs[target];
@@ -412,8 +462,7 @@ impl MJoin {
                 });
                 if ok {
                     stats.matches += 1;
-                    work.joins += 1;
-                    out.push(partial.join(m));
+                    work.joins += u64::from(out.emit_pair(partial, m));
                 }
             };
             match &mut *module {

@@ -27,10 +27,28 @@
 //! scoring. Inactive CQs contribute their full upper bound `U` — which is
 //! exactly what lets the operator activate conjunctive queries lazily, "as
 //! necessary to return relevant results" (Section 7.1 / Table 4).
+//!
+//! ### When `maintain` may be skipped
+//!
+//! Per-CQ thresholds are a function of the graph's bound table and the
+//! registrations alone, so they are computed once per *generation* of that
+//! table (the graph bumps it whenever a bound's bit pattern changes) and
+//! read by emission, pruning, [`RankMerge::choose_read`] and
+//! [`RankMerge::overall_threshold`] alike. Besides them a maintenance
+//! cycle reads only the pending queue, the emitted results and the
+//! active/pruned flags, so three events can change its outcome and each
+//! marks the operator dirty: a [`RankMerge::register`], an
+//! [`Accepted::Enqueued`] accept (the other two verdicts leave the queue
+//! alone), and a new bound-table generation. A cycle on a clean operator
+//! is a no-op and returns at once: the previous cycle's last iteration
+//! broke out without activating or emitting, pruning only marks CQs that
+//! are already active, every flag it set is set from the same inputs
+//! again — and nothing it read has changed since.
 
 use crate::node::NodeId;
 use qsys_query::ScoreFn;
 use qsys_types::{CqId, RelId, Score, Tuple, UqId, UserId};
+use std::mem;
 
 /// Registration of one conjunctive query with a rank-merge operator.
 #[derive(Debug, Clone)]
@@ -105,32 +123,46 @@ struct CqState {
     active: bool,
     /// Deactivated because it can no longer contribute to the top-k.
     pruned: bool,
+    /// The TA threshold under the bound table of
+    /// [`RankMerge::thresholds_at`].
+    threshold: f64,
+    /// The streaming input defining that threshold (reading it drops the
+    /// threshold the most); `None` when every input is dry or unbounded.
+    defining: Option<NodeId>,
+    /// Whether every streaming input is exhausted under that table.
+    exhausted: bool,
 }
 
 impl CqState {
-    /// Current TA threshold given the graph's stream-bound table (indexed
-    /// by [`NodeId::index`]; a slot past its end reads as exhausted).
-    fn threshold(&self, bounds: &[f64]) -> f64 {
-        if self.u_run == 0.0 {
-            return 0.0;
-        }
+    /// Recompute what this CQ derives from the graph's stream-bound table
+    /// (indexed by [`NodeId::index`]; a slot past its end reads as
+    /// exhausted): one pass over the streaming inputs.
+    fn refresh(&mut self, bounds: &[f64]) {
         let mut best = 0.0f64;
+        self.defining = None;
+        self.exhausted = true;
         for s in &self.reg.streaming {
+            let b = bound_of(bounds, s.node);
+            if b <= 0.0 {
+                continue;
+            }
+            self.exhausted = false;
             if s.max_bound <= 0.0 {
                 continue;
             }
-            let b = bound_of(bounds, s.node);
-            best = best.max(b / s.max_bound);
+            // The input attaining the max ratio defines the threshold;
+            // the first of equals wins.
+            let ratio = b / s.max_bound;
+            if self.defining.is_none() || ratio > best {
+                best = ratio;
+                self.defining = Some(s.node);
+            }
         }
-        self.u_run * best.min(1.0)
-    }
-
-    /// Whether every streaming input is exhausted.
-    fn exhausted(&self, bounds: &[f64]) -> bool {
-        self.reg
-            .streaming
-            .iter()
-            .all(|s| bound_of(bounds, s.node) <= 0.0)
+        self.threshold = if self.u_run == 0.0 {
+            0.0
+        } else {
+            self.u_run * best.min(1.0)
+        };
     }
 }
 
@@ -153,6 +185,12 @@ pub struct RankMerge {
     candidates: Vec<Candidate>,
     emitted: Vec<TopKResult>,
     done: bool,
+    /// The bound-table generation the per-CQ thresholds were computed
+    /// under; `None` until the first computation and after a `register`.
+    thresholds_at: Option<u64>,
+    /// Whether anything [`RankMerge::maintain`] reads has changed since
+    /// its last cycle (see the module docs).
+    dirty: bool,
 }
 
 impl RankMerge {
@@ -166,6 +204,8 @@ impl RankMerge {
             candidates: Vec::new(),
             emitted: Vec::new(),
             done: false,
+            thresholds_at: None,
+            dirty: false,
         }
     }
 
@@ -206,9 +246,27 @@ impl RankMerge {
             u_run,
             active: slot == 0,
             pruned: false,
+            threshold: 0.0,
+            defining: None,
+            exhausted: true,
         });
         self.done = false;
+        // The new CQ has no thresholds yet: the next refresh computes
+        // them and marks the operator dirty.
+        self.thresholds_at = None;
         slot
+    }
+
+    /// Bring the per-CQ thresholds up to `generation` of the bound table;
+    /// a no-op when they were computed under it already.
+    fn refresh(&mut self, bounds: &[f64], generation: u64) {
+        if self.thresholds_at != Some(generation) {
+            for s in &mut self.cqs {
+                s.refresh(bounds);
+            }
+            self.thresholds_at = Some(generation);
+            self.dirty = true;
+        }
     }
 
     /// Accept a result tuple for the CQ in `slot`.
@@ -233,7 +291,25 @@ impl RankMerge {
         }
         self.candidates.insert(pos, Candidate { score, cq, tuple });
         self.candidates.truncate(need);
+        self.dirty = true;
         Accepted::Enqueued
+    }
+
+    /// [`RankMerge::accept`]'s verdict on `a.join(b)` for the CQ in `slot`
+    /// if that verdict is a rejection — without the tuple being built, and
+    /// without touching the queue; `None` if the result would be enqueued.
+    ///
+    /// The queue is sorted descending, so `accept`'s `partition_point(|c|
+    /// c.score >= score) >= need` holds exactly when the queue holds
+    /// `need` candidates and the `need`-th scores `>=` the pair.
+    pub fn rejects_pair(&self, slot: usize, a: &Tuple, b: &Tuple) -> Option<Accepted> {
+        let need = self.k.saturating_sub(self.emitted.len());
+        if need == 0 {
+            return Some(Accepted::AfterK);
+        }
+        let kth = self.candidates.get(need - 1)?;
+        let score = self.cqs[slot].reg.score_fn.score_pair(a, b);
+        (kth.score >= score).then_some(Accepted::Dominated)
     }
 
     /// The registration slots and ids of all member CQs.
@@ -278,24 +354,38 @@ impl RankMerge {
 
     /// The highest score any not-yet-seen result could achieve: active CQs
     /// contribute their TA threshold, inactive ones their full `U_run`.
-    pub fn overall_threshold(&self, bounds: &[f64]) -> f64 {
+    /// `generation` names the state of `bounds` (see
+    /// [`RankMerge::maintain`]).
+    pub fn overall_threshold(&mut self, bounds: &[f64], generation: u64) -> f64 {
+        self.refresh(bounds, generation);
+        self.current_threshold()
+    }
+
+    /// [`RankMerge::overall_threshold`] over the thresholds as last
+    /// refreshed.
+    fn current_threshold(&self) -> f64 {
         self.cqs
             .iter()
-            .map(|s| {
-                if s.active {
-                    s.threshold(bounds)
-                } else {
-                    s.u_run
-                }
-            })
+            .map(|s| if s.active { s.threshold } else { s.u_run })
             .fold(0.0, f64::max)
     }
 
     /// Run the maintenance cycle: activate CQs the thresholds demand, emit
     /// every candidate provably in the top-k, prune CQs that can no longer
     /// contribute, and update the done flag. Returns the number of results
-    /// emitted during this call.
-    pub fn maintain(&mut self, bounds: &[f64], now_us: u64) -> usize {
+    /// emitted during this call — or `None` if the cycle was skipped
+    /// because nothing it reads has changed since the last one (see the
+    /// module docs).
+    ///
+    /// `generation` is the bound table's: the caller passes the same value
+    /// only while `bounds` is bit-for-bit what it was (the plan graph
+    /// keeps the counter; a caller without one passes a fresh value per
+    /// call).
+    pub fn maintain(&mut self, bounds: &[f64], generation: u64, now_us: u64) -> Option<usize> {
+        self.refresh(bounds, generation);
+        if !mem::take(&mut self.dirty) {
+            return None;
+        }
         let mut emitted_now = 0;
         loop {
             if self.emitted.len() >= self.k {
@@ -305,11 +395,7 @@ impl RankMerge {
             // Activate the next inactive CQ if emission cannot soundly
             // proceed past its upper bound, or if the active set can no
             // longer fill k.
-            let active_exhausted = self
-                .cqs
-                .iter()
-                .filter(|s| s.active)
-                .all(|s| s.exhausted(bounds));
+            let active_exhausted = self.cqs.iter().all(|s| !s.active || s.exhausted);
             let top = self.candidates.first().map(|c| c.score.get());
             if let Some(idx) = self.next_inactive() {
                 let u_next = self.cqs[idx].u_run;
@@ -324,7 +410,7 @@ impl RankMerge {
                 }
             }
             // Emit while the best candidate dominates every threshold.
-            let thr = self.overall_threshold(bounds);
+            let thr = self.current_threshold();
             match self.candidates.first() {
                 Some(c) if c.score.get() >= thr => {
                     let c = self.candidates.remove(0);
@@ -353,13 +439,13 @@ impl RankMerge {
         // All sources dry and no candidates left → done even short of k.
         if !self.done
             && self.candidates.is_empty()
-            && self.cqs.iter().all(|s| !s.active || s.exhausted(bounds))
-            && self.overall_threshold(bounds) <= 0.0
+            && self.cqs.iter().all(|s| !s.active || s.exhausted)
+            && self.current_threshold() <= 0.0
         {
             self.done = true;
         }
-        self.prune(bounds);
-        emitted_now
+        self.prune();
+        Some(emitted_now)
     }
 
     fn next_inactive(&self) -> Option<usize> {
@@ -379,53 +465,33 @@ impl RankMerge {
     /// Deactivate CQs whose threshold falls below the k-th pending
     /// candidate — they "may no longer be able to contribute to top-k
     /// results" (Section 3).
-    fn prune(&mut self, bounds: &[f64]) {
+    fn prune(&mut self) {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 || self.candidates.len() < need {
             return;
         }
         let kth = self.candidates[need - 1].score.get();
         for s in &mut self.cqs {
-            if s.active && !s.pruned {
-                let thr = s.threshold(bounds);
-                if thr < kth {
-                    s.pruned = true;
-                }
+            if s.active && !s.pruned && s.threshold < kth {
+                s.pruned = true;
             }
         }
     }
 
     /// Choose the next stream to read: for the active, unpruned CQ with the
     /// highest threshold, the streaming input defining that threshold
-    /// (reading it drops the threshold the most).
-    pub fn choose_read(&self, bounds: &[f64]) -> Option<NodeId> {
+    /// (reading it drops the threshold the most). `generation` as in
+    /// [`RankMerge::maintain`].
+    pub fn choose_read(&mut self, bounds: &[f64], generation: u64) -> Option<NodeId> {
+        self.refresh(bounds, generation);
         let mut best: Option<(f64, NodeId)> = None;
         for s in &self.cqs {
-            if !s.active || s.pruned {
+            if !s.active || s.pruned || s.threshold <= 0.0 {
                 continue;
             }
-            let thr = s.threshold(bounds);
-            if thr <= 0.0 {
-                continue;
-            }
-            // The input attaining the max ratio defines the threshold.
-            let mut arg: Option<(f64, NodeId)> = None;
-            for inp in &s.reg.streaming {
-                if inp.max_bound <= 0.0 {
-                    continue;
-                }
-                let b = bound_of(bounds, inp.node);
-                if b <= 0.0 {
-                    continue;
-                }
-                let ratio = b / inp.max_bound;
-                if arg.is_none_or(|(r, _)| ratio > r) {
-                    arg = Some((ratio, inp.node));
-                }
-            }
-            if let Some((_, node)) = arg {
-                if best.is_none_or(|(t, _)| thr > t) {
-                    best = Some((thr, node));
+            if let Some(node) = s.defining {
+                if best.is_none_or(|(t, _)| s.threshold > t) {
+                    best = Some((s.threshold, node));
                 }
             }
         }
@@ -463,6 +529,7 @@ impl RankMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qsys_types::BaseTuple;
     use std::sync::Arc;
 
@@ -499,14 +566,14 @@ mod tests {
         let mut bounds = [0.9]; // threshold = 0.9
         rm.accept(0, tup(0, 1, 0.95));
         rm.accept(0, tup(0, 2, 0.5));
-        let n = rm.maintain(&bounds, 0);
-        assert_eq!(n, 1); // only the 0.95 dominates thr 0.9
+        let n = rm.maintain(&bounds, 0, 0);
+        assert_eq!(n, Some(1)); // only the 0.95 dominates thr 0.9
         assert_eq!(rm.results().len(), 1);
         assert_eq!(rm.results()[0].score.get(), 0.95);
         // Stream bound drops → second result becomes emittable.
         bounds[0] = 0.4;
-        let n = rm.maintain(&bounds, 1);
-        assert_eq!(n, 1);
+        let n = rm.maintain(&bounds, 1, 1);
+        assert_eq!(n, Some(1));
         assert!(rm.is_done());
     }
 
@@ -519,12 +586,12 @@ mod tests {
         // Candidate with score 0.5 < U(CQ1)=0.8: maintain must activate CQ1
         // rather than emit unsoundly.
         rm.accept(0, tup(0, 1, 0.5));
-        rm.maintain(&bounds, 0);
+        rm.maintain(&bounds, 0, 0);
         assert_eq!(rm.activated().len(), 2, "CQ1 must be activated");
         assert_eq!(rm.results().len(), 0, "0.5 not emittable yet");
         // Once CQ1's stream drains below 0.5, emission proceeds.
         bounds[1] = 0.3;
-        rm.maintain(&bounds, 1);
+        rm.maintain(&bounds, 1, 1);
         assert_eq!(rm.results().len(), 1);
         assert!(rm.is_done());
     }
@@ -535,10 +602,10 @@ mod tests {
         rm.register(reg(0, 0, 1.0));
         rm.register(reg(1, 1, 1.0));
         let mut bounds = [0.9, 0.4];
-        rm.maintain(&bounds, 0); // activates CQ1 (nothing to emit)
-        assert_eq!(rm.choose_read(&bounds), Some(NodeId(0)));
+        rm.maintain(&bounds, 0, 0); // activates CQ1 (nothing to emit)
+        assert_eq!(rm.choose_read(&bounds, 0), Some(NodeId(0)));
         bounds[0] = 0.2;
-        assert_eq!(rm.choose_read(&bounds), Some(NodeId(1)));
+        assert_eq!(rm.choose_read(&bounds, 1), Some(NodeId(1)));
     }
 
     #[test]
@@ -547,7 +614,7 @@ mod tests {
         rm.register(reg(0, 0, 1.0));
         let bounds = [0.0]; // exhausted
         rm.accept(0, tup(0, 1, 0.7));
-        rm.maintain(&bounds, 0);
+        rm.maintain(&bounds, 0, 0);
         assert!(rm.is_done());
         assert_eq!(rm.results().len(), 1);
     }
@@ -558,7 +625,7 @@ mod tests {
         rm.register(reg(0, 0, 1.0));
         rm.register(reg(1, 1, 1.0));
         let mut bounds = [0.9, 0.9];
-        rm.maintain(&bounds, 0);
+        rm.maintain(&bounds, 0, 0);
         assert_eq!(rm.activated().len(), 2);
         // CQ0 produces 0.95 (emittable past thr 0.9) and 0.85 (pending).
         // CQ1's threshold collapses to 0.05 < the pending kth (0.85): CQ1
@@ -567,7 +634,7 @@ mod tests {
         rm.accept(0, tup(0, 1, 0.95));
         rm.accept(0, tup(0, 2, 0.85));
         bounds[1] = 0.05;
-        rm.maintain(&bounds, 0);
+        rm.maintain(&bounds, 1, 0);
         assert_eq!(rm.results().len(), 1);
         assert!(!rm.slot_active(1), "CQ1 should be pruned");
         assert!(rm.slot_active(0));
@@ -581,8 +648,165 @@ mod tests {
         rm.accept(0, tup(0, 1, 0.3));
         rm.accept(0, tup(0, 2, 0.9));
         rm.accept(0, tup(0, 3, 0.6));
-        rm.maintain(&bounds, 0);
+        rm.maintain(&bounds, 0, 0);
         let scores: Vec<f64> = rm.results().iter().map(|r| r.score.get()).collect();
         assert_eq!(scores, vec![0.9, 0.6, 0.3]);
+    }
+
+    /// CQ `i` of the property tests: relations 0 ⋈ 1, streamed from nodes
+    /// `i` and `i + 3` (of 6), upper bounds nonincreasing in `i`.
+    fn pair_reg(i: u32) -> CqRegistration {
+        CqRegistration {
+            cq: CqId::new(i),
+            reports_as: CqId::new(i),
+            score_fn: ScoreFn::banks(UserId::new(0), 1.0 - 0.1 * i as f64, []),
+            streaming: vec![
+                StreamingInput {
+                    node: NodeId(i),
+                    rels: vec![RelId::new(0)],
+                    max_bound: 1.0,
+                },
+                StreamingInput {
+                    node: NodeId(i + 3),
+                    rels: vec![RelId::new(1)],
+                    max_bound: 0.8,
+                },
+            ],
+            probed: vec![],
+        }
+    }
+
+    /// One pending candidate, bit for bit: score, reporting CQ, provenance.
+    type QueueEntry = (u64, CqId, Vec<(RelId, u64)>);
+
+    fn queue_bits(rm: &RankMerge) -> Vec<QueueEntry> {
+        rm.candidates
+            .iter()
+            .map(|c| (c.score.get().to_bits(), c.cq, c.tuple.provenance()))
+            .collect()
+    }
+
+    /// Everything a caller can see of an operator.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        /// Score bits, reporting CQ and emission time of each result.
+        results: Vec<(u64, CqId, u64)>,
+        pending: usize,
+        activated: Vec<CqId>,
+        slot_active: Vec<bool>,
+        choose_read: Option<NodeId>,
+        done: bool,
+    }
+
+    fn observe(rm: &mut RankMerge, bounds: &[f64], generation: u64) -> Seen {
+        Seen {
+            results: rm
+                .results()
+                .iter()
+                .map(|r| (r.score.get().to_bits(), r.cq, r.emitted_at_us))
+                .collect(),
+            pending: rm.pending(),
+            activated: rm.activated(),
+            slot_active: (0..rm.cqs.len()).map(|s| rm.slot_active(s)).collect(),
+            choose_read: rm.choose_read(bounds, generation),
+            done: rm.is_done(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `rejects_pair` is `accept`'s verdict without the tuple: on
+        /// queues full of ties at the k-th score (sixteen score products,
+        /// a few of them equal), `Some(v)` means `accept` of the built
+        /// tuple returns `v` and leaves the queue bit-for-bit alone, and
+        /// `None` means it is enqueued. Maintenance cycles in between
+        /// emit, so `need` shrinks all the way to after-k.
+        #[test]
+        fn rejects_pair_is_accepts_verdict(
+            k in 1usize..=5,
+            ops in prop::collection::vec((0u8..8, 1u32..=4, 1u32..=4), 1..60),
+        ) {
+            let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), k);
+            rm.register(pair_reg(0));
+            let mut bounds = [1.0; 6];
+            for (i, &(op, sa, sb)) in ops.iter().enumerate() {
+                if op == 0 {
+                    bounds[0] *= 0.7;
+                    bounds[3] *= 0.7;
+                    rm.maintain(&bounds, i as u64, i as u64);
+                    continue;
+                }
+                let (a, b) = (tup(0, i as u64, sa as f64 / 4.0), tup(1, i as u64, sb as f64 / 4.0));
+                let before = queue_bits(&rm);
+                let verdict = rm.rejects_pair(0, &a, &b);
+                let got = rm.accept(0, a.join(&b));
+                match verdict {
+                    Some(v) => {
+                        prop_assert_ne!(v, Accepted::Enqueued);
+                        prop_assert_eq!(got, v);
+                        prop_assert_eq!(queue_bits(&rm), before);
+                    }
+                    None => prop_assert_eq!(got, Accepted::Enqueued),
+                }
+            }
+        }
+
+        /// Skipping a clean maintenance cycle changes nothing: two
+        /// operators are fed the same interleaving of bound drops,
+        /// registrations and accepts. One is told the truth about the
+        /// bound table's generation and left to its own dirty bit; the
+        /// other is handed a fresh generation on every call (so it
+        /// recomputes and re-runs every time) and maintains twice where
+        /// the first maintains once. They agree on everything visible
+        /// after every step.
+        #[test]
+        fn lazy_maintenance_equals_eager(
+            k in 1usize..=6,
+            ops in prop::collection::vec((0u8..6, 0usize..6, 0u32..4), 1..80),
+        ) {
+            let mut lazy = RankMerge::new(UqId::new(0), UserId::new(0), k);
+            let mut eager = RankMerge::new(UqId::new(0), UserId::new(0), k);
+            let mut registered = 0u32;
+            let mut bounds = [1.0f64, 1.0, 1.0, 0.8, 0.8, 0.8];
+            let mut generation = 0u64;
+            let mut fresh = 1u64 << 32;
+            let mut fresh = move || {
+                fresh += 1;
+                fresh
+            };
+            for (step, &(op, x, y)) in ops.iter().enumerate() {
+                let now = step as u64;
+                match op {
+                    0 => {
+                        let was = bounds[x].to_bits();
+                        bounds[x] *= [1.0, 0.5, 0.9, 0.0][y as usize];
+                        generation += u64::from(bounds[x].to_bits() != was);
+                    }
+                    1 if registered < 3 => {
+                        lazy.register(pair_reg(registered));
+                        eager.register(pair_reg(registered));
+                        registered += 1;
+                    }
+                    2 | 3 if registered > 0 => {
+                        let slot = x % registered as usize;
+                        let t = tup(0, now, (y + 1) as f64 / 4.0).join(&tup(1, now, (x + 1) as f64 / 6.0));
+                        prop_assert_eq!(lazy.accept(slot, t.clone()), eager.accept(slot, t));
+                    }
+                    _ => {
+                        let emitted = lazy.maintain(&bounds, generation, now).unwrap_or(0);
+                        let first = eager.maintain(&bounds, fresh(), now);
+                        prop_assert_eq!(first, Some(emitted));
+                        // Twice is once: the second cycle finds nothing to do.
+                        prop_assert_eq!(eager.maintain(&bounds, fresh(), now), Some(0));
+                    }
+                }
+                prop_assert_eq!(
+                    observe(&mut lazy, &bounds, generation),
+                    observe(&mut eager, &bounds, fresh()),
+                    "after step {}", step
+                );
+            }
+        }
     }
 }

@@ -52,12 +52,17 @@ pub struct ExecWork {
     /// Access-module probes those inserts issued (stored and remote).
     pub mjoin_probes: u64,
     /// Probe matches that passed every predicate and were materialised
-    /// (`Tuple::join` calls: intermediate and complete results).
+    /// (`Tuple::join` calls: intermediate results, and the complete
+    /// results some consumer could still keep).
     pub joins: u64,
-    /// Complete join results m-joins emitted downstream.
+    /// Complete join results m-joins found, built or not.
     pub mjoin_outputs: u64,
-    /// Results offered to a rank-merge; always the sum of the three
-    /// outcomes below.
+    /// … of which never built: every rank-merge they would have reached
+    /// rejected them unbuilt (their verdicts are counted below like any
+    /// other accept's).
+    pub outputs_skipped: u64,
+    /// Results offered to a rank-merge, built or not; always the sum of
+    /// the three outcomes below.
     pub accepts: u64,
     /// … that reached an operator which had already emitted its k.
     pub after_k: u64,
@@ -65,6 +70,11 @@ pub struct ExecWork {
     pub dominated: u64,
     /// … that entered the pending queue.
     pub enqueued: u64,
+    /// Rank-merge maintenance cycles the ATC asked for.
+    pub maintains: u64,
+    /// … of which returned at once: nothing the cycle reads had changed
+    /// since the operator's last one.
+    pub maintains_skipped: u64,
     /// Probes the state manager issued at graft time, reconstructing a
     /// reused m-join's output history to prefill a new consumer (free on
     /// the virtual clock, not on the host's).
@@ -81,10 +91,13 @@ impl ExecWork {
         self.mjoin_probes += other.mjoin_probes;
         self.joins += other.joins;
         self.mjoin_outputs += other.mjoin_outputs;
+        self.outputs_skipped += other.outputs_skipped;
         self.accepts += other.accepts;
         self.after_k += other.after_k;
         self.dominated += other.dominated;
         self.enqueued += other.enqueued;
+        self.maintains += other.maintains;
+        self.maintains_skipped += other.maintains_skipped;
         self.recovery_probes += other.recovery_probes;
         self.recovery_joins += other.recovery_joins;
     }

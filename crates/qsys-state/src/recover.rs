@@ -71,6 +71,38 @@ pub fn node_history(
     }
 }
 
+/// The storing input of `mj` with the most pre-epoch entries (the first of
+/// equals) and those entries in arrival order, if any input has history.
+/// Inputs are sized by a borrowing count; only the winner's entries are
+/// cloned.
+fn richest_history(
+    mj: &MJoin,
+    modules: &AccessModuleArena,
+    before: Epoch,
+) -> Option<(usize, Vec<Tuple>)> {
+    let mut best: Option<(usize, usize)> = None; // (input, count)
+    for (idx, input) in mj.inputs().iter().enumerate() {
+        if !input.store_arrivals {
+            continue;
+        }
+        let Some(module) = modules.module(input.module) else {
+            continue;
+        };
+        if let AccessModule::Stored(s) = &*module.borrow() {
+            let n = s.entries_before(before).count();
+            if n > 0 && best.is_none_or(|(_, b)| n > b) {
+                best = Some((idx, n));
+            }
+        }
+    }
+    let (idx, _) = best?;
+    let module = modules.module(mj.inputs()[idx].module)?;
+    let AccessModule::Stored(s) = &*module.borrow() else {
+        return None;
+    };
+    Some((idx, s.entries_before(before).cloned().collect()))
+}
+
 /// Replay one stored input of `mj` (pre-epoch entries, original order)
 /// against the other modules capped at `before`, reproducing exactly the
 /// outputs the m-join emitted before that epoch.
@@ -80,27 +112,7 @@ fn reconstruct_mjoin_history(
     before: Epoch,
     work: &mut ExecWork,
 ) -> Vec<Tuple> {
-    // Choose the storing input with pre-epoch entries to replay.
-    let mut replay: Option<(usize, Vec<Tuple>)> = None;
-    for (idx, input) in mj.inputs().iter().enumerate() {
-        if !input.store_arrivals {
-            continue;
-        }
-        let Some(module) = modules.module(input.module) else {
-            continue;
-        };
-        if let AccessModule::Stored(s) = &*module.borrow() {
-            let entries = s.entries_before(before);
-            if !entries.is_empty()
-                && replay
-                    .as_ref()
-                    .is_none_or(|(_, best)| entries.len() > best.len())
-            {
-                replay = Some((idx, entries));
-            }
-        }
-    }
-    let Some((replay_idx, entries)) = replay else {
+    let Some((replay_idx, entries)) = richest_history(mj, modules, before) else {
         return Vec::new();
     };
     // Temporary capped m-join borrowing the live modules by id (transient:
@@ -184,34 +196,11 @@ pub fn recover_state(
                 let NodeKind::MJoin(mj) = &graph.node(root).kind else {
                     unreachable!()
                 };
-                let modules = graph.modules();
-                let mut best: Option<(usize, usize)> = None; // (input, count)
-                for (idx, input) in mj.inputs().iter().enumerate() {
-                    if !input.store_arrivals {
-                        continue;
-                    }
-                    let Some(module) = modules.module(input.module) else {
-                        continue;
-                    };
-                    if let AccessModule::Stored(s) = &*module.borrow() {
-                        let n = s.entries_before(epoch).len();
-                        if n > 0 && best.is_none_or(|(_, b)| n > b) {
-                            best = Some((idx, n));
-                        }
-                    }
-                }
-                let Some((replay_idx, _)) = best else {
+                let Some((replay_idx, entries)) = richest_history(mj, graph.modules(), epoch)
+                else {
                     return false;
                 };
-                let (entries, rels) = {
-                    let input = &mj.inputs()[replay_idx];
-                    // lint:allow(panic-path): `best` was selected from this m-join's live stored inputs just above
-                    let module = modules.module(input.module).expect("chosen input is live");
-                    let AccessModule::Stored(s) = &*module.borrow() else {
-                        unreachable!()
-                    };
-                    (s.entries_before(epoch), input.rels.clone())
-                };
+                let rels = mj.inputs()[replay_idx].rels.clone();
                 let input_specs: Vec<(Vec<qsys_types::RelId>, ModuleId, Option<_>)> = mj
                     .inputs()
                     .iter()
@@ -251,9 +240,13 @@ pub fn recover_state(
             let rec_join = MJoin::new(rec_inputs, preds, graph.modules());
             let rec_join_id = graph.add_mjoin(rec_join, None);
 
+            let max_bound = entries
+                .first()
+                .map(|t| t.raw_score_product())
+                .unwrap_or(0.0);
             let replay_id = graph.add_stream(
                 StreamBacking::Replay {
-                    tuples: entries.clone(),
+                    tuples: entries,
                     pos: 0,
                 },
                 None,
@@ -264,10 +257,6 @@ pub fn recover_state(
             // reporting as the original CQ.
             let cq_e = CqId::new(*next_recovery_cq);
             *next_recovery_cq += 1;
-            let max_bound = entries
-                .first()
-                .map(|t| t.raw_score_product())
-                .unwrap_or(0.0);
             let other_rels: Vec<_> = interner
                 .rels(plan.sig)
                 .iter()

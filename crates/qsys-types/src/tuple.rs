@@ -130,6 +130,31 @@ impl Tuple {
         Tuple { parts }
     }
 
+    /// [`Tuple::components`] of `self.join(other)` without building it:
+    /// the same merge of the two sorted part lists, yielded instead of
+    /// collected.
+    #[inline]
+    pub fn join_components<'a>(
+        &'a self,
+        other: &'a Tuple,
+    ) -> impl Iterator<Item = (RelId, f64)> + 'a {
+        let (a, b) = (&*self.parts, &*other.parts);
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            if i == a.len() && j == b.len() {
+                return None;
+            }
+            let part = if j == b.len() || (i < a.len() && a[i].rel < b[j].rel) {
+                i += 1;
+                &a[i - 1]
+            } else {
+                j += 1;
+                &b[j - 1]
+            };
+            Some((part.rel, part.raw_score))
+        })
+    }
+
     /// The participating base rows, sorted by relation.
     #[inline]
     pub fn parts(&self) -> &[Arc<BaseTuple>] {

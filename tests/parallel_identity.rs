@@ -107,12 +107,42 @@ fn assert_work_accounted(report: &RunReport, seed: u64) {
         work.stream_reads >= report.tuples_streamed,
         "seed {seed}: {work:?}"
     );
-    // A complete output is a materialised join or a single-input
-    // pass-through.
+    // A complete result found is either delivered — a materialised join
+    // or a single-input pass-through — or skipped unbuilt.
     assert!(
-        work.mjoin_outputs <= work.joins + work.mjoin_inserts,
+        work.outputs_skipped <= work.mjoin_outputs,
         "seed {seed}: {work:?}"
     );
+    let delivered = work.mjoin_outputs - work.outputs_skipped;
+    assert!(
+        delivered <= work.joins + work.mjoin_inserts,
+        "seed {seed}: {work:?}"
+    );
+    assert!(work.outputs_skipped > 0, "seed {seed}: {work:?}");
+    assert!(
+        0 < work.maintains_skipped && work.maintains_skipped < work.maintains,
+        "seed {seed}: {work:?}"
+    );
+    // Found and judged as before results could be skipped: the values of
+    // `(mjoin_outputs, after_k, dominated, enqueued)` recorded when every
+    // result was built and every verdict was an `accept` on delivery.
+    if !chaos_active() && !adaptive_active() {
+        let golden = match seed {
+            41 => (11_099, 4_293, 5_582, 180),
+            48 => (11_566, 177, 860, 116),
+            _ => (697, 117, 411, 120),
+        };
+        assert_eq!(
+            (
+                work.mjoin_outputs,
+                work.after_k,
+                work.dominated,
+                work.enqueued
+            ),
+            golden,
+            "seed {seed}: {work:?}"
+        );
+    }
 }
 
 #[test]

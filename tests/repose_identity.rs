@@ -9,6 +9,15 @@
 //! the third and fourth pose of seeds 48 and 55 (never seed 41) instead of
 //! searching; every batch searches now, and nothing here moved — replay
 //! and search were the same decision.
+//!
+//! Seed 48's digest was re-recorded once (`0xcf92…d782` → `0x62a4…577d`,
+//! all four poses, every other column equal): the Q System score weights
+//! were written `2.0.powf(-c)`, which LLVM lowers to `exp2(-c)` only under
+//! optimisation, and the two differ by an ulp on ≈1 input in 900 — so the
+//! debug build pinned here disagreed with the release build the benchmark
+//! and every `reproduce` table run. The sites now say `exp2`; release
+//! never moved, and this test passes under `--release` too (CI runs it
+//! there as the profile-drift guard).
 
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
@@ -118,10 +127,10 @@ pose 2: 44418 36226 24 52 [457152, 403895, 409921, 408814, 399022, 377569, 39350
 pose 3: 44418 36226 24 59 [465410, 412159, 418174, 417077, 407407, 383604, 399499, 403774, 383597, 436974] 0xa3651b5cb6daf445\n\
 ";
 const GOLDEN_48: &str = "\
-pose 0: 38018 30850 24 7027 [5602450, 3465274, 3682982, 2174391, 3465274, 9441724, 7844943, 3613182, 2794516, 8924767] 0xcf926a7f79d4d782\n\
-pose 1: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0xcf926a7f79d4d782\n\
-pose 2: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0xcf926a7f79d4d782\n\
-pose 3: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0xcf926a7f79d4d782\n\
+pose 0: 38018 30850 24 7027 [5602450, 3465274, 3682982, 2174391, 3465274, 9441724, 7844943, 3613182, 2794516, 8924767] 0x62a426ff95e1577d\n\
+pose 1: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0x62a426ff95e1577d\n\
+pose 2: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0x62a426ff95e1577d\n\
+pose 3: 38018 30850 24 0 [308337, 288427, 269059, 260759, 288417, 385921, 363496, 365583, 330156, 380592] 0x62a426ff95e1577d\n\
 ";
 const GOLDEN_55: &str = "\
 pose 0: 27074 21698 24 5389 [8363845, 4944142, 4435219, 5124171, 9060166, 1291748, 1287487, 3412578, 1314302, 1287477] 0xfb5f69d89341d354\n\

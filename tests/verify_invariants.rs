@@ -199,6 +199,10 @@ fn base_config(mode: SharingMode) -> EngineConfig {
         batch_size: 5,
         sharing: mode,
         sharding: ShardConfig::off(),
+        // Each arm injects the schedule it is about; an ambient
+        // `QSYS_FAULTS` (the snapshot-chaos leg's torn write) would fail
+        // the on-disk audit for a reason the arm does not test.
+        faults: None,
         ..EngineConfig::default()
     }
 }
