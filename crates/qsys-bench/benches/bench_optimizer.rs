@@ -2,7 +2,11 @@
 //! BestPlan search scaling in the number of push-down candidates — the
 //! wall-clock companion of Figure 11's exponential curve, up to the default
 //! (and the benchmark's) cap of 12 — and candidate-network generation for
-//! one GUS script against a cold and a warmed schema-path table.
+//! one GUS script against a cold and a warmed schema-path table. Before
+//! timing anything, the bench asserts that the search at the cap of 12 is
+//! the search recorded at PR 23 — states named, memo hits and the bits of
+//! the winning cost — so a faster loop that decides differently fails the
+//! CI bench smoke instead of posting a number.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qsys::catalog::Catalog;
@@ -25,22 +29,34 @@ fn bench_optimizer(c: &mut Criterion) {
         .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
         .collect();
 
+    let optimizer_at = |cap: usize| {
+        let config = OptimizerConfig {
+            k: 50,
+            heuristics: HeuristicConfig {
+                max_candidates: cap,
+                min_sharing: 1,
+                low_cardinality: f64::MAX,
+                ..HeuristicConfig::default()
+            },
+            ..OptimizerConfig::default()
+        };
+        Optimizer::new(&workload.catalog, config)
+    };
+    let fresh_interner = || qsys::query::SigCell::new(qsys::query::SigInterner::new());
+
+    let (_, stats) = optimizer_at(12).optimize(&batch, &NoReuse, None, &fresh_interner());
+    assert_eq!(
+        (stats.explored, stats.memo_hits, stats.best_cost.to_bits()),
+        (23_553, 19_457, 0x41a4_5055_2c54_521d),
+        "the search at cap 12 is not the one recorded at PR 23: {stats:?}"
+    );
+
     let mut group = c.benchmark_group("bestplan");
     group.sample_size(10);
     for cap in [0usize, 2, 4, 6, 8, 10, 12] {
         group.bench_with_input(BenchmarkId::new("candidates", cap), &cap, |b, &cap| {
-            let config = OptimizerConfig {
-                k: 50,
-                heuristics: HeuristicConfig {
-                    max_candidates: cap,
-                    min_sharing: 1,
-                    low_cardinality: f64::MAX,
-                    ..HeuristicConfig::default()
-                },
-                ..OptimizerConfig::default()
-            };
-            let optimizer = Optimizer::new(&workload.catalog, config);
-            let interner = qsys::query::SigCell::new(qsys::query::SigInterner::new());
+            let optimizer = optimizer_at(cap);
+            let interner = fresh_interner();
             b.iter(|| black_box(optimizer.optimize(&batch, &NoReuse, None, &interner)));
         });
     }

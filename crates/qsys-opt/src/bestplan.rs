@@ -41,19 +41,38 @@
 //!   and the candidate whose commit first entered the state. The overall
 //!   winner is materialized once, after the search, by re-committing the
 //!   winning stop state's entry chain and reading the live completion.
-//! - **Completion is one live state, edited in place.** The all-defaults
-//!   completion (which queries still need each default input, and how many
-//!   streaming inputs each query has) is built once per batch; committing a
-//!   candidate applies only that candidate's delta through its precomputed
-//!   per-query covered-default table, logging every default it displaces,
-//!   and returning from the child undoes the log. Every state is costed
-//!   from that live pair, input by input and sharer by sharer in the exact
-//!   order (and with the exact floating-point operations) the original
-//!   `BTreeSet`-based code used, so sharing decisions and costs are
-//!   bit-for-bit unchanged — the golden tests in
-//!   `tests/interner_invariants.rs` and the differential proptest against
-//!   the rebuild-per-state recursion (kept below as a test reference) pin
-//!   that.
+//! - **Completion is one live state, edited in place, and a state costs
+//!   what its commit changed.** The all-defaults completion (which queries
+//!   still need each default input, how many streaming inputs each query
+//!   has, and the cost term of every input) is built once per batch.
+//!   Committing a candidate applies only that candidate's delta through
+//!   its precomputed per-query covered-default table, logging every
+//!   default it displaces, and re-derives the term of exactly the inputs
+//!   the delta reaches: the defaults that lost a query, every input
+//!   (default or committed) of a query whose read depth moved, and the
+//!   candidate itself. An input's term depends on nothing else — its
+//!   query set, and each of those queries' stream count, which it sees
+//!   only through the per-batch depth table — so every other cached term
+//!   is still what costing that input afresh would give. Overwritten terms
+//!   are logged like displaced defaults, and returning from the child
+//!   unwinds both logs. A state's cost is then the fold of the cached
+//!   terms — committed candidates in commit order, then defaults in
+//!   canonical rank order, reads before penalty. **That order is the
+//!   contract:** floating-point addition does not associate, so the same
+//!   terms added in the order the original `BTreeSet`-based code added
+//!   them give the same bits, and any other order need not. Terms
+//!   themselves come from one function with the original operations,
+//!   sharer by sharer. Sharing decisions, costs, `explored` (which the
+//!   virtual clock is charged by) and `memo_hits` are therefore bit-for-bit
+//!   unchanged — the golden tests in `tests/interner_invariants.rs`, the
+//!   differential proptest against the rebuild-per-state recursion (kept
+//!   below as a test reference), and a random commit/retract walk checked
+//!   against from-scratch costing pin that.
+//! - **The memo and the arena index hash with [`FxHashMap`].** Their keys
+//!   are the search's own masks and `(SigId, CqSet)` pairs — dense ids this
+//!   process handed out, at most `2^max_candidates` of them — probed for
+//!   every state the search names; neither map is iterated, so no order
+//!   depends on the hasher.
 //!
 //! Per-signature facts (cardinality, streamability, reuse) are answered
 //! from a dense id-indexed cache precomputed before the recursion starts;
@@ -63,6 +82,7 @@ use crate::cost::{CostModel, ReuseOracle};
 use crate::heuristics::{Candidate, HeuristicConfig};
 use crate::warm::WarmStore;
 use qsys_query::{ConjunctiveQuery, CqIdx, CqSet, CqTable, SigId, SigInterner};
+use qsys_types::FxHashMap;
 use std::collections::HashMap;
 
 /// Search statistics (Figure 11's x-axis is `candidates`; its y-axis grows
@@ -122,6 +142,33 @@ struct SigFacts {
     already: u64,
 }
 
+/// One input's contribution to a plan's cost: what reading it costs, then
+/// what asking the source to compute it costs. A plan's cost adds the two
+/// in that order, input by input.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Term {
+    /// Expected reads (or probes) times the unit cost.
+    access_us: f64,
+    /// Push-down penalty; `0.0` for single relations and probed inputs.
+    penalty_us: f64,
+}
+
+impl Term {
+    /// Add this input to a plan's running cost.
+    #[inline]
+    fn add_to(self, total: &mut f64) {
+        *total += self.access_us;
+        *total += self.penalty_us;
+    }
+}
+
+/// Where both undo logs stood before a [`commit`](BestPlanSearch::commit).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Mark {
+    displaced: usize,
+    terms: usize,
+}
+
 /// The memoized search.
 pub struct BestPlanSearch<'a> {
     model: &'a CostModel<'a>,
@@ -136,22 +183,28 @@ pub struct BestPlanSearch<'a> {
     /// here exactly once; states reference candidates by [`CandIdx`].
     cands: Vec<CandData>,
     /// Arena deduplication: `(sig, queries)` → index.
-    cand_ids: HashMap<(SigId, CqSet), CandIdx>,
+    cand_ids: FxHashMap<(SigId, CqSet), CandIdx>,
     /// Memo: root positions of `A` as a bitmask → the state's outcome.
-    memo: HashMap<u64, Memoized>,
+    memo: FxHashMap<u64, Memoized>,
     /// Per-signature facts, indexed by `SigId` (defaults and candidates are
     /// seeded up front; recursion never interns).
     facts: Vec<Option<SigFacts>>,
-    /// Whole-query cardinality per batch index.
-    cq_card: Vec<f64>,
+    /// [`CostModel::depth_fraction`] of each query's whole-result
+    /// cardinality at every stream count it can have, tabulated once per
+    /// batch: query `q` with `m` streaming inputs is at `q * depth_stride +
+    /// m`, for `m` from 0 to its atom count.
+    depth: Vec<f64>,
+    depth_stride: usize,
     /// Per batch index: each atom's relation and its interned default
     /// single-relation signature.
     defaults_of: Vec<Vec<(qsys_types::RelId, SigId)>>,
-    /// Rank of each default signature in canonical (deep) signature order —
-    /// so completion emits defaults in exactly the order the deep-keyed
-    /// B-tree produced.
-    default_rank: HashMap<SigId, usize>,
-    /// Default signature per rank (inverse of `default_rank`).
+    /// The default ranks of each query's atoms, in atom order: query `q`'s
+    /// are [`span`]`(ranks_of, ranks_at, q)`.
+    ranks_of: Vec<u16>,
+    ranks_at: Vec<u32>,
+    /// Default signature per rank: ranks follow canonical (deep) signature
+    /// order, so completion emits defaults in exactly the order the
+    /// deep-keyed B-tree produced.
     rank_sigs: Vec<SigId>,
     /// Whether the default at each rank is a streaming input.
     rank_streamed: Vec<bool>,
@@ -164,12 +217,25 @@ pub struct BestPlanSearch<'a> {
     /// The committed candidates `A` of the state being searched, in commit
     /// order.
     a: Vec<CandIdx>,
+    /// The cost term of every input of the live completion, by slot: one
+    /// per default rank (zero while no query needs it), then one per entry
+    /// of `a`. Always what [`add_input_cost`](Self::add_input_cost) gives
+    /// for that input under `live_defaults` / `live_m`.
+    terms: Vec<Term>,
     /// Every default displaced by a commit still on `a`, as `(rank,
     /// query)`, in displacement order.
     displaced: Vec<(u16, CqIdx)>,
-    /// Per root position and batch index: the default ranks a commit of
-    /// that root candidate displaces for that query.
-    cover: Vec<Vec<Box<[u16]>>>,
+    /// Every term overwritten by a commit still on `a`, as `(slot, old
+    /// term)`, under the same mark discipline as `displaced`.
+    overwritten: Vec<(u32, Term)>,
+    /// Scratch of one commit: the default ranks whose term it must
+    /// re-derive, one bit per rank; all zero between commits.
+    stale: Vec<u64>,
+    /// Per root position and batch index, the default ranks a commit of
+    /// that root candidate displaces for that query: position `p`, query
+    /// `q`'s are [`span`]`(cover, cover_at, p * n_cq + q)`.
+    cover: Vec<u16>,
+    cover_at: Vec<u32>,
     /// Per root position: the root positions whose signatures share a
     /// relation with it (line 14 reduces exactly those).
     overlaps: Vec<u64>,
@@ -266,6 +332,25 @@ impl<'a> BestPlanSearch<'a> {
             rank_sigs.len()
         );
         let n_ranks = rank_sigs.len();
+        let ranks_of: Vec<u16> = defaults_of
+            .iter()
+            .flat_map(|d| d.iter().map(|(_, sig)| default_rank[sig] as u16))
+            .collect();
+        let ranks_at: Vec<u32> = std::iter::once(0)
+            .chain(defaults_of.iter().scan(0u32, |end, d| {
+                *end += d.len() as u32;
+                Some(*end)
+            }))
+            .collect();
+        // The one `powf` site of the cost model, hoisted out of the
+        // recursion: a query has at most one streaming input per atom.
+        let depth_stride = defaults_of.iter().map(Vec::len).max().unwrap_or(0) + 1;
+        let mut depth = vec![1.0; n_cq * depth_stride];
+        for (qi, atoms) in defaults_of.iter().enumerate() {
+            for m in 0..=atoms.len() {
+                depth[qi * depth_stride + m] = model.depth_fraction(cq_card[qi], m);
+            }
+        }
         let mut search = BestPlanSearch {
             model,
             config,
@@ -273,19 +358,25 @@ impl<'a> BestPlanSearch<'a> {
             reuse,
             warm,
             cands: Vec::new(),
-            cand_ids: HashMap::new(),
-            memo: HashMap::new(),
+            cand_ids: FxHashMap::default(),
+            memo: FxHashMap::default(),
             facts: Vec::new(),
-            cq_card,
+            depth,
+            depth_stride,
             defaults_of,
-            default_rank,
+            ranks_of,
+            ranks_at,
             rank_sigs,
             rank_streamed: Vec::new(),
             live_defaults: vec![CqSet::new(); n_ranks],
             live_m: vec![0; n_cq],
             a: Vec::new(),
+            terms: Vec::new(),
             displaced: Vec::new(),
+            overwritten: Vec::new(),
+            stale: vec![0; n_ranks.div_ceil(64)],
             cover: Vec::new(),
+            cover_at: vec![0],
             overlaps: Vec::new(),
             stats: OptStats::default(),
         };
@@ -305,14 +396,14 @@ impl<'a> BestPlanSearch<'a> {
             .map(|sig| search.facts(*sig).streamed)
             .collect();
         for qi in 0..n_cq {
-            for (_, sig) in &search.defaults_of[qi] {
-                let rank = search.default_rank[sig];
-                search.live_defaults[rank].insert(CqIdx(qi as u16));
-                if search.rank_streamed[rank] {
+            for &rank in span(&search.ranks_of, &search.ranks_at, qi) {
+                search.live_defaults[rank as usize].insert(CqIdx(qi as u16));
+                if search.rank_streamed[rank as usize] {
                     search.live_m[qi] += 1;
                 }
             }
         }
+        search.terms = (0..n_ranks).map(|rank| search.rank_term(rank)).collect();
         search
     }
 
@@ -363,19 +454,20 @@ impl<'a> BestPlanSearch<'a> {
         }
     }
 
-    /// Per query, the default ranks a commit of `sig` displaces (its
-    /// covered relations intersected with the query's default list).
-    fn cover_of(&self, sig: SigId) -> Vec<Box<[u16]>> {
+    /// Append to the cover table, per query, the default ranks a commit of
+    /// `sig` displaces (its covered relations intersected with the query's
+    /// default list).
+    fn push_cover_of(&mut self, sig: SigId) {
         let rels = self.interner.rels(sig);
-        self.defaults_of
-            .iter()
-            .map(|defs| {
-                defs.iter()
-                    .filter(|(rel, _)| rels.contains(rel))
-                    .map(|(_, dsig)| self.default_rank[dsig] as u16)
-                    .collect()
-            })
-            .collect()
+        for (q, defs) in self.defaults_of.iter().enumerate() {
+            let ranks = span(&self.ranks_of, &self.ranks_at, q);
+            for ((rel, _), &rank) in defs.iter().zip(ranks) {
+                if rels.contains(rel) {
+                    self.cover.push(rank);
+                }
+            }
+            self.cover_at.push(self.cover.len() as u32);
+        }
     }
 
     /// Enter the multi-relation `candidates` into the arena as the root
@@ -406,7 +498,9 @@ impl<'a> BestPlanSearch<'a> {
             );
         }
         self.stats.candidates = multi.len();
-        self.cover = multi.iter().map(|c| self.cover_of(c.sig)).collect();
+        for c in &multi {
+            self.push_cover_of(c.sig);
+        }
         self.overlaps = multi
             .iter()
             .map(|c| {
@@ -492,26 +586,7 @@ impl<'a> BestPlanSearch<'a> {
                     hit
                 }
                 None => {
-                    let j_queries = self.cands[j as usize].queries.clone();
-                    let reduces = self.overlaps[j_pos as usize];
-                    s_prime.clear();
-                    for (idx2, &j2) in s.iter().enumerate() {
-                        if idx2 == idx {
-                            continue;
-                        }
-                        let cd2 = &self.cands[j2 as usize];
-                        if reduces >> cd2.pos & 1 == 1 && cd2.queries.intersects(&j_queries) {
-                            // Queries sourced by J must not also use an
-                            // overlapping J′ (line 14: S′[J′] = S[J′] − S[J]).
-                            let reduced = cd2.queries.difference(&j_queries);
-                            if !reduced.is_empty() {
-                                let (sig, pos) = (cd2.sig, cd2.pos);
-                                s_prime.push(self.cand_idx(sig, pos, reduced));
-                            }
-                        } else {
-                            s_prime.push(j2);
-                        }
-                    }
+                    self.reduce(s, idx, &mut s_prime);
                     let mark = self.commit(j);
                     let child = self.best_plan(&s_prime, child_mask);
                     self.retract(mark);
@@ -527,37 +602,111 @@ impl<'a> BestPlanSearch<'a> {
         best
     }
 
+    /// Fill `s_prime` with the candidates that remain once `s[idx]` is
+    /// committed: the rest of `s`, those overlapping it reduced by line 14.
+    fn reduce(&mut self, s: &[CandIdx], idx: usize, s_prime: &mut Vec<CandIdx>) {
+        let jd = &self.cands[s[idx] as usize];
+        let j_queries = jd.queries.clone();
+        let reduces = self.overlaps[jd.pos as usize];
+        s_prime.clear();
+        for (idx2, &j2) in s.iter().enumerate() {
+            if idx2 == idx {
+                continue;
+            }
+            let cd2 = &self.cands[j2 as usize];
+            if reduces >> cd2.pos & 1 == 1 && cd2.queries.intersects(&j_queries) {
+                // Queries sourced by J must not also use an overlapping J′
+                // (line 14: S′[J′] = S[J′] − S[J]).
+                let reduced = cd2.queries.difference(&j_queries);
+                if !reduced.is_empty() {
+                    let (sig, pos) = (cd2.sig, cd2.pos);
+                    s_prime.push(self.cand_idx(sig, pos, reduced));
+                }
+            } else {
+                s_prime.push(j2);
+            }
+        }
+    }
+
     /// Push `j` onto `A` and apply its delta to the live completion: it
     /// displaces the defaults it covers (per-rank bit clears, each actual
-    /// removal logged) and adjusts the per-query stream counts. Returns the
-    /// undo-log mark [`retract`](Self::retract) needs.
-    fn commit(&mut self, j: CandIdx) -> usize {
-        let mark = self.displaced.len();
+    /// removal logged), adjusts the per-query stream counts, and re-derives
+    /// the cost term of every input the delta reaches — the defaults that
+    /// lost a query, every input of a query whose read depth moved, and `j`
+    /// itself — logging each term it overwrites. Returns the undo-log
+    /// mark [`retract`](Self::retract) needs.
+    fn commit(&mut self, j: CandIdx) -> Mark {
+        let mark = Mark {
+            displaced: self.displaced.len(),
+            terms: self.overwritten.len(),
+        };
+        let n_ranks = self.rank_sigs.len();
         let cd = &self.cands[j as usize];
         let streamed = self.facts(cd.sig).streamed;
-        let cover = &self.cover[cd.pos as usize];
+        let cover_row = cd.pos as usize * self.live_m.len();
+        // Queries of `j` whose read depth the commit moved: a term sees a
+        // query's stream count only through its depth, which `k` or more
+        // expected results pin at 1 whatever the count.
+        let mut moved = CqSet::new();
         for qi in cd.queries.iter() {
+            let q = qi.index();
+            let m_before = self.live_m[q];
             if streamed {
-                self.live_m[qi.index()] += 1;
+                self.live_m[q] += 1;
             }
-            for &rank in cover[qi.index()].iter() {
+            for &rank in span(&self.cover, &self.cover_at, cover_row + q) {
                 if self.live_defaults[rank as usize].remove(qi) {
                     self.displaced.push((rank, qi));
+                    self.stale[rank as usize / 64] |= 1 << (rank % 64);
                     if self.rank_streamed[rank as usize] {
-                        self.live_m[qi.index()] -= 1;
+                        self.live_m[q] -= 1;
+                    }
+                }
+            }
+            let depths = &self.depth[q * self.depth_stride..];
+            if depths[self.live_m[q] as usize] != depths[m_before as usize] {
+                moved.insert(qi);
+                for &rank in span(&self.ranks_of, &self.ranks_at, q) {
+                    if self.live_defaults[rank as usize].contains(qi) {
+                        self.stale[rank as usize / 64] |= 1 << (rank % 64);
                     }
                 }
             }
         }
+        for w in 0..self.stale.len() {
+            let mut bits = std::mem::take(&mut self.stale[w]);
+            while bits != 0 {
+                let rank = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.overwrite(rank, self.rank_term(rank));
+            }
+        }
+        for i in 0..self.a.len() {
+            let ci = self.a[i];
+            if self.cands[ci as usize].queries.intersects(&moved) {
+                self.overwrite(n_ranks + i, self.cand_term(ci));
+            }
+        }
+        self.terms.push(self.cand_term(j));
         self.a.push(j);
         mark
     }
 
-    /// Undo the most recent [`commit`](Self::commit): the live state is
-    /// again, bit for bit, what it was before it.
-    fn retract(&mut self, mark: usize) {
+    /// Replace the cached term at `slot`, logging the one it had.
+    fn overwrite(&mut self, slot: usize, term: Term) {
+        let old = std::mem::replace(&mut self.terms[slot], term);
+        self.overwritten.push((slot as u32, old));
+    }
+
+    /// Undo the most recent [`commit`](Self::commit): the live state and
+    /// the term cache are again, bit for bit, what they were before it.
+    fn retract(&mut self, mark: Mark) {
         let j = self.a.pop().expect("retract follows a commit");
-        for (rank, qi) in self.displaced.drain(mark..) {
+        self.terms.pop();
+        for (slot, term) in self.overwritten.drain(mark.terms..).rev() {
+            self.terms[slot as usize] = term;
+        }
+        for (rank, qi) in self.displaced.drain(mark.displaced..) {
             self.live_defaults[rank as usize].insert(qi);
             if self.rank_streamed[rank as usize] {
                 self.live_m[qi.index()] += 1;
@@ -572,57 +721,89 @@ impl<'a> BestPlanSearch<'a> {
     }
 
     /// Cost the plan that stops at the current state: `A` plus the defaults
-    /// still live.
+    /// still live — the fold of their cached terms, committed candidates in
+    /// commit order, then defaults in canonical rank order, reproducing the
+    /// original accumulation order exactly. (The running total is never
+    /// `-0.0`, so adding a `0.0` is the identity on its bits: a default no
+    /// query needs has the zero term and is added, and the penalty of a
+    /// default — a single relation, never pushed down — is not.)
+    fn live_cost(&self) -> f64 {
+        let (defaults, committed) = self.terms.split_at(self.rank_sigs.len());
+        let mut total = 0.0;
+        for term in committed {
+            term.add_to(&mut total);
+        }
+        for term in defaults {
+            total += term.access_us;
+        }
+        total
+    }
+
+    /// The term of the default input at `rank` under the live completion.
+    fn rank_term(&self, rank: usize) -> Term {
+        let term = self.add_input_cost(
+            self.rank_sigs[rank],
+            &self.live_defaults[rank],
+            &self.live_m,
+        );
+        debug_assert_eq!(term.penalty_us.to_bits(), 0.0f64.to_bits());
+        term
+    }
+
+    /// The term of the committed (or about to be committed) candidate `ci`
+    /// under the live completion.
+    fn cand_term(&self, ci: CandIdx) -> Term {
+        let cd = &self.cands[ci as usize];
+        self.add_input_cost(cd.sig, &cd.queries, &self.live_m)
+    }
+
+    /// One input's cost term — the single definition of it — when `sig`
+    /// sources `queries` and query `q` has `m[q]` streaming inputs.
     ///
     /// Costing follows the paper's model: streaming inputs cost per
     /// expected read; shared inputs are read once (the maximum of the
     /// sharers' needs, not the sum — this is where sharing wins). Probed
     /// relations cost per expected probe. Pushed-down joins carry a penalty
-    /// for remote computation. Inputs are costed in assignment order
-    /// (committed candidates, then defaults in canonical rank order) and
-    /// sharers in ascending `CqId` order, reproducing the original
-    /// accumulation order exactly.
-    fn live_cost(&self) -> f64 {
-        let mut total = 0.0;
-        for &ci in &self.a {
-            let cd = &self.cands[ci as usize];
-            self.add_input_cost(cd.sig, &cd.queries, &self.live_m, &mut total);
-        }
-        for (rank, set) in self.live_defaults.iter().enumerate() {
-            if !set.is_empty() {
-                self.add_input_cost(self.rank_sigs[rank], set, &self.live_m, &mut total);
-            }
-        }
-        total
-    }
-
-    /// Accumulate one input's cost into `total` with the exact additions
-    /// (and their order) the original assignment-level loop performed.
-    fn add_input_cost(&self, sig: SigId, queries: &CqSet, m: &[u32], total: &mut f64) {
+    /// for remote computation. Sharers are visited in ascending `CqId`
+    /// order, with the exact floating-point operations the original
+    /// assignment-level loop performed.
+    fn add_input_cost(&self, sig: SigId, queries: &CqSet, m: &[u32]) -> Term {
         let facts = self.facts(sig);
+        let depth_of =
+            |qi: CqIdx| self.depth[qi.index() * self.depth_stride + m[qi.index()] as usize];
         if facts.streamed {
             // Shared stream: read deep enough for the hungriest sharer.
             let mut reads: f64 = 0.0;
             for qi in queries.iter() {
-                let m_q = (m[qi.index()] as usize).max(1);
-                let n = self.cq_card[qi.index()];
-                reads = reads.max(self.model.expected_reads(facts.card, n, m_q, facts.already));
+                reads = reads.max(self.model.expected_reads(
+                    facts.card,
+                    depth_of(qi),
+                    facts.already,
+                ));
             }
-            *total += reads * self.model.stream_unit_us();
-            *total += self.model.pushdown_penalty_us(facts.size, facts.card);
+            Term {
+                access_us: reads * self.model.stream_unit_us(),
+                penalty_us: self.model.pushdown_penalty_us(facts.size, facts.card),
+            }
         } else {
             // Probed relation: roughly one probe per streamed tuple of
             // each consumer (two-way semijoin traffic).
             let mut probes = 0.0;
             for qi in queries.iter() {
-                let m_q = (m[qi.index()] as usize).max(1);
-                let n = self.cq_card[qi.index()];
-                let depth = self.model.depth_fraction(n, m_q);
-                probes += depth * 64.0; // nominal per-CQ probe volume
+                probes += depth_of(qi) * 64.0; // nominal per-CQ probe volume
             }
-            *total += probes * self.model.probe_unit_us();
+            Term {
+                access_us: probes * self.model.probe_unit_us(),
+                penalty_us: 0.0,
+            }
         }
     }
+}
+
+/// Row `i` of a flattened table of rank lists whose row ends are `at`.
+#[inline]
+fn span<'t>(flat: &'t [u16], at: &[u32], i: usize) -> &'t [u16] {
+    &flat[at[i] as usize..at[i + 1] as usize]
 }
 
 /// Validity per Definition 1: every relation of every query is covered by
@@ -669,7 +850,74 @@ mod tests {
         baseline_m: Vec<u32>,
     }
 
+    /// Everything [`BestPlanSearch::commit`] edits and
+    /// [`BestPlanSearch::retract`] must put back.
+    #[derive(Clone, Debug, PartialEq)]
+    struct LiveState {
+        defaults: Vec<CqSet>,
+        m: Vec<u32>,
+        a: Vec<CandIdx>,
+        terms: Vec<(u64, u64)>,
+        displaced: Vec<(u16, CqIdx)>,
+        overwritten: Vec<(u32, (u64, u64))>,
+        stale: Vec<u64>,
+    }
+
+    fn bits(term: Term) -> (u64, u64) {
+        (term.access_us.to_bits(), term.penalty_us.to_bits())
+    }
+
     impl BestPlanSearch<'_> {
+        /// What [`live_cost`](Self::live_cost) was before the term cache:
+        /// every input of the live completion costed from scratch.
+        fn live_cost_from_scratch(&self) -> f64 {
+            let mut total = 0.0;
+            for &ci in &self.a {
+                self.cand_term(ci).add_to(&mut total);
+            }
+            for (rank, set) in self.live_defaults.iter().enumerate() {
+                if !set.is_empty() {
+                    self.rank_term(rank).add_to(&mut total);
+                }
+            }
+            total
+        }
+
+        /// Every cached term is what costing that input now would give, and
+        /// their fold is the from-scratch cost.
+        fn assert_cache_is_fresh(&self) {
+            let n_ranks = self.rank_sigs.len();
+            assert_eq!(self.terms.len(), n_ranks + self.a.len());
+            for rank in 0..n_ranks {
+                let fresh = self.rank_term(rank);
+                assert_eq!(bits(self.terms[rank]), bits(fresh), "rank {rank}");
+            }
+            for (i, &ci) in self.a.iter().enumerate() {
+                let fresh = self.cand_term(ci);
+                assert_eq!(bits(self.terms[n_ranks + i]), bits(fresh), "A[{i}]");
+            }
+            assert_eq!(
+                self.live_cost().to_bits(),
+                self.live_cost_from_scratch().to_bits()
+            );
+        }
+
+        fn live_state(&self) -> LiveState {
+            LiveState {
+                defaults: self.live_defaults.clone(),
+                m: self.live_m.clone(),
+                a: self.a.clone(),
+                terms: self.terms.iter().map(|t| bits(*t)).collect(),
+                displaced: self.displaced.clone(),
+                overwritten: self
+                    .overwritten
+                    .iter()
+                    .map(|(slot, t)| (*slot, bits(*t)))
+                    .collect(),
+                stale: self.stale.clone(),
+            }
+        }
+
         fn run_reference(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
             let root = self.seed_root(candidates);
             let mut reference = Reference {
@@ -763,12 +1011,12 @@ mod tests {
             for &ci in a {
                 let cd = &self.cands[ci as usize];
                 let streamed = self.facts(cd.sig).streamed;
-                let cover = &self.cover[cd.pos as usize];
+                let cover_row = cd.pos as usize * m.len();
                 for qi in cd.queries.iter() {
                     if streamed {
                         m[qi.index()] += 1;
                     }
-                    for &rank in cover[qi.index()].iter() {
+                    for &rank in span(&self.cover, &self.cover_at, cover_row + qi.index()) {
                         let rank = rank as usize;
                         if defaults[rank].remove(qi) && self.rank_streamed[rank] {
                             m[qi.index()] -= 1;
@@ -787,10 +1035,12 @@ mod tests {
             let mut total = 0.0;
             for &ci in a {
                 let cd = &self.cands[ci as usize];
-                self.add_input_cost(cd.sig, &cd.queries, &m, &mut total);
+                self.add_input_cost(cd.sig, &cd.queries, &m)
+                    .add_to(&mut total);
             }
             for (rank, set) in &survivors {
-                self.add_input_cost(self.rank_sigs[*rank as usize], set, &m, &mut total);
+                self.add_input_cost(self.rank_sigs[*rank as usize], set, &m)
+                    .add_to(&mut total);
             }
             (survivors, total)
         }
@@ -945,6 +1195,178 @@ mod tests {
                 (expected.candidates, expected.explored, expected.memo_hits)
             );
         }
+    }
+
+    /// Build the random batch [`search_matches_reference_recursion`] draws
+    /// (same strategies, same construction), seed a search with it, and hand
+    /// `check` the search and its root `S`.
+    fn with_seeded_search(
+        shape: (u32, u32, u32),
+        query_pieces: Vec<(u32, u32)>,
+        cand_pieces: Vec<(usize, u32, u32, u32)>,
+        check: impl FnOnce(&mut BestPlanSearch<'_>, Vec<CandIdx>),
+    ) {
+        let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
+        let cat = shaped_catalog(star, scoreless);
+        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let config = HeuristicConfig::default();
+        let mut interner = SigInterner::new();
+        let query_pieces: Vec<(u32, u32)> = query_pieces
+            .into_iter()
+            .map(|(start, len)| (if star { start } else { start % (8 - len + 1) }, len))
+            .collect();
+        let queries: Vec<ConjunctiveQuery> = query_pieces
+            .iter()
+            .enumerate()
+            .map(|(id, &(start, len))| cq_over(id as u32, &cat, &piece(star, start, len)))
+            .collect();
+        let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
+        let table = CqTable::from_queries(query_refs.iter().copied());
+        let mut cands: Vec<Candidate> = Vec::new();
+        for &(of, offset, len, sharers) in &cand_pieces {
+            let (q_start, q_len) = query_pieces[of % query_pieces.len()];
+            let len = len.min(q_len);
+            let joins = piece(star, q_start + offset % (q_len - len + 1), len);
+            let rels = rels_of(&joins);
+            let users = queries
+                .iter()
+                .filter(|cq| rels.iter().all(|r| cq.atom(*r).is_some()))
+                .enumerate()
+                .filter(|(nth, _)| sharers >> nth & 1 == 1);
+            let users = table.set_of(users.map(|(_, cq)| cq.id));
+            let sig = interner.intern(SubExprSig::of_cq(&cq_over(0, &cat, &joins)));
+            if !users.is_empty() && cands.iter().all(|c| c.sig != sig) {
+                cands.push(Candidate {
+                    sig,
+                    queries: users,
+                });
+            }
+        }
+        let oracle: &dyn ReuseOracle = match residency {
+            0 => &NoReuse,
+            salt => &Resident(salt),
+        };
+        let mut search =
+            BestPlanSearch::new(&model, oracle, &config, query_refs, &mut interner, &table);
+        let root = search.seed_root(cands);
+        check(&mut search, root);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Walk the search space at random — commit a candidate of the
+        /// current `S` (moving to its `S′`) or retract the last commit — and
+        /// after every step the term cache is what costing every input from
+        /// scratch gives, and a retract lands exactly on the state its
+        /// commit left.
+        #[test]
+        fn term_cache_tracks_any_commit_retract_sequence(
+            shape in (0u32..2, 0u32..256, 0u32..3),
+            query_pieces in prop::collection::vec((0u32..8, 2u32..=5), 1..=6),
+            cand_pieces in prop::collection::vec((0usize..6, 0u32..4, 2u32..=3, 1u32..64), 0..=8),
+            steps in prop::collection::vec((0u32..3, 0usize..8), 0..=40),
+        ) {
+            with_seeded_search(shape, query_pieces, cand_pieces, |search, root| {
+                search.assert_cache_is_fresh();
+                let mut s = root;
+                let mut stack: Vec<(Vec<CandIdx>, Mark, LiveState)> = Vec::new();
+                for (action, pick) in steps {
+                    if action > 0 && !s.is_empty() {
+                        let idx = pick % s.len();
+                        let mut s_prime = Vec::new();
+                        search.reduce(&s, idx, &mut s_prime);
+                        let before = search.live_state();
+                        let mark = search.commit(s[idx]);
+                        stack.push((std::mem::replace(&mut s, s_prime), mark, before));
+                    } else if let Some((s_before, mark, before)) = stack.pop() {
+                        search.retract(mark);
+                        prop_assert_eq!(search.live_state(), before);
+                        s = s_before;
+                    }
+                    search.assert_cache_is_fresh();
+                }
+            });
+        }
+
+        /// `commit(j); retract(mark)` is the identity on the live
+        /// completion, the term cache and both undo logs, for every root
+        /// candidate.
+        #[test]
+        fn retract_undoes_commit_for_every_root_candidate(
+            shape in (0u32..2, 0u32..256, 0u32..3),
+            query_pieces in prop::collection::vec((0u32..8, 2u32..=5), 1..=6),
+            cand_pieces in prop::collection::vec((0usize..6, 0u32..4, 2u32..=3, 1u32..64), 0..=8),
+        ) {
+            with_seeded_search(shape, query_pieces, cand_pieces, |search, root| {
+                let found = search.live_state();
+                prop_assert!(found.displaced.is_empty() && found.overwritten.is_empty());
+                for j in root {
+                    let mark = search.commit(j);
+                    prop_assert_eq!(search.a.as_slice(), [j]);
+                    search.retract(mark);
+                    prop_assert_eq!(search.live_state(), found.clone());
+                }
+            });
+        }
+    }
+
+    /// The depth table is `CostModel::depth_fraction`, bit for bit, at every
+    /// `(query, stream count)` a search can reach — through each of its
+    /// branches: no expected results, fewer than `k`, and the `powf`.
+    #[test]
+    fn depth_table_is_depth_fraction() {
+        let cat = catalog(5);
+        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let config = HeuristicConfig::default();
+        let mut interner = SigInterner::new();
+        let queries = [
+            path_cq(0, &cat, 0, 5),
+            path_cq(1, &cat, 0, 2),
+            path_cq(2, &cat, 1, 3),
+            path_cq(3, &cat, 2, 2),
+        ];
+        let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
+        let table = CqTable::from_queries(query_refs.iter().copied());
+        // The catalog's estimates are all far above k; pin two whole-query
+        // cardinalities through the warm store to reach the other branches.
+        let mut warm = WarmStore::new();
+        let mut cards: Vec<f64> = queries
+            .iter()
+            .map(|cq| model.cardinality(&SubExprSig::of_cq(cq)))
+            .collect();
+        for (q, card) in [(2, 0.0), (3, 10.0)] {
+            cards[q] = card;
+            let fact = crate::warm::WarmFact {
+                card,
+                streamed: true,
+                size: queries[q].atoms.len() as u32,
+            };
+            warm.set_fact(interner.of_cq(&queries[q]), fact);
+        }
+        let search = BestPlanSearch::new_warm(
+            &model,
+            &NoReuse,
+            &config,
+            query_refs,
+            &mut interner,
+            &table,
+            Some(&mut warm),
+        );
+        for (q, cq) in queries.iter().enumerate() {
+            for m in 0..=cq.atoms.len() {
+                assert_eq!(
+                    search.depth[q * search.depth_stride + m].to_bits(),
+                    model.depth_fraction(cards[q], m).to_bits(),
+                    "query {q} with {m} streams"
+                );
+            }
+        }
+        let at = |q: usize, m: usize| search.depth[q * search.depth_stride + m];
+        assert!(at(0, 1) < at(0, 5) && at(0, 5) < 1.0, "powf branch");
+        assert_eq!(at(0, 0), at(0, 1), "no streams reads like one");
+        assert_eq!((at(2, 1), at(2, 3)), (1.0, 1.0), "result_card <= 0");
+        assert_eq!((at(3, 1), at(3, 2)), (1.0, 1.0), "k / N >= 1");
     }
 
     fn catalog(n: u32) -> Catalog {

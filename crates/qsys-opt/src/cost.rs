@@ -105,18 +105,12 @@ impl<'a> CostModel<'a> {
     }
 
     /// Expected tuples streamed from an input of cardinality `card` on
-    /// behalf of a CQ that has `m_streams` streaming inputs and
-    /// `result_card` estimated results, minus `already`-resident tuples
-    /// (reuse). The caller supplies `card` so memoized per-signature
-    /// cardinalities are reused across the search.
-    pub fn expected_reads(
-        &self,
-        card: f64,
-        result_card: f64,
-        m_streams: usize,
-        already: u64,
-    ) -> f64 {
-        let depth = self.depth_fraction(result_card, m_streams);
+    /// behalf of a CQ that reads fraction `depth` of each of its streaming
+    /// inputs ([`depth_fraction`](Self::depth_fraction) of its estimated
+    /// results and stream count), minus `already`-resident tuples (reuse).
+    /// The caller supplies `card` and `depth` so memoized per-signature
+    /// cardinalities and per-query depths are reused across the search.
+    pub fn expected_reads(&self, card: f64, depth: f64, already: u64) -> f64 {
         let need = card * depth;
         (need - already as f64).max(0.0)
     }
@@ -214,8 +208,9 @@ mod tests {
         let rel = c.relation_by_name("A").unwrap().id;
         let sig = SubExprSig::relation(rel, None);
         let card = model.cardinality(&sig);
-        let fresh = model.expected_reads(card, 100_000.0, 1, 0);
-        let reused = model.expected_reads(card, 100_000.0, 1, 400);
+        let depth = model.depth_fraction(100_000.0, 1);
+        let fresh = model.expected_reads(card, depth, 0);
+        let reused = model.expected_reads(card, depth, 400);
         assert!(reused < fresh);
         assert!((fresh - reused - 400.0).abs() < 1e-6 || reused == 0.0);
     }

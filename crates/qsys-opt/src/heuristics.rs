@@ -182,39 +182,33 @@ pub fn enumerate_candidates_warm(
     let mut pool: HashMap<SigId, CqSet> = HashMap::new();
     for (cq, &whole) in queries.iter().zip(whole_of) {
         let qi = table.idx(cq.id);
-        let cached: Option<Vec<SigId>> = warm
-            .as_deref_mut()
-            .and_then(|w| w.cq_candidates(whole).map(|sigs| sigs.to_vec()));
-        match cached {
-            Some(sigs) => {
-                for sig in sigs {
-                    pool.entry(sig).or_default().insert(qi);
-                }
+        if let Some(sigs) = warm.as_deref_mut().and_then(|w| w.cq_candidates(whole)) {
+            for &sig in sigs {
+                pool.entry(sig).or_default().insert(qi);
             }
-            None => {
-                let mut sigs: Vec<SigId> = Vec::new();
-                for sig in enumerate_subexprs(cq, 1, config.max_candidate_atoms) {
-                    // Heuristic 2: every atom of a pushed-down candidate
-                    // must be streamable, otherwise the source could not
-                    // deliver results in score order without a full scan.
-                    if !sig
-                        .atoms
-                        .iter()
-                        .all(|(r, _)| is_streamable(model, *r, config))
-                    {
-                        continue;
-                    }
-                    sigs.push(interner.intern(sig));
-                }
-                for &sig in &sigs {
-                    pool.entry(sig).or_default().insert(qi);
-                }
-                if let Some(w) = warm.as_deref_mut() {
-                    sigs.sort_unstable();
-                    sigs.dedup();
-                    w.set_cq_candidates(whole, sigs.into());
-                }
+            continue;
+        }
+        let mut sigs: Vec<SigId> = Vec::new();
+        for sig in enumerate_subexprs(cq, 1, config.max_candidate_atoms) {
+            // Heuristic 2: every atom of a pushed-down candidate must be
+            // streamable, otherwise the source could not deliver results in
+            // score order without a full scan.
+            if !sig
+                .atoms
+                .iter()
+                .all(|(r, _)| is_streamable(model, *r, config))
+            {
+                continue;
             }
+            sigs.push(interner.intern(sig));
+        }
+        for &sig in &sigs {
+            pool.entry(sig).or_default().insert(qi);
+        }
+        if let Some(w) = warm.as_deref_mut() {
+            sigs.sort_unstable();
+            sigs.dedup();
+            w.set_cq_candidates(whole, sigs.into());
         }
     }
     // Deterministic processing order (canonical signature order, as the

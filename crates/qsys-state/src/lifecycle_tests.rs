@@ -11,6 +11,7 @@ use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
 use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, Tuple, UqId, UserId, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const N_ROWS: u64 = 40;
@@ -314,4 +315,141 @@ fn eviction_respects_pins_and_budget() {
         .count();
     assert!(evicted_signed > 0, "pinned nodes survive");
     let _ = before;
+}
+
+/// One graft attaching two new m-joins to one reused m-join derives that
+/// m-join's output history once: both new modules hold, tuple for tuple and
+/// epoch for epoch, what an unmemoized `node_history` produces for each,
+/// and the graft counts one reconstruction's probes and joins, not two.
+#[test]
+fn graft_derives_a_shared_producers_history_once() {
+    use crate::recover::node_history;
+    use qsys_exec::access::AccessModule;
+    use qsys_exec::{ExecWork, NodeKind};
+    use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
+    use qsys_types::Epoch;
+
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let user = UserId::new(0);
+    let (ab, abc1, abc2) = (
+        path_cq(0, 0, &cat, 2),
+        path_cq(1, 1, &cat, 3),
+        path_cq(2, 2, &cat, 3),
+    );
+    let interner = manager.shared_interner();
+    let [a_sig, b_sig, c_sig] =
+        [0, 1, 2].map(|rel| interner.borrow_mut().relation(RelId::new(rel), None));
+    let ab_sig = interner.borrow_mut().of_cq(&ab);
+    let abc_sig = interner.borrow_mut().of_cq(&abc1);
+    let stream = |sig| SpecNode {
+        sig,
+        kind: SpecNodeKind::Stream,
+        share: true,
+    };
+    let join = |sig, inputs: [usize; 2], left: u32, share| SpecNode {
+        sig,
+        kind: SpecNodeKind::Join {
+            inputs: inputs.to_vec(),
+            probes: Vec::new(),
+            preds: vec![PredSpec {
+                left_rel: RelId::new(left),
+                left_col: 1,
+                right_rel: RelId::new(left + 1),
+                right_col: 0,
+            }],
+        },
+        share,
+    };
+    let plan = |cq: &ConjunctiveQuery, sig, root| CqPlan {
+        cq: cq.id,
+        uq: cq.uq,
+        user,
+        score_fn: ScoreFn::discover(user, cq.atoms.len()),
+        sig,
+        root,
+        probed: Vec::new(),
+    };
+
+    // UQ0: A ⋈ B as a middleware m-join, run to completion.
+    let first = PlanSpec {
+        nodes: vec![stream(a_sig), stream(b_sig), join(ab_sig, [0, 1], 0, true)],
+        cq_plans: vec![plan(&ab, ab_sig, 2)],
+    };
+    manager.graft(&first, &src, k);
+    run(&mut manager, &src, &[UqId::new(0)]);
+    let ab_node = manager.graph().find_sig(ab_sig).expect("A ⋈ B is resident");
+
+    // UQ1 and UQ2: (A ⋈ B) ⋈ C twice over the reused m-join — one shared
+    // node, one private — so two new inputs take its history in one graft.
+    let second = PlanSpec {
+        nodes: vec![
+            stream(a_sig),
+            stream(b_sig),
+            join(ab_sig, [0, 1], 0, true),
+            stream(c_sig),
+            join(abc_sig, [2, 3], 1, true),
+            join(abc_sig, [2, 3], 1, false),
+        ],
+        cq_plans: vec![plan(&abc1, abc_sig, 4), plan(&abc2, abc_sig, 5)],
+    };
+    let before = *manager.graph().work();
+    let outcome = manager.graft(&second, &src, k);
+    let after = *manager.graph().work();
+    assert_eq!((outcome.reused_nodes, outcome.created_nodes), (1, 3));
+
+    let mut once = ExecWork::default();
+    let want = node_history(manager.graph(), ab_node, outcome.epoch, &mut once);
+    let mut twice = once;
+    let again = node_history(manager.graph(), ab_node, outcome.epoch, &mut twice);
+    assert!(!want.is_empty() && want == again);
+    assert!(once.recovery_probes > 0 && once.recovery_joins > 0);
+    assert_eq!(twice.recovery_probes, 2 * once.recovery_probes);
+    assert_eq!(
+        ExecWork {
+            recovery_probes: before.recovery_probes + once.recovery_probes,
+            recovery_joins: before.recovery_joins + once.recovery_joins,
+            ..before
+        },
+        after,
+        "one reconstruction, and no other counter moves at graft"
+    );
+
+    let graph = manager.graph();
+    let consumers: Vec<_> = graph
+        .node_ids()
+        .filter(|id| graph.node(*id).parents.contains(&ab_node))
+        .filter_map(|id| match &graph.node(id).kind {
+            NodeKind::MJoin(mj) => Some(mj.inputs()[0].module),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(consumers.len(), 2, "both new m-joins consume A ⋈ B");
+    assert_ne!(consumers[0], consumers[1], "each has its own module");
+    let epochs: BTreeSet<Epoch> = want.iter().map(|(_, e)| *e).collect();
+    for module in consumers {
+        let module = graph.modules().module(module).expect("live").borrow();
+        let AccessModule::Stored(stored) = &*module else {
+            panic!("streaming inputs store their arrivals");
+        };
+        assert_eq!(stored.len(), want.len());
+        for upto in epochs.iter().map(|e| Epoch(e.0 + 1)) {
+            let got: Vec<&Tuple> = stored.entries_before(upto).collect();
+            let want: Vec<&Tuple> = want
+                .iter()
+                .filter(|(_, e)| *e < upto)
+                .map(|(t, _)| t)
+                .collect();
+            assert_eq!(got, want, "entries before {upto:?}");
+        }
+    }
+
+    // The grafted plans still answer correctly.
+    run(&mut manager, &src, &[UqId::new(1), UqId::new(2)]);
+    for cq in [&abc1, &abc2] {
+        let f = ScoreFn::discover(user, 3);
+        assert_eq!(results_of(&manager, cq.uq), brute_force(&src, cq, &f, k));
+    }
 }

@@ -12,7 +12,7 @@ use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
 use qsys_opt::warm::{shared_warm, SharedWarm};
 use qsys_query::{shared_interner, SharedInterner, SigId, SubExprSig};
 use qsys_source::{JoinCond, Sources, SpjSpec};
-use qsys_types::{Epoch, RelId, UqId};
+use qsys_types::{Epoch, RelId, Tuple, UqId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -315,6 +315,12 @@ impl QsManager {
             }
         }
         let mut node_map: Vec<Option<NodeId>> = vec![None; spec.nodes.len()];
+        // Pre-epoch output history per producer, derived once per graft
+        // however many new consumer inputs attach to it: the epoch is fixed
+        // and nothing executes during a graft (a module is complete when its
+        // m-join is created and untouched until the graft returns), so a
+        // producer's history is a pure function here. Dropped with the graft.
+        let mut histories: HashMap<NodeId, Vec<(Tuple, Epoch)>> = HashMap::new();
         for (idx, spec_node) in spec.nodes.iter().enumerate() {
             if !needed[idx] {
                 continue;
@@ -337,8 +343,16 @@ impl QsManager {
                             inputs,
                             probes,
                             preds,
-                        } => self
-                            .create_mjoin(spec, spec_node, inputs, probes, preds, &node_map, epoch),
+                        } => self.create_mjoin(
+                            spec,
+                            spec_node,
+                            inputs,
+                            probes,
+                            preds,
+                            &node_map,
+                            epoch,
+                            &mut histories,
+                        ),
                     }
                 }
             };
@@ -414,6 +428,7 @@ impl QsManager {
         preds: &[PredSpec],
         node_map: &[Option<NodeId>],
         epoch: Epoch,
+        histories: &mut HashMap<NodeId, Vec<(Tuple, Epoch)>>,
     ) -> NodeId {
         let mut mj_inputs = Vec::new();
         let mut producer_edges = Vec::new();
@@ -434,13 +449,16 @@ impl QsManager {
             // not re-pay join time the original execution already paid.
             let scratch = qsys_types::SimClock::new();
             let mut module = StoredModule::new([]);
-            let mut replayed = qsys_exec::ExecWork::default();
-            for (tuple, tuple_epoch) in
-                recover::node_history(&self.graph, producer, epoch, &mut replayed)
-            {
-                module.insert(tuple, tuple_epoch, &scratch);
+            let graph = &mut self.graph;
+            let history = histories.entry(producer).or_insert_with(|| {
+                let mut replayed = qsys_exec::ExecWork::default();
+                let history = recover::node_history(graph, producer, epoch, &mut replayed);
+                graph.work_mut().absorb(&replayed);
+                history
+            });
+            for (tuple, tuple_epoch) in history.iter() {
+                module.insert(tuple.clone(), *tuple_epoch, &scratch);
             }
-            self.graph.work_mut().absorb(&replayed);
             mj_inputs.push(MJoinInput {
                 rels,
                 module: self.graph.modules_mut().alloc(AccessModule::Stored(module)),

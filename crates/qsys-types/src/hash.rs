@@ -1,13 +1,16 @@
-//! The hasher under the executor's per-tuple maps.
+//! The hasher under the executor's per-tuple maps and BestPlan's memo.
 //!
 //! The m-join hash tables and probe caches hash one join-column [`Value`]
 //! per insert and per probe, millions of times a run, and the standard
 //! library's default (SipHash-1-3, keyed per map) costs more there than
-//! the lookup it guards. This is the multiplicative "Fx" scheme rustc uses
-//! for its own tables: fold each word in with a rotate, an xor and one
-//! multiply (plus one folded multiply when the hash is read). It is not collision-resistant against chosen keys — see the
-//! `access` module docs of `qsys-exec` for why that is acceptable for the
-//! maps that use it, and keep the default hasher everywhere else.
+//! the lookup it guards; the optimizer's search probes its memo or its
+//! candidate arena for every state it names, a million a run. This is
+//! the multiplicative "Fx" scheme rustc uses for its own tables: fold each
+//! word in with a rotate, an xor and one multiply (plus one folded multiply
+//! when the hash is read). It is not collision-resistant against chosen
+//! keys — see the `access` module docs of `qsys-exec` and the module docs
+//! of `qsys-opt::bestplan` for why that is acceptable for the maps that
+//! use it, and keep the default hasher everywhere else.
 //!
 //! [`Value`]: crate::Value
 
