@@ -1,8 +1,10 @@
 //! Micro-benchmark: m-join insert/probe throughput, fixed vs adaptive
-//! probe ordering (the ablation of the STeM eddy's runtime adaptivity).
+//! probe ordering (the ablation of the STeM eddy's runtime adaptivity),
+//! early rejection into a full rank-merge, and one stream fanned out to
+//! three consumers sharing its stored module.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qsys::exec::access::{AccessModule, AccessModuleArena, StoredModule};
+use qsys::exec::access::{AccessModule, AccessModuleArena, ModuleId, StoredModule};
 use qsys::exec::mjoin::{JoinPred, MJoin, MJoinInput};
 use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys::exec::{QueryPlanGraph, RetryPolicy, SourceGovernor, StreamBacking, StreamRead};
@@ -15,12 +17,62 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 fn stored_input(rel: u32, modules: &mut AccessModuleArena) -> MJoinInput {
+    input_over(
+        rel,
+        modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+    )
+}
+
+fn input_over(rel: u32, module: ModuleId) -> MJoinInput {
     MJoinInput {
         rels: vec![RelId::new(rel)],
-        module: modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+        module,
         epoch_cap: None,
         store_arrivals: true,
         selection: None,
+    }
+}
+
+/// One R0 stream into three consumers — R0 ⋈ R1 and R0 ⋈ R3 on R0's
+/// first column, R0 ⋈ R2 on its second — with R1..R3 already stored.
+/// `shared`: the three R0 inputs store into one module (one per producer,
+/// as grafting builds them); otherwise each has its own.
+fn fanout(shared: bool, others: &[Vec<Tuple>]) -> (Vec<MJoin>, AccessModuleArena, ModuleId) {
+    let mut modules = AccessModuleArena::new();
+    let r0 = modules.alloc(AccessModule::Stored(StoredModule::new([])));
+    let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    let joins = (1..=3u32)
+        .zip(others)
+        .map(|(rel, stored)| {
+            let module = match (shared, rel) {
+                (_, 1) => r0,
+                (true, _) => modules.retain(r0),
+                (false, _) => modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+            };
+            let inputs = vec![input_over(0, module), stored_input(rel, &mut modules)];
+            let mut mj = MJoin::new(inputs, vec![pred(0, (rel == 2).into(), rel, 0)], &modules);
+            for t in stored {
+                mj.insert(1, t.clone(), Epoch(0), &sources, &modules);
+            }
+            mj
+        })
+        .collect();
+    (joins, modules, r0)
+}
+
+/// Every R0 tuple arrives at each consumer in turn, as a routing pass
+/// delivers it; `sink` gets each consumer's results.
+fn fan_in_r0(
+    joins: &mut [MJoin],
+    modules: &AccessModuleArena,
+    r0: &[Tuple],
+    mut sink: impl FnMut(usize, Vec<Tuple>),
+) {
+    let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    for t in r0 {
+        for (i, mj) in joins.iter_mut().enumerate() {
+            sink(i, mj.insert(0, t.clone(), Epoch(0), &sources, modules));
+        }
     }
 }
 
@@ -182,6 +234,38 @@ fn bench_mjoin(c: &mut Criterion) {
                 let work = *graph.work();
                 assert!(work.outputs_skipped >= 390 * 25, "{work:?}");
                 black_box(work.mjoin_outputs)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    // One stream into three consumers that share its module: 400 R0
+    // arrivals at each, one stored entry per tuple. Checked first against
+    // three private-module m-joins: the same results, each tuple stored
+    // once.
+    group.bench_function("shared_fanout", |b| {
+        let r0 = tuples(0, 400, 32);
+        let others: Vec<Vec<Tuple>> = (1..=3).map(|rel| tuples(rel, 300, 32)).collect();
+        let results = |shared: bool| {
+            let (mut joins, modules, r0_module) = fanout(shared, &others);
+            let mut found = vec![Vec::new(); joins.len()];
+            fan_in_r0(&mut joins, &modules, &r0, |i, out| {
+                found[i].extend(out.iter().map(Tuple::provenance));
+            });
+            let stored = modules.module(r0_module).unwrap().borrow();
+            (found, stored.as_stored().unwrap().len())
+        };
+        let (shared, stored_once) = results(true);
+        let (private, _) = results(false);
+        assert_eq!(shared, private, "sharing a module changed a result");
+        assert!(shared.iter().all(|found| !found.is_empty()));
+        assert_eq!(stored_once, r0.len(), "each R0 tuple stored once");
+        b.iter_batched(
+            || fanout(true, &others),
+            |(mut joins, modules, _)| {
+                let mut out = 0usize;
+                fan_in_r0(&mut joins, &modules, &r0, |_, found| out += found.len());
+                black_box(out)
             },
             BatchSize::SmallInput,
         );

@@ -16,6 +16,40 @@
 //!   are free ("given that we cache tuples from random probes, we can
 //!   expect the rate of probing to decrease over time", Section 7.1).
 //!
+//! ### One stored module per producer output
+//!
+//! A stored module is the hash table of one *producer's output* — a stream
+//! leaf's tuples, or an m-join's results — not of one consuming join: the
+//! STeM design [24] keeps one such module per input stream. Every m-join
+//! input fed by the same producer names the same module by the same
+//! [`ModuleId`], each holding its own arena reference, and keeps a
+//! *cursor*: the number of the module's entries it has seen arrive
+//! ([`StoredModule::arrive`]). An arrival appends the tuple only when the
+//! input's cursor equals the module's length — it is the first consumer to
+//! see it; every later consumer finds the very same `Arc` at its cursor
+//! (checked, not assumed) and only advances. A tuple is stored once per
+//! producer, however many joins consume it.
+//!
+//! Why sharing is exact: all the tuples of one routing pass contain the
+//! relations of the tuple read, and an m-join's inputs cover disjoint
+//! relations, so one pass reaches an m-join on at most one input — an
+//! m-join never probes a module that grew in the same pass. And every
+//! consumer of a producer receives its outputs in the same order. So at
+//! every pass boundary each sharing input's cursor equals the module's
+//! length, and the module holds, entry for entry, what a private module of
+//! that input would. The state manager keeps the same promise at graft,
+//! where a new consumer either attaches to the producer's module or gets a
+//! freshly prefilled one (`qsys_state::recover` says which, and why).
+//!
+//! What an input pays does not depend on who else shares its module: an
+//! arrival charges `2 · max(own keys, 1)` join µs, where *own keys* are the
+//! distinct probe keys the input's own m-join registers on it (the index
+//! count a private module would have had), and
+//! [`MJoin::approx_bytes`](crate::mjoin::MJoin::approx_bytes) prices each
+//! input at `entries · 64 + own keys · entries · 24` bytes. The virtual
+//! clock and the eviction budget therefore see exactly what they saw when
+//! every input had a private copy.
+//!
 //! ### What is hashed, and with what
 //!
 //! Both kinds of module are maps from a join-column [`Value`] to the rows
@@ -90,8 +124,9 @@ impl fmt::Debug for ModuleId {
 ///
 /// Slots are reference-counted by *graph residency*: allocating takes the
 /// first reference, every additional graph-resident m-join input sharing
-/// the module (shared probe caches, recovery joins over live hash tables)
-/// takes one via [`Self::retain`], and the plan graph releases one per
+/// the module (consumers of one producer, shared probe caches, recovery
+/// joins over live hash tables) takes one via [`Self::retain`], and the
+/// plan graph releases one per
 /// input when a node is removed — the slot is recycled when the count hits
 /// zero. Transient m-joins (state-recovery replays that never enter the
 /// graph) reference ids without retaining; they must not outlive the call
@@ -231,16 +266,41 @@ impl StoredModule {
         self.indexes.push((key, index));
     }
 
-    /// Insert a tuple (stamped with the current epoch), maintaining all
-    /// indexes. Charges one hash operation per index to the clock.
-    pub fn insert(&mut self, tuple: Tuple, epoch: Epoch, clock: &SimClock) {
+    /// Append a tuple stamped with `epoch`, maintaining all indexes. Free:
+    /// the m-join input a tuple arrives on pays for storing it (see the
+    /// module docs), and a graft-time prefill re-stores history the
+    /// original execution already paid for.
+    pub fn push(&mut self, tuple: Tuple, epoch: Epoch) {
         let pos = self.entries.len() as u32;
-        let cost = self.indexes.len().max(1) as u64;
-        clock.charge(TimeCategory::Join, 2 * cost);
         for (key, index) in &mut self.indexes {
             index_position(index, &tuple, *key, pos);
         }
         self.entries.push((tuple, epoch));
+    }
+
+    /// `tuple` arrives on an input that has seen the first `*cursor`
+    /// entries: appended if that input is the first to see it, otherwise
+    /// it must be the entry at the cursor — the same allocation, delivered
+    /// earlier in the same order to a sibling consumer. Advances the
+    /// cursor; returns whether the tuple was appended.
+    ///
+    /// Panics when the entry at the cursor is another tuple: the input's
+    /// consumers disagree on the producer's output order, and every later
+    /// probe of the module would be wrong.
+    #[inline]
+    pub fn arrive(&mut self, cursor: &mut usize, tuple: &Tuple, epoch: Epoch) -> bool {
+        let pos = *cursor;
+        *cursor += 1;
+        if pos == self.entries.len() {
+            self.push(tuple.clone(), epoch);
+            return true;
+        }
+        let stored = &self.entries[pos].0;
+        assert!(
+            Tuple::ptr_eq(stored, tuple),
+            "shared module out of step: entry {pos} is {stored:?}, {tuple:?} arrived"
+        );
+        false
     }
 
     /// Probe for matches of `value` under `key`, borrowing them from the
@@ -298,12 +358,6 @@ impl StoredModule {
     /// Whether the module is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Approximate resident bytes (for the QS manager's memory budget).
-    pub fn approx_bytes(&self) -> usize {
-        // Tuple = Arc'd parts; count the handle plus per-index entries.
-        self.entries.len() * 64 + self.indexes.len() * self.entries.len() * 24
     }
 }
 
@@ -424,14 +478,6 @@ impl AccessModule {
             AccessModule::Remote(_) => None,
         }
     }
-
-    /// Approximate resident bytes.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            AccessModule::Stored(s) => s.approx_bytes(),
-            AccessModule::Remote(r) => r.approx_bytes(),
-        }
-    }
 }
 
 /// Record `tuple` at arrival position `pos` under its value for `key`, if
@@ -468,9 +514,9 @@ mod tests {
         let clock = SimClock::new();
         let key = (RelId::new(0), 0);
         let mut m = StoredModule::new([key]);
-        m.insert(tup(0, 1, 5, 0.9), Epoch(0), &clock);
-        m.insert(tup(0, 2, 7, 0.8), Epoch(0), &clock);
-        m.insert(tup(0, 3, 5, 0.7), Epoch(0), &clock);
+        m.push(tup(0, 1, 5, 0.9), Epoch(0));
+        m.push(tup(0, 2, 7, 0.8), Epoch(0));
+        m.push(tup(0, 3, 5, 0.7), Epoch(0));
         let hits = m.probe(key, &Value::Int(5), None, &clock);
         assert_eq!(hits.len(), 2);
         // Arrival order preserved.
@@ -485,9 +531,9 @@ mod tests {
         let clock = SimClock::new();
         let key = (RelId::new(0), 0);
         let mut m = StoredModule::new([key]);
-        m.insert(tup(0, 1, 5, 0.9), Epoch(0), &clock);
-        m.insert(tup(0, 2, 5, 0.8), Epoch(1), &clock);
-        m.insert(tup(0, 3, 5, 0.7), Epoch(2), &clock);
+        m.push(tup(0, 1, 5, 0.9), Epoch(0));
+        m.push(tup(0, 2, 5, 0.8), Epoch(1));
+        m.push(tup(0, 3, 5, 0.7), Epoch(2));
         let before_e2 = m.probe(key, &Value::Int(5), Some(Epoch(2)), &clock);
         assert_eq!(before_e2.len(), 2);
         let all = m.probe(key, &Value::Int(5), None, &clock);
@@ -502,7 +548,7 @@ mod tests {
         let clock = SimClock::new();
         let k0 = (RelId::new(0), 0);
         let mut m = StoredModule::new([k0]);
-        m.insert(tup(0, 1, 5, 0.9), Epoch(0), &clock);
+        m.push(tup(0, 1, 5, 0.9), Epoch(0));
         // Grafting adds a second consumer joining on the same column — and
         // on a column with no values (out of range) which must simply miss.
         m.add_probe_key(k0); // idempotent
@@ -529,7 +575,7 @@ mod tests {
         let (k0, k1) = ((RelId::new(0), 0), (RelId::new(0), 1));
         let mut m = StoredModule::new([k0]);
         for (id, a, b, epoch) in [(1, 5, 9, 0), (2, 7, 9, 1), (3, 5, 8, 1), (4, 5, 9, 2)] {
-            m.insert(two_col(id, a, b), Epoch(epoch), &clock);
+            m.push(two_col(id, a, b), Epoch(epoch));
         }
         // A second index, registered when the module already holds tuples.
         m.add_probe_key(k1);
@@ -561,20 +607,38 @@ mod tests {
         assert!(clock.breakdown().join_us > before);
     }
 
-    /// The eviction budget (`gus-evict`'s 512 KiB) is computed from this
-    /// estimate: 64 bytes per stored tuple plus 24 per tuple per index,
-    /// whatever the index representation underneath.
+    /// Two inputs over one module, each with its own cursor: whichever sees
+    /// a tuple first appends it, the other finds that very allocation at
+    /// its cursor and only advances — however far it lags.
     #[test]
-    fn approx_bytes_is_pinned() {
+    fn arrive_stores_each_output_once() {
+        let key = (RelId::new(0), 0);
+        let mut m = StoredModule::new([key]);
+        let ts: Vec<Tuple> = (0..3).map(|i| tup(0, i, 5, 0.5)).collect();
+        let (mut first, mut second) = (0, 0);
+        assert!(m.arrive(&mut first, &ts[0], Epoch(1)));
+        assert!(!m.arrive(&mut second, &ts[0], Epoch(1)));
+        assert!(m.arrive(&mut first, &ts[1], Epoch(1)));
+        assert!(m.arrive(&mut first, &ts[2], Epoch(2)));
+        assert!(!m.arrive(&mut second, &ts[1], Epoch(1)));
+        assert!(!m.arrive(&mut second, &ts[2], Epoch(2)));
+        assert_eq!((first, second, m.len()), (3, 3, 3));
         let clock = SimClock::new();
-        let mut m = StoredModule::new([(RelId::new(0), 0), (RelId::new(0), 0)]);
-        assert_eq!(m.approx_bytes(), 0);
-        for i in 0..10 {
-            m.insert(tup(0, i, (i % 3) as i64, 0.5), Epoch(0), &clock);
-        }
-        assert_eq!(m.approx_bytes(), 880); // one index: the repeated key is one
-        m.add_probe_key((RelId::new(0), 1));
-        assert_eq!(m.approx_bytes(), 1120);
+        assert_eq!(m.probe(key, &Value::Int(5), None, &clock), ts);
+        let before = [1, 2, 3].map(|e| m.entries_before(Epoch(e)).count());
+        assert_eq!(before, [0, 2, 3], "stamped with the epoch they arrived in");
+    }
+
+    /// An equal tuple is not the same arrival: a consumer that is handed
+    /// anything but the allocation at its cursor is out of step with its
+    /// siblings, and storing or skipping it would both be wrong.
+    #[test]
+    #[should_panic(expected = "shared module out of step")]
+    fn arrive_refuses_a_tuple_out_of_step() {
+        let mut m = StoredModule::new([(RelId::new(0), 0)]);
+        let (mut first, mut second) = (0, 0);
+        m.arrive(&mut first, &tup(0, 1, 5, 0.5), Epoch(0));
+        m.arrive(&mut second, &tup(0, 1, 5, 0.5), Epoch(0));
     }
 
     #[test]
@@ -633,17 +697,5 @@ mod tests {
         assert_eq!((m.remote_probes(), m.cache_hits()), (2, 2));
         assert_eq!(sources.probes(), 2);
         assert_eq!(m.approx_bytes(), (48 + 2 * 32) + (48 + 4 * 32));
-    }
-
-    #[test]
-    fn approx_bytes_grows() {
-        let clock = SimClock::new();
-        let key = (RelId::new(0), 0);
-        let mut m = StoredModule::new([key]);
-        let empty = m.approx_bytes();
-        for i in 0..10 {
-            m.insert(tup(0, i, i as i64, 0.5), Epoch(0), &clock);
-        }
-        assert!(m.approx_bytes() > empty);
     }
 }

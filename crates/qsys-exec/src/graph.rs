@@ -767,13 +767,14 @@ impl JoinSink for Judged<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{AccessModule, AccessModuleArena, StoredModule};
+    use crate::access::{AccessModule, AccessModuleArena, ModuleId, StoredModule};
     use crate::govern::RetryPolicy;
     use crate::mjoin::{JoinPred, MJoin, MJoinInput};
     use crate::rank_merge::{CqRegistration, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
     use qsys_source::Table;
     use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, UqId, UserId, Value};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn sources_with_tables() -> Sources {
@@ -1238,5 +1239,182 @@ mod tests {
         assert_eq!(skipped, 72);
         assert_eq!(judged_clock, built_clock);
         assert_eq!(judged_total, built_total);
+    }
+
+    /// Four relations of 12 rows with two join columns (`i % 2`, `i % 3`).
+    fn two_column_sources() -> Sources {
+        let s = Sources::new(SimClock::new(), CostProfile::default(), 11);
+        for rel in 0..4u32 {
+            let id = RelId::new(rel);
+            let rows = (0..12)
+                .map(|i| {
+                    Arc::new(BaseTuple::new(
+                        id,
+                        i,
+                        vec![Value::Int((i % 2) as i64), Value::Int((i % 3) as i64)],
+                        1.0 - 0.05 * i as f64,
+                    ))
+                })
+                .collect();
+            s.register(Table::new(id, rows));
+        }
+        s
+    }
+
+    /// A rank-merge of one CQ over R0 ⋈ R`rel`, streamed from `leaves`.
+    fn top_k_over(rel: u32, k: usize, leaves: [NodeId; 2]) -> RankMerge {
+        let mut rm = RankMerge::new(UqId::new(rel), UserId::new(0), k);
+        rm.register(CqRegistration {
+            cq: CqId::new(rel),
+            reports_as: CqId::new(rel),
+            score_fn: ScoreFn::discover(UserId::new(0), 2),
+            streaming: leaves
+                .into_iter()
+                .zip([0, rel])
+                .map(|(node, r)| StreamingInput {
+                    node,
+                    rels: vec![RelId::new(r)],
+                    max_bound: 1.0,
+                })
+                .collect(),
+            probed: vec![],
+        });
+        rm
+    }
+
+    /// One producer, one module, against the private-modules reference.
+    /// The R0 stream feeds three m-joins — R0 ⋈ R1 and R0 ⋈ R3 on R0's
+    /// first column, R0 ⋈ R2 on its second — the third built after six R0
+    /// reads. Run once with the three R0 inputs storing into one module
+    /// (the late one attaching, as a graft does) and once with a module
+    /// each (the late one prefilled from the archive, uncharged): the same
+    /// reads give the same clock at every m-join insert and after every
+    /// read, the same answers, the same probe-order statistics and the
+    /// same work counters, except that the shared module writes each R0
+    /// tuple once.
+    #[test]
+    fn one_module_per_producer_changes_nothing_but_what_is_stored() {
+        let run = |private: bool| {
+            let sources = two_column_sources();
+            let mut g = QueryPlanGraph::new();
+            let leaves = [0u32, 1, 2, 3].map(|rel| {
+                g.add_stream(
+                    StreamBacking::Remote(sources.open_stream(RelId::new(rel), None)),
+                    None,
+                )
+            });
+            let mut shared: Option<ModuleId> = None;
+            let mut consumer = |g: &mut QueryPlanGraph, rel: u32, r0_col: usize| {
+                let module = match shared {
+                    Some(id) if !private => g.modules_mut().retain(id),
+                    _ => {
+                        let mut module = StoredModule::new([]);
+                        for (t, e) in &g.stream_leaf(leaves[0]).archive {
+                            module.push(t.clone(), *e);
+                        }
+                        let id = g.modules_mut().alloc(AccessModule::Stored(module));
+                        shared.get_or_insert(id);
+                        id
+                    }
+                };
+                let r0_input = MJoinInput {
+                    rels: vec![RelId::new(0)],
+                    module,
+                    epoch_cap: None,
+                    store_arrivals: true,
+                    selection: None,
+                };
+                let inputs = vec![r0_input, stored_input(rel, g.modules_mut())];
+                let pred = JoinPred {
+                    left_rel: RelId::new(0),
+                    left_col: r0_col,
+                    right_rel: RelId::new(rel),
+                    right_col: 0,
+                };
+                let mj = MJoin::new(inputs, vec![pred], g.modules());
+                let mjn = g.add_mjoin(mj, None);
+                let rm = g.add_rank_merge(top_k_over(rel, 3, [leaves[0], leaves[rel as usize]]));
+                g.connect(leaves[0], mjn, 0);
+                g.connect(leaves[rel as usize], mjn, 1);
+                g.connect(mjn, rm, 0);
+                (mjn, rm)
+            };
+            let mut joins = vec![consumer(&mut g, 1, 0), consumer(&mut g, 2, 1)];
+            let governor = governor();
+            let mut trace = Vec::new();
+            let mut read = |g: &mut QueryPlanGraph, leaf, joins: &[(NodeId, NodeId)]| {
+                while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {
+                    let now = sources.clock().now_us();
+                    for &(_, rm) in joins {
+                        g.maintain_rank_merge(rm, now);
+                    }
+                    trace.push(sources.clock().breakdown());
+                    if leaf == leaves[0] && g.stream_leaf(leaf).archive.len() == 6 {
+                        return;
+                    }
+                }
+            };
+            read(&mut g, leaves[0], &joins);
+            joins.push(consumer(&mut g, 3, 0));
+            for leaf in [leaves[1], leaves[2], leaves[3], leaves[0]] {
+                read(&mut g, leaf, &joins);
+            }
+            let answers: Vec<Vec<(u64, u64)>> = joins
+                .iter()
+                .map(|&(_, rm)| {
+                    g.rank_merge(rm)
+                        .results()
+                        .iter()
+                        .map(|r| (r.score.get().to_bits(), r.emitted_at_us))
+                        .collect()
+                })
+                .collect();
+            let mjoins: Vec<&MJoin> = joins
+                .iter()
+                .map(|&(mjn, _)| match &g.node(mjn).kind {
+                    NodeKind::MJoin(mj) => mj,
+                    _ => unreachable!(),
+                })
+                .collect();
+            let selectivities: Vec<_> = mjoins
+                .iter()
+                .map(|mj| mj.observed_selectivities())
+                .collect();
+            let stored: Vec<(ModuleId, usize)> = mjoins
+                .iter()
+                .map(|mj| {
+                    let id = mj.inputs()[0].module;
+                    let module = g.modules().module(id).unwrap().borrow();
+                    (id, module.as_stored().unwrap().len())
+                })
+                .collect();
+            let state = (
+                trace,
+                mem::take(&mut g.insert_clock),
+                answers,
+                selectivities,
+            );
+            (state, *g.work(), stored)
+        };
+        let (shared, shared_work, shared_modules) = run(false);
+        let (private, private_work, private_modules) = run(true);
+        assert_eq!(shared, private);
+        assert!(shared.2.iter().all(|answers| answers.len() == 3));
+        assert_eq!(
+            ExecWork {
+                module_pushes: private_work.module_pushes,
+                ..shared_work
+            },
+            private_work
+        );
+        // R0 arrives 12 times at each of the first two m-joins and 6 times
+        // at the third; R1, R2 and R3 12 times each at their one consumer.
+        assert_eq!(private_work.module_arrivals, 30 + 36);
+        assert_eq!(private_work.module_pushes, 30 + 36);
+        assert_eq!(shared_work.module_pushes, 12 + 36);
+        let r0 = shared_modules[0].0;
+        assert_eq!(shared_modules, [(r0, 12); 3], "one module, each tuple once");
+        let (ids, lens): (BTreeSet<ModuleId>, Vec<usize>) = private_modules.into_iter().unzip();
+        assert_eq!((ids.len(), lens), (3, vec![12; 3]));
     }
 }

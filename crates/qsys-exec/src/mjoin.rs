@@ -11,15 +11,26 @@
 //!
 //! Access modules live in the lane-owned [`AccessModuleArena`] and are
 //! named by dense, `Copy` [`ModuleId`]s; an input holds an id, never the
-//! module itself. Sharing a hash table — the state-recovery machinery of
-//! Section 6.2 builds *recovery* m-joins over the same tables, restricted
-//! to pre-epoch partitions via an epoch cap, and the QS manager shares one
-//! probe cache per remote relation — means two inputs holding the same id.
-//! The ownership rule: graph-resident inputs hold one arena reference each
-//! (taken at graft, dropped when the plan graph removes the node);
-//! transient recovery joins borrow ids without retaining. This keeps the
-//! whole executor `Send`: the arena moves with its lane onto a lane
-//! thread, and no `Rc` ties operators to the spawning thread.
+//! module itself. Sharing a hash table means two inputs holding the same
+//! id, and it happens three ways: every m-join input fed by one producer
+//! stores into that producer's one module (the `access` module docs give
+//! the rule and why it is exact), the state-recovery machinery of Section
+//! 6.2 builds *recovery* m-joins over the same tables, restricted to
+//! pre-epoch partitions via an epoch cap, and the QS manager shares one
+//! probe cache per remote relation. The ownership rule: graph-resident
+//! inputs hold one arena reference each (taken at graft, dropped when the
+//! plan graph removes the node); transient recovery joins borrow ids
+//! without retaining. This keeps the whole executor `Send`: the arena
+//! moves with its lane onto a lane thread, and no `Rc` ties operators to
+//! the spawning thread.
+//!
+//! What a storing input pays is its own, however many consumers share its
+//! module: each input keeps a cursor into the module and the count of the
+//! probe keys *this* m-join registers on it (its own keys), so an arrival
+//! charges `2 · max(own keys, 1)` whether it appends the tuple or finds it
+//! stored by a sibling, and [`MJoin::approx_bytes`] prices the input at
+//! `entries · 64 + own keys · entries · 24` — both exactly what a private
+//! module of its own cost.
 //!
 //! ### The per-tuple path
 //!
@@ -60,11 +71,11 @@
 //! probe sequence must not adapt differently); only `ExecWork::joins`
 //! falls to what is materialised.
 
-use crate::access::{AccessModule, AccessModuleArena, ModuleId};
+use crate::access::{AccessModule, AccessModuleArena, ModuleId, ProbeKey};
 use crate::govern::SourceGovernor;
 use crate::stats::ExecWork;
 use qsys_source::Sources;
-use qsys_types::{Epoch, RelId, Selection, Tuple};
+use qsys_types::{Epoch, RelId, Selection, TimeCategory, Tuple};
 use std::mem;
 
 /// One join predicate between two relations handled by this m-join.
@@ -86,28 +97,37 @@ pub struct MJoinInput {
     /// Relations covered by tuples arriving on (or probed from) this input.
     pub rels: Vec<RelId>,
     /// Arena id of the access module (the same id appearing in several
-    /// inputs is how recovery joins and shared probe caches reference one
-    /// module; [`ModuleId::DETACHED`] marks a stateless replay input).
+    /// inputs is how consumers of one producer, recovery joins and shared
+    /// probe caches reference one module; [`ModuleId::DETACHED`] marks a
+    /// stateless replay input).
     pub module: ModuleId,
     /// Only consider stored tuples from epochs strictly before this when
     /// probing (RecoverState's pre-epoch view); `None` = all.
     pub epoch_cap: Option<Epoch>,
-    /// Whether arriving tuples are inserted into the module. Recovery
-    /// replay inputs set this to `false`: their tuples are already stored.
+    /// Whether arriving tuples are stored in the module (appended, or
+    /// found appended by a sibling consumer). Recovery replay inputs set
+    /// this to `false`: their tuples are already stored.
     pub store_arrivals: bool,
     /// Residual selection applied to probe results (a keyword content match
     /// on a probe-only relation; streamed inputs arrive pre-filtered).
     pub selection: Option<Selection>,
 }
 
-/// Runtime selectivity monitor for one input.
+/// Per-input runtime state: the selectivity monitor, and what the input
+/// has seen of (and pays for) its stored module.
 #[derive(Clone, Copy, Debug, Default)]
-struct InputStats {
+struct InputState {
     probes: u64,
     matches: u64,
+    /// Entries of the stored module this input has seen arrive: the
+    /// module's length when the m-join was built, plus one per arrival.
+    cursor: usize,
+    /// Distinct probe keys this m-join registers on the input — the index
+    /// count a private module of its own would have.
+    own_keys: usize,
 }
 
-impl InputStats {
+impl InputState {
     /// Observed matches per probe; `None` until enough evidence.
     fn selectivity(&self) -> Option<f64> {
         (self.probes >= 8).then(|| self.matches as f64 / self.probes as f64)
@@ -172,7 +192,7 @@ impl JoinSink for Vec<Tuple> {
 pub struct MJoin {
     inputs: Vec<MJoinInput>,
     preds: Vec<JoinPred>,
-    stats: Vec<InputStats>,
+    state: Vec<InputState>,
     output_rels: Vec<RelId>,
     /// Per input: the predicates that can probe into it, in predicate
     /// order, each oriented with that input as the probed side. Inputs of
@@ -190,7 +210,10 @@ pub struct MJoin {
 
 impl MJoin {
     /// Build an m-join; registers probe keys on all stored modules so every
-    /// predicate can be evaluated by hash lookup.
+    /// predicate can be evaluated by hash lookup. Each input's cursor
+    /// starts at its module's length: what a module already holds — a
+    /// prefilled history, or the output of a producer this input now
+    /// attaches to — counts as seen.
     pub fn new(
         inputs: Vec<MJoinInput>,
         preds: Vec<JoinPred>,
@@ -208,7 +231,7 @@ impl MJoin {
             "inputs cover disjoint relations"
         );
         let mut mj = MJoin {
-            stats: vec![InputStats::default(); inputs.len()],
+            state: vec![InputState::default(); inputs.len()],
             links: vec![Vec::new(); inputs.len()],
             inputs,
             preds: Vec::with_capacity(preds.len()),
@@ -253,23 +276,32 @@ impl MJoin {
         self.preds.push(pred);
     }
 
-    fn register_probe_keys(&self, modules: &AccessModuleArena) {
-        for pred in &self.preds {
-            for (rel, col) in [
-                (pred.left_rel, pred.left_col),
-                (pred.right_rel, pred.right_col),
-            ] {
-                for input in &self.inputs {
-                    if input.rels.contains(&rel) {
-                        let Some(module) = modules.module(input.module) else {
-                            continue;
-                        };
-                        if let AccessModule::Stored(s) = &mut *module.borrow_mut() {
-                            s.add_probe_key((rel, col));
-                        }
+    /// Register every predicate endpoint as a probe key on the stored
+    /// module of the input covering it, and set each such input's own-key
+    /// count and cursor.
+    fn register_probe_keys(&mut self, modules: &AccessModuleArena) {
+        let mut keys: Vec<ProbeKey> = Vec::new();
+        for (input, state) in self.inputs.iter().zip(&mut self.state) {
+            let Some(module) = modules.module(input.module) else {
+                continue;
+            };
+            let AccessModule::Stored(s) = &mut *module.borrow_mut() else {
+                continue;
+            };
+            keys.clear();
+            for pred in &self.preds {
+                for key in [
+                    (pred.left_rel, pred.left_col),
+                    (pred.right_rel, pred.right_col),
+                ] {
+                    if input.rels.contains(&key.0) && !keys.contains(&key) {
+                        s.add_probe_key(key);
+                        keys.push(key);
                     }
                 }
             }
+            state.own_keys = keys.len();
+            state.cursor = s.len();
         }
     }
 
@@ -288,13 +320,12 @@ impl MJoin {
         &self.preds
     }
 
-    /// Add a predicate (grafting may extend a component).
-    pub fn add_pred(&mut self, pred: JoinPred, modules: &AccessModuleArena) {
-        if !self.preds.contains(&pred) {
-            self.push_pred(pred);
-            self.register_probe_keys(modules);
-        }
-        self.stats.resize(self.inputs.len(), InputStats::default());
+    /// Entries of input `input`'s stored module this input has seen arrive
+    /// (see the `access` module docs). Between routing passes it equals
+    /// the module's length for every storing input — the invariant
+    /// `qsys-verify` checks for modules that several inputs share.
+    pub fn cursor(&self, input: usize) -> usize {
+        self.state[input].cursor
     }
 
     /// Handle a tuple arriving on `input_idx`: store it (unless the input is
@@ -348,7 +379,11 @@ impl MJoin {
         if self.inputs[input_idx].store_arrivals {
             if let Some(module) = cx.modules.module(self.inputs[input_idx].module) {
                 if let AccessModule::Stored(s) = &mut *module.borrow_mut() {
-                    s.insert(tuple.clone(), epoch, cx.sources.clock());
+                    let state = &mut self.state[input_idx];
+                    let cost = state.own_keys.max(1) as u64;
+                    cx.sources.clock().charge(TimeCategory::Join, 2 * cost);
+                    work.module_arrivals += 1;
+                    work.module_pushes += u64::from(s.arrive(&mut state.cursor, &tuple, epoch));
                 }
             }
         }
@@ -402,7 +437,7 @@ impl MJoin {
             if !self.links[i].iter().any(|l| covered & (1 << l.from) != 0) {
                 continue;
             }
-            let sel = self.stats[i].selectivity().unwrap_or(1.0);
+            let sel = self.state[i].selectivity().unwrap_or(1.0);
             if best.is_none_or(|(b, _)| sel.total_cmp(&b).is_lt()) {
                 best = Some((sel, i));
             }
@@ -435,7 +470,7 @@ impl MJoin {
         // Held across the whole step: nothing below touches another
         // module, and stored matches are borrowed from this one.
         let mut module = module.borrow_mut();
-        let stats = &mut self.stats[target];
+        let stats = &mut self.state[target];
         let target_rel = input.rels.first().copied();
         let clock = cx.sources.clock();
 
@@ -482,21 +517,30 @@ impl MJoin {
     /// Observed selectivity per input (for tests and the optimizer's
     /// runtime statistics refresh).
     pub fn observed_selectivities(&self) -> Vec<Option<f64>> {
-        self.stats.iter().map(|s| s.selectivity()).collect()
+        self.state.iter().map(|s| s.selectivity()).collect()
     }
 
     /// Probes issued against each input so far.
     pub fn probe_counts(&self) -> Vec<u64> {
-        self.stats.iter().map(|s| s.probes).collect()
+        self.state.iter().map(|s| s.probes).collect()
     }
 
-    /// Approximate resident bytes across this join's modules (shared
-    /// modules count once per referencing join, as before).
+    /// Approximate resident bytes across this join's inputs, for the QS
+    /// manager's memory budget: a stored input at `entries · 64 + own keys
+    /// · entries · 24` (a tuple handle, plus an index entry per probe key
+    /// this m-join registers), a probe cache at its own estimate. State
+    /// several inputs share counts once per input, so the budget sees what
+    /// it saw when every input had a private copy.
     pub fn approx_bytes(&self, modules: &AccessModuleArena) -> usize {
         self.inputs
             .iter()
-            .filter_map(|i| modules.module(i.module))
-            .map(|m| m.borrow().approx_bytes())
+            .zip(&self.state)
+            .filter_map(|(input, state)| {
+                Some(match &*modules.module(input.module)?.borrow() {
+                    AccessModule::Stored(s) => s.len() * 64 + state.own_keys * s.len() * 24,
+                    AccessModule::Remote(r) => r.approx_bytes(),
+                })
+            })
             .sum()
     }
 }
@@ -519,9 +563,17 @@ mod tests {
     }
 
     fn stored_input(rel: u32, modules: &mut AccessModuleArena) -> MJoinInput {
+        input_over(
+            rel,
+            modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+        )
+    }
+
+    /// A storing input over relation `rel` that stores into `module`.
+    fn input_over(rel: u32, module: ModuleId) -> MJoinInput {
         MJoinInput {
             rels: vec![RelId::new(rel)],
-            module: modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+            module,
             epoch_cap: None,
             store_arrivals: true,
             selection: None,
@@ -742,5 +794,52 @@ mod tests {
         let s = sources();
         let r = mj.insert(0, tup(0, 1, &[5], 0.5), Epoch(0), &s, &modules);
         assert_eq!(r.len(), 1);
+    }
+
+    /// Two consumers of one R0 stream share its module, which indexes both
+    /// columns they probe R0 on — `narrow` joins on column 0 only, `wide`
+    /// on columns 0 and 1 — and holds each tuple once. What each pays is
+    /// its own: an arrival charges `2 · own keys` (besides its probes),
+    /// and the input is priced at `entries · 64 + own keys · entries · 24`
+    /// bytes, the eviction budget's estimate — 880 for ten tuples at one
+    /// key, 1,120 at two — whatever the shared module indexes.
+    #[test]
+    fn consumers_of_one_stream_pay_their_own_keys() {
+        let mut modules = AccessModuleArena::new();
+        let r0 = modules.alloc(AccessModule::Stored(StoredModule::new([])));
+        let mut narrow = MJoin::new(
+            vec![input_over(0, r0), stored_input(1, &mut modules)],
+            vec![pred(0, 0, 1, 0)],
+            &modules,
+        );
+        let inputs = vec![
+            input_over(0, modules.retain(r0)),
+            stored_input(2, &mut modules),
+            stored_input(3, &mut modules),
+        ];
+        let mut wide = MJoin::new(inputs, vec![pred(0, 0, 2, 0), pred(0, 1, 3, 0)], &modules);
+        let s = sources();
+        let cx = JoinCx {
+            sources: &s,
+            governor: None,
+            modules: &modules,
+        };
+        let mut work = ExecWork::default();
+        for i in 0..10 {
+            let t = tup(0, i, &[(i % 3) as i64, (i % 3) as i64], 0.5);
+            for (mj, own_keys) in [(&mut narrow, 1), (&mut wide, 2)] {
+                let (clock, probes) = (s.clock().now_us(), mj.probe_counts().iter().sum::<u64>());
+                mj.insert_governed(0, t.clone(), Epoch(0), cx, &mut Vec::new(), &mut work);
+                let probed = mj.probe_counts().iter().sum::<u64>() - probes;
+                assert_eq!(s.clock().now_us() - clock, 2 * own_keys + 2 * probed, "{i}");
+            }
+        }
+        let module = modules.module(r0).unwrap().borrow();
+        assert_eq!(module.as_stored().map(StoredModule::len), Some(10));
+        assert_eq!((work.module_arrivals, work.module_pushes), (20, 10));
+        assert_eq!((narrow.cursor(0), wide.cursor(0)), (10, 10));
+        // The other inputs are empty, so this is R0's price alone.
+        assert_eq!(narrow.approx_bytes(&modules), 880);
+        assert_eq!(wide.approx_bytes(&modules), 1120);
     }
 }

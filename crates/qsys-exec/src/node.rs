@@ -118,7 +118,8 @@ pub struct StreamLeaf {
     pub backing: StreamBacking,
     /// Every tuple delivered so far, with the epoch it was read in — the
     /// replay source for `RecoverState` (Algorithm 2) and the prefill
-    /// source when grafting gives an old stream a new consumer.
+    /// source when grafting gives an old stream a new m-join consumer and
+    /// no other consumer's module holds this same sequence to attach to.
     pub archive: Vec<(Tuple, Epoch)>,
     /// The stream's raw-product bound before anything was read. Threshold
     /// maintenance needs the *all-time* maximum of other inputs, not the

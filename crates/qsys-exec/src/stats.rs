@@ -81,6 +81,20 @@ pub struct ExecWork {
     pub recovery_probes: u64,
     /// Tuples those reconstructions materialised.
     pub recovery_joins: u64,
+    /// Arrivals on storing m-join inputs, each charged to the virtual
+    /// clock as one store.
+    pub module_arrivals: u64,
+    /// … of which wrote an entry: the first consumer of a producer to see
+    /// the tuple. The rest found it stored by a sibling consumer of the
+    /// same producer and only advanced their cursors (see the `access`
+    /// module docs).
+    pub module_pushes: u64,
+    /// Storing inputs created at graft that attached to a module the
+    /// producer's output already fills.
+    pub inputs_attached: u64,
+    /// … that got a new module, prefilled with the producer's pre-epoch
+    /// history (empty for a producer nothing had read yet).
+    pub inputs_prefilled: u64,
 }
 
 impl ExecWork {
@@ -100,6 +114,10 @@ impl ExecWork {
         self.maintains_skipped += other.maintains_skipped;
         self.recovery_probes += other.recovery_probes;
         self.recovery_joins += other.recovery_joins;
+        self.module_arrivals += other.module_arrivals;
+        self.module_pushes += other.module_pushes;
+        self.inputs_attached += other.inputs_attached;
+        self.inputs_prefilled += other.inputs_prefilled;
     }
 }
 

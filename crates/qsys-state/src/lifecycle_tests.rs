@@ -317,17 +317,43 @@ fn eviction_respects_pins_and_budget() {
     let _ = before;
 }
 
-/// One graft attaching two new m-joins to one reused m-join derives that
-/// m-join's output history once: both new modules hold, tuple for tuple and
-/// epoch for epoch, what an unmemoized `node_history` produces for each,
-/// and the graft counts one reconstruction's probes and joins, not two.
+/// `module` holds `want`, tuple for tuple and epoch for epoch.
+fn module_holds(
+    graph: &qsys_exec::QueryPlanGraph,
+    module: qsys_exec::ModuleId,
+    want: &[(Tuple, qsys_types::Epoch)],
+) {
+    use qsys_types::Epoch;
+    let module = graph.modules().module(module).expect("live").borrow();
+    let stored = module
+        .as_stored()
+        .expect("streaming inputs store their arrivals");
+    assert_eq!(stored.len(), want.len());
+    let epochs: BTreeSet<Epoch> = want.iter().map(|(_, e)| *e).collect();
+    for upto in epochs.iter().map(|e| Epoch(e.0 + 1)) {
+        let got: Vec<&Tuple> = stored.entries_before(upto).collect();
+        let want: Vec<&Tuple> = want
+            .iter()
+            .filter(|(_, e)| *e < upto)
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(got, want, "entries before {upto:?}");
+    }
+}
+
+/// One graft giving one reused m-join two new consumers derives its output
+/// history once, into one module both attach to — holding, tuple for tuple
+/// and epoch for epoch, what `node_history` produces — and counts one
+/// reconstruction's probes and joins. A later graft with a third consumer
+/// finds the module the first two filled in emission order, so it gets a
+/// fresh one in reconstruction order; its input from a stream leaf that
+/// was read meanwhile attaches to the stream's module, which is the
+/// archive.
 #[test]
 fn graft_derives_a_shared_producers_history_once() {
     use crate::recover::node_history;
-    use qsys_exec::access::AccessModule;
-    use qsys_exec::{ExecWork, NodeKind};
+    use qsys_exec::{ExecWork, NodeId, NodeKind};
     use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
-    use qsys_types::Epoch;
 
     let cat = catalog();
     let src = sources();
@@ -407,44 +433,37 @@ fn graft_derives_a_shared_producers_history_once() {
     assert!(!want.is_empty() && want == again);
     assert!(once.recovery_probes > 0 && once.recovery_joins > 0);
     assert_eq!(twice.recovery_probes, 2 * once.recovery_probes);
+    // Both A ⋈ B inputs and both C inputs: one new module each (C's empty,
+    // nothing has read it), the second consumer attaching to the first's.
     assert_eq!(
         ExecWork {
             recovery_probes: before.recovery_probes + once.recovery_probes,
             recovery_joins: before.recovery_joins + once.recovery_joins,
+            inputs_prefilled: before.inputs_prefilled + 2,
+            inputs_attached: before.inputs_attached + 2,
             ..before
         },
         after,
         "one reconstruction, and no other counter moves at graft"
     );
 
-    let graph = manager.graph();
-    let consumers: Vec<_> = graph
-        .node_ids()
-        .filter(|id| graph.node(*id).parents.contains(&ab_node))
-        .filter_map(|id| match &graph.node(id).kind {
-            NodeKind::MJoin(mj) => Some(mj.inputs()[0].module),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(consumers.len(), 2, "both new m-joins consume A ⋈ B");
-    assert_ne!(consumers[0], consumers[1], "each has its own module");
-    let epochs: BTreeSet<Epoch> = want.iter().map(|(_, e)| *e).collect();
-    for module in consumers {
-        let module = graph.modules().module(module).expect("live").borrow();
-        let AccessModule::Stored(stored) = &*module else {
-            panic!("streaming inputs store their arrivals");
-        };
-        assert_eq!(stored.len(), want.len());
-        for upto in epochs.iter().map(|e| Epoch(e.0 + 1)) {
-            let got: Vec<&Tuple> = stored.entries_before(upto).collect();
-            let want: Vec<&Tuple> = want
-                .iter()
-                .filter(|(_, e)| *e < upto)
-                .map(|(t, _)| t)
-                .collect();
-            assert_eq!(got, want, "entries before {upto:?}");
-        }
-    }
+    // The (module of A ⋈ B, module of C) of every m-join consuming A ⋈ B.
+    let consumers = |manager: &QsManager| -> Vec<(NodeId, [qsys_exec::ModuleId; 2])> {
+        let graph = manager.graph();
+        graph
+            .node_ids()
+            .filter(|id| graph.node(*id).parents.contains(&ab_node))
+            .filter_map(|id| match &graph.node(id).kind {
+                NodeKind::MJoin(mj) => Some((id, [0, 1].map(|i| mj.inputs()[i].module))),
+                _ => None,
+            })
+            .collect()
+    };
+    let pair = consumers(&manager);
+    assert_eq!(pair.len(), 2, "both new m-joins consume A ⋈ B");
+    let [shared_ab, shared_c] = pair[0].1;
+    assert_eq!(pair[1].1, [shared_ab, shared_c], "one module per producer");
+    module_holds(manager.graph(), shared_ab, &want);
 
     // The grafted plans still answer correctly.
     run(&mut manager, &src, &[UqId::new(1), UqId::new(2)]);
@@ -452,4 +471,48 @@ fn graft_derives_a_shared_producers_history_once() {
         let f = ScoreFn::discover(user, 3);
         assert_eq!(results_of(&manager, cq.uq), brute_force(&src, cq, &f, k));
     }
+
+    // UQ3: (A ⋈ B) ⋈ C once more, unshared, at a later epoch.
+    let abc3 = path_cq(3, 3, &cat, 3);
+    let third = PlanSpec {
+        nodes: vec![
+            stream(a_sig),
+            stream(b_sig),
+            join(ab_sig, [0, 1], 0, true),
+            stream(c_sig),
+            join(abc_sig, [2, 3], 1, false),
+        ],
+        cq_plans: vec![plan(&abc3, abc_sig, 4)],
+    };
+    let before = *manager.graph().work();
+    let outcome = manager.graft(&third, &src, k);
+    let after = *manager.graph().work();
+    assert_eq!(
+        (after.inputs_prefilled, after.inputs_attached),
+        (before.inputs_prefilled + 1, before.inputs_attached + 1)
+    );
+    let c_node = manager.graph().find_sig(c_sig).expect("C is resident");
+    let triple = consumers(&manager);
+    let &(_, [fresh_ab, attached_c]) = triple
+        .iter()
+        .find(|(id, _)| !pair.iter().any(|(old, _)| old == id))
+        .expect("the new m-join consumes A ⋈ B");
+    assert_ne!(fresh_ab, shared_ab, "emission order is not history order");
+    let mut work = ExecWork::default();
+    let history = node_history(manager.graph(), ab_node, outcome.epoch, &mut work);
+    module_holds(manager.graph(), fresh_ab, &history);
+    assert_eq!(
+        attached_c, shared_c,
+        "a stream's consumers share its archive"
+    );
+    let archive = node_history(manager.graph(), c_node, outcome.epoch, &mut work);
+    assert!(!archive.is_empty(), "C was read before this graft");
+    module_holds(manager.graph(), attached_c, &archive);
+
+    run(&mut manager, &src, &[UqId::new(3)]);
+    let f = ScoreFn::discover(user, 3);
+    assert_eq!(
+        results_of(&manager, abc3.uq),
+        brute_force(&src, &abc3, &f, k)
+    );
 }

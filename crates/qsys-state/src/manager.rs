@@ -5,14 +5,14 @@ use crate::recover;
 use qsys_exec::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
 use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
 use qsys_exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
-use qsys_exec::{NodeId, NodeKind, QueryPlanGraph, StreamBacking};
+use qsys_exec::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::adaptive::ObservedStats;
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
 use qsys_opt::warm::{shared_warm, SharedWarm};
 use qsys_query::{shared_interner, SharedInterner, SigId, SubExprSig};
 use qsys_source::{JoinCond, Sources, SpjSpec};
-use qsys_types::{Epoch, RelId, Tuple, UqId};
+use qsys_types::{Epoch, RelId, UqId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -188,8 +188,9 @@ impl QsManager {
     }
 
     /// Graft a plan spec onto the live graph (Section 6.2): bump the epoch,
-    /// merge nodes by signature, create what is missing, prefill new
-    /// consumers of old streams, register conjunctive queries with their
+    /// merge nodes by signature, create what is missing, attach new
+    /// consumers of old producers to their output (or prefill a module
+    /// with it), register conjunctive queries with their
     /// rank-merges, and run `RecoverState` where streams were already read.
     pub fn graft(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
         self.graft_impl(spec, sources, k, false)
@@ -203,8 +204,8 @@ impl QsManager {
     /// every replanned root straight back onto the abandoned plan's root
     /// node and silently discard the re-optimized structure. Sub-plan
     /// nodes still merge by signature (shared stream positions and cached
-    /// join state are kept); the fresh root's modules are prefilled from
-    /// its producers' pre-epoch history and `RecoverState` re-derives the
+    /// join state are kept); the fresh root's inputs attach to, or are
+    /// prefilled from, its producers' output and `RecoverState` re-derives the
     /// candidates that died with the detached rank-merge. The abandoned
     /// root stays resident until eviction reclaims it, but hands its
     /// reuse-index entry to the replacement.
@@ -315,12 +316,10 @@ impl QsManager {
             }
         }
         let mut node_map: Vec<Option<NodeId>> = vec![None; spec.nodes.len()];
-        // Pre-epoch output history per producer, derived once per graft
-        // however many new consumer inputs attach to it: the epoch is fixed
-        // and nothing executes during a graft (a module is complete when its
-        // m-join is created and untouched until the graft returns), so a
-        // producer's history is a pure function here. Dropped with the graft.
-        let mut histories: HashMap<NodeId, Vec<(Tuple, Epoch)>> = HashMap::new();
+        // The module each producer's new consumers attach to in this graft
+        // (see `consumer_module`). Dropped with the graft: nothing is
+        // removed before it returns, so no id in it can go stale.
+        let mut grafted: HashMap<NodeId, ModuleId> = HashMap::new();
         for (idx, spec_node) in spec.nodes.iter().enumerate() {
             if !needed[idx] {
                 continue;
@@ -351,7 +350,7 @@ impl QsManager {
                             preds,
                             &node_map,
                             epoch,
-                            &mut histories,
+                            &mut grafted,
                         ),
                     }
                 }
@@ -428,7 +427,7 @@ impl QsManager {
         preds: &[PredSpec],
         node_map: &[Option<NodeId>],
         epoch: Epoch,
-        histories: &mut HashMap<NodeId, Vec<(Tuple, Epoch)>>,
+        grafted: &mut HashMap<NodeId, ModuleId>,
     ) -> NodeId {
         let mut mj_inputs = Vec::new();
         let mut producer_edges = Vec::new();
@@ -442,26 +441,9 @@ impl QsManager {
                 .borrow()
                 .rels(spec.nodes[spec_idx].sig)
                 .to_vec();
-            // Prefill the fresh module with the producer's pre-epoch output
-            // history so that future arrivals on *other* inputs can join
-            // with tuples read before this CQ existed (see recover module).
-            // The scratch clock discards the bookkeeping cost: reuse must
-            // not re-pay join time the original execution already paid.
-            let scratch = qsys_types::SimClock::new();
-            let mut module = StoredModule::new([]);
-            let graph = &mut self.graph;
-            let history = histories.entry(producer).or_insert_with(|| {
-                let mut replayed = qsys_exec::ExecWork::default();
-                let history = recover::node_history(graph, producer, epoch, &mut replayed);
-                graph.work_mut().absorb(&replayed);
-                history
-            });
-            for (tuple, tuple_epoch) in history.iter() {
-                module.insert(tuple.clone(), *tuple_epoch, &scratch);
-            }
             mj_inputs.push(MJoinInput {
                 rels,
-                module: self.graph.modules_mut().alloc(AccessModule::Stored(module)),
+                module: self.consumer_module(producer, epoch, grafted),
                 epoch_cap: None,
                 store_arrivals: true,
                 selection: None,
@@ -513,6 +495,74 @@ impl QsManager {
             self.graph.connect(producer, id, slot);
         }
         id
+    }
+
+    /// The stored module a new consumer input of `producer` stores into,
+    /// with one arena reference taken for it. It must hold exactly what a
+    /// private module prefilled with the producer's pre-epoch history
+    /// would (`recover` module docs: attach or prefill), so the producer's
+    /// live module — found through its m-join consumers — is attached only
+    /// when that is certain: for a stream leaf (every consumer's module is
+    /// the archive, in archive order), when this graft created it, or when
+    /// it is empty. Otherwise — an m-join producer whose older consumers
+    /// hold its outputs in *emission* order, while its history comes back
+    /// in *reconstruction* order — a fresh module is prefilled, and the
+    /// rest of the graft attaches to that one.
+    fn consumer_module(
+        &mut self,
+        producer: NodeId,
+        epoch: Epoch,
+        grafted: &mut HashMap<NodeId, ModuleId>,
+    ) -> ModuleId {
+        let attach = grafted.get(&producer).copied().or_else(|| {
+            let (live, empty) = self.live_module(producer)?;
+            let stream = matches!(self.graph.node(producer).kind, NodeKind::Stream(_));
+            (stream || empty).then_some(live)
+        });
+        let id = match attach {
+            Some(live) => {
+                self.graph.work_mut().inputs_attached += 1;
+                self.graph.modules_mut().retain(live)
+            }
+            None => {
+                let mut replayed = ExecWork {
+                    inputs_prefilled: 1,
+                    ..ExecWork::default()
+                };
+                let mut module = StoredModule::new([]);
+                for (tuple, tuple_epoch) in
+                    recover::node_history(&self.graph, producer, epoch, &mut replayed)
+                {
+                    module.push(tuple, tuple_epoch);
+                }
+                self.graph.work_mut().absorb(&replayed);
+                self.graph.modules_mut().alloc(AccessModule::Stored(module))
+            }
+        };
+        grafted.insert(producer, id);
+        id
+    }
+
+    /// The stored module `producer`'s m-join consumers store its output
+    /// in, and whether it is empty.
+    fn live_module(&self, producer: NodeId) -> Option<(ModuleId, bool)> {
+        let modules = self.graph.modules();
+        self.graph
+            .node(producer)
+            .children
+            .iter()
+            .find_map(|&(child, slot)| {
+                let NodeKind::MJoin(mj) = &self.graph.node(child).kind else {
+                    return None;
+                };
+                let input = mj.inputs().get(slot).filter(|i| i.store_arrivals)?;
+                let empty = modules
+                    .module(input.module)?
+                    .borrow()
+                    .as_stored()?
+                    .is_empty();
+                Some((input.module, empty))
+            })
     }
 
     /// Rank-merge streaming registrations for a CQ: its leaf stream nodes

@@ -17,11 +17,34 @@
 //!   (score) order, the others are probed through the *same shared hash
 //!   tables*, capped at epoch `e`;
 //! - combinations with **at least one** constituent from epoch ≥ `e` →
-//!   produced by the normal plan when that constituent arrives (new
-//!   consumers' modules are prefilled with pre-epoch history at graft
-//!   time, so old × new combinations are found too).
+//!   produced by the normal plan when that constituent arrives: each new
+//!   consumer input starts out holding its producer's pre-epoch history,
+//!   so old × new combinations are found too.
 //!
 //! Together these partitions cover every result exactly once.
+//!
+//! ### Attach or prefill
+//!
+//! A producer's output is stored once, in one module its consumers share
+//! (the `qsys_exec::access` docs), so a new consumer input gets that history
+//! one of two ways (`QsManager::consumer_module`):
+//!
+//! - it **attaches** to the module the producer's existing consumers store
+//!   into, whenever that module holds exactly what a prefill would, entry
+//!   for entry: a stream leaf's module is its archive in archive order with
+//!   the archive's epochs, which is what [`node_history`] returns for it; a
+//!   module this graft itself prefilled for the producer holds that history
+//!   by construction; and an empty module means the producer never emitted,
+//!   so its reconstruction is empty too;
+//! - otherwise it is **prefilled**: a fresh module gets [`node_history`],
+//!   written uncharged, and the rest of the graft attaches to it. This is
+//!   the m-join producer whose older consumers hold its outputs in
+//!   *emission* order, while [`node_history`] reconstructs them in
+//!   *replay* order stamped `e − 1` — the same set, in another order, and
+//!   `recover_state` sorts a replay by score with ties broken by that
+//!   order, so attaching there would move answers.
+//!
+//! Either way the new input's cursor starts at the module's length.
 
 use qsys_exec::access::{AccessModule, AccessModuleArena, ModuleId};
 use qsys_exec::mjoin::{JoinCx, MJoin, MJoinInput};

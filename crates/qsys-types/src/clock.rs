@@ -145,12 +145,19 @@ impl Default for CostProfile {
 ///
 /// Cloning a `SimClock` yields a handle onto the *same* clock (interior
 /// `Arc`), so sources, operators, and the ATC all charge into one account.
-/// Each engine lane owns one clock and drives it from a single thread (the
-/// ATC is a serial coordinator, exactly as in the paper), but lanes
-/// themselves run on real threads — so the account is kept in relaxed
-/// atomics, making every clock handle `Send` without cross-lane
-/// coordination (there is none: no ordering between lanes is implied or
-/// needed).
+///
+/// **Single-writer contract.** A clock is charged by one thread at a time.
+/// Each engine lane creates its own clock (`Lane::new` in the root crate)
+/// and drives it from whichever single thread runs the lane (the ATC is a
+/// serial coordinator, exactly as in the paper); nothing clones a clock
+/// across threads. Lanes themselves run on real threads, so the account is
+/// kept in relaxed atomics — every handle is `Send` and any thread may
+/// *read* it — but [`SimClock::charge`] is a relaxed load plus a store,
+/// not a locked `fetch_add`: it runs millions of times a run, and with one
+/// writer the two are the same. Two threads charging one clock at once
+/// would lose charges (never corrupt memory). `tests/parallel_identity.rs`
+/// is the cross-thread gate: every virtual-clock number must come out
+/// bit-identical at any lane-thread count.
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
     inner: Arc<ClockInner>,
@@ -170,7 +177,8 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// Charge `us` microseconds to `category`.
+    /// Charge `us` microseconds to `category` (single writer: see the type
+    /// docs).
     #[inline]
     pub fn charge(&self, category: TimeCategory, us: u64) {
         let cell = match category {
@@ -179,7 +187,7 @@ impl SimClock {
             TimeCategory::Join => &self.inner.join_us,
             TimeCategory::Optimize => &self.inner.optimize_us,
         };
-        cell.fetch_add(us, Ordering::Relaxed);
+        cell.store(cell.load(Ordering::Relaxed) + us, Ordering::Relaxed);
     }
 
     /// Current virtual time in microseconds.

@@ -155,6 +155,13 @@ impl Tuple {
         })
     }
 
+    /// Whether `a` and `b` are handles onto one allocation — the same
+    /// routed tuple, not merely an equal one.
+    #[inline]
+    pub fn ptr_eq(a: &Tuple, b: &Tuple) -> bool {
+        Arc::ptr_eq(&a.parts, &b.parts)
+    }
+
     /// The participating base rows, sorted by relation.
     #[inline]
     pub fn parts(&self) -> &[Arc<BaseTuple>] {

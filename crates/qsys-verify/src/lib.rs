@@ -29,7 +29,7 @@ use qsys_opt::warm::WarmExport;
 use qsys_query::{CqSet, SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage, MAX_LANES};
 use qsys_state::QsManager;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The invariant class a [`Violation`] breaks. One class per seeded
@@ -379,10 +379,14 @@ pub fn verify_shards(
 /// consumers, live endpoints, m-join input-index sanity, a truthful reuse
 /// index, the executor's resident caches (every bound-table slot equal to
 /// its leaf's effective bound, zero elsewhere; the rank-merge list equal to
-/// the ascending arena scan), and — the arena contract — every live module
+/// the ascending arena scan), the arena contract — every live module
 /// slot's refcount equal to its graph residency (m-join inputs naming it)
 /// plus the caller-supplied external registrations (the QS manager's
-/// shared probe-cache table holds one reference per entry).
+/// shared probe-cache table holds one reference per entry) — and the
+/// sharing contract of stored modules (`qsys_exec::access`): a module
+/// several storing inputs name is fed to all of them by one producer, and
+/// each of their cursors equals the module's length, as it must between
+/// routing passes.
 pub fn verify_graph(
     graph: &QueryPlanGraph,
     external_module_refs: &[ModuleId],
@@ -390,6 +394,7 @@ pub fn verify_graph(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut residency: HashMap<ModuleId, u32> = HashMap::new();
+    let mut storing: BTreeMap<ModuleId, Vec<(NodeId, usize)>> = BTreeMap::new();
     let mut rank_merges: Vec<NodeId> = Vec::new();
     for id in graph.node_ids() {
         let node = graph.node(id);
@@ -478,9 +483,15 @@ pub fn verify_graph(
                     ));
                 } else {
                     *residency.entry(input.module).or_insert(0) += 1;
+                    if input.store_arrivals {
+                        storing.entry(input.module).or_default().push((id, i));
+                    }
                 }
             }
         }
+    }
+    for (module, inputs) in storing.iter().filter(|(_, inputs)| inputs.len() > 1) {
+        out.extend(verify_shared_module(graph, *module, inputs, path));
     }
     for id in external_module_refs {
         if graph.modules().ref_count(*id).is_none() {
@@ -529,6 +540,63 @@ pub fn verify_graph(
                 format!("points at {node_id}, which carries {:?}", node.sig),
             )),
             Some(_) => {}
+        }
+    }
+    out
+}
+
+/// The sharing contract of one stored module that the storing `inputs`
+/// (m-join node, input index) all name: each input has exactly one
+/// producer, the same one, and has seen every entry of the module.
+fn verify_shared_module(
+    graph: &QueryPlanGraph,
+    module: ModuleId,
+    inputs: &[(NodeId, usize)],
+    path: &str,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let at = format!("{path}/module[{module:?}]");
+    let Some(len) = graph
+        .modules()
+        .module(module)
+        .and_then(|m| m.borrow().as_stored().map(|s| s.len()))
+    else {
+        return out; // a probe cache: arrivals are never stored in one
+    };
+    let mut feeding: Option<NodeId> = None;
+    for &(node, input) in inputs {
+        let consumer = graph.node(node);
+        let producers: Vec<NodeId> = consumer
+            .parents
+            .iter()
+            .copied()
+            .filter(|p| {
+                graph
+                    .try_node(*p)
+                    .is_some_and(|p| p.children.contains(&(node, input)))
+            })
+            .collect();
+        match (producers.as_slice(), feeding) {
+            ([p], None) => feeding = Some(*p),
+            ([p], Some(f)) if *p == f => {}
+            _ => out.push(Violation::new(
+                ViolationClass::GraphMalformed,
+                &at,
+                format!(
+                    "{node} input {input} is fed by {producers:?}, but the module's other \
+                     storing inputs by {feeding:?}: a shared module holds one producer's output"
+                ),
+            )),
+        }
+        if let NodeKind::MJoin(mj) = &consumer.kind {
+            let cursor = mj.cursor(input);
+            if cursor != len {
+                out.push(Violation::new(
+                    ViolationClass::GraphMalformed,
+                    &at,
+                    format!("{node} input {input} has seen {cursor} of its {len} entries"),
+                ));
+            }
         }
     }
     out

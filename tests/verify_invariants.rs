@@ -5,9 +5,9 @@
 //! 1. **Seeded corruption, one per invariant family** — build a structure
 //!    that verifies clean, apply exactly one class of damage (a refcount
 //!    skew, an overlapping shard split, a cross-section snapshot dangler,
-//!    a stream bound changed behind the executor's bound table), and
-//!    require that the
-//!    verifier reports *that* class and nothing else. A verifier that
+//!    a stream bound changed behind the executor's bound table, a shared
+//!    stored module out of step with one of its consumers), and require
+//!    that the verifier reports *that* class and nothing else. A verifier that
 //!    misses the damage is useless; one that mislabels it sends whoever
 //!    reads the report to the wrong subsystem.
 //! 2. **Clean passes** — the standard GUS seeds driven through every
@@ -30,7 +30,7 @@ use qsys_opt::warm::WarmExport;
 use qsys_query::{CqIdx, CqSet, SigId, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage};
 use qsys_source::{Sources, Table};
-use qsys_types::{BaseTuple, CostProfile, RelId, SimClock};
+use qsys_types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple};
 use qsys_workload::gus::{self, GusConfig};
 use std::sync::Arc;
 
@@ -168,6 +168,60 @@ proptest! {
         let (mut graph, leaf) = build();
         graph.quarantine_stream(leaf);
         prop_assert!(qv::verify_graph(&graph, &[], "t").is_empty());
+    }
+
+    /// Corruption class 5: a stored module several m-join inputs share
+    /// holds one producer's output, each tuple once, so every sharer is
+    /// fed by that producer and, between routing passes, has seen every
+    /// entry. A sharer whose cursor lags — `lag` arrivals reached only its
+    /// sibling — or that another stream feeds is reported as
+    /// `GraphMalformed`; sharers kept in step stay clean.
+    #[test]
+    fn shared_module_out_of_step_is_caught(reads in 0usize..5, lag in 0usize..3) {
+        let rel = RelId::new(0);
+        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let rows: Vec<Arc<BaseTuple>> = (0..8)
+            .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
+            .collect();
+        sources.register(Table::new(rel, rows.clone()));
+        let build = |stray: bool| {
+            let mut graph = QueryPlanGraph::new();
+            let leaves = [0, 1].map(|_| {
+                graph.add_stream(StreamBacking::Remote(sources.open_stream(rel, None)), None)
+            });
+            let module = graph
+                .modules_mut()
+                .alloc(AccessModule::Stored(StoredModule::new([])));
+            let sharer = graph.modules_mut().retain(module);
+            let [mut ahead, mut behind] = [module, sharer].map(|module| {
+                let input = MJoinInput {
+                    rels: vec![rel],
+                    module,
+                    epoch_cap: None,
+                    store_arrivals: true,
+                    selection: None,
+                };
+                MJoin::new(vec![input], Vec::new(), graph.modules())
+            });
+            for (i, row) in rows.iter().take(reads + lag).enumerate() {
+                let t = Tuple::single(Arc::clone(row));
+                ahead.insert(0, t.clone(), Epoch(0), &sources, graph.modules());
+                if i < reads {
+                    behind.insert(0, t, Epoch(0), &sources, graph.modules());
+                }
+            }
+            let [a, b] = [ahead, behind].map(|mj| graph.add_mjoin(mj, None));
+            graph.connect(leaves[0], a, 0);
+            graph.connect(leaves[usize::from(stray)], b, 0);
+            qv::verify_graph(&graph, &[], "t")
+        };
+        let one_producer = build(false);
+        prop_assert_eq!(one_producer.is_empty(), lag == 0, "{:?}", one_producer);
+        let two_producers = build(true);
+        prop_assert!(!two_producers.is_empty());
+        for class in classes(&one_producer).into_iter().chain(classes(&two_producers)) {
+            prop_assert_eq!(class, ViolationClass::GraphMalformed);
+        }
     }
 }
 
