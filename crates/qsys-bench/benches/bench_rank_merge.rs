@@ -3,7 +3,6 @@
 //! plan graph.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qsys::exec::access::{AccessModule, StoredModule};
 use qsys::exec::mjoin::JoinPred;
 use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys::exec::{
@@ -110,14 +109,14 @@ fn bench_rank_merge(c: &mut Criterion) {
     });
 
     // The shape `gus-full` ends an instance with (perf/README.md,
-    // `state.graph_nodes_end`): ~300 nodes, 5 rank-merges, ~100 leaves.
-    // One sample is one round — five services, each a maintain, a choice,
-    // a read routed through a split and a join, and a maintain.
+    // `state.graph_nodes_end`): 5 rank-merges over ~100 leaves and their
+    // joins. One sample is one round — five services, each a maintain, a
+    // choice, a read routed through two joins, and a maintain.
     group.sample_size(200);
-    group.bench_function("atc_round_300_nodes", |b| {
+    group.bench_function("atc_round_205_nodes", |b| {
         let sources = round_sources();
         let mut graph = round_graph(&sources);
-        assert_eq!(graph.len(), 305);
+        assert_eq!(graph.len(), 205);
         let governor = SourceGovernor::new(RetryPolicy::default());
         let mut stats = ExecStats::new();
         let mut atc = Atc::new(SchedulingPolicy::RoundRobin);
@@ -157,18 +156,15 @@ fn round_sources() -> Sources {
     sources
 }
 
-/// 100 stream leaves each behind a split, 100 two-way joins (leaf `j` with
-/// its ring neighbour inside the same user query), 5 rank-merges of 20
-/// conjunctive queries each.
+/// 100 stream leaves, 100 two-way joins (leaf `j` with its ring neighbour
+/// inside the same user query) storing into the leaves' modules, 5
+/// rank-merges of 20 conjunctive queries each.
 fn round_graph(sources: &Sources) -> QueryPlanGraph {
     let mut graph = QueryPlanGraph::new();
-    let leaves: Vec<(NodeId, NodeId)> = (0..ROUND_UQS * ROUND_LEAVES_PER_UQ)
+    let leaves: Vec<NodeId> = (0..ROUND_UQS * ROUND_LEAVES_PER_UQ)
         .map(|rel| {
             let stream = sources.open_stream(RelId::new(rel), None);
-            let leaf = graph.add_stream(StreamBacking::Remote(stream), None);
-            let split = graph.add_split(None);
-            graph.connect(leaf, split, 0);
-            (leaf, split)
+            graph.add_stream(StreamBacking::Remote(stream), None)
         })
         .collect();
     for uq in 0..ROUND_UQS {
@@ -183,9 +179,10 @@ fn round_graph(sources: &Sources) -> QueryPlanGraph {
                 .iter()
                 .map(|&rel| MJoinInput {
                     rels: vec![RelId::new(rel)],
-                    module: graph
-                        .modules_mut()
-                        .alloc(AccessModule::Stored(StoredModule::new([]))),
+                    module: {
+                        let module = graph.stream_leaf(leaves[rel as usize]).module;
+                        graph.modules_mut().retain(module)
+                    },
                     epoch_cap: None,
                     store_arrivals: true,
                     selection: None,
@@ -207,7 +204,7 @@ fn round_graph(sources: &Sources) -> QueryPlanGraph {
                 streaming: pair
                     .iter()
                     .map(|&rel| StreamingInput {
-                        node: leaves[rel as usize].0,
+                        node: leaves[rel as usize],
                         rels: vec![RelId::new(rel)],
                         max_bound: 1.0,
                     })
@@ -218,8 +215,8 @@ fn round_graph(sources: &Sources) -> QueryPlanGraph {
         }
         let rmn = graph.add_rank_merge(rm);
         for (mjn, pair, slot) in joins {
-            graph.connect(leaves[pair[0] as usize].1, mjn, 0);
-            graph.connect(leaves[pair[1] as usize].1, mjn, 1);
+            graph.connect(leaves[pair[0] as usize], mjn, 0);
+            graph.connect(leaves[pair[1] as usize], mjn, 1);
             graph.connect(mjn, rmn, slot);
         }
     }

@@ -30,10 +30,24 @@
 //! (checked, not assumed) and only advances. A tuple is stored once per
 //! producer, however many joins consume it.
 //!
+//! Who holds the module: a **stream leaf** owns its module from creation
+//! (one arena reference, [`StreamLeaf::module`](crate::StreamLeaf::module))
+//! and stores every tuple it reads there, stamped with the graph epoch,
+//! before routing it — so the module is the leaf's one record of its
+//! output, and a stream-fed arrival always finds its tuple at its cursor
+//! and only advances. An **m-join producer** owns nothing: its module is
+//! held by its storing consumers, and the first of them to receive a
+//! result appends it.
+//!
 //! Why sharing is exact: all the tuples of one routing pass contain the
 //! relations of the tuple read, and an m-join's inputs cover disjoint
 //! relations, so one pass reaches an m-join on at most one input — an
-//! m-join never probes a module that grew in the same pass. And every
+//! m-join never probes a module that grew in the same pass. (A leaf's
+//! tuple enters its module before its pass, not when its first consumer
+//! receives it; between those two points only that pass runs, and it
+//! reaches no m-join on any input but the stream's own. Recovery joins
+//! that share the module are capped at an epoch the new tuple does not
+//! precede.) And every
 //! consumer of a producer receives its outputs in the same order. So at
 //! every pass boundary each sharing input's cursor equals the module's
 //! length, and the module holds, entry for entry, what a private module of
@@ -268,7 +282,8 @@ impl StoredModule {
 
     /// Append a tuple stamped with `epoch`, maintaining all indexes. Free:
     /// the m-join input a tuple arrives on pays for storing it (see the
-    /// module docs), and a graft-time prefill re-stores history the
+    /// module docs), whether a stream leaf stored it on reading it or the
+    /// input appends it, and a graft-time prefill re-stores history the
     /// original execution already paid for.
     pub fn push(&mut self, tuple: Tuple, epoch: Epoch) {
         let pos = self.entries.len() as u32;
@@ -328,17 +343,10 @@ impl StoredModule {
             .map(|(t, _)| t)
     }
 
-    /// [`Self::probe_iter`], collected (for callers that keep the matches).
-    pub fn probe(
-        &self,
-        key: ProbeKey,
-        value: &Value,
-        before: Option<Epoch>,
-        clock: &SimClock,
-    ) -> Vec<Tuple> {
-        self.probe_iter(key, value, before, clock)
-            .cloned()
-            .collect()
+    /// Every stored tuple with the epoch it was stored in, in arrival
+    /// order.
+    pub fn entries(&self) -> &[(Tuple, Epoch)] {
+        &self.entries
     }
 
     /// All tuples inserted before `epoch`, in arrival order — the
@@ -517,12 +525,15 @@ mod tests {
         m.push(tup(0, 1, 5, 0.9), Epoch(0));
         m.push(tup(0, 2, 7, 0.8), Epoch(0));
         m.push(tup(0, 3, 5, 0.7), Epoch(0));
-        let hits = m.probe(key, &Value::Int(5), None, &clock);
+        let hits: Vec<Tuple> = m
+            .probe_iter(key, &Value::Int(5), None, &clock)
+            .cloned()
+            .collect();
         assert_eq!(hits.len(), 2);
         // Arrival order preserved.
         assert_eq!(hits[0].parts()[0].row_id, 1);
         assert_eq!(hits[1].parts()[0].row_id, 3);
-        assert!(m.probe(key, &Value::Int(9), None, &clock).is_empty());
+        assert_eq!(m.probe_iter(key, &Value::Int(9), None, &clock).count(), 0);
         assert!(clock.breakdown().join_us > 0);
     }
 
@@ -534,10 +545,10 @@ mod tests {
         m.push(tup(0, 1, 5, 0.9), Epoch(0));
         m.push(tup(0, 2, 5, 0.8), Epoch(1));
         m.push(tup(0, 3, 5, 0.7), Epoch(2));
-        let before_e2 = m.probe(key, &Value::Int(5), Some(Epoch(2)), &clock);
-        assert_eq!(before_e2.len(), 2);
-        let all = m.probe(key, &Value::Int(5), None, &clock);
-        assert_eq!(all.len(), 3);
+        let before_e2 = m.probe_iter(key, &Value::Int(5), Some(Epoch(2)), &clock);
+        assert_eq!(before_e2.count(), 2);
+        let all = m.probe_iter(key, &Value::Int(5), None, &clock);
+        assert_eq!(all.count(), 3);
         let replay: Vec<&Tuple> = m.entries_before(Epoch(1)).collect();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].parts()[0].row_id, 1);
@@ -554,15 +565,14 @@ mod tests {
         m.add_probe_key(k0); // idempotent
         let k1 = (RelId::new(0), 3);
         m.add_probe_key(k1);
-        assert_eq!(m.probe(k0, &Value::Int(5), None, &clock).len(), 1);
-        assert!(m.probe(k1, &Value::Int(5), None, &clock).is_empty());
+        assert_eq!(m.probe_iter(k0, &Value::Int(5), None, &clock).count(), 1);
+        assert_eq!(m.probe_iter(k1, &Value::Int(5), None, &clock).count(), 0);
     }
 
-    /// The collecting `probe` and the borrowing `probe_iter` are one
-    /// lookup: same tuples in the same (arrival) order, and the same
-    /// single charge, whichever index answers and whatever the epoch cap.
+    /// A probe borrows its matches in arrival order for one charge,
+    /// whichever index answers and whatever the epoch cap.
     #[test]
-    fn probe_equals_probe_iter_element_for_element() {
+    fn probe_iter_borrows_in_arrival_order_for_one_charge() {
         let clock = SimClock::new();
         let two_col = |id: u64, a: i64, b: i64| {
             Tuple::single(Arc::new(BaseTuple::new(
@@ -594,11 +604,8 @@ mod tests {
         ] {
             let value = Value::Int(value);
             let before = clock.breakdown().join_us;
-            let collected = m.probe(key, &value, cap, &clock);
-            let charged = clock.breakdown().join_us - before;
             let borrowed: Vec<&Tuple> = m.probe_iter(key, &value, cap, &clock).collect();
-            assert_eq!(clock.breakdown().join_us - before, 2 * charged);
-            assert_eq!(ids(collected.iter().collect()), want, "{key:?} = {value}");
+            assert_eq!(clock.breakdown().join_us - before, 2);
             assert_eq!(ids(borrowed), want, "{key:?} = {value}");
         }
         // Dropping the iterator unwalked still pays for the probe.
@@ -624,7 +631,11 @@ mod tests {
         assert!(!m.arrive(&mut second, &ts[2], Epoch(2)));
         assert_eq!((first, second, m.len()), (3, 3, 3));
         let clock = SimClock::new();
-        assert_eq!(m.probe(key, &Value::Int(5), None, &clock), ts);
+        let stored: Vec<Tuple> = m
+            .probe_iter(key, &Value::Int(5), None, &clock)
+            .cloned()
+            .collect();
+        assert_eq!(stored, ts);
         let before = [1, 2, 3].map(|e| m.entries_before(Epoch(e)).count());
         assert_eq!(before, [0, 2, 3], "stamped with the epoch they arrived in");
     }

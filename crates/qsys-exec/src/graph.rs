@@ -7,7 +7,7 @@
 //! manager grafts into and prunes out of this structure between query
 //! batches, so insertion and removal never invalidate other nodes.
 
-use crate::access::AccessModuleArena;
+use crate::access::{AccessModule, AccessModuleArena, StoredModule};
 use crate::govern::SourceGovernor;
 use crate::mjoin::{JoinCx, JoinSink};
 use crate::node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
@@ -16,6 +16,7 @@ use crate::stats::ExecWork;
 use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
 use qsys_types::{Epoch, TimeCategory, Tuple};
+use std::cell::Ref;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::mem;
 
@@ -87,12 +88,11 @@ pub struct QueryPlanGraph {
 enum Routed {
     /// A tuple on its way into input `.1` of node `.0`.
     Tuple(NodeId, usize, Tuple),
-    /// `n` complete results that every sink of an m-join rejected unbuilt,
-    /// on their way out of `from` (the m-join, then each split below it).
-    /// Queued where the built results' entries are, so that the hop
-    /// charge of every consumer edge they would have crossed is paid
-    /// where those entries would have been popped: splits and rank-merges
-    /// never read the clock, so one aggregated charge per fan-out level
+    /// `n` complete results that every sink of the m-join `from` rejected
+    /// unbuilt. Queued where the built results' entries are, so that the
+    /// hop charge of every consumer edge they would have crossed is paid
+    /// where those entries would have been popped: their sinks are all
+    /// rank-merges, which never read the clock, so one aggregated charge
     /// leaves every clock read as it was.
     Unbuilt { from: NodeId, n: u64 },
 }
@@ -128,9 +128,9 @@ impl QueryPlanGraph {
     fn add_node(&mut self, kind: NodeKind, sig: Option<SigId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         if let Some(s) = sig {
-            // First registration wins: several nodes may carry the same
-            // signature (a stream and the split fanning it out); the reuse
-            // index points at the producer.
+            // First registration wins: a node carrying a signature the
+            // index already maps (a fresh instantiation beside a
+            // quarantined subtree, say) does not take the entry.
             self.sig_index.entry(s).or_insert(id);
         }
         let bound = match &kind {
@@ -155,9 +155,13 @@ impl QueryPlanGraph {
         id
     }
 
-    /// Add a stream leaf computing `sig`.
+    /// Add a stream leaf computing `sig`, with an empty stored module of
+    /// its own for what it will deliver ([`StreamLeaf::module`]).
     pub fn add_stream(&mut self, backing: StreamBacking, sig: Option<SigId>) -> NodeId {
-        self.add_node(NodeKind::Stream(StreamLeaf::new(backing)), sig)
+        let module = self
+            .modules
+            .alloc(AccessModule::Stored(StoredModule::default()));
+        self.add_node(NodeKind::Stream(StreamLeaf::new(backing, module)), sig)
     }
 
     /// The stream leaf at `id`.
@@ -168,9 +172,26 @@ impl QueryPlanGraph {
         }
     }
 
-    /// Add a split operator forwarding `sig`'s output to several consumers.
-    pub fn add_split(&mut self, sig: Option<SigId>) -> NodeId {
-        self.add_node(NodeKind::Split, sig)
+    /// The stored module stream leaf `id` delivers into: every tuple it
+    /// has read, with the epoch it was read in, in delivery order.
+    pub fn stream_module(&self, id: NodeId) -> Ref<'_, StoredModule> {
+        let id = self.stream_leaf(id).module;
+        // lint:allow(panic-path): add_stream gives every leaf a stored module it holds until remove_node
+        let module = self.modules.module(id).expect("live");
+        // lint:allow(panic-path): as above
+        Ref::map(module.borrow(), |m| m.as_stored().expect("stored"))
+    }
+
+    /// How many tuples node `id` keeps stored: a stream leaf's module, or
+    /// an m-join's first stored input module; `None` for a removed node,
+    /// a rank-merge, or an m-join that stores nothing.
+    pub fn stored_len(&self, id: NodeId) -> Option<usize> {
+        let len = |module| Some(self.modules.module(module)?.borrow().as_stored()?.len());
+        match &self.try_node(id)?.kind {
+            NodeKind::Stream(leaf) => len(leaf.module),
+            NodeKind::MJoin(mj) => mj.inputs().iter().find_map(|i| len(i.module)),
+            NodeKind::RankMerge(_) => None,
+        }
     }
 
     /// Add an m-join computing `sig`.
@@ -202,9 +223,9 @@ impl QueryPlanGraph {
     }
 
     /// Remove a node entirely. The caller (QS manager) must have
-    /// disconnected it; panics if edges remain. An m-join's inputs each
-    /// drop their arena reference, so modules shared with nothing else
-    /// (and their hash-table state) are reclaimed here.
+    /// disconnected it; panics if edges remain. A stream leaf and each of
+    /// an m-join's inputs drop their arena reference, so modules shared
+    /// with nothing else (and their hash-table state) are reclaimed here.
     pub fn remove_node(&mut self, id: NodeId) {
         let node = self.nodes[id.index()]
             .take()
@@ -226,9 +247,11 @@ impl QueryPlanGraph {
                     self.modules.release(input.module);
                 }
             }
-            NodeKind::Stream(_) => self.set_bound(id, 0.0),
+            NodeKind::Stream(leaf) => {
+                self.modules.release(leaf.module);
+                self.set_bound(id, 0.0);
+            }
             NodeKind::RankMerge(_) => self.rank_merges.retain(|rm| *rm != id),
-            NodeKind::Split => {}
         }
     }
 
@@ -412,11 +435,13 @@ impl QueryPlanGraph {
         self.set_bound(id, 0.0);
     }
 
-    /// Read one tuple from the stream leaf `id` and route it through the
-    /// graph. The fetch goes through the governor's retry/breaker loop (a
-    /// plain read when no faults are configured); on a fetch that gives
-    /// up, quarantine the leaf (bound drops to zero, the failure is
-    /// recorded against the batch) and report [`StreamRead::Failed`].
+    /// Read one tuple from the stream leaf `id`, store it in the leaf's
+    /// module (uncharged, stamped with the current epoch) and route it
+    /// through the graph. The fetch goes through the governor's
+    /// retry/breaker loop (a plain read when no faults are configured); on
+    /// a fetch that gives up, quarantine the leaf (bound drops to zero, the
+    /// failure is recorded against the batch) and report
+    /// [`StreamRead::Failed`].
     /// Downstream joins of a delivered tuple probe through the governor
     /// too.
     pub fn read_stream_governed(
@@ -436,11 +461,13 @@ impl QueryPlanGraph {
         };
         let tuple = match read {
             Ok(tuple) => {
-                if let Some(t) = &tuple {
-                    leaf.archive.push((t.clone(), epoch));
-                }
-                let bound = leaf.effective_bound();
+                let (module, bound) = (leaf.module, leaf.effective_bound());
                 self.set_bound(id, bound);
+                if let (Some(t), Some(cell)) = (&tuple, self.modules.module(module)) {
+                    if let AccessModule::Stored(s) = &mut *cell.borrow_mut() {
+                        s.push(t.clone(), epoch);
+                    }
+                }
                 tuple
             }
             Err(e) => {
@@ -504,20 +531,8 @@ impl QueryPlanGraph {
                 Routed::Unbuilt { from, n } => {
                     let from = self.nodes[from.index()].as_ref();
                     // lint:allow(panic-path): queued by this node's own routing step earlier in the pass
-                    let children = &from.expect("live node").children;
-                    let hops = n * children.len() as u64;
+                    let hops = n * from.expect("live node").children.len() as u64;
                     sources.clock().charge(TimeCategory::Join, hops * route_us);
-                    for &(c, _) in children {
-                        if matches!(
-                            self.nodes[c.index()],
-                            Some(Node {
-                                kind: NodeKind::Split,
-                                ..
-                            })
-                        ) {
-                            queue.push_back(Routed::Unbuilt { from: c, n });
-                        }
-                    }
                     continue;
                 }
             };
@@ -530,7 +545,6 @@ impl QueryPlanGraph {
             // lint:allow(panic-path): as above
             let Node { kind, children, .. } = node.as_mut().expect("live node");
             match kind {
-                NodeKind::Split => fan_out(&mut queue, children, t),
                 NodeKind::MJoin(mj) => {
                     work.mjoin_inserts += 1;
                     #[cfg(test)]
@@ -615,7 +629,6 @@ impl QueryPlanGraph {
                     rm.results().len(),
                     rm.is_done()
                 ),
-                NodeKind::Split => String::new(),
             };
             let sig = node.sig.map(|s| format!(" {s}")).unwrap_or_default();
             let edges: Vec<String> = node
@@ -654,9 +667,8 @@ impl QueryPlanGraph {
                         StreamBacking::Replay { tuples, .. } => tuples.len() * 64,
                         StreamBacking::Remote(_) => 0,
                     };
-                    replay + leaf.archive.len() * 16
+                    replay + self.stored_len(n.id).unwrap_or(0) * 16
                 }
-                _ => 0,
             })
             .sum()
     }
@@ -676,11 +688,10 @@ fn fan_out(queue: &mut VecDeque<Routed>, children: &[(NodeId, usize)], t: Tuple)
 
 /// The sink an m-join on the route emits into: each complete result is
 /// offered, unbuilt, to every rank-merge it would reach — the m-join's
-/// consumer edges followed through splits — and built into `out` unless
-/// all of them reject it. Rejections are tallied as the accepts they
-/// replace; the caller folds them into [`ExecWork`] and queues the hop
-/// charges ([`Routed::Unbuilt`]). The contract is in the `mjoin` module
-/// docs.
+/// consumers — and built into `out` unless all of them reject it.
+/// Rejections are tallied as the accepts they replace; the caller folds
+/// them into [`ExecWork`] and queues the hop charges ([`Routed::Unbuilt`]).
+/// The contract is in the `mjoin` module docs.
 struct Judged<'a> {
     out: &'a mut Vec<Tuple>,
     /// The node arena on either side of the emitting m-join.
@@ -705,16 +716,10 @@ impl Judged<'_> {
         }
     }
 
-    /// Whether every sink below `edges` rejects `a.join(b)`; the verdicts
-    /// seen so far are added to `verdicts` (after-k, dominated).
-    fn all_reject(
-        &self,
-        edges: &[(NodeId, usize)],
-        a: &Tuple,
-        b: &Tuple,
-        verdicts: &mut (u64, u64),
-    ) -> bool {
-        edges.iter().all(|&(c, slot)| match self.node(c) {
+    /// Whether every consumer rejects `a.join(b)`; the verdicts seen so
+    /// far are added to `verdicts` (after-k, dominated).
+    fn all_reject(&self, a: &Tuple, b: &Tuple, verdicts: &mut (u64, u64)) -> bool {
+        self.children.iter().all(|&(c, slot)| match self.node(c) {
             Some(Node {
                 kind: NodeKind::RankMerge(rm),
                 ..
@@ -729,11 +734,6 @@ impl Judged<'_> {
                 }
                 _ => false,
             },
-            Some(Node {
-                kind: NodeKind::Split,
-                children,
-                ..
-            }) => self.all_reject(children, a, b, verdicts),
             // An m-join consumer needs the tuple.
             _ => false,
         })
@@ -752,7 +752,7 @@ impl JoinSink for Judged<'_> {
             return true;
         }
         let mut verdicts = (0, 0);
-        if self.all_reject(self.children, a, b, &mut verdicts) {
+        if self.all_reject(a, b, &mut verdicts) {
             self.skipped += 1;
             self.after_k += verdicts.0;
             self.dominated += verdicts.1;
@@ -800,17 +800,34 @@ mod tests {
         SourceGovernor::new(RetryPolicy::default())
     }
 
+    /// A storing input over `rel` with a private module: what an m-join
+    /// producer's first consumer gets.
     fn stored_input(rel: u32, modules: &mut AccessModuleArena) -> MJoinInput {
+        input_over(
+            rel,
+            modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+        )
+    }
+
+    /// A storing input over `rel` that stores into `module`.
+    fn input_over(rel: u32, module: ModuleId) -> MJoinInput {
         MJoinInput {
             rels: vec![RelId::new(rel)],
-            module: modules.alloc(AccessModule::Stored(StoredModule::new([]))),
+            module,
             epoch_cap: None,
             store_arrivals: true,
             selection: None,
         }
     }
 
-    /// Build: stream(R0) → split → mjoin(R0,R1) ← stream(R1); mjoin → rank-merge.
+    /// A storing input over `rel` attached to stream leaf `leaf`'s module,
+    /// as graft attaches every consumer of a stream.
+    fn leaf_input(g: &mut QueryPlanGraph, rel: u32, leaf: NodeId) -> MJoinInput {
+        let module = g.stream_leaf(leaf).module;
+        input_over(rel, g.modules_mut().retain(module))
+    }
+
+    /// Build: stream(R0) → mjoin(R0,R1) ← stream(R1); mjoin → rank-merge.
     fn small_graph(sources: &Sources) -> (QueryPlanGraph, NodeId, NodeId, NodeId) {
         let mut interner = SigInterner::new();
         let sig0 = interner.relation(RelId::new(0), None);
@@ -824,11 +841,7 @@ mod tests {
             StreamBacking::Remote(sources.open_stream(RelId::new(1), None)),
             Some(sig1),
         );
-        let split = g.add_split(Some(sig0));
-        let inputs = vec![
-            stored_input(0, g.modules_mut()),
-            stored_input(1, g.modules_mut()),
-        ];
+        let inputs = vec![leaf_input(&mut g, 0, s0), leaf_input(&mut g, 1, s1)];
         let mj = MJoin::new(
             inputs,
             vec![JoinPred {
@@ -860,8 +873,7 @@ mod tests {
             probed: vec![],
         });
         let rmn = g.add_rank_merge(rm);
-        g.connect(s0, split, 0);
-        g.connect(split, mjn, 0);
+        g.connect(s0, mjn, 0);
         g.connect(s1, mjn, 1);
         g.connect(mjn, rmn, slot);
         (g, s0, s1, rmn)
@@ -961,7 +973,7 @@ mod tests {
         let (mut g, s0, _, _) = small_graph(&sources);
         g.read_stream_governed(s0, &sources, &governor());
         let dump = g.explain();
-        assert!(dump.contains("plan graph @ e0 (5 nodes)"), "{dump}");
+        assert!(dump.contains("plan graph @ e0 (4 nodes)"), "{dump}");
         assert!(dump.contains("stream"), "{dump}");
         assert!(dump.contains("m-join"), "{dump}");
         assert!(dump.contains("rank-merge"), "{dump}");
@@ -1026,8 +1038,7 @@ mod tests {
         rm
     }
 
-    /// stream(R0), stream(R1) → m-join → rank-merges of k = 1 and k = 2
-    /// directly, and one of k = 4 through a split.
+    /// stream(R0), stream(R1) → m-join → rank-merges of k = 1, 2 and 4.
     fn fan_graph(sources: &Sources) -> (QueryPlanGraph, [NodeId; 2], NodeId, [NodeId; 3]) {
         let mut g = QueryPlanGraph::new();
         let s0 = g.add_stream(
@@ -1038,20 +1049,15 @@ mod tests {
             StreamBacking::Remote(sources.open_stream(RelId::new(1), None)),
             None,
         );
-        let inputs = vec![
-            stored_input(0, g.modules_mut()),
-            stored_input(1, g.modules_mut()),
-        ];
+        let inputs = vec![leaf_input(&mut g, 0, s0), leaf_input(&mut g, 1, s1)];
         let mj = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
         let mjn = g.add_mjoin(mj, None);
-        let split = g.add_split(None);
         let rms = [1, 2, 4].map(|k| g.add_rank_merge(top_k(k as u32, k, s0, s1)));
         g.connect(s0, mjn, 0);
         g.connect(s1, mjn, 1);
-        g.connect(mjn, rms[0], 0);
-        g.connect(mjn, rms[1], 0);
-        g.connect(mjn, split, 0);
-        g.connect(split, rms[2], 0);
+        for rm in rms {
+            g.connect(mjn, rm, 0);
+        }
         (g, [s0, s1], mjn, rms)
     }
 
@@ -1141,8 +1147,8 @@ mod tests {
             )
         });
         let inputs = vec![
-            stored_input(0, g.modules_mut()),
-            stored_input(1, g.modules_mut()),
+            leaf_input(&mut g, 0, streams[0]),
+            leaf_input(&mut g, 1, streams[1]),
         ];
         let lower = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
         let lower = g.add_mjoin(lower, None);
@@ -1150,7 +1156,7 @@ mod tests {
             rels: vec![RelId::new(0), RelId::new(1)],
             ..stored_input(0, g.modules_mut())
         };
-        let inputs = vec![pair, stored_input(2, g.modules_mut())];
+        let inputs = vec![pair, leaf_input(&mut g, 2, streams[2])];
         let upper = MJoin::new(inputs, vec![join_on_col0(1, 2)], g.modules());
         let upper = g.add_mjoin(upper, None);
         // k = 0: rejects everything as after-k from the first result on.
@@ -1175,11 +1181,11 @@ mod tests {
 
     /// Unbuilt results pay their routing hops where the hops would have
     /// been taken. R0 feeds two m-joins: the first finds six results per
-    /// tuple that nobody wants (a sated rank-merge directly, another
-    /// through a split), the second builds its results for a third m-join
-    /// whose inserts read the clock *between* the first one's two levels
-    /// of hops. Every m-join insert sees the clock the reference run
-    /// (everything built and delivered) shows it.
+    /// tuple that nobody wants (two sated rank-merges), the second builds
+    /// its results for a third m-join, whose inserts read the clock *after*
+    /// the first one's hops while the second's insert reads it before.
+    /// Every m-join insert sees the clock the reference run (everything
+    /// built and delivered) shows it.
     #[test]
     fn hop_charges_land_where_the_hops_were() {
         let run = |build_all: bool| {
@@ -1193,14 +1199,14 @@ mod tests {
                 )
             });
             let inputs = vec![
-                stored_input(0, g.modules_mut()),
-                stored_input(1, g.modules_mut()),
+                leaf_input(&mut g, 0, streams[0]),
+                leaf_input(&mut g, 1, streams[1]),
             ];
             let unwanted = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
             let unwanted = g.add_mjoin(unwanted, None);
             let inputs = vec![
-                stored_input(0, g.modules_mut()),
-                stored_input(2, g.modules_mut()),
+                leaf_input(&mut g, 0, streams[0]),
+                leaf_input(&mut g, 2, streams[2]),
             ];
             let lower = MJoin::new(inputs, vec![join_on_col0(0, 2)], g.modules());
             let lower = g.add_mjoin(lower, None);
@@ -1208,10 +1214,9 @@ mod tests {
                 rels: vec![RelId::new(0), RelId::new(2)],
                 ..stored_input(0, g.modules_mut())
             };
-            let inputs = vec![pair, stored_input(1, g.modules_mut())];
+            let inputs = vec![pair, leaf_input(&mut g, 1, streams[1])];
             let upper = MJoin::new(inputs, vec![join_on_col0(2, 1)], g.modules());
             let upper = g.add_mjoin(upper, None);
-            let split = g.add_split(None);
             let sated = [0u32, 1].map(|uq| g.add_rank_merge(top_k(uq, 0, streams[0], streams[1])));
             let hungry = g.add_rank_merge(top_k(2, 1000, streams[0], streams[1]));
             g.connect(streams[0], unwanted, 0);
@@ -1220,8 +1225,7 @@ mod tests {
             g.connect(streams[1], upper, 1);
             g.connect(streams[2], lower, 1);
             g.connect(unwanted, sated[0], 0);
-            g.connect(unwanted, split, 0);
-            g.connect(split, sated[1], 0);
+            g.connect(unwanted, sated[1], 0);
             g.connect(lower, upper, 0);
             g.connect(upper, hungry, 0);
             let governor = governor();
@@ -1285,13 +1289,13 @@ mod tests {
     /// One producer, one module, against the private-modules reference.
     /// The R0 stream feeds three m-joins — R0 ⋈ R1 and R0 ⋈ R3 on R0's
     /// first column, R0 ⋈ R2 on its second — the third built after six R0
-    /// reads. Run once with the three R0 inputs storing into one module
-    /// (the late one attaching, as a graft does) and once with a module
-    /// each (the late one prefilled from the archive, uncharged): the same
-    /// reads give the same clock at every m-join insert and after every
-    /// read, the same answers, the same probe-order statistics and the
-    /// same work counters, except that the shared module writes each R0
-    /// tuple once.
+    /// reads. Run once with the three R0 inputs attached to the R0 leaf's
+    /// module (the late one too, as a graft attaches it) and once with a
+    /// private module each (the late one prefilled from the leaf's module,
+    /// uncharged): the same reads give the same clock at every m-join
+    /// insert and after every read, the same answers, the same probe-order
+    /// statistics and the same work counters, except that the private
+    /// modules write each R0 tuple again, once per consumer.
     #[test]
     fn one_module_per_producer_changes_nothing_but_what_is_stored() {
         let run = |private: bool| {
@@ -1303,28 +1307,17 @@ mod tests {
                     None,
                 )
             });
-            let mut shared: Option<ModuleId> = None;
-            let mut consumer = |g: &mut QueryPlanGraph, rel: u32, r0_col: usize| {
-                let module = match shared {
-                    Some(id) if !private => g.modules_mut().retain(id),
-                    _ => {
-                        let mut module = StoredModule::new([]);
-                        for (t, e) in &g.stream_leaf(leaves[0]).archive {
-                            module.push(t.clone(), *e);
-                        }
-                        let id = g.modules_mut().alloc(AccessModule::Stored(module));
-                        shared.get_or_insert(id);
-                        id
+            let consumer = |g: &mut QueryPlanGraph, rel: u32, r0_col: usize| {
+                let r0_input = if private {
+                    let mut module = StoredModule::new([]);
+                    for (t, e) in g.stream_module(leaves[0]).entries() {
+                        module.push(t.clone(), *e);
                     }
+                    input_over(0, g.modules_mut().alloc(AccessModule::Stored(module)))
+                } else {
+                    leaf_input(g, 0, leaves[0])
                 };
-                let r0_input = MJoinInput {
-                    rels: vec![RelId::new(0)],
-                    module,
-                    epoch_cap: None,
-                    store_arrivals: true,
-                    selection: None,
-                };
-                let inputs = vec![r0_input, stored_input(rel, g.modules_mut())];
+                let inputs = vec![r0_input, leaf_input(g, rel, leaves[rel as usize])];
                 let pred = JoinPred {
                     left_rel: RelId::new(0),
                     left_col: r0_col,
@@ -1349,7 +1342,7 @@ mod tests {
                         g.maintain_rank_merge(rm, now);
                     }
                     trace.push(sources.clock().breakdown());
-                    if leaf == leaves[0] && g.stream_leaf(leaf).archive.len() == 6 {
+                    if leaf == leaves[0] && g.stream_module(leaf).len() == 6 {
                         return;
                     }
                 }
@@ -1409,9 +1402,11 @@ mod tests {
         );
         // R0 arrives 12 times at each of the first two m-joins and 6 times
         // at the third; R1, R2 and R3 12 times each at their one consumer.
+        // Only a private module appends: every other arrival finds its
+        // tuple where the leaf that read it stored it.
         assert_eq!(private_work.module_arrivals, 30 + 36);
-        assert_eq!(private_work.module_pushes, 30 + 36);
-        assert_eq!(shared_work.module_pushes, 12 + 36);
+        assert_eq!(private_work.module_pushes, 30);
+        assert_eq!(shared_work.module_pushes, 0);
         let r0 = shared_modules[0].0;
         assert_eq!(shared_modules, [(r0, 12); 3], "one module, each tuple once");
         let (ids, lens): (BTreeSet<ModuleId>, Vec<usize>) = private_modules.into_iter().unzip();

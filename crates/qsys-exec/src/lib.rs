@@ -5,12 +5,16 @@
 //! simultaneously over a **graph-structured** (not tree-structured) query
 //! plan. The operator vocabulary is:
 //!
-//! - **split** — feeds one subexpression's output to several downstream
-//!   consumers (subexpression sharing);
+//! - **stream leaf** — reads a remote subquery (or replays retained
+//!   tuples) and keeps what it delivers in its stored module;
 //! - **m-join** (STeM eddy [24, 34]) — an m-way pipelined hash join whose
 //!   probe sequence adapts to monitored selectivities at runtime;
 //! - **rank-merge** — merges the conjunctive queries of one user query into
 //!   its top-k answers, Threshold-Algorithm style [7].
+//!
+//! The paper's **split** operator, which feeds one subexpression's output
+//! to several downstream consumers, is not a node here: a producer's
+//! consumer edges are the fan-out (as `qsys_opt::plan` plans it).
 //!
 //! The **ATC** ("air traffic controller") coordinates everything: it looks
 //! across all rank-merge operators' thresholds, picks which source to read

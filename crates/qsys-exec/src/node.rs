@@ -2,14 +2,16 @@
 //!
 //! The plan graph "represents operators as nodes and dataflows as edges"
 //! (Section 4.1). Node kinds mirror the paper's operator vocabulary: stream
-//! leaves (remote subqueries or in-memory replays), splits, m-joins, and
-//! rank-merges.
+//! leaves (remote subqueries or in-memory replays), m-joins, and
+//! rank-merges. The paper's split operator is not a node: a producer's
+//! consumer edges fan its output out (see `qsys_opt::plan`).
 
+use crate::access::ModuleId;
 use crate::mjoin::MJoin;
 use crate::rank_merge::RankMerge;
 use qsys_query::SigId;
 use qsys_source::{SourceStream, Sources};
-use qsys_types::{Epoch, TimeCategory, Tuple};
+use qsys_types::{TimeCategory, Tuple};
 use std::fmt;
 
 /// Identifier of a plan-graph node.
@@ -116,11 +118,13 @@ impl fmt::Debug for StreamBacking {
 pub struct StreamLeaf {
     /// What delivers the tuples.
     pub backing: StreamBacking,
-    /// Every tuple delivered so far, with the epoch it was read in — the
-    /// replay source for `RecoverState` (Algorithm 2) and the prefill
-    /// source when grafting gives an old stream a new m-join consumer and
-    /// no other consumer's module holds this same sequence to attach to.
-    pub archive: Vec<(Tuple, Epoch)>,
+    /// The stored module holding every tuple delivered so far, with the
+    /// epoch it was read in: the one record of this leaf's output. Its
+    /// m-join consumers store into it (`access` module docs), and it is
+    /// the replay source for `RecoverState` (Algorithm 2). The leaf holds
+    /// one arena reference, taken by
+    /// [`QueryPlanGraph::add_stream`](crate::QueryPlanGraph::add_stream).
+    pub module: ModuleId,
     /// The stream's raw-product bound before anything was read. Threshold
     /// maintenance needs the *all-time* maximum of other inputs, not the
     /// current bound, because future results may join old tuples.
@@ -135,12 +139,13 @@ pub struct StreamLeaf {
 }
 
 impl StreamLeaf {
-    /// Wrap a backing, recording its pristine bound.
-    pub fn new(backing: StreamBacking) -> StreamLeaf {
+    /// Wrap a backing delivering into `module`, recording its pristine
+    /// bound.
+    pub fn new(backing: StreamBacking, module: ModuleId) -> StreamLeaf {
         let initial_bound = backing.bound();
         StreamLeaf {
             backing,
-            archive: Vec::new(),
+            module,
             initial_bound,
             quarantined: false,
         }
@@ -154,15 +159,6 @@ impl StreamLeaf {
         } else {
             self.backing.bound()
         }
-    }
-
-    /// Tuples delivered before `epoch`, in delivery (hence score) order.
-    pub fn archived_before(&self, epoch: Epoch) -> Vec<Tuple> {
-        self.archive
-            .iter()
-            .filter(|(_, e)| *e < epoch)
-            .map(|(t, _)| t.clone())
-            .collect()
     }
 
     /// Relations covered by each tuple this leaf delivers.
@@ -182,8 +178,6 @@ impl StreamLeaf {
 pub enum NodeKind {
     /// A stream leaf: the boundary to a remote source (or a replay).
     Stream(StreamLeaf),
-    /// A split: forwards its input to every child (subexpression sharing).
-    Split,
     /// An m-way pipelined join.
     MJoin(MJoin),
     /// A rank-merge producing one user query's top-k.
@@ -195,7 +189,6 @@ impl NodeKind {
     pub fn label(&self) -> &'static str {
         match self {
             NodeKind::Stream(_) => "stream",
-            NodeKind::Split => "split",
             NodeKind::MJoin(_) => "m-join",
             NodeKind::RankMerge(_) => "rank-merge",
         }
@@ -211,12 +204,12 @@ pub struct Node {
     pub kind: NodeKind,
     /// Consumers: `(node, input_index)`. For m-joins the input index selects
     /// the [`MJoinInput`](crate::mjoin::MJoinInput); for rank-merges it
-    /// selects the registered conjunctive query slot; splits ignore it.
+    /// selects the registered conjunctive query slot.
     pub children: Vec<(NodeId, usize)>,
     /// Producers feeding this node.
     pub parents: Vec<NodeId>,
     /// Interned signature of the subexpression this node's output computes,
-    /// when meaningful (streams, m-joins, splits). The QS manager's reuse
+    /// when meaningful (streams, m-joins). The QS manager's reuse
     /// index is keyed on this; resolve the id through the lane's shared
     /// [`SigInterner`](qsys_query::SigInterner) when the actual atoms and
     /// joins are needed.

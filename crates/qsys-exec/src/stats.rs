@@ -84,16 +84,17 @@ pub struct ExecWork {
     /// Arrivals on storing m-join inputs, each charged to the virtual
     /// clock as one store.
     pub module_arrivals: u64,
-    /// … of which wrote an entry: the first consumer of a producer to see
-    /// the tuple. The rest found it stored by a sibling consumer of the
-    /// same producer and only advanced their cursors (see the `access`
-    /// module docs).
+    /// … of which wrote an entry: the first consumer of an m-join
+    /// producer to see the result. The rest found the tuple already
+    /// stored — by the stream leaf that read it, or by a sibling consumer
+    /// of the same m-join — and only advanced their cursors (see the
+    /// `access` module docs).
     pub module_pushes: u64,
     /// Storing inputs created at graft that attached to a module the
-    /// producer's output already fills.
+    /// producer's output already fills (every consumer of a stream leaf).
     pub inputs_attached: u64,
-    /// … that got a new module, prefilled with the producer's pre-epoch
-    /// history (empty for a producer nothing had read yet).
+    /// … that got a new module, prefilled with an m-join producer's
+    /// pre-epoch history (empty for one that has not emitted yet).
     pub inputs_prefilled: u64,
 }
 

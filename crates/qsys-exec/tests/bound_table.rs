@@ -8,7 +8,6 @@
 //! equals what a fresh scan of the arena would produce.
 
 use proptest::prelude::*;
-use qsys_exec::access::{AccessModule, StoredModule};
 use qsys_exec::mjoin::JoinPred;
 use qsys_exec::rank_merge::{CqRegistration, StreamingInput};
 use qsys_exec::{
@@ -69,9 +68,9 @@ fn sources(rows: u64, outage_at_us: u64) -> Sources {
     s
 }
 
-/// One stream leaf per relation behind a split, so every consumer of a
-/// relation shares the leaf. Returns `(leaf, split)` per relation.
-fn shared_leaves(graph: &mut QueryPlanGraph, sources: &Sources) -> Vec<(NodeId, NodeId)> {
+/// One stream leaf per relation, which every consumer of the relation
+/// shares.
+fn shared_leaves(graph: &mut QueryPlanGraph, sources: &Sources) -> Vec<NodeId> {
     (0..RELS)
         .map(|rel| {
             let id = RelId::new(rel);
@@ -86,19 +85,16 @@ fn shared_leaves(graph: &mut QueryPlanGraph, sources: &Sources) -> Vec<(NodeId, 
             } else {
                 StreamBacking::Remote(sources.open_stream(id, None))
             };
-            let leaf = graph.add_stream(backing, None);
-            let split = graph.add_split(None);
-            graph.connect(leaf, split, 0);
-            (leaf, split)
+            graph.add_stream(backing, None)
         })
         .collect()
 }
 
 /// Graft one user query: a rank-merge over one two-way join per `(a, b)`
-/// pair, each join fed by the shared splits.
+/// pair, each join fed by the shared leaves and storing into their modules.
 fn add_uq(
     graph: &mut QueryPlanGraph,
-    leaves: &[(NodeId, NodeId)],
+    leaves: &[NodeId],
     uq: u32,
     k: usize,
     cqs: &[(u32, u32)],
@@ -110,9 +106,10 @@ fn add_uq(
             .iter()
             .map(|&rel| MJoinInput {
                 rels: vec![RelId::new(rel)],
-                module: graph
-                    .modules_mut()
-                    .alloc(AccessModule::Stored(StoredModule::new([]))),
+                module: {
+                    let module = graph.stream_leaf(leaves[rel as usize]).module;
+                    graph.modules_mut().retain(module)
+                },
                 epoch_cap: None,
                 store_arrivals: true,
                 selection: None,
@@ -130,7 +127,7 @@ fn add_uq(
         let streaming = [a, b]
             .iter()
             .map(|&rel| {
-                let leaf = leaves[rel as usize].0;
+                let leaf = leaves[rel as usize];
                 StreamingInput {
                     node: leaf,
                     rels: vec![RelId::new(rel)],
@@ -149,8 +146,8 @@ fn add_uq(
     }
     let rmn = graph.add_rank_merge(rm);
     for (mjn, a, b, slot) in joins {
-        graph.connect(leaves[a as usize].1, mjn, 0);
-        graph.connect(leaves[b as usize].1, mjn, 1);
+        graph.connect(leaves[a as usize], mjn, 0);
+        graph.connect(leaves[b as usize], mjn, 1);
         graph.connect(mjn, rmn, slot);
     }
     rmn
@@ -165,8 +162,8 @@ fn remove_uq(graph: &mut QueryPlanGraph, rmn: NodeId) {
     }
     graph.remove_node(rmn);
     for mj in joins {
-        for split in graph.node(mj).parents.clone() {
-            graph.disconnect(split, mj);
+        for leaf in graph.node(mj).parents.clone() {
+            graph.disconnect(leaf, mj);
         }
         graph.remove_node(mj);
     }
@@ -236,7 +233,7 @@ fn drive(
     run_batch(&mut atc, &mut graph, &sources, &governor, &mut stats);
 
     // A quarantine can only have come from the governed read's error arm.
-    let faulted = leaves[FAULTED as usize].0;
+    let faulted = leaves[FAULTED as usize];
     if graph.stream_leaf(faulted).quarantined {
         assert_eq!(graph.bound_table()[faulted.index()], 0.0);
         assert!(governor.snapshot().quarantined_streams >= 1);

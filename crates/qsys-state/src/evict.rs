@@ -93,8 +93,7 @@ fn node_bytes(graph: &QueryPlanGraph, id: NodeId) -> usize {
     match &graph.node(id).kind {
         NodeKind::MJoin(mj) => mj.approx_bytes(graph.modules()),
         NodeKind::RankMerge(rm) => rm.approx_bytes(),
-        NodeKind::Stream(leaf) => leaf.archive.len() * 16 + 64,
-        NodeKind::Split => 16,
+        NodeKind::Stream(_) => graph.stored_len(id).unwrap_or(0) * 16 + 64,
     }
 }
 

@@ -5,13 +5,19 @@
 //! a cold execution, while reading strictly less from the network.
 
 use crate::manager::QsManager;
+use crate::recover::node_history;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
+use qsys_exec::{
+    Atc, ExecStats, ExecWork, ModuleId, NodeId, NodeKind, QueryPlanGraph, RetryPolicy,
+    SchedulingPolicy, SourceGovernor,
+};
+use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
 use qsys_opt::{Optimizer, OptimizerConfig};
-use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
+use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
 use qsys_source::{Sources, Table};
-use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, Tuple, UqId, UserId, Value};
-use std::collections::BTreeSet;
+use qsys_types::{
+    BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
+};
 use std::sync::Arc;
 
 const N_ROWS: u64 = 40;
@@ -318,64 +324,27 @@ fn eviction_respects_pins_and_budget() {
 }
 
 /// `module` holds `want`, tuple for tuple and epoch for epoch.
-fn module_holds(
-    graph: &qsys_exec::QueryPlanGraph,
-    module: qsys_exec::ModuleId,
-    want: &[(Tuple, qsys_types::Epoch)],
-) {
-    use qsys_types::Epoch;
+fn module_holds(graph: &QueryPlanGraph, module: ModuleId, want: &[(Tuple, Epoch)]) {
     let module = graph.modules().module(module).expect("live").borrow();
     let stored = module
         .as_stored()
         .expect("streaming inputs store their arrivals");
-    assert_eq!(stored.len(), want.len());
-    let epochs: BTreeSet<Epoch> = want.iter().map(|(_, e)| *e).collect();
-    for upto in epochs.iter().map(|e| Epoch(e.0 + 1)) {
-        let got: Vec<&Tuple> = stored.entries_before(upto).collect();
-        let want: Vec<&Tuple> = want
-            .iter()
-            .filter(|(_, e)| *e < upto)
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(got, want, "entries before {upto:?}");
-    }
+    assert_eq!(stored.entries(), want);
 }
 
-/// One graft giving one reused m-join two new consumers derives its output
-/// history once, into one module both attach to — holding, tuple for tuple
-/// and epoch for epoch, what `node_history` produces — and counts one
-/// reconstruction's probes and joins. A later graft with a third consumer
-/// finds the module the first two filled in emission order, so it gets a
-/// fresh one in reconstruction order; its input from a stream leaf that
-/// was read meanwhile attaches to the stream's module, which is the
-/// archive.
-#[test]
-fn graft_derives_a_shared_producers_history_once() {
-    use crate::recover::node_history;
-    use qsys_exec::{ExecWork, NodeId, NodeKind};
-    use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
-
-    let cat = catalog();
-    let src = sources();
-    let mut manager = QsManager::new(usize::MAX);
-    let k = 10;
-    let user = UserId::new(0);
-    let (ab, abc1, abc2) = (
-        path_cq(0, 0, &cat, 2),
-        path_cq(1, 1, &cat, 3),
-        path_cq(2, 2, &cat, 3),
-    );
-    let interner = manager.shared_interner();
-    let [a_sig, b_sig, c_sig] =
-        [0, 1, 2].map(|rel| interner.borrow_mut().relation(RelId::new(rel), None));
-    let ab_sig = interner.borrow_mut().of_cq(&ab);
-    let abc_sig = interner.borrow_mut().of_cq(&abc1);
-    let stream = |sig| SpecNode {
+/// A shared stream over `sig`, in a hand-written plan spec.
+fn stream_node(sig: SigId) -> SpecNode {
+    SpecNode {
         sig,
         kind: SpecNodeKind::Stream,
         share: true,
-    };
-    let join = |sig, inputs: [usize; 2], left: u32, share| SpecNode {
+    }
+}
+
+/// A two-input m-join over spec nodes `inputs`, joining relation `left`'s
+/// column 1 to relation `left + 1`'s column 0.
+fn join_node(sig: SigId, inputs: [usize; 2], left: u32, share: bool) -> SpecNode {
+    SpecNode {
         sig,
         kind: SpecNodeKind::Join {
             inputs: inputs.to_vec(),
@@ -388,21 +357,61 @@ fn graft_derives_a_shared_producers_history_once() {
             }],
         },
         share,
-    };
-    let plan = |cq: &ConjunctiveQuery, sig, root| CqPlan {
+    }
+}
+
+/// `cq`'s plan, rooted at spec node `root`.
+fn cq_plan(cq: &ConjunctiveQuery, sig: SigId, root: usize) -> CqPlan {
+    CqPlan {
         cq: cq.id,
         uq: cq.uq,
-        user,
-        score_fn: ScoreFn::discover(user, cq.atoms.len()),
+        user: cq.user,
+        score_fn: ScoreFn::discover(cq.user, cq.atoms.len()),
         sig,
         root,
         probed: Vec::new(),
-    };
+    }
+}
+
+/// `cq`'s answers equal the exhaustive reference's.
+fn answers_brute_force(manager: &QsManager, src: &Sources, cq: &ConjunctiveQuery, k: usize) {
+    let f = ScoreFn::discover(cq.user, cq.atoms.len());
+    assert_eq!(results_of(manager, cq.uq), brute_force(src, cq, &f, k));
+}
+
+/// One graft giving one reused m-join two new consumers derives its output
+/// history once, into one module both attach to — holding, tuple for tuple
+/// and epoch for epoch, what `node_history` produces — and counts one
+/// reconstruction's probes and joins. A later graft with a third consumer
+/// finds the module the first two filled in emission order, so it gets a
+/// fresh one in reconstruction order; its input from a stream leaf that
+/// was read meanwhile attaches to the leaf's module, as every stream
+/// consumer does.
+#[test]
+fn graft_derives_a_shared_producers_history_once() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let (ab, abc1, abc2) = (
+        path_cq(0, 0, &cat, 2),
+        path_cq(1, 1, &cat, 3),
+        path_cq(2, 2, &cat, 3),
+    );
+    let interner = manager.shared_interner();
+    let [a_sig, b_sig, c_sig] =
+        [0, 1, 2].map(|rel| interner.borrow_mut().relation(RelId::new(rel), None));
+    let ab_sig = interner.borrow_mut().of_cq(&ab);
+    let abc_sig = interner.borrow_mut().of_cq(&abc1);
 
     // UQ0: A ⋈ B as a middleware m-join, run to completion.
     let first = PlanSpec {
-        nodes: vec![stream(a_sig), stream(b_sig), join(ab_sig, [0, 1], 0, true)],
-        cq_plans: vec![plan(&ab, ab_sig, 2)],
+        nodes: vec![
+            stream_node(a_sig),
+            stream_node(b_sig),
+            join_node(ab_sig, [0, 1], 0, true),
+        ],
+        cq_plans: vec![cq_plan(&ab, ab_sig, 2)],
     };
     manager.graft(&first, &src, k);
     run(&mut manager, &src, &[UqId::new(0)]);
@@ -412,14 +421,14 @@ fn graft_derives_a_shared_producers_history_once() {
     // node, one private — so two new inputs take its history in one graft.
     let second = PlanSpec {
         nodes: vec![
-            stream(a_sig),
-            stream(b_sig),
-            join(ab_sig, [0, 1], 0, true),
-            stream(c_sig),
-            join(abc_sig, [2, 3], 1, true),
-            join(abc_sig, [2, 3], 1, false),
+            stream_node(a_sig),
+            stream_node(b_sig),
+            join_node(ab_sig, [0, 1], 0, true),
+            stream_node(c_sig),
+            join_node(abc_sig, [2, 3], 1, true),
+            join_node(abc_sig, [2, 3], 1, false),
         ],
-        cq_plans: vec![plan(&abc1, abc_sig, 4), plan(&abc2, abc_sig, 5)],
+        cq_plans: vec![cq_plan(&abc1, abc_sig, 4), cq_plan(&abc2, abc_sig, 5)],
     };
     let before = *manager.graph().work();
     let outcome = manager.graft(&second, &src, k);
@@ -433,14 +442,14 @@ fn graft_derives_a_shared_producers_history_once() {
     assert!(!want.is_empty() && want == again);
     assert!(once.recovery_probes > 0 && once.recovery_joins > 0);
     assert_eq!(twice.recovery_probes, 2 * once.recovery_probes);
-    // Both A ⋈ B inputs and both C inputs: one new module each (C's empty,
-    // nothing has read it), the second consumer attaching to the first's.
+    // Both A ⋈ B inputs share one new module, the second attaching to the
+    // first's; both C inputs attach to the C leaf's (empty) module.
     assert_eq!(
         ExecWork {
             recovery_probes: before.recovery_probes + once.recovery_probes,
             recovery_joins: before.recovery_joins + once.recovery_joins,
-            inputs_prefilled: before.inputs_prefilled + 2,
-            inputs_attached: before.inputs_attached + 2,
+            inputs_prefilled: before.inputs_prefilled + 1,
+            inputs_attached: before.inputs_attached + 3,
             ..before
         },
         after,
@@ -468,21 +477,20 @@ fn graft_derives_a_shared_producers_history_once() {
     // The grafted plans still answer correctly.
     run(&mut manager, &src, &[UqId::new(1), UqId::new(2)]);
     for cq in [&abc1, &abc2] {
-        let f = ScoreFn::discover(user, 3);
-        assert_eq!(results_of(&manager, cq.uq), brute_force(&src, cq, &f, k));
+        answers_brute_force(&manager, &src, cq, k);
     }
 
     // UQ3: (A ⋈ B) ⋈ C once more, unshared, at a later epoch.
     let abc3 = path_cq(3, 3, &cat, 3);
     let third = PlanSpec {
         nodes: vec![
-            stream(a_sig),
-            stream(b_sig),
-            join(ab_sig, [0, 1], 0, true),
-            stream(c_sig),
-            join(abc_sig, [2, 3], 1, false),
+            stream_node(a_sig),
+            stream_node(b_sig),
+            join_node(ab_sig, [0, 1], 0, true),
+            stream_node(c_sig),
+            join_node(abc_sig, [2, 3], 1, false),
         ],
-        cq_plans: vec![plan(&abc3, abc_sig, 4)],
+        cq_plans: vec![cq_plan(&abc3, abc_sig, 4)],
     };
     let before = *manager.graph().work();
     let outcome = manager.graft(&third, &src, k);
@@ -502,17 +510,75 @@ fn graft_derives_a_shared_producers_history_once() {
     let history = node_history(manager.graph(), ab_node, outcome.epoch, &mut work);
     module_holds(manager.graph(), fresh_ab, &history);
     assert_eq!(
-        attached_c, shared_c,
-        "a stream's consumers share its archive"
+        [attached_c, shared_c],
+        [manager.graph().stream_leaf(c_node).module; 2],
+        "a stream's consumers share its module"
     );
-    let archive = node_history(manager.graph(), c_node, outcome.epoch, &mut work);
-    assert!(!archive.is_empty(), "C was read before this graft");
-    module_holds(manager.graph(), attached_c, &archive);
+    let delivered = node_history(manager.graph(), c_node, outcome.epoch, &mut work);
+    assert!(!delivered.is_empty(), "C was read before this graft");
+    module_holds(manager.graph(), attached_c, &delivered);
 
     run(&mut manager, &src, &[UqId::new(3)]);
-    let f = ScoreFn::discover(user, 3);
+    answers_brute_force(&manager, &src, &abc3, k);
+}
+
+/// A stream first read only by a stream-rooted CQ — no m-join consumer
+/// stores what it delivers — later gets an m-join consumer. The new input
+/// attaches to the leaf's module, which holds every tuple the leaf
+/// delivered with the epoch it was read in: nothing is prefilled or
+/// reconstructed, and the joined query still answers exactly.
+#[test]
+fn a_stream_read_before_its_first_join_is_attached() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let (a, ab) = (path_cq(0, 0, &cat, 1), path_cq(1, 1, &cat, 2));
+    let interner = manager.shared_interner();
+    let [a_sig, b_sig] = [0, 1].map(|rel| interner.borrow_mut().relation(RelId::new(rel), None));
+    let ab_sig = interner.borrow_mut().of_cq(&ab);
+
+    // UQ0: A alone, its stream the CQ's root, run to completion.
+    let first = PlanSpec {
+        nodes: vec![stream_node(a_sig)],
+        cq_plans: vec![cq_plan(&a, a_sig, 0)],
+    };
+    manager.graft(&first, &src, k);
+    run(&mut manager, &src, &[UqId::new(0)]);
+    answers_brute_force(&manager, &src, &a, k);
+    let a_node = manager.graph().find_sig(a_sig).expect("A is resident");
+    let a_module = manager.graph().stream_leaf(a_node).module;
+
+    // UQ1: A ⋈ B over the same A stream.
+    let second = PlanSpec {
+        nodes: vec![
+            stream_node(a_sig),
+            stream_node(b_sig),
+            join_node(ab_sig, [0, 1], 0, true),
+        ],
+        cq_plans: vec![cq_plan(&ab, ab_sig, 2)],
+    };
+    let before = *manager.graph().work();
+    let outcome = manager.graft(&second, &src, k);
+    let after = *manager.graph().work();
     assert_eq!(
-        results_of(&manager, abc3.uq),
-        brute_force(&src, &abc3, &f, k)
+        ExecWork {
+            inputs_attached: before.inputs_attached + 2,
+            ..before
+        },
+        after,
+        "both stream inputs attach; nothing is prefilled or reconstructed"
     );
+    let ab_node = manager.graph().find_sig(ab_sig).expect("A ⋈ B is resident");
+    let NodeKind::MJoin(mj) = &manager.graph().node(ab_node).kind else {
+        panic!("A ⋈ B is an m-join");
+    };
+    assert_eq!(mj.inputs()[0].module, a_module);
+    let mut work = ExecWork::default();
+    let delivered = node_history(manager.graph(), a_node, outcome.epoch, &mut work);
+    assert!(!delivered.is_empty(), "A was read before this graft");
+    module_holds(manager.graph(), a_module, &delivered);
+
+    run(&mut manager, &src, &[UqId::new(1)]);
+    answers_brute_force(&manager, &src, &ab, k);
 }

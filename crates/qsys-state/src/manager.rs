@@ -500,25 +500,27 @@ impl QsManager {
     /// The stored module a new consumer input of `producer` stores into,
     /// with one arena reference taken for it. It must hold exactly what a
     /// private module prefilled with the producer's pre-epoch history
-    /// would (`recover` module docs: attach or prefill), so the producer's
-    /// live module — found through its m-join consumers — is attached only
-    /// when that is certain: for a stream leaf (every consumer's module is
-    /// the archive, in archive order), when this graft created it, or when
-    /// it is empty. Otherwise — an m-join producer whose older consumers
-    /// hold its outputs in *emission* order, while its history comes back
-    /// in *reconstruction* order — a fresh module is prefilled, and the
-    /// rest of the graft attaches to that one.
+    /// would (`recover` module docs: attach or prefill). A stream leaf's
+    /// own module always does. An m-join producer's live module — found
+    /// through its m-join consumers — is attached only when that is
+    /// certain: when this graft created it, or when it is empty.
+    /// Otherwise — its older consumers hold its outputs in *emission*
+    /// order, while its history comes back in *reconstruction* order — a
+    /// fresh module is prefilled, and the rest of the graft attaches to
+    /// that one.
     fn consumer_module(
         &mut self,
         producer: NodeId,
         epoch: Epoch,
         grafted: &mut HashMap<NodeId, ModuleId>,
     ) -> ModuleId {
-        let attach = grafted.get(&producer).copied().or_else(|| {
-            let (live, empty) = self.live_module(producer)?;
-            let stream = matches!(self.graph.node(producer).kind, NodeKind::Stream(_));
-            (stream || empty).then_some(live)
-        });
+        let attach = match &self.graph.node(producer).kind {
+            NodeKind::Stream(leaf) => Some(leaf.module),
+            _ => grafted
+                .get(&producer)
+                .copied()
+                .or_else(|| self.empty_live_module(producer)),
+        };
         let id = match attach {
             Some(live) => {
                 self.graph.work_mut().inputs_attached += 1;
@@ -544,10 +546,10 @@ impl QsManager {
     }
 
     /// The stored module `producer`'s m-join consumers store its output
-    /// in, and whether it is empty.
-    fn live_module(&self, producer: NodeId) -> Option<(ModuleId, bool)> {
-        let modules = self.graph.modules();
-        self.graph
+    /// in, if it is still empty.
+    fn empty_live_module(&self, producer: NodeId) -> Option<ModuleId> {
+        let live = self
+            .graph
             .node(producer)
             .children
             .iter()
@@ -556,13 +558,10 @@ impl QsManager {
                     return None;
                 };
                 let input = mj.inputs().get(slot).filter(|i| i.store_arrivals)?;
-                let empty = modules
-                    .module(input.module)?
-                    .borrow()
-                    .as_stored()?
-                    .is_empty();
-                Some((input.module, empty))
-            })
+                Some(input.module)
+            })?;
+        let module = self.graph.modules().module(live)?.borrow();
+        module.as_stored()?.is_empty().then_some(live)
     }
 
     /// Rank-merge streaming registrations for a CQ: its leaf stream nodes
@@ -625,7 +624,7 @@ impl QsManager {
 
     /// The adaptive loop's observation tap: feed the live execution
     /// state into a lane's [`ObservedStats`]. Every *shared* stream
-    /// leaf reports its archived tuple count and whether its backing is
+    /// leaf reports its delivered tuple count and whether its backing is
     /// exhausted (an exact cardinality), every shared m-join reports
     /// its stored-module size (the real co-location cost), and
     /// per-relation delivery totals accumulate from the leaves.
@@ -643,26 +642,18 @@ impl QsManager {
                     if leaf.quarantined {
                         continue;
                     }
-                    let tuples = leaf.archive.len() as u64;
+                    let tuples = self.graph.stored_len(id).unwrap_or(0) as u64;
                     observed.note_stream(sig, tuples, leaf.backing.exhausted());
                     for rel in leaf.rels() {
                         observed.note_rel(rel, tuples);
                     }
                 }
-                NodeKind::MJoin(mj) => {
+                NodeKind::MJoin(_) => {
                     if self.graph.subtree_quarantined(id) {
                         continue;
                     }
-                    let modules = self.graph.modules();
-                    let stored = mj.inputs().iter().find_map(|i| {
-                        modules
-                            .module(i.module)?
-                            .borrow()
-                            .as_stored()
-                            .map(|s| s.len() as u64)
-                    });
-                    if let Some(stored) = stored {
-                        observed.note_state(sig, stored);
+                    if let Some(stored) = self.graph.stored_len(id) {
+                        observed.note_state(sig, stored as u64);
                     }
                 }
                 _ => {}
@@ -755,20 +746,7 @@ impl ReuseOracle for GraphReuse<'_> {
         if self.manager.graph.subtree_quarantined(node) {
             return None;
         }
-        match &self.manager.graph.try_node(node)?.kind {
-            NodeKind::Stream(leaf) => Some(leaf.archive.len() as u64),
-            NodeKind::MJoin(mj) => {
-                let modules = self.manager.graph.modules();
-                mj.inputs().iter().find_map(|i| {
-                    modules
-                        .module(i.module)?
-                        .borrow()
-                        .as_stored()
-                        .map(|s| s.len() as u64)
-                })
-            }
-            _ => None,
-        }
+        self.manager.graph.stored_len(node).map(|n| n as u64)
     }
 
     fn pin(&self, sig: SigId) {

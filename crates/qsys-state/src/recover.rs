@@ -26,23 +26,25 @@
 //! ### Attach or prefill
 //!
 //! A producer's output is stored once, in one module its consumers share
-//! (the `qsys_exec::access` docs), so a new consumer input gets that history
-//! one of two ways (`QsManager::consumer_module`):
+//! (the `qsys_exec::access` docs), so a new consumer input starts out
+//! holding the producer's history (`QsManager::consumer_module`). A stream
+//! leaf's consumer always attaches to the leaf's own module: it holds
+//! every tuple the leaf delivered, with the epoch it was read in, which is
+//! what [`node_history`] returns for the leaf. An m-join producer's
+//! consumer gets that history one of two ways:
 //!
 //! - it **attaches** to the module the producer's existing consumers store
 //!   into, whenever that module holds exactly what a prefill would, entry
-//!   for entry: a stream leaf's module is its archive in archive order with
-//!   the archive's epochs, which is what [`node_history`] returns for it; a
-//!   module this graft itself prefilled for the producer holds that history
-//!   by construction; and an empty module means the producer never emitted,
-//!   so its reconstruction is empty too;
+//!   for entry: a module this graft itself prefilled for the producer
+//!   holds that history by construction, and an empty module means the
+//!   producer never emitted, so its reconstruction is empty too;
 //! - otherwise it is **prefilled**: a fresh module gets [`node_history`],
-//!   written uncharged, and the rest of the graft attaches to it. This is
-//!   the m-join producer whose older consumers hold its outputs in
-//!   *emission* order, while [`node_history`] reconstructs them in
-//!   *replay* order stamped `e − 1` — the same set, in another order, and
-//!   `recover_state` sorts a replay by score with ties broken by that
-//!   order, so attaching there would move answers.
+//!   written uncharged, and the rest of the graft attaches to it. Older
+//!   consumers hold the producer's outputs in *emission* order, while
+//!   [`node_history`] reconstructs them in *replay* order stamped `e − 1`
+//!   — the same set, in another order, and `recover_state` sorts a replay
+//!   by score with ties broken by that order, so attaching there would
+//!   move answers.
 //!
 //! Either way the new input's cursor starts at the module's length.
 
@@ -56,7 +58,7 @@ use qsys_types::{CqId, Epoch, SimClock, Tuple};
 
 /// Pre-epoch output history of a node, with the epochs tuples arrived in.
 ///
-/// - Stream leaves keep an explicit archive.
+/// - A stream leaf's module holds what it delivered, read by read.
 /// - m-joins reconstruct their output history by replaying one stored
 ///   input's pre-epoch entries against the other access modules capped at
 ///   the epoch — an in-memory, charge-free computation (the original
@@ -71,8 +73,9 @@ pub fn node_history(
     work: &mut ExecWork,
 ) -> Vec<(Tuple, Epoch)> {
     match &graph.node(node).kind {
-        NodeKind::Stream(leaf) => leaf
-            .archive
+        NodeKind::Stream(_) => graph
+            .stream_module(node)
+            .entries()
             .iter()
             .filter(|(_, e)| *e < before)
             .cloned()
@@ -84,12 +87,6 @@ pub fn node_history(
                 .map(|t| (t, stamp))
                 .collect()
         }
-        NodeKind::Split => graph
-            .node(node)
-            .parents
-            .first()
-            .map(|p| node_history(graph, *p, before, work))
-            .unwrap_or_default(),
         NodeKind::RankMerge(_) => Vec::new(),
     }
 }
@@ -126,6 +123,33 @@ fn richest_history(
     Some((idx, s.entries_before(before).cloned().collect()))
 }
 
+/// The inputs of a join replaying `mj`'s input `replay_idx` against the
+/// other inputs' live modules as they stood before `before`: the replay
+/// input is detached — its tuples only ever *arrive*, so it needs no module
+/// and nothing is double-inserted — and every other input names its live
+/// module, capped at `before`. No input stores arrivals, and none takes an
+/// arena reference: a graph-resident caller retains them.
+fn capped_inputs(mj: &MJoin, replay_idx: usize, before: Epoch) -> Vec<MJoinInput> {
+    mj.inputs()
+        .iter()
+        .enumerate()
+        .map(|(idx, input)| {
+            let (module, selection) = if idx == replay_idx {
+                (ModuleId::DETACHED, None)
+            } else {
+                (input.module, input.selection.clone())
+            };
+            MJoinInput {
+                rels: input.rels.clone(),
+                module,
+                epoch_cap: Some(before),
+                store_arrivals: false,
+                selection,
+            }
+        })
+        .collect()
+}
+
 /// Replay one stored input of `mj` (pre-epoch entries, original order)
 /// against the other modules capped at `before`, reproducing exactly the
 /// outputs the m-join emitted before that epoch.
@@ -138,30 +162,8 @@ fn reconstruct_mjoin_history(
     let Some((replay_idx, entries)) = richest_history(mj, modules, before) else {
         return Vec::new();
     };
-    // Temporary capped m-join borrowing the live modules by id (transient:
-    // it never enters the graph, so it takes no arena references). The
-    // replay input is detached — its tuples only ever *arrive*, so it
-    // needs no module and nothing is double-inserted.
-    let mut inputs: Vec<MJoinInput> = Vec::new();
-    for (idx, input) in mj.inputs().iter().enumerate() {
-        if idx == replay_idx {
-            inputs.push(MJoinInput {
-                rels: input.rels.clone(),
-                module: ModuleId::DETACHED,
-                epoch_cap: Some(before),
-                store_arrivals: false,
-                selection: None,
-            });
-        } else {
-            inputs.push(MJoinInput {
-                rels: input.rels.clone(),
-                module: input.module,
-                epoch_cap: Some(before),
-                store_arrivals: false,
-                selection: input.selection.clone(),
-            });
-        }
-    }
+    // Transient: it never enters the graph, so it retains nothing.
+    let inputs = capped_inputs(mj, replay_idx, before);
     let mut temp = MJoin::new(inputs, mj.preds().to_vec(), modules);
     // Free in-memory recomputation: scratch clock and scratch sources.
     let scratch_sources =
@@ -188,8 +190,9 @@ fn reconstruct_mjoin_history(
 /// The recovery plan replays the richest pre-epoch streaming input of the
 /// root m-join against the other access modules capped at `epoch` —
 /// producing exactly the all-old combinations the normal plan will never
-/// trigger. For a stream-rooted (single-input) CQ the archive itself is the
-/// missing output.
+/// trigger. For a stream-rooted (single-input) CQ the leaf's pre-epoch
+/// deliveries are themselves the missing output, replayed straight into
+/// the rank-merge.
 #[allow(clippy::too_many_arguments)]
 pub fn recover_state(
     graph: &mut QueryPlanGraph,
@@ -200,135 +203,68 @@ pub fn recover_state(
     next_recovery_cq: &mut u32,
     interner: &SigInterner,
 ) -> bool {
-    let (replay_tuples, rels): (Vec<Tuple>, Vec<_>) = match &graph.node(root).kind {
-        NodeKind::Stream(leaf) => {
-            let tuples: Vec<Tuple> = leaf
-                .archive
-                .iter()
-                .filter(|(_, e)| *e < epoch)
-                .map(|(t, _)| t.clone())
+    // What CQ^e replays and over which relations, and for an m-join root
+    // the recovery join it replays into: everything is collected from the
+    // live graph first, since building the join needs the graph back.
+    let (tuples, rels, join) = match &graph.node(root).kind {
+        NodeKind::Stream(_) => {
+            let tuples: Vec<Tuple> = graph
+                .stream_module(root)
+                .entries_before(epoch)
+                .cloned()
                 .collect();
-            (tuples, interner.rels(plan.sig).to_vec())
+            (tuples, interner.rels(plan.sig).to_vec(), None)
         }
-        NodeKind::MJoin(_) => {
-            // Find the richest pre-epoch streaming input to replay; if none
-            // has history, nothing was missed. Collect everything needed
-            // from the live join first: building the recovery join takes
-            // arena references, which needs the graph borrow back.
-            let (replay_idx, mut entries, rels, input_specs, preds) = {
-                let NodeKind::MJoin(mj) = &graph.node(root).kind else {
-                    unreachable!()
-                };
-                let Some((replay_idx, entries)) = richest_history(mj, graph.modules(), epoch)
-                else {
-                    return false;
-                };
-                let rels = mj.inputs()[replay_idx].rels.clone();
-                let input_specs: Vec<(Vec<qsys_types::RelId>, ModuleId, Option<_>)> = mj
-                    .inputs()
-                    .iter()
-                    .map(|i| (i.rels.clone(), i.module, i.selection.clone()))
-                    .collect();
-                (replay_idx, entries, rels, input_specs, mj.preds().to_vec())
+        NodeKind::MJoin(mj) => {
+            // No input with history: nothing was missed.
+            let Some((replay_idx, mut entries)) = richest_history(mj, graph.modules(), epoch)
+            else {
+                return false;
             };
             // Replay must be nonincreasing in raw-score product for the
             // rank-merge threshold to be sound. Base-stream arrivals
             // already are; intermediate-component outputs arrive in
             // trigger order, so sort explicitly.
             entries.sort_by(|a, b| b.raw_score_product().total_cmp(&a.raw_score_product()));
-            // Build the recovery m-join: the replay input is detached
-            // (tuples only arrive on it), every other input shares the
-            // live module — graph-resident, so each takes an arena
-            // reference — capped at the epoch.
-            let mut rec_inputs = Vec::new();
-            for (idx, (in_rels, module_id, selection)) in input_specs.into_iter().enumerate() {
-                if idx == replay_idx {
-                    rec_inputs.push(MJoinInput {
-                        rels: in_rels,
-                        module: ModuleId::DETACHED,
-                        epoch_cap: Some(epoch),
-                        store_arrivals: false,
-                        selection: None,
-                    });
-                } else {
-                    rec_inputs.push(MJoinInput {
-                        rels: in_rels,
-                        module: graph.modules_mut().retain(module_id),
-                        epoch_cap: Some(epoch),
-                        store_arrivals: false,
-                        selection,
-                    });
-                }
-            }
-            let rec_join = MJoin::new(rec_inputs, preds, graph.modules());
-            let rec_join_id = graph.add_mjoin(rec_join, None);
-
-            let max_bound = entries
-                .first()
-                .map(|t| t.raw_score_product())
-                .unwrap_or(0.0);
-            let replay_id = graph.add_stream(
-                StreamBacking::Replay {
-                    tuples: entries,
-                    pos: 0,
-                },
-                None,
-            );
-            graph.connect(replay_id, rec_join_id, replay_idx);
-
-            // Register CQ^e as another ranked input of the same UQ,
-            // reporting as the original CQ.
-            let cq_e = CqId::new(*next_recovery_cq);
-            *next_recovery_cq += 1;
-            let other_rels: Vec<_> = interner
-                .rels(plan.sig)
-                .iter()
-                .copied()
-                .filter(|r| !rels.contains(r))
-                .collect();
-            let probed = other_rels
-                .into_iter()
-                .map(|r| {
-                    // Sound (slightly loose) per-relation maxima for the
-                    // capped inputs: score components are in [0, 1].
-                    (r, 1.0)
-                })
-                .collect();
-            let reg = CqRegistration {
-                cq: cq_e,
-                reports_as: plan.cq,
-                score_fn: plan.score_fn.clone(),
-                streaming: vec![StreamingInput {
-                    node: replay_id,
-                    rels,
-                    max_bound,
-                }],
-                probed,
-            };
-            let slot = graph.rank_merge_mut(rm_id).register(reg);
-            graph.connect(rec_join_id, rm_id, slot);
-            return true;
+            let inputs = capped_inputs(mj, replay_idx, epoch);
+            let rels = inputs[replay_idx].rels.clone();
+            (
+                entries,
+                rels,
+                Some((replay_idx, inputs, mj.preds().to_vec())),
+            )
         }
-        _ => (Vec::new(), Vec::new()),
+        NodeKind::RankMerge(_) => return false,
     };
-
-    // Stream-rooted CQ: replay the archive straight into the rank-merge.
-    if replay_tuples.is_empty() {
+    if tuples.is_empty() {
         return false;
     }
+    // The recovery m-join is graph-resident: each input sharing a live
+    // module takes an arena reference (the detached replay input none).
+    let join = join.map(|(replay_idx, inputs, preds)| {
+        for input in &inputs {
+            graph.modules_mut().retain(input.module);
+        }
+        let mj = MJoin::new(inputs, preds, graph.modules());
+        (replay_idx, graph.add_mjoin(mj, None))
+    });
+    let max_bound = tuples[0].raw_score_product();
+    let replay_id = graph.add_stream(StreamBacking::Replay { tuples, pos: 0 }, None);
+    let (feeds_rm, probed) = match join {
+        Some((replay_idx, rec_join)) => {
+            graph.connect(replay_id, rec_join, replay_idx);
+            // Sound (slightly loose) per-relation maxima for the capped
+            // inputs: score components are in [0, 1].
+            let other_rels = interner.rels(plan.sig).iter().copied();
+            let probed = other_rels.filter(|r| !rels.contains(r)).map(|r| (r, 1.0));
+            (rec_join, probed.collect())
+        }
+        None => (replay_id, plan.probed.clone()),
+    };
+    // Register CQ^e as another ranked input of the same UQ, reporting as
+    // the original CQ.
     let cq_e = CqId::new(*next_recovery_cq);
     *next_recovery_cq += 1;
-    let max_bound = replay_tuples
-        .first()
-        .map(|t| t.raw_score_product())
-        .unwrap_or(0.0);
-    let replay_id = graph.add_stream(
-        StreamBacking::Replay {
-            tuples: replay_tuples,
-            pos: 0,
-        },
-        None,
-    );
     let reg = CqRegistration {
         cq: cq_e,
         reports_as: plan.cq,
@@ -338,9 +274,9 @@ pub fn recover_state(
             rels,
             max_bound,
         }],
-        probed: plan.probed.clone(),
+        probed,
     };
     let slot = graph.rank_merge_mut(rm_id).register(reg);
-    graph.connect(replay_id, rm_id, slot);
+    graph.connect(feeds_rm, rm_id, slot);
     true
 }

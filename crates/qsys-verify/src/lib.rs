@@ -380,13 +380,14 @@ pub fn verify_shards(
 /// index, the executor's resident caches (every bound-table slot equal to
 /// its leaf's effective bound, zero elsewhere; the rank-merge list equal to
 /// the ascending arena scan), the arena contract — every live module
-/// slot's refcount equal to its graph residency (m-join inputs naming it)
-/// plus the caller-supplied external registrations (the QS manager's
-/// shared probe-cache table holds one reference per entry) — and the
-/// sharing contract of stored modules (`qsys_exec::access`): a module
-/// several storing inputs name is fed to all of them by one producer, and
-/// each of their cursors equals the module's length, as it must between
-/// routing passes.
+/// slot's refcount equal to its graph residency (stream leaves and m-join
+/// inputs naming it) plus the caller-supplied external registrations (the
+/// QS manager's shared probe-cache table holds one reference per entry) —
+/// and the sharing contract of stored modules (`qsys_exec::access`): every
+/// storing input a stream leaf feeds names that leaf's module, a module
+/// several storing inputs name (or a leaf's module) is fed to all of them
+/// by one producer (the leaf), and each of their cursors equals the
+/// module's length, as it must between routing passes.
 pub fn verify_graph(
     graph: &QueryPlanGraph,
     external_module_refs: &[ModuleId],
@@ -395,6 +396,7 @@ pub fn verify_graph(
     let mut out = Vec::new();
     let mut residency: HashMap<ModuleId, u32> = HashMap::new();
     let mut storing: BTreeMap<ModuleId, Vec<(NodeId, usize)>> = BTreeMap::new();
+    let mut leaf_modules: HashMap<ModuleId, NodeId> = HashMap::new();
     let mut rank_merges: Vec<NodeId> = Vec::new();
     for id in graph.node_ids() {
         let node = graph.node(id);
@@ -403,9 +405,9 @@ pub fn verify_graph(
         // a slot that disagrees with its leaf means some mutation bypassed
         // those paths and the thresholds are being computed from a stale
         // bound.
-        let want = match &node.kind {
-            NodeKind::Stream(leaf) => leaf.effective_bound(),
-            _ => 0.0,
+        let (want, leaf_module) = match &node.kind {
+            NodeKind::Stream(leaf) => (leaf.effective_bound(), Some(leaf.module)),
+            _ => (0.0, None),
         };
         if matches!(node.kind, NodeKind::RankMerge(_)) {
             rank_merges.push(id);
@@ -435,8 +437,8 @@ pub fn verify_graph(
                         ));
                     }
                     if let NodeKind::MJoin(mj) = &c.kind {
-                        if *input_idx >= mj.inputs().len() {
-                            out.push(Violation::new(
+                        match (mj.inputs().get(*input_idx), leaf_module) {
+                            (None, _) => out.push(Violation::new(
                                 ViolationClass::GraphMalformed,
                                 &at,
                                 format!(
@@ -444,7 +446,21 @@ pub fn verify_graph(
                                      has only {} inputs",
                                     mj.inputs().len()
                                 ),
-                            ));
+                            )),
+                            (Some(input), Some(module))
+                                if input.store_arrivals && input.module != module =>
+                            {
+                                out.push(Violation::new(
+                                    ViolationClass::GraphMalformed,
+                                    &at,
+                                    format!(
+                                        "{consumer} input {input_idx} stores into {:?}, not \
+                                         this leaf's module {module:?}",
+                                        input.module
+                                    ),
+                                ))
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -469,7 +485,20 @@ pub fn verify_graph(
                 }
             }
         }
-        // Module residency: every m-join input names a live slot.
+        // Module residency: a stream leaf and every m-join input name a
+        // live slot.
+        if let Some(module) = leaf_module {
+            if graph.modules().ref_count(module).is_none() {
+                out.push(Violation::new(
+                    ViolationClass::RefcountSkew,
+                    &at,
+                    format!("stream leaf names freed module slot {module:?}"),
+                ));
+            } else {
+                *residency.entry(module).or_insert(0) += 1;
+                leaf_modules.insert(module, id);
+            }
+        }
         if let NodeKind::MJoin(mj) = &node.kind {
             for (i, input) in mj.inputs().iter().enumerate() {
                 if input.module.is_detached() {
@@ -490,8 +519,11 @@ pub fn verify_graph(
             }
         }
     }
-    for (module, inputs) in storing.iter().filter(|(_, inputs)| inputs.len() > 1) {
-        out.extend(verify_shared_module(graph, *module, inputs, path));
+    for (module, inputs) in &storing {
+        let owner = leaf_modules.get(module).copied();
+        if inputs.len() > 1 || owner.is_some() {
+            out.extend(verify_shared_module(graph, *module, owner, inputs, path));
+        }
     }
     for id in external_module_refs {
         if graph.modules().ref_count(*id).is_none() {
@@ -547,10 +579,12 @@ pub fn verify_graph(
 
 /// The sharing contract of one stored module that the storing `inputs`
 /// (m-join node, input index) all name: each input has exactly one
-/// producer, the same one, and has seen every entry of the module.
+/// producer, the same one — the stream leaf `owner`, when the module is a
+/// leaf's — and has seen every entry of the module.
 fn verify_shared_module(
     graph: &QueryPlanGraph,
     module: ModuleId,
+    owner: Option<NodeId>,
     inputs: &[(NodeId, usize)],
     path: &str,
 ) -> Vec<Violation> {
@@ -563,7 +597,7 @@ fn verify_shared_module(
     else {
         return out; // a probe cache: arrivals are never stored in one
     };
-    let mut feeding: Option<NodeId> = None;
+    let mut feeding = owner;
     for &(node, input) in inputs {
         let consumer = graph.node(node);
         let producers: Vec<NodeId> = consumer

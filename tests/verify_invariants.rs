@@ -6,7 +6,8 @@
 //!    that verifies clean, apply exactly one class of damage (a refcount
 //!    skew, an overlapping shard split, a cross-section snapshot dangler,
 //!    a stream bound changed behind the executor's bound table, a shared
-//!    stored module out of step with one of its consumers), and require
+//!    stored module out of step with one of its consumers, a stream-fed
+//!    input storing outside its leaf's module), and require
 //!    that the verifier reports *that* class and nothing else. A verifier that
 //!    misses the damage is useless; one that mislabels it sends whoever
 //!    reads the report to the wrong subsystem.
@@ -173,9 +174,10 @@ proptest! {
     /// Corruption class 5: a stored module several m-join inputs share
     /// holds one producer's output, each tuple once, so every sharer is
     /// fed by that producer and, between routing passes, has seen every
-    /// entry. A sharer whose cursor lags — `lag` arrivals reached only its
-    /// sibling — or that another stream feeds is reported as
-    /// `GraphMalformed`; sharers kept in step stay clean.
+    /// entry. Two sharers of a stream leaf's module: one whose cursor lags
+    /// — `lag` arrivals reached only its sibling — or that another stream
+    /// feeds is reported as `GraphMalformed`; sharers kept in step stay
+    /// clean.
     #[test]
     fn shared_module_out_of_step_is_caught(reads in 0usize..5, lag in 0usize..3) {
         let rel = RelId::new(0);
@@ -189,14 +191,11 @@ proptest! {
             let leaves = [0, 1].map(|_| {
                 graph.add_stream(StreamBacking::Remote(sources.open_stream(rel, None)), None)
             });
-            let module = graph
-                .modules_mut()
-                .alloc(AccessModule::Stored(StoredModule::new([])));
-            let sharer = graph.modules_mut().retain(module);
-            let [mut ahead, mut behind] = [module, sharer].map(|module| {
+            let module = graph.stream_leaf(leaves[0]).module;
+            let [mut ahead, mut behind] = [0, 1].map(|_| {
                 let input = MJoinInput {
                     rels: vec![rel],
-                    module,
+                    module: graph.modules_mut().retain(module),
                     epoch_cap: None,
                     store_arrivals: true,
                     selection: None,
@@ -220,6 +219,54 @@ proptest! {
         let two_producers = build(true);
         prop_assert!(!two_producers.is_empty());
         for class in classes(&one_producer).into_iter().chain(classes(&two_producers)) {
+            prop_assert_eq!(class, ViolationClass::GraphMalformed);
+        }
+    }
+
+    /// Corruption class 6: a stream leaf's module is the one record of
+    /// what it delivered, so every storing input the leaf feeds stores
+    /// into it. An input pointed at a private module — holding the very
+    /// same tuples — is reported as `GraphMalformed`; the input attached
+    /// to the leaf's module stays clean.
+    #[test]
+    fn stream_fed_private_module_is_caught(reads in 0usize..5) {
+        let rel = RelId::new(0);
+        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let rows = (0..8)
+            .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
+            .collect();
+        sources.register(Table::new(rel, rows));
+        let governor = SourceGovernor::new(Default::default());
+        let build = |private: bool| {
+            let mut graph = QueryPlanGraph::new();
+            let leaf = graph.add_stream(StreamBacking::Remote(sources.open_stream(rel, None)), None);
+            let module = if private {
+                graph.modules_mut().alloc(AccessModule::Stored(StoredModule::new([])))
+            } else {
+                let module = graph.stream_leaf(leaf).module;
+                graph.modules_mut().retain(module)
+            };
+            let input = MJoinInput {
+                rels: vec![rel],
+                module,
+                epoch_cap: None,
+                store_arrivals: true,
+                selection: None,
+            };
+            let mj = MJoin::new(vec![input], Vec::new(), graph.modules());
+            let mj = graph.add_mjoin(mj, None);
+            graph.connect(leaf, mj, 0);
+            for _ in 0..reads {
+                let read = graph.read_stream_governed(leaf, &sources, &governor);
+                assert_eq!(read, StreamRead::Delivered);
+            }
+            qv::verify_graph(&graph, &[], "t")
+        };
+        let attached = build(false);
+        prop_assert!(attached.is_empty(), "{:?}", attached);
+        let private = build(true);
+        prop_assert!(!private.is_empty());
+        for class in classes(&private) {
             prop_assert_eq!(class, ViolationClass::GraphMalformed);
         }
     }
