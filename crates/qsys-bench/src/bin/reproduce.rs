@@ -41,8 +41,10 @@
 //!
 //! Every subcommand accepts `--seeds N` (instance seeds 41, 48, …; default
 //! 2) and `--lane-threads N` to cap how many ATC-CL lanes execute
-//! concurrently (default: the machine's parallelism; the env equivalent is
-//! `QSYS_LANE_THREADS`). An unknown subcommand or a malformed count exits 2.
+//! concurrently (default: the machine's parallelism,
+//! `EngineConfig::default().lane_threads`). An unknown subcommand or a
+//! malformed count exits 2. Nothing is read from the environment: each
+//! engine is configured by these flags and its driver's `EngineConfig`.
 
 use qsys_bench::*;
 
@@ -59,7 +61,7 @@ fn main() {
         .map(|i| 41 + i * 7)
         .collect();
     // `--lane-threads N`: cap on concurrently executing ATC-CL lanes for
-    // every experiment (the flag equivalent of `QSYS_LANE_THREADS`).
+    // every experiment (`EngineConfig::lane_threads`).
     if let Some(n) = count("--lane-threads") {
         set_lane_threads(n);
     }

@@ -44,7 +44,7 @@ pub enum Scale {
 
 /// Process-wide lane-thread override, set once by the `--lane-threads`
 /// flag before any experiment runs; every engine the drivers build picks
-/// it up (the config equivalent of `QSYS_LANE_THREADS`).
+/// it up as `EngineConfig::lane_threads`.
 static LANE_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// Install the `--lane-threads` override (first call wins).
@@ -53,12 +53,12 @@ pub fn set_lane_threads(n: usize) {
 }
 
 /// The lane-thread count experiments run under: the `--lane-threads`
-/// override if given, else the engine default (env var / parallelism).
+/// override if given, else the machine's parallelism (the engine default).
 pub fn lane_threads() -> usize {
     LANE_THREADS
         .get()
         .copied()
-        .unwrap_or_else(|| EngineConfig::default().lane_threads)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The four configurations of Section 7.1, in the paper's order.
@@ -103,9 +103,6 @@ pub fn gus_engine(mode: SharingMode, batch_size: usize) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads: lane_threads(),
-        // Explicit, not inherited from the environment: the shard sweep
-        // opts in per arm, every other experiment stays unsharded.
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }
@@ -124,7 +121,6 @@ pub fn pfam_engine(mode: SharingMode) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads: lane_threads(),
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }

@@ -381,7 +381,8 @@ pub struct AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Default `min_remaining` when `QSYS_ADAPT_MIN_REMAINING` is unset.
+    /// The `min_remaining` of [`AdaptiveConfig::off`] and
+    /// [`AdaptiveConfig::at`].
     pub const DEFAULT_MIN_REMAINING: f64 = 0.25;
 
     /// Adaptive execution disabled (the default).

@@ -43,7 +43,7 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Default shard cap when `QSYS_SHARD_MAX` is unset.
+    /// The shard cap of [`ShardConfig::off`] and [`ShardConfig::at`].
     pub const DEFAULT_MAX_SHARDS: usize = 8;
 
     /// Sharding disabled (the default).

@@ -28,7 +28,7 @@
 //!
 //! Deterministic snapshot-I/O faults (torn write, short read, bit flip,
 //! rename failure, write-time crash) come from
-//! [`qsys_source::SnapFaults`] (`QSYS_FAULTS` `snap:` clauses) so recovery
+//! [`qsys_source::SnapFaults`] (the fault schedule's `snap:` clauses) so recovery
 //! scenarios replay byte-identically in tests and chaos runs.
 
 pub mod wire;

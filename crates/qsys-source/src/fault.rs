@@ -28,7 +28,7 @@
 //! network delay) and consume no RNG at all. With no injector installed,
 //! the fetch path is byte-identical to the fault-free build.
 //!
-//! # Spec grammar (`QSYS_FAULTS` / [`FaultSpec::parse`])
+//! # Spec grammar ([`FaultSpec::parse`])
 //!
 //! Semicolon-separated clauses; whitespace is ignored:
 //!
@@ -200,8 +200,8 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Parse the `QSYS_FAULTS` grammar. Returns a human-readable error for
-    /// malformed clauses.
+    /// Parse the schedule grammar (module docs). Returns a human-readable
+    /// error for malformed clauses.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
         let mut out = FaultSpec::default();
         for raw in spec.split(';') {
@@ -285,22 +285,6 @@ impl FaultSpec {
             }
         }
         Ok(out)
-    }
-
-    /// Parse a `QSYS_FAULTS` schedule with the variable's value passed
-    /// explicitly (unset = `None`). The environment read itself lives in
-    /// `EngineConfig::default` — the one module allowed to touch process
-    /// environment (enforced by `qsys-lint`) — so a malformed spec
-    /// surfaces through `EngineConfig::validate_all` as a structured
-    /// error instead of panicking inside a `Default` impl.
-    pub fn from_env_value(value: Option<String>) -> Result<Option<FaultSpec>, String> {
-        match value {
-            None => Ok(None),
-            Some(spec) if spec.trim().is_empty() => Ok(None),
-            Some(spec) => FaultSpec::parse(&spec)
-                .map(Some)
-                .map_err(|e| format!("QSYS_FAULTS: {e}")),
-        }
     }
 
     /// The faults in force for `rel`.
@@ -520,22 +504,6 @@ mod tests {
         assert!(spec.default_faults.is_clear());
         let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
         assert_eq!(spec, reparsed);
-    }
-
-    #[test]
-    fn from_env_value_returns_structured_errors() {
-        assert_eq!(FaultSpec::from_env_value(None), Ok(None));
-        assert_eq!(FaultSpec::from_env_value(Some("  ".into())), Ok(None));
-        let ok = FaultSpec::from_env_value(Some("seed=3; transient=0.1".into()))
-            .unwrap()
-            .unwrap();
-        assert_eq!(ok.seed, 3);
-        let err = FaultSpec::from_env_value(Some("transient=oops".into())).unwrap_err();
-        assert!(
-            err.contains("QSYS_FAULTS"),
-            "error names the variable: {err}"
-        );
-        assert!(err.contains("oops"), "error names the bad clause: {err}");
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! that `clippy -D warnings` cannot express because they are *repo
 //! policy*, not general Rust hygiene:
 //!
-//! 1. `env-read` — no `std::env::var*` outside `EngineConfig`
-//!    (`src/engine.rs`). Every knob must surface through
-//!    `EngineConfig::validate_all` as a structured `ConfigError`, never
-//!    get read ad hoc where a typo'd value silently disables a feature.
+//! 1. `env-read` — no `std::env::var*` in non-test code of `src/` or any
+//!    crate, `src/engine.rs` included. The engine is configured by the
+//!    `EngineConfig` value its caller builds and `validate_all` checks;
+//!    a knob read from the environment is one where a typo'd value
+//!    silently disables a feature.
 //! 2. `send-cell` — no `Rc`/`Arc`-free `Rc` or `RefCell` introduced into
 //!    modules that carry a compile-time `assert_send` marker: those
 //!    modules promise their types migrate across lane worker threads.
@@ -162,8 +163,6 @@ struct FileScope {
     bench: bool,
     /// Integration-test code: panics are the assertion vocabulary there.
     test_file: bool,
-    /// `src/engine.rs` — the one legal home for environment reads.
-    engine_config: bool,
     /// One of the executor's per-tuple modules (rule `hot-hash`).
     hot_path: bool,
     /// This lint's own source (its rule list would flag itself).
@@ -188,7 +187,6 @@ fn scope_of(rel: &str) -> FileScope {
         engine_path,
         bench,
         test_file,
-        engine_config: rel == "src/engine.rs",
         hot_path: ["access", "mjoin", "rank_merge", "graph"]
             .iter()
             .any(|m| rel == format!("crates/qsys-exec/src/{m}.rs")),
@@ -258,9 +256,8 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             });
         }
 
-        // Rule 1: environment reads live in EngineConfig only.
-        if !scope.engine_config
-            && !in_tests
+        // Rule 1: configuration is a value, never the environment.
+        if !in_tests
             && (code.contains("env::var") || code.contains("env::vars"))
             && !allowed("env-read")
         {
@@ -268,8 +265,8 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 rule: "env-read",
                 file: file.to_path_buf(),
                 line: lineno,
-                message: "environment read outside EngineConfig — route the knob through \
-                          src/engine.rs so validate_all() reports it"
+                message: "environment read — make the knob an EngineConfig field (or a \
+                          flag of the binary) so validate_all() checks it"
                     .into(),
             });
         }
@@ -403,4 +400,36 @@ fn strip_strings(line: &str) -> String {
         prev = c;
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint(rel: &str, text: &str) -> Vec<(&'static str, usize)> {
+        let root = Path::new("/ws");
+        let mut findings = Vec::new();
+        lint_file(root, &root.join(rel), text, &mut findings);
+        findings.iter().map(|f| (f.rule, f.line)).collect()
+    }
+
+    #[test]
+    fn env_read_is_flagged_everywhere_outside_tests() {
+        let read = "fn knob() -> bool {\n    std::env::var(\"KNOB\").is_ok()\n}\n";
+        // The engine config module is not exempt.
+        assert_eq!(lint("src/engine.rs", read), [("env-read", 2)]);
+        assert_eq!(lint("crates/qsys-exec/src/atc.rs", read), [("env-read", 2)]);
+        let read_os = "fn knob() -> bool {\n    std::env::var_os(\"KNOB\").is_some()\n}\n";
+        assert_eq!(lint("src/session.rs", read_os), [("env-read", 2)]);
+        // Test code may read the environment.
+        assert!(lint("tests/chaos.rs", read).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{read}}}\n");
+        assert!(lint("src/engine.rs", &in_test_mod).is_empty());
+        // A justified allow suppresses it.
+        let allowed =
+            "// lint:allow(env-read): the binary's own flag\nlet _ = std::env::var(\"X\");\n";
+        assert!(lint("crates/qsys-bench/src/lib.rs", allowed).is_empty());
+        // The name inside a string literal is not a read.
+        assert!(lint("src/engine.rs", "let s = \"std::env::var\";\n").is_empty());
+    }
 }

@@ -14,7 +14,7 @@
 //! reader guards, or changes a decision: the verifier is a diagnostic
 //! layer the engine calls at phase boundaries (post-cluster, post-graft,
 //! post-replan, pre-snapshot-publish) when `debug_assertions` are on or
-//! `QSYS_VERIFY=1` is set, and that `reproduce verify` runs over whole
+//! `EngineConfig::verify` is set, and that `reproduce verify` runs over whole
 //! workloads and on-disk snapshots.
 //!
 //! The companion `qsys-lint` binary (same crate) is the *source* half of

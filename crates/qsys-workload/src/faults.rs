@@ -1,12 +1,11 @@
 //! Fault-schedule generation for chaos experiments.
 //!
-//! [`FaultPlan`] assembles the `QSYS_FAULTS` schedule strings the engine's
+//! [`FaultPlan`] assembles the fault-schedule strings the engine's
 //! fault injector parses (`qsys_source::fault::FaultSpec`): deterministic
 //! seeded transient-error rates, slow rounds, hard outage windows, and the
 //! lane panic hook. The interface is the grammar *string* on purpose —
-//! workload generation stays independent of the source layer, and the same
-//! plan can be handed to `EngineConfig`, an environment variable, or a CI
-//! matrix leg unchanged.
+//! workload generation stays independent of the source layer, and
+//! `FaultSpec::parse` turns the plan into `EngineConfig::faults`.
 //!
 //! ```
 //! use qsys_workload::faults::FaultPlan;
@@ -78,7 +77,7 @@ impl FaultPlan {
         self
     }
 
-    /// Render the `QSYS_FAULTS` schedule string.
+    /// Render the fault-schedule string (`FaultSpec::parse`'s grammar).
     pub fn build(&self) -> String {
         let mut out = format!("seed={}", self.seed);
         for clause in &self.clauses {

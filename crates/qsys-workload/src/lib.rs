@@ -13,8 +13,8 @@
 //! store + the query script.
 //!
 //! [`faults`] rides along for chaos experiments: it generates the
-//! deterministic `QSYS_FAULTS` schedule strings the engine's fault
-//! injector consumes.
+//! deterministic fault-schedule strings the engine's fault injector
+//! consumes.
 
 pub mod faults;
 pub mod gus;

@@ -95,23 +95,19 @@ pub struct EngineConfig {
     /// produces multiple lanes (one per query cluster); they share no
     /// mutable state, so running them in parallel changes wall time but
     /// no result, statistic, or sharing decision. `1` preserves strictly
-    /// sequential lane order. Defaults to the `QSYS_LANE_THREADS`
-    /// environment variable if set, else the machine's available
+    /// sequential lane order. Defaults to the machine's available
     /// parallelism.
     pub lane_threads: usize,
     /// Feed each batch's search from the lane's cross-batch caches of its
     /// batch-invariant inputs (`qsys_opt::warm`: cost facts, candidate
     /// enumerations, canonical rank). Every batch searches either way and
     /// decisions are bit-identical — the store is a cache, never a policy
-    /// change — so this knob only trades host time. Defaults to on;
-    /// `QSYS_WARM_OPT=0` disables it (the CI leg keeping the cold path
-    /// exercised).
+    /// change — so this knob only trades host time. Defaults to on.
     pub warm_opt: bool,
     /// Deterministic fault schedule for the source layer (chaos testing).
-    /// `None` — the default when `QSYS_FAULTS` is unset — leaves every
-    /// fetch infallible and execution byte-identical to a build without
-    /// the fault machinery. See `qsys_source::fault::FaultSpec` for the
-    /// schedule grammar.
+    /// `None` — the default — leaves every fetch infallible and execution
+    /// byte-identical to a build without the fault machinery. See
+    /// `qsys_source::fault::FaultSpec` for the schedule grammar.
     pub faults: Option<FaultSpec>,
     /// Retry / timeout / circuit-breaker policy applied when `faults` is
     /// active (inert otherwise).
@@ -120,8 +116,8 @@ pub struct EngineConfig {
     /// persistence of the interner arena + warm store, `qsys_snapshot`).
     /// When set, the engine rehydrates from `<dir>/qsys.snapshot` at
     /// construction and re-publishes on batch boundaries (see
-    /// [`EngineConfig::snapshot_every`]). `None` — the default when
-    /// `QSYS_SNAPSHOT_DIR` is unset — disables persistence entirely.
+    /// [`EngineConfig::snapshot_every`]). `None` — the default — disables
+    /// persistence entirely.
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// Oversized-cluster sharding (ATC-CL only): when a cluster's
     /// estimated work exceeds `sharding.threshold` UQ-equivalents at lane
@@ -131,9 +127,7 @@ pub struct EngineConfig {
     /// shard of their cluster. Sharding trades intra-cluster *sharing*
     /// for lane-wall *balance* but never changes any query's result
     /// multiset. Off by default (`threshold: None`) — lane topology is
-    /// then byte-identical to the pre-sharding engine. Environment knobs:
-    /// `QSYS_SHARD_THRESHOLD` (a work estimate ≥ 1, or `off`/`0`) and
-    /// `QSYS_SHARD_MAX` (shard cap, default 8).
+    /// then byte-identical to the pre-sharding engine.
     pub sharding: ShardConfig,
     /// Adaptive mid-flight re-optimization: when enabled
     /// (`adaptive.drift` set), each sharing lane periodically compares
@@ -145,49 +139,42 @@ pub struct EngineConfig {
     /// path, re-grafting them onto the live state. The result multiset
     /// per query is identical to the static plan's
     /// (`tests/adaptive_identity.rs`). Off by default — no observation,
-    /// no drift checks, goldens byte-identical. Environment knobs:
-    /// `QSYS_ADAPT_DRIFT` (a ratio > 1, or `off`/`0`) and
-    /// `QSYS_ADAPT_MIN_REMAINING` (fraction of the batch that must
-    /// still be re-plannable, default 0.25). Requires `warm_opt` (the
+    /// no drift checks, goldens byte-identical. `AdaptiveConfig::at(r)`
+    /// enables it at drift ratio `r` > 1. Requires `warm_opt` (the
     /// corrected facts live in the warm store) — inert without it.
     pub adaptive: AdaptiveConfig,
     /// Auto-snapshot cadence when [`EngineConfig::snapshot_dir`] is set:
     /// publish a fresh snapshot after every this-many dispatched batches
     /// (callers can force one any time with `Engine::snapshot()`).
-    /// Defaults to 1 — every batch boundary — overridable via
-    /// `QSYS_SNAPSHOT_EVERY`. Must be ≥ 1.
+    /// Defaults to 1 — every batch boundary. Must be ≥ 1.
     pub snapshot_every: usize,
     /// Run the `qsys-verify` invariant verifier at every phase boundary
     /// (post-cluster, post-graft, post-replan, pre-snapshot-publish).
-    /// Always on in debug builds (`debug_assertions`); this knob —
-    /// `QSYS_VERIFY=1` — turns it on for release builds too. A violation
-    /// panics the offending lane with the full structured report: a
-    /// broken sharing invariant means later answers cannot be trusted,
-    /// so the engine fails loudly at the boundary that broke it.
+    /// Always on in debug builds (`debug_assertions`); this knob turns it
+    /// on for release builds too. A violation panics the offending lane
+    /// with the full structured report: a broken sharing invariant means
+    /// later answers cannot be trusted, so the engine fails loudly at the
+    /// boundary that broke it.
     pub verify: bool,
     /// Print the shard plan (`SHARD cluster … shard …` lines to stderr)
-    /// whenever an oversized cluster splits. `QSYS_SHARD_DEBUG` (any
-    /// value) enables it; purely diagnostic, never changes routing.
+    /// whenever an oversized cluster splits. Purely diagnostic, never
+    /// changes routing.
     pub shard_debug: bool,
-    /// Environment parse failures captured by `Default` (a malformed
-    /// `QSYS_FAULTS` or `QSYS_SNAPSHOT_EVERY`). `Default` must stay
-    /// infallible, so instead of panicking mid-construction the errors are
-    /// recorded here, [`EngineConfig::validate`] surfaces them as
-    /// structured [`ConfigError`]s, and an engine built from an
-    /// un-validated bad config runs with the offending knob disabled and
-    /// reports the error in its `RunReport` rather than ignoring it.
+    /// Errors a caller attaches to the config it hands over;
+    /// [`EngineConfig::validate_all`] reports them before any field
+    /// check. The engine never writes this field. It remains only because
+    /// the benchmark's config literal names every field; ROADMAP item
+    /// 1(b) removes it.
     pub env_errors: Vec<ConfigError>,
 }
 
 /// A structured configuration error: which field is bad and why.
 ///
-/// Produced by [`EngineConfig::validate`] — both for environment parse
-/// failures captured at `Default` time (`QSYS_FAULTS`,
-/// `QSYS_SNAPSHOT_EVERY`) and for invariant violations in
-/// programmatically-built configs.
+/// Produced by [`EngineConfig::validate`] for invariant violations of a
+/// config's fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
-    /// The `EngineConfig` field (or environment variable) at fault.
+    /// The `EngineConfig` field at fault.
     pub field: &'static str,
     /// Human-readable reason.
     pub message: String,
@@ -205,177 +192,11 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Default lane-thread count: `QSYS_LANE_THREADS` override (the CI knob
-/// exercising the threaded path) or the machine's parallelism.
-fn default_lane_threads() -> usize {
-    if let Some(n) = std::env::var("QSYS_LANE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Default warm-start gate: on unless `QSYS_WARM_OPT=0` (the env knob CI
-/// uses to keep the cold optimizer path exercised by the whole suite).
-fn default_warm_opt() -> bool {
-    std::env::var("QSYS_WARM_OPT").map_or(true, |v| v != "0")
-}
-
-/// Parse a `QSYS_SNAPSHOT_EVERY` value (unset = the default cadence of 1).
-/// Split out from the environment read so malformed values are unit-testable
-/// without mutating process state.
-pub(crate) fn parse_snapshot_every(value: Option<String>) -> Result<usize, String> {
-    match value {
-        None => Ok(1),
-        Some(v) if v.trim().is_empty() => Ok(1),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(n) => Err(format!("QSYS_SNAPSHOT_EVERY: cadence {n} must be ≥ 1")),
-            Err(_) => Err(format!("QSYS_SNAPSHOT_EVERY: `{v}` is not a batch count")),
-        },
-    }
-}
-
-/// Parse a `QSYS_SHARD_THRESHOLD` value: unset, empty, `off`, or `0`
-/// disable sharding; anything else must be a finite work estimate ≥ 1
-/// (in UQ-equivalents). Split out like [`parse_snapshot_every`] so
-/// malformed values are unit-testable without mutating process state.
-pub(crate) fn parse_shard_threshold(value: Option<String>) -> Result<Option<f64>, String> {
-    let Some(v) = value else { return Ok(None) };
-    let v = v.trim();
-    if v.is_empty() || v == "off" || v == "0" {
-        return Ok(None);
-    }
-    match v.parse::<f64>() {
-        Ok(t) if t.is_finite() && t >= 1.0 => Ok(Some(t)),
-        Ok(t) => Err(format!(
-            "QSYS_SHARD_THRESHOLD: {t} must be a finite work estimate ≥ 1 (or `off`)"
-        )),
-        Err(_) => Err(format!(
-            "QSYS_SHARD_THRESHOLD: `{v}` is not a work estimate"
-        )),
-    }
-}
-
-/// Parse a `QSYS_ADAPT_DRIFT` value: unset, empty, `off`, or `0`
-/// disable adaptive re-optimization; anything else must be a finite
-/// drift ratio > 1 (an observation/estimate divergence factor).
-pub(crate) fn parse_adapt_drift(value: Option<String>) -> Result<Option<f64>, String> {
-    let Some(v) = value else { return Ok(None) };
-    let v = v.trim();
-    if v.is_empty() || v == "off" || v == "0" {
-        return Ok(None);
-    }
-    match v.parse::<f64>() {
-        Ok(t) if t.is_finite() && t > 1.0 => Ok(Some(t)),
-        Ok(t) => Err(format!(
-            "QSYS_ADAPT_DRIFT: {t} must be a finite drift ratio > 1 (or `off`)"
-        )),
-        Err(_) => Err(format!("QSYS_ADAPT_DRIFT: `{v}` is not a drift ratio")),
-    }
-}
-
-/// Parse a `QSYS_ADAPT_MIN_REMAINING` value (unset = the default
-/// fraction): how much of a batch must still be re-plannable for a
-/// mid-batch replan to pay, as a fraction in [0, 1].
-pub(crate) fn parse_adapt_min_remaining(value: Option<String>) -> Result<f64, String> {
-    match value {
-        None => Ok(AdaptiveConfig::DEFAULT_MIN_REMAINING),
-        Some(v) if v.trim().is_empty() => Ok(AdaptiveConfig::DEFAULT_MIN_REMAINING),
-        Some(v) => match v.trim().parse::<f64>() {
-            Ok(f) if f.is_finite() && (0.0..=1.0).contains(&f) => Ok(f),
-            Ok(f) => Err(format!(
-                "QSYS_ADAPT_MIN_REMAINING: {f} must be a fraction in [0, 1]"
-            )),
-            Err(_) => Err(format!("QSYS_ADAPT_MIN_REMAINING: `{v}` is not a fraction")),
-        },
-    }
-}
-
-/// Parse a `QSYS_SHARD_MAX` value (unset = the default cap).
-pub(crate) fn parse_shard_max(value: Option<String>) -> Result<usize, String> {
-    match value {
-        None => Ok(ShardConfig::DEFAULT_MAX_SHARDS),
-        Some(v) if v.trim().is_empty() => Ok(ShardConfig::DEFAULT_MAX_SHARDS),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(n) => Err(format!("QSYS_SHARD_MAX: cap {n} must be ≥ 1 shard")),
-            Err(_) => Err(format!("QSYS_SHARD_MAX: `{v}` is not a shard count")),
-        },
-    }
-}
-
-/// Parse a `QSYS_VERIFY` value: unset, empty, or `0` leave phase-boundary
-/// verification to the `debug_assertions` default; anything else turns it
-/// on. Never an error — there is no way to misspell "on" dangerously.
-pub(crate) fn parse_verify(value: Option<String>) -> bool {
-    value.is_some_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
+/// Section 7's set-up with every feature beyond the paper off. A plain
+/// value: nothing here reads the process environment, so two engines built
+/// from `EngineConfig::default()` on one machine are configured alike.
 impl Default for EngineConfig {
     fn default() -> Self {
-        let mut env_errors = Vec::new();
-        // The environment reads for every engine knob live here, and only
-        // here (enforced by `qsys-lint`'s `env-read` rule): `Default`
-        // captures the raw values, the `parse_*` helpers keep the parsing
-        // testable without process-global state, and `validate_all`
-        // surfaces whatever was malformed.
-        let faults =
-            FaultSpec::from_env_value(std::env::var("QSYS_FAULTS").ok()).unwrap_or_else(|e| {
-                env_errors.push(ConfigError {
-                    field: "faults",
-                    message: e,
-                });
-                None
-            });
-        let snapshot_every = parse_snapshot_every(std::env::var("QSYS_SNAPSHOT_EVERY").ok())
-            .unwrap_or_else(|e| {
-                env_errors.push(ConfigError {
-                    field: "snapshot_every",
-                    message: e,
-                });
-                1
-            });
-        // A malformed shard knob disables sharding (the conservative
-        // topology) and reports, mirroring the other env knobs.
-        let shard_threshold = parse_shard_threshold(std::env::var("QSYS_SHARD_THRESHOLD").ok())
-            .unwrap_or_else(|e| {
-                env_errors.push(ConfigError {
-                    field: "sharding.threshold",
-                    message: e,
-                });
-                None
-            });
-        let shard_max = parse_shard_max(std::env::var("QSYS_SHARD_MAX").ok()).unwrap_or_else(|e| {
-            env_errors.push(ConfigError {
-                field: "sharding.max_shards",
-                message: e,
-            });
-            ShardConfig::DEFAULT_MAX_SHARDS
-        });
-        // A malformed adaptive knob disables re-planning (the
-        // conservative, static behaviour) and reports.
-        let adapt_drift =
-            parse_adapt_drift(std::env::var("QSYS_ADAPT_DRIFT").ok()).unwrap_or_else(|e| {
-                env_errors.push(ConfigError {
-                    field: "adaptive.drift",
-                    message: e,
-                });
-                None
-            });
-        let adapt_min_remaining =
-            parse_adapt_min_remaining(std::env::var("QSYS_ADAPT_MIN_REMAINING").ok())
-                .unwrap_or_else(|e| {
-                    env_errors.push(ConfigError {
-                        field: "adaptive.min_remaining",
-                        message: e,
-                    });
-                    AdaptiveConfig::DEFAULT_MIN_REMAINING
-                });
         EngineConfig {
             k: 50,
             batch_size: 5,
@@ -389,35 +210,24 @@ impl Default for EngineConfig {
             scheduling: SchedulingPolicy::RoundRobin,
             share_probe_caches: true,
             seed: 0,
-            lane_threads: default_lane_threads(),
-            warm_opt: default_warm_opt(),
-            faults,
+            lane_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            warm_opt: true,
+            faults: None,
             retry: RetryPolicy::default(),
-            snapshot_dir: std::env::var("QSYS_SNAPSHOT_DIR")
-                .ok()
-                .filter(|d| !d.trim().is_empty())
-                .map(std::path::PathBuf::from),
-            sharding: ShardConfig {
-                threshold: shard_threshold,
-                max_shards: shard_max,
-            },
-            adaptive: AdaptiveConfig {
-                drift: adapt_drift,
-                min_remaining: adapt_min_remaining,
-            },
-            snapshot_every,
-            verify: parse_verify(std::env::var("QSYS_VERIFY").ok()),
-            shard_debug: std::env::var_os("QSYS_SHARD_DEBUG").is_some(),
-            env_errors,
+            snapshot_dir: None,
+            sharding: ShardConfig::off(),
+            adaptive: AdaptiveConfig::off(),
+            snapshot_every: 1,
+            verify: false,
+            shard_debug: false,
+            env_errors: Vec::new(),
         }
     }
 }
 
 impl EngineConfig {
     /// Validate the configuration, surfacing the first problem as a
-    /// structured [`ConfigError`]: environment parse failures captured at
-    /// `Default` time (a malformed `QSYS_FAULTS` schedule no longer
-    /// panics — it lands here) and basic invariants of the numeric knobs.
+    /// structured [`ConfigError`]: basic invariants of the numeric knobs.
     /// The full aggregated list is [`EngineConfig::validate_all`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self.validate_all().into_iter().next() {
@@ -426,9 +236,9 @@ impl EngineConfig {
         }
     }
 
-    /// Every problem with this configuration, aggregated: environment
-    /// parse failures first (in capture order), then field-invariant
-    /// violations in declaration order. Empty means the config is sound.
+    /// Every problem with this configuration, aggregated: the caller's
+    /// `env_errors` first (in order), then field-invariant violations in
+    /// declaration order. Empty means the config is sound.
     /// Unlike [`EngineConfig::validate`] this does not stop at the first
     /// error, so an operator fixing a broken deployment sees the whole
     /// list at once instead of one knob per restart.
@@ -495,7 +305,7 @@ impl EngineConfig {
     }
 
     /// Whether phase-boundary invariant verification is active: always in
-    /// debug builds, or per the `verify` knob (`QSYS_VERIFY=1`).
+    /// debug builds, or per the `verify` knob.
     pub(crate) fn verify_phases(&self) -> bool {
         cfg!(debug_assertions) || self.verify
     }
@@ -1114,101 +924,35 @@ mod tests {
         assert_eq!(c.k, 50);
         assert_eq!(c.batch_size, 5);
         assert_eq!(c.arrival_window_us, None, "paper setup seals by count");
+        assert_eq!(c.sharing, SharingMode::AtcFull);
+        assert_eq!(c.memory_budget, usize::MAX);
         assert_eq!(c.scheduling, SchedulingPolicy::RoundRobin);
         assert_eq!(c.eviction, EvictionPolicy::LruSizeTieBreak);
-        assert!(c.lane_threads >= 1, "at least one lane thread");
-    }
-
-    #[test]
-    fn snapshot_every_parses_or_explains() {
-        assert_eq!(parse_snapshot_every(None), Ok(1));
-        assert_eq!(parse_snapshot_every(Some("".into())), Ok(1));
-        assert_eq!(parse_snapshot_every(Some(" 8 ".into())), Ok(8));
-        for bad in ["0", "-1", "five", "1.5"] {
-            let err = parse_snapshot_every(Some(bad.into())).expect_err(bad);
-            assert!(
-                err.contains("QSYS_SNAPSHOT_EVERY"),
-                "error for '{bad}' must name the knob: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_knobs_parse_or_explain() {
-        // Threshold: unset / empty / off / 0 disable; ≥ 1 enables.
-        assert_eq!(parse_shard_threshold(None), Ok(None));
-        assert_eq!(parse_shard_threshold(Some("".into())), Ok(None));
-        assert_eq!(parse_shard_threshold(Some("off".into())), Ok(None));
-        assert_eq!(parse_shard_threshold(Some("0".into())), Ok(None));
-        assert_eq!(parse_shard_threshold(Some(" 4 ".into())), Ok(Some(4.0)));
-        assert_eq!(parse_shard_threshold(Some("1.5".into())), Ok(Some(1.5)));
-        for bad in ["0.5", "-3", "NaN", "inf", "many"] {
-            let err = parse_shard_threshold(Some(bad.into())).expect_err(bad);
-            assert!(
-                err.contains("QSYS_SHARD_THRESHOLD"),
-                "error for '{bad}' must name the knob: {err}"
-            );
-        }
-        // Max shards: unset/empty default, ≥ 1 required.
-        assert_eq!(parse_shard_max(None), Ok(ShardConfig::DEFAULT_MAX_SHARDS));
+        assert!(c.share_probe_caches);
         assert_eq!(
-            parse_shard_max(Some(" ".into())),
-            Ok(ShardConfig::DEFAULT_MAX_SHARDS)
+            c.lane_threads,
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         );
-        assert_eq!(parse_shard_max(Some("4".into())), Ok(4));
-        for bad in ["0", "-2", "2.5", "lots"] {
-            let err = parse_shard_max(Some(bad.into())).expect_err(bad);
-            assert!(
-                err.contains("QSYS_SHARD_MAX"),
-                "error for '{bad}' must name the knob: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_knobs_parse_or_explain() {
-        // Drift: unset / empty / off / 0 disable; > 1 enables.
-        assert_eq!(parse_adapt_drift(None), Ok(None));
-        assert_eq!(parse_adapt_drift(Some("".into())), Ok(None));
-        assert_eq!(parse_adapt_drift(Some("off".into())), Ok(None));
-        assert_eq!(parse_adapt_drift(Some("0".into())), Ok(None));
-        assert_eq!(parse_adapt_drift(Some(" 2 ".into())), Ok(Some(2.0)));
-        assert_eq!(parse_adapt_drift(Some("1.5".into())), Ok(Some(1.5)));
-        for bad in ["1", "0.5", "-3", "NaN", "inf", "lots"] {
-            let err = parse_adapt_drift(Some(bad.into())).expect_err(bad);
-            assert!(
-                err.contains("QSYS_ADAPT_DRIFT"),
-                "error for '{bad}' must name the knob: {err}"
-            );
-        }
-        // Min remaining: unset/empty default, fraction in [0, 1].
-        assert_eq!(
-            parse_adapt_min_remaining(None),
-            Ok(AdaptiveConfig::DEFAULT_MIN_REMAINING)
-        );
-        assert_eq!(
-            parse_adapt_min_remaining(Some(" ".into())),
-            Ok(AdaptiveConfig::DEFAULT_MIN_REMAINING)
-        );
-        assert_eq!(parse_adapt_min_remaining(Some("0".into())), Ok(0.0));
-        assert_eq!(parse_adapt_min_remaining(Some("0.5".into())), Ok(0.5));
-        assert_eq!(parse_adapt_min_remaining(Some("1".into())), Ok(1.0));
-        for bad in ["1.5", "-0.1", "NaN", "half"] {
-            let err = parse_adapt_min_remaining(Some(bad.into())).expect_err(bad);
-            assert!(
-                err.contains("QSYS_ADAPT_MIN_REMAINING"),
-                "error for '{bad}' must name the knob: {err}"
-            );
-        }
+        // Every feature beyond the paper is off, and nothing is inherited
+        // from the process environment.
+        assert!(c.warm_opt, "warm start is a cache, on by default");
+        assert!(c.faults.is_none());
+        assert_eq!(c.snapshot_dir, None);
+        assert_eq!(c.sharding, ShardConfig::off());
+        assert_eq!(c.adaptive, AdaptiveConfig::off());
+        assert_eq!(c.snapshot_every, 1);
+        assert!(!c.verify);
+        assert!(!c.shard_debug);
+        assert!(c.env_errors.is_empty());
+        assert_eq!(c.validate_all(), Vec::new(), "the default is sound");
     }
 
     #[test]
     fn validate_checks_adaptive_invariants() {
         let mut config = EngineConfig {
-            env_errors: Vec::new(),
+            adaptive: AdaptiveConfig::at(1.0),
             ..EngineConfig::default()
         };
-        config.adaptive = AdaptiveConfig::at(1.0);
         let err = config.validate().expect_err("ratio 1 never drifts");
         assert_eq!(err.field, "adaptive.drift");
         config.adaptive = AdaptiveConfig {
@@ -1231,10 +975,9 @@ mod tests {
     #[test]
     fn validate_checks_shard_invariants() {
         let mut config = EngineConfig {
-            env_errors: Vec::new(),
+            sharding: ShardConfig::at(0.25),
             ..EngineConfig::default()
         };
-        config.sharding = ShardConfig::at(0.25);
         let err = config.validate().expect_err("sub-unit threshold invalid");
         assert_eq!(err.field, "sharding.threshold");
         config.sharding = ShardConfig {
@@ -1259,13 +1002,15 @@ mod tests {
         let mut config = EngineConfig {
             env_errors: vec![ConfigError {
                 field: "faults",
-                message: "QSYS_FAULTS: bad clause".into(),
+                message: "bad clause".into(),
             }],
             ..EngineConfig::default()
         };
-        // A captured environment error outranks field checks…
+        // A caller-attached error outranks field checks…
         config.snapshot_every = 0;
-        let err = config.validate().expect_err("env error fails validation");
+        let err = config
+            .validate()
+            .expect_err("an attached error fails validation");
         assert_eq!(err.field, "faults");
         assert!(err.to_string().contains("bad clause"));
         // …and once it is cleared, the field invariant reports.
@@ -1281,7 +1026,7 @@ mod tests {
         let mut config = EngineConfig {
             env_errors: vec![ConfigError {
                 field: "faults",
-                message: "QSYS_FAULTS: bad clause".into(),
+                message: "bad clause".into(),
             }],
             ..EngineConfig::default()
         };
@@ -1291,7 +1036,7 @@ mod tests {
         config.snapshot_every = 0;
         let errors = config.validate_all();
         let fields: Vec<&str> = errors.iter().map(|e| e.field).collect();
-        // Every failure reported at once, env capture first, then the
+        // Every failure reported at once, attached errors first, then the
         // invariants in declaration order — and validate() stays the
         // first-error view of the same list.
         assert_eq!(
@@ -1320,25 +1065,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_verify_reads_like_a_feature_flag() {
-        // Any non-empty value other than "0" opts in.
-        assert!(parse_verify(Some("1".into())));
-        assert!(parse_verify(Some("true".into())));
-        assert!(parse_verify(Some(" 1 ".into())));
-        // Unset, empty, and the explicit zero stay off.
-        assert!(!parse_verify(None));
-        assert!(!parse_verify(Some(String::new())));
-        assert!(!parse_verify(Some("  ".into())));
-        assert!(!parse_verify(Some("0".into())));
-    }
-
-    #[test]
     fn verify_phases_follows_build_and_flag() {
         let mut config = EngineConfig {
-            env_errors: Vec::new(),
+            verify: true,
             ..EngineConfig::default()
         };
-        config.verify = true;
         assert!(config.verify_phases(), "explicit opt-in always verifies");
         config.verify = false;
         // Without the flag, phase hooks track the build profile.

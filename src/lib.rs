@@ -82,8 +82,8 @@
 //! each lane's QS manager): recurring signatures skip cost-input
 //! derivation and recurring query shapes skip candidate enumeration. Every
 //! batch still runs the one search, bit-identically to a cold run, as the
-//! same goldens prove. `EngineConfig::warm_opt` / `QSYS_WARM_OPT=0` selects
-//! the cold path.
+//! same goldens prove. `EngineConfig::warm_opt = false` selects the cold
+//! path.
 //!
 //! Execution is organized into `Send` **lanes** (plan graph + ATC + source
 //! registry + clock + admission window), an implementation detail behind

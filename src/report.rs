@@ -194,10 +194,6 @@ pub struct RunReport {
     /// Warm-state snapshot recovery/publication accounting (default when
     /// `EngineConfig::snapshot_dir` is unset).
     pub snapshot: qsys_snapshot::SnapshotSummary,
-    /// Environment/config errors the engine ran with — a malformed
-    /// `QSYS_FAULTS` or `QSYS_SNAPSHOT_EVERY` disables that knob and is
-    /// reported here instead of panicking (see `EngineConfig::validate`).
-    pub config_errors: Vec<String>,
 }
 
 /// Run-level fault accounting: the source governors' counters summed over

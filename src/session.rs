@@ -805,7 +805,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Only under an injected `snap:crash` fault (`QSYS_FAULTS`), which
+    /// Only under an injected `snap:crash` fault (`EngineConfig::faults`), which
     /// deliberately simulates the process dying between the tmp write and
     /// the rename — restart-chaos tests catch the unwind.
     pub fn snapshot(&mut self) -> Result<u64, String> {
@@ -1043,12 +1043,6 @@ impl Engine {
                 .collect(),
             skipped: self.skipped.clone(),
             snapshot: self.snapshot.clone(),
-            config_errors: self
-                .config
-                .env_errors
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
             ..RunReport::default()
         };
         for lane in &self.lanes {

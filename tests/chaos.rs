@@ -50,10 +50,7 @@ fn engine_cfg(faults: Option<&str>) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads: 1,
-        // Explicit, not inherited from the environment: these tests pin
-        // their own schedules even under the CI chaos leg.
         faults: faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }
@@ -80,10 +77,7 @@ fn baseline() -> &'static (RunReport, Outcomes) {
 
 #[test]
 fn faults_default_off() {
-    if std::env::var_os("QSYS_FAULTS").is_none() {
-        assert!(EngineConfig::default().faults.is_none());
-    }
-    // And whatever the environment says, an explicit None stays inert.
+    assert!(EngineConfig::default().faults.is_none());
     assert!(engine_cfg(None).faults.is_none());
 }
 

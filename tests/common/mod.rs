@@ -2,33 +2,74 @@
 //! fingerprints every ticket and the tie-aware equivalence an arm's
 //! answers owe the baseline's when only a physical decision changed
 //! (`chaos`, `shard_identity`, `adaptive_identity`); the one-query
-//! `search` (`state_reuse`, `pfam_integration`); and which CI leg the
-//! environment selects (`parallel_identity`, `session_api`).
+//! `search` (`state_reuse`, `pfam_integration`); and the feature arms an
+//! identity must also hold under (`parallel_identity`, `session_api`).
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
 
+use qsys::opt::AdaptiveConfig;
 use qsys::prelude::*;
+use qsys::source::FaultSpec;
 use qsys::types::{QsysResult, UqId};
 use qsys_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// True when the CI chaos leg injects faults through `QSYS_FAULTS`. The
-/// injector is deterministic per lane index (not per thread or drive
-/// shape), so identity invariants must survive chaos; only absolute golden
-/// numbers are skipped, since retried rounds shift timing-sensitive
-/// counters.
-pub fn chaos_active() -> bool {
-    std::env::var_os("QSYS_FAULTS").is_some_and(|v| !v.is_empty())
+/// One feature switched on over a suite's own engine. An identity between
+/// two runs of the plain engine (two thread counts, two drive shapes) must
+/// hold between the same two runs under each arm: the fault injector is
+/// seeded per lane index, re-plans follow statistics that identical
+/// batches observe identically, and shards are cut at lane birth. Goldens
+/// are recorded on [`Arm::Plain`] only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arm {
+    /// The suite's engine as it is.
+    Plain,
+    /// Seeded transient fetch errors and slow rounds, no outages or
+    /// panics: the retry path absorbs every error.
+    Chaos,
+    /// Mid-batch re-planning at a drift ratio low enough that it fires.
+    Adaptive,
+    /// Every ATC-CL cluster above one UQ-equivalent split into ≤ 4 shards.
+    Sharded,
 }
 
-/// True under the CI adaptive leg (`QSYS_ADAPT_DRIFT` set). Mid-batch
-/// re-plans change how many tuples a plan reads, so absolute golden counts
-/// are skipped — but identity invariants still run: runs that seal
-/// identical batches observe identical runtime statistics and re-plan
-/// identically, whatever the thread count or drive shape.
-pub fn adaptive_active() -> bool {
-    EngineConfig::default().adaptive.enabled()
+impl Arm {
+    /// `cfg` with this arm's feature on.
+    pub fn apply(self, cfg: EngineConfig) -> EngineConfig {
+        match self {
+            Arm::Plain => cfg,
+            Arm::Chaos => EngineConfig {
+                faults: Some(
+                    FaultSpec::parse("seed=1009; transient=0.02; slow=0.05x4")
+                        .expect("a valid fault schedule"),
+                ),
+                ..cfg
+            },
+            Arm::Adaptive => EngineConfig {
+                adaptive: AdaptiveConfig::at(1.25),
+                ..cfg
+            },
+            Arm::Sharded => EngineConfig {
+                sharding: ShardConfig {
+                    threshold: Some(1.0),
+                    max_shards: 4,
+                },
+                ..cfg
+            },
+        }
+    }
+
+    /// Whether a run under this arm shows its feature at work, so an arm
+    /// that silently did nothing cannot pass as an identity.
+    pub fn engaged(self, report: &RunReport) -> bool {
+        match self {
+            Arm::Plain => true,
+            Arm::Chaos => report.faults.source.transient_errors > 0,
+            Arm::Adaptive => report.adaptive.replans > 0,
+            Arm::Sharded => report.lane_summaries.iter().any(|l| l.shard_of.is_some()),
+        }
+    }
 }
 
 /// Pose one keyword query and run it to completion, reusing whatever
@@ -49,8 +90,8 @@ pub fn search(
 
 /// Per-query outcome + answer multiset (score bits, tuple text), sorted:
 /// equality means identical *multisets*. Equal-score ties may legitimately
-/// arrive in a different order (a shard interleaving, a mid-batch re-plan
-/// under the adaptive CI leg), and no suite here pins tie order.
+/// arrive in a different order (a shard interleaving, a mid-batch
+/// re-plan), and no suite here pins tie order.
 pub type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 
 /// Submit `w`'s whole script (each user's learned edge costs attached),

@@ -25,16 +25,12 @@ fn engine(mode: SharingMode) -> EngineConfig {
         k: 8,
         batch_size: 3,
         sharing: mode,
-        // Cross-mode golden equalities: pinned fault-free even under the
-        // CI chaos leg (fault coverage for these paths lives in chaos.rs).
-        faults: None,
         candidate: CandidateConfig {
             max_cqs: 5,
             max_atoms: 5,
             matches_per_keyword: 2,
             ..CandidateConfig::default()
         },
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }
@@ -111,18 +107,11 @@ fn sharing_reduces_stream_reads() {
 #[test]
 fn optimizer_runs_once_per_batch_under_full() {
     let w = small_workload(13);
-    // Counts *admission-time* optimizer invocations, so adaptive is
-    // pinned off even under the CI adaptive leg: mid-batch re-plans add
-    // legitimate extra optimizer events that are not what this pins.
-    let static_engine = |mode| EngineConfig {
-        adaptive: qsys::opt::AdaptiveConfig::off(),
-        ..engine(mode)
-    };
-    let full = run_workload(&w, &static_engine(SharingMode::AtcFull), None).unwrap();
+    let full = run_workload(&w, &engine(SharingMode::AtcFull), None).unwrap();
     let n = full.per_uq.len();
     // Batches of 3 → ceil(n / 3) optimizer invocations.
     assert_eq!(full.opt_events.len(), n.div_ceil(3));
-    let per_uq = run_workload(&w, &static_engine(SharingMode::AtcUq), None).unwrap();
+    let per_uq = run_workload(&w, &engine(SharingMode::AtcUq), None).unwrap();
     assert_eq!(per_uq.opt_events.len(), n);
 }
 

@@ -402,12 +402,6 @@ fn qsys_bench_like_engine() -> qsys::EngineConfig {
         k: 50,
         batch_size: 5,
         sharing: SharingMode::AtcFull,
-        // Plan-shape, warm-start and work goldens: pinned fault-free, static
-        // and unsharded even under the CI chaos, adaptive and sharded legs
-        // (those have their own suites; retries and replans move tuple counts).
-        faults: None,
-        adaptive: qsys::opt::AdaptiveConfig::off(),
-        sharding: qsys::ShardConfig::off(),
         candidate: qsys::query::CandidateConfig {
             max_cqs: 20,
             max_atoms: 6,

@@ -13,18 +13,13 @@ use qsys::opt::cluster::ClusterConfig;
 use qsys::{EngineConfig, SharingMode};
 
 /// Input tuples the seed-41 script consumes under `sharing`, sealed into
-/// batches of `batch_size`: Section 7's engine (`qsys_bench::gus_engine`),
-/// with faults, adaptive re-planning and sharding pinned off so no CI leg's
-/// environment can move the totals.
+/// batches of `batch_size`: Section 7's engine (`qsys_bench::gus_engine`).
 fn tuples_consumed(sharing: SharingMode, batch_size: usize) -> u64 {
     let workload = qsys_workload::gus::generate(&qsys_workload::GusConfig::small(41));
     let engine = EngineConfig {
         k: 50,
         batch_size,
         sharing,
-        faults: None,
-        adaptive: qsys::opt::AdaptiveConfig::off(),
-        sharding: qsys::ShardConfig::off(),
         candidate: qsys::query::CandidateConfig {
             max_cqs: 20,
             max_atoms: 6,

@@ -6,7 +6,8 @@
 //! breakdown have to be bit-identical between `lane_threads = 1` and any
 //! higher cap. These tests pin that equivalence across three GUS instance
 //! seeds, plus golden lane/tuple counts so a clustering or threading
-//! change that silently re-shapes the workload fails loudly.
+//! change that silently re-shapes the workload fails loudly, and on one
+//! seed with faults, adaptive re-planning or sharding switched on.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::query::CandidateConfig;
@@ -15,7 +16,7 @@ use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
 mod common;
-use common::{adaptive_active, chaos_active};
+use common::Arm;
 
 fn workload(seed: u64) -> Workload {
     let mut cfg = GusConfig::small(seed);
@@ -39,40 +40,37 @@ fn engine(lane_threads: usize) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads,
-        // Explicit, not inherited from the environment: the CI sharding
-        // leg must not re-shape these golden lane counts.
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }
 
 /// Every reported quantity except host wall times must match.
-fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
-    assert_eq!(seq.lanes, par.lanes, "seed {seed}: lane count");
+fn assert_identical(seq: &RunReport, par: &RunReport, label: &str) {
+    assert_eq!(seq.lanes, par.lanes, "{label}: lane count");
     assert_eq!(
         seq.tuples_consumed, par.tuples_consumed,
-        "seed {seed}: tuples consumed"
+        "{label}: tuples consumed"
     );
     assert_eq!(
         seq.tuples_streamed, par.tuples_streamed,
-        "seed {seed}: tuples streamed"
+        "{label}: tuples streamed"
     );
-    assert_eq!(seq.probes, par.probes, "seed {seed}: remote probes");
-    assert_eq!(seq.exec_work, par.exec_work, "seed {seed}: per-tuple work");
-    assert_eq!(seq.breakdown, par.breakdown, "seed {seed}: virtual time");
-    assert_eq!(seq.per_uq.len(), par.per_uq.len(), "seed {seed}: UQ count");
+    assert_eq!(seq.probes, par.probes, "{label}: remote probes");
+    assert_eq!(seq.exec_work, par.exec_work, "{label}: per-tuple work");
+    assert_eq!(seq.breakdown, par.breakdown, "{label}: virtual time");
+    assert_eq!(seq.per_uq.len(), par.per_uq.len(), "{label}: UQ count");
     for (a, b) in seq.per_uq.iter().zip(par.per_uq.iter()) {
-        assert_eq!(a.uq, b.uq, "seed {seed}");
-        assert_eq!(a.lane, b.lane, "seed {seed}: {} lane assignment", a.uq);
+        assert_eq!(a.uq, b.uq, "{label}");
+        assert_eq!(a.lane, b.lane, "{label}: {} lane assignment", a.uq);
         assert_eq!(
             a.response_us, b.response_us,
-            "seed {seed}: {} virtual response time",
+            "{label}: {} virtual response time",
             a.uq
         );
-        assert_eq!(a.results, b.results, "seed {seed}: {} results", a.uq);
+        assert_eq!(a.results, b.results, "{label}: {} results", a.uq);
         assert_eq!(
             a.cqs_executed, b.cqs_executed,
-            "seed {seed}: {} CQs executed",
+            "{label}: {} CQs executed",
             a.uq
         );
     }
@@ -81,12 +79,12 @@ fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
     assert_eq!(
         seq.opt_events.len(),
         par.opt_events.len(),
-        "seed {seed}: optimizer invocations"
+        "{label}: optimizer invocations"
     );
     for (a, b) in seq.opt_events.iter().zip(par.opt_events.iter()) {
-        assert_eq!(a.batch_cqs, b.batch_cqs, "seed {seed}: batch CQs");
-        assert_eq!(a.candidates, b.candidates, "seed {seed}: candidates");
-        assert_eq!(a.explored, b.explored, "seed {seed}: explored states");
+        assert_eq!(a.batch_cqs, b.batch_cqs, "{label}: batch CQs");
+        assert_eq!(a.candidates, b.candidates, "{label}: candidates");
+        assert_eq!(a.explored, b.explored, "{label}: explored states");
     }
 }
 
@@ -94,83 +92,91 @@ fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
 /// rank-merge has exactly one outcome, and the parts are consistent with
 /// each other and with the source counters. (That the block is the same
 /// at every lane-thread count is part of [`assert_identical`].)
-fn assert_work_accounted(report: &RunReport, seed: u64) {
+fn assert_work_accounted(report: &RunReport, label: &str) {
     let work = report.exec_work;
     assert_eq!(
         work.accepts,
         work.after_k + work.dominated + work.enqueued,
-        "seed {seed}: {work:?}"
+        "{label}: {work:?}"
     );
-    assert!(work.enqueued > 0, "seed {seed}: {work:?}");
+    assert!(work.enqueued > 0, "{label}: {work:?}");
     // Every remote read is routed; replays of retained state add to it.
     assert!(
         work.stream_reads >= report.tuples_streamed,
-        "seed {seed}: {work:?}"
+        "{label}: {work:?}"
     );
     // A complete result found is either delivered — a materialised join
     // or a single-input pass-through — or skipped unbuilt.
     assert!(
         work.outputs_skipped <= work.mjoin_outputs,
-        "seed {seed}: {work:?}"
+        "{label}: {work:?}"
     );
     let delivered = work.mjoin_outputs - work.outputs_skipped;
     assert!(
         delivered <= work.joins + work.mjoin_inserts,
-        "seed {seed}: {work:?}"
+        "{label}: {work:?}"
     );
-    assert!(work.outputs_skipped > 0, "seed {seed}: {work:?}");
+    assert!(work.outputs_skipped > 0, "{label}: {work:?}");
     assert!(
         0 < work.maintains_skipped && work.maintains_skipped < work.maintains,
-        "seed {seed}: {work:?}"
+        "{label}: {work:?}"
     );
-    // Found and judged as before results could be skipped: the values of
-    // `(mjoin_outputs, after_k, dominated, enqueued)` recorded when every
-    // result was built and every verdict was an `accept` on delivery.
-    if !chaos_active() && !adaptive_active() {
-        let golden = match seed {
-            41 => (11_099, 4_293, 5_582, 180),
-            48 => (11_566, 177, 860, 116),
-            _ => (697, 117, 411, 120),
-        };
-        assert_eq!(
-            (
-                work.mjoin_outputs,
-                work.after_k,
-                work.dominated,
-                work.enqueued
-            ),
-            golden,
-            "seed {seed}: {work:?}"
-        );
+}
+
+/// Run `w` under `arm` on one lane thread, check it is a genuinely
+/// clustered run that accounts for its work, and check 2 and 4 threads
+/// reproduce it. Returns the sequential run.
+fn threads_identical(w: &Workload, arm: Arm, label: &str) -> RunReport {
+    let seq = run_workload(w, &arm.apply(engine(1)), None).unwrap();
+    assert!(
+        arm.engaged(&seq),
+        "{label}: the arm's feature never engaged"
+    );
+    assert!(
+        seq.lanes > 1,
+        "{label}: the identity test needs a genuinely clustered workload"
+    );
+    assert_work_accounted(&seq, label);
+    for threads in [2usize, 4] {
+        let par = run_workload(w, &arm.apply(engine(threads)), None).unwrap();
+        assert_eq!(par.lane_threads, threads);
+        assert_identical(&seq, &par, label);
     }
+    seq
 }
 
 #[test]
 fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     // Golden (lanes, tuples_consumed) per seed: pinned so a clustering or
     // source-layer change that re-shapes the workload is caught even if
-    // it happens to stay self-consistent across thread counts.
-    let goldens = [(41u64, 2usize, 3257u64), (48, 3, 5347), (55, 6, 7013)];
-    for (seed, lanes, tuples) in goldens {
-        let w = workload(seed);
-        let seq = run_workload(&w, &engine(1), None).unwrap();
-        assert_eq!(seq.lanes, lanes, "seed {seed}: golden lane count");
-        if !chaos_active() && !adaptive_active() {
-            assert_eq!(
-                seq.tuples_consumed, tuples,
-                "seed {seed}: golden tuples consumed"
-            );
-        }
-        assert!(
-            seq.lanes > 1,
-            "seed {seed}: the identity test needs a genuinely clustered workload"
+    // it happens to stay self-consistent across thread counts. The work
+    // golden is `(mjoin_outputs, after_k, dominated, enqueued)`, recorded
+    // when every result was built and every verdict was an `accept` on
+    // delivery: found and judged as before results could be skipped.
+    let goldens = [
+        (41u64, 2usize, 3257u64, (11_099, 4_293, 5_582, 180)),
+        (48, 3, 5347, (11_566, 177, 860, 116)),
+        (55, 6, 7013, (697, 117, 411, 120)),
+    ];
+    for (seed, lanes, tuples, work) in goldens {
+        let label = format!("seed {seed}");
+        let seq = threads_identical(&workload(seed), Arm::Plain, &label);
+        assert_eq!(seq.lanes, lanes, "{label}: golden lane count");
+        assert_eq!(
+            seq.tuples_consumed, tuples,
+            "{label}: golden tuples consumed"
         );
-        assert_work_accounted(&seq, seed);
-        for threads in [2usize, 4] {
-            let par = run_workload(&w, &engine(threads), None).unwrap();
-            assert_eq!(par.lane_threads, threads);
-            assert_identical(&seq, &par, seed);
-        }
+        let got = seq.exec_work;
+        assert_eq!(
+            (got.mjoin_outputs, got.after_k, got.dominated, got.enqueued),
+            work,
+            "{label}: golden work {got:?}"
+        );
+    }
+    // Each feature moves tuples and lanes, so no golden: only the identity.
+    let w = workload(41);
+    for arm in [Arm::Chaos, Arm::Adaptive, Arm::Sharded] {
+        threads_identical(&w, arm, &format!("seed 41, {arm:?}"));
     }
 }
 

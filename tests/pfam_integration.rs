@@ -22,15 +22,11 @@ fn engine(mode: SharingMode) -> EngineConfig {
         k: 10,
         batch_size: 3,
         sharing: mode,
-        // Cross-mode result equalities: pinned fault-free even under the
-        // CI chaos leg (fault coverage lives in chaos.rs).
-        faults: None,
         candidate: CandidateConfig {
             max_cqs: 4,
             matches_per_keyword: 2,
             ..CandidateConfig::default()
         },
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }

@@ -37,13 +37,7 @@ fn engine_config() -> EngineConfig {
             matches_per_keyword: 3,
             ..CandidateConfig::default()
         },
-        // Absolute goldens: nothing the CI env legs switch on may reach them.
         lane_threads: 1,
-        warm_opt: true,
-        faults: None,
-        snapshot_dir: None,
-        sharding: qsys::ShardConfig::off(),
-        adaptive: qsys::opt::AdaptiveConfig::off(),
         ..EngineConfig::default()
     }
 }

@@ -8,7 +8,8 @@
 //! when `step()` is called, and each lane's virtual clock and plan-graph
 //! state evolve identically. Golden totals per GUS seed make a silent
 //! workload re-shape fail loudly, and the acceptance matrix runs the whole
-//! equivalence at `lane_threads` 1 and 4.
+//! equivalence at `lane_threads` 1 and 4, and on one seed with faults or
+//! adaptive re-planning switched on.
 
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
@@ -17,7 +18,7 @@ use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
 mod common;
-use common::{adaptive_active, chaos_active};
+use common::Arm;
 
 fn workload(seed: u64) -> Workload {
     let mut cfg = GusConfig::small(seed);
@@ -39,9 +40,6 @@ fn engine_cfg(lane_threads: usize) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads,
-        // Explicit, not inherited from the environment: the CI sharding
-        // leg must not re-shape the golden lane topology.
-        sharding: qsys::ShardConfig::off(),
         ..EngineConfig::default()
     }
 }
@@ -118,6 +116,24 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
     }
 }
 
+/// Drive `w` under `arm` three ways — scripted, submit-all-then-run and
+/// submit-one-step-one — and check all three agree. Returns the
+/// submit-all run.
+fn drives_identical(w: &Workload, cfg: EngineConfig, arm: Arm, label: &str) -> RunReport {
+    let cfg = arm.apply(cfg);
+    let scripted = run_workload(w, &cfg, None).expect("workload runs");
+    assert!(arm.engaged(&scripted), "{label}: the arm never engaged");
+    let (all, fp_all) = run_session(w, cfg.clone(), Drive::SubmitAllThenRun);
+    let (one, fp_one) = run_session(w, cfg, Drive::SubmitOneStepOne);
+    assert_reports_identical(&scripted, &all, &format!("{label}: scripted vs all"));
+    assert_reports_identical(&all, &one, &format!("{label}: all vs stepped"));
+    assert_eq!(
+        fp_all, fp_one,
+        "{label}: interleaving changed an answer tuple or score"
+    );
+    all
+}
+
 #[test]
 fn interleaved_submission_is_bit_identical_to_scripted_runs() {
     // Golden (tuples_consumed, total results) per seed: pinned so a
@@ -128,24 +144,17 @@ fn interleaved_submission_is_bit_identical_to_scripted_runs() {
         let w = workload(seed);
         for lane_threads in [1usize, 4] {
             let label = format!("seed {seed}, lane_threads {lane_threads}");
-            let scripted =
-                run_workload(&w, &engine_cfg(lane_threads), None).expect("workload runs");
-            let (all, fp_all) = run_session(&w, engine_cfg(lane_threads), Drive::SubmitAllThenRun);
-            let (one, fp_one) = run_session(&w, engine_cfg(lane_threads), Drive::SubmitOneStepOne);
-
-            if !chaos_active() && !adaptive_active() {
-                assert_eq!(all.tuples_consumed, tuples, "{label}: golden tuples");
-                let total: usize = all.per_uq.iter().map(|u| u.results).sum();
-                assert_eq!(total, results, "{label}: golden result count");
-            }
-
-            assert_reports_identical(&scripted, &all, &format!("{label}: scripted vs all"));
-            assert_reports_identical(&all, &one, &format!("{label}: all vs stepped"));
-            assert_eq!(
-                fp_all, fp_one,
-                "{label}: interleaving changed an answer tuple or score"
-            );
+            let all = drives_identical(&w, engine_cfg(lane_threads), Arm::Plain, &label);
+            assert_eq!(all.tuples_consumed, tuples, "{label}: golden tuples");
+            let total: usize = all.per_uq.iter().map(|u| u.results).sum();
+            assert_eq!(total, results, "{label}: golden result count");
         }
+    }
+    // ATC-FULL runs one lane, where sharding is inert; faults and
+    // re-plans move tuples, so these arms check the identity only.
+    let w = workload(41);
+    for arm in [Arm::Chaos, Arm::Adaptive] {
+        drives_identical(&w, engine_cfg(4), arm, &format!("seed 41, {arm:?}"));
     }
 }
 
@@ -278,11 +287,8 @@ fn atc_cl_step_clusters_once_a_window_fills() {
 #[test]
 fn arrival_window_seals_partial_batches() {
     let w = workload(48);
-    // Counts optimizer events as a proxy for sealed batches, so adaptive
-    // is pinned off even under the CI adaptive leg: mid-batch re-plans
-    // add legitimate extra optimizer events.
+    // Counts optimizer events as a proxy for sealed batches.
     let mut cfg = engine_cfg(1);
-    cfg.adaptive = qsys::opt::AdaptiveConfig::off();
     cfg.batch_size = 100; // count-sealing out of the picture
     cfg.arrival_window_us = Some(1_000_000); // 1 virtual second
     let mut engine = Engine::for_workload(&w, cfg);

@@ -51,8 +51,6 @@ fn engine_cfg(sharding: ShardConfig, faults: Option<&str>) -> EngineConfig {
         },
         lane_threads: 1,
         sharding,
-        // Explicit, not inherited from the environment: these tests pin
-        // their own schedules even under the CI chaos/shard legs.
         faults: faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
         ..EngineConfig::default()
     }

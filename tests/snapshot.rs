@@ -15,8 +15,9 @@
 //!   produces a run bit-identical to a persistence-off engine;
 //! - a file stamped with any other format version is refused whole and
 //!   the engine cold-starts with identical decisions;
-//! - malformed persistence/fault environment knobs surface as structured
-//!   [`ConfigError`]s, never panics.
+//! - a malformed fault schedule is a structured parse error and a config
+//!   carrying an error fails validation with a [`ConfigError`], never a
+//!   panic.
 
 use proptest::prelude::*;
 use qsys::opt::{Optimizer, OptimizerConfig};
@@ -55,17 +56,7 @@ fn engine_cfg(snapshot_dir: Option<PathBuf>) -> EngineConfig {
         batch_size: 5,
         sharing: SharingMode::AtcFull,
         lane_threads: 1,
-        // Explicit, not inherited from the environment: these tests pin
-        // their own persistence roots and fault schedules, and adaptive
-        // re-planning retunes the warm store mid-run — which would make
-        // "restart == persistence-off baseline" a different (false) claim.
-        // The warm store is what a snapshot persists, so it stays on under
-        // the CI leg that switches it off.
-        warm_opt: true,
-        faults: None,
-        adaptive: qsys::opt::AdaptiveConfig::off(),
         snapshot_dir,
-        snapshot_every: 1,
         ..EngineConfig::default()
     }
 }
@@ -391,28 +382,28 @@ fn malformed_env_knobs_are_structured_errors_not_panics() {
         "outage:",
         "???",
     ] {
-        let err = FaultSpec::from_env_value(Some(bad.to_string()));
+        let err = FaultSpec::parse(bad);
         assert!(err.is_err(), "'{bad}' should be a structured parse error");
     }
     // Valid specs still parse, including the snapshot-fault clauses.
-    let spec = FaultSpec::from_env_value(Some("snap:torn=100;snap:renamefail".to_string()))
-        .expect("parses")
-        .expect("non-empty");
+    let spec = FaultSpec::parse("snap:torn=100;snap:renamefail").expect("parses");
     assert_eq!(spec.snap.torn_write, Some(100));
     assert!(spec.snap.rename_fail);
 
-    // EngineConfig::validate surfaces captured environment errors as
-    // ConfigError values with the offending knob named.
+    // EngineConfig::validate surfaces an error the caller attached as a
+    // ConfigError value with the offending knob named.
     let cfg = EngineConfig {
         env_errors: vec![ConfigError {
-            field: "QSYS_SNAPSHOT_EVERY",
+            field: "snapshot_every",
             message: "wants a positive integer, got 'zero'".into(),
         }],
         ..engine_cfg(None)
     };
-    let err = cfg.validate().expect_err("env error must fail validation");
-    assert_eq!(err.field, "QSYS_SNAPSHOT_EVERY");
-    assert!(err.to_string().contains("QSYS_SNAPSHOT_EVERY"));
+    let err = cfg
+        .validate()
+        .expect_err("an attached error must fail validation");
+    assert_eq!(err.field, "snapshot_every");
+    assert!(err.to_string().contains("snapshot_every"));
     engine_cfg(None).validate().expect("clean config validates");
 }
 

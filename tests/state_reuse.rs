@@ -14,9 +14,6 @@ fn config() -> EngineConfig {
     EngineConfig {
         k: 8,
         sharing: SharingMode::AtcFull,
-        // Warm-vs-cold equalities: pinned fault-free even under the CI
-        // chaos leg (fault coverage lives in chaos.rs).
-        faults: None,
         candidate: CandidateConfig {
             max_cqs: 5,
             max_atoms: 5,
