@@ -16,9 +16,6 @@
 //! - `chaos` — fault-rate sweep (0 / 1% / 5% transient, plus one hard
 //!   outage): degraded and failed ticket counts, retries, breaker trips,
 //!   p50/p99 response, gated on "no tuple loss on unfaulted relations".
-//! - `shard` — oversized-cluster sharding (unsharded vs shard caps 2 / 4 /
-//!   8): per-lane walls and Σ/max balance (printed, not gated), gated on
-//!   per-UQ answer identity with the unsharded run.
 //! - `adaptive [--check]` — mid-flight re-optimization (static vs drift
 //!   thresholds 1.25 / 1.5 / 2.0 on a drift-heavy catalog): mean response,
 //!   drift checks, replans, corrected cardinalities, gated on per-UQ answer
@@ -29,9 +26,9 @@
 //!
 //! Verify:      `verify [--dir D]` — invariant audit: run the standard GUS
 //! seeds through the default ATC-CL arm at 1 and 4 lane threads plus one
-//! sharded, one chaos, and one adaptive arm, run the `qsys-verify` checker
-//! over every live engine, and round-trip each engine's snapshot through
-//! disk and re-verify the decoded image. Exits 1 on any violation.
+//! chaos and one adaptive arm, run the `qsys-verify` checker over every
+//! live engine, and round-trip each engine's snapshot through disk and
+//! re-verify the decoded image. Exits 1 on any violation.
 //! Restart:     `restart --phase prime --dir D` then `restart --phase reload
 //! --dir D` — a restart across two OS processes (the CI smoke): the reload
 //! must rehydrate from the snapshot the prime published, feed its first
@@ -81,25 +78,6 @@ fn main() {
                  outaged relation untouched)",
             );
             eprintln!("gate ok: no tuple loss on unfaulted relations");
-        }
-        "shard" => {
-            // Lane-sharding sweep: the unsharded ATC-CL reference run
-            // against shard caps 2 / 4 / 8 at a one-UQ-equivalent
-            // threshold. The speedup bound is a Σ/max ratio of one run's
-            // host walls: printed, never gated.
-            let sweep = shard_sweep();
-            print_shard(&sweep);
-            require_gate(
-                &sweep.arms,
-                "sharding changed answers (the split is a physical routing decision; per-UQ \
-                 result multisets must be identical to the unsharded run at every shard cap)",
-            );
-            eprintln!(
-                "gate ok: answer multisets identical at every shard cap \
-                 (speedup bound {:.2}x -> {:.2}x)",
-                sweep.bound_unsharded(),
-                sweep.bound_sharded()
-            );
         }
         "adaptive" => {
             // Adaptive re-optimization sweep: static plans vs mid-flight
@@ -315,7 +293,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            usage_error("choose: all chaos shard adaptive restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+            usage_error("choose: all chaos adaptive restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());

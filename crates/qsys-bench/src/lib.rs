@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 7), plus what this reproduction adds beside them:
 //! ablations of its own choices (ATC scheduling, recovery, eviction,
-//! probe-cache sharing), the print-only, self-gated `chaos` / `shard` /
-//! `adaptive` / `fetch-batch` sweeps, the `verify` invariant audit, and the
+//! probe-cache sharing), the print-only, self-gated `chaos` / `adaptive` /
+//! `fetch-batch` sweeps, the `verify` invariant audit, and the
 //! two-process `restart` check.
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
@@ -13,8 +13,7 @@
 //! behaviour between configurations, not absolute seconds. Nothing here
 //! times the host for the record: host-clock measurement is `perf/run.sh`
 //! (`BENCHMARK.json`, `perf/README.md`), and the few host walls printed
-//! here (Figure 11's wall column, the shard sweep's lane balance) are
-//! observations of one run.
+//! here (Figure 11's wall column) are observations of one run.
 //!
 //! The sweeps and the audit share one shape: [`drive`] submits a script
 //! through `Engine::submit_script`, drains the engine and fingerprints every
@@ -834,8 +833,8 @@ pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool
 /// independently of how it was computed, so this is all a sweep checks.
 #[derive(Clone, Copy)]
 pub enum GateMode<'a> {
-    /// The arm took a different *physical* decision (a shard split, a
-    /// mid-flight replan): every query resolves with the baseline's outcome
+    /// The arm took a different *physical* decision (a mid-flight
+    /// replan): every query resolves with the baseline's outcome
     /// and an [`answers_equivalent`] answer.
     TieAware,
     /// The arm injected faults, which may degrade a query but never corrupt
@@ -869,7 +868,7 @@ pub fn answer_gate(base: &Answers, arm: &Answers, mode: GateMode<'_>) -> usize {
 /// One arm of a sweep: its run, and how many queries failed the sweep's
 /// answer gate against the baseline arm.
 pub struct SweepArm {
-    /// Arm name ("fault-free", "shards<=2", "drift>1.5x", …).
+    /// Arm name ("fault-free", "transient-5pct", "drift>1.5x", …).
     pub label: String,
     /// Full run report.
     pub report: RunReport,
@@ -1105,110 +1104,6 @@ pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: boo
 }
 
 // ---------------------------------------------------------------------------
-// Shard sweep: oversized-cluster sharding vs lane balance.
-// ---------------------------------------------------------------------------
-
-/// The unsharded baseline plus shard caps 2 / 4 / 8 at a threshold of one
-/// UQ-equivalent (every multi-UQ cluster splits).
-pub struct ShardSweep {
-    /// Arms in sweep order (index 0 is the unsharded baseline).
-    pub arms: Vec<SweepArm>,
-}
-
-impl ShardSweep {
-    /// Σ/max of per-lane walls without sharding — the parallel speedup the
-    /// unsharded lane topology can ever reach. Host walls of one run: an
-    /// observation to print, not a gate.
-    pub fn bound_unsharded(&self) -> f64 {
-        self.arms[0].report.lane_balance()
-    }
-
-    /// The best Σ/max across the sharded arms only.
-    pub fn bound_sharded(&self) -> f64 {
-        self.arms[1..]
-            .iter()
-            .map(|a| a.report.lane_balance())
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Split every cluster above one UQ-equivalent into at most `cap` shards.
-fn shards_up_to(cap: usize) -> qsys::ShardConfig {
-    qsys::ShardConfig {
-        threshold: Some(1.0),
-        max_shards: cap,
-    }
-}
-
-/// Run the shard sweep on the multi-cluster ATC-CL reference workload —
-/// the seed-41 GUS instance with a longer script (40 UQs) and clustering
-/// thresholds that actually split it (several plan graphs with real work
-/// in each), the shape lane threading and sharding exist for: unsharded
-/// baseline, then shard caps 2 / 4 / 8, gated on per-UQ answer identity
-/// with the unsharded run (the split is a physical routing decision).
-/// Lanes run sequentially (`lane_threads = 1`) so per-lane walls attribute
-/// cleanly and Σ/max is the achievable parallel speedup bound.
-pub fn shard_sweep() -> ShardSweep {
-    let mut script = GusConfig::small(41);
-    script.user_queries = 40;
-    let arm = |label: &str, sharding: qsys::ShardConfig| {
-        let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig { t_m: 2, t_c: 0.9 }), 5);
-        cfg.lane_threads = 1;
-        cfg.sharding = sharding;
-        (label.to_string(), cfg, GateMode::TieAware)
-    };
-    let arms = run_arms(
-        &gus::generate(&script),
-        [
-            arm("unsharded", qsys::ShardConfig::off()),
-            arm("shards<=2", shards_up_to(2)),
-            arm("shards<=4", shards_up_to(4)),
-            arm("shards<=8", shards_up_to(8)),
-        ],
-    );
-    ShardSweep { arms }
-}
-
-/// Print the sweep as a table.
-pub fn print_shard(sweep: &ShardSweep) {
-    println!(
-        "Shard sweep: oversized-cluster sharding vs lane balance \
-         (ATC-CL reference workload, lane_threads = 1)"
-    );
-    println!(
-        "{:>11} {:>6} {:>7} {:>12} {:>12} {:>9} {:>10} {:>5}",
-        "arm", "lanes", "shards", "max-wall(ms)", "sum-wall(ms)", "balance", "tuples", "gate"
-    );
-    for arm in &sweep.arms {
-        let walls = &arm.report.lane_wall_us;
-        let max = walls.iter().copied().max().unwrap_or(0);
-        let sum: u64 = walls.iter().sum();
-        let sharded_lanes = arm
-            .report
-            .lane_summaries
-            .iter()
-            .filter(|l| l.shard_of.is_some())
-            .count();
-        println!(
-            "{:>11} {:>6} {:>7} {:>12.1} {:>12.1} {:>9.2} {:>10} {:>5}",
-            arm.label,
-            arm.report.lanes,
-            sharded_lanes,
-            max as f64 / 1e3,
-            sum as f64 / 1e3,
-            arm.report.lane_balance(),
-            arm.report.tuples_consumed,
-            arm.gate(),
-        );
-    }
-    println!(
-        "speedup bound: {:.2}x unsharded -> {:.2}x best sharded",
-        sweep.bound_unsharded(),
-        sweep.bound_sharded()
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Adaptive sweep: mid-flight re-optimization under drifting statistics.
 // ---------------------------------------------------------------------------
 
@@ -1418,10 +1313,11 @@ fn audited_run(
     }
 }
 
-/// Run the invariant audit across the repo's standard arms: the default
-/// ATC-CL configuration on each seed at 1 and 4 lane threads, plus one
-/// sharded, one chaos (5% transient faults), and one adaptive arm — the
-/// configurations whose phase machinery (shard split, fault quarantine,
+/// Run the invariant audit across the repo's standard arms: ATC-CL on each
+/// seed at 1 and 4 lane threads, clustered as the benchmark's `gus-cl-par`
+/// is so that every seed runs several lanes (the multi-lane coverage),
+/// plus one chaos (5% transient faults) and one adaptive arm — the
+/// configurations whose phase machinery (clustering, fault quarantine,
 /// mid-flight replans) exercises every invariant family the verifier
 /// checks. Snapshots round-trip through `dir`.
 pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> VerifyAudit {
@@ -1429,7 +1325,7 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
     for &seed in seeds {
         let w = gus_workload(seed, scale);
         for threads in [1usize, 4] {
-            let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig::default()), 5);
+            let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig { t_m: 2, t_c: 0.9 }), 5);
             cfg.lane_threads = threads;
             arms.push(audited_run(
                 format!("seed {seed} / atc-cl / threads {threads}"),
@@ -1438,11 +1334,6 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
                 dir,
             ));
         }
-        // Sharded arm: force clusters past the one-UQ-equivalent
-        // threshold so the shard-partition invariants actually fire.
-        let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig::default()), 5);
-        cfg.sharding = shards_up_to(4);
-        arms.push(audited_run(format!("seed {seed} / shard<=4"), &w, cfg, dir));
         // Chaos arm: 5% transient faults — quarantine/degradation paths.
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
         cfg.faults = FaultSpec::parse(

@@ -3,8 +3,8 @@
 //!
 //! The paper's Algorithm 1 freezes its cardinality and streamability
 //! guesses at graft time, but the executor *observes* the truth as the
-//! ATC runs: a stream leaf's archive is its delivered cardinality, an
-//! exhausted backing is an exact count, and an m-join's stored-module
+//! ATC runs: what a stream leaf has stored in its module is its delivered
+//! cardinality, an exhausted backing is an exact count, and an m-join's stored-module
 //! size is the real (superlinear-in-overlap) co-location cost that the
 //! catalog never saw. Since the warm path made a re-plan ~25× cheaper
 //! than a cold one, acting on those observations mid-batch is nearly
@@ -43,11 +43,12 @@ use qsys_types::RelId;
 use std::collections::BTreeMap;
 
 /// One stream leaf's observed delivery state: how many tuples the leaf
-/// has archived and whether its backing has nothing further to give
-/// (making `tuples` an *exact* cardinality rather than a lower bound).
+/// has stored in its module and whether its backing has nothing further
+/// to give (making `tuples` an *exact* cardinality rather than a lower
+/// bound).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObservedCard {
-    /// Tuples delivered (archived) so far.
+    /// Tuples delivered (stored in the leaf's module) so far.
     pub tuples: u64,
     /// Whether the backing is exhausted — `tuples` is then exact.
     pub exhausted: bool,
@@ -55,7 +56,7 @@ pub struct ObservedCard {
 
 /// A lane's accumulated runtime observations, keyed by the lane's
 /// stable [`SigId`]s. Merging is monotone: counts take the maximum
-/// (observations are snapshots of growing archives), exhaustion is
+/// (observations are snapshots of growing modules), exhaustion is
 /// sticky. `BTreeMap`s keep every iteration and export deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct ObservedStats {
@@ -213,7 +214,7 @@ impl DriftReport {
 ///
 /// - a **non-exhausted** leaf that has already delivered more than
 ///   `est × factor` tuples is a definitive underestimate (the true
-///   cardinality is at least the archive);
+///   cardinality is at least what the leaf's module holds);
 /// - an **exhausted** leaf is an exact count, so `est > observed ×
 ///   factor` is a definitive overestimate;
 /// - an m-join whose stored state exceeds `est × factor` signals

@@ -31,7 +31,6 @@ pub mod cluster;
 pub mod cost;
 pub mod heuristics;
 pub mod plan;
-pub mod shard;
 pub mod warm;
 
 pub use adaptive::{
@@ -39,11 +38,8 @@ pub use adaptive::{
     ObservedStats,
 };
 pub use bestplan::{BestPlanSearch, OptStats};
-pub use cluster::{cluster_user_queries, ClusterConfig};
+pub use cluster::{cluster_user_queries, ClusterConfig, ShardConfig};
 pub use cost::{CostModel, NoReuse, ReuseOracle};
 pub use heuristics::{enumerate_candidates, enumerate_candidates_warm, Candidate, HeuristicConfig};
 pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
-pub use shard::{
-    estimate_uq_cost, normalize_weights, shard_cluster, shard_cluster_affine, ShardConfig,
-};
 pub use warm::{shared_warm, SharedWarm, WarmCell, WarmExport, WarmFact, WarmStore};

@@ -129,7 +129,7 @@ impl WarmStore {
 
     /// Cached cost inputs for `sig` without touching the per-batch hit
     /// counter — for read-only consumers outside the optimizer's batch
-    /// accounting (drift detection, shard cost estimates).
+    /// accounting (drift detection).
     pub fn peek_fact(&self, sig: SigId) -> Option<WarmFact> {
         self.facts.get(sig.index()).copied().flatten()
     }

@@ -26,7 +26,7 @@ use qsys_exec::access::ModuleId;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::adaptive::{ObservedCard, ObservedStats};
 use qsys_opt::warm::WarmExport;
-use qsys_query::{CqSet, SigId, SigInterner, SubExprSig};
+use qsys_query::{SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage, MAX_LANES};
 use qsys_state::QsManager;
 use std::collections::{BTreeMap, HashMap};
@@ -55,12 +55,6 @@ pub enum ViolationClass {
     /// A freshly grafted rank-merge sits above a quarantined stream leaf,
     /// which the reuse oracle promises never to hand out.
     QuarantineLeak,
-    /// Two shard bitsets of one cluster overlap.
-    ShardOverlap,
-    /// Shard bitsets do not union back to their cluster's member set.
-    ShardGap,
-    /// A cluster split into more shards than the configured cap.
-    ShardOverflow,
     /// Warm-store export ordering broken (facts/candidates not id-sorted,
     /// canonical order not strictly deep-increasing).
     WarmDisorder,
@@ -306,67 +300,6 @@ pub fn verify_observed(
                 format!("{id:?} out of range (interner len {interner_len})"),
             ));
         }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Shard-partition invariants.
-// ---------------------------------------------------------------------------
-
-/// Check a cluster's shard split: shards must be non-empty, pairwise
-/// disjoint, union back to exactly the cluster's member set, and respect
-/// the configured cap — the partition contract `shard_cluster_affine`
-/// promises (anything else would duplicate or drop user queries).
-pub fn verify_shards(
-    members: &CqSet,
-    shards: &[CqSet],
-    max_shards: usize,
-    path: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if shards.len() > max_shards {
-        out.push(Violation::new(
-            ViolationClass::ShardOverflow,
-            path,
-            format!("{} shards exceed the cap of {max_shards}", shards.len()),
-        ));
-    }
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.is_empty() {
-            out.push(Violation::new(
-                ViolationClass::ShardGap,
-                format!("{path}/shard[{i}]"),
-                "empty shard",
-            ));
-        }
-        for (j, other) in shards.iter().enumerate().skip(i + 1) {
-            if shard.intersects(other) {
-                out.push(Violation::new(
-                    ViolationClass::ShardOverlap,
-                    format!("{path}/shard[{i}]"),
-                    format!("overlaps shard[{j}] — a query would run twice"),
-                ));
-            }
-        }
-    }
-    let mut union = CqSet::default();
-    for shard in shards {
-        union.union_with(shard);
-    }
-    if &union != members {
-        let missing = members
-            .len()
-            .saturating_sub(union.intersection_len(members));
-        out.push(Violation::new(
-            ViolationClass::ShardGap,
-            path,
-            format!(
-                "shard union has {} members, cluster has {} ({missing} unassigned)",
-                union.len(),
-                members.len()
-            ),
-        ));
     }
     out
 }
@@ -864,34 +797,6 @@ mod tests {
         let v = verify_interner_entries(&entries, "t");
         assert!(
             v.iter().any(|v| v.class == ViolationClass::MalformedSig),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn shard_partition_contract() {
-        use qsys_query::CqIdx;
-        let members = CqSet::from_indices([CqIdx(0), CqIdx(1), CqIdx(2)]);
-        let a = CqSet::from_indices([CqIdx(0)]);
-        let b = CqSet::from_indices([CqIdx(1), CqIdx(2)]);
-        assert!(verify_shards(&members, &[a.clone(), b.clone()], 4, "t").is_empty());
-        // Overlap.
-        let b_overlap = CqSet::from_indices([CqIdx(0), CqIdx(1), CqIdx(2)]);
-        let v = verify_shards(&members, &[a.clone(), b_overlap], 4, "t");
-        assert!(
-            v.iter().any(|v| v.class == ViolationClass::ShardOverlap),
-            "{v:?}"
-        );
-        // Gap.
-        let v = verify_shards(&members, std::slice::from_ref(&a), 4, "t");
-        assert!(
-            v.iter().any(|v| v.class == ViolationClass::ShardGap),
-            "{v:?}"
-        );
-        // Overflow.
-        let v = verify_shards(&members, &[a, b], 1, "t");
-        assert!(
-            v.iter().any(|v| v.class == ViolationClass::ShardOverflow),
             "{v:?}"
         );
     }

@@ -15,8 +15,7 @@ use crate::session::{ledger_lock, Admitted, Ledger, TicketSlot};
 use qsys_catalog::Catalog;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::adaptive::{AdaptiveConfig, AdaptiveSummary, ObservedStats};
-use qsys_opt::cluster::ClusterConfig;
-use qsys_opt::shard::ShardConfig;
+use qsys_opt::cluster::{ClusterConfig, ShardConfig};
 use qsys_opt::{HeuristicConfig, OptStats, Optimizer, OptimizerConfig};
 use qsys_query::{CandidateConfig, ScoreFn, UserQuery};
 use qsys_source::{FaultInjector, FaultSpec, Sources, TableProvider};
@@ -119,15 +118,10 @@ pub struct EngineConfig {
     /// [`EngineConfig::snapshot_every`]). `None` — the default — disables
     /// persistence entirely.
     pub snapshot_dir: Option<std::path::PathBuf>,
-    /// Oversized-cluster sharding (ATC-CL only): when a cluster's
-    /// estimated work exceeds `sharding.threshold` UQ-equivalents at lane
-    /// birth, its UQ bitset is split by cost-balanced bin-packing into up
-    /// to `sharding.max_shards` sub-lanes, each re-planned through the
-    /// warm optimizer path; late arrivals route to the least-loaded live
-    /// shard of their cluster. Sharding trades intra-cluster *sharing*
-    /// for lane-wall *balance* but never changes any query's result
-    /// multiset. Off by default (`threshold: None`) — lane topology is
-    /// then byte-identical to the pre-sharding engine.
+    /// Retired: lane sharding is gone and ATC-CL runs one lane per
+    /// cluster, so [`ShardConfig::off`] is the only value. The field
+    /// remains only because the benchmark's config literal names every
+    /// field; ROADMAP item 1(b) removes it.
     pub sharding: ShardConfig,
     /// Adaptive mid-flight re-optimization: when enabled
     /// (`adaptive.drift` set), each sharing lane periodically compares
@@ -156,9 +150,10 @@ pub struct EngineConfig {
     /// later answers cannot be trusted, so the engine fails loudly at the
     /// boundary that broke it.
     pub verify: bool,
-    /// Print the shard plan (`SHARD cluster … shard …` lines to stderr)
-    /// whenever an oversized cluster splits. Purely diagnostic, never
-    /// changes routing.
+    /// Retired with lane sharding: there is no shard plan to print, so
+    /// [`EngineConfig::validate`] rejects `true`. The field remains only
+    /// because the benchmark's config literal names every field; ROADMAP
+    /// item 1(b) removes it.
     pub shard_debug: bool,
     /// Errors a caller attaches to the config it hands over;
     /// [`EngineConfig::validate_all`] reports them before any field
@@ -276,18 +271,6 @@ impl EngineConfig {
             "snapshot_every",
             "snapshot cadence must be ≥ 1 batch",
         );
-        if let Some(t) = self.sharding.threshold {
-            invariant(
-                t.is_finite() && t >= 1.0,
-                "sharding.threshold",
-                "shard threshold must be a finite work estimate ≥ 1 UQ-equivalent",
-            );
-        }
-        invariant(
-            self.sharding.max_shards >= 1,
-            "sharding.max_shards",
-            "a cluster splits into at least one shard",
-        );
         if let Some(d) = self.adaptive.drift {
             invariant(
                 d.is_finite() && d > 1.0,
@@ -300,6 +283,11 @@ impl EngineConfig {
                 && (0.0..=1.0).contains(&self.adaptive.min_remaining),
             "adaptive.min_remaining",
             "remaining-work fraction must be in [0, 1]",
+        );
+        invariant(
+            !self.shard_debug,
+            "shard_debug",
+            "lane sharding was removed: there is no shard plan to print",
         );
         errors
     }
@@ -370,18 +358,6 @@ pub(crate) struct Lane {
     /// Relations referenced by queries routed here (ATC-CL's cluster
     /// footprint; drives incremental routing of late arrivals).
     pub(crate) footprint: BTreeSet<RelId>,
-    /// The logical ATC-CL cluster this lane serves. Lanes born by
-    /// sharding one oversized cluster share the id, which is what groups
-    /// them for least-loaded routing of late arrivals.
-    pub(crate) cluster: usize,
-    /// Shard ancestry: `(shard index, shard count)` when this lane was
-    /// born by splitting an oversized cluster; `None` for unsharded
-    /// lanes.
-    pub(crate) shard: Option<(usize, usize)>,
-    /// Σ estimated work (raw per-UQ stream-leaf cost) routed here —
-    /// the load metric shard-aware routing balances on. Tracked only
-    /// when sharding is enabled.
-    pub(crate) routed_cost: f64,
     /// Set when a batch panicked on this lane: its plan graph and clocks
     /// can no longer be trusted, so later batches routed here fail fast
     /// with [`QueryOutcome::Failed`] instead of executing on poisoned
@@ -462,9 +438,6 @@ impl Lane {
             opt_events: Vec::new(),
             wall_us: 0,
             footprint: BTreeSet::new(),
-            cluster: 0,
-            shard: None,
-            routed_cost: 0.0,
             poisoned: None,
         }
     }
@@ -692,8 +665,8 @@ impl Lane {
         }
         if drift.is_some() {
             self.adaptive.observed.add_rounds(rounds);
-            // Final tap: later batches' shard routing, live estimates, and
-            // snapshots should see end-of-batch truth even if no check fired.
+            // Final tap: later batches' drift checks and snapshots should
+            // see end-of-batch truth even if no check fired.
             self.manager.observe_into(&mut self.adaptive.observed);
             // Fold the batch's full observations into the warm store now
             // that every stream has settled — exhausted leaves are exact
@@ -721,7 +694,7 @@ impl Lane {
     /// still re-plannable, fold the observations into the warm store,
     /// detach every member that has emitted nothing, and re-graft those
     /// members through the warm optimizer path — their fresh rank-merges
-    /// rebuild from the archived state via `RecoverState` (the same
+    /// rebuild from the stored modules via `RecoverState` (the same
     /// machinery a late-arriving query uses), so no tuple is lost and, with
     /// nothing yet emitted, none can be duplicated. Returns whether it
     /// re-planned.
@@ -973,28 +946,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_checks_shard_invariants() {
+    fn validate_rejects_retired_shard_fields() {
         let mut config = EngineConfig {
-            sharding: ShardConfig::at(0.25),
+            shard_debug: true,
             ..EngineConfig::default()
         };
-        let err = config.validate().expect_err("sub-unit threshold invalid");
-        assert_eq!(err.field, "sharding.threshold");
-        config.sharding = ShardConfig {
-            threshold: Some(f64::NAN),
-            max_shards: 4,
-        };
-        assert!(config.validate().is_err(), "NaN threshold invalid");
-        config.sharding = ShardConfig {
-            threshold: Some(8.0),
-            max_shards: 0,
-        };
-        let err = config.validate().expect_err("zero shard cap invalid");
-        assert_eq!(err.field, "sharding.max_shards");
-        config.sharding = ShardConfig::at(8.0);
-        config.validate().expect("sane sharding validates");
-        config.sharding = ShardConfig::off();
-        config.validate().expect("default-off sharding validates");
+        let err = config
+            .validate()
+            .expect_err("there is no shard plan to print");
+        assert_eq!(err.field, "shard_debug");
+        config.shard_debug = false;
+        config.validate().expect("a default config validates");
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub mod report;
 pub mod session;
 
 pub use engine::{ConfigError, EngineConfig, SharingMode};
-pub use qsys_opt::shard::ShardConfig;
+pub use qsys_opt::ShardConfig;
 pub use report::{
     generate_user_queries, run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome,
     RunReport, UqReport,
@@ -116,7 +116,6 @@ pub mod prelude {
         run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport,
     };
     pub use crate::session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
-    pub use qsys_opt::shard::ShardConfig;
     pub use qsys_snapshot::SnapshotSummary;
     pub use qsys_types::{Score, Tuple, UqId, UserId};
     pub use qsys_verify::{VerifyReport, Violation, ViolationClass};

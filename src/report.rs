@@ -86,19 +86,13 @@ pub struct UqReport {
 }
 
 /// Per-lane execution summary: how work actually spread across plan
-/// graphs, including shard ancestry when lane sharding split an
-/// oversized ATC-CL cluster. This is how lane imbalance is observed in
-/// production runs, not just in the bench harness's `lane_wall_us`.
+/// graphs (one per ATC-CL cluster). This is how lane imbalance is
+/// observed in production runs, not just in the bench harness's
+/// `lane_wall_us`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneSummary {
     /// Lane index (matches `UqReport::lane`).
     pub lane: usize,
-    /// The logical ATC-CL cluster this lane serves; shards of one split
-    /// cluster share the id. Always 0 for single-graph modes.
-    pub cluster: usize,
-    /// `(shard index, shard count)` when this lane was born by splitting
-    /// an oversized cluster; `None` for unsharded lanes.
-    pub shard_of: Option<(usize, usize)>,
     /// Host wall-clock µs spent executing on this lane.
     pub wall_us: u64,
     /// Input tuples this lane's sources consumed.
@@ -163,7 +157,7 @@ pub struct RunReport {
     pub lane_threads: usize,
     /// Host wall-clock µs each lane spent executing, by lane index.
     pub lane_wall_us: Vec<u64>,
-    /// Per-lane wall/tuple/shard-ancestry summaries, by lane index.
+    /// Per-lane wall/tuple summaries, by lane index.
     pub lane_summaries: Vec<LaneSummary>,
     /// Summed simulated time across lanes.
     pub breakdown: TimeBreakdown,
@@ -269,8 +263,7 @@ impl RunReport {
 
     /// Σ/max lane-wall balance: 1.0 when one lane does all the work,
     /// approaching the lane count as walls even out — the quantity that
-    /// bounds parallel lane speedup (and the lane-sharding target
-    /// metric). 1.0 when nothing has executed.
+    /// bounds parallel lane speedup. 1.0 when nothing has executed.
     pub fn lane_balance(&self) -> f64 {
         let max = self.lane_wall_us.iter().copied().max().unwrap_or(0);
         if max == 0 {

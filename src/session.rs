@@ -43,8 +43,8 @@
 use crate::engine::{BatchCx, EngineConfig, Lane, SharingMode};
 use crate::report::{LaneSummary, QueryOutcome, RunReport, UqReport};
 use qsys_catalog::{Catalog, KeywordIndex};
-use qsys_opt::{estimate_uq_cost, normalize_weights, shard_cluster_affine, OptStats};
-use qsys_query::{CandidateGenerator, CqIdx, CqSet, UserQuery};
+use qsys_opt::OptStats;
+use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_snapshot::{
     catalog_fingerprint, load_snapshot, write_snapshot, LaneImage, LoadedLane, SnapshotImage,
     SnapshotSummary,
@@ -251,8 +251,6 @@ pub struct Engine {
     /// Batches dispatched since the last auto-snapshot
     /// ([`EngineConfig::snapshot_every`] cadence).
     batches_since_snapshot: usize,
-    /// Next logical ATC-CL cluster id (shards of one cluster share one).
-    next_cluster: usize,
 }
 
 /// The snapshot-I/O fault schedule, when one is configured and non-empty.
@@ -303,7 +301,6 @@ impl Engine {
             thawed,
             snapshot,
             batches_since_snapshot: 0,
-            next_cluster: 0,
         };
         // Non-clustered modes always run one lane; create it eagerly so
         // admission can seal windows against it immediately. ATC-CL defers
@@ -468,31 +465,9 @@ impl Engine {
             self.unrouted.push(admitted);
         } else {
             let lane = self.route(&admitted);
-            if self.shard_routing() {
-                // Charge the arrival's estimated work to the lane so the
-                // next arrival sees the updated shard loads.
-                self.lanes[lane].routed_cost += self.live_estimate(lane, &admitted.uq);
-            }
             self.enqueue(lane, admitted);
         }
         ticket
-    }
-
-    /// Whether shard-aware routing is active: ATC-CL with sharding
-    /// enabled.
-    fn shard_routing(&self) -> bool {
-        self.config.sharding.enabled() && matches!(self.config.sharing, SharingMode::AtcCl(_))
-    }
-
-    /// Estimate a query's stream-leaf work against one lane's live warm
-    /// state (cost inputs recorded by that lane's optimizer runs).
-    fn live_estimate(&self, lane: usize, uq: &UserQuery) -> f64 {
-        let lane = &self.lanes[lane];
-        let interner_cell = lane.manager.shared_interner();
-        let warm_cell = lane.manager.warm_cell();
-        let interner = interner_cell.borrow();
-        let warm = warm_cell.borrow();
-        estimate_uq_cost(uq, Some((&interner, &warm)), Some(&lane.adaptive.observed))
     }
 
     /// Pick the lane for a query once lanes exist: lane 0 unless ATC-CL,
@@ -517,31 +492,9 @@ impl Engine {
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .unwrap_or((0, 0));
         if overlap == 0 {
-            let idx = self.add_lane();
-            self.lanes[idx].cluster = self.next_cluster;
-            self.next_cluster += 1;
-            return idx;
+            return self.add_lane();
         }
-        if !self.shard_routing() {
-            return best;
-        }
-        // Shard-aware routing: the footprint match selects the logical
-        // cluster; within it, land on the least-loaded live shard (ties
-        // to the lowest lane index). Falls back to the footprint winner
-        // when every shard of the cluster is poisoned.
-        let cid = self.lanes[best].cluster;
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, lane)| lane.cluster == cid && lane.poisoned.is_none())
-            .min_by(|a, b| {
-                a.1.routed_cost
-                    .partial_cmp(&b.1.routed_cost)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            })
-            .map(|(idx, _)| idx)
-            .unwrap_or(best)
+        best
     }
 
     /// Append a query to a lane's open admission window, sealing by
@@ -577,150 +530,41 @@ impl Engine {
         }
     }
 
-    /// ATC-CL lane birth: cluster everything still unrouted and route it
-    /// (windows then seal lane by lane as usual). No-op once lanes exist —
-    /// later arrivals route incrementally at admission.
-    ///
-    /// With sharding enabled, each cluster whose estimated work (per-UQ
-    /// stream-leaf cost, falling back to UQ count) exceeds the threshold
-    /// is split here by cost-balanced bin-packing, one lane per shard.
+    /// ATC-CL lane birth: cluster everything still unrouted and route it,
+    /// one lane per cluster (windows then seal lane by lane as usual).
+    /// No-op once lanes exist — later arrivals route incrementally at
+    /// admission.
     fn route_unrouted(&mut self) {
-        if !self.unrouted.is_empty() {
-            let cluster_cfg = match &self.config.sharing {
-                SharingMode::AtcCl(c) => *c,
-                _ => unreachable!("only ATC-CL defers routing"),
-            };
-            let refs: BTreeMap<UqId, Vec<RelId>> = self
-                .unrouted
-                .iter()
-                .map(|a| {
-                    let rels = a.uq.cqs.iter().flat_map(|(cq, _)| cq.rels()).collect();
-                    (a.uq.id, rels)
-                })
-                .collect();
-            let clusters = qsys_opt::cluster_user_queries(&refs, cluster_cfg);
-            let mut assignment: HashMap<UqId, usize> = HashMap::new();
-            let mut routed_cost: HashMap<UqId, f64> = HashMap::new();
-            if !self.shard_routing() {
-                for cluster in clusters.iter() {
-                    let idx = self.add_lane();
-                    self.lanes[idx].cluster = self.next_cluster;
-                    self.next_cluster += 1;
-                    for uq in cluster {
-                        assignment.insert(*uq, idx);
-                    }
-                }
-            } else {
-                // Shard plan first (immutable borrows only), lanes after.
-                // Costs come from rehydrated snapshot state when present
-                // (a restarted engine shards on real cardinalities); a
-                // cold engine falls back to unit costs — cluster work
-                // degrades to its UQ count, as configured thresholds
-                // expect. Weights are normalized to mean 1.0 either way.
-                let uq_ids: Vec<UqId> = refs.keys().copied().collect();
-                let by_id: HashMap<UqId, &UserQuery> =
-                    self.unrouted.iter().map(|a| (a.uq.id, &a.uq)).collect();
-                let warm_state = self.thawed.iter().flatten().next();
-                let raw: Vec<f64> = uq_ids
-                    .iter()
-                    .map(|id| {
-                        estimate_uq_cost(
-                            by_id[id],
-                            warm_state.map(|l| (&l.interner, &l.warm)),
-                            warm_state.map(|l| &l.observed),
-                        )
-                    })
-                    .collect();
-                let weights = normalize_weights(&raw);
-                // lint:allow(panic-path): shard_routing() returned true, which requires a threshold
-                let threshold = self.config.sharding.threshold.expect("sharding enabled");
-                let max_shards = self.config.sharding.max_shards;
-                // Interaction term for the packer: clustered UQs share
-                // relations, and shared stream state makes a lane's work
-                // superlinear in how much its members overlap — so
-                // co-locating a near-duplicate pair costs their Jaccard
-                // similarity times their combined weight again.
-                let rel_sets: Vec<BTreeSet<RelId>> = uq_ids
-                    .iter()
-                    .map(|id| refs[id].iter().copied().collect())
-                    .collect();
-                let pairwise = |a: CqIdx, b: CqIdx| {
-                    let (sa, sb) = (&rel_sets[a.index()], &rel_sets[b.index()]);
-                    let inter = sa.intersection(sb).count() as f64;
-                    let union = (sa.len() + sb.len()) as f64 - inter;
-                    let jaccard = if union > 0.0 { inter / union } else { 0.0 };
-                    jaccard * (weights[a.index()] + weights[b.index()])
-                };
-                let verify_on = self.config.verify_phases();
-                let planned: Vec<Vec<Vec<(UqId, f64)>>> = clusters
-                    .iter()
-                    .enumerate()
-                    .map(|(cluster_idx, cluster)| {
-                        let members = CqSet::from_indices(cluster.iter().map(|uq| {
-                            // lint:allow(panic-path): clusters partition exactly the ids in `refs`, whose keys built uq_ids
-                            CqIdx(uq_ids.binary_search(uq).expect("clustered UQ") as u16)
-                        }));
-                        let shards = shard_cluster_affine(
-                            &members,
-                            &weights,
-                            Some(&pairwise),
-                            threshold,
-                            max_shards,
-                        );
-                        if verify_on {
-                            VerifyReport::from(qsys_verify::verify_shards(
-                                &members,
-                                &shards,
-                                max_shards,
-                                &format!("cluster[{cluster_idx}]/shards"),
-                            ))
-                            .assert_clean("post-cluster shard split");
-                        }
-                        shards
-                            .iter()
-                            .map(|shard| {
-                                shard
-                                    .iter()
-                                    .map(|i| (uq_ids[i.index()], raw[i.index()]))
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let debug = self.config.shard_debug;
-                for shards in planned {
-                    let cid = self.next_cluster;
-                    self.next_cluster += 1;
-                    let count = shards.len();
-                    for (shard_idx, members) in shards.into_iter().enumerate() {
-                        if debug {
-                            eprintln!(
-                                "SHARD cluster {cid} shard {shard_idx}/{count}: {:?}",
-                                members.iter().map(|(id, c)| (id.0, *c)).collect::<Vec<_>>()
-                            );
-                        }
-                        let lane = self.add_lane();
-                        self.lanes[lane].cluster = cid;
-                        self.lanes[lane].shard = (count > 1).then_some((shard_idx, count));
-                        for (id, cost) in members {
-                            assignment.insert(id, lane);
-                            routed_cost.insert(id, cost);
-                        }
-                    }
-                }
+        if self.unrouted.is_empty() {
+            return;
+        }
+        let cluster_cfg = match &self.config.sharing {
+            SharingMode::AtcCl(c) => *c,
+            _ => unreachable!("only ATC-CL defers routing"),
+        };
+        let refs: BTreeMap<UqId, Vec<RelId>> = self
+            .unrouted
+            .iter()
+            .map(|a| {
+                let rels = a.uq.cqs.iter().flat_map(|(cq, _)| cq.rels()).collect();
+                (a.uq.id, rels)
+            })
+            .collect();
+        let mut assignment: HashMap<UqId, usize> = HashMap::new();
+        for cluster in qsys_opt::cluster_user_queries(&refs, cluster_cfg) {
+            let idx = self.add_lane();
+            for uq in cluster {
+                assignment.insert(uq, idx);
             }
-            for admitted in std::mem::take(&mut self.unrouted) {
-                let lane = assignment[&admitted.uq.id];
-                if let Some(cost) = routed_cost.get(&admitted.uq.id) {
-                    self.lanes[lane].routed_cost += cost;
-                }
-                self.enqueue(lane, admitted);
-            }
-            if self.config.verify_phases() {
-                for (idx, lane) in self.lanes.iter().enumerate() {
-                    qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed)
-                        .assert_clean(&format!("post-cluster (lane {idx})"));
-                }
+        }
+        for admitted in std::mem::take(&mut self.unrouted) {
+            let lane = assignment[&admitted.uq.id];
+            self.enqueue(lane, admitted);
+        }
+        if self.config.verify_phases() {
+            for (idx, lane) in self.lanes.iter().enumerate() {
+                qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed)
+                    .assert_clean(&format!("post-cluster (lane {idx})"));
             }
         }
     }
@@ -1031,8 +875,6 @@ impl Engine {
                 .enumerate()
                 .map(|(idx, lane)| LaneSummary {
                     lane: idx,
-                    cluster: lane.cluster,
-                    shard_of: lane.shard,
                     wall_us: lane.wall_us,
                     tuples_consumed: lane.sources.tuples_consumed(),
                     tuples_streamed: lane.sources.tuples_streamed(),

@@ -1,7 +1,7 @@
 //! What the integration suites share: the session-driven run that
 //! fingerprints every ticket and the tie-aware equivalence an arm's
 //! answers owe the baseline's when only a physical decision changed
-//! (`chaos`, `shard_identity`, `adaptive_identity`); the one-query
+//! (`chaos`, `adaptive_identity`); the one-query
 //! `search` (`state_reuse`, `pfam_integration`); and the feature arms an
 //! identity must also hold under (`parallel_identity`, `session_api`).
 
@@ -18,9 +18,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One feature switched on over a suite's own engine. An identity between
 /// two runs of the plain engine (two thread counts, two drive shapes) must
 /// hold between the same two runs under each arm: the fault injector is
-/// seeded per lane index, re-plans follow statistics that identical
-/// batches observe identically, and shards are cut at lane birth. Goldens
-/// are recorded on [`Arm::Plain`] only.
+/// seeded per lane index, and re-plans follow statistics that identical
+/// batches observe identically. Goldens are recorded on [`Arm::Plain`]
+/// only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Arm {
     /// The suite's engine as it is.
@@ -30,8 +30,6 @@ pub enum Arm {
     Chaos,
     /// Mid-batch re-planning at a drift ratio low enough that it fires.
     Adaptive,
-    /// Every ATC-CL cluster above one UQ-equivalent split into ≤ 4 shards.
-    Sharded,
 }
 
 impl Arm {
@@ -50,13 +48,6 @@ impl Arm {
                 adaptive: AdaptiveConfig::at(1.25),
                 ..cfg
             },
-            Arm::Sharded => EngineConfig {
-                sharding: ShardConfig {
-                    threshold: Some(1.0),
-                    max_shards: 4,
-                },
-                ..cfg
-            },
         }
     }
 
@@ -67,7 +58,6 @@ impl Arm {
             Arm::Plain => true,
             Arm::Chaos => report.faults.source.transient_errors > 0,
             Arm::Adaptive => report.adaptive.replans > 0,
-            Arm::Sharded => report.lane_summaries.iter().any(|l| l.shard_of.is_some()),
         }
     }
 }
@@ -90,8 +80,8 @@ pub fn search(
 
 /// Per-query outcome + answer multiset (score bits, tuple text), sorted:
 /// equality means identical *multisets*. Equal-score ties may legitimately
-/// arrive in a different order (a shard interleaving, a mid-batch
-/// re-plan), and no suite here pins tie order.
+/// arrive in a different order (a mid-batch re-plan, a fault schedule),
+/// and no suite here pins tie order.
 pub type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 
 /// Submit `w`'s whole script (each user's learned edge costs attached),

@@ -7,7 +7,7 @@
 //! higher cap. These tests pin that equivalence across three GUS instance
 //! seeds, plus golden lane/tuple counts so a clustering or threading
 //! change that silently re-shapes the workload fails loudly, and on one
-//! seed with faults, adaptive re-planning or sharding switched on.
+//! seed with faults or adaptive re-planning switched on.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::query::CandidateConfig;
@@ -175,7 +175,7 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     }
     // Each feature moves tuples and lanes, so no golden: only the identity.
     let w = workload(41);
-    for arm in [Arm::Chaos, Arm::Adaptive, Arm::Sharded] {
+    for arm in [Arm::Chaos, Arm::Adaptive] {
         threads_identical(&w, arm, &format!("seed 41, {arm:?}"));
     }
 }

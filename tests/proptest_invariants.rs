@@ -516,41 +516,3 @@ proptest! {
         );
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Lane sharding partitions a cluster exactly: whatever the weights,
-    /// threshold, shard cap, or pairwise interaction term, the shards are
-    /// non-empty, disjoint, their union is the cluster, and the shard
-    /// count respects both the cap and the member count. (Routing every
-    /// member to exactly one lane is what makes sharded execution lose
-    /// and duplicate nothing.)
-    #[test]
-    fn shard_partition_disjoint_and_total(
-        indices in prop::collection::vec(0u16..64, 1..40),
-        weights in prop::collection::vec(0.0f64..100.0, 64),
-        threshold in 0.5f64..50.0,
-        max_shards in 1usize..12,
-        affinity in 0.0f64..5.0,
-    ) {
-        use qsys_opt::shard_cluster_affine;
-        use qsys_query::{CqIdx, CqSet};
-        let cluster = CqSet::from_indices(indices.iter().map(|i| CqIdx(*i)));
-        // A deterministic but irregular interaction surface.
-        let pairwise = |a: CqIdx, b: CqIdx| affinity * (((a.0 ^ b.0) % 3) as f64);
-        let shards =
-            shard_cluster_affine(&cluster, &weights, Some(&pairwise), threshold, max_shards);
-        prop_assert!(!shards.is_empty());
-        prop_assert!(shards.len() <= max_shards.max(1).min(cluster.len()));
-        let mut union = CqSet::new();
-        let mut total = 0;
-        for shard in &shards {
-            prop_assert!(!shard.is_empty(), "no empty shards");
-            total += shard.len();
-            union.union_with(shard);
-        }
-        prop_assert_eq!(&union, &cluster, "shards must cover the cluster exactly");
-        prop_assert_eq!(total, cluster.len(), "shards must be disjoint");
-    }
-}

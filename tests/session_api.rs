@@ -150,8 +150,8 @@ fn interleaved_submission_is_bit_identical_to_scripted_runs() {
             assert_eq!(total, results, "{label}: golden result count");
         }
     }
-    // ATC-FULL runs one lane, where sharding is inert; faults and
-    // re-plans move tuples, so these arms check the identity only.
+    // Faults and re-plans move tuples, so these arms check the identity
+    // only.
     let w = workload(41);
     for arm in [Arm::Chaos, Arm::Adaptive] {
         drives_identical(&w, engine_cfg(4), arm, &format!("seed 41, {arm:?}"));
