@@ -12,21 +12,17 @@
 //! Experiments: `table4 fig7 fig8 fig9 fig10 fig11 fig12`
 //! Ablations:   `ablation-atc ablation-recovery ablation-eviction
 //! ablation-probe-cache`
-//! Sweeps (print-only, each exits 1 if its answer gate fails):
+//! Sweeps (print-only):
 //! - `chaos` — fault-rate sweep (0 / 1% / 5% transient, plus one hard
 //!   outage): degraded and failed ticket counts, retries, breaker trips,
-//!   p50/p99 response, gated on "no tuple loss on unfaulted relations".
-//! - `adaptive [--check]` — mid-flight re-optimization (static vs drift
-//!   thresholds 1.25 / 1.5 / 2.0 on a drift-heavy catalog): mean response,
-//!   drift checks, replans, corrected cardinalities, gated on per-UQ answer
-//!   identity with the static run (`--check` also requires ≥1 replan and a
-//!   virtual-clock improvement).
+//!   p50/p99 response, gated on "no tuple loss on unfaulted relations"
+//!   (exits 1 if the gate fails).
 //! - `fetch-batch [--batches 1,8,32] [--limit N]` — response-time shift from
 //!   stream fetch-ahead on the figure workload.
 //!
 //! Verify:      `verify [--dir D]` — invariant audit: run the standard GUS
 //! seeds through the default ATC-CL arm at 1 and 4 lane threads plus one
-//! chaos and one adaptive arm, run the `qsys-verify` checker over every
+//! chaos arm, run the `qsys-verify` checker over every
 //! live engine, and round-trip each engine's snapshot through disk and
 //! re-verify the decoded image. Exits 1 on any violation.
 //! Restart:     `restart --phase prime --dir D` then `restart --phase reload
@@ -71,54 +67,14 @@ fn main() {
             // error rates, and a hard outage of one relation.
             let sweep = chaos_sweep(seeds[0], scale);
             print_chaos(&sweep);
-            require_gate(
-                &sweep.arms,
-                "tuple loss on unfaulted relations (degradation must be strictly per-query: \
-                 Complete answers bit-identical to the fault-free run, non-readers of the \
-                 outaged relation untouched)",
-            );
-            eprintln!("gate ok: no tuple loss on unfaulted relations");
-        }
-        "adaptive" => {
-            // Adaptive re-optimization sweep: static plans vs mid-flight
-            // re-planning at drift thresholds 1.25 / 1.5 / 2.0 on a
-            // drift-heavy workload (catalog priors skewed well below the
-            // true cardinalities). `--check` additionally requires at
-            // least one mid-batch replan and a mean-response improvement.
-            // Runs the fixed drift-regime instance (`ADAPTIVE_SEED`)
-            // rather than `--seeds`: the sweep needs an instance where the
-            // skewed priors genuinely mislead the plan search, and most
-            // small instances are insensitive.
-            let sweep = adaptive_sweep(ADAPTIVE_SEED);
-            print_adaptive(&sweep);
-            require_gate(
-                &sweep.arms,
-                "adaptive re-planning changed answers (a replan is a physical decision; per-UQ \
-                 result multisets must be identical to the static run at every drift threshold)",
-            );
-            if args.iter().any(|a| a == "--check") {
-                if sweep.total_replans() == 0 {
-                    check_failed(
-                        "no adaptive arm performed a mid-batch replan on the drift-heavy \
-                         workload (the feedback loop never fired)",
-                    );
-                }
-                if sweep.mean_best_us() >= sweep.mean_static_us() {
-                    check_failed(&format!(
-                        "adaptive re-planning did not improve mean response \
-                         ({:.1}us static vs {:.1}us best adaptive)",
-                        sweep.mean_static_us(),
-                        sweep.mean_best_us()
-                    ));
-                }
+            if sweep.arms.iter().any(|a| a.gate_violations > 0) {
+                check_failed(
+                    "tuple loss on unfaulted relations (degradation must be strictly per-query: \
+                     Complete answers bit-identical to the fault-free run, non-readers of the \
+                     outaged relation untouched)",
+                );
             }
-            eprintln!(
-                "gate ok: answer multisets identical at every drift threshold \
-                 (mean response {:.1}us static -> {:.1}us best adaptive, {} replans)",
-                sweep.mean_static_us(),
-                sweep.mean_best_us(),
-                sweep.total_replans()
-            );
+            eprintln!("gate ok: no tuple loss on unfaulted relations");
         }
         "restart" => {
             // `--phase prime --dir D` / `--phase reload --dir D` split a
@@ -293,7 +249,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            usage_error("choose: all chaos adaptive restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+            usage_error("choose: all chaos restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());
@@ -325,13 +281,6 @@ fn usage_error(msg: &str) -> ! {
 fn check_failed(why: &str) -> ! {
     eprintln!("CHECK FAILED: {why}");
     std::process::exit(1);
-}
-
-/// Exit 1 with `why` if any arm of a sweep failed its answer gate.
-fn require_gate(arms: &[SweepArm], why: &str) {
-    if arms.iter().any(|a| a.gate_violations > 0) {
-        check_failed(why);
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 7), plus what this reproduction adds beside them:
 //! ablations of its own choices (ATC scheduling, recovery, eviction,
-//! probe-cache sharing), the print-only, self-gated `chaos` / `adaptive` /
+//! probe-cache sharing), the print-only, self-gated `chaos` and
 //! `fetch-batch` sweeps, the `verify` invariant audit, and the
 //! two-process `restart` check.
 //!
@@ -387,26 +387,6 @@ pub fn print_fig7(runs: &[ConfigRun]) {
         print!(" {rounds:>9}");
     }
     println!();
-    // Adaptive accounting, only when any run engaged the adaptive path —
-    // the default (adaptive off) footer stays byte-identical.
-    let engaged = runs
-        .iter()
-        .any(|r| r.reports.iter().any(|rep| rep.adaptive.any()));
-    if engaged {
-        print!("adpt");
-        for r in runs {
-            let (checks, replans, corrected) = r.reports.iter().fold((0, 0, 0), |acc, rep| {
-                let a = &rep.adaptive;
-                (
-                    acc.0 + a.drift_checks,
-                    acc.1 + a.replans,
-                    acc.2 + a.cards_corrected,
-                )
-            });
-            print!(" {:>9}", format!("{checks}/{replans}/{corrected}"));
-        }
-        println!("  (drift checks / replans / cards corrected)");
-    }
 }
 
 /// Print Figure 8 (normalized execution-time breakdown).
@@ -795,71 +775,25 @@ pub fn drive(w: &Workload, cfg: EngineConfig) -> (Engine, Answers) {
     (engine, answers)
 }
 
-/// Tie-aware answer equivalence, in any delivery order: score multisets
-/// match bit-for-bit, and every tuple scored strictly above the k-th
-/// (minimum returned) score matches exactly. Tuples *at* the boundary score
-/// only need matching counts: when more than k-boundary candidates tie at
-/// the cut, the top-k set is inherently non-unique, and a different lane
-/// composition or read order may surface a different — equally ranked —
-/// tied subset.
-pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
-    if want.len() != got.len() {
-        return false;
-    }
-    let scores = |v: &[(u64, String)]| {
-        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
-        s.sort_unstable();
-        s
-    };
-    if scores(want) != scores(got) {
-        return false;
-    }
-    let boundary = want
-        .iter()
-        .map(|(b, _)| f64::from_bits(*b))
-        .fold(f64::INFINITY, f64::min);
-    fn above(v: &[(u64, String)], boundary: f64) -> Vec<&(u64, String)> {
-        let mut s: Vec<&(u64, String)> = v
-            .iter()
-            .filter(|(b, _)| f64::from_bits(*b) > boundary)
-            .collect();
-        s.sort();
-        s
-    }
-    above(want, boundary) == above(got, boundary)
-}
-
-/// What an arm's answers owe the baseline's — an answer is defined
-/// independently of how it was computed, so this is all a sweep checks.
-#[derive(Clone, Copy)]
-pub enum GateMode<'a> {
-    /// The arm took a different *physical* decision (a mid-flight
-    /// replan): every query resolves with the baseline's outcome
-    /// and an [`answers_equivalent`] answer.
-    TieAware,
-    /// The arm injected faults, which may degrade a query but never corrupt
-    /// one — "no tuple loss on unfaulted relations": a `Complete` answer is
-    /// the baseline's exact sequence, and under a relation-scoped schedule
-    /// (`faulted_readers` = the queries reading the faulted relation) every
-    /// other query must resolve `Complete`.
-    Exact {
-        faulted_readers: Option<&'a BTreeSet<UqId>>,
-    },
-}
-
-/// How many of `arm`'s queries fail `mode` against `base`.
-pub fn answer_gate(base: &Answers, arm: &Answers, mode: GateMode<'_>) -> usize {
+/// How many of `arm`'s queries fail the answer gate against `base`. Faults
+/// may degrade a query but never corrupt one — "no tuple loss on unfaulted
+/// relations": a `Complete` answer is the baseline's exact sequence, and
+/// under a relation-scoped schedule (`faulted_readers` = the queries
+/// reading the faulted relation) every other query must resolve
+/// `Complete`.
+pub fn answer_gate(
+    base: &Answers,
+    arm: &Answers,
+    faulted_readers: Option<&BTreeSet<UqId>>,
+) -> usize {
     arm.iter()
         .filter(|(uq, (outcome, tuples))| {
-            let Some((want_outcome, want)) = base.get(uq) else {
+            let Some((_, want)) = base.get(uq) else {
                 return true;
             };
-            match mode {
-                GateMode::TieAware => outcome != want_outcome || !answers_equivalent(want, tuples),
-                GateMode::Exact { faulted_readers } => match outcome {
-                    QueryOutcome::Complete => tuples != want,
-                    _ => faulted_readers.is_some_and(|r| !r.contains(uq)),
-                },
+            match outcome {
+                QueryOutcome::Complete => tuples != want,
+                _ => faulted_readers.is_some_and(|r| !r.contains(uq)),
             }
         })
         .count()
@@ -868,7 +802,7 @@ pub fn answer_gate(base: &Answers, arm: &Answers, mode: GateMode<'_>) -> usize {
 /// One arm of a sweep: its run, and how many queries failed the sweep's
 /// answer gate against the baseline arm.
 pub struct SweepArm {
-    /// Arm name ("fault-free", "transient-5pct", "drift>1.5x", …).
+    /// Arm name ("fault-free", "transient-5pct", …).
     pub label: String,
     /// Full run report.
     pub report: RunReport,
@@ -888,18 +822,18 @@ impl SweepArm {
 }
 
 /// The one sweep driver: [`drive`] every arm over `w`. The first arm is the
-/// baseline; each later arm's answers are gated against it in that arm's
-/// mode. A sweep is its arm table plus a printer.
+/// baseline; each later arm's answers are gated against it with that arm's
+/// faulted readers. A sweep is its arm table plus a printer.
 fn run_arms<'a>(
     w: &Workload,
-    arms: impl IntoIterator<Item = (String, EngineConfig, GateMode<'a>)>,
+    arms: impl IntoIterator<Item = (String, EngineConfig, Option<&'a BTreeSet<UqId>>)>,
 ) -> Vec<SweepArm> {
     let mut base: Option<Answers> = None;
     arms.into_iter()
-        .map(|(label, cfg, mode)| {
+        .map(|(label, cfg, faulted_readers)| {
             let (engine, answers) = drive(w, cfg);
             let gate_violations = match &base {
-                Some(base) => answer_gate(base, &answers, mode),
+                Some(base) => answer_gate(base, &answers, faulted_readers),
                 None => {
                     base = Some(answers);
                     0
@@ -959,7 +893,7 @@ pub fn chaos_sweep(seed: u64, scale: Scale) -> ChaosSweep {
     let arm = |label: &str, plan: Option<FaultPlan>, faulted_readers| {
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
         cfg.faults = plan.map(|p| FaultSpec::parse(&p.build()).expect("valid fault spec"));
-        (label.to_string(), cfg, GateMode::Exact { faulted_readers })
+        (label.to_string(), cfg, faulted_readers)
     };
     let plan = || FaultPlan::new(1009);
     let arms = run_arms(
@@ -1104,133 +1038,6 @@ pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: boo
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive sweep: mid-flight re-optimization under drifting statistics.
-// ---------------------------------------------------------------------------
-
-/// How hard the adaptive sweep's catalog lies: each relation's reported
-/// cardinality is `×0.25` or `×4` the truth (deterministic per-relation
-/// spread — see `GusConfig::stats_error`), so the optimizer's relative
-/// cost ordering is wrong and the executor's observations contradict the
-/// frozen facts early.
-pub const ADAPTIVE_STATS_ERROR: f64 = 0.25;
-
-/// The GUS instance the adaptive sweep runs: chosen (by scanning seeds)
-/// so the skewed priors genuinely mislead the plan search *and keep
-/// misleading it in later batches* — the static arm reads ~2.5k more
-/// tuples than truthful priors would, most of it in batches after the
-/// first, which is exactly the part runtime corrections can recover
-/// (the first batch's plan is decided before any observation exists).
-/// Most small GUS instances are insensitive to the skew (any plan reads
-/// roughly the same streams), which would leave re-optimization nothing
-/// to recover.
-pub const ADAPTIVE_SEED: u64 = 81;
-
-/// A static baseline plus adaptive arms at a spread of drift thresholds, all
-/// over the same drift-heavy workload.
-pub struct AdaptiveSweep {
-    /// Arms in sweep order (index 0 is the static baseline).
-    pub arms: Vec<SweepArm>,
-}
-
-impl AdaptiveSweep {
-    /// Mean virtual response of the static baseline, µs.
-    pub fn mean_static_us(&self) -> f64 {
-        self.arms[0].report.mean_response_us()
-    }
-
-    /// The best adaptive arm's mean response, µs (the baseline's if no
-    /// adaptive arm beats it).
-    pub fn mean_best_us(&self) -> f64 {
-        self.arms[1..]
-            .iter()
-            .map(|a| a.report.mean_response_us())
-            .fold(self.mean_static_us(), f64::min)
-    }
-
-    /// Total mid-batch replans across adaptive arms.
-    pub fn total_replans(&self) -> u64 {
-        self.arms.iter().map(|a| a.report.adaptive.replans).sum()
-    }
-}
-
-/// The drift-heavy GUS workload: the figure-scale script over a catalog
-/// whose priors are skewed to [`ADAPTIVE_STATS_ERROR`] × the truth. The
-/// *data* is identical to a truthful-catalog run — only the optimizer's
-/// starting beliefs are wrong, which is exactly the regime mid-flight
-/// re-optimization exists for.
-pub fn adaptive_workload(seed: u64) -> Workload {
-    let mut cfg = GusConfig::small(seed);
-    // Rows stay under the optimizer's probe threshold even at the ×4
-    // over-report, so the skew misleads *cardinalities* (which runtime
-    // observation can correct) without flipping stream-vs-probe
-    // modality (which it cannot — a probed relation never exhausts a
-    // stream, so its true count is unobservable).
-    cfg.min_rows = 100;
-    cfg.max_rows = 240;
-    cfg.user_queries = 15;
-    cfg.stats_error = ADAPTIVE_STATS_ERROR;
-    gus::generate(&cfg)
-}
-
-/// The engine the adaptive arms run: ATC-FULL on one lane thread under
-/// `adaptive`.
-fn adaptive_engine(adaptive: qsys::opt::AdaptiveConfig) -> EngineConfig {
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.lane_threads = 1;
-    cfg.adaptive = adaptive;
-    cfg
-}
-
-/// Run the adaptive sweep: static baseline, then drift thresholds 1.25 /
-/// 1.5 / 2.0, gated on per-UQ answer identity with the static run
-/// (re-planning is a physical decision; the top-k must not move).
-pub fn adaptive_sweep(seed: u64) -> AdaptiveSweep {
-    use qsys::opt::AdaptiveConfig;
-    let arm = |label: String, adaptive| (label, adaptive_engine(adaptive), GateMode::TieAware);
-    let arms = std::iter::once(arm("static".into(), AdaptiveConfig::off())).chain(
-        [1.25, 1.5, 2.0].map(|drift| arm(format!("drift>{drift}x"), AdaptiveConfig::at(drift))),
-    );
-    AdaptiveSweep {
-        arms: run_arms(&adaptive_workload(seed), arms),
-    }
-}
-
-/// Print the sweep as a table.
-pub fn print_adaptive(sweep: &AdaptiveSweep) {
-    println!(
-        "Adaptive sweep: mid-flight re-optimization vs static plans \
-         (GUS, catalog priors at {:.0}% of true cardinality)",
-        ADAPTIVE_STATS_ERROR * 100.0
-    );
-    println!(
-        "{:>11} {:>12} {:>7} {:>8} {:>10} {:>10} {:>10} {:>5}",
-        "arm", "mean(ms)", "checks", "replans", "corrected", "replan(us)", "tuples", "gate"
-    );
-    for arm in &sweep.arms {
-        let a = &arm.report.adaptive;
-        println!(
-            "{:>11} {:>12.3} {:>7} {:>8} {:>10} {:>10} {:>10} {:>5}",
-            arm.label,
-            arm.report.mean_response_us() / 1e3,
-            a.drift_checks,
-            a.replans,
-            a.cards_corrected,
-            a.replan_us,
-            arm.report.tuples_consumed,
-            arm.gate(),
-        );
-    }
-    let static_us = sweep.mean_static_us();
-    let best_us = sweep.mean_best_us();
-    println!(
-        "mean response: {:.3}ms static -> {:.3}ms best adaptive ({:+.1}%)",
-        static_us / 1e3,
-        best_us / 1e3,
-        100.0 * (best_us / static_us.max(1e-9) - 1.0),
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Invariant audit: the `reproduce verify` subcommand.
 // ---------------------------------------------------------------------------
 
@@ -1316,10 +1123,10 @@ fn audited_run(
 /// Run the invariant audit across the repo's standard arms: ATC-CL on each
 /// seed at 1 and 4 lane threads, clustered as the benchmark's `gus-cl-par`
 /// is so that every seed runs several lanes (the multi-lane coverage),
-/// plus one chaos (5% transient faults) and one adaptive arm — the
-/// configurations whose phase machinery (clustering, fault quarantine,
-/// mid-flight replans) exercises every invariant family the verifier
-/// checks. Snapshots round-trip through `dir`.
+/// plus one chaos arm (5% transient faults) — the configurations whose
+/// phase machinery (clustering, fault quarantine) exercises every
+/// invariant family the verifier checks. Snapshots round-trip through
+/// `dir`.
 pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> VerifyAudit {
     let mut arms = Vec::new();
     for &seed in seeds {
@@ -1349,11 +1156,6 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
             dir,
         ));
     }
-    // Adaptive arm: the drift-regime instance where replans genuinely
-    // fire, so post-replan verification runs on a re-grafted graph.
-    let w = adaptive_workload(ADAPTIVE_SEED);
-    let cfg = adaptive_engine(qsys::opt::AdaptiveConfig::at(1.25));
-    arms.push(audited_run("adaptive drift>1.25x".into(), &w, cfg, dir));
     VerifyAudit { arms }
 }
 
@@ -1399,46 +1201,36 @@ mod tests {
     }
 
     #[test]
-    fn answer_gate_counts_per_mode() {
+    fn answer_gate_counts_failures() {
         use QueryOutcome::Complete;
         let readers = BTreeSet::from([UqId::new(0)]);
-        let exact = GateMode::Exact {
-            faulted_readers: None,
-        };
-        let scoped = GateMode::Exact {
-            faulted_readers: Some(&readers),
-        };
-        let modes = [exact, scoped, GateMode::TieAware];
+        let scopes = [None, Some(&readers)];
         let q0 = [(3.0, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")];
         let base = answers(&q0, Complete);
-        for mode in modes {
-            assert_eq!(answer_gate(&base, &base, mode), 0);
+        for scope in scopes {
+            assert_eq!(answer_gate(&base, &base, scope), 0);
         }
 
-        // A flipped score bit is a wrong answer however it is compared.
+        // A flipped score bit is a wrong answer under any schedule.
         let mut flipped = q0;
         flipped[0].0 = f64::from_bits(3.0f64.to_bits() ^ 1);
-        for mode in modes {
-            assert_eq!(answer_gate(&base, &answers(&flipped, Complete), mode), 1);
+        for scope in scopes {
+            assert_eq!(answer_gate(&base, &answers(&flipped, Complete), scope), 1);
         }
 
-        // Equal-score answers delivered in another order: a different
-        // sequence, the same answer.
+        // Equal-score answers delivered in another order: a `Complete`
+        // answer must be the baseline's exact sequence.
         let mut reordered = q0;
         reordered.swap(1, 2);
-        let arm = answers(&reordered, Complete);
-        assert_eq!(answer_gate(&base, &arm, exact), 1);
-        assert_eq!(answer_gate(&base, &arm, GateMode::TieAware), 0);
+        assert_eq!(answer_gate(&base, &answers(&reordered, Complete), None), 1);
 
         // A degraded query: allowed under faults unless the schedule was
-        // scoped to a relation it never reads; never allowed when only a
-        // physical decision changed.
+        // scoped to a relation it never reads.
         let degraded = QueryOutcome::Degraded {
             missing_rels: vec![qsys::types::RelId::new(2)],
         };
         let arm = answers(&q0, degraded);
-        assert_eq!(answer_gate(&base, &arm, exact), 0);
-        assert_eq!(answer_gate(&base, &arm, scoped), 1);
-        assert_eq!(answer_gate(&base, &arm, GateMode::TieAware), 1);
+        assert_eq!(answer_gate(&base, &arm, None), 0);
+        assert_eq!(answer_gate(&base, &arm, Some(&readers)), 1);
     }
 }

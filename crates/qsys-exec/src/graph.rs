@@ -298,15 +298,6 @@ impl QueryPlanGraph {
         self.sig_index.get(&sig).copied()
     }
 
-    /// Forget the reuse-index entry for one signature; the node itself
-    /// stays alive. The next node registered with this signature becomes
-    /// the merge target — replan grafts use this to supersede an
-    /// abandoned plan's root as the index target while the old node
-    /// lingers (detached) until eviction reclaims it.
-    pub fn forget_sig(&mut self, sig: SigId) {
-        self.sig_index.remove(&sig);
-    }
-
     /// Whether `id` or any producer upstream of it is a quarantined stream
     /// leaf. Grafting consults this before merging new queries into
     /// existing state: a subtree fed by a failed source would pin every new

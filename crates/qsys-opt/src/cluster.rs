@@ -29,20 +29,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The retired lane-sharding knob, carried by `EngineConfig::sharding`.
-/// ATC-CL runs exactly one lane per cluster, so this type has one value,
-/// [`ShardConfig::off`]. It remains only because the benchmark's config
-/// literal names the field; ROADMAP item 1(b) removes it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardConfig(());
-
-impl ShardConfig {
-    /// The only value: every cluster runs on one lane.
-    pub fn off() -> ShardConfig {
-        ShardConfig(())
-    }
-}
-
 /// Partition user queries into plan-graph clusters. Input: per user query,
 /// the multiset of relations its CQs reference (one entry per CQ atom).
 /// Output: disjoint clusters covering every input UQ.

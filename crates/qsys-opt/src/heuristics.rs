@@ -125,16 +125,7 @@ pub(crate) fn warm_fact_of(
             if let Some(f) = w.fact(sig) {
                 return f;
             }
-            let mut f = compute_fact(sig, model, config, interner);
-            // First publication: rescale the catalog estimate by whatever
-            // per-relation correction factors runtime evidence has
-            // accumulated (no-op until the adaptive loop derives some), so
-            // a signature never seen before — a new batch's selections —
-            // still benefits from corrections learned on sibling scans.
-            let scale = w.rel_scale(interner.rels(sig));
-            if scale != 1.0 {
-                f.card = (f.card * scale).max(1.0);
-            }
+            let f = compute_fact(sig, model, config, interner);
             w.set_fact(sig, f);
             f
         }

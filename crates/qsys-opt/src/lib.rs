@@ -25,21 +25,18 @@
 //! across the query stream and are read back instead of re-derived. Every
 //! batch still searches, with bit-identical decisions either way.
 
-pub mod adaptive;
 pub mod bestplan;
 pub mod cluster;
 pub mod cost;
 pub mod heuristics;
 pub mod plan;
+pub mod retired;
 pub mod warm;
 
-pub use adaptive::{
-    apply_observed, detect_drift, AdaptiveConfig, AdaptiveSummary, DriftReport, ObservedCard,
-    ObservedStats,
-};
 pub use bestplan::{BestPlanSearch, OptStats};
-pub use cluster::{cluster_user_queries, ClusterConfig, ShardConfig};
+pub use cluster::{cluster_user_queries, ClusterConfig};
 pub use cost::{CostModel, NoReuse, ReuseOracle};
 pub use heuristics::{enumerate_candidates, enumerate_candidates_warm, Candidate, HeuristicConfig};
 pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
+pub use retired::{AdaptiveConfig, ShardConfig};
 pub use warm::{shared_warm, SharedWarm, WarmCell, WarmExport, WarmFact, WarmStore};

@@ -22,13 +22,11 @@
 //!   the lane has seen, maintained in deep canonical (`SubExprSig`) order.
 //!   The optimizer's two per-batch deep sorts (candidate pool, default
 //!   ranks) become integer-key sorts that provably produce the same order.
-//! - **Relation correction factors**: the adaptive loop's runtime evidence,
-//!   applied when a new signature's fact is first computed.
 //!
-//! Every batch still runs the one BestPlan search; with adaptive execution
-//! off (no correction factors) the store only feeds it inputs a cold run
-//! would recompute to the same values, so decisions, statistics and the
-//! simulated optimize charge are bit-identical with the store on or off.
+//! Every batch still runs the one BestPlan search; the store only feeds it
+//! inputs a cold run would recompute to the same values, so decisions,
+//! statistics and the simulated optimize charge are bit-identical with the
+//! store on or off.
 //! The goldens in `tests/interner_invariants.rs` and the property test in
 //! `tests/proptest_invariants.rs` pin that. Nothing here depends on which
 //! state the plan graph currently holds resident, so eviction never has to
@@ -37,8 +35,7 @@
 //! The QS manager owns one store per lane next to the shared interner.
 
 use qsys_query::{SigId, SigInterner};
-use qsys_types::RelId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Batch-invariant cost inputs of one signature (see module docs).
@@ -78,13 +75,6 @@ pub struct WarmStore {
     /// are same-batch self-hits, not cross-batch warmth, and are excluded
     /// from `batch_hits` so the diagnostic reports what it claims to.
     fresh_facts: HashSet<SigId>,
-    /// Per-relation multiplicative cardinality corrections derived from
-    /// runtime evidence (the adaptive loop's exhausted-leaf factors).
-    /// Applied when a *new* signature's fact is first computed from the
-    /// catalog, so evidence gathered on one batch's selections carries to
-    /// later batches' different selections over the same relations.
-    /// Runtime-derived, so deliberately not part of the exported image.
-    rel_factors: BTreeMap<RelId, f64>,
 }
 
 impl WarmStore {
@@ -128,8 +118,7 @@ impl WarmStore {
     }
 
     /// Cached cost inputs for `sig` without touching the per-batch hit
-    /// counter — for read-only consumers outside the optimizer's batch
-    /// accounting (drift detection).
+    /// counter.
     pub fn peek_fact(&self, sig: SigId) -> Option<WarmFact> {
         self.facts.get(sig.index()).copied().flatten()
     }
@@ -141,54 +130,6 @@ impl WarmStore {
         }
         self.facts[sig.index()] = Some(fact);
         self.fresh_facts.insert(sig);
-    }
-
-    /// Visit every cached fact and let the caller retune its cardinality
-    /// in place (the adaptive layer's relation-level corrections). The
-    /// callback returns the new cardinality, or `None` to leave the fact
-    /// alone; non-finite and unchanged values are ignored. Returns how
-    /// many cards actually changed. Changed facts count as fresh for the
-    /// current batch — a retune is this batch's own doing, not
-    /// cross-batch warmth.
-    pub fn retune_facts(&mut self, mut retune: impl FnMut(SigId, &WarmFact) -> Option<f64>) -> u64 {
-        let mut changed = 0u64;
-        let mut fresh = Vec::new();
-        for (idx, slot) in self.facts.iter_mut().enumerate() {
-            let Some(fact) = slot.as_mut() else { continue };
-            let sig = SigId(idx as u32);
-            if let Some(card) = retune(sig, fact) {
-                if card.is_finite() && card != fact.card {
-                    fact.card = card;
-                    fresh.push(sig);
-                    changed += 1;
-                }
-            }
-        }
-        self.fresh_facts.extend(fresh);
-        changed
-    }
-
-    /// Fold one piece of runtime evidence into a relation's correction
-    /// factor. `incremental` is relative to the *current* cached facts
-    /// (which already reflect the stored factor once it has been applied),
-    /// so factors compose multiplicatively; the product is clamped to the
-    /// same range the adaptive layer clamps individual factors to.
-    pub fn note_rel_factor(&mut self, rel: RelId, incremental: f64, max_factor: f64) {
-        let entry = self.rel_factors.entry(rel).or_insert(1.0);
-        *entry = (*entry * incremental).clamp(1.0 / max_factor, max_factor);
-    }
-
-    /// Combined correction factor for a signature spanning `rels`: the
-    /// product of every constituent relation's factor (1.0 when no
-    /// evidence has been gathered — the adaptive-off case, where facts
-    /// stay byte-identical to a cold computation).
-    pub fn rel_scale(&self, rels: &[RelId]) -> f64 {
-        if self.rel_factors.is_empty() {
-            return 1.0;
-        }
-        rels.iter()
-            .filter_map(|r| self.rel_factors.get(r))
-            .product()
     }
 
     /// Cached heuristic-3a verdict, counting the hit.

@@ -34,7 +34,7 @@
 pub mod wire;
 
 use qsys_catalog::Catalog;
-use qsys_opt::{ObservedCard, ObservedStats, WarmExport, WarmFact, WarmStore};
+use qsys_opt::{WarmExport, WarmFact, WarmStore};
 use qsys_query::{SigId, SigInterner, SubExprSig};
 use qsys_source::SnapFaults;
 use std::fs;
@@ -49,12 +49,12 @@ pub const SNAPSHOT_TMP: &str = "qsys.snapshot.tmp";
 /// Magic tag opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"QSYSSNAP";
 /// Current format version. Version 3 dropped the interner's child pairs
-/// and the plan-memo section; a snapshot is a cache, not a compatibility
-/// promise, so older (and newer) files are rejected whole and the engine
-/// cold-starts.
-pub const FORMAT_VERSION: u32 = 3;
+/// and the plan-memo section; version 4 dropped the observed-cardinality
+/// section. A snapshot is a cache, not a compatibility promise, so older
+/// (and newer) files are rejected whole and the engine cold-starts.
+pub const FORMAT_VERSION: u32 = 4;
 /// Oldest format version this loader still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 3;
+pub const MIN_FORMAT_VERSION: u32 = 4;
 
 const SEC_HEADER: u8 = 0x01;
 const SEC_INTERNER: u8 = 0x10;
@@ -63,7 +63,8 @@ const SEC_EXPENSIVE: u8 = 0x12;
 const SEC_CANDIDATES: u8 = 0x13;
 const SEC_RANK: u8 = 0x14;
 // 0x15 is retired (the plan-memo section of formats 1–2); do not reuse it.
-const SEC_OBSERVED: u8 = 0x16;
+// 0x16 is retired (the observed-cardinality section of format 3); do not
+// reuse it.
 const SEC_LANE_END: u8 = 0x1F;
 
 /// Sanity bound on the header's lane count (a corrupt count must not
@@ -107,9 +108,6 @@ pub struct LaneImage {
     pub interner: Vec<SubExprSig>,
     /// The warm store's exportable state.
     pub warm: WarmExport,
-    /// Observed per-leaf cardinalities learned by the adaptive loop
-    /// (empty unless adaptive execution ran); id-sorted.
-    pub observed: Vec<(SigId, ObservedCard)>,
 }
 
 /// Serializable image of a whole engine's warm state.
@@ -131,9 +129,6 @@ pub struct LoadedLane {
     pub interner: SigInterner,
     /// Rebuilt warm store, validated against that interner.
     pub warm: WarmStore,
-    /// Rehydrated observed cardinalities, validated against that
-    /// interner (empty when nothing was observed).
-    pub observed: ObservedStats,
 }
 
 /// Stable fingerprint of a catalog: FNV-1a over the debug rendering of its
@@ -209,17 +204,6 @@ fn encode_rank(warm: &WarmExport) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn encode_observed(lane: &LaneImage) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(lane.observed.len() as u32);
-    for (id, oc) in &lane.observed {
-        e.sig_id(*id);
-        e.u64(oc.tuples);
-        e.u8(oc.exhausted as u8);
-    }
-    e.into_bytes()
-}
-
 /// Serialize an image to the wire format (magic, checksummed header,
 /// per-lane checksummed sections).
 pub fn encode_snapshot(image: &SnapshotImage) -> Vec<u8> {
@@ -237,7 +221,6 @@ pub fn encode_snapshot(image: &SnapshotImage) -> Vec<u8> {
         push_section(&mut out, SEC_EXPENSIVE, &encode_expensive(&lane.warm));
         push_section(&mut out, SEC_CANDIDATES, &encode_candidates(&lane.warm));
         push_section(&mut out, SEC_RANK, &encode_rank(&lane.warm));
-        push_section(&mut out, SEC_OBSERVED, &encode_observed(lane));
         push_section(&mut out, SEC_LANE_END, &[]);
     }
     out
@@ -329,7 +312,6 @@ impl<'a> Iterator for Sections<'a> {
                 | SEC_EXPENSIVE
                 | SEC_CANDIDATES
                 | SEC_RANK
-                | SEC_OBSERVED
                 | SEC_LANE_END
         );
         if !known {
@@ -429,26 +411,11 @@ fn decode_rank(body: &[u8]) -> Result<Vec<SigId>, String> {
     Ok(order)
 }
 
-fn decode_observed(body: &[u8]) -> Result<Vec<(SigId, ObservedCard)>, String> {
-    let mut d = Dec::new(body);
-    let n = d.count(13)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = d.sig_id()?;
-        let tuples = d.u64()?;
-        let exhausted = d.u8()? != 0;
-        out.push((id, ObservedCard { tuples, exhausted }));
-    }
-    d.finish()?;
-    Ok(out)
-}
-
 /// Per-lane accumulation while walking sections.
 #[derive(Default)]
 struct LaneBuild {
     interner: Option<SigInterner>,
     export: WarmExport,
-    observed: Vec<(SigId, ObservedCard)>,
     salvaged: usize,
 }
 
@@ -634,13 +601,6 @@ fn parse_snapshot(
                 }
                 Err(e) => note_reject(summary, format!("rank section: {e}")),
             },
-            SEC_OBSERVED => match decode_observed(section.body) {
-                Ok(observed) => {
-                    build.observed = observed;
-                    build.salvaged += 1;
-                }
-                Err(e) => note_reject(summary, format!("observed section: {e}")),
-            },
             SEC_LANE_END => {
                 lanes.push(finish_lane(
                     std::mem::take(&mut build),
@@ -690,7 +650,7 @@ fn finish_lane(
     expected_fingerprint: &str,
     summary: &mut SnapshotSummary,
 ) -> Option<LoadedLane> {
-    let mut salvaged = build.salvaged;
+    let salvaged = build.salvaged;
     let Some(interner) = build.interner else {
         summary.sections_rejected += salvaged; // sections without their interner
         summary
@@ -713,22 +673,8 @@ fn finish_lane(
             cold
         }
     };
-    // Observed cards are hints, not decisions: an image that fails the
-    // interner-bounds check drops just this section, never the lane.
-    let observed = match ObservedStats::from_export(build.observed, &interner) {
-        Ok(observed) => observed,
-        Err(e) => {
-            note_reject(summary, format!("observed section validation: {e}"));
-            salvaged = salvaged.saturating_sub(1); // it was counted on decode
-            ObservedStats::new()
-        }
-    };
     summary.sections_salvaged += salvaged;
-    Some(LoadedLane {
-        interner,
-        warm,
-        observed,
-    })
+    Some(LoadedLane { interner, warm })
 }
 
 #[cfg(test)]
@@ -783,13 +729,6 @@ mod tests {
             lanes: vec![LaneImage {
                 interner: interner.export_entries(),
                 warm: warm.export(),
-                observed: vec![(
-                    a,
-                    ObservedCard {
-                        tuples: 42,
-                        exhausted: true,
-                    },
-                )],
             }],
         }
     }
@@ -825,44 +764,6 @@ mod tests {
         let mut warm = WarmStore::from_export(lane.warm.export(), &lane.interner).unwrap();
         warm.begin_batch();
         assert!(warm.fact(SigId(2)).is_some());
-        assert_eq!(
-            lane.observed.card(SigId(0)),
-            Some(ObservedCard {
-                tuples: 42,
-                exhausted: true
-            }),
-            "observed cards survive the roundtrip"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_observed_section_drops_only_the_hints() {
-        let cat = catalog();
-        let mut img = image(&cat);
-        // Out-of-bounds id: decodes fine, fails interner validation.
-        img.lanes[0].observed = vec![(
-            SigId(999),
-            ObservedCard {
-                tuples: 1,
-                exhausted: false,
-            },
-        )];
-        let dir = tmp_dir("obsbad");
-        write_snapshot(&dir, &img, None).unwrap();
-        let (lanes, summary) = load_snapshot(&dir, "fp", &cat, None);
-        assert!(summary.loaded, "the lane itself still rehydrates");
-        assert!(summary
-            .reason
-            .as_deref()
-            .unwrap()
-            .contains("observed section validation"));
-        let lane = lanes[0].as_ref().unwrap();
-        assert!(lane.observed.is_empty());
-        assert!(
-            lane.warm.peek_fact(SigId(2)).is_some(),
-            "warm facts are untouched by the dropped hints"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

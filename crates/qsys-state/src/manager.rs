@@ -6,7 +6,6 @@ use qsys_exec::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
 use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
 use qsys_exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys_exec::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
-use qsys_opt::adaptive::ObservedStats;
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
 use qsys_opt::warm::{shared_warm, SharedWarm};
@@ -193,33 +192,6 @@ impl QsManager {
     /// with it), register conjunctive queries with their
     /// rank-merges, and run `RecoverState` where streams were already read.
     pub fn graft(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
-        self.graft_impl(spec, sources, k, false)
-    }
-
-    /// Graft a *re-planned* batch (the adaptive loop's mid-flight
-    /// surgery): identical to [`QsManager::graft`] except each CQ root is
-    /// instantiated fresh even when a node carrying its signature is
-    /// resident. A root signature names the whole conjunctive query — it
-    /// is invariant to plan structure — so an ordinary graft would merge
-    /// every replanned root straight back onto the abandoned plan's root
-    /// node and silently discard the re-optimized structure. Sub-plan
-    /// nodes still merge by signature (shared stream positions and cached
-    /// join state are kept); the fresh root's inputs attach to, or are
-    /// prefilled from, its producers' output and `RecoverState` re-derives the
-    /// candidates that died with the detached rank-merge. The abandoned
-    /// root stays resident until eviction reclaims it, but hands its
-    /// reuse-index entry to the replacement.
-    pub fn graft_replan(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
-        self.graft_impl(spec, sources, k, true)
-    }
-
-    fn graft_impl(
-        &mut self,
-        spec: &PlanSpec,
-        sources: &Sources,
-        k: usize,
-        fresh_roots: bool,
-    ) -> GraftOutcome {
         let epoch = self.graph.bump_epoch();
         let mut outcome = GraftOutcome {
             epoch,
@@ -266,31 +238,6 @@ impl QsManager {
                 Planned::Create
             };
             planned.push(action);
-        }
-        if fresh_roots {
-            // Force every CQ root to instantiate fresh (see
-            // `graft_replan`). Roots sharing one signature still share the
-            // one fresh node; the first forced root takes over the
-            // reuse-index entry so later batches merge onto the
-            // re-planned structure, not the abandoned one.
-            let mut forced: HashMap<SigId, usize> = HashMap::new();
-            let mut roots: Vec<usize> = spec.cq_plans.iter().map(|p| p.root).collect();
-            roots.sort_unstable();
-            roots.dedup();
-            for idx in roots {
-                if !matches!(planned[idx], Planned::Graph(_)) {
-                    continue;
-                }
-                let sig = spec.nodes[idx].sig;
-                planned[idx] = match forced.get(&sig) {
-                    Some(&first) => Planned::Spec(first),
-                    None => {
-                        self.graph.forget_sig(sig);
-                        forced.insert(sig, idx);
-                        Planned::Create
-                    }
-                };
-            }
         }
         // Spec nodes are needed only while reachable from a CQ root without
         // crossing a merged node (walk consumers-before-inputs — the spec
@@ -620,81 +567,6 @@ impl QsManager {
             self.graph.remove_node(rm_id);
             self.rank_merges.remove(&uq);
         }
-    }
-
-    /// The adaptive loop's observation tap: feed the live execution
-    /// state into a lane's [`ObservedStats`]. Every *shared* stream
-    /// leaf reports its delivered tuple count and whether its backing is
-    /// exhausted (an exact cardinality), every shared m-join reports
-    /// its stored-module size (the real co-location cost), and
-    /// per-relation delivery totals accumulate from the leaves.
-    /// Quarantined state is skipped — its counts reflect a failed
-    /// source, not a cardinality.
-    pub fn observe_into(&self, observed: &mut ObservedStats) {
-        let ids: Vec<NodeId> = self.graph.node_ids().collect();
-        for id in ids {
-            let Some(node) = self.graph.try_node(id) else {
-                continue;
-            };
-            let Some(sig) = node.sig else { continue };
-            match &node.kind {
-                NodeKind::Stream(leaf) => {
-                    if leaf.quarantined {
-                        continue;
-                    }
-                    let tuples = self.graph.stored_len(id).unwrap_or(0) as u64;
-                    observed.note_stream(sig, tuples, leaf.backing.exhausted());
-                    for rel in leaf.rels() {
-                        observed.note_rel(rel, tuples);
-                    }
-                }
-                NodeKind::MJoin(_) => {
-                    if self.graph.subtree_quarantined(id) {
-                        continue;
-                    }
-                    if let Some(stored) = self.graph.stored_len(id) {
-                        observed.note_state(sig, stored as u64);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Whether a user query is still safely re-plannable mid-batch: its
-    /// rank-merge exists, is not done, and has emitted *nothing*. Once a
-    /// single result is out, a re-graft would re-derive it through
-    /// `RecoverState`'s pre-epoch replay and emit it twice — so emitting
-    /// queries stay on their static plan.
-    pub fn replannable(&self, uq: UqId) -> bool {
-        self.rank_merges.get(&uq).is_some_and(|&id| {
-            let rm = self.graph.rank_merge(id);
-            !rm.is_done() && rm.results().is_empty()
-        })
-    }
-
-    /// Detach a re-plannable user query's rank-merge so the query can be
-    /// re-grafted onto the live state with a fresh plan: disconnect its
-    /// producers, remove the node, and forget the mapping (exactly
-    /// [`QsManager::unlink_completed`]'s surgery, applied to an
-    /// *unfinished* query). Returns `false` — leaving everything intact —
-    /// unless [`QsManager::replannable`] holds: the candidates the old
-    /// rank-merge held die with it and are re-derived exactly once by the
-    /// re-graft's recovery path, which is only duplicate-free while
-    /// nothing was emitted. Upstream operators are retained; shared
-    /// stream positions are untouched.
-    pub fn detach_for_replan(&mut self, uq: UqId) -> bool {
-        if !self.replannable(uq) {
-            return false;
-        }
-        let rm_id = self.rank_merges[&uq];
-        let parents: Vec<NodeId> = self.graph.node(rm_id).parents.clone();
-        for p in parents {
-            self.graph.disconnect(p, rm_id);
-        }
-        self.graph.remove_node(rm_id);
-        self.rank_merges.remove(&uq);
-        true
     }
 
     /// Evict detached, unpinned state until the graph fits the budget.

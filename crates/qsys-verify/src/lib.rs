@@ -13,7 +13,7 @@
 //! Nothing here mutates anything, takes locks beyond the lane's own
 //! reader guards, or changes a decision: the verifier is a diagnostic
 //! layer the engine calls at phase boundaries (post-cluster, post-graft,
-//! post-replan, pre-snapshot-publish) when `debug_assertions` are on or
+//! pre-snapshot-publish) when `debug_assertions` are on or
 //! `EngineConfig::verify` is set, and that `reproduce verify` runs over whole
 //! workloads and on-disk snapshots.
 //!
@@ -24,7 +24,6 @@
 
 use qsys_exec::access::ModuleId;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
-use qsys_opt::adaptive::{ObservedCard, ObservedStats};
 use qsys_opt::warm::WarmExport;
 use qsys_query::{SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage, MAX_LANES};
@@ -58,8 +57,6 @@ pub enum ViolationClass {
     /// Warm-store export ordering broken (facts/candidates not id-sorted,
     /// canonical order not strictly deep-increasing).
     WarmDisorder,
-    /// Observed-stats export not strictly ascending by id.
-    ObservedDisorder,
     /// Snapshot sections disagree: one section references ids another
     /// section does not define.
     SectionMismatch,
@@ -268,38 +265,6 @@ pub fn verify_warm_export(
             format!("{path}/canon_order"),
             "canonical order not strictly deep-increasing",
         ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Observed-stats invariants.
-// ---------------------------------------------------------------------------
-
-/// Check an observed-cardinality export: strictly ascending by id (the
-/// export order snapshots and drift detection binary-search on) and in
-/// bounds for the interner the ids belong to.
-pub fn verify_observed(
-    entries: &[(SigId, ObservedCard)],
-    interner_len: usize,
-    path: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-        out.push(Violation::new(
-            ViolationClass::ObservedDisorder,
-            path,
-            "observed cards not strictly ascending by sig id",
-        ));
-    }
-    for (id, _) in entries {
-        if id.index() >= interner_len {
-            out.push(Violation::new(
-                ViolationClass::IdOutOfRange,
-                path,
-                format!("{id:?} out of range (interner len {interner_len})"),
-            ));
-        }
     }
     out
 }
@@ -644,11 +609,11 @@ pub fn verify_no_quarantined_grafts(manager: &QsManager, path: &str) -> Vec<Viol
 // Lane and snapshot entry points.
 // ---------------------------------------------------------------------------
 
-/// Verify one execution lane end to end: interner arena, warm store, the
-/// lane's observed stats, and the plan graph with module-refcount
-/// accounting. Pure and read-only (borrows the lane's interner and warm
-/// cells for reading; never mutates).
-pub fn verify_lane(manager: &QsManager, observed: &ObservedStats) -> VerifyReport {
+/// Verify one execution lane end to end: interner arena, warm store, and
+/// the plan graph with module-refcount accounting. Pure and read-only
+/// (borrows the lane's interner and warm cells for reading; never
+/// mutates).
+pub fn verify_lane(manager: &QsManager) -> VerifyReport {
     let mut out = Vec::new();
     let interner_cell = manager.shared_interner();
     let interner = interner_cell.borrow();
@@ -656,11 +621,6 @@ pub fn verify_lane(manager: &QsManager, observed: &ObservedStats) -> VerifyRepor
     let warm_cell = manager.warm_cell();
     let warm = warm_cell.borrow();
     out.extend(verify_warm_export(&warm.export(), &interner, "lane/warm"));
-    out.extend(verify_observed(
-        &observed.export(),
-        interner.len(),
-        "lane/observed",
-    ));
     drop(warm);
     drop(interner);
     out.extend(verify_manager(manager, "lane/graph"));
@@ -668,7 +628,7 @@ pub fn verify_lane(manager: &QsManager, observed: &ObservedStats) -> VerifyRepor
 }
 
 /// Verify a snapshot image's semantic validity beyond what the wire CRCs
-/// cover: per-lane interner canonical form, warm/observed section
+/// cover: per-lane interner canonical form, warm section
 /// cross-references into the interner section, ordering contracts, and
 /// the loader's lane ceiling. Works on the in-memory image — run it
 /// before publishing (the pre-publish hook) or after decoding.
@@ -698,7 +658,7 @@ pub fn verify_snapshot(image: &SnapshotImage) -> VerifyReport {
 }
 
 /// Verify one lane's snapshot sections against each other. Cross-section
-/// references (warm → interner, observed → interner) are reported as
+/// references (warm → interner) are reported as
 /// [`ViolationClass::SectionMismatch`]: on the wire each section CRCs
 /// clean in isolation, so a dangling id is precisely a *cross*-section
 /// corruption.
@@ -765,11 +725,6 @@ pub fn verify_lane_image(lane: &LaneImage, path: &str) -> Vec<Violation> {
         ));
     }
     out.extend(remap(warm_out));
-    out.extend(remap(verify_observed(
-        &lane.observed,
-        n,
-        &format!("{path}/observed"),
-    )));
     out
 }
 

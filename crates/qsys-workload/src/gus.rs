@@ -120,17 +120,6 @@ pub struct GusConfig {
     pub skew: f64,
     /// Maximum inter-arrival gap (paper: 6 s).
     pub arrival_spread_us: u64,
-    /// Error spread on the *catalog's* reported cardinalities and
-    /// column-distinct counts, leaving the generated data untouched: at
-    /// 1.0 (the default) the priors are truthful; at `e != 1.0` each
-    /// relation's reported numbers are deterministically multiplied by
-    /// `e` or `1/e` (hash of the relation index), so the catalog's
-    /// *relative* ordering of cardinalities is wrong — the drift-heavy
-    /// regime the adaptive re-optimization bench exercises. Uniformly
-    /// scaling every relation would leave most cost comparisons, and
-    /// therefore most plans, unchanged; the spread is what makes stale
-    /// priors pick genuinely bad plans.
-    pub stats_error: f64,
 }
 
 impl GusConfig {
@@ -145,7 +134,6 @@ impl GusConfig {
             user_queries: 15,
             skew: 1.0,
             arrival_spread_us: 6_000_000,
-            stats_error: 1.0,
         }
     }
 
@@ -181,29 +169,13 @@ pub fn generate(config: &GusConfig) -> Workload {
             i
         );
         let key_domain = (rows / rng.random_range(1u64..3)).max(16);
-        // The catalog reports `stats_error^±1 ×` the truth (sign from a
-        // hash of the relation index, off the workload's RNG stream so
-        // the generated data and script stay untouched); the data keeps
-        // the true shape. Guard the exact-1.0 case so truthful runs stay
-        // byte-identical to pre-knob builds.
-        let reported = |v: u64| {
-            if config.stats_error == 1.0 {
-                return v;
-            }
-            let factor = if (i as u64).wrapping_mul(0x9E3779B97F4A7C15) & (1 << 62) == 0 {
-                config.stats_error
-            } else {
-                1.0 / config.stats_error
-            };
-            ((v as f64 * factor).round() as u64).max(1)
-        };
-        let mut stats = RelationStats::with_cardinality(reported(rows));
+        let mut stats = RelationStats::with_cardinality(rows);
         stats.columns = vec![
             ColumnStats {
-                distinct: reported(key_domain),
+                distinct: key_domain,
             },
             ColumnStats {
-                distinct: reported(key_domain),
+                distinct: key_domain,
             },
             ColumnStats { distinct: 997 },
         ];
@@ -422,43 +394,6 @@ mod tests {
             .zip(c.queries.iter())
             .all(|(x, y)| x.keywords == y.keywords);
         assert!(!same, "different seeds should differ somewhere");
-    }
-
-    #[test]
-    fn stats_error_skews_catalog_only() {
-        let truthful = generate(&GusConfig::small(5));
-        let skewed = generate(&GusConfig {
-            stats_error: 0.25,
-            ..GusConfig::small(5)
-        });
-        // Same data, same script — only the priors lie.
-        assert_eq!(truthful.queries.len(), skewed.queries.len());
-        for (a, b) in truthful.queries.iter().zip(&skewed.queries) {
-            assert_eq!(a.keywords, b.keywords);
-        }
-        let (mut smaller, mut larger) = (0, 0);
-        for (t, s) in truthful
-            .catalog
-            .relations()
-            .iter()
-            .zip(skewed.catalog.relations())
-        {
-            if s.stats.cardinality < t.stats.cardinality {
-                smaller += 1;
-            }
-            if s.stats.cardinality > t.stats.cardinality {
-                larger += 1;
-            }
-            assert_eq!(
-                truthful.tables.table(t.id).rows().len(),
-                skewed.tables.table(s.id).rows().len(),
-                "generated data must not change"
-            );
-        }
-        // The spread lies in both directions, so the catalog's relative
-        // cardinality ordering — not just its scale — is wrong.
-        assert!(smaller > 50, "some priors shrank ({smaller})");
-        assert!(larger > 50, "some priors grew ({larger})");
     }
 
     #[test]

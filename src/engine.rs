@@ -14,9 +14,10 @@ use crate::report::{OptEvent, QueryOutcome, UqReport};
 use crate::session::{ledger_lock, Admitted, Ledger, TicketSlot};
 use qsys_catalog::Catalog;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
-use qsys_opt::adaptive::{AdaptiveConfig, AdaptiveSummary, ObservedStats};
-use qsys_opt::cluster::{ClusterConfig, ShardConfig};
-use qsys_opt::{HeuristicConfig, OptStats, Optimizer, OptimizerConfig};
+use qsys_opt::{
+    AdaptiveConfig, ClusterConfig, HeuristicConfig, OptStats, Optimizer, OptimizerConfig,
+    ShardConfig,
+};
 use qsys_query::{CandidateConfig, ScoreFn, UserQuery};
 use qsys_source::{FaultInjector, FaultSpec, Sources, TableProvider};
 use qsys_state::{EvictionPolicy, GraftOutcome, QsManager};
@@ -123,19 +124,10 @@ pub struct EngineConfig {
     /// remains only because the benchmark's config literal names every
     /// field; ROADMAP item 1(b) removes it.
     pub sharding: ShardConfig,
-    /// Adaptive mid-flight re-optimization: when enabled
-    /// (`adaptive.drift` set), each sharing lane periodically compares
-    /// runtime observations (per-leaf delivered cardinality, m-join
-    /// state growth) against the frozen warm-store cost inputs during
-    /// batch execution; past the drift ratio it folds the observed
-    /// cards back into the warm store and re-plans the *remaining*
-    /// queries (those that have emitted nothing yet) through the warm
-    /// path, re-grafting them onto the live state. The result multiset
-    /// per query is identical to the static plan's
-    /// (`tests/adaptive_identity.rs`). Off by default — no observation,
-    /// no drift checks, goldens byte-identical. `AdaptiveConfig::at(r)`
-    /// enables it at drift ratio `r` > 1. Requires `warm_opt` (the
-    /// corrected facts live in the warm store) — inert without it.
+    /// Retired: adaptive mid-flight re-planning is gone and a batch runs
+    /// the plan it was grafted with, so [`AdaptiveConfig::off`] is the
+    /// only value. The field remains only because the benchmark's config
+    /// literal names every field; ROADMAP item 1(b) removes it.
     pub adaptive: AdaptiveConfig,
     /// Auto-snapshot cadence when [`EngineConfig::snapshot_dir`] is set:
     /// publish a fresh snapshot after every this-many dispatched batches
@@ -143,7 +135,7 @@ pub struct EngineConfig {
     /// Defaults to 1 — every batch boundary. Must be ≥ 1.
     pub snapshot_every: usize,
     /// Run the `qsys-verify` invariant verifier at every phase boundary
-    /// (post-cluster, post-graft, post-replan, pre-snapshot-publish).
+    /// (post-cluster, post-graft, pre-snapshot-publish).
     /// Always on in debug builds (`debug_assertions`); this knob turns it
     /// on for release builds too. A violation panics the offending lane
     /// with the full structured report: a broken sharing invariant means
@@ -271,19 +263,6 @@ impl EngineConfig {
             "snapshot_every",
             "snapshot cadence must be ≥ 1 batch",
         );
-        if let Some(d) = self.adaptive.drift {
-            invariant(
-                d.is_finite() && d > 1.0,
-                "adaptive.drift",
-                "drift ratio must be finite and > 1",
-            );
-        }
-        invariant(
-            self.adaptive.min_remaining.is_finite()
-                && (0.0..=1.0).contains(&self.adaptive.min_remaining),
-            "adaptive.min_remaining",
-            "remaining-work fraction must be in [0, 1]",
-        );
         invariant(
             !self.shard_debug,
             "shard_debug",
@@ -343,10 +322,6 @@ pub(crate) struct Lane {
     /// Retry/breaker state for this lane's fetches. A strict pass-through
     /// while the lane's sources carry no fault injector.
     pub(crate) governor: SourceGovernor,
-    /// Adaptive-execution state: accumulated runtime observations plus
-    /// the lane's drift/replan counters. Untouched (default-empty) when
-    /// `EngineConfig::adaptive` is off.
-    pub(crate) adaptive: AdaptiveState,
     /// The open admission window (seals into `ready`).
     pub(crate) open: Vec<Admitted>,
     /// Sealed batches, dispatched in order by `Engine::step`.
@@ -363,16 +338,6 @@ pub(crate) struct Lane {
     /// with [`QueryOutcome::Failed`] instead of executing on poisoned
     /// state. Other lanes — and the engine — keep serving.
     pub(crate) poisoned: Option<String>,
-}
-
-/// A lane's adaptive-execution state (see [`EngineConfig::adaptive`]).
-#[derive(Debug, Default)]
-pub(crate) struct AdaptiveState {
-    /// Runtime observations, monotone across the lane's lifetime (and
-    /// rehydrated from a snapshot's observed-stats section).
-    pub(crate) observed: ObservedStats,
-    /// Drift/replan counters, reported per lane and merged into the run.
-    pub(crate) summary: AdaptiveSummary,
 }
 
 /// Compile-time guarantee that lanes can move onto worker threads; if a
@@ -397,18 +362,6 @@ type Live<'b> = (&'b Admitted, Option<u64>);
 /// and the members it covered.
 type Graft = (GraftOutcome, OptStats, Vec<UqId>);
 
-/// Rounds between drift checks in the drive loop: frequent enough to catch
-/// drift while most of a batch is still ahead, rare enough that
-/// observation never dominates a round.
-const DRIFT_CHECK_INTERVAL: u64 = 4;
-
-/// Mid-batch replans one batch may perform. Corrections persist in the
-/// warm store (and are re-applied wholesale at batch end), so one
-/// surgery per batch captures nearly all of the correction's value;
-/// every further replan re-pays the optimize charge for marginal
-/// fact deltas — churn, not adaptation.
-const MAX_REPLANS_PER_BATCH: u64 = 1;
-
 impl Lane {
     pub(crate) fn new(config: &EngineConfig, provider: TableProvider, idx: usize) -> Lane {
         let mut manager = QsManager::new(config.memory_budget).with_policy(config.eviction);
@@ -432,7 +385,6 @@ impl Lane {
             atc: Atc::new(config.scheduling),
             stats: ExecStats::new(),
             governor: SourceGovernor::new(config.retry),
-            adaptive: AdaptiveState::default(),
             open: Vec::new(),
             ready: VecDeque::new(),
             opt_events: Vec::new(),
@@ -509,7 +461,7 @@ impl Lane {
         let live = self.admit(cx, batch);
         if !live.is_empty() {
             let grafts = self.plan(cx, &live);
-            self.execute(cx, &live);
+            self.execute();
             self.publish(cx, &live, &grafts);
             self.retire();
         }
@@ -559,7 +511,7 @@ impl Lane {
             SharingMode::AtcCq | SharingMode::AtcUq => {
                 for (admitted, _) in live {
                     let uq = &admitted.uq;
-                    let (outcome, opt) = self.graft_batch(cx, &[uq], false);
+                    let (outcome, opt) = self.graft_batch(cx, &[uq]);
                     grafts.push((outcome, opt, vec![uq.id]));
                     if matches!(cx.config.sharing, SharingMode::AtcUq) {
                         // Sharing stays within the user query.
@@ -570,7 +522,7 @@ impl Lane {
             // ATC-FULL / ATC-CL: one multi-query optimization per batch.
             SharingMode::AtcFull | SharingMode::AtcCl(_) => {
                 let uqs: Vec<&UserQuery> = live.iter().map(|(a, _)| &a.uq).collect();
-                let (outcome, opt) = self.graft_batch(cx, &uqs, false);
+                let (outcome, opt) = self.graft_batch(cx, &uqs);
                 grafts.push((outcome, opt, uqs.iter().map(|uq| uq.id).collect()));
             }
         }
@@ -579,9 +531,8 @@ impl Lane {
             // satisfy every structural invariant, and — before execution
             // starts — no rank-merge may be bound into a quarantined
             // subtree (execution later drains *around* quarantined leaves,
-            // so this second check is only valid here, not after replans).
-            qsys_verify::verify_lane(&self.manager, &self.adaptive.observed)
-                .assert_clean("post-graft");
+            // so this second check is only valid here).
+            qsys_verify::verify_lane(&self.manager).assert_clean("post-graft");
             VerifyReport::from(qsys_verify::verify_no_quarantined_grafts(
                 &self.manager,
                 "lane/graph",
@@ -592,16 +543,8 @@ impl Lane {
     }
 
     /// Optimize and graft a set of user queries as one batch onto this
-    /// lane, recording the optimizer invocation in `opt_events`. `replan`
-    /// marks an adaptive mid-batch re-graft: the manager then instantiates
-    /// CQ roots fresh instead of merging them back onto the abandoned
-    /// plan's roots (whose signatures they necessarily share).
-    fn graft_batch(
-        &mut self,
-        cx: &BatchCx,
-        uqs: &[&UserQuery],
-        replan: bool,
-    ) -> (GraftOutcome, OptStats) {
+    /// lane, recording the optimizer invocation in `opt_events`.
+    fn graft_batch(&mut self, cx: &BatchCx, uqs: &[&UserQuery]) -> (GraftOutcome, OptStats) {
         let batch: Vec<(&qsys_query::ConjunctiveQuery, &ScoreFn)> = uqs
             .iter()
             .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
@@ -630,129 +573,23 @@ impl Lane {
                 warm.as_deref(),
             )
         };
-        let outcome = if replan {
-            self.manager.graft_replan(&spec, &self.sources, cx.config.k)
-        } else {
-            self.manager.graft(&spec, &self.sources, cx.config.k)
-        };
+        let outcome = self.manager.graft(&spec, &self.sources, cx.config.k);
         self.opt_events
             .push(OptEvent::new(batch.len(), &opt_stats, step_us));
         (outcome, opt_stats)
     }
 
     /// Drive the ATC until every rank-merge of the batch is done: the one
-    /// drive loop. Where mid-batch re-planning runs (see [`replan_drift`]),
-    /// every [`DRIFT_CHECK_INTERVAL`] rounds it may re-plan the members
-    /// that have emitted nothing, and the batch's observations are folded
-    /// into the warm store at the end.
-    fn execute(&mut self, cx: &BatchCx, live: &[Live]) {
-        let drift = replan_drift(cx.config);
+    /// drive loop.
+    fn execute(&mut self) {
         self.governor.begin_batch();
-        let mut rounds: u64 = 0;
-        let mut replans: u64 = 0;
         while self.atc.round(
             self.manager.graph_mut(),
             &self.sources,
             &self.governor,
             &mut self.stats,
-        ) {
-            rounds += 1;
-            if let Some(drift) = drift {
-                if rounds.is_multiple_of(DRIFT_CHECK_INTERVAL) && replans < MAX_REPLANS_PER_BATCH {
-                    replans += u64::from(self.maybe_replan(cx, live, drift));
-                }
-            }
-        }
-        if drift.is_some() {
-            self.adaptive.observed.add_rounds(rounds);
-            // Final tap: later batches' drift checks and snapshots should
-            // see end-of-batch truth even if no check fired.
-            self.manager.observe_into(&mut self.adaptive.observed);
-            // Fold the batch's full observations into the warm store now
-            // that every stream has settled — exhausted leaves are exact
-            // counts and their relation-level factors re-cost the whole
-            // candidate space. Unlike the mid-batch surgery this charges
-            // nothing: the next batch was going to optimize anyway.
-            self.adaptive.summary.cards_corrected += self.apply_observed();
-        }
+        ) {}
         self.manager.unpin_all();
-    }
-
-    /// Fold the lane's runtime observations into its warm store,
-    /// returning how many cardinalities changed.
-    fn apply_observed(&mut self) -> u64 {
-        let interner_cell = self.manager.shared_interner();
-        let interner = interner_cell.borrow();
-        let warm_cell = self.manager.warm_cell();
-        let mut warm = warm_cell.borrow_mut();
-        qsys_opt::adaptive::apply_observed(&mut warm, &self.adaptive.observed, &interner)
-    }
-
-    /// One drift check of the drive loop: tap the live graph's observed
-    /// cardinalities and compare them against the frozen warm-store facts.
-    /// When drift exceeds the configured ratio and enough of the batch is
-    /// still re-plannable, fold the observations into the warm store,
-    /// detach every member that has emitted nothing, and re-graft those
-    /// members through the warm optimizer path — their fresh rank-merges
-    /// rebuild from the stored modules via `RecoverState` (the same
-    /// machinery a late-arriving query uses), so no tuple is lost and, with
-    /// nothing yet emitted, none can be duplicated. Returns whether it
-    /// re-planned.
-    fn maybe_replan(&mut self, cx: &BatchCx, live: &[Live], drift: f64) -> bool {
-        self.adaptive.summary.drift_checks += 1;
-        self.manager.observe_into(&mut self.adaptive.observed);
-        let drifted = {
-            let warm_cell = self.manager.warm_cell();
-            let warm = warm_cell.borrow();
-            qsys_opt::adaptive::detect_drift(&warm, &self.adaptive.observed, drift).any()
-        };
-        if !drifted {
-            return false;
-        }
-        // Only members that have emitted nothing are safely re-plannable;
-        // a replan must also still be worth it (enough of the batch left).
-        let remaining: Vec<&UserQuery> = live
-            .iter()
-            .map(|(a, _)| &a.uq)
-            .filter(|uq| self.manager.replannable(uq.id))
-            .collect();
-        if remaining.is_empty()
-            || (remaining.len() as f64) < cx.config.adaptive.min_remaining * live.len() as f64
-        {
-            return false;
-        }
-        // Correct the warm store from what was observed. If nothing
-        // actually changed, the re-plan would re-derive the same plan —
-        // skip the surgery.
-        let corrected = self.apply_observed();
-        self.adaptive.summary.cards_corrected += corrected;
-        if corrected == 0 {
-            return false;
-        }
-        let replanned: Vec<&UserQuery> = remaining
-            .into_iter()
-            .filter(|uq| self.manager.detach_for_replan(uq.id))
-            .collect();
-        if replanned.is_empty() {
-            return false;
-        }
-        let opt_before = self.sources.clock().breakdown().optimize_us;
-        self.graft_batch(cx, &replanned, true);
-        if cx.config.verify_phases() {
-            // Post-replan boundary: structural invariants only. The
-            // quarantine check is deliberately absent — mid-execution the
-            // legal degradation path drains around quarantined leaves.
-            qsys_verify::verify_lane(&self.manager, &self.adaptive.observed)
-                .assert_clean("post-replan");
-        }
-        self.adaptive.summary.replan_us += self
-            .sources
-            .clock()
-            .breakdown()
-            .optimize_us
-            .saturating_sub(opt_before);
-        self.adaptive.summary.replans += 1;
-        true
     }
 
     /// Harvest each member's ranked answers and report line into the
@@ -854,20 +691,6 @@ pub(crate) fn batch_share(mode: &SharingMode) -> bool {
     !matches!(mode, SharingMode::AtcCq)
 }
 
-/// The drift ratio mid-batch re-planning runs at, or `None` where it does
-/// not run: it needs a configured ratio, the warm store (corrections live
-/// there) and cross-query sharing (a re-graft must merge back onto the
-/// live leaves) — ATC-CQ shares nothing and ATC-UQ isolates its signature
-/// index between queries, so both always run the static plan.
-fn replan_drift(config: &EngineConfig) -> Option<f64> {
-    let shares_across_queries =
-        matches!(config.sharing, SharingMode::AtcFull | SharingMode::AtcCl(_));
-    config
-        .adaptive
-        .drift
-        .filter(|_| config.warm_opt && shares_across_queries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -918,31 +741,6 @@ mod tests {
         assert!(!c.shard_debug);
         assert!(c.env_errors.is_empty());
         assert_eq!(c.validate_all(), Vec::new(), "the default is sound");
-    }
-
-    #[test]
-    fn validate_checks_adaptive_invariants() {
-        let mut config = EngineConfig {
-            adaptive: AdaptiveConfig::at(1.0),
-            ..EngineConfig::default()
-        };
-        let err = config.validate().expect_err("ratio 1 never drifts");
-        assert_eq!(err.field, "adaptive.drift");
-        config.adaptive = AdaptiveConfig {
-            drift: Some(f64::INFINITY),
-            ..AdaptiveConfig::off()
-        };
-        assert!(config.validate().is_err(), "infinite ratio invalid");
-        config.adaptive = AdaptiveConfig {
-            drift: Some(2.0),
-            min_remaining: 1.5,
-        };
-        let err = config.validate().expect_err("fraction above 1 invalid");
-        assert_eq!(err.field, "adaptive.min_remaining");
-        config.adaptive = AdaptiveConfig::at(2.0);
-        config.validate().expect("sane adaptive validates");
-        config.adaptive = AdaptiveConfig::off();
-        config.validate().expect("default-off adaptive validates");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::engine::EngineConfig;
 use crate::session::{Engine, QueryTicket};
 use qsys_exec::{ExecWork, FaultStats};
-use qsys_opt::{AdaptiveSummary, OptStats};
+use qsys_opt::OptStats;
 use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_types::{QsysResult, RelId, TimeBreakdown, UqId, UserId};
 use qsys_workload::Workload;
@@ -103,9 +103,6 @@ pub struct LaneSummary {
     pub uqs: usize,
     /// Whether a panicking batch poisoned the lane.
     pub poisoned: bool,
-    /// This lane's adaptive-execution counters (all zero with the
-    /// adaptive path disabled).
-    pub adaptive: AdaptiveSummary,
 }
 
 /// One optimizer invocation (Figure 11's data points).
@@ -182,9 +179,6 @@ pub struct RunReport {
     pub skipped: Vec<String>,
     /// Fault/resilience accounting (all zero on a clean run).
     pub faults: FaultSummary,
-    /// Adaptive-execution accounting summed across lanes (all zero with
-    /// `EngineConfig::adaptive` off — the default).
-    pub adaptive: AdaptiveSummary,
     /// Warm-state snapshot recovery/publication accounting (default when
     /// `EngineConfig::snapshot_dir` is unset).
     pub snapshot: qsys_snapshot::SnapshotSummary,

@@ -329,14 +329,13 @@ impl Engine {
     /// loaded snapshot warms every lane topology the engine can grow.
     fn add_lane(&mut self) -> usize {
         let idx = self.lanes.len();
-        let mut lane = Lane::new(&self.config, (self.provider)(), idx);
+        let lane = Lane::new(&self.config, (self.provider)(), idx);
         if let Some(loaded) = self.thawed.get_mut(idx).and_then(Option::take) {
             // The snapshot's `SigId`s are positional: the arena has to be
             // rebuilt onto an empty interner for the ids to mean what the
             // warm store thinks they mean.
             *lane.manager.shared_interner().borrow_mut() = loaded.interner;
             *lane.manager.warm_cell().borrow_mut() = loaded.warm;
-            lane.adaptive.observed = loaded.observed;
         }
         self.lanes.push(lane);
         idx
@@ -563,7 +562,7 @@ impl Engine {
         }
         if self.config.verify_phases() {
             for (idx, lane) in self.lanes.iter().enumerate() {
-                qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed)
+                qsys_verify::verify_lane(&lane.manager)
                     .assert_clean(&format!("post-cluster (lane {idx})"));
             }
         }
@@ -631,7 +630,6 @@ impl Engine {
                     LaneImage {
                         interner: interner.export_entries(),
                         warm: warm.export(),
-                        observed: lane.adaptive.observed.export(),
                     }
                 })
                 .collect(),
@@ -686,8 +684,7 @@ impl Engine {
     /// decoded lane — the on-disk half of the `reproduce verify` audit.
     /// The load path already drops sections that fail CRC or structural
     /// validation; this checks the *semantic* invariants of what survived
-    /// (canonical signatures, warm-store ordering and id bounds, observed
-    /// monotonicity).
+    /// (canonical signatures, warm-store ordering and id bounds).
     /// `Err` means nothing could be audited (no dir, or nothing loaded).
     pub fn audit_snapshot(&self) -> Result<VerifyReport, String> {
         let Some(dir) = &self.config.snapshot_dir else {
@@ -727,11 +724,6 @@ impl Engine {
                 &lane.interner,
                 &format!("{path}/warm"),
             ));
-            violations.extend(qsys_verify::verify_observed(
-                &lane.observed.export(),
-                lane.interner.len(),
-                &format!("{path}/observed"),
-            ));
         }
         Ok(VerifyReport::from(violations))
     }
@@ -745,7 +737,7 @@ impl Engine {
     pub fn verify(&self) -> VerifyReport {
         let mut violations = Vec::new();
         for (idx, lane) in self.lanes.iter().enumerate() {
-            let report = qsys_verify::verify_lane(&lane.manager, &lane.adaptive.observed);
+            let report = qsys_verify::verify_lane(&lane.manager);
             violations.extend(report.violations.into_iter().map(|mut v| {
                 // verify_lane paths start "lane/…" — pin which lane.
                 v.path = v.path.replacen("lane", &format!("lane[{idx}]"), 1);
@@ -880,7 +872,6 @@ impl Engine {
                     tuples_streamed: lane.sources.tuples_streamed(),
                     uqs: 0,
                     poisoned: lane.poisoned.is_some(),
-                    adaptive: lane.adaptive.summary,
                 })
                 .collect(),
             skipped: self.skipped.clone(),
@@ -899,7 +890,6 @@ impl Engine {
             report.probes += lane.sources.probes();
             report.exec_work.absorb(lane.manager.graph().work());
             report.faults.source.absorb(&lane.governor.snapshot());
-            report.adaptive.absorb(&lane.adaptive.summary);
         }
         let ledger = ledger_lock(&self.ledger);
         report.per_uq = ledger

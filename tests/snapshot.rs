@@ -131,8 +131,6 @@ impl Primed {
     }
 
     /// The state this lane would persist, as the engine would frame it.
-    /// Carries a synthetic observed-cardinality entry so the corruption
-    /// matrix walks the adaptive section's bytes too.
     fn image(&self) -> SnapshotImage {
         SnapshotImage {
             engine_fingerprint: self.opt_config.warm_fingerprint(),
@@ -140,13 +138,6 @@ impl Primed {
             lanes: vec![LaneImage {
                 interner: self.manager.shared_interner().borrow().export_entries(),
                 warm: self.manager.warm_cell().borrow().export(),
-                observed: vec![(
-                    qsys::query::SigId(0),
-                    qsys::opt::ObservedCard {
-                        tuples: 9,
-                        exhausted: false,
-                    },
-                )],
             }],
         }
     }
@@ -302,7 +293,7 @@ fn restamp(snapshot: &[u8], version: u32) -> Vec<u8> {
 }
 
 /// A snapshot is a cache, not a compatibility promise: files stamped with
-/// an older (1, 2) or a future format version are refused by version,
+/// an older (1, 2, 3) or a future format version are refused by version,
 /// quarantined, reported — never panic — and the engine's decisions equal
 /// a persistence-off run.
 #[test]
@@ -314,7 +305,7 @@ fn other_format_versions_are_refused_and_cold_start() {
     write_snapshot(&dir, &primed.image(), None).expect("publish");
     let clean = std::fs::read(dir.join("qsys.snapshot")).expect("read back");
 
-    for version in [1u32, 2, 99] {
+    for version in [1u32, 2, 3, 99] {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("recreate");
         std::fs::write(dir.join("qsys.snapshot"), restamp(&clean, version)).expect("plant");

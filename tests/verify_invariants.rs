@@ -13,11 +13,10 @@
 //!    the wrong subsystem.
 //! 2. **Clean passes** — the standard GUS seeds driven through every
 //!    arm whose machinery the phase hooks guard (clustered lanes at 1 and
-//!    4 threads, fault quarantine, mid-flight replans) must produce zero
-//!    violations from [`Engine::verify`]. (These runs also execute the
-//!    phase-boundary hooks themselves: tests build with
-//!    `debug_assertions`, so every post-cluster / post-graft /
-//!    post-replan / pre-publish check fires along the way.)
+//!    4 threads, fault quarantine) must produce zero violations from
+//!    [`Engine::verify`]. (These runs also execute the phase-boundary
+//!    hooks themselves: tests build with `debug_assertions`, so every
+//!    post-cluster / post-graft / pre-publish check fires along the way.)
 
 use proptest::prelude::*;
 use qsys::prelude::*;
@@ -26,7 +25,6 @@ use qsys_exec::access::{AccessModule, StoredModule};
 use qsys_exec::graph::QueryPlanGraph;
 use qsys_exec::mjoin::{MJoin, MJoinInput};
 use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
-use qsys_opt::adaptive::ObservedCard;
 use qsys_opt::cluster::ClusterConfig;
 use qsys_opt::warm::WarmExport;
 use qsys_query::{SigId, SubExprSig};
@@ -99,7 +97,6 @@ proptest! {
                 cq_candidates: Vec::new(),
                 canon_order: vec![dangler],
             },
-            observed: vec![(dangler, ObservedCard { tuples: 1, exhausted: false })],
         };
         let image = SnapshotImage {
             engine_fingerprint: "test".into(),
@@ -259,7 +256,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// A trimmed GUS instance: full schema, small cardinalities — enough to
-/// exercise clustering, quarantine, and replans without the
+/// exercise clustering and quarantine without the
 /// release-scale run times (the full-scale audit is `reproduce verify`).
 fn small_gus(seed: u64) -> qsys_workload::Workload {
     let mut cfg = GusConfig::small(seed);
@@ -324,25 +321,6 @@ fn chaos_run_verifies_clean() {
         let report = engine.verify();
         assert!(report.is_clean(), "seed {seed} chaos:\n{report}");
     }
-}
-
-#[test]
-fn adaptive_run_verifies_clean() {
-    // The drift-regime instance: catalog priors skewed so mid-flight
-    // replans genuinely fire, covering the post-replan hook with a
-    // re-grafted graph.
-    let mut cfg = GusConfig::small(81);
-    cfg.min_rows = 100;
-    cfg.max_rows = 240;
-    cfg.user_queries = 15;
-    cfg.stats_error = 0.25;
-    let w = gus::generate(&cfg);
-    let mut config = base_config(SharingMode::AtcFull);
-    config.lane_threads = 1;
-    config.adaptive = qsys::opt::AdaptiveConfig::at(1.25);
-    let engine = drive(&w, config);
-    let report = engine.verify();
-    assert!(report.is_clean(), "adaptive:\n{report}");
 }
 
 #[test]
