@@ -380,13 +380,29 @@ pub fn print_fig7(runs: &[ConfigRun]) {
     }
     println!();
     // End-of-run source accounting: network rounds spent on stream reads
-    // (the quantity fetch-ahead amortizes).
-    print!("rnds");
-    for r in runs {
-        let rounds: u64 = r.reports.iter().map(|rep| rep.stream_rounds).sum();
-        print!(" {rounds:>9}");
-    }
-    println!();
+    // (the quantity fetch-ahead amortizes), then where the tuples consumed
+    // came from — stream reads, or the results of remote probes.
+    let footer = |label: &str, count: fn(&RunReport) -> u64| {
+        print!("{label}");
+        for r in runs {
+            print!(" {:>9}", r.reports.iter().map(count).sum::<u64>());
+        }
+        println!();
+    };
+    footer("rnds", |rep| rep.stream_rounds);
+    footer("tups", |rep| rep.tuples_consumed);
+    footer("prbs", |rep| rep.probes);
+    footer("prbt", probe_tuples);
+    println!(
+        "(rnds stream-read rounds; tups input tuples consumed, = tuples streamed + prbt; \
+         prbs remote probes; prbt tuples those probes returned)"
+    );
+}
+
+/// Tuples returned by a run's remote probes: what it consumed beyond the
+/// tuples its streams delivered.
+fn probe_tuples(report: &RunReport) -> u64 {
+    report.tuples_consumed - report.tuples_streamed
 }
 
 /// Print Figure 8 (normalized execution-time breakdown).
@@ -416,6 +432,11 @@ pub struct Fig9Arm {
     pub total_exec_secs: f64,
     /// Total input tuples consumed.
     pub tuples_consumed: u64,
+    /// Remote probes issued.
+    pub probes: u64,
+    /// Tuples those probes returned (the rest of `tuples_consumed` was
+    /// streamed).
+    pub probe_tuples: u64,
 }
 
 /// SINGLE-OPT (batch = 1) vs BATCH-OPT (batch = 5), both under ATC-CL.
@@ -437,6 +458,8 @@ pub fn fig9(seeds: &[u64], scale: Scale) -> (Fig9Arm, Fig9Arm) {
             per_uq_secs: summary.per_uq_secs,
             total_exec_secs,
             tuples_consumed: summary.tuples_consumed,
+            probes: summary.reports.iter().map(|r| r.probes).sum(),
+            probe_tuples: summary.reports.iter().map(probe_tuples).sum(),
         }
     };
     (run(1), run(5))
@@ -466,6 +489,10 @@ pub fn print_fig9(single: &Fig9Arm, batch: &Fig9Arm) {
         "tuples consumed:              SINGLE-OPT {} vs BATCH-OPT {}",
         single.tuples_consumed, batch.tuples_consumed
     );
+    println!(
+        "  of which probe results:     SINGLE-OPT {} vs BATCH-OPT {} ({} vs {} remote probes)",
+        single.probe_tuples, batch.probe_tuples, single.probes, batch.probes
+    );
     let change = batch.tuples_consumed as f64 / single.tuples_consumed.max(1) as f64 - 1.0;
     let (direction, verdict) = if change > 0.0 {
         ("more", "the paper's sharing gain runs the other way here")
@@ -483,44 +510,69 @@ pub fn print_fig9(single: &Fig9Arm, batch: &Fig9Arm) {
 // Figure 10: total work (tuples consumed), 5 UQs vs 15 UQs.
 // ---------------------------------------------------------------------------
 
-/// Per configuration: `(label, tuples after 5 UQs, tuples after 15 UQs)`.
-pub fn fig10(seeds: &[u64], scale: Scale) -> Vec<(String, u64, u64)> {
+/// One configuration's row of Figure 10, summed over seeds.
+pub struct Fig10Row {
+    /// Configuration label.
+    pub label: String,
+    /// Input tuples consumed after 5 UQs.
+    pub five: u64,
+    /// Input tuples consumed after 15 UQs.
+    pub fifteen: u64,
+    /// Remote probes issued by the 15-UQ runs.
+    pub probes: u64,
+    /// Tuples those probes returned (part of `fifteen`).
+    pub probe_tuples: u64,
+}
+
+/// Figure 10 under every configuration.
+pub fn fig10(seeds: &[u64], scale: Scale) -> Vec<Fig10Row> {
     all_modes()
         .into_iter()
         .map(|mode| {
-            let label = mode.label().to_string();
-            let mut five = 0;
-            let mut fifteen = 0;
+            let mut row = Fig10Row {
+                label: mode.label().to_string(),
+                five: 0,
+                fifteen: 0,
+                probes: 0,
+                probe_tuples: 0,
+            };
             for &seed in seeds {
                 let w = gus_workload(seed, scale);
-                five += run_workload(&w, &gus_engine(mode.clone(), 5), Some(5))
+                row.five += run_workload(&w, &gus_engine(mode.clone(), 5), Some(5))
                     .expect("runs")
                     .tuples_consumed;
-                fifteen += run_workload(&w, &gus_engine(mode.clone(), 5), None)
-                    .expect("runs")
-                    .tuples_consumed;
+                let all = run_workload(&w, &gus_engine(mode.clone(), 5), None).expect("runs");
+                row.fifteen += all.tuples_consumed;
+                row.probes += all.probes;
+                row.probe_tuples += probe_tuples(&all);
             }
-            (label, five, fifteen)
+            row
         })
         .collect()
 }
 
 /// Print Figure 10.
-pub fn print_fig10(rows: &[(String, u64, u64)]) {
+pub fn print_fig10(rows: &[Fig10Row]) {
     println!("Figure 10: total work done (input tuples consumed), 5 vs 15 UQs");
     println!(
-        "{:>10} {:>12} {:>12} {:>8}",
-        "config", "5-UQ", "15-UQ", "ratio"
+        "{:>10} {:>12} {:>12} {:>8} {:>12} {:>12}",
+        "config", "5-UQ", "15-UQ", "ratio", "15-UQ prbs", "15-UQ prbt"
     );
-    for (label, five, fifteen) in rows {
+    for r in rows {
         println!(
-            "{:>10} {:>12} {:>12} {:>8.2}",
-            label,
-            five,
-            fifteen,
-            *fifteen as f64 / (*five).max(1) as f64
+            "{:>10} {:>12} {:>12} {:>8.2} {:>12} {:>12}",
+            r.label,
+            r.five,
+            r.fifteen,
+            r.fifteen as f64 / r.five.max(1) as f64,
+            r.probes,
+            r.probe_tuples
         );
     }
+    println!(
+        "(prbs remote probes; prbt tuples they returned, part of the tuples consumed — \
+         the rest were streamed)"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -64,6 +64,21 @@
 //! clock and the eviction budget therefore see exactly what they saw when
 //! every input had a private copy.
 //!
+//! ### The module maximum
+//!
+//! A stored module keeps the largest raw-score product
+//! ([`Tuple::raw_score_product`]) of any entry it holds, updated on every
+//! [`StoredModule::push`] — the only way an entry gets in — and never
+//! lowered (entries are never removed). Whatever a probe of the module
+//! yields, under any epoch cap or residual selection, is one of those
+//! entries, so a match's raw product is at most the maximum. A probe cache
+//! reports 1.0, the ceiling of every raw score, because what a remote
+//! relation holds is unknown until it is probed; a detached input reports
+//! 0, since it yields nothing. [`AccessModule::raw_product_max`] is the
+//! number an m-join's score bound for a partial result multiplies in for
+//! each input the partial has not been joined with yet (the `mjoin` module
+//! docs, *Early rejection*).
+//!
 //! ### What is hashed, and with what
 //!
 //! Both kinds of module are maps from a join-column [`Value`] to the rows
@@ -255,6 +270,8 @@ pub struct StoredModule {
     /// Hash indexes, one per registered probe key in registration order:
     /// value → positions into `entries`.
     indexes: Vec<(ProbeKey, ByValue<Vec<u32>>)>,
+    /// The largest raw-score product among `entries` (0 while empty).
+    max_raw: f64,
 }
 
 impl StoredModule {
@@ -290,6 +307,7 @@ impl StoredModule {
         for (key, index) in &mut self.indexes {
             index_position(index, &tuple, *key, pos);
         }
+        self.max_raw = self.max_raw.max(tuple.raw_score_product());
         self.entries.push((tuple, epoch));
     }
 
@@ -484,6 +502,16 @@ impl AccessModule {
         match self {
             AccessModule::Stored(s) => Some(s),
             AccessModule::Remote(_) => None,
+        }
+    }
+
+    /// An upper bound on the raw-score product of any tuple a probe of
+    /// this module can yield: the largest among the stored tuples (0 while
+    /// there are none), or 1.0 for a probe cache (see the module docs).
+    pub fn raw_product_max(&self) -> f64 {
+        match self {
+            AccessModule::Stored(s) => s.max_raw,
+            AccessModule::Remote(_) => 1.0,
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::access::{AccessModule, AccessModuleArena, StoredModule};
 use crate::govern::SourceGovernor;
-use crate::mjoin::{JoinCx, JoinSink};
+use crate::mjoin::{JoinCx, JoinSink, Uncovered};
 use crate::node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
 use crate::rank_merge::{Accepted, RankMerge};
 use crate::stats::ExecWork;
@@ -59,6 +59,9 @@ pub struct QueryPlanGraph {
     /// Where an m-join on the route leaves its complete results; drained
     /// into `route_queue` after every insert, kept for its capacity.
     route_out: Vec<Tuple>,
+    /// Per consumer edge of the m-join being judged, its rejection cut and
+    /// bound factor ([`Judged::bound_partials`]); kept for its capacity.
+    route_cuts: Vec<(f64, f64)>,
     /// What routing has done so far, counted as it happens.
     work: ExecWork,
     epoch: Epoch,
@@ -73,9 +76,15 @@ pub struct QueryPlanGraph {
     modules: AccessModuleArena,
     /// Tests only: build and deliver every complete result, as if no
     /// rank-merge ever rejected one early — the reference the early
-    /// rejection is compared against.
+    /// rejection is compared against. Implies `unbounded`.
     #[cfg(test)]
     build_all: bool,
+    /// Tests only: probe with every partial result, as if no rank-merge
+    /// ever bounded one out — the reference score-bounded probing is
+    /// compared against, and the setting under which the rejection of
+    /// complete results is checked against `build_all`.
+    #[cfg(test)]
+    unbounded: bool,
     /// Tests only: the virtual clock as read at every m-join insert of
     /// the routing loop — the only places inside a routing pass where
     /// anything (the governor's breaker, the fault injector) reads it.
@@ -506,6 +515,7 @@ impl QueryPlanGraph {
         let route_us = sources.cost_profile().route_us;
         let mut queue = mem::take(&mut self.route_queue);
         let mut outputs = mem::take(&mut self.route_out);
+        let mut cuts = mem::take(&mut self.route_cuts);
         self.work.stream_reads += 1;
         fan_out(&mut queue, &self.node(id).children, tuple);
         // Split borrow: nodes and counters are mutated, the module arena
@@ -542,6 +552,7 @@ impl QueryPlanGraph {
                     self.insert_clock.push(sources.clock().now_us());
                     let mut sink = Judged {
                         out: &mut outputs,
+                        cuts: &mut cuts,
                         before,
                         after,
                         children,
@@ -550,6 +561,8 @@ impl QueryPlanGraph {
                         dominated: 0,
                         #[cfg(test)]
                         build_all: self.build_all,
+                        #[cfg(test)]
+                        unbounded: self.unbounded || self.build_all,
                     };
                     mj.insert_governed(idx, t, epoch, cx, &mut sink, work);
                     let Judged {
@@ -589,6 +602,7 @@ impl QueryPlanGraph {
         // Drained, so only the capacity is carried to the next read.
         self.route_queue = queue;
         self.route_out = outputs;
+        self.route_cuts = cuts;
     }
 
     /// Human-readable plan dump (an `EXPLAIN` for the running graph):
@@ -682,9 +696,14 @@ fn fan_out(queue: &mut VecDeque<Routed>, children: &[(NodeId, usize)], t: Tuple)
 /// consumers — and built into `out` unless all of them reject it.
 /// Rejections are tallied as the accepts they replace; the caller folds
 /// them into [`ExecWork`] and queues the hop charges ([`Routed::Unbuilt`]).
-/// The contract is in the `mjoin` module docs.
+/// Partial results are judged against the same consumers before they
+/// probe, and dropped when none would keep a completion. The contract is
+/// in the `mjoin` module docs.
 struct Judged<'a> {
     out: &'a mut Vec<Tuple>,
+    /// Scratch for [`JoinSink::bound_partials`]: per consumer edge, its
+    /// rejection cut and its bound factor.
+    cuts: &'a mut Vec<(f64, f64)>,
     /// The node arena on either side of the emitting m-join.
     before: &'a [Option<Node>],
     after: &'a [Option<Node>],
@@ -696,42 +715,97 @@ struct Judged<'a> {
     dominated: u64,
     #[cfg(test)]
     build_all: bool,
+    #[cfg(test)]
+    unbounded: bool,
 }
 
-impl Judged<'_> {
+impl<'a> Judged<'a> {
     /// The live node `id`, unless it is the emitting m-join itself.
-    fn node(&self, id: NodeId) -> Option<&Node> {
+    fn node(&self, id: NodeId) -> Option<&'a Node> {
         match id.index().checked_sub(self.before.len()) {
             None => self.before[id.index()].as_ref(),
             Some(past) => self.after.get(past.checked_sub(1)?)?.as_ref(),
         }
     }
 
-    /// Whether every consumer rejects `a.join(b)`; the verdicts seen so
-    /// far are added to `verdicts` (after-k, dominated).
-    fn all_reject(&self, a: &Tuple, b: &Tuple, verdicts: &mut (u64, u64)) -> bool {
-        self.children.iter().all(|&(c, slot)| match self.node(c) {
+    /// The consumer `id` if it is a rank-merge; `None` for an m-join.
+    fn rank_merge(&self, id: NodeId) -> Option<&'a RankMerge> {
+        match self.node(id) {
             Some(Node {
                 kind: NodeKind::RankMerge(rm),
                 ..
-            }) => match rm.rejects_pair(slot, a, b) {
-                Some(Accepted::AfterK) => {
-                    verdicts.0 += 1;
-                    true
-                }
-                Some(Accepted::Dominated) => {
-                    verdicts.1 += 1;
-                    true
-                }
-                _ => false,
-            },
+            }) => Some(rm),
+            _ => None,
+        }
+    }
+
+    /// Whether every consumer rejects `a.join(b)`; the verdicts seen so
+    /// far are added to `verdicts` (after-k, dominated).
+    fn all_reject(&self, a: &Tuple, b: &Tuple, verdicts: &mut (u64, u64)) -> bool {
+        self.children
+            .iter()
             // An m-join consumer needs the tuple.
-            _ => false,
-        })
+            .all(|&(c, slot)| {
+                match self
+                    .rank_merge(c)
+                    .and_then(|rm| rm.rejects_pair(slot, a, b))
+                {
+                    Some(Accepted::AfterK) => {
+                        verdicts.0 += 1;
+                        true
+                    }
+                    Some(Accepted::Dominated) => {
+                        verdicts.1 += 1;
+                        true
+                    }
+                    _ => false,
+                }
+            })
     }
 }
 
 impl JoinSink for Judged<'_> {
+    fn bound_partials(&mut self, partials: &mut Vec<Tuple>, rest: Uncovered<'_>) -> u64 {
+        #[cfg(test)]
+        if self.unbounded {
+            return 0;
+        }
+        // Every consumer must be a rank-merge with a cut: one that would
+        // enqueue anything, or an m-join, keeps every partial.
+        self.cuts.clear();
+        for &(c, _) in self.children {
+            let Some(cut) = self.rank_merge(c).and_then(RankMerge::rejection_cut) else {
+                return 0;
+            };
+            self.cuts.push((cut, 0.0));
+        }
+        let before = partials.len() as u64;
+        if self.cuts.iter().all(|(cut, _)| *cut == f64::INFINITY) {
+            // Every consumer holds its k: nothing is kept.
+            partials.clear();
+            return before;
+        }
+        for (i, &(c, slot)) in self.children.iter().enumerate() {
+            let rm = self.rank_merge(c);
+            if let Some(rm) = rm.filter(|_| self.cuts[i].0 < f64::INFINITY) {
+                self.cuts[i].1 = rest.factor(rm.score_fn(slot));
+            }
+        }
+        let cuts = &*self.cuts;
+        partials.retain(|p| {
+            self.children
+                .iter()
+                .zip(cuts)
+                .any(|(&(c, slot), &(cut, factor))| {
+                    cut < f64::INFINITY
+                        && self
+                            .rank_merge(c)
+                            .is_some_and(|rm| rm.score_fn(slot).score(p).get() * factor > cut)
+                })
+        });
+        before - partials.len() as u64
+    }
+
     fn emit(&mut self, tuple: Tuple) {
         self.out.push(tuple);
     }
@@ -1054,7 +1128,9 @@ mod tests {
 
     /// Early rejection against its reference: the same reads and the same
     /// maintenance cycles on two graphs, one judging results before it
-    /// builds them, one building and delivering every result. While the
+    /// builds them, one building and delivering every result. Both probe
+    /// with every partial result (score-bounded probing off), so both find
+    /// the same results. While the
     /// R0 stream is read, the k = 1 operator is past its k, the k = 2
     /// one's queue is full and the k = 4 one goes from hungry to full —
     /// so results are built at first and skipped later. Answers, the
@@ -1066,6 +1142,7 @@ mod tests {
             let sources = fan_sources();
             let (mut g, [s0, s1], mjn, rms) = fan_graph(&sources);
             g.build_all = build_all;
+            g.unbounded = true;
             let governor = governor();
             let mut trace = Vec::new();
             for leaf in [s1, s0] {
@@ -1125,6 +1202,60 @@ mod tests {
         );
     }
 
+    /// Score-bounded probing against its reference: the same reads and the
+    /// same maintenance cycles on two graphs, one dropping the partial
+    /// results no rank-merge would keep a completion of, one probing with
+    /// every partial. Reading R1 first fills the modules; then every R0
+    /// tuple arrives with falling score, and once the k = 1 operator is
+    /// past its k and the other two hold full queues, the later, weaker R0
+    /// tuples are bounded out before they probe. Every rank-merge ends
+    /// with the same result scores, from strictly fewer probes.
+    #[test]
+    fn bounded_probing_changes_no_score_and_probes_less() {
+        let run = |unbounded: bool| {
+            let sources = fan_sources();
+            let (mut g, [s0, s1], _, rms) = fan_graph(&sources);
+            g.unbounded = unbounded;
+            let governor = governor();
+            for leaf in [s1, s0] {
+                while g.read_stream_governed(leaf, &sources, &governor) == StreamRead::Delivered {
+                    let now = sources.clock().now_us();
+                    for rm in rms {
+                        g.maintain_rank_merge(rm, now);
+                    }
+                }
+            }
+            let scores: Vec<Vec<u64>> = rms
+                .iter()
+                .map(|&rm| {
+                    let rm = g.rank_merge(rm);
+                    assert!(rm.is_done());
+                    rm.results()
+                        .iter()
+                        .map(|r| r.score.get().to_bits())
+                        .collect()
+                })
+                .collect();
+            (scores, *g.work())
+        };
+        let (bounded, bounded_work) = run(false);
+        let (unbounded, unbounded_work) = run(true);
+        assert_eq!(bounded, unbounded);
+        assert_eq!(bounded.iter().map(Vec::len).collect::<Vec<_>>(), [1, 2, 4]);
+        assert_eq!(unbounded_work.partials_bounded_out, 0);
+        assert!(bounded_work.partials_bounded_out > 0, "{bounded_work:?}");
+        assert!(
+            bounded_work.mjoin_probes < unbounded_work.mjoin_probes,
+            "{bounded_work:?} vs {unbounded_work:?}"
+        );
+        assert_eq!(
+            bounded_work.accepts,
+            bounded_work.after_k + bounded_work.dominated + bounded_work.enqueued
+        );
+        // Arrivals are stored whether or not they probe.
+        assert_eq!(bounded_work.module_arrivals, unbounded_work.module_arrivals);
+    }
+
     /// A result another m-join consumes is always built, whatever the
     /// rank-merge beside that m-join says about it.
     #[test]
@@ -1176,13 +1307,15 @@ mod tests {
     /// its results for a third m-join, whose inserts read the clock *after*
     /// the first one's hops while the second's insert reads it before.
     /// Every m-join insert sees the clock the reference run (everything
-    /// built and delivered) shows it.
+    /// built and delivered) shows it. Score-bounded probing is off: the
+    /// sated rank-merges would drop every R0 tuple before it probed.
     #[test]
     fn hop_charges_land_where_the_hops_were() {
         let run = |build_all: bool| {
             let sources = fan_sources();
             let mut g = QueryPlanGraph::new();
             g.build_all = build_all;
+            g.unbounded = true;
             let streams = [0u32, 1, 2].map(|rel| {
                 g.add_stream(
                     StreamBacking::Remote(sources.open_stream(RelId::new(rel), None)),

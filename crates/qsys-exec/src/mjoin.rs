@@ -70,10 +70,48 @@
 //! counted into the probed input's selectivity monitor either way (the
 //! probe sequence must not adapt differently); only `ExecWork::joins`
 //! falls to what is materialised.
+//!
+//! **Partial results are judged too** — score-bounded probing, the
+//! rank-join idea (HRJN: Ilyas, Aref and Elmagarmid, VLDB 2003) of
+//! pushing the ranking operator's threshold into the join. Before every
+//! probe step, step 0 (the arriving tuple alone) included, the sink is
+//! asked whether any completion of each partial result could still be
+//! kept ([`JoinSink::bound_partials`]); the partials no consumer would
+//! keep are dropped before they probe, and so is everything they would
+//! have found. The plan graph's sink answers under this contract:
+//!
+//! - the bound of a partial under a consumer's score function is the
+//!   partial's own score times, for every input not yet covered, that
+//!   input's relation weights times the largest raw-score product its
+//!   module holds (1.0 for a probe cache, 0 for a detached input; the
+//!   `access` module docs, *The module maximum*), times `1 + 1e-9`. The
+//!   rank-merge module docs derive it: a completion multiplies the same
+//!   factors, each at most what the bound takes, in another order, and
+//!   the margin absorbs the rounding that order can cost;
+//! - a partial is dropped only if every consumer is a rank-merge that
+//!   would reject a result scoring the bound: it holds its k already, or
+//!   its `need`-th pending score is at or above the bound
+//!   ([`RankMerge::rejection_cut`](crate::rank_merge::RankMerge::rejection_cut)).
+//!   When every consumer holds its k, the whole insert stops at step 0;
+//! - an m-join that feeds another m-join is never judged: its result is
+//!   not a ranked answer but a partial of the downstream join, whose
+//!   bound would have to compose through that join's modules;
+//! - it is exact for the reason the rejection of complete results is:
+//!   the modules do not change inside one insert, no maintenance cycle
+//!   runs inside one routing pass, so `need` is fixed and the cut only
+//!   rises. Every completion of a dropped partial would have been
+//!   rejected on delivery.
+//!
+//! A dropped partial records only that it was dropped
+//! (`ExecWork::partials_bounded_out`): the probes, matches, verdicts and
+//! routing hops of what it would have found never happen, so the virtual
+//! clock is charged less and the selectivity monitors see fewer probes.
+//! Storing the arrival happens first, exactly as before.
 
 use crate::access::{AccessModule, AccessModuleArena, ModuleId, ProbeKey};
 use crate::govern::SourceGovernor;
 use crate::stats::ExecWork;
+use qsys_query::ScoreFn;
 use qsys_source::Sources;
 use qsys_types::{Epoch, RelId, Selection, TimeCategory, Tuple};
 use std::mem;
@@ -163,6 +201,42 @@ pub struct JoinCx<'a> {
     pub modules: &'a AccessModuleArena,
 }
 
+/// The margin a partial result's score bound is multiplied by, absorbing
+/// the rounding of computing a product of the same factors in another
+/// order (see *Early rejection* in the module docs).
+pub const BOUND_MARGIN: f64 = 1.0 + 1e-9;
+
+/// The inputs of an m-join a partial result has not been joined with yet,
+/// as its score bound sees them.
+#[derive(Clone, Copy)]
+pub struct Uncovered<'a> {
+    inputs: &'a [MJoinInput],
+    modules: &'a AccessModuleArena,
+    /// Indexes into `inputs`.
+    mask: u64,
+}
+
+impl Uncovered<'_> {
+    /// What any completion's score can gain over its partial's own under
+    /// `f`, margin included: [`BOUND_MARGIN`] times, per uncovered input,
+    /// `f`'s weights of its relations times its module's maximum
+    /// raw-score product (0 for a detached input).
+    pub fn factor(&self, f: &ScoreFn) -> f64 {
+        let mut factor = BOUND_MARGIN;
+        let mut mask = self.mask;
+        while mask != 0 {
+            let input = &self.inputs[mask.trailing_zeros() as usize];
+            mask &= mask - 1;
+            let max = self
+                .modules
+                .module(input.module)
+                .map_or(0.0, |m| m.borrow().raw_product_max());
+            factor *= f.contribution(&input.rels, max);
+        }
+        factor
+    }
+}
+
 /// Where an m-join's complete results go (see *Early rejection* in the
 /// module docs for what a sink that drops results owes).
 pub trait JoinSink {
@@ -172,6 +246,12 @@ pub trait JoinSink {
     /// The complete result `a.join(b)`, not built yet; returns whether the
     /// sink materialised it.
     fn emit_pair(&mut self, a: &Tuple, b: &Tuple) -> bool;
+    /// Drop from `partials` — partial results still to be joined with the
+    /// inputs `rest` — every one no completion of which the sink would
+    /// keep, and return how many were dropped. The default keeps them all.
+    fn bound_partials(&mut self, _partials: &mut Vec<Tuple>, _rest: Uncovered<'_>) -> u64 {
+        0
+    }
 }
 
 /// The sink that wants every result as a tuple: intermediate probe steps,
@@ -403,7 +483,16 @@ impl MJoin {
 
         // An empty partial set, or a component no predicate connects to
         // the covered inputs, cannot complete the join.
-        while remaining != 0 && !partials.is_empty() {
+        while remaining != 0 {
+            let rest = Uncovered {
+                inputs: &self.inputs,
+                modules: cx.modules,
+                mask: remaining,
+            };
+            work.partials_bounded_out += out.bound_partials(&mut partials, rest);
+            if partials.is_empty() {
+                break;
+            }
             // Probe sequence: among inputs connected to the covered set,
             // pick the most selective (fewest matches per probe) first —
             // the runtime adaptivity of [24].
@@ -549,8 +638,9 @@ impl MJoin {
 mod tests {
     use super::*;
     use crate::access::{RemoteModule, StoredModule};
+    use proptest::prelude::*;
     use qsys_source::Table;
-    use qsys_types::{BaseTuple, CostProfile, SimClock, Value};
+    use qsys_types::{BaseTuple, CostProfile, SimClock, UserId, Value};
     use std::sync::Arc;
 
     fn tup(rel: u32, id: u64, keys: &[i64], score: f64) -> Tuple {
@@ -841,5 +931,79 @@ mod tests {
         // The other inputs are empty, so this is R0's price alone.
         assert_eq!(narrow.approx_bytes(&modules), 880);
         assert_eq!(wide.approx_bytes(&modules), 1120);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The partial bound, margin included, is at least `score_pair` of
+        /// every completion, and no looser than the margin: six relations
+        /// (ids with gaps) are dealt to a partial result and up to three
+        /// uncovered inputs, each input's module holds one to three tuples
+        /// over its relations at random raw scores, and the score function
+        /// weighs some relations, all of them, none, or ones nobody has.
+        /// The completion through every module's best tuple meets the
+        /// bound with no slack but the margin.
+        #[test]
+        fn partial_bound_covers_every_completion(
+            sides in prop::collection::vec(0u8..4, 6),
+            raws in prop::collection::vec(0.0f64..1.0, 6 * 4),
+            per_module in prop::collection::vec(1usize..=3, 3),
+            weights in prop::collection::vec((0u32..13, 0.05f64..4.0), 0..=6),
+            static_factor in 0.01f64..2.0,
+        ) {
+            let mut sides = sides;
+            if !sides.contains(&0) {
+                sides[0] = 0;
+            }
+            let rel = |i: usize| RelId::new(2 * i as u32 + 1);
+            let part = |i: usize, row: usize| {
+                Arc::new(BaseTuple::new(rel(i), row as u64, vec![], raws[4 * i + row]))
+            };
+            let partial = Tuple::from_parts((0..6).filter(|&i| sides[i] == 0).map(|i| part(i, 0)).collect());
+            let mut modules = AccessModuleArena::new();
+            let mut inputs = Vec::new();
+            let mut stored: Vec<Vec<Tuple>> = Vec::new();
+            for side in 1..4u8 {
+                let rels: Vec<usize> = (0..6).filter(|&i| sides[i] == side).collect();
+                if rels.is_empty() {
+                    continue;
+                }
+                let tuples: Vec<Tuple> = (1..=per_module[side as usize - 1])
+                    .map(|row| Tuple::from_parts(rels.iter().map(|&i| part(i, row)).collect()))
+                    .collect();
+                let mut module = StoredModule::new([]);
+                for t in &tuples {
+                    module.push(t.clone(), Epoch(0));
+                }
+                inputs.push(MJoinInput {
+                    rels: rels.iter().map(|&i| rel(i)).collect(),
+                    ..input_over(0, modules.alloc(AccessModule::Stored(module)))
+                });
+                stored.push(tuples);
+            }
+            let f = ScoreFn::banks(
+                UserId::new(0),
+                static_factor,
+                weights.iter().map(|&(r, w)| (RelId::new(r), w)),
+            );
+            let rest = Uncovered { inputs: &inputs, modules: &modules, mask: (1u64 << inputs.len()) - 1 };
+            let bound = f.score(&partial).get() * rest.factor(&f);
+            // Every completion: the partial and one tuple of every module.
+            let mut rests: Vec<Option<Tuple>> = vec![None];
+            for tuples in &stored {
+                rests = rests
+                    .iter()
+                    .flat_map(|r| tuples.iter().map(move |t| Some(r.as_ref().map_or_else(|| t.clone(), |r| r.join(t)))))
+                    .collect();
+            }
+            let mut best = 0.0f64;
+            for r in &rests {
+                let score = r.as_ref().map_or_else(|| f.score(&partial), |r| f.score_pair(&partial, r)).get();
+                prop_assert!(score <= bound, "{score} > {bound}");
+                best = best.max(score);
+            }
+            prop_assert!(bound <= best * BOUND_MARGIN * (1.0 + 1e-12), "{bound} vs best {best}");
+        }
     }
 }

@@ -28,6 +28,21 @@
 //! exactly what lets the operator activate conjunctive queries lazily, "as
 //! necessary to return relevant results" (Section 7.1 / Table 4).
 //!
+//! The same algebra bounds the results a *partial* result `p` can still
+//! become. If `p` covers some of the CQ's relations and the inputs `I_1..I_n`
+//! it has yet to be joined with cover the rest (`R(I_i)`, holding tuples of
+//! raw-score product at most `M(I_i)`), every completion scores at most
+//!
+//! ```text
+//!   bound(p) = C(p) · ∏_i ( w_{R(I_i)} · M(I_i) ) · (1 + 1e-9)
+//! ```
+//!
+//! where `C(p)` is the score function over `p`'s own parts — static factor
+//! included — and the last factor absorbs the rounding of multiplying the
+//! same factors in another order. The operator rejects every completion
+//! once the bound is at or below its [`RankMerge::rejection_cut`]; an
+//! m-join asks before it probes (the `mjoin` module docs).
+//!
 //! ### When `maintain` may be skipped
 //!
 //! Per-CQ thresholds are a function of the graph's bound table and the
@@ -301,15 +316,33 @@ impl RankMerge {
     ///
     /// The queue is sorted descending, so `accept`'s `partition_point(|c|
     /// c.score >= score) >= need` holds exactly when the queue holds
-    /// `need` candidates and the `need`-th scores `>=` the pair.
+    /// `need` candidates and the `need`-th scores `>=` the pair — when the
+    /// pair scores at or below the [`RankMerge::rejection_cut`].
     pub fn rejects_pair(&self, slot: usize, a: &Tuple, b: &Tuple) -> Option<Accepted> {
-        let need = self.k.saturating_sub(self.emitted.len());
-        if need == 0 {
+        let cut = self.rejection_cut()?;
+        if cut == f64::INFINITY {
             return Some(Accepted::AfterK);
         }
-        let kth = self.candidates.get(need - 1)?;
         let score = self.cqs[slot].reg.score_fn.score_pair(a, b);
-        (kth.score >= score).then_some(Accepted::Dominated)
+        (cut >= score.get()).then_some(Accepted::Dominated)
+    }
+
+    /// The score at or below which [`RankMerge::accept`] rejects a result,
+    /// whatever its CQ: `+∞` once the operator has emitted its k, the
+    /// `need`-th pending score while the queue holds that many; `None`
+    /// while it would enqueue any result at all. A score above the cut is
+    /// enqueued.
+    pub fn rejection_cut(&self) -> Option<f64> {
+        let need = self.k.saturating_sub(self.emitted.len());
+        if need == 0 {
+            return Some(f64::INFINITY);
+        }
+        self.candidates.get(need - 1).map(|kth| kth.score.get())
+    }
+
+    /// The score function of the CQ registered in `slot`.
+    pub fn score_fn(&self, slot: usize) -> &ScoreFn {
+        &self.cqs[slot].reg.score_fn
     }
 
     /// The registration slots and ids of all member CQs.
@@ -748,6 +781,40 @@ mod tests {
                         prop_assert_eq!(queue_bits(&rm), before);
                     }
                     None => prop_assert_eq!(got, Accepted::Enqueued),
+                }
+            }
+        }
+
+        /// The rejection cut is `accept`'s verdict as a number: on the same
+        /// tie-heavy queues as above, a result scoring at or below the cut
+        /// is rejected (after-k exactly when the cut is `+∞`), and one
+        /// scoring above it — or any result while there is no cut — is
+        /// enqueued.
+        #[test]
+        fn rejection_cut_is_accepts_verdict(
+            k in 1usize..=5,
+            ops in prop::collection::vec((0u8..8, 1u32..=4, 1u32..=4), 1..60),
+        ) {
+            let mut rm = RankMerge::new(UqId::new(0), UserId::new(0), k);
+            rm.register(pair_reg(0));
+            let mut bounds = [1.0; 6];
+            for (i, &(op, sa, sb)) in ops.iter().enumerate() {
+                if op == 0 {
+                    bounds[0] *= 0.7;
+                    bounds[3] *= 0.7;
+                    rm.maintain(&bounds, i as u64, i as u64);
+                    continue;
+                }
+                let t = tup(0, i as u64, sa as f64 / 4.0).join(&tup(1, i as u64, sb as f64 / 4.0));
+                let score = rm.score_fn(0).score(&t).get();
+                let cut = rm.rejection_cut();
+                let got = rm.accept(0, t);
+                match cut {
+                    Some(cut) if score <= cut => {
+                        let after_k = cut == f64::INFINITY;
+                        prop_assert_eq!(got, if after_k { Accepted::AfterK } else { Accepted::Dominated });
+                    }
+                    _ => prop_assert_eq!(got, Accepted::Enqueued),
                 }
             }
         }

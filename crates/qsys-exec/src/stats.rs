@@ -51,6 +51,12 @@ pub struct ExecWork {
     pub mjoin_inserts: u64,
     /// Access-module probes those inserts issued (stored and remote).
     pub mjoin_probes: u64,
+    /// Partial results — the arriving tuple, or the output of a probe step
+    /// that is not the last — dropped before they probed, because every
+    /// rank-merge their completions would reach would reject them all (see
+    /// the `mjoin` module docs). What they would have found is not counted
+    /// anywhere below.
+    pub partials_bounded_out: u64,
     /// Probe matches that passed every predicate and were materialised
     /// (`Tuple::join` calls: intermediate results, and the complete
     /// results some consumer could still keep).
@@ -104,6 +110,7 @@ impl ExecWork {
         self.stream_reads += other.stream_reads;
         self.mjoin_inserts += other.mjoin_inserts;
         self.mjoin_probes += other.mjoin_probes;
+        self.partials_bounded_out += other.partials_bounded_out;
         self.joins += other.joins;
         self.mjoin_outputs += other.mjoin_outputs;
         self.outputs_skipped += other.outputs_skipped;

@@ -377,6 +377,13 @@ fn gus_candidate_networks_are_unchanged_by_the_path_table() {
 /// under ATC-FULL consumes exactly this many input tuples. A change to what
 /// the optimizer shares or the executor reads moves it even when the first
 /// batch's plan shape holds.
+///
+/// It was 47,956 until m-joins began dropping partial results no
+/// rank-merge would keep a completion of before probing with them
+/// (score-bounded probing, `qsys_exec::mjoin`). At this scale probe-only
+/// relations answer those probes with remote random accesses, whose
+/// result tuples count as consumed; the probes never made are 9,649
+/// tuples never fetched. Stream reads do not change.
 #[test]
 fn gus_script_tuples_consumed_is_pinned() {
     let report = qsys::run_workload(
@@ -386,7 +393,7 @@ fn gus_script_tuples_consumed_is_pinned() {
     )
     .expect("runs");
     assert_eq!(
-        report.tuples_consumed, 47_956,
+        report.tuples_consumed, 38_307,
         "seed 41: total work changed"
     );
 }

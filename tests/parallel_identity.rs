@@ -150,13 +150,17 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     // Golden (lanes, tuples_consumed) per seed: pinned so a clustering or
     // source-layer change that re-shapes the workload is caught even if
     // it happens to stay self-consistent across thread counts. The work
-    // golden is `(mjoin_outputs, after_k, dominated, enqueued)`, recorded
-    // when every result was built and every verdict was an `accept` on
-    // delivery: found and judged as before results could be skipped.
+    // golden is `(partials_bounded_out, mjoin_outputs, after_k, dominated,
+    // enqueued)`. Results are counted as found and judged whether or not
+    // they are built, but a partial result bounded out before it probes
+    // finds nothing: when every partial probed, the goldens were (—,
+    // 11,099, 4,293, 5,582, 180), (—, 11,566, 177, 860, 116) and (—, 697,
+    // 117, 411, 120), and only the enqueued results, the ones a rank-merge
+    // keeps, are the same under bounding.
     let goldens = [
-        (41u64, 2usize, 3257u64, (11_099, 4_293, 5_582, 180)),
-        (48, 3, 5347, (11_566, 177, 860, 116)),
-        (55, 6, 7013, (697, 117, 411, 120)),
+        (41u64, 2usize, 3257u64, (3_942, 2_355, 383, 748, 180)),
+        (48, 3, 5347, (2_262, 1_725, 0, 553, 116)),
+        (55, 6, 7013, (1_119, 400, 0, 231, 120)),
     ];
     for (seed, lanes, tuples, work) in goldens {
         let label = format!("seed {seed}");
@@ -168,7 +172,13 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
         );
         let got = seq.exec_work;
         assert_eq!(
-            (got.mjoin_outputs, got.after_k, got.dominated, got.enqueued),
+            (
+                got.partials_bounded_out,
+                got.mjoin_outputs,
+                got.after_k,
+                got.dominated,
+                got.enqueued
+            ),
             work,
             "{label}: golden work {got:?}"
         );
