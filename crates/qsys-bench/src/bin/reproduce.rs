@@ -20,17 +20,10 @@
 //! - `fetch-batch [--batches 1,8,32] [--limit N]` — response-time shift from
 //!   stream fetch-ahead on the figure workload.
 //!
-//! Verify:      `verify [--dir D]` — invariant audit: run the standard GUS
-//! seeds through the default ATC-CL arm at 1 and 4 lane threads plus one
-//! chaos arm, run the `qsys-verify` checker over every
-//! live engine, and round-trip each engine's snapshot through disk and
-//! re-verify the decoded image. Exits 1 on any violation.
-//! Restart:     `restart --phase prime --dir D` then `restart --phase reload
-//! --dir D` — a restart across two OS processes (the CI smoke): the reload
-//! must rehydrate from the snapshot the prime published, feed its first
-//! batch's search from the rehydrated warm store (more cache hits than a
-//! cold start's first batch), and stay decision-identical to a
-//! persistence-off run.
+//! Verify:      `verify` — invariant audit: run the standard GUS seeds
+//! through a multi-lane ATC-CL arm at 1 and 4 lane threads plus one chaos
+//! arm, and run the `qsys-verify` checker over every live engine. Exits 1
+//! on any violation.
 //!
 //! Every subcommand accepts `--seeds N` (instance seeds 41, 48, …; default
 //! 2) and `--lane-threads N` to cap how many ATC-CL lanes execute
@@ -76,88 +69,18 @@ fn main() {
             }
             eprintln!("gate ok: no tuple loss on unfaulted relations");
         }
-        "restart" => {
-            // `--phase prime --dir D` / `--phase reload --dir D` split a
-            // restart across two *processes* (the CI smoke): prime runs
-            // with persistence rooted at D and exits; reload starts from
-            // nothing but D's snapshot file and self-gates.
-            let phase = flag_value(&args, "--phase");
-            let reload = match phase.as_deref() {
-                Some("prime") => false,
-                Some("reload") => true,
-                _ => usage_error("restart wants --phase prime|reload --dir DIR"),
-            };
-            let Some(dir) = flag_value(&args, "--dir") else {
-                usage_error("--phase requires --dir DIR (shared across both phases)");
-            };
-            let dir = std::path::PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).expect("create snapshot dir");
-            let p = restart_phase(seeds[0], scale, &dir, reload);
-            println!(
-                "phase {}: snapshot_writes={} bytes_on_disk={} loaded={} \
-                 lanes_loaded={} first_batch_warm_fact_hits={} (cold run: {})",
-                if reload { "reload" } else { "prime" },
-                p.writes,
-                p.bytes_on_disk,
-                p.loaded,
-                p.lanes_loaded,
-                p.first_batch_warm_fact_hits,
-                p.cold_first_batch_warm_fact_hits
-            );
-            if !reload {
-                if p.writes == 0 || p.bytes_on_disk == 0 {
-                    check_failed("priming run published no snapshot");
-                }
-                eprintln!("prime ok: snapshot published for the reload phase");
-            } else {
-                if !p.loaded {
-                    check_failed(&format!(
-                        "restarted process did not rehydrate from the snapshot ({})",
-                        p.reason.as_deref().unwrap_or("no reason recorded")
-                    ));
-                }
-                if p.first_batch_warm_fact_hits <= p.cold_first_batch_warm_fact_hits {
-                    check_failed(
-                        "first post-restart batch read no more from the warm store than a \
-                         cold start does",
-                    );
-                }
-                if !p.identical {
-                    check_failed(
-                        "restarted run diverged from a cold run (rehydrated warm state must \
-                         be decision-invisible)",
-                    );
-                }
-                eprintln!(
-                    "reload ok: rehydrated warm, first batch searched from the warm \
-                     store, decisions identical to cold"
-                );
-            }
-        }
         "verify" => {
             // Invariant audit: every arm runs clean through the
-            // whole-system verifier, live and after a snapshot round
-            // trip. `--dir D` roots the snapshot scratch space (default:
-            // a per-process directory under the system temp dir).
-            let dir = flag_value(&args, "--dir")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!("qsys-verify-{}", std::process::id()))
-                });
-            std::fs::create_dir_all(&dir).expect("create verify scratch dir");
-            let audit = verify_audit(&seeds, scale, &dir);
+            // whole-system verifier.
+            let audit = verify_audit(&seeds, scale);
             print_verify(&audit);
             if !audit.is_clean() {
                 check_failed(&format!(
-                    "{} invariant violation(s) — every arm must verify clean, live and from \
-                     its reloaded snapshot",
+                    "{} invariant violation(s) — every arm must verify clean",
                     audit.total_violations()
                 ));
             }
-            eprintln!(
-                "gate ok: {} arms verified clean (live engine state and reloaded snapshots)",
-                audit.arms.len()
-            );
+            eprintln!("gate ok: {} arms verified clean", audit.arms.len());
         }
         "table4" => print_table4(&table4(&seeds, scale)),
         "fig7" => print_fig7(&fig7_runs(&seeds, scale, None)),
@@ -249,7 +172,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            usage_error("choose: all chaos restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+            usage_error("choose: all chaos verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());

@@ -2,8 +2,7 @@
 //! evaluation (Section 7), plus what this reproduction adds beside them:
 //! ablations of its own choices (ATC scheduling, recovery, eviction,
 //! probe-cache sharing), the print-only, self-gated `chaos` and
-//! `fetch-batch` sweeps, the `verify` invariant audit, and the
-//! two-process `restart` check.
+//! `fetch-batch` sweeps, and the `verify` invariant audit.
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
 //! printable data; the `reproduce` binary is a thin argument parser over
@@ -806,10 +805,10 @@ pub type Answers = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 /// Drive `w`'s whole script through a fresh engine under `cfg`: submit
 /// everything, drain, fingerprint every ticket (`run_workload` returns
 /// only the report, and the gates need the answers). The engine comes
-/// back drained — for its report, its verifier, or a snapshot.
+/// back drained — for its report or its verifier.
 pub fn drive(w: &Workload, cfg: EngineConfig) -> (Engine, Answers) {
     let mut engine = Engine::for_workload(w, cfg);
-    let tickets = engine.submit_script(w);
+    let tickets = engine.submit_script(w).expect("the config is valid");
     engine.run_until_idle();
     let answers = tickets
         .iter()
@@ -1007,113 +1006,18 @@ pub fn print_chaos(sweep: &ChaosSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-process restart gate.
-// ---------------------------------------------------------------------------
-
-/// Decision-level equality of two runs: per-query outcomes and the
-/// optimizer's work/decision counters (host wall time excluded).
-pub fn reports_identical(a: &RunReport, b: &RunReport) -> bool {
-    a.tuples_consumed == b.tuples_consumed
-        && a.per_uq.len() == b.per_uq.len()
-        && a.per_uq.iter().zip(&b.per_uq).all(|(x, y)| {
-            x.uq == y.uq
-                && x.response_us == y.response_us
-                && x.results == y.results
-                && x.cqs_executed == y.cqs_executed
-                && x.reused_nodes == y.reused_nodes
-        })
-        && a.opt_events.len() == b.opt_events.len()
-        && a.opt_events.iter().zip(&b.opt_events).all(|(x, y)| {
-            x.batch_cqs == y.batch_cqs && x.candidates == y.candidates && x.explored == y.explored
-        })
-}
-
-/// One half of the cross-process restart check: CI runs `--phase prime`
-/// and `--phase reload` as *separate processes* over the same directory,
-/// so the reload genuinely starts from nothing but the snapshot file.
-pub struct RestartPhase {
-    /// Snapshots this run published.
-    pub writes: usize,
-    /// Size of the snapshot file on disk after the run.
-    pub bytes_on_disk: u64,
-    /// (reload only) the engine rehydrated from the snapshot.
-    pub loaded: bool,
-    /// (reload only) lanes that came back warm.
-    pub lanes_loaded: usize,
-    /// Warm-store cache hits feeding this run's first batch.
-    pub first_batch_warm_fact_hits: usize,
-    /// (reload only) the same count in the persistence-off run. A cold
-    /// first batch is not 0 (verdicts cached earlier in the same search
-    /// count when re-read), so the reload proves it read rehydrated state
-    /// by exceeding this, not by exceeding 0.
-    pub cold_first_batch_warm_fact_hits: usize,
-    /// (reload only) run bit-identical to a cold run with persistence off.
-    pub identical: bool,
-    /// (reload only) the loader's rejection reason, if any.
-    pub reason: Option<String>,
-}
-
-/// Run the seed-`seed` GUS workload with warm-state persistence rooted at
-/// `dir`. With `reload` the run is expected to rehydrate from a snapshot a
-/// *previous process* published there, and is compared against a fresh
-/// persistence-off run for decision identity.
-pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: bool) -> RestartPhase {
-    let workload = gus_workload(seed, scale);
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.snapshot_dir = Some(dir.to_path_buf());
-    let report = run_workload(&workload, &cfg, Some(15)).expect("persistence run");
-    let bytes_on_disk = std::fs::metadata(dir.join("qsys.snapshot"))
-        .map(|m| m.len())
-        .unwrap_or(0);
-    let first_batch_hits = |r: &RunReport| r.opt_events.first().map_or(0, |e| e.warm_fact_hits);
-    let (identical, cold_first_batch_warm_fact_hits) = if reload {
-        let mut cold_cfg = gus_engine(SharingMode::AtcFull, 5);
-        cold_cfg.snapshot_dir = None;
-        let baseline = run_workload(&workload, &cold_cfg, Some(15)).expect("baseline run");
-        (
-            reports_identical(&report, &baseline),
-            first_batch_hits(&baseline),
-        )
-    } else {
-        (true, 0)
-    };
-    RestartPhase {
-        writes: report.snapshot.writes,
-        bytes_on_disk,
-        loaded: report.snapshot.loaded,
-        lanes_loaded: report.snapshot.lanes_loaded,
-        first_batch_warm_fact_hits: first_batch_hits(&report),
-        cold_first_batch_warm_fact_hits,
-        identical,
-        reason: report.snapshot.reason.clone(),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Invariant audit: the `reproduce verify` subcommand.
 // ---------------------------------------------------------------------------
 
-/// One audited engine run: an (arm × seed × lane-thread) combination, the
-/// verifier's findings over the live engine, and the findings over its
-/// reloaded on-disk snapshot.
+/// One audited engine run: an (arm × seed × lane-thread) combination and
+/// the verifier's findings over the live engine.
 pub struct VerifyArm {
     /// e.g. `"seed 41 / atc-cl / threads 4"`.
     pub label: String,
     /// Lanes the engine ended the run with.
     pub lanes: usize,
     /// Rendered violations from `Engine::verify` (empty = clean).
-    pub live: Vec<String>,
-    /// Rendered violations from the snapshot publish → reload → audit
-    /// round trip (empty = clean).
-    pub disk: Vec<String>,
-    /// Bytes the published snapshot occupied on disk.
-    pub snapshot_bytes: u64,
-}
-
-impl VerifyArm {
-    pub fn is_clean(&self) -> bool {
-        self.live.is_empty() && self.disk.is_empty()
-    }
+    pub violations: Vec<String>,
 }
 
 /// The whole audit: every arm of `reproduce verify`.
@@ -1123,52 +1027,27 @@ pub struct VerifyAudit {
 
 impl VerifyAudit {
     pub fn is_clean(&self) -> bool {
-        self.arms.iter().all(VerifyArm::is_clean)
+        self.arms.iter().all(|a| a.violations.is_empty())
     }
 
     pub fn total_violations(&self) -> usize {
-        self.arms.iter().map(|a| a.live.len() + a.disk.len()).sum()
+        self.arms.iter().map(|a| a.violations.len()).sum()
     }
 }
 
-/// [`drive`] one engine over `w` under `cfg`, then audit it twice: the live
-/// structures via [`qsys::Engine::verify`], and the on-disk image via a
-/// snapshot publish → reload → verify round trip rooted at `dir`.
-fn audited_run(
-    label: String,
-    w: &Workload,
-    mut cfg: EngineConfig,
-    dir: &std::path::Path,
-) -> VerifyArm {
-    let snap_dir = dir.join(label.replace([' ', '/'], "_"));
-    let _ = std::fs::create_dir_all(&snap_dir);
-    // Publish only when asked: the audit wants exactly one image, written
-    // after the drain, not the auto-cadence mid-run partials.
-    cfg.snapshot_dir = Some(snap_dir);
-    cfg.snapshot_every = usize::MAX;
-    let (mut engine, _) = drive(w, cfg);
-    let live: Vec<String> = engine
-        .verify()
-        .violations
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let (disk, snapshot_bytes) = match engine.snapshot() {
-        Ok(bytes) => {
-            let disk = match engine.audit_snapshot() {
-                Ok(report) => report.violations.iter().map(ToString::to_string).collect(),
-                Err(why) => vec![format!("snapshot reload failed: {why}")],
-            };
-            (disk, bytes)
-        }
-        Err(why) => (vec![format!("snapshot publish failed: {why}")], 0),
-    };
+/// [`drive`] one engine over `w` under `cfg`, then audit its live
+/// structures via [`qsys::Engine::verify`].
+fn audited_run(label: String, w: &Workload, cfg: EngineConfig) -> VerifyArm {
+    let (engine, _) = drive(w, cfg);
     VerifyArm {
         label,
-        lanes: engine.report().lane_summaries.len(),
-        live,
-        disk,
-        snapshot_bytes,
+        lanes: engine.lanes(),
+        violations: engine
+            .verify()
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect(),
     }
 }
 
@@ -1177,9 +1056,8 @@ fn audited_run(
 /// is so that every seed runs several lanes (the multi-lane coverage),
 /// plus one chaos arm (5% transient faults) — the configurations whose
 /// phase machinery (clustering, fault quarantine) exercises every
-/// invariant family the verifier checks. Snapshots round-trip through
-/// `dir`.
-pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> VerifyAudit {
+/// invariant family the verifier checks.
+pub fn verify_audit(seeds: &[u64], scale: Scale) -> VerifyAudit {
     let mut arms = Vec::new();
     for &seed in seeds {
         let w = gus_workload(seed, scale);
@@ -1190,7 +1068,6 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
                 format!("seed {seed} / atc-cl / threads {threads}"),
                 &w,
                 cfg,
-                dir,
             ));
         }
         // Chaos arm: 5% transient faults — quarantine/degradation paths.
@@ -1201,32 +1078,25 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
                 .build(),
         )
         .ok();
-        arms.push(audited_run(
-            format!("seed {seed} / chaos-5pct"),
-            &w,
-            cfg,
-            dir,
-        ));
+        arms.push(audited_run(format!("seed {seed} / chaos-5pct"), &w, cfg));
     }
     VerifyAudit { arms }
 }
 
 /// Print the audit as a table.
 pub fn print_verify(audit: &VerifyAudit) {
-    println!("Invariant audit: live engine state and reloaded snapshots, per arm");
-    println!("{:>34}  lanes  snapshot  live  disk", "arm");
+    println!("Invariant audit: live engine state, per arm");
+    println!("{:>34}  lanes  violations", "arm");
     for arm in &audit.arms {
         println!(
-            "{:>34}  {:>5}  {:>7}B  {:>4}  {:>4}",
+            "{:>34}  {:>5}  {:>10}",
             arm.label,
             arm.lanes,
-            arm.snapshot_bytes,
-            arm.live.len(),
-            arm.disk.len(),
+            arm.violations.len(),
         );
     }
     for arm in &audit.arms {
-        for v in arm.live.iter().chain(&arm.disk) {
+        for v in &arm.violations {
             println!("  VIOLATION [{}] {v}", arm.label);
         }
     }

@@ -147,11 +147,8 @@ impl Default for OptimizerConfig {
 impl OptimizerConfig {
     /// Fingerprint of every configuration input a cached warm quantity
     /// depends on; [`WarmStore::ensure_config`] resets a lane's store on
-    /// mismatch, and the snapshot layer stamps it into the file header so
-    /// a snapshot recorded under a different configuration is rejected at
-    /// load time instead of silently reset on first use. (The catalog is
-    /// not included here — it is fingerprinted separately by the snapshot
-    /// header, and a live lane keeps one catalog for life.)
+    /// mismatch. (The catalog is not included: a lane keeps one catalog
+    /// for life.)
     pub fn warm_fingerprint(&self) -> String {
         format!(
             "{:?}|{:?}|k={}|share={}",

@@ -199,10 +199,11 @@ impl WarmStore {
         self.canon_rank[&sig]
     }
 
-    /// Export the store's cross-batch state as a serializable image with
+    /// Export the store's cross-batch state as a plain image with
     /// deterministic ordering (hash-map sections sorted by key, so equal
-    /// stores export byte-equal snapshots). Per-batch transients
-    /// (`batch_hits`, `fresh_facts`) are not part of the image.
+    /// stores export equal images) for the invariant verifier to check.
+    /// Per-batch transients (`batch_hits`, `fresh_facts`) are not part of
+    /// the image.
     pub fn export(&self) -> WarmExport {
         let mut facts: Vec<(SigId, WarmFact)> = self
             .facts
@@ -221,72 +222,20 @@ impl WarmStore {
             .collect();
         cq_candidates.sort_unstable_by_key(|(id, _)| *id);
         WarmExport {
-            fingerprint: self.fingerprint.clone(),
             facts,
             expensive,
             cq_candidates,
             canon_order: self.canon_order.clone(),
         }
     }
-
-    /// Rebuild a store from an exported image, validating every id against
-    /// the (already rebuilt) interner instead of trusting the bytes: ids
-    /// must be below the arena length and the canonical order must really
-    /// be in strictly increasing deep order. A violated invariant returns
-    /// an error — snapshot recovery treats it as corruption and cold-starts
-    /// the section rather than admitting state that could change decisions.
-    pub fn from_export(export: WarmExport, interner: &SigInterner) -> Result<WarmStore, String> {
-        let len = interner.len();
-        let in_bounds = |id: SigId| id.index() < len;
-        let mut store = WarmStore {
-            fingerprint: export.fingerprint,
-            ..WarmStore::default()
-        };
-        for (id, fact) in export.facts {
-            if !in_bounds(id) {
-                return Err(format!("fact id {id} out of arena bounds ({len})"));
-            }
-            store.set_fact(id, fact);
-        }
-        store.fresh_facts.clear();
-        for (id, verdict) in export.expensive {
-            if !in_bounds(id) {
-                return Err(format!("expensive id {id} out of arena bounds ({len})"));
-            }
-            store.expensive.insert(id, verdict);
-        }
-        for (whole, sigs) in export.cq_candidates {
-            if !in_bounds(whole) || !sigs.iter().all(|&s| in_bounds(s)) {
-                return Err(format!("candidate ids for {whole} out of arena bounds"));
-            }
-            store.cq_candidates.insert(whole, sigs);
-        }
-        if !export.canon_order.iter().all(|&id| in_bounds(id)) {
-            return Err("canonical order names ids out of arena bounds".into());
-        }
-        let deep_sorted = export
-            .canon_order
-            .windows(2)
-            .all(|w| interner.resolve(w[0]) < interner.resolve(w[1]));
-        if !deep_sorted {
-            return Err("canonical order is not in deep canonical order".into());
-        }
-        store.canon_order = export.canon_order;
-        for (rank, id) in store.canon_order.iter().enumerate() {
-            store.canon_rank.insert(*id, rank as u32);
-        }
-        Ok(store)
-    }
 }
 
-/// A serializable image of a [`WarmStore`]'s cross-batch state, produced
-/// by [`WarmStore::export`] and consumed by [`WarmStore::from_export`].
-/// All fields are public so the snapshot layer can encode them without the
-/// store giving up field privacy in its live form.
+/// An image of a [`WarmStore`]'s cross-batch state, produced by
+/// [`WarmStore::export`]. All fields are public so the verifier can check
+/// them (and tests can corrupt them) without the store giving up field
+/// privacy in its live form.
 #[derive(Clone, Debug, Default)]
 pub struct WarmExport {
-    /// Configuration fingerprint the cached values were computed under.
-    pub fingerprint: Option<String>,
     /// Per-signature cost inputs, sorted by id.
     pub facts: Vec<(SigId, WarmFact)>,
     /// Heuristic-3a verdicts, sorted by id.
@@ -411,70 +360,5 @@ mod tests {
         );
         store.ensure_config("b");
         assert!(store.peek_fact(SigId(0)).is_none());
-    }
-
-    #[test]
-    fn export_roundtrip_preserves_every_section() {
-        let mut interner = SigInterner::new();
-        let ids: Vec<SigId> = [&[5][..], &[1, 2], &[3], &[1], &[2, 9]]
-            .iter()
-            .map(|rels| interner.intern(sig(rels)))
-            .collect();
-        let mut store = WarmStore::new();
-        store.ensure_config("cfg");
-        store.ensure_ranked(ids.iter().copied(), &interner);
-        store.set_fact(
-            ids[0],
-            WarmFact {
-                card: 12.5,
-                streamed: true,
-                size: 1,
-            },
-        );
-        store.set_expensive(ids[1], true);
-        store.set_cq_candidates(ids[1], Box::new([ids[0], ids[2]]));
-        let export = store.export();
-        let mut rebuilt = WarmStore::from_export(export, &interner).expect("valid export");
-        rebuilt.begin_batch();
-        assert_eq!(rebuilt.fingerprint.as_deref(), Some("cfg"));
-        let f = rebuilt.fact(ids[0]).expect("fact survives");
-        assert_eq!(f.card, 12.5);
-        assert_eq!(
-            rebuilt.batch_hits(),
-            1,
-            "rehydrated facts count as cross-batch warmth"
-        );
-        assert_eq!(rebuilt.expensive(ids[1]), Some(true));
-        assert_eq!(rebuilt.cq_candidates(ids[1]), Some(&[ids[0], ids[2]][..]));
-        for id in &ids {
-            assert_eq!(rebuilt.rank(*id), store.rank(*id));
-        }
-        // ensure_config with the same fingerprint keeps the loaded state.
-        rebuilt.ensure_config("cfg");
-        assert!(rebuilt.peek_fact(ids[0]).is_some());
-    }
-
-    #[test]
-    fn from_export_rejects_out_of_bounds_and_misordered_state() {
-        let mut interner = SigInterner::new();
-        let a = interner.intern(sig(&[1]));
-        let b = interner.intern(sig(&[2]));
-
-        let mut oob = WarmExport::default();
-        oob.facts.push((
-            SigId(99),
-            WarmFact {
-                card: 1.0,
-                streamed: false,
-                size: 1,
-            },
-        ));
-        assert!(WarmStore::from_export(oob, &interner).is_err());
-
-        let misordered = WarmExport {
-            canon_order: vec![b, a], // deep order is [1] < [2]
-            ..WarmExport::default()
-        };
-        assert!(WarmStore::from_export(misordered, &interner).is_err());
     }
 }

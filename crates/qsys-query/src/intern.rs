@@ -221,41 +221,10 @@ impl SigInterner {
         self.arena[id.index()].sig.atoms.len()
     }
 
-    /// Export the arena in id order for snapshot serialization: each
-    /// entry's canonical signature. Feeding the result to
-    /// [`SigInterner::from_entries`] rebuilds an interner that issues the
-    /// exact same [`SigId`] for every signature, which is what lets
-    /// snapshot-loaded caches keyed on ids stay valid.
+    /// The arena in id order: each entry's canonical signature (what the
+    /// invariant verifier checks for canonical form and duplicates).
     pub fn export_entries(&self) -> Vec<SubExprSig> {
         self.arena.iter().map(|e| e.sig.clone()).collect()
-    }
-
-    /// Rebuild an interner from exported entries, re-checking every
-    /// hash-consing invariant instead of trusting the bytes: each
-    /// signature must be in canonical form (atoms sorted; joins oriented
-    /// left ≤ right, sorted, deduplicated) and distinct from all earlier
-    /// entries. A violated invariant returns an error — the caller
-    /// (snapshot recovery) treats that as corruption and falls back to a
-    /// cold interner rather than constructing one whose id assignment
-    /// disagrees with what live interning would produce.
-    pub fn from_entries(entries: Vec<SubExprSig>) -> Result<SigInterner, String> {
-        let mut interner = SigInterner::new();
-        for (index, sig) in entries.into_iter().enumerate() {
-            if !sig.atoms.is_sorted() {
-                return Err(format!("entry {index}: atoms not in canonical order"));
-            }
-            let joins_canonical =
-                sig.joins.iter().all(|j| j.0 <= j.2) && sig.joins.windows(2).all(|w| w[0] < w[1]);
-            if !joins_canonical {
-                return Err(format!("entry {index}: joins not in canonical order"));
-            }
-            if interner.map.contains_key(&sig) {
-                return Err(format!("entry {index}: duplicate signature"));
-            }
-            let id = interner.intern_canonical(sig);
-            debug_assert_eq!(id.index(), index);
-        }
-        Ok(interner)
     }
 
     /// Whether two interned signatures cover at least one common relation
@@ -356,45 +325,6 @@ mod tests {
         let by_cq = interner.of_cq(&cq);
         let by_sig = interner.intern(SubExprSig::of_cq(&cq));
         assert_eq!(by_cq, by_sig);
-    }
-
-    #[test]
-    fn export_roundtrip_reissues_identical_ids() {
-        let mut interner = SigInterner::new();
-        let a = interner.relation(RelId::new(1), None);
-        let b = interner.relation(RelId::new(2), Some(Selection::eq(0, Value::str("kw"))));
-        let ab = interner.combine(a, b, &[(RelId::new(2), 0, RelId::new(1), 1)]);
-        let rebuilt = SigInterner::from_entries(interner.export_entries()).expect("valid export");
-        assert_eq!(rebuilt.len(), interner.len());
-        for id in [a, b, ab] {
-            assert_eq!(rebuilt.resolve(id), interner.resolve(id));
-            assert_eq!(rebuilt.get(interner.resolve(id)), Some(id));
-        }
-    }
-
-    #[test]
-    fn from_entries_rejects_broken_invariants() {
-        let mut interner = SigInterner::new();
-        let a = interner.relation(RelId::new(1), None);
-        let b = interner.relation(RelId::new(2), None);
-        interner.combine(a, b, &[(RelId::new(1), 0, RelId::new(2), 0)]);
-        let good = interner.export_entries();
-
-        // Duplicate signature.
-        let mut dup = good.clone();
-        dup.push(good[0].clone());
-        assert!(SigInterner::from_entries(dup).is_err());
-
-        // Non-canonical atoms.
-        let mut unsorted = good.clone();
-        unsorted[2].atoms.reverse();
-        assert!(SigInterner::from_entries(unsorted).is_err());
-
-        // Mis-oriented join.
-        let mut flipped = good;
-        let j = flipped[2].joins[0];
-        flipped[2].joins[0] = (j.2, j.3, j.0, j.1);
-        assert!(SigInterner::from_entries(flipped).is_err());
     }
 
     #[test]

@@ -42,14 +42,6 @@
 //! - `rel<N>:` scopes a clause to one relation. A relation with any scoped
 //!   clause starts from a clean slate (the defaults do not apply to it).
 //! - `outage=<start>..<end?>` may repeat for multiple windows.
-//! - `snap:` scopes a clause to warm-state snapshot I/O (see
-//!   [`SnapFaults`]): `snap:torn=<k>` truncates the snapshot tmp file to
-//!   `k` bytes before it is published, `snap:shortread=<k>` makes loads
-//!   see only the first `k` bytes, `snap:bitflip=<k>` flips the low bit of
-//!   byte `k` after checksums are computed, `snap:renamefail` fails the
-//!   tmp → final rename, and `snap:crash` panics after the tmp write
-//!   (the write-time crash hook). These are exact, deterministic
-//!   corruptions — no RNG — so recovery tests replay byte-identically.
 
 use qsys_types::dist::seeded_rng;
 use qsys_types::RelId;
@@ -147,43 +139,6 @@ impl RelFaults {
     }
 }
 
-/// Deterministic corruptions of warm-state snapshot I/O (`snap:` clauses).
-///
-/// Unlike the per-relation faults, these draw no RNG: each is an exact
-/// byte-level corruption (torn write at byte *k*, short read to *k* bytes,
-/// bit flip at byte *k*), a publication failure (`renamefail`), or a
-/// write-time crash hook (`crash`) — so every recovery scenario replays
-/// byte-identically and the snapshot loader's fallback path can be pinned
-/// in tests. Consumed by `qsys-snapshot`'s writer and loader.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SnapFaults {
-    /// Truncate the snapshot tmp file to this many bytes before it is
-    /// published — a torn write that still gets renamed into place.
-    pub torn_write: Option<u64>,
-    /// Loads observe only the first `k` bytes of the file.
-    pub short_read: Option<u64>,
-    /// Flip the lowest bit of byte `k` *after* checksums are computed.
-    pub bit_flip: Option<u64>,
-    /// The tmp → final rename fails; the previous snapshot (if any)
-    /// survives untouched.
-    pub rename_fail: bool,
-    /// Panic after the tmp write, before the rename — simulates a crash
-    /// mid-publication (the tmp file is left behind; the published
-    /// snapshot is never half-written).
-    pub crash_after_write: bool,
-}
-
-impl SnapFaults {
-    /// Whether no snapshot fault is configured.
-    pub fn is_clear(&self) -> bool {
-        self.torn_write.is_none()
-            && self.short_read.is_none()
-            && self.bit_flip.is_none()
-            && !self.rename_fail
-            && !self.crash_after_write
-    }
-}
-
 /// A complete, serializable fault schedule (see the module docs for the
 /// text grammar). `Display` re-emits the canonical spec string, so specs
 /// round-trip through `parse`.
@@ -195,8 +150,6 @@ pub struct FaultSpec {
     pub default_faults: RelFaults,
     /// Scoped per-relation faults (these *replace* the defaults).
     pub per_rel: BTreeMap<u32, RelFaults>,
-    /// Snapshot-I/O corruptions (`snap:` clauses).
-    pub snap: SnapFaults,
 }
 
 impl FaultSpec {
@@ -210,10 +163,6 @@ impl FaultSpec {
                 continue;
             }
             let (scope, body) = match clause.split_once(':') {
-                Some((scope, body)) if scope.trim() == "snap" => {
-                    parse_snap_clause(&mut out.snap, body.trim(), clause)?;
-                    continue;
-                }
                 Some((rel, body)) => {
                     let id: u32 = rel
                         .trim()
@@ -298,34 +247,6 @@ impl FaultSpec {
     }
 }
 
-fn parse_snap_clause(snap: &mut SnapFaults, body: &str, clause: &str) -> Result<(), String> {
-    match body {
-        "renamefail" => {
-            snap.rename_fail = true;
-            return Ok(());
-        }
-        "crash" => {
-            snap.crash_after_write = true;
-            return Ok(());
-        }
-        _ => {}
-    }
-    let (key, value) = body
-        .split_once('=')
-        .ok_or_else(|| format!("expected `snap:<kind>=<byte>` in `{clause}`"))?;
-    let at: u64 = value
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad byte offset `{value}` in `{clause}`"))?;
-    match key.trim() {
-        "torn" => snap.torn_write = Some(at),
-        "shortread" => snap.short_read = Some(at),
-        "bitflip" => snap.bit_flip = Some(at),
-        k => return Err(format!("unknown snapshot fault `{k}` in `{clause}`")),
-    }
-    Ok(())
-}
-
 fn parse_rate(v: &str, clause: &str) -> Result<f64, String> {
     let rate: f64 = v
         .trim()
@@ -362,21 +283,6 @@ impl fmt::Display for FaultSpec {
         fmt_faults(f, "", &self.default_faults)?;
         for (id, faults) in &self.per_rel {
             fmt_faults(f, &format!("rel{id}:"), faults)?;
-        }
-        if let Some(k) = self.snap.torn_write {
-            write!(f, ";snap:torn={k}")?;
-        }
-        if let Some(k) = self.snap.short_read {
-            write!(f, ";snap:shortread={k}")?;
-        }
-        if let Some(k) = self.snap.bit_flip {
-            write!(f, ";snap:bitflip={k}")?;
-        }
-        if self.snap.rename_fail {
-            write!(f, ";snap:renamefail")?;
-        }
-        if self.snap.crash_after_write {
-            write!(f, ";snap:crash")?;
         }
         Ok(())
     }
@@ -478,8 +384,7 @@ mod tests {
 
     #[test]
     fn spec_parses_and_round_trips() {
-        let s = "seed=7; transient=0.01; rel3:outage=0..; rel5:slow=0.2x6; rel9:panic; \
-                 snap:torn=512; snap:bitflip=40; snap:renamefail";
+        let s = "seed=7; transient=0.01; rel3:outage=0..; rel5:slow=0.2x6; rel9:panic";
         let spec = FaultSpec::parse(s).unwrap();
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.default_faults.transient, 0.01);
@@ -487,21 +392,6 @@ mod tests {
         assert_eq!(spec.per_rel[&5].slow_rate, 0.2);
         assert_eq!(spec.per_rel[&5].slow_mult, 6.0);
         assert!(spec.per_rel[&9].panic_on_fetch);
-        assert_eq!(spec.snap.torn_write, Some(512));
-        assert_eq!(spec.snap.bit_flip, Some(40));
-        assert!(spec.snap.rename_fail);
-        assert!(!spec.snap.crash_after_write);
-        assert!(!spec.snap.is_clear());
-        let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
-        assert_eq!(spec, reparsed);
-    }
-
-    #[test]
-    fn snap_clauses_parse_and_round_trip() {
-        let spec = FaultSpec::parse("snap:shortread=128; snap:crash").unwrap();
-        assert_eq!(spec.snap.short_read, Some(128));
-        assert!(spec.snap.crash_after_write);
-        assert!(spec.default_faults.is_clear());
         let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
         assert_eq!(spec, reparsed);
     }
@@ -525,9 +415,7 @@ mod tests {
             "relx:transient=0.1",
             "rel1:seed=4",
             "frobnicate=1",
-            "snap:torn=notanumber",
-            "snap:frobnicate=1",
-            "snap:panic",
+            "snap:torn=512",
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "`{bad}` should not parse");
         }

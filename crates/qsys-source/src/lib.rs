@@ -33,7 +33,7 @@ pub mod registry;
 pub mod stream;
 pub mod table;
 
-pub use fault::{FaultInjector, FaultSpec, RelFaults, SnapFaults, SourceError, Verdict};
+pub use fault::{FaultInjector, FaultSpec, RelFaults, SourceError, Verdict};
 pub use pushdown::{JoinCond, SpjSpec};
 pub use registry::{Sources, TableProvider};
 pub use stream::{SourceStream, StreamKind};

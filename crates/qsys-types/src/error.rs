@@ -38,6 +38,10 @@ pub enum QsysError {
     },
     /// A keyword query matched nothing in the catalog.
     NoMatches(String),
+    /// The engine was built from a configuration that fails validation,
+    /// so it refuses every submission; carries the first error, naming
+    /// the field at fault.
+    InvalidConfig(String),
     /// An internal invariant did not hold (the structured replacement for
     /// panicking on engine drive paths — see the `panic-path` lint). The
     /// string is a breadcrumb of what was violated and where.
@@ -57,6 +61,7 @@ impl fmt::Display for QsysError {
                 "memory budget exceeded: pinned state needs {required} bytes, budget is {budget}"
             ),
             QsysError::NoMatches(kw) => write!(f, "keyword query '{kw}' matched no relations"),
+            QsysError::InvalidConfig(why) => f.write_str(why),
             QsysError::Internal(why) => write!(f, "internal invariant violated: {why}"),
         }
     }

@@ -18,8 +18,8 @@
 //!    catch a new one; the policy is that Send-asserted modules stay
 //!    free of interior mutability entirely.)
 //! 3. `panic-path` — no `.unwrap()` / `.expect(` in non-test code of the
-//!    engine/lane drive paths (the root crate and the exec/state/
-//!    snapshot crates). Failures there must be structured errors or
+//!    engine/lane drive paths (the root crate and the exec and state
+//!    crates). Failures there must be structured errors or
 //!    carry a `lint:allow(panic-path)` justification on the same line
 //!    explaining why the panic is unreachable or wanted.
 //! 4. `seqcst` — no `Ordering::SeqCst` without an ordering comment on
@@ -156,8 +156,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Which rule families apply to a file, from its workspace-relative path.
 struct FileScope {
-    /// Under `src/` of the root crate or an engine-path crate (exec,
-    /// state, snapshot, opt, query, source, catalog, verify lib).
+    /// Under `src/` of the root crate or an engine drive-path crate (exec,
+    /// state).
     engine_path: bool,
     /// Bench code: `benches/`, `crates/qsys-bench`, or `crates/qsys-workload`.
     bench: bool,
@@ -181,8 +181,7 @@ fn scope_of(rel: &str) -> FileScope {
         && !bench
         && (rel.starts_with("src/")
             || rel.starts_with("crates/qsys-exec/src/")
-            || rel.starts_with("crates/qsys-state/src/")
-            || rel.starts_with("crates/qsys-snapshot/src/"));
+            || rel.starts_with("crates/qsys-state/src/"));
     FileScope {
         engine_path,
         bench,

@@ -1,9 +1,8 @@
 //! Whole-system invariant verifier for the Q System reproduction.
 //!
-//! Nine layers of sharing machinery — the hash-consed signature arena, the
+//! The layers of sharing machinery — the hash-consed signature arena, the
 //! refcounted access-module arena, the plan graph the QS manager grafts
-//! into, the warm-store caches, the checksummed snapshot format — each
-//! maintain structural invariants that the answer-identity goldens only
+//! into, the warm-store caches — each maintain structural invariants that the answer-identity goldens only
 //! check *indirectly*: a golden catches that something broke, never what
 //! or where. This crate is the direct check: a pure, read-only pass over
 //! the system's own data structures that reports every violated invariant
@@ -12,10 +11,9 @@
 //!
 //! Nothing here mutates anything, takes locks beyond the lane's own
 //! reader guards, or changes a decision: the verifier is a diagnostic
-//! layer the engine calls at phase boundaries (post-cluster, post-graft,
-//! pre-snapshot-publish) when `debug_assertions` are on or
-//! `EngineConfig::verify` is set, and that `reproduce verify` runs over whole
-//! workloads and on-disk snapshots.
+//! layer the engine calls at phase boundaries (post-cluster, post-graft)
+//! when `debug_assertions` are on or `EngineConfig::verify` is set, and
+//! that `reproduce verify` runs over whole workloads.
 //!
 //! The companion `qsys-lint` binary (same crate) is the *source* half of
 //! the analysis: a self-contained text lint enforcing repo rules (no
@@ -26,21 +24,22 @@ use qsys_exec::access::ModuleId;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::warm::WarmExport;
 use qsys_query::{SigId, SigInterner, SubExprSig};
-use qsys_snapshot::{LaneImage, SnapshotImage, MAX_LANES};
 use qsys_state::QsManager;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// The invariant class a [`Violation`] breaks. One class per seeded
-/// corruption in the mutation harness (`tests/verify_invariants.rs`), so
-/// a detector can assert it flagged *the planted defect* and not a
-/// coincidental neighbour.
+/// The invariant class a [`Violation`] breaks, so a detector can assert it
+/// flagged *the planted defect* and not a coincidental neighbour. The
+/// mutation harness (`tests/verify_invariants.rs`) plants `RefcountSkew`,
+/// `GraphMalformed`, `IdOutOfRange` and `WarmDisorder`, and this crate's
+/// unit tests plant `MalformedSig`; `OrphanLeaf` and `QuarantineLeak` are
+/// checked on every verified run but have no planted case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViolationClass {
     /// A signature is not in canonical form (atoms unsorted, joins
     /// unoriented/unsorted) or appears twice in the arena.
     MalformedSig,
-    /// An id references past the end of the arena or section it indexes.
+    /// An id references past the end of the arena it indexes.
     IdOutOfRange,
     /// A module slot's refcount differs from its graph residency plus
     /// external probe-cache registrations.
@@ -57,9 +56,6 @@ pub enum ViolationClass {
     /// Warm-store export ordering broken (facts/candidates not id-sorted,
     /// canonical order not strictly deep-increasing).
     WarmDisorder,
-    /// Snapshot sections disagree: one section references ids another
-    /// section does not define.
-    SectionMismatch,
 }
 
 impl fmt::Display for ViolationClass {
@@ -69,7 +65,7 @@ impl fmt::Display for ViolationClass {
 }
 
 /// One violated invariant: the class, a breadcrumb path into the
-/// structure (`lane/warm/plan[3]/snapshot`), and what was found there.
+/// structure (`lane[1]/warm/canon_order[3]`), and what was found there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Which invariant class broke.
@@ -159,7 +155,7 @@ impl From<Vec<Violation>> for VerifyReport {
 
 /// Check an exported interner arena: every signature in canonical form
 /// and present exactly once (the hash-consing contract ids rest on).
-pub fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violation> {
+fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut seen: HashMap<&SubExprSig, usize> = HashMap::with_capacity(entries.len());
     for (index, sig) in entries.iter().enumerate() {
@@ -189,7 +185,8 @@ pub fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violat
     out
 }
 
-/// Check a live interner's arena ([`verify_interner_entries`]).
+/// Check a live interner's arena: every signature in canonical form and
+/// present exactly once.
 pub fn verify_interner(interner: &SigInterner, path: &str) -> Vec<Violation> {
     verify_interner_entries(&interner.export_entries(), path)
 }
@@ -250,7 +247,8 @@ pub fn verify_warm_export(
         }
     }
     // Canonical rank order: strictly increasing by *resolved signature*
-    // (deep order), which is what makes ranks stable across restarts.
+    // (deep order), which is what lets an integer sort by rank stand in for
+    // a deep sort.
     for (i, id) in export.canon_order.iter().enumerate() {
         check_bound(&mut out, *id, &format!("{path}/canon_order[{i}]"));
     }
@@ -606,7 +604,7 @@ pub fn verify_no_quarantined_grafts(manager: &QsManager, path: &str) -> Vec<Viol
 }
 
 // ---------------------------------------------------------------------------
-// Lane and snapshot entry points.
+// Lane entry point.
 // ---------------------------------------------------------------------------
 
 /// Verify one execution lane end to end: interner arena, warm store, and
@@ -625,107 +623,6 @@ pub fn verify_lane(manager: &QsManager) -> VerifyReport {
     drop(interner);
     out.extend(verify_manager(manager, "lane/graph"));
     VerifyReport { violations: out }
-}
-
-/// Verify a snapshot image's semantic validity beyond what the wire CRCs
-/// cover: per-lane interner canonical form, warm section
-/// cross-references into the interner section, ordering contracts, and
-/// the loader's lane ceiling. Works on the in-memory image — run it
-/// before publishing (the pre-publish hook) or after decoding.
-pub fn verify_snapshot(image: &SnapshotImage) -> VerifyReport {
-    let mut out = Vec::new();
-    if image.engine_fingerprint.is_empty() {
-        out.push(Violation::new(
-            ViolationClass::SectionMismatch,
-            "snapshot/header",
-            "empty engine fingerprint — nothing could ever rehydrate from this",
-        ));
-    }
-    if image.lanes.len() > MAX_LANES as usize {
-        out.push(Violation::new(
-            ViolationClass::SectionMismatch,
-            "snapshot/header",
-            format!(
-                "{} lanes exceed the loader ceiling of {MAX_LANES}",
-                image.lanes.len()
-            ),
-        ));
-    }
-    for (li, lane) in image.lanes.iter().enumerate() {
-        out.extend(verify_lane_image(lane, &format!("snapshot/lane[{li}]")));
-    }
-    VerifyReport { violations: out }
-}
-
-/// Verify one lane's snapshot sections against each other. Cross-section
-/// references (warm → interner) are reported as
-/// [`ViolationClass::SectionMismatch`]: on the wire each section CRCs
-/// clean in isolation, so a dangling id is precisely a *cross*-section
-/// corruption.
-pub fn verify_lane_image(lane: &LaneImage, path: &str) -> Vec<Violation> {
-    let mut out = verify_interner_entries(&lane.interner, &format!("{path}/interner"));
-    let n = lane.interner.len();
-    let remap = |violations: Vec<Violation>| {
-        violations.into_iter().map(|v| match v.class {
-            // An id dangling across sections is a cross-reference break.
-            ViolationClass::IdOutOfRange => Violation {
-                class: ViolationClass::SectionMismatch,
-                ..v
-            },
-            _ => v,
-        })
-    };
-    // The warm section's ordering contracts need resolved sigs;
-    // rebuilding an interner would re-run the structural validation we
-    // just did (and fail on the corruptions we want to *report*), so the
-    // image path checks bounds and orderings directly.
-    let warm = &lane.warm;
-    let mut warm_out = Vec::new();
-    let check = |out: &mut Vec<Violation>, id: SigId, at: &str| {
-        if id.index() >= n {
-            out.push(Violation::new(
-                ViolationClass::IdOutOfRange,
-                at,
-                format!("{id:?} out of range (interner section has {n} entries)"),
-            ));
-        }
-    };
-    for (id, _) in &warm.facts {
-        check(&mut warm_out, *id, &format!("{path}/warm/facts"));
-    }
-    if !warm.facts.windows(2).all(|w| w[0].0 < w[1].0) {
-        warm_out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/warm/facts"),
-            "facts not strictly ascending by sig id",
-        ));
-    }
-    for (id, _) in &warm.expensive {
-        check(&mut warm_out, *id, &format!("{path}/warm/expensive"));
-    }
-    for (whole, cands) in &warm.cq_candidates {
-        check(&mut warm_out, *whole, &format!("{path}/warm/cq_candidates"));
-        for c in cands.iter() {
-            check(&mut warm_out, *c, &format!("{path}/warm/cq_candidates"));
-        }
-    }
-    for (i, id) in warm.canon_order.iter().enumerate() {
-        check(&mut warm_out, *id, &format!("{path}/warm/canon_order[{i}]"));
-    }
-    if warm.canon_order.iter().all(|id| id.index() < n)
-        && !warm
-            .canon_order
-            .windows(2)
-            .all(|w| lane.interner[w[0].index()] < lane.interner[w[1].index()])
-    {
-        warm_out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/warm/canon_order"),
-            "canonical order not strictly deep-increasing",
-        ));
-    }
-    out.extend(remap(warm_out));
-    out
 }
 
 #[cfg(test)]

@@ -112,12 +112,11 @@ pub struct EngineConfig {
     /// Retry / timeout / circuit-breaker policy applied when `faults` is
     /// active (inert otherwise).
     pub retry: RetryPolicy,
-    /// Directory holding the lane warm-state snapshot (crash-safe
-    /// persistence of the interner arena + warm store, `qsys_snapshot`).
-    /// When set, the engine rehydrates from `<dir>/qsys.snapshot` at
-    /// construction and re-publishes on batch boundaries (see
-    /// [`EngineConfig::snapshot_every`]). `None` — the default — disables
-    /// persistence entirely.
+    /// Retired: warm-state snapshots are gone and a lane's warm state
+    /// lives only as long as the engine, so `None` is the only value
+    /// [`EngineConfig::validate`] accepts. The field remains only because
+    /// the benchmark's config literal names every field; ROADMAP item 1(b)
+    /// removes it.
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// Retired: lane sharding is gone and ATC-CL runs one lane per
     /// cluster, so [`ShardConfig::off`] is the only value. The field
@@ -129,13 +128,12 @@ pub struct EngineConfig {
     /// only value. The field remains only because the benchmark's config
     /// literal names every field; ROADMAP item 1(b) removes it.
     pub adaptive: AdaptiveConfig,
-    /// Auto-snapshot cadence when [`EngineConfig::snapshot_dir`] is set:
-    /// publish a fresh snapshot after every this-many dispatched batches
-    /// (callers can force one any time with `Engine::snapshot()`).
-    /// Defaults to 1 — every batch boundary. Must be ≥ 1.
+    /// Retired with warm-state snapshots: there is no publish cadence, so
+    /// nothing reads this field. It remains only because the benchmark's
+    /// config literal names every field; ROADMAP item 1(b) removes it.
     pub snapshot_every: usize,
     /// Run the `qsys-verify` invariant verifier at every phase boundary
-    /// (post-cluster, post-graft, pre-snapshot-publish).
+    /// (post-cluster, post-graft).
     /// Always on in debug builds (`debug_assertions`); this knob turns it
     /// on for release builds too. A violation panics the offending lane
     /// with the full structured report: a broken sharing invariant means
@@ -259,9 +257,9 @@ impl EngineConfig {
             "at least one lane thread",
         );
         invariant(
-            self.snapshot_every >= 1,
-            "snapshot_every",
-            "snapshot cadence must be ≥ 1 batch",
+            self.snapshot_dir.is_none(),
+            "snapshot_dir",
+            "warm-state snapshots were removed: there is nothing to persist or reload",
         );
         invariant(
             !self.shard_debug,
@@ -275,21 +273,6 @@ impl EngineConfig {
     /// debug builds, or per the `verify` knob.
     pub(crate) fn verify_phases(&self) -> bool {
         cfg!(debug_assertions) || self.verify
-    }
-
-    /// The optimizer-configuration fingerprint warm state computed under
-    /// this engine config carries (stamped into snapshot headers; a
-    /// mismatch at load time rejects the snapshot before any state is
-    /// admitted).
-    pub(crate) fn warm_fingerprint(&self) -> String {
-        OptimizerConfig {
-            k: self.k,
-            heuristics: self.heuristics.clone(),
-            cost_profile: self.cost_profile,
-            share_subexpressions: batch_share(&self.sharing),
-            ..OptimizerConfig::default()
-        }
-        .warm_fingerprint()
     }
 }
 
@@ -767,7 +750,7 @@ mod tests {
             ..EngineConfig::default()
         };
         // A caller-attached error outranks field checks…
-        config.snapshot_every = 0;
+        config.snapshot_dir = Some("warm".into());
         let err = config
             .validate()
             .expect_err("an attached error fails validation");
@@ -775,9 +758,9 @@ mod tests {
         assert!(err.to_string().contains("bad clause"));
         // …and once it is cleared, the field invariant reports.
         config.env_errors.clear();
-        let err = config.validate().expect_err("cadence 0 is invalid");
-        assert_eq!(err.field, "snapshot_every");
-        config.snapshot_every = 1;
+        let err = config.validate().expect_err("snapshots are retired");
+        assert_eq!(err.field, "snapshot_dir");
+        config.snapshot_dir = None;
         config.validate().expect("clean config validates");
     }
 
@@ -793,7 +776,7 @@ mod tests {
         config.k = 0;
         config.batch_size = 0;
         config.heuristics.max_candidates = 65;
-        config.snapshot_every = 0;
+        config.snapshot_dir = Some("warm".into());
         let errors = config.validate_all();
         let fields: Vec<&str> = errors.iter().map(|e| e.field).collect();
         // Every failure reported at once, attached errors first, then the
@@ -806,7 +789,7 @@ mod tests {
                 "k",
                 "batch_size",
                 "heuristics.max_candidates",
-                "snapshot_every"
+                "snapshot_dir"
             ]
         );
         assert_eq!(
@@ -817,7 +800,7 @@ mod tests {
         config.k = 1;
         config.batch_size = 1;
         config.heuristics.max_candidates = 64;
-        config.snapshot_every = 1;
+        config.snapshot_dir = None;
         assert!(
             config.validate_all().is_empty(),
             "clean config aggregates to nothing"

@@ -116,7 +116,6 @@ pub mod prelude {
         run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport,
     };
     pub use crate::session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
-    pub use qsys_snapshot::SnapshotSummary;
     pub use qsys_types::{Score, Tuple, UqId, UserId};
     pub use qsys_verify::{VerifyReport, Violation, ViolationClass};
 }
@@ -126,7 +125,6 @@ pub use qsys_catalog as catalog;
 pub use qsys_exec as exec;
 pub use qsys_opt as opt;
 pub use qsys_query as query;
-pub use qsys_snapshot as snapshot;
 pub use qsys_source as source;
 pub use qsys_state as state;
 pub use qsys_types as types;

@@ -179,9 +179,6 @@ pub struct RunReport {
     pub skipped: Vec<String>,
     /// Fault/resilience accounting (all zero on a clean run).
     pub faults: FaultSummary,
-    /// Warm-state snapshot recovery/publication accounting (default when
-    /// `EngineConfig::snapshot_dir` is unset).
-    pub snapshot: qsys_snapshot::SnapshotSummary,
 }
 
 /// Run-level fault accounting: the source governors' counters summed over
@@ -300,14 +297,16 @@ pub fn generate_user_queries(
 /// submit the script through each user's [`Session`](crate::Session),
 /// drain the engine, read its report. A script entry that matches no
 /// candidate network is reported in [`RunReport::skipped`] and does not
-/// count towards `limit`.
+/// count towards `limit`. A `config` that fails validation is
+/// [`QsysError::InvalidConfig`](qsys_types::QsysError::InvalidConfig),
+/// the error its engine refuses every submission with.
 pub fn run_workload(
     workload: &Workload,
     config: &EngineConfig,
     limit: Option<usize>,
 ) -> QsysResult<RunReport> {
     let mut engine = Engine::for_workload(workload, config.clone());
-    engine.submit_script_until(workload, limit.unwrap_or(usize::MAX));
+    engine.submit_script_until(workload, limit.unwrap_or(usize::MAX))?;
     engine.run_until_idle();
     Ok(engine.report())
 }

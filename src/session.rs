@@ -45,13 +45,9 @@ use crate::report::{LaneSummary, QueryOutcome, RunReport, UqReport};
 use qsys_catalog::{Catalog, KeywordIndex};
 use qsys_opt::OptStats;
 use qsys_query::{CandidateGenerator, UserQuery};
-use qsys_snapshot::{
-    catalog_fingerprint, load_snapshot, write_snapshot, LaneImage, LoadedLane, SnapshotImage,
-    SnapshotSummary,
-};
-use qsys_source::{SnapFaults, TableProvider};
+use qsys_source::TableProvider;
 use qsys_state::EvictionStats;
-use qsys_types::{QsysResult, RelId, Score, Tuple, UqId, UserId};
+use qsys_types::{QsysError, QsysResult, RelId, Score, Tuple, UqId, UserId};
 use qsys_verify::VerifyReport;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -241,52 +237,24 @@ pub struct Engine {
     ledger: SharedLedger,
     /// Keyword queries that matched no candidate network.
     skipped: Vec<String>,
-    /// Lanes rehydrated from the warm-state snapshot at construction,
-    /// waiting to be installed as lanes are created (index = lane index at
-    /// recording time; ATC-CL may create lanes lazily, long after load).
-    thawed: Vec<Option<LoadedLane>>,
-    /// What snapshot recovery and publication have done so far (surfaced
-    /// through [`Engine::report`]).
-    snapshot: SnapshotSummary,
-    /// Batches dispatched since the last auto-snapshot
-    /// ([`EngineConfig::snapshot_every`] cadence).
-    batches_since_snapshot: usize,
-}
-
-/// The snapshot-I/O fault schedule, when one is configured and non-empty.
-fn snap_faults(config: &EngineConfig) -> Option<&SnapFaults> {
-    config
-        .faults
-        .as_ref()
-        .map(|f| &f.snap)
-        .filter(|s| !s.is_clear())
-}
-
-/// Rehydrate warm state from `config.snapshot_dir`, when set. Every
-/// failure mode degrades to cold lanes recorded in the summary; recovery
-/// never panics and never blocks construction.
-fn thaw(config: &EngineConfig, catalog: &Catalog) -> (Vec<Option<LoadedLane>>, SnapshotSummary) {
-    match &config.snapshot_dir {
-        Some(dir) => load_snapshot(
-            dir,
-            &config.warm_fingerprint(),
-            catalog,
-            snap_faults(config),
-        ),
-        None => (Vec::new(), SnapshotSummary::default()),
-    }
+    /// The first [`EngineConfig::validate`] error, rendered once at
+    /// construction: an engine over an invalid config refuses every
+    /// submission with it.
+    invalid_config: Option<String>,
 }
 
 impl Engine {
     /// Stand up an engine over a catalog, keyword index, and a provider
-    /// factory (one provider per lane).
+    /// factory (one provider per lane). The config is validated here,
+    /// once: if it fails, the engine still builds, but every submission is
+    /// refused with [`QsysError::InvalidConfig`].
     pub fn new(
         catalog: Catalog,
         index: KeywordIndex,
         provider: ProviderFactory,
         config: EngineConfig,
     ) -> Engine {
-        let (thawed, snapshot) = thaw(&config, &catalog);
+        let invalid_config = config.validate().err().map(|e| e.to_string());
         let mut engine = Engine {
             catalog,
             index,
@@ -298,9 +266,7 @@ impl Engine {
             next_cq: 0,
             ledger: Arc::default(),
             skipped: Vec::new(),
-            thawed,
-            snapshot,
-            batches_since_snapshot: 0,
+            invalid_config,
         };
         // Non-clustered modes always run one lane; create it eagerly so
         // admission can seal windows against it immediately. ATC-CL defers
@@ -323,22 +289,18 @@ impl Engine {
         )
     }
 
-    /// Create the next lane (index = current lane count), installing any
-    /// rehydrated snapshot state for that index before the lane can intern
-    /// its first signature. All lane creation funnels through here so a
-    /// loaded snapshot warms every lane topology the engine can grow.
+    /// Create the next lane (index = current lane count).
     fn add_lane(&mut self) -> usize {
         let idx = self.lanes.len();
-        let lane = Lane::new(&self.config, (self.provider)(), idx);
-        if let Some(loaded) = self.thawed.get_mut(idx).and_then(Option::take) {
-            // The snapshot's `SigId`s are positional: the arena has to be
-            // rebuilt onto an empty interner for the ids to mean what the
-            // warm store thinks they mean.
-            *lane.manager.shared_interner().borrow_mut() = loaded.interner;
-            *lane.manager.warm_cell().borrow_mut() = loaded.warm;
-        }
-        self.lanes.push(lane);
+        self.lanes
+            .push(Lane::new(&self.config, (self.provider)(), idx));
         idx
+    }
+
+    /// The error every submission gets when the engine's config failed
+    /// validation at construction.
+    fn refusal(&self) -> Option<QsysError> {
+        self.invalid_config.clone().map(QsysError::InvalidConfig)
     }
 
     /// Open a session for one user. Sessions are lightweight handles;
@@ -355,8 +317,13 @@ impl Engine {
     /// Submit a workload's whole script in order, each query through its
     /// user's session with that user's learned edge costs, and return the
     /// tickets of the queries that admitted (one matching no candidate
-    /// network is recorded as skipped, as [`Session::submit`] does).
-    pub fn submit_script(&mut self, workload: &qsys_workload::Workload) -> Vec<QueryTicket> {
+    /// network is recorded as skipped, as [`Session::submit`] does). An
+    /// engine whose config failed validation submits nothing and returns
+    /// [`QsysError::InvalidConfig`].
+    pub fn submit_script(
+        &mut self,
+        workload: &qsys_workload::Workload,
+    ) -> QsysResult<Vec<QueryTicket>> {
         self.submit_script_until(workload, usize::MAX)
     }
 
@@ -367,7 +334,10 @@ impl Engine {
         &mut self,
         workload: &qsys_workload::Workload,
         limit: usize,
-    ) -> Vec<QueryTicket> {
+    ) -> QsysResult<Vec<QueryTicket>> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
+        }
         let submit = |q: &qsys_workload::WorkloadQuery| {
             let mut session = self.session(q.user);
             if let Some(costs) = &q.edge_costs {
@@ -375,12 +345,12 @@ impl Engine {
             }
             session.submit(&q.keywords, q.arrival_us).ok()
         };
-        workload
+        Ok(workload
             .queries
             .iter()
             .filter_map(submit)
             .take(limit)
-            .collect()
+            .collect())
     }
 
     /// The schema catalog.
@@ -584,9 +554,7 @@ impl Engine {
         if self.lanes.is_empty() && self.unrouted.len() >= self.config.batch_size.max(1) {
             self.route_unrouted();
         }
-        let ran = self.dispatch(false);
-        self.auto_snapshot(ran);
-        ran
+        self.dispatch(false)
     }
 
     /// Seal everything pending (including ATC-CL's initial clustering) and
@@ -594,142 +562,11 @@ impl Engine {
     /// executed.
     pub fn run_until_idle(&mut self) -> usize {
         self.flush();
-        let ran = self.dispatch(true);
-        self.auto_snapshot(ran);
-        ran
+        self.dispatch(true)
     }
 
-    /// Publish a warm-state snapshot after dispatch, on the configured
-    /// cadence. Publication failures are recorded in the summary and never
-    /// fail the step — persistence is best-effort, execution is not.
-    fn auto_snapshot(&mut self, ran: usize) {
-        if ran == 0 || self.config.snapshot_dir.is_none() {
-            return;
-        }
-        self.batches_since_snapshot += ran;
-        if self.batches_since_snapshot >= self.config.snapshot_every.max(1) {
-            self.batches_since_snapshot = 0;
-            let _ = self.snapshot(); // errors land in `snapshot.write_errors`
-        }
-    }
-
-    /// Serialize every lane's warm state (interner arena + warm store)
-    /// into an image ready for [`qsys_snapshot::write_snapshot`].
-    fn snapshot_image(&self) -> SnapshotImage {
-        SnapshotImage {
-            engine_fingerprint: self.config.warm_fingerprint(),
-            catalog_fingerprint: catalog_fingerprint(&self.catalog),
-            lanes: self
-                .lanes
-                .iter()
-                .map(|lane| {
-                    let interner_cell = lane.manager.shared_interner();
-                    let warm_cell = lane.manager.warm_cell();
-                    let interner = interner_cell.borrow();
-                    let warm = warm_cell.borrow();
-                    LaneImage {
-                        interner: interner.export_entries(),
-                        warm: warm.export(),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Publish a crash-safe warm-state snapshot to
-    /// [`EngineConfig::snapshot_dir`] right now (the engine also publishes
-    /// automatically every [`EngineConfig::snapshot_every`] dispatched
-    /// batches). Returns the published byte count.
-    ///
-    /// The write is atomic (tmp + fsync + rename): a crash mid-publish
-    /// leaves the previous snapshot intact. Failures are also recorded in
-    /// the report's [`SnapshotSummary::write_errors`].
-    ///
-    /// # Panics
-    ///
-    /// Only under an injected `snap:crash` fault (`EngineConfig::faults`), which
-    /// deliberately simulates the process dying between the tmp write and
-    /// the rename — restart-chaos tests catch the unwind.
-    pub fn snapshot(&mut self) -> Result<u64, String> {
-        let Some(dir) = self.config.snapshot_dir.clone() else {
-            return Err("engine has no snapshot_dir configured".into());
-        };
-        let image = self.snapshot_image();
-        if self.config.verify_phases() {
-            // Pre-publish boundary: never persist an image that could not
-            // rehydrate — a corrupt snapshot outlives the process that
-            // wrote it.
-            qsys_verify::verify_snapshot(&image).assert_clean("pre-snapshot-publish");
-        }
-        match write_snapshot(&dir, &image, snap_faults(&self.config)) {
-            Ok(bytes) => {
-                self.snapshot.writes += 1;
-                Ok(bytes)
-            }
-            Err(e) => {
-                self.snapshot.write_errors.push(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// What snapshot recovery and publication have done so far (also in
-    /// [`Engine::report`]).
-    pub fn snapshot_summary(&self) -> &SnapshotSummary {
-        &self.snapshot
-    }
-
-    /// Reload this engine's own published snapshot from
-    /// [`EngineConfig::snapshot_dir`] and run the verifier over every
-    /// decoded lane — the on-disk half of the `reproduce verify` audit.
-    /// The load path already drops sections that fail CRC or structural
-    /// validation; this checks the *semantic* invariants of what survived
-    /// (canonical signatures, warm-store ordering and id bounds).
-    /// `Err` means nothing could be audited (no dir, or nothing loaded).
-    pub fn audit_snapshot(&self) -> Result<VerifyReport, String> {
-        let Some(dir) = &self.config.snapshot_dir else {
-            return Err("engine has no snapshot_dir configured".into());
-        };
-        let (lanes, summary) = qsys_snapshot::load_snapshot(
-            dir,
-            &self.config.warm_fingerprint(),
-            &self.catalog,
-            snap_faults(&self.config),
-        );
-        if !summary.loaded {
-            return Err(format!(
-                "no snapshot loaded from {} ({})",
-                dir.display(),
-                summary
-                    .reason
-                    .as_deref()
-                    .unwrap_or("no file or empty image")
-            ));
-        }
-        let mut violations = Vec::new();
-        for (idx, lane) in lanes.iter().enumerate() {
-            let Some(lane) = lane else {
-                // A lane the loader rejected wholesale is a recovery
-                // event, not an invariant violation — `summary.reason`
-                // carries it.
-                continue;
-            };
-            let path = format!("disk[{idx}]");
-            violations.extend(qsys_verify::verify_interner(
-                &lane.interner,
-                &format!("{path}/interner"),
-            ));
-            violations.extend(qsys_verify::verify_warm_export(
-                &lane.warm.export(),
-                &lane.interner,
-                &format!("{path}/warm"),
-            ));
-        }
-        Ok(VerifyReport::from(violations))
-    }
-
-    /// Run the full invariant verifier over every lane plus the snapshot
-    /// image the engine would publish right now, regardless of
+    /// Run the full invariant verifier over every lane — its interner
+    /// arena, warm store and plan graph — regardless of
     /// [`EngineConfig::verify`]. This is the audit entry point used by
     /// `reproduce verify` and the mutation tests; the phase hooks use the
     /// same checks but panic via [`VerifyReport::assert_clean`] instead of
@@ -744,7 +581,6 @@ impl Engine {
                 v
             }));
         }
-        violations.extend(qsys_verify::verify_snapshot(&self.snapshot_image()).violations);
         VerifyReport::from(violations)
     }
 
@@ -875,7 +711,6 @@ impl Engine {
                 })
                 .collect(),
             skipped: self.skipped.clone(),
-            snapshot: self.snapshot.clone(),
             ..RunReport::default()
         };
         for lane in &self.lanes {
@@ -962,8 +797,13 @@ impl Session<'_> {
     ///
     /// A query whose keywords match no candidate network is recorded as
     /// skipped and reported as an error (a real service answers "no
-    /// results" without failing anyone else's batch).
+    /// results" without failing anyone else's batch). An engine whose
+    /// config failed validation refuses every query with
+    /// [`QsysError::InvalidConfig`], before generating anything.
     pub fn submit(&mut self, keywords: &str, arrival_us: u64) -> QsysResult<QueryTicket> {
+        if let Some(refusal) = self.engine.refusal() {
+            return Err(refusal);
+        }
         match self
             .engine
             .generate(keywords, self.user, self.edge_costs.as_ref())

@@ -76,7 +76,7 @@ pub type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
 /// drain the engine, and fingerprint every ticket.
 pub fn run(w: &Workload, cfg: EngineConfig) -> (RunReport, Outcomes) {
     let mut engine = Engine::for_workload(w, cfg);
-    let tickets = engine.submit_script(w);
+    let tickets = engine.submit_script(w).expect("the config is valid");
     engine.run_until_idle();
     let outcomes = tickets
         .iter()

@@ -6,7 +6,8 @@
 //! work. These tests pin both properties.
 
 use qsys::state::EvictionPolicy;
-use qsys::{run_workload, EngineConfig, SharingMode};
+use qsys::types::{QsysError, UserId};
+use qsys::{run_workload, Engine, EngineConfig, SharingMode};
 use qsys_opt::cluster::ClusterConfig;
 use qsys_query::CandidateConfig;
 use qsys_workload::gus::{self, GusConfig};
@@ -181,4 +182,60 @@ fn time_breakdown_is_consistent() {
     assert!(b.optimize_us > 0, "optimizer charged");
     let (s, ra, j) = b.exec_fractions();
     assert!((s + ra + j - 1.0).abs() < 1e-9);
+}
+
+/// An engine built from a config that fails validation refuses its first
+/// submission — and `submit_script` and `run_workload` a whole script —
+/// with a structured
+/// `InvalidConfig` naming the field, never a panic and never a silent run.
+/// The default config serves.
+#[test]
+fn invalid_configs_refuse_submission_without_panicking() {
+    let w = small_workload(5);
+    let (uqs, _) = qsys::generate_user_queries(&w, &EngineConfig::default()).unwrap();
+    let keywords = &uqs[0].keywords;
+    let invalid = [
+        (
+            "snapshot_dir",
+            EngineConfig {
+                snapshot_dir: Some("warm".into()),
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "shard_debug",
+            EngineConfig {
+                shard_debug: true,
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "k",
+            EngineConfig {
+                k: 0,
+                ..EngineConfig::default()
+            },
+        ),
+    ];
+    for (field, cfg) in invalid {
+        let mut engine = Engine::for_workload(&w, cfg.clone());
+        let refusal = engine
+            .session(UserId::new(0))
+            .submit(keywords, 0)
+            .expect_err(field);
+        let QsysError::InvalidConfig(why) = &refusal else {
+            panic!("{field}: refused with {refusal:?}");
+        };
+        assert!(why.contains(field), "{field}: {why}");
+        assert_eq!(engine.submit_script(&w).err(), Some(refusal.clone()));
+        assert_eq!(engine.pending(), 0, "{field}: nothing was admitted");
+        assert_eq!(run_workload(&w, &cfg, None).err(), Some(refusal));
+    }
+    let mut engine = Engine::for_workload(&w, EngineConfig::default());
+    let ticket = engine
+        .session(UserId::new(0))
+        .submit(keywords, 0)
+        .expect("the default config serves");
+    engine.run_until_idle();
+    assert!(ticket.outcome().is_some_and(|o| o.is_complete()));
 }

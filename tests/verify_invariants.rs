@@ -4,19 +4,19 @@
 //!
 //! 1. **Seeded corruption, one per invariant family** — build a structure
 //!    that verifies clean, apply exactly one class of damage (a refcount
-//!    skew, a cross-section snapshot dangler, a stream bound changed
-//!    behind the executor's bound table, a shared stored module out of
-//!    step with one of its consumers, a stream-fed input storing outside
-//!    its leaf's module), and require that the verifier reports *that*
-//!    class and nothing else. A verifier that misses the damage is
-//!    useless; one that mislabels it sends whoever reads the report to
-//!    the wrong subsystem.
+//!    skew, a dangling id or a misordered rank in a live warm store's
+//!    export, a stream bound changed behind the executor's bound table, a
+//!    shared stored module out of step with one of its consumers, a
+//!    stream-fed input storing outside its leaf's module), and require
+//!    that the verifier reports *that* class and nothing else. A verifier
+//!    that misses the damage is useless; one that mislabels it sends
+//!    whoever reads the report to the wrong subsystem.
 //! 2. **Clean passes** — the standard GUS seeds driven through every
 //!    arm whose machinery the phase hooks guard (clustered lanes at 1 and
 //!    4 threads, fault quarantine) must produce zero violations from
 //!    [`Engine::verify`]. (These runs also execute the phase-boundary
 //!    hooks themselves: tests build with `debug_assertions`, so every
-//!    post-cluster / post-graft / pre-publish check fires along the way.)
+//!    post-cluster / post-graft check fires along the way.)
 
 use proptest::prelude::*;
 use qsys::prelude::*;
@@ -26,21 +26,13 @@ use qsys_exec::graph::QueryPlanGraph;
 use qsys_exec::mjoin::{MJoin, MJoinInput};
 use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
 use qsys_opt::cluster::ClusterConfig;
-use qsys_opt::warm::WarmExport;
-use qsys_query::{SigId, SubExprSig};
-use qsys_snapshot::{LaneImage, SnapshotImage};
+use qsys_opt::{Optimizer, OptimizerConfig};
+use qsys_query::{ConjunctiveQuery, ScoreFn, SigId};
 use qsys_source::{Sources, Table};
+use qsys_state::QsManager;
 use qsys_types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple};
 use qsys_workload::gus::{self, GusConfig};
 use std::sync::Arc;
-
-/// A leaf signature over the given relations (sorted, no joins).
-fn sig(rels: &[u32]) -> SubExprSig {
-    SubExprSig {
-        atoms: rels.iter().map(|&r| (RelId::new(r), None)).collect(),
-        joins: Vec::new(),
-    }
-}
 
 fn classes(violations: &[qv::Violation]) -> Vec<ViolationClass> {
     violations.iter().map(|v| v.class).collect()
@@ -81,33 +73,47 @@ proptest! {
         }
     }
 
-    /// Corruption class 2: a snapshot section referencing a signature id
-    /// beyond its own lane's interner section is a cross-section break,
-    /// reported as `SectionMismatch` (not a generic out-of-range id).
+    /// Corruption class 2: a live lane's warm store, exported, verifies
+    /// clean against the lane's interner. A candidate enumeration naming a
+    /// signature id past the interner's end is reported as `IdOutOfRange`,
+    /// and two adjacent signatures swapped in the canonical rank order as
+    /// `WarmDisorder`.
     #[test]
-    fn cross_section_dangler_is_caught(beyond in 0u32..100) {
-        let entries = vec![sig(&[0]), sig(&[1]), sig(&[0, 1])];
-        let dangler = SigId(entries.len() as u32 + beyond);
-        let lane = LaneImage {
-            interner: entries,
-            warm: WarmExport {
-                fingerprint: None,
-                facts: Vec::new(),
-                expensive: Vec::new(),
-                cq_candidates: Vec::new(),
-                canon_order: vec![dangler],
-            },
-        };
-        let image = SnapshotImage {
-            engine_fingerprint: "test".into(),
-            catalog_fingerprint: 1,
-            lanes: vec![lane],
-        };
-        let report = qv::verify_snapshot(&image);
-        prop_assert!(!report.is_clean());
-        for class in classes(&report.violations) {
-            prop_assert_eq!(class, ViolationClass::SectionMismatch);
-        }
+    fn warm_export_defects_are_caught(beyond in 0u32..100, pick in 0usize..1000) {
+        PRIMED_LANE.with(|manager| {
+            let interner_cell = manager.shared_interner();
+            let interner = interner_cell.borrow();
+            let export = manager.warm_cell().borrow().export();
+            let verify = |export: &_| qv::verify_warm_export(export, &interner, "lane/warm");
+            prop_assert!(verify(&export).is_empty(), "{:?}", verify(&export));
+
+            let mut dangling = export.clone();
+            let mut enumerations: Vec<_> = dangling
+                .cq_candidates
+                .iter_mut()
+                .map(|(_, cands)| cands)
+                .filter(|cands| !cands.is_empty())
+                .collect();
+            let n = enumerations.len();
+            prop_assert!(n > 0, "the primed lane enumerated no candidates");
+            let cands = &mut enumerations[pick % n];
+            cands[pick % cands.len()] = SigId(interner.len() as u32 + beyond);
+            let violations = verify(&dangling);
+            prop_assert!(!violations.is_empty());
+            for class in classes(&violations) {
+                prop_assert_eq!(class, ViolationClass::IdOutOfRange);
+            }
+
+            let mut swapped = export;
+            let n = swapped.canon_order.len();
+            prop_assert!(n > 1, "the primed lane ranked fewer than two signatures");
+            swapped.canon_order.swap(pick % (n - 1), pick % (n - 1) + 1);
+            let violations = verify(&swapped);
+            prop_assert!(!violations.is_empty());
+            for class in classes(&violations) {
+                prop_assert_eq!(class, ViolationClass::WarmDisorder);
+            }
+        });
     }
 
     /// Corruption class 3: a stream leaf's bound changed without going
@@ -251,6 +257,40 @@ proptest! {
     }
 }
 
+thread_local! {
+    /// A live lane's QS manager whose optimizer searched a small GUS
+    /// script's 5-query batches warm, filling its warm store. Primed once
+    /// per test thread (proptest runs every case on one), since priming is
+    /// the slow part; `QsManager` is not `Sync`.
+    static PRIMED_LANE: QsManager = {
+        let w = small_gus(41);
+        let cfg = base_config(SharingMode::AtcFull);
+        let (uqs, _) = qsys::generate_user_queries(&w, &cfg).expect("candidates generate");
+        let optimizer = Optimizer::new(
+            &w.catalog,
+            OptimizerConfig {
+                k: cfg.k,
+                ..OptimizerConfig::default()
+            },
+        );
+        let manager = QsManager::new(usize::MAX);
+        for chunk in uqs.chunks(cfg.batch_size) {
+            let batch: Vec<(&ConjunctiveQuery, &ScoreFn)> = chunk
+                .iter()
+                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
+                .collect();
+            optimizer.optimize_warm(
+                &batch,
+                &manager.reuse_oracle(),
+                None,
+                &manager.shared_interner(),
+                Some(&manager.warm_cell()),
+            );
+        }
+        manager
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Clean passes: the standard arms verify with zero violations.
 // ---------------------------------------------------------------------------
@@ -268,7 +308,7 @@ fn small_gus(seed: u64) -> qsys_workload::Workload {
 
 fn drive(workload: &qsys_workload::Workload, config: EngineConfig) -> Engine {
     let mut engine = Engine::for_workload(workload, config);
-    engine.submit_script(workload);
+    engine.submit_script(workload).expect("the config is valid");
     engine.run_until_idle();
     engine
 }
@@ -321,19 +361,4 @@ fn chaos_run_verifies_clean() {
         let report = engine.verify();
         assert!(report.is_clean(), "seed {seed} chaos:\n{report}");
     }
-}
-
-#[test]
-fn snapshot_round_trip_audits_clean() {
-    let w = small_gus(41);
-    let dir = std::env::temp_dir().join(format!("qsys-verify-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let mut cfg = base_config(SharingMode::AtcCl(Default::default()));
-    cfg.snapshot_dir = Some(dir.clone());
-    cfg.snapshot_every = usize::MAX;
-    let mut engine = drive(&w, cfg);
-    engine.snapshot().expect("publish");
-    let report = engine.audit_snapshot().expect("reload");
-    assert!(report.is_clean(), "on-disk audit:\n{report}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
