@@ -8,7 +8,7 @@
 //! may be overridden per user.
 
 use crate::stats::RelationStats;
-use qsys_types::{QsysError, QsysResult, RelId, SourceId};
+use qsys_types::{RelId, SourceId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -75,7 +75,8 @@ pub struct Relation {
 
 impl Relation {
     /// Resolve a column name to its index.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
     }
 
@@ -124,13 +125,14 @@ impl Edge {
     }
 
     /// Whether the edge touches `rel`.
-    pub fn touches(&self, rel: RelId) -> bool {
+    pub(crate) fn touches(&self, rel: RelId) -> bool {
         self.from == rel || self.to == rel
     }
 
     /// The expected number of join partners when probing *into* `target`
     /// from the opposite side.
-    pub fn fanout_into(&self, target: RelId, catalog: &Catalog) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fanout_into(&self, target: RelId, catalog: &Catalog) -> f64 {
         if target == self.to {
             self.fanout
         } else {
@@ -217,10 +219,11 @@ impl Catalog {
     }
 
     /// Checked relation lookup.
-    pub fn try_relation(&self, id: RelId) -> QsysResult<&Relation> {
+    #[cfg(test)]
+    pub(crate) fn try_relation(&self, id: RelId) -> qsys_types::QsysResult<&Relation> {
         self.relations
             .get(id.index())
-            .ok_or(QsysError::UnknownRelation(id))
+            .ok_or(qsys_types::QsysError::UnknownRelation(id))
     }
 
     /// Look up an edge by id.
@@ -239,7 +242,8 @@ impl Catalog {
     }
 
     /// Neighboring `(edge, relation)` pairs of `rel`.
-    pub fn neighbors(&self, rel: RelId) -> impl Iterator<Item = (&Edge, &Relation)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn neighbors(&self, rel: RelId) -> impl Iterator<Item = (&Edge, &Relation)> + '_ {
         self.adjacency[rel.index()].iter().map(move |eid| {
             let e = self.edge(*eid);
             let (other, _, _) = e.other(rel).expect("adjacency is consistent");
@@ -257,7 +261,8 @@ impl Catalog {
 
     /// Mutable access to a relation's stats (used by generators and by the
     /// runtime statistics refresh).
-    pub fn stats_mut(&mut self, id: RelId) -> &mut RelationStats {
+    #[cfg(test)]
+    pub(crate) fn stats_mut(&mut self, id: RelId) -> &mut RelationStats {
         &mut self.relations[id.index()].stats
     }
 

@@ -68,11 +68,6 @@ impl KeywordIndex {
             .unwrap_or(&[])
     }
 
-    /// Number of distinct keywords indexed.
-    pub fn keyword_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Split a keyword query into keywords, honoring single and double
     /// quotes for phrases: `protein 'plasma membrane' gene` →
     /// `["protein", "plasma membrane", "gene"]`.

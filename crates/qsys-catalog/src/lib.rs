@@ -11,6 +11,6 @@ pub mod graph;
 pub mod index;
 pub mod stats;
 
-pub use graph::{Catalog, CatalogBuilder, Edge, EdgeId, EdgeKind, Relation};
+pub use graph::{Catalog, CatalogBuilder, EdgeId, EdgeKind, Relation};
 pub use index::{KeywordIndex, KeywordMatch, MatchKind};
 pub use stats::{ColumnStats, RelationStats};

@@ -66,7 +66,8 @@ impl RelationStats {
     ///
     /// Models the score curve as exponential decay: after reading a fraction
     /// `f` of the stream the bound is `max_score * 2^(-f / score_decay)`.
-    pub fn depth_for_bound(&self, target: f64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn depth_for_bound(&self, target: f64) -> u64 {
         if self.cardinality == 0 {
             return 0;
         }
@@ -83,7 +84,8 @@ impl RelationStats {
 
     /// Expected stream bound after reading `read` tuples (inverse of
     /// [`Self::depth_for_bound`]).
-    pub fn bound_after(&self, read: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn bound_after(&self, read: u64) -> f64 {
         if self.cardinality == 0 || read >= self.cardinality {
             return 0.0;
         }

@@ -24,14 +24,14 @@
 //! input fed by the same producer names the same module by the same
 //! [`ModuleId`], each holding its own arena reference, and keeps a
 //! *cursor*: the number of the module's entries it has seen arrive
-//! ([`StoredModule::arrive`]). An arrival appends the tuple only when the
+//! (`StoredModule::arrive`). An arrival appends the tuple only when the
 //! input's cursor equals the module's length — it is the first consumer to
 //! see it; every later consumer finds the very same `Arc` at its cursor
 //! (checked, not assumed) and only advances. A tuple is stored once per
 //! producer, however many joins consume it.
 //!
 //! Who holds the module: a **stream leaf** owns its module from creation
-//! (one arena reference, [`StreamLeaf::module`](crate::StreamLeaf::module))
+//! (one arena reference, [`StreamLeaf::module`](crate::node::StreamLeaf::module))
 //! and stores every tuple it reads there, stamped with the graph epoch,
 //! before routing it — so the module is the leaf's one record of its
 //! output, and a stream-fed arrival always finds its tuple at its cursor
@@ -53,13 +53,13 @@
 //! length, and the module holds, entry for entry, what a private module of
 //! that input would. The state manager keeps the same promise at graft,
 //! where a new consumer either attaches to the producer's module or gets a
-//! freshly prefilled one (`qsys_state::recover` says which, and why).
+//! freshly prefilled one (`state::recover` says which, and why).
 //!
 //! What an input pays does not depend on who else shares its module: an
 //! arrival charges `2 · max(own keys, 1)` join µs, where *own keys* are the
 //! distinct probe keys the input's own m-join registers on it (the index
 //! count a private module would have had), and
-//! [`MJoin::approx_bytes`](crate::mjoin::MJoin::approx_bytes) prices each
+//! `MJoin::approx_bytes` prices each
 //! input at `entries · 64 + own keys · entries · 24` bytes. The virtual
 //! clock and the eviction budget therefore see exactly what they saw when
 //! every input had a private copy.
@@ -74,7 +74,7 @@
 //! entries, so a match's raw product is at most the maximum. A probe cache
 //! reports 1.0, the ceiling of every raw score, because what a remote
 //! relation holds is unknown until it is probed; a detached input reports
-//! 0, since it yields nothing. [`AccessModule::raw_product_max`] is the
+//! 0, since it yields nothing. `AccessModule::raw_product_max` is the
 //! number an m-join's score bound for a partial result multiplies in for
 //! each input the partial has not been joined with yet (the `mjoin` module
 //! docs, *Early rejection*).
@@ -104,7 +104,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A probe key: which (relation, column) the lookup addresses.
-pub type ProbeKey = (RelId, usize);
+pub(crate) type ProbeKey = (RelId, usize);
 
 /// The inner level of both module kinds: join-column value → `T`.
 type ByValue<T> = FxHashMap<Value, T>;
@@ -124,9 +124,9 @@ impl ModuleId {
     /// inputs neither store arrivals nor get probed (tuples only ever
     /// *arrive* on them), so they carry no state. The arena resolves it to
     /// `None`.
-    pub const DETACHED: ModuleId = ModuleId(u32::MAX);
+    pub(crate) const DETACHED: ModuleId = ModuleId(u32::MAX);
 
-    /// Whether this is the [`Self::DETACHED`] sentinel.
+    /// Whether this is the `Self::DETACHED` sentinel.
     #[inline]
     pub fn is_detached(self) -> bool {
         self == ModuleId::DETACHED
@@ -214,7 +214,7 @@ impl AccessModuleArena {
         }
     }
 
-    /// The module behind `id`; `None` for [`ModuleId::DETACHED`]. Panics
+    /// The module behind `id`; `None` for `ModuleId::DETACHED`. Panics
     /// on a freed slot (a stale id is a lifecycle bug, not a miss).
     #[inline]
     pub fn module(&self, id: ModuleId) -> Option<&RefCell<AccessModule>> {
@@ -286,7 +286,7 @@ impl StoredModule {
 
     /// Register an additional probe key, indexing existing entries
     /// (needed when grafting adds a consumer that joins on a new column).
-    pub fn add_probe_key(&mut self, key: ProbeKey) {
+    pub(crate) fn add_probe_key(&mut self, key: ProbeKey) {
         if self.indexes.iter().any(|(k, _)| *k == key) {
             return;
         }
@@ -321,7 +321,7 @@ impl StoredModule {
     /// consumers disagree on the producer's output order, and every later
     /// probe of the module would be wrong.
     #[inline]
-    pub fn arrive(&mut self, cursor: &mut usize, tuple: &Tuple, epoch: Epoch) -> bool {
+    pub(crate) fn arrive(&mut self, cursor: &mut usize, tuple: &Tuple, epoch: Epoch) -> bool {
         let pos = *cursor;
         *cursor += 1;
         if pos == self.entries.len() {
@@ -340,7 +340,7 @@ impl StoredModule {
     /// module in arrival order. When `before` is set, only tuples inserted
     /// in an earlier epoch are yielded (RecoverState's pre-epoch view). The
     /// probe is charged when called, whether or not the result is walked.
-    pub fn probe_iter<'a>(
+    pub(crate) fn probe_iter<'a>(
         &'a self,
         key: ProbeKey,
         value: &Value,
@@ -369,7 +369,7 @@ impl StoredModule {
 
     /// All tuples inserted before `epoch`, in arrival order — the
     /// "linked list ... recorded before epoch e" of Algorithm 2.
-    pub fn entries_before(&self, epoch: Epoch) -> impl Iterator<Item = &Tuple> + '_ {
+    pub(crate) fn entries_before(&self, epoch: Epoch) -> impl Iterator<Item = &Tuple> + '_ {
         self.entries
             .iter()
             .filter(move |(_, e)| *e < epoch)
@@ -432,7 +432,7 @@ impl RemoteModule {
     /// cached (the source may recover; a cached empty answer would be a
     /// silent permanent data loss), and the failure is recorded against
     /// the batch so affected queries resolve as degraded.
-    pub fn probe_governed(
+    pub(crate) fn probe_governed(
         &mut self,
         column: usize,
         value: &Value,
@@ -468,17 +468,19 @@ impl RemoteModule {
     }
 
     /// Probes served from cache so far.
-    pub fn cache_hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cache_hits(&self) -> u64 {
         self.cache_hits
     }
 
     /// Probes that actually hit the network so far.
-    pub fn remote_probes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn remote_probes(&self) -> u64 {
         self.remote_probes
     }
 
     /// Approximate resident bytes of the cache.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.cache
             .iter()
             .flat_map(|(_, by_value)| by_value.values())
@@ -508,7 +510,7 @@ impl AccessModule {
     /// An upper bound on the raw-score product of any tuple a probe of
     /// this module can yield: the largest among the stored tuples (0 while
     /// there are none), or 1.0 for a probe cache (see the module docs).
-    pub fn raw_product_max(&self) -> f64 {
+    pub(crate) fn raw_product_max(&self) -> f64 {
         match self {
             AccessModule::Stored(s) => s.max_raw,
             AccessModule::Remote(_) => 1.0,

@@ -7,13 +7,13 @@
 //! shared graphs round by round and checks, after every round, that each
 //! equals what a fresh scan of the arena would produce.
 
-use proptest::prelude::*;
-use qsys_exec::mjoin::JoinPred;
-use qsys_exec::rank_merge::{CqRegistration, StreamingInput};
-use qsys_exec::{
+use crate::mjoin::JoinPred;
+use crate::rank_merge::{CqRegistration, StreamingInput};
+use crate::{
     Atc, ExecStats, MJoin, MJoinInput, NodeId, NodeKind, QueryPlanGraph, RankMerge, RetryPolicy,
     SchedulingPolicy, SourceGovernor, StreamBacking,
 };
+use proptest::prelude::*;
 use qsys_query::ScoreFn;
 use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
 use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, Tuple, UqId, UserId, Value};

@@ -174,7 +174,7 @@ impl SourceGovernor {
 
     /// Governed stream read: retry loop + breaker around
     /// [`Sources::try_read`]. Fast path when no faults are configured.
-    pub fn read_stream(
+    pub(crate) fn read_stream(
         &self,
         sources: &Sources,
         stream: &mut SourceStream,
@@ -305,20 +305,20 @@ impl SourceGovernor {
     }
 
     /// Record that a stream leaf over `rels` was quarantined.
-    pub fn note_quarantined(&self, rels: &[RelId]) {
+    pub(crate) fn note_quarantined(&self, rels: &[RelId]) {
         self.quarantined_streams
             .set(self.quarantined_streams.get() + 1);
         self.batch_failed.borrow_mut().extend(rels.iter().copied());
     }
 
     /// Record that a remote probe of `rel` gave up (matches lost).
-    pub fn note_failed_probe(&self, rel: RelId) {
+    pub(crate) fn note_failed_probe(&self, rel: RelId) {
         self.failed_probes.set(self.failed_probes.get() + 1);
         self.batch_failed.borrow_mut().insert(rel);
     }
 
     /// Which of `rels` failed during the current batch (sorted).
-    pub fn failed_among(&self, rels: &[RelId]) -> Vec<RelId> {
+    pub(crate) fn failed_among(&self, rels: &[RelId]) -> Vec<RelId> {
         let failed = self.batch_failed.borrow();
         rels.iter()
             .filter(|r| failed.contains(r))
@@ -327,7 +327,7 @@ impl SourceGovernor {
     }
 
     /// Whether any relation has failed during the current batch.
-    pub fn any_batch_failures(&self) -> bool {
+    pub(crate) fn any_batch_failures(&self) -> bool {
         !self.batch_failed.borrow().is_empty()
     }
 

@@ -113,7 +113,8 @@ impl QueryPlanGraph {
     }
 
     /// The current epoch (logical timestamp of the latest graft).
-    pub fn epoch(&self) -> Epoch {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> Epoch {
         self.epoch
     }
 
@@ -129,7 +130,7 @@ impl QueryPlanGraph {
 
     /// Increment the epoch; called by the QS manager whenever it provides a
     /// new set of queries to the ATC (Section 6.2).
-    pub fn bump_epoch(&mut self) -> Epoch {
+    pub(crate) fn bump_epoch(&mut self) -> Epoch {
         self.epoch = self.epoch.next();
         self.epoch
     }
@@ -183,7 +184,7 @@ impl QueryPlanGraph {
 
     /// The stored module stream leaf `id` delivers into: every tuple it
     /// has read, with the epoch it was read in, in delivery order.
-    pub fn stream_module(&self, id: NodeId) -> Ref<'_, StoredModule> {
+    pub(crate) fn stream_module(&self, id: NodeId) -> Ref<'_, StoredModule> {
         let id = self.stream_leaf(id).module;
         // lint:allow(panic-path): add_stream gives every leaf a stored module it holds until remove_node
         let module = self.modules.module(id).expect("live");
@@ -194,7 +195,7 @@ impl QueryPlanGraph {
     /// How many tuples node `id` keeps stored: a stream leaf's module, or
     /// an m-join's first stored input module; `None` for a removed node,
     /// a rank-merge, or an m-join that stores nothing.
-    pub fn stored_len(&self, id: NodeId) -> Option<usize> {
+    pub(crate) fn stored_len(&self, id: NodeId) -> Option<usize> {
         let len = |module| Some(self.modules.module(module)?.borrow().as_stored()?.len());
         match &self.try_node(id)?.kind {
             NodeKind::Stream(leaf) => len(leaf.module),
@@ -226,7 +227,7 @@ impl QueryPlanGraph {
     }
 
     /// Remove the edge between `parent` and `child` (all input slots).
-    pub fn disconnect(&mut self, parent: NodeId, child: NodeId) {
+    pub(crate) fn disconnect(&mut self, parent: NodeId, child: NodeId) {
         self.node_mut(parent).children.retain(|(c, _)| *c != child);
         self.node_mut(child).parents.retain(|p| *p != parent);
     }
@@ -235,7 +236,7 @@ impl QueryPlanGraph {
     /// disconnected it; panics if edges remain. A stream leaf and each of
     /// an m-join's inputs drop their arena reference, so modules shared
     /// with nothing else (and their hash-table state) are reclaimed here.
-    pub fn remove_node(&mut self, id: NodeId) {
+    pub(crate) fn remove_node(&mut self, id: NodeId) {
         let node = self.nodes[id.index()]
             .take()
             // lint:allow(panic-path): double-remove is graph corruption, not a recoverable miss
@@ -303,7 +304,7 @@ impl QueryPlanGraph {
     /// The node currently computing `sig`, if any (the reuse index the
     /// optimizer consults: "it determines what query expressions can be
     /// reused from in-memory buffers", Section 3).
-    pub fn find_sig(&self, sig: SigId) -> Option<NodeId> {
+    pub(crate) fn find_sig(&self, sig: SigId) -> Option<NodeId> {
         self.sig_index.get(&sig).copied()
     }
 
@@ -336,7 +337,7 @@ impl QueryPlanGraph {
     /// Forget every signature mapping, making existing state invisible to
     /// future grafts. The ATC-UQ configuration uses this to confine sharing
     /// to a single user query.
-    pub fn clear_sig_index(&mut self) {
+    pub(crate) fn clear_sig_index(&mut self) {
         self.sig_index.clear();
     }
 
@@ -354,7 +355,7 @@ impl QueryPlanGraph {
     }
 
     /// Mutable access to a rank-merge operator.
-    pub fn rank_merge_mut(&mut self, id: NodeId) -> &mut RankMerge {
+    pub(crate) fn rank_merge_mut(&mut self, id: NodeId) -> &mut RankMerge {
         match &mut self.node_mut(id).kind {
             NodeKind::RankMerge(rm) => rm,
             other => panic!("{id} is a {}, not a rank-merge", other.label()),
@@ -400,7 +401,7 @@ impl QueryPlanGraph {
     /// Run rank-merge `id`'s maintenance cycle against the live bound
     /// table; returns the number of results emitted (0 for a cycle the
     /// operator skipped because nothing it reads had changed).
-    pub fn maintain_rank_merge(&mut self, id: NodeId, now_us: u64) -> usize {
+    pub(crate) fn maintain_rank_merge(&mut self, id: NodeId, now_us: u64) -> usize {
         let (rm, bounds, generation) = self.rank_merge_over_bounds(id);
         let emitted = rm.maintain(bounds, generation, now_us);
         self.work.maintains += 1;
@@ -416,7 +417,7 @@ impl QueryPlanGraph {
     }
 
     /// Rank-merge `id`'s overall threshold under the live bound table.
-    pub fn overall_threshold(&mut self, id: NodeId) -> f64 {
+    pub(crate) fn overall_threshold(&mut self, id: NodeId) -> f64 {
         let (rm, bounds, generation) = self.rank_merge_over_bounds(id);
         rm.overall_threshold(bounds, generation)
     }
@@ -496,7 +497,7 @@ impl QueryPlanGraph {
 
     /// Mutable access to the work counters, for the QS manager to add its
     /// graft-time history reconstructions.
-    pub fn work_mut(&mut self) -> &mut ExecWork {
+    pub(crate) fn work_mut(&mut self) -> &mut ExecWork {
         &mut self.work
     }
 
@@ -660,7 +661,7 @@ impl QueryPlanGraph {
 
     /// Approximate resident bytes of all operator state (QS manager memory
     /// accounting).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.nodes
             .iter()
             .flatten()

@@ -45,32 +45,39 @@
 //! ## Failure semantics
 //!
 //! When a fault schedule is configured (see `qsys_source::fault`), the
-//! lane fetches through a [`SourceGovernor`] ([`govern`]): bounded retries
+//! lane fetches through a [`SourceGovernor`] (`govern`): bounded retries
 //! with exponential backoff and deterministic jitter, a per-fetch timeout,
 //! and a per-relation circuit breaker — all charged to the virtual clock.
 //! A fetch that gives up quarantines only its stream leaf: the leaf's
 //! bound collapses to zero, so the rank-merge threshold machinery drains
 //! the surviving streams and completes the affected user queries with
 //! whatever is provable (recorded per-UQ as
-//! [`missing_rels`](UqStats::missing_rels)), while every query not reading
+//! [`missing_rels`](stats::UqStats::missing_rels)), while every query not reading
 //! the failed relation is untouched. With no faults configured the
 //! governor is a pass-through and execution is byte-identical to the
 //! fault-free build.
+//!
+//! The state manager that grafts plans onto the graph, recovers missed
+//! results, unlinks finished queries and evicts retained state is [`state`].
 
 pub mod access;
 pub mod atc;
-pub mod govern;
+pub(crate) mod govern;
 pub mod graph;
 pub mod mjoin;
 pub mod node;
 pub mod rank_merge;
+pub mod state;
 pub mod stats;
 
-pub use access::{AccessModule, AccessModuleArena, ModuleId, RemoteModule, StoredModule};
+#[cfg(test)]
+mod bound_table_tests;
+
+pub use access::{AccessModule, AccessModuleArena, ModuleId, StoredModule};
 pub use atc::{Atc, SchedulingPolicy};
 pub use govern::{FaultStats, RetryPolicy, SourceGovernor};
 pub use graph::{QueryPlanGraph, StreamRead};
-pub use mjoin::{JoinCx, MJoin, MJoinInput};
-pub use node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
-pub use rank_merge::{Accepted, CqRegistration, RankMerge, TopKResult};
-pub use stats::{ExecStats, ExecWork, UqStats};
+pub use mjoin::{MJoin, MJoinInput};
+pub use node::{Node, NodeId, NodeKind, StreamBacking};
+pub use rank_merge::{CqRegistration, RankMerge};
+pub use stats::{ExecStats, ExecWork};

@@ -28,13 +28,13 @@
 //! module: each input keeps a cursor into the module and the count of the
 //! probe keys *this* m-join registers on it (its own keys), so an arrival
 //! charges `2 · max(own keys, 1)` whether it appends the tuple or finds it
-//! stored by a sibling, and [`MJoin::approx_bytes`] prices the input at
+//! stored by a sibling, and `MJoin::approx_bytes` prices the input at
 //! `entries · 64 + own keys · entries · 24` — both exactly what a private
 //! module of its own cost.
 //!
 //! ### The per-tuple path
 //!
-//! [`MJoin::insert_governed`] runs once per tuple per m-join it reaches —
+//! `MJoin::insert_governed` runs once per tuple per m-join it reaches —
 //! millions of times a run — so it allocates and hashes as little as the
 //! algorithm allows: predicate orientations are resolved once, when a
 //! predicate is added ([`Link`]s per target input), not per insert; the
@@ -49,7 +49,7 @@
 //! **Early rejection.** Almost every complete result is dropped on arrival
 //! by the rank-merges it reaches (they have their k, or enough better
 //! candidates pending), so the *final* step of the probe sequence hands
-//! each match that passed its predicates to the caller's [`JoinSink`] as
+//! each match that passed its predicates to the caller's `JoinSink` as
 //! an unbuilt pair, and the sink decides whether `Tuple::join` is called
 //! at all. A `Vec<Tuple>` builds everything; the plan graph's sink judges
 //! first, under this contract:
@@ -76,7 +76,7 @@
 //! pushing the ranking operator's threshold into the join. Before every
 //! probe step, step 0 (the arriving tuple alone) included, the sink is
 //! asked whether any completion of each partial result could still be
-//! kept ([`JoinSink::bound_partials`]); the partials no consumer would
+//! kept (`JoinSink::bound_partials`); the partials no consumer would
 //! keep are dropped before they probe, and so is everything they would
 //! have found. The plan graph's sink answers under this contract:
 //!
@@ -91,7 +91,7 @@
 //! - a partial is dropped only if every consumer is a rank-merge that
 //!   would reject a result scoring the bound: it holds its k already, or
 //!   its `need`-th pending score is at or above the bound
-//!   ([`RankMerge::rejection_cut`](crate::rank_merge::RankMerge::rejection_cut)).
+//!   (`RankMerge::rejection_cut`).
 //!   When every consumer holds its k, the whole insert stops at step 0;
 //! - an m-join that feeds another m-join is never judged: its result is
 //!   not a ranked answer but a partial of the downstream join, whose
@@ -136,7 +136,7 @@ pub struct MJoinInput {
     pub rels: Vec<RelId>,
     /// Arena id of the access module (the same id appearing in several
     /// inputs is how consumers of one producer, recovery joins and shared
-    /// probe caches reference one module; [`ModuleId::DETACHED`] marks a
+    /// probe caches reference one module; `ModuleId::DETACHED` marks a
     /// stateless replay input).
     pub module: ModuleId,
     /// Only consider stored tuples from epochs strictly before this when
@@ -191,7 +191,7 @@ struct Link {
 /// What an insert works against: the lane's sources, the governor remote
 /// probes go through (if any), and the arena holding the access modules.
 #[derive(Clone, Copy)]
-pub struct JoinCx<'a> {
+pub(crate) struct JoinCx<'a> {
     /// The lane's source gateway (and, through it, the virtual clock).
     pub sources: &'a Sources,
     /// Retry/breaker loop for remote probes; `None` bypasses fault
@@ -204,12 +204,12 @@ pub struct JoinCx<'a> {
 /// The margin a partial result's score bound is multiplied by, absorbing
 /// the rounding of computing a product of the same factors in another
 /// order (see *Early rejection* in the module docs).
-pub const BOUND_MARGIN: f64 = 1.0 + 1e-9;
+pub(crate) const BOUND_MARGIN: f64 = 1.0 + 1e-9;
 
 /// The inputs of an m-join a partial result has not been joined with yet,
 /// as its score bound sees them.
 #[derive(Clone, Copy)]
-pub struct Uncovered<'a> {
+pub(crate) struct Uncovered<'a> {
     inputs: &'a [MJoinInput],
     modules: &'a AccessModuleArena,
     /// Indexes into `inputs`.
@@ -221,7 +221,7 @@ impl Uncovered<'_> {
     /// `f`, margin included: [`BOUND_MARGIN`] times, per uncovered input,
     /// `f`'s weights of its relations times its module's maximum
     /// raw-score product (0 for a detached input).
-    pub fn factor(&self, f: &ScoreFn) -> f64 {
+    pub(crate) fn factor(&self, f: &ScoreFn) -> f64 {
         let mut factor = BOUND_MARGIN;
         let mut mask = self.mask;
         while mask != 0 {
@@ -239,7 +239,7 @@ impl Uncovered<'_> {
 
 /// Where an m-join's complete results go (see *Early rejection* in the
 /// module docs for what a sink that drops results owes).
-pub trait JoinSink {
+pub(crate) trait JoinSink {
     /// A complete result that is the arriving tuple itself (a single-input
     /// m-join passes its input through).
     fn emit(&mut self, tuple: Tuple);
@@ -386,7 +386,7 @@ impl MJoin {
     }
 
     /// The relations a full output tuple covers.
-    pub fn output_rels(&self) -> &[RelId] {
+    pub(crate) fn output_rels(&self) -> &[RelId] {
         &self.output_rels
     }
 
@@ -411,8 +411,8 @@ impl MJoin {
     /// Handle a tuple arriving on `input_idx`: store it (unless the input is
     /// a replay), then probe the other access modules following the
     /// adaptive probe sequence. Returns complete join results covering
-    /// [`Self::output_rels`]. Infallible: remote probes bypass fault
-    /// injection (see [`MJoin::insert_governed`] for the fault-aware path
+    /// `Self::output_rels`. Infallible: remote probes bypass fault
+    /// injection (see `MJoin::insert_governed` for the fault-aware path
     /// the plan graph routes through).
     pub fn insert(
         &mut self,
@@ -446,7 +446,7 @@ impl MJoin {
     /// supplied — a probe that gives up contributes no matches (the loss
     /// is recorded against the batch so affected queries resolve as
     /// degraded) instead of panicking the lane.
-    pub fn insert_governed(
+    pub(crate) fn insert_governed(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
@@ -605,12 +605,14 @@ impl MJoin {
 
     /// Observed selectivity per input (for tests and the optimizer's
     /// runtime statistics refresh).
-    pub fn observed_selectivities(&self) -> Vec<Option<f64>> {
+    #[cfg(test)]
+    pub(crate) fn observed_selectivities(&self) -> Vec<Option<f64>> {
         self.state.iter().map(|s| s.selectivity()).collect()
     }
 
     /// Probes issued against each input so far.
-    pub fn probe_counts(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn probe_counts(&self) -> Vec<u64> {
         self.state.iter().map(|s| s.probes).collect()
     }
 
@@ -620,7 +622,7 @@ impl MJoin {
     /// this m-join registers), a probe cache at its own estimate. State
     /// several inputs share counts once per input, so the budget sees what
     /// it saw when every input had a private copy.
-    pub fn approx_bytes(&self, modules: &AccessModuleArena) -> usize {
+    pub(crate) fn approx_bytes(&self, modules: &AccessModuleArena) -> usize {
         self.inputs
             .iter()
             .zip(&self.state)

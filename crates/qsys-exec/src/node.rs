@@ -218,7 +218,7 @@ pub struct Node {
 
 impl Node {
     /// Whether this node currently feeds any consumer.
-    pub fn has_consumers(&self) -> bool {
+    pub(crate) fn has_consumers(&self) -> bool {
         !self.children.is_empty()
     }
 }

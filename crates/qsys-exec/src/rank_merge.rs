@@ -40,7 +40,7 @@
 //! where `C(p)` is the score function over `p`'s own parts — static factor
 //! included — and the last factor absorbs the rounding of multiplying the
 //! same factors in another order. The operator rejects every completion
-//! once the bound is at or below its [`RankMerge::rejection_cut`]; an
+//! once the bound is at or below its `RankMerge::rejection_cut`; an
 //! m-join asks before it probes (the `mjoin` module docs).
 //!
 //! ### When `maintain` may be skipped
@@ -49,7 +49,7 @@
 //! registrations alone, so they are computed once per *generation* of that
 //! table (the graph bumps it whenever a bound's bit pattern changes) and
 //! read by emission, pruning, [`RankMerge::choose_read`] and
-//! [`RankMerge::overall_threshold`] alike. Besides them a maintenance
+//! `RankMerge::overall_threshold` alike. Besides them a maintenance
 //! cycle reads only the pending queue, the emitted results and the
 //! active/pruned flags, so three events can change its outcome and each
 //! marks the operator dirty: a [`RankMerge::register`], an
@@ -317,8 +317,8 @@ impl RankMerge {
     /// The queue is sorted descending, so `accept`'s `partition_point(|c|
     /// c.score >= score) >= need` holds exactly when the queue holds
     /// `need` candidates and the `need`-th scores `>=` the pair — when the
-    /// pair scores at or below the [`RankMerge::rejection_cut`].
-    pub fn rejects_pair(&self, slot: usize, a: &Tuple, b: &Tuple) -> Option<Accepted> {
+    /// pair scores at or below the `RankMerge::rejection_cut`.
+    pub(crate) fn rejects_pair(&self, slot: usize, a: &Tuple, b: &Tuple) -> Option<Accepted> {
         let cut = self.rejection_cut()?;
         if cut == f64::INFINITY {
             return Some(Accepted::AfterK);
@@ -332,7 +332,7 @@ impl RankMerge {
     /// `need`-th pending score while the queue holds that many; `None`
     /// while it would enqueue any result at all. A score above the cut is
     /// enqueued.
-    pub fn rejection_cut(&self) -> Option<f64> {
+    pub(crate) fn rejection_cut(&self) -> Option<f64> {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 {
             return Some(f64::INFINITY);
@@ -352,7 +352,7 @@ impl RankMerge {
 
     /// Ids of CQs activated so far, by `reports_as` identity (Table 4's
     /// "conjunctive queries executed").
-    pub fn activated(&self) -> Vec<CqId> {
+    pub(crate) fn activated(&self) -> Vec<CqId> {
         let mut ids: Vec<CqId> = self
             .cqs
             .iter()
@@ -389,12 +389,12 @@ impl RankMerge {
     /// contribute their TA threshold, inactive ones their full `U_run`.
     /// `generation` names the state of `bounds` (see
     /// [`RankMerge::maintain`]).
-    pub fn overall_threshold(&mut self, bounds: &[f64], generation: u64) -> f64 {
+    pub(crate) fn overall_threshold(&mut self, bounds: &[f64], generation: u64) -> f64 {
         self.refresh(bounds, generation);
         self.current_threshold()
     }
 
-    /// [`RankMerge::overall_threshold`] over the thresholds as last
+    /// `RankMerge::overall_threshold` over the thresholds as last
     /// refreshed.
     fn current_threshold(&self) -> f64 {
         self.cqs
@@ -532,7 +532,7 @@ impl RankMerge {
     }
 
     /// Whether the operator has produced its top-k (or proven fewer exist).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
@@ -549,12 +549,13 @@ impl RankMerge {
     }
 
     /// Approximate resident bytes of the ranking queue.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.candidates.len() * 96 + self.emitted.len() * 96
     }
 
     /// Whether a CQ slot is currently active (reads may target it).
-    pub fn slot_active(&self, slot: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn slot_active(&self, slot: usize) -> bool {
         self.cqs[slot].active && !self.cqs[slot].pruned
     }
 }

@@ -11,7 +11,7 @@
 //! consumes them), not rank-merges, not pinned. Removing a node may detach
 //! its parents, which become candidates in later rounds.
 
-use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
+use crate::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_query::SigId;
 use qsys_types::Epoch;
 use std::collections::{BTreeSet, HashMap};
@@ -39,7 +39,7 @@ pub struct EvictionStats {
 
 /// Evict detached state until `graph` fits `budget` bytes. Pinned
 /// signatures are skipped.
-pub fn evict_to_budget(
+pub(crate) fn evict_to_budget(
     graph: &mut QueryPlanGraph,
     budget: usize,
     policy: EvictionPolicy,
@@ -100,7 +100,7 @@ fn node_bytes(graph: &QueryPlanGraph, id: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsys_exec::StreamBacking;
+    use crate::StreamBacking;
     use qsys_types::{BaseTuple, RelId, Tuple};
     use std::sync::Arc;
 
@@ -185,7 +185,7 @@ mod tests {
         let (mut g, ids, used) = detached_graph();
         // Give every node a consumer rooted in a rank-merge (rank-merges
         // are never evicted, so the chain stays protected even at budget 0).
-        let sink = g.add_rank_merge(qsys_exec::RankMerge::new(
+        let sink = g.add_rank_merge(crate::RankMerge::new(
             qsys_types::UqId::new(0),
             qsys_types::UserId::new(0),
             1,

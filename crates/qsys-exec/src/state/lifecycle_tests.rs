@@ -4,13 +4,13 @@
 //! truth: grafting onto a warm graph must return exactly the same top-k as
 //! a cold execution, while reading strictly less from the network.
 
-use crate::manager::QsManager;
-use crate::recover::node_history;
-use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-use qsys_exec::{
+use super::manager::QsManager;
+use super::recover::node_history;
+use crate::{
     Atc, ExecStats, ExecWork, ModuleId, NodeId, NodeKind, QueryPlanGraph, RetryPolicy,
     SchedulingPolicy, SourceGovernor,
 };
+use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
@@ -135,7 +135,7 @@ fn optimize_and_graft(
     batch: &[(&ConjunctiveQuery, &ScoreFn)],
     sources: &Sources,
     k: usize,
-) -> crate::manager::GraftOutcome {
+) -> super::manager::GraftOutcome {
     let config = OptimizerConfig {
         k,
         ..OptimizerConfig::default()
@@ -457,7 +457,7 @@ fn graft_derives_a_shared_producers_history_once() {
     );
 
     // The (module of A ⋈ B, module of C) of every m-join consuming A ⋈ B.
-    let consumers = |manager: &QsManager| -> Vec<(NodeId, [qsys_exec::ModuleId; 2])> {
+    let consumers = |manager: &QsManager| -> Vec<(NodeId, [crate::ModuleId; 2])> {
         let graph = manager.graph();
         graph
             .node_ids()

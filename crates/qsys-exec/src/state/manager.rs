@@ -1,11 +1,11 @@
 //! The QS manager proper: grafting and lifecycle.
 
-use crate::evict::{EvictionPolicy, EvictionStats};
-use crate::recover;
-use qsys_exec::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
-use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
-use qsys_exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
-use qsys_exec::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
+use super::evict::{EvictionPolicy, EvictionStats};
+use super::recover;
+use crate::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
+use crate::mjoin::{JoinPred, MJoin, MJoinInput};
+use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
+use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
 use qsys_opt::warm::{shared_warm, SharedWarm};
@@ -571,7 +571,7 @@ impl QsManager {
 
     /// Evict detached, unpinned state until the graph fits the budget.
     pub fn evict_to_budget(&mut self) {
-        crate::evict::evict_to_budget(
+        super::evict::evict_to_budget(
             &mut self.graph,
             self.budget,
             self.policy,
@@ -588,7 +588,7 @@ impl QsManager {
 }
 
 /// Convert a subexpression signature into the wire-level SPJ spec.
-pub fn sig_to_spj(sig: &SubExprSig) -> SpjSpec {
+pub(crate) fn sig_to_spj(sig: &SubExprSig) -> SpjSpec {
     SpjSpec {
         atoms: sig.atoms.clone(),
         joins: sig

@@ -16,9 +16,9 @@
 //! - **Eviction**: LRU (size as tie-breaker) removal of unpinned, detached
 //!   state under a memory budget — the policy the paper found to work best.
 
-pub mod evict;
-pub mod manager;
-pub mod recover;
+mod evict;
+mod manager;
+mod recover;
 
 #[cfg(test)]
 mod lifecycle_tests;

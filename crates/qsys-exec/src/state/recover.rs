@@ -26,7 +26,7 @@
 //! ### Attach or prefill
 //!
 //! A producer's output is stored once, in one module its consumers share
-//! (the `qsys_exec::access` docs), so a new consumer input starts out
+//! (the `crate::access` docs), so a new consumer input starts out
 //! holding the producer's history (`QsManager::consumer_module`). A stream
 //! leaf's consumer always attaches to the leaf's own module: it holds
 //! every tuple the leaf delivered, with the epoch it was read in, which is
@@ -48,10 +48,10 @@
 //!
 //! Either way the new input's cursor starts at the module's length.
 
-use qsys_exec::access::{AccessModule, AccessModuleArena, ModuleId};
-use qsys_exec::mjoin::{JoinCx, MJoin, MJoinInput};
-use qsys_exec::rank_merge::{CqRegistration, StreamingInput};
-use qsys_exec::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
+use crate::access::{AccessModule, AccessModuleArena, ModuleId};
+use crate::mjoin::{JoinCx, MJoin, MJoinInput};
+use crate::rank_merge::{CqRegistration, StreamingInput};
+use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::plan::CqPlan;
 use qsys_query::SigInterner;
 use qsys_types::{CqId, Epoch, SimClock, Tuple};
@@ -66,7 +66,7 @@ use qsys_types::{CqId, Epoch, SimClock, Tuple};
 ///
 /// Reconstruction probes and joins are counted into `work` (as
 /// `recovery_*`: they run at graft, outside the routing loop).
-pub fn node_history(
+pub(crate) fn node_history(
     graph: &QueryPlanGraph,
     node: NodeId,
     before: Epoch,
@@ -194,7 +194,7 @@ fn reconstruct_mjoin_history(
 /// deliveries are themselves the missing output, replayed straight into
 /// the rank-merge.
 #[allow(clippy::too_many_arguments)]
-pub fn recover_state(
+pub(crate) fn recover_state(
     graph: &mut QueryPlanGraph,
     plan: &CqPlan,
     root: NodeId,

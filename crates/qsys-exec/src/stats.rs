@@ -185,13 +185,15 @@ impl ExecStats {
     }
 
     /// Whether every submitted UQ has completed.
-    pub fn all_complete(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_complete(&self) -> bool {
         self.uqs.values().all(|s| s.completed_us.is_some())
     }
 
     /// Merge another ledger (used when running multiple plan graphs /
     /// clustered ATCs).
-    pub fn merge(&mut self, other: ExecStats) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: ExecStats) {
         for (uq, s) in other.uqs {
             self.uqs.insert(uq, s);
         }

@@ -108,7 +108,7 @@ pub struct OptStats {
 /// A complete, valid input assignment `(I, 𝕀)`: each entry is an input
 /// subexpression with the queries it sources. Every relation of every query
 /// is covered by exactly one input (Definition 1).
-pub type Assignment = Vec<Candidate>;
+pub(crate) type Assignment = Vec<Candidate>;
 
 /// Index into the search's candidate arena.
 type CandIdx = u32;
@@ -170,7 +170,7 @@ struct Mark {
 }
 
 /// The memoized search.
-pub struct BestPlanSearch<'a> {
+pub(crate) struct BestPlanSearch<'a> {
     model: &'a CostModel<'a>,
     config: &'a HeuristicConfig,
     interner: &'a mut SigInterner,
@@ -253,6 +253,7 @@ struct CandData {
 
 impl<'a> BestPlanSearch<'a> {
     /// Set up a cold search over `queries` (no cross-batch warm store).
+    #[cfg(test)]
     pub fn new(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
@@ -269,7 +270,7 @@ impl<'a> BestPlanSearch<'a> {
     /// completion it starts from. With `warm`, batch-invariant facts and
     /// the canonical default order come from (and extend) the lane's warm
     /// store; results are bit-identical to a cold setup.
-    pub fn new_warm(
+    pub(crate) fn new_warm(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
         config: &'a HeuristicConfig,
@@ -540,7 +541,7 @@ impl<'a> BestPlanSearch<'a> {
 
     /// Run the search over multi-relation `candidates`; returns the best
     /// assignment (already completed with defaults) and stats.
-    pub fn run(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
+    pub(crate) fn run(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
         let root = self.seed_root(candidates);
         self.stats.explored += 1;
         let best = self.best_plan(&root, 0);
@@ -808,7 +809,8 @@ fn span<'t>(flat: &'t [u16], at: &[u32], i: usize) -> &'t [u16] {
 
 /// Validity per Definition 1: every relation of every query is covered by
 /// exactly one input sourcing that query.
-pub fn is_valid_assignment(
+#[cfg(test)]
+pub(crate) fn is_valid_assignment(
     queries: &[&ConjunctiveQuery],
     assignment: &Assignment,
     interner: &SigInterner,

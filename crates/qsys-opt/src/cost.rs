@@ -40,7 +40,7 @@ impl ReuseOracle for NoReuse {
 }
 
 /// Cardinality and cost estimation against catalog statistics.
-pub struct CostModel<'a> {
+pub(crate) struct CostModel<'a> {
     catalog: &'a Catalog,
     profile: CostProfile,
     /// Results requested per user query.
@@ -49,7 +49,7 @@ pub struct CostModel<'a> {
 
 impl<'a> CostModel<'a> {
     /// Build a model.
-    pub fn new(catalog: &'a Catalog, profile: CostProfile, k: usize) -> CostModel<'a> {
+    pub(crate) fn new(catalog: &'a Catalog, profile: CostProfile, k: usize) -> CostModel<'a> {
         CostModel {
             catalog,
             profile,
@@ -58,12 +58,12 @@ impl<'a> CostModel<'a> {
     }
 
     /// The catalog in use.
-    pub fn catalog(&self) -> &Catalog {
+    pub(crate) fn catalog(&self) -> &Catalog {
         self.catalog
     }
 
     /// Selectivity of an equality selection: `1 / distinct(column)`.
-    pub fn selection_selectivity(&self, rel: RelId, sel: &Selection) -> f64 {
+    pub(crate) fn selection_selectivity(&self, rel: RelId, sel: &Selection) -> f64 {
         let distinct = self.catalog.relation(rel).stats.distinct(sel.column);
         1.0 / distinct as f64
     }
@@ -71,7 +71,7 @@ impl<'a> CostModel<'a> {
     /// Estimated result cardinality of a subexpression: base cardinalities,
     /// scaled by selection selectivities and standard equi-join selectivity
     /// `1 / max(d_left, d_right)`.
-    pub fn cardinality(&self, sig: &SubExprSig) -> f64 {
+    pub(crate) fn cardinality(&self, sig: &SubExprSig) -> f64 {
         let mut card = 1.0f64;
         for (rel, sel) in &sig.atoms {
             let stats = &self.catalog.relation(*rel).stats;
@@ -93,7 +93,7 @@ impl<'a> CostModel<'a> {
     /// expected to read, for a CQ estimated to produce `result_card`
     /// results: under independence, reading fraction `f` of every input
     /// yields `f^m · result_card` results, so `f = (k / N)^(1/m)`.
-    pub fn depth_fraction(&self, result_card: f64, m_streams: usize) -> f64 {
+    pub(crate) fn depth_fraction(&self, result_card: f64, m_streams: usize) -> f64 {
         if result_card <= 0.0 {
             return 1.0; // must exhaust to prove emptiness
         }
@@ -110,25 +110,25 @@ impl<'a> CostModel<'a> {
     /// results and stream count), minus `already`-resident tuples (reuse).
     /// The caller supplies `card` and `depth` so memoized per-signature
     /// cardinalities and per-query depths are reused across the search.
-    pub fn expected_reads(&self, card: f64, depth: f64, already: u64) -> f64 {
+    pub(crate) fn expected_reads(&self, card: f64, depth: f64, already: u64) -> f64 {
         let need = card * depth;
         (need - already as f64).max(0.0)
     }
 
     /// Per-tuple streaming cost in µs (base + mean network delay).
-    pub fn stream_unit_us(&self) -> f64 {
+    pub(crate) fn stream_unit_us(&self) -> f64 {
         (self.profile.stream_tuple_us + self.profile.mean_network_delay_us) as f64
     }
 
     /// Per-probe cost in µs (base + mean network delay).
-    pub fn probe_unit_us(&self) -> f64 {
+    pub(crate) fn probe_unit_us(&self) -> f64 {
         (self.profile.probe_us + self.profile.mean_network_delay_us) as f64
     }
 
     /// Penalty for asking the remote source to compute a pushed-down join
     /// of `atoms` relations with result cardinality `card`: cheap relative
     /// to streaming, but biases against exploding joins.
-    pub fn pushdown_penalty_us(&self, atoms: usize, card: f64) -> f64 {
+    pub(crate) fn pushdown_penalty_us(&self, atoms: usize, card: f64) -> f64 {
         if atoms <= 1 {
             return 0.0;
         }
@@ -136,7 +136,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// Requested k.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 }

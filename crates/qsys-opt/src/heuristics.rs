@@ -85,7 +85,7 @@ impl Default for HeuristicConfig {
 
 /// Whether a relation is streamed (score attribute, or small enough) or
 /// probed (heuristic 2).
-pub fn is_streamable(model: &CostModel<'_>, rel: RelId, config: &HeuristicConfig) -> bool {
+pub(crate) fn is_streamable(model: &CostModel<'_>, rel: RelId, config: &HeuristicConfig) -> bool {
     let r = model.catalog().relation(rel);
     r.has_score() || r.stats.cardinality < config.probe_threshold
 }
@@ -136,7 +136,8 @@ pub(crate) fn warm_fact_of(
 /// Enumerate push-down candidates for a query batch, applying all pruning
 /// heuristics. Returns candidates sorted by descending sharing degree then
 /// ascending cardinality.
-pub fn enumerate_candidates(
+#[cfg(test)]
+pub(crate) fn enumerate_candidates(
     queries: &[&ConjunctiveQuery],
     model: &CostModel<'_>,
     config: &HeuristicConfig,
@@ -154,7 +155,7 @@ pub fn enumerate_candidates(
 /// order come from the store. The candidate list is bit-identical to a
 /// cold enumeration — every cached quantity is a pure function of the
 /// catalog and `config`, which the store fingerprints.
-pub fn enumerate_candidates_warm(
+pub(crate) fn enumerate_candidates_warm(
     queries: &[&ConjunctiveQuery],
     whole_of: &[SigId],
     model: &CostModel<'_>,

@@ -33,10 +33,10 @@ pub mod plan;
 pub mod retired;
 pub mod warm;
 
-pub use bestplan::{BestPlanSearch, OptStats};
+pub use bestplan::OptStats;
 pub use cluster::{cluster_user_queries, ClusterConfig};
-pub use cost::{CostModel, NoReuse, ReuseOracle};
-pub use heuristics::{enumerate_candidates, enumerate_candidates_warm, Candidate, HeuristicConfig};
+pub use cost::{NoReuse, ReuseOracle};
+pub use heuristics::{Candidate, HeuristicConfig};
 pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
 pub use retired::{AdaptiveConfig, ShardConfig};
-pub use warm::{shared_warm, SharedWarm, WarmCell, WarmExport, WarmFact, WarmStore};
+pub use warm::{shared_warm, SharedWarm, WarmExport};

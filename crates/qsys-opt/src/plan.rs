@@ -100,7 +100,8 @@ pub struct PlanSpec {
 
 impl PlanSpec {
     /// Stream leaves reachable from `node`, with their covered relations.
-    pub fn stream_leaves_of(&self, node: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn stream_leaves_of(&self, node: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![node];
         while let Some(i) = stack.pop() {
@@ -149,7 +150,7 @@ impl OptimizerConfig {
     /// depends on; [`WarmStore::ensure_config`] resets a lane's store on
     /// mismatch. (The catalog is not included: a lane keeps one catalog
     /// for life.)
-    pub fn warm_fingerprint(&self) -> String {
+    pub(crate) fn warm_fingerprint(&self) -> String {
         format!(
             "{:?}|{:?}|k={}|share={}",
             self.heuristics, self.cost_profile, self.k, self.share_subexpressions

@@ -85,7 +85,7 @@ impl WarmStore {
 
     /// Reset everything if `fingerprint` differs from the configuration
     /// the cached values were computed under.
-    pub fn ensure_config(&mut self, fingerprint: &str) {
+    pub(crate) fn ensure_config(&mut self, fingerprint: &str) {
         if self.fingerprint.as_deref() != Some(fingerprint) {
             *self = WarmStore {
                 fingerprint: Some(fingerprint.to_string()),
@@ -102,14 +102,14 @@ impl WarmStore {
     }
 
     /// Cache hits since [`begin_batch`](WarmStore::begin_batch).
-    pub fn batch_hits(&self) -> usize {
+    pub(crate) fn batch_hits(&self) -> usize {
         self.batch_hits
     }
 
     /// Cached cost inputs for `sig`, counting the hit when the fact
     /// predates the current batch (cross-batch warmth, not a same-batch
     /// re-read).
-    pub fn fact(&mut self, sig: SigId) -> Option<WarmFact> {
+    pub(crate) fn fact(&mut self, sig: SigId) -> Option<WarmFact> {
         let f = self.peek_fact(sig);
         if f.is_some() && !self.fresh_facts.contains(&sig) {
             self.batch_hits += 1;
@@ -119,12 +119,12 @@ impl WarmStore {
 
     /// Cached cost inputs for `sig` without touching the per-batch hit
     /// counter.
-    pub fn peek_fact(&self, sig: SigId) -> Option<WarmFact> {
+    pub(crate) fn peek_fact(&self, sig: SigId) -> Option<WarmFact> {
         self.facts.get(sig.index()).copied().flatten()
     }
 
     /// Record the cost inputs for `sig` (fresh for the current batch).
-    pub fn set_fact(&mut self, sig: SigId, fact: WarmFact) {
+    pub(crate) fn set_fact(&mut self, sig: SigId, fact: WarmFact) {
         if self.facts.len() <= sig.index() {
             self.facts.resize(sig.index() + 1, None);
         }
@@ -142,7 +142,7 @@ impl WarmStore {
     }
 
     /// Record a heuristic-3a verdict.
-    pub fn set_expensive(&mut self, sig: SigId, expensive: bool) {
+    pub(crate) fn set_expensive(&mut self, sig: SigId, expensive: bool) {
         self.expensive.insert(sig, expensive);
     }
 
@@ -157,7 +157,7 @@ impl WarmStore {
     }
 
     /// Record the candidate enumeration of a whole-query signature.
-    pub fn set_cq_candidates(&mut self, whole: SigId, sigs: Box<[SigId]>) {
+    pub(crate) fn set_cq_candidates(&mut self, whole: SigId, sigs: Box<[SigId]>) {
         self.cq_candidates.insert(whole, sigs);
     }
 
@@ -166,7 +166,11 @@ impl WarmStore {
     /// sorting by [`rank`](WarmStore::rank) equals sorting by
     /// `interner.resolve(a).cmp(interner.resolve(b))` — the deep canonical
     /// order is total over distinct signatures and insertion preserves it.
-    pub fn ensure_ranked(&mut self, ids: impl IntoIterator<Item = SigId>, interner: &SigInterner) {
+    pub(crate) fn ensure_ranked(
+        &mut self,
+        ids: impl IntoIterator<Item = SigId>,
+        interner: &SigInterner,
+    ) {
         // Inserting at `pos` shifts only positions ≥ pos, so after the
         // wave, ranks need rebuilding only from the lowest insertion point
         // — a steady-state batch (no new ids) touches nothing, and a batch
@@ -193,7 +197,7 @@ impl WarmStore {
     }
 
     /// Canonical rank of an id previously passed to
-    /// [`ensure_ranked`](WarmStore::ensure_ranked).
+    /// `ensure_ranked`.
     #[inline]
     pub fn rank(&self, sig: SigId) -> u32 {
         self.canon_rank[&sig]

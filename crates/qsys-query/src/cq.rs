@@ -36,7 +36,7 @@ pub struct CqJoin {
 
 impl CqJoin {
     /// Normalized copy with `left < right`, for canonical signatures.
-    pub fn normalized(&self) -> CqJoin {
+    pub(crate) fn normalized(&self) -> CqJoin {
         if self.left <= self.right {
             self.clone()
         } else {
@@ -120,7 +120,7 @@ impl ConjunctiveQuery {
     }
 
     /// Whether the join graph connects all atoms.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         if self.atoms.is_empty() {
             return true;
         }
@@ -191,11 +191,6 @@ pub struct UserQuery {
 }
 
 impl UserQuery {
-    /// Ids of the member CQs in bound order.
-    pub fn cq_ids(&self) -> Vec<CqId> {
-        self.cqs.iter().map(|(cq, _)| cq.id).collect()
-    }
-
     /// Relations referenced by any member CQ, sorted and deduplicated.
     pub fn rels(&self) -> Vec<RelId> {
         let mut rels: Vec<RelId> = self.cqs.iter().flat_map(|(cq, _)| cq.rels()).collect();

@@ -50,12 +50,9 @@ impl fmt::Debug for CqIdx {
 /// Words stored inline (no heap) — covers batches of up to 256 CQs.
 const INLINE_WORDS: usize = 4;
 
-/// Batch sizes up to this need no heap allocation anywhere in the search.
-pub const CQSET_INLINE_CAPACITY: usize = INLINE_WORDS * 64;
-
 /// A set of per-batch query indices as a bitmask.
 ///
-/// Sets up to [`CQSET_INLINE_CAPACITY`] indices live entirely inline;
+/// Sets up to `INLINE_WORDS * 64` indices live entirely inline;
 /// larger universes spill the high words to the heap. The spill is kept
 /// canonical (trimmed of trailing zero words, dropped when empty) so the
 /// derived `PartialEq`/`Hash` see one representation per mathematical set.
@@ -358,7 +355,8 @@ impl CqTable {
     }
 
     /// Materialize a bitmask back into ascending `CqId`s.
-    pub fn ids_of(&self, set: &CqSet) -> Vec<CqId> {
+    #[cfg(test)]
+    pub(crate) fn ids_of(&self, set: &CqSet) -> Vec<CqId> {
         set.iter().map(|idx| self.id(idx)).collect()
     }
 }

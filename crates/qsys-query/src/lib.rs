@@ -9,7 +9,7 @@
 //! types.
 //!
 //! It also hosts the system-wide sharing vocabulary: canonical
-//! subexpression signatures ([`subexpr`]) and their hash-consed interning
+//! subexpression signatures (`subexpr`) and their hash-consed interning
 //! ([`intern`]). Every sharing decision downstream — the candidate pool,
 //! BestPlan's memo, the reuse oracle, plan factorization, the QS manager's
 //! pin/evict index, and the live plan graph's signature index — is keyed on
@@ -23,7 +23,7 @@ pub mod cq;
 pub mod cqset;
 pub mod intern;
 pub mod score;
-pub mod subexpr;
+pub(crate) mod subexpr;
 
 pub use candidate::{CandidateConfig, CandidateGenerator};
 pub use cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};

@@ -71,7 +71,7 @@ impl ScoreFn {
     /// the per-tuple cost is `node_cost_r - log2 s_r`. `edge_costs` are the
     /// (possibly user-specific) costs of the schema edges used by the CQ;
     /// `node_costs` maps each relation to its authority cost.
-    pub fn q_system(
+    pub(crate) fn q_system(
         user: UserId,
         edge_costs: impl IntoIterator<Item = f64>,
         node_costs: impl IntoIterator<Item = (RelId, f64)>,
@@ -118,7 +118,7 @@ impl ScoreFn {
 
     /// Multiply relation `rel`'s weight by `factor` (a keyword-match
     /// similarity folded into the score).
-    pub fn scale_weight(&mut self, rel: RelId, factor: f64) {
+    pub(crate) fn scale_weight(&mut self, rel: RelId, factor: f64) {
         *weight_slot(&mut self.weights, rel) *= factor;
     }
 
@@ -177,7 +177,8 @@ impl ScoreFn {
 
     /// The maximum possible weighted contribution of `rels`, using catalog
     /// max scores.
-    pub fn max_contribution(&self, rels: &[RelId], catalog: &Catalog) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_contribution(&self, rels: &[RelId], catalog: &Catalog) -> f64 {
         rels.iter()
             .map(|r| self.weight(*r) * catalog.relation(*r).stats.max_score)
             .product()

@@ -67,25 +67,17 @@ impl SubExprSig {
         self.atoms.len()
     }
 
-    /// The selection applied to `rel` within this subexpression, if any.
-    pub fn selection_of(&self, rel: RelId) -> Option<&Selection> {
-        self.atoms
-            .iter()
-            .find(|(r, _)| *r == rel)
-            .and_then(|(_, s)| s.as_ref())
-    }
-
     /// Whether `self` is a subexpression of `cq`: every atom appears in `cq`
     /// with the identical selection, and every join of `self` is a join of
     /// `cq` (Section 5.1's notion, used by the "do not consider overlapping
     /// pushed-down subexpressions" heuristic).
-    pub fn is_subexpr_of(&self, cq: &ConjunctiveQuery) -> bool {
+    pub(crate) fn is_subexpr_of(&self, cq: &ConjunctiveQuery) -> bool {
         let cq_sig = SubExprSig::of_cq(cq);
         self.is_contained_in(&cq_sig)
     }
 
     /// Structural containment in another signature.
-    pub fn is_contained_in(&self, other: &SubExprSig) -> bool {
+    pub(crate) fn is_contained_in(&self, other: &SubExprSig) -> bool {
         self.atoms.iter().all(|a| other.atoms.contains(a))
             && self.joins.iter().all(|j| other.joins.contains(j))
     }

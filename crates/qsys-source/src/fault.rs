@@ -125,7 +125,7 @@ pub struct RelFaults {
 
 impl RelFaults {
     /// Whether any fault is configured at all.
-    pub fn is_clear(&self) -> bool {
+    pub(crate) fn is_clear(&self) -> bool {
         self.transient <= 0.0
             && self.slow_rate <= 0.0
             && self.outages.is_empty()
@@ -237,13 +237,8 @@ impl FaultSpec {
     }
 
     /// The faults in force for `rel`.
-    pub fn faults_for(&self, rel: RelId) -> &RelFaults {
+    pub(crate) fn faults_for(&self, rel: RelId) -> &RelFaults {
         self.per_rel.get(&rel.0).unwrap_or(&self.default_faults)
-    }
-
-    /// Relations explicitly named by the spec (scoped clauses).
-    pub fn scoped_rels(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.per_rel.keys().map(|&id| RelId::new(id))
     }
 }
 
@@ -365,7 +360,7 @@ impl FaultInjector {
 
     /// Whether `rels` is entirely clear of scheduled faults (no verdict —
     /// and thus no RNG draw — will ever be needed for such a fetch).
-    pub fn all_clear(&self, rels: &[RelId]) -> bool {
+    pub(crate) fn all_clear(&self, rels: &[RelId]) -> bool {
         rels.iter().all(|&r| self.spec.faults_for(r).is_clear())
     }
 }

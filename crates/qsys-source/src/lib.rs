@@ -29,12 +29,12 @@
 
 pub mod fault;
 pub mod pushdown;
-pub mod registry;
+mod registry;
 pub mod stream;
 pub mod table;
 
-pub use fault::{FaultInjector, FaultSpec, RelFaults, SourceError, Verdict};
+pub use fault::{FaultInjector, FaultSpec, SourceError, Verdict};
 pub use pushdown::{JoinCond, SpjSpec};
 pub use registry::{Sources, TableProvider};
-pub use stream::{SourceStream, StreamKind};
+pub use stream::SourceStream;
 pub use table::Table;

@@ -60,7 +60,7 @@ impl SpjSpec {
     /// Joins are applied greedily in connectivity order starting from the
     /// first atom; a disconnected spec panics (the optimizer never produces
     /// one — pushed-down subexpressions are connected subgraphs).
-    pub fn evaluate(&self, tables: &HashMap<RelId, Arc<Table>>) -> Vec<Tuple> {
+    pub(crate) fn evaluate(&self, tables: &HashMap<RelId, Arc<Table>>) -> Vec<Tuple> {
         assert!(!self.atoms.is_empty(), "empty SPJ spec");
         let selections: HashMap<RelId, &Selection> = self
             .atoms

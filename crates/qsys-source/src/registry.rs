@@ -74,11 +74,6 @@ impl Sources {
         self.injector = Some(injector);
     }
 
-    /// The installed injector, if any.
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
     /// Whether a fault schedule is installed (the governed fetch path uses
     /// this to skip all fault bookkeeping on clean builds).
     pub fn faults_enabled(&self) -> bool {
@@ -131,7 +126,8 @@ impl Sources {
     }
 
     /// Whether a table is currently materialized.
-    pub fn is_materialized(&self, rel: RelId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_materialized(&self, rel: RelId) -> bool {
         self.tables.borrow().contains_key(&rel)
     }
 
@@ -318,7 +314,7 @@ impl Sources {
     }
 
     /// Tuples returned by remote probes so far.
-    pub fn probe_result_tuples(&self) -> u64 {
+    pub(crate) fn probe_result_tuples(&self) -> u64 {
         self.probe_result_tuples.get()
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// What backs a stream.
 #[derive(Debug)]
-pub enum StreamKind {
+pub(crate) enum StreamKind {
     /// A base relation scan (optionally filtered), delivered in score order.
     Base {
         /// The backing table.

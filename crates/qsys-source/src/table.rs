@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 /// A hash index over one column: key value → row positions.
-pub type ColumnIndex = Arc<HashMap<Value, Vec<u32>>>;
+pub(crate) type ColumnIndex = Arc<HashMap<Value, Vec<u32>>>;
 
 /// A materialized, score-sorted relation instance.
 ///
@@ -83,7 +83,7 @@ impl Table {
 
     /// Row positions (into the score-ordered row list) matching a selection,
     /// in score order. Used to materialize filtered streams.
-    pub fn filtered_positions(&self, selection: Option<&Selection>) -> Vec<u32> {
+    pub(crate) fn filtered_positions(&self, selection: Option<&Selection>) -> Vec<u32> {
         match selection {
             None => (0..self.rows.len() as u32).collect(),
             Some(sel) => {

@@ -49,7 +49,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Total simulated time across all categories.
-    pub fn total_us(&self) -> u64 {
+    pub(crate) fn total_us(&self) -> u64 {
         self.stream_read_us + self.random_access_us + self.join_us + self.optimize_us
     }
 

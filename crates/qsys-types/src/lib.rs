@@ -20,14 +20,14 @@ pub mod dist;
 pub mod error;
 pub mod hash;
 pub mod ids;
-pub mod predicate;
+mod predicate;
 pub mod score;
 pub mod tuple;
 pub mod value;
 
 pub use clock::{CostProfile, SimClock, TimeBreakdown, TimeCategory};
 pub use error::{QsysError, QsysResult};
-pub use hash::{FxHashMap, FxHasher};
+pub use hash::FxHashMap;
 pub use ids::{AtomId, CqId, Epoch, RelId, SourceId, UqId, UserId};
 pub use predicate::Selection;
 pub use score::Score;

@@ -15,13 +15,15 @@ pub struct Score(f64);
 
 impl Score {
     /// The lowest possible score (identity for `max`).
-    pub const NEG_INFINITY: Score = Score(f64::NEG_INFINITY);
+    #[cfg(test)]
+    pub(crate) const NEG_INFINITY: Score = Score(f64::NEG_INFINITY);
     /// The highest possible score (identity for `min`).
     pub const INFINITY: Score = Score(f64::INFINITY);
     /// Zero.
     pub const ZERO: Score = Score(0.0);
     /// One.
-    pub const ONE: Score = Score(1.0);
+    #[cfg(test)]
+    pub(crate) const ONE: Score = Score(1.0);
 
     /// Wrap a raw float, normalizing NaN to negative infinity so the total
     /// order never observes NaN.

@@ -43,18 +43,10 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// The integer payload, if this is an `Int`.
-    #[inline]
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The float payload, coercing integers.
+    #[cfg(test)]
     #[inline]
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),
             Value::Int(i) => Some(*i as f64),

@@ -156,8 +156,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Which rule families apply to a file, from its workspace-relative path.
 struct FileScope {
-    /// Under `src/` of the root crate or an engine drive-path crate (exec,
-    /// state).
+    /// Under `src/` of the root crate or of `qsys-exec`, the engine's drive
+    /// path (operators, plan graph, ATC and the state manager).
     engine_path: bool,
     /// Bench code: `benches/`, `crates/qsys-bench`, or `crates/qsys-workload`.
     bench: bool,
@@ -179,9 +179,7 @@ fn scope_of(rel: &str) -> FileScope {
         || rel.starts_with("crates/qsys-workload/");
     let engine_path = !test_file
         && !bench
-        && (rel.starts_with("src/")
-            || rel.starts_with("crates/qsys-exec/src/")
-            || rel.starts_with("crates/qsys-state/src/"));
+        && (rel.starts_with("src/") || rel.starts_with("crates/qsys-exec/src/"));
     FileScope {
         engine_path,
         bench,

@@ -21,10 +21,10 @@
 //! paths, …) without network access or compiler plugins.
 
 use qsys_exec::access::ModuleId;
+use qsys_exec::state::QsManager;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::warm::WarmExport;
 use qsys_query::{SigId, SigInterner, SubExprSig};
-use qsys_state::QsManager;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

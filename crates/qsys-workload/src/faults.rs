@@ -43,7 +43,8 @@ impl FaultPlan {
 
     /// Default slow-round schedule: each fetch round is slowed with
     /// probability `rate`, its network delay multiplied by `mult`.
-    pub fn slow_default(mut self, rate: f64, mult: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn slow_default(mut self, rate: f64, mult: f64) -> Self {
         self.clauses.push(format!("slow={rate}x{mult}"));
         self
     }

@@ -25,7 +25,7 @@ use rand::Rng;
 use std::collections::HashMap;
 
 /// Vocabulary of "common biological terms" (Section 7).
-pub const BIO_TERMS: &[&str] = &[
+pub(crate) const BIO_TERMS: &[&str] = &[
     "protein",
     "gene",
     "plasma membrane",

@@ -24,11 +24,11 @@ pub mod tables;
 pub use faults::FaultPlan;
 pub use gus::GusConfig;
 pub use pfam::PfamConfig;
-pub use tables::{ScoreKind, SharedTables, TableGenSpec};
 
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex};
 use qsys_types::UserId;
 use std::collections::HashMap;
+use tables::SharedTables;
 
 /// One scripted keyword query.
 #[derive(Clone, Debug)]

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 /// Protein-family search terms (matched against family / sequence /
 /// publication text).
-pub const PFAM_TERMS: &[&str] = &[
+pub(crate) const PFAM_TERMS: &[&str] = &[
     "kinase",
     "domain",
     "binding",

@@ -131,7 +131,7 @@ impl SharedTables {
 }
 
 /// Deterministic table generation from `(workload seed, relation id)`.
-pub fn generate_table(rel: RelId, spec: &TableGenSpec, seed: u64) -> Table {
+pub(crate) fn generate_table(rel: RelId, spec: &TableGenSpec, seed: u64) -> Table {
     let mut rng = seeded_rng(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(rel.0 as u64 + 1)));
     // Join keys are Zipfian (§7) but with a softened exponent: the full
     // exponent would put >10 % of rows on the single hottest key, and the

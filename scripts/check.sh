@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> qsys-lint (repo-law lint: env reads, Send cells, panic paths, SeqCst, bench clocks, hot-path hashers)"
 cargo run -q -p qsys-verify --bin qsys-lint
 
+echo "==> scripts/tracked.sh (every path it counts still exists)"
+scripts/tracked.sh >/dev/null
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

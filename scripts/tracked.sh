@@ -11,7 +11,7 @@ rust_lines() { # total lines of the .rs files under the given paths
 }
 
 engine_crates=(crates/qsys-catalog crates/qsys-exec crates/qsys-opt crates/qsys-query
-    crates/qsys-source crates/qsys-state crates/qsys-types crates/qsys-workload)
+    crates/qsys-source crates/qsys-types crates/qsys-workload)
 engine=$(rust_lines src "${engine_crates[@]}")
 checks=$(rust_lines tests examples crates/qsys-bench crates/qsys-verify)
 perf=$(rust_lines perf)
@@ -23,6 +23,9 @@ echo "rust_lines.shims         $shims"
 echo "rust_lines.total         $((engine + checks + perf + shims))"
 # The `qsys-*` crates counted as engine above (the root facade aside).
 echo "engine_crates            ${#engine_crates[@]}"
+# Items the engine crates make public (declarations at any nesting depth).
+echo "engine_pub_items         $(grep -rhE '^\s*pub (fn|struct|enum|type|trait|const|static|mod) ' \
+    "${engine_crates[@]/%//src}" --include='*.rs' | wc -l)"
 # The largest file of the checks area: the experiment and sweep drivers.
 echo "qsys_bench_lib_lines     $(wc -l <crates/qsys-bench/src/lib.rs)"
 

@@ -13,6 +13,7 @@
 use crate::report::{OptEvent, QueryOutcome, UqReport};
 use crate::session::{ledger_lock, Admitted, Ledger, TicketSlot};
 use qsys_catalog::Catalog;
+use qsys_exec::state::{EvictionPolicy, GraftOutcome, QsManager};
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{
     AdaptiveConfig, ClusterConfig, HeuristicConfig, OptStats, Optimizer, OptimizerConfig,
@@ -20,7 +21,6 @@ use qsys_opt::{
 };
 use qsys_query::{CandidateConfig, ScoreFn, UserQuery};
 use qsys_source::{FaultInjector, FaultSpec, Sources, TableProvider};
-use qsys_state::{EvictionPolicy, GraftOutcome, QsManager};
 use qsys_types::{CostProfile, RelId, Score, SimClock, Tuple, UqId};
 use qsys_verify::VerifyReport;
 use std::collections::{BTreeSet, VecDeque};

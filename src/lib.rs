@@ -63,7 +63,7 @@
 //! | CQs, scoring, candidate networks, sharing vocabulary (`SigInterner` ids, `CqSet` batch bitmasks) | `qsys-query` |
 //! | operators, plan graph, ATC | `qsys-exec` |
 //! | multi-query optimizer (arena-indexed BestPlan behind a `u64` mask memo, warm store, clustering) | `qsys-opt` |
-//! | state manager (graft/recover/evict, policy via `EngineConfig::eviction`) | `qsys-state` |
+//! | state manager (graft/recover/evict, policy via `EngineConfig::eviction`) | `qsys-exec` (`qsys_exec::state`) |
 //! | invariant verifier + repo lint (see [`Engine::verify`]) | `qsys-verify` |
 //! | workload generators | `qsys-workload` |
 //!
@@ -123,9 +123,9 @@ pub mod prelude {
 // Re-export the subsystem crates under one roof.
 pub use qsys_catalog as catalog;
 pub use qsys_exec as exec;
+pub use qsys_exec::state;
 pub use qsys_opt as opt;
 pub use qsys_query as query;
 pub use qsys_source as source;
-pub use qsys_state as state;
 pub use qsys_types as types;
 pub use qsys_verify as verify;

@@ -43,10 +43,10 @@
 use crate::engine::{BatchCx, EngineConfig, Lane, SharingMode};
 use crate::report::{LaneSummary, QueryOutcome, RunReport, UqReport};
 use qsys_catalog::{Catalog, KeywordIndex};
+use qsys_exec::state::EvictionStats;
 use qsys_opt::OptStats;
 use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_source::TableProvider;
-use qsys_state::EvictionStats;
 use qsys_types::{QsysError, QsysResult, RelId, Score, Tuple, UqId, UserId};
 use qsys_verify::VerifyReport;
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -12,11 +12,11 @@ use proptest::prelude::*;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_exec::access::{AccessModule, AccessModuleArena, StoredModule};
 use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
+use qsys_exec::state::QsManager;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
-use qsys_state::QsManager;
 use qsys_types::{
     BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
 };

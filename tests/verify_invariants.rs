@@ -24,12 +24,12 @@ use qsys::verify as qv;
 use qsys_exec::access::{AccessModule, StoredModule};
 use qsys_exec::graph::QueryPlanGraph;
 use qsys_exec::mjoin::{MJoin, MJoinInput};
+use qsys_exec::state::QsManager;
 use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
 use qsys_opt::cluster::ClusterConfig;
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, ScoreFn, SigId};
 use qsys_source::{Sources, Table};
-use qsys_state::QsManager;
 use qsys_types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple};
 use qsys_workload::gus::{self, GusConfig};
 use std::sync::Arc;
