@@ -17,7 +17,9 @@
 //!
 //! The optimizer also implements the Section 6.1 machinery for dynamic
 //! operation: reuse-aware cost adjustment (via a [`ReuseOracle`] answered
-//! by the QS manager) and hierarchical user-query clustering.
+//! by the QS manager) and hierarchical user-query clustering. When that
+//! oracle reports every query of a batch resident whole, the batch searches
+//! no push-down.
 //!
 //! Across batches, the search warm-starts from lane-persistent caches of
 //! its batch-invariant inputs (the [`warm`] module): per-signature cost

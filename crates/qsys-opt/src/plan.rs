@@ -195,6 +195,14 @@ impl<'a> Optimizer<'a> {
     /// served from `warm`; the search itself runs every batch. Decisions,
     /// statistics, and the simulated optimize charge are bit-identical to
     /// a cold run — the store is a cache, never a policy change.
+    ///
+    /// Under subexpression sharing, a batch whose every query's whole
+    /// signature `reuse` reports resident enumerates no push-down
+    /// candidates: BestPlan explores its one default state, and graft
+    /// merges each root with its live node without building the spec below
+    /// it, so a searched candidate could not change the graph. Such a batch
+    /// pins nothing; the roots it merges with gain consumers at graft,
+    /// which keeps them and their producers from eviction.
     pub fn optimize_warm(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
@@ -220,7 +228,11 @@ impl<'a> Optimizer<'a> {
         // identical order (the bit-identity tests compare spec dumps).
         let whole_of: Vec<SigId> = queries.iter().map(|cq| guard.of_cq(cq)).collect();
 
-        let candidates = if self.config.share_subexpressions {
+        // A batch whose every query is resident whole searches no push-down
+        // (see the doc above).
+        let candidates = if self.config.share_subexpressions
+            && !whole_of.iter().all(|&w| reuse.streamed(w).is_some())
+        {
             enumerate_candidates_warm(
                 &queries,
                 &whole_of,
@@ -233,7 +245,10 @@ impl<'a> Optimizer<'a> {
         } else {
             Vec::new()
         };
-        // Pin any resident candidate inputs while we plan (Section 6.1).
+        // Pin any resident candidate inputs while we plan (Section 6.1). An
+        // all-resident batch has none to pin: each root it merges with gains
+        // a rank-merge consumer at graft, and eviction never takes a node
+        // with consumers or its producers.
         for c in &candidates {
             if reuse.streamed(c.sig).is_some() {
                 reuse.pin(c.sig);
@@ -517,6 +532,12 @@ mod tests {
 
     /// Chain of five scored relations, generous sharing.
     fn catalog() -> Catalog {
+        chain_catalog(5)
+    }
+
+    /// Chain of five relations, the first `scored` of them scored (the
+    /// rest are too large to stream, so they are probed).
+    fn chain_catalog(scored: u32) -> Catalog {
         let mut b = CatalogBuilder::default();
         let mut ids = Vec::new();
         for i in 0..5 {
@@ -526,7 +547,7 @@ mod tests {
                 format!("R{i}"),
                 SourceId::new(0),
                 vec!["k".into(), "j".into()],
-                Some(0),
+                (i < scored).then_some(0),
                 1.0,
                 stats,
             ));
@@ -691,4 +712,114 @@ mod tests {
         let root = spec.cq_plans[0].root;
         assert!(matches!(spec.nodes[root].kind, SpecNodeKind::Stream));
     }
+
+    /// Reports the listed signatures resident, nothing else.
+    struct Resident(Vec<SigId>);
+
+    impl ReuseOracle for Resident {
+        fn streamed(&self, sig: SigId) -> Option<u64> {
+            self.0.contains(&sig).then_some(1_000)
+        }
+    }
+
+    /// Three overlapping chain queries; the third probes R4.
+    fn overlapping_batch(cat: &Catalog) -> [ConjunctiveQuery; 3] {
+        [
+            path_cq(0, cat, 0, 3, 0),
+            path_cq(1, cat, 0, 4, 1),
+            path_cq(2, cat, 1, 4, 2),
+        ]
+    }
+
+    /// Optimize `cqs` on a fresh interner with the whole signature of
+    /// every query `resident` names reported resident.
+    fn optimize_resident(
+        opt: &Optimizer<'_>,
+        cqs: &[ConjunctiveQuery],
+        resident: impl Fn(usize) -> bool,
+    ) -> (PlanSpec, OptStats) {
+        let f = ScoreFn::discover(UserId::new(0), 4);
+        let batch: Vec<_> = cqs.iter().map(|cq| (cq, &f)).collect();
+        let interner = fresh_interner();
+        let whole = cqs.iter().map(|cq| interner.borrow_mut().of_cq(cq));
+        let oracle = Resident(
+            whole
+                .enumerate()
+                .filter(|&(i, _)| resident(i))
+                .map(|(_, w)| w)
+                .collect(),
+        );
+        opt.optimize(&batch, &oracle, None, &interner)
+    }
+
+    /// What graft reads of one query's wiring: its ids, whole signature,
+    /// probed relations' score bits, and whether its root is the shared
+    /// whole-signature node graft merges with.
+    type Wiring = (CqId, UqId, UserId, SigId, Vec<(RelId, u64)>, bool);
+
+    fn wiring(spec: &PlanSpec) -> Vec<Wiring> {
+        spec.cq_plans
+            .iter()
+            .map(|p| {
+                let root = &spec.nodes[p.root];
+                let probed = p.probed.iter().map(|&(r, s)| (r, s.to_bits())).collect();
+                let merges = root.sig == p.sig && root.share;
+                (p.cq, p.uq, p.user, p.sig, probed, merges)
+            })
+            .collect()
+    }
+
+    /// FNV-1a over a spec's dump, with the search counters and cost bits.
+    fn decision(spec: &PlanSpec, stats: &OptStats) -> (usize, usize, usize, u64, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{spec:?}").bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        let (e, m, c) = (stats.explored, stats.memo_hits, stats.candidates);
+        (e, m, c, stats.best_cost.to_bits(), h)
+    }
+
+    #[test]
+    fn all_resident_batch_searches_no_candidates() {
+        let cat = chain_catalog(4);
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let cqs = overlapping_batch(&cat);
+        let (spec, stats) = optimize_resident(&opt, &cqs, |_| true);
+        assert_eq!((stats.candidates, stats.explored), (0, 1));
+        assert_eq!(stats.memo_hits, 0);
+        // The same batch with its residency hidden searches candidates,
+        // and graft would read the same wiring off either spec.
+        let (searched, searched_stats) = optimize_resident(&opt, &cqs, |_| false);
+        assert!(searched_stats.candidates > 0 && searched_stats.explored > 1);
+        let got = wiring(&spec);
+        assert_eq!(got, wiring(&searched));
+        assert!(got.iter().all(|w| w.5), "every root merges: {spec:#?}");
+        assert!(got.iter().any(|w| !w.4.is_empty()), "a query probes");
+    }
+
+    #[test]
+    fn resident_batch_searches_as_before_unless_all_merge() {
+        // One query not resident: the batch searches as it always did.
+        let cat = chain_catalog(4);
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let cqs = overlapping_batch(&cat);
+        let (spec, stats) = optimize_resident(&opt, &cqs, |i| i != 1);
+        assert_eq!(decision(&spec, &stats), MIXED);
+        // ATC-CQ never merges at graft, so residency leaves it alone too.
+        let unshared = Optimizer::new(
+            &cat,
+            OptimizerConfig {
+                share_subexpressions: false,
+                ..OptimizerConfig::default()
+            },
+        );
+        let (spec, stats) = optimize_resident(&unshared, &cqs, |_| true);
+        assert_eq!(decision(&spec, &stats), UNSHARED);
+    }
+
+    // Both recorded before all-resident batches stopped searching.
+    const MIXED: (usize, usize, usize, u64, u64) =
+        (22, 5, 5, 4697663460621303725, 8660696360907734145);
+    const UNSHARED: (usize, usize, usize, u64, u64) =
+        (1, 0, 0, 4697663460621303725, 114109883730532293);
 }
