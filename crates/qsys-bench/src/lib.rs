@@ -189,60 +189,6 @@ pub fn print_fetch_batch_sweep(points: &[FetchBatchPoint]) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-vs-cold decision stream: `bench_warm_opt`'s identity harness.
-// ---------------------------------------------------------------------------
-
-/// One batch's decision fingerprint, as produced by
-/// [`optimize_decision_stream`]: everything the optimizer decided.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecisionRow {
-    /// Full `PlanSpec` debug dump (pins plan shape and signatures).
-    pub spec_debug: String,
-    /// BestPlan states explored.
-    pub explored: usize,
-    /// BestPlan memo hits.
-    pub memo_hits: usize,
-    /// Multi-relation candidates entering the search.
-    pub candidates: usize,
-    /// Winning cost, bit-exact.
-    pub best_cost_bits: u64,
-}
-
-/// Optimize a stream of batches against one live QS manager — warm-started
-/// or cold — and fingerprint every batch's decisions. `bench_warm_opt` (the
-/// CI micro-bench smoke) compares its warm and cold outputs before timing
-/// anything; `tests/interner_invariants.rs` pins the same identity in
-/// tier-1.
-pub fn optimize_decision_stream(
-    catalog: &qsys::catalog::Catalog,
-    opt_config: &OptimizerConfig,
-    batches: &[Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>],
-    warm: bool,
-) -> Vec<DecisionRow> {
-    use qsys::state::QsManager;
-
-    let manager = QsManager::new(usize::MAX);
-    let optimizer = Optimizer::new(catalog, opt_config.clone());
-    let interner = manager.shared_interner();
-    let warm_cell = warm.then(|| manager.warm_cell());
-    batches
-        .iter()
-        .map(|batch| {
-            let oracle = manager.reuse_oracle();
-            let (spec, stats) =
-                optimizer.optimize_warm(batch, &oracle, None, &interner, warm_cell.as_deref());
-            DecisionRow {
-                spec_debug: format!("{spec:?}"),
-                explored: stats.explored,
-                memo_hits: stats.memo_hits,
-                candidates: stats.candidates,
-                best_cost_bits: stats.best_cost.to_bits(),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Table 4: average number of conjunctive queries executed per user query.
 // ---------------------------------------------------------------------------
 

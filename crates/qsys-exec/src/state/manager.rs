@@ -8,7 +8,7 @@ use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
-use qsys_opt::warm::{shared_warm, SharedWarm};
+use qsys_opt::retired::WarmCell;
 use qsys_query::{shared_interner, SharedInterner, SigId, SubExprSig};
 use qsys_source::{JoinCond, Sources, SpjSpec};
 use qsys_types::{Epoch, RelId, UqId};
@@ -45,9 +45,6 @@ pub struct QsManager {
     /// the plan graph all name subexpressions by [`SigId`] through it, so
     /// ids stay stable across batches (the across-time sharing memo).
     interner: SharedInterner,
-    /// The lane's optimizer warm store (cross-batch cost-input caches),
-    /// owned here next to the interner whose ids key it.
-    warm: SharedWarm,
     /// Pinned subexpressions (protected from eviction; Section 6.1).
     pinned: RefCell<BTreeSet<SigId>>,
     /// Last epoch each node was (re)used in, for LRU eviction.
@@ -77,7 +74,6 @@ impl QsManager {
         QsManager {
             graph: QueryPlanGraph::new(),
             interner: shared_interner(),
-            warm: shared_warm(),
             rank_merges: BTreeMap::new(),
             pinned: RefCell::new(BTreeSet::new()),
             last_used: HashMap::new(),
@@ -152,13 +148,12 @@ impl QsManager {
         Arc::clone(&self.interner)
     }
 
-    /// The lane's optimizer warm store. Hand this to
-    /// [`Optimizer::optimize_warm`](qsys_opt::Optimizer::optimize_warm) so
-    /// recurring query shapes skip re-deriving their cost inputs and
-    /// candidate enumerations. Nothing cached there depends on resident
-    /// state, so eviction leaves it alone.
-    pub fn warm_cell(&self) -> SharedWarm {
-        Arc::clone(&self.warm)
+    /// The retired optimizer warm store's empty handle, kept because
+    /// `perf/`'s shadow lane names it (ROADMAP item 1(b) deletes it). Boxed
+    /// because that caller derefs it; a box of a zero-sized type does not
+    /// allocate.
+    pub fn warm_cell(&self) -> Box<WarmCell> {
+        Box::new(WarmCell)
     }
 
     /// Cumulative eviction statistics.

@@ -79,8 +79,7 @@
 //! the search never touches a deep [`SubExprSig`](qsys_query::SubExprSig).
 
 use crate::cost::{CostModel, ReuseOracle};
-use crate::heuristics::{Candidate, HeuristicConfig};
-use crate::warm::WarmStore;
+use crate::heuristics::{compute_fact, Candidate, HeuristicConfig};
 use qsys_query::{ConjunctiveQuery, CqIdx, CqSet, CqTable, SigId, SigInterner};
 use qsys_types::FxHashMap;
 use std::collections::HashMap;
@@ -100,9 +99,6 @@ pub struct OptStats {
     pub best_cost: f64,
     /// Always 0: every batch searches. Kept because `perf/` reads it by name.
     pub warm_hits: usize,
-    /// Warm-store cache hits (per-signature cost inputs and candidate
-    /// enumerations) while this batch was searched; 0 without a store.
-    pub warm_fact_hits: usize,
 }
 
 /// A complete, valid input assignment `(I, 𝕀)`: each entry is an input
@@ -175,10 +171,6 @@ pub(crate) struct BestPlanSearch<'a> {
     config: &'a HeuristicConfig,
     interner: &'a mut SigInterner,
     reuse: &'a dyn ReuseOracle,
-    /// Lane-persistent warm store: per-signature cost inputs and the
-    /// canonical rank order survive across batches (residency is always
-    /// read live from `reuse`). `None` runs fully cold.
-    warm: Option<&'a mut WarmStore>,
     /// Candidate arena: every `(sig, queries)` the search ever names lives
     /// here exactly once; states reference candidates by [`CandIdx`].
     cands: Vec<CandData>,
@@ -251,33 +243,33 @@ struct CandData {
     pos: u8,
 }
 
-impl<'a> BestPlanSearch<'a> {
-    /// Set up a cold search over `queries` (no cross-batch warm store).
-    #[cfg(test)]
-    pub fn new(
-        model: &'a CostModel<'a>,
-        reuse: &'a dyn ReuseOracle,
-        config: &'a HeuristicConfig,
-        queries: Vec<&'a ConjunctiveQuery>,
-        interner: &'a mut SigInterner,
-        table: &'a CqTable,
-    ) -> BestPlanSearch<'a> {
-        BestPlanSearch::new_warm(model, reuse, config, queries, interner, table, None)
+/// [`CostModel::depth_fraction`] of each query's whole-result cardinality
+/// `cq_card[q]` at every stream count from 0 to its atom count `atoms[q]`,
+/// as `(table, stride)`: query `q` with `m` streaming inputs is at
+/// `q * stride + m`. The one `powf` site of the cost model, hoisted out of
+/// the recursion: a query has at most one streaming input per atom.
+fn depth_table(model: &CostModel<'_>, cq_card: &[f64], atoms: &[usize]) -> (Vec<f64>, usize) {
+    let stride = atoms.iter().copied().max().unwrap_or(0) + 1;
+    let mut depth = vec![1.0; atoms.len() * stride];
+    for (qi, &n) in atoms.iter().enumerate() {
+        for m in 0..=n {
+            depth[qi * stride + m] = model.depth_fraction(cq_card[qi], m);
+        }
     }
+    (depth, stride)
+}
 
+impl<'a> BestPlanSearch<'a> {
     /// Set up a search over `queries`, precomputing every per-signature
     /// fact the recursion will need and building the all-defaults
-    /// completion it starts from. With `warm`, batch-invariant facts and
-    /// the canonical default order come from (and extend) the lane's warm
-    /// store; results are bit-identical to a cold setup.
-    pub(crate) fn new_warm(
+    /// completion it starts from.
+    pub(crate) fn new(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
         config: &'a HeuristicConfig,
         queries: Vec<&'a ConjunctiveQuery>,
         interner: &'a mut SigInterner,
         table: &'a CqTable,
-        mut warm: Option<&'a mut WarmStore>,
     ) -> BestPlanSearch<'a> {
         let n_cq = table.len();
         let mut cq_card = vec![0.0; n_cq];
@@ -285,14 +277,7 @@ impl<'a> BestPlanSearch<'a> {
         for cq in &queries {
             let whole = interner.of_cq(cq);
             let qi = table.idx(cq.id).index();
-            cq_card[qi] = crate::heuristics::warm_fact_of(
-                warm.as_deref_mut(),
-                whole,
-                model,
-                config,
-                interner,
-            )
-            .card;
+            cq_card[qi] = compute_fact(whole, model, config, interner).card;
             defaults_of[qi] = cq
                 .atoms
                 .iter()
@@ -305,21 +290,14 @@ impl<'a> BestPlanSearch<'a> {
                 .collect();
         }
         // Canonical ordering of the default signatures (one deep sort, done
-        // before the exponential part begins — or, warm, an integer sort by
-        // the persistent canonical rank, which provably agrees).
+        // before the exponential part begins).
         let mut default_ids: Vec<SigId> = defaults_of
             .iter()
             .flat_map(|d| d.iter().map(|(_, s)| *s))
             .collect();
         default_ids.sort_unstable();
         default_ids.dedup();
-        match warm.as_deref_mut() {
-            Some(w) => {
-                w.ensure_ranked(default_ids.iter().copied(), interner);
-                default_ids.sort_unstable_by_key(|id| w.rank(*id));
-            }
-            None => default_ids.sort_by(|a, b| interner.resolve(*a).cmp(interner.resolve(*b))),
-        }
+        default_ids.sort_by(|a, b| interner.resolve(*a).cmp(interner.resolve(*b)));
         let default_rank: HashMap<SigId, usize> = default_ids
             .iter()
             .enumerate()
@@ -343,21 +321,13 @@ impl<'a> BestPlanSearch<'a> {
                 Some(*end)
             }))
             .collect();
-        // The one `powf` site of the cost model, hoisted out of the
-        // recursion: a query has at most one streaming input per atom.
-        let depth_stride = defaults_of.iter().map(Vec::len).max().unwrap_or(0) + 1;
-        let mut depth = vec![1.0; n_cq * depth_stride];
-        for (qi, atoms) in defaults_of.iter().enumerate() {
-            for m in 0..=atoms.len() {
-                depth[qi * depth_stride + m] = model.depth_fraction(cq_card[qi], m);
-            }
-        }
+        let atoms: Vec<usize> = defaults_of.iter().map(Vec::len).collect();
+        let (depth, depth_stride) = depth_table(model, &cq_card, &atoms);
         let mut search = BestPlanSearch {
             model,
             config,
             interner,
             reuse,
-            warm,
             cands: Vec::new(),
             cand_ids: FxHashMap::default(),
             memo: FxHashMap::default(),
@@ -408,10 +378,9 @@ impl<'a> BestPlanSearch<'a> {
         search
     }
 
-    /// Compute and cache the per-signature facts for `sig`. The
-    /// batch-invariant parts (cardinality, streamability, size) come from
-    /// the lane's warm store when present; residency (`already`) is always
-    /// read live — it tracks the mutable plan graph.
+    /// Compute and cache the per-signature facts for `sig`: cardinality,
+    /// streamability and size from the catalog, residency (`already`) from
+    /// the reuse oracle.
     fn seed_facts(&mut self, sig: SigId) {
         let slot = sig.index();
         if slot >= self.facts.len() {
@@ -420,13 +389,7 @@ impl<'a> BestPlanSearch<'a> {
         if self.facts[slot].is_some() {
             return;
         }
-        let f = crate::heuristics::warm_fact_of(
-            self.warm.as_deref_mut(),
-            sig,
-            self.model,
-            self.config,
-            self.interner,
-        );
+        let f = compute_fact(sig, self.model, self.config, self.interner);
         self.facts[slot] = Some(SigFacts {
             card: f.card,
             streamed: f.streamed,
@@ -1315,7 +1278,8 @@ mod tests {
 
     /// The depth table is `CostModel::depth_fraction`, bit for bit, at every
     /// `(query, stream count)` a search can reach — through each of its
-    /// branches: no expected results, fewer than `k`, and the `powf`.
+    /// branches: no expected results, fewer than `k`, and the `powf` — and
+    /// a search tabulates its queries' catalog cardinalities with it.
     #[test]
     fn depth_table_is_depth_fraction() {
         let cat = catalog(5);
@@ -1328,43 +1292,34 @@ mod tests {
             path_cq(2, &cat, 1, 3),
             path_cq(3, &cat, 2, 2),
         ];
-        let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
-        let table = CqTable::from_queries(query_refs.iter().copied());
-        // The catalog's estimates are all far above k; pin two whole-query
-        // cardinalities through the warm store to reach the other branches.
-        let mut warm = WarmStore::new();
+        let atoms: Vec<usize> = queries.iter().map(|cq| cq.atoms.len()).collect();
         let mut cards: Vec<f64> = queries
             .iter()
             .map(|cq| model.cardinality(&SubExprSig::of_cq(cq)))
             .collect();
-        for (q, card) in [(2, 0.0), (3, 10.0)] {
-            cards[q] = card;
-            let fact = crate::warm::WarmFact {
-                card,
-                streamed: true,
-                size: queries[q].atoms.len() as u32,
-            };
-            warm.set_fact(interner.of_cq(&queries[q]), fact);
-        }
-        let search = BestPlanSearch::new_warm(
-            &model,
-            &NoReuse,
-            &config,
-            query_refs,
-            &mut interner,
-            &table,
-            Some(&mut warm),
+        let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
+        let table = CqTable::from_queries(query_refs.iter().copied());
+        let search =
+            BestPlanSearch::new(&model, &NoReuse, &config, query_refs, &mut interner, &table);
+        assert_eq!(
+            (search.depth.clone(), search.depth_stride),
+            depth_table(&model, &cards, &atoms)
         );
-        for (q, cq) in queries.iter().enumerate() {
-            for m in 0..=cq.atoms.len() {
+        // The catalog's estimates are all far above k; pin two whole-query
+        // cardinalities to reach the other branches.
+        cards[2] = 0.0;
+        cards[3] = 10.0;
+        let (depth, stride) = depth_table(&model, &cards, &atoms);
+        for (q, &n) in atoms.iter().enumerate() {
+            for m in 0..=n {
                 assert_eq!(
-                    search.depth[q * search.depth_stride + m].to_bits(),
+                    depth[q * stride + m].to_bits(),
                     model.depth_fraction(cards[q], m).to_bits(),
                     "query {q} with {m} streams"
                 );
             }
         }
-        let at = |q: usize, m: usize| search.depth[q * search.depth_stride + m];
+        let at = |q: usize, m: usize| depth[q * stride + m];
         assert!(at(0, 1) < at(0, 5) && at(0, 5) < 1.0, "powf branch");
         assert_eq!(at(0, 0), at(0, 1), "no streams reads like one");
         assert_eq!((at(2, 1), at(2, 3)), (1.0, 1.0), "result_card <= 0");

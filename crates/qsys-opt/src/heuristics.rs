@@ -21,7 +21,6 @@
 //! B-tree.
 
 use crate::cost::CostModel;
-use crate::warm::{WarmFact, WarmStore};
 use qsys_query::{enumerate_subexprs, ConjunctiveQuery, CqSet, CqTable, SigId, SigInterner};
 use qsys_types::RelId;
 use std::collections::HashMap;
@@ -90,15 +89,27 @@ pub(crate) fn is_streamable(model: &CostModel<'_>, rel: RelId, config: &Heuristi
     r.has_score() || r.stats.cardinality < config.probe_threshold
 }
 
-/// A signature's batch-invariant cost inputs, computed from the catalog.
-fn compute_fact(
+/// A signature's cost inputs, derived from the catalog.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fact {
+    /// Estimated result cardinality.
+    pub(crate) card: f64,
+    /// Whether every covered relation is streamable (heuristic 2).
+    pub(crate) streamed: bool,
+    /// Atom count.
+    pub(crate) size: u32,
+}
+
+/// A signature's cost inputs: the single definition candidate enumeration
+/// and both BestPlan seeding sites go through.
+pub(crate) fn compute_fact(
     sig: SigId,
     model: &CostModel<'_>,
     config: &HeuristicConfig,
     interner: &SigInterner,
-) -> WarmFact {
+) -> Fact {
     let resolved = interner.resolve(sig);
-    WarmFact {
+    Fact {
         card: model.cardinality(resolved),
         streamed: resolved
             .atoms
@@ -108,79 +119,25 @@ fn compute_fact(
     }
 }
 
-/// Read-through of a signature's batch-invariant cost inputs: served from
-/// the warm store when cached there, computed (and, with a store,
-/// published) otherwise. The single definition every optimizer path —
-/// candidate enumeration and both BestPlan seeding sites — goes through,
-/// so cached facts cannot diverge between consumers.
-pub(crate) fn warm_fact_of(
-    warm: Option<&mut WarmStore>,
-    sig: SigId,
-    model: &CostModel<'_>,
-    config: &HeuristicConfig,
-    interner: &SigInterner,
-) -> WarmFact {
-    match warm {
-        Some(w) => {
-            if let Some(f) = w.fact(sig) {
-                return f;
-            }
-            let f = compute_fact(sig, model, config, interner);
-            w.set_fact(sig, f);
-            f
-        }
-        None => compute_fact(sig, model, config, interner),
-    }
-}
-
 /// Enumerate push-down candidates for a query batch, applying all pruning
-/// heuristics. Returns candidates sorted by descending sharing degree then
-/// ascending cardinality.
-#[cfg(test)]
+/// heuristics; `whole_of[i]` is `queries[i]`'s interned whole-query
+/// signature. Returns the base candidates, then the multi-relation ones by
+/// descending sharing degree and ascending cardinality.
 pub(crate) fn enumerate_candidates(
-    queries: &[&ConjunctiveQuery],
-    model: &CostModel<'_>,
-    config: &HeuristicConfig,
-    interner: &mut SigInterner,
-    table: &CqTable,
-) -> Vec<Candidate> {
-    let whole_of: Vec<SigId> = queries.iter().map(|cq| interner.of_cq(cq)).collect();
-    enumerate_candidates_warm(queries, &whole_of, model, config, interner, table, None)
-}
-
-/// [`enumerate_candidates`] with a lane-persistent warm store: recurring
-/// query shapes (keyed by their whole-query signature, `whole_of[i]` for
-/// `queries[i]`) skip subexpression enumeration, and per-signature
-/// cardinalities, heuristic-3a verdicts, and the canonical processing
-/// order come from the store. The candidate list is bit-identical to a
-/// cold enumeration — every cached quantity is a pure function of the
-/// catalog and `config`, which the store fingerprints.
-pub(crate) fn enumerate_candidates_warm(
     queries: &[&ConjunctiveQuery],
     whole_of: &[SigId],
     model: &CostModel<'_>,
     config: &HeuristicConfig,
     interner: &mut SigInterner,
     table: &CqTable,
-    mut warm: Option<&mut WarmStore>,
 ) -> Vec<Candidate> {
     // Pool subexpressions across queries via interned canonical signatures
     // (what an AND-OR graph's OR nodes share): sharing detection is a u32 map
     // probe per enumerated subexpression, and the sharer set is a bitmask
-    // insert. The set of streamable subexpression signatures is determined
-    // by the whole-query signature alone, so a warm hit replays it without
-    // walking connected subgraphs (and without interning: a cache hit means
-    // every member signature already exists).
+    // insert.
     let mut pool: HashMap<SigId, CqSet> = HashMap::new();
-    for (cq, &whole) in queries.iter().zip(whole_of) {
+    for cq in queries {
         let qi = table.idx(cq.id);
-        if let Some(sigs) = warm.as_deref_mut().and_then(|w| w.cq_candidates(whole)) {
-            for &sig in sigs {
-                pool.entry(sig).or_default().insert(qi);
-            }
-            continue;
-        }
-        let mut sigs: Vec<SigId> = Vec::new();
         for sig in enumerate_subexprs(cq, 1, config.max_candidate_atoms) {
             // Heuristic 2: every atom of a pushed-down candidate must be
             // streamable, otherwise the source could not deliver results in
@@ -192,34 +149,16 @@ pub(crate) fn enumerate_candidates_warm(
             {
                 continue;
             }
-            sigs.push(interner.intern(sig));
-        }
-        for &sig in &sigs {
-            pool.entry(sig).or_default().insert(qi);
-        }
-        if let Some(w) = warm.as_deref_mut() {
-            sigs.sort_unstable();
-            sigs.dedup();
-            w.set_cq_candidates(whole, sigs.into());
+            pool.entry(interner.intern(sig)).or_default().insert(qi);
         }
     }
     // Deterministic processing order (canonical signature order, as the
-    // deep-keyed B-tree pool produced): one deep sort per batch — or, warm,
-    // an integer sort by the store's persistent canonical rank, which
-    // agrees with the deep order by construction.
+    // deep-keyed B-tree pool produced): one deep sort per batch.
     let mut pooled: Vec<(SigId, CqSet)> = pool.into_iter().collect();
-    match warm.as_deref_mut() {
-        Some(w) => {
-            w.ensure_ranked(pooled.iter().map(|(s, _)| *s), interner);
-            pooled.sort_unstable_by_key(|(s, _)| w.rank(*s));
-        }
-        None => pooled.sort_by(|(a, _), (b, _)| interner.resolve(*a).cmp(interner.resolve(*b))),
-    }
+    pooled.sort_by(|(a, _), (b, _)| interner.resolve(*a).cmp(interner.resolve(*b)));
 
-    // Batch-invariant cardinality, via the warm store when present.
-    let card_of = |sig: SigId, interner: &SigInterner, warm: &mut Option<&mut WarmStore>| {
-        warm_fact_of(warm.as_deref_mut(), sig, model, config, interner).card
-    };
+    let card_of =
+        |sig: SigId, interner: &SigInterner| compute_fact(sig, model, config, interner).card;
 
     let mut out = Vec::new();
     for (sig, mut using) in pooled {
@@ -238,35 +177,23 @@ pub(crate) fn enumerate_candidates_warm(
             });
             continue;
         }
-        // Heuristic 3a: drop candidates expensive to compute at the source
-        // (a catalog/config-determined verdict, cached per signature).
-        let expensive = match warm.as_deref_mut().and_then(|w| w.expensive(sig)) {
-            Some(v) => v,
-            None => {
-                let v = interner.resolve(sig).joins.iter().any(|(lr, lc, rr, rc)| {
-                    match model.catalog().edge_between(*lr, *rr) {
-                        Some(e) => {
-                            // Must be the same join columns to reuse the
-                            // edge stats.
-                            let cols_match =
-                                (e.from == *lr && e.from_col == *lc && e.to_col == *rc)
-                                    || (e.to == *lr && e.to_col == *lc && e.from_col == *rc);
-                            !cols_match || e.fanout > config.max_source_fanout
-                        }
-                        None => true, // non key-key join
-                    }
-                });
-                if let Some(w) = warm.as_deref_mut() {
-                    w.set_expensive(sig, v);
+        // Heuristic 3a: drop candidates expensive to compute at the source.
+        let expensive = interner.resolve(sig).joins.iter().any(|(lr, lc, rr, rc)| {
+            match model.catalog().edge_between(*lr, *rr) {
+                Some(e) => {
+                    // Must be the same join columns to reuse the edge stats.
+                    let cols_match = (e.from == *lr && e.from_col == *lc && e.to_col == *rc)
+                        || (e.to == *lr && e.to_col == *lc && e.from_col == *rc);
+                    !cols_match || e.fanout > config.max_source_fanout
                 }
-                v
+                None => true, // non key-key join
             }
-        };
+        });
         if expensive {
             continue;
         }
         // Heuristic 1/3b: keep if shared enough or cheap.
-        let card = card_of(sig, interner, &mut warm);
+        let card = card_of(sig, interner);
         if using.len() < config.min_sharing && card > config.low_cardinality {
             continue;
         }
@@ -275,7 +202,7 @@ pub(crate) fn enumerate_candidates_warm(
         if using.len() == 1 {
             let cq_id = table.id(using.first().expect("nonempty"));
             if let Some(pos) = queries.iter().position(|c| c.id == cq_id) {
-                if card_of(whole_of[pos], interner, &mut warm) < model.k() as f64 {
+                if card_of(whole_of[pos], interner) < model.k() as f64 {
                     using = CqSet::new();
                 }
             }
@@ -295,7 +222,7 @@ pub(crate) fn enumerate_candidates_warm(
     let mut multi: Vec<(Candidate, f64)> = multi
         .into_iter()
         .map(|c| {
-            let card = card_of(c.sig, interner, &mut warm);
+            let card = card_of(c.sig, interner);
             (c, card)
         })
         .collect();
@@ -393,6 +320,19 @@ mod tests {
         ConjunctiveQuery::new(CqId::new(id), UqId::new(0), UserId::new(0), atoms, joins)
     }
 
+    /// Enumerate with the whole-query signatures interned first, as the
+    /// optimizer does.
+    fn enumerate(
+        queries: &[&ConjunctiveQuery],
+        model: &CostModel<'_>,
+        config: &HeuristicConfig,
+        interner: &mut SigInterner,
+        table: &CqTable,
+    ) -> Vec<Candidate> {
+        let whole_of: Vec<SigId> = queries.iter().map(|cq| interner.of_cq(cq)).collect();
+        enumerate_candidates(queries, &whole_of, model, config, interner, table)
+    }
+
     #[test]
     fn scoreless_large_relation_is_not_streamable() {
         let cat = catalog();
@@ -421,7 +361,7 @@ mod tests {
         let q1 = cq(0, &cat, &["A", "B"]);
         let q2 = cq(1, &cat, &["A", "B", "C"]);
         let table = CqTable::from_queries([&q1, &q2]);
-        let candidates = enumerate_candidates(&[&q1, &q2], &model, &config, &mut interner, &table);
+        let candidates = enumerate(&[&q1, &q2], &model, &config, &mut interner, &table);
         // A⋈B is shared by both queries and both atoms are streamable.
         let ab = candidates
             .iter()
@@ -441,7 +381,7 @@ mod tests {
         let c_rel = cat.relation_by_name("C").unwrap().id;
         let q = cq(0, &cat, &["A", "B", "C"]);
         let table = CqTable::from_queries([&q]);
-        let candidates = enumerate_candidates(&[&q], &model, &config, &mut interner, &table);
+        let candidates = enumerate(&[&q], &model, &config, &mut interner, &table);
         assert!(
             candidates
                 .iter()
@@ -462,7 +402,7 @@ mod tests {
         let mut interner = SigInterner::new();
         let q = cq(0, &cat, &["A", "B"]);
         let table = CqTable::from_queries([&q]);
-        let candidates = enumerate_candidates(&[&q], &model, &config, &mut interner, &table);
+        let candidates = enumerate(&[&q], &model, &config, &mut interner, &table);
         // A⋈B has cardinality 10000*8000/1000 = 80000: too big, unshared.
         assert!(candidates.iter().all(|c| interner.size(c.sig) == 1));
     }
@@ -479,7 +419,7 @@ mod tests {
         let q1 = cq(0, &cat, &["A", "B"]);
         let q2 = cq(1, &cat, &["A", "B"]);
         let table = CqTable::from_queries([&q1, &q2]);
-        let candidates = enumerate_candidates(&[&q1, &q2], &model, &config, &mut interner, &table);
+        let candidates = enumerate(&[&q1, &q2], &model, &config, &mut interner, &table);
         assert!(candidates.iter().all(|c| interner.size(c.sig) == 1));
         assert!(!candidates.is_empty(), "base candidates always survive");
     }

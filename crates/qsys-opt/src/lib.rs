@@ -19,13 +19,8 @@
 //! operation: reuse-aware cost adjustment (via a [`ReuseOracle`] answered
 //! by the QS manager) and hierarchical user-query clustering. When that
 //! oracle reports every query of a batch resident whole, the batch searches
-//! no push-down.
-//!
-//! Across batches, the search warm-starts from lane-persistent caches of
-//! its batch-invariant inputs (the [`warm`] module): per-signature cost
-//! inputs, candidate enumerations and the canonical processing order recur
-//! across the query stream and are read back instead of re-derived. Every
-//! batch still searches, with bit-identical decisions either way.
+//! no push-down. Every other batch derives its search inputs afresh: the
+//! optimizer keeps nothing of its own across batches.
 
 pub mod bestplan;
 pub mod cluster;
@@ -33,7 +28,6 @@ pub mod cost;
 pub mod heuristics;
 pub mod plan;
 pub mod retired;
-pub mod warm;
 
 pub use bestplan::OptStats;
 pub use cluster::{cluster_user_queries, ClusterConfig};
@@ -41,4 +35,3 @@ pub use cost::{NoReuse, ReuseOracle};
 pub use heuristics::{Candidate, HeuristicConfig};
 pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
 pub use retired::{AdaptiveConfig, ShardConfig};
-pub use warm::{shared_warm, SharedWarm, WarmExport};

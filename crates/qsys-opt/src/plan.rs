@@ -18,8 +18,8 @@
 
 use crate::bestplan::{Assignment, BestPlanSearch, OptStats};
 use crate::cost::{CostModel, ReuseOracle};
-use crate::heuristics::{enumerate_candidates_warm, is_streamable, HeuristicConfig};
-use crate::warm::WarmCell;
+use crate::heuristics::{enumerate_candidates, is_streamable, HeuristicConfig};
+use crate::retired::WarmCell;
 use qsys_catalog::Catalog;
 use qsys_query::{ConjunctiveQuery, CqSet, CqTable, ScoreFn, SigCell, SigId, SigInterner};
 use qsys_types::{CostProfile, CqId, RelId, Selection, SimClock, TimeCategory, UqId, UserId};
@@ -145,19 +145,6 @@ impl Default for OptimizerConfig {
     }
 }
 
-impl OptimizerConfig {
-    /// Fingerprint of every configuration input a cached warm quantity
-    /// depends on; [`WarmStore::ensure_config`] resets a lane's store on
-    /// mismatch. (The catalog is not included: a lane keeps one catalog
-    /// for life.)
-    pub(crate) fn warm_fingerprint(&self) -> String {
-        format!(
-            "{:?}|{:?}|k={}|share={}",
-            self.heuristics, self.cost_profile, self.k, self.share_subexpressions
-        )
-    }
-}
-
 /// The multiple-query optimizer.
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
@@ -171,30 +158,13 @@ impl<'a> Optimizer<'a> {
         Optimizer { catalog, config }
     }
 
-    /// Optimize a batch of conjunctive queries into a plan spec (cold — no
-    /// cross-batch warm store; see [`Optimizer::optimize_warm`]).
+    /// Optimize a batch of conjunctive queries into a plan spec.
     ///
     /// `reuse` reports (and pins) in-memory state from prior executions;
     /// `clock` receives the optimization-time charge (Figure 11);
     /// `interner` is the lane's shared signature interner — the spec's
     /// [`SigId`]s, the reuse oracle's keys, and the plan graph's index all
     /// name signatures through it.
-    pub fn optimize(
-        &self,
-        batch: &[(&ConjunctiveQuery, &ScoreFn)],
-        reuse: &dyn ReuseOracle,
-        clock: Option<&SimClock>,
-        interner: &SigCell,
-    ) -> (PlanSpec, OptStats) {
-        self.optimize_warm(batch, reuse, clock, interner, None)
-    }
-
-    /// [`Optimizer::optimize`] with a lane-persistent warm store (see the
-    /// [`warm`](crate::warm) module): batch-invariant cost inputs,
-    /// candidate enumerations, and the canonical processing order are
-    /// served from `warm`; the search itself runs every batch. Decisions,
-    /// statistics, and the simulated optimize charge are bit-identical to
-    /// a cold run — the store is a cache, never a policy change.
     ///
     /// Under subexpression sharing, a batch whose every query's whole
     /// signature `reuse` reports resident enumerates no push-down
@@ -203,13 +173,12 @@ impl<'a> Optimizer<'a> {
     /// it, so a searched candidate could not change the graph. Such a batch
     /// pins nothing; the roots it merges with gain consumers at graft,
     /// which keeps them and their producers from eviction.
-    pub fn optimize_warm(
+    pub fn optimize(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
         reuse: &dyn ReuseOracle,
         clock: Option<&SimClock>,
         interner: &SigCell,
-        warm: Option<&WarmCell>,
     ) -> (PlanSpec, OptStats) {
         let model = CostModel::new(self.catalog, self.config.cost_profile, self.config.k);
         let queries: Vec<&ConjunctiveQuery> = batch.iter().map(|(cq, _)| *cq).collect();
@@ -218,14 +187,8 @@ impl<'a> Optimizer<'a> {
         let table = CqTable::from_queries(queries.iter().copied());
 
         let mut guard = interner.borrow_mut();
-        let mut warm_guard = warm.map(|w| w.borrow_mut());
-        if let Some(w) = warm_guard.as_deref_mut() {
-            w.ensure_config(&self.fingerprint());
-            w.begin_batch();
-        }
-        // Whole-query signatures, in batch order. Interned here on the
-        // cold path too, so warm and cold lanes assign identical ids in
-        // identical order (the bit-identity tests compare spec dumps).
+        // Whole-query signatures, in batch order, interned before any
+        // subexpression (the goldens compare spec dumps, ids included).
         let whole_of: Vec<SigId> = queries.iter().map(|cq| guard.of_cq(cq)).collect();
 
         // A batch whose every query is resident whole searches no push-down
@@ -233,14 +196,13 @@ impl<'a> Optimizer<'a> {
         let candidates = if self.config.share_subexpressions
             && !whole_of.iter().all(|&w| reuse.streamed(w).is_some())
         {
-            enumerate_candidates_warm(
+            enumerate_candidates(
                 &queries,
                 &whole_of,
                 &model,
                 &self.config.heuristics,
                 &mut guard,
                 &table,
-                warm_guard.as_deref_mut(),
             )
         } else {
             Vec::new()
@@ -254,19 +216,15 @@ impl<'a> Optimizer<'a> {
                 reuse.pin(c.sig);
             }
         }
-        let search = BestPlanSearch::new_warm(
+        let search = BestPlanSearch::new(
             &model,
             reuse,
             &self.config.heuristics,
             queries.clone(),
             &mut guard,
             &table,
-            warm_guard.as_deref_mut(),
         );
-        let (assignment, mut stats) = search.run(candidates);
-        if let Some(w) = warm_guard.as_deref() {
-            stats.warm_fact_hits = w.batch_hits();
-        }
+        let (assignment, stats) = search.run(candidates);
         if let Some(clock) = clock {
             clock.charge(
                 TimeCategory::Optimize,
@@ -277,11 +235,17 @@ impl<'a> Optimizer<'a> {
         (spec, stats)
     }
 
-    /// Fingerprint of every configuration input a cached warm quantity
-    /// depends on; a mismatch resets the lane's store. (The catalog is not
-    /// included — a lane keeps one catalog for life, like its interner.)
-    fn fingerprint(&self) -> String {
-        self.config.warm_fingerprint()
+    /// [`Optimizer::optimize`], under the name the benchmark's shadow lane
+    /// calls; the retired warm-store handle is ignored.
+    pub fn optimize_warm(
+        &self,
+        batch: &[(&ConjunctiveQuery, &ScoreFn)],
+        reuse: &dyn ReuseOracle,
+        clock: Option<&SimClock>,
+        interner: &SigCell,
+        _: Option<&WarmCell>,
+    ) -> (PlanSpec, OptStats) {
+        self.optimize(batch, reuse, clock, interner)
     }
 
     /// Section 5.2: factor the assignment into a shared component DAG.

@@ -1,10 +1,11 @@
-//! Retired subsystems' config types, each with exactly one value.
+//! Retired subsystems' types, each with exactly one value.
 //!
-//! Lane sharding and adaptive mid-flight re-planning are gone: ATC-CL runs
-//! one lane per cluster, and every batch runs the plan it was grafted with.
-//! Their `EngineConfig` fields remain only because the benchmark's config
-//! literal names every field. ROADMAP item 1(b) un-pins that literal and
-//! deletes this module with the fields.
+//! Lane sharding, adaptive mid-flight re-planning and the optimizer's warm
+//! store are gone: ATC-CL runs one lane per cluster, every batch runs the
+//! plan it was grafted with, and every batch derives its search inputs
+//! afresh. Their `EngineConfig` fields and handles remain only because the
+//! benchmark names them. ROADMAP item 1(b) un-pins the benchmark and
+//! deletes this module with them.
 
 /// The retired lane-sharding knob, carried by `EngineConfig::sharding`.
 /// Its only value is [`ShardConfig::off`].
@@ -29,3 +30,11 @@ impl AdaptiveConfig {
         AdaptiveConfig(())
     }
 }
+
+/// The retired optimizer warm store's handle, carried by
+/// `QsManager::warm_cell` and accepted (and ignored) by
+/// [`Optimizer::optimize_warm`](crate::Optimizer::optimize_warm). It holds
+/// nothing: the store decided bit-identically to a cold search and ran no
+/// faster.
+#[derive(Debug, Default)]
+pub struct WarmCell;

@@ -2,12 +2,12 @@
 //!
 //! The layers of sharing machinery — the hash-consed signature arena, the
 //! refcounted access-module arena, the plan graph the QS manager grafts
-//! into, the warm-store caches — each maintain structural invariants that the answer-identity goldens only
-//! check *indirectly*: a golden catches that something broke, never what
-//! or where. This crate is the direct check: a pure, read-only pass over
-//! the system's own data structures that reports every violated invariant
-//! as a structured [`Violation`] with a breadcrumb path to the offending
-//! slot.
+//! into — each maintain structural invariants that the answer-identity
+//! goldens only check *indirectly*: a golden catches that something broke,
+//! never what or where. This crate is the direct check: a pure, read-only
+//! pass over the system's own data structures that reports every violated
+//! invariant as a structured [`Violation`] with a breadcrumb path to the
+//! offending slot.
 //!
 //! Nothing here mutates anything, takes locks beyond the lane's own
 //! reader guards, or changes a decision: the verifier is a diagnostic
@@ -23,16 +23,15 @@
 use qsys_exec::access::ModuleId;
 use qsys_exec::state::QsManager;
 use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
-use qsys_opt::warm::WarmExport;
-use qsys_query::{SigId, SigInterner, SubExprSig};
+use qsys_query::{SigInterner, SubExprSig};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The invariant class a [`Violation`] breaks, so a detector can assert it
 /// flagged *the planted defect* and not a coincidental neighbour. The
 /// mutation harness (`tests/verify_invariants.rs`) plants `RefcountSkew`,
-/// `GraphMalformed`, `IdOutOfRange` and `WarmDisorder`, and this crate's
-/// unit tests plant `MalformedSig`; `OrphanLeaf` and `QuarantineLeak` are
+/// `GraphMalformed` and `IdOutOfRange`, and this crate's unit tests plant
+/// `MalformedSig`; `OrphanLeaf` and `QuarantineLeak` are
 /// checked on every verified run but have no planted case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViolationClass {
@@ -53,9 +52,6 @@ pub enum ViolationClass {
     /// A freshly grafted rank-merge sits above a quarantined stream leaf,
     /// which the reuse oracle promises never to hand out.
     QuarantineLeak,
-    /// Warm-store export ordering broken (facts/candidates not id-sorted,
-    /// canonical order not strictly deep-increasing).
-    WarmDisorder,
 }
 
 impl fmt::Display for ViolationClass {
@@ -65,7 +61,7 @@ impl fmt::Display for ViolationClass {
 }
 
 /// One violated invariant: the class, a breadcrumb path into the
-/// structure (`lane[1]/warm/canon_order[3]`), and what was found there.
+/// structure (`lane[1]/graph/node[3]`), and what was found there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Which invariant class broke.
@@ -189,82 +185,6 @@ fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violation>
 /// present exactly once.
 pub fn verify_interner(interner: &SigInterner, path: &str) -> Vec<Violation> {
     verify_interner_entries(&interner.export_entries(), path)
-}
-
-// ---------------------------------------------------------------------------
-// Warm-store invariants.
-// ---------------------------------------------------------------------------
-
-/// Check a warm-store export against the interner its ids index: id
-/// bounds and the export's sorted-order contracts.
-pub fn verify_warm_export(
-    export: &WarmExport,
-    interner: &SigInterner,
-    path: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let n = interner.len();
-    let check_bound = |out: &mut Vec<Violation>, id: SigId, at: &str| {
-        if id.index() >= n {
-            out.push(Violation::new(
-                ViolationClass::IdOutOfRange,
-                at,
-                format!("{id:?} out of range (interner len {n})"),
-            ));
-        }
-    };
-    if !export.facts.windows(2).all(|w| w[0].0 < w[1].0) {
-        out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/facts"),
-            "facts not strictly ascending by sig id",
-        ));
-    }
-    for (id, _) in &export.facts {
-        check_bound(&mut out, *id, &format!("{path}/facts"));
-    }
-    if !export.expensive.windows(2).all(|w| w[0].0 < w[1].0) {
-        out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/expensive"),
-            "expensive marks not strictly ascending by sig id",
-        ));
-    }
-    for (id, _) in &export.expensive {
-        check_bound(&mut out, *id, &format!("{path}/expensive"));
-    }
-    if !export.cq_candidates.windows(2).all(|w| w[0].0 < w[1].0) {
-        out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/cq_candidates"),
-            "candidate memo keys not strictly ascending",
-        ));
-    }
-    for (whole, cands) in &export.cq_candidates {
-        check_bound(&mut out, *whole, &format!("{path}/cq_candidates"));
-        for c in cands.iter() {
-            check_bound(&mut out, *c, &format!("{path}/cq_candidates[{whole:?}]"));
-        }
-    }
-    // Canonical rank order: strictly increasing by *resolved signature*
-    // (deep order), which is what lets an integer sort by rank stand in for
-    // a deep sort.
-    for (i, id) in export.canon_order.iter().enumerate() {
-        check_bound(&mut out, *id, &format!("{path}/canon_order[{i}]"));
-    }
-    if export.canon_order.iter().all(|id| id.index() < n)
-        && !export
-            .canon_order
-            .windows(2)
-            .all(|w| interner.resolve(w[0]) < interner.resolve(w[1]))
-    {
-        out.push(Violation::new(
-            ViolationClass::WarmDisorder,
-            format!("{path}/canon_order"),
-            "canonical order not strictly deep-increasing",
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -607,19 +527,14 @@ pub fn verify_no_quarantined_grafts(manager: &QsManager, path: &str) -> Vec<Viol
 // Lane entry point.
 // ---------------------------------------------------------------------------
 
-/// Verify one execution lane end to end: interner arena, warm store, and
-/// the plan graph with module-refcount accounting. Pure and read-only
-/// (borrows the lane's interner and warm cells for reading; never
-/// mutates).
+/// Verify one execution lane end to end: interner arena and the plan graph
+/// with module-refcount accounting. Pure and read-only (borrows the lane's
+/// interner for reading; never mutates).
 pub fn verify_lane(manager: &QsManager) -> VerifyReport {
     let mut out = Vec::new();
     let interner_cell = manager.shared_interner();
     let interner = interner_cell.borrow();
     out.extend(verify_interner(&interner, "lane/interner"));
-    let warm_cell = manager.warm_cell();
-    let warm = warm_cell.borrow();
-    out.extend(verify_warm_export(&warm.export(), &interner, "lane/warm"));
-    drop(warm);
     drop(interner);
     out.extend(verify_manager(manager, "lane/graph"));
     VerifyReport { violations: out }

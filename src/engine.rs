@@ -98,11 +98,10 @@ pub struct EngineConfig {
     /// sequential lane order. Defaults to the machine's available
     /// parallelism.
     pub lane_threads: usize,
-    /// Feed each batch's search from the lane's cross-batch caches of its
-    /// batch-invariant inputs (`qsys_opt::warm`: cost facts, candidate
-    /// enumerations, canonical rank). Every batch searches either way and
-    /// decisions are bit-identical — the store is a cache, never a policy
-    /// change — so this knob only trades host time. Defaults to on.
+    /// Retired: the optimizer's warm store is gone and every batch derives
+    /// its search inputs afresh, so nothing reads this field and both
+    /// values are accepted. It remains only because the benchmark's config
+    /// literal names every field; ROADMAP item 1(b) removes it.
     pub warm_opt: bool,
     /// Deterministic fault schedule for the source layer (chaos testing).
     /// `None` — the default — leaves every fetch infallible and execution
@@ -543,18 +542,10 @@ impl Lane {
         let optimizer = Optimizer::new(cx.catalog, opt_config);
         let (spec, opt_stats) = {
             // The lane's shared interner: the spec's signature ids must be the
-            // ones the manager's reuse index is keyed on. The warm store rides
-            // along (same ids) unless the config runs the optimizer cold.
+            // ones the manager's reuse index is keyed on.
             let interner = self.manager.shared_interner();
-            let warm = cx.config.warm_opt.then(|| self.manager.warm_cell());
             let oracle = self.manager.reuse_oracle();
-            optimizer.optimize_warm(
-                &batch,
-                &oracle,
-                Some(self.sources.clock()),
-                &interner,
-                warm.as_deref(),
-            )
+            optimizer.optimize(&batch, &oracle, Some(self.sources.clock()), &interner)
         };
         let outcome = self.manager.graft(&spec, &self.sources, cx.config.k);
         self.opt_events
@@ -714,7 +705,6 @@ mod tests {
         );
         // Every feature beyond the paper is off, and nothing is inherited
         // from the process environment.
-        assert!(c.warm_opt, "warm start is a cache, on by default");
         assert!(c.faults.is_none());
         assert_eq!(c.snapshot_dir, None);
         assert_eq!(c.sharding, ShardConfig::off());

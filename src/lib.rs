@@ -62,7 +62,7 @@
 //! | simulated remote DBMSs | `qsys-source` |
 //! | CQs, scoring, candidate networks, sharing vocabulary (`SigInterner` ids, `CqSet` batch bitmasks) | `qsys-query` |
 //! | operators, plan graph, ATC | `qsys-exec` |
-//! | multi-query optimizer (arena-indexed BestPlan behind a `u64` mask memo, warm store, clustering) | `qsys-opt` |
+//! | multi-query optimizer (arena-indexed BestPlan behind a `u64` mask memo, clustering) | `qsys-opt` |
 //! | state manager (graft/recover/evict, policy via `EngineConfig::eviction`) | `qsys-exec` (`qsys_exec::state`) |
 //! | invariant verifier + repo lint (see [`Engine::verify`]) | `qsys-verify` |
 //! | workload generators | `qsys-workload` |
@@ -77,13 +77,10 @@
 //! decisions pinned bit-for-bit by the goldens in
 //! `tests/interner_invariants.rs`.
 //!
-//! Across batches the optimizer **warm-starts** from lane-persistent
-//! caches of its search's batch-invariant inputs (`opt::warm`, owned by
-//! each lane's QS manager): recurring signatures skip cost-input
-//! derivation and recurring query shapes skip candidate enumeration. Every
-//! batch still runs the one search, bit-identically to a cold run, as the
-//! same goldens prove. `EngineConfig::warm_opt = false` selects the cold
-//! path.
+//! The optimizer keeps nothing of its own across batches: each batch
+//! derives its search inputs afresh against the state resident at that
+//! moment (Section 6.1), and only the lane's interner and plan graph
+//! persist. `EngineConfig::warm_opt` is retired and read by nothing.
 //!
 //! Execution is organized into `Send` **lanes** (plan graph + ATC + source
 //! registry + clock + admission window), an implementation detail behind

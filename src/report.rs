@@ -118,9 +118,6 @@ pub struct OptEvent {
     pub opt_us: u64,
     /// Always 0: every batch searches. Kept because `perf/` reads it by name.
     pub warm_hits: usize,
-    /// Warm-store cache hits (cost inputs, candidate enumerations) that fed
-    /// this batch's search; 0 with `EngineConfig::warm_opt` off.
-    pub warm_fact_hits: usize,
 }
 
 impl OptEvent {
@@ -134,7 +131,6 @@ impl OptEvent {
             explored: opt.explored,
             opt_us: opt.explored as u64 * step_us,
             warm_hits: opt.warm_hits,
-            warm_fact_hits: opt.warm_fact_hits,
         }
     }
 }
@@ -377,19 +373,20 @@ mod tests {
     #[test]
     fn opt_events_sum() {
         let mut r = RunReport::default();
-        let searched = |candidates, explored, warm_fact_hits| OptStats {
+        let searched = |candidates, explored| OptStats {
             candidates,
             explored,
-            warm_fact_hits,
             ..OptStats::default()
         };
-        r.opt_events.push(OptEvent::new(3, &searched(1, 10, 0), 15));
-        r.opt_events.push(OptEvent::new(2, &searched(0, 1, 7), 20));
+        r.opt_events.push(OptEvent::new(3, &searched(1, 10), 15));
+        r.opt_events.push(OptEvent::new(2, &searched(0, 1), 20));
         assert_eq!(
             r.opt_us(),
             150 + 20,
             "each event at the step it was charged"
         );
-        assert_eq!(r.opt_events[1].warm_fact_hits, 7);
+        let last = r.opt_events[1];
+        assert_eq!((last.batch_cqs, last.candidates, last.explored), (2, 0, 1));
+        assert_eq!(last.warm_hits, 0);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! - [`Engine`] is the long-lived system: it owns the catalog, the source
 //!   provider, and the execution **lanes** (plan graph + shared interner +
-//!   warm store + eviction state + ATC), and drives them — on worker
-//!   threads when more than one lane has work.
+//!   eviction state + ATC), and drives them — on worker threads when more
+//!   than one lane has work.
 //! - [`Engine::session`] opens a lightweight per-user [`Session`];
 //!   [`Session::submit`] converts a keyword query into candidate networks
 //!   and *admits* it, returning a [`QueryTicket`] immediately.
@@ -566,7 +566,7 @@ impl Engine {
     }
 
     /// Run the full invariant verifier over every lane — its interner
-    /// arena, warm store and plan graph — regardless of
+    /// arena and plan graph — regardless of
     /// [`EngineConfig::verify`]. This is the audit entry point used by
     /// `reproduce verify` and the mutation tests; the phase hooks use the
     /// same checks but panic via [`VerifyReport::assert_clean`] instead of

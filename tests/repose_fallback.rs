@@ -1,5 +1,5 @@
 //! A re-posed batch skips the push-down search only when every one of its
-//! conjunctive queries is resident whole (`Optimizer::optimize_warm`).
+//! conjunctive queries is resident whole (`Optimizer::optimize`).
 //! Here a root stops being mergeable in the two ways the engine has: a
 //! fault schedule quarantined a stream leaf below it (the reuse oracle
 //! never advertises quarantined state), or a memory budget evicted it. A

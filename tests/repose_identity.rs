@@ -29,7 +29,7 @@
 //!
 //! Poses 1–3 were re-recorded once more when a batch whose every
 //! conjunctive query is resident whole stopped searching push-down
-//! candidates (`Optimizer::optimize_warm`): graft merges each such root
+//! candidates (`Optimizer::optimize`): graft merges each such root
 //! with its live node, so the search could not change the graph. Every
 //! re-posed batch of all three seeds takes that path, and each line was
 //! derived by rule from the one before it: Σexplored falls to the batch

@@ -4,8 +4,8 @@
 //!
 //! 1. **Seeded corruption, one per invariant family** — build a structure
 //!    that verifies clean, apply exactly one class of damage (a refcount
-//!    skew, a dangling id or a misordered rank in a live warm store's
-//!    export, a stream bound changed behind the executor's bound table, a
+//!    skew, a plan-graph node naming a signature past its interner's end,
+//!    a stream bound changed behind the executor's bound table, a
 //!    shared stored module out of step with one of its consumers, a
 //!    stream-fed input storing outside its leaf's module), and require
 //!    that the verifier reports *that* class and nothing else. A verifier
@@ -27,8 +27,7 @@ use qsys_exec::mjoin::{MJoin, MJoinInput};
 use qsys_exec::state::QsManager;
 use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
 use qsys_opt::cluster::ClusterConfig;
-use qsys_opt::{Optimizer, OptimizerConfig};
-use qsys_query::{ConjunctiveQuery, ScoreFn, SigId};
+use qsys_query::SigId;
 use qsys_source::{Sources, Table};
 use qsys_types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple};
 use qsys_workload::gus::{self, GusConfig};
@@ -73,47 +72,32 @@ proptest! {
         }
     }
 
-    /// Corruption class 2: a live lane's warm store, exported, verifies
-    /// clean against the lane's interner. A candidate enumeration naming a
-    /// signature id past the interner's end is reported as `IdOutOfRange`,
-    /// and two adjacent signatures swapped in the canonical rank order as
-    /// `WarmDisorder`.
+    /// Corruption class 2: a plan-graph node carrying a signature id past
+    /// the end of its lane's interner is reported as `IdOutOfRange`; the
+    /// same manager with only an interned leaf verifies clean.
     #[test]
-    fn warm_export_defects_are_caught(beyond in 0u32..100, pick in 0usize..1000) {
-        PRIMED_LANE.with(|manager| {
-            let interner_cell = manager.shared_interner();
-            let interner = interner_cell.borrow();
-            let export = manager.warm_cell().borrow().export();
-            let verify = |export: &_| qv::verify_warm_export(export, &interner, "lane/warm");
-            prop_assert!(verify(&export).is_empty(), "{:?}", verify(&export));
+    fn dangling_node_sig_is_caught(beyond in 0u32..100) {
+        let rel = RelId::new(0);
+        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let rows = (0..4)
+            .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
+            .collect();
+        sources.register(Table::new(rel, rows));
+        let mut manager = QsManager::new(usize::MAX);
+        let interner = manager.shared_interner();
+        let interned = interner.borrow_mut().relation(rel, None);
+        let stream = || StreamBacking::Remote(sources.open_stream(rel, None));
+        manager.graph_mut().add_stream(stream(), Some(interned));
+        let clean = qv::verify_manager(&manager, "lane/graph");
+        prop_assert!(clean.is_empty(), "{:?}", clean);
 
-            let mut dangling = export.clone();
-            let mut enumerations: Vec<_> = dangling
-                .cq_candidates
-                .iter_mut()
-                .map(|(_, cands)| cands)
-                .filter(|cands| !cands.is_empty())
-                .collect();
-            let n = enumerations.len();
-            prop_assert!(n > 0, "the primed lane enumerated no candidates");
-            let cands = &mut enumerations[pick % n];
-            cands[pick % cands.len()] = SigId(interner.len() as u32 + beyond);
-            let violations = verify(&dangling);
-            prop_assert!(!violations.is_empty());
-            for class in classes(&violations) {
-                prop_assert_eq!(class, ViolationClass::IdOutOfRange);
-            }
-
-            let mut swapped = export;
-            let n = swapped.canon_order.len();
-            prop_assert!(n > 1, "the primed lane ranked fewer than two signatures");
-            swapped.canon_order.swap(pick % (n - 1), pick % (n - 1) + 1);
-            let violations = verify(&swapped);
-            prop_assert!(!violations.is_empty());
-            for class in classes(&violations) {
-                prop_assert_eq!(class, ViolationClass::WarmDisorder);
-            }
-        });
+        let dangling = SigId(interner.borrow().len() as u32 + beyond);
+        manager.graph_mut().add_stream(stream(), Some(dangling));
+        let violations = qv::verify_manager(&manager, "lane/graph");
+        prop_assert!(!violations.is_empty());
+        for class in classes(&violations) {
+            prop_assert_eq!(class, ViolationClass::IdOutOfRange);
+        }
     }
 
     /// Corruption class 3: a stream leaf's bound changed without going
@@ -255,40 +239,6 @@ proptest! {
             prop_assert_eq!(class, ViolationClass::GraphMalformed);
         }
     }
-}
-
-thread_local! {
-    /// A live lane's QS manager whose optimizer searched a small GUS
-    /// script's 5-query batches warm, filling its warm store. Primed once
-    /// per test thread (proptest runs every case on one), since priming is
-    /// the slow part; `QsManager` is not `Sync`.
-    static PRIMED_LANE: QsManager = {
-        let w = small_gus(41);
-        let cfg = base_config(SharingMode::AtcFull);
-        let (uqs, _) = qsys::generate_user_queries(&w, &cfg).expect("candidates generate");
-        let optimizer = Optimizer::new(
-            &w.catalog,
-            OptimizerConfig {
-                k: cfg.k,
-                ..OptimizerConfig::default()
-            },
-        );
-        let manager = QsManager::new(usize::MAX);
-        for chunk in uqs.chunks(cfg.batch_size) {
-            let batch: Vec<(&ConjunctiveQuery, &ScoreFn)> = chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect();
-            optimizer.optimize_warm(
-                &batch,
-                &manager.reuse_oracle(),
-                None,
-                &manager.shared_interner(),
-                Some(&manager.warm_cell()),
-            );
-        }
-        manager
-    };
 }
 
 // ---------------------------------------------------------------------------
