@@ -41,6 +41,7 @@ fn fanout(shared: bool, others: &[Vec<Tuple>]) -> (Vec<MJoin>, AccessModuleArena
     let mut modules = AccessModuleArena::new();
     let r0 = modules.alloc(AccessModule::Stored(StoredModule::new([])));
     let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    let governor = SourceGovernor::new(RetryPolicy::default());
     let joins = (1..=3u32)
         .zip(others)
         .map(|(rel, stored)| {
@@ -52,7 +53,7 @@ fn fanout(shared: bool, others: &[Vec<Tuple>]) -> (Vec<MJoin>, AccessModuleArena
             let inputs = vec![input_over(0, module), stored_input(rel, &mut modules)];
             let mut mj = MJoin::new(inputs, vec![pred(0, (rel == 2).into(), rel, 0)], &modules);
             for t in stored {
-                mj.insert(1, t.clone(), Epoch(0), &sources, &modules);
+                mj.insert(1, t.clone(), Epoch(0), &sources, &governor, &modules);
             }
             mj
         })
@@ -69,9 +70,13 @@ fn fan_in_r0(
     mut sink: impl FnMut(usize, Vec<Tuple>),
 ) {
     let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    let governor = SourceGovernor::new(RetryPolicy::default());
     for t in r0 {
         for (i, mj) in joins.iter_mut().enumerate() {
-            sink(i, mj.insert(0, t.clone(), Epoch(0), &sources, modules));
+            sink(
+                i,
+                mj.insert(0, t.clone(), Epoch(0), &sources, &governor, modules),
+            );
         }
     }
 }
@@ -123,15 +128,22 @@ fn bench_mjoin(c: &mut Criterion) {
             },
             |(mut mj, modules)| {
                 let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let governor = SourceGovernor::new(RetryPolicy::default());
                 let mut out = 0usize;
                 for t in &t1 {
-                    out += mj.insert(1, t.clone(), Epoch(0), &sources, &modules).len();
+                    out += mj
+                        .insert(1, t.clone(), Epoch(0), &sources, &governor, &modules)
+                        .len();
                 }
                 for t in &t2 {
-                    out += mj.insert(2, t.clone(), Epoch(0), &sources, &modules).len();
+                    out += mj
+                        .insert(2, t.clone(), Epoch(0), &sources, &governor, &modules)
+                        .len();
                 }
                 for t in &t0 {
-                    out += mj.insert(0, t.clone(), Epoch(0), &sources, &modules).len();
+                    out += mj
+                        .insert(0, t.clone(), Epoch(0), &sources, &governor, &modules)
+                        .len();
                 }
                 black_box(out)
             },
@@ -154,17 +166,21 @@ fn bench_mjoin(c: &mut Criterion) {
                 ];
                 let mut mj = MJoin::new(inputs, vec![pred(0, 0, 1, 0), pred(0, 1, 2, 0)], &modules);
                 let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let governor = SourceGovernor::new(RetryPolicy::default());
                 // R2 stays empty; warm up R1.
                 for t in &t1 {
-                    mj.insert(1, t.clone(), Epoch(0), &sources, &modules);
+                    mj.insert(1, t.clone(), Epoch(0), &sources, &governor, &modules);
                 }
                 (mj, modules)
             },
             |(mut mj, modules)| {
                 let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let governor = SourceGovernor::new(RetryPolicy::default());
                 let mut out = 0usize;
                 for t in &t0 {
-                    out += mj.insert(0, t.clone(), Epoch(0), &sources, &modules).len();
+                    out += mj
+                        .insert(0, t.clone(), Epoch(0), &sources, &governor, &modules)
+                        .len();
                 }
                 black_box(out)
             },

@@ -12,13 +12,10 @@
 //! Experiments: `table4 fig7 fig8 fig9 fig10 fig11 fig12`
 //! Ablations:   `ablation-atc ablation-recovery ablation-eviction
 //! ablation-probe-cache`
-//! Sweeps (print-only):
-//! - `chaos` — fault-rate sweep (0 / 1% / 5% transient, plus one hard
-//!   outage): degraded and failed ticket counts, retries, breaker trips,
-//!   p50/p99 response, gated on "no tuple loss on unfaulted relations"
-//!   (exits 1 if the gate fails).
-//! - `fetch-batch [--batches 1,8,32] [--limit N]` — response-time shift from
-//!   stream fetch-ahead on the figure workload.
+//! Sweep (print-only): `chaos` — fault-rate sweep (0 / 1% / 5% transient,
+//! plus one hard outage): degraded and failed ticket counts, retries,
+//! breaker trips, p50/p99 response, gated on "no tuple loss on unfaulted
+//! relations" (exits 1 if the gate fails).
 //!
 //! Verify:      `verify` — invariant audit: run the standard GUS seeds
 //! through a multi-lane ATC-CL arm at 1 and 4 lane threads plus one chaos
@@ -116,23 +113,6 @@ fn main() {
                 println!("{label:>8}: {probes} remote probes, mean response {mean:.3}s");
             }
         }
-        "fetch-batch" | "sweep-fetch-batch" => {
-            // `--batches 1,8,32` selects the fetch_batch values; `--limit N`
-            // truncates the workload (default: the full 15-UQ script).
-            let batches: Vec<usize> = flag_value(&args, "--batches")
-                .map(|s| {
-                    s.split(',')
-                        .map(|v| {
-                            v.trim().parse().unwrap_or_else(|_| {
-                                usage_error("--batches wants comma-separated positive integers")
-                            })
-                        })
-                        .collect()
-                })
-                .unwrap_or_else(|| vec![1, 4, 8, 16, 32]);
-            let limit = count("--limit");
-            print_fetch_batch_sweep(&sweep_fetch_batch(seeds[0], scale, &batches, limit));
-        }
         "all" => {
             print_table4(&table4(&seeds, scale));
             println!();
@@ -172,7 +152,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            usage_error("choose: all chaos verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+            usage_error("choose: all chaos verify table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());

@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 7), plus what this reproduction adds beside them:
 //! ablations of its own choices (ATC scheduling, recovery, eviction,
-//! probe-cache sharing), the print-only, self-gated `chaos` and
-//! `fetch-batch` sweeps, and the `verify` invariant audit.
+//! probe-cache sharing), the print-only, self-gated `chaos` sweep, and
+//! the `verify` invariant audit.
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
 //! printable data; the `reproduce` binary is a thin argument parser over
@@ -14,10 +14,11 @@
 //! (`BENCHMARK.json`, `perf/README.md`), and the few host walls printed
 //! here (Figure 11's wall column) are observations of one run.
 //!
-//! The sweeps and the audit share one shape: [`drive`] submits a script
-//! through `Engine::submit_script`, drains the engine and fingerprints every
-//! ticket; [`answer_gate`] compares an arm's answers with the baseline's.
-//! A sweep adds only its arm table and its column printer.
+//! The chaos sweep and the audit share one shape: [`drive`] submits a
+//! script through `Engine::submit_script`, drains the engine and
+//! fingerprints every ticket; [`answer_gate`] compares an arm's answers
+//! with the baseline's. The sweep adds only its arm table and its column
+//! printer.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::opt::cost::NoReuse;
@@ -120,71 +121,6 @@ pub fn pfam_engine(mode: SharingMode) -> EngineConfig {
         },
         lane_threads: lane_threads(),
         ..EngineConfig::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fetch-ahead sweep: what `CostProfile::fetch_batch` buys on the figure workload.
-// ---------------------------------------------------------------------------
-
-/// One point of the fetch-ahead sweep: the GUS figure workload run with
-/// `CostProfile::fetch_batch` set to `fetch_batch`. Tuple sequences are
-/// provably unchanged by batching (property-tested), so `tuples_consumed`
-/// must agree across points; rounds and response time shift.
-#[derive(Clone, Debug)]
-pub struct FetchBatchPoint {
-    /// `CostProfile::fetch_batch` for this run.
-    pub fetch_batch: usize,
-    /// Mean virtual response time across UQs, µs.
-    pub mean_response_us: f64,
-    /// Simulated stream-read network rounds.
-    pub stream_rounds: u64,
-    /// Input tuples consumed (identical across the sweep).
-    pub tuples_consumed: u64,
-}
-
-/// Run the fetch-ahead sweep: the seed-`seed` GUS workload under ATC-FULL
-/// (optionally truncated to `limit` UQs) at each `fetch_batch` value.
-pub fn sweep_fetch_batch(
-    seed: u64,
-    scale: Scale,
-    batches: &[usize],
-    limit: Option<usize>,
-) -> Vec<FetchBatchPoint> {
-    batches
-        .iter()
-        .map(|&fetch_batch| {
-            let w = gus_workload(seed, scale);
-            let mut engine = gus_engine(SharingMode::AtcFull, 5);
-            engine.cost_profile.fetch_batch = fetch_batch;
-            let r = run_workload(&w, &engine, limit).expect("runs");
-            FetchBatchPoint {
-                fetch_batch,
-                mean_response_us: r.mean_response_us(),
-                stream_rounds: r.stream_rounds,
-                tuples_consumed: r.tuples_consumed,
-            }
-        })
-        .collect()
-}
-
-/// Print the fetch-ahead sweep.
-pub fn print_fetch_batch_sweep(points: &[FetchBatchPoint]) {
-    println!("Fetch-ahead sweep: response-time shift from stream fetch batching");
-    println!(
-        "{:>11} {:>12} {:>12} {:>12} {:>9}",
-        "fetch_batch", "mean resp(s)", "rounds", "tuples", "resp Δ%"
-    );
-    let base = points.first().map(|p| p.mean_response_us).unwrap_or(0.0);
-    for p in points {
-        println!(
-            "{:>11} {:>12.3} {:>12} {:>12} {:>+9.1}",
-            p.fetch_batch,
-            p.mean_response_us / 1e6,
-            p.stream_rounds,
-            p.tuples_consumed,
-            100.0 * (p.mean_response_us - base) / base.max(1e-9),
-        );
     }
 }
 
@@ -325,8 +261,8 @@ pub fn print_fig7(runs: &[ConfigRun]) {
     }
     println!();
     // End-of-run source accounting: network rounds spent on stream reads
-    // (the quantity fetch-ahead amortizes), then where the tuples consumed
-    // came from — stream reads, or the results of remote probes.
+    // (one per tuple streamed), then where the tuples consumed came from —
+    // stream reads, or the results of remote probes.
     let footer = |label: &str, count: fn(&RunReport) -> u64| {
         print!("{label}");
         for r in runs {
@@ -334,7 +270,7 @@ pub fn print_fig7(runs: &[ConfigRun]) {
         }
         println!();
     };
-    footer("rnds", |rep| rep.stream_rounds);
+    footer("rnds", |rep| rep.tuples_streamed);
     footer("tups", |rep| rep.tuples_consumed);
     footer("prbs", |rep| rep.probes);
     footer("prbt", probe_tuples);
@@ -741,7 +677,7 @@ pub fn ablation_eviction(seed: u64, scale: Scale) -> Vec<(String, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// The session-driven run and the answer gate the sweeps and the audit share.
+// The session-driven run and the answer gate the chaos sweep and the audit share.
 // ---------------------------------------------------------------------------
 
 /// Per-query outcome + answer fingerprint (score bits, tuple text), in

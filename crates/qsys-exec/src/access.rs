@@ -97,6 +97,7 @@
 //! answer. A real backend (the parked *real backends* roadmap item) feeds
 //! these maps values a remote party controls and must revisit the choice.
 
+use crate::govern::SourceGovernor;
 use qsys_source::Sources;
 use qsys_types::{Epoch, FxHashMap, RelId, SimClock, TimeCategory, Tuple, Value};
 use std::cell::RefCell;
@@ -420,24 +421,18 @@ impl RemoteModule {
     }
 
     /// Probe the remote source for rows whose `column` equals `value`.
-    /// First hit goes over the (simulated) network via `sources`; repeats
-    /// are served from the cache for the cost of a hash lookup.
-    pub fn probe(&mut self, column: usize, value: &Value, sources: &Sources) -> Arc<[Tuple]> {
-        self.probe_governed(column, value, sources, None)
-    }
-
-    /// Like [`RemoteModule::probe`], but the network hop goes through the
-    /// governor's retry/breaker loop when one is supplied and faults are
-    /// configured. A probe that gives up returns no matches and is *not*
-    /// cached (the source may recover; a cached empty answer would be a
-    /// silent permanent data loss), and the failure is recorded against
-    /// the batch so affected queries resolve as degraded.
-    pub(crate) fn probe_governed(
+    /// First hit goes over the (simulated) network via `sources`, through
+    /// the governor's retry/breaker loop; repeats are served from the cache
+    /// for the cost of a hash lookup. A probe that gives up returns no
+    /// matches and is *not* cached (the source may recover; a cached empty
+    /// answer would be a silent permanent data loss), and the failure is
+    /// recorded against the batch so affected queries resolve as degraded.
+    pub(crate) fn probe(
         &mut self,
         column: usize,
         value: &Value,
         sources: &Sources,
-        governor: Option<&crate::govern::SourceGovernor>,
+        governor: &SourceGovernor,
     ) -> Arc<[Tuple]> {
         let cached = self.cache.iter().position(|(c, _)| *c == column);
         if let Some(hit) = cached.and_then(|i| self.cache[i].1.get(value)) {
@@ -445,15 +440,12 @@ impl RemoteModule {
             sources.clock().charge(TimeCategory::Join, 2);
             return Arc::clone(hit);
         }
-        let rows = match governor.filter(|_| sources.faults_enabled()) {
-            None => sources.probe(self.rel, column, value),
-            Some(governor) => match governor.probe(sources, self.rel, column, value) {
-                Ok(rows) => rows,
-                Err(_) => {
-                    governor.note_failed_probe(self.rel);
-                    return Vec::new().into();
-                }
-            },
+        let rows = match governor.probe(sources, self.rel, column, value) {
+            Ok(rows) => rows,
+            Err(_) => {
+                governor.note_failed_probe(self.rel);
+                return Vec::new().into();
+            }
         };
         self.remote_probes += 1;
         let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
@@ -535,6 +527,7 @@ fn index_position(index: &mut ByValue<Vec<u32>>, tuple: &Tuple, key: ProbeKey, p
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::RetryPolicy;
     use qsys_source::Table;
     use qsys_types::{BaseTuple, CostProfile};
 
@@ -699,11 +692,12 @@ mod tests {
             .collect();
         sources.register(Table::new(rel, rows));
         let mut m = RemoteModule::new(rel);
-        let h1 = m.probe(0, &Value::Int(1), &sources);
+        let g = SourceGovernor::new(RetryPolicy::default());
+        let h1 = m.probe(0, &Value::Int(1), &sources, &g);
         assert_eq!(h1.len(), 2);
         assert_eq!(m.remote_probes(), 1);
         let ra_after_first = clock.breakdown().random_access_us;
-        let h2 = m.probe(0, &Value::Int(1), &sources);
+        let h2 = m.probe(0, &Value::Int(1), &sources, &g);
         assert_eq!(h2.len(), 2);
         assert_eq!(m.cache_hits(), 1);
         // Cache hit charged no random-access time.
@@ -730,11 +724,12 @@ mod tests {
             .collect();
         sources.register(Table::new(rel, rows));
         let mut m = RemoteModule::new(rel);
-        assert_eq!(m.probe(0, &Value::Int(1), &sources).len(), 2);
-        assert_eq!(m.probe(1, &Value::Int(1), &sources).len(), 4);
+        let g = SourceGovernor::new(RetryPolicy::default());
+        assert_eq!(m.probe(0, &Value::Int(1), &sources, &g).len(), 2);
+        assert_eq!(m.probe(1, &Value::Int(1), &sources, &g).len(), 4);
         assert_eq!((m.remote_probes(), m.cache_hits()), (2, 0));
-        assert_eq!(m.probe(1, &Value::Int(1), &sources).len(), 4);
-        assert_eq!(m.probe(0, &Value::Int(1), &sources).len(), 2);
+        assert_eq!(m.probe(1, &Value::Int(1), &sources, &g).len(), 4);
+        assert_eq!(m.probe(0, &Value::Int(1), &sources, &g).len(), 2);
         assert_eq!((m.remote_probes(), m.cache_hits()), (2, 2));
         assert_eq!(sources.probes(), 2);
         assert_eq!(m.approx_bytes(), (48 + 2 * 32) + (48 + 4 * 32));

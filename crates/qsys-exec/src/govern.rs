@@ -21,9 +21,10 @@
 //! `ExecStats::complete`), and keeps cumulative counters ([`FaultStats`])
 //! that flow into run reports and bench JSON.
 //!
-//! When the source registry has no fault injector installed, every entry
-//! point short-circuits to the legacy infallible fetch — zero bookkeeping,
-//! byte-identical behavior.
+//! Every executor fetch goes through the governor to
+//! [`Sources::try_read`]/[`Sources::try_probe`], the one fetch path. When
+//! the source registry has no fault injector installed, the governor calls
+//! it directly and skips the breaker bookkeeping — nothing can fail.
 
 use qsys_source::{SourceError, SourceStream, Sources};
 use qsys_types::{BaseTuple, RelId, TimeCategory, Tuple, Value};
@@ -180,7 +181,7 @@ impl SourceGovernor {
         stream: &mut SourceStream,
     ) -> Result<Option<Tuple>, SourceError> {
         if !sources.faults_enabled() {
-            return Ok(sources.read(stream));
+            return sources.try_read(stream);
         }
         let rels: Vec<RelId> = stream.rels().to_vec();
         self.run_governed(sources, &rels, TimeCategory::StreamRead, |s| {
@@ -190,7 +191,7 @@ impl SourceGovernor {
 
     /// Governed remote probe: retry loop + breaker around
     /// [`Sources::try_probe`]. Fast path when no faults are configured.
-    pub fn probe(
+    pub(crate) fn probe(
         &self,
         sources: &Sources,
         rel: RelId,
@@ -198,7 +199,7 @@ impl SourceGovernor {
         value: &Value,
     ) -> Result<Vec<Arc<BaseTuple>>, SourceError> {
         if !sources.faults_enabled() {
-            return Ok(sources.probe(rel, column, value));
+            return sources.try_probe(rel, column, value);
         }
         self.run_governed(sources, &[rel], TimeCategory::RandomAccess, |s| {
             s.try_probe(rel, column, value)

@@ -439,7 +439,7 @@ impl QueryPlanGraph {
     /// Read one tuple from the stream leaf `id`, store it in the leaf's
     /// module (uncharged, stamped with the current epoch) and route it
     /// through the graph. The fetch goes through the governor's
-    /// retry/breaker loop (a plain read when no faults are configured); on
+    /// retry/breaker loop (bypassed when no faults are configured); on
     /// a fetch that gives up, quarantine the leaf (bound drops to zero, the
     /// failure is recorded against the batch) and report
     /// [`StreamRead::Failed`].
@@ -458,7 +458,15 @@ impl QueryPlanGraph {
         }
         let read = match &mut leaf.backing {
             StreamBacking::Remote(s) => governor.read_stream(sources, s),
-            replay => Ok(replay.read(sources)),
+            StreamBacking::Replay { tuples, pos } => {
+                let t = tuples.get(*pos).cloned();
+                if t.is_some() {
+                    *pos += 1;
+                    // In-memory replay: cheap, no network.
+                    sources.clock().charge(TimeCategory::Join, 2);
+                }
+                Ok(t)
+            }
         };
         let tuple = match read {
             Ok(tuple) => {
@@ -523,7 +531,7 @@ impl QueryPlanGraph {
         // is only read (module state is behind per-slot `RefCell`s).
         let cx = JoinCx {
             sources,
-            governor: Some(governor),
+            governor,
             modules: &self.modules,
         };
         let work = &mut self.work;

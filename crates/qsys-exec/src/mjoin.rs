@@ -189,14 +189,13 @@ struct Link {
 }
 
 /// What an insert works against: the lane's sources, the governor remote
-/// probes go through (if any), and the arena holding the access modules.
+/// probes go through, and the arena holding the access modules.
 #[derive(Clone, Copy)]
 pub(crate) struct JoinCx<'a> {
     /// The lane's source gateway (and, through it, the virtual clock).
     pub sources: &'a Sources,
-    /// Retry/breaker loop for remote probes; `None` bypasses fault
-    /// injection.
-    pub governor: Option<&'a SourceGovernor>,
+    /// Retry/breaker loop for remote probes.
+    pub governor: &'a SourceGovernor,
     /// The lane's access modules.
     pub modules: &'a AccessModuleArena,
 }
@@ -411,20 +410,19 @@ impl MJoin {
     /// Handle a tuple arriving on `input_idx`: store it (unless the input is
     /// a replay), then probe the other access modules following the
     /// adaptive probe sequence. Returns complete join results covering
-    /// `Self::output_rels`. Infallible: remote probes bypass fault
-    /// injection (see `MJoin::insert_governed` for the fault-aware path
-    /// the plan graph routes through).
+    /// `Self::output_rels`. Remote probes go through `governor`.
     pub fn insert(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
         epoch: Epoch,
         sources: &Sources,
+        governor: &SourceGovernor,
         modules: &AccessModuleArena,
     ) -> Vec<Tuple> {
         let cx = JoinCx {
             sources,
-            governor: None,
+            governor,
             modules,
         };
         let mut out = Vec::new();
@@ -442,10 +440,10 @@ impl MJoin {
     /// [`MJoin::insert`] for the routing loop: complete results are handed
     /// to the caller's `out` (unbuilt, when they come out of a probe step),
     /// probes and materialised joins are counted into `work`, and remote
-    /// probes go through `cx.governor`'s retry/breaker loop when one is
-    /// supplied — a probe that gives up contributes no matches (the loss
-    /// is recorded against the batch so affected queries resolve as
-    /// degraded) instead of panicking the lane.
+    /// probes go through `cx.governor`'s retry/breaker loop — a probe that
+    /// gives up contributes no matches (the loss is recorded against the
+    /// batch so affected queries resolve as degraded) instead of panicking
+    /// the lane.
     pub(crate) fn insert_governed(
         &mut self,
         input_idx: usize,
@@ -594,7 +592,7 @@ impl MJoin {
                     .probe_iter((probe.to_rel, probe.to_col), key, input.epoch_cap, clock)
                     .for_each(&mut extend),
                 AccessModule::Remote(r) => r
-                    .probe_governed(probe.to_col, key, cx.sources, cx.governor)
+                    .probe(probe.to_col, key, cx.sources, cx.governor)
                     .iter()
                     .for_each(&mut extend),
             }
@@ -640,6 +638,7 @@ impl MJoin {
 mod tests {
     use super::*;
     use crate::access::{RemoteModule, StoredModule};
+    use crate::govern::RetryPolicy;
     use proptest::prelude::*;
     use qsys_source::Table;
     use qsys_types::{BaseTuple, CostProfile, SimClock, UserId, Value};
@@ -696,14 +695,15 @@ mod tests {
             &modules,
         );
         let s = sources();
-        let r1 = mj.insert(0, tup(0, 1, &[5], 0.9), Epoch(0), &s, &modules);
+        let g = SourceGovernor::new(RetryPolicy::default());
+        let r1 = mj.insert(0, tup(0, 1, &[5], 0.9), Epoch(0), &s, &g, &modules);
         assert!(r1.is_empty());
-        let r2 = mj.insert(1, tup(1, 10, &[5], 0.8), Epoch(0), &s, &modules);
+        let r2 = mj.insert(1, tup(1, 10, &[5], 0.8), Epoch(0), &s, &g, &modules);
         assert_eq!(r2.len(), 1);
         assert_eq!(r2[0].arity(), 2);
-        let r3 = mj.insert(0, tup(0, 2, &[5], 0.7), Epoch(0), &s, &modules);
+        let r3 = mj.insert(0, tup(0, 2, &[5], 0.7), Epoch(0), &s, &g, &modules);
         assert_eq!(r3.len(), 1);
-        let r4 = mj.insert(1, tup(1, 11, &[6], 0.6), Epoch(0), &s, &modules);
+        let r4 = mj.insert(1, tup(1, 11, &[6], 0.6), Epoch(0), &s, &g, &modules);
         assert!(r4.is_empty());
     }
 
@@ -721,14 +721,15 @@ mod tests {
             &modules,
         );
         let s = sources();
+        let g = SourceGovernor::new(RetryPolicy::default());
         assert!(mj
-            .insert(0, tup(0, 1, &[5], 1.0), Epoch(0), &s, &modules)
+            .insert(0, tup(0, 1, &[5], 1.0), Epoch(0), &s, &g, &modules)
             .is_empty());
         assert!(mj
-            .insert(2, tup(2, 30, &[7], 1.0), Epoch(0), &s, &modules)
+            .insert(2, tup(2, 30, &[7], 1.0), Epoch(0), &s, &g, &modules)
             .is_empty());
         // R1 row joins both sides: key 5 to R0, key 7 to R2.
-        let r = mj.insert(1, tup(1, 20, &[5, 7], 1.0), Epoch(0), &s, &modules);
+        let r = mj.insert(1, tup(1, 20, &[5, 7], 1.0), Epoch(0), &s, &g, &modules);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].arity(), 3);
         assert_eq!(
@@ -753,9 +754,10 @@ mod tests {
                 &modules,
             );
             let s = sources();
+            let g = SourceGovernor::new(RetryPolicy::default());
             let mut results = Vec::new();
             for (idx, t) in order {
-                results.extend(mj.insert(*idx, (*t).clone(), Epoch(0), &s, &modules));
+                results.extend(mj.insert(*idx, (*t).clone(), Epoch(0), &s, &g, &modules));
             }
             let mut prov: Vec<_> = results.iter().map(|t| t.provenance()).collect();
             prov.sort();
@@ -783,6 +785,7 @@ mod tests {
     #[test]
     fn remote_input_is_probed_with_cache() {
         let s = sources();
+        let g = SourceGovernor::new(RetryPolicy::default());
         let rel = RelId::new(1);
         let rows = (0..4)
             .map(|i| {
@@ -808,11 +811,11 @@ mod tests {
             vec![pred(0, 0, 1, 0)],
             &modules,
         );
-        let r = mj.insert(0, tup(0, 1, &[0], 1.0), Epoch(0), &s, &modules);
+        let r = mj.insert(0, tup(0, 1, &[0], 1.0), Epoch(0), &s, &g, &modules);
         assert_eq!(r.len(), 2); // two remote rows with key 0
         assert_eq!(s.probes(), 1);
         // Another arrival with the same key: served from the probe cache.
-        let r = mj.insert(0, tup(0, 2, &[0], 1.0), Epoch(0), &s, &modules);
+        let r = mj.insert(0, tup(0, 2, &[0], 1.0), Epoch(0), &s, &g, &modules);
         assert_eq!(r.len(), 2);
         assert_eq!(s.probes(), 1);
     }
@@ -834,10 +837,11 @@ mod tests {
             &modules,
         );
         let s = sources();
+        let g = SourceGovernor::new(RetryPolicy::default());
         // One R1 tuple in epoch 0, one in epoch 1 — only the former visible.
-        mj.insert(1, tup(1, 10, &[5], 1.0), Epoch(0), &s, &modules);
-        mj.insert(1, tup(1, 11, &[5], 1.0), Epoch(1), &s, &modules);
-        let r = mj.insert(0, tup(0, 1, &[5], 1.0), Epoch(1), &s, &modules);
+        mj.insert(1, tup(1, 10, &[5], 1.0), Epoch(0), &s, &g, &modules);
+        mj.insert(1, tup(1, 11, &[5], 1.0), Epoch(1), &s, &g, &modules);
+        let r = mj.insert(0, tup(0, 1, &[5], 1.0), Epoch(1), &s, &g, &modules);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].part(RelId::new(1)).unwrap().row_id, 10);
     }
@@ -858,14 +862,15 @@ mod tests {
             &modules,
         );
         let s = sources();
+        let g = SourceGovernor::new(RetryPolicy::default());
         for i in 0..10 {
-            mj.insert(1, tup(1, 100 + i, &[1], 1.0), Epoch(0), &s, &modules);
+            mj.insert(1, tup(1, 100 + i, &[1], 1.0), Epoch(0), &s, &g, &modules);
         }
         // No R2 tuples at all: selectivity of input 2 is 0. The very first
         // R0 insert fans out to 10 partials, giving input 2 instant
         // evidence of zero selectivity.
         for i in 0..10 {
-            mj.insert(0, tup(0, i, &[1, 9], 1.0), Epoch(0), &s, &modules);
+            mj.insert(0, tup(0, i, &[1, 9], 1.0), Epoch(0), &s, &g, &modules);
         }
         let sel = mj.observed_selectivities();
         assert_eq!(sel[2], Some(0.0), "input 2 observed as fully selective");
@@ -875,7 +880,7 @@ mod tests {
         let probes = mj.probe_counts();
         assert_eq!(probes[1], 1, "R1 probed only before adaptation kicked in");
         let before = mj.probe_counts()[1];
-        mj.insert(0, tup(0, 99, &[1, 9], 1.0), Epoch(0), &s, &modules);
+        mj.insert(0, tup(0, 99, &[1, 9], 1.0), Epoch(0), &s, &g, &modules);
         assert_eq!(mj.probe_counts()[1], before, "R1 probe was skipped");
     }
 
@@ -884,7 +889,8 @@ mod tests {
         let mut modules = AccessModuleArena::new();
         let mut mj = MJoin::new(vec![stored_input(0, &mut modules)], vec![], &modules);
         let s = sources();
-        let r = mj.insert(0, tup(0, 1, &[5], 0.5), Epoch(0), &s, &modules);
+        let g = SourceGovernor::new(RetryPolicy::default());
+        let r = mj.insert(0, tup(0, 1, &[5], 0.5), Epoch(0), &s, &g, &modules);
         assert_eq!(r.len(), 1);
     }
 
@@ -911,9 +917,10 @@ mod tests {
         ];
         let mut wide = MJoin::new(inputs, vec![pred(0, 0, 2, 0), pred(0, 1, 3, 0)], &modules);
         let s = sources();
+        let g = SourceGovernor::new(RetryPolicy::default());
         let cx = JoinCx {
             sources: &s,
-            governor: None,
+            governor: &g,
             modules: &modules,
         };
         let mut work = ExecWork::default();

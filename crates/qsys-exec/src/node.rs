@@ -10,8 +10,8 @@ use crate::access::ModuleId;
 use crate::mjoin::MJoin;
 use crate::rank_merge::RankMerge;
 use qsys_query::SigId;
-use qsys_source::{SourceStream, Sources};
-use qsys_types::{TimeCategory, Tuple};
+use qsys_source::SourceStream;
+use qsys_types::Tuple;
 use std::fmt;
 
 /// Identifier of a plan-graph node.
@@ -79,22 +79,6 @@ impl StreamBacking {
         match self {
             StreamBacking::Remote(s) => s.delivered(),
             StreamBacking::Replay { pos, .. } => *pos,
-        }
-    }
-
-    /// Read the next tuple, charging the appropriate cost.
-    pub fn read(&mut self, sources: &Sources) -> Option<Tuple> {
-        match self {
-            StreamBacking::Remote(s) => sources.read(s),
-            StreamBacking::Replay { tuples, pos } => {
-                let t = tuples.get(*pos).cloned();
-                if t.is_some() {
-                    *pos += 1;
-                    // In-memory replay: cheap, no network.
-                    sources.clock().charge(TimeCategory::Join, 2);
-                }
-                t
-            }
         }
     }
 }

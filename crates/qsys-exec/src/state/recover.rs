@@ -51,7 +51,9 @@
 use crate::access::{AccessModule, AccessModuleArena, ModuleId};
 use crate::mjoin::{JoinCx, MJoin, MJoinInput};
 use crate::rank_merge::{CqRegistration, StreamingInput};
-use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
+use crate::{
+    ExecWork, NodeId, NodeKind, QueryPlanGraph, RetryPolicy, SourceGovernor, StreamBacking,
+};
 use qsys_opt::plan::CqPlan;
 use qsys_query::SigInterner;
 use qsys_types::{CqId, Epoch, SimClock, Tuple};
@@ -165,12 +167,13 @@ fn reconstruct_mjoin_history(
     // Transient: it never enters the graph, so it retains nothing.
     let inputs = capped_inputs(mj, replay_idx, before);
     let mut temp = MJoin::new(inputs, mj.preds().to_vec(), modules);
-    // Free in-memory recomputation: scratch clock and scratch sources.
+    // Free in-memory recomputation: scratch clock, sources and governor.
     let scratch_sources =
         qsys_source::Sources::new(SimClock::new(), qsys_types::CostProfile::default(), 0);
+    let scratch_governor = SourceGovernor::new(RetryPolicy::default());
     let cx = JoinCx {
         sources: &scratch_sources,
-        governor: None,
+        governor: &scratch_governor,
         modules,
     };
     let mut out = Vec::new();

@@ -301,8 +301,7 @@ pub enum Verdict {
 
 /// The per-lane fault oracle. Owns a private seeded RNG (mixed with the
 /// lane index so clustered lanes draw independent fault sequences) and is
-/// consulted once per fetch *round* — mid-round batched reads are local and
-/// cannot fail.
+/// consulted once per fetch (every fetch is one network round).
 pub struct FaultInjector {
     spec: FaultSpec,
     rng: RefCell<StdRng>,

@@ -22,10 +22,11 @@
 
 //! **Failure semantics** ([`fault`]): a deterministic, seeded
 //! [`FaultInjector`] can schedule transient errors, slow rounds, and hard
-//! outages per relation over simulated time; the governed fetch path
-//! ([`Sources::try_read`]/[`Sources::try_probe`]) then returns
-//! [`SourceError`] instead of panicking. With no injector installed every
-//! fetch is infallible and byte-identical to the fault-free build.
+//! outages per relation over simulated time; every fetch
+//! ([`Sources::try_read`]/[`Sources::try_probe`], one network round each)
+//! then returns [`SourceError`] instead of panicking. With no injector
+//! installed every fetch is infallible and byte-identical to the
+//! fault-free build.
 
 pub mod fault;
 pub mod pushdown;

@@ -36,14 +36,10 @@ pub struct Sources {
     tables: RefCell<HashMap<RelId, Arc<Table>>>,
     provider: Option<TableProvider>,
     tuples_streamed: Cell<u64>,
-    stream_rounds: Cell<u64>,
     probes: Cell<u64>,
     probe_result_tuples: Cell<u64>,
     /// Optional fault schedule. `None` (the default) keeps every fetch
-    /// infallible and byte-identical to the fault-free build; faults apply
-    /// only through [`Sources::try_read`]/[`Sources::try_probe`] — the
-    /// legacy [`Sources::read`]/[`Sources::probe`] never consult it (used
-    /// by recovery replay and legacy tests, which model local work).
+    /// infallible and byte-identical to the fault-free build.
     injector: Option<FaultInjector>,
     /// Per-fetch timeout applied to fault-inflated (slow) rounds only.
     fetch_timeout_us: Cell<Option<u64>>,
@@ -60,7 +56,6 @@ impl Sources {
             tables: RefCell::new(HashMap::new()),
             provider: None,
             tuples_streamed: Cell::new(0),
-            stream_rounds: Cell::new(0),
             probes: Cell::new(0),
             probe_result_tuples: Cell::new(0),
             injector: None,
@@ -149,130 +144,49 @@ impl Sources {
         SourceStream::pushdown(tuples, spec.rels())
     }
 
-    /// Read the next tuple from a stream, charging stream-read time. The
-    /// Poisson round-trip delay is paid once per fetch round: the first
-    /// read of a round charges it and grants [`CostProfile::fetch_batch`]
-    /// tuples of credit, so fetch-ahead amortizes the network exactly like
-    /// a JDBC fetch size. `fetch_batch = 1` (the default) reproduces the
-    /// paper's one-tuple-per-round cost model, delay draw for delay draw.
-    /// The tuple *sequence* is identical at every batch size — batching
-    /// changes when time is charged, never what is delivered.
+    /// [`Sources::try_read`] on a registry with no fault injector, kept
+    /// only because the benchmark's read-path replay (`perf/`) calls it.
+    ///
+    /// # Panics
+    ///
+    /// If an injector is installed: a fault must reach the caller.
     pub fn read(&self, stream: &mut SourceStream) -> Option<Tuple> {
-        let out = stream.advance();
-        if out.is_some() {
-            let mut us = self.cost.stream_tuple_us;
-            if stream.round_credit == 0 {
-                us += self.network_delay();
-                self.stream_rounds.set(self.stream_rounds.get() + 1);
-                stream.round_credit = self.cost.fetch_batch.max(1);
-            }
-            stream.round_credit -= 1;
-            self.clock.charge(TimeCategory::StreamRead, us);
-            self.tuples_streamed.set(self.tuples_streamed.get() + 1);
-        }
-        out
+        assert!(
+            self.injector.is_none(),
+            "Sources::read cannot report a fault: read a registry with an injector through try_read"
+        );
+        self.try_read(stream)
+            .expect("a fetch without an injector cannot fail")
     }
 
-    /// Fallible stream read: like [`Sources::read`], but consults the fault
-    /// injector when one is installed. The injector rules once per fetch
-    /// *round* — batched mid-round reads are already paid for and local, so
-    /// they cannot fail. A failed round charges a fixed round-trip (the
-    /// mean network delay — no RNG, so fault schedules never perturb the
-    /// delay sequence of clean relations) and leaves the cursor untouched:
-    /// a retry fetches the same tuple. With no injector this is exactly
-    /// `Ok(self.read(stream))`.
+    /// Read the next tuple from a stream: one network round, charged as
+    /// stream-read time (per-tuple CPU plus a Poisson delay), the paper's
+    /// one-tuple-per-round cost model. An exhausted stream charges
+    /// nothing. A round the fault injector fails leaves the cursor
+    /// untouched, so a retry fetches the same tuple; `open_round` says what
+    /// a failed round costs.
     pub fn try_read(&self, stream: &mut SourceStream) -> Result<Option<Tuple>, SourceError> {
-        let Some(inj) = &self.injector else {
-            return Ok(self.read(stream));
-        };
         if stream.exhausted() {
             return Ok(None);
         }
-        let opens_round = stream.round_credit == 0;
-        let mut slow = None;
-        if opens_round && !inj.all_clear(stream.rels()) {
-            match inj.verdict(stream.rels(), self.clock.now_us()) {
-                Verdict::Clear => {}
-                Verdict::Slow { rel, mult } => slow = Some((rel, mult)),
-                Verdict::Fail(e) => {
-                    self.clock
-                        .charge(TimeCategory::StreamRead, self.cost.mean_network_delay_us);
-                    return Err(e);
-                }
-            }
-        }
-        let mut us = self.cost.stream_tuple_us;
-        if opens_round {
-            let mut delay = self.network_delay();
-            if let Some((rel, mult)) = slow {
-                delay = (delay as f64 * mult).round() as u64;
-                if let Some(limit) = self.fetch_timeout_us.get() {
-                    if delay > limit {
-                        // The wait up to the timeout is real simulated time;
-                        // the tuple stays at the source for the retry.
-                        self.clock.charge(TimeCategory::StreamRead, limit);
-                        return Err(SourceError::Timeout { rel });
-                    }
-                }
-            }
-            us += delay;
-            self.stream_rounds.set(self.stream_rounds.get() + 1);
-            stream.round_credit = self.cost.fetch_batch.max(1);
-        }
-        stream.round_credit -= 1;
-        self.clock.charge(TimeCategory::StreamRead, us);
+        let delay = self.open_round(stream.rels(), TimeCategory::StreamRead)?;
+        self.clock
+            .charge(TimeCategory::StreamRead, self.cost.stream_tuple_us + delay);
         self.tuples_streamed.set(self.tuples_streamed.get() + 1);
         Ok(stream.advance())
     }
 
     /// Probe `rel` for rows whose `column` equals `value` — a remote
-    /// two-way semijoin. Charges random-access time plus a network delay.
-    pub fn probe(&self, rel: RelId, column: usize, value: &Value) -> Vec<Arc<BaseTuple>> {
-        let us = self.cost.probe_us + self.network_delay();
-        self.clock.charge(TimeCategory::RandomAccess, us);
-        self.probes.set(self.probes.get() + 1);
-        let hits = self.table(rel).probe(column, value);
-        self.probe_result_tuples
-            .set(self.probe_result_tuples.get() + hits.len() as u64);
-        hits
-    }
-
-    /// Fallible probe: like [`Sources::probe`], but consults the fault
-    /// injector when one is installed (every probe is its own network
-    /// round). Failed probes charge a fixed round-trip; timed-out probes
-    /// charge exactly the timeout. With no injector this is exactly
-    /// `Ok(self.probe(rel, column, value))`.
+    /// two-way semijoin, one network round charged as random-access time
+    /// (per-probe CPU plus a Poisson delay). Fails like
+    /// [`Sources::try_read`].
     pub fn try_probe(
         &self,
         rel: RelId,
         column: usize,
         value: &Value,
     ) -> Result<Vec<Arc<BaseTuple>>, SourceError> {
-        let Some(inj) = &self.injector else {
-            return Ok(self.probe(rel, column, value));
-        };
-        let mut slow = None;
-        if !inj.all_clear(&[rel]) {
-            match inj.verdict(&[rel], self.clock.now_us()) {
-                Verdict::Clear => {}
-                Verdict::Slow { rel, mult } => slow = Some((rel, mult)),
-                Verdict::Fail(e) => {
-                    self.clock
-                        .charge(TimeCategory::RandomAccess, self.cost.mean_network_delay_us);
-                    return Err(e);
-                }
-            }
-        }
-        let mut delay = self.network_delay();
-        if let Some((rel, mult)) = slow {
-            delay = (delay as f64 * mult).round() as u64;
-            if let Some(limit) = self.fetch_timeout_us.get() {
-                if delay > limit {
-                    self.clock.charge(TimeCategory::RandomAccess, limit);
-                    return Err(SourceError::Timeout { rel });
-                }
-            }
-        }
+        let delay = self.open_round(&[rel], TimeCategory::RandomAccess)?;
         self.clock
             .charge(TimeCategory::RandomAccess, self.cost.probe_us + delay);
         self.probes.set(self.probes.get() + 1);
@@ -282,8 +196,40 @@ impl Sources {
         Ok(hits)
     }
 
-    fn network_delay(&self) -> u64 {
-        self.delay.sample(&mut *self.rng.borrow_mut())
+    /// Open the network round of one fetch over `rels` and return its
+    /// delay: the injector rules first (only when one is installed and
+    /// schedules faults for `rels`), then the Poisson delay is drawn and a
+    /// slow verdict multiplies it. A failed round charges `category` a
+    /// fixed round-trip (the mean delay, no RNG draw, so a schedule never
+    /// perturbs the delay sequence of clean relations); a slow round past
+    /// the fetch timeout charges exactly the timeout. Neither counts a
+    /// fetch.
+    fn open_round(&self, rels: &[RelId], category: TimeCategory) -> Result<u64, SourceError> {
+        let mut slow = None;
+        if let Some(inj) = self.injector.as_ref().filter(|inj| !inj.all_clear(rels)) {
+            match inj.verdict(rels, self.clock.now_us()) {
+                Verdict::Clear => {}
+                Verdict::Slow { rel, mult } => slow = Some((rel, mult)),
+                Verdict::Fail(e) => {
+                    self.clock.charge(category, self.cost.mean_network_delay_us);
+                    return Err(e);
+                }
+            }
+        }
+        let delay = self.delay.sample(&mut *self.rng.borrow_mut());
+        let Some((rel, mult)) = slow else {
+            return Ok(delay);
+        };
+        let delay = (delay as f64 * mult).round() as u64;
+        match self.fetch_timeout_us.get() {
+            Some(limit) if delay > limit => {
+                // The wait up to the timeout is real simulated time; the
+                // tuple stays at the source for the retry.
+                self.clock.charge(category, limit);
+                Err(SourceError::Timeout { rel })
+            }
+            _ => Ok(delay),
+        }
     }
 
     /// The shared clock.
@@ -301,11 +247,11 @@ impl Sources {
         self.tuples_streamed.get()
     }
 
-    /// Simulated network rounds spent on stream reads so far. Equals
-    /// [`Self::tuples_streamed`] when `fetch_batch` is 1; fetch-ahead
-    /// makes it smaller (⌈delivered / fetch_batch⌉ per stream).
+    /// Retired alias of [`Self::tuples_streamed`], kept only because the
+    /// benchmark (`perf/`) reads it: every streamed tuple is one network
+    /// round.
     pub fn stream_rounds(&self) -> u64 {
-        self.stream_rounds.get()
+        self.tuples_streamed()
     }
 
     /// Remote probes performed so far.
@@ -356,16 +302,30 @@ mod tests {
         let s = sources();
         let mut stream = s.open_stream(RelId::new(0), None);
         assert_eq!(s.clock().breakdown().stream_read_us, 0);
-        let t = s.read(&mut stream).unwrap();
+        let t = s.try_read(&mut stream).unwrap().unwrap();
         assert_eq!(t.arity(), 1);
         assert!(s.clock().breakdown().stream_read_us >= 20);
         assert_eq!(s.tuples_streamed(), 1);
+        while s.try_read(&mut stream).unwrap().is_some() {}
+        assert_eq!(s.stream_rounds(), 9, "one round per tuple");
+        assert_eq!(s.tuples_streamed(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "try_read")]
+    fn read_refuses_a_registry_with_an_injector() {
+        use crate::fault::{FaultInjector, FaultSpec};
+        let mut s = sources();
+        let spec = FaultSpec::parse("rel1:transient=0.5").unwrap();
+        s.set_injector(FaultInjector::new(spec, 0));
+        let mut stream = s.open_stream(RelId::new(0), None);
+        s.read(&mut stream);
     }
 
     #[test]
     fn probes_charge_random_access() {
         let s = sources();
-        let hits = s.probe(RelId::new(0), 0, &Value::Int(1));
+        let hits = s.try_probe(RelId::new(0), 0, &Value::Int(1)).unwrap();
         assert_eq!(hits.len(), 3);
         assert!(s.clock().breakdown().random_access_us >= 50);
         assert_eq!(s.probes(), 1);
@@ -424,52 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_ahead_amortizes_network_rounds() {
-        let run = |fetch_batch: usize| {
-            let cost = CostProfile {
-                fetch_batch,
-                ..CostProfile::default()
-            };
-            let s = Sources::new(SimClock::new(), cost, 42);
-            s.register(mk_table(0, 9));
-            let mut stream = s.open_stream(RelId::new(0), None);
-            let mut ids = Vec::new();
-            while let Some(t) = s.read(&mut stream) {
-                ids.push(t.parts()[0].row_id);
-            }
-            (ids, s.stream_rounds(), s.clock().breakdown().stream_read_us)
-        };
-        let (ids1, rounds1, us1) = run(1);
-        let (ids4, rounds4, us4) = run(4);
-        assert_eq!(ids1, ids4, "batching must not change the sequence");
-        assert_eq!(rounds1, 9, "one round per tuple unbatched");
-        assert_eq!(rounds4, 3, "ceil(9 / 4) rounds batched");
-        assert!(us4 < us1, "fewer rounds, less simulated time");
-        // Per-tuple CPU still charged for every tuple.
-        assert!(us4 >= 9 * CostProfile::default().stream_tuple_us);
-    }
-
-    #[test]
-    fn try_read_without_injector_matches_read() {
-        let a = sources();
-        let b = sources();
-        let mut sa = a.open_stream(RelId::new(0), None);
-        let mut sb = b.open_stream(RelId::new(0), None);
-        loop {
-            let x = a.read(&mut sa);
-            let y = b.try_read(&mut sb).expect("infallible without injector");
-            assert_eq!(x.is_none(), y.is_none());
-            if x.is_none() {
-                break;
-            }
-        }
-        assert_eq!(
-            a.clock().breakdown().stream_read_us,
-            b.clock().breakdown().stream_read_us
-        );
-    }
-
-    #[test]
     fn unfaulted_rel_sees_identical_delays_under_injector() {
         use crate::fault::{FaultInjector, FaultSpec};
         let plain = sources();
@@ -477,16 +391,22 @@ mod tests {
         // Faults scheduled only for rel 1; rel 0 must be untouched.
         let spec = FaultSpec::parse("seed=5; rel1:transient=0.9").unwrap();
         chaotic.set_injector(FaultInjector::new(spec, 0));
+        // Probes of rel 0 interleave with its reads: both draw from one
+        // delay sequence, which the schedule must leave in the same order.
         let mut sp = plain.open_stream(RelId::new(0), None);
         let mut sc = chaotic.open_stream(RelId::new(0), None);
         while plain.read(&mut sp).is_some() {
             chaotic.try_read(&mut sc).unwrap().unwrap();
+            let key = Value::Int(sp.delivered() as i64 % 3);
+            let hits = plain.try_probe(RelId::new(0), 0, &key).unwrap();
+            assert_eq!(chaotic.try_probe(RelId::new(0), 0, &key).unwrap(), hits);
         }
         assert_eq!(
-            plain.clock().breakdown().stream_read_us,
-            chaotic.clock().breakdown().stream_read_us,
+            plain.clock().breakdown(),
+            chaotic.clock().breakdown(),
             "a schedule on rel 1 must not perturb rel 0's virtual time"
         );
+        assert_eq!(plain.probes(), chaotic.probes());
     }
 
     #[test]
@@ -511,6 +431,17 @@ mod tests {
         );
         // Probes fail too.
         assert!(s.try_probe(RelId::new(0), 0, &Value::Int(1)).is_err());
+        // Failed rounds draw no delay: rel 1's first read costs what a
+        // fresh registry's first read costs.
+        let before = s.clock().breakdown().stream_read_us;
+        let fresh = sources();
+        for r in [&s, &fresh] {
+            r.try_read(&mut r.open_stream(RelId::new(1), None)).unwrap();
+        }
+        assert_eq!(
+            s.clock().breakdown().stream_read_us - before,
+            fresh.clock().breakdown().stream_read_us
+        );
     }
 
     #[test]
@@ -537,6 +468,23 @@ mod tests {
         );
         assert_eq!(s.clock().breakdown().stream_read_us, 10_000);
         assert_eq!(stream.delivered(), 0);
+        // A probe times out the same way: exactly the cap, no probe counted.
+        let s = build();
+        s.set_fetch_timeout(Some(10_000));
+        assert_eq!(
+            s.try_probe(RelId::new(0), 0, &Value::Int(1)),
+            Err(SourceError::Timeout { rel: RelId::new(0) })
+        );
+        assert_eq!(s.clock().breakdown().random_access_us, 10_000);
+        assert_eq!((s.probes(), s.tuples_consumed()), (0, 0));
+        // Without a timeout the slow probe answers, just late.
+        let s = build();
+        assert_eq!(
+            s.try_probe(RelId::new(0), 0, &Value::Int(1)).unwrap().len(),
+            3
+        );
+        assert!(s.clock().breakdown().random_access_us > 100_000);
+        assert_eq!(s.probes(), 1);
     }
 
     #[test]

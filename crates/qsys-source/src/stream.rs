@@ -39,12 +39,6 @@ pub struct SourceStream {
     /// Pushed-down selection (kept for display/debugging).
     selection: Option<Selection>,
     cursor: usize,
-    /// Fetch-ahead credit: tuples already paid for by the current network
-    /// round. While positive, reads cost only per-tuple CPU; at zero the
-    /// next read opens a new round (one round-trip delay for up to
-    /// [`CostProfile::fetch_batch`](qsys_types::CostProfile::fetch_batch)
-    /// tuples). Maintained by [`Sources::read`](crate::registry::Sources).
-    pub(crate) round_credit: usize,
 }
 
 impl SourceStream {
@@ -57,7 +51,6 @@ impl SourceStream {
             rels,
             selection,
             cursor: 0,
-            round_credit: 0,
         }
     }
 
@@ -69,7 +62,6 @@ impl SourceStream {
             rels,
             selection: None,
             cursor: 0,
-            round_credit: 0,
         }
     }
 
@@ -118,7 +110,8 @@ impl SourceStream {
     }
 
     /// Advance and return the next tuple. Crate-internal: goes through
-    /// [`Sources::read`](crate::registry::Sources::read) so time is charged.
+    /// [`Sources::try_read`](crate::registry::Sources::try_read) so time is
+    /// charged.
     pub(crate) fn advance(&mut self) -> Option<Tuple> {
         let out = match &self.kind {
             StreamKind::Base { table, positions } => positions

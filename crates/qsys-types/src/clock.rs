@@ -121,11 +121,6 @@ pub struct CostProfile {
     /// Cost of routing one tuple through a split or into a rank-merge
     /// queue, µs.
     pub route_us: u64,
-    /// Stream fetch-ahead: tuples delivered per simulated network round.
-    /// The Poisson round-trip delay is charged once per round, so values
-    /// above 1 amortize it exactly the way the paper's JDBC sources set a
-    /// fetch size; 1 reproduces the original one-tuple-per-round model.
-    pub fetch_batch: usize,
 }
 
 impl Default for CostProfile {
@@ -136,7 +131,6 @@ impl Default for CostProfile {
             probe_us: 50,
             hash_op_us: 2,
             route_us: 1,
-            fetch_batch: 1,
         }
     }
 }

@@ -103,7 +103,7 @@ fn main() {
             report.config,
             report.mean_response_us() / 1e6,
             report.tuples_streamed,
-            report.stream_rounds,
+            report.tuples_streamed, // rounds: one per tuple streamed
             report.probes,
             report.opt_us() as f64 / 1e3,
             report.lanes,

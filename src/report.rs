@@ -158,9 +158,9 @@ pub struct RunReport {
     pub tuples_consumed: u64,
     /// Stream tuples read.
     pub tuples_streamed: u64,
-    /// Simulated network rounds spent on stream reads, summed over lanes
-    /// (equals `tuples_streamed` at `fetch_batch` 1; fetch-ahead divides
-    /// it by roughly the batch size).
+    /// Retired alias of `tuples_streamed`, kept only because the
+    /// benchmark (`perf/`) reads it: every streamed tuple is one network
+    /// round.
     pub stream_rounds: u64,
     /// Remote probes issued.
     pub probes: u64,

@@ -155,6 +155,7 @@ proptest! {
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
         sources.register(Table::new(rel, rows.clone()));
+        let governor = SourceGovernor::new(Default::default());
         let build = |stray: bool| {
             let mut graph = QueryPlanGraph::new();
             let leaves = [0, 1].map(|_| {
@@ -173,9 +174,9 @@ proptest! {
             });
             for (i, row) in rows.iter().take(reads + lag).enumerate() {
                 let t = Tuple::single(Arc::clone(row));
-                ahead.insert(0, t.clone(), Epoch(0), &sources, graph.modules());
+                ahead.insert(0, t.clone(), Epoch(0), &sources, &governor, graph.modules());
                 if i < reads {
-                    behind.insert(0, t, Epoch(0), &sources, graph.modules());
+                    behind.insert(0, t, Epoch(0), &sources, &governor, graph.modules());
                 }
             }
             let [a, b] = [ahead, behind].map(|mj| graph.add_mjoin(mj, None));
