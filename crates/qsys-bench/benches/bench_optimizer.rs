@@ -63,8 +63,9 @@ fn bench_optimizer(c: &mut Criterion) {
     group.finish();
 
     // The script's 10 keyword queries → candidate networks. `cold` runs on
-    // a catalog rebuilt for each sample, so every shortest-path tree the
-    // script needs is built inside it; `warm` finds them in the table.
+    // a catalog rebuilt for each sample, so every shortest-path search the
+    // script asks for starts and advances inside it; `warm` finds each
+    // search already past the relations the script asks about.
     let cqgen = |catalog: &Catalog| {
         let generator = CandidateGenerator::new(catalog, &workload.index, engine.candidate.clone());
         let mut next_cq = 0u32;

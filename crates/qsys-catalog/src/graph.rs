@@ -9,10 +9,9 @@
 
 use crate::stats::RelationStats;
 use qsys_types::{RelId, SourceId};
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Identifier of a schema-graph edge.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -124,11 +123,6 @@ impl Edge {
         }
     }
 
-    /// Whether the edge touches `rel`.
-    pub(crate) fn touches(&self, rel: RelId) -> bool {
-        self.from == rel || self.to == rel
-    }
-
     /// The expected number of join partners when probing *into* `target`
     /// from the opposite side.
     #[cfg(test)]
@@ -144,35 +138,168 @@ impl Edge {
     }
 }
 
-/// One full single-source shortest-path tree over the schema graph, dense
-/// by `RelId::index()`.
-struct PathTree {
-    /// Settle order of each relation (`u32::MAX` = unreachable). An
-    /// early-exit search for any target set stops at the member settled
-    /// first, so the member with the smallest rank is its answer.
-    rank: Vec<u32>,
-    /// The edge each relation was settled through (unset for the source and
-    /// for unreachable relations). A settled relation's chain is final.
-    back: Vec<EdgeId>,
+/// One edge as seen from one endpoint: the other endpoint, the edge's
+/// [`Catalog::edge_weight`] and its id. Each relation's hops are built once,
+/// in [`CatalogBuilder::build`], in edge-id order; they are the catalog's
+/// adjacency.
+#[derive(Clone, Debug)]
+struct Hop {
+    to: RelId,
+    weight: u64,
+    edge: EdgeId,
 }
 
-/// The lazily filled schema-path table: one [`PathTree`] per `(source,
-/// banned edge)` ever asked about. Edge costs are fixed at
-/// [`CatalogBuilder::build`], so a tree is a pure function of the catalog
-/// and clones share one table.
-#[derive(Clone, Default)]
-struct PathTable(Arc<RwLock<PathTrees>>);
+/// One single-source shortest-path search over the schema graph, dense by
+/// `RelId::index()` and paused after the relation the last question needed.
+/// Dijkstra over [`Catalog::edge_weight`]: the heap order (equal distances
+/// pop the larger `RelId` first) and the strict-improvement relaxation fix
+/// every tie, and the path table's answers inherit them.
+struct PathSearch {
+    /// The edge the search never crosses.
+    banned: Option<EdgeId>,
+    /// Best distance found so far (`u64::MAX` = not reached), final once
+    /// settled. Freed with the frontier when the search runs out.
+    dist: Vec<u64>,
+    /// Settle order of each relation (`u32::MAX` = not settled yet). An
+    /// unsettled relation settles after every settled one, so once any
+    /// member of a target set is settled, the one with the smallest rank is
+    /// what an early-exit search for that set would have stopped at.
+    rank: Vec<u32>,
+    /// The edge each relation was reached through (unset for the source and
+    /// for unreached relations). A settled relation's chain is final.
+    back: Vec<EdgeId>,
+    /// Reached, unsettled relations by distance; may hold stale entries.
+    frontier: BinaryHeap<u128>,
+    /// How many relations are settled.
+    settled: u32,
+    /// The target set of the question being answered, kept to reuse its
+    /// allocation.
+    asked: Vec<RelId>,
+}
 
-type PathTrees = HashMap<(RelId, Option<EdgeId>), Arc<PathTree>>;
+/// A frontier entry packed so that the max-heap pops the smallest distance
+/// first and, among equal distances, the larger `RelId` first.
+fn key(d: u64, rel: RelId) -> u128 {
+    ((!d as u128) << 32) | rel.0 as u128
+}
+
+impl PathSearch {
+    fn new(relations: usize, from: RelId, banned: Option<EdgeId>) -> PathSearch {
+        let mut dist = vec![u64::MAX; relations];
+        dist[from.index()] = 0;
+        PathSearch {
+            banned,
+            dist,
+            rank: vec![u32::MAX; relations],
+            back: vec![EdgeId(u32::MAX); relations],
+            frontier: BinaryHeap::from([key(0, from)]),
+            settled: 0,
+            asked: Vec::new(),
+        }
+    }
+
+    /// The member of `targets` the search settles first, advancing it only
+    /// until one is settled; `None` when none is reachable.
+    fn nearest(
+        &mut self,
+        hops: &[Vec<Hop>],
+        targets: impl IntoIterator<Item = RelId>,
+    ) -> Option<RelId> {
+        self.asked.clear();
+        self.asked.extend(targets);
+        let first = self
+            .asked
+            .iter()
+            .copied()
+            .min_by_key(|t| self.rank[t.index()])?;
+        if self.rank[first.index()] != u32::MAX {
+            return Some(first);
+        }
+        while let Some(rel) = self.settle_next(hops) {
+            if self.asked.contains(&rel) {
+                return Some(rel);
+            }
+        }
+        None
+    }
+
+    /// Settle the nearest reached relation and relax its hops; `None` once
+    /// the frontier is empty, when `dist` and the frontier are freed.
+    fn settle_next(&mut self, hops: &[Vec<Hop>]) -> Option<RelId> {
+        while let Some(k) = self.frontier.pop() {
+            let (d, rel) = (!((k >> 32) as u64), RelId::new(k as u32));
+            if self.dist[rel.index()] < d {
+                continue; // stale entry
+            }
+            self.rank[rel.index()] = self.settled;
+            self.settled += 1;
+            for hop in &hops[rel.index()] {
+                if self.banned == Some(hop.edge) {
+                    continue;
+                }
+                let nd = d + hop.weight;
+                if nd < self.dist[hop.to.index()] {
+                    self.dist[hop.to.index()] = nd;
+                    self.back[hop.to.index()] = hop.edge;
+                    self.frontier.push(key(nd, hop.to));
+                }
+            }
+            return Some(rel);
+        }
+        self.dist = Vec::new();
+        self.frontier = BinaryHeap::new();
+        None
+    }
+}
+
+/// The lazily filled schema-path table: one [`PathSearch`] per `(source,
+/// banned edge)` ever asked about, each advanced only as far as the
+/// questions so far needed. Edge costs are fixed at
+/// [`CatalogBuilder::build`], so a search is a pure function of the catalog
+/// and clones share one table. The map's lock guards only the map; each
+/// search has its own.
+#[derive(Clone, Default)]
+struct PathTable(Arc<RwLock<PathSearches>>);
+
+type PathSearches = HashMap<(RelId, Option<EdgeId>), Arc<Mutex<PathSearch>>>;
 
 impl PathTable {
     fn len(&self) -> usize {
         self.0.read().expect(PATHS_POISONED).len()
     }
+
+    /// The search from `from` avoiding `banned`, started if new.
+    fn search(
+        &self,
+        relations: usize,
+        from: RelId,
+        banned: Option<EdgeId>,
+    ) -> Arc<Mutex<PathSearch>> {
+        let key = (from, banned);
+        if let Some(search) = self.0.read().expect(PATHS_POISONED).get(&key) {
+            return Arc::clone(search);
+        }
+        let mut table = self.0.write().expect(PATHS_POISONED);
+        Arc::clone(
+            table
+                .entry(key)
+                .or_insert_with(|| Arc::new(Mutex::new(PathSearch::new(relations, from, banned)))),
+        )
+    }
+
+    /// How many relations the `(from, banned)` search has settled, if it
+    /// was ever started.
+    #[cfg(test)]
+    fn settled(&self, from: RelId, banned: Option<EdgeId>) -> Option<u32> {
+        let table = self.0.read().expect(PATHS_POISONED);
+        let search = table.get(&(from, banned))?;
+        let settled = search.lock().expect(PATHS_POISONED).settled;
+        Some(settled)
+    }
 }
 
-/// Trees are inserted whole, so a poisoned lock still guards valid data —
-/// but a panic on a thread holding it is a bug worth stopping on.
+/// A search that panicked mid-relaxation is half-updated, and a panic on a
+/// thread holding the map is a bug too: either is worth stopping on.
 const PATHS_POISONED: &str = "a thread panicked while holding the schema-path table";
 
 impl fmt::Debug for PathTable {
@@ -181,12 +308,22 @@ impl fmt::Debug for PathTable {
     }
 }
 
+/// The largest path-search weight of an edge. Relation ids are `u32`, so a
+/// simple path has at most `u32::MAX` edges and no distance sum can overflow
+/// a `u64`.
+const MAX_WEIGHT: u64 = u32::MAX as u64;
+
+/// An edge cost in thousandths, clamped to `1..=MAX_WEIGHT`.
+fn path_weight(cost: f64) -> u64 {
+    (cost * 1000.0).max(1.0).min(MAX_WEIGHT as f64) as u64
+}
+
 /// The global schema graph with adjacency and name lookup.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     relations: Vec<Relation>,
     edges: Vec<Edge>,
-    adjacency: Vec<Vec<EdgeId>>,
+    hops: Vec<Vec<Hop>>,
     by_name: HashMap<String, RelId>,
     paths: PathTable,
 }
@@ -237,26 +374,24 @@ impl Catalog {
     }
 
     /// Edges incident to `rel`.
-    pub fn incident_edges(&self, rel: RelId) -> &[EdgeId] {
-        &self.adjacency[rel.index()]
+    pub fn incident_edges(&self, rel: RelId) -> impl Iterator<Item = EdgeId> + '_ {
+        self.hops[rel.index()].iter().map(|hop| hop.edge)
     }
 
     /// Neighboring `(edge, relation)` pairs of `rel`.
     #[cfg(test)]
     pub(crate) fn neighbors(&self, rel: RelId) -> impl Iterator<Item = (&Edge, &Relation)> + '_ {
-        self.adjacency[rel.index()].iter().map(move |eid| {
-            let e = self.edge(*eid);
-            let (other, _, _) = e.other(rel).expect("adjacency is consistent");
-            (e, self.relation(other))
-        })
+        self.hops[rel.index()]
+            .iter()
+            .map(|hop| (self.edge(hop.edge), self.relation(hop.to)))
     }
 
     /// The edge connecting `a` and `b` on specific columns, if present.
     pub fn edge_between(&self, a: RelId, b: RelId) -> Option<&Edge> {
-        self.adjacency[a.index()]
+        self.hops[a.index()]
             .iter()
-            .map(|eid| self.edge(*eid))
-            .find(|e| e.touches(b))
+            .find(|hop| hop.to == b)
+            .map(|hop| self.edge(hop.edge))
     }
 
     /// Mutable access to a relation's stats (used by generators and by the
@@ -267,10 +402,11 @@ impl Catalog {
     }
 
     /// Integer weight of an edge in path searches: its cost in thousandths,
-    /// at least 1 (zero, negative and NaN costs clamp to 1), so distances
-    /// are exact and strictly increasing along a path.
+    /// at least 1 (zero, negative and NaN costs clamp to 1) and at most
+    /// `u32::MAX` (so a path's sum cannot overflow), so distances are exact
+    /// and strictly increasing along a path.
     pub fn edge_weight(&self, id: EdgeId) -> u64 {
-        (self.edge(id).cost * 1000.0).max(1.0) as u64
+        path_weight(self.edge(id).cost)
     }
 
     /// The cheapest edge-path from `from` to the nearest relation in
@@ -280,24 +416,24 @@ impl Catalog {
     /// target makes (equal distances settle the larger `RelId` first, a
     /// relation keeps the first cheapest edge that reached it).
     ///
-    /// Answered from the catalog's path table: the first question about a
-    /// `(from, banned)` pair builds its full shortest-path tree, every later
-    /// one — whatever its target set — is a rank scan and a chain walk.
+    /// Answered from the catalog's path table: each `(from, banned)` pair
+    /// has one search, paused after the last relation a question needed. A
+    /// question whose target is already settled is a rank scan and a chain
+    /// walk; otherwise the search resumes until a target settles or it runs
+    /// out.
     pub fn cheapest_path(
         &self,
         from: RelId,
         targets: impl IntoIterator<Item = RelId>,
         banned: Option<EdgeId>,
     ) -> Option<Vec<EdgeId>> {
-        let tree = self.path_tree(from, banned);
-        let nearest = targets
-            .into_iter()
-            .min_by_key(|t| tree.rank[t.index()])
-            .filter(|t| tree.rank[t.index()] != u32::MAX)?;
+        let search = self.paths.search(self.relations.len(), from, banned);
+        let mut search = search.lock().expect(PATHS_POISONED);
+        let nearest = search.nearest(&self.hops, targets)?;
         let mut path = Vec::new();
         let mut cur = nearest;
         while cur != from {
-            let eid = tree.back[cur.index()];
+            let eid = search.back[cur.index()];
             path.push(eid);
             (cur, _, _) = self
                 .edge(eid)
@@ -306,52 +442,6 @@ impl Catalog {
         }
         path.reverse();
         Some(path)
-    }
-
-    fn path_tree(&self, from: RelId, banned: Option<EdgeId>) -> Arc<PathTree> {
-        let key = (from, banned);
-        if let Some(tree) = self.paths.0.read().expect(PATHS_POISONED).get(&key) {
-            return Arc::clone(tree);
-        }
-        // Built outside the lock; a racing builder computed the same tree.
-        let tree = Arc::new(self.build_path_tree(from, banned));
-        let mut table = self.paths.0.write().expect(PATHS_POISONED);
-        Arc::clone(table.entry(key).or_insert(tree))
-    }
-
-    /// Dijkstra from `from` over [`Catalog::edge_weight`], run to
-    /// exhaustion. The heap order (equal distances pop the larger `RelId`
-    /// first) and the strict-improvement relaxation fix every tie, and the
-    /// path table's answers inherit them.
-    fn build_path_tree(&self, from: RelId, banned: Option<EdgeId>) -> PathTree {
-        let n = self.relations.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut rank = vec![u32::MAX; n];
-        let mut back = vec![EdgeId(u32::MAX); n];
-        let mut heap: BinaryHeap<(Reverse<u64>, RelId)> = BinaryHeap::new();
-        let mut settled = 0u32;
-        dist[from.index()] = 0;
-        heap.push((Reverse(0), from));
-        while let Some((Reverse(d), rel)) = heap.pop() {
-            if dist[rel.index()] < d {
-                continue; // stale entry
-            }
-            rank[rel.index()] = settled;
-            settled += 1;
-            for &eid in self.incident_edges(rel) {
-                if banned == Some(eid) {
-                    continue;
-                }
-                let (next, _, _) = self.edge(eid).other(rel).expect("incident edge");
-                let nd = d + self.edge_weight(eid);
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    back[next.index()] = eid;
-                    heap.push((Reverse(nd), next));
-                }
-            }
-        }
-        PathTree { rank, back }
     }
 }
 
@@ -430,12 +520,18 @@ impl CatalogBuilder {
         id
     }
 
-    /// Finish, computing adjacency and the name index.
+    /// Finish, computing adjacency (as hop lists) and the name index.
     pub fn build(self) -> Catalog {
-        let mut adjacency = vec![Vec::new(); self.relations.len()];
+        let mut hops = vec![Vec::new(); self.relations.len()];
         for e in &self.edges {
-            adjacency[e.from.index()].push(e.id);
-            adjacency[e.to.index()].push(e.id);
+            let weight = path_weight(e.cost);
+            let hop = |to| Hop {
+                to,
+                weight,
+                edge: e.id,
+            };
+            hops[e.from.index()].push(hop(e.to));
+            hops[e.to.index()].push(hop(e.from));
         }
         let by_name = self
             .relations
@@ -445,7 +541,7 @@ impl CatalogBuilder {
         Catalog {
             relations: self.relations,
             edges: self.edges,
-            adjacency,
+            hops,
             by_name,
             paths: PathTable::default(),
         }
@@ -505,8 +601,8 @@ mod tests {
         let t = c.relation_by_name("Term").unwrap().id;
         let g2g = c.relation_by_name("Gene2GO").unwrap().id;
         let gi = c.relation_by_name("GeneInfo").unwrap().id;
-        assert_eq!(c.incident_edges(t).len(), 1);
-        assert_eq!(c.incident_edges(g2g).len(), 2);
+        assert_eq!(c.incident_edges(t).count(), 1);
+        assert_eq!(c.incident_edges(g2g).count(), 2);
         let neighbors: Vec<_> = c.neighbors(g2g).map(|(_, r)| r.id).collect();
         assert!(neighbors.contains(&t));
         assert!(neighbors.contains(&gi));
@@ -554,32 +650,54 @@ mod tests {
         let stats = || RelationStats::with_cardinality(1);
         let x = b.relation("X", SourceId::new(0), vec!["k".into()], None, 1.0, stats());
         let y = b.relation("Y", SourceId::new(0), vec!["k".into()], None, 1.0, stats());
-        let costs = [1.5, 0.0, -3.0, f64::NAN, 0.0004];
+        let costs = [1.5, 0.0, -3.0, f64::NAN, 0.0004, f64::INFINITY, 1e300];
         let ids: Vec<EdgeId> = costs
             .iter()
             .map(|&cost| b.edge(x, 0, y, 0, EdgeKind::Link, cost, 1.0))
             .collect();
         let c = b.build();
         let weights: Vec<u64> = ids.iter().map(|&e| c.edge_weight(e)).collect();
-        assert_eq!(weights, [1500, 1, 1, 1, 1]);
+        let cap = u64::from(u32::MAX);
+        assert_eq!(weights, [1500, 1, 1, 1, 1, cap, cap]);
+        // No distance sum overflows: the search relaxes the capped edges,
+        // keeps the first cheapest one and returns.
+        assert_eq!(c.cheapest_path(x, [y], None), Some(vec![ids[1]]));
     }
 
     #[test]
     fn path_table_fills_lazily_and_is_shared_by_clones() {
         let c = small_catalog();
         let t = c.relation_by_name("Term").unwrap().id;
+        let g2g = c.relation_by_name("Gene2GO").unwrap().id;
         let gi = c.relation_by_name("GeneInfo").unwrap().id;
         assert_eq!(c.paths.len(), 0, "nothing is precomputed");
-        let path = c.cheapest_path(t, [gi], None).expect("connected");
-        assert_eq!(path, [EdgeId(0), EdgeId(1)]);
+        // A near question settles only as far as its answer.
+        assert_eq!(c.cheapest_path(t, [g2g], None), Some(vec![EdgeId(0)]));
+        assert_eq!(
+            c.paths.settled(t, None),
+            Some(2),
+            "GeneInfo is left unsettled"
+        );
         assert_eq!(c.cheapest_path(t, [gi, t], None), Some(Vec::new()));
+        assert_eq!(
+            c.paths.settled(t, None),
+            Some(2),
+            "answered from the settled prefix"
+        );
         assert_eq!(c.cheapest_path(t, [gi], Some(EdgeId(1))), None);
-        assert_eq!(c.paths.len(), 2, "one tree per (from, banned)");
+        assert_eq!(c.paths.len(), 2, "one search per (from, banned)");
 
-        // A clone (the engine's copy, a lane's copy) reads and fills the
-        // same table; stats edits do not detach it.
+        // A clone (the engine's copy, a lane's copy) reads and advances the
+        // same searches; stats edits do not detach it.
         let mut clone = c.clone();
         clone.stats_mut(t).cardinality = 7;
+        let path = clone.cheapest_path(t, [gi], None).expect("connected");
+        assert_eq!(path, [EdgeId(0), EdgeId(1)]);
+        assert_eq!(
+            c.paths.settled(t, None),
+            Some(3),
+            "the far question resumed it"
+        );
         assert_eq!(clone.cheapest_path(gi, [t], None).map(|p| p.len()), Some(2));
         assert_eq!(c.paths.len(), 3);
         // Debug names the table by size only.

@@ -10,8 +10,9 @@
 //! conjunctive query scored under the configured model. No path is searched
 //! for here: the schema graph and its edge costs are fixed once a catalog is
 //! built (per-user edge costs enter scoring only), so the catalog answers
-//! every cheapest-path question from a shortest-path table it fills on first
-//! use and shares with its clones ([`Catalog::cheapest_path`]). The result is a
+//! every cheapest-path question from a table of shortest-path searches it
+//! shares with its clones, each advanced only as far as the questions asked
+//! of it so far needed ([`Catalog::cheapest_path`]). The result is a
 //! [`UserQuery`] whose CQs are sorted by score upper bound `U`, exactly the
 //! triples `[(UQ_j, CQ_i, C_i)]` the query batcher expects.
 
@@ -217,8 +218,9 @@ impl<'a> CandidateGenerator<'a> {
     /// `targets`. The cheapest path is read off the catalog's schema-path
     /// table ([`Catalog::cheapest_path`]); alternatives are found Yen-style,
     /// by banning each edge of the cheapest path in turn and keeping the
-    /// cheapest distinct detours — each of those one more table entry,
-    /// shared by every later query that routes the same way.
+    /// cheapest distinct detours — each of those one more search in the
+    /// table, paused at its answer and resumed by any later query that
+    /// routes the same way.
     fn paths_to_set(
         &self,
         from: RelId,
@@ -372,6 +374,7 @@ mod tests {
     use qsys_types::{SourceId, Value};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     /// The per-call search the schema-path table replaced, kept as the
     /// reference its answers are checked against: Dijkstra from `from`,
@@ -409,15 +412,15 @@ mod tests {
                 return Some(path);
             }
             for eid in catalog.incident_edges(rel) {
-                if banned.contains(eid) {
+                if banned.contains(&eid) {
                     continue;
                 }
-                let e = catalog.edge(*eid);
+                let e = catalog.edge(eid);
                 let (next, _, _) = e.other(rel).expect("incident edge");
-                let nd = d + catalog.edge_weight(*eid);
+                let nd = d + catalog.edge_weight(eid);
                 if nd < dist.get(&next).copied().unwrap_or(u64::MAX) {
                     dist.insert(next, nd);
-                    back.insert(next, *eid);
+                    back.insert(next, eid);
                     heap.push((Reverse(nd), next));
                 }
             }
@@ -474,16 +477,28 @@ mod tests {
 
         /// The path table answers every `(from, targets, banned)` question
         /// exactly as the per-call search did — `None`, the empty path, and
-        /// every tie included — for all the target sets one tree serves.
+        /// every tie included — in whatever order the questions come: a
+        /// banned search before or after its unbanned twin, a far target set
+        /// resuming a search that a near one paused.
         #[test]
         fn path_table_matches_reference_dijkstra(
             n in 2usize..=12,
             edges in prop::collection::vec((0usize..12, 0usize..12, 0usize..3), 1..=20),
             parallel_cost in 0usize..3,
-            asks in prop::collection::vec((0usize..12, 1u32..4096), 1..=8),
+            asks in prop::collection::vec((0usize..12, 1u32..4096, 0usize..23), 1..=8),
+            shuffle in 0u64..u64::MAX,
         ) {
             let catalog = tie_catalog(n, &edges, parallel_cost);
-            for (from, mask) in asks {
+            // `pick` draws from every edge id and, one past the last, `None`.
+            let edge_count = catalog.edges().len();
+            let banned_of = |pick: usize| {
+                let pick = pick % (edge_count + 1);
+                (pick < edge_count).then_some(EdgeId(pick as u32))
+            };
+            // Each drawn question, its unbanned twin, the twin's Yen-style
+            // bans, and one question per single target under both bans.
+            let mut questions = Vec::new();
+            for (from, mask, pick) in asks {
                 let from = RelId::new((from % n) as u32);
                 let mut targets: BTreeSet<RelId> = (0..n)
                     .filter(|i| mask >> i & 1 == 1)
@@ -492,18 +507,35 @@ mod tests {
                 if targets.is_empty() {
                     targets.insert(RelId::new(((from.index() + 1) % n) as u32));
                 }
-                let table = |banned| catalog.cheapest_path(from, targets.iter().copied(), banned);
-                let best = table(None);
-                prop_assert_eq!(
-                    &best,
-                    &reference_dijkstra(&catalog, from, &targets, &BTreeSet::new())
-                );
-                for banned in best.into_iter().flatten() {
-                    prop_assert_eq!(
-                        table(Some(banned)),
-                        reference_dijkstra(&catalog, from, &targets, &BTreeSet::from([banned]))
-                    );
+                let banned = banned_of(pick);
+                let best = reference_dijkstra(&catalog, from, &targets, &BTreeSet::new());
+                for &t in &targets {
+                    questions.push((from, BTreeSet::from([t]), None));
+                    questions.push((from, BTreeSet::from([t]), banned));
                 }
+                for e in best.into_iter().flatten() {
+                    questions.push((from, targets.clone(), Some(e)));
+                }
+                questions.push((from, targets.clone(), None));
+                questions.push((from, targets, banned));
+            }
+            let order = |i: &usize| {
+                let mut h = DefaultHasher::new();
+                (shuffle, *i).hash(&mut h);
+                h.finish()
+            };
+            let mut asked: Vec<usize> = (0..questions.len()).collect();
+            asked.sort_by_key(order);
+            for i in asked {
+                let (from, targets, banned) = &questions[i];
+                prop_assert_eq!(
+                    catalog.cheapest_path(*from, targets.iter().copied(), *banned),
+                    reference_dijkstra(&catalog, *from, targets, &banned.iter().copied().collect()),
+                    "from {:?} to {:?} avoiding {:?}",
+                    from,
+                    targets,
+                    banned
+                );
             }
         }
     }
