@@ -820,24 +820,23 @@ fn chaos_victim(w: &Workload) -> (u32, BTreeSet<UqId>) {
 /// rates, and a hard outage of one relation from t = 0. All schedules are
 /// seeded, so the sweep replays identically.
 pub fn chaos_sweep(seed: u64, scale: Scale) -> ChaosSweep {
-    use qsys_workload::faults::FaultPlan;
     let w = gus_workload(seed, scale);
     let (victim, victim_readers) = chaos_victim(&w);
-    let arm = |label: &str, plan: Option<FaultPlan>, faulted_readers| {
+    let arm = |label: &str, faults: Option<FaultSpec>, faulted_readers| {
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.faults = plan.map(|p| FaultSpec::parse(&p.build()).expect("valid fault spec"));
+        cfg.faults = faults;
         (label.to_string(), cfg, faulted_readers)
     };
-    let plan = || FaultPlan::new(1009);
+    let spec = || FaultSpec::new(1009);
     let arms = run_arms(
         &w,
         [
             arm("fault-free", None, None),
-            arm("transient-1pct", Some(plan().transient(0.01)), None),
-            arm("transient-5pct", Some(plan().transient(0.05)), None),
+            arm("transient-1pct", Some(spec().transient(0.01)), None),
+            arm("transient-5pct", Some(spec().transient(0.05)), None),
             arm(
                 "hard-outage",
-                Some(plan().outage(victim, 0, None)),
+                Some(spec().outage(victim, 0, None)),
                 Some(&victim_readers),
             ),
         ],
@@ -954,12 +953,7 @@ pub fn verify_audit(seeds: &[u64], scale: Scale) -> VerifyAudit {
         }
         // Chaos arm: 5% transient faults — quarantine/degradation paths.
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.faults = FaultSpec::parse(
-            &qsys_workload::faults::FaultPlan::new(1009)
-                .transient(0.05)
-                .build(),
-        )
-        .ok();
+        cfg.faults = Some(FaultSpec::new(1009).transient(0.05));
         arms.push(audited_run(format!("seed {seed} / chaos-5pct"), &w, cfg));
     }
     VerifyAudit { arms }

@@ -60,11 +60,8 @@ fn sources(rows: u64, outage_at_us: u64) -> Sources {
             .collect();
         s.register(Table::new(id, t));
     }
-    let spec = format!("rel{FAULTED}:outage={outage_at_us}..");
-    s.set_injector(FaultInjector::new(
-        FaultSpec::parse(&spec).expect("well-formed spec"),
-        0,
-    ));
+    let spec = FaultSpec::new(0).outage(FAULTED, outage_at_us, None);
+    s.set_injector(FaultInjector::new(spec, 0, None));
     s
 }
 

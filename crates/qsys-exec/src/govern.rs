@@ -7,9 +7,10 @@
 //! - **bounded retries** with exponential backoff and deterministic jitter,
 //!   charged to the virtual clock so backoff shows up in simulated response
 //!   times exactly like network delay does;
-//! - a **per-fetch timeout** ([`RetryPolicy::fetch_timeout_us`], installed
-//!   into the source registry so only fault-inflated slow rounds can trip
-//!   it — an unfaulted relation can never exhaust a retry budget);
+//! - a **per-fetch timeout** ([`RetryPolicy::fetch_timeout_us`], handed to
+//!   the lane's fault injector when it is built, so only fault-inflated
+//!   slow rounds can trip it — an unfaulted relation can never exhaust a
+//!   retry budget);
 //! - a **per-source circuit breaker**: after
 //!   [`RetryPolicy::breaker_threshold`] consecutive failures the breaker
 //!   opens and fetches fail fast (no simulated round-trip) until a cooldown
@@ -18,8 +19,8 @@
 //!
 //! The governor also tracks which relations failed during the current
 //! execution batch, so completions can be classified as degraded (see
-//! `ExecStats::complete`), and keeps cumulative counters ([`FaultStats`])
-//! that flow into run reports and bench JSON.
+//! `ExecStats::complete`), and keeps one cumulative [`FaultStats`] that
+//! flows into run reports.
 //!
 //! Every executor fetch goes through the governor to
 //! [`Sources::try_read`]/[`Sources::try_probe`], the one fetch path. When
@@ -41,7 +42,8 @@ pub struct RetryPolicy {
     pub backoff_base_us: u64,
     /// Backoff ceiling, virtual µs.
     pub backoff_cap_us: u64,
-    /// Deterministic jitter added to each backoff, as a fraction of it.
+    /// Deterministic jitter added to each backoff, as a fraction of it
+    /// (in [0, 1]; `EngineConfig::validate_all` rejects any other value).
     pub jitter_frac: f64,
     /// Per-fetch timeout (virtual µs) applied to fault-inflated rounds.
     pub fetch_timeout_us: Option<u64>,
@@ -131,15 +133,8 @@ pub struct SourceGovernor {
     /// Monotone retry counter: the jitter hash input, so jitter is
     /// deterministic for a given execution order yet varies per retry.
     retry_ordinal: Cell<u64>,
-    retries: Cell<u64>,
-    transient_errors: Cell<u64>,
-    outage_errors: Cell<u64>,
-    timeouts: Cell<u64>,
-    breaker_trips: Cell<u64>,
-    breaker_fast_fails: Cell<u64>,
-    exhausted_fetches: Cell<u64>,
-    quarantined_streams: Cell<u64>,
-    failed_probes: Cell<u64>,
+    /// Cumulative counters.
+    stats: Cell<FaultStats>,
 }
 
 impl SourceGovernor {
@@ -150,16 +145,15 @@ impl SourceGovernor {
             breakers: RefCell::new(BTreeMap::new()),
             batch_failed: RefCell::new(BTreeSet::new()),
             retry_ordinal: Cell::new(0),
-            retries: Cell::new(0),
-            transient_errors: Cell::new(0),
-            outage_errors: Cell::new(0),
-            timeouts: Cell::new(0),
-            breaker_trips: Cell::new(0),
-            breaker_fast_fails: Cell::new(0),
-            exhausted_fetches: Cell::new(0),
-            quarantined_streams: Cell::new(0),
-            failed_probes: Cell::new(0),
+            stats: Cell::new(FaultStats::default()),
         }
+    }
+
+    /// Add one to the counter `counter` picks out.
+    fn count(&self, counter: fn(&mut FaultStats) -> &mut u64) {
+        let mut stats = self.stats.get();
+        *counter(&mut stats) += 1;
+        self.stats.set(stats);
     }
 
     /// The policy in force.
@@ -214,8 +208,7 @@ impl SourceGovernor {
         mut attempt: impl FnMut(&Sources) -> Result<T, SourceError>,
     ) -> Result<T, SourceError> {
         if let Some(rel) = self.breaker_blocks(rels, sources.clock().now_us()) {
-            self.breaker_fast_fails
-                .set(self.breaker_fast_fails.get() + 1);
+            self.count(|s| &mut s.breaker_fast_fails);
             return Err(SourceError::BreakerOpen { rel });
         }
         let mut tries = 0u32;
@@ -229,11 +222,11 @@ impl SourceGovernor {
                     self.count_error(&e);
                     self.record_failure(e.rel(), sources.clock().now_us());
                     if tries >= self.policy.max_retries {
-                        self.exhausted_fetches.set(self.exhausted_fetches.get() + 1);
+                        self.count(|s| &mut s.exhausted_fetches);
                         return Err(e);
                     }
                     tries += 1;
-                    self.retries.set(self.retries.get() + 1);
+                    self.count(|s| &mut s.retries);
                     let backoff = self.backoff_us(e.rel(), tries);
                     sources.clock().charge(backoff_category, backoff);
                 }
@@ -261,13 +254,12 @@ impl SourceGovernor {
     }
 
     fn count_error(&self, e: &SourceError) {
-        let cell = match e {
-            SourceError::Transient { .. } => &self.transient_errors,
-            SourceError::Outage { .. } => &self.outage_errors,
-            SourceError::Timeout { .. } => &self.timeouts,
-            SourceError::BreakerOpen { .. } => &self.breaker_fast_fails,
-        };
-        cell.set(cell.get() + 1);
+        self.count(match e {
+            SourceError::Transient { .. } => |s| &mut s.transient_errors,
+            SourceError::Outage { .. } => |s| &mut s.outage_errors,
+            SourceError::Timeout { .. } => |s| &mut s.timeouts,
+            SourceError::BreakerOpen { .. } => |s| &mut s.breaker_fast_fails,
+        });
     }
 
     /// The first relation whose breaker is open (and still cooling down).
@@ -300,21 +292,20 @@ impl SourceGovernor {
         // A failure while open means the half-open probe failed; re-open.
         // Otherwise open once the consecutive count crosses the threshold.
         if b.open_until.is_some() || b.consecutive >= self.policy.breaker_threshold {
-            b.open_until = Some(now_us + self.policy.breaker_cooldown_us);
-            self.breaker_trips.set(self.breaker_trips.get() + 1);
+            b.open_until = Some(now_us.saturating_add(self.policy.breaker_cooldown_us));
+            self.count(|s| &mut s.breaker_trips);
         }
     }
 
     /// Record that a stream leaf over `rels` was quarantined.
     pub(crate) fn note_quarantined(&self, rels: &[RelId]) {
-        self.quarantined_streams
-            .set(self.quarantined_streams.get() + 1);
+        self.count(|s| &mut s.quarantined_streams);
         self.batch_failed.borrow_mut().extend(rels.iter().copied());
     }
 
     /// Record that a remote probe of `rel` gave up (matches lost).
     pub(crate) fn note_failed_probe(&self, rel: RelId) {
-        self.failed_probes.set(self.failed_probes.get() + 1);
+        self.count(|s| &mut s.failed_probes);
         self.batch_failed.borrow_mut().insert(rel);
     }
 
@@ -334,17 +325,7 @@ impl SourceGovernor {
 
     /// Cumulative counters.
     pub fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            retries: self.retries.get(),
-            transient_errors: self.transient_errors.get(),
-            outage_errors: self.outage_errors.get(),
-            timeouts: self.timeouts.get(),
-            breaker_trips: self.breaker_trips.get(),
-            breaker_fast_fails: self.breaker_fast_fails.get(),
-            exhausted_fetches: self.exhausted_fetches.get(),
-            quarantined_streams: self.quarantined_streams.get(),
-            failed_probes: self.failed_probes.get(),
-        }
+        self.stats.get()
     }
 }
 
@@ -362,7 +343,7 @@ mod tests {
     use qsys_source::{FaultInjector, FaultSpec, Table};
     use qsys_types::{CostProfile, SimClock};
 
-    fn sources_with(spec: Option<&str>, rows: u64) -> Sources {
+    fn sources_with(spec: Option<FaultSpec>, rows: u64) -> Sources {
         let mut s = Sources::new(SimClock::new(), CostProfile::default(), 17);
         for rel in 0..2u32 {
             let id = RelId::new(rel);
@@ -379,7 +360,7 @@ mod tests {
             s.register(Table::new(id, t));
         }
         if let Some(spec) = spec {
-            s.set_injector(FaultInjector::new(FaultSpec::parse(spec).unwrap(), 0));
+            s.set_injector(FaultInjector::new(spec, 0, None));
         }
         s
     }
@@ -397,7 +378,7 @@ mod tests {
     fn transient_errors_are_retried_and_backoff_is_charged() {
         // 25% transient: exhausting 1+3 attempts needs four failures in a
         // row (p ≈ 0.4% per fetch) — and the seed pins the outcome anyway.
-        let s = sources_with(Some("seed=11; rel0:transient=0.25"), 8);
+        let s = sources_with(Some(FaultSpec::new(11).rel_transient(0, 0.25)), 8);
         let g = SourceGovernor::new(RetryPolicy::default());
         let mut stream = s.open_stream(RelId::new(0), None);
         let mut n = 0;
@@ -417,32 +398,38 @@ mod tests {
 
     #[test]
     fn outage_exhausts_retries_then_breaker_opens() {
-        let s = sources_with(Some("rel0:outage=0.."), 8);
-        let policy = RetryPolicy::default();
-        let g = SourceGovernor::new(policy);
-        let mut stream = s.open_stream(RelId::new(0), None);
-        // First fetch: 1 + max_retries attempts, all outage errors.
-        let e = g.read_stream(&s, &mut stream).unwrap_err();
-        assert_eq!(e, SourceError::Outage { rel: RelId::new(0) });
-        let snap = g.snapshot();
-        assert_eq!(snap.outage_errors as u32, 1 + policy.max_retries);
-        assert_eq!(snap.exhausted_fetches, 1);
-        assert_eq!(snap.breaker_trips, 1, "4 consecutive failures trip it");
-        // Next fetch fails fast without touching the network.
-        let before = s.clock().breakdown().stream_read_us;
-        let e = g.read_stream(&s, &mut stream).unwrap_err();
-        assert_eq!(e, SourceError::BreakerOpen { rel: RelId::new(0) });
-        assert_eq!(s.clock().breakdown().stream_read_us, before);
-        assert!(g.snapshot().breaker_fast_fails >= 1);
-        // The other relation is untouched.
-        let mut other = s.open_stream(RelId::new(1), None);
-        assert!(g.read_stream(&s, &mut other).unwrap().is_some());
+        // `u64::MAX`: a breaker that, once open, never closes.
+        for cooldown in [RetryPolicy::default().breaker_cooldown_us, u64::MAX] {
+            let s = sources_with(Some(FaultSpec::new(0).outage(0, 0, None)), 8);
+            let policy = RetryPolicy {
+                breaker_cooldown_us: cooldown,
+                ..RetryPolicy::default()
+            };
+            let g = SourceGovernor::new(policy);
+            let mut stream = s.open_stream(RelId::new(0), None);
+            // First fetch: 1 + max_retries attempts, all outage errors.
+            let e = g.read_stream(&s, &mut stream).unwrap_err();
+            assert_eq!(e, SourceError::Outage { rel: RelId::new(0) });
+            let snap = g.snapshot();
+            assert_eq!(snap.outage_errors as u32, 1 + policy.max_retries);
+            assert_eq!(snap.exhausted_fetches, 1);
+            assert_eq!(snap.breaker_trips, 1, "4 consecutive failures trip it");
+            // Next fetch fails fast without touching the network.
+            let before = s.clock().breakdown().stream_read_us;
+            let e = g.read_stream(&s, &mut stream).unwrap_err();
+            assert_eq!(e, SourceError::BreakerOpen { rel: RelId::new(0) });
+            assert_eq!(s.clock().breakdown().stream_read_us, before);
+            assert!(g.snapshot().breaker_fast_fails >= 1);
+            // The other relation is untouched.
+            let mut other = s.open_stream(RelId::new(1), None);
+            assert!(g.read_stream(&s, &mut other).unwrap().is_some());
+        }
     }
 
     #[test]
     fn breaker_half_open_probe_recovers_after_the_window() {
         // Outage for the first 1s of virtual time only.
-        let s = sources_with(Some("rel0:outage=0..1000000"), 8);
+        let s = sources_with(Some(FaultSpec::new(0).outage(0, 0, Some(1_000_000))), 8);
         let g = SourceGovernor::new(RetryPolicy {
             breaker_cooldown_us: 200_000,
             ..RetryPolicy::default()

@@ -5,19 +5,25 @@
 //! failure semantics, not just delays. A [`FaultInjector`] schedules, per
 //! relation, three kinds of trouble over **simulated** time:
 //!
-//! - **transient fetch errors** (`transient=<rate>`): a fetch round fails
-//!   with [`SourceError::Transient`]; the round-trip is still charged to the
-//!   clock and the tuple stays at the source, so a retry can fetch it.
-//! - **slow rounds** (`slow=<rate>x<mult>`): the round's Poisson delay is
-//!   inflated by `<mult>`; if a per-fetch timeout is configured and the
+//! - **transient fetch errors** ([`FaultSpec::transient`]): a fetch round
+//!   fails with [`SourceError::Transient`]; the round-trip is still charged
+//!   to the clock and the tuple stays at the source, so a retry can fetch
+//!   it.
+//! - **slow rounds** ([`FaultSpec::slow`]): the round's Poisson delay is
+//!   multiplied; if the injector carries a per-fetch timeout and the
 //!   inflated delay exceeds it, the fetch fails with
 //!   [`SourceError::Timeout`] after charging exactly the timeout.
-//! - **hard outages** (`outage=<start>..<end>` in virtual µs, open end =
-//!   the rest of the run): every fetch in the window fails with
+//! - **hard outages** ([`FaultSpec::outage`], virtual µs, open end = the
+//!   rest of the run): every fetch in the window fails with
 //!   [`SourceError::Outage`].
 //!
-//! Plus a test hook, `panic` — the first fetch of that relation panics, to
-//! exercise lane panic-isolation.
+//! Plus a test hook, [`FaultSpec::panic_on`] — the first fetch of that
+//! relation panics, to exercise lane panic-isolation.
+//!
+//! A schedule is a [`FaultSpec`] value, built with its methods or written
+//! as a struct literal; `EngineConfig::validate_all` checks it (rates in
+//! [0, 1], slow multipliers ≥ 1, non-empty outage windows, a scoped panic
+//! hook).
 //!
 //! # Determinism
 //!
@@ -27,21 +33,6 @@
 //! workload randomness. Error rounds charge a *fixed* cost (the mean
 //! network delay) and consume no RNG at all. With no injector installed,
 //! the fetch path is byte-identical to the fault-free build.
-//!
-//! # Spec grammar ([`FaultSpec::parse`])
-//!
-//! Semicolon-separated clauses; whitespace is ignored:
-//!
-//! ```text
-//! seed=7; transient=0.01; rel3:outage=0..; rel5:slow=0.2x6; rel9:panic
-//! ```
-//!
-//! - `seed=<u64>` — the injector RNG seed (default 0).
-//! - Unscoped `transient=`/`slow=` clauses set the **default** faults for
-//!   every relation without a scoped clause.
-//! - `rel<N>:` scopes a clause to one relation. A relation with any scoped
-//!   clause starts from a clean slate (the defaults do not apply to it).
-//! - `outage=<start>..<end?>` may repeat for multiple windows.
 
 use qsys_types::dist::seeded_rng;
 use qsys_types::RelId;
@@ -139,101 +130,125 @@ impl RelFaults {
     }
 }
 
-/// A complete, serializable fault schedule (see the module docs for the
-/// text grammar). `Display` re-emits the canonical spec string, so specs
-/// round-trip through `parse`.
+/// A complete fault schedule: a seed, the faults every relation gets by
+/// default, and per-relation faults that replace the defaults.
+///
+/// Build one with [`FaultSpec::new`] and its methods (a struct literal is
+/// the same value; `EngineConfig::validate_all` checks either through
+/// [`FaultSpec::problems`]):
+///
+/// ```
+/// use qsys_source::FaultSpec;
+/// let spec = FaultSpec::new(7)
+///     .transient(0.01) // every relation without faults of its own
+///     .outage(3, 0, None) // rel 3 is dark for the whole run
+///     .rel_slow(5, 0.2, 6.0) // rel 5: one round in five is 6× slower
+///     .panic_on(9); // the first fetch from rel 9 panics its lane
+/// assert_eq!(spec.default_faults.transient, 0.01);
+/// // rel 5's own faults replace the defaults.
+/// assert_eq!(spec.per_rel[&5].transient, 0.0);
+/// assert!(spec.problems().is_empty());
+/// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSpec {
     /// Seed for the injector's private RNG.
     pub seed: u64,
-    /// Faults applied to relations with no scoped clause.
+    /// Faults applied to relations with no faults of their own.
     pub default_faults: RelFaults,
-    /// Scoped per-relation faults (these *replace* the defaults).
+    /// Per-relation faults (these *replace* the defaults).
     pub per_rel: BTreeMap<u32, RelFaults>,
 }
 
 impl FaultSpec {
-    /// Parse the schedule grammar (module docs). Returns a human-readable
-    /// error for malformed clauses.
-    pub fn parse(spec: &str) -> Result<FaultSpec, String> {
-        let mut out = FaultSpec::default();
-        for raw in spec.split(';') {
-            let clause = raw.trim();
-            if clause.is_empty() {
-                continue;
+    /// An empty schedule; `seed` drives every probabilistic draw the
+    /// injector makes, so equal schedules replay identically.
+    pub fn new(seed: u64) -> FaultSpec {
+        FaultSpec {
+            seed,
+            ..FaultSpec::default()
+        }
+    }
+
+    /// Default transient-error rate, for every relation without faults of
+    /// its own.
+    pub fn transient(mut self, rate: f64) -> Self {
+        self.default_faults.transient = rate;
+        self
+    }
+
+    /// Default slow-round schedule: each fetch round is slowed with
+    /// probability `rate`, its network delay multiplied by `mult`.
+    pub fn slow(mut self, rate: f64, mult: f64) -> Self {
+        self.default_faults.slow_rate = rate;
+        self.default_faults.slow_mult = mult;
+        self
+    }
+
+    /// Transient-error rate for one relation.
+    pub fn rel_transient(mut self, rel: u32, rate: f64) -> Self {
+        self.rel(rel).transient = rate;
+        self
+    }
+
+    /// Slow-round schedule for one relation.
+    pub fn rel_slow(mut self, rel: u32, rate: f64, mult: f64) -> Self {
+        let faults = self.rel(rel);
+        faults.slow_rate = rate;
+        faults.slow_mult = mult;
+        self
+    }
+
+    /// Hard outage of one relation over `[start_us, end_us)` virtual time;
+    /// `None` keeps it dark for the rest of the run. Windows accumulate.
+    pub fn outage(mut self, rel: u32, start_us: u64, end_us: Option<u64>) -> Self {
+        self.rel(rel).outages.push((start_us, end_us));
+        self
+    }
+
+    /// Panic the lane on the first fetch touching `rel` (exercises the
+    /// engine's lane panic isolation).
+    pub fn panic_on(mut self, rel: u32) -> Self {
+        self.rel(rel).panic_on_fetch = true;
+        self
+    }
+
+    /// `rel`'s own faults; the first call starts them clean, so the
+    /// defaults stop applying to `rel`.
+    fn rel(&mut self, rel: u32) -> &mut RelFaults {
+        self.per_rel.entry(rel).or_default()
+    }
+
+    /// Why this schedule cannot run, one line per problem (empty: it can):
+    /// a rate outside [0, 1], a slow schedule whose multiplier is not a
+    /// finite number ≥ 1, an empty outage window, or a panic hook on the
+    /// defaults.
+    pub fn problems(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let scopes = std::iter::once((None, &self.default_faults))
+            .chain(self.per_rel.iter().map(|(&id, f)| (Some(id), f)));
+        for (rel, f) in scopes {
+            let scope = rel.map_or("default faults".to_string(), |id| format!("rel{id}"));
+            for (kind, rate) in [("transient", f.transient), ("slow", f.slow_rate)] {
+                if !(0.0..=1.0).contains(&rate) {
+                    out.push(format!("{scope}: {kind} rate {rate} is outside [0, 1]"));
+                }
             }
-            let (scope, body) = match clause.split_once(':') {
-                Some((rel, body)) => {
-                    let id: u32 = rel
-                        .trim()
-                        .strip_prefix("rel")
-                        .and_then(|n| n.parse().ok())
-                        .ok_or_else(|| format!("bad relation scope `{rel}` in `{clause}`"))?;
-                    (Some(id), body.trim())
-                }
-                None => (None, clause),
-            };
-            let faults = match scope {
-                Some(id) => out.per_rel.entry(id).or_default(),
-                None => &mut out.default_faults,
-            };
-            if body == "panic" {
-                if scope.is_none() {
-                    return Err("`panic` must be scoped to one relation".into());
-                }
-                faults.panic_on_fetch = true;
-                continue;
+            if f.slow_rate > 0.0 && !(f.slow_mult.is_finite() && f.slow_mult >= 1.0) {
+                out.push(format!(
+                    "{scope}: slow multiplier {} is not a finite number ≥ 1",
+                    f.slow_mult
+                ));
             }
-            let (key, value) = body
-                .split_once('=')
-                .ok_or_else(|| format!("expected `key=value` in `{clause}`"))?;
-            match (key.trim(), value.trim()) {
-                ("seed", v) => {
-                    if scope.is_some() {
-                        return Err(format!("`seed` cannot be scoped in `{clause}`"));
-                    }
-                    out.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
+            for &(start, end) in &f.outages {
+                if let Some(end) = end.filter(|&e| e <= start) {
+                    out.push(format!("{scope}: outage window {start}..{end} is empty"));
                 }
-                ("transient", v) => {
-                    faults.transient = parse_rate(v, clause)?;
-                }
-                ("slow", v) => {
-                    let (rate, mult) = v
-                        .split_once('x')
-                        .ok_or_else(|| format!("expected `slow=<rate>x<mult>` in `{clause}`"))?;
-                    faults.slow_rate = parse_rate(rate, clause)?;
-                    faults.slow_mult = mult
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad slow multiplier `{mult}` in `{clause}`"))?;
-                    if faults.slow_mult < 1.0 {
-                        return Err(format!("slow multiplier must be ≥ 1 in `{clause}`"));
-                    }
-                }
-                ("outage", v) => {
-                    let (start, end) = v.split_once("..").ok_or_else(|| {
-                        format!("expected `outage=<start>..<end?>` in `{clause}`")
-                    })?;
-                    let start: u64 = start
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad outage start `{start}` in `{clause}`"))?;
-                    let end = match end.trim() {
-                        "" => None,
-                        e => Some(
-                            e.parse::<u64>()
-                                .map_err(|_| format!("bad outage end `{e}` in `{clause}`"))?,
-                        ),
-                    };
-                    if end.is_some_and(|e| e <= start) {
-                        return Err(format!("empty outage window in `{clause}`"));
-                    }
-                    faults.outages.push((start, end));
-                }
-                (k, _) => return Err(format!("unknown fault kind `{k}` in `{clause}`")),
+            }
+            if rel.is_none() && f.panic_on_fetch {
+                out.push("the panic hook must be scoped to one relation".to_string());
             }
         }
-        Ok(out)
+        out
     }
 
     /// The faults in force for `rel`.
@@ -242,50 +257,9 @@ impl FaultSpec {
     }
 }
 
-fn parse_rate(v: &str, clause: &str) -> Result<f64, String> {
-    let rate: f64 = v
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad rate `{v}` in `{clause}`"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("rate {rate} out of [0,1] in `{clause}`"));
-    }
-    Ok(rate)
-}
-
-fn fmt_faults(f: &mut fmt::Formatter<'_>, scope: &str, faults: &RelFaults) -> fmt::Result {
-    if faults.transient > 0.0 {
-        write!(f, ";{scope}transient={}", faults.transient)?;
-    }
-    if faults.slow_rate > 0.0 {
-        write!(f, ";{scope}slow={}x{}", faults.slow_rate, faults.slow_mult)?;
-    }
-    for &(start, end) in &faults.outages {
-        match end {
-            Some(e) => write!(f, ";{scope}outage={start}..{e}")?,
-            None => write!(f, ";{scope}outage={start}..")?,
-        }
-    }
-    if faults.panic_on_fetch {
-        write!(f, ";{scope}panic")?;
-    }
-    Ok(())
-}
-
-impl fmt::Display for FaultSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        fmt_faults(f, "", &self.default_faults)?;
-        for (id, faults) in &self.per_rel {
-            fmt_faults(f, &format!("rel{id}:"), faults)?;
-        }
-        Ok(())
-    }
-}
-
 /// What the injector ruled for one fetch round.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The round proceeds normally.
     Clear,
     /// The round proceeds, but its network delay is multiplied.
@@ -305,21 +279,21 @@ pub enum Verdict {
 pub struct FaultInjector {
     spec: FaultSpec,
     rng: RefCell<StdRng>,
+    /// Per-fetch timeout (virtual µs). Only a slow round can exceed it, so
+    /// an unfaulted relation never exhausts a retry budget.
+    pub(crate) fetch_timeout_us: Option<u64>,
 }
 
 impl FaultInjector {
-    /// Build an injector for one lane.
-    pub fn new(spec: FaultSpec, lane_idx: usize) -> FaultInjector {
+    /// Build an injector for one lane, timing out slow rounds whose
+    /// inflated delay exceeds `fetch_timeout_us`.
+    pub fn new(spec: FaultSpec, lane_idx: usize, fetch_timeout_us: Option<u64>) -> FaultInjector {
         let seed = spec.seed ^ (lane_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         FaultInjector {
             spec,
             rng: RefCell::new(seeded_rng(seed)),
+            fetch_timeout_us,
         }
-    }
-
-    /// The schedule this injector runs.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
     }
 
     /// Rule on a fetch round touching `rels` at virtual time `now_us`.
@@ -328,7 +302,7 @@ impl FaultInjector {
     /// slow draws — each in `rels` order. RNG is consumed only for
     /// relations with a nonzero rate, so unfaulted relations never perturb
     /// the draw sequence.
-    pub fn verdict(&self, rels: &[RelId], now_us: u64) -> Verdict {
+    pub(crate) fn verdict(&self, rels: &[RelId], now_us: u64) -> Verdict {
         for &rel in rels {
             if self.spec.faults_for(rel).panic_on_fetch {
                 panic!("injected fault: panic on fetch from {rel}");
@@ -368,6 +342,7 @@ impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FaultInjector")
             .field("spec", &self.spec)
+            .field("fetch_timeout_us", &self.fetch_timeout_us)
             .finish_non_exhaustive()
     }
 }
@@ -377,47 +352,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_parses_and_round_trips() {
-        let s = "seed=7; transient=0.01; rel3:outage=0..; rel5:slow=0.2x6; rel9:panic";
-        let spec = FaultSpec::parse(s).unwrap();
-        assert_eq!(spec.seed, 7);
-        assert_eq!(spec.default_faults.transient, 0.01);
-        assert_eq!(spec.per_rel[&3].outages, vec![(0, None)]);
-        assert_eq!(spec.per_rel[&5].slow_rate, 0.2);
-        assert_eq!(spec.per_rel[&5].slow_mult, 6.0);
-        assert!(spec.per_rel[&9].panic_on_fetch);
-        let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
-        assert_eq!(spec, reparsed);
+    fn builder_builds_the_struct_literal() {
+        let spec = FaultSpec::new(7)
+            .transient(0.01)
+            .outage(3, 0, None)
+            .rel_slow(5, 0.2, 6.0)
+            .panic_on(9);
+        let clean = RelFaults::default;
+        let literal = FaultSpec {
+            seed: 7,
+            default_faults: RelFaults {
+                transient: 0.01,
+                ..clean()
+            },
+            per_rel: BTreeMap::from([
+                (
+                    3,
+                    RelFaults {
+                        outages: vec![(0, None)],
+                        ..clean()
+                    },
+                ),
+                (
+                    5,
+                    RelFaults {
+                        slow_rate: 0.2,
+                        slow_mult: 6.0,
+                        ..clean()
+                    },
+                ),
+                (
+                    9,
+                    RelFaults {
+                        panic_on_fetch: true,
+                        ..clean()
+                    },
+                ),
+            ]),
+        };
+        assert_eq!(spec, literal);
     }
 
     #[test]
     fn scoped_clause_replaces_defaults() {
-        let spec = FaultSpec::parse("transient=0.5; rel2:slow=1x4").unwrap();
+        let spec = FaultSpec::new(0).transient(0.5).rel_slow(2, 1.0, 4.0);
         assert_eq!(spec.faults_for(RelId::new(1)).transient, 0.5);
-        // rel2 has a scoped clause: the default transient does not apply.
+        // rel2 has faults of its own: the default transient does not apply.
         assert_eq!(spec.faults_for(RelId::new(2)).transient, 0.0);
         assert_eq!(spec.faults_for(RelId::new(2)).slow_mult, 4.0);
     }
 
     #[test]
-    fn bad_specs_are_rejected() {
-        for bad in [
-            "transient=2.0",
-            "rel1:outage=5..5",
-            "slow=0.5",
-            "panic",
-            "relx:transient=0.1",
-            "rel1:seed=4",
-            "frobnicate=1",
-            "snap:torn=512",
-        ] {
-            assert!(FaultSpec::parse(bad).is_err(), "`{bad}` should not parse");
-        }
-    }
-
-    #[test]
     fn outage_windows_and_open_ends() {
-        let spec = FaultSpec::parse("rel1:outage=100..200; rel1:outage=500..").unwrap();
+        let spec = FaultSpec::new(0)
+            .outage(1, 100, Some(200))
+            .outage(1, 500, None);
         let f = spec.faults_for(RelId::new(1));
         assert!(!f.in_outage(99));
         assert!(f.in_outage(100));
@@ -427,9 +416,9 @@ mod tests {
 
     #[test]
     fn verdicts_are_deterministic_and_skip_clear_rels() {
-        let spec = FaultSpec::parse("seed=3; rel1:transient=0.5").unwrap();
+        let spec = FaultSpec::new(3).rel_transient(1, 0.5);
         let run = || {
-            let inj = FaultInjector::new(spec.clone(), 0);
+            let inj = FaultInjector::new(spec.clone(), 0, None);
             (0..64)
                 .map(|i| inj.verdict(&[RelId::new(1)], i) == Verdict::Clear)
                 .collect::<Vec<_>>()
@@ -440,7 +429,7 @@ mod tests {
 
         // A clear relation consumes no RNG: interleaving its verdicts must
         // not change the faulted relation's sequence.
-        let inj = FaultInjector::new(spec.clone(), 0);
+        let inj = FaultInjector::new(spec.clone(), 0, None);
         let mut b = Vec::new();
         for i in 0..64 {
             assert_eq!(inj.verdict(&[RelId::new(2)], i), Verdict::Clear);
@@ -454,7 +443,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected fault: panic on fetch")]
     fn panic_hook_fires() {
-        let spec = FaultSpec::parse("rel4:panic").unwrap();
-        FaultInjector::new(spec, 0).verdict(&[RelId::new(4)], 0);
+        let spec = FaultSpec::new(0).panic_on(4);
+        FaultInjector::new(spec, 0, None).verdict(&[RelId::new(4)], 0);
     }
 }

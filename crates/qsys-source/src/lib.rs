@@ -34,7 +34,7 @@ mod registry;
 pub mod stream;
 pub mod table;
 
-pub use fault::{FaultInjector, FaultSpec, SourceError, Verdict};
+pub use fault::{FaultInjector, FaultSpec, SourceError};
 pub use pushdown::{JoinCond, SpjSpec};
 pub use registry::{Sources, TableProvider};
 pub use stream::SourceStream;

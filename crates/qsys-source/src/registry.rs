@@ -41,8 +41,6 @@ pub struct Sources {
     /// Optional fault schedule. `None` (the default) keeps every fetch
     /// infallible and byte-identical to the fault-free build.
     injector: Option<FaultInjector>,
-    /// Per-fetch timeout applied to fault-inflated (slow) rounds only.
-    fetch_timeout_us: Cell<Option<u64>>,
 }
 
 impl Sources {
@@ -59,12 +57,12 @@ impl Sources {
             probes: Cell::new(0),
             probe_result_tuples: Cell::new(0),
             injector: None,
-            fetch_timeout_us: Cell::new(None),
         }
     }
 
     /// Install a fault injector. Fetches via [`Sources::try_read`] and
-    /// [`Sources::try_probe`] become fallible according to its schedule.
+    /// [`Sources::try_probe`] become fallible according to its schedule
+    /// and fetch timeout.
     pub fn set_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }
@@ -73,14 +71,6 @@ impl Sources {
     /// this to skip all fault bookkeeping on clean builds).
     pub fn faults_enabled(&self) -> bool {
         self.injector.is_some()
-    }
-
-    /// Set the per-fetch timeout (virtual µs) applied to fault-inflated
-    /// rounds. Normal rounds are never timed out — only a `slow` schedule
-    /// can push a fetch past the limit, so an unfaulted relation can never
-    /// exhaust a retry budget.
-    pub fn set_fetch_timeout(&self, timeout_us: Option<u64>) {
-        self.fetch_timeout_us.set(timeout_us);
     }
 
     /// Build a registry that materializes tables lazily via `provider`.
@@ -202,14 +192,14 @@ impl Sources {
     /// slow verdict multiplies it. A failed round charges `category` a
     /// fixed round-trip (the mean delay, no RNG draw, so a schedule never
     /// perturbs the delay sequence of clean relations); a slow round past
-    /// the fetch timeout charges exactly the timeout. Neither counts a
-    /// fetch.
+    /// the injector's fetch timeout charges exactly the timeout. Neither
+    /// counts a fetch.
     fn open_round(&self, rels: &[RelId], category: TimeCategory) -> Result<u64, SourceError> {
         let mut slow = None;
         if let Some(inj) = self.injector.as_ref().filter(|inj| !inj.all_clear(rels)) {
             match inj.verdict(rels, self.clock.now_us()) {
                 Verdict::Clear => {}
-                Verdict::Slow { rel, mult } => slow = Some((rel, mult)),
+                Verdict::Slow { rel, mult } => slow = Some((rel, mult, inj.fetch_timeout_us)),
                 Verdict::Fail(e) => {
                     self.clock.charge(category, self.cost.mean_network_delay_us);
                     return Err(e);
@@ -217,11 +207,11 @@ impl Sources {
             }
         }
         let delay = self.delay.sample(&mut *self.rng.borrow_mut());
-        let Some((rel, mult)) = slow else {
+        let Some((rel, mult, timeout_us)) = slow else {
             return Ok(delay);
         };
         let delay = (delay as f64 * mult).round() as u64;
-        match self.fetch_timeout_us.get() {
+        match timeout_us {
             Some(limit) if delay > limit => {
                 // The wait up to the timeout is real simulated time; the
                 // tuple stays at the source for the retry.
@@ -316,8 +306,8 @@ mod tests {
     fn read_refuses_a_registry_with_an_injector() {
         use crate::fault::{FaultInjector, FaultSpec};
         let mut s = sources();
-        let spec = FaultSpec::parse("rel1:transient=0.5").unwrap();
-        s.set_injector(FaultInjector::new(spec, 0));
+        let spec = FaultSpec::new(0).rel_transient(1, 0.5);
+        s.set_injector(FaultInjector::new(spec, 0, None));
         let mut stream = s.open_stream(RelId::new(0), None);
         s.read(&mut stream);
     }
@@ -389,8 +379,8 @@ mod tests {
         let plain = sources();
         let mut chaotic = sources();
         // Faults scheduled only for rel 1; rel 0 must be untouched.
-        let spec = FaultSpec::parse("seed=5; rel1:transient=0.9").unwrap();
-        chaotic.set_injector(FaultInjector::new(spec, 0));
+        let spec = FaultSpec::new(5).rel_transient(1, 0.9);
+        chaotic.set_injector(FaultInjector::new(spec, 0, None));
         // Probes of rel 0 interleave with its reads: both draw from one
         // delay sequence, which the schedule must leave in the same order.
         let mut sp = plain.open_stream(RelId::new(0), None);
@@ -413,8 +403,8 @@ mod tests {
     fn outage_fails_fetches_and_leaves_the_cursor() {
         use crate::fault::{FaultInjector, FaultSpec, SourceError};
         let mut s = sources();
-        let spec = FaultSpec::parse("rel0:outage=0..").unwrap();
-        s.set_injector(FaultInjector::new(spec, 0));
+        let spec = FaultSpec::new(0).outage(0, 0, None);
+        s.set_injector(FaultInjector::new(spec, 0, None));
         let mut stream = s.open_stream(RelId::new(0), None);
         for _ in 0..3 {
             assert_eq!(
@@ -447,20 +437,19 @@ mod tests {
     #[test]
     fn slow_rounds_time_out_only_with_a_timeout_set() {
         use crate::fault::{FaultInjector, FaultSpec, SourceError};
-        let build = || {
+        let build = |timeout_us| {
             let mut s = sources();
-            let spec = FaultSpec::parse("rel0:slow=1x1000").unwrap();
-            s.set_injector(FaultInjector::new(spec, 0));
+            let spec = FaultSpec::new(0).rel_slow(0, 1.0, 1000.0);
+            s.set_injector(FaultInjector::new(spec, 0, timeout_us));
             s
         };
         // No timeout: the slow round delivers, just late.
-        let s = build();
+        let s = build(None);
         let mut stream = s.open_stream(RelId::new(0), None);
         assert!(s.try_read(&mut stream).unwrap().is_some());
         assert!(s.clock().breakdown().stream_read_us > 100_000);
         // Tight timeout: the same schedule times out and charges the cap.
-        let s = build();
-        s.set_fetch_timeout(Some(10_000));
+        let s = build(Some(10_000));
         let mut stream = s.open_stream(RelId::new(0), None);
         assert_eq!(
             s.try_read(&mut stream),
@@ -469,8 +458,7 @@ mod tests {
         assert_eq!(s.clock().breakdown().stream_read_us, 10_000);
         assert_eq!(stream.delivered(), 0);
         // A probe times out the same way: exactly the cap, no probe counted.
-        let s = build();
-        s.set_fetch_timeout(Some(10_000));
+        let s = build(Some(10_000));
         assert_eq!(
             s.try_probe(RelId::new(0), 0, &Value::Int(1)),
             Err(SourceError::Timeout { rel: RelId::new(0) })
@@ -478,7 +466,7 @@ mod tests {
         assert_eq!(s.clock().breakdown().random_access_us, 10_000);
         assert_eq!((s.probes(), s.tuples_consumed()), (0, 0));
         // Without a timeout the slow probe answers, just late.
-        let s = build();
+        let s = build(None);
         assert_eq!(
             s.try_probe(RelId::new(0), 0, &Value::Int(1)).unwrap().len(),
             3

@@ -10,18 +10,13 @@
 //!   score attribute.
 //!
 //! Both produce a [`Workload`]: catalog + keyword index + shared lazy table
-//! store + the query script.
-//!
-//! [`faults`] rides along for chaos experiments: it generates the
-//! deterministic fault-schedule strings the engine's fault injector
-//! consumes.
+//! store + the query script. Chaos experiments pair a workload with a
+//! fault schedule, a `qsys_source::FaultSpec` value.
 
-pub mod faults;
 pub mod gus;
 pub mod pfam;
 pub mod tables;
 
-pub use faults::FaultPlan;
 pub use gus::GusConfig;
 pub use pfam::PfamConfig;
 

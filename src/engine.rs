@@ -103,10 +103,11 @@ pub struct EngineConfig {
     /// values are accepted. It remains only because the benchmark's config
     /// literal names every field; ROADMAP item 1(b) removes it.
     pub warm_opt: bool,
-    /// Deterministic fault schedule for the source layer (chaos testing).
-    /// `None` — the default — leaves every fetch infallible and execution
-    /// byte-identical to a build without the fault machinery. See
-    /// `qsys_source::fault::FaultSpec` for the schedule grammar.
+    /// Deterministic fault schedule for the source layer (chaos testing),
+    /// built with `FaultSpec::new(seed)` and its methods.
+    /// [`EngineConfig::validate_all`] checks the schedule. `None` — the
+    /// default — leaves every fetch infallible and execution
+    /// byte-identical to a build without the fault machinery.
     pub faults: Option<FaultSpec>,
     /// Retry / timeout / circuit-breaker policy applied when `faults` is
     /// active (inert otherwise).
@@ -255,6 +256,14 @@ impl EngineConfig {
             "lane_threads",
             "at least one lane thread",
         );
+        for problem in self.faults.iter().flat_map(FaultSpec::problems) {
+            invariant(false, "faults", &problem);
+        }
+        invariant(
+            (0.0..=1.0).contains(&self.retry.jitter_frac),
+            "retry.jitter_frac",
+            "backoff jitter is a fraction in [0, 1]",
+        );
         invariant(
             self.snapshot_dir.is_none(),
             "snapshot_dir",
@@ -357,8 +366,11 @@ impl Lane {
             provider,
         );
         if let Some(spec) = &config.faults {
-            sources.set_injector(FaultInjector::new(spec.clone(), idx));
-            sources.set_fetch_timeout(config.retry.fetch_timeout_us);
+            sources.set_injector(FaultInjector::new(
+                spec.clone(),
+                idx,
+                config.retry.fetch_timeout_us,
+            ));
         }
         Lane {
             idx,
@@ -556,13 +568,12 @@ impl Lane {
     /// Drive the ATC until every rank-merge of the batch is done: the one
     /// drive loop.
     fn execute(&mut self) {
-        self.governor.begin_batch();
-        while self.atc.round(
+        self.atc.run_governed(
             self.manager.graph_mut(),
             &self.sources,
             &self.governor,
             &mut self.stats,
-        ) {}
+        );
         self.manager.unpin_all();
     }
 
@@ -668,6 +679,7 @@ pub(crate) fn batch_share(mode: &SharingMode) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsys_source::fault::RelFaults;
 
     #[test]
     fn sharing_labels_match_paper() {
@@ -766,6 +778,24 @@ mod tests {
         config.k = 0;
         config.batch_size = 0;
         config.heuristics.max_candidates = 65;
+        // A schedule written as a literal is checked like a built one: an
+        // out-of-range rate and an unscoped panic hook on the defaults, an
+        // empty outage window, a slow multiplier below 1.
+        config.faults = Some(
+            FaultSpec {
+                default_faults: RelFaults {
+                    transient: 2.0,
+                    panic_on_fetch: true,
+                    ..RelFaults::default()
+                },
+                ..FaultSpec::default()
+            }
+            .outage(1, 5, Some(5))
+            .rel_slow(2, 0.5, 0.5),
+        );
+        // Saturates the backoff's jitter span: the lane would panic on its
+        // first retry.
+        config.retry.jitter_frac = f64::INFINITY;
         config.snapshot_dir = Some("warm".into());
         let errors = config.validate_all();
         let fields: Vec<&str> = errors.iter().map(|e| e.field).collect();
@@ -779,6 +809,11 @@ mod tests {
                 "k",
                 "batch_size",
                 "heuristics.max_candidates",
+                "faults",
+                "faults",
+                "faults",
+                "faults",
+                "retry.jitter_frac",
                 "snapshot_dir"
             ]
         );
@@ -790,6 +825,8 @@ mod tests {
         config.k = 1;
         config.batch_size = 1;
         config.heuristics.max_candidates = 64;
+        config.faults = Some(FaultSpec::new(0).transient(1.0).rel_slow(2, 0.5, 1.0));
+        config.retry.jitter_frac = 1.0;
         config.snapshot_dir = None;
         assert!(
             config.validate_all().is_empty(),

@@ -21,7 +21,6 @@ use qsys::prelude::*;
 use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
 use qsys::types::UqId;
-use qsys_workload::faults::FaultPlan;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,7 +37,7 @@ fn workload() -> Workload {
     gus::generate(&cfg)
 }
 
-fn engine_cfg(faults: Option<&str>) -> EngineConfig {
+fn engine_cfg(faults: Option<FaultSpec>) -> EngineConfig {
     EngineConfig {
         k: 10,
         batch_size: 3,
@@ -50,7 +49,7 @@ fn engine_cfg(faults: Option<&str>) -> EngineConfig {
             ..CandidateConfig::default()
         },
         lane_threads: 1,
-        faults: faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
+        faults,
         ..EngineConfig::default()
     }
 }
@@ -98,8 +97,8 @@ fn hard_outage_degrades_only_readers() {
         .map(|(rel, r)| (*rel, r.clone()))
         .expect("a relation read by some but not all queries");
 
-    let spec = FaultPlan::new(7).outage(victim, 0, None).build();
-    let (report, faulted) = run(&w, engine_cfg(Some(&spec)));
+    let spec = FaultSpec::new(7).outage(victim, 0, None);
+    let (report, faulted) = run(&w, engine_cfg(Some(spec)));
 
     assert!(
         report.faults.source.outage_errors > 0,
@@ -150,13 +149,13 @@ fn lane_panic_is_contained() {
         .max_by_key(|(_, r)| r.len())
         .map(|(rel, r)| (*rel, r.clone()))
         .expect("a relation read by some but not all queries");
-    let spec = FaultPlan::new(3).panic_on(victim).build();
+    let spec = FaultSpec::new(3).panic_on(victim);
     let cfg = EngineConfig {
         // Clustered lanes so the blast radius is visible: the paper's
         // ATC-CL setup from the parallel-identity goldens (2 lanes).
         sharing: SharingMode::AtcCl(ClusterConfig { t_m: 1, t_c: 0.9 }),
         lane_threads: 4,
-        ..engine_cfg(Some(&spec))
+        ..engine_cfg(Some(spec))
     };
     let (report, outcomes) = run(&w, cfg);
 
@@ -202,9 +201,9 @@ fn cancelled_members_stay_cancelled_when_their_lane_panics() {
         .into_iter()
         .max_by_key(|(rel, n)| (*n, std::cmp::Reverse(*rel)))
         .expect("the first member reads something");
-    let spec = FaultPlan::new(3).panic_on(victim).build();
+    let spec = FaultSpec::new(3).panic_on(victim);
 
-    let mut engine = Engine::for_workload(&w, engine_cfg(Some(&spec)));
+    let mut engine = Engine::for_workload(&w, engine_cfg(Some(spec)));
     let mut script = w.queries.iter();
     let mut admit = |engine: &mut Engine| loop {
         let q = script.next().expect("script has enough live queries");
@@ -341,12 +340,11 @@ proptest! {
         let victim = rels[victim_pick % rels.len()];
         let victim_readers = &readers[&victim];
         let rate = rate_decile as f64 / 10.0;
-        let mut plan = FaultPlan::new(fault_seed).rel_transient(victim, rate);
+        let mut spec = FaultSpec::new(fault_seed).rel_transient(victim, rate);
         if slow_pick == 1 {
-            plan = plan.slow(victim, 0.5, 8.0);
+            spec = spec.rel_slow(victim, 0.5, 8.0);
         }
-        let spec = plan.build();
-        let (_, faulted) = run(&w, engine_cfg(Some(&spec)));
+        let (_, faulted) = run(&w, engine_cfg(Some(spec)));
         for (uq, (outcome, tuples)) in &faulted {
             let (_, base_tuples) = &base[uq];
             if victim_readers.contains(uq) {

@@ -31,10 +31,7 @@ impl Arm {
         match self {
             Arm::Plain => cfg,
             Arm::Chaos => EngineConfig {
-                faults: Some(
-                    FaultSpec::parse("seed=1009; transient=0.02; slow=0.05x4")
-                        .expect("a valid fault schedule"),
-                ),
+                faults: Some(FaultSpec::new(1009).transient(0.02).slow(0.05, 4.0)),
                 ..cfg
             },
         }

@@ -216,6 +216,13 @@ fn invalid_configs_refuse_submission_without_panicking() {
                 ..EngineConfig::default()
             },
         ),
+        (
+            "faults",
+            EngineConfig {
+                faults: Some(qsys::source::FaultSpec::new(1).transient(2.0)),
+                ..EngineConfig::default()
+            },
+        ),
     ];
     for (field, cfg) in invalid {
         let mut engine = Engine::for_workload(&w, cfg.clone());

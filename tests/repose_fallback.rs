@@ -9,7 +9,6 @@
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
-use qsys_workload::faults::FaultPlan;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
@@ -109,9 +108,8 @@ fn repose_over_a_quarantined_leaf_searches() {
         .filter(|(_, r)| r.len() < w.queries.len())
         .max_by_key(|(_, r)| r.len())
         .expect("a relation read by some but not all queries");
-    let spec = FaultPlan::new(7).outage(*victim, 0, None).build();
     let cfg = EngineConfig {
-        faults: Some(FaultSpec::parse(&spec).expect("valid fault spec")),
+        faults: Some(FaultSpec::new(7).outage(*victim, 0, None)),
         ..config()
     };
     let [_, got] = two_poses(&w, cfg);

@@ -302,12 +302,7 @@ fn chaos_run_verifies_clean() {
     for seed in [41, 48, 55] {
         let w = small_gus(seed);
         let mut cfg = base_config(SharingMode::AtcFull);
-        cfg.faults = qsys::source::FaultSpec::parse(
-            &qsys_workload::faults::FaultPlan::new(1009)
-                .transient(0.05)
-                .build(),
-        )
-        .ok();
+        cfg.faults = Some(qsys::source::FaultSpec::new(1009).transient(0.05));
         let engine = drive(&w, cfg);
         let report = engine.verify();
         assert!(report.is_clean(), "seed {seed} chaos:\n{report}");
