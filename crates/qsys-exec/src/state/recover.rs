@@ -220,15 +220,20 @@ pub(crate) fn recover_state(
         }
         NodeKind::MJoin(mj) => {
             // No input with history: nothing was missed.
-            let Some((replay_idx, mut entries)) = richest_history(mj, graph.modules(), epoch)
-            else {
+            let Some((replay_idx, entries)) = richest_history(mj, graph.modules(), epoch) else {
                 return false;
             };
             // Replay must be nonincreasing in raw-score product for the
             // rank-merge threshold to be sound. Base-stream arrivals
             // already are; intermediate-component outputs arrive in
-            // trigger order, so sort explicitly.
-            entries.sort_by(|a, b| b.raw_score_product().total_cmp(&a.raw_score_product()));
+            // trigger order, so sort explicitly (stable, each product
+            // computed once).
+            let mut keyed: Vec<(f64, Tuple)> = entries
+                .into_iter()
+                .map(|t| (t.raw_score_product(), t))
+                .collect();
+            keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let entries: Vec<Tuple> = keyed.into_iter().map(|(_, t)| t).collect();
             let inputs = capped_inputs(mj, replay_idx, epoch);
             let rels = inputs[replay_idx].rels.clone();
             (

@@ -55,10 +55,17 @@ impl SourceStream {
     }
 
     /// Build a pushdown stream from pre-joined, pre-sorted tuples.
-    pub fn pushdown(mut tuples: Vec<Tuple>, rels: Vec<RelId>) -> SourceStream {
-        tuples.sort_by(|a, b| b.raw_score_product().total_cmp(&a.raw_score_product()));
+    pub fn pushdown(tuples: Vec<Tuple>, rels: Vec<RelId>) -> SourceStream {
+        // Stable sort, each raw-score product computed once.
+        let mut keyed: Vec<(f64, Tuple)> = tuples
+            .into_iter()
+            .map(|t| (t.raw_score_product(), t))
+            .collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
         SourceStream {
-            kind: StreamKind::Pushdown { tuples },
+            kind: StreamKind::Pushdown {
+                tuples: keyed.into_iter().map(|(_, t)| t).collect(),
+            },
             rels,
             selection: None,
             cursor: 0,

@@ -383,11 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_differ_same_seed_repeats() {
+    fn different_seeds_differ() {
+        // Same-seed repeatability is pinned row by row in
+        // `tables::tests::generated_tables_are_pinned`.
         let a = generate(&GusConfig::small(10));
-        let b = generate(&GusConfig::small(10));
         let c = generate(&GusConfig::small(11));
-        assert_eq!(a.queries[0].keywords, b.queries[0].keywords);
         let same = a
             .queries
             .iter()
