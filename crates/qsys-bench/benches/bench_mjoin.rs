@@ -5,13 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qsys::exec::access::{AccessModule, AccessModuleArena, ModuleId, StoredModule};
-use qsys::exec::mjoin::{JoinPred, MJoin, MJoinInput};
+use qsys::exec::mjoin::{MJoin, MJoinInput};
 use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys::exec::{QueryPlanGraph, RetryPolicy, SourceGovernor, StreamBacking, StreamRead};
 use qsys::query::ScoreFn;
 use qsys::source::{Sources, Table};
 use qsys::types::{
-    BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
+    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -81,11 +81,11 @@ fn fan_in_r0(
     }
 }
 
-fn pred(l: u32, lc: usize, r: u32, rc: usize) -> JoinPred {
-    JoinPred {
-        left_rel: RelId::new(l),
+fn pred(l: u32, lc: usize, r: u32, rc: usize) -> JoinCond {
+    JoinCond {
+        left: RelId::new(l),
         left_col: lc,
-        right_rel: RelId::new(r),
+        right: RelId::new(r),
         right_col: rc,
     }
 }

@@ -36,7 +36,6 @@ fn bench_optimizer(c: &mut Criterion) {
                 max_candidates: cap,
                 min_sharing: 1,
                 low_cardinality: f64::MAX,
-                ..HeuristicConfig::default()
             },
             ..OptimizerConfig::default()
         };

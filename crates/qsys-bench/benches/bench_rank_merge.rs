@@ -3,7 +3,6 @@
 //! plan graph.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qsys::exec::mjoin::JoinPred;
 use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys::exec::{
     Atc, ExecStats, MJoin, MJoinInput, NodeId, QueryPlanGraph, RetryPolicy, SchedulingPolicy,
@@ -11,7 +10,9 @@ use qsys::exec::{
 };
 use qsys::query::ScoreFn;
 use qsys::source::{Sources, Table};
-use qsys::types::{BaseTuple, CostProfile, CqId, RelId, SimClock, Tuple, UqId, UserId, Value};
+use qsys::types::{
+    BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -188,10 +189,10 @@ fn round_graph(sources: &Sources) -> QueryPlanGraph {
                     selection: None,
                 })
                 .collect();
-            let pred = JoinPred {
-                left_rel: RelId::new(pair[0]),
+            let pred = JoinCond {
+                left: RelId::new(pair[0]),
                 left_col: 0,
-                right_rel: RelId::new(pair[1]),
+                right: RelId::new(pair[1]),
                 right_col: 0,
             };
             let mj = MJoin::new(inputs, vec![pred], graph.modules());

@@ -479,7 +479,6 @@ pub fn fig11(seed: u64, scale: Scale) -> Vec<(usize, usize, u64, u128)> {
                 max_candidates: cap,
                 min_sharing: 1,
                 low_cardinality: f64::MAX, // admit everything up to the cap
-                ..HeuristicConfig::default()
             },
             ..OptimizerConfig::default()
         };

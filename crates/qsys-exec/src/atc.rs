@@ -176,12 +176,14 @@ mod tests {
     use super::*;
     use crate::access::{AccessModule, AccessModuleArena, StoredModule};
     use crate::govern::RetryPolicy;
-    use crate::mjoin::{JoinPred, MJoin, MJoinInput};
+    use crate::mjoin::{MJoin, MJoinInput};
     use crate::node::StreamBacking;
     use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
     use qsys_source::Table;
-    use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, UqId, UserId, Value};
+    use qsys_types::{
+        BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value,
+    };
     use std::sync::Arc;
 
     /// Two relations, 20 rows each, alternating join keys.
@@ -236,10 +238,10 @@ mod tests {
         ];
         let mj = MJoin::new(
             inputs,
-            vec![JoinPred {
-                left_rel: RelId::new(0),
+            vec![JoinCond {
+                left: RelId::new(0),
                 left_col: 0,
-                right_rel: RelId::new(1),
+                right: RelId::new(1),
                 right_col: 0,
             }],
             graph.modules(),

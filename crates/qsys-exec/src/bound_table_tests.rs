@@ -7,7 +7,6 @@
 //! shared graphs round by round and checks, after every round, that each
 //! equals what a fresh scan of the arena would produce.
 
-use crate::mjoin::JoinPred;
 use crate::rank_merge::{CqRegistration, StreamingInput};
 use crate::{
     Atc, ExecStats, MJoin, MJoinInput, NodeId, NodeKind, QueryPlanGraph, RankMerge, RetryPolicy,
@@ -16,7 +15,9 @@ use crate::{
 use proptest::prelude::*;
 use qsys_query::ScoreFn;
 use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
-use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, Tuple, UqId, UserId, Value};
+use qsys_types::{
+    BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
+};
 use std::sync::Arc;
 
 const RELS: u32 = 4;
@@ -112,10 +113,10 @@ fn add_uq(
                 selection: None,
             })
             .collect();
-        let pred = JoinPred {
-            left_rel: RelId::new(a),
+        let pred = JoinCond {
+            left: RelId::new(a),
             left_col: 0,
-            right_rel: RelId::new(b),
+            right: RelId::new(b),
             right_col: 0,
         };
         let mj = MJoin::new(inputs, vec![pred], graph.modules());

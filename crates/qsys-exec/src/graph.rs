@@ -843,11 +843,13 @@ mod tests {
     use super::*;
     use crate::access::{AccessModule, AccessModuleArena, ModuleId, StoredModule};
     use crate::govern::RetryPolicy;
-    use crate::mjoin::{JoinPred, MJoin, MJoinInput};
+    use crate::mjoin::{MJoin, MJoinInput};
     use crate::rank_merge::{CqRegistration, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
     use qsys_source::Table;
-    use qsys_types::{BaseTuple, CostProfile, CqId, RelId, SimClock, UqId, UserId, Value};
+    use qsys_types::{
+        BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value,
+    };
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -918,10 +920,10 @@ mod tests {
         let inputs = vec![leaf_input(&mut g, 0, s0), leaf_input(&mut g, 1, s1)];
         let mj = MJoin::new(
             inputs,
-            vec![JoinPred {
-                left_rel: RelId::new(0),
+            vec![JoinCond {
+                left: RelId::new(0),
                 left_col: 0,
-                right_rel: RelId::new(1),
+                right: RelId::new(1),
                 right_col: 0,
             }],
             g.modules(),
@@ -1079,11 +1081,11 @@ mod tests {
         s
     }
 
-    fn join_on_col0(l: u32, r: u32) -> JoinPred {
-        JoinPred {
-            left_rel: RelId::new(l),
+    fn join_on_col0(l: u32, r: u32) -> JoinCond {
+        JoinCond {
+            left: RelId::new(l),
             left_col: 0,
-            right_rel: RelId::new(r),
+            right: RelId::new(r),
             right_col: 0,
         }
     }
@@ -1451,10 +1453,10 @@ mod tests {
                     leaf_input(g, 0, leaves[0])
                 };
                 let inputs = vec![r0_input, leaf_input(g, rel, leaves[rel as usize])];
-                let pred = JoinPred {
-                    left_rel: RelId::new(0),
+                let pred = JoinCond {
+                    left: RelId::new(0),
                     left_col: r0_col,
-                    right_rel: RelId::new(rel),
+                    right: RelId::new(rel),
                     right_col: 0,
                 };
                 let mj = MJoin::new(inputs, vec![pred], g.modules());

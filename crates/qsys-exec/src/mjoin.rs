@@ -113,21 +113,8 @@ use crate::govern::SourceGovernor;
 use crate::stats::ExecWork;
 use qsys_query::ScoreFn;
 use qsys_source::Sources;
-use qsys_types::{Epoch, RelId, Selection, TimeCategory, Tuple};
+use qsys_types::{Epoch, JoinCond, RelId, Selection, TimeCategory, Tuple};
 use std::mem;
-
-/// One join predicate between two relations handled by this m-join.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinPred {
-    /// One side.
-    pub left_rel: RelId,
-    /// Column on the left side.
-    pub left_col: usize,
-    /// Other side.
-    pub right_rel: RelId,
-    /// Column on the right side.
-    pub right_col: usize,
-}
 
 /// One input of an m-join.
 #[derive(Debug)]
@@ -270,7 +257,7 @@ impl JoinSink for Vec<Tuple> {
 #[derive(Debug)]
 pub struct MJoin {
     inputs: Vec<MJoinInput>,
-    preds: Vec<JoinPred>,
+    preds: Vec<JoinCond>,
     state: Vec<InputState>,
     output_rels: Vec<RelId>,
     /// Per input: the predicates that can probe into it, in predicate
@@ -295,7 +282,7 @@ impl MJoin {
     /// attaches to — counts as seen.
     pub fn new(
         inputs: Vec<MJoinInput>,
-        preds: Vec<JoinPred>,
+        preds: Vec<JoinCond>,
         modules: &AccessModuleArena,
     ) -> MJoin {
         // Hard limit: probe routing uses a u64 input bitmask; silently
@@ -330,24 +317,24 @@ impl MJoin {
         self.inputs.iter().position(|i| i.rels.contains(&rel))
     }
 
-    fn push_pred(&mut self, pred: JoinPred) {
-        let owners = (self.owner_of(pred.left_rel), self.owner_of(pred.right_rel));
+    fn push_pred(&mut self, pred: JoinCond) {
+        let owners = (self.owner_of(pred.left), self.owner_of(pred.right));
         // A predicate inside one input is the producer's business; one
         // with an uncovered side can never be evaluated here.
         if let (Some(left), Some(right)) = owners {
             if left != right {
                 self.links[right].push(Link {
                     from: left,
-                    from_rel: pred.left_rel,
+                    from_rel: pred.left,
                     from_col: pred.left_col,
-                    to_rel: pred.right_rel,
+                    to_rel: pred.right,
                     to_col: pred.right_col,
                 });
                 self.links[left].push(Link {
                     from: right,
-                    from_rel: pred.right_rel,
+                    from_rel: pred.right,
                     from_col: pred.right_col,
-                    to_rel: pred.left_rel,
+                    to_rel: pred.left,
                     to_col: pred.left_col,
                 });
             }
@@ -369,10 +356,7 @@ impl MJoin {
             };
             keys.clear();
             for pred in &self.preds {
-                for key in [
-                    (pred.left_rel, pred.left_col),
-                    (pred.right_rel, pred.right_col),
-                ] {
+                for key in [(pred.left, pred.left_col), (pred.right, pred.right_col)] {
                     if input.rels.contains(&key.0) && !keys.contains(&key) {
                         s.add_probe_key(key);
                         keys.push(key);
@@ -395,7 +379,7 @@ impl MJoin {
     }
 
     /// The join predicates.
-    pub fn preds(&self) -> &[JoinPred] {
+    pub fn preds(&self) -> &[JoinCond] {
         &self.preds
     }
 
@@ -671,11 +655,11 @@ mod tests {
         }
     }
 
-    fn pred(l: u32, lc: usize, r: u32, rc: usize) -> JoinPred {
-        JoinPred {
-            left_rel: RelId::new(l),
+    fn pred(l: u32, lc: usize, r: u32, rc: usize) -> JoinCond {
+        JoinCond {
+            left: RelId::new(l),
             left_col: lc,
-            right_rel: RelId::new(r),
+            right: RelId::new(r),
             right_col: rc,
         }
     }

@@ -11,12 +11,12 @@ use crate::{
     SchedulingPolicy, SourceGovernor,
 };
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-use qsys_opt::plan::{CqPlan, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
+use qsys_opt::plan::{CqPlan, PlanSpec, SpecNode, SpecNodeKind};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
 use qsys_source::{Sources, Table};
 use qsys_types::{
-    BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
+    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
 };
 use std::sync::Arc;
 
@@ -90,10 +90,12 @@ fn path_cq(id: u32, uq: u32, catalog: &Catalog, len: u32) -> ConjunctiveQuery {
             let e = catalog.edge_between(w[0], w[1]).unwrap();
             CqJoin {
                 edge: e.id,
-                left: e.from,
-                left_col: e.from_col,
-                right: e.to,
-                right_col: e.to_col,
+                on: JoinCond {
+                    left: e.from,
+                    left_col: e.from_col,
+                    right: e.to,
+                    right_col: e.to_col,
+                },
             }
         })
         .collect();
@@ -349,10 +351,10 @@ fn join_node(sig: SigId, inputs: [usize; 2], left: u32, share: bool) -> SpecNode
         kind: SpecNodeKind::Join {
             inputs: inputs.to_vec(),
             probes: Vec::new(),
-            preds: vec![PredSpec {
-                left_rel: RelId::new(left),
+            preds: vec![JoinCond {
+                left: RelId::new(left),
                 left_col: 1,
-                right_rel: RelId::new(left + 1),
+                right: RelId::new(left + 1),
                 right_col: 0,
             }],
         },

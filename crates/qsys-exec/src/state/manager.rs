@@ -3,15 +3,15 @@
 use super::evict::{EvictionPolicy, EvictionStats};
 use super::recover;
 use crate::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
-use crate::mjoin::{JoinPred, MJoin, MJoinInput};
+use crate::mjoin::{MJoin, MJoinInput};
 use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
-use qsys_opt::plan::{PlanSpec, PredSpec, SpecNodeKind};
+use qsys_opt::plan::{PlanSpec, SpecNodeKind};
 use qsys_opt::retired::WarmCell;
-use qsys_query::{shared_interner, SharedInterner, SigId, SubExprSig};
-use qsys_source::{JoinCond, Sources, SpjSpec};
-use qsys_types::{Epoch, RelId, UqId};
+use qsys_query::{shared_interner, SharedInterner, SigId};
+use qsys_source::Sources;
+use qsys_types::{Epoch, JoinCond, RelId, UqId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -348,12 +348,13 @@ impl QsManager {
     }
 
     fn create_stream(&mut self, spec_node: &qsys_opt::plan::SpecNode, sources: &Sources) -> NodeId {
-        let spj = sig_to_spj(self.interner.borrow().resolve(spec_node.sig));
-        let stream = if spj.atoms.len() == 1 {
-            let (rel, sel) = spj.atoms[0].clone();
-            sources.open_stream(rel, sel)
-        } else {
-            sources.open_pushdown(&spj)
+        let stream = {
+            let interner = self.interner.borrow();
+            let sig = interner.resolve(spec_node.sig);
+            match &sig.atoms[..] {
+                [(rel, sel)] => sources.open_stream(*rel, sel.clone()),
+                atoms => sources.open_pushdown(atoms, &sig.joins),
+            }
         };
         let sig = spec_node.share.then_some(spec_node.sig);
         self.graph.add_stream(StreamBacking::Remote(stream), sig)
@@ -366,7 +367,7 @@ impl QsManager {
         spec_node: &qsys_opt::plan::SpecNode,
         inputs: &[usize],
         probes: &[(RelId, Option<qsys_types::Selection>)],
-        preds: &[PredSpec],
+        preds: &[JoinCond],
         node_map: &[Option<NodeId>],
         epoch: Epoch,
         grafted: &mut HashMap<NodeId, ModuleId>,
@@ -421,16 +422,7 @@ impl QsManager {
                 selection: sel.clone(),
             });
         }
-        let join_preds = preds
-            .iter()
-            .map(|p| JoinPred {
-                left_rel: p.left_rel,
-                left_col: p.left_col,
-                right_rel: p.right_rel,
-                right_col: p.right_col,
-            })
-            .collect();
-        let mj = MJoin::new(mj_inputs, join_preds, self.graph.modules());
+        let mj = MJoin::new(mj_inputs, preds.to_vec(), self.graph.modules());
         let sig = spec_node.share.then_some(spec_node.sig);
         let id = self.graph.add_mjoin(mj, sig);
         for (producer, slot) in producer_edges {
@@ -579,23 +571,6 @@ impl QsManager {
     /// Approximate resident bytes.
     pub fn resident_bytes(&self) -> usize {
         self.graph.approx_bytes()
-    }
-}
-
-/// Convert a subexpression signature into the wire-level SPJ spec.
-pub(crate) fn sig_to_spj(sig: &SubExprSig) -> SpjSpec {
-    SpjSpec {
-        atoms: sig.atoms.clone(),
-        joins: sig
-            .joins
-            .iter()
-            .map(|(lr, lc, rr, rc)| JoinCond {
-                left: *lr,
-                left_col: *lc,
-                right: *rr,
-                right_col: *rc,
-            })
-            .collect(),
     }
 }
 

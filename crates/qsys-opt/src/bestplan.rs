@@ -168,7 +168,6 @@ struct Mark {
 /// The memoized search.
 pub(crate) struct BestPlanSearch<'a> {
     model: &'a CostModel<'a>,
-    config: &'a HeuristicConfig,
     interner: &'a mut SigInterner,
     reuse: &'a dyn ReuseOracle,
     /// Candidate arena: every `(sig, queries)` the search ever names lives
@@ -266,7 +265,6 @@ impl<'a> BestPlanSearch<'a> {
     pub(crate) fn new(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
-        config: &'a HeuristicConfig,
         queries: Vec<&'a ConjunctiveQuery>,
         interner: &'a mut SigInterner,
         table: &'a CqTable,
@@ -277,7 +275,7 @@ impl<'a> BestPlanSearch<'a> {
         for cq in &queries {
             let whole = interner.of_cq(cq);
             let qi = table.idx(cq.id).index();
-            cq_card[qi] = compute_fact(whole, model, config, interner).card;
+            cq_card[qi] = compute_fact(whole, model, interner).card;
             defaults_of[qi] = cq
                 .atoms
                 .iter()
@@ -325,7 +323,6 @@ impl<'a> BestPlanSearch<'a> {
         let (depth, depth_stride) = depth_table(model, &cq_card, &atoms);
         let mut search = BestPlanSearch {
             model,
-            config,
             interner,
             reuse,
             cands: Vec::new(),
@@ -389,7 +386,7 @@ impl<'a> BestPlanSearch<'a> {
         if self.facts[slot].is_some() {
             return;
         }
-        let f = compute_fact(sig, self.model, self.config, self.interner);
+        let f = compute_fact(sig, self.model, self.interner);
         self.facts[slot] = Some(SigFacts {
             card: f.card,
             streamed: f.streamed,
@@ -801,7 +798,7 @@ mod tests {
     use proptest::prelude::*;
     use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin, SubExprSig};
-    use qsys_types::{CostProfile, CqId, RelId, SourceId, UqId, UserId};
+    use qsys_types::{CostProfile, CqId, JoinCond, RelId, SourceId, UqId, UserId};
 
     /// The recursion the mask-keyed, edit-in-place search replaced, kept as
     /// the reference it is checked against: every state allocates its sorted
@@ -1071,10 +1068,12 @@ mod tests {
                 let e = catalog.edge_between(RelId::new(l), RelId::new(r)).unwrap();
                 CqJoin {
                     edge: e.id,
-                    left: e.from,
-                    left_col: e.from_col,
-                    right: e.to,
-                    right_col: e.to_col,
+                    on: JoinCond {
+                        left: e.from,
+                        left_col: e.from_col,
+                        right: e.to,
+                        right_col: e.to_col,
+                    },
                 }
             })
             .collect();
@@ -1106,7 +1105,6 @@ mod tests {
             let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
             let cat = shaped_catalog(star, scoreless);
             let model = CostModel::new(&cat, CostProfile::default(), 50);
-            let config = HeuristicConfig::default();
             let mut interner = SigInterner::new();
             let query_pieces: Vec<(u32, u32)> = query_pieces
                 .into_iter()
@@ -1147,11 +1145,11 @@ mod tests {
             };
             let qs = query_refs.clone();
             let (expected_plan, expected) =
-                BestPlanSearch::new(&model, oracle, &config, qs, &mut interner, &table)
+                BestPlanSearch::new(&model, oracle, qs, &mut interner, &table)
                     .run_reference(cands.clone());
             let qs = query_refs.clone();
             let (plan, stats) =
-                BestPlanSearch::new(&model, oracle, &config, qs, &mut interner, &table).run(cands);
+                BestPlanSearch::new(&model, oracle, qs, &mut interner, &table).run(cands);
             prop_assert!(is_valid_assignment(&query_refs, &plan, &interner, &table));
             prop_assert_eq!(plan, expected_plan);
             prop_assert_eq!(stats.best_cost.to_bits(), expected.best_cost.to_bits());
@@ -1174,7 +1172,6 @@ mod tests {
         let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
         let cat = shaped_catalog(star, scoreless);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let query_pieces: Vec<(u32, u32)> = query_pieces
             .into_iter()
@@ -1211,8 +1208,7 @@ mod tests {
             0 => &NoReuse,
             salt => &Resident(salt),
         };
-        let mut search =
-            BestPlanSearch::new(&model, oracle, &config, query_refs, &mut interner, &table);
+        let mut search = BestPlanSearch::new(&model, oracle, query_refs, &mut interner, &table);
         let root = search.seed_root(cands);
         check(&mut search, root);
     }
@@ -1284,7 +1280,6 @@ mod tests {
     fn depth_table_is_depth_fraction() {
         let cat = catalog(5);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let queries = [
             path_cq(0, &cat, 0, 5),
@@ -1299,8 +1294,7 @@ mod tests {
             .collect();
         let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
         let table = CqTable::from_queries(query_refs.iter().copied());
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, query_refs, &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, query_refs, &mut interner, &table);
         assert_eq!(
             (search.depth.clone(), search.depth_stride),
             depth_table(&model, &cards, &atoms)
@@ -1362,10 +1356,12 @@ mod tests {
                 let e = catalog.edge_between(w[0], w[1]).unwrap();
                 CqJoin {
                     edge: e.id,
-                    left: e.from,
-                    left_col: e.from_col,
-                    right: e.to,
-                    right_col: e.to_col,
+                    on: JoinCond {
+                        left: e.from,
+                        left_col: e.from_col,
+                        right: e.to,
+                        right_col: e.to_col,
+                    },
                 }
             })
             .collect();
@@ -1385,7 +1381,12 @@ mod tests {
             .windows(2)
             .map(|w| {
                 let e = catalog.edge_between(w[0], w[1]).unwrap();
-                (e.from, e.from_col, e.to, e.to_col)
+                JoinCond {
+                    left: e.from,
+                    left_col: e.from_col,
+                    right: e.to,
+                    right_col: e.to_col,
+                }
             })
             .collect();
         Candidate {
@@ -1398,12 +1399,10 @@ mod tests {
     fn empty_candidates_yield_default_plan() {
         let cat = catalog(3);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
         let (plan, stats) = search.run(Vec::new());
         assert!(is_valid_assignment(&[&q], &plan, &interner, &table));
         assert_eq!(plan.len(), 3, "one default input per relation");
@@ -1438,20 +1437,12 @@ mod tests {
         }
         let cat = b.build();
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q1 = path_cq(0, &cat, 0, 3);
         let q2 = path_cq(1, &cat, 0, 4);
         let table = CqTable::from_queries([&q1, &q2]);
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0, 1]);
-        let search = BestPlanSearch::new(
-            &model,
-            &NoReuse,
-            &config,
-            vec![&q1, &q2],
-            &mut interner,
-            &table,
-        );
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q1, &q2], &mut interner, &table);
         let (plan, stats) = search.run(vec![shared.clone()]);
         assert!(is_valid_assignment(&[&q1, &q2], &plan, &interner, &table));
         assert!(
@@ -1467,13 +1458,11 @@ mod tests {
     fn exploding_pushdown_is_rejected() {
         let cat = catalog(3);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
         let bad = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
         let (plan, _) = search.run(vec![bad.clone()]);
         assert!(is_valid_assignment(&[&q], &plan, &interner, &table));
         assert!(
@@ -1486,14 +1475,12 @@ mod tests {
     fn overlapping_candidates_never_double_cover() {
         let cat = catalog(4);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 4);
         let table = CqTable::from_queries([&q]);
         let c1 = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let c2 = cand(&cat, &mut interner, &table, &[1, 2], &[0]);
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
         let (plan, _) = search.run(vec![c1, c2]);
         assert!(
             is_valid_assignment(&[&q], &plan, &interner, &table),
@@ -1505,7 +1492,6 @@ mod tests {
     fn memoization_collapses_orderings() {
         let cat = catalog(6);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 6);
         let table = CqTable::from_queries([&q]);
@@ -1513,8 +1499,7 @@ mod tests {
         // {c1, c2} state is reached twice, second time from the memo.
         let c1 = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let c2 = cand(&cat, &mut interner, &table, &[3, 4], &[0]);
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
         let (_, stats) = search.run(vec![c1, c2]);
         assert!(stats.memo_hits >= 1, "stats: {stats:?}");
     }
@@ -1523,7 +1508,6 @@ mod tests {
     fn explored_grows_with_candidates() {
         let cat = catalog(8);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 8);
         let table = CqTable::from_queries([&q]);
@@ -1532,8 +1516,7 @@ mod tests {
             let cands: Vec<Candidate> = (0..n)
                 .map(|i| cand(&cat, &mut interner, &table, &[2 * i, 2 * i + 1], &[0]))
                 .collect();
-            let search =
-                BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+            let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
             let (_, stats) = search.run(cands);
             explored.push(stats.explored);
         }
@@ -1553,13 +1536,12 @@ mod tests {
         }
         let cat = catalog(3);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let oracle = Resident(shared.sig);
-        let search = BestPlanSearch::new(&model, &oracle, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &oracle, vec![&q], &mut interner, &table);
         let (plan, stats) = search.run(vec![shared.clone()]);
         assert!(
             plan.iter().any(|c| c.sig == shared.sig),
@@ -1574,15 +1556,13 @@ mod tests {
     fn memo_and_plan_arena_stay_index_sized() {
         let cat = catalog(8);
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 8);
         let table = CqTable::from_queries([&q]);
         let cands: Vec<Candidate> = (0..3)
             .map(|i| cand(&cat, &mut interner, &table, &[2 * i, 2 * i + 1], &[0]))
             .collect();
-        let search =
-            BestPlanSearch::new(&model, &NoReuse, &config, vec![&q], &mut interner, &table);
+        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
         let (_, stats) = search.run(cands);
         // 3 disjoint candidates → 2^3 = 8 distinct states. The permutation
         // tree has 1 + 3 + 6 + 3 = 13 invocations (memo-hit nodes do not

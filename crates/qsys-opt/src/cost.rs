@@ -81,9 +81,9 @@ impl<'a> CostModel<'a> {
             }
             card *= c.max(1e-9);
         }
-        for (lr, lc, rr, rc) in &sig.joins {
-            let dl = self.catalog.relation(*lr).stats.distinct(*lc) as f64;
-            let dr = self.catalog.relation(*rr).stats.distinct(*rc) as f64;
+        for j in &sig.joins {
+            let dl = self.catalog.relation(j.left).stats.distinct(j.left_col) as f64;
+            let dr = self.catalog.relation(j.right).stats.distinct(j.right_col) as f64;
             card /= dl.max(dr).max(1.0);
         }
         card.max(0.0)
@@ -145,7 +145,7 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use qsys_catalog::{CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-    use qsys_types::{SourceId, Value};
+    use qsys_types::{JoinCond, SourceId, Value};
 
     fn catalog() -> Catalog {
         let mut b = CatalogBuilder::default();
@@ -185,7 +185,12 @@ mod tests {
         let bb = c.relation_by_name("B").unwrap().id;
         let sig = SubExprSig {
             atoms: vec![(a, None), (bb, None)],
-            joins: vec![(a, 0, bb, 0)],
+            joins: vec![JoinCond {
+                left: a,
+                left_col: 0,
+                right: bb,
+                right_col: 0,
+            }],
         };
         // 1000 * 500 / max(100, 50) = 5000.
         assert!((model.cardinality(&sig) - 5000.0).abs() < 1e-6);
@@ -225,7 +230,12 @@ mod tests {
         assert_eq!(model.pushdown_penalty_us(1, single), 0.0);
         let sig = SubExprSig {
             atoms: vec![(a, None), (bb, None)],
-            joins: vec![(a, 0, bb, 0)],
+            joins: vec![JoinCond {
+                left: a,
+                left_col: 0,
+                right: bb,
+                right_col: 0,
+            }],
         };
         assert!(model.pushdown_penalty_us(2, model.cardinality(&sig)) > 0.0);
     }

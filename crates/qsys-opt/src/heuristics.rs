@@ -49,14 +49,6 @@ pub struct HeuristicConfig {
     /// Alternatively, keep a multi-relation candidate whose estimated
     /// cardinality is below this (heuristic 3, "low cardinality").
     pub low_cardinality: f64,
-    /// `τ(R)`: a scoreless relation with cardinality below this may still
-    /// be streamed (heuristic 2).
-    pub probe_threshold: u64,
-    /// Joins whose source-side fanout exceeds this are "expensive to
-    /// compute at the source" and pruned (heuristic 3).
-    pub max_source_fanout: f64,
-    /// Largest candidate size in atoms (bounds the subexpression enumeration).
-    pub max_candidate_atoms: usize,
     /// Hard cap on candidates handed to BestPlan (keeps Figure 11's
     /// exponential in check for large batches); at most
     /// [`MAX_CANDIDATES_LIMIT`](Self::MAX_CANDIDATES_LIMIT).
@@ -74,19 +66,27 @@ impl Default for HeuristicConfig {
         HeuristicConfig {
             min_sharing: 2,
             low_cardinality: 200.0,
-            probe_threshold: 1_000,
-            max_source_fanout: 16.0,
-            max_candidate_atoms: 3,
             max_candidates: 12,
         }
     }
 }
 
+/// `τ(R)`: a scoreless relation with cardinality below this may still be
+/// streamed (heuristic 2).
+const PROBE_THRESHOLD: u64 = 1_000;
+
+/// Joins whose source-side fanout exceeds this are "expensive to compute
+/// at the source" and pruned (heuristic 3).
+const MAX_SOURCE_FANOUT: f64 = 16.0;
+
+/// Largest candidate size in atoms (bounds the subexpression enumeration).
+const MAX_CANDIDATE_ATOMS: usize = 3;
+
 /// Whether a relation is streamed (score attribute, or small enough) or
 /// probed (heuristic 2).
-pub(crate) fn is_streamable(model: &CostModel<'_>, rel: RelId, config: &HeuristicConfig) -> bool {
+pub(crate) fn is_streamable(model: &CostModel<'_>, rel: RelId) -> bool {
     let r = model.catalog().relation(rel);
-    r.has_score() || r.stats.cardinality < config.probe_threshold
+    r.has_score() || r.stats.cardinality < PROBE_THRESHOLD
 }
 
 /// A signature's cost inputs, derived from the catalog.
@@ -102,19 +102,11 @@ pub(crate) struct Fact {
 
 /// A signature's cost inputs: the single definition candidate enumeration
 /// and both BestPlan seeding sites go through.
-pub(crate) fn compute_fact(
-    sig: SigId,
-    model: &CostModel<'_>,
-    config: &HeuristicConfig,
-    interner: &SigInterner,
-) -> Fact {
+pub(crate) fn compute_fact(sig: SigId, model: &CostModel<'_>, interner: &SigInterner) -> Fact {
     let resolved = interner.resolve(sig);
     Fact {
         card: model.cardinality(resolved),
-        streamed: resolved
-            .atoms
-            .iter()
-            .all(|(r, _)| is_streamable(model, *r, config)),
+        streamed: resolved.atoms.iter().all(|(r, _)| is_streamable(model, *r)),
         size: resolved.atoms.len() as u32,
     }
 }
@@ -138,15 +130,11 @@ pub(crate) fn enumerate_candidates(
     let mut pool: HashMap<SigId, CqSet> = HashMap::new();
     for cq in queries {
         let qi = table.idx(cq.id);
-        for sig in enumerate_subexprs(cq, 1, config.max_candidate_atoms) {
+        for sig in enumerate_subexprs(cq, 1, MAX_CANDIDATE_ATOMS) {
             // Heuristic 2: every atom of a pushed-down candidate must be
             // streamable, otherwise the source could not deliver results in
             // score order without a full scan.
-            if !sig
-                .atoms
-                .iter()
-                .all(|(r, _)| is_streamable(model, *r, config))
-            {
+            if !sig.atoms.iter().all(|(r, _)| is_streamable(model, *r)) {
                 continue;
             }
             pool.entry(interner.intern(sig)).or_default().insert(qi);
@@ -157,8 +145,7 @@ pub(crate) fn enumerate_candidates(
     let mut pooled: Vec<(SigId, CqSet)> = pool.into_iter().collect();
     pooled.sort_by(|(a, _), (b, _)| interner.resolve(*a).cmp(interner.resolve(*b)));
 
-    let card_of =
-        |sig: SigId, interner: &SigInterner| compute_fact(sig, model, config, interner).card;
+    let card_of = |sig: SigId, interner: &SigInterner| compute_fact(sig, model, interner).card;
 
     let mut out = Vec::new();
     for (sig, mut using) in pooled {
@@ -178,13 +165,15 @@ pub(crate) fn enumerate_candidates(
             continue;
         }
         // Heuristic 3a: drop candidates expensive to compute at the source.
-        let expensive = interner.resolve(sig).joins.iter().any(|(lr, lc, rr, rc)| {
-            match model.catalog().edge_between(*lr, *rr) {
+        let expensive = interner.resolve(sig).joins.iter().any(|j| {
+            match model.catalog().edge_between(j.left, j.right) {
                 Some(e) => {
                     // Must be the same join columns to reuse the edge stats.
-                    let cols_match = (e.from == *lr && e.from_col == *lc && e.to_col == *rc)
-                        || (e.to == *lr && e.to_col == *lc && e.from_col == *rc);
-                    !cols_match || e.fanout > config.max_source_fanout
+                    let cols_match = (e.from == j.left
+                        && e.from_col == j.left_col
+                        && e.to_col == j.right_col)
+                        || (e.to == j.left && e.to_col == j.left_col && e.from_col == j.right_col);
+                    !cols_match || e.fanout > MAX_SOURCE_FANOUT
                 }
                 None => true, // non key-key join
             }
@@ -243,7 +232,7 @@ mod tests {
     use super::*;
     use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin};
-    use qsys_types::{CostProfile, CqId, SourceId, UqId, UserId};
+    use qsys_types::{CostProfile, CqId, JoinCond, SourceId, UqId, UserId};
 
     /// Chain A - B - C - D; C is scoreless and large (probe-only), D is
     /// scoreless but tiny (streamable).
@@ -310,10 +299,12 @@ mod tests {
                 let e = catalog.edge_between(w[0], w[1]).unwrap();
                 CqJoin {
                     edge: e.id,
-                    left: e.from,
-                    left_col: e.from_col,
-                    right: e.to,
-                    right_col: e.to_col,
+                    on: JoinCond {
+                        left: e.from,
+                        left_col: e.from_col,
+                        right: e.to,
+                        right_col: e.to_col,
+                    },
                 }
             })
             .collect();
@@ -337,19 +328,12 @@ mod tests {
     fn scoreless_large_relation_is_not_streamable() {
         let cat = catalog();
         let model = CostModel::new(&cat, CostProfile::default(), 50);
-        let config = HeuristicConfig::default();
         let c = cat.relation_by_name("C").unwrap().id;
         let d = cat.relation_by_name("D").unwrap().id;
         let a = cat.relation_by_name("A").unwrap().id;
-        assert!(
-            !is_streamable(&model, c, &config),
-            "large scoreless C probes"
-        );
-        assert!(
-            is_streamable(&model, d, &config),
-            "tiny scoreless D streams"
-        );
-        assert!(is_streamable(&model, a, &config), "scored A streams");
+        assert!(!is_streamable(&model, c), "large scoreless C probes");
+        assert!(is_streamable(&model, d), "tiny scoreless D streams");
+        assert!(is_streamable(&model, a), "scored A streams");
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub use bestplan::OptStats;
 pub use cluster::{cluster_user_queries, ClusterConfig};
 pub use cost::{NoReuse, ReuseOracle};
 pub use heuristics::{Candidate, HeuristicConfig};
-pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
+pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, SpecNode, SpecNodeKind};
 pub use retired::{AdaptiveConfig, ShardConfig};

@@ -20,7 +20,7 @@ use crate::cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
 use crate::score::{ScoreFn, ScoreModel};
 use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex, KeywordMatch, MatchKind};
-use qsys_types::{CqId, QsysError, QsysResult, RelId, Selection, UqId, UserId};
+use qsys_types::{CqId, JoinCond, QsysError, QsysResult, RelId, Selection, UqId, UserId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Tuning knobs for candidate generation.
@@ -32,9 +32,6 @@ pub struct CandidateConfig {
     pub max_atoms: usize,
     /// How many keyword matches to consider per keyword.
     pub matches_per_keyword: usize,
-    /// How many alternative join paths to explore per connection step
-    /// (yields CQ variants like the paper's CQ5 vs CQ6).
-    pub path_variants: usize,
     /// The scoring model to instantiate.
     pub model: ScoreModel,
 }
@@ -45,11 +42,14 @@ impl Default for CandidateConfig {
             max_cqs: 20,
             max_atoms: 8,
             matches_per_keyword: 4,
-            path_variants: 2,
             model: ScoreModel::QSystem,
         }
     }
 }
+
+/// How many alternative join paths to explore per connection step (yields
+/// CQ variants like the paper's CQ5 vs CQ6).
+const PATH_VARIANTS: usize = 2;
 
 /// Generates candidate networks for keyword queries.
 pub struct CandidateGenerator<'a> {
@@ -144,7 +144,7 @@ impl<'a> CandidateGenerator<'a> {
                         .iter()
                         .map(|a| (a.rel, a.selection.clone()))
                         .collect(),
-                    cq_joins.clone(),
+                    cq_joins.iter().map(|j| j.on).collect(),
                 );
                 if !seen.insert(sig) {
                     continue;
@@ -174,7 +174,7 @@ impl<'a> CandidateGenerator<'a> {
         })
     }
 
-    /// Find join trees connecting `rels`, exploring `path_variants`
+    /// Find join trees connecting `rels`, exploring [`PATH_VARIANTS`]
     /// alternatives per connection step.
     fn connect(&self, rels: &[RelId]) -> Vec<TreeCandidate> {
         let mut alternatives = vec![TreeCandidate {
@@ -188,7 +188,7 @@ impl<'a> CandidateGenerator<'a> {
                     next.push(alt.clone());
                     continue;
                 }
-                for path in self.paths_to_set(target, &alt.rels, self.config.path_variants) {
+                for path in self.paths_to_set(target, &alt.rels) {
                     let mut grown = alt.clone();
                     for eid in &path {
                         let e = self.catalog.edge(*eid);
@@ -214,19 +214,14 @@ impl<'a> CandidateGenerator<'a> {
             .collect()
     }
 
-    /// Up to `variants` cheapest edge-paths from `from` to any relation in
-    /// `targets`. The cheapest path is read off the catalog's schema-path
-    /// table ([`Catalog::cheapest_path`]); alternatives are found Yen-style,
-    /// by banning each edge of the cheapest path in turn and keeping the
-    /// cheapest distinct detours — each of those one more search in the
-    /// table, paused at its answer and resumed by any later query that
-    /// routes the same way.
-    fn paths_to_set(
-        &self,
-        from: RelId,
-        targets: &BTreeSet<RelId>,
-        variants: usize,
-    ) -> Vec<Vec<EdgeId>> {
+    /// Up to [`PATH_VARIANTS`] cheapest edge-paths from `from` to any
+    /// relation in `targets`. The cheapest path is read off the catalog's
+    /// schema-path table ([`Catalog::cheapest_path`]); alternatives are
+    /// found Yen-style, by banning each edge of the cheapest path in turn
+    /// and keeping the cheapest distinct detours — each of those one more
+    /// search in the table, paused at its answer and resumed by any later
+    /// query that routes the same way.
+    fn paths_to_set(&self, from: RelId, targets: &BTreeSet<RelId>) -> Vec<Vec<EdgeId>> {
         let cheapest = |banned| {
             self.catalog
                 .cheapest_path(from, targets.iter().copied(), banned)
@@ -235,7 +230,7 @@ impl<'a> CandidateGenerator<'a> {
             return Vec::new();
         };
         let mut out = vec![best.clone()];
-        if best.is_empty() || variants <= 1 {
+        if best.is_empty() {
             return out;
         }
         let mut alts: Vec<Vec<EdgeId>> = Vec::new();
@@ -248,7 +243,7 @@ impl<'a> CandidateGenerator<'a> {
         }
         alts.sort_by_key(|p| self.path_cost(p));
         for p in alts {
-            if out.len() >= variants {
+            if out.len() >= PATH_VARIANTS {
                 break;
             }
             out.push(p);
@@ -281,10 +276,12 @@ impl<'a> CandidateGenerator<'a> {
                 let e = self.catalog.edge(eid);
                 CqJoin {
                     edge: eid,
-                    left: e.from,
-                    left_col: e.from_col,
-                    right: e.to,
-                    right_col: e.to_col,
+                    on: JoinCond {
+                        left: e.from,
+                        left_col: e.from_col,
+                        right: e.to,
+                        right_col: e.to_col,
+                    },
                 }
             })
             .collect();

@@ -7,7 +7,7 @@
 
 use crate::score::ScoreFn;
 use qsys_catalog::{Catalog, EdgeId};
-use qsys_types::{CqId, RelId, Selection, UqId, UserId};
+use qsys_types::{CqId, JoinCond, RelId, Selection, UqId, UserId};
 use std::fmt;
 
 /// One relation occurrence in a conjunctive query.
@@ -24,31 +24,9 @@ pub struct CqAtom {
 pub struct CqJoin {
     /// The schema edge this join follows.
     pub edge: EdgeId,
-    /// Left relation.
-    pub left: RelId,
-    /// Join column on the left relation.
-    pub left_col: usize,
-    /// Right relation.
-    pub right: RelId,
-    /// Join column on the right relation.
-    pub right_col: usize,
-}
-
-impl CqJoin {
-    /// Normalized copy with `left < right`, for canonical signatures.
-    pub(crate) fn normalized(&self) -> CqJoin {
-        if self.left <= self.right {
-            self.clone()
-        } else {
-            CqJoin {
-                edge: self.edge,
-                left: self.right,
-                left_col: self.right_col,
-                right: self.left,
-                right_col: self.left_col,
-            }
-        }
-    }
+    /// The join condition as this query states it (candidate generation
+    /// writes the edge's `from` side left); signatures normalize it.
+    pub on: JoinCond,
 }
 
 /// A conjunctive query: a connected tree of atoms over the schema graph.
@@ -128,10 +106,10 @@ impl ConjunctiveQuery {
         let mut frontier = vec![self.atoms[0].rel];
         while let Some(r) = frontier.pop() {
             for j in &self.joins {
-                let next = if j.left == r {
-                    Some(j.right)
-                } else if j.right == r {
-                    Some(j.left)
+                let next = if j.on.left == r {
+                    Some(j.on.right)
+                } else if j.on.right == r {
+                    Some(j.on.left)
                 } else {
                     None
                 };
@@ -208,10 +186,12 @@ mod tests {
     fn join(edge: u32, l: u32, lc: usize, r: u32, rc: usize) -> CqJoin {
         CqJoin {
             edge: EdgeId(edge),
-            left: RelId::new(l),
-            left_col: lc,
-            right: RelId::new(r),
-            right_col: rc,
+            on: JoinCond {
+                left: RelId::new(l),
+                left_col: lc,
+                right: RelId::new(r),
+                right_col: rc,
+            },
         }
     }
 
@@ -258,17 +238,6 @@ mod tests {
             vec![atom(1), atom(1)],
             vec![join(0, 1, 0, 1, 0)],
         );
-    }
-
-    #[test]
-    fn join_normalization_orients_left_low() {
-        let j = join(3, 9, 1, 2, 0);
-        let n = j.normalized();
-        assert_eq!(n.left, RelId::new(2));
-        assert_eq!(n.left_col, 0);
-        assert_eq!(n.right, RelId::new(9));
-        assert_eq!(n.right_col, 1);
-        assert_eq!(j.normalized(), j.normalized().normalized());
     }
 
     #[test]

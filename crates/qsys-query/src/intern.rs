@@ -29,7 +29,7 @@
 
 use crate::cq::ConjunctiveQuery;
 use crate::subexpr::SubExprSig;
-use qsys_types::{RelId, Selection};
+use qsys_types::{JoinCond, RelId, Selection};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -137,13 +137,10 @@ impl SigInterner {
         if !sig.atoms.is_sorted() {
             sig.atoms.sort();
         }
-        // Orient every join left < right (the canonical form
-        // `SubExprSig::new` / `CqJoin::normalized` produce) — callers
-        // assembling signatures by hand may have them flipped.
+        // Orient every join canonically — callers assembling signatures
+        // by hand may have them flipped.
         for join in &mut sig.joins {
-            if join.0 > join.2 {
-                *join = (join.2, join.3, join.0, join.1);
-            }
+            *join = join.normalized();
         }
         if !sig.joins.is_sorted() {
             sig.joins.sort();
@@ -162,10 +159,10 @@ impl SigInterner {
         self.intern_canonical(SubExprSig::of_cq(cq))
     }
 
-    /// Intern the join of two interned signatures under `preds` (each
-    /// `(left, left_col, right, right_col)`). The result is the canonical
-    /// union signature, whichever pair of parts it was assembled from.
-    pub fn combine(&mut self, a: SigId, b: SigId, preds: &[(RelId, usize, RelId, usize)]) -> SigId {
+    /// Intern the join of two interned signatures under `preds`, in any
+    /// orientation. The result is the canonical union signature, whichever
+    /// pair of parts it was assembled from.
+    pub fn combine(&mut self, a: SigId, b: SigId, preds: &[JoinCond]) -> SigId {
         let (ea, eb) = (&self.arena[a.index()].sig, &self.arena[b.index()].sig);
         let mut atoms = Vec::with_capacity(ea.atoms.len() + eb.atoms.len());
         atoms.extend(ea.atoms.iter().cloned());
@@ -174,13 +171,7 @@ impl SigInterner {
         let mut joins = Vec::with_capacity(ea.joins.len() + eb.joins.len() + preds.len());
         joins.extend(ea.joins.iter().copied());
         joins.extend(eb.joins.iter().copied());
-        for &(lr, lc, rr, rc) in preds {
-            joins.push(if lr <= rr {
-                (lr, lc, rr, rc)
-            } else {
-                (rr, rc, lr, lc)
-            });
-        }
+        joins.extend(preds.iter().map(|p| p.normalized()));
         joins.sort();
         joins.dedup();
         self.intern_canonical(SubExprSig { atoms, joins })
@@ -286,17 +277,21 @@ mod tests {
         let mut interner = SigInterner::new();
         let a = interner.relation(RelId::new(1), None);
         let b = interner.relation(RelId::new(2), None);
-        let ab = interner.combine(a, b, &[(RelId::new(2), 0, RelId::new(1), 1)]);
+        let flipped = JoinCond {
+            left: RelId::new(2),
+            left_col: 0,
+            right: RelId::new(1),
+            right_col: 1,
+        };
+        let ab = interner.combine(a, b, &[flipped]);
         assert_eq!(interner.rels(ab), &[RelId::new(1), RelId::new(2)]);
-        // The join was flipped into left < right normal form.
-        assert_eq!(
-            interner.resolve(ab).joins,
-            vec![(RelId::new(1), 1, RelId::new(2), 0)]
-        );
+        // The join was flipped into left ≤ right normal form.
+        assert_eq!(interner.resolve(ab).joins, vec![flipped.normalized()]);
+        assert_eq!(interner.resolve(ab).joins[0].left, RelId::new(1));
         // Interning the same union directly resolves to the same id.
         let direct = interner.intern(SubExprSig {
             atoms: vec![(RelId::new(1), None), (RelId::new(2), None)],
-            joins: vec![(RelId::new(1), 1, RelId::new(2), 0)],
+            joins: vec![flipped],
         });
         assert_eq!(direct, ab);
     }
@@ -315,10 +310,12 @@ mod tests {
         ];
         let joins = vec![CqJoin {
             edge: EdgeId(0),
-            left: RelId::new(0),
-            left_col: 1,
-            right: RelId::new(1),
-            right_col: 0,
+            on: JoinCond {
+                left: RelId::new(0),
+                left_col: 1,
+                right: RelId::new(1),
+                right_col: 0,
+            },
         }];
         let cq = ConjunctiveQuery::new(CqId::new(0), UqId::new(0), UserId::new(0), atoms, joins);
         let mut interner = SigInterner::new();

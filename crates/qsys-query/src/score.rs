@@ -292,10 +292,12 @@ mod tests {
             ],
             vec![crate::cq::CqJoin {
                 edge: qsys_catalog::EdgeId(0),
-                left: RelId::new(0),
-                left_col: 0,
-                right: RelId::new(1),
-                right_col: 0,
+                on: qsys_types::JoinCond {
+                    left: RelId::new(0),
+                    left_col: 0,
+                    right: RelId::new(1),
+                    right_col: 0,
+                },
             }],
         );
         let f = ScoreFn::discover(UserId::new(0), 2);

@@ -5,11 +5,13 @@
 //! index — reduce to asking "are these two subexpressions *the same*?".
 //! Because conjunctive queries are trees over the schema graph with distinct
 //! relations per query, a subexpression is canonically identified by its
-//! sorted `(relation, selection)` atoms plus its normalized join conditions:
-//! signature equality is exactly logical equivalence.
+//! sorted `(relation, selection)` atoms plus its sorted join conditions,
+//! each a [`JoinCond`] oriented by [`JoinCond::normalized`]: signature
+//! equality is exactly logical equivalence. The same conditions, unchanged,
+//! are what a pushed-down subexpression is evaluated with at the source.
 
-use crate::cq::{ConjunctiveQuery, CqJoin};
-use qsys_types::{RelId, Selection};
+use crate::cq::ConjunctiveQuery;
+use qsys_types::{JoinCond, RelId, Selection};
 use std::fmt;
 
 /// Canonical signature of a select-project-join subexpression.
@@ -17,9 +19,8 @@ use std::fmt;
 pub struct SubExprSig {
     /// Sorted `(relation, selection)` atoms.
     pub atoms: Vec<(RelId, Option<Selection>)>,
-    /// Normalized (`left < right`), sorted join conditions as
-    /// `(left, left_col, right, right_col)`.
-    pub joins: Vec<(RelId, usize, RelId, usize)>,
+    /// Normalized (`left ≤ right`), sorted, deduplicated join conditions.
+    pub joins: Vec<JoinCond>,
 }
 
 impl SubExprSig {
@@ -31,16 +32,13 @@ impl SubExprSig {
         }
     }
 
-    /// Build from atoms and joins, normalizing.
-    pub fn new(mut atoms: Vec<(RelId, Option<Selection>)>, joins: Vec<CqJoin>) -> SubExprSig {
+    /// Build from atoms and joins in any order and orientation,
+    /// normalizing.
+    pub fn new(mut atoms: Vec<(RelId, Option<Selection>)>, mut joins: Vec<JoinCond>) -> SubExprSig {
         atoms.sort();
-        let mut joins: Vec<(RelId, usize, RelId, usize)> = joins
-            .iter()
-            .map(|j| {
-                let n = j.normalized();
-                (n.left, n.left_col, n.right, n.right_col)
-            })
-            .collect();
+        for j in &mut joins {
+            *j = j.normalized();
+        }
         joins.sort();
         joins.dedup();
         SubExprSig { atoms, joins }
@@ -53,7 +51,7 @@ impl SubExprSig {
                 .iter()
                 .map(|a| (a.rel, a.selection.clone()))
                 .collect(),
-            cq.joins.clone(),
+            cq.joins.iter().map(|j| j.on).collect(),
         )
     }
 
@@ -161,8 +159,8 @@ fn grow(
         }
         // Must connect via some join to the current set.
         let connected = cq.joins.iter().any(|j| {
-            (j.left == atom.rel && rels.contains(&j.right))
-                || (j.right == atom.rel && rels.contains(&j.left))
+            (j.on.left == atom.rel && rels.contains(&j.on.right))
+                || (j.on.right == atom.rel && rels.contains(&j.on.left))
         });
         if !connected {
             continue;
@@ -191,8 +189,8 @@ fn signature_of_subset(cq: &ConjunctiveQuery, atom_indices: &[usize]) -> SubExpr
     let joins = cq
         .joins
         .iter()
-        .filter(|j| rels.contains(&j.left) && rels.contains(&j.right))
-        .cloned()
+        .filter(|j| rels.contains(&j.on.left) && rels.contains(&j.on.right))
+        .map(|j| j.on)
         .collect();
     SubExprSig::new(atoms, joins)
 }
@@ -200,7 +198,7 @@ fn signature_of_subset(cq: &ConjunctiveQuery, atom_indices: &[usize]) -> SubExpr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cq::CqAtom;
+    use crate::cq::{CqAtom, CqJoin};
     use qsys_catalog::EdgeId;
     use qsys_types::{CqId, UqId, UserId, Value};
 
@@ -219,10 +217,12 @@ mod tests {
         let joins = (0..n - 1)
             .map(|i| CqJoin {
                 edge: EdgeId(i),
-                left: RelId::new(i),
-                left_col: 1,
-                right: RelId::new(i + 1),
-                right_col: 0,
+                on: JoinCond {
+                    left: RelId::new(i),
+                    left_col: 1,
+                    right: RelId::new(i + 1),
+                    right_col: 0,
+                },
             })
             .collect();
         ConjunctiveQuery::new(CqId::new(0), UqId::new(0), UserId::new(0), atoms, joins)
@@ -259,7 +259,7 @@ mod tests {
                 .rev()
                 .map(|a| (a.rel, a.selection.clone()))
                 .collect(),
-            cq.joins.iter().rev().cloned().collect(),
+            cq.joins.iter().rev().map(|j| j.on).collect(),
         );
         assert_eq!(s1, s2);
     }

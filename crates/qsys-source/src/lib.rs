@@ -15,10 +15,10 @@
 //! read and probe charges simulated time, drawn from the same Poisson
 //! distribution, to a shared [`SimClock`].
 //!
-//! The module also implements **select-project-join push-down**
-//! ([`pushdown`]): the optimizer may decide to evaluate a subexpression "at
-//! the source" (Section 5.1); the result is exposed as just another
-//! score-ordered stream.
+//! The registry also implements **select-project-join push-down**
+//! ([`Sources::open_pushdown`]): the optimizer may decide to evaluate a
+//! subexpression "at the source" (Section 5.1); the result is exposed as
+//! just another score-ordered stream.
 
 //! **Failure semantics** ([`fault`]): a deterministic, seeded
 //! [`FaultInjector`] can schedule transient errors, slow rounds, and hard
@@ -29,13 +29,12 @@
 //! fault-free build.
 
 pub mod fault;
-pub mod pushdown;
+mod pushdown;
 mod registry;
 pub mod stream;
 pub mod table;
 
 pub use fault::{FaultInjector, FaultSpec, SourceError};
-pub use pushdown::{JoinCond, SpjSpec};
 pub use registry::{Sources, TableProvider};
 pub use stream::SourceStream;
 pub use table::Table;

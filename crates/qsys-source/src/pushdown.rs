@@ -1,131 +1,95 @@
 //! Select-project-join push-down.
 //!
 //! The optimizer's first stage (Section 5.1) factors out subexpressions to
-//! be "executed at the remote DBMS sites". An [`SpjSpec`] is the wire-level
-//! description of such a subexpression: a set of relations with optional
-//! equality selections, connected by equi-join conditions. The source layer
-//! evaluates it *at the source* (no middleware time is charged for the
-//! remote computation — the middleware only pays per streamed result tuple,
-//! matching the paper's cost model) and exposes the result as a
-//! score-ordered stream.
+//! be "executed at the remote DBMS sites". Such a subexpression reaches the
+//! source as its signature's two parts: atoms (relations with optional
+//! equality selections) and the [`JoinCond`]s connecting them, in any
+//! orientation. The source layer evaluates it *at the source* (no
+//! middleware time is charged for the remote computation — the middleware
+//! only pays per streamed result tuple, matching the paper's cost model)
+//! and exposes the result as a score-ordered stream.
 
 use crate::table::Table;
-use qsys_types::{RelId, Selection, Tuple};
+use qsys_types::{JoinCond, RelId, Selection, Tuple};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One equi-join condition between two relations in a pushed-down
-/// subexpression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct JoinCond {
-    /// Left relation.
-    pub left: RelId,
-    /// Join column on the left relation.
-    pub left_col: usize,
-    /// Right relation.
-    pub right: RelId,
-    /// Join column on the right relation.
-    pub right_col: usize,
-}
+/// Evaluate the join of `atoms` under `joins` against materialized tables,
+/// producing the full result. `atoms` must not repeat a relation
+/// (candidate networks never do: they are trees of distinct schema-graph
+/// nodes).
+///
+/// Joins are applied greedily in connectivity order starting from the
+/// first atom; a disconnected subexpression panics (the optimizer never
+/// produces one — pushed-down subexpressions are connected subgraphs).
+pub(crate) fn evaluate(
+    atoms: &[(RelId, Option<Selection>)],
+    joins: &[JoinCond],
+    tables: &HashMap<RelId, Arc<Table>>,
+) -> Vec<Tuple> {
+    assert!(!atoms.is_empty(), "empty SPJ subexpression");
+    let selections: HashMap<RelId, &Selection> = atoms
+        .iter()
+        .filter_map(|(r, s)| s.as_ref().map(|sel| (*r, sel)))
+        .collect();
 
-/// A select-project-join subexpression to evaluate at the source.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpjSpec {
-    /// Participating relations with their pushed-down selections. Must not
-    /// repeat a relation (candidate networks never do: they are trees of
-    /// distinct schema-graph nodes).
-    pub atoms: Vec<(RelId, Option<Selection>)>,
-    /// Equi-join conditions connecting the atoms.
-    pub joins: Vec<JoinCond>,
-}
+    // Seed with the first atom's filtered rows.
+    let (first_rel, first_sel) = &atoms[0];
+    let first_table = tables
+        .get(first_rel)
+        .unwrap_or_else(|| panic!("no table for {first_rel}"));
+    let mut current: Vec<Tuple> = first_table
+        .filtered_positions(first_sel.as_ref())
+        .into_iter()
+        .map(|p| Tuple::single(Arc::clone(&first_table.rows()[p as usize])))
+        .collect();
+    let mut joined: Vec<RelId> = vec![*first_rel];
+    let mut remaining: Vec<RelId> = atoms[1..].iter().map(|(r, _)| *r).collect();
 
-impl SpjSpec {
-    /// A single-relation spec.
-    pub fn single(rel: RelId, selection: Option<Selection>) -> SpjSpec {
-        SpjSpec {
-            atoms: vec![(rel, selection)],
-            joins: Vec::new(),
-        }
-    }
-
-    /// Relations covered, sorted.
-    pub fn rels(&self) -> Vec<RelId> {
-        let mut rels: Vec<RelId> = self.atoms.iter().map(|(r, _)| *r).collect();
-        rels.sort();
-        rels
-    }
-
-    /// Evaluate against materialized tables, producing the full join result.
-    ///
-    /// Joins are applied greedily in connectivity order starting from the
-    /// first atom; a disconnected spec panics (the optimizer never produces
-    /// one — pushed-down subexpressions are connected subgraphs).
-    pub(crate) fn evaluate(&self, tables: &HashMap<RelId, Arc<Table>>) -> Vec<Tuple> {
-        assert!(!self.atoms.is_empty(), "empty SPJ spec");
-        let selections: HashMap<RelId, &Selection> = self
-            .atoms
+    while !remaining.is_empty() {
+        // Pick the next atom connected to what we have joined so far.
+        let (idx, cond, flipped) = remaining
             .iter()
-            .filter_map(|(r, s)| s.as_ref().map(|sel| (*r, sel)))
-            .collect();
-
-        // Seed with the first atom's filtered rows.
-        let (first_rel, first_sel) = &self.atoms[0];
-        let first_table = tables
-            .get(first_rel)
-            .unwrap_or_else(|| panic!("no table for {first_rel}"));
-        let mut current: Vec<Tuple> = first_table
-            .filtered_positions(first_sel.as_ref())
-            .into_iter()
-            .map(|p| Tuple::single(Arc::clone(&first_table.rows()[p as usize])))
-            .collect();
-        let mut joined: Vec<RelId> = vec![*first_rel];
-        let mut remaining: Vec<RelId> = self.atoms[1..].iter().map(|(r, _)| *r).collect();
-
-        while !remaining.is_empty() {
-            // Pick the next atom connected to what we have joined so far.
-            let (idx, cond, flipped) = remaining
-                .iter()
-                .enumerate()
-                .find_map(|(i, rel)| {
-                    self.joins.iter().find_map(|j| {
-                        if j.right == *rel && joined.contains(&j.left) {
-                            Some((i, j.clone(), false))
-                        } else if j.left == *rel && joined.contains(&j.right) {
-                            Some((i, j.clone(), true))
-                        } else {
-                            None
-                        }
-                    })
-                })
-                .expect("SPJ spec must be connected");
-            let next_rel = remaining.remove(idx);
-            let (have_rel, have_col, next_col) = if flipped {
-                (cond.right, cond.right_col, cond.left_col)
-            } else {
-                (cond.left, cond.left_col, cond.right_col)
-            };
-            let next_table = tables
-                .get(&next_rel)
-                .unwrap_or_else(|| panic!("no table for {next_rel}"));
-            let sel = selections.get(&next_rel);
-
-            let mut output = Vec::new();
-            for t in &current {
-                let key = t
-                    .value_of(have_rel, have_col)
-                    .expect("joined relation missing from tuple");
-                for row in next_table.probe(next_col, key) {
-                    if sel.is_none_or(|s| s.matches(&row.values)) {
-                        output.push(t.join(&Tuple::single(row)));
+            .enumerate()
+            .find_map(|(i, rel)| {
+                joins.iter().find_map(|j| {
+                    if j.right == *rel && joined.contains(&j.left) {
+                        Some((i, *j, false))
+                    } else if j.left == *rel && joined.contains(&j.right) {
+                        Some((i, *j, true))
+                    } else {
+                        None
                     }
+                })
+            })
+            .expect("SPJ subexpression must be connected");
+        let next_rel = remaining.remove(idx);
+        let (have_rel, have_col, next_col) = if flipped {
+            (cond.right, cond.right_col, cond.left_col)
+        } else {
+            (cond.left, cond.left_col, cond.right_col)
+        };
+        let next_table = tables
+            .get(&next_rel)
+            .unwrap_or_else(|| panic!("no table for {next_rel}"));
+        let sel = selections.get(&next_rel);
+
+        let mut output = Vec::new();
+        for t in &current {
+            let key = t
+                .value_of(have_rel, have_col)
+                .expect("joined relation missing from tuple");
+            for row in next_table.probe(next_col, key) {
+                if sel.is_none_or(|s| s.matches(&row.values)) {
+                    output.push(t.join(&Tuple::single(row)));
                 }
             }
-            current = output;
-            joined.push(next_rel);
         }
-
-        current
+        current = output;
+        joined.push(next_rel);
     }
+
+    current
 }
 
 #[cfg(test)]
@@ -153,19 +117,19 @@ mod tests {
         (a, b, m)
     }
 
+    fn a_join_b(a: RelId, b: RelId) -> JoinCond {
+        JoinCond {
+            left: a,
+            left_col: 0,
+            right: b,
+            right_col: 0,
+        }
+    }
+
     #[test]
     fn two_way_join() {
         let (a, b, tables) = tables();
-        let spec = SpjSpec {
-            atoms: vec![(a, None), (b, None)],
-            joins: vec![JoinCond {
-                left: a,
-                left_col: 0,
-                right: b,
-                right_col: 0,
-            }],
-        };
-        let result = spec.evaluate(&tables);
+        let result = evaluate(&[(a, None), (b, None)], &[a_join_b(a, b)], &tables);
         // Key 10 matches: a{1,3} x b{1,3} = 4 results; key 20/30 match nothing.
         assert_eq!(result.len(), 4);
         for t in &result {
@@ -176,61 +140,31 @@ mod tests {
     #[test]
     fn selection_prunes_join() {
         let (a, b, tables) = tables();
-        let spec = SpjSpec {
-            atoms: vec![(a, Some(Selection::eq(0, Value::Int(10)))), (b, None)],
-            joins: vec![JoinCond {
-                left: a,
-                left_col: 0,
-                right: b,
-                right_col: 0,
-            }],
-        };
-        let result = spec.evaluate(&tables);
-        assert_eq!(result.len(), 4);
-        let spec2 = SpjSpec {
-            atoms: vec![(a, Some(Selection::eq(0, Value::Int(20)))), (b, None)],
-            joins: spec.joins.clone(),
-        };
-        assert!(spec2.evaluate(&tables).is_empty());
+        let joins = [a_join_b(a, b)];
+        let selected = |key| [(a, Some(Selection::eq(0, Value::Int(key)))), (b, None)];
+        assert_eq!(evaluate(&selected(10), &joins, &tables).len(), 4);
+        assert!(evaluate(&selected(20), &joins, &tables).is_empty());
     }
 
     #[test]
     fn single_atom_is_a_scan() {
         let (a, _, tables) = tables();
-        let spec = SpjSpec::single(a, None);
-        assert_eq!(spec.evaluate(&tables).len(), 3);
-        assert_eq!(spec.rels(), vec![a]);
+        assert_eq!(evaluate(&[(a, None)], &[], &tables).len(), 3);
     }
 
     #[test]
-    fn join_order_does_not_change_result() {
+    fn join_order_and_orientation_do_not_change_result() {
         let (a, b, tables) = tables();
-        let j = JoinCond {
-            left: a,
-            left_col: 0,
-            right: b,
-            right_col: 0,
+        let provenance = |atoms: &[(RelId, Option<Selection>)], j: JoinCond| {
+            let mut p: Vec<_> = evaluate(atoms, &[j], &tables)
+                .iter()
+                .map(Tuple::provenance)
+                .collect();
+            p.sort();
+            p
         };
-        let fwd = SpjSpec {
-            atoms: vec![(a, None), (b, None)],
-            joins: vec![j.clone()],
-        };
-        let rev = SpjSpec {
-            atoms: vec![(b, None), (a, None)],
-            joins: vec![j],
-        };
-        let mut r1: Vec<_> = fwd
-            .evaluate(&tables)
-            .iter()
-            .map(Tuple::provenance)
-            .collect();
-        let mut r2: Vec<_> = rev
-            .evaluate(&tables)
-            .iter()
-            .map(Tuple::provenance)
-            .collect();
-        r1.sort();
-        r2.sort();
-        assert_eq!(r1, r2);
+        let fwd = provenance(&[(a, None), (b, None)], a_join_b(a, b));
+        assert_eq!(provenance(&[(b, None), (a, None)], a_join_b(a, b)), fwd);
+        assert_eq!(provenance(&[(a, None), (b, None)], a_join_b(b, a)), fwd);
     }
 }

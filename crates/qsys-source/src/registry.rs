@@ -7,11 +7,13 @@
 //! Figure 10 reports ("total number of input tuples consumed").
 
 use crate::fault::{FaultInjector, SourceError, Verdict};
-use crate::pushdown::SpjSpec;
+use crate::pushdown;
 use crate::stream::SourceStream;
 use crate::table::Table;
 use qsys_types::dist::{seeded_rng, Poisson};
-use qsys_types::{BaseTuple, CostProfile, RelId, Selection, SimClock, TimeCategory, Tuple, Value};
+use qsys_types::{
+    BaseTuple, CostProfile, JoinCond, RelId, Selection, SimClock, TimeCategory, Tuple, Value,
+};
 use rand::rngs::StdRng;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -122,16 +124,23 @@ impl Sources {
         SourceStream::base(self.table(rel), selection)
     }
 
-    /// Evaluate an SPJ subexpression at the source and expose the result as
-    /// a score-ordered stream. The remote computation itself is free to the
-    /// middleware (the paper's cost model: you pay per tuple streamed in).
-    pub fn open_pushdown(&self, spec: &SpjSpec) -> SourceStream {
+    /// Evaluate the SPJ subexpression joining `atoms` under `joins` at the
+    /// source and expose the result as a score-ordered stream. The remote
+    /// computation itself is free to the middleware (the paper's cost
+    /// model: you pay per tuple streamed in).
+    pub fn open_pushdown(
+        &self,
+        atoms: &[(RelId, Option<Selection>)],
+        joins: &[JoinCond],
+    ) -> SourceStream {
         let mut tables = HashMap::new();
-        for (rel, _) in &spec.atoms {
+        for (rel, _) in atoms {
             tables.insert(*rel, self.table(*rel));
         }
-        let tuples = spec.evaluate(&tables);
-        SourceStream::pushdown(tuples, spec.rels())
+        let tuples = pushdown::evaluate(atoms, joins, &tables);
+        let mut rels: Vec<RelId> = atoms.iter().map(|(r, _)| *r).collect();
+        rels.sort();
+        SourceStream::pushdown(tuples, rels)
     }
 
     /// [`Sources::try_read`] on a registry with no fault injector, kept
@@ -351,17 +360,13 @@ mod tests {
     #[test]
     fn pushdown_stream_is_score_ordered() {
         let s = sources();
-        use crate::pushdown::JoinCond;
-        let spec = SpjSpec {
-            atoms: vec![(RelId::new(0), None), (RelId::new(1), None)],
-            joins: vec![JoinCond {
-                left: RelId::new(0),
-                left_col: 0,
-                right: RelId::new(1),
-                right_col: 0,
-            }],
+        let join = JoinCond {
+            left: RelId::new(0),
+            left_col: 0,
+            right: RelId::new(1),
+            right_col: 0,
         };
-        let mut stream = s.open_pushdown(&spec);
+        let mut stream = s.open_pushdown(&[(RelId::new(0), None), (RelId::new(1), None)], &[join]);
         let mut last = f64::INFINITY;
         let mut n = 0;
         while let Some(t) = s.read(&mut stream) {

@@ -4,6 +4,8 @@
 //!
 //! - strongly-typed identifiers ([`ids`]),
 //! - attribute values and rows ([`value`], [`tuple`]),
+//! - the predicates queries carry: equality [`Selection`]s and equi-join
+//!   [`JoinCond`]s,
 //! - the ordered score wrapper ([`score`]),
 //! - the fast hasher under the executor's per-tuple maps ([`hash`]),
 //! - the simulated wide-area clock and time accounting ([`clock`]),
@@ -29,7 +31,7 @@ pub use clock::{CostProfile, SimClock, TimeBreakdown, TimeCategory};
 pub use error::{QsysError, QsysResult};
 pub use hash::FxHashMap;
 pub use ids::{AtomId, CqId, Epoch, RelId, SourceId, UqId, UserId};
-pub use predicate::Selection;
+pub use predicate::{JoinCond, Selection};
 pub use score::Score;
 pub use tuple::{BaseTuple, Tuple};
 pub use value::Value;

@@ -163,7 +163,8 @@ fn verify_interner_entries(entries: &[SubExprSig], path: &str) -> Vec<Violation>
                 format!("atoms not in canonical order: {sig:?}"),
             ));
         }
-        if !(sig.joins.iter().all(|j| j.0 <= j.2) && sig.joins.windows(2).all(|w| w[0] < w[1])) {
+        let oriented = sig.joins.iter().all(|j| *j == j.normalized());
+        if !(oriented && sig.joins.windows(2).all(|w| w[0] < w[1])) {
             out.push(Violation::new(
                 ViolationClass::MalformedSig,
                 &at,
@@ -543,7 +544,7 @@ pub fn verify_lane(manager: &QsManager) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsys_types::RelId;
+    use qsys_types::{JoinCond, RelId};
 
     fn sig(rels: &[u32]) -> SubExprSig {
         SubExprSig::new(
@@ -566,6 +567,31 @@ mod tests {
             v.iter().any(|v| v.class == ViolationClass::MalformedSig),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn flipped_or_unsorted_joins_are_flagged() {
+        let join = |l: u32, r: u32| JoinCond {
+            left: RelId::new(l),
+            left_col: 0,
+            right: RelId::new(r),
+            right_col: 1,
+        };
+        let with_joins = |joins: Vec<JoinCond>| SubExprSig {
+            joins,
+            ..sig(&[0, 1, 2])
+        };
+        let clean = with_joins(vec![join(0, 1), join(1, 2)]);
+        assert!(verify_interner_entries(&[clean], "t").is_empty());
+        for bad in [
+            with_joins(vec![join(1, 0), join(1, 2)]),
+            with_joins(vec![join(1, 2), join(0, 1)]),
+            with_joins(vec![join(0, 1), join(0, 1)]),
+        ] {
+            let v = verify_interner_entries(&[bad], "t");
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert_eq!(v[0].class, ViolationClass::MalformedSig);
+        }
     }
 
     #[test]

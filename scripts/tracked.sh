@@ -39,6 +39,23 @@ awk '/^pub struct EngineConfig \{/ {on = 1; next}
      on && /^    pub [a-z_]+:/ {n++}
      END {print "engine_config_fields     " n + 0}' src/engine.rs
 
+# Settable values of the engine's config objects: the fields of each struct
+# below, a field whose type is another of them counted as that struct's own
+# fields rather than as one.
+config_structs=(src/engine.rs:EngineConfig crates/qsys-query/src/candidate.rs:CandidateConfig
+    crates/qsys-opt/src/heuristics.rs:HeuristicConfig crates/qsys-types/src/clock.rs:CostProfile
+    crates/qsys-exec/src/govern.rs:RetryPolicy crates/qsys-opt/src/cluster.rs:ClusterConfig)
+nested="^($(printf '%s\n' "${config_structs[@]}" | cut -d: -f2 | paste -sd'|'))\$"
+values=0
+for entry in "${config_structs[@]}"; do
+    values=$((values + $(awk -v s="${entry##*:}" -v nested="$nested" '
+        $0 == "pub struct " s " {" {on = 1; next}
+        on && /^\}/ {on = 0}
+        on && /^    pub [a-z_]+:/ {t = $3; sub(/,$/, "", t); if (t !~ nested) n++}
+        END {print n + 0}' "${entry%%:*}")))
+done
+echo "config_values            $values"
+
 echo "qsys_env_vars            $(grep -rhoE 'var(_os)?\("QSYS_[A-Z_]+"' src crates --include='*.rs' |
     grep -oE 'QSYS_[A-Z_]+' | sort -u | wc -l)"
 

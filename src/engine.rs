@@ -243,6 +243,24 @@ impl EngineConfig {
             "batch_size",
             "batches hold at least one query",
         );
+        // Each of these at 0 leaves candidate generation nothing to
+        // combine, so every query would fail as if its keywords matched
+        // nothing.
+        invariant(
+            self.candidate.max_cqs >= 1,
+            "candidate.max_cqs",
+            "a user query needs at least one candidate network",
+        );
+        invariant(
+            self.candidate.max_atoms >= 1,
+            "candidate.max_atoms",
+            "a candidate network holds at least one atom",
+        );
+        invariant(
+            self.candidate.matches_per_keyword >= 1,
+            "candidate.matches_per_keyword",
+            "each keyword needs at least one match considered",
+        );
         invariant(
             self.heuristics.max_candidates <= HeuristicConfig::MAX_CANDIDATES_LIMIT,
             "heuristics.max_candidates",
@@ -777,6 +795,9 @@ mod tests {
         };
         config.k = 0;
         config.batch_size = 0;
+        config.candidate.max_cqs = 0;
+        config.candidate.max_atoms = 0;
+        config.candidate.matches_per_keyword = 0;
         config.heuristics.max_candidates = 65;
         // A schedule written as a literal is checked like a built one: an
         // out-of-range rate and an unscoped panic hook on the defaults, an
@@ -808,6 +829,9 @@ mod tests {
                 "faults",
                 "k",
                 "batch_size",
+                "candidate.max_cqs",
+                "candidate.max_atoms",
+                "candidate.matches_per_keyword",
                 "heuristics.max_candidates",
                 "faults",
                 "faults",
@@ -824,6 +848,7 @@ mod tests {
         config.env_errors.clear();
         config.k = 1;
         config.batch_size = 1;
+        config.candidate = CandidateConfig::default();
         config.heuristics.max_candidates = 64;
         config.faults = Some(FaultSpec::new(0).transient(1.0).rel_slow(2, 0.5, 1.0));
         config.retry.jitter_frac = 1.0;

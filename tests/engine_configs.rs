@@ -188,7 +188,8 @@ fn time_breakdown_is_consistent() {
 /// submission — and `submit_script` and `run_workload` a whole script —
 /// with a structured
 /// `InvalidConfig` naming the field, never a panic and never a silent run.
-/// The default config serves.
+/// A candidate-generation limit of 0 is refused the same way, not reported
+/// as `NoMatches` for every query. The default config serves.
 #[test]
 fn invalid_configs_refuse_submission_without_panicking() {
     let w = small_workload(5);
@@ -220,6 +221,36 @@ fn invalid_configs_refuse_submission_without_panicking() {
             "faults",
             EngineConfig {
                 faults: Some(qsys::source::FaultSpec::new(1).transient(2.0)),
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "candidate.max_cqs",
+            EngineConfig {
+                candidate: CandidateConfig {
+                    max_cqs: 0,
+                    ..CandidateConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "candidate.max_atoms",
+            EngineConfig {
+                candidate: CandidateConfig {
+                    max_atoms: 0,
+                    ..CandidateConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "candidate.matches_per_keyword",
+            EngineConfig {
+                candidate: CandidateConfig {
+                    matches_per_keyword: 0,
+                    ..CandidateConfig::default()
+                },
                 ..EngineConfig::default()
             },
         ),

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use qsys::opt::{NoReuse, Optimizer, OptimizerConfig};
 use qsys::query::{SigCell, SigInterner, SubExprSig};
-use qsys::types::{RelId, Selection, Value};
+use qsys::types::{JoinCond, RelId, Selection, Value};
 use qsys::SharingMode;
 
 /// Raw material for a random signature: atoms as `(rel, optional selection
@@ -16,7 +16,7 @@ fn sig_from_parts(atoms: &[(u32, Option<i64>)], joins: &[(usize, usize)]) -> Sub
         .iter()
         .map(|(r, sel)| (RelId::new(*r), sel.map(|v| Selection::eq(0, Value::Int(v)))))
         .collect();
-    let join_vec: Vec<(RelId, usize, RelId, usize)> = joins
+    let join_vec: Vec<JoinCond> = joins
         .iter()
         .filter_map(|(i, j)| {
             let (a, _) = atoms[i % atoms.len()];
@@ -24,9 +24,13 @@ fn sig_from_parts(atoms: &[(u32, Option<i64>)], joins: &[(usize, usize)]) -> Sub
             if a == b {
                 return None; // self-joins don't occur in CQ signatures
             }
-            // Normalized left < right, as CqJoin::normalized produces.
-            let (l, r) = if a < b { (a, b) } else { (b, a) };
-            Some((RelId::new(l), 1, RelId::new(r), 0))
+            let join = JoinCond {
+                left: RelId::new(a),
+                left_col: 1,
+                right: RelId::new(b),
+                right_col: 0,
+            };
+            Some(join.normalized())
         })
         .collect();
     let mut sig = SubExprSig {
@@ -81,7 +85,12 @@ proptest! {
             atoms: shuffled(&canonical.atoms, shuffle_seed),
             joins: shuffled(&canonical.joins, shuffle_seed ^ 0xdead)
                 .into_iter()
-                .map(|(l, lc, r, rc)| (r, rc, l, lc))
+                .map(|j| JoinCond {
+                    left: j.right,
+                    left_col: j.right_col,
+                    right: j.left,
+                    right_col: j.left_col,
+                })
                 .collect(),
         };
         prop_assert_eq!(interner.intern(scrambled), id);

@@ -11,14 +11,14 @@
 use proptest::prelude::*;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_exec::access::{AccessModule, AccessModuleArena, StoredModule};
-use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
+use qsys_exec::mjoin::{MJoin, MJoinInput};
 use qsys_exec::state::QsManager;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
 use qsys_types::{
-    BaseTuple, CostProfile, CqId, Epoch, RelId, SimClock, Tuple, UqId, UserId, Value,
+    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
 };
 use std::sync::Arc;
 
@@ -98,10 +98,12 @@ fn chain_cq(id: u32, uq: u32, catalog: &Catalog, len: usize) -> ConjunctiveQuery
             let e = catalog.edge_between(w[0], w[1]).unwrap();
             CqJoin {
                 edge: e.id,
-                left: e.from,
-                left_col: e.from_col,
-                right: e.to,
-                right_col: e.to_col,
+                on: JoinCond {
+                    left: e.from,
+                    left_col: e.from_col,
+                    right: e.to,
+                    right_col: e.to_col,
+                },
             }
         })
         .collect();
@@ -234,10 +236,10 @@ proptest! {
         let inputs = vec![stored(0, &mut modules), stored(1, &mut modules)];
         let mut mj = MJoin::new(
             inputs,
-            vec![JoinPred {
-                left_rel: RelId::new(0),
+            vec![JoinCond {
+                left: RelId::new(0),
                 left_col: 0,
-                right_rel: RelId::new(1),
+                right: RelId::new(1),
                 right_col: 0,
             }],
             &modules,
