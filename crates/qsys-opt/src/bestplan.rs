@@ -18,13 +18,18 @@
 //! *interesting* (multi-relation) candidates, which is the quantity
 //! Figure 11 plots.
 //!
-//! ### Dense per-batch indices on the hot path
+//! One search covers the queries it is handed: under sharing,
+//! [`Optimizer::optimize`](crate::Optimizer::optimize) runs one per user
+//! query of a batch, and under ATC-CQ one default-only search over the
+//! whole batch.
 //!
-//! Everything the exponential part touches is an integer into a per-batch
-//! arena or a bitmask over per-batch indices; no search state owns a heap
+//! ### Dense per-search indices on the hot path
+//!
+//! Everything the exponential part touches is an integer into a per-search
+//! arena or a bitmask over per-search indices; no search state owns a heap
 //! structure:
 //!
-//! - **Query sets are [`CqSet`] bitmasks** over the batch's dense
+//! - **Query sets are [`CqSet`] bitmasks** over the searched queries' dense
 //!   [`CqTable`] indices, so line 14's set difference, the emptiness test,
 //!   and candidate cloning are word ops.
 //! - **Candidates live once in an arena** (`cands`, deduplicated by
@@ -44,7 +49,7 @@
 //! - **Completion is one live state, edited in place, and a state costs
 //!   what its commit changed.** The all-defaults completion (which queries
 //!   still need each default input, how many streaming inputs each query
-//!   has, and the cost term of every input) is built once per batch.
+//!   has, and the cost term of every input) is built once per search.
 //!   Committing a candidate applies only that candidate's delta through
 //!   its precomputed per-query covered-default table, logging every
 //!   default it displaces, and re-derives the term of exactly the inputs
@@ -52,7 +57,7 @@
 //!   (default or committed) of a query whose read depth moved, and the
 //!   candidate itself. An input's term depends on nothing else — its
 //!   query set, and each of those queries' stream count, which it sees
-//!   only through the per-batch depth table — so every other cached term
+//!   only through the per-search depth table — so every other cached term
 //!   is still what costing that input afresh would give. Overwritten terms
 //!   are logged like displaced defaults, and returning from the child
 //!   unwinds both logs. A state's cost is then the fold of the cached
@@ -84,8 +89,8 @@ use qsys_query::{ConjunctiveQuery, CqIdx, CqSet, CqTable, SigId, SigInterner};
 use qsys_types::FxHashMap;
 use std::collections::HashMap;
 
-/// Search statistics (Figure 11's x-axis is `candidates`; its y-axis grows
-/// with `explored`).
+/// Search statistics, summed over a batch's per-user-query searches
+/// (Figure 11's x-axis is `candidates`; its y-axis grows with `explored`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OptStats {
     /// Multi-relation candidates entering the search.
@@ -182,11 +187,11 @@ pub(crate) struct BestPlanSearch<'a> {
     facts: Vec<Option<SigFacts>>,
     /// [`CostModel::depth_fraction`] of each query's whole-result
     /// cardinality at every stream count it can have, tabulated once per
-    /// batch: query `q` with `m` streaming inputs is at `q * depth_stride +
+    /// search: query `q` with `m` streaming inputs is at `q * depth_stride +
     /// m`, for `m` from 0 to its atom count.
     depth: Vec<f64>,
     depth_stride: usize,
-    /// Per batch index: each atom's relation and its interned default
+    /// Per query index: each atom's relation and its interned default
     /// single-relation signature.
     defaults_of: Vec<Vec<(qsys_types::RelId, SigId)>>,
     /// The default ranks of each query's atoms, in atom order: query `q`'s
@@ -222,7 +227,7 @@ pub(crate) struct BestPlanSearch<'a> {
     /// Scratch of one commit: the default ranks whose term it must
     /// re-derive, one bit per rank; all zero between commits.
     stale: Vec<u64>,
-    /// Per root position and batch index, the default ranks a commit of
+    /// Per root position and query index, the default ranks a commit of
     /// that root candidate displaces for that query: position `p`, query
     /// `q`'s are [`span`]`(cover, cover_at, p * n_cq + q)`.
     cover: Vec<u16>,

@@ -27,8 +27,8 @@ use std::collections::HashMap;
 
 /// One push-down candidate: a subexpression and the queries it can source.
 ///
-/// Queries are a dense per-batch bitmask ([`CqSet`], interpreted through the
-/// batch's [`CqTable`]) — the BestPlan recursion differences, tests, and
+/// Queries are a dense bitmask ([`CqSet`], interpreted through the searched
+/// queries' [`CqTable`]) — the BestPlan recursion differences, tests, and
 /// clones these sets on every branch, and as word-wise ops they cost a few
 /// instructions instead of a `BTreeSet` walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct Candidate {
     /// The interned subexpression signature.
     pub sig: SigId,
     /// Queries of which `sig` is a subexpression (the map `𝕊[J]`), as
-    /// per-batch indices.
+    /// dense indices.
     pub queries: CqSet,
 }
 
@@ -49,9 +49,14 @@ pub struct HeuristicConfig {
     /// Alternatively, keep a multi-relation candidate whose estimated
     /// cardinality is below this (heuristic 3, "low cardinality").
     pub low_cardinality: f64,
-    /// Hard cap on candidates handed to BestPlan (keeps Figure 11's
-    /// exponential in check for large batches); at most
-    /// [`MAX_CANDIDATES_LIMIT`](Self::MAX_CANDIDATES_LIMIT).
+    /// Hard cap on the multi-relation candidates handed to one BestPlan
+    /// search, i.e. one user query's pool (keeps Figure 11's exponential in
+    /// check); at most [`MAX_CANDIDATES_LIMIT`](Self::MAX_CANDIDATES_LIMIT).
+    /// The default of 12 rarely binds: over `reproduce fig9` and `fig10`
+    /// on the four small GUS seeds, it truncated 5 of 336 searched pools,
+    /// all of them one user query's pool of 18 (once per arm), and at
+    /// paper scale (seeds 41 and 48) none of 171, the largest being 12.
+    /// Figure 11 sweeps it.
     pub max_candidates: usize,
 }
 

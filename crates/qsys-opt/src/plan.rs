@@ -1,5 +1,9 @@
 //! The optimizer facade and plan-graph factorization (Section 5.2).
 //!
+//! [`Optimizer::optimize`] plans each user query of a batch alone (one
+//! BestPlan search each) and factorizes the merged assignment once, so the
+//! batch's queries share what they chose in common.
+//!
 //! After BestPlan fixes the input assignment, the middleware portion of the
 //! plan is factored into shared components: subexpression outputs consumed
 //! by several conjunctive queries are computed once and fed onward (the
@@ -18,7 +22,7 @@
 
 use crate::bestplan::{Assignment, BestPlanSearch, OptStats};
 use crate::cost::{CostModel, ReuseOracle};
-use crate::heuristics::{enumerate_candidates, is_streamable, HeuristicConfig};
+use crate::heuristics::{enumerate_candidates, is_streamable, Candidate, HeuristicConfig};
 use crate::retired::WarmCell;
 use qsys_catalog::Catalog;
 use qsys_query::{ConjunctiveQuery, CqSet, CqTable, ScoreFn, SigCell, SigId, SigInterner};
@@ -155,13 +159,28 @@ impl<'a> Optimizer<'a> {
     /// [`SigId`]s, the reuse oracle's keys, and the plan graph's index all
     /// name signatures through it.
     ///
-    /// Under subexpression sharing, a batch whose every query's whole
-    /// signature `reuse` reports resident enumerates no push-down
-    /// candidates: BestPlan explores its one default state, and graft
-    /// merges each root with its live node without building the spec below
-    /// it, so a searched candidate could not change the graph. Such a batch
-    /// pins nothing; the roots it merges with gain consumers at graft,
-    /// which keeps them and their producers from eviction.
+    /// Under subexpression sharing, BestPlan runs once per user query of
+    /// the batch, in ascending id order, over that user query's conjunctive
+    /// queries alone; the searches' assignments are concatenated and
+    /// factorized once. A stream or component two user queries chose is
+    /// therefore one shared spec node, and graft shares it with live state
+    /// across batches. Batch sharing pays through shared state, not through
+    /// a joint search over the cost model. This deviates from the paper,
+    /// whose BestPlan searches the whole batch at once: under this cost
+    /// model the joint objective chose batch-wide push-downs that read more
+    /// tuples than the queries' own plans, so a batch read more than its
+    /// queries optimized one at a time.
+    ///
+    /// A user query whose every query's whole signature `reuse` reports
+    /// resident enumerates no push-down candidates: its search explores its
+    /// one default state, and graft merges each root with its live node
+    /// without building the spec below it, so a searched candidate could not
+    /// change the graph. Such a query pins nothing; the roots it merges with
+    /// gain consumers at graft, which keeps them and their producers from
+    /// eviction.
+    ///
+    /// Without sharing (ATC-CQ), one search over the whole batch explores
+    /// its default state and every query gets private leaves.
     pub fn optimize(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
@@ -180,33 +199,42 @@ impl<'a> Optimizer<'a> {
         // subexpression (the goldens compare spec dumps, ids included).
         let whole_of: Vec<SigId> = queries.iter().map(|cq| guard.of_cq(cq)).collect();
 
-        // A batch whose every query is resident whole searches no push-down
-        // (see the doc above).
-        let candidates = if self.config.share_subexpressions
-            && !whole_of.iter().all(|&w| reuse.streamed(w).is_some())
-        {
-            enumerate_candidates(
-                &queries,
-                &whole_of,
-                &model,
-                &self.config.heuristics,
-                &mut guard,
-                &table,
-            )
-        } else {
-            Vec::new()
-        };
-        // Pin any resident candidate inputs while we plan (Section 6.1). An
-        // all-resident batch has none to pin: each root it merges with gains
-        // a rank-merge consumer at graft, and eviction never takes a node
-        // with consumers or its producers.
-        for c in &candidates {
-            if reuse.streamed(c.sig).is_some() {
-                reuse.pin(c.sig);
+        let (assignment, stats) = if self.config.share_subexpressions {
+            // One search per user query, in ascending id order, each over
+            // its own dense table; the inputs are re-indexed onto the
+            // batch's table and concatenated for one factorization.
+            let mut groups: BTreeMap<UqId, Vec<usize>> = BTreeMap::new();
+            for (i, cq) in queries.iter().enumerate() {
+                groups.entry(cq.uq).or_default().push(i);
             }
-        }
-        let search = BestPlanSearch::new(&model, reuse, queries.clone(), &mut guard, &table);
-        let (assignment, stats) = search.run(candidates);
+            let mut assignment = Assignment::new();
+            let mut stats = OptStats::default();
+            for members in groups.values() {
+                let group: Vec<&ConjunctiveQuery> = members.iter().map(|&i| queries[i]).collect();
+                let group_whole: Vec<SigId> = members.iter().map(|&i| whole_of[i]).collect();
+                let group_table = CqTable::from_queries(group.iter().copied());
+                let (part, s) = self.search(
+                    &group,
+                    &group_whole,
+                    &model,
+                    reuse,
+                    &mut guard,
+                    &group_table,
+                );
+                assignment.extend(part.into_iter().map(|c| Candidate {
+                    sig: c.sig,
+                    queries: table.set_of(c.queries.iter().map(|qi| group_table.id(qi))),
+                }));
+                stats.candidates += s.candidates;
+                stats.explored += s.explored;
+                stats.memo_hits += s.memo_hits;
+                stats.best_cost += s.best_cost;
+            }
+            (assignment, stats)
+        } else {
+            // ATC-CQ: one default-only search over the whole batch.
+            BestPlanSearch::new(&model, reuse, queries.clone(), &mut guard, &table).run(Vec::new())
+        };
         if let Some(clock) = clock {
             clock.charge(
                 TimeCategory::Optimize,
@@ -215,6 +243,43 @@ impl<'a> Optimizer<'a> {
         }
         let spec = self.factorize(batch, &assignment, &model, &mut guard, &table);
         (spec, stats)
+    }
+
+    /// One BestPlan search over one user query's `queries` (`whole_of[i]`
+    /// is `queries[i]`'s whole signature, `table` their dense index). No
+    /// push-down candidates are enumerated when every query is resident
+    /// whole.
+    fn search(
+        &self,
+        queries: &[&ConjunctiveQuery],
+        whole_of: &[SigId],
+        model: &CostModel<'_>,
+        reuse: &dyn ReuseOracle,
+        interner: &mut SigInterner,
+        table: &CqTable,
+    ) -> (Assignment, OptStats) {
+        let candidates = if whole_of.iter().all(|&w| reuse.streamed(w).is_some()) {
+            Vec::new()
+        } else {
+            enumerate_candidates(
+                queries,
+                whole_of,
+                model,
+                &self.config.heuristics,
+                interner,
+                table,
+            )
+        };
+        // Pin any resident candidate inputs while we plan (Section 6.1). An
+        // all-resident user query has none to pin: each root it merges with
+        // gains a rank-merge consumer at graft, and eviction never takes a
+        // node with consumers or its producers.
+        for c in &candidates {
+            if reuse.streamed(c.sig).is_some() {
+                reuse.pin(c.sig);
+            }
+        }
+        BestPlanSearch::new(model, reuse, queries.to_vec(), interner, table).run(candidates)
     }
 
     /// [`Optimizer::optimize`], under the name the benchmark's shadow lane
@@ -712,10 +777,19 @@ mod tests {
     #[test]
     fn all_resident_batch_searches_no_candidates() {
         let cat = chain_catalog(4);
-        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        // Cheap enough that each one-query user query keeps candidates.
+        let config = OptimizerConfig {
+            heuristics: HeuristicConfig {
+                low_cardinality: f64::INFINITY,
+                ..HeuristicConfig::default()
+            },
+            ..OptimizerConfig::default()
+        };
+        let opt = Optimizer::new(&cat, config);
         let cqs = overlapping_batch(&cat);
         let (spec, stats) = optimize_resident(&opt, &cqs, |_| true);
-        assert_eq!((stats.candidates, stats.explored), (0, 1));
+        // One default state per user query.
+        assert_eq!((stats.candidates, stats.explored), (0, 3));
         assert_eq!(stats.memo_hits, 0);
         // The same batch with its residency hidden searches candidates,
         // and graft would read the same wiring off either spec.
@@ -729,7 +803,8 @@ mod tests {
 
     #[test]
     fn resident_batch_searches_as_before_unless_all_merge() {
-        // One query not resident: the batch searches as it always did.
+        // One query not resident: its user query searches, and each of
+        // the other two explores its one default state.
         let cat = chain_catalog(4);
         let opt = Optimizer::new(&cat, OptimizerConfig::default());
         let cqs = overlapping_batch(&cat);
@@ -747,10 +822,78 @@ mod tests {
         assert_eq!(decision(&spec, &stats), UNSHARED);
     }
 
-    // Both recorded before all-resident batches stopped searching. The dump
+    /// Two user queries of two queries each; every query starts with
+    /// R0 ⋈ R1, so each user query's search sees it shared.
+    fn two_user_queries(cat: &Catalog) -> [ConjunctiveQuery; 4] {
+        [
+            path_cq(0, cat, 0, 3, 0),
+            path_cq(1, cat, 0, 4, 0),
+            path_cq(2, cat, 0, 3, 1),
+            path_cq(3, cat, 0, 5, 1),
+        ]
+    }
+
+    #[test]
+    fn user_queries_planned_alone_share_one_stream_leaf() {
+        let cat = catalog();
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let cqs = two_user_queries(&cat);
+        let f = ScoreFn::discover(UserId::new(0), 4);
+        let batch: Vec<_> = cqs.iter().map(|cq| (cq, &f)).collect();
+        let interner = fresh_interner();
+        let (spec, stats) = opt.optimize(&batch, &NoReuse, None, &interner);
+        assert!(stats.candidates > 0, "each user query searches");
+        // One stream leaf per signature across both searches.
+        let leaves: Vec<SigId> = spec
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.kind, SpecNodeKind::Stream))
+            .map(|n| n.sig)
+            .collect();
+        let mut distinct = leaves.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(leaves.len(), distinct.len(), "{spec:#?}");
+        // The R0 leaf feeds queries of both user queries.
+        let it = interner.borrow();
+        let r0 = spec
+            .nodes
+            .iter()
+            .position(|n| {
+                matches!(n.kind, SpecNodeKind::Stream) && it.rels(n.sig) == [RelId::new(0)]
+            })
+            .expect("an R0 leaf");
+        let consumers: Vec<UqId> = spec
+            .cq_plans
+            .iter()
+            .filter(|p| spec.stream_leaves_of(p.root).contains(&r0))
+            .map(|p| p.uq)
+            .collect();
+        assert_eq!(
+            consumers,
+            [UqId::new(0), UqId::new(0), UqId::new(1), UqId::new(1)]
+        );
+    }
+
+    #[test]
+    fn resident_user_query_adds_one_state_to_the_batch() {
+        let cat = catalog();
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let cqs = two_user_queries(&cat);
+        // User query 0 resident whole, user query 1 not.
+        let (_, mixed) = optimize_resident(&opt, &cqs, |i| i < 2);
+        let (_, alone) = optimize_resident(&opt, &cqs[2..], |_| false);
+        assert!(alone.candidates > 0 && alone.explored > 1);
+        assert_eq!(mixed.candidates, alone.candidates);
+        assert_eq!(mixed.explored, alone.explored + 1);
+        assert_eq!(mixed.memo_hits, alone.memo_hits);
+    }
+
+    // `MIXED` recorded when each user query began to be planned alone,
+    // `UNSHARED` before all-resident batches stopped searching. The dump
     // hash covers type and field names too, so renaming one re-records it.
     const MIXED: (usize, usize, usize, u64, u64) =
-        (22, 5, 5, 4697663460621303725, 1359831864491593825);
+        (3, 0, 0, 4701911111196641759, 5726141858270977097);
     const UNSHARED: (usize, usize, usize, u64, u64) =
         (1, 0, 0, 4697663460621303725, 12667337538527296793);
 }

@@ -156,11 +156,14 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     // finds nothing: when every partial probed, the goldens were (—,
     // 11,099, 4,293, 5,582, 180), (—, 11,566, 177, 860, 116) and (—, 697,
     // 117, 411, 120), and only the enqueued results, the ones a rank-merge
-    // keeps, are the same under bounding.
+    // keeps, are the same under bounding. Planning each user query alone
+    // moved the tuples (3,257, 5,347, 7,013) and the work ((3,942, 2,355,
+    // 383, 748, 180), (2,262, 1,725, 0, 553, 116), (1,119, 400, 0, 231,
+    // 120)); the lane counts held.
     let goldens = [
-        (41u64, 2usize, 3257u64, (3_942, 2_355, 383, 748, 180)),
-        (48, 3, 5347, (2_262, 1_725, 0, 553, 116)),
-        (55, 6, 7013, (1_119, 400, 0, 231, 120)),
+        (41u64, 2usize, 3244u64, (1_102, 609, 435, 601, 177)),
+        (48, 3, 4681, (1_361, 1_156, 0, 495, 126)),
+        (55, 6, 7844, (1_488, 375, 7, 249, 119)),
     ];
     for (seed, lanes, tuples, work) in goldens {
         let label = format!("seed {seed}");

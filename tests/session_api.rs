@@ -360,6 +360,8 @@ fn atc_cl_routes_late_arrivals_onto_live_lanes() {
 
 // Golden totals (tuples_consumed, Σ results) — captured from the scripted
 // driver at the pinned seeds; all three drive modes must reproduce them.
-const GOLDEN_41: (u64, usize) = (3233, 90);
-const GOLDEN_48: (u64, usize) = (4967, 80);
-const GOLDEN_55: (u64, usize) = (4604, 91);
+// The tuples were 3,233, 4,967 and 4,604 until each user query of a batch
+// was planned alone; the result counts held.
+const GOLDEN_41: (u64, usize) = (3128, 90);
+const GOLDEN_48: (u64, usize) = (4395, 80);
+const GOLDEN_55: (u64, usize) = (4758, 91);
