@@ -1,61 +1,53 @@
 //! Micro-benchmarks where the per-layer table said the planning time was:
-//! planning one batch of five user queries — one BestPlan search per user
-//! query, each capped at 0 to 12 push-down candidates (the default, and the
-//! benchmark's, cap is 12) — and candidate-network generation for one GUS
-//! script against a cold and a warmed schema-path table. Before timing
-//! anything, the bench asserts that the searches at the cap of 12 are the
-//! ones recorded when each user query began to be planned alone — states
-//! named, memo hits and the bits of the summed winning costs — so a faster
-//! loop that decides differently fails the CI bench smoke instead of
-//! posting a number.
+//! one BestPlan search over Figure 11's user query (the largest push-down
+//! pool among the GUS seed-41 script's first five), with the candidate cap
+//! swept from 0 to that pool's size — the optimizer searches each user
+//! query alone, so one search is its unit of work — and candidate-network
+//! generation for one GUS script against a cold and a warmed schema-path
+//! table. Before timing anything, the bench asserts that the uncapped
+//! search is the one recorded — states named, memo hits and the bits of the
+//! winning cost — so a faster loop that decides differently fails the CI
+//! bench smoke instead of posting a number.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qsys::catalog::Catalog;
-use qsys::generate_user_queries;
 use qsys::opt::cost::NoReuse;
-use qsys::opt::{HeuristicConfig, Optimizer, OptimizerConfig};
 use qsys::query::CandidateGenerator;
 use qsys::types::UqId;
 use qsys::SharingMode;
-use qsys_bench::{gus_engine, gus_workload, Scale};
+use qsys_bench::{fig11_optimizer, fig11_query, gus_engine, gus_workload, Scale};
 use std::hint::black_box;
 
 fn bench_optimizer(c: &mut Criterion) {
     let workload = gus_workload(41, Scale::Small);
     let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = generate_user_queries(&workload, &engine).expect("generates");
-    let batch: Vec<_> = uqs
-        .iter()
-        .take(5)
-        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-        .collect();
-
-    let optimizer_at = |cap: usize| {
-        let config = OptimizerConfig {
-            k: 50,
-            heuristics: HeuristicConfig {
-                max_candidates: cap,
-                min_sharing: 1,
-                low_cardinality: f64::MAX,
-            },
-            ..OptimizerConfig::default()
-        };
-        Optimizer::new(&workload.catalog, config)
-    };
+    let (uq, sweep) = fig11_query(&workload);
+    let pool = sweep.last().map_or(0, |point| point.0);
+    let batch: Vec<_> = uq.cqs.iter().map(|(cq, f)| (cq, f)).collect();
     let fresh_interner = || qsys::query::SigCell::new(qsys::query::SigInterner::new());
 
-    let (_, stats) = optimizer_at(12).optimize(&batch, &NoReuse, None, &fresh_interner());
+    let (_, stats) = fig11_optimizer(&workload.catalog, pool).optimize(
+        &batch,
+        &NoReuse,
+        None,
+        &fresh_interner(),
+    );
     assert_eq!(
-        (stats.explored, stats.memo_hits, stats.best_cost.to_bits()),
-        (3_787, 2_463, 0x41ab_72e6_1ac7_ca26),
-        "the searches at cap 12 are not the ones recorded: {stats:?}"
+        (
+            pool,
+            stats.explored,
+            stats.memo_hits,
+            stats.best_cost.to_bits()
+        ),
+        (11, 3_071, 2_015, 0x4186_09e8_1c8f_84e5),
+        "the uncapped search is not the one recorded: {stats:?}"
     );
 
     let mut group = c.benchmark_group("bestplan");
     group.sample_size(10);
-    for cap in [0usize, 2, 4, 6, 8, 10, 12] {
+    for cap in 0..=pool {
         group.bench_with_input(BenchmarkId::new("candidates", cap), &cap, |b, &cap| {
-            let optimizer = optimizer_at(cap);
+            let optimizer = fig11_optimizer(&workload.catalog, cap);
             let interner = fresh_interner();
             b.iter(|| black_box(optimizer.optimize(&batch, &NoReuse, None, &interner)));
         });

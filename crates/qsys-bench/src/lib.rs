@@ -460,31 +460,40 @@ pub fn print_fig10(rows: &[Fig10Row]) {
 // Figure 11: optimization time vs number of candidate inputs.
 // ---------------------------------------------------------------------------
 
-/// Sweep the candidate cap over one user query, the one of the script's
-/// first five with the largest push-down candidate pool: the optimizer
+/// One point of Figure 11: `(candidates, explored states, virtual µs,
+/// wall µs)` of one search.
+pub type Fig11Point = (usize, usize, u64, u128);
+
+/// Figure 11's optimizer: every push-down candidate is admitted (no
+/// sharing minimum, no cardinality bar) up to `cap`.
+pub fn fig11_optimizer(catalog: &qsys::catalog::Catalog, cap: usize) -> Optimizer<'_> {
+    let config = OptimizerConfig {
+        k: 50,
+        heuristics: HeuristicConfig {
+            max_candidates: cap,
+            min_sharing: 1,
+            low_cardinality: f64::MAX,
+        },
+        ..OptimizerConfig::default()
+    };
+    Optimizer::new(catalog, config)
+}
+
+/// Figure 11's user query: of the script's first five, the one with the
+/// largest push-down candidate pool (the first on a tie), with its sweep
+/// of the candidate cap from 0 up to that pool's size. The optimizer
 /// searches each user query alone, so one search is what the figure
-/// charts. The cap runs from 0 up to that query's pool size; returns
-/// `(candidates, explored states, virtual µs, wall µs)` per point.
-pub fn fig11(seed: u64, scale: Scale) -> Vec<(usize, usize, u64, u128)> {
-    let w = gus_workload(seed, scale);
+/// charts.
+pub fn fig11_query(w: &Workload) -> (qsys::query::UserQuery, Vec<Fig11Point>) {
     let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&w, &engine).expect("generates");
+    let (uqs, _) = qsys::generate_user_queries(w, &engine).expect("generates");
     // Each query's sweep ends at the first cap that no longer binds, whose
     // point holds the whole pool.
     let sweep = |uq: &qsys::query::UserQuery| {
         let batch: Vec<_> = uq.cqs.iter().map(|(cq, f)| (cq, f)).collect();
         let mut out = Vec::new();
         for cap in 0..=HeuristicConfig::MAX_CANDIDATES_LIMIT {
-            let config = OptimizerConfig {
-                k: 50,
-                heuristics: HeuristicConfig {
-                    max_candidates: cap,
-                    min_sharing: 1,
-                    low_cardinality: f64::MAX, // admit everything up to the cap
-                },
-                ..OptimizerConfig::default()
-            };
-            let optimizer = Optimizer::new(&w.catalog, config);
+            let optimizer = fig11_optimizer(&w.catalog, cap);
             let clock = SimClock::new();
             let wall = std::time::Instant::now();
             let interner = qsys::query::SigCell::new(qsys::query::SigInterner::new());
@@ -503,15 +512,29 @@ pub fn fig11(seed: u64, scale: Scale) -> Vec<(usize, usize, u64, u128)> {
         out.dedup_by_key(|p| p.0);
         out
     };
-    uqs.iter()
+    uqs.into_iter()
         .take(5)
-        .map(sweep)
-        .reduce(|best, next| if next.len() > best.len() { next } else { best })
-        .unwrap_or_default()
+        .map(|uq| {
+            let points = sweep(&uq);
+            (uq, points)
+        })
+        .reduce(|best, next| {
+            if next.1.len() > best.1.len() {
+                next
+            } else {
+                best
+            }
+        })
+        .expect("the script has a user query")
+}
+
+/// Figure 11 over the seed's script: [`fig11_query`]'s sweep.
+pub fn fig11(seed: u64, scale: Scale) -> Vec<Fig11Point> {
+    fig11_query(&gus_workload(seed, scale)).1
 }
 
 /// Print Figure 11.
-pub fn print_fig11(points: &[(usize, usize, u64, u128)]) {
+pub fn print_fig11(points: &[Fig11Point]) {
     println!("Figure 11: optimization times vs candidate inputs (one UQ, the largest pool of 5)");
     println!(
         "{:>11} {:>10} {:>12} {:>10}",

@@ -18,10 +18,10 @@
 //! *interesting* (multi-relation) candidates, which is the quantity
 //! Figure 11 plots.
 //!
-//! One search covers the queries it is handed: under sharing,
+//! One search covers one user query's conjunctive queries:
 //! [`Optimizer::optimize`](crate::Optimizer::optimize) runs one per user
-//! query of a batch, and under ATC-CQ one default-only search over the
-//! whole batch.
+//! query of a batch, in every sharing mode (without sharing, a search is
+//! handed no candidates and explores its one default state).
 //!
 //! ### Dense per-search indices on the hot path
 //!
@@ -29,9 +29,9 @@
 //! arena or a bitmask over per-search indices; no search state owns a heap
 //! structure:
 //!
-//! - **Query sets are [`CqSet`] bitmasks** over the searched queries' dense
-//!   [`CqTable`] indices, so line 14's set difference, the emptiness test,
-//!   and candidate cloning are word ops.
+//! - **Query sets are one-word [`CqSet`] bitmasks** over the searched
+//!   queries' dense [`CqTable`] indices, so line 14's set difference, the
+//!   emptiness test, and candidate copies are word ops.
 //! - **Candidates live once in an arena** (`cands`, deduplicated by
 //!   `(SigId, CqSet)`); a state's `S` is a slice of [`CandIdx`] and `A` is
 //!   one push/pop stack shared by the whole recursion.
@@ -264,9 +264,9 @@ fn depth_table(model: &CostModel<'_>, cq_card: &[f64], atoms: &[usize]) -> (Vec<
 }
 
 impl<'a> BestPlanSearch<'a> {
-    /// Set up a search over `queries`, precomputing every per-signature
-    /// fact the recursion will need and building the all-defaults
-    /// completion it starts from.
+    /// Set up a search over `queries` (each once; `table` is their dense
+    /// index), precomputing every per-signature fact the recursion will
+    /// need and building the all-defaults completion it starts from.
     pub(crate) fn new(
         model: &'a CostModel<'a>,
         reuse: &'a dyn ReuseOracle,
@@ -274,7 +274,7 @@ impl<'a> BestPlanSearch<'a> {
         interner: &'a mut SigInterner,
         table: &'a CqTable,
     ) -> BestPlanSearch<'a> {
-        let n_cq = table.len();
+        let n_cq = queries.len();
         let mut cq_card = vec![0.0; n_cq];
         let mut defaults_of: Vec<Vec<(qsys_types::RelId, SigId)>> = vec![Vec::new(); n_cq];
         for cq in &queries {
@@ -310,7 +310,7 @@ impl<'a> BestPlanSearch<'a> {
         // Ranks travel as u16 through the cover tables and the undo log.
         assert!(
             rank_sigs.len() <= u16::MAX as usize + 1,
-            "batch with {} default signatures exceeds the dense-rank range",
+            "search with {} default signatures exceeds the dense-rank range",
             rank_sigs.len()
         );
         let n_ranks = rank_sigs.len();
@@ -341,7 +341,7 @@ impl<'a> BestPlanSearch<'a> {
             ranks_at,
             rank_sigs,
             rank_streamed: Vec::new(),
-            live_defaults: vec![CqSet::new(); n_ranks],
+            live_defaults: vec![CqSet::default(); n_ranks],
             live_m: vec![0; n_cq],
             a: Vec::new(),
             terms: Vec::new(),
@@ -368,11 +368,12 @@ impl<'a> BestPlanSearch<'a> {
             .iter()
             .map(|sig| search.facts(*sig).streamed)
             .collect();
-        for qi in 0..n_cq {
-            for &rank in span(&search.ranks_of, &search.ranks_at, qi) {
-                search.live_defaults[rank as usize].insert(CqIdx(qi as u16));
+        for cq in &queries {
+            let qi = table.idx(cq.id);
+            for &rank in span(&search.ranks_of, &search.ranks_at, qi.index()) {
+                search.live_defaults[rank as usize].insert(qi);
                 if search.rank_streamed[rank as usize] {
-                    search.live_m[qi] += 1;
+                    search.live_m[qi.index()] += 1;
                 }
             }
         }
@@ -412,7 +413,6 @@ impl<'a> BestPlanSearch<'a> {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let idx = self.cands.len() as CandIdx;
-                let queries = e.key().1.clone();
                 self.cands.push(CandData { sig, queries, pos });
                 e.insert(idx);
                 idx
@@ -487,20 +487,17 @@ impl<'a> BestPlanSearch<'a> {
     fn live_assignment(&self) -> Assignment {
         let committed = self.a.iter().map(|&ci| {
             let cd = &self.cands[ci as usize];
-            (cd.sig, &cd.queries)
+            (cd.sig, cd.queries)
         });
         let defaults = self
             .live_defaults
             .iter()
             .enumerate()
             .filter(|(_, set)| !set.is_empty())
-            .map(|(rank, set)| (self.rank_sigs[rank], set));
+            .map(|(rank, set)| (self.rank_sigs[rank], *set));
         committed
             .chain(defaults)
-            .map(|(sig, queries)| Candidate {
-                sig,
-                queries: queries.clone(),
-            })
+            .map(|(sig, queries)| Candidate { sig, queries })
             .collect()
     }
 
@@ -572,7 +569,7 @@ impl<'a> BestPlanSearch<'a> {
     /// committed: the rest of `s`, those overlapping it reduced by line 14.
     fn reduce(&mut self, s: &[CandIdx], idx: usize, s_prime: &mut Vec<CandIdx>) {
         let jd = &self.cands[s[idx] as usize];
-        let j_queries = jd.queries.clone();
+        let j_queries = jd.queries;
         let reduces = self.overlaps[jd.pos as usize];
         s_prime.clear();
         for (idx2, &j2) in s.iter().enumerate() {
@@ -580,10 +577,10 @@ impl<'a> BestPlanSearch<'a> {
                 continue;
             }
             let cd2 = &self.cands[j2 as usize];
-            if reduces >> cd2.pos & 1 == 1 && cd2.queries.intersects(&j_queries) {
+            if reduces >> cd2.pos & 1 == 1 && cd2.queries.intersects(j_queries) {
                 // Queries sourced by J must not also use an overlapping J′
                 // (line 14: S′[J′] = S[J′] − S[J]).
-                let reduced = cd2.queries.difference(&j_queries);
+                let reduced = cd2.queries.difference(j_queries);
                 if !reduced.is_empty() {
                     let (sig, pos) = (cd2.sig, cd2.pos);
                     s_prime.push(self.cand_idx(sig, pos, reduced));
@@ -613,7 +610,7 @@ impl<'a> BestPlanSearch<'a> {
         // Queries of `j` whose read depth the commit moved: a term sees a
         // query's stream count only through its depth, which `k` or more
         // expected results pin at 1 whatever the count.
-        let mut moved = CqSet::new();
+        let mut moved = CqSet::default();
         for qi in cd.queries.iter() {
             let q = qi.index();
             let m_before = self.live_m[q];
@@ -649,7 +646,7 @@ impl<'a> BestPlanSearch<'a> {
         }
         for i in 0..self.a.len() {
             let ci = self.a[i];
-            if self.cands[ci as usize].queries.intersects(&moved) {
+            if self.cands[ci as usize].queries.intersects(moved) {
                 self.overwrite(n_ranks + i, self.cand_term(ci));
             }
         }
@@ -707,11 +704,8 @@ impl<'a> BestPlanSearch<'a> {
 
     /// The term of the default input at `rank` under the live completion.
     fn rank_term(&self, rank: usize) -> Term {
-        let term = self.add_input_cost(
-            self.rank_sigs[rank],
-            &self.live_defaults[rank],
-            &self.live_m,
-        );
+        let term =
+            self.add_input_cost(self.rank_sigs[rank], self.live_defaults[rank], &self.live_m);
         debug_assert_eq!(term.penalty_us.to_bits(), 0.0f64.to_bits());
         term
     }
@@ -720,7 +714,7 @@ impl<'a> BestPlanSearch<'a> {
     /// under the live completion.
     fn cand_term(&self, ci: CandIdx) -> Term {
         let cd = &self.cands[ci as usize];
-        self.add_input_cost(cd.sig, &cd.queries, &self.live_m)
+        self.add_input_cost(cd.sig, cd.queries, &self.live_m)
     }
 
     /// One input's cost term — the single definition of it — when `sig`
@@ -733,7 +727,7 @@ impl<'a> BestPlanSearch<'a> {
     /// for remote computation. Sharers are visited in ascending `CqId`
     /// order, with the exact floating-point operations the original
     /// assignment-level loop performed.
-    fn add_input_cost(&self, sig: SigId, queries: &CqSet, m: &[u32]) -> Term {
+    fn add_input_cost(&self, sig: SigId, queries: CqSet, m: &[u32]) -> Term {
         let facts = self.facts(sig);
         let depth_of =
             |qi: CqIdx| self.depth[qi.index() * self.depth_stride + m[qi.index()] as usize];
@@ -929,7 +923,7 @@ mod tests {
                     {
                         let reduced = self.cands[j2 as usize]
                             .queries
-                            .difference(&self.cands[j as usize].queries);
+                            .difference(self.cands[j as usize].queries);
                         if !reduced.is_empty() {
                             s_prime.push(self.cand_idx(j2_sig, j2_pos, reduced));
                         }
@@ -949,7 +943,7 @@ mod tests {
             let plan = best_plan.unwrap_or_else(|| {
                 let committed = a.iter().map(|&ci| {
                     let cd = &self.cands[ci as usize];
-                    (cd.sig, cd.queries.clone())
+                    (cd.sig, cd.queries)
                 });
                 let defaults = survivors
                     .into_iter()
@@ -996,17 +990,17 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|(_, set)| !set.is_empty())
-                .map(|(rank, set)| (rank as u16, set.clone()))
+                .map(|(rank, set)| (rank as u16, *set))
                 .collect();
 
             let mut total = 0.0;
             for &ci in a {
                 let cd = &self.cands[ci as usize];
-                self.add_input_cost(cd.sig, &cd.queries, &m)
+                self.add_input_cost(cd.sig, cd.queries, &m)
                     .add_to(&mut total);
             }
             for (rank, set) in &survivors {
-                self.add_input_cost(self.rank_sigs[*rank as usize], set, &m)
+                self.add_input_cost(self.rank_sigs[*rank as usize], *set, &m)
                     .add_to(&mut total);
             }
             (survivors, total)
@@ -1448,7 +1442,7 @@ mod tests {
         let table = CqTable::from_queries([&q1, &q2]);
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0, 1]);
         let search = BestPlanSearch::new(&model, &NoReuse, vec![&q1, &q2], &mut interner, &table);
-        let (plan, stats) = search.run(vec![shared.clone()]);
+        let (plan, stats) = search.run(vec![shared]);
         assert!(is_valid_assignment(&[&q1, &q2], &plan, &interner, &table));
         assert!(
             plan.iter().any(|c| c.sig == shared.sig),
@@ -1468,7 +1462,7 @@ mod tests {
         let table = CqTable::from_queries([&q]);
         let bad = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (plan, _) = search.run(vec![bad.clone()]);
+        let (plan, _) = search.run(vec![bad]);
         assert!(is_valid_assignment(&[&q], &plan, &interner, &table));
         assert!(
             !plan.iter().any(|c| c.sig == bad.sig),
@@ -1547,7 +1541,7 @@ mod tests {
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let oracle = Resident(shared.sig);
         let search = BestPlanSearch::new(&model, &oracle, vec![&q], &mut interner, &table);
-        let (plan, stats) = search.run(vec![shared.clone()]);
+        let (plan, stats) = search.run(vec![shared]);
         assert!(
             plan.iter().any(|c| c.sig == shared.sig),
             "fully resident input is free and must win: {:?}",

@@ -9,9 +9,8 @@
 //! we repeatedly merge clusters whose Jaccard similarity exceeds a second
 //! threshold T_c, until it is no longer possible to merge."
 
-use qsys_query::cqset::{CqIdx, CqSet};
 use qsys_types::{RelId, UqId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Clustering thresholds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,25 +32,14 @@ impl Default for ClusterConfig {
 /// the multiset of relations its CQs reference (one entry per CQ atom).
 /// Output: disjoint clusters covering every input UQ.
 ///
-/// Clusters are dense bitmasks over a per-call user-query index (the same
-/// [`CqSet`] machinery the optimizer uses for conjunctive queries — the
-/// bitset is index-generic), so Jaccard similarity is two popcounts and a
-/// merge is a word-wise union. The bitset's element-lexicographic `Ord`
-/// matches `BTreeSet` ordering, keeping the deterministic merge loop's
-/// decisions identical to the set-based implementation.
+/// A cluster is a `BTreeSet` of user query ids. It runs once per routing
+/// pass, outside any search, over however many user queries arrived, and
+/// the set's element-lexicographic `Ord` is the order the deterministic
+/// merge loop below sorts and breaks ties in.
 pub fn cluster_user_queries(
     references: &BTreeMap<UqId, Vec<RelId>>,
     config: ClusterConfig,
 ) -> Vec<Vec<UqId>> {
-    // Dense UQ index: references is a BTreeMap, so ids arrive sorted.
-    let uq_ids: Vec<UqId> = references.keys().copied().collect();
-    assert!(
-        uq_ids.len() <= u16::MAX as usize + 1,
-        "clustering {} UQs exceeds the dense-index range",
-        uq_ids.len()
-    );
-    let uq_idx = |uq: UqId| CqIdx(uq_ids.binary_search(&uq).expect("known UQ") as u16);
-
     // Reference counts per (uq, rel).
     let mut counts: BTreeMap<(UqId, RelId), usize> = BTreeMap::new();
     for (uq, rels) in references {
@@ -61,13 +49,13 @@ pub fn cluster_user_queries(
     }
     // Seed clusters: one per source relation, holding UQs referencing it
     // more than T_m times.
-    let mut seeds: BTreeMap<RelId, CqSet> = BTreeMap::new();
+    let mut seeds: BTreeMap<RelId, BTreeSet<UqId>> = BTreeMap::new();
     for ((uq, rel), n) in &counts {
         if *n > config.t_m {
-            seeds.entry(*rel).or_default().insert(uq_idx(*uq));
+            seeds.entry(*rel).or_default().insert(*uq);
         }
     }
-    let mut clusters: Vec<CqSet> = seeds.into_values().filter(|c| !c.is_empty()).collect();
+    let mut clusters: Vec<BTreeSet<UqId>> = seeds.into_values().collect();
     clusters.sort();
     clusters.dedup();
 
@@ -77,8 +65,8 @@ pub fn cluster_user_queries(
         'outer: for i in 0..clusters.len() {
             for j in i + 1..clusters.len() {
                 if jaccard(&clusters[i], &clusters[j]) > config.t_c {
-                    let absorbed = clusters.remove(j);
-                    clusters[i].union_with(&absorbed);
+                    let mut absorbed = clusters.remove(j);
+                    clusters[i].append(&mut absorbed);
                     merged = true;
                     break 'outer;
                 }
@@ -92,28 +80,27 @@ pub fn cluster_user_queries(
     // Make the partition disjoint: a UQ stays in the largest cluster that
     // claims it; everything unclaimed forms singletons.
     clusters.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut assigned = CqSet::new();
+    let mut assigned: BTreeSet<UqId> = BTreeSet::new();
     let mut out: Vec<Vec<UqId>> = Vec::new();
     for cluster in clusters {
         let fresh: Vec<UqId> = cluster
-            .iter()
-            .filter(|i| assigned.insert(*i))
-            .map(|i| uq_ids[i.index()])
+            .into_iter()
+            .filter(|uq| assigned.insert(*uq))
             .collect();
         if !fresh.is_empty() {
             out.push(fresh);
         }
     }
-    for (i, uq) in uq_ids.iter().enumerate() {
-        if assigned.insert(CqIdx(i as u16)) {
+    for uq in references.keys() {
+        if assigned.insert(*uq) {
             out.push(vec![*uq]);
         }
     }
     out
 }
 
-fn jaccard(a: &CqSet, b: &CqSet) -> f64 {
-    let inter = a.intersection_len(b);
+fn jaccard(a: &BTreeSet<UqId>, b: &BTreeSet<UqId>) -> f64 {
+    let inter = a.intersection(b).count();
     let union = a.len() + b.len() - inter;
     if union == 0 {
         0.0
@@ -185,6 +172,19 @@ mod tests {
         let loose = cluster_user_queries(&r, ClusterConfig { t_m: 1, t_c: 0.2 });
         let strict = cluster_user_queries(&r, ClusterConfig { t_m: 1, t_c: 0.99 });
         assert!(loose.len() <= strict.len());
+    }
+
+    /// Clusters are not indexed densely, so no count of user queries
+    /// arriving before a routing pass is too many.
+    #[test]
+    fn seventy_thousand_lone_queries_become_singletons() {
+        let r: BTreeMap<UqId, Vec<RelId>> = (0..70_000)
+            .map(|uq| (UqId::new(uq), vec![RelId::new(uq % 7)]))
+            .collect();
+        let clusters = cluster_user_queries(&r, ClusterConfig::default());
+        assert_eq!(clusters.len(), 70_000);
+        assert!(clusters.iter().all(|c| c.len() == 1));
+        assert_eq!(clusters[69_999], [UqId::new(69_999)]);
     }
 
     #[test]

@@ -27,11 +27,11 @@ use std::collections::HashMap;
 
 /// One push-down candidate: a subexpression and the queries it can source.
 ///
-/// Queries are a dense bitmask ([`CqSet`], interpreted through the searched
-/// queries' [`CqTable`]) — the BestPlan recursion differences, tests, and
-/// clones these sets on every branch, and as word-wise ops they cost a few
-/// instructions instead of a `BTreeSet` walk.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Queries are one user query's, as a one-word bitmask ([`CqSet`],
+/// interpreted through that search's [`CqTable`]) — the BestPlan recursion
+/// differences, tests and copies these sets on every branch, and as word
+/// ops they cost an instruction each instead of a `BTreeSet` walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
     /// The interned subexpression signature.
     pub sig: SigId,
@@ -64,6 +64,10 @@ impl HeuristicConfig {
     /// Largest usable [`max_candidates`](Self::max_candidates): BestPlan
     /// memoizes a search state as a `u64` with one bit per candidate.
     pub const MAX_CANDIDATES_LIMIT: usize = u64::BITS as usize;
+
+    /// Largest usable `CandidateConfig::max_cqs`: a search covers one user
+    /// query's conjunctive queries, and its query sets are one [`CqSet`].
+    pub const MAX_CQS_LIMIT: usize = CqSet::CAPACITY;
 }
 
 impl Default for HeuristicConfig {
@@ -116,8 +120,8 @@ pub(crate) fn compute_fact(sig: SigId, model: &CostModel<'_>, interner: &SigInte
     }
 }
 
-/// Enumerate push-down candidates for a query batch, applying all pruning
-/// heuristics; `whole_of[i]` is `queries[i]`'s interned whole-query
+/// Enumerate push-down candidates for one search's queries, applying all
+/// pruning heuristics; `whole_of[i]` is `queries[i]`'s interned whole-query
 /// signature. Returns the base candidates, then the multi-relation ones by
 /// descending sharing degree and ascending cardinality.
 pub(crate) fn enumerate_candidates(
@@ -146,7 +150,7 @@ pub(crate) fn enumerate_candidates(
         }
     }
     // Deterministic processing order (canonical signature order, as the
-    // deep-keyed B-tree pool produced): one deep sort per batch.
+    // deep-keyed B-tree pool produced): one deep sort per search.
     let mut pooled: Vec<(SigId, CqSet)> = pool.into_iter().collect();
     pooled.sort_by(|(a, _), (b, _)| interner.resolve(*a).cmp(interner.resolve(*b)));
 
@@ -194,10 +198,10 @@ pub(crate) fn enumerate_candidates(
         // Heuristic 1: subexpressions of a low-output query are not worth
         // factoring for that query alone; keep only the sharers beyond it.
         if using.len() == 1 {
-            let cq_id = table.id(using.first().expect("nonempty"));
+            let cq_id = table.id(using.iter().next().expect("nonempty"));
             if let Some(pos) = queries.iter().position(|c| c.id == cq_id) {
                 if card_of(whole_of[pos], interner) < model.k() as f64 {
-                    using = CqSet::new();
+                    using = CqSet::default();
                 }
             }
         }

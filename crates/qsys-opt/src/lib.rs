@@ -11,7 +11,7 @@
 //!    searched alone, because under this cost model the joint objective
 //!    chose push-downs that read more tuples than the queries' own plans. Section 5.1.2's AND-OR memo has no
 //!    structure of its own here: equivalent subexpressions are one
-//!    hash-consed `SigId`, the queries sharing one are a `CqSet` bitmask in
+//!    hash-consed `SigId`, the queries sharing one are a one-word `CqSet` in
 //!    the candidate pool, and BestPlan memoizes on a `u64` mask of the
 //!    candidates still open.
 //! 2. **Heuristic factorization** — merge the user queries' assignments

@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// Tuning knobs for candidate generation.
 #[derive(Clone, Debug)]
 pub struct CandidateConfig {
-    /// Maximum conjunctive queries per user query (paper: at most 20).
+    /// Maximum conjunctive queries per user query (paper: at most 20). At
+    /// most 64: BestPlan searches one user query's queries as one-word
+    /// [`CqSet`](crate::CqSet)s, and the engine's config check refuses more.
     pub max_cqs: usize,
     /// Maximum atoms per conjunctive query.
     pub max_atoms: usize,

@@ -252,6 +252,14 @@ impl EngineConfig {
             "a user query needs at least one candidate network",
         );
         invariant(
+            self.candidate.max_cqs <= HeuristicConfig::MAX_CQS_LIMIT,
+            "candidate.max_cqs",
+            &format!(
+                "BestPlan keeps one user query's CQs as one bit each: at most {}",
+                HeuristicConfig::MAX_CQS_LIMIT
+            ),
+        );
+        invariant(
             self.candidate.max_atoms >= 1,
             "candidate.max_atoms",
             "a candidate network holds at least one atom",
@@ -857,6 +865,12 @@ mod tests {
             config.validate_all().is_empty(),
             "clean config aggregates to nothing"
         );
+        // One user query's CQs must fit one 64-bit query set.
+        config.candidate.max_cqs = 65;
+        let fields: Vec<&str> = config.validate_all().iter().map(|e| e.field).collect();
+        assert_eq!(fields, ["candidate.max_cqs"]);
+        config.candidate.max_cqs = 64;
+        assert!(config.validate_all().is_empty());
     }
 
     #[test]

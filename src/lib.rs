@@ -60,7 +60,7 @@
 //! | values, tuples, virtual clock | `qsys-types` |
 //! | schema graph, keyword index | `qsys-catalog` |
 //! | simulated remote DBMSs | `qsys-source` |
-//! | CQs, scoring, candidate networks, sharing vocabulary (`SigInterner` ids, `CqSet` batch bitmasks) | `qsys-query` |
+//! | CQs, scoring, candidate networks, sharing vocabulary (`SigInterner` ids, one-word `CqSet` query sets) | `qsys-query` |
 //! | operators, plan graph, ATC | `qsys-exec` |
 //! | multi-query optimizer (arena-indexed BestPlan behind a `u64` mask memo, clustering) | `qsys-opt` |
 //! | state manager (graft/recover/evict, policy via `EngineConfig::eviction`) | `qsys-exec` (`qsys_exec::state`) |
@@ -69,13 +69,14 @@
 //!
 //! Two dense-index layers keep the optimizer's hot path allocation-free:
 //! subexpression identity is a hash-consed [`query::SigId`] (one interner
-//! per engine lane, stable across batches), and within a batch every
-//! "which queries use this input?" set is a [`query::CqSet`] bitmask over
-//! the batch's [`query::CqTable`]. The BestPlan search runs entirely on
-//! those indices — candidates in an arena, the memo keyed by a `u64` mask
-//! of committed candidates and holding costs, never plans — with sharing
-//! decisions pinned bit-for-bit by the goldens in
-//! `tests/interner_invariants.rs`.
+//! per engine lane, stable across batches), and within one search — one
+//! user query's conjunctive queries, at most `candidate.max_cqs` ≤ 64 of
+//! them — every "which queries use this input?" set is a one-word
+//! [`query::CqSet`] bitmask over that search's [`query::CqTable`]. The
+//! BestPlan search runs entirely on those indices — candidates in an
+//! arena, the memo keyed by a `u64` mask of committed candidates and
+//! holding costs, never plans — with sharing decisions pinned bit-for-bit
+//! by the goldens in `tests/interner_invariants.rs`.
 //!
 //! The optimizer keeps nothing of its own across batches: each batch
 //! derives its search inputs afresh against the state resident at that

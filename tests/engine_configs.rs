@@ -189,7 +189,8 @@ fn time_breakdown_is_consistent() {
 /// with a structured
 /// `InvalidConfig` naming the field, never a panic and never a silent run.
 /// A candidate-generation limit of 0 is refused the same way, not reported
-/// as `NoMatches` for every query. The default config serves.
+/// as `NoMatches` for every query, and so is a `max_cqs` above the 64 one
+/// search's query set holds. The default config serves.
 #[test]
 fn invalid_configs_refuse_submission_without_panicking() {
     let w = small_workload(5);
@@ -229,6 +230,16 @@ fn invalid_configs_refuse_submission_without_panicking() {
             EngineConfig {
                 candidate: CandidateConfig {
                     max_cqs: 0,
+                    ..CandidateConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        ),
+        (
+            "candidate.max_cqs",
+            EngineConfig {
+                candidate: CandidateConfig {
+                    max_cqs: 65,
                     ..CandidateConfig::default()
                 },
                 ..EngineConfig::default()

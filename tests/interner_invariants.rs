@@ -140,9 +140,10 @@ proptest! {
 }
 
 /// Golden regression: representation rewrites inside the optimizer — the
-/// SigId rekeying, and after it the dense-index BestPlan (CqSet bitmask
-/// query sets, candidate arena, memo-of-indices, incremental costing) —
-/// must produce byte-identical sharing decisions. The pinned values —
+/// SigId rekeying, and after it the dense-index BestPlan (query sets as
+/// one-word CqSet bitmasks over one user query's CQs, candidate arena,
+/// memo-of-indices, incremental costing) — must produce byte-identical
+/// sharing decisions. The pinned values —
 /// PlanSpec node/edge/leaf counts, BestPlan states explored, memo hits,
 /// and winning plan cost — were recorded by running the pre-interner
 /// (deep-`SubExprSig`-keyed) code on the same workloads (GUS small, first
