@@ -97,7 +97,10 @@ fn main() {
         }
         "ablation-recovery" => {
             let (warm, cold) = ablation_recovery(seeds[0], scale);
-            println!("Ablation: RecoverState vs re-execution (stream reads for a repeated query)");
+            println!(
+                "Ablation: RecoverState vs re-execution (stream reads for a repeated query, \
+                 re-weighted by another user's edge costs)"
+            );
             println!("  warm (recovered): {warm}");
             println!("  cold (fresh)    : {cold}");
         }
@@ -137,7 +140,7 @@ fn main() {
             println!();
             let (warm, cold) = ablation_recovery(seeds[0], scale);
             println!(
-                "Ablation: RecoverState — repeated query stream reads: warm {warm} vs cold {cold}"
+                "Ablation: RecoverState — re-weighted repeated query stream reads: warm {warm} vs cold {cold}"
             );
             println!();
             println!("Ablation: memory budget (stream reads, 10 UQs)");

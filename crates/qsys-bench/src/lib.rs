@@ -29,7 +29,7 @@ use qsys::types::{SimClock, UqId};
 use qsys::{run_workload, Engine, EngineConfig, QueryOutcome, RunReport, SharingMode};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::pfam::{self, PfamConfig};
-use qsys_workload::Workload;
+use qsys_workload::{Workload, WorkloadQuery};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Experiment scale.
@@ -632,22 +632,30 @@ pub fn ablation_atc(seed: u64, scale: Scale) -> Vec<(String, f64)> {
     .collect()
 }
 
-/// Recovery ablation: answering a repeated query warm (RecoverState) vs
+/// Recovery ablation: a repeated query answered warm (RecoverState) vs
 /// cold (fresh engine). Returns (warm stream reads, cold stream reads).
+///
+/// The repeat is the first query's keywords posed by the second query's
+/// user, whose learned edge costs re-weigh the score functions: the same
+/// conjunctive queries over the same streams, so RecoverState replays
+/// them. (A repeat with identical scoring would publish the first pose's
+/// retained top-k and read nothing.)
 pub fn ablation_recovery(seed: u64, scale: Scale) -> (u64, u64) {
-    let w = gus_workload(seed, scale);
+    let mut w = gus_workload(seed, scale);
     let engine = gus_engine(SharingMode::AtcFull, 1);
-    // Warm: run UQ0 twice by duplicating the first query.
-    let mut twice = gus_workload(seed, scale);
-    let first = twice.queries[0].clone();
-    twice.queries = vec![first.clone(), first.clone()];
-    let warm = run_workload(&twice, &engine, None).expect("runs");
-    // Cold: the query once, fresh.
-    let mut once = w;
-    once.queries = vec![first];
-    let cold = run_workload(&once, &engine, None).expect("runs");
-    let warm_second = warm.tuples_streamed.saturating_sub(cold.tuples_streamed);
-    (warm_second, cold.tuples_streamed)
+    let first = w.queries[0].clone();
+    let repeat = WorkloadQuery {
+        keywords: first.keywords.clone(),
+        ..w.queries[1].clone()
+    };
+    let mut pose = |queries: Vec<WorkloadQuery>| {
+        w.queries = queries;
+        run_workload(&w, &engine, None)
+            .expect("runs")
+            .tuples_streamed
+    };
+    let warm = pose(vec![first.clone(), repeat.clone()]).saturating_sub(pose(vec![first]));
+    (warm, pose(vec![repeat]))
 }
 
 /// Probe-cache-sharing ablation: total probes and mean response under

@@ -148,19 +148,25 @@ impl Atc {
         true
     }
 
+    /// Record a completion in `stats`, and mark the operator degraded if a
+    /// relation it reads failed this batch (a degraded top-k is never
+    /// retained by the QS manager).
     fn record_completion(
-        graph: &QueryPlanGraph,
+        graph: &mut QueryPlanGraph,
         sources: &Sources,
         governor: &SourceGovernor,
         stats: &mut ExecStats,
         rm_id: NodeId,
     ) {
-        let rm = graph.rank_merge(rm_id);
+        let rm = graph.rank_merge_mut(rm_id);
         let missing = if governor.any_batch_failures() {
             governor.failed_among(&rm.rels())
         } else {
             Vec::new()
         };
+        if !missing.is_empty() {
+            rm.mark_degraded();
+        }
         stats.complete(
             rm.uq(),
             sources.clock().now_us(),

@@ -113,7 +113,6 @@ impl QueryPlanGraph {
     }
 
     /// The current epoch (logical timestamp of the latest graft).
-    #[cfg(test)]
     pub(crate) fn epoch(&self) -> Epoch {
         self.epoch
     }
@@ -668,23 +667,27 @@ impl QueryPlanGraph {
     }
 
     /// Approximate resident bytes of all operator state (QS manager memory
-    /// accounting).
+    /// accounting): the sum of every live node's
+    /// [`QueryPlanGraph::node_approx_bytes`].
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(|n| match &n.kind {
-                NodeKind::MJoin(mj) => mj.approx_bytes(&self.modules),
-                NodeKind::RankMerge(rm) => rm.approx_bytes(),
-                NodeKind::Stream(leaf) => {
-                    let replay = match &leaf.backing {
-                        StreamBacking::Replay { tuples, .. } => tuples.len() * 64,
-                        StreamBacking::Remote(_) => 0,
-                    };
-                    replay + self.stored_len(n.id).unwrap_or(0) * 16
-                }
-            })
-            .sum()
+        self.node_ids().map(|id| self.node_approx_bytes(id)).sum()
+    }
+
+    /// Node `id`'s term of [`QueryPlanGraph::approx_bytes`]. It reads only
+    /// the node itself and the modules it names, so removing another node
+    /// leaves it unchanged.
+    pub(crate) fn node_approx_bytes(&self, id: NodeId) -> usize {
+        match &self.node(id).kind {
+            NodeKind::MJoin(mj) => mj.approx_bytes(&self.modules),
+            NodeKind::RankMerge(rm) => rm.approx_bytes(),
+            NodeKind::Stream(leaf) => {
+                let replay = match &leaf.backing {
+                    StreamBacking::Replay { tuples, .. } => tuples.len() * 64,
+                    StreamBacking::Remote(_) => 0,
+                };
+                replay + self.stored_len(id).unwrap_or(0) * 16
+            }
+        }
     }
 }
 

@@ -206,6 +206,9 @@ pub struct RankMerge {
     /// Whether anything [`RankMerge::maintain`] reads has changed since
     /// its last cycle (see the module docs).
     dirty: bool,
+    /// Whether its completion lost a relation to a failed source: such a
+    /// top-k is not the query's answer, so it is never retained.
+    degraded: bool,
 }
 
 impl RankMerge {
@@ -221,7 +224,26 @@ impl RankMerge {
             done: false,
             thresholds_at: None,
             dirty: false,
+            degraded: false,
         }
+    }
+
+    /// An operator with no CQ registrations whose pending queue already
+    /// holds a retained top-k, in the order it was emitted. Nothing can
+    /// arrive (its threshold is 0), so its first maintenance cycle emits
+    /// every result and completes.
+    pub(crate) fn retained(
+        uq: UqId,
+        user: UserId,
+        k: usize,
+        results: impl IntoIterator<Item = (Score, CqId, Tuple)>,
+    ) -> RankMerge {
+        let mut rm = RankMerge::new(uq, user, k);
+        rm.candidates = results
+            .into_iter()
+            .map(|(score, cq, tuple)| Candidate { score, cq, tuple })
+            .collect();
+        rm
     }
 
     /// The user query this operator answers.
@@ -534,6 +556,16 @@ impl RankMerge {
     /// Whether the operator has produced its top-k (or proven fewer exist).
     pub(crate) fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Record that the operator completed with a relation missing.
+    pub(crate) fn mark_degraded(&mut self) {
+        self.degraded = true;
+    }
+
+    /// Whether its completion recorded a missing relation.
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.degraded
     }
 
     /// Results emitted so far, best-first.

@@ -37,17 +37,22 @@ pub struct EvictionStats {
     pub reclaimed_bytes: usize,
 }
 
-/// Evict detached state until `graph` fits `budget` bytes. Pinned
+/// Evict detached state until `graph` fits `budget` bytes, given that it
+/// holds `resident` ([`QueryPlanGraph::approx_bytes`]) now. Pinned
 /// signatures are skipped.
 pub(crate) fn evict_to_budget(
     graph: &mut QueryPlanGraph,
+    mut resident: usize,
     budget: usize,
     policy: EvictionPolicy,
     pinned: &BTreeSet<SigId>,
     last_used: &HashMap<NodeId, Epoch>,
     stats: &mut EvictionStats,
 ) {
-    while graph.approx_bytes() > budget {
+    // A running total: removing a victim takes exactly its own term off
+    // the graph's sum (`QueryPlanGraph::node_approx_bytes`).
+    debug_assert_eq!(resident, graph.approx_bytes());
+    while resident > budget {
         let candidates: Vec<(NodeId, usize, Epoch)> = graph
             .node_ids()
             .filter(|id| {
@@ -79,11 +84,13 @@ pub(crate) fn evict_to_budget(
         let Some((victim, bytes, _)) = victim else {
             break; // nothing evictable (all pinned or referenced)
         };
+        resident -= graph.node_approx_bytes(victim);
         let parents: Vec<NodeId> = graph.node(victim).parents.clone();
         for p in parents {
             graph.disconnect(p, victim);
         }
         graph.remove_node(victim);
+        debug_assert_eq!(resident, graph.approx_bytes(), "running total drifted");
         stats.evicted_nodes += 1;
         stats.reclaimed_bytes += bytes;
     }
@@ -134,8 +141,10 @@ mod tests {
         let mut stats = EvictionStats::default();
         // Budget forces exactly one eviction round at a time; evict until
         // one node remains (graph bytes of a single node ≤ 600).
+        let resident = g.approx_bytes();
         evict_to_budget(
             &mut g,
+            resident,
             600,
             EvictionPolicy::Lru,
             &BTreeSet::new(),
@@ -151,8 +160,10 @@ mod tests {
     fn size_greedy_evicts_biggest_first() {
         let (mut g, ids, used) = detached_graph();
         let mut stats = EvictionStats::default();
+        let resident = g.approx_bytes();
         evict_to_budget(
             &mut g,
+            resident,
             900,
             EvictionPolicy::SizeGreedy,
             &BTreeSet::new(),
@@ -168,8 +179,10 @@ mod tests {
         let (mut g, _, used) = detached_graph();
         let before = g.len();
         let mut stats = EvictionStats::default();
+        let resident = g.approx_bytes();
         evict_to_budget(
             &mut g,
+            resident,
             usize::MAX,
             EvictionPolicy::LruSizeTieBreak,
             &BTreeSet::new(),
@@ -194,8 +207,10 @@ mod tests {
             g.connect(*id, sink, 0);
         }
         let mut stats = EvictionStats::default();
+        let resident = g.approx_bytes();
         evict_to_budget(
             &mut g,
+            resident,
             0,
             EvictionPolicy::LruSizeTieBreak,
             &BTreeSet::new(),

@@ -14,9 +14,10 @@ use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats
 use qsys_opt::plan::{CqPlan, PlanSpec, SpecNode, SpecNodeKind};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
-use qsys_source::{Sources, Table};
+use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
 use qsys_types::{
-    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
+    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, Selection, SimClock, Tuple, UqId, UserId,
+    Value,
 };
 use std::sync::Arc;
 
@@ -583,4 +584,350 @@ fn a_stream_read_before_its_first_join_is_attached() {
 
     run(&mut manager, &src, &[UqId::new(1)]);
     answers_brute_force(&manager, &src, &ab, k);
+}
+
+/// What one batch did on a manager, posed as a lane poses it: submission
+/// stamped before the optimizer charges the clock, graft, run, harvest,
+/// then unlink and evict.
+struct Posed {
+    outcome: super::manager::GraftOutcome,
+    /// States the optimizer explored (15 µs of virtual time each).
+    explored: usize,
+    /// Tuples the sources streamed during the batch.
+    reads: u64,
+    /// Per user query, in batch order: (response µs, CQs executed,
+    /// missing relations, result score bits).
+    uqs: Vec<(u64, usize, usize, Vec<u64>)>,
+}
+
+fn pose_with(
+    manager: &mut QsManager,
+    config: OptimizerConfig,
+    batch: &[(&ConjunctiveQuery, &ScoreFn)],
+    src: &Sources,
+    isolate: bool,
+) -> Posed {
+    let k = config.k;
+    let reads = src.tuples_streamed();
+    let submitted = src.clock().now_us();
+    let cat = catalog();
+    let optimizer = Optimizer::new(&cat, config);
+    let (spec, opt) = {
+        let interner = manager.shared_interner();
+        let oracle = manager.reuse_oracle();
+        optimizer.optimize(batch, &oracle, Some(src.clock()), &interner)
+    };
+    let outcome = manager.graft(&spec, src, k);
+    if isolate {
+        manager.isolate();
+    }
+    let mut stats = ExecStats::new();
+    for (cq, _) in batch {
+        stats.submit(cq.uq, submitted);
+    }
+    let governor = SourceGovernor::new(RetryPolicy::default());
+    Atc::new(SchedulingPolicy::RoundRobin).run_governed(
+        manager.graph_mut(),
+        src,
+        &governor,
+        &mut stats,
+    );
+    let uqs = batch
+        .iter()
+        .map(|(cq, _)| {
+            let s = stats.uq(cq.uq).expect("submitted");
+            let scores = results_of(manager, cq.uq)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let response = s.response_us().expect("completed");
+            (response, s.cqs_executed.len(), s.missing_rels.len(), scores)
+        })
+        .collect();
+    manager.unlink_completed();
+    manager.evict_to_budget();
+    Posed {
+        outcome,
+        explored: opt.explored,
+        reads: src.tuples_streamed() - reads,
+        uqs,
+    }
+}
+
+/// [`pose_with`] under ATC-FULL's optimizer with `k` results.
+fn pose(
+    manager: &mut QsManager,
+    batch: &[(&ConjunctiveQuery, &ScoreFn)],
+    src: &Sources,
+    k: usize,
+) -> Posed {
+    let config = OptimizerConfig {
+        k,
+        ..OptimizerConfig::default()
+    };
+    pose_with(manager, config, batch, src, false)
+}
+
+/// An identical re-pose publishes the retained top-k: same answers, no
+/// stream read, no CQ grafted, executed or recovered, and a response of
+/// exactly the optimizer's charge.
+#[test]
+fn a_reposed_query_publishes_its_retained_answer() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let f = ScoreFn::discover(UserId::new(0), 3);
+    let (cq0, cq1) = (path_cq(0, 0, &cat, 3), path_cq(1, 1, &cat, 3));
+    let first = pose(&mut manager, &[(&cq0, &f)], &src, k);
+    assert!(first.outcome.sealed_uqs.is_empty() && first.reads > 0);
+    assert_eq!(first.uqs[0].3.len(), k);
+    assert_eq!(manager.retained_len(), 1);
+    let nodes = manager.graph().len();
+
+    let again = pose(&mut manager, &[(&cq1, &f)], &src, k);
+    assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(1)]);
+    assert_eq!(again.outcome.new_uqs, vec![UqId::new(1)]);
+    assert_eq!(
+        (again.outcome.reused_nodes, again.outcome.created_nodes),
+        (0, 0)
+    );
+    assert!(again.outcome.recovered_uqs.is_empty());
+    assert_eq!(again.reads, 0);
+    let (response, executed, missing, scores) = &again.uqs[0];
+    assert_eq!((*executed, *missing), (0, 0));
+    assert_eq!(*response, again.explored as u64 * 15);
+    assert_eq!(*scores, first.uqs[0].3, "identical answers");
+    assert_eq!(manager.graph().len(), nodes, "nothing was grafted");
+    assert_eq!(manager.retained_len(), 1);
+}
+
+/// A top-k shorter than k is retained and re-published as it is — and so
+/// is an empty one.
+#[test]
+fn short_and_empty_answers_are_retained() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 2 * N_ROWS as usize;
+    let f = ScoreFn::discover(UserId::new(0), 1);
+    // A alone: N_ROWS < k results. C under a selection no row meets: none.
+    let (a0, a1) = (path_cq(0, 0, &cat, 1), path_cq(1, 1, &cat, 1));
+    let none = |id| {
+        let atom = CqAtom {
+            rel: RelId::new(2),
+            selection: Some(Selection::eq(0, Value::Int(N_KEYS))),
+        };
+        ConjunctiveQuery::new(
+            CqId::new(id),
+            UqId::new(id),
+            UserId::new(0),
+            vec![atom],
+            Vec::new(),
+        )
+    };
+    let (c2, c3) = (none(2), none(3));
+    let first = pose(&mut manager, &[(&a0, &f), (&c2, &f)], &src, k);
+    assert_eq!(first.uqs[0].3.len(), N_ROWS as usize);
+    assert!(first.uqs[1].3.is_empty());
+    assert_eq!(manager.retained_len(), 2);
+
+    let again = pose(&mut manager, &[(&a1, &f), (&c3, &f)], &src, k);
+    assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(1), UqId::new(3)]);
+    assert_eq!(again.reads, 0);
+    assert_eq!(again.uqs[0].3, first.uqs[0].3);
+    assert!(again.uqs[1].3.is_empty());
+}
+
+/// A completion that lost a relation to a failed source is not the
+/// query's answer and is never retained; a batch-mate that read nothing
+/// from that source is.
+#[test]
+fn a_degraded_completion_is_never_retained() {
+    let cat = catalog();
+    let mut src = sources();
+    src.set_injector(FaultInjector::new(
+        FaultSpec::new(7).outage(1, 0, None),
+        0,
+        None,
+    ));
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let (f1, f2) = (
+        ScoreFn::discover(UserId::new(0), 1),
+        ScoreFn::discover(UserId::new(0), 2),
+    );
+    let (a, ab) = (path_cq(0, 0, &cat, 1), path_cq(1, 1, &cat, 2));
+    let first = pose(&mut manager, &[(&a, &f1), (&ab, &f2)], &src, k);
+    assert_eq!(first.uqs[0].2, 0, "A alone completes");
+    assert!(first.uqs[1].2 > 0, "A ⋈ B lost B");
+    assert_eq!(manager.retained_len(), 1, "only A's answer is retained");
+
+    let (a2, ab3) = (path_cq(2, 2, &cat, 1), path_cq(3, 3, &cat, 2));
+    let again = pose(&mut manager, &[(&a2, &f1), (&ab3, &f2)], &src, k);
+    assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(2)]);
+    assert!(again.uqs[1].2 > 0, "A ⋈ B runs, and degrades, again");
+}
+
+/// ATC-CQ's roots carry no signature and ATC-UQ's `isolate` forgets
+/// them, so neither mode ever retains an answer.
+#[test]
+fn unshared_modes_never_retain() {
+    let cat = catalog();
+    let k = 10;
+    let f = ScoreFn::discover(UserId::new(0), 2);
+    for (share, isolate) in [(false, false), (true, true)] {
+        let src = sources();
+        let mut manager = QsManager::new(usize::MAX);
+        let config = OptimizerConfig {
+            k,
+            share_subexpressions: share,
+            ..OptimizerConfig::default()
+        };
+        for id in 0..2 {
+            let cq = path_cq(id, id, &cat, 2);
+            let posed = pose_with(&mut manager, config.clone(), &[(&cq, &f)], &src, isolate);
+            assert!(posed.outcome.sealed_uqs.is_empty());
+            assert_eq!(manager.retained_len(), 0, "share {share} isolate {isolate}");
+        }
+    }
+}
+
+/// A retained answer is published only while every CQ root it summarises
+/// is resident: once the root is evicted, the re-pose runs (and answers
+/// the same), and its completion retains the answer again.
+#[test]
+fn an_evicted_root_kills_its_retained_answer() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let f = ScoreFn::discover(UserId::new(0), 2);
+    let cq0 = path_cq(0, 0, &cat, 2);
+    let first = pose(&mut manager, &[(&cq0, &f)], &src, k);
+    assert_eq!(manager.retained_len(), 1);
+
+    let sig = manager.shared_interner().borrow_mut().of_cq(&cq0);
+    let root = manager.graph().find_sig(sig).expect("A ⋈ B is resident");
+    let graph = manager.graph_mut();
+    for p in graph.node(root).parents.clone() {
+        graph.disconnect(p, root);
+    }
+    graph.remove_node(root);
+
+    let cq1 = path_cq(1, 1, &cat, 2);
+    let again = pose(&mut manager, &[(&cq1, &f)], &src, k);
+    assert!(again.outcome.sealed_uqs.is_empty());
+    assert!(again.outcome.created_nodes > 0, "the root is grafted anew");
+    assert!(again.uqs[0].1 > 0, "its CQ runs");
+    assert_eq!(again.uqs[0].3, first.uqs[0].3);
+
+    let cq2 = path_cq(2, 2, &cat, 2);
+    let third = pose(&mut manager, &[(&cq2, &f)], &src, k);
+    assert_eq!(third.outcome.sealed_uqs, vec![UqId::new(2)]);
+}
+
+/// Over budget, retained answers are evicted before any node, least
+/// recently used first, and the manager then fits its budget.
+#[test]
+fn a_budget_evicts_retained_answers_before_nodes() {
+    let cat = catalog();
+    let k = 10;
+    let (f2, f3) = (
+        ScoreFn::discover(UserId::new(0), 2),
+        ScoreFn::discover(UserId::new(0), 3),
+    );
+    let (ab, abc) = (path_cq(0, 0, &cat, 2), path_cq(1, 1, &cat, 3));
+    let retained = k * 96;
+    // Unbudgeted reference: the graph's bytes after each query.
+    let mut reference = QsManager::new(usize::MAX);
+    let src = sources();
+    pose(&mut reference, &[(&ab, &f2)], &src, k);
+    pose(&mut reference, &[(&abc, &f3)], &src, k);
+    assert_eq!(reference.retained_len(), 2);
+    let graph = reference.resident_bytes() - 2 * retained;
+
+    // Room for the graph and one answer: the older answer goes.
+    let budget = graph + retained;
+    let mut manager = QsManager::new(budget);
+    let src = sources();
+    pose(&mut manager, &[(&ab, &f2)], &src, k);
+    assert_eq!(manager.retained_len(), 1);
+    pose(&mut manager, &[(&abc, &f3)], &src, k);
+    assert_eq!(manager.retained_len(), 1);
+    assert_eq!(manager.eviction_stats().evicted_nodes, 0);
+    assert!(manager.resident_bytes() <= budget);
+    let (ab2, abc3) = (path_cq(2, 2, &cat, 2), path_cq(3, 3, &cat, 3));
+    let again = pose(&mut manager, &[(&abc3, &f3)], &src, k);
+    assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(3)]);
+    let again = pose(&mut manager, &[(&ab2, &f2)], &src, k);
+    assert!(again.outcome.sealed_uqs.is_empty(), "the LRU answer went");
+
+    // Room for the graph alone: every answer goes, and still no node.
+    let mut manager = QsManager::new(graph);
+    let src = sources();
+    pose(&mut manager, &[(&ab, &f2)], &src, k);
+    pose(&mut manager, &[(&abc, &f3)], &src, k);
+    assert_eq!(manager.retained_len(), 0);
+    assert_eq!(manager.eviction_stats().evicted_nodes, 0);
+    assert_eq!(manager.resident_bytes(), graph);
+}
+
+/// A retained answer answers one key exactly: the same conjunctive query
+/// under another score function, or with another `k`, runs.
+#[test]
+fn another_scoring_or_k_is_not_the_retained_answer() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let discover = ScoreFn::discover(UserId::new(0), 2);
+    let banks = ScoreFn::banks(UserId::new(0), 0.5, [(RelId::new(0), 0.5)]);
+    pose(
+        &mut manager,
+        &[(&path_cq(0, 0, &cat, 2), &discover)],
+        &src,
+        k,
+    );
+    let rescored = pose(&mut manager, &[(&path_cq(1, 1, &cat, 2), &banks)], &src, k);
+    assert!(rescored.outcome.sealed_uqs.is_empty());
+    assert!(rescored.uqs[0].1 > 0, "its CQ runs");
+    let deeper = pose(
+        &mut manager,
+        &[(&path_cq(2, 2, &cat, 2), &discover)],
+        &src,
+        k + 1,
+    );
+    assert!(deeper.outcome.sealed_uqs.is_empty());
+    assert_eq!(deeper.uqs[0].3.len(), k + 1);
+    // Each completion retained its own answer.
+    assert_eq!(manager.retained_len(), 3);
+    let again = pose(&mut manager, &[(&path_cq(3, 3, &cat, 2), &banks)], &src, k);
+    assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(3)]);
+    assert_eq!(again.uqs[0].3, rescored.uqs[0].3);
+}
+
+/// Nor is an answer published over a root a quarantined stream feeds: the
+/// re-pose is grafted onto fresh streams instead, and answers the same.
+#[test]
+fn a_quarantined_stream_under_a_root_blocks_publication() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let f = ScoreFn::discover(UserId::new(0), 2);
+    let cq0 = path_cq(0, 0, &cat, 2);
+    let first = pose(&mut manager, &[(&cq0, &f)], &src, k);
+    let sig = manager.shared_interner().borrow_mut().of_cq(&cq0);
+    // A stream leaf at or under the root.
+    let mut leaf = manager.graph().find_sig(sig).expect("A ⋈ B is resident");
+    while !matches!(manager.graph().node(leaf).kind, NodeKind::Stream(_)) {
+        leaf = manager.graph().node(leaf).parents[0];
+    }
+    manager.graph_mut().quarantine_stream(leaf);
+
+    let again = pose(&mut manager, &[(&path_cq(1, 1, &cat, 2), &f)], &src, k);
+    assert!(again.outcome.sealed_uqs.is_empty());
+    assert!(again.outcome.created_nodes > 0, "fresh streams");
+    assert_eq!(again.uqs[0].3, first.uqs[0].3);
 }

@@ -1,4 +1,33 @@
 //! The QS manager proper: grafting and lifecycle.
+//!
+//! ### Retained answers
+//!
+//! Section 6.3 counts "the contents of ranking queues" among the cacheable
+//! state, evictable once no query references it. So when
+//! [`QsManager::unlink_completed`] removes a finished rank-merge, it keeps
+//! the emitted top-k as a retained answer, if
+//!
+//! - its completion recorded no missing relation (the ATC marks a
+//!   rank-merge degraded when one of its relations failed), and
+//! - every CQ's whole-query signature names a live graph node.
+//!
+//! The answer is keyed by the user query's sorted `(whole-query
+//! signature, exact score-function identity)` pairs and `k`. A later user
+//! query with that key, whose every signature still names a live node no
+//! quarantined stream feeds, is not planned onto the graph at all:
+//! [`QsManager::graft`] gives it a rank-merge with no CQ registrations
+//! whose pending queue holds the retained results, and the ATC's first
+//! service emits them. Its CQ plans are neither grafted nor recovered, so
+//! its response is its batch's optimizer charge. Here the engine departs
+//! from Algorithm 2, which re-derives every reused CQ's missed results
+//! through `RecoverState` (see `recover`): a re-posed query with identical
+//! CQs and scoring has nothing left to derive. ATC-CQ never retains (its
+//! nodes carry no signature), nor does ATC-UQ (`isolate` forgets every
+//! signature), so neither mode needs a check.
+//!
+//! A retained answer costs a rank-merge's 96 bytes per result. Over
+//! budget, retained answers are evicted first, least recently used first,
+//! and only then nodes, exactly as without them.
 
 use super::evict::{EvictionPolicy, EvictionStats};
 use super::recover;
@@ -9,9 +38,9 @@ use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, SpecNodeKind};
 use qsys_opt::retired::WarmCell;
-use qsys_query::{shared_interner, SharedInterner, SigId};
+use qsys_query::{shared_interner, ScoreModel, SharedInterner, SigId};
 use qsys_source::Sources;
-use qsys_types::{Epoch, JoinCond, RelId, UqId};
+use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -32,8 +61,61 @@ pub struct GraftOutcome {
     /// CQ). Lets the serving layer attribute recovery status to the
     /// ticket that triggered it.
     pub recovered_uqs: Vec<UqId>,
+    /// User queries that publish a retained answer instead of running:
+    /// none of their CQ plans was instantiated, registered or recovered.
+    pub sealed_uqs: Vec<UqId>,
     /// The epoch this batch executes in.
     pub epoch: Epoch,
+}
+
+/// What a retained answer answers: one user query's conjunctive queries,
+/// each as its whole-query signature and its score function's exact
+/// identity ([`qsys_query::ScoreFn::exact_key`]), sorted, and `k`.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct AnswerKey {
+    cqs: Vec<(SigId, ScoreKey)>,
+    k: usize,
+}
+
+/// [`qsys_query::ScoreFn::exact_key`].
+type ScoreKey = (ScoreModel, u64, Vec<(RelId, u64)>);
+
+/// A completed user query's top-k, kept so that an identical re-pose
+/// publishes it instead of running: the paper's "contents of ranking
+/// queues", cacheable until evicted (Section 6.3).
+#[derive(Debug)]
+struct RetainedAnswer {
+    /// The emitted results in emission order, each with the position in
+    /// its key of the CQ that produced it.
+    results: Vec<(Score, usize, Tuple)>,
+    /// The epoch it was last retained in (LRU order): a published answer
+    /// is retained again when its re-pose completes.
+    last_used: Epoch,
+}
+
+impl RetainedAnswer {
+    /// Resident bytes: a rank-merge's rate per result.
+    fn bytes(&self) -> usize {
+        self.results.len() * 96
+    }
+}
+
+/// Each user query of `spec` with its [`AnswerKey`] and its CQ ids in the
+/// key's order.
+fn answer_keys(spec: &PlanSpec, k: usize) -> BTreeMap<UqId, (AnswerKey, Vec<CqId>)> {
+    let mut by_uq: BTreeMap<UqId, Vec<_>> = BTreeMap::new();
+    for plan in &spec.cq_plans {
+        let cq = (plan.sig, plan.score_fn.exact_key(), plan.cq);
+        by_uq.entry(plan.uq).or_default().push(cq);
+    }
+    by_uq
+        .into_iter()
+        .map(|(uq, mut cqs)| {
+            cqs.sort();
+            let (pairs, ids) = cqs.into_iter().map(|(sig, f, cq)| ((sig, f), cq)).unzip();
+            (uq, (AnswerKey { cqs: pairs, k }, ids))
+        })
+        .collect()
 }
 
 /// The query state manager for one plan graph / ATC.
@@ -66,6 +148,11 @@ pub struct QsManager {
     next_recovery_cq: u32,
     /// Cumulative eviction stats.
     eviction_stats: EvictionStats,
+    /// Retained answers of completed user queries, by what they answer.
+    retained: BTreeMap<AnswerKey, RetainedAnswer>,
+    /// Each live rank-merge's answer key and CQ ids (recorded at graft,
+    /// taken at unlink).
+    live_keys: BTreeMap<UqId, (AnswerKey, Vec<CqId>)>,
 }
 
 impl QsManager {
@@ -83,6 +170,8 @@ impl QsManager {
             policy: EvictionPolicy::LruSizeTieBreak,
             next_recovery_cq: 0x8000_0000,
             eviction_stats: EvictionStats::default(),
+            retained: BTreeMap::new(),
+            live_keys: BTreeMap::new(),
         }
     }
 
@@ -186,12 +275,21 @@ impl QsManager {
     /// consumers of old producers to their output (or prefill a module
     /// with it), register conjunctive queries with their
     /// rank-merges, and run `RecoverState` where streams were already read.
+    /// A user query with a live retained answer (module docs) gets a
+    /// rank-merge holding that answer instead, and none of its CQ plans is
+    /// grafted.
     pub fn graft(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
         let epoch = self.graph.bump_epoch();
         let mut outcome = GraftOutcome {
             epoch,
             ..GraftOutcome::default()
         };
+        let keys = answer_keys(spec, k);
+        let published: BTreeSet<UqId> = keys
+            .iter()
+            .filter(|(_, (key, _))| self.retained.contains_key(key) && self.publishable(key))
+            .map(|(&uq, _)| uq)
+            .collect();
 
         // Map spec node index → graph node, reusing by signature when the
         // spec allows sharing. Reuse is decided *before* anything is
@@ -238,7 +336,7 @@ impl QsManager {
         // crossing a merged node (walk consumers-before-inputs — the spec
         // is topologically ordered).
         let mut needed = vec![false; spec.nodes.len()];
-        for plan in &spec.cq_plans {
+        for plan in spec.cq_plans.iter().filter(|p| !published.contains(&p.uq)) {
             needed[plan.root] = true;
         }
         for idx in (0..spec.nodes.len()).rev() {
@@ -303,16 +401,30 @@ impl QsManager {
 
         // Register each CQ with its user query's rank-merge.
         for plan in &spec.cq_plans {
+            let publish = published.contains(&plan.uq);
             let rm_id = match self.rank_merges.get(&plan.uq) {
                 Some(id) => *id,
                 None => {
-                    let rm = RankMerge::new(plan.uq, plan.user, k);
+                    let rm = if publish {
+                        outcome.sealed_uqs.push(plan.uq);
+                        let (key, cqs) = &keys[&plan.uq];
+                        // lint:allow(panic-path): `published` holds only keys with a retained answer
+                        let answer = self.retained.get(key).expect("retained");
+                        let results = answer.results.iter();
+                        let results = results.map(|(score, at, t)| (*score, cqs[*at], t.clone()));
+                        RankMerge::retained(plan.uq, plan.user, k, results)
+                    } else {
+                        RankMerge::new(plan.uq, plan.user, k)
+                    };
                     let id = self.graph.add_rank_merge(rm);
                     self.rank_merges.insert(plan.uq, id);
                     outcome.new_uqs.push(plan.uq);
                     id
                 }
             };
+            if publish {
+                continue;
+            }
             // lint:allow(panic-path): the optimizer marks every CQ root needed, so its node was created above
             let root = node_map[plan.root].expect("CQ roots are always needed");
             let streaming = self.streaming_inputs(root);
@@ -342,9 +454,21 @@ impl QsManager {
                 outcome.recovered_uqs.push(plan.uq);
             }
         }
+        self.live_keys.extend(keys);
 
         self.evict_to_budget();
         outcome
+    }
+
+    /// Whether a retained answer under `key` may be published: every CQ's
+    /// whole-query signature still names a live node no quarantined stream
+    /// feeds. (An evicted root kills the answer it summarises.)
+    fn publishable(&self, key: &AnswerKey) -> bool {
+        key.cqs.iter().all(|(sig, _)| {
+            self.graph
+                .find_sig(*sig)
+                .is_some_and(|id| !self.graph.subtree_quarantined(id))
+        })
     }
 
     fn create_stream(&mut self, spec_node: &qsys_opt::plan::SpecNode, sources: &Sources) -> NodeId {
@@ -538,7 +662,8 @@ impl QsManager {
     /// Section 6.3: unlink user queries that have finished. The rank-merge
     /// node is removed (its results live on in the engine's ledger); the
     /// upstream operators are *detached but retained* — their state stays
-    /// cached for reuse until eviction reclaims it.
+    /// cached for reuse until eviction reclaims it — and so is its top-k,
+    /// as a retained answer, when the module docs' rule allows.
     pub fn unlink_completed(&mut self) {
         let done: Vec<(UqId, NodeId)> = self
             .rank_merges
@@ -547,6 +672,7 @@ impl QsManager {
             .map(|(uq, id)| (*uq, *id))
             .collect();
         for (uq, rm_id) in done {
+            self.retain_answer(uq, rm_id);
             let parents: Vec<NodeId> = self.graph.node(rm_id).parents.clone();
             for p in parents {
                 self.graph.disconnect(p, rm_id);
@@ -556,11 +682,61 @@ impl QsManager {
         }
     }
 
-    /// Evict detached, unpinned state until the graph fits the budget.
+    /// Keep completed rank-merge `rm_id`'s top-k for `uq`'s key, unless its
+    /// completion lost a relation or some CQ's whole-query signature no
+    /// longer names a live node (never under ATC-CQ, whose roots carry no
+    /// signature, nor under ATC-UQ, whose `isolate` forgets them).
+    fn retain_answer(&mut self, uq: UqId, rm_id: NodeId) {
+        let Some((key, cqs)) = self.live_keys.remove(&uq) else {
+            return;
+        };
+        let rm = self.graph.rank_merge(rm_id);
+        let resident = key
+            .cqs
+            .iter()
+            .all(|(sig, _)| self.graph.find_sig(*sig).is_some());
+        if rm.is_degraded() || !resident {
+            return;
+        }
+        let results = rm.results().iter().map(|r| {
+            let at = cqs.iter().position(|&cq| cq == r.cq)?;
+            Some((r.score, at, r.tuple.clone()))
+        });
+        if let Some(results) = results.collect() {
+            let last_used = self.graph.epoch();
+            self.retained
+                .insert(key, RetainedAnswer { results, last_used });
+        }
+    }
+
+    /// Number of retained answers.
+    #[cfg(test)]
+    pub(crate) fn retained_len(&self) -> usize {
+        self.retained.len()
+    }
+
+    /// Bytes held by retained answers.
+    fn retained_bytes(&self) -> usize {
+        self.retained.values().map(RetainedAnswer::bytes).sum()
+    }
+
+    /// Fit the budget: retained answers go first, least recently used first
+    /// (ties in key order), then detached, unpinned nodes exactly as without
+    /// them — nodes are evicted only once every answer is gone.
     pub fn evict_to_budget(&mut self) {
+        let graph_bytes = self.graph.approx_bytes();
+        let mut retained = self.retained_bytes();
+        while graph_bytes + retained > self.budget {
+            let lru = self.retained.iter().min_by_key(|(_, a)| a.last_used);
+            let Some(key) = lru.map(|(key, _)| key.clone()) else {
+                break;
+            };
+            retained -= self.retained.remove(&key).map_or(0, |a| a.bytes());
+        }
         super::evict::evict_to_budget(
             &mut self.graph,
-            self.budget,
+            graph_bytes,
+            self.budget - retained,
             self.policy,
             &self.pinned.borrow(),
             &self.last_used,
@@ -568,9 +744,10 @@ impl QsManager {
         );
     }
 
-    /// Approximate resident bytes.
+    /// Approximate resident bytes: the plan graph's operator state and the
+    /// retained answers.
     pub fn resident_bytes(&self) -> usize {
-        self.graph.approx_bytes()
+        self.graph.approx_bytes() + self.retained_bytes()
     }
 }
 

@@ -12,9 +12,12 @@
 //!   state, so the missed results are recomputed *in score order* without
 //!   re-reading the network and without duplicates.
 //! - **Termination** (Section 6.3): unlink completed queries from the
-//!   graph while *retaining* their state for reuse.
+//!   graph while *retaining* their state for reuse — operator state, and
+//!   each complete top-k as a retained answer an identical re-pose
+//!   publishes instead of running (`manager` module docs).
 //! - **Eviction**: LRU (size as tie-breaker) removal of unpinned, detached
-//!   state under a memory budget — the policy the paper found to work best.
+//!   state under a memory budget — the policy the paper found to work best;
+//!   retained answers go first.
 
 mod evict;
 mod manager;

@@ -23,6 +23,13 @@
 //!
 //! Together these partitions cover every result exactly once.
 //!
+//! A user query whose identical CQs and scoring completed before, and
+//! whose answer is still retained, skips all of this: it publishes the
+//! retained top-k instead (`manager` module docs, after Section 6.3's
+//! cacheable ranking-queue contents). RecoverState runs for every other
+//! CQ that reuses state read before its epoch, as the paper's Algorithm 2
+//! does.
+//!
 //! ### Attach or prefill
 //!
 //! A producer's output is stored once, in one module its consumers share

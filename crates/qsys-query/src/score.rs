@@ -26,7 +26,7 @@ use qsys_catalog::Catalog;
 use qsys_types::{RelId, Score, Tuple, UserId};
 
 /// Which published model a score function was built from (for reporting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ScoreModel {
     /// DISCOVER [12, 13]: rank by query size and IR similarity.
     Discover,
@@ -105,6 +105,14 @@ impl ScoreFn {
             weights: sorted_weights(node_weights),
             user,
         }
+    }
+
+    /// The function's exact identity: its model, the bits of its static
+    /// factor and of each relation's weight. Two functions with equal keys
+    /// score every tuple bit-identically; the posing user is not part of it.
+    pub fn exact_key(&self) -> (ScoreModel, u64, Vec<(RelId, u64)>) {
+        let weights = self.weights.iter().map(|&(r, w)| (r, w.to_bits()));
+        (self.model, self.static_factor.to_bits(), weights.collect())
     }
 
     /// The weight of relation `r` (1.0 if unspecified).

@@ -658,6 +658,7 @@ impl Lane {
                     lane: self.idx,
                     reused_nodes: outcome.reused_nodes,
                     recovered_cqs: outcome.recovered_uqs.iter().filter(|u| **u == id).count(),
+                    sealed: outcome.sealed_uqs.contains(&id),
                     outcome: query_outcome,
                 };
                 (

@@ -81,6 +81,10 @@ pub struct UqReport {
     /// How many of this query's CQs ran a `RecoverState` recovery query
     /// over pre-existing stream state (Section 6.2).
     pub recovered_cqs: usize,
+    /// Whether it published an identical earlier query's retained top-k
+    /// instead of running (`qsys_exec::state` module docs): no CQ of it
+    /// was grafted, read or recovered.
+    pub sealed: bool,
     /// How execution ended (`Complete` on every clean run).
     pub outcome: QueryOutcome,
 }
@@ -324,6 +328,7 @@ mod tests {
             lane: 0,
             reused_nodes: 0,
             recovered_cqs: 0,
+            sealed: false,
             outcome: QueryOutcome::Complete,
         }
     }

@@ -105,6 +105,7 @@ impl TicketSlot {
                 lane,
                 reused_nodes: 0,
                 recovered_cqs: 0,
+                sealed: false,
                 outcome,
             }),
             opt: None,

@@ -7,13 +7,18 @@
 //! holds only its title, "Sharing work in keyword search over databases".
 
 use qsys::opt::cluster::ClusterConfig;
-use qsys::{EngineConfig, SharingMode};
+use qsys::{Engine, EngineConfig, SharingMode};
+use qsys_workload::Workload;
 
-/// Input tuples the seed-41 script consumes under `sharing`, sealed into
-/// batches of `batch_size`: Section 7's engine (`qsys_bench::gus_engine`).
-fn tuples_consumed(sharing: SharingMode, batch_size: usize) -> u64 {
-    let workload = qsys_workload::gus::generate(&qsys_workload::GusConfig::small(41));
-    let engine = EngineConfig {
+/// The GUS seed-41 script at test scale.
+fn script() -> Workload {
+    qsys_workload::gus::generate(&qsys_workload::GusConfig::small(41))
+}
+
+/// Section 7's engine (`qsys_bench::gus_engine`) under `sharing`, with
+/// batches of `batch_size`.
+fn config(sharing: SharingMode, batch_size: usize) -> EngineConfig {
+    EngineConfig {
         k: 50,
         batch_size,
         sharing,
@@ -24,8 +29,13 @@ fn tuples_consumed(sharing: SharingMode, batch_size: usize) -> u64 {
             ..qsys::query::CandidateConfig::default()
         },
         ..EngineConfig::default()
-    };
-    qsys::run_workload(&workload, &engine, None)
+    }
+}
+
+/// Input tuples the seed-41 script consumes under `sharing`, sealed into
+/// batches of `batch_size`.
+fn tuples_consumed(sharing: SharingMode, batch_size: usize) -> u64 {
+    qsys::run_workload(&script(), &config(sharing, batch_size), None)
         .expect("runs")
         .tuples_consumed
 }
@@ -54,4 +64,34 @@ fn atc_full_reads_no_more_than_atc_uq() {
     let full = tuples_consumed(SharingMode::AtcFull, 5);
     assert_eq!((uq, full), (29_330, 19_691));
     assert!(full <= uq, "ATC-UQ {uq} vs ATC-FULL {full}");
+}
+
+/// A warm re-pose reads nothing: the seed-41 script posed again on the
+/// ATC-FULL engine that just answered it publishes every query's retained
+/// top-k (Section 6.3's cached ranking-queue contents), with the same
+/// answers and not one tuple from the sources.
+#[test]
+fn a_warm_repose_reads_nothing() {
+    let workload = script();
+    let mut engine = Engine::for_workload(&workload, config(SharingMode::AtcFull, 5));
+    let pose = |engine: &mut Engine| {
+        let tickets = engine.submit_script(&workload).expect("admits");
+        engine.flush();
+        engine.run_until_idle();
+        tickets
+    };
+    let first = pose(&mut engine);
+    let consumed = engine.sources().tuples_consumed();
+    assert_eq!(consumed, 19_691);
+    let again = pose(&mut engine);
+    assert_eq!(engine.sources().tuples_consumed(), consumed);
+    assert_eq!(first.len(), again.len());
+    for (cold, warm) in first.iter().zip(&again) {
+        assert!(warm.report().expect("published").sealed, "{warm:?}");
+        let scores = |t: &qsys::QueryTicket| -> Vec<u64> {
+            let results = t.take_results().expect("results retained");
+            results.iter().map(|(s, _)| s.get().to_bits()).collect()
+        };
+        assert_eq!(scores(cold), scores(warm));
+    }
 }

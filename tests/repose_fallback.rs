@@ -1,10 +1,12 @@
 //! A re-posed user query skips the push-down search only when every one of
-//! its conjunctive queries is resident whole (`Optimizer::optimize`).
-//! Here a root stops being mergeable in the two ways the engine has: a
-//! fault schedule quarantined a stream leaf below it (the reuse oracle
-//! never advertises quarantined state), or a memory budget evicted it. A
-//! user query meeting either searches again, and every query that completes
-//! answers what the unbudgeted, fault-free re-pose answers.
+//! its conjunctive queries is resident whole (`Optimizer::optimize`), and
+//! publishes its retained top-k only while every root is resident and no
+//! quarantined stream feeds it (`qsys_exec::state`). Here a root stops
+//! being mergeable in the two ways the engine has: a fault schedule
+//! quarantined a stream leaf below it (the reuse oracle never advertises
+//! quarantined state), or a memory budget evicted it. A user query meeting
+//! either searches again and runs instead of publishing, and every query
+//! that completes answers what the unbudgeted, fault-free re-pose answers.
 
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
@@ -41,10 +43,12 @@ fn config() -> EngineConfig {
 }
 
 /// One pose of the script: the states each batch explored, and each
-/// query's outcome with an FNV-1a digest of its ascending score bits.
+/// query's outcome with an FNV-1a digest of its ascending score bits, and
+/// whether it published a retained answer.
 struct Pose {
     explored: Vec<usize>,
     answers: Vec<(QueryOutcome, u64)>,
+    sealed: Vec<bool>,
 }
 
 /// Pose `w`'s script twice on one engine, five queries a batch.
@@ -54,6 +58,7 @@ fn two_poses(w: &Workload, cfg: EngineConfig) -> [Pose; 2] {
         let mut pose = Pose {
             explored: Vec::new(),
             answers: Vec::new(),
+            sealed: Vec::new(),
         };
         for window in w.queries.chunks(5) {
             let tickets: Vec<QueryTicket> = window
@@ -71,7 +76,9 @@ fn two_poses(w: &Workload, cfg: EngineConfig) -> [Pose; 2] {
             pose.explored
                 .push(tickets[0].opt_stats().expect("batch ran").explored);
             for t in &tickets {
-                let outcome = t.report().expect("report published").outcome;
+                let report = t.report().expect("report published");
+                pose.sealed.push(report.sealed);
+                let outcome = report.outcome;
                 let mut bits: Vec<u64> = (t.take_results().unwrap_or_default().iter())
                     .map(|(s, _)| s.get().to_bits())
                     .collect();
@@ -88,12 +95,13 @@ fn two_poses(w: &Workload, cfg: EngineConfig) -> [Pose; 2] {
 }
 
 /// The reference: on the fault-free, unbudgeted engine every re-posed
-/// user query is resident whole and explores its one default state, five
-/// a batch.
+/// user query is resident whole, explores its one default state, five a
+/// batch, and publishes its retained answer.
 fn reference(w: &Workload) -> Pose {
     let [_, repose] = two_poses(w, config());
     assert_eq!(repose.explored, [5, 5]);
     assert!(repose.answers.iter().all(|(o, _)| o.is_complete()));
+    assert!(repose.sealed.iter().all(|&s| s));
     repose
 }
 
@@ -129,6 +137,9 @@ fn repose_over_a_quarantined_leaf_searches() {
         }
     }
     assert!(complete > 0, "every query degraded — vacuous comparison");
+    // Queries whose roots the outage never reached publish their
+    // retained answers; the rest run again.
+    assert!(got.sealed.iter().any(|&s| s) && !got.sealed.iter().all(|&s| s));
 }
 
 #[test]
@@ -141,5 +152,9 @@ fn repose_after_roots_were_evicted_searches() {
     };
     let [_, got] = two_poses(&w, cfg);
     assert!(searched(&got, &want), "{:?}", got.explored);
+    assert!(
+        !got.sealed.iter().any(|&s| s),
+        "the budget evicted every answer"
+    );
     assert_eq!(got.answers, want.answers);
 }

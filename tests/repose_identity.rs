@@ -45,6 +45,14 @@
 //! and pose 0 searches five smaller pools (Σexplored 44,418 → 64,298,
 //! 38,018 → 42,548 and 27,074 → 21,409; tuples 5,094 → 5,408, 7,027 →
 //! 5,425 and 5,389 → 5,256). No digest moved.
+//!
+//! Poses 1–3 were re-recorded once more when a completed user query's
+//! top-k began to be retained and an identical re-pose to publish it at
+//! graft (`qsys_exec::state`): every re-posed query of all three seeds is
+//! sealed, so each line was derived by rule — the sources deliver 0
+//! tuples, and each response is its batch's optimizer charge, explored
+//! states (5) × 15 µs = 75 µs. Explored states, memo hits, candidates,
+//! pose 0 and digests did not move.
 
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
@@ -120,7 +128,13 @@ fn four_poses(seed: u64) -> String {
             for t in &tickets {
                 assert_eq!(t.poll(), TicketStatus::Completed, "seed {seed}: {t:?}");
                 score_digest(&mut digest, &t.take_results().expect("results retained"));
-                responses.push(t.report().expect("report published").response_us);
+                let report = t.report().expect("report published");
+                assert_eq!(
+                    report.sealed,
+                    pose > 0,
+                    "seed {seed} pose {pose}: {report:?}"
+                );
+                responses.push(report.response_us);
             }
         }
         let tuples = engine.sources().tuples_consumed() - tuples_before;
@@ -143,19 +157,19 @@ fn four_poses_of_one_script_are_pinned() {
 
 const GOLDEN_41: &str = "\
 pose 0: 64298 48681 86 5408 [9377003, 1799642, 1133310, 1958064, 1816033, 410102, 1199847, 1134961, 410097, 2642897] 0xa3651b5cb6daf445\n\
-pose 1: 10 0 0 51 [91557, 55088, 59711, 53707, 50574, 54511, 70873, 69592, 54491, 91790] 0xa3651b5cb6daf445\n\
-pose 2: 10 0 0 52 [93738, 59343, 61897, 57942, 54870, 54385, 70772, 69494, 54410, 91689] 0xa3651b5cb6daf445\n\
-pose 3: 10 0 0 59 [101492, 67092, 69651, 65706, 62704, 60537, 76864, 75621, 60530, 97809] 0xa3651b5cb6daf445\n\
+pose 1: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xa3651b5cb6daf445\n\
+pose 2: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xa3651b5cb6daf445\n\
+pose 3: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xa3651b5cb6daf445\n\
 ";
 const GOLDEN_48: &str = "\
 pose 0: 42548 31724 103 5425 [4378308, 1585966, 3503224, 1858467, 1577832, 7333930, 4833728, 1038349, 2666915, 5939084] 0x62a426ff95e1577d\n\
-pose 1: 10 0 0 0 [21414, 12383, 16696, 8197, 12365, 43280, 28795, 36612, 14888, 46383] 0x62a426ff95e1577d\n\
-pose 2: 10 0 0 0 [21414, 12383, 16696, 8194, 12365, 43280, 28795, 36612, 14885, 46383] 0x62a426ff95e1577d\n\
-pose 3: 10 0 0 0 [21414, 12380, 16696, 8189, 12388, 43271, 28790, 36634, 14903, 46383] 0x62a426ff95e1577d\n\
+pose 1: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0x62a426ff95e1577d\n\
+pose 2: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0x62a426ff95e1577d\n\
+pose 3: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0x62a426ff95e1577d\n\
 ";
 const GOLDEN_55: &str = "\
 pose 0: 21409 15279 86 5256 [8062519, 6443134, 4391896, 4904014, 8769723, 238311, 238311, 2245485, 238311, 238311] 0xfb5f69d89341d354\n\
-pose 1: 10 0 0 0 [27680, 11729, 23113, 25283, 20639, 1020, 940, 15117, 931, 934] 0xfb5f69d89341d354\n\
-pose 2: 10 0 0 0 [27680, 11729, 23113, 25283, 20639, 1020, 940, 15117, 931, 934] 0xfb5f69d89341d354\n\
-pose 3: 10 0 0 0 [27680, 11729, 23113, 25283, 20639, 1020, 940, 15117, 931, 934] 0xfb5f69d89341d354\n\
+pose 1: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xfb5f69d89341d354\n\
+pose 2: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xfb5f69d89341d354\n\
+pose 3: 10 0 0 0 [75, 75, 75, 75, 75, 75, 75, 75, 75, 75] 0xfb5f69d89341d354\n\
 ";

@@ -59,15 +59,15 @@ fn refinement_reuses_prior_state() {
 fn identical_search_returns_identical_answers() {
     let mut sys = system(5);
     let (_, a) = search(&mut sys, "protein metabolism", UserId::new(0)).unwrap();
+    let reads = sys.sources().tuples_streamed();
     let (second, b) = search(&mut sys, "protein metabolism", UserId::new(1)).unwrap();
     assert_eq!(a.len(), b.len());
     for ((sa, _), (sb, _)) in a.iter().zip(b.iter()) {
         assert_eq!(sa, sb, "same query, same ranking");
     }
-    assert!(
-        second.reused_nodes > 0,
-        "second run reuses state: {second:?}"
-    );
+    // The whole answer is retained state: the second run publishes it.
+    assert!(second.sealed, "second run reuses state: {second:?}");
+    assert_eq!(sys.sources().tuples_streamed(), reads);
 }
 
 #[test]
