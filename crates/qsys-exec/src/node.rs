@@ -87,7 +87,12 @@ impl fmt::Debug for StreamBacking {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamBacking::Remote(s) => {
-                write!(f, "Remote({}/{} delivered)", s.delivered(), s.total())
+                write!(
+                    f,
+                    "Remote({} delivered, {} pending)",
+                    s.delivered(),
+                    s.pending()
+                )
             }
             StreamBacking::Replay { tuples, pos } => {
                 write!(f, "Replay({pos}/{} delivered)", tuples.len())

@@ -18,7 +18,7 @@
 //! The registry also implements **select-project-join push-down**
 //! ([`Sources::open_pushdown`]): the optimizer may decide to evaluate a
 //! subexpression "at the source" (Section 5.1); the result is exposed as
-//! just another score-ordered stream.
+//! just another score-ordered stream, joined only as deep as it is read.
 
 //! **Failure semantics** ([`fault`]): a deterministic, seeded
 //! [`FaultInjector`] can schedule transient errors, slow rounds, and hard

@@ -6,14 +6,25 @@
 //! select-project-join subexpression. The stream itself is passive — the
 //! [`Sources`](crate::registry::Sources) registry performs reads so that
 //! every tuple crossing the simulated network charges the clock.
+//!
+//! Either way the stream keeps one contract: tuples arrive in
+//! nonincreasing raw-score product, ties in a fixed order, and
+//! [`SourceStream::bound`] is the next tuple's product exactly, from the
+//! moment the stream opens (graft records it as the stream's all-time
+//! bound). A base scan walks its table's score-ordered rows.
+//!
+//! A push-down meets the same contract while joining at the source only
+//! as deep as it is read; the `pushdown` module docs give its delivery
+//! order and the rule that makes its bound exact.
 
+use crate::pushdown::LazyJoin;
 use crate::table::Table;
 use qsys_types::{RelId, Selection, Tuple};
 use std::sync::Arc;
 
 /// What backs a stream.
 #[derive(Debug)]
-pub(crate) enum StreamKind {
+enum StreamKind {
     /// A base relation scan (optionally filtered), delivered in score order.
     Base {
         /// The backing table.
@@ -22,12 +33,9 @@ pub(crate) enum StreamKind {
         /// pushed-down selection.
         positions: Vec<u32>,
     },
-    /// A pushed-down SPJ subexpression, pre-joined at the source and
+    /// A pushed-down SPJ subexpression, joined lazily at the source and
     /// delivered in nonincreasing order of combined (product) score.
-    Pushdown {
-        /// Joined results, sorted by product score, descending.
-        tuples: Vec<Tuple>,
-    },
+    Pushdown(Box<LazyJoin>),
 }
 
 /// A cursor over a score-ordered remote result stream.
@@ -54,19 +62,11 @@ impl SourceStream {
         }
     }
 
-    /// Build a pushdown stream from pre-joined, pre-sorted tuples.
-    pub fn pushdown(tuples: Vec<Tuple>, rels: Vec<RelId>) -> SourceStream {
-        // Stable sort, each raw-score product computed once.
-        let mut keyed: Vec<(f64, Tuple)> = tuples
-            .into_iter()
-            .map(|t| (t.raw_score_product(), t))
-            .collect();
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+    /// Wrap an opened push-down.
+    pub(crate) fn pushdown(join: LazyJoin) -> SourceStream {
         SourceStream {
-            kind: StreamKind::Pushdown {
-                tuples: keyed.into_iter().map(|(_, t)| t).collect(),
-            },
-            rels,
+            rels: join.rels(),
+            kind: StreamKind::Pushdown(Box::new(join)),
             selection: None,
             cursor: 0,
         }
@@ -87,17 +87,30 @@ impl SourceStream {
         self.cursor
     }
 
-    /// Total number of tuples this stream can deliver.
-    pub fn total(&self) -> usize {
+    /// Tuples the source holds ready to deliver: a base scan's remaining
+    /// rows, or a push-down's joined but undelivered results (it may join
+    /// more as it is read).
+    pub fn pending(&self) -> usize {
         match &self.kind {
-            StreamKind::Base { positions, .. } => positions.len(),
-            StreamKind::Pushdown { tuples } => tuples.len(),
+            StreamKind::Base { positions, .. } => positions.len() - self.cursor,
+            StreamKind::Pushdown(join) => join.pending(),
+        }
+    }
+
+    /// Push-down results joined at the source so far (0 for a base scan).
+    pub(crate) fn joined(&self) -> usize {
+        match &self.kind {
+            StreamKind::Base { .. } => 0,
+            StreamKind::Pushdown(join) => join.joined(),
         }
     }
 
     /// Whether all tuples have been delivered.
     pub fn exhausted(&self) -> bool {
-        self.cursor >= self.total()
+        match &self.kind {
+            StreamKind::Base { positions, .. } => self.cursor >= positions.len(),
+            StreamKind::Pushdown(join) => join.exhausted(),
+        }
     }
 
     /// Upper bound on the product of raw score components of any tuple not
@@ -109,10 +122,7 @@ impl SourceStream {
                 .get(self.cursor)
                 .map(|&p| table.rows()[p as usize].raw_score)
                 .unwrap_or(0.0),
-            StreamKind::Pushdown { tuples } => tuples
-                .get(self.cursor)
-                .map(|t| t.raw_score_product())
-                .unwrap_or(0.0),
+            StreamKind::Pushdown(join) => join.bound(),
         }
     }
 
@@ -120,11 +130,11 @@ impl SourceStream {
     /// [`Sources::try_read`](crate::registry::Sources::try_read) so time is
     /// charged.
     pub(crate) fn advance(&mut self) -> Option<Tuple> {
-        let out = match &self.kind {
+        let out = match &mut self.kind {
             StreamKind::Base { table, positions } => positions
                 .get(self.cursor)
                 .map(|&p| Tuple::single(Arc::clone(&table.rows()[p as usize]))),
-            StreamKind::Pushdown { tuples } => tuples.get(self.cursor).cloned(),
+            StreamKind::Pushdown(join) => join.next(),
         };
         if out.is_some() {
             self.cursor += 1;
@@ -156,7 +166,7 @@ mod tests {
     #[test]
     fn base_stream_delivers_in_score_order() {
         let mut s = SourceStream::base(table(), None);
-        assert_eq!(s.total(), 5);
+        assert_eq!(s.pending(), 5);
         let mut last = f64::INFINITY;
         while let Some(t) = s.advance() {
             let score = t.raw_score_product();
@@ -189,19 +199,39 @@ mod tests {
 
     #[test]
     fn pushdown_stream_sorts_by_product() {
-        let rel_a = RelId::new(1);
-        let rel_b = RelId::new(2);
-        let mk = |ida: u64, sa: f64, idb: u64, sb: f64| {
-            Tuple::from_parts(vec![
-                Arc::new(BaseTuple::new(rel_a, ida, vec![], sa)),
-                Arc::new(BaseTuple::new(rel_b, idb, vec![], sb)),
-            ])
+        let (rel_a, rel_b) = (RelId::new(1), RelId::new(2));
+        let mk = |rel, rows: [(i64, f64); 3]| {
+            let rows = rows
+                .iter()
+                .enumerate()
+                .map(|(id, &(key, score))| {
+                    Arc::new(BaseTuple::new(rel, id as u64, vec![Value::Int(key)], score))
+                })
+                .collect();
+            Arc::new(Table::new(rel, rows))
         };
-        let s = SourceStream::pushdown(
-            vec![mk(1, 0.5, 1, 0.5), mk(2, 0.9, 2, 0.9), mk(3, 0.1, 3, 1.0)],
-            vec![rel_a, rel_b],
-        );
-        assert!((s.bound() - 0.81).abs() < 1e-12);
+        let a = mk(rel_a, [(1, 0.5), (2, 0.9), (3, 0.1)]);
+        let b = mk(rel_b, [(1, 0.5), (2, 0.9), (3, 1.0)]);
+        let join = qsys_types::JoinCond {
+            left: rel_a,
+            left_col: 0,
+            right: rel_b,
+            right_col: 0,
+        };
+        let mut s = SourceStream::pushdown(LazyJoin::open(
+            &[(rel_a, None), (rel_b, None)],
+            &[join],
+            |rel| if rel == rel_a { a.clone() } else { b.clone() },
+        ));
         assert_eq!(s.rels(), &[rel_a, rel_b]);
+        let mut products = Vec::new();
+        while !s.exhausted() {
+            let bound = s.bound();
+            let t = s.advance().expect("not exhausted");
+            assert_eq!(t.raw_score_product(), bound);
+            products.push(bound);
+        }
+        assert_eq!(products, [0.9 * 0.9, 0.5 * 0.5, 0.1 * 1.0]);
+        assert_eq!((s.delivered(), s.pending(), s.bound()), (3, 0, 0.0));
     }
 }

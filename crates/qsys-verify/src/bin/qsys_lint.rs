@@ -30,9 +30,10 @@
 //!    the repro numbers must come from the virtual clock and seeded RNGs.
 //! 6. `hot-hash` — no default-hasher (SipHash) `HashMap`/`HashSet` in the
 //!    executor's per-tuple modules (`qsys-exec`'s `access`, `mjoin`,
-//!    `rank_merge`, `graph`): maps there are `qsys_types::FxHashMap` or
-//!    not maps at all. A map that is only touched per batch says so with
-//!    `lint:allow(hot-hash)`.
+//!    `rank_merge`, `graph`) or in the source's per-row ones
+//!    (`qsys-source`'s `table` indexes and `pushdown` joins): maps there
+//!    are `qsys_types::FxHashMap` or not maps at all. A map that is only
+//!    touched per batch says so with `lint:allow(hot-hash)`.
 //!
 //! Suppression: append `// lint:allow(<rule>): <why>` to the offending
 //! line, or put it on its own comment line immediately above (the
@@ -163,7 +164,8 @@ struct FileScope {
     bench: bool,
     /// Integration-test code: panics are the assertion vocabulary there.
     test_file: bool,
-    /// One of the executor's per-tuple modules (rule `hot-hash`).
+    /// One of the executor's per-tuple or the source's per-row modules
+    /// (rule `hot-hash`).
     hot_path: bool,
     /// This lint's own source (its rule list would flag itself).
     lint_self: bool,
@@ -184,9 +186,16 @@ fn scope_of(rel: &str) -> FileScope {
         engine_path,
         bench,
         test_file,
-        hot_path: ["access", "mjoin", "rank_merge", "graph"]
-            .iter()
-            .any(|m| rel == format!("crates/qsys-exec/src/{m}.rs")),
+        hot_path: [
+            "qsys-exec/src/access",
+            "qsys-exec/src/mjoin",
+            "qsys-exec/src/rank_merge",
+            "qsys-exec/src/graph",
+            "qsys-source/src/table",
+            "qsys-source/src/pushdown",
+        ]
+        .iter()
+        .any(|m| rel == format!("crates/{m}.rs")),
         lint_self: rel.ends_with("bin/qsys_lint.rs"),
     }
 }
@@ -428,5 +437,25 @@ mod tests {
         assert!(lint("crates/qsys-bench/src/lib.rs", allowed).is_empty());
         // The name inside a string literal is not a read.
         assert!(lint("src/engine.rs", "let s = \"std::env::var\";\n").is_empty());
+    }
+
+    #[test]
+    fn hot_hash_covers_the_per_tuple_and_per_row_modules() {
+        let map = "fn index() -> HashMap<Value, u32> {\n    HashMap::new()\n}\n";
+        for rel in [
+            "crates/qsys-exec/src/mjoin.rs",
+            "crates/qsys-source/src/table.rs",
+            "crates/qsys-source/src/pushdown.rs",
+        ] {
+            assert_eq!(lint(rel, map), [("hot-hash", 1), ("hot-hash", 2)], "{rel}");
+        }
+        // Elsewhere, under the Fx hasher, in tests, or allowed: no finding.
+        assert!(lint("crates/qsys-source/src/registry.rs", map).is_empty());
+        let fx = "fn index() -> FxHashMap<Value, u32> {\n    FxHashMap::default()\n}\n";
+        assert!(lint("crates/qsys-source/src/table.rs", fx).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{map}}}\n");
+        assert!(lint("crates/qsys-source/src/pushdown.rs", &in_test_mod).is_empty());
+        let allowed = "// lint:allow(hot-hash): one per open\nlet m: HashMap<u32, u32>;\n";
+        assert!(lint("crates/qsys-source/src/pushdown.rs", allowed).is_empty());
     }
 }

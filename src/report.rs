@@ -162,6 +162,9 @@ pub struct RunReport {
     pub tuples_consumed: u64,
     /// Stream tuples read.
     pub tuples_streamed: u64,
+    /// Push-down results the sources joined, delivered or not
+    /// ([`Sources::pushdown_joined`](qsys_source::Sources::pushdown_joined)).
+    pub pushdown_joined: u64,
     /// Retired alias of `tuples_streamed`, kept only because the
     /// benchmark (`perf/`) reads it: every streamed tuple is one network
     /// round.

@@ -722,6 +722,7 @@ impl Engine {
             report.breakdown.optimize_us += b.optimize_us;
             report.tuples_consumed += lane.sources.tuples_consumed();
             report.tuples_streamed += lane.sources.tuples_streamed();
+            report.pushdown_joined += lane.sources.pushdown_joined();
             report.stream_rounds += lane.sources.tuples_streamed();
             report.probes += lane.sources.probes();
             report.exec_work.absorb(lane.manager.graph().work());
