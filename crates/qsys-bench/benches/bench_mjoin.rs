@@ -10,9 +10,7 @@ use qsys::exec::rank_merge::{CqRegistration, RankMerge, StreamingInput};
 use qsys::exec::{QueryPlanGraph, RetryPolicy, SourceGovernor, StreamBacking, StreamRead};
 use qsys::query::ScoreFn;
 use qsys::source::{Sources, Table};
-use qsys::types::{
-    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
-};
+use qsys::types::{BaseTuple, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -40,7 +38,7 @@ fn input_over(rel: u32, module: ModuleId) -> MJoinInput {
 fn fanout(shared: bool, others: &[Vec<Tuple>]) -> (Vec<MJoin>, AccessModuleArena, ModuleId) {
     let mut modules = AccessModuleArena::new();
     let r0 = modules.alloc(AccessModule::Stored(StoredModule::new([])));
-    let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    let sources = Sources::new(SimClock::new(), 0);
     let governor = SourceGovernor::new(RetryPolicy::default());
     let joins = (1..=3u32)
         .zip(others)
@@ -69,7 +67,7 @@ fn fan_in_r0(
     r0: &[Tuple],
     mut sink: impl FnMut(usize, Vec<Tuple>),
 ) {
-    let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+    let sources = Sources::new(SimClock::new(), 0);
     let governor = SourceGovernor::new(RetryPolicy::default());
     for t in r0 {
         for (i, mj) in joins.iter_mut().enumerate() {
@@ -127,7 +125,7 @@ fn bench_mjoin(c: &mut Criterion) {
                 (mj, modules)
             },
             |(mut mj, modules)| {
-                let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let sources = Sources::new(SimClock::new(), 0);
                 let governor = SourceGovernor::new(RetryPolicy::default());
                 let mut out = 0usize;
                 for t in &t1 {
@@ -165,7 +163,7 @@ fn bench_mjoin(c: &mut Criterion) {
                     stored_input(2, &mut modules),
                 ];
                 let mut mj = MJoin::new(inputs, vec![pred(0, 0, 1, 0), pred(0, 1, 2, 0)], &modules);
-                let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let sources = Sources::new(SimClock::new(), 0);
                 let governor = SourceGovernor::new(RetryPolicy::default());
                 // R2 stays empty; warm up R1.
                 for t in &t1 {
@@ -174,7 +172,7 @@ fn bench_mjoin(c: &mut Criterion) {
                 (mj, modules)
             },
             |(mut mj, modules)| {
-                let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let sources = Sources::new(SimClock::new(), 0);
                 let governor = SourceGovernor::new(RetryPolicy::default());
                 let mut out = 0usize;
                 for t in &t0 {
@@ -200,7 +198,7 @@ fn bench_mjoin(c: &mut Criterion) {
     group.bench_function("rank_merge_sink_full_queue", |b| {
         b.iter_batched(
             || {
-                let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+                let sources = Sources::new(SimClock::new(), 0);
                 for rel in 0..2u32 {
                     let rows = tuples(rel, 400, 16)
                         .iter()

@@ -10,9 +10,7 @@ use qsys::exec::{
 };
 use qsys::query::ScoreFn;
 use qsys::source::{Sources, Table};
-use qsys::types::{
-    BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
-};
+use qsys::types::{BaseTuple, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -139,7 +137,7 @@ const ROUND_LEAVES_PER_UQ: u32 = 20;
 /// the key space on odd relations: the best rows of two joined relations
 /// never match each other, so a top-50 takes several hundred reads.
 fn round_sources() -> Sources {
-    let sources = Sources::new(SimClock::new(), CostProfile::default(), 31);
+    let sources = Sources::new(SimClock::new(), 31);
     for rel in 0..ROUND_UQS * ROUND_LEAVES_PER_UQ {
         let id = RelId::new(rel);
         let rows = (0..512u64)

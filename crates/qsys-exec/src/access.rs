@@ -99,6 +99,7 @@
 
 use crate::govern::SourceGovernor;
 use qsys_source::Sources;
+use qsys_types::clock::HASH_OP_US;
 use qsys_types::{Epoch, FxHashMap, RelId, SimClock, TimeCategory, Tuple, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -348,7 +349,7 @@ impl StoredModule {
         before: Option<Epoch>,
         clock: &SimClock,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
-        clock.charge(TimeCategory::Join, 2);
+        clock.charge(TimeCategory::Join, HASH_OP_US);
         let positions = self
             .indexes
             .iter()
@@ -437,7 +438,7 @@ impl RemoteModule {
         let cached = self.cache.iter().position(|(c, _)| *c == column);
         if let Some(hit) = cached.and_then(|i| self.cache[i].1.get(value)) {
             self.cache_hits += 1;
-            sources.clock().charge(TimeCategory::Join, 2);
+            sources.clock().charge(TimeCategory::Join, HASH_OP_US);
             return Arc::clone(hit);
         }
         let rows = match governor.probe(sources, self.rel, column, value) {
@@ -529,7 +530,7 @@ mod tests {
     use super::*;
     use crate::govern::RetryPolicy;
     use qsys_source::Table;
-    use qsys_types::{BaseTuple, CostProfile};
+    use qsys_types::BaseTuple;
 
     fn tup(rel: u32, id: u64, key: i64, score: f64) -> Tuple {
         Tuple::single(Arc::new(BaseTuple::new(
@@ -678,7 +679,7 @@ mod tests {
     #[test]
     fn remote_module_caches_probes() {
         let clock = SimClock::new();
-        let sources = Sources::new(clock.clone(), CostProfile::default(), 7);
+        let sources = Sources::new(clock.clone(), 7);
         let rel = RelId::new(3);
         let rows = (0..4)
             .map(|i| {
@@ -710,7 +711,7 @@ mod tests {
     #[test]
     fn remote_cache_is_keyed_per_column() {
         let clock = SimClock::new();
-        let sources = Sources::new(clock.clone(), CostProfile::default(), 7);
+        let sources = Sources::new(clock.clone(), 7);
         let rel = RelId::new(3);
         let rows = (0..4i64)
             .map(|i| {

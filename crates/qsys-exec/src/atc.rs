@@ -187,14 +187,12 @@ mod tests {
     use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
     use qsys_source::Table;
-    use qsys_types::{
-        BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value,
-    };
+    use qsys_types::{BaseTuple, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value};
     use std::sync::Arc;
 
     /// Two relations, 20 rows each, alternating join keys.
     fn sources() -> Sources {
-        let s = Sources::new(SimClock::new(), CostProfile::default(), 3);
+        let s = Sources::new(SimClock::new(), 3);
         for rel in 0..2u32 {
             let id = RelId::new(rel);
             let rows = (0..20)

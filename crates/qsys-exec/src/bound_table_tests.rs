@@ -15,9 +15,7 @@ use crate::{
 use proptest::prelude::*;
 use qsys_query::ScoreFn;
 use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
-use qsys_types::{
-    BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
-};
+use qsys_types::{BaseTuple, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
 use std::sync::Arc;
 
 const RELS: u32 = 4;
@@ -46,7 +44,7 @@ fn assert_caches_match_arena(graph: &QueryPlanGraph) {
 }
 
 fn sources(rows: u64, outage_at_us: u64) -> Sources {
-    let mut s = Sources::new(SimClock::new(), CostProfile::default(), 23);
+    let mut s = Sources::new(SimClock::new(), 23);
     for rel in 0..RELS {
         let id = RelId::new(rel);
         let t = (0..rows)
@@ -62,7 +60,7 @@ fn sources(rows: u64, outage_at_us: u64) -> Sources {
         s.register(Table::new(id, t));
     }
     let spec = FaultSpec::new(0).outage(FAULTED, outage_at_us, None);
-    s.set_injector(FaultInjector::new(spec, 0, None));
+    s.set_injector(FaultInjector::new(spec, 0));
     s
 }
 

@@ -7,15 +7,15 @@
 //! - **bounded retries** with exponential backoff and deterministic jitter,
 //!   charged to the virtual clock so backoff shows up in simulated response
 //!   times exactly like network delay does;
-//! - a **per-fetch timeout** ([`RetryPolicy::fetch_timeout_us`], handed to
-//!   the lane's fault injector when it is built, so only fault-inflated
-//!   slow rounds can trip it — an unfaulted relation can never exhaust a
-//!   retry budget);
-//! - a **per-source circuit breaker**: after
-//!   [`RetryPolicy::breaker_threshold`] consecutive failures the breaker
-//!   opens and fetches fail fast (no simulated round-trip) until a cooldown
-//!   elapses, then a single half-open probe decides between closing and
-//!   re-opening.
+//! - a **per-fetch timeout** (`qsys_source::fault`'s constant, applied by
+//!   the lane's fault injector, so only fault-inflated slow rounds can trip
+//!   it — an unfaulted relation can never exhaust a retry budget);
+//! - a **per-source circuit breaker**: after [`BREAKER_THRESHOLD`]
+//!   consecutive failures the breaker opens and fetches fail fast (no
+//!   simulated round-trip) until a cooldown elapses, then a single
+//!   half-open probe decides between closing and re-opening.
+//!
+//! The loop's values are this module's constants, not configuration.
 //!
 //! The governor also tracks which relations failed during the current
 //! execution batch, so completions can be classified as degraded (see
@@ -33,39 +33,25 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Tuning knobs for the fetch-resilience loop.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt of one fetch.
-    pub max_retries: u32,
-    /// Backoff before the first retry, virtual µs; doubles per retry.
-    pub backoff_base_us: u64,
-    /// Backoff ceiling, virtual µs.
-    pub backoff_cap_us: u64,
-    /// Deterministic jitter added to each backoff, as a fraction of it
-    /// (in [0, 1]; `EngineConfig::validate_all` rejects any other value).
-    pub jitter_frac: f64,
-    /// Per-fetch timeout (virtual µs) applied to fault-inflated rounds.
-    pub fetch_timeout_us: Option<u64>,
-    /// Consecutive failures that open a relation's circuit breaker.
-    pub breaker_threshold: u32,
-    /// Virtual µs an open breaker waits before its half-open probe.
-    pub breaker_cooldown_us: u64,
-}
+/// Retries after the first failed attempt of one fetch.
+const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry, virtual µs; doubles per retry.
+const BACKOFF_BASE_US: u64 = 1_000;
+/// Backoff ceiling, virtual µs.
+const BACKOFF_CAP_US: u64 = 32_000;
+/// Deterministic jitter added to each backoff, as a fraction of it.
+const JITTER_FRAC: f64 = 0.25;
+/// Consecutive failures that open a relation's circuit breaker.
+const BREAKER_THRESHOLD: u32 = 4;
+/// Virtual µs an open breaker waits before its half-open probe.
+const BREAKER_COOLDOWN_US: u64 = 500_000;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_us: 1_000,
-            backoff_cap_us: 32_000,
-            jitter_frac: 0.25,
-            fetch_timeout_us: Some(30_000),
-            breaker_threshold: 4,
-            breaker_cooldown_us: 500_000,
-        }
-    }
-}
+/// The retired settable retry policy, carried by `EngineConfig::retry` and
+/// accepted (and ignored) by [`SourceGovernor::new`]. Its only value is the
+/// default: the loop's values are this module's constants. It remains only
+/// because the benchmark names it; ROADMAP item 1(b) removes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RetryPolicy(());
 
 /// Cumulative fault/resilience counters (one lane's governor, or summed
 /// across lanes in a run report).
@@ -124,7 +110,6 @@ struct Breaker {
 /// lane drives it from one thread (`Send`, not `Sync`).
 #[derive(Debug)]
 pub struct SourceGovernor {
-    policy: RetryPolicy,
     breakers: RefCell<BTreeMap<RelId, Breaker>>,
     /// Relations that failed a fetch during the current batch — cleared by
     /// [`SourceGovernor::begin_batch`], consulted when classifying each
@@ -138,10 +123,11 @@ pub struct SourceGovernor {
 }
 
 impl SourceGovernor {
-    /// New governor with the given policy.
-    pub fn new(policy: RetryPolicy) -> SourceGovernor {
+    /// A new governor, every breaker closed. The policy is the retired
+    /// one-value shell, kept in the signature because the benchmark names
+    /// it.
+    pub fn new(_policy: RetryPolicy) -> SourceGovernor {
         SourceGovernor {
-            policy,
             breakers: RefCell::new(BTreeMap::new()),
             batch_failed: RefCell::new(BTreeSet::new()),
             retry_ordinal: Cell::new(0),
@@ -154,11 +140,6 @@ impl SourceGovernor {
         let mut stats = self.stats.get();
         *counter(&mut stats) += 1;
         self.stats.set(stats);
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Start a new execution batch: clears the batch-scoped failure set.
@@ -221,7 +202,7 @@ impl SourceGovernor {
                 Err(e) => {
                     self.count_error(&e);
                     self.record_failure(e.rel(), sources.clock().now_us());
-                    if tries >= self.policy.max_retries {
+                    if tries >= MAX_RETRIES {
                         self.count(|s| &mut s.exhausted_fetches);
                         return Err(e);
                     }
@@ -239,12 +220,10 @@ impl SourceGovernor {
     /// jitter window — reproducible for a given execution order, no host
     /// randomness.
     fn backoff_us(&self, rel: RelId, tries: u32) -> u64 {
-        let exp = self
-            .policy
-            .backoff_base_us
+        let exp = BACKOFF_BASE_US
             .saturating_mul(1u64 << (tries - 1).min(16))
-            .min(self.policy.backoff_cap_us);
-        let span = (exp as f64 * self.policy.jitter_frac) as u64;
+            .min(BACKOFF_CAP_US);
+        let span = (exp as f64 * JITTER_FRAC) as u64;
         if span == 0 {
             return exp;
         }
@@ -291,8 +270,8 @@ impl SourceGovernor {
         b.consecutive += 1;
         // A failure while open means the half-open probe failed; re-open.
         // Otherwise open once the consecutive count crosses the threshold.
-        if b.open_until.is_some() || b.consecutive >= self.policy.breaker_threshold {
-            b.open_until = Some(now_us.saturating_add(self.policy.breaker_cooldown_us));
+        if b.open_until.is_some() || b.consecutive >= BREAKER_THRESHOLD {
+            b.open_until = Some(now_us.saturating_add(BREAKER_COOLDOWN_US));
             self.count(|s| &mut s.breaker_trips);
         }
     }
@@ -341,10 +320,10 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use qsys_source::{FaultInjector, FaultSpec, Table};
-    use qsys_types::{CostProfile, SimClock};
+    use qsys_types::SimClock;
 
     fn sources_with(spec: Option<FaultSpec>, rows: u64) -> Sources {
-        let mut s = Sources::new(SimClock::new(), CostProfile::default(), 17);
+        let mut s = Sources::new(SimClock::new(), 17);
         for rel in 0..2u32 {
             let id = RelId::new(rel);
             let t = (0..rows)
@@ -360,7 +339,7 @@ mod tests {
             s.register(Table::new(id, t));
         }
         if let Some(spec) = spec {
-            s.set_injector(FaultInjector::new(spec, 0, None));
+            s.set_injector(FaultInjector::new(spec, 0));
         }
         s
     }
@@ -398,42 +377,32 @@ mod tests {
 
     #[test]
     fn outage_exhausts_retries_then_breaker_opens() {
-        // `u64::MAX`: a breaker that, once open, never closes.
-        for cooldown in [RetryPolicy::default().breaker_cooldown_us, u64::MAX] {
-            let s = sources_with(Some(FaultSpec::new(0).outage(0, 0, None)), 8);
-            let policy = RetryPolicy {
-                breaker_cooldown_us: cooldown,
-                ..RetryPolicy::default()
-            };
-            let g = SourceGovernor::new(policy);
-            let mut stream = s.open_stream(RelId::new(0), None);
-            // First fetch: 1 + max_retries attempts, all outage errors.
-            let e = g.read_stream(&s, &mut stream).unwrap_err();
-            assert_eq!(e, SourceError::Outage { rel: RelId::new(0) });
-            let snap = g.snapshot();
-            assert_eq!(snap.outage_errors as u32, 1 + policy.max_retries);
-            assert_eq!(snap.exhausted_fetches, 1);
-            assert_eq!(snap.breaker_trips, 1, "4 consecutive failures trip it");
-            // Next fetch fails fast without touching the network.
-            let before = s.clock().breakdown().stream_read_us;
-            let e = g.read_stream(&s, &mut stream).unwrap_err();
-            assert_eq!(e, SourceError::BreakerOpen { rel: RelId::new(0) });
-            assert_eq!(s.clock().breakdown().stream_read_us, before);
-            assert!(g.snapshot().breaker_fast_fails >= 1);
-            // The other relation is untouched.
-            let mut other = s.open_stream(RelId::new(1), None);
-            assert!(g.read_stream(&s, &mut other).unwrap().is_some());
-        }
+        let s = sources_with(Some(FaultSpec::new(0).outage(0, 0, None)), 8);
+        let g = SourceGovernor::new(RetryPolicy::default());
+        let mut stream = s.open_stream(RelId::new(0), None);
+        // First fetch: 1 + MAX_RETRIES attempts, all outage errors.
+        let e = g.read_stream(&s, &mut stream).unwrap_err();
+        assert_eq!(e, SourceError::Outage { rel: RelId::new(0) });
+        let snap = g.snapshot();
+        assert_eq!(snap.outage_errors as u32, 1 + MAX_RETRIES);
+        assert_eq!(snap.exhausted_fetches, 1);
+        assert_eq!(snap.breaker_trips, 1, "4 consecutive failures trip it");
+        // Next fetch fails fast without touching the network.
+        let before = s.clock().breakdown().stream_read_us;
+        let e = g.read_stream(&s, &mut stream).unwrap_err();
+        assert_eq!(e, SourceError::BreakerOpen { rel: RelId::new(0) });
+        assert_eq!(s.clock().breakdown().stream_read_us, before);
+        assert!(g.snapshot().breaker_fast_fails >= 1);
+        // The other relation is untouched.
+        let mut other = s.open_stream(RelId::new(1), None);
+        assert!(g.read_stream(&s, &mut other).unwrap().is_some());
     }
 
     #[test]
     fn breaker_half_open_probe_recovers_after_the_window() {
         // Outage for the first 1s of virtual time only.
         let s = sources_with(Some(FaultSpec::new(0).outage(0, 0, Some(1_000_000))), 8);
-        let g = SourceGovernor::new(RetryPolicy {
-            breaker_cooldown_us: 200_000,
-            ..RetryPolicy::default()
-        });
+        let g = SourceGovernor::new(RetryPolicy::default());
         let mut stream = s.open_stream(RelId::new(0), None);
         let mut failures = 0;
         let mut delivered = 0;
@@ -485,10 +454,8 @@ mod tests {
         };
         let xs = seq(&a);
         assert_eq!(xs, seq(&b));
-        let cap = RetryPolicy::default().backoff_cap_us;
-        let frac = RetryPolicy::default().jitter_frac;
         for x in xs {
-            assert!(x as f64 <= cap as f64 * (1.0 + frac));
+            assert!(x as f64 <= BACKOFF_CAP_US as f64 * (1.0 + JITTER_FRAC));
         }
     }
 

@@ -15,6 +15,7 @@ use crate::rank_merge::{Accepted, RankMerge};
 use crate::stats::ExecWork;
 use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
+use qsys_types::clock::{HASH_OP_US, ROUTE_US};
 use qsys_types::{Epoch, TimeCategory, Tuple};
 use std::cell::Ref;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -462,7 +463,7 @@ impl QueryPlanGraph {
                 if t.is_some() {
                     *pos += 1;
                     // In-memory replay: cheap, no network.
-                    sources.clock().charge(TimeCategory::Join, 2);
+                    sources.clock().charge(TimeCategory::Join, HASH_OP_US);
                 }
                 Ok(t)
             }
@@ -520,7 +521,6 @@ impl QueryPlanGraph {
         governor: &SourceGovernor,
     ) {
         let epoch = self.epoch;
-        let route_us = sources.cost_profile().route_us;
         let mut queue = mem::take(&mut self.route_queue);
         let mut outputs = mem::take(&mut self.route_out);
         let mut cuts = mem::take(&mut self.route_cuts);
@@ -541,11 +541,11 @@ impl QueryPlanGraph {
                     let from = self.nodes[from.index()].as_ref();
                     // lint:allow(panic-path): queued by this node's own routing step earlier in the pass
                     let hops = n * from.expect("live node").children.len() as u64;
-                    sources.clock().charge(TimeCategory::Join, hops * route_us);
+                    sources.clock().charge(TimeCategory::Join, hops * ROUTE_US);
                     continue;
                 }
             };
-            sources.clock().charge(TimeCategory::Join, route_us);
+            sources.clock().charge(TimeCategory::Join, ROUTE_US);
             // Split borrow: the node is mutated while an m-join's sink
             // reads the rank-merges around it.
             let (before, rest) = self.nodes.split_at_mut(nid.index());
@@ -850,14 +850,12 @@ mod tests {
     use crate::rank_merge::{CqRegistration, StreamingInput};
     use qsys_query::{ScoreFn, SigInterner};
     use qsys_source::Table;
-    use qsys_types::{
-        BaseTuple, CostProfile, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value,
-    };
+    use qsys_types::{BaseTuple, CqId, JoinCond, RelId, SimClock, UqId, UserId, Value};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn sources_with_tables() -> Sources {
-        let s = Sources::new(SimClock::new(), CostProfile::default(), 11);
+        let s = Sources::new(SimClock::new(), 11);
         for rel in 0..2u32 {
             let id = RelId::new(rel);
             let rows = (0..5)
@@ -1066,7 +1064,7 @@ mod tests {
     /// Three relations of 12 rows, scores falling with the row id, join
     /// keys alternating — a row matches six rows of any other relation.
     fn fan_sources() -> Sources {
-        let s = Sources::new(SimClock::new(), CostProfile::default(), 11);
+        let s = Sources::new(SimClock::new(), 11);
         for rel in 0..3u32 {
             let id = RelId::new(rel);
             let rows = (0..12)
@@ -1385,7 +1383,7 @@ mod tests {
 
     /// Four relations of 12 rows with two join columns (`i % 2`, `i % 3`).
     fn two_column_sources() -> Sources {
-        let s = Sources::new(SimClock::new(), CostProfile::default(), 11);
+        let s = Sources::new(SimClock::new(), 11);
         for rel in 0..4u32 {
             let id = RelId::new(rel);
             let rows = (0..12)

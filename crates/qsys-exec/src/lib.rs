@@ -48,6 +48,9 @@
 //! lane fetches through a [`SourceGovernor`] (`govern`): bounded retries
 //! with exponential backoff and deterministic jitter, a per-fetch timeout,
 //! and a per-relation circuit breaker — all charged to the virtual clock.
+//! Their values are constants of `govern` (the timeout one of
+//! `qsys_source::fault`), not configuration; [`RetryPolicy`] is a
+//! one-value shell kept only because the benchmark names it.
 //! A fetch that gives up quarantines only its stream leaf: the leaf's
 //! bound collapses to zero, so the rank-merge threshold machinery drains
 //! the surviving streams and completes the affected user queries with

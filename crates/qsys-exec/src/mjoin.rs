@@ -113,6 +113,7 @@ use crate::govern::SourceGovernor;
 use crate::stats::ExecWork;
 use qsys_query::ScoreFn;
 use qsys_source::Sources;
+use qsys_types::clock::HASH_OP_US;
 use qsys_types::{Epoch, JoinCond, RelId, Selection, TimeCategory, Tuple};
 use std::mem;
 
@@ -443,7 +444,9 @@ impl MJoin {
                 if let AccessModule::Stored(s) = &mut *module.borrow_mut() {
                     let state = &mut self.state[input_idx];
                     let cost = state.own_keys.max(1) as u64;
-                    cx.sources.clock().charge(TimeCategory::Join, 2 * cost);
+                    cx.sources
+                        .clock()
+                        .charge(TimeCategory::Join, HASH_OP_US * cost);
                     work.module_arrivals += 1;
                     work.module_pushes += u64::from(s.arrive(&mut state.cursor, &tuple, epoch));
                 }
@@ -625,7 +628,7 @@ mod tests {
     use crate::govern::RetryPolicy;
     use proptest::prelude::*;
     use qsys_source::Table;
-    use qsys_types::{BaseTuple, CostProfile, SimClock, UserId, Value};
+    use qsys_types::{BaseTuple, SimClock, UserId, Value};
     use std::sync::Arc;
 
     fn tup(rel: u32, id: u64, keys: &[i64], score: f64) -> Tuple {
@@ -665,7 +668,7 @@ mod tests {
     }
 
     fn sources() -> Sources {
-        Sources::new(SimClock::new(), CostProfile::default(), 5)
+        Sources::new(SimClock::new(), 5)
     }
 
     /// Symmetric pipelined join: results appear exactly once, whichever
@@ -953,7 +956,7 @@ mod tests {
             let part = |i: usize, row: usize| {
                 Arc::new(BaseTuple::new(rel(i), row as u64, vec![], raws[4 * i + row]))
             };
-            let partial = Tuple::from_parts((0..6).filter(|&i| sides[i] == 0).map(|i| part(i, 0)).collect());
+            let partial = Tuple::from_parts((0..6).filter(|&i| sides[i] == 0).map(|i| part(i, 0)).collect::<Vec<_>>());
             let mut modules = AccessModuleArena::new();
             let mut inputs = Vec::new();
             let mut stored: Vec<Vec<Tuple>> = Vec::new();
@@ -963,7 +966,7 @@ mod tests {
                     continue;
                 }
                 let tuples: Vec<Tuple> = (1..=per_module[side as usize - 1])
-                    .map(|row| Tuple::from_parts(rels.iter().map(|&i| part(i, row)).collect()))
+                    .map(|row| Tuple::from_parts(rels.iter().map(|&i| part(i, row))))
                     .collect();
                 let mut module = StoredModule::new([]);
                 for t in &tuples {

@@ -16,8 +16,7 @@ use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
 use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
 use qsys_types::{
-    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, Selection, SimClock, Tuple, UqId, UserId,
-    Value,
+    BaseTuple, CqId, Epoch, JoinCond, RelId, Selection, SimClock, Tuple, UqId, UserId, Value,
 };
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ fn catalog() -> Catalog {
 }
 
 fn sources() -> Sources {
-    let s = Sources::new(SimClock::new(), CostProfile::default(), 77);
+    let s = Sources::new(SimClock::new(), 77);
     for rel in 0..3u32 {
         let id = RelId::new(rel);
         let rows = (0..N_ROWS)
@@ -746,11 +745,7 @@ fn short_and_empty_answers_are_retained() {
 fn a_degraded_completion_is_never_retained() {
     let cat = catalog();
     let mut src = sources();
-    src.set_injector(FaultInjector::new(
-        FaultSpec::new(7).outage(1, 0, None),
-        0,
-        None,
-    ));
+    src.set_injector(FaultInjector::new(FaultSpec::new(7).outage(1, 0, None), 0));
     let mut manager = QsManager::new(usize::MAX);
     let k = 10;
     let (f1, f2) = (

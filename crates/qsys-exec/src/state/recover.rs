@@ -175,8 +175,7 @@ fn reconstruct_mjoin_history(
     let inputs = capped_inputs(mj, replay_idx, before);
     let mut temp = MJoin::new(inputs, mj.preds().to_vec(), modules);
     // Free in-memory recomputation: scratch clock, sources and governor.
-    let scratch_sources =
-        qsys_source::Sources::new(SimClock::new(), qsys_types::CostProfile::default(), 0);
+    let scratch_sources = qsys_source::Sources::new(SimClock::new(), 0);
     let scratch_governor = SourceGovernor::new(RetryPolicy::default());
     let cx = JoinCx {
         sources: &scratch_sources,

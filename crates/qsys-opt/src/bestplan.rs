@@ -797,7 +797,7 @@ mod tests {
     use proptest::prelude::*;
     use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin, SubExprSig};
-    use qsys_types::{CostProfile, CqId, JoinCond, RelId, SourceId, UqId, UserId};
+    use qsys_types::{CqId, JoinCond, RelId, SourceId, UqId, UserId};
 
     /// The recursion the mask-keyed, edit-in-place search replaced, kept as
     /// the reference it is checked against: every state allocates its sorted
@@ -1103,7 +1103,7 @@ mod tests {
         ) {
             let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
             let cat = shaped_catalog(star, scoreless);
-            let model = CostModel::new(&cat, CostProfile::default(), 50);
+            let model = CostModel::new(&cat, 50);
             let mut interner = SigInterner::new();
             let query_pieces: Vec<(u32, u32)> = query_pieces
                 .into_iter()
@@ -1170,7 +1170,7 @@ mod tests {
     ) {
         let (star, scoreless, residency) = (shape.0 == 1, shape.1, shape.2);
         let cat = shaped_catalog(star, scoreless);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let query_pieces: Vec<(u32, u32)> = query_pieces
             .into_iter()
@@ -1278,7 +1278,7 @@ mod tests {
     #[test]
     fn depth_table_is_depth_fraction() {
         let cat = catalog(5);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let queries = [
             path_cq(0, &cat, 0, 5),
@@ -1397,7 +1397,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_default_plan() {
         let cat = catalog(3);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
@@ -1435,7 +1435,7 @@ mod tests {
             b.edge(w[0], 1, w[1], 0, EdgeKind::ForeignKey, 1.0, 1.0);
         }
         let cat = b.build();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q1 = path_cq(0, &cat, 0, 3);
         let q2 = path_cq(1, &cat, 0, 4);
@@ -1456,7 +1456,7 @@ mod tests {
     #[test]
     fn exploding_pushdown_is_rejected() {
         let cat = catalog(3);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
@@ -1473,7 +1473,7 @@ mod tests {
     #[test]
     fn overlapping_candidates_never_double_cover() {
         let cat = catalog(4);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 4);
         let table = CqTable::from_queries([&q]);
@@ -1490,7 +1490,7 @@ mod tests {
     #[test]
     fn memoization_collapses_orderings() {
         let cat = catalog(6);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 6);
         let table = CqTable::from_queries([&q]);
@@ -1506,7 +1506,7 @@ mod tests {
     #[test]
     fn explored_grows_with_candidates() {
         let cat = catalog(8);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 8);
         let table = CqTable::from_queries([&q]);
@@ -1534,7 +1534,7 @@ mod tests {
             }
         }
         let cat = catalog(3);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
@@ -1554,7 +1554,7 @@ mod tests {
     #[test]
     fn memo_and_plan_arena_stay_index_sized() {
         let cat = catalog(8);
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 8);
         let table = CqTable::from_queries([&q]);

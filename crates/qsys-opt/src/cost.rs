@@ -10,7 +10,8 @@
 
 use qsys_catalog::Catalog;
 use qsys_query::{SigId, SubExprSig};
-use qsys_types::{CostProfile, RelId, Selection};
+use qsys_types::clock::{MEAN_NETWORK_DELAY_US, PROBE_US, STREAM_TUPLE_US};
+use qsys_types::{RelId, Selection};
 
 /// Answers "how much of this subexpression has already been read?" —
 /// implemented by the QS manager over the live plan graph. The optimizer
@@ -42,19 +43,14 @@ impl ReuseOracle for NoReuse {
 /// Cardinality and cost estimation against catalog statistics.
 pub(crate) struct CostModel<'a> {
     catalog: &'a Catalog,
-    profile: CostProfile,
     /// Results requested per user query.
     k: usize,
 }
 
 impl<'a> CostModel<'a> {
     /// Build a model.
-    pub(crate) fn new(catalog: &'a Catalog, profile: CostProfile, k: usize) -> CostModel<'a> {
-        CostModel {
-            catalog,
-            profile,
-            k,
-        }
+    pub(crate) fn new(catalog: &'a Catalog, k: usize) -> CostModel<'a> {
+        CostModel { catalog, k }
     }
 
     /// The catalog in use.
@@ -115,14 +111,16 @@ impl<'a> CostModel<'a> {
         (need - already as f64).max(0.0)
     }
 
-    /// Per-tuple streaming cost in µs (base + mean network delay).
+    /// Per-tuple streaming cost in µs (base + mean network delay): what
+    /// `Sources::try_read` charges a read on average.
     pub(crate) fn stream_unit_us(&self) -> f64 {
-        (self.profile.stream_tuple_us + self.profile.mean_network_delay_us) as f64
+        (STREAM_TUPLE_US + MEAN_NETWORK_DELAY_US) as f64
     }
 
-    /// Per-probe cost in µs (base + mean network delay).
+    /// Per-probe cost in µs (base + mean network delay): what
+    /// `Sources::try_probe` charges a probe on average.
     pub(crate) fn probe_unit_us(&self) -> f64 {
-        (self.profile.probe_us + self.profile.mean_network_delay_us) as f64
+        (PROBE_US + MEAN_NETWORK_DELAY_US) as f64
     }
 
     /// Penalty for asking the remote source to compute a pushed-down join
@@ -169,7 +167,7 @@ mod tests {
     #[test]
     fn base_cardinality_with_selection() {
         let c = catalog();
-        let model = CostModel::new(&c, CostProfile::default(), 50);
+        let model = CostModel::new(&c, 50);
         let rel = c.relation_by_name("A").unwrap().id;
         let plain = SubExprSig::relation(rel, None);
         assert!((model.cardinality(&plain) - 1000.0).abs() < 1e-9);
@@ -180,7 +178,7 @@ mod tests {
     #[test]
     fn join_cardinality_uses_distinct_counts() {
         let c = catalog();
-        let model = CostModel::new(&c, CostProfile::default(), 50);
+        let model = CostModel::new(&c, 50);
         let a = c.relation_by_name("A").unwrap().id;
         let bb = c.relation_by_name("B").unwrap().id;
         let sig = SubExprSig {
@@ -199,7 +197,7 @@ mod tests {
     #[test]
     fn depth_fraction_shrinks_with_abundance() {
         let c = catalog();
-        let model = CostModel::new(&c, CostProfile::default(), 50);
+        let model = CostModel::new(&c, 50);
         assert_eq!(model.depth_fraction(10.0, 2), 1.0); // fewer results than k
         let f = model.depth_fraction(5000.0, 2);
         assert!((f - (50.0f64 / 5000.0).sqrt()).abs() < 1e-12);
@@ -209,7 +207,7 @@ mod tests {
     #[test]
     fn reuse_discounts_reads() {
         let c = catalog();
-        let model = CostModel::new(&c, CostProfile::default(), 50);
+        let model = CostModel::new(&c, 50);
         let rel = c.relation_by_name("A").unwrap().id;
         let sig = SubExprSig::relation(rel, None);
         let card = model.cardinality(&sig);
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn pushdown_penalty_only_for_joins() {
         let c = catalog();
-        let model = CostModel::new(&c, CostProfile::default(), 50);
+        let model = CostModel::new(&c, 50);
         let a = c.relation_by_name("A").unwrap().id;
         let bb = c.relation_by_name("B").unwrap().id;
         let single = model.cardinality(&SubExprSig::relation(a, None));

@@ -241,7 +241,7 @@ mod tests {
     use super::*;
     use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin};
-    use qsys_types::{CostProfile, CqId, JoinCond, SourceId, UqId, UserId};
+    use qsys_types::{CqId, JoinCond, SourceId, UqId, UserId};
 
     /// Chain A - B - C - D; C is scoreless and large (probe-only), D is
     /// scoreless but tiny (streamable).
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn scoreless_large_relation_is_not_streamable() {
         let cat = catalog();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let c = cat.relation_by_name("C").unwrap().id;
         let d = cat.relation_by_name("D").unwrap().id;
         let a = cat.relation_by_name("A").unwrap().id;
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn shared_subexpression_survives_pruning() {
         let cat = catalog();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let q1 = cq(0, &cat, &["A", "B"]);
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn probe_only_relations_never_appear_in_candidates() {
         let cat = catalog();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let config = HeuristicConfig::default();
         let mut interner = SigInterner::new();
         let c_rel = cat.relation_by_name("C").unwrap().id;
@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn unshared_expensive_subexpression_is_pruned() {
         let cat = catalog();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let config = HeuristicConfig {
             min_sharing: 2,
             low_cardinality: 1.0,
@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn candidate_cap_applies_to_multirel_only() {
         let cat = catalog();
-        let model = CostModel::new(&cat, CostProfile::default(), 50);
+        let model = CostModel::new(&cat, 50);
         let config = HeuristicConfig {
             max_candidates: 0,
             ..HeuristicConfig::default()

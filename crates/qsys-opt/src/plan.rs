@@ -26,6 +26,7 @@ use crate::heuristics::{enumerate_candidates, is_streamable, HeuristicConfig};
 use crate::retired::WarmCell;
 use qsys_catalog::Catalog;
 use qsys_query::{ConjunctiveQuery, CqTable, ScoreFn, SigCell, SigId, SigInterner};
+use qsys_types::clock::OPT_STEP_US;
 use qsys_types::{
     CostProfile, CqId, JoinCond, RelId, Selection, SimClock, TimeCategory, UqId, UserId,
 };
@@ -116,14 +117,20 @@ pub struct OptimizerConfig {
     pub k: usize,
     /// Pruning heuristics.
     pub heuristics: HeuristicConfig,
-    /// Cost constants (must match the execution profile).
+    /// Retired: the optimizer prices reads with `qsys_types::clock`'s
+    /// constants, the ones the sources charge. Kept only because the
+    /// benchmark names it.
     pub cost_profile: CostProfile,
     /// Whether to share subexpressions across the batch (BATCH-OPT /
     /// ATC-UQ / ATC-FULL). When `false` (ATC-CQ), every conjunctive query
     /// is planned in isolation and nothing is merged.
     pub share_subexpressions: bool,
-    /// Simulated µs charged per BestPlan search state (drives Figure 11).
-    pub opt_step_us: u64,
+    /// Retired: a one-value field that keeps the benchmark's
+    /// `..OptimizerConfig::default()` from naming every field (which
+    /// clippy's `needless_update` refuses) now that the optimizer step is
+    /// `qsys_types::clock::OPT_STEP_US`. ROADMAP item 1(b) removes it with
+    /// `cost_profile`.
+    pub retired: (),
 }
 
 impl Default for OptimizerConfig {
@@ -133,7 +140,7 @@ impl Default for OptimizerConfig {
             heuristics: HeuristicConfig::default(),
             cost_profile: CostProfile::default(),
             share_subexpressions: true,
-            opt_step_us: 15,
+            retired: (),
         }
     }
 }
@@ -186,7 +193,7 @@ impl<'a> Optimizer<'a> {
         clock: Option<&SimClock>,
         interner: &SigCell,
     ) -> (PlanSpec, OptStats) {
-        let model = CostModel::new(self.catalog, self.config.cost_profile, self.config.k);
+        let model = CostModel::new(self.catalog, self.config.k);
         let mut guard = interner.borrow_mut();
         // Whole-query signatures, in batch order, interned before any
         // subexpression (the goldens compare spec dumps, ids included).
@@ -215,10 +222,7 @@ impl<'a> Optimizer<'a> {
             stats.best_cost += s.best_cost;
         }
         if let Some(clock) = clock {
-            clock.charge(
-                TimeCategory::Optimize,
-                stats.explored as u64 * self.config.opt_step_us,
-            );
+            clock.charge(TimeCategory::Optimize, stats.explored as u64 * OPT_STEP_US);
         }
         let spec = self.factorize(batch, &assignment, &model, &mut guard);
         (spec, stats)

@@ -246,8 +246,7 @@ mod tests {
         Tuple::from_parts(
             parts
                 .iter()
-                .map(|&(r, s)| Arc::new(BaseTuple::new(RelId::new(r), r as u64, vec![], s)))
-                .collect(),
+                .map(|&(r, s)| Arc::new(BaseTuple::new(RelId::new(r), r as u64, vec![], s))),
         )
     }
 

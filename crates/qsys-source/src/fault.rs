@@ -10,9 +10,9 @@
 //!   to the clock and the tuple stays at the source, so a retry can fetch
 //!   it.
 //! - **slow rounds** ([`FaultSpec::slow`]): the round's Poisson delay is
-//!   multiplied; if the injector carries a per-fetch timeout and the
-//!   inflated delay exceeds it, the fetch fails with
-//!   [`SourceError::Timeout`] after charging exactly the timeout.
+//!   multiplied; if the inflated delay exceeds `FETCH_TIMEOUT_US`, the
+//!   fetch fails with [`SourceError::Timeout`] after charging exactly the
+//!   timeout.
 //! - **hard outages** ([`FaultSpec::outage`], virtual µs, open end = the
 //!   rest of the run): every fetch in the window fails with
 //!   [`SourceError::Outage`].
@@ -41,6 +41,11 @@ use rand::Rng;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Per-fetch timeout, virtual µs (15× the mean network delay). Only a
+/// slow round can exceed it, so an unfaulted relation never exhausts a
+/// retry budget.
+pub(crate) const FETCH_TIMEOUT_US: u64 = 30_000;
 
 /// A failed source fetch. Carries the relation so upper layers can
 /// quarantine exactly the queries reading it.
@@ -279,20 +284,15 @@ pub(crate) enum Verdict {
 pub struct FaultInjector {
     spec: FaultSpec,
     rng: RefCell<StdRng>,
-    /// Per-fetch timeout (virtual µs). Only a slow round can exceed it, so
-    /// an unfaulted relation never exhausts a retry budget.
-    pub(crate) fetch_timeout_us: Option<u64>,
 }
 
 impl FaultInjector {
-    /// Build an injector for one lane, timing out slow rounds whose
-    /// inflated delay exceeds `fetch_timeout_us`.
-    pub fn new(spec: FaultSpec, lane_idx: usize, fetch_timeout_us: Option<u64>) -> FaultInjector {
+    /// Build an injector for one lane.
+    pub fn new(spec: FaultSpec, lane_idx: usize) -> FaultInjector {
         let seed = spec.seed ^ (lane_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         FaultInjector {
             spec,
             rng: RefCell::new(seeded_rng(seed)),
-            fetch_timeout_us,
         }
     }
 
@@ -342,7 +342,6 @@ impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FaultInjector")
             .field("spec", &self.spec)
-            .field("fetch_timeout_us", &self.fetch_timeout_us)
             .finish_non_exhaustive()
     }
 }
@@ -418,7 +417,7 @@ mod tests {
     fn verdicts_are_deterministic_and_skip_clear_rels() {
         let spec = FaultSpec::new(3).rel_transient(1, 0.5);
         let run = || {
-            let inj = FaultInjector::new(spec.clone(), 0, None);
+            let inj = FaultInjector::new(spec.clone(), 0);
             (0..64)
                 .map(|i| inj.verdict(&[RelId::new(1)], i) == Verdict::Clear)
                 .collect::<Vec<_>>()
@@ -429,7 +428,7 @@ mod tests {
 
         // A clear relation consumes no RNG: interleaving its verdicts must
         // not change the faulted relation's sequence.
-        let inj = FaultInjector::new(spec.clone(), 0, None);
+        let inj = FaultInjector::new(spec.clone(), 0);
         let mut b = Vec::new();
         for i in 0..64 {
             assert_eq!(inj.verdict(&[RelId::new(2)], i), Verdict::Clear);
@@ -444,6 +443,6 @@ mod tests {
     #[should_panic(expected = "injected fault: panic on fetch")]
     fn panic_hook_fires() {
         let spec = FaultSpec::new(0).panic_on(4);
-        FaultInjector::new(spec, 0, None).verdict(&[RelId::new(4)], 0);
+        FaultInjector::new(spec, 0).verdict(&[RelId::new(4)], 0);
     }
 }

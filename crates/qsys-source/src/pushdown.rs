@@ -289,8 +289,7 @@ impl LazyJoin {
         let tuple = Tuple::from_parts(
             self.by_rel
                 .iter()
-                .map(|&i| Arc::clone(&self.atoms[i].table.rows()[rows[i] as usize]))
-                .collect(),
+                .map(|&i| Arc::clone(&self.atoms[i].table.rows()[rows[i] as usize])),
         );
         self.settle();
         Some(tuple)

@@ -6,10 +6,11 @@
 //! (mean 2 ms, Section 7 of the paper) and maintains the work counters that
 //! Figure 10 reports ("total number of input tuples consumed").
 
-use crate::fault::{FaultInjector, SourceError, Verdict};
+use crate::fault::{FaultInjector, SourceError, Verdict, FETCH_TIMEOUT_US};
 use crate::pushdown::LazyJoin;
 use crate::stream::SourceStream;
 use crate::table::Table;
+use qsys_types::clock::{MEAN_NETWORK_DELAY_US, PROBE_US, STREAM_TUPLE_US};
 use qsys_types::dist::{seeded_rng, Poisson};
 use qsys_types::hash::FxHashMap;
 use qsys_types::{
@@ -32,7 +33,6 @@ pub type TableProvider = Box<dyn Fn(RelId) -> Arc<Table> + Send>;
 /// (`Sources` is `Send`, not `Sync`).
 pub struct Sources {
     clock: SimClock,
-    cost: CostProfile,
     delay: Poisson,
     rng: RefCell<StdRng>,
     tables: RefCell<FxHashMap<RelId, Arc<Table>>>,
@@ -48,11 +48,10 @@ pub struct Sources {
 
 impl Sources {
     /// Build a registry with explicit tables only.
-    pub fn new(clock: SimClock, cost: CostProfile, seed: u64) -> Sources {
+    pub fn new(clock: SimClock, seed: u64) -> Sources {
         Sources {
             clock,
-            delay: Poisson::new(cost.mean_network_delay_us as f64),
-            cost,
+            delay: Poisson::new(MEAN_NETWORK_DELAY_US as f64),
             rng: RefCell::new(seeded_rng(seed)),
             tables: RefCell::new(FxHashMap::default()),
             provider: None,
@@ -78,13 +77,15 @@ impl Sources {
     }
 
     /// Build a registry that materializes tables lazily via `provider`.
+    /// The cost profile is the retired one-value shell, kept in the
+    /// signature because the benchmark names it.
     pub fn with_provider(
         clock: SimClock,
-        cost: CostProfile,
+        _cost: CostProfile,
         seed: u64,
         provider: TableProvider,
     ) -> Sources {
-        let mut s = Sources::new(clock, cost, seed);
+        let mut s = Sources::new(clock, seed);
         s.provider = Some(provider);
         s
     }
@@ -173,7 +174,7 @@ impl Sources {
         }
         let delay = self.open_round(stream.rels(), TimeCategory::StreamRead)?;
         self.clock
-            .charge(TimeCategory::StreamRead, self.cost.stream_tuple_us + delay);
+            .charge(TimeCategory::StreamRead, STREAM_TUPLE_US + delay);
         self.tuples_streamed.set(self.tuples_streamed.get() + 1);
         let joined = stream.joined();
         let tuple = stream.advance();
@@ -193,7 +194,7 @@ impl Sources {
     ) -> Result<Vec<Arc<BaseTuple>>, SourceError> {
         let delay = self.open_round(&[rel], TimeCategory::RandomAccess)?;
         self.clock
-            .charge(TimeCategory::RandomAccess, self.cost.probe_us + delay);
+            .charge(TimeCategory::RandomAccess, PROBE_US + delay);
         self.probes.set(self.probes.get() + 1);
         let hits = self.table(rel).probe(column, value);
         self.probe_result_tuples
@@ -207,44 +208,37 @@ impl Sources {
     /// slow verdict multiplies it. A failed round charges `category` a
     /// fixed round-trip (the mean delay, no RNG draw, so a schedule never
     /// perturbs the delay sequence of clean relations); a slow round past
-    /// the injector's fetch timeout charges exactly the timeout. Neither
-    /// counts a fetch.
+    /// the fetch timeout charges exactly the timeout. Neither counts a
+    /// fetch.
     fn open_round(&self, rels: &[RelId], category: TimeCategory) -> Result<u64, SourceError> {
         let mut slow = None;
         if let Some(inj) = self.injector.as_ref().filter(|inj| !inj.all_clear(rels)) {
             match inj.verdict(rels, self.clock.now_us()) {
                 Verdict::Clear => {}
-                Verdict::Slow { rel, mult } => slow = Some((rel, mult, inj.fetch_timeout_us)),
+                Verdict::Slow { rel, mult } => slow = Some((rel, mult)),
                 Verdict::Fail(e) => {
-                    self.clock.charge(category, self.cost.mean_network_delay_us);
+                    self.clock.charge(category, MEAN_NETWORK_DELAY_US);
                     return Err(e);
                 }
             }
         }
         let delay = self.delay.sample(&mut *self.rng.borrow_mut());
-        let Some((rel, mult, timeout_us)) = slow else {
+        let Some((rel, mult)) = slow else {
             return Ok(delay);
         };
         let delay = (delay as f64 * mult).round() as u64;
-        match timeout_us {
-            Some(limit) if delay > limit => {
-                // The wait up to the timeout is real simulated time; the
-                // tuple stays at the source for the retry.
-                self.clock.charge(category, limit);
-                Err(SourceError::Timeout { rel })
-            }
-            _ => Ok(delay),
+        if delay > FETCH_TIMEOUT_US {
+            // The wait up to the timeout is real simulated time; the tuple
+            // stays at the source for the retry.
+            self.clock.charge(category, FETCH_TIMEOUT_US);
+            return Err(SourceError::Timeout { rel });
         }
+        Ok(delay)
     }
 
     /// The shared clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// The cost profile in force.
-    pub fn cost_profile(&self) -> &CostProfile {
-        &self.cost
     }
 
     /// Tuples streamed so far (Figure 10's work metric, streaming part).
@@ -303,7 +297,7 @@ mod tests {
     }
 
     fn sources() -> Sources {
-        let s = Sources::new(SimClock::new(), CostProfile::default(), 42);
+        let s = Sources::new(SimClock::new(), 42);
         s.register(mk_table(0, 9));
         s.register(mk_table(1, 6));
         s
@@ -329,7 +323,7 @@ mod tests {
         use crate::fault::{FaultInjector, FaultSpec};
         let mut s = sources();
         let spec = FaultSpec::new(0).rel_transient(1, 0.5);
-        s.set_injector(FaultInjector::new(spec, 0, None));
+        s.set_injector(FaultInjector::new(spec, 0));
         let mut stream = s.open_stream(RelId::new(0), None);
         s.read(&mut stream);
     }
@@ -403,7 +397,7 @@ mod tests {
         let mut chaotic = sources();
         // Faults scheduled only for rel 1; rel 0 must be untouched.
         let spec = FaultSpec::new(5).rel_transient(1, 0.9);
-        chaotic.set_injector(FaultInjector::new(spec, 0, None));
+        chaotic.set_injector(FaultInjector::new(spec, 0));
         // Probes of rel 0 interleave with its reads: both draw from one
         // delay sequence, which the schedule must leave in the same order.
         let mut sp = plain.open_stream(RelId::new(0), None);
@@ -427,7 +421,7 @@ mod tests {
         use crate::fault::{FaultInjector, FaultSpec, SourceError};
         let mut s = sources();
         let spec = FaultSpec::new(0).outage(0, 0, None);
-        s.set_injector(FaultInjector::new(spec, 0, None));
+        s.set_injector(FaultInjector::new(spec, 0));
         let mut stream = s.open_stream(RelId::new(0), None);
         for _ in 0..3 {
             assert_eq!(
@@ -440,7 +434,7 @@ mod tests {
         // Each failed round still burned a round-trip of simulated time.
         assert_eq!(
             s.clock().breakdown().stream_read_us,
-            3 * CostProfile::default().mean_network_delay_us
+            3 * MEAN_NETWORK_DELAY_US
         );
         // Probes fail too.
         assert!(s.try_probe(RelId::new(0), 0, &Value::Int(1)).is_err());
@@ -458,50 +452,44 @@ mod tests {
     }
 
     #[test]
-    fn slow_rounds_time_out_only_with_a_timeout_set() {
+    fn slow_rounds_time_out_past_the_fetch_timeout() {
         use crate::fault::{FaultInjector, FaultSpec, SourceError};
-        let build = |timeout_us| {
+        let build = |mult| {
             let mut s = sources();
-            let spec = FaultSpec::new(0).rel_slow(0, 1.0, 1000.0);
-            s.set_injector(FaultInjector::new(spec, 0, timeout_us));
+            let spec = FaultSpec::new(0).rel_slow(0, 1.0, mult);
+            s.set_injector(FaultInjector::new(spec, 0));
             s
         };
-        // No timeout: the slow round delivers, just late.
-        let s = build(None);
+        // A fivefold delay stays under the timeout: the round delivers,
+        // just late.
+        let s = build(5.0);
         let mut stream = s.open_stream(RelId::new(0), None);
         assert!(s.try_read(&mut stream).unwrap().is_some());
-        assert!(s.clock().breakdown().stream_read_us > 100_000);
-        // Tight timeout: the same schedule times out and charges the cap.
-        let s = build(Some(10_000));
+        let late = s.clock().breakdown().stream_read_us;
+        assert!((8_000..FETCH_TIMEOUT_US).contains(&late), "{late}");
+        // A thousandfold delay times out and charges exactly the timeout.
+        let s = build(1000.0);
         let mut stream = s.open_stream(RelId::new(0), None);
         assert_eq!(
             s.try_read(&mut stream),
             Err(SourceError::Timeout { rel: RelId::new(0) })
         );
-        assert_eq!(s.clock().breakdown().stream_read_us, 10_000);
+        assert_eq!(s.clock().breakdown().stream_read_us, FETCH_TIMEOUT_US);
         assert_eq!(stream.delivered(), 0);
         // A probe times out the same way: exactly the cap, no probe counted.
-        let s = build(Some(10_000));
+        let s = build(1000.0);
         assert_eq!(
             s.try_probe(RelId::new(0), 0, &Value::Int(1)),
             Err(SourceError::Timeout { rel: RelId::new(0) })
         );
-        assert_eq!(s.clock().breakdown().random_access_us, 10_000);
+        assert_eq!(s.clock().breakdown().random_access_us, FETCH_TIMEOUT_US);
         assert_eq!((s.probes(), s.tuples_consumed()), (0, 0));
-        // Without a timeout the slow probe answers, just late.
-        let s = build(None);
-        assert_eq!(
-            s.try_probe(RelId::new(0), 0, &Value::Int(1)).unwrap().len(),
-            3
-        );
-        assert!(s.clock().breakdown().random_access_us > 100_000);
-        assert_eq!(s.probes(), 1);
     }
 
     #[test]
     fn deterministic_delays_from_seed() {
         let run = || {
-            let s = Sources::new(SimClock::new(), CostProfile::default(), 99);
+            let s = Sources::new(SimClock::new(), 99);
             s.register(mk_table(0, 20));
             let mut stream = s.open_stream(RelId::new(0), None);
             while s.read(&mut stream).is_some() {}

@@ -44,8 +44,6 @@ pub struct SourceStream {
     kind: StreamKind,
     /// Relations covered by each delivered tuple.
     rels: Vec<RelId>,
-    /// Pushed-down selection (kept for display/debugging).
-    selection: Option<Selection>,
     cursor: usize,
 }
 
@@ -57,7 +55,6 @@ impl SourceStream {
         SourceStream {
             kind: StreamKind::Base { table, positions },
             rels,
-            selection,
             cursor: 0,
         }
     }
@@ -67,7 +64,6 @@ impl SourceStream {
         SourceStream {
             rels: join.rels(),
             kind: StreamKind::Pushdown(Box::new(join)),
-            selection: None,
             cursor: 0,
         }
     }
@@ -75,11 +71,6 @@ impl SourceStream {
     /// Relations covered by every tuple this stream delivers (sorted).
     pub fn rels(&self) -> &[RelId] {
         &self.rels
-    }
-
-    /// The pushed-down selection, if any.
-    pub fn selection(&self) -> Option<&Selection> {
-        self.selection.as_ref()
     }
 
     /// Number of tuples delivered so far.

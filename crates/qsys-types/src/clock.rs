@@ -103,37 +103,34 @@ impl fmt::Display for TimeBreakdown {
     }
 }
 
-/// Cost constants for the simulation, in simulated microseconds.
-///
-/// Defaults follow Section 7: mean 2 ms network delay per stream read and
-/// per remote probe (the Poisson draw is added by the source layer on top of
-/// the base costs here), plus small constants for in-memory work.
-#[derive(Clone, Copy, Debug)]
-pub struct CostProfile {
-    /// Mean of the Poisson network delay, µs (paper: 2000 µs).
-    pub mean_network_delay_us: u64,
-    /// Base CPU cost of delivering one streamed tuple, µs.
-    pub stream_tuple_us: u64,
-    /// Base CPU cost of one remote probe, µs.
-    pub probe_us: u64,
-    /// Cost of one hash-table probe or insertion, µs.
-    pub hash_op_us: u64,
-    /// Cost of routing one tuple through a split or into a rank-merge
-    /// queue, µs.
-    pub route_us: u64,
-}
+// The simulation's cost constants, in simulated microseconds. Section 7
+// fixes the model once: a Poisson network delay of mean 2 ms on every
+// stream read and every remote probe, which the source layer draws on top
+// of the base costs below. The optimizer prices reads with the same
+// constants the sources charge.
 
-impl Default for CostProfile {
-    fn default() -> Self {
-        CostProfile {
-            mean_network_delay_us: 2_000,
-            stream_tuple_us: 20,
-            probe_us: 50,
-            hash_op_us: 2,
-            route_us: 1,
-        }
-    }
-}
+/// Mean of the Poisson network delay of one fetch round, µs (paper:
+/// 2000 µs).
+pub const MEAN_NETWORK_DELAY_US: u64 = 2_000;
+/// Base CPU cost of delivering one streamed tuple, µs.
+pub const STREAM_TUPLE_US: u64 = 20;
+/// Base CPU cost of one remote probe, µs.
+pub const PROBE_US: u64 = 50;
+/// Cost of one in-memory hash-table probe or insertion, µs.
+pub const HASH_OP_US: u64 = 2;
+/// Cost of routing one tuple through a split or into a rank-merge queue,
+/// µs.
+pub const ROUTE_US: u64 = 1;
+/// Simulated cost of one BestPlan search state, µs (drives Figure 11).
+pub const OPT_STEP_US: u64 = 15;
+
+/// The retired settable cost profile, carried by
+/// `EngineConfig::cost_profile` and `OptimizerConfig::cost_profile`. Its
+/// only value is the default: the costs are the constants above. It
+/// remains only because the benchmark names it; ROADMAP item 1(b) removes
+/// it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CostProfile(());
 
 /// A shared virtual clock.
 ///

@@ -92,15 +92,25 @@ impl Tuple {
     }
 
     /// Build from parts; sorts and asserts distinct relations.
-    pub fn from_parts(mut parts: Vec<Arc<BaseTuple>>) -> Tuple {
-        parts.sort_by_key(|p| p.rel);
+    ///
+    /// The parts are collected straight into the tuple's one allocation
+    /// (an exact-size iterator such as `Map<slice::Iter, _>` or
+    /// `vec::IntoIter` reports its length, which `Arc<[_]>`'s
+    /// `FromIterator` allocates from) and sorted there.
+    pub fn from_parts<I>(parts: I) -> Tuple
+    where
+        I: IntoIterator<Item = Arc<BaseTuple>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut parts: Arc<[Arc<BaseTuple>]> = parts.into_iter().collect();
+        Arc::get_mut(&mut parts)
+            .expect("a freshly collected Arc is unique")
+            .sort_by_key(|p| p.rel);
         debug_assert!(
             parts.windows(2).all(|w| w[0].rel < w[1].rel),
             "a tuple must not contain two rows of the same relation"
         );
-        Tuple {
-            parts: Arc::from(parts),
-        }
+        Tuple { parts }
     }
 
     /// Join this tuple with another (disjoint) tuple. The caller must have

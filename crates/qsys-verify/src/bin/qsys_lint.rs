@@ -34,6 +34,11 @@
 //!    (`qsys-source`'s `table` indexes and `pushdown` joins): maps there
 //!    are `qsys_types::FxHashMap` or not maps at all. A map that is only
 //!    touched per batch says so with `lint:allow(hot-hash)`.
+//! 7. `clock-literal` — no `.charge(…)` in non-test code whose amount is a
+//!    bare integer literal. Every simulated-time charge names its constant
+//!    (`qsys_types::clock`'s cost constants, or the module constant that
+//!    owns the decision), so the cost model is read in one place and the
+//!    optimizer can price what the executor charges.
 //!
 //! Suppression: append `// lint:allow(<rule>): <why>` to the offending
 //! line, or put it on its own comment line immediately above (the
@@ -356,9 +361,82 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             });
         }
 
+        // Rule 7: a clock charge names its constant.
+        if !in_tests
+            && code.contains(".charge(")
+            && charge_amounts(&lines[idx..])
+                .iter()
+                .any(|amount| is_int_literal(amount))
+            && !allowed("clock-literal")
+        {
+            findings.push(Finding {
+                rule: "clock-literal",
+                file: file.to_path_buf(),
+                line: lineno,
+                message: "clock charge of a bare literal — name the cost constant it charges \
+                          (qsys_types::clock or the owning module's const)"
+                    .into(),
+            });
+        }
+
         prev_line_comment = raw.trim_start().starts_with("//");
         prev_raw = raw;
     }
+}
+
+/// The amount (last argument) of each `.charge(…)` call that opens on the
+/// first of `lines`, read across the following lines until its
+/// parentheses close. Strings and comments are blanked first.
+fn charge_amounts(lines: &[&str]) -> Vec<String> {
+    let code_of = |raw: &str| {
+        let line = strip_strings(raw);
+        line.split("//").next().unwrap_or("").to_string()
+    };
+    let first = code_of(lines[0]);
+    let mut amounts = Vec::new();
+    for (at, _) in first.match_indices(".charge(") {
+        let mut text = first[at + ".charge(".len()..].to_string();
+        let mut rest = lines[1..].iter();
+        let mut depth = 1usize;
+        let mut args = vec![String::new()];
+        'scan: loop {
+            for c in text.chars() {
+                match c {
+                    '(' | '[' | '{' => depth += 1,
+                    ')' | ']' | '}' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break 'scan;
+                        }
+                    }
+                    ',' if depth == 1 => {
+                        args.push(String::new());
+                        continue;
+                    }
+                    _ => {}
+                }
+                if let Some(arg) = args.last_mut() {
+                    arg.push(c);
+                }
+            }
+            match rest.next() {
+                Some(raw) => text = format!(" {}", code_of(raw)),
+                None => break,
+            }
+        }
+        // A trailing comma leaves an empty last argument.
+        if let Some(amount) = args.iter().rev().map(|a| a.trim()).find(|a| !a.is_empty()) {
+            amounts.push(amount.to_string());
+        }
+    }
+    amounts
+}
+
+/// Whether `expr` is one integer literal (`2`, `100_000`, `2u64`, `0x10`):
+/// it starts with a digit, which no identifier does, and is one token.
+fn is_int_literal(expr: &str) -> bool {
+    expr.starts_with(|c: char| c.is_ascii_digit())
+        && expr.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 /// Whether `code` names a std `HashMap`/`HashSet` as a type or constructs
@@ -457,5 +535,37 @@ mod tests {
         assert!(lint("crates/qsys-source/src/pushdown.rs", &in_test_mod).is_empty());
         let allowed = "// lint:allow(hot-hash): one per open\nlet m: HashMap<u32, u32>;\n";
         assert!(lint("crates/qsys-source/src/pushdown.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn clock_literal_flags_bare_amounts_only() {
+        let bare = "fn f(c: &SimClock) {\n    c.charge(TimeCategory::Join, 2);\n}\n";
+        assert_eq!(
+            lint("crates/qsys-exec/src/mjoin.rs", bare),
+            [("clock-literal", 2)]
+        );
+        // Suffixed, underscored and multi-line calls are literals too; the
+        // finding sits on the line the call opens.
+        let split = "c.clock().charge(\n    TimeCategory::StreamRead,\n    100_000u64,\n);\n";
+        assert_eq!(lint("src/engine.rs", split), [("clock-literal", 1)]);
+        // A named constant, or an expression over one, is what the rule wants.
+        for ok in [
+            "c.charge(TimeCategory::Join, HASH_OP_US);\n",
+            "c.charge(TimeCategory::Join, HASH_OP_US * cost);\n",
+            "c.charge(TimeCategory::Join, hops * ROUTE_US);\n",
+            "c.charge(\n    TimeCategory::Optimize,\n    f(2) * OPT_STEP_US,\n);\n",
+            "c.charge(cat, MEAN_NETWORK_DELAY_US); // a 2 in a comment\n",
+        ] {
+            assert!(
+                lint("crates/qsys-source/src/registry.rs", ok).is_empty(),
+                "{ok}"
+            );
+        }
+        // Tests charge literals freely; an allow with a reason suppresses.
+        assert!(lint("tests/chaos.rs", bare).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{bare}}}\n");
+        assert!(lint("crates/qsys-exec/src/mjoin.rs", &in_test_mod).is_empty());
+        let allowed = "// lint:allow(clock-literal): a test double\nc.charge(cat, 7);\n";
+        assert!(lint("crates/qsys-exec/src/atc.rs", allowed).is_empty());
     }
 }

@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> qsys-lint (repo-law lint: env reads, Send cells, panic paths, SeqCst, bench clocks, hot-path hashers)"
+echo "==> qsys-lint (repo-law lint: env reads, Send cells, panic paths, SeqCst, bench clocks, hot-path hashers, clock-charge literals)"
 cargo run -q -p qsys-verify --bin qsys-lint
 
 echo "==> scripts/tracked.sh (every path it counts still exists)"

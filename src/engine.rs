@@ -81,7 +81,11 @@ pub struct EngineConfig {
     pub candidate: CandidateConfig,
     /// Optimizer pruning heuristics.
     pub heuristics: HeuristicConfig,
-    /// Simulation cost constants.
+    /// Retired: the simulation's costs are constants of
+    /// `qsys_types::clock` (Section 7's 2 ms mean network delay per read
+    /// and per probe), so this field has one value. It remains only because
+    /// the benchmark's config literal names every field; ROADMAP item 1(b)
+    /// removes it.
     pub cost_profile: CostProfile,
     /// ATC scheduling policy (paper: round-robin).
     pub scheduling: SchedulingPolicy,
@@ -109,8 +113,12 @@ pub struct EngineConfig {
     /// default — leaves every fetch infallible and execution
     /// byte-identical to a build without the fault machinery.
     pub faults: Option<FaultSpec>,
-    /// Retry / timeout / circuit-breaker policy applied when `faults` is
-    /// active (inert otherwise).
+    /// Retired: the retry, backoff, jitter and circuit-breaker values are
+    /// constants of the executor's fetch governor, and the per-fetch
+    /// timeout is a constant of `qsys_source::fault`; they act only when
+    /// `faults` is set. This field has one value and remains only because
+    /// the benchmark's config literal names every field; ROADMAP item 1(b)
+    /// removes it.
     pub retry: RetryPolicy,
     /// Retired: warm-state snapshots are gone and a lane's warm state
     /// lives only as long as the engine, so `None` is the only value
@@ -286,11 +294,6 @@ impl EngineConfig {
             invariant(false, "faults", &problem);
         }
         invariant(
-            (0.0..=1.0).contains(&self.retry.jitter_frac),
-            "retry.jitter_frac",
-            "backoff jitter is a fraction in [0, 1]",
-        );
-        invariant(
             self.snapshot_dir.is_none(),
             "snapshot_dir",
             "warm-state snapshots were removed: there is nothing to persist or reload",
@@ -392,11 +395,7 @@ impl Lane {
             provider,
         );
         if let Some(spec) = &config.faults {
-            sources.set_injector(FaultInjector::new(
-                spec.clone(),
-                idx,
-                config.retry.fetch_timeout_us,
-            ));
+            sources.set_injector(FaultInjector::new(spec.clone(), idx));
         }
         Lane {
             idx,
@@ -572,11 +571,9 @@ impl Lane {
         let opt_config = OptimizerConfig {
             k: cx.config.k,
             heuristics: cx.config.heuristics.clone(),
-            cost_profile: cx.config.cost_profile,
             share_subexpressions: batch_share(&cx.config.sharing),
             ..OptimizerConfig::default()
         };
-        let step_us = opt_config.opt_step_us;
         let optimizer = Optimizer::new(cx.catalog, opt_config);
         let (spec, opt_stats) = {
             // The lane's shared interner: the spec's signature ids must be the
@@ -586,8 +583,7 @@ impl Lane {
             optimizer.optimize(&batch, &oracle, Some(self.sources.clock()), &interner)
         };
         let outcome = self.manager.graft(&spec, &self.sources, cx.config.k);
-        self.opt_events
-            .push(OptEvent::new(batch.len(), &opt_stats, step_us));
+        self.opt_events.push(OptEvent::new(batch.len(), &opt_stats));
         (outcome, opt_stats)
     }
 
@@ -823,9 +819,6 @@ mod tests {
             .outage(1, 5, Some(5))
             .rel_slow(2, 0.5, 0.5),
         );
-        // Saturates the backoff's jitter span: the lane would panic on its
-        // first retry.
-        config.retry.jitter_frac = f64::INFINITY;
         config.snapshot_dir = Some("warm".into());
         let errors = config.validate_all();
         let fields: Vec<&str> = errors.iter().map(|e| e.field).collect();
@@ -846,7 +839,6 @@ mod tests {
                 "faults",
                 "faults",
                 "faults",
-                "retry.jitter_frac",
                 "snapshot_dir"
             ]
         );
@@ -860,7 +852,6 @@ mod tests {
         config.candidate = CandidateConfig::default();
         config.heuristics.max_candidates = 64;
         config.faults = Some(FaultSpec::new(0).transient(1.0).rel_slow(2, 0.5, 1.0));
-        config.retry.jitter_frac = 1.0;
         config.snapshot_dir = None;
         assert!(
             config.validate_all().is_empty(),

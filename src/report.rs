@@ -15,6 +15,7 @@ use crate::session::{Engine, QueryTicket};
 use qsys_exec::{ExecWork, FaultStats};
 use qsys_opt::OptStats;
 use qsys_query::{CandidateGenerator, UserQuery};
+use qsys_types::clock::OPT_STEP_US;
 use qsys_types::{QsysResult, RelId, TimeBreakdown, UqId, UserId};
 use qsys_workload::Workload;
 
@@ -126,14 +127,13 @@ pub struct OptEvent {
 
 impl OptEvent {
     /// The event of one optimizer invocation over `batch_cqs` conjunctive
-    /// queries, charged `step_us` simulated µs per explored state
-    /// (`OptimizerConfig::opt_step_us`).
-    pub(crate) fn new(batch_cqs: usize, opt: &OptStats, step_us: u64) -> OptEvent {
+    /// queries, charged [`OPT_STEP_US`] simulated µs per explored state.
+    pub(crate) fn new(batch_cqs: usize, opt: &OptStats) -> OptEvent {
         OptEvent {
             batch_cqs,
             candidates: opt.candidates,
             explored: opt.explored,
-            opt_us: opt.explored as u64 * step_us,
+            opt_us: opt.explored as u64 * OPT_STEP_US,
             warm_hits: opt.warm_hits,
         }
     }
@@ -386,12 +386,12 @@ mod tests {
             explored,
             ..OptStats::default()
         };
-        r.opt_events.push(OptEvent::new(3, &searched(1, 10), 15));
-        r.opt_events.push(OptEvent::new(2, &searched(0, 1), 20));
+        r.opt_events.push(OptEvent::new(3, &searched(1, 10)));
+        r.opt_events.push(OptEvent::new(2, &searched(0, 1)));
         assert_eq!(
             r.opt_us(),
-            150 + 20,
-            "each event at the step it was charged"
+            15 * (10 + 1),
+            "each explored state at OPT_STEP_US"
         );
         let last = r.opt_events[1];
         assert_eq!((last.batch_cqs, last.candidates, last.explored), (2, 0, 1));

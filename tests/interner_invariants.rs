@@ -220,7 +220,6 @@ fn gus_batch_plan_shape_is_unchanged_by_interning() {
         let config = OptimizerConfig {
             k: engine.k,
             heuristics: engine.heuristics.clone(),
-            cost_profile: engine.cost_profile,
             share_subexpressions: true,
             ..OptimizerConfig::default()
         };
@@ -291,7 +290,6 @@ fn reposed_batch_replays_bit_identical_decisions() {
         let config = OptimizerConfig {
             k: engine.k,
             heuristics: engine.heuristics.clone(),
-            cost_profile: engine.cost_profile,
             share_subexpressions: true,
             ..OptimizerConfig::default()
         };

@@ -17,9 +17,7 @@ use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
-use qsys_types::{
-    BaseTuple, CostProfile, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value,
-};
+use qsys_types::{BaseTuple, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
 use std::sync::Arc;
 
 /// A randomly generated relation instance: (key, score) rows.
@@ -34,7 +32,7 @@ fn rel_data(max_rows: usize, key_range: i64) -> impl Strategy<Value = RelData> {
 }
 
 fn build_sources(data: &[RelData]) -> Sources {
-    let s = Sources::new(SimClock::new(), CostProfile::default(), 1);
+    let s = Sources::new(SimClock::new(), 1);
     for (i, rel) in data.iter().enumerate() {
         let id = RelId::new(i as u32);
         let rows = rel
@@ -244,7 +242,7 @@ proptest! {
             }],
             &modules,
         );
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+        let sources = Sources::new(SimClock::new(), 0);
         let governor = SourceGovernor::new(RetryPolicy::default());
         // Deterministic interleaving from the seed.
         let mut order: Vec<(usize, Tuple)> = Vec::new();
@@ -454,7 +452,7 @@ proptest! {
     fn stream_reads_are_one_round_each(a in rel_data(40, 6)) {
         let table = build_sources(&[a]).table(RelId::new(0));
         let read_all = |fallible: bool| {
-            let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+            let sources = Sources::new(SimClock::new(), 7);
             sources.register_shared(Arc::clone(&table));
             let mut stream = sources.open_stream(RelId::new(0), None);
             let mut seq = Vec::new();

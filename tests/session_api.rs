@@ -316,6 +316,55 @@ fn arrival_window_seals_partial_batches() {
     );
 }
 
+/// Arrival stamps that go backwards are a degenerate input, not an error:
+/// with or without an arrival window every ticket resolves exactly once,
+/// and forgetting them all empties the ledger. A stamp earlier than its
+/// window's first arrival lies inside the window, so it seals nothing and
+/// batches seal by count alone.
+#[test]
+fn backwards_arrival_stamps_resolve_every_ticket_once() {
+    let w = workload(48);
+    let mut batches = Vec::new();
+    for window in [Some(1_000_000), None] {
+        let mut cfg = engine_cfg(1);
+        cfg.arrival_window_us = window;
+        let mut engine = Engine::for_workload(&w, cfg);
+        let mut tickets = Vec::new();
+        for (i, q) in w.queries.iter().enumerate() {
+            // Two virtual seconds earlier than the previous stamp, each time.
+            let arrival = 60_000_000 - 2_000_000 * i as u64;
+            if let Ok(t) = engine.session(q.user).submit(&q.keywords, arrival) {
+                tickets.push(t);
+            }
+            engine.step();
+        }
+        engine.run_until_idle();
+        assert!(engine.is_idle(), "{window:?}");
+        assert!(tickets.len() >= 4, "{window:?}: {} admitted", tickets.len());
+        let report = engine.report();
+        let served: Vec<UqId> = report.per_uq.iter().map(|u| u.uq).collect();
+        let mut ids: Vec<UqId> = tickets.iter().map(|t| t.id()).collect();
+        ids.sort();
+        assert_eq!(served, ids, "{window:?}: each ticket reported once");
+        for t in &tickets {
+            assert_eq!(t.poll(), TicketStatus::Completed, "{window:?}: {t:?}");
+            assert_eq!(t.outcome(), Some(QueryOutcome::Complete), "{t:?}");
+            assert!(t.take_results().is_some(), "{t:?}");
+            assert!(t.take_results().is_none(), "results are taken once");
+        }
+        batches.push(report.opt_events.len());
+        for t in &tickets {
+            assert!(engine.forget(t.id()), "{t:?}");
+            assert!(!engine.forget(t.id()), "forget is idempotent");
+        }
+        assert!(
+            engine.report().per_uq.is_empty(),
+            "{window:?}: ledger empty"
+        );
+    }
+    assert_eq!(batches[0], batches[1], "backwards stamps seal no window");
+}
+
 #[test]
 fn atc_cl_routes_late_arrivals_onto_live_lanes() {
     use qsys::opt::cluster::ClusterConfig;

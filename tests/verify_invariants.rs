@@ -29,7 +29,7 @@ use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
 use qsys_opt::cluster::ClusterConfig;
 use qsys_query::SigId;
 use qsys_source::{Sources, Table};
-use qsys_types::{BaseTuple, CostProfile, Epoch, RelId, SimClock, Tuple};
+use qsys_types::{BaseTuple, Epoch, RelId, SimClock, Tuple};
 use qsys_workload::gus::{self, GusConfig};
 use std::sync::Arc;
 
@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn dangling_node_sig_is_caught(beyond in 0u32..100) {
         let rel = RelId::new(0);
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let sources = Sources::new(SimClock::new(), 7);
         let rows = (0..4)
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
@@ -108,7 +108,7 @@ proptest! {
     #[test]
     fn bound_table_skew_is_caught(reads in 0usize..7) {
         let rel = RelId::new(0);
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let sources = Sources::new(SimClock::new(), 7);
         let rows = (0..8)
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
@@ -150,7 +150,7 @@ proptest! {
     #[test]
     fn shared_module_out_of_step_is_caught(reads in 0usize..5, lag in 0usize..3) {
         let rel = RelId::new(0);
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let sources = Sources::new(SimClock::new(), 7);
         let rows: Vec<Arc<BaseTuple>> = (0..8)
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
@@ -201,7 +201,7 @@ proptest! {
     #[test]
     fn stream_fed_private_module_is_caught(reads in 0usize..5) {
         let rel = RelId::new(0);
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 7);
+        let sources = Sources::new(SimClock::new(), 7);
         let rows = (0..8)
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
