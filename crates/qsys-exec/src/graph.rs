@@ -308,11 +308,20 @@ impl QueryPlanGraph {
         self.sig_index.get(&sig).copied()
     }
 
+    /// The node computing `sig`, if one does and no quarantined stream
+    /// feeds it: the one rule for reusing live state. Graft merges only
+    /// with such a node, a retained answer is published only while every
+    /// root it summarises is one, and the reuse oracle advertises nothing
+    /// else to the optimizer. A subtree fed by a failed source would pin
+    /// every new consumer to the dead leaf's zero bound, whereas a fresh
+    /// stream gives the (possibly recovered) source another chance.
+    pub(crate) fn reusable(&self, sig: SigId) -> Option<NodeId> {
+        self.find_sig(sig)
+            .filter(|&id| !self.subtree_quarantined(id))
+    }
+
     /// Whether `id` or any producer upstream of it is a quarantined stream
-    /// leaf. Grafting consults this before merging new queries into
-    /// existing state: a subtree fed by a failed source would pin every new
-    /// consumer to the dead leaf's zero bound, whereas a fresh stream gives
-    /// the (possibly recovered) source another chance.
+    /// leaf.
     pub fn subtree_quarantined(&self, id: NodeId) -> bool {
         let mut stack = vec![id];
         // lint:allow(hot-hash): graft-time walk (per batch), never per tuple

@@ -325,6 +325,69 @@ fn eviction_respects_pins_and_budget() {
     let _ = before;
 }
 
+/// A detached resident stream that a spec lists in `pins` survives that
+/// spec's graft under a budget it does not fit, and goes once the lane
+/// unpins and evicts; the same graft without the pin evicts it.
+#[test]
+fn spec_pins_hold_a_detached_stream_through_graft() {
+    let cat = catalog();
+    let k = 5;
+    let a = path_cq(0, 0, &cat, 1);
+    let b_atom = CqAtom {
+        rel: RelId::new(1),
+        selection: None,
+    };
+    let b = ConjunctiveQuery::new(
+        CqId::new(1),
+        UqId::new(1),
+        UserId::new(0),
+        vec![b_atom],
+        vec![],
+    );
+    // A alone, run and unlinked (its stream stays, detached); then B alone,
+    // under a one-byte budget, its spec pinning A's stream or not.
+    let graft_b = |pin: bool| -> (QsManager, SigId) {
+        let src = sources();
+        let mut manager = QsManager::new(1);
+        let interner = manager.shared_interner();
+        let [a_sig, b_sig] =
+            [0, 1].map(|rel| interner.borrow_mut().relation(RelId::new(rel), None));
+        let first = PlanSpec {
+            nodes: vec![stream_node(a_sig)],
+            cq_plans: vec![cq_plan(&a, a_sig, 0)],
+            pins: Vec::new(),
+        };
+        manager.graft(&first, &src, k);
+        run(&mut manager, &src, &[UqId::new(0)]);
+        manager.unlink_completed();
+        let a_node = manager.graph().find_sig(a_sig).expect("A is resident");
+        assert!(
+            !manager.graph().node(a_node).has_consumers(),
+            "A is detached"
+        );
+        assert!(manager.resident_bytes() > 1, "A does not fit the budget");
+        let second = PlanSpec {
+            nodes: vec![stream_node(b_sig)],
+            cq_plans: vec![cq_plan(&b, b_sig, 0)],
+            pins: if pin { vec![a_sig] } else { Vec::new() },
+        };
+        manager.graft(&second, &src, k);
+        (manager, a_sig)
+    };
+
+    let (unpinned, a_sig) = graft_b(false);
+    assert_eq!(unpinned.graph().find_sig(a_sig), None, "graft evicts A");
+
+    let (mut pinned, a_sig) = graft_b(true);
+    assert!(
+        pinned.graph().find_sig(a_sig).is_some(),
+        "the spec's pin holds A through graft's eviction"
+    );
+    pinned.unpin_all();
+    pinned.evict_to_budget();
+    assert_eq!(pinned.graph().find_sig(a_sig), None, "unpinned, A goes");
+}
+
 /// `module` holds `want`, tuple for tuple and epoch for epoch.
 fn module_holds(graph: &QueryPlanGraph, module: ModuleId, want: &[(Tuple, Epoch)]) {
     let module = graph.modules().module(module).expect("live").borrow();
@@ -414,6 +477,7 @@ fn graft_derives_a_shared_producers_history_once() {
             join_node(ab_sig, [0, 1], 0, true),
         ],
         cq_plans: vec![cq_plan(&ab, ab_sig, 2)],
+        pins: Vec::new(),
     };
     manager.graft(&first, &src, k);
     run(&mut manager, &src, &[UqId::new(0)]);
@@ -431,6 +495,7 @@ fn graft_derives_a_shared_producers_history_once() {
             join_node(abc_sig, [2, 3], 1, false),
         ],
         cq_plans: vec![cq_plan(&abc1, abc_sig, 4), cq_plan(&abc2, abc_sig, 5)],
+        pins: Vec::new(),
     };
     let before = *manager.graph().work();
     let outcome = manager.graft(&second, &src, k);
@@ -493,6 +558,7 @@ fn graft_derives_a_shared_producers_history_once() {
             join_node(abc_sig, [2, 3], 1, false),
         ],
         cq_plans: vec![cq_plan(&abc3, abc_sig, 4)],
+        pins: Vec::new(),
     };
     let before = *manager.graph().work();
     let outcome = manager.graft(&third, &src, k);
@@ -544,6 +610,7 @@ fn a_stream_read_before_its_first_join_is_attached() {
     let first = PlanSpec {
         nodes: vec![stream_node(a_sig)],
         cq_plans: vec![cq_plan(&a, a_sig, 0)],
+        pins: Vec::new(),
     };
     manager.graft(&first, &src, k);
     run(&mut manager, &src, &[UqId::new(0)]);
@@ -559,6 +626,7 @@ fn a_stream_read_before_its_first_join_is_attached() {
             join_node(ab_sig, [0, 1], 0, true),
         ],
         cq_plans: vec![cq_plan(&ab, ab_sig, 2)],
+        pins: Vec::new(),
     };
     let before = *manager.graph().work();
     let outcome = manager.graft(&second, &src, k);

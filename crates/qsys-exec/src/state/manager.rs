@@ -41,7 +41,6 @@ use qsys_opt::retired::WarmCell;
 use qsys_query::{shared_interner, ScoreModel, SharedInterner, SigId};
 use qsys_source::Sources;
 use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -127,8 +126,10 @@ pub struct QsManager {
     /// the plan graph all name subexpressions by [`SigId`] through it, so
     /// ids stay stable across batches (the across-time sharing memo).
     interner: SharedInterner,
-    /// Pinned subexpressions (protected from eviction; Section 6.1).
-    pinned: RefCell<BTreeSet<SigId>>,
+    /// Pinned subexpressions (protected from eviction; Section 6.1): every
+    /// grafted spec's pins and every [`QsManager::pin`] since the last
+    /// [`QsManager::unpin_all`].
+    pinned: BTreeSet<SigId>,
     /// Last epoch each node was (re)used in, for LRU eviction.
     last_used: HashMap<NodeId, Epoch>,
     /// Shared random-access probe caches, one per remote relation: "we
@@ -162,7 +163,7 @@ impl QsManager {
             graph: QueryPlanGraph::new(),
             interner: shared_interner(),
             rank_merges: BTreeMap::new(),
-            pinned: RefCell::new(BTreeSet::new()),
+            pinned: BTreeSet::new(),
             last_used: HashMap::new(),
             probe_modules: HashMap::new(),
             share_probe_caches: true,
@@ -250,14 +251,17 @@ impl QsManager {
         &self.eviction_stats
     }
 
-    /// Pin a subexpression against eviction.
-    pub fn pin(&self, sig: SigId) {
-        self.pinned.borrow_mut().insert(sig);
+    /// Pin a subexpression against eviction until the next
+    /// [`unpin_all`](Self::unpin_all). Graft pins what its spec's
+    /// [`PlanSpec::pins`] lists, so the optimizer never calls this.
+    pub fn pin(&mut self, sig: SigId) {
+        self.pinned.insert(sig);
     }
 
-    /// Release all pins (typically after a batch completes).
-    pub fn unpin_all(&self) {
-        self.pinned.borrow_mut().clear();
+    /// Release all pins: the lane calls this once its batch has run, so a
+    /// batch's pins hold from its graft to the end of its execution.
+    pub fn unpin_all(&mut self) {
+        self.pinned.clear();
     }
 
     /// Make all current state invisible to future grafts: forget signature
@@ -277,7 +281,8 @@ impl QsManager {
     /// rank-merges, and run `RecoverState` where streams were already read.
     /// A user query with a live retained answer (module docs) gets a
     /// rank-merge holding that answer instead, and none of its CQ plans is
-    /// grafted.
+    /// grafted. The spec's [`PlanSpec::pins`] are pinned before the graft
+    /// evicts to its budget.
     pub fn graft(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
         let epoch = self.graph.bump_epoch();
         let mut outcome = GraftOutcome {
@@ -310,16 +315,8 @@ impl QsManager {
         let mut planned: Vec<Planned> = Vec::with_capacity(spec.nodes.len());
         let mut pending: HashMap<SigId, usize> = HashMap::new();
         for (idx, spec_node) in spec.nodes.iter().enumerate() {
-            // A live node is only a merge target while no quarantined
-            // stream feeds it: grafting onto a subtree whose source failed
-            // would pin the new query to a zero-bound leaf, while a fresh
-            // instantiation re-opens the (possibly recovered) source.
-            let reusable = self
-                .graph
-                .find_sig(spec_node.sig)
-                .filter(|&id| !self.graph.subtree_quarantined(id));
             let action = if spec_node.share {
-                if let Some(id) = reusable {
+                if let Some(id) = self.graph.reusable(spec_node.sig) {
                     Planned::Graph(id)
                 } else if let Some(&first) = pending.get(&spec_node.sig) {
                     Planned::Spec(first)
@@ -456,6 +453,7 @@ impl QsManager {
         }
         self.live_keys.extend(keys);
 
+        self.pinned.extend(spec.pins.iter().copied());
         self.evict_to_budget();
         outcome
     }
@@ -464,11 +462,9 @@ impl QsManager {
     /// whole-query signature still names a live node no quarantined stream
     /// feeds. (An evicted root kills the answer it summarises.)
     fn publishable(&self, key: &AnswerKey) -> bool {
-        key.cqs.iter().all(|(sig, _)| {
-            self.graph
-                .find_sig(*sig)
-                .is_some_and(|id| !self.graph.subtree_quarantined(id))
-        })
+        key.cqs
+            .iter()
+            .all(|(sig, _)| self.graph.reusable(*sig).is_some())
     }
 
     fn create_stream(&mut self, spec_node: &qsys_opt::plan::SpecNode, sources: &Sources) -> NodeId {
@@ -738,7 +734,7 @@ impl QsManager {
             graph_bytes,
             self.budget - retained,
             self.policy,
-            &self.pinned.borrow(),
+            &self.pinned,
             &self.last_used,
             &mut self.eviction_stats,
         );
@@ -758,17 +754,9 @@ pub struct GraphReuse<'a> {
 
 impl ReuseOracle for GraphReuse<'_> {
     fn streamed(&self, sig: SigId) -> Option<u64> {
-        let node = self.manager.graph.find_sig(sig)?;
-        // Never advertise quarantined state to the optimizer: the graft
-        // below would refuse to merge with it anyway, so a reuse bonus here
-        // would steer plans toward state they cannot actually share.
-        if self.manager.graph.subtree_quarantined(node) {
-            return None;
-        }
+        // Graft merges only with reusable state, so a reuse bonus for
+        // anything else would steer plans toward state they cannot share.
+        let node = self.manager.graph.reusable(sig)?;
         self.manager.graph.stored_len(node).map(|n| n as u64)
-    }
-
-    fn pin(&self, sig: SigId) {
-        self.manager.pin(sig);
     }
 }

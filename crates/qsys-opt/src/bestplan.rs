@@ -23,6 +23,12 @@
 //! query of a batch, in every sharing mode (without sharing, a search is
 //! handed no candidates and explores its one default state).
 //!
+//! A search only reads: the optimizer's serial pass seeds every user query
+//! of a batch ([`SearchSeed::new`] interns its defaults and records the
+//! reuse oracle's answers) before any search is built, so a built
+//! [`BestPlanSearch`] holds nothing mutable outside itself and searches run
+//! in any order, on any thread, plan the same.
+//!
 //! ### Dense per-search indices on the hot path
 //!
 //! Everything the exponential part touches is an integer into a per-search
@@ -86,7 +92,7 @@
 use crate::cost::{CostModel, ReuseOracle};
 use crate::heuristics::{compute_fact, Candidate, HeuristicConfig};
 use qsys_query::{ConjunctiveQuery, CqIdx, CqSet, CqTable, SigId, SigInterner};
-use qsys_types::FxHashMap;
+use qsys_types::{FxHashMap, RelId};
 use std::collections::HashMap;
 
 /// Search statistics, summed over a batch's per-user-query searches
@@ -170,11 +176,82 @@ struct Mark {
     terms: usize,
 }
 
-/// The memoized search.
+/// One search's inputs, gathered by the optimizer's serial pass (module
+/// docs): the only step of a search that interns or asks the reuse oracle.
+pub(crate) struct SearchSeed {
+    /// The searched queries' dense index.
+    pub(crate) table: CqTable,
+    /// Every searched query.
+    queries: CqSet,
+    /// Per query index: its interned whole-query signature.
+    whole: Vec<SigId>,
+    /// Per query index: each atom's relation and its interned default
+    /// single-relation signature, in atom order.
+    defaults_of: Vec<Vec<(RelId, SigId)>>,
+    /// The push-down candidates, base relations included.
+    candidates: Vec<Candidate>,
+    /// What the reuse oracle reports streamed for each default and
+    /// candidate signature it reports resident.
+    resident: FxHashMap<SigId, u64>,
+}
+
+impl SearchSeed {
+    /// Seed a search over `queries` (each once; `whole[i]` is the interned
+    /// whole signature of `queries[i]`, `table` their dense index) and
+    /// `candidates`: intern each query's default single-relation
+    /// signatures, query by query in atom order, and ask `reuse` about every
+    /// default and candidate signature.
+    pub(crate) fn new(
+        queries: &[&ConjunctiveQuery],
+        whole: &[SigId],
+        table: CqTable,
+        candidates: Vec<Candidate>,
+        reuse: &dyn ReuseOracle,
+        interner: &mut SigInterner,
+    ) -> SearchSeed {
+        let n_cq = queries.len();
+        let mut whole_of = vec![SigId(0); n_cq];
+        let mut defaults_of = vec![Vec::new(); n_cq];
+        for (cq, &w) in queries.iter().zip(whole) {
+            let qi = table.idx(cq.id).index();
+            whole_of[qi] = w;
+            defaults_of[qi] = cq
+                .atoms
+                .iter()
+                .map(|a| (a.rel, interner.relation(a.rel, a.selection.clone())))
+                .collect();
+        }
+        let defaults = defaults_of.iter().flatten().map(|&(_, sig)| sig);
+        let resident = defaults
+            .chain(candidates.iter().map(|c| c.sig))
+            .filter_map(|sig| Some((sig, reuse.streamed(sig)?)))
+            .collect();
+        SearchSeed {
+            queries: table.set_of(queries.iter().map(|cq| cq.id)),
+            table,
+            whole: whole_of,
+            defaults_of,
+            candidates,
+            resident,
+        }
+    }
+
+    /// The candidates the reuse oracle reports resident: the inputs the
+    /// optimizer asks the state manager to pin (Section 6.1).
+    pub(crate) fn resident_candidates(&self) -> impl Iterator<Item = SigId> + '_ {
+        let sigs = self.candidates.iter().map(|c| c.sig);
+        sigs.filter(|sig| self.resident.contains_key(sig))
+    }
+}
+
+/// The memoized search over one [`SearchSeed`]. It reads the lane's
+/// interner and its seed, and writes only its own arenas.
 pub(crate) struct BestPlanSearch<'a> {
     model: &'a CostModel<'a>,
-    interner: &'a mut SigInterner,
-    reuse: &'a dyn ReuseOracle,
+    interner: &'a SigInterner,
+    /// The root `S`: the seed's multi-relation candidates, as arena
+    /// indices.
+    root: Vec<CandIdx>,
     /// Candidate arena: every `(sig, queries)` the search ever names lives
     /// here exactly once; states reference candidates by [`CandIdx`].
     cands: Vec<CandData>,
@@ -182,8 +259,8 @@ pub(crate) struct BestPlanSearch<'a> {
     cand_ids: FxHashMap<(SigId, CqSet), CandIdx>,
     /// Memo: root positions of `A` as a bitmask → the state's outcome.
     memo: FxHashMap<u64, Memoized>,
-    /// Per-signature facts, indexed by `SigId` (defaults and candidates are
-    /// seeded up front; recursion never interns).
+    /// Per-signature facts, indexed by `SigId` (every default and
+    /// candidate, seeded when the search is built).
     facts: Vec<Option<SigFacts>>,
     /// [`CostModel::depth_fraction`] of each query's whole-result
     /// cardinality at every stream count it can have, tabulated once per
@@ -192,8 +269,8 @@ pub(crate) struct BestPlanSearch<'a> {
     depth: Vec<f64>,
     depth_stride: usize,
     /// Per query index: each atom's relation and its interned default
-    /// single-relation signature.
-    defaults_of: Vec<Vec<(qsys_types::RelId, SigId)>>,
+    /// single-relation signature (the seed's).
+    defaults_of: &'a [Vec<(RelId, SigId)>],
     /// The default ranks of each query's atoms, in atom order: query `q`'s
     /// are [`span`]`(ranks_of, ranks_at, q)`.
     ranks_of: Vec<u16>,
@@ -263,35 +340,29 @@ fn depth_table(model: &CostModel<'_>, cq_card: &[f64], atoms: &[usize]) -> (Vec<
     (depth, stride)
 }
 
+/// Compile-time guarantee that a built search can move onto a worker
+/// thread: it holds no oracle, no cell and no `&mut` outside itself.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<BestPlanSearch<'static>>();
+};
+
 impl<'a> BestPlanSearch<'a> {
-    /// Set up a search over `queries` (each once; `table` is their dense
-    /// index), precomputing every per-signature fact the recursion will
-    /// need and building the all-defaults completion it starts from.
+    /// Build the search `seed` describes: every per-signature fact the
+    /// recursion will need, the root `S`, and the all-defaults completion
+    /// it starts from.
     pub(crate) fn new(
         model: &'a CostModel<'a>,
-        reuse: &'a dyn ReuseOracle,
-        queries: Vec<&'a ConjunctiveQuery>,
-        interner: &'a mut SigInterner,
-        table: &'a CqTable,
+        interner: &'a SigInterner,
+        seed: &'a SearchSeed,
     ) -> BestPlanSearch<'a> {
-        let n_cq = queries.len();
-        let mut cq_card = vec![0.0; n_cq];
-        let mut defaults_of: Vec<Vec<(qsys_types::RelId, SigId)>> = vec![Vec::new(); n_cq];
-        for cq in &queries {
-            let whole = interner.of_cq(cq);
-            let qi = table.idx(cq.id).index();
-            cq_card[qi] = compute_fact(whole, model, interner).card;
-            defaults_of[qi] = cq
-                .atoms
-                .iter()
-                .map(|atom| {
-                    (
-                        atom.rel,
-                        interner.relation(atom.rel, atom.selection.clone()),
-                    )
-                })
-                .collect();
-        }
+        let defaults_of = seed.defaults_of.as_slice();
+        let n_cq = defaults_of.len();
+        let cq_card: Vec<f64> = seed
+            .whole
+            .iter()
+            .map(|&whole| compute_fact(whole, model, interner).card)
+            .collect();
         // Canonical ordering of the default signatures (one deep sort, done
         // before the exponential part begins).
         let mut default_ids: Vec<SigId> = defaults_of
@@ -329,7 +400,7 @@ impl<'a> BestPlanSearch<'a> {
         let mut search = BestPlanSearch {
             model,
             interner,
-            reuse,
+            root: Vec::new(),
             cands: Vec::new(),
             cand_ids: FxHashMap::default(),
             memo: FxHashMap::default(),
@@ -353,13 +424,10 @@ impl<'a> BestPlanSearch<'a> {
             overlaps: Vec::new(),
             stats: OptStats::default(),
         };
-        let ids: Vec<SigId> = search
-            .defaults_of
-            .iter()
-            .flat_map(|d| d.iter().map(|(_, s)| *s))
-            .collect();
-        for id in ids {
-            search.seed_facts(id);
+        let defaults = defaults_of.iter().flatten().map(|&(_, sig)| sig);
+        for sig in defaults.chain(seed.candidates.iter().map(|c| c.sig)) {
+            let already = seed.resident.get(&sig).copied().unwrap_or(0);
+            search.seed_facts(sig, already);
         }
         // The all-defaults completion (the `A = ∅` stop plan): default sets
         // and per-query stream counts. Commits edit it in place from here.
@@ -368,8 +436,7 @@ impl<'a> BestPlanSearch<'a> {
             .iter()
             .map(|sig| search.facts(*sig).streamed)
             .collect();
-        for cq in &queries {
-            let qi = table.idx(cq.id);
+        for qi in seed.queries.iter() {
             for &rank in span(&search.ranks_of, &search.ranks_at, qi.index()) {
                 search.live_defaults[rank as usize].insert(qi);
                 if search.rank_streamed[rank as usize] {
@@ -378,13 +445,14 @@ impl<'a> BestPlanSearch<'a> {
             }
         }
         search.terms = (0..n_ranks).map(|rank| search.rank_term(rank)).collect();
+        search.root = search.seed_root(&seed.candidates);
         search
     }
 
     /// Compute and cache the per-signature facts for `sig`: cardinality,
-    /// streamability and size from the catalog, residency (`already`) from
-    /// the reuse oracle.
-    fn seed_facts(&mut self, sig: SigId) {
+    /// streamability and size from the catalog, and the `already`-resident
+    /// tuples the seed recorded.
+    fn seed_facts(&mut self, sig: SigId, already: u64) {
         let slot = sig.index();
         if slot >= self.facts.len() {
             self.facts.resize(slot + 1, None);
@@ -397,7 +465,7 @@ impl<'a> BestPlanSearch<'a> {
             card: f.card,
             streamed: f.streamed,
             size: f.size as usize,
-            already: self.reuse.streamed(sig).unwrap_or(0),
+            already,
         });
     }
 
@@ -439,12 +507,10 @@ impl<'a> BestPlanSearch<'a> {
     /// Enter the multi-relation `candidates` into the arena as the root
     /// `S`, with the per-position tables the recursion reads: covered
     /// defaults and the `shares_relation` matrix.
-    fn seed_root(&mut self, candidates: Vec<Candidate>) -> Vec<CandIdx> {
-        for c in &candidates {
-            self.seed_facts(c.sig);
-        }
+    fn seed_root(&mut self, candidates: &[Candidate]) -> Vec<CandIdx> {
         let multi: Vec<Candidate> = candidates
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|c| self.facts(c.sig).size > 1 && !c.queries.is_empty())
             .collect();
         // A state's memo key is one bit per root candidate, which names the
@@ -501,10 +567,10 @@ impl<'a> BestPlanSearch<'a> {
             .collect()
     }
 
-    /// Run the search over multi-relation `candidates`; returns the best
-    /// assignment (already completed with defaults) and stats.
-    pub(crate) fn run(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
-        let root = self.seed_root(candidates);
+    /// Run the search; returns the best assignment (already completed with
+    /// defaults) and stats.
+    pub(crate) fn run(mut self) -> (Assignment, OptStats) {
+        let root = std::mem::take(&mut self.root);
         self.stats.explored += 1;
         let best = self.best_plan(&root, 0);
         self.stats.best_cost = best.cost;
@@ -828,6 +894,19 @@ mod tests {
         (term.access_us.to_bits(), term.penalty_us.to_bits())
     }
 
+    /// Seed a search over `queries` (dense index `table`) and `candidates`
+    /// the way the optimizer's serial pass does.
+    fn seed(
+        queries: &[&ConjunctiveQuery],
+        table: &CqTable,
+        candidates: Vec<Candidate>,
+        reuse: &dyn ReuseOracle,
+        interner: &mut SigInterner,
+    ) -> SearchSeed {
+        let whole: Vec<SigId> = queries.iter().map(|cq| interner.of_cq(cq)).collect();
+        SearchSeed::new(queries, &whole, table.clone(), candidates, reuse, interner)
+    }
+
     impl BestPlanSearch<'_> {
         /// What [`live_cost`](Self::live_cost) was before the term cache:
         /// every input of the live completion costed from scratch.
@@ -879,8 +958,8 @@ mod tests {
             }
         }
 
-        fn run_reference(mut self, candidates: Vec<Candidate>) -> (Assignment, OptStats) {
-            let root = self.seed_root(candidates);
+        fn run_reference(mut self) -> (Assignment, OptStats) {
+            let root = std::mem::take(&mut self.root);
             let mut reference = Reference {
                 memo: HashMap::new(),
                 plans: Vec::new(),
@@ -1142,13 +1221,10 @@ mod tests {
                 0 => &NoReuse,
                 salt => &Resident(salt),
             };
-            let qs = query_refs.clone();
+            let seed = seed(&query_refs, &table, cands, oracle, &mut interner);
             let (expected_plan, expected) =
-                BestPlanSearch::new(&model, oracle, qs, &mut interner, &table)
-                    .run_reference(cands.clone());
-            let qs = query_refs.clone();
-            let (plan, stats) =
-                BestPlanSearch::new(&model, oracle, qs, &mut interner, &table).run(cands);
+                BestPlanSearch::new(&model, &interner, &seed).run_reference();
+            let (plan, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
             prop_assert!(is_valid_assignment(&query_refs, &plan, &interner, &table));
             prop_assert_eq!(plan, expected_plan);
             prop_assert_eq!(stats.best_cost.to_bits(), expected.best_cost.to_bits());
@@ -1207,8 +1283,9 @@ mod tests {
             0 => &NoReuse,
             salt => &Resident(salt),
         };
-        let mut search = BestPlanSearch::new(&model, oracle, query_refs, &mut interner, &table);
-        let root = search.seed_root(cands);
+        let seed = seed(&query_refs, &table, cands, oracle, &mut interner);
+        let mut search = BestPlanSearch::new(&model, &interner, &seed);
+        let root = search.root.clone();
         check(&mut search, root);
     }
 
@@ -1293,7 +1370,8 @@ mod tests {
             .collect();
         let query_refs: Vec<&ConjunctiveQuery> = queries.iter().collect();
         let table = CqTable::from_queries(query_refs.iter().copied());
-        let search = BestPlanSearch::new(&model, &NoReuse, query_refs, &mut interner, &table);
+        let seed = seed(&query_refs, &table, Vec::new(), &NoReuse, &mut interner);
+        let search = BestPlanSearch::new(&model, &interner, &seed);
         assert_eq!(
             (search.depth.clone(), search.depth_stride),
             depth_table(&model, &cards, &atoms)
@@ -1401,8 +1479,8 @@ mod tests {
         let mut interner = SigInterner::new();
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (plan, stats) = search.run(Vec::new());
+        let seed = seed(&[&q], &table, Vec::new(), &NoReuse, &mut interner);
+        let (plan, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(is_valid_assignment(&[&q], &plan, &interner, &table));
         assert_eq!(plan.len(), 3, "one default input per relation");
         assert_eq!(stats.candidates, 0);
@@ -1441,8 +1519,8 @@ mod tests {
         let q2 = path_cq(1, &cat, 0, 4);
         let table = CqTable::from_queries([&q1, &q2]);
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0, 1]);
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q1, &q2], &mut interner, &table);
-        let (plan, stats) = search.run(vec![shared]);
+        let seed = seed(&[&q1, &q2], &table, vec![shared], &NoReuse, &mut interner);
+        let (plan, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(is_valid_assignment(&[&q1, &q2], &plan, &interner, &table));
         assert!(
             plan.iter().any(|c| c.sig == shared.sig),
@@ -1461,8 +1539,8 @@ mod tests {
         let q = path_cq(0, &cat, 0, 3);
         let table = CqTable::from_queries([&q]);
         let bad = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (plan, _) = search.run(vec![bad]);
+        let seed = seed(&[&q], &table, vec![bad], &NoReuse, &mut interner);
+        let (plan, _) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(is_valid_assignment(&[&q], &plan, &interner, &table));
         assert!(
             !plan.iter().any(|c| c.sig == bad.sig),
@@ -1479,8 +1557,8 @@ mod tests {
         let table = CqTable::from_queries([&q]);
         let c1 = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let c2 = cand(&cat, &mut interner, &table, &[1, 2], &[0]);
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (plan, _) = search.run(vec![c1, c2]);
+        let seed = seed(&[&q], &table, vec![c1, c2], &NoReuse, &mut interner);
+        let (plan, _) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(
             is_valid_assignment(&[&q], &plan, &interner, &table),
             "{plan:#?}"
@@ -1498,8 +1576,8 @@ mod tests {
         // {c1, c2} state is reached twice, second time from the memo.
         let c1 = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let c2 = cand(&cat, &mut interner, &table, &[3, 4], &[0]);
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (_, stats) = search.run(vec![c1, c2]);
+        let seed = seed(&[&q], &table, vec![c1, c2], &NoReuse, &mut interner);
+        let (_, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(stats.memo_hits >= 1, "stats: {stats:?}");
     }
 
@@ -1515,8 +1593,8 @@ mod tests {
             let cands: Vec<Candidate> = (0..n)
                 .map(|i| cand(&cat, &mut interner, &table, &[2 * i, 2 * i + 1], &[0]))
                 .collect();
-            let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-            let (_, stats) = search.run(cands);
+            let seed = seed(&[&q], &table, cands, &NoReuse, &mut interner);
+            let (_, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
             explored.push(stats.explored);
         }
         assert!(
@@ -1540,8 +1618,8 @@ mod tests {
         let table = CqTable::from_queries([&q]);
         let shared = cand(&cat, &mut interner, &table, &[0, 1], &[0]);
         let oracle = Resident(shared.sig);
-        let search = BestPlanSearch::new(&model, &oracle, vec![&q], &mut interner, &table);
-        let (plan, stats) = search.run(vec![shared]);
+        let seed = seed(&[&q], &table, vec![shared], &oracle, &mut interner);
+        let (plan, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
         assert!(
             plan.iter().any(|c| c.sig == shared.sig),
             "fully resident input is free and must win: {:?}",
@@ -1561,8 +1639,8 @@ mod tests {
         let cands: Vec<Candidate> = (0..3)
             .map(|i| cand(&cat, &mut interner, &table, &[2 * i, 2 * i + 1], &[0]))
             .collect();
-        let search = BestPlanSearch::new(&model, &NoReuse, vec![&q], &mut interner, &table);
-        let (_, stats) = search.run(cands);
+        let seed = seed(&[&q], &table, cands, &NoReuse, &mut interner);
+        let (_, stats) = BestPlanSearch::new(&model, &interner, &seed).run();
         // 3 disjoint candidates → 2^3 = 8 distinct states. The permutation
         // tree has 1 + 3 + 6 + 3 = 13 invocations (memo-hit nodes do not
         // expand): 3 second-level and 2 third-level repeats hit the memo.

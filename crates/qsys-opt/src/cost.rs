@@ -15,19 +15,15 @@ use qsys_types::{RelId, Selection};
 
 /// Answers "how much of this subexpression has already been read?" —
 /// implemented by the QS manager over the live plan graph. The optimizer
-/// subtracts already-streamed tuples from a candidate input's cost and asks
-/// for the input to be pinned.
+/// only reads it: it subtracts already-streamed tuples from a candidate
+/// input's cost, and lists the resident candidates it planned on in the
+/// spec's [`PlanSpec::pins`](crate::PlanSpec::pins) for graft to pin.
 pub trait ReuseOracle {
     /// Number of tuples already streamed into in-memory state for `sig`,
     /// or `None` when the subexpression is not resident. Keyed on interned
     /// [`SigId`]s (the lane's shared interner), so each probe is one
     /// integer-keyed map lookup.
     fn streamed(&self, sig: SigId) -> Option<u64>;
-
-    /// Ask the state manager to protect `sig` from eviction while planning
-    /// and execution proceed (Section 6.1: "prevents J from being evicted,
-    /// by requesting that the QS Manager 'pin' J down").
-    fn pin(&self, _sig: SigId) {}
 }
 
 /// The trivial oracle: nothing is resident.

@@ -20,7 +20,7 @@
 //! graph's signature index are keyed on, so grafting matches nodes with
 //! `u32` compares and no signature is ever cloned into a spec.
 
-use crate::bestplan::{Assignment, BestPlanSearch, OptStats};
+use crate::bestplan::{BestPlanSearch, OptStats, SearchSeed};
 use crate::cost::{CostModel, ReuseOracle};
 use crate::heuristics::{enumerate_candidates, is_streamable, HeuristicConfig};
 use crate::retired::WarmCell;
@@ -90,6 +90,11 @@ pub struct PlanSpec {
     pub nodes: Vec<SpecNode>,
     /// One entry per conjunctive query in the batch.
     pub cq_plans: Vec<CqPlan>,
+    /// Resident subexpressions the plan was costed on, ascending: graft
+    /// protects them from eviction until the lane's batch has run. Section
+    /// 6.1: the optimizer "prevents J from being evicted, by requesting that
+    /// the QS Manager 'pin' J down".
+    pub pins: Vec<SigId>,
 }
 
 impl PlanSpec {
@@ -160,11 +165,11 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize a batch of conjunctive queries into a plan spec.
     ///
-    /// `reuse` reports (and pins) in-memory state from prior executions;
-    /// `clock` receives the optimization-time charge (Figure 11);
-    /// `interner` is the lane's shared signature interner — the spec's
-    /// [`SigId`]s, the reuse oracle's keys, and the plan graph's index all
-    /// name signatures through it.
+    /// `reuse` reports in-memory state from prior executions; `clock`
+    /// receives the optimization-time charge (Figure 11); `interner` is the
+    /// lane's shared signature interner — the spec's [`SigId`]s, the reuse
+    /// oracle's keys, and the plan graph's index all name signatures
+    /// through it.
     ///
     /// BestPlan runs once per user query of the batch, in ascending id
     /// order, over that user query's conjunctive queries alone; the
@@ -177,6 +182,12 @@ impl<'a> Optimizer<'a> {
     /// chose batch-wide push-downs that read more tuples than the queries'
     /// own plans, so a batch read more than its queries optimized one at a
     /// time.
+    ///
+    /// One serial pass ([`seed_searches`](Self::seed_searches)) interns
+    /// everything the searches name and asks `reuse` everything they need
+    /// before any search runs; the searches then only read. The oracle is
+    /// never written to: the resident candidates the plan relies on travel
+    /// in [`PlanSpec::pins`], and graft pins them.
     ///
     /// A search enumerates no push-down candidates, and explores its one
     /// default state, without sharing (ATC-CQ: factorization then gives
@@ -198,22 +209,14 @@ impl<'a> Optimizer<'a> {
         // Whole-query signatures, in batch order, interned before any
         // subexpression (the goldens compare spec dumps, ids included).
         let whole_of: Vec<SigId> = batch.iter().map(|(cq, _)| guard.of_cq(cq)).collect();
+        let (seeds, pins) = self.seed_searches(batch, &whole_of, &model, reuse, &mut guard);
 
-        let mut groups: BTreeMap<UqId, Vec<usize>> = BTreeMap::new();
-        for (i, (cq, _)) in batch.iter().enumerate() {
-            groups.entry(cq.uq).or_default().push(i);
-        }
         let mut assignment: Vec<(SigId, Vec<CqId>)> = Vec::new();
         let mut stats = OptStats::default();
-        for members in groups.values() {
-            let group: Vec<&ConjunctiveQuery> = members.iter().map(|&i| batch[i].0).collect();
-            let group_whole: Vec<SigId> = members.iter().map(|&i| whole_of[i]).collect();
-            // The search's dense query index: every query set it touches
-            // is a CqSet bitmask over this table.
-            let table = CqTable::from_queries(group.iter().copied());
-            let (part, s) = self.search(&group, &group_whole, &model, reuse, &mut guard, &table);
+        for seed in &seeds {
+            let (part, s) = BestPlanSearch::new(&model, &guard, seed).run();
             assignment.extend(part.into_iter().map(|c| {
-                let cqs = c.queries.iter().map(|qi| table.id(qi)).collect();
+                let cqs = c.queries.iter().map(|qi| seed.table.id(qi)).collect();
                 (c.sig, cqs)
             }));
             stats.candidates += s.candidates;
@@ -224,47 +227,58 @@ impl<'a> Optimizer<'a> {
         if let Some(clock) = clock {
             clock.charge(TimeCategory::Optimize, stats.explored as u64 * OPT_STEP_US);
         }
-        let spec = self.factorize(batch, &assignment, &model, &mut guard);
+        let mut spec = self.factorize(batch, &whole_of, &assignment, &model, &mut guard);
+        spec.pins = pins;
         (spec, stats)
     }
 
-    /// One BestPlan search over one user query's `queries` (`whole_of[i]`
-    /// is `queries[i]`'s whole signature, `table` their dense index). No
-    /// push-down candidates are enumerated without sharing or when every
-    /// query is resident whole.
-    fn search(
+    /// The serial pass: one [`SearchSeed`] per user query of `batch`, in
+    /// ascending id order (`whole_of[i]` is `batch[i]`'s whole signature),
+    /// and the resident candidates to pin, ascending and once each. Per user
+    /// query it interns its candidates, then its defaults: the order in
+    /// which searches that interned for themselves, one after another, did,
+    /// so every `SigId` (and every spec dump) is theirs. No push-down
+    /// candidates are enumerated without sharing or when every query is
+    /// resident whole.
+    fn seed_searches(
         &self,
-        queries: &[&ConjunctiveQuery],
+        batch: &[(&ConjunctiveQuery, &ScoreFn)],
         whole_of: &[SigId],
         model: &CostModel<'_>,
         reuse: &dyn ReuseOracle,
         interner: &mut SigInterner,
-        table: &CqTable,
-    ) -> (Assignment, OptStats) {
-        let candidates = if !self.config.share_subexpressions
-            || whole_of.iter().all(|&w| reuse.streamed(w).is_some())
-        {
-            Vec::new()
-        } else {
-            enumerate_candidates(
-                queries,
-                whole_of,
-                model,
-                &self.config.heuristics,
-                interner,
-                table,
-            )
-        };
-        // Pin any resident candidate inputs while we plan (Section 6.1). An
-        // all-resident user query has none to pin: each root it merges with
-        // gains a rank-merge consumer at graft, and eviction never takes a
-        // node with consumers or its producers.
-        for c in &candidates {
-            if reuse.streamed(c.sig).is_some() {
-                reuse.pin(c.sig);
-            }
+    ) -> (Vec<SearchSeed>, Vec<SigId>) {
+        let mut groups: BTreeMap<UqId, Vec<usize>> = BTreeMap::new();
+        for (i, (cq, _)) in batch.iter().enumerate() {
+            groups.entry(cq.uq).or_default().push(i);
         }
-        BestPlanSearch::new(model, reuse, queries.to_vec(), interner, table).run(candidates)
+        let mut pins = Vec::new();
+        let mut seeds = Vec::with_capacity(groups.len());
+        for members in groups.values() {
+            let queries: Vec<&ConjunctiveQuery> = members.iter().map(|&i| batch[i].0).collect();
+            let whole: Vec<SigId> = members.iter().map(|&i| whole_of[i]).collect();
+            // The search's dense query index: every query set it touches
+            // is a CqSet bitmask over this table.
+            let table = CqTable::from_queries(queries.iter().copied());
+            let candidates = if !self.config.share_subexpressions
+                || whole.iter().all(|&w| reuse.streamed(w).is_some())
+            {
+                Vec::new()
+            } else {
+                let heuristics = &self.config.heuristics;
+                enumerate_candidates(&queries, &whole, model, heuristics, interner, &table)
+            };
+            let seed = SearchSeed::new(&queries, &whole, table, candidates, reuse, interner);
+            // Pin the resident candidate inputs planned on (Section 6.1).
+            // An all-resident user query has none to pin: each root it
+            // merges with gains a rank-merge consumer at graft, and eviction
+            // never takes a node with consumers or its producers.
+            pins.extend(seed.resident_candidates());
+            seeds.push(seed);
+        }
+        pins.sort_unstable();
+        pins.dedup();
+        (seeds, pins)
     }
 
     /// [`Optimizer::optimize`], under the name the benchmark's shadow lane
@@ -282,10 +296,11 @@ impl<'a> Optimizer<'a> {
 
     /// Section 5.2: factor the assignment — each input's signature with the
     /// queries it sources, in ascending `CqId` order — into a shared
-    /// component DAG.
+    /// component DAG (`whole_of[i]` is `batch[i]`'s whole signature).
     fn factorize(
         &self,
         batch: &[(&ConjunctiveQuery, &ScoreFn)],
+        whole_of: &[SigId],
         assignment: &[(SigId, Vec<CqId>)],
         model: &CostModel<'_>,
         interner: &mut SigInterner,
@@ -399,10 +414,9 @@ impl<'a> Optimizer<'a> {
         }
 
         // Final m-join per CQ.
-        for (cq, score_fn) in batch {
+        for ((cq, score_fn), &whole) in batch.iter().zip(whole_of) {
             let terms = term_map.remove(&cq.id).unwrap_or_default();
             let probes = probe_map.remove(&cq.id).unwrap_or_default();
-            let whole = interner.of_cq(cq);
             let root = if terms.len() == 1 && probes.is_empty() {
                 terms[0]
             } else {
@@ -495,6 +509,7 @@ fn residual_preds(cq: &ConjunctiveQuery, covered: &[&[RelId]]) -> Vec<JoinCond> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bestplan::Assignment;
     use crate::cost::NoReuse;
     use qsys_catalog::{CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
     use qsys_query::{CqAtom, CqJoin, SigInterner};
@@ -741,10 +756,14 @@ mod tests {
             .collect()
     }
 
-    /// FNV-1a over a spec's dump, with the search counters and cost bits.
+    /// FNV-1a over a spec's dump without its pins (the text a whole spec's
+    /// `Debug` printed before it had them), with the search counters and
+    /// cost bits.
     fn decision(spec: &PlanSpec, stats: &OptStats) -> (usize, usize, usize, u64, u64) {
+        let (nodes, cq_plans) = (&spec.nodes, &spec.cq_plans);
+        let dump = format!("PlanSpec {{ nodes: {nodes:?}, cq_plans: {cq_plans:?} }}");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{spec:?}").bytes() {
+        for b in dump.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
         }
         let (e, m, c) = (stats.explored, stats.memo_hits, stats.candidates);
@@ -787,6 +806,9 @@ mod tests {
         let cqs = overlapping_batch(&cat);
         let (spec, stats) = optimize_resident(&opt, &cqs, |i| i != 1);
         assert_eq!(decision(&spec, &stats), MIXED);
+        // Query 1's search keeps no multi-relation candidate, and no
+        // single relation is resident.
+        assert_eq!(spec.pins, []);
         // ATC-CQ never merges at graft, so residency leaves it alone too.
         let unshared = Optimizer::new(
             &cat,
@@ -797,6 +819,7 @@ mod tests {
         );
         let (spec, stats) = optimize_resident(&unshared, &cqs, |_| true);
         assert_eq!(decision(&spec, &stats), UNSHARED);
+        assert_eq!(spec.pins, [], "no candidates, no pins");
     }
 
     /// Two user queries of two queries each; every query starts with
@@ -864,6 +887,43 @@ mod tests {
         assert_eq!(mixed.candidates, alone.candidates);
         assert_eq!(mixed.explored, alone.explored + 1);
         assert_eq!(mixed.memo_hits, alone.memo_hits);
+    }
+
+    /// A batch's searches are independent once the serial pass has seeded
+    /// them: run in reverse user-query order, or one on a worker thread,
+    /// each plans exactly what it plans in order — assignment, counters and
+    /// cost bits.
+    #[test]
+    fn seeded_searches_run_in_any_order_on_any_thread() {
+        let cat = catalog();
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let cqs = two_user_queries(&cat);
+        let f = ScoreFn::discover(UserId::new(0), 4);
+        let batch: Vec<_> = cqs.iter().map(|cq| (cq, &f)).collect();
+        let model = CostModel::new(&cat, opt.config.k);
+        let mut interner = SigInterner::new();
+        let whole_of: Vec<SigId> = cqs.iter().map(|cq| interner.of_cq(cq)).collect();
+        // R0 ⋈ R1 ⋈ R2 resident: a candidate of both user queries.
+        let oracle = Resident(vec![whole_of[0]]);
+        let (seeds, pins) = opt.seed_searches(&batch, &whole_of, &model, &oracle, &mut interner);
+        assert_eq!((seeds.len(), &pins), (2, &vec![whole_of[0]]));
+        let (spec, _) = opt.optimize(&batch, &oracle, None, &fresh_interner());
+        assert_eq!(spec.pins, pins, "the spec carries the pass's pins");
+
+        let interner = &interner;
+        let bits = |(plan, stats): (Assignment, OptStats)| {
+            let counters = (stats.candidates, stats.explored, stats.memo_hits);
+            (plan, counters, stats.best_cost.to_bits())
+        };
+        let run = |seed| bits(BestPlanSearch::new(&model, interner, seed).run());
+        let in_order: Vec<_> = seeds.iter().map(run).collect();
+        assert!(in_order.iter().all(|(_, (c, e, _), _)| *c > 0 && *e > 1));
+        let mut reversed: Vec<_> = seeds.iter().rev().map(run).collect();
+        reversed.reverse();
+        assert_eq!(reversed, in_order);
+        let search = BestPlanSearch::new(&model, interner, &seeds[1]);
+        let worker = std::thread::scope(|scope| scope.spawn(move || search.run()).join());
+        assert_eq!(bits(worker.expect("the search completes")), in_order[1]);
     }
 
     /// Reaches `node` from `from` through join inputs.
