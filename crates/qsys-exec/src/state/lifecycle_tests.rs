@@ -12,8 +12,8 @@ use crate::{
 };
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_opt::plan::{CqPlan, PlanSpec, SpecNode, SpecNodeKind};
-use qsys_opt::{Optimizer, OptimizerConfig};
-use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId};
+use qsys_opt::{OptStats, Optimizer, OptimizerConfig};
+use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn, SigId, UserQuery};
 use qsys_source::{FaultInjector, FaultSpec, Sources, Table};
 use qsys_types::{
     BaseTuple, CqId, Epoch, JoinCond, RelId, Selection, SimClock, Tuple, UqId, UserId, Value,
@@ -303,15 +303,17 @@ fn eviction_respects_pins_and_budget() {
     let cq2 = path_cq(1, 1, &cat, 2);
     optimize_and_graft(&mut pinned_mgr, &cat, &[(&cq2, &f)], &src2, 5);
     run(&mut pinned_mgr, &src2, &[UqId::new(1)]);
-    // Pin every signature present.
-    let sigs: Vec<_> = pinned_mgr
+    // Pin every signature present: a spec that plans nothing lists them.
+    let pins = pinned_mgr
         .graph()
         .node_ids()
         .filter_map(|id| pinned_mgr.graph().node(id).sig)
         .collect();
-    for sig in sigs {
-        pinned_mgr.pin(sig);
-    }
+    let spec = PlanSpec {
+        pins,
+        ..PlanSpec::default()
+    };
+    pinned_mgr.graft(&spec, &src2, 5);
     pinned_mgr.unlink_completed();
     let before = pinned_mgr.eviction_stats().evicted_nodes;
     pinned_mgr.evict_to_budget();
@@ -993,4 +995,136 @@ fn a_quarantined_stream_under_a_root_blocks_publication() {
     assert!(again.outcome.sealed_uqs.is_empty());
     assert!(again.outcome.created_nodes > 0, "fresh streams");
     assert_eq!(again.uqs[0].3, first.uqs[0].3);
+}
+
+/// The user query that asks `cq` alone under `f`.
+fn user_query(cq: &ConjunctiveQuery, f: &ScoreFn) -> UserQuery {
+    UserQuery {
+        id: cq.uq,
+        user: cq.user,
+        keywords: String::new(),
+        cqs: vec![(cq.clone(), f.clone())],
+    }
+}
+
+/// What the optimizer makes of `uqs` over the manager's state: its stats,
+/// the pins of its spec, and the virtual µs it charged.
+fn search(manager: &QsManager, uqs: &[&UserQuery], k: usize) -> (OptStats, Vec<SigId>, u64) {
+    let cat = catalog();
+    let config = OptimizerConfig {
+        k,
+        ..OptimizerConfig::default()
+    };
+    let batch: Vec<(&ConjunctiveQuery, &ScoreFn)> = uqs
+        .iter()
+        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
+        .collect();
+    let clock = SimClock::new();
+    let interner = manager.shared_interner();
+    let oracle = manager.reuse_oracle();
+    let (spec, stats) =
+        Optimizer::new(&cat, config).optimize(&batch, &oracle, Some(&clock), &interner);
+    (stats, spec.pins, clock.now_us())
+}
+
+/// Admission seals a re-pose whose every user query has a retained answer,
+/// and only such a batch; the closed form it is charged and reported
+/// (`Optimizer::all_resident`) is what the search it skips reports, for one
+/// user query and for three.
+#[test]
+fn admission_seals_an_all_retained_batch_as_its_search_would() {
+    let cat = catalog();
+    let src = sources();
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let f = |len| ScoreFn::discover(UserId::new(0), len);
+    let (a, ab, abc) = (
+        path_cq(0, 0, &cat, 1),
+        path_cq(1, 1, &cat, 2),
+        path_cq(2, 2, &cat, 3),
+    );
+    // B alone, never asked: its stream is resident, but it has no answer.
+    let b = CqAtom {
+        rel: RelId::new(1),
+        selection: None,
+    };
+    let b = ConjunctiveQuery::new(
+        CqId::new(9),
+        UqId::new(9),
+        UserId::new(0),
+        vec![b],
+        Vec::new(),
+    );
+    let fresh = user_query(&b, &f(1));
+    assert!(manager.seal(&[&fresh], k).is_none(), "nothing retained");
+    pose(
+        &mut manager,
+        &[(&a, &f(1)), (&ab, &f(2)), (&abc, &f(3))],
+        &src,
+        k,
+    );
+    assert_eq!(manager.retained_len(), 3);
+
+    let mut next = 3;
+    let mut repose = |len: u32| {
+        next += 1;
+        user_query(&path_cq(next, next, &cat, len), &f(len as usize))
+    };
+    let one = repose(2);
+    let three = [repose(1), repose(2), repose(3)];
+    for batch in [vec![&one], three.iter().collect()] {
+        let (stats, pins, charged) = search(&manager, &batch, k);
+        let clock = SimClock::new();
+        let closed = Optimizer::all_resident(batch.len(), Some(&clock));
+        assert_eq!(
+            (stats.explored, stats.candidates, stats.memo_hits),
+            (closed.explored, closed.candidates, closed.memo_hits)
+        );
+        assert_eq!((closed.explored, charged), (batch.len(), clock.now_us()));
+        assert!(pins.is_empty());
+
+        let epoch = manager.graph().epoch();
+        let outcome = manager.seal(&batch, k).expect("every member is retained");
+        let ids: Vec<UqId> = batch.iter().map(|uq| uq.id).collect();
+        assert_eq!((&outcome.new_uqs, &outcome.sealed_uqs), (&ids, &ids));
+        assert_eq!((outcome.reused_nodes, outcome.created_nodes), (0, 0));
+        assert!(outcome.recovered_uqs.is_empty());
+        assert!(outcome.epoch > epoch && outcome.epoch == manager.graph().epoch());
+        let stats = run(&mut manager, &src, &ids);
+        for uq in &ids {
+            assert!(stats.uq(*uq).expect("ran").cqs_executed.is_empty());
+        }
+        manager.unlink_completed();
+    }
+
+    // Not sealed, and nothing changed: another user's scoring, another k,
+    // a member without an answer, and a root that was evicted.
+    let epoch = manager.graph().epoch();
+    let banks = ScoreFn::banks(UserId::new(1), 0.5, [(RelId::new(0), 0.5)]);
+    let rescored = user_query(&path_cq(20, 20, &cat, 2), &banks);
+    let ab_again = repose(2);
+    for (batch, k) in [
+        (vec![&rescored], k),
+        (vec![&ab_again], k + 1),
+        (vec![&ab_again, &fresh], k),
+    ] {
+        assert!(manager.seal(&batch, k).is_none());
+    }
+    // Evict A ⋈ B ⋈ C's root (nothing consumes it).
+    let sig = manager.shared_interner().borrow_mut().of_cq(&abc);
+    let root = manager
+        .graph()
+        .find_sig(sig)
+        .expect("A ⋈ B ⋈ C is resident");
+    let graph = manager.graph_mut();
+    for p in graph.node(root).parents.clone() {
+        graph.disconnect(p, root);
+    }
+    graph.remove_node(root);
+    let abc_again = repose(3);
+    assert!(manager.seal(&[&abc_again], k).is_none());
+    assert_eq!(manager.graph().epoch(), epoch);
+    for uq in [&rescored, &ab_again, &fresh, &abc_again] {
+        assert!(manager.rank_merge_of(uq.id).is_none());
+    }
 }

@@ -14,16 +14,25 @@
 //! The answer is keyed by the user query's sorted `(whole-query
 //! signature, exact score-function identity)` pairs and `k`. A later user
 //! query with that key, whose every signature still names a live node no
-//! quarantined stream feeds, is not planned onto the graph at all:
-//! [`QsManager::graft`] gives it a rank-merge with no CQ registrations
-//! whose pending queue holds the retained results, and the ATC's first
-//! service emits them. Its CQ plans are neither grafted nor recovered, so
-//! its response is its batch's optimizer charge. Here the engine departs
-//! from Algorithm 2, which re-derives every reused CQ's missed results
-//! through `RecoverState` (see `recover`): a re-posed query with identical
-//! CQs and scoring has nothing left to derive. ATC-CQ never retains (its
-//! nodes carry no signature), nor does ATC-UQ (`isolate` forgets every
-//! signature), so neither mode needs a check.
+//! quarantined stream feeds, is not planned onto the graph at all: it
+//! gets a rank-merge with no CQ registrations whose pending queue holds
+//! the retained results, and the ATC's first service emits them. Its CQ
+//! plans are neither grafted nor recovered, so its response is its
+//! batch's optimizer charge. Two paths publish:
+//!
+//! - *At admission.* When every user query of a batch has a retained
+//!   answer and every CQ is resident whole, [`QsManager::seal`] answers
+//!   the batch before it is planned: no search, no factorization, no
+//!   graft. The lane charges what the search would have cost in closed
+//!   form (`Optimizer::all_resident`: one state per user query).
+//! - *At graft.* In a batch where only some members have an answer,
+//!   [`QsManager::graft`] publishes theirs and grafts the rest.
+//!
+//! Here the engine departs from Algorithm 2, which re-derives every reused
+//! CQ's missed results through `RecoverState` (see `recover`): a re-posed
+//! query with identical CQs and scoring has nothing left to derive. ATC-CQ
+//! never retains (its nodes carry no signature), nor does ATC-UQ
+//! (`isolate` forgets every signature), so neither mode needs a check.
 //!
 //! A retained answer costs a rank-merge's 96 bytes per result. Over
 //! budget, retained answers are evicted first, least recently used first,
@@ -38,9 +47,9 @@ use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, SpecNodeKind};
 use qsys_opt::retired::WarmCell;
-use qsys_query::{shared_interner, ScoreModel, SharedInterner, SigId};
+use qsys_query::{shared_interner, ScoreModel, SharedInterner, SigId, SubExprSig, UserQuery};
 use qsys_source::Sources;
-use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId};
+use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId, UserId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -62,6 +71,8 @@ pub struct GraftOutcome {
     pub recovered_uqs: Vec<UqId>,
     /// User queries that publish a retained answer instead of running:
     /// none of their CQ plans was instantiated, registered or recovered.
+    /// Every member of a batch [`QsManager::seal`] answered; graft's are
+    /// the members of a mixed batch that had one.
     pub sealed_uqs: Vec<UqId>,
     /// The epoch this batch executes in.
     pub epoch: Epoch,
@@ -99,8 +110,15 @@ impl RetainedAnswer {
     }
 }
 
-/// Each user query of `spec` with its [`AnswerKey`] and its CQ ids in the
-/// key's order.
+/// A user query's [`AnswerKey`] and its CQ ids in the key's order, from
+/// each CQ's whole-query signature, score identity and id.
+fn answer_key(mut cqs: Vec<(SigId, ScoreKey, CqId)>, k: usize) -> (AnswerKey, Vec<CqId>) {
+    cqs.sort();
+    let (pairs, ids) = cqs.into_iter().map(|(sig, f, cq)| ((sig, f), cq)).unzip();
+    (AnswerKey { cqs: pairs, k }, ids)
+}
+
+/// Each user query of `spec` with its [`answer_key`].
 fn answer_keys(spec: &PlanSpec, k: usize) -> BTreeMap<UqId, (AnswerKey, Vec<CqId>)> {
     let mut by_uq: BTreeMap<UqId, Vec<_>> = BTreeMap::new();
     for plan in &spec.cq_plans {
@@ -109,11 +127,7 @@ fn answer_keys(spec: &PlanSpec, k: usize) -> BTreeMap<UqId, (AnswerKey, Vec<CqId
     }
     by_uq
         .into_iter()
-        .map(|(uq, mut cqs)| {
-            cqs.sort();
-            let (pairs, ids) = cqs.into_iter().map(|(sig, f, cq)| ((sig, f), cq)).unzip();
-            (uq, (AnswerKey { cqs: pairs, k }, ids))
-        })
+        .map(|(uq, cqs)| (uq, answer_key(cqs, k)))
         .collect()
 }
 
@@ -127,7 +141,7 @@ pub struct QsManager {
     /// ids stay stable across batches (the across-time sharing memo).
     interner: SharedInterner,
     /// Pinned subexpressions (protected from eviction; Section 6.1): every
-    /// grafted spec's pins and every [`QsManager::pin`] since the last
+    /// grafted spec's [`PlanSpec::pins`] since the last
     /// [`QsManager::unpin_all`].
     pinned: BTreeSet<SigId>,
     /// Last epoch each node was (re)used in, for LRU eviction.
@@ -251,13 +265,6 @@ impl QsManager {
         &self.eviction_stats
     }
 
-    /// Pin a subexpression against eviction until the next
-    /// [`unpin_all`](Self::unpin_all). Graft pins what its spec's
-    /// [`PlanSpec::pins`] lists, so the optimizer never calls this.
-    pub fn pin(&mut self, sig: SigId) {
-        self.pinned.insert(sig);
-    }
-
     /// Release all pins: the lane calls this once its batch has run, so a
     /// batch's pins hold from its graft to the end of its execution.
     pub fn unpin_all(&mut self) {
@@ -289,7 +296,7 @@ impl QsManager {
             epoch,
             ..GraftOutcome::default()
         };
-        let keys = answer_keys(spec, k);
+        let mut keys = answer_keys(spec, k);
         let published: BTreeSet<UqId> = keys
             .iter()
             .filter(|(_, (key, _))| self.retained.contains_key(key) && self.publishable(key))
@@ -404,12 +411,9 @@ impl QsManager {
                 None => {
                     let rm = if publish {
                         outcome.sealed_uqs.push(plan.uq);
-                        let (key, cqs) = &keys[&plan.uq];
-                        // lint:allow(panic-path): `published` holds only keys with a retained answer
-                        let answer = self.retained.get(key).expect("retained");
-                        let results = answer.results.iter();
-                        let results = results.map(|(score, at, t)| (*score, cqs[*at], t.clone()));
-                        RankMerge::retained(plan.uq, plan.user, k, results)
+                        // lint:allow(panic-path): `published` is a subset of `keys`, and a user query's first CQ plan takes its key
+                        let key = keys.remove(&plan.uq).expect("each user query has a key");
+                        self.retained_rank_merge(plan.uq, plan.user, key)
                     } else {
                         RankMerge::new(plan.uq, plan.user, k)
                     };
@@ -456,6 +460,75 @@ impl QsManager {
         self.pinned.extend(spec.pins.iter().copied());
         self.evict_to_budget();
         outcome
+    }
+
+    /// Answer a batch from memory, before it is planned, when every user
+    /// query of `uqs` has a retained answer under `k` (module docs) and every
+    /// one of its conjunctive queries is resident whole. Then no spec is
+    /// needed: the epoch is bumped, each query gets its retained rank-merge
+    /// in batch order, exactly as [`QsManager::graft`] would publish it, and
+    /// the manager evicts to its budget. Otherwise it returns `None` having
+    /// changed nothing: at once while nothing is retained, and else at the
+    /// first conjunctive query without a resident root or the first user
+    /// query without an answer. No signature is interned here: one the lane
+    /// never interned names no resident state.
+    pub fn seal(&mut self, uqs: &[&UserQuery], k: usize) -> Option<GraftOutcome> {
+        if self.retained.is_empty() {
+            return None;
+        }
+        let mut keys = Vec::with_capacity(uqs.len());
+        {
+            let interner = self.interner.borrow();
+            let reuse = self.reuse_oracle();
+            for uq in uqs {
+                let mut cqs = Vec::with_capacity(uq.cqs.len());
+                for (cq, f) in &uq.cqs {
+                    let sig = interner.get(&SubExprSig::of_cq(cq))?;
+                    // The optimizer's all-resident predicate, which makes
+                    // `Optimizer::all_resident` this batch's search.
+                    reuse.streamed(sig)?;
+                    cqs.push((sig, f.exact_key(), cq.id));
+                }
+                let key = answer_key(cqs, k);
+                if !self.retained.contains_key(&key.0) {
+                    return None;
+                }
+                // A streamed signature names a reusable node.
+                debug_assert!(self.publishable(&key.0));
+                keys.push(key);
+            }
+        }
+        let mut outcome = GraftOutcome {
+            epoch: self.graph.bump_epoch(),
+            ..GraftOutcome::default()
+        };
+        for (uq, key) in uqs.iter().zip(keys) {
+            let rm = self.retained_rank_merge(uq.id, uq.user, key);
+            let id = self.graph.add_rank_merge(rm);
+            self.rank_merges.insert(uq.id, id);
+            outcome.new_uqs.push(uq.id);
+            outcome.sealed_uqs.push(uq.id);
+        }
+        self.evict_to_budget();
+        Some(outcome)
+    }
+
+    /// A rank-merge for `uq` whose pending queue holds the retained answer
+    /// under `key` (its CQ ids in the key's order), with `key` recorded as
+    /// `uq`'s live key: what graft and [`QsManager::seal`] publish.
+    fn retained_rank_merge(
+        &mut self,
+        uq: UqId,
+        user: UserId,
+        (key, cqs): (AnswerKey, Vec<CqId>),
+    ) -> RankMerge {
+        // lint:allow(panic-path): both callers checked that `key` has a retained answer
+        let answer = self.retained.get(&key).expect("retained");
+        let results = answer.results.iter();
+        let results = results.map(|(score, at, t)| (*score, cqs[*at], t.clone()));
+        let rm = RankMerge::retained(uq, user, key.k, results);
+        self.live_keys.insert(uq, (key, cqs));
+        rm
     }
 
     /// Whether a retained answer under `key` may be published: every CQ's

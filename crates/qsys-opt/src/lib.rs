@@ -25,8 +25,11 @@
 //! operation: reuse-aware cost adjustment (via a [`ReuseOracle`] answered
 //! by the QS manager) and hierarchical user-query clustering. When that
 //! oracle reports every query of a user query resident whole, that user
-//! query searches no push-down. Every other batch derives its search inputs afresh: the
-//! optimizer keeps nothing of its own across batches.
+//! query searches no push-down and explores its one default state;
+//! [`Optimizer::all_resident`] states that result in closed form for a
+//! batch the engine answers from retained answers without planning it.
+//! Every batch derives its search inputs afresh: the optimizer keeps
+//! nothing of its own across batches.
 
 pub mod bestplan;
 pub mod cluster;

@@ -224,9 +224,7 @@ impl<'a> Optimizer<'a> {
             stats.memo_hits += s.memo_hits;
             stats.best_cost += s.best_cost;
         }
-        if let Some(clock) = clock {
-            clock.charge(TimeCategory::Optimize, stats.explored as u64 * OPT_STEP_US);
-        }
+        charge(clock, &stats);
         let mut spec = self.factorize(batch, &whole_of, &assignment, &model, &mut guard);
         spec.pins = pins;
         (spec, stats)
@@ -279,6 +277,25 @@ impl<'a> Optimizer<'a> {
         pins.sort_unstable();
         pins.dedup();
         (seeds, pins)
+    }
+
+    /// What [`optimize`](Self::optimize) reports, in closed form, for a
+    /// batch of `uqs` user queries every conjunctive query of which the
+    /// reuse oracle reports resident whole. The serial pass
+    /// (`seed_searches`) enumerates no candidate for such a user query, so
+    /// its search explores its one default state, with no memo hit: the
+    /// batch explores `uqs` states, and `clock` is charged for them as
+    /// `optimize` charges. Nothing is costed, so `best_cost` is 0. The
+    /// engine answers a batch whose every user query has a retained answer
+    /// without planning it; this keeps the batch's optimizer charge and
+    /// report what the search would have made them.
+    pub fn all_resident(uqs: usize, clock: Option<&SimClock>) -> OptStats {
+        let stats = OptStats {
+            explored: uqs,
+            ..OptStats::default()
+        };
+        charge(clock, &stats);
+        stats
     }
 
     /// [`Optimizer::optimize`], under the name the benchmark's shadow lane
@@ -490,6 +507,14 @@ impl<'a> Optimizer<'a> {
             }
         }
         common
+    }
+}
+
+/// Charge `clock` the optimization time of a search that reported `stats`:
+/// [`OPT_STEP_US`] per explored state (Figure 11).
+fn charge(clock: Option<&SimClock>, stats: &OptStats) {
+    if let Some(clock) = clock {
+        clock.charge(TimeCategory::Optimize, stats.explored as u64 * OPT_STEP_US);
     }
 }
 

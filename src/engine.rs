@@ -562,27 +562,37 @@ impl Lane {
     }
 
     /// Optimize and graft a set of user queries as one batch onto this
-    /// lane, recording the optimizer invocation in `opt_events`.
+    /// lane, recording the optimizer invocation in `opt_events`. A batch
+    /// whose every member has a retained answer is sealed instead
+    /// ([`QsManager::seal`]): it is neither optimized nor grafted, and is
+    /// charged and reported as the search it skips
+    /// ([`Optimizer::all_resident`]).
     fn graft_batch(&mut self, cx: &BatchCx, uqs: &[&UserQuery]) -> (GraftOutcome, OptStats) {
         let batch: Vec<(&qsys_query::ConjunctiveQuery, &ScoreFn)> = uqs
             .iter()
             .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
             .collect();
-        let opt_config = OptimizerConfig {
-            k: cx.config.k,
-            heuristics: cx.config.heuristics.clone(),
-            share_subexpressions: batch_share(&cx.config.sharing),
-            ..OptimizerConfig::default()
+        let clock = Some(self.sources.clock());
+        let (outcome, opt_stats) = if let Some(outcome) = self.manager.seal(uqs, cx.config.k) {
+            (outcome, Optimizer::all_resident(uqs.len(), clock))
+        } else {
+            let opt_config = OptimizerConfig {
+                k: cx.config.k,
+                heuristics: cx.config.heuristics.clone(),
+                share_subexpressions: batch_share(&cx.config.sharing),
+                ..OptimizerConfig::default()
+            };
+            let optimizer = Optimizer::new(cx.catalog, opt_config);
+            let (spec, opt_stats) = {
+                // The lane's shared interner: the spec's signature ids must be
+                // the ones the manager's reuse index is keyed on.
+                let interner = self.manager.shared_interner();
+                let oracle = self.manager.reuse_oracle();
+                optimizer.optimize(&batch, &oracle, clock, &interner)
+            };
+            let outcome = self.manager.graft(&spec, &self.sources, cx.config.k);
+            (outcome, opt_stats)
         };
-        let optimizer = Optimizer::new(cx.catalog, opt_config);
-        let (spec, opt_stats) = {
-            // The lane's shared interner: the spec's signature ids must be the
-            // ones the manager's reuse index is keyed on.
-            let interner = self.manager.shared_interner();
-            let oracle = self.manager.reuse_oracle();
-            optimizer.optimize(&batch, &oracle, Some(self.sources.clock()), &interner)
-        };
-        let outcome = self.manager.graft(&spec, &self.sources, cx.config.k);
         self.opt_events.push(OptEvent::new(batch.len(), &opt_stats));
         (outcome, opt_stats)
     }
