@@ -161,6 +161,7 @@ impl QueryPlanGraph {
             children: Vec::new(),
             parents: Vec::new(),
             sig,
+            last_used: Epoch::ZERO,
         }));
         id
     }

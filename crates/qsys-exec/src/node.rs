@@ -11,7 +11,7 @@ use crate::mjoin::MJoin;
 use crate::rank_merge::RankMerge;
 use qsys_query::SigId;
 use qsys_source::SourceStream;
-use qsys_types::Tuple;
+use qsys_types::{Epoch, Tuple};
 use std::fmt;
 
 /// Identifier of a plan-graph node.
@@ -203,6 +203,9 @@ pub struct Node {
     /// [`SigInterner`](qsys_query::SigInterner) when the actual atoms and
     /// joins are needed.
     pub sig: Option<SigId>,
+    /// The last epoch a graft needed this node in, eviction's LRU order;
+    /// [`Epoch::ZERO`] for nodes no graft stamps (recovery, rank-merges).
+    pub(crate) last_used: Epoch,
 }
 
 impl Node {

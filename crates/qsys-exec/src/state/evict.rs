@@ -9,12 +9,15 @@
 //!
 //! Candidates are *detached* operator nodes: no children (no running query
 //! consumes them), not rank-merges, not pinned. Removing a node may detach
-//! its parents, which become candidates in later rounds.
+//! its parents, which become candidates in later rounds. A node's recency
+//! is its `Node::last_used` stamp, and its size is its term of the
+//! graph's resident bytes (`QueryPlanGraph::node_approx_bytes`): a victim
+//! is ranked by exactly what its removal releases.
 
 use crate::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_query::SigId;
 use qsys_types::Epoch;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Replacement policies (the paper compared several; LRU+size won).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -33,7 +36,8 @@ pub enum EvictionPolicy {
 pub struct EvictionStats {
     /// Nodes evicted.
     pub evicted_nodes: usize,
-    /// Approximate bytes reclaimed.
+    /// Approximate bytes reclaimed: the drop in
+    /// [`QueryPlanGraph::approx_bytes`] that the evictions made.
     pub reclaimed_bytes: usize,
 }
 
@@ -46,7 +50,6 @@ pub(crate) fn evict_to_budget(
     budget: usize,
     policy: EvictionPolicy,
     pinned: &BTreeSet<SigId>,
-    last_used: &HashMap<NodeId, Epoch>,
     stats: &mut EvictionStats,
 ) {
     // A running total: removing a victim takes exactly its own term off
@@ -67,11 +70,7 @@ pub(crate) fn evict_to_budget(
                 }
                 true
             })
-            .map(|id| {
-                let bytes = node_bytes(graph, id);
-                let used = last_used.get(&id).copied().unwrap_or(Epoch::ZERO);
-                (id, bytes, used)
-            })
+            .map(|id| (id, graph.node_approx_bytes(id), graph.node(id).last_used))
             .collect();
         let victim = match policy {
             EvictionPolicy::LruSizeTieBreak => candidates
@@ -84,7 +83,7 @@ pub(crate) fn evict_to_budget(
         let Some((victim, bytes, _)) = victim else {
             break; // nothing evictable (all pinned or referenced)
         };
-        resident -= graph.node_approx_bytes(victim);
+        resident -= bytes;
         let parents: Vec<NodeId> = graph.node(victim).parents.clone();
         for p in parents {
             graph.disconnect(p, victim);
@@ -96,61 +95,53 @@ pub(crate) fn evict_to_budget(
     }
 }
 
-fn node_bytes(graph: &QueryPlanGraph, id: NodeId) -> usize {
-    match &graph.node(id).kind {
-        NodeKind::MJoin(mj) => mj.approx_bytes(graph.modules()),
-        NodeKind::RankMerge(rm) => rm.approx_bytes(),
-        NodeKind::Stream(_) => graph.stored_len(id).unwrap_or(0) * 16 + 64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamBacking;
-    use qsys_types::{BaseTuple, RelId, Tuple};
+    use crate::{RetryPolicy, SourceGovernor, StreamBacking};
+    use qsys_source::{Sources, Table};
+    use qsys_types::{BaseTuple, RelId, SimClock, Tuple};
     use std::sync::Arc;
 
+    /// `n` single tuples of relation `rel`.
+    fn tuples(rel: u32, n: usize) -> Vec<Arc<BaseTuple>> {
+        (0..n)
+            .map(|j| Arc::new(BaseTuple::new(RelId::new(rel), j as u64, vec![], 0.5)))
+            .collect()
+    }
+
     /// Build a graph of three detached replay-stream nodes with different
-    /// sizes, plus recorded last-use epochs.
-    fn detached_graph() -> (QueryPlanGraph, Vec<NodeId>, HashMap<NodeId, Epoch>) {
+    /// sizes, each stamped with its last-use epoch (node 0 oldest).
+    fn detached_graph() -> (QueryPlanGraph, Vec<NodeId>) {
         let mut g = QueryPlanGraph::new();
         let mut ids = Vec::new();
-        let mut used = HashMap::new();
         for (i, n_tuples) in [4usize, 32, 8].iter().enumerate() {
-            let tuples: Vec<Tuple> = (0..*n_tuples)
-                .map(|j| {
-                    Tuple::single(Arc::new(BaseTuple::new(
-                        RelId::new(i as u32),
-                        j as u64,
-                        vec![],
-                        0.5,
-                    )))
-                })
-                .collect();
-            let id = g.add_stream(StreamBacking::Replay { tuples, pos: 0 }, None);
-            used.insert(id, Epoch(i as u32)); // node 0 oldest
+            let tuples = tuples(i as u32, *n_tuples).into_iter().map(Tuple::single);
+            let backing = StreamBacking::Replay {
+                tuples: tuples.collect(),
+                pos: 0,
+            };
+            let id = g.add_stream(backing, None);
+            g.node_mut(id).last_used = Epoch(i as u32);
             ids.push(id);
         }
-        (g, ids, used)
+        (g, ids)
+    }
+
+    /// Evict `g` to `budget` under `policy`, nothing pinned.
+    fn evict(g: &mut QueryPlanGraph, budget: usize, policy: EvictionPolicy) -> EvictionStats {
+        let mut stats = EvictionStats::default();
+        let resident = g.approx_bytes();
+        evict_to_budget(g, resident, budget, policy, &BTreeSet::new(), &mut stats);
+        stats
     }
 
     #[test]
     fn lru_evicts_oldest_first() {
-        let (mut g, ids, used) = detached_graph();
-        let mut stats = EvictionStats::default();
+        let (mut g, ids) = detached_graph();
         // Budget forces exactly one eviction round at a time; evict until
         // one node remains (graph bytes of a single node ≤ 600).
-        let resident = g.approx_bytes();
-        evict_to_budget(
-            &mut g,
-            resident,
-            600,
-            EvictionPolicy::Lru,
-            &BTreeSet::new(),
-            &used,
-            &mut stats,
-        );
+        let stats = evict(&mut g, 600, EvictionPolicy::Lru);
         // The oldest (epoch 0) node goes first.
         assert!(g.try_node(ids[0]).is_none(), "oldest evicted");
         assert!(stats.evicted_nodes >= 1);
@@ -158,44 +149,24 @@ mod tests {
 
     #[test]
     fn size_greedy_evicts_biggest_first() {
-        let (mut g, ids, used) = detached_graph();
-        let mut stats = EvictionStats::default();
-        let resident = g.approx_bytes();
-        evict_to_budget(
-            &mut g,
-            resident,
-            900,
-            EvictionPolicy::SizeGreedy,
-            &BTreeSet::new(),
-            &used,
-            &mut stats,
-        );
+        let (mut g, ids) = detached_graph();
+        evict(&mut g, 900, EvictionPolicy::SizeGreedy);
         assert!(g.try_node(ids[1]).is_none(), "largest (32 tuples) evicted");
         assert!(g.try_node(ids[0]).is_some());
     }
 
     #[test]
     fn unlimited_budget_evicts_nothing() {
-        let (mut g, _, used) = detached_graph();
+        let (mut g, _) = detached_graph();
         let before = g.len();
-        let mut stats = EvictionStats::default();
-        let resident = g.approx_bytes();
-        evict_to_budget(
-            &mut g,
-            resident,
-            usize::MAX,
-            EvictionPolicy::LruSizeTieBreak,
-            &BTreeSet::new(),
-            &used,
-            &mut stats,
-        );
+        let stats = evict(&mut g, usize::MAX, EvictionPolicy::LruSizeTieBreak);
         assert_eq!(g.len(), before);
         assert_eq!(stats.evicted_nodes, 0);
     }
 
     #[test]
     fn consumers_protect_nodes() {
-        let (mut g, ids, used) = detached_graph();
+        let (mut g, ids) = detached_graph();
         // Give every node a consumer rooted in a rank-merge (rank-merges
         // are never evicted, so the chain stays protected even at budget 0).
         let sink = g.add_rank_merge(crate::RankMerge::new(
@@ -206,19 +177,34 @@ mod tests {
         for id in &ids {
             g.connect(*id, sink, 0);
         }
-        let mut stats = EvictionStats::default();
-        let resident = g.approx_bytes();
-        evict_to_budget(
-            &mut g,
-            resident,
-            0,
-            EvictionPolicy::LruSizeTieBreak,
-            &BTreeSet::new(),
-            &used,
-            &mut stats,
-        );
+        evict(&mut g, 0, EvictionPolicy::LruSizeTieBreak);
         for id in &ids {
             assert!(g.try_node(*id).is_some());
         }
+    }
+
+    /// What eviction reports reclaiming is what the graph's resident
+    /// bytes lost: a replay leaf's tuples and a remote leaf's stored reads
+    /// count exactly as `approx_bytes` counts them.
+    #[test]
+    fn reclaimed_bytes_are_what_the_graph_released() {
+        let (mut g, _) = detached_graph();
+        let sources = Sources::new(SimClock::new(), 7);
+        sources.register(Table::new(RelId::new(9), tuples(9, 12)));
+        let leaf = g.add_stream(
+            StreamBacking::Remote(sources.open_stream(RelId::new(9), None)),
+            None,
+        );
+        let governor = SourceGovernor::new(RetryPolicy::default());
+        for _ in 0..5 {
+            g.read_stream_governed(leaf, &sources, &governor);
+        }
+        assert!(g.stored_len(leaf).is_some_and(|n| n > 0));
+        for budget in [usize::MAX, 1_000, 300, 0] {
+            let before = g.approx_bytes();
+            let stats = evict(&mut g, budget, EvictionPolicy::LruSizeTieBreak);
+            assert_eq!(stats.reclaimed_bytes, before - g.approx_bytes());
+        }
+        assert!(g.is_empty(), "budget 0 evicts every detached leaf");
     }
 }

@@ -181,7 +181,11 @@ fn fresh_graft_matches_brute_force() {
     let k = 10;
     let outcome = optimize_and_graft(&mut manager, &cat, &[(&cq, &f)], &src, k);
     assert_eq!(outcome.new_uqs, vec![UqId::new(0)]);
-    assert_eq!(outcome.recovery_queries, 0, "cold graph needs no recovery");
+    assert_eq!(
+        outcome.recovered_uqs.len(),
+        0,
+        "cold graph needs no recovery"
+    );
     run(&mut manager, &src, &[UqId::new(0)]);
     let got = results_of(&manager, UqId::new(0));
     let want = brute_force(&src, &cq, &f, k);
@@ -252,7 +256,7 @@ fn identical_requery_is_nearly_free() {
     // The same query again, as a new UQ from another user session.
     let cq1 = path_cq(1, 1, &cat, 2);
     let outcome = optimize_and_graft(&mut manager, &cat, &[(&cq1, &f)], &src, k);
-    assert!(outcome.recovery_queries >= 1, "{outcome:?}");
+    assert!(!outcome.recovered_uqs.is_empty(), "{outcome:?}");
     run(&mut manager, &src, &[UqId::new(1)]);
     let got = results_of(&manager, UqId::new(1));
     assert_eq!(got, want, "identical query, identical answers");
@@ -505,9 +509,14 @@ fn graft_derives_a_shared_producers_history_once() {
     assert_eq!((outcome.reused_nodes, outcome.created_nodes), (1, 3));
 
     let mut once = ExecWork::default();
-    let want = node_history(manager.graph(), ab_node, outcome.epoch, &mut once);
+    let want = node_history(manager.graph(), ab_node, manager.graph().epoch(), &mut once);
     let mut twice = once;
-    let again = node_history(manager.graph(), ab_node, outcome.epoch, &mut twice);
+    let again = node_history(
+        manager.graph(),
+        ab_node,
+        manager.graph().epoch(),
+        &mut twice,
+    );
     assert!(!want.is_empty() && want == again);
     assert!(once.recovery_probes > 0 && once.recovery_joins > 0);
     assert_eq!(twice.recovery_probes, 2 * once.recovery_probes);
@@ -563,7 +572,7 @@ fn graft_derives_a_shared_producers_history_once() {
         pins: Vec::new(),
     };
     let before = *manager.graph().work();
-    let outcome = manager.graft(&third, &src, k);
+    manager.graft(&third, &src, k);
     let after = *manager.graph().work();
     assert_eq!(
         (after.inputs_prefilled, after.inputs_attached),
@@ -577,14 +586,14 @@ fn graft_derives_a_shared_producers_history_once() {
         .expect("the new m-join consumes A ⋈ B");
     assert_ne!(fresh_ab, shared_ab, "emission order is not history order");
     let mut work = ExecWork::default();
-    let history = node_history(manager.graph(), ab_node, outcome.epoch, &mut work);
+    let history = node_history(manager.graph(), ab_node, manager.graph().epoch(), &mut work);
     module_holds(manager.graph(), fresh_ab, &history);
     assert_eq!(
         [attached_c, shared_c],
         [manager.graph().stream_leaf(c_node).module; 2],
         "a stream's consumers share its module"
     );
-    let delivered = node_history(manager.graph(), c_node, outcome.epoch, &mut work);
+    let delivered = node_history(manager.graph(), c_node, manager.graph().epoch(), &mut work);
     assert!(!delivered.is_empty(), "C was read before this graft");
     module_holds(manager.graph(), attached_c, &delivered);
 
@@ -631,7 +640,7 @@ fn a_stream_read_before_its_first_join_is_attached() {
         pins: Vec::new(),
     };
     let before = *manager.graph().work();
-    let outcome = manager.graft(&second, &src, k);
+    manager.graft(&second, &src, k);
     let after = *manager.graph().work();
     assert_eq!(
         ExecWork {
@@ -647,7 +656,7 @@ fn a_stream_read_before_its_first_join_is_attached() {
     };
     assert_eq!(mj.inputs()[0].module, a_module);
     let mut work = ExecWork::default();
-    let delivered = node_history(manager.graph(), a_node, outcome.epoch, &mut work);
+    let delivered = node_history(manager.graph(), a_node, manager.graph().epoch(), &mut work);
     assert!(!delivered.is_empty(), "A was read before this graft");
     module_holds(manager.graph(), a_module, &delivered);
 
@@ -735,6 +744,35 @@ fn pose(
         ..OptimizerConfig::default()
     };
     pose_with(manager, config, batch, src, false)
+}
+
+/// A user query's rank-merge is read off the graph: each member of a
+/// mixed batch (one publishes its retained answer, one is grafted) finds
+/// its own, neither is found once unlinked, and a later batch finds only
+/// its own members.
+#[test]
+fn rank_merge_of_finds_each_live_member_in_the_graph() {
+    let (cat, src) = (catalog(), sources());
+    let mut manager = QsManager::new(usize::MAX);
+    let f = |len| ScoreFn::discover(UserId::new(0), len);
+    let (k, f2, f3) = (10, f(2), f(3));
+    pose(&mut manager, &[(&path_cq(0, 0, &cat, 2), &f2)], &src, k);
+    let live = |manager: &QsManager, uq: u32| {
+        let rm = manager.rank_merge_of(UqId::new(uq));
+        rm.is_some_and(|rm| manager.graph().rank_merge(rm).uq() == UqId::new(uq))
+    };
+    // A ⋈ B re-posed beside A ⋈ B ⋈ C: first one published, one grafted;
+    // then both published.
+    for (ab, abc, sealed) in [(1, 2, 1), (3, 4, 2)] {
+        let (cq2, cq3) = (path_cq(ab, ab, &cat, 2), path_cq(abc, abc, &cat, 3));
+        let outcome = optimize_and_graft(&mut manager, &cat, &[(&cq2, &f2), (&cq3, &f3)], &src, k);
+        assert_eq!(outcome.sealed_uqs.len(), sealed);
+        assert!(live(&manager, ab) && live(&manager, abc));
+        assert!((0..ab).all(|uq| !live(&manager, uq)), "only its own");
+        run(&mut manager, &src, &[UqId::new(ab), UqId::new(abc)]);
+        manager.unlink_completed();
+        assert!(!live(&manager, ab) && !live(&manager, abc), "unlinked");
+    }
 }
 
 /// An identical re-pose publishes the retained top-k: same answers, no
@@ -1089,7 +1127,7 @@ fn admission_seals_an_all_retained_batch_as_its_search_would() {
         assert_eq!((&outcome.new_uqs, &outcome.sealed_uqs), (&ids, &ids));
         assert_eq!((outcome.reused_nodes, outcome.created_nodes), (0, 0));
         assert!(outcome.recovered_uqs.is_empty());
-        assert!(outcome.epoch > epoch && outcome.epoch == manager.graph().epoch());
+        assert_eq!(manager.graph().epoch(), epoch.next());
         let stats = run(&mut manager, &src, &ids);
         for uq in &ids {
             assert!(stats.uq(*uq).expect("ran").cqs_executed.is_empty());

@@ -53,7 +53,8 @@ use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId, UserId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// What one graft did (reported to the engine for stats and tests).
+/// What one graft did (reported to the engine for stats and tests). The
+/// batch executes in the graph's epoch after it.
 #[derive(Debug, Default, Clone)]
 pub struct GraftOutcome {
     /// User queries whose rank-merge operators were created.
@@ -62,20 +63,17 @@ pub struct GraftOutcome {
     pub reused_nodes: usize,
     /// Graph nodes created.
     pub created_nodes: usize,
-    /// Recovery queries (`CQ^e`) created by `RecoverState`.
-    pub recovery_queries: usize,
-    /// The user query behind each recovery query, in creation order (one
-    /// entry per recovered CQ plan, so a UQ appears once per recovered
-    /// CQ). Lets the serving layer attribute recovery status to the
-    /// ticket that triggered it.
+    /// The user query behind each recovery query (`CQ^e`) `RecoverState`
+    /// created, in creation order: one entry per recovered CQ plan, so a
+    /// UQ appears once per recovered CQ and the length is the number of
+    /// recovery queries. Lets the serving layer attribute recovery status
+    /// to the ticket that triggered it.
     pub recovered_uqs: Vec<UqId>,
     /// User queries that publish a retained answer instead of running:
     /// none of their CQ plans was instantiated, registered or recovered.
     /// Every member of a batch [`QsManager::seal`] answered; graft's are
     /// the members of a mixed batch that had one.
     pub sealed_uqs: Vec<UqId>,
-    /// The epoch this batch executes in.
-    pub epoch: Epoch,
 }
 
 /// What a retained answer answers: one user query's conjunctive queries,
@@ -131,11 +129,11 @@ fn answer_keys(spec: &PlanSpec, k: usize) -> BTreeMap<UqId, (AnswerKey, Vec<CqId
         .collect()
 }
 
-/// The query state manager for one plan graph / ATC.
+/// The query state manager for one plan graph / ATC. The graph is the one
+/// record of plan state (a query's rank-merge, a node's LRU stamp and
+/// size); the fields below hold only what no graph node does.
 pub struct QsManager {
     graph: QueryPlanGraph,
-    /// Rank-merge node per user query.
-    rank_merges: BTreeMap<UqId, NodeId>,
     /// The lane's shared signature interner: specs, the reuse index, and
     /// the plan graph all name subexpressions by [`SigId`] through it, so
     /// ids stay stable across batches (the across-time sharing memo).
@@ -144,8 +142,6 @@ pub struct QsManager {
     /// grafted spec's [`PlanSpec::pins`] since the last
     /// [`QsManager::unpin_all`].
     pinned: BTreeSet<SigId>,
-    /// Last epoch each node was (re)used in, for LRU eviction.
-    last_used: HashMap<NodeId, Epoch>,
     /// Shared random-access probe caches, one per remote relation: "we
     /// cache tuples from random probes, [so] the rate of probing
     /// decrease[s] over time" (§7.1). Shared across every m-join this
@@ -176,9 +172,7 @@ impl QsManager {
         QsManager {
             graph: QueryPlanGraph::new(),
             interner: shared_interner(),
-            rank_merges: BTreeMap::new(),
             pinned: BTreeSet::new(),
-            last_used: HashMap::new(),
             probe_modules: HashMap::new(),
             share_probe_caches: true,
             budget,
@@ -220,16 +214,11 @@ impl QsManager {
         &mut self.graph
     }
 
-    /// Rank-merge node for a user query.
+    /// The graph's rank-merge for a user query ([`RankMerge::uq`]): a scan
+    /// of at most one batch, as retiring unlinks every completed one.
     pub fn rank_merge_of(&self, uq: UqId) -> Option<NodeId> {
-        self.rank_merges.get(&uq).copied()
-    }
-
-    /// Every registered `UqId → rank-merge` binding, ascending by query
-    /// id. Read-only audit access for `qsys-verify`: each binding must
-    /// name a live rank-merge node.
-    pub fn rank_merge_entries(&self) -> impl Iterator<Item = (UqId, NodeId)> + '_ {
-        self.rank_merges.iter().map(|(&uq, &id)| (uq, id))
+        let mut ids = self.graph.rank_merge_ids().iter().copied();
+        ids.find(|&id| self.graph.rank_merge(id).uq() == uq)
     }
 
     /// Every shared probe-cache registration (`RelId → module slot`), in
@@ -292,10 +281,7 @@ impl QsManager {
     /// evicts to its budget.
     pub fn graft(&mut self, spec: &PlanSpec, sources: &Sources, k: usize) -> GraftOutcome {
         let epoch = self.graph.bump_epoch();
-        let mut outcome = GraftOutcome {
-            epoch,
-            ..GraftOutcome::default()
-        };
+        let mut outcome = GraftOutcome::default();
         let mut keys = answer_keys(spec, k);
         let published: BTreeSet<UqId> = keys
             .iter()
@@ -363,7 +349,7 @@ impl QsManager {
         // The module each producer's new consumers attach to in this graft
         // (see `consumer_module`). Dropped with the graft: nothing is
         // removed before it returns, so no id in it can go stale.
-        let mut grafted: HashMap<NodeId, ModuleId> = HashMap::new();
+        let mut grafted: BTreeMap<NodeId, ModuleId> = BTreeMap::new();
         for (idx, spec_node) in spec.nodes.iter().enumerate() {
             if !needed[idx] {
                 continue;
@@ -399,15 +385,15 @@ impl QsManager {
                     }
                 }
             };
-            self.last_used.insert(id, epoch);
+            self.graph.node_mut(id).last_used = epoch;
             node_map[idx] = Some(id);
         }
 
         // Register each CQ with its user query's rank-merge.
         for plan in &spec.cq_plans {
             let publish = published.contains(&plan.uq);
-            let rm_id = match self.rank_merges.get(&plan.uq) {
-                Some(id) => *id,
+            let rm_id = match self.rank_merge_of(plan.uq) {
+                Some(id) => id,
                 None => {
                     let rm = if publish {
                         outcome.sealed_uqs.push(plan.uq);
@@ -418,7 +404,6 @@ impl QsManager {
                         RankMerge::new(plan.uq, plan.user, k)
                     };
                     let id = self.graph.add_rank_merge(rm);
-                    self.rank_merges.insert(plan.uq, id);
                     outcome.new_uqs.push(plan.uq);
                     id
                 }
@@ -451,7 +436,6 @@ impl QsManager {
                 &self.interner.borrow(),
             );
             if recovered {
-                outcome.recovery_queries += 1;
                 outcome.recovered_uqs.push(plan.uq);
             }
         }
@@ -498,14 +482,11 @@ impl QsManager {
                 keys.push(key);
             }
         }
-        let mut outcome = GraftOutcome {
-            epoch: self.graph.bump_epoch(),
-            ..GraftOutcome::default()
-        };
+        self.graph.bump_epoch();
+        let mut outcome = GraftOutcome::default();
         for (uq, key) in uqs.iter().zip(keys) {
             let rm = self.retained_rank_merge(uq.id, uq.user, key);
-            let id = self.graph.add_rank_merge(rm);
-            self.rank_merges.insert(uq.id, id);
+            self.graph.add_rank_merge(rm);
             outcome.new_uqs.push(uq.id);
             outcome.sealed_uqs.push(uq.id);
         }
@@ -563,7 +544,7 @@ impl QsManager {
         preds: &[JoinCond],
         node_map: &[Option<NodeId>],
         epoch: Epoch,
-        grafted: &mut HashMap<NodeId, ModuleId>,
+        grafted: &mut BTreeMap<NodeId, ModuleId>,
     ) -> NodeId {
         let mut mj_inputs = Vec::new();
         let mut producer_edges = Vec::new();
@@ -639,7 +620,7 @@ impl QsManager {
         &mut self,
         producer: NodeId,
         epoch: Epoch,
-        grafted: &mut HashMap<NodeId, ModuleId>,
+        grafted: &mut BTreeMap<NodeId, ModuleId>,
     ) -> ModuleId {
         let attach = match &self.graph.node(producer).kind {
             NodeKind::Stream(leaf) => Some(leaf.module),
@@ -733,13 +714,18 @@ impl QsManager {
     /// upstream operators are *detached but retained* — their state stays
     /// cached for reuse until eviction reclaims it — and so is its top-k,
     /// as a retained answer, when the module docs' rule allows.
+    /// Taken in user-query order: of two with one answer key, the later
+    /// query's top-k is retained.
     pub fn unlink_completed(&mut self) {
-        let done: Vec<(UqId, NodeId)> = self
-            .rank_merges
+        let mut done: Vec<(UqId, NodeId)> = self
+            .graph
+            .rank_merge_ids()
             .iter()
-            .filter(|(_, id)| self.graph.rank_merge(**id).is_done())
-            .map(|(uq, id)| (*uq, *id))
+            .map(|&id| (self.graph.rank_merge(id), id))
+            .filter(|(rm, _)| rm.is_done())
+            .map(|(rm, id)| (rm.uq(), id))
             .collect();
+        done.sort_unstable();
         for (uq, rm_id) in done {
             self.retain_answer(uq, rm_id);
             let parents: Vec<NodeId> = self.graph.node(rm_id).parents.clone();
@@ -747,7 +733,6 @@ impl QsManager {
                 self.graph.disconnect(p, rm_id);
             }
             self.graph.remove_node(rm_id);
-            self.rank_merges.remove(&uq);
         }
     }
 
@@ -808,7 +793,6 @@ impl QsManager {
             self.budget - retained,
             self.policy,
             &self.pinned,
-            &self.last_used,
             &mut self.eviction_stats,
         );
     }

@@ -179,11 +179,6 @@ impl ExecStats {
         self.uqs.get(&uq)
     }
 
-    /// All stats in UQ order.
-    pub fn all(&self) -> impl Iterator<Item = &UqStats> {
-        self.uqs.values()
-    }
-
     /// Whether every submitted UQ has completed.
     #[cfg(test)]
     pub(crate) fn all_complete(&self) -> bool {

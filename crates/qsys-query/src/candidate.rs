@@ -258,17 +258,13 @@ impl<'a> CandidateGenerator<'a> {
     }
 
     /// Turn a tree into atoms and joins, applying keyword selections.
-    fn realize(
-        &self,
-        tree: &TreeCandidate,
-        selections: &BTreeMap<RelId, (Option<Selection>, f64)>,
-    ) -> (Vec<CqAtom>, Vec<CqJoin>) {
+    fn realize(&self, tree: &TreeCandidate, selections: &Selections) -> (Vec<CqAtom>, Vec<CqJoin>) {
         let atoms = tree
             .rels
             .iter()
             .map(|&rel| CqAtom {
                 rel,
-                selection: selections.get(&rel).and_then(|(s, _)| s.clone()),
+                selection: selections.get(&rel).cloned().flatten(),
             })
             .collect();
         let joins = tree
@@ -331,17 +327,15 @@ impl<'a> CandidateGenerator<'a> {
     }
 }
 
+/// The keyword selection on each matched relation (`None` for a metadata
+/// match, which selects nothing).
+type Selections = BTreeMap<RelId, Option<Selection>>;
+
 /// Merge one match combination into per-relation selections and similarity
 /// weights; `None` when two keywords demand conflicting selections on the
 /// same relation.
-#[allow(clippy::type_complexity)]
-fn merge_combo(
-    combo: &[&KeywordMatch],
-) -> Option<(
-    BTreeMap<RelId, (Option<Selection>, f64)>,
-    BTreeMap<RelId, f64>,
-)> {
-    let mut selections: BTreeMap<RelId, (Option<Selection>, f64)> = BTreeMap::new();
+fn merge_combo(combo: &[&KeywordMatch]) -> Option<(Selections, BTreeMap<RelId, f64>)> {
+    let mut selections = Selections::new();
     let mut similarity: BTreeMap<RelId, f64> = BTreeMap::new();
     for m in combo {
         let sel = match &m.kind {
@@ -350,9 +344,9 @@ fn merge_combo(
         };
         match selections.get_mut(&m.rel) {
             None => {
-                selections.insert(m.rel, (sel, m.similarity));
+                selections.insert(m.rel, sel);
             }
-            Some((existing, _)) => match (&existing, &sel) {
+            Some(existing) => match (&existing, &sel) {
                 (None, None) => {}
                 (None, Some(_)) => *existing = sel,
                 (Some(_), None) => {}

@@ -9,6 +9,10 @@
 //! invariant as a structured [`Violation`] with a breadcrumb path to the
 //! offending slot.
 //!
+//! The QS manager keeps no copy of graph state (a query's rank-merge, a
+//! node's LRU stamp and size are read off the graph), so the graph check
+//! covers them; the manager check adds its probe-cache registrations.
+//!
 //! Nothing here mutates anything, takes locks beyond the lane's own
 //! reader guards, or changes a decision: the verifier is a diagnostic
 //! layer the engine calls at phase boundaries (post-cluster, post-graft)
@@ -31,8 +35,8 @@ use std::fmt;
 /// flagged *the planted defect* and not a coincidental neighbour. The
 /// mutation harness (`tests/verify_invariants.rs`) plants `RefcountSkew`,
 /// `GraphMalformed` and `IdOutOfRange`, and this crate's unit tests plant
-/// `MalformedSig`; `OrphanLeaf` and `QuarantineLeak` are
-/// checked on every verified run but have no planted case.
+/// `MalformedSig`; `QuarantineLeak` is checked after every verified graft
+/// but has no planted case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViolationClass {
     /// A signature is not in canonical form (atoms unsorted, joins
@@ -46,9 +50,6 @@ pub enum ViolationClass {
     /// Plan-graph structure broken: asymmetric edges, dead endpoints,
     /// duplicated or out-of-range m-join input indices.
     GraphMalformed,
-    /// A registered rank-merge binding names a dead or non-rank-merge
-    /// node — the orphan-leaf bug class (results would feed nothing).
-    OrphanLeaf,
     /// A freshly grafted rank-merge sits above a quarantined stream leaf,
     /// which the reuse oracle promises never to hand out.
     QuarantineLeak,
@@ -453,11 +454,9 @@ fn verify_shared_module(
     out
 }
 
-/// Check the QS manager around its graph: rank-merge bindings must name
-/// live rank-merge nodes (the orphan-leaf bug class: a binding to a node
-/// that feeds nothing silently loses a query's results), sig ids on live
-/// nodes must be in interner range, and module refcounts must balance
-/// including the manager's own probe-cache registrations.
+/// Check the QS manager around its graph: sig ids on live nodes must be in
+/// interner range, and module refcounts must balance including the
+/// manager's own probe-cache registrations.
 pub fn verify_manager(manager: &QsManager, path: &str) -> Vec<Violation> {
     let external: Vec<ModuleId> = manager.probe_module_entries().map(|(_, m)| m).collect();
     let mut out = verify_graph(manager.graph(), &external, path);
@@ -477,27 +476,6 @@ pub fn verify_manager(manager: &QsManager, path: &str) -> Vec<Violation> {
             }
         }
     }
-    for (uq, node_id) in manager.rank_merge_entries() {
-        let at = format!("{path}/rank_merges[{uq}]");
-        match manager.graph().try_node(node_id) {
-            None => out.push(Violation::new(
-                ViolationClass::OrphanLeaf,
-                &at,
-                format!("bound to dead node {node_id}"),
-            )),
-            Some(node) if !matches!(node.kind, NodeKind::RankMerge(_)) => {
-                out.push(Violation::new(
-                    ViolationClass::OrphanLeaf,
-                    &at,
-                    format!(
-                        "bound to {node_id}, a {} — results would feed nothing",
-                        node.kind.label()
-                    ),
-                ));
-            }
-            Some(_) => {}
-        }
-    }
     out
 }
 
@@ -509,11 +487,11 @@ pub fn verify_manager(manager: &QsManager, path: &str) -> Vec<Violation> {
 /// *around* a leaf that failed under it), so this is a separate pass the
 /// post-graft hook adds on top of [`verify_manager`].
 pub fn verify_no_quarantined_grafts(manager: &QsManager, path: &str) -> Vec<Violation> {
+    let graph = manager.graph();
     let mut out = Vec::new();
-    for (uq, node_id) in manager.rank_merge_entries() {
-        if manager.graph().try_node(node_id).is_some()
-            && manager.graph().subtree_quarantined(node_id)
-        {
+    for &node_id in graph.rank_merge_ids() {
+        if graph.subtree_quarantined(node_id) {
+            let uq = graph.rank_merge(node_id).uq();
             out.push(Violation::new(
                 ViolationClass::QuarantineLeak,
                 format!("{path}/rank_merges[{uq}]"),

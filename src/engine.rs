@@ -337,8 +337,6 @@ pub(crate) struct Lane {
     pub(crate) sources: Sources,
     /// The coordinator.
     pub(crate) atc: Atc,
-    /// Per-UQ statistics.
-    pub(crate) stats: ExecStats,
     /// Retry/breaker state for this lane's fetches. A strict pass-through
     /// while the lane's sources carry no fault injector.
     pub(crate) governor: SourceGovernor,
@@ -378,9 +376,9 @@ pub(crate) struct BatchCx<'a> {
 /// A batch member that survived admission, with its ticket's deadline.
 type Live<'b> = (&'b Admitted, Option<u64>);
 
-/// One optimize + graft of a batch: its outcome, the optimizer's stats,
-/// and the members it covered.
-type Graft = (GraftOutcome, OptStats, Vec<UqId>);
+/// One optimize + graft of a batch: its outcome (whose `new_uqs` are the
+/// members it covered) and the optimizer's stats.
+type Graft = (GraftOutcome, OptStats);
 
 impl Lane {
     pub(crate) fn new(config: &EngineConfig, provider: TableProvider, idx: usize) -> Lane {
@@ -402,7 +400,6 @@ impl Lane {
             manager,
             sources,
             atc: Atc::new(config.scheduling),
-            stats: ExecStats::new(),
             governor: SourceGovernor::new(config.retry),
             open: Vec::new(),
             ready: VecDeque::new(),
@@ -474,14 +471,15 @@ impl Lane {
 
     /// Execute one sealed batch — Figure 3, left to right. This is *the*
     /// execution path: scripted runs and incremental stepping both come
-    /// through here.
+    /// through here. The per-query ledger lives for the batch: `publish`
+    /// copies what each ticket reports out of it.
     fn run_batch(&mut self, cx: &BatchCx, batch: &[Admitted]) {
         let wall = std::time::Instant::now();
-        let live = self.admit(cx, batch);
+        let (live, mut stats) = self.admit(cx, batch);
         if !live.is_empty() {
             let grafts = self.plan(cx, &live);
-            self.execute();
-            self.publish(cx, &live, &grafts);
+            self.execute(&mut stats);
+            self.publish(cx, &live, &grafts, &stats);
             self.retire();
         }
         self.wall_us += wall.elapsed().as_micros() as u64;
@@ -489,9 +487,9 @@ impl Lane {
 
     /// Members cancelled (or already past their deadline) before dispatch
     /// drop out here: their slots resolve immediately and the survivors,
-    /// stamped with the batch's submission time, run exactly as if the
-    /// batch had been admitted without them.
-    fn admit<'b>(&mut self, cx: &BatchCx, batch: &'b [Admitted]) -> Vec<Live<'b>> {
+    /// stamped with the batch's submission time in a fresh per-query
+    /// ledger, run exactly as if the batch had been admitted without them.
+    fn admit<'b>(&mut self, cx: &BatchCx, batch: &'b [Admitted]) -> (Vec<Live<'b>>, ExecStats) {
         let submit = self.sources.clock().now_us();
         let mut live = Vec::with_capacity(batch.len());
         let mut ledger = ledger_lock(cx.ledger);
@@ -514,10 +512,11 @@ impl Lane {
                 .insert(id, TicketSlot::unran(admitted, self.idx, outcome));
         }
         drop(ledger);
+        let mut stats = ExecStats::new();
         for (admitted, _) in &live {
-            self.stats.submit(admitted.uq.id, submit);
+            stats.submit(admitted.uq.id, submit);
         }
-        live
+        (live, stats)
     }
 
     /// Optimize and graft the batch as its sharing mode prescribes,
@@ -530,8 +529,7 @@ impl Lane {
             SharingMode::AtcCq | SharingMode::AtcUq => {
                 for (admitted, _) in live {
                     let uq = &admitted.uq;
-                    let (outcome, opt) = self.graft_batch(cx, &[uq]);
-                    grafts.push((outcome, opt, vec![uq.id]));
+                    grafts.push(self.graft_batch(cx, &[uq]));
                     if matches!(cx.config.sharing, SharingMode::AtcUq) {
                         // Sharing stays within the user query.
                         self.manager.isolate();
@@ -541,8 +539,7 @@ impl Lane {
             // ATC-FULL / ATC-CL: one multi-query optimization per batch.
             SharingMode::AtcFull | SharingMode::AtcCl(_) => {
                 let uqs: Vec<&UserQuery> = live.iter().map(|(a, _)| &a.uq).collect();
-                let (outcome, opt) = self.graft_batch(cx, &uqs);
-                grafts.push((outcome, opt, uqs.iter().map(|uq| uq.id).collect()));
+                grafts.push(self.graft_batch(cx, &uqs));
             }
         }
         if cx.config.verify_phases() {
@@ -599,12 +596,12 @@ impl Lane {
 
     /// Drive the ATC until every rank-merge of the batch is done: the one
     /// drive loop.
-    fn execute(&mut self) {
+    fn execute(&mut self, stats: &mut ExecStats) {
         self.atc.run_governed(
             self.manager.graph_mut(),
             &self.sources,
             &self.governor,
-            &mut self.stats,
+            stats,
         );
         self.manager.unpin_all();
     }
@@ -613,16 +610,16 @@ impl Lane {
     /// ledger, before completed rank-merges are unlinked. The per-query
     /// slots are assembled outside the ledger lock — concurrent lanes
     /// contend only on the final inserts, not on the O(k) clones.
-    fn publish(&self, cx: &BatchCx, live: &[Live], grafts: &[Graft]) {
+    fn publish(&self, cx: &BatchCx, live: &[Live], grafts: &[Graft], stats: &ExecStats) {
         let published: Vec<(UqId, TicketSlot)> = live
             .iter()
             .map(|&(admitted, deadline)| {
                 let id = admitted.uq.id;
                 let (outcome, opt) = grafts
                     .iter()
-                    .find(|(_, _, ids)| ids.contains(&id))
-                    .map(|(o, s, _)| (o, *s))
-                    // lint:allow(panic-path): `plan` pushes an entry covering every live member
+                    .find(|(o, _)| o.new_uqs.contains(&id))
+                    .map(|(o, s)| (o, *s))
+                    // lint:allow(panic-path): each live member has a CQ, so its graft lists it in `new_uqs`
                     .expect("every batch member was grafted");
                 let results: Vec<(Score, Tuple)> = self
                     .manager
@@ -638,7 +635,7 @@ impl Lane {
                     })
                     .unwrap_or_default();
                 // lint:allow(panic-path): `admit` ran stats.submit for every live member
-                let stats = self.stats.uq(id).expect("submitted at admission");
+                let stats = stats.uq(id).expect("submitted at admission");
                 // Outcome, worst first: finishing past a deadline trumps
                 // degradation (the results are retained either way), and any
                 // relation lost mid-batch marks the top-k degraded.
