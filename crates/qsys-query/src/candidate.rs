@@ -15,12 +15,39 @@
 //! of it so far needed ([`Catalog::cheapest_path`]). The result is a
 //! [`UserQuery`] whose CQs are sorted by score upper bound `U`, exactly the
 //! triples `[(UQ_j, CQ_i, C_i)]` the query batcher expects.
+//!
+//! ## Two halves: the networks, then one user's ranking of them
+//!
+//! [`CandidateGenerator::generate`] is the composition of two halves:
+//!
+//! - **The networks** depend on the keywords and the schema alone: tokenize,
+//!   look up each keyword, order the match combinations, merge each, connect
+//!   and realize its join trees, drop repeated signatures, and stop once
+//!   `2 × max_cqs` networks are in hand. Each network keeps its atoms, its
+//!   joins and its combination's similarity weights.
+//! - **The ranking** is the user's: number the networks from `next_cq` in
+//!   that order (so `next_cq` advances by every network, kept or not), score
+//!   each with the user's edge costs (Section 2.1's learned costs enter
+//!   here only), sort by `U` and keep the best `max_cqs`.
+//!
+//! A [`NetworkMemo`] keeps the first half per keyword query, so a service
+//! answering the same keywords for many users searches the schema graph
+//! once (the engine holds one). Its key is the keywords as
+//! [`KeywordIndex::lookup`] reads them: the tokens, lowercased, in order —
+//! `"Gene Protein"` and `"gene  protein"` share an entry, while each
+//! [`UserQuery::keywords`] keeps the text it was posed with. Only a
+//! generation that found networks is kept, and at most `MEMO_CAP` (256)
+//! keyword queries are. An entry is never stale: an engine's catalog,
+//! keyword index and [`CandidateConfig`] are fixed once it is built, and
+//! the catalog statistics `U` reads are read by the ranking, which runs on
+//! every submit.
 
 use crate::cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
 use crate::score::{ScoreFn, ScoreModel};
 use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex, KeywordMatch, MatchKind};
 use qsys_types::{CqId, JoinCond, QsysError, QsysResult, RelId, Selection, UqId, UserId};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Tuning knobs for candidate generation.
@@ -67,6 +94,16 @@ struct TreeCandidate {
     edges: BTreeSet<EdgeId>,
 }
 
+/// One candidate network as the schema-graph search leaves it, before any
+/// user's scoring: atoms sorted by relation, the joins of its tree, and the
+/// keyword-match similarity of each matched relation, by relation.
+#[derive(Debug)]
+struct Network {
+    atoms: Vec<CqAtom>,
+    joins: Vec<CqJoin>,
+    similarity: Vec<(RelId, f64)>,
+}
+
 impl<'a> CandidateGenerator<'a> {
     /// Create a generator over a catalog and keyword index.
     pub fn new(
@@ -93,6 +130,14 @@ impl<'a> CandidateGenerator<'a> {
         next_cq: &mut u32,
         user_edge_costs: Option<&HashMap<EdgeId, f64>>,
     ) -> QsysResult<UserQuery> {
+        let networks = self.networks(keywords)?;
+        Ok(self.rank(&networks, keywords, uq, user, next_cq, user_edge_costs))
+    }
+
+    /// The user-independent half: every distinct network of the keyword
+    /// query's match combinations, best combination first, until
+    /// `2 × max_cqs` are in hand (the raw material the ranking truncates).
+    fn networks(&self, keywords: &str) -> QsysResult<Vec<Network>> {
         let terms = KeywordIndex::tokenize(keywords);
         if terms.is_empty() {
             return Err(QsysError::NoMatches(keywords.to_string()));
@@ -127,7 +172,7 @@ impl<'a> CandidateGenerator<'a> {
         });
 
         let mut seen = BTreeSet::new();
-        let mut out: Vec<(ConjunctiveQuery, ScoreFn)> = Vec::new();
+        let mut out: Vec<Network> = Vec::new();
         for combo in &combos {
             if out.len() >= self.config.max_cqs * 2 {
                 break; // enough raw material before the final truncation
@@ -140,40 +185,59 @@ impl<'a> CandidateGenerator<'a> {
                 if tree.rels.len() > self.config.max_atoms {
                     continue;
                 }
-                let (cq_atoms, cq_joins) = self.realize(&tree, &selections);
+                let (atoms, joins) = self.realize(&tree, &selections);
                 let sig = SubExprSig::new(
-                    cq_atoms
-                        .iter()
-                        .map(|a| (a.rel, a.selection.clone()))
-                        .collect(),
-                    cq_joins.iter().map(|j| j.on).collect(),
+                    atoms.iter().map(|a| (a.rel, a.selection.clone())).collect(),
+                    joins.iter().map(|j| j.on).collect(),
                 );
                 if !seen.insert(sig) {
                     continue;
                 }
-                let cq = ConjunctiveQuery::new(CqId::new(*next_cq), uq, user, cq_atoms, cq_joins);
-                *next_cq += 1;
-                let score_fn = self.score_for(&cq, &similarity, user, user_edge_costs);
-                out.push((cq, score_fn));
+                out.push(Network {
+                    atoms,
+                    joins,
+                    similarity: similarity.iter().map(|(&rel, &sim)| (rel, sim)).collect(),
+                });
             }
         }
         if out.is_empty() {
             return Err(QsysError::NoMatches(keywords.to_string()));
         }
-        // Sort by upper bound, nonincreasing, and truncate (Section 3: CQs
-        // arrive at the batcher in nonincreasing order of U).
-        out.sort_by(|(cq_a, f_a), (cq_b, f_b)| {
-            let ua = f_a.upper_bound(cq_a, self.catalog);
-            let ub = f_b.upper_bound(cq_b, self.catalog);
-            ub.cmp(&ua)
-        });
-        out.truncate(self.config.max_cqs);
-        Ok(UserQuery {
+        Ok(out)
+    }
+
+    /// The per-user half: number `networks` in order from `next_cq`, score
+    /// each for `user`, sort by upper bound, nonincreasing, and truncate
+    /// (Section 3: CQs arrive at the batcher in nonincreasing order of U).
+    fn rank(
+        &self,
+        networks: &[Network],
+        keywords: &str,
+        uq: UqId,
+        user: UserId,
+        next_cq: &mut u32,
+        user_edge_costs: Option<&HashMap<EdgeId, f64>>,
+    ) -> UserQuery {
+        let mut cqs: Vec<(ConjunctiveQuery, ScoreFn)> = networks
+            .iter()
+            .map(|n| {
+                let id = CqId::new(*next_cq);
+                *next_cq += 1;
+                let cq = ConjunctiveQuery::new(id, uq, user, n.atoms.clone(), n.joins.clone());
+                let score_fn = self.score_for(&cq, &n.similarity, user, user_edge_costs);
+                (cq, score_fn)
+            })
+            .collect();
+        // Stable, like the comparison sort it replaces, with `U` computed
+        // once per CQ.
+        cqs.sort_by_cached_key(|(cq, f)| Reverse(f.upper_bound(cq, self.catalog)));
+        cqs.truncate(self.config.max_cqs);
+        UserQuery {
             id: uq,
             user,
             keywords: keywords.to_string(),
-            cqs: out,
-        })
+            cqs,
+        }
     }
 
     /// Find join trees connecting `rels`, exploring [`PATH_VARIANTS`]
@@ -291,7 +355,7 @@ impl<'a> CandidateGenerator<'a> {
     fn score_for(
         &self,
         cq: &ConjunctiveQuery,
-        similarity: &BTreeMap<RelId, f64>,
+        similarity: &[(RelId, f64)],
         user: UserId,
         user_edge_costs: Option<&HashMap<EdgeId, f64>>,
     ) -> ScoreFn {
@@ -325,6 +389,59 @@ impl<'a> CandidateGenerator<'a> {
         }
         f
     }
+}
+
+/// How many keyword queries a [`NetworkMemo`] keeps. An entry holds fewer
+/// than `2 × max_cqs` networks plus the trees of the combination that
+/// crossed that count (at most 8), so at most `2 × max_cqs + 7`. A network
+/// of `a` atoms takes at most `88·(a + 1)` bytes on a 64-bit target,
+/// allocator headers included: 72 inline, 40 an atom, 32 a join, 16 a
+/// similarity weight (its selection values share the keyword index's
+/// strings). At the default `max_cqs` of 20 and `max_atoms` of 8, a full
+/// memo holds at most 256 × 47 × 792 B ≈ 9.5 MB; at the largest `max_cqs`
+/// the engine accepts (64), ≈ 27 MB.
+const MEMO_CAP: usize = 256;
+
+/// The networks of keyword queries already generated, keyed by their
+/// lowercased tokens (see the module docs). It empties when full, before
+/// it stores the next entry.
+#[derive(Debug, Default)]
+pub struct NetworkMemo {
+    entries: HashMap<Vec<String>, Vec<Network>>,
+}
+
+impl NetworkMemo {
+    /// [`CandidateGenerator::generate`], with the networks of a keyword
+    /// query searched once and ranked afresh for each user: the result
+    /// equals a fresh generation's, `CqId`s and `next_cq` advance included.
+    /// A `generator` must answer every call to one memo alike: one catalog,
+    /// keyword index and [`CandidateConfig`].
+    pub fn generate(
+        &mut self,
+        generator: &CandidateGenerator<'_>,
+        keywords: &str,
+        uq: UqId,
+        user: UserId,
+        next_cq: &mut u32,
+        user_edge_costs: Option<&HashMap<EdgeId, f64>>,
+    ) -> QsysResult<UserQuery> {
+        let key = memo_key(keywords);
+        if !self.entries.contains_key(&key) {
+            let networks = generator.networks(keywords)?;
+            if self.entries.len() == MEMO_CAP {
+                self.entries.clear();
+            }
+            self.entries.insert(key.clone(), networks);
+        }
+        let networks = &self.entries[&key];
+        Ok(generator.rank(networks, keywords, uq, user, next_cq, user_edge_costs))
+    }
+}
+
+/// A keyword query's terms as [`KeywordIndex::lookup`] reads them.
+fn memo_key(keywords: &str) -> Vec<String> {
+    let terms = KeywordIndex::tokenize(keywords);
+    terms.iter().map(|t| t.to_lowercase()).collect()
 }
 
 /// The keyword selection on each matched relation (`None` for a metadata
@@ -365,7 +482,6 @@ mod tests {
     use proptest::prelude::*;
     use qsys_catalog::{CatalogBuilder, EdgeKind, RelationStats};
     use qsys_types::{SourceId, Value};
-    use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -790,5 +906,135 @@ mod tests {
             .1
             .upper_bound(&expensive.cqs[0].0, &catalog);
         assert!(b0 > b1);
+    }
+
+    /// Everything a generation decides, for comparing two of them exactly.
+    fn fingerprint(uq: &UserQuery) -> impl PartialEq + std::fmt::Debug {
+        let cqs: Vec<_> = uq
+            .cqs
+            .iter()
+            .map(|(cq, f)| {
+                let (id, atoms, joins) = (cq.id, cq.atoms.clone(), cq.joins.clone());
+                (id, cq.uq, cq.user, atoms, joins, f.exact_key())
+            })
+            .collect();
+        (uq.id, uq.user, uq.keywords.clone(), cqs)
+    }
+
+    #[test]
+    fn memo_keys_on_lowercased_tokens_and_keeps_each_text() {
+        let (catalog, idx) = setup();
+        let generator = CandidateGenerator::new(&catalog, &idx, CandidateConfig::default());
+        let mut memo = NetworkMemo::default();
+        let mut next = 0;
+        let mut pose = |memo: &mut NetworkMemo, keywords: &str, uq: u32| {
+            memo.generate(
+                &generator,
+                keywords,
+                UqId::new(uq),
+                UserId::new(uq),
+                &mut next,
+                None,
+            )
+            .unwrap()
+        };
+        let a = pose(&mut memo, "Gene Protein", 0);
+        let b = pose(&mut memo, "gene  protein", 1);
+        assert_eq!(memo.entries.len(), 1, "one entry for both spellings");
+        assert_eq!(a.keywords, "Gene Protein");
+        assert_eq!(b.keywords, "gene  protein");
+        assert_eq!(a.cqs.len(), b.cqs.len());
+        for ((x, _), (y, _)) in a.cqs.iter().zip(&b.cqs) {
+            assert_eq!((&x.atoms, &x.joins), (&y.atoms, &y.joins));
+        }
+        // A quoted phrase is one token, whichever quote and case it wears.
+        pose(&mut memo, "'Plasma Membrane' gene", 2);
+        pose(&mut memo, "\"plasma membrane\"   GENE", 3);
+        assert_eq!(memo.entries.len(), 2);
+        // Token order is part of the key: it orders the match combinations.
+        pose(&mut memo, "protein gene", 4);
+        assert_eq!(memo.entries.len(), 3);
+    }
+
+    #[test]
+    fn memo_never_stores_a_miss() {
+        let (catalog, idx) = setup();
+        let generator = CandidateGenerator::new(&catalog, &idx, CandidateConfig::default());
+        let mut memo = NetworkMemo::default();
+        for keywords in ["frobnicate", "protein frobnicate", "", "  "] {
+            let mut next = 7;
+            let fresh = generator.generate(keywords, UqId::new(0), UserId::new(0), &mut next, None);
+            let fresh = fresh.unwrap_err();
+            assert!(matches!(fresh, QsysError::NoMatches(_)));
+            for _ in 0..2 {
+                let err = memo
+                    .generate(
+                        &generator,
+                        keywords,
+                        UqId::new(0),
+                        UserId::new(0),
+                        &mut next,
+                        None,
+                    )
+                    .unwrap_err();
+                assert_eq!(err, fresh, "{keywords:?}");
+            }
+            assert_eq!(next, 7, "a miss numbers no conjunctive query");
+        }
+        assert!(memo.entries.is_empty());
+    }
+
+    #[test]
+    fn memo_holds_at_most_its_cap_and_regenerates_a_dropped_query_alike() {
+        let (catalog, idx) = setup();
+        let generator = CandidateGenerator::new(&catalog, &idx, CandidateConfig::default());
+        // Cap + 1 distinct keyword queries: every sequence of one to five of
+        // the index's three keywords, shortest first.
+        let words = ["protein", "gene", "'plasma membrane'"];
+        let mut queries: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        let mut last = queries.clone();
+        while queries.len() <= MEMO_CAP {
+            last = last
+                .iter()
+                .flat_map(|q| words.iter().map(move |w| format!("{q} {w}")))
+                .collect();
+            queries.extend(last.iter().cloned());
+        }
+        queries.truncate(MEMO_CAP + 1);
+
+        let mut memo = NetworkMemo::default();
+        let mut next = 0;
+        let mut first = None;
+        for (i, keywords) in queries.iter().enumerate() {
+            let start = next;
+            let uq = memo
+                .generate(
+                    &generator,
+                    keywords,
+                    UqId::new(i as u32),
+                    UserId::new(0),
+                    &mut next,
+                    None,
+                )
+                .unwrap();
+            first.get_or_insert((start, next, fingerprint(&uq)));
+            assert!(memo.entries.len() <= MEMO_CAP);
+        }
+        assert!(!memo.entries.contains_key(&memo_key(&queries[0])));
+
+        let (start, end, expected) = first.unwrap();
+        let mut again = start;
+        let uq = memo
+            .generate(
+                &generator,
+                &queries[0],
+                UqId::new(0),
+                UserId::new(0),
+                &mut again,
+                None,
+            )
+            .unwrap();
+        assert_eq!(fingerprint(&uq), expected);
+        assert_eq!(again, end);
     }
 }

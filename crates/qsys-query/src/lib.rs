@@ -25,7 +25,7 @@ pub mod intern;
 pub mod score;
 pub(crate) mod subexpr;
 
-pub use candidate::{CandidateConfig, CandidateGenerator};
+pub use candidate::{CandidateConfig, CandidateGenerator, NetworkMemo};
 pub use cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
 pub use cqset::{CqIdx, CqSet, CqTable};
 pub use intern::{shared_interner, SharedInterner, SigCell, SigId, SigInterner};

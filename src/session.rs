@@ -45,7 +45,7 @@ use crate::report::{LaneSummary, QueryOutcome, RunReport, UqReport};
 use qsys_catalog::{Catalog, KeywordIndex};
 use qsys_exec::state::EvictionStats;
 use qsys_opt::OptStats;
-use qsys_query::{CandidateGenerator, UserQuery};
+use qsys_query::{CandidateGenerator, NetworkMemo, UserQuery};
 use qsys_source::TableProvider;
 use qsys_types::{QsysError, QsysResult, RelId, Score, Tuple, UqId, UserId};
 use qsys_verify::VerifyReport;
@@ -228,6 +228,13 @@ pub struct Engine {
     catalog: Catalog,
     index: KeywordIndex,
     config: EngineConfig,
+    /// The candidate networks of every keyword query submitted so far (up
+    /// to the memo's cap), searched once and ranked afresh for each
+    /// submitting user. Engine-lifetime, like the catalog's path table: it
+    /// is not plan state and not charged to
+    /// [`EngineConfig::memory_budget`], and it is never stale, because the
+    /// catalog, index and candidate config it was filled from are fixed.
+    networks: NetworkMemo,
     provider: ProviderFactory,
     lanes: Vec<Lane>,
     /// ATC-CL queries admitted before the first flush (no lanes exist yet
@@ -260,6 +267,7 @@ impl Engine {
             catalog,
             index,
             config,
+            networks: NetworkMemo::default(),
             provider,
             lanes: Vec::new(),
             unrouted: Vec::new(),
@@ -752,7 +760,8 @@ impl Engine {
     }
 
     /// Generate candidate networks for a keyword query, consuming the
-    /// engine's UQ/CQ id sequences.
+    /// engine's UQ/CQ id sequences; the schema-graph search runs at the
+    /// first submit of its keywords only.
     fn generate(
         &mut self,
         keywords: &str,
@@ -763,7 +772,14 @@ impl Engine {
             CandidateGenerator::new(&self.catalog, &self.index, self.config.candidate.clone());
         let uq = UqId::new(self.next_uq);
         self.next_uq += 1;
-        generator.generate(keywords, uq, user, &mut self.next_cq, edge_costs)
+        self.networks.generate(
+            &generator,
+            keywords,
+            uq,
+            user,
+            &mut self.next_cq,
+            edge_costs,
+        )
     }
 }
 
