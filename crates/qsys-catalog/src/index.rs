@@ -51,9 +51,12 @@ impl KeywordIndex {
         KeywordIndex::default()
     }
 
-    /// Register a match for `keyword` (case-insensitive).
+    /// Register a match for `keyword` (case-insensitive, and with each run
+    /// of whitespace read as one space, as [`KeywordIndex::tokenize`]
+    /// reads a phrase).
     pub fn insert(&mut self, keyword: &str, m: KeywordMatch) {
-        let list = self.entries.entry(keyword.to_lowercase()).or_default();
+        let key = keyword.split_whitespace().collect::<Vec<_>>().join(" ");
+        let list = self.entries.entry(key.to_lowercase()).or_default();
         list.push(m);
         list.sort_by(|a, b| b.similarity.total_cmp(&a.similarity));
     }
@@ -70,37 +73,43 @@ impl KeywordIndex {
 
     /// Split a keyword query into keywords, honoring single and double
     /// quotes for phrases: `protein 'plasma membrane' gene` →
-    /// `["protein", "plasma membrane", "gene"]`.
+    /// `["protein", "plasma membrane", "gene"]`. A phrase is trimmed and
+    /// each whitespace run inside it read as one space, so
+    /// `' plasma  membrane'` is the same keyword; a blank phrase is none.
     pub fn tokenize(query: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut current = String::new();
+        // Ends the keyword in progress, dropping a phrase's trailing space.
+        let flush = |out: &mut Vec<String>, current: &mut String| {
+            if current.ends_with(' ') {
+                current.pop();
+            }
+            if !current.is_empty() {
+                out.push(std::mem::take(current));
+            }
+        };
         let mut quote: Option<char> = None;
         for ch in query.chars() {
             match quote {
                 Some(q) if ch == q => {
-                    if !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
-                    }
+                    flush(&mut out, &mut current);
                     quote = None;
+                }
+                Some(_) if ch.is_whitespace() => {
+                    if !current.is_empty() && !current.ends_with(' ') {
+                        current.push(' ');
+                    }
                 }
                 Some(_) => current.push(ch),
                 None if ch == '\'' || ch == '"' => {
-                    if !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
-                    }
+                    flush(&mut out, &mut current);
                     quote = Some(ch);
                 }
-                None if ch.is_whitespace() => {
-                    if !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
-                    }
-                }
+                None if ch.is_whitespace() => flush(&mut out, &mut current),
                 None => current.push(ch),
             }
         }
-        if !current.is_empty() {
-            out.push(current);
-        }
+        flush(&mut out, &mut current);
         out
     }
 }
@@ -170,5 +179,26 @@ mod tests {
         let toks = KeywordIndex::tokenize(r#"a "b c" d"#);
         assert_eq!(toks, vec!["a", "b c", "d"]);
         assert!(KeywordIndex::tokenize("").is_empty());
+    }
+
+    #[test]
+    fn tokenize_reads_phrase_whitespace_as_one_space() {
+        for query in [
+            "'plasma membrane' metabolism",
+            "'plasma  membrane' metabolism",
+            "' plasma membrane' metabolism",
+            "'plasma\tmembrane ' metabolism",
+            "\"  plasma \n membrane  \" metabolism",
+        ] {
+            let toks = KeywordIndex::tokenize(query);
+            assert_eq!(toks, vec!["plasma membrane", "metabolism"], "{query:?}");
+        }
+        // A blank phrase adds no token, closed or not.
+        assert_eq!(KeywordIndex::tokenize("a ' ' b"), vec!["a", "b"]);
+        assert_eq!(KeywordIndex::tokenize("a '  "), vec!["a"]);
+        // Inserting under a spaced key finds the single-spaced token.
+        let mut idx = KeywordIndex::new();
+        idx.insert(" Plasma   Membrane ", m(4, 0.8));
+        assert_eq!(idx.lookup("plasma membrane")[0].rel, RelId::new(4));
     }
 }

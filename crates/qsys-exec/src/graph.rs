@@ -16,9 +16,9 @@ use crate::stats::ExecWork;
 use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
 use qsys_types::clock::{HASH_OP_US, ROUTE_US};
-use qsys_types::{Epoch, TimeCategory, Tuple};
+use qsys_types::{Epoch, FxHashMap, TimeCategory, Tuple};
 use std::cell::Ref;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::mem;
 
 /// Outcome of one governed stream read.
@@ -68,8 +68,11 @@ pub struct QueryPlanGraph {
     epoch: Epoch,
     /// Reuse index: interned subexpression signature → the node computing
     /// it. Keyed on [`SigId`], so lookups hash one `u32`.
-    // lint:allow(hot-hash): consulted per graft (per batch), never per tuple
-    sig_index: HashMap<SigId, NodeId>,
+    sig_index: FxHashMap<SigId, NodeId>,
+    /// Number of live quarantined stream leaves. While it is zero no
+    /// subtree can be quarantined, so [`QueryPlanGraph::subtree_quarantined`]
+    /// answers without walking: a fault-free run never walks at all.
+    quarantined_leaves: usize,
     /// The lane's access modules: every m-join input names its hash table
     /// or probe cache by [`ModuleId`](crate::access::ModuleId) into this
     /// arena. Owning it here (rather than `Rc`-sharing modules) is what
@@ -261,6 +264,7 @@ impl QueryPlanGraph {
             NodeKind::Stream(leaf) => {
                 self.modules.release(leaf.module);
                 self.set_bound(id, 0.0);
+                self.quarantined_leaves -= usize::from(leaf.quarantined);
             }
             NodeKind::RankMerge(_) => self.rank_merges.retain(|rm| *rm != id),
         }
@@ -279,7 +283,7 @@ impl QueryPlanGraph {
 
     /// Mutable node access. Changing a stream leaf's `backing` or
     /// `quarantined` through this bypasses the bound table
-    /// ([`QueryPlanGraph::bound_table`]); read through
+    /// ([`QueryPlanGraph::bound_table`]) and the quarantine count; read through
     /// [`QueryPlanGraph::read_stream_governed`] and quarantine through
     /// [`QueryPlanGraph::quarantine_stream`] instead.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -322,8 +326,19 @@ impl QueryPlanGraph {
     }
 
     /// Whether `id` or any producer upstream of it is a quarantined stream
-    /// leaf.
+    /// leaf. Free while the graph holds no quarantined leaf; a walk
+    /// upstream otherwise.
     pub fn subtree_quarantined(&self, id: NodeId) -> bool {
+        if self.quarantined_leaves == 0 {
+            debug_assert!(!self.walk_quarantined(id), "uncounted quarantine");
+            return false;
+        }
+        self.walk_quarantined(id)
+    }
+
+    /// [`QueryPlanGraph::subtree_quarantined`] by walking every producer
+    /// upstream of `id`.
+    fn walk_quarantined(&self, id: NodeId) -> bool {
         let mut stack = vec![id];
         // lint:allow(hot-hash): graft-time walk (per batch), never per tuple
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -442,7 +457,9 @@ impl QueryPlanGraph {
     /// Quarantine the stream leaf `id`: its bound reads as zero from now
     /// on and grafting stops reusing the subtree it feeds.
     pub fn quarantine_stream(&mut self, id: NodeId) {
-        self.stream_leaf_mut(id).quarantined = true;
+        let leaf = self.stream_leaf_mut(id);
+        let newly = !mem::replace(&mut leaf.quarantined, true);
+        self.quarantined_leaves += usize::from(newly);
         self.set_bound(id, 0.0);
     }
 
@@ -1024,6 +1041,36 @@ mod tests {
             StreamRead::Exhausted
         );
         assert_eq!(sources.tuples_streamed(), streamed);
+    }
+
+    #[test]
+    fn quarantine_count_answers_as_the_walk() {
+        let sources = sources_with_tables();
+        let (mut g, s0, s1, _) = small_graph(&sources);
+        let agrees = |g: &QueryPlanGraph, count: usize| {
+            assert_eq!(g.quarantined_leaves, count);
+            for id in g.node_ids() {
+                assert_eq!(g.subtree_quarantined(id), g.walk_quarantined(id), "{id}");
+            }
+        };
+        agrees(&g, 0);
+        g.quarantine_stream(s0);
+        agrees(&g, 1);
+        // Quarantining a quarantined leaf again counts nothing.
+        g.quarantine_stream(s0);
+        agrees(&g, 1);
+        g.quarantine_stream(s1);
+        agrees(&g, 2);
+        // Removing a quarantined leaf uncounts it; the other still taints
+        // everything downstream of it.
+        for leaf in [s0, s1] {
+            let children: Vec<NodeId> = g.node(leaf).children.iter().map(|(c, _)| *c).collect();
+            for c in children {
+                g.disconnect(leaf, c);
+            }
+            g.remove_node(leaf);
+            agrees(&g, usize::from(leaf == s0));
+        }
     }
 
     #[test]

@@ -1035,6 +1035,85 @@ fn a_quarantined_stream_under_a_root_blocks_publication() {
     assert_eq!(again.uqs[0].3, first.uqs[0].3);
 }
 
+/// An unbounded manager (budget `usize::MAX`) has nothing to enforce:
+/// evicting to its budget leaves the graph, the retained answers, the
+/// eviction stats and the resident bytes as they were, detached state and
+/// retained answers included.
+#[test]
+fn an_unbounded_manager_evicts_nothing() {
+    let (cat, src) = (catalog(), sources());
+    let mut manager = QsManager::new(usize::MAX);
+    let k = 10;
+    let (f2, f3) = (
+        ScoreFn::discover(UserId::new(0), 2),
+        ScoreFn::discover(UserId::new(0), 3),
+    );
+    pose(&mut manager, &[(&path_cq(0, 0, &cat, 2), &f2)], &src, k);
+    pose(&mut manager, &[(&path_cq(1, 1, &cat, 3), &f3)], &src, k);
+    assert_eq!(manager.retained_len(), 2);
+    let graph = manager.graph();
+    let detached = graph.node_ids().any(|id| !graph.node(id).has_consumers());
+    assert!(detached, "detached state is resident");
+
+    let snapshot = |manager: &QsManager| {
+        let graph = manager.graph();
+        let nodes: Vec<(NodeId, Epoch)> = graph
+            .node_ids()
+            .map(|id| (id, graph.node(id).last_used))
+            .collect();
+        let answers: Vec<(Epoch, Vec<u64>)> = manager
+            .retained_answers()
+            .into_iter()
+            .map(|(stamp, results)| (stamp, results.iter().map(|r| r.0.get().to_bits()).collect()))
+            .collect();
+        let stats = manager.eviction_stats();
+        let evicted = (stats.evicted_nodes, stats.reclaimed_bytes);
+        (nodes, answers, evicted, manager.resident_bytes())
+    };
+    let before = snapshot(&manager);
+    manager.evict_to_budget();
+    assert_eq!(snapshot(&manager), before);
+    assert_eq!(before.2, (0, 0));
+}
+
+/// A published answer completes holding the results it was published
+/// with, so its completion restamps the retained answer rather than
+/// rebuilding it: under a budget (where the stamp orders eviction) its
+/// `last_used` moves to the re-pose's epoch while its results stay the
+/// same allocation, score bits, CQ positions and tuple handles.
+#[test]
+fn a_republished_answer_is_restamped_not_rebuilt() {
+    let (cat, src) = (catalog(), sources());
+    // Room for everything: the budget is enforced, nothing is evicted.
+    let mut manager = QsManager::new(usize::MAX / 2);
+    let k = 10;
+    let f = ScoreFn::discover(UserId::new(0), 3);
+    pose(&mut manager, &[(&path_cq(0, 0, &cat, 3), &f)], &src, k);
+    let (stamp, results) = manager.retained_answers()[0];
+    assert_eq!(stamp, manager.graph().epoch());
+    let held: Vec<(u64, usize, Tuple)> = results
+        .iter()
+        .map(|(score, at, t)| (score.get().to_bits(), *at, t.clone()))
+        .collect();
+    let allocation = results.as_ptr();
+
+    for uq in 1..3 {
+        let again = pose(&mut manager, &[(&path_cq(uq, uq, &cat, 3), &f)], &src, k);
+        assert_eq!(again.outcome.sealed_uqs, vec![UqId::new(uq)]);
+        let answers = manager.retained_answers();
+        assert_eq!(answers.len(), 1);
+        let (stamp, results) = answers[0];
+        assert_eq!(stamp, manager.graph().epoch(), "restamped at the re-pose");
+        assert_eq!(results.as_ptr(), allocation, "not rebuilt");
+        assert_eq!(results.len(), held.len());
+        for ((score, at, t), (bits, held_at, held_t)) in results.iter().zip(&held) {
+            assert_eq!((score.get().to_bits(), *at), (*bits, *held_at));
+            assert!(Tuple::ptr_eq(t, held_t));
+        }
+    }
+    assert_eq!(manager.eviction_stats().evicted_nodes, 0);
+}
+
 /// The user query that asks `cq` alone under `f`.
 fn user_query(cq: &ConjunctiveQuery, f: &ScoreFn) -> UserQuery {
     UserQuery {

@@ -42,7 +42,7 @@ use super::evict::{EvictionPolicy, EvictionStats};
 use super::recover;
 use crate::access::{AccessModule, ModuleId, RemoteModule, StoredModule};
 use crate::mjoin::{MJoin, MJoinInput};
-use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput};
+use crate::rank_merge::{CqRegistration, RankMerge, StreamingInput, TopKResult};
 use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, SpecNodeKind};
@@ -88,16 +88,19 @@ struct AnswerKey {
 /// [`qsys_query::ScoreFn::exact_key`].
 type ScoreKey = (ScoreModel, u64, Vec<(RelId, u64)>);
 
+/// One retained result: its score, the position in its answer's key of
+/// the CQ that produced it, and the tuple.
+type RetainedResult = (Score, usize, Tuple);
+
 /// A completed user query's top-k, kept so that an identical re-pose
 /// publishes it instead of running: the paper's "contents of ranking
 /// queues", cacheable until evicted (Section 6.3).
 #[derive(Debug)]
 struct RetainedAnswer {
-    /// The emitted results in emission order, each with the position in
-    /// its key of the CQ that produced it.
-    results: Vec<(Score, usize, Tuple)>,
+    /// The emitted results in emission order.
+    results: Vec<RetainedResult>,
     /// The epoch it was last retained in (LRU order): a published answer
-    /// is retained again when its re-pose completes.
+    /// is restamped when its re-pose completes.
     last_used: Epoch,
 }
 
@@ -105,6 +108,22 @@ impl RetainedAnswer {
     /// Resident bytes: a rank-merge's rate per result.
     fn bytes(&self) -> usize {
         self.results.len() * 96
+    }
+
+    /// Whether this answer already holds `emitted`, each result's CQ at
+    /// position `at` of the key: the same score bits, positions and tuple
+    /// allocations, in the same order.
+    fn holds(&self, emitted: &[TopKResult], at: impl Fn(&TopKResult) -> Option<usize>) -> bool {
+        self.results.len() == emitted.len()
+            && self
+                .results
+                .iter()
+                .zip(emitted)
+                .all(|((score, pos, t), r)| {
+                    score.get().to_bits() == r.score.get().to_bits()
+                        && Some(*pos) == at(r)
+                        && Tuple::ptr_eq(t, &r.tuple)
+                })
     }
 }
 
@@ -752,12 +771,21 @@ impl QsManager {
         if rm.is_degraded() || !resident {
             return;
         }
-        let results = rm.results().iter().map(|r| {
-            let at = cqs.iter().position(|&cq| cq == r.cq)?;
-            Some((r.score, at, r.tuple.clone()))
-        });
+        let at = |r: &TopKResult| cqs.iter().position(|&cq| cq == r.cq);
+        let last_used = self.graph.epoch();
+        if let Some(answer) = self.retained.get_mut(&key) {
+            // A published answer completes with the results it was
+            // published with: restamp it rather than rebuild it.
+            if answer.holds(rm.results(), at) {
+                answer.last_used = last_used;
+                return;
+            }
+        }
+        let results = rm
+            .results()
+            .iter()
+            .map(|r| Some((r.score, at(r)?, r.tuple.clone())));
         if let Some(results) = results.collect() {
-            let last_used = self.graph.epoch();
             self.retained
                 .insert(key, RetainedAnswer { results, last_used });
         }
@@ -769,6 +797,15 @@ impl QsManager {
         self.retained.len()
     }
 
+    /// Each retained answer's LRU stamp and results, in key order.
+    #[cfg(test)]
+    pub(crate) fn retained_answers(&self) -> Vec<(Epoch, &[RetainedResult])> {
+        let answers = self.retained.values();
+        answers
+            .map(|a| (a.last_used, a.results.as_slice()))
+            .collect()
+    }
+
     /// Bytes held by retained answers.
     fn retained_bytes(&self) -> usize {
         self.retained.values().map(RetainedAnswer::bytes).sum()
@@ -776,8 +813,15 @@ impl QsManager {
 
     /// Fit the budget: retained answers go first, least recently used first
     /// (ties in key order), then detached, unpinned nodes exactly as without
-    /// them — nodes are evicted only once every answer is gone.
+    /// them — nodes are evicted only once every answer is gone. An
+    /// unbounded manager (budget `usize::MAX`) returns without reading any
+    /// state's size.
     pub fn evict_to_budget(&mut self) {
+        if self.budget == usize::MAX {
+            // Unbounded (Section 7's setup): nothing to enforce, so nothing
+            // to measure.
+            return;
+        }
         let graph_bytes = self.graph.approx_bytes();
         let mut retained = self.retained_bytes();
         while graph_bytes + retained > self.budget {

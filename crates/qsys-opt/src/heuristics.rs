@@ -22,8 +22,7 @@
 
 use crate::cost::CostModel;
 use qsys_query::{enumerate_subexprs, ConjunctiveQuery, CqSet, CqTable, SigId, SigInterner};
-use qsys_types::RelId;
-use std::collections::HashMap;
+use qsys_types::{FxHashMap, RelId};
 
 /// One push-down candidate: a subexpression and the queries it can source.
 ///
@@ -136,7 +135,7 @@ pub(crate) fn enumerate_candidates(
     // (what an AND-OR graph's OR nodes share): sharing detection is a u32 map
     // probe per enumerated subexpression, and the sharer set is a bitmask
     // insert.
-    let mut pool: HashMap<SigId, CqSet> = HashMap::new();
+    let mut pool: FxHashMap<SigId, CqSet> = FxHashMap::default();
     for cq in queries {
         let qi = table.idx(cq.id);
         for sig in enumerate_subexprs(cq, 1, MAX_CANDIDATE_ATOMS) {

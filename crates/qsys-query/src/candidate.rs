@@ -24,11 +24,14 @@
 //!   look up each keyword, order the match combinations, merge each, connect
 //!   and realize its join trees, drop repeated signatures, and stop once
 //!   `2 × max_cqs` networks are in hand. Each network keeps its atoms, its
-//!   joins and its combination's similarity weights.
+//!   joins and its score function's weights: node authority times keyword
+//!   similarity, which no user's edge costs reach.
 //! - **The ranking** is the user's: number the networks from `next_cq` in
-//!   that order (so `next_cq` advances by every network, kept or not), score
-//!   each with the user's edge costs (Section 2.1's learned costs enter
-//!   here only), sort by `U` and keep the best `max_cqs`.
+//!   that order (so `next_cq` advances by every network, kept or not), give
+//!   each the static factor of the user's edge costs (Section 2.1's learned
+//!   costs enter here only), sort by `U` and keep the best `max_cqs`. A
+//!   network's `U` is its static factor and weights against the catalog's
+//!   max scores, so a conjunctive query is built only for each one kept.
 //!
 //! A [`NetworkMemo`] keeps the first half per keyword query, so a service
 //! answering the same keywords for many users searches the schema graph
@@ -43,10 +46,10 @@
 //! every submit.
 
 use crate::cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
-use crate::score::{ScoreFn, ScoreModel};
+use crate::score::{upper_bound, ScoreFn, ScoreModel};
 use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex, KeywordMatch, MatchKind};
-use qsys_types::{CqId, JoinCond, QsysError, QsysResult, RelId, Selection, UqId, UserId};
+use qsys_types::{CqId, JoinCond, QsysError, QsysResult, RelId, Score, Selection, UqId, UserId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -95,12 +98,18 @@ struct TreeCandidate {
 }
 
 /// One candidate network as the schema-graph search leaves it, before any
-/// user's scoring: atoms sorted by relation, the joins of its tree, and the
-/// keyword-match similarity of each matched relation, by relation.
+/// user's scoring: atoms sorted by relation, the joins of its tree, and its
+/// score function's relation-sorted weights under the configured model
+/// ([`ScoreModel::weights`]: node authority times keyword similarity, which
+/// no user's edge costs reach).
 #[derive(Debug)]
 struct Network {
     atoms: Vec<CqAtom>,
     joins: Vec<CqJoin>,
+    weights: Vec<(RelId, f64)>,
+    /// Tests only: the keyword-match similarity of each matched relation,
+    /// from which the reference ranking builds each score function afresh.
+    #[cfg(test)]
     similarity: Vec<(RelId, f64)>,
 }
 
@@ -193,10 +202,16 @@ impl<'a> CandidateGenerator<'a> {
                 if !seen.insert(sig) {
                     continue;
                 }
+                let node_costs = atoms
+                    .iter()
+                    .map(|a| (a.rel, self.catalog.relation(a.rel).node_cost));
+                let sims = similarity.iter().map(|(&rel, &sim)| (rel, sim));
                 out.push(Network {
+                    weights: self.config.model.weights(node_costs, sims),
+                    #[cfg(test)]
+                    similarity: similarity.iter().map(|(&rel, &sim)| (rel, sim)).collect(),
                     atoms,
                     joins,
-                    similarity: similarity.iter().map(|(&rel, &sim)| (rel, sim)).collect(),
                 });
             }
         }
@@ -209,6 +224,8 @@ impl<'a> CandidateGenerator<'a> {
     /// The per-user half: number `networks` in order from `next_cq`, score
     /// each for `user`, sort by upper bound, nonincreasing, and truncate
     /// (Section 3: CQs arrive at the batcher in nonincreasing order of U).
+    /// A network's `U` needs only its static factor and weights, so a
+    /// conjunctive query is built only for each network kept.
     fn rank(
         &self,
         networks: &[Network],
@@ -218,20 +235,38 @@ impl<'a> CandidateGenerator<'a> {
         next_cq: &mut u32,
         user_edge_costs: Option<&HashMap<EdgeId, f64>>,
     ) -> UserQuery {
-        let mut cqs: Vec<(ConjunctiveQuery, ScoreFn)> = networks
+        let first = *next_cq;
+        *next_cq += networks.len() as u32;
+        let model = self.config.model;
+        let edge_cost = |eid: EdgeId| -> f64 {
+            user_edge_costs
+                .and_then(|m| m.get(&eid).copied())
+                .unwrap_or_else(|| self.catalog.edge(eid).cost)
+        };
+        let static_factors: Vec<f64> = networks
             .iter()
-            .map(|n| {
-                let id = CqId::new(*next_cq);
-                *next_cq += 1;
+            .map(|n| model.static_factor(n.atoms.len(), n.joins.iter().map(|j| edge_cost(j.edge))))
+            .collect();
+        // Stable: equal bounds keep network order, the index breaking ties.
+        let mut order: Vec<(Reverse<Score>, usize)> = networks
+            .iter()
+            .zip(&static_factors)
+            .map(|(n, &s)| upper_bound(s, &n.weights, n.atoms.iter().map(|a| a.rel), self.catalog))
+            .map(Reverse)
+            .zip(0..)
+            .collect();
+        order.sort_unstable();
+        order.truncate(self.config.max_cqs);
+        let cqs = order
+            .into_iter()
+            .map(|(_, i)| {
+                let n = &networks[i];
+                let id = CqId::new(first + i as u32);
                 let cq = ConjunctiveQuery::new(id, uq, user, n.atoms.clone(), n.joins.clone());
-                let score_fn = self.score_for(&cq, &n.similarity, user, user_edge_costs);
-                (cq, score_fn)
+                let f = ScoreFn::from_parts(model, static_factors[i], n.weights.clone(), user);
+                (cq, f)
             })
             .collect();
-        // Stable, like the comparison sort it replaces, with `U` computed
-        // once per CQ.
-        cqs.sort_by_cached_key(|(cq, f)| Reverse(f.upper_bound(cq, self.catalog)));
-        cqs.truncate(self.config.max_cqs);
         UserQuery {
             id: uq,
             user,
@@ -349,46 +384,6 @@ impl<'a> CandidateGenerator<'a> {
             .collect();
         (atoms, joins)
     }
-
-    /// Build the score function for a CQ under the configured model,
-    /// folding keyword-match similarities into per-relation weights.
-    fn score_for(
-        &self,
-        cq: &ConjunctiveQuery,
-        similarity: &[(RelId, f64)],
-        user: UserId,
-        user_edge_costs: Option<&HashMap<EdgeId, f64>>,
-    ) -> ScoreFn {
-        let edge_cost = |eid: EdgeId| -> f64 {
-            user_edge_costs
-                .and_then(|m| m.get(&eid).copied())
-                .unwrap_or_else(|| self.catalog.edge(eid).cost)
-        };
-        let mut f = match self.config.model {
-            ScoreModel::Discover => ScoreFn::discover(user, cq.size()),
-            ScoreModel::QSystem => ScoreFn::q_system(
-                user,
-                cq.joins.iter().map(|j| edge_cost(j.edge)),
-                cq.atoms
-                    .iter()
-                    .map(|a| (a.rel, self.catalog.relation(a.rel).node_cost)),
-            ),
-            ScoreModel::Banks => {
-                let edge_w: f64 = cq
-                    .joins
-                    .iter()
-                    .map(|j| 1.0 / (1.0 + edge_cost(j.edge)))
-                    .product();
-                ScoreFn::banks(user, edge_w, Vec::new())
-            }
-        };
-        // Matched relations carry their keyword similarity as an extra
-        // multiplicative weight (the IR component of the score).
-        for (rel, sim) in similarity {
-            f.scale_weight(*rel, *sim);
-        }
-        f
-    }
 }
 
 /// How many keyword queries a [`NetworkMemo`] keeps. An entry holds fewer
@@ -396,10 +391,10 @@ impl<'a> CandidateGenerator<'a> {
 /// crossed that count (at most 8), so at most `2 × max_cqs + 7`. A network
 /// of `a` atoms takes at most `88·(a + 1)` bytes on a 64-bit target,
 /// allocator headers included: 72 inline, 40 an atom, 32 a join, 16 a
-/// similarity weight (its selection values share the keyword index's
-/// strings). At the default `max_cqs` of 20 and `max_atoms` of 8, a full
-/// memo holds at most 256 × 47 × 792 B ≈ 9.5 MB; at the largest `max_cqs`
-/// the engine accepts (64), ≈ 27 MB.
+/// score weight, at most one per atom (its selection values share the
+/// keyword index's strings). At the default `max_cqs` of 20 and
+/// `max_atoms` of 8, a full memo holds at most 256 × 47 × 792 B ≈ 9.5 MB;
+/// at the largest `max_cqs` the engine accepts (64), ≈ 27 MB.
 const MEMO_CAP: usize = 256;
 
 /// The networks of keyword queries already generated, keyed by their
@@ -908,6 +903,188 @@ mod tests {
         assert!(b0 > b1);
     }
 
+    /// The ranking before it built only the conjunctive queries it keeps,
+    /// kept as the reference the ranking is checked against: build every
+    /// network's CQ, score it afresh from its keyword similarities, sort
+    /// stably by `U` and truncate.
+    fn reference_rank(
+        generator: &CandidateGenerator<'_>,
+        networks: &[Network],
+        keywords: &str,
+        uq: UqId,
+        user: UserId,
+        next_cq: &mut u32,
+        user_edge_costs: Option<&HashMap<EdgeId, f64>>,
+    ) -> UserQuery {
+        let mut cqs: Vec<(ConjunctiveQuery, ScoreFn)> = networks
+            .iter()
+            .map(|n| {
+                let id = CqId::new(*next_cq);
+                *next_cq += 1;
+                let cq = ConjunctiveQuery::new(id, uq, user, n.atoms.clone(), n.joins.clone());
+                let score_fn =
+                    reference_score_for(generator, &cq, &n.similarity, user, user_edge_costs);
+                (cq, score_fn)
+            })
+            .collect();
+        cqs.sort_by_cached_key(|(cq, f)| Reverse(f.upper_bound(cq, generator.catalog)));
+        cqs.truncate(generator.config.max_cqs);
+        UserQuery {
+            id: uq,
+            user,
+            keywords: keywords.to_string(),
+            cqs,
+        }
+    }
+
+    /// The reference ranking's score function for a CQ under the
+    /// configured model, folding keyword-match similarities into
+    /// per-relation weights.
+    fn reference_score_for(
+        generator: &CandidateGenerator<'_>,
+        cq: &ConjunctiveQuery,
+        similarity: &[(RelId, f64)],
+        user: UserId,
+        user_edge_costs: Option<&HashMap<EdgeId, f64>>,
+    ) -> ScoreFn {
+        let catalog = generator.catalog;
+        let edge_cost = |eid: EdgeId| -> f64 {
+            user_edge_costs
+                .and_then(|m| m.get(&eid).copied())
+                .unwrap_or_else(|| catalog.edge(eid).cost)
+        };
+        let mut f = match generator.config.model {
+            ScoreModel::Discover => ScoreFn::discover(user, cq.size()),
+            ScoreModel::QSystem => ScoreFn::q_system(
+                user,
+                cq.joins.iter().map(|j| edge_cost(j.edge)),
+                cq.atoms
+                    .iter()
+                    .map(|a| (a.rel, catalog.relation(a.rel).node_cost)),
+            ),
+            ScoreModel::Banks => {
+                let edge_w: f64 = cq
+                    .joins
+                    .iter()
+                    .map(|j| 1.0 / (1.0 + edge_cost(j.edge)))
+                    .product();
+                ScoreFn::banks(user, edge_w, Vec::new())
+            }
+        };
+        for (rel, sim) in similarity {
+            f.scale_weight(*rel, *sim);
+        }
+        f
+    }
+
+    /// Rank `keywords`' networks for `user` both ways from one `next_cq`
+    /// and require the same user query, conjunctive query by conjunctive
+    /// query, and the same `next_cq` after.
+    fn rank_matches_reference(
+        generator: &CandidateGenerator<'_>,
+        keywords: &str,
+        user: UserId,
+        start: u32,
+        costs: Option<&HashMap<EdgeId, f64>>,
+    ) -> Result<(), String> {
+        let networks = generator.networks(keywords).map_err(|e| e.to_string())?;
+        let uq = UqId::new(7);
+        let (mut next, mut reference_next) = (start, start);
+        let ranked = generator.rank(&networks, keywords, uq, user, &mut next, costs);
+        let reference = reference_rank(
+            generator,
+            &networks,
+            keywords,
+            uq,
+            user,
+            &mut reference_next,
+            costs,
+        );
+        if fingerprint(&ranked) != fingerprint(&reference) {
+            return Err(format!(
+                "{keywords:?} ({:?}, max_cqs {}): {:?} != {:?}",
+                generator.config.model,
+                generator.config.max_cqs,
+                fingerprint(&ranked),
+                fingerprint(&reference)
+            ));
+        }
+        if next != reference_next {
+            return Err(format!("{keywords:?}: next_cq {next} != {reference_next}"));
+        }
+        Ok(())
+    }
+
+    const MODELS: [ScoreModel; 3] = [ScoreModel::Discover, ScoreModel::QSystem, ScoreModel::Banks];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ranking equals its reference under every scoring model, any
+        /// user's edge costs and any cap: the same `CqId`s, atoms, joins,
+        /// score functions bit for bit, order and `next_cq`.
+        #[test]
+        fn ranking_matches_reference_rank(
+            model in 0usize..3,
+            max_cqs in 1usize..=8,
+            query in 0usize..5,
+            costs in prop::collection::vec((0u8..2, 0.0f64..6.0), 7),
+            start in 0u32..1000,
+        ) {
+            let (catalog, idx) = setup();
+            let config = CandidateConfig {
+                max_cqs,
+                model: MODELS[model],
+                ..CandidateConfig::default()
+            };
+            let generator = CandidateGenerator::new(&catalog, &idx, config);
+            let keywords = [
+                "protein 'plasma membrane' gene",
+                "'plasma membrane' gene",
+                "gene protein",
+                "protein",
+                "'plasma membrane'",
+            ][query];
+            let costs: HashMap<EdgeId, f64> = catalog
+                .edges()
+                .iter()
+                .zip(&costs)
+                .filter(|(_, (learned, _))| *learned == 1)
+                .map(|(e, &(_, cost))| (e.id, cost))
+                .collect();
+            let user = UserId::new(3);
+            let ranked = rank_matches_reference(&generator, keywords, user, start, Some(&costs));
+            prop_assert_eq!(ranked, Ok(()));
+        }
+    }
+
+    /// The ranking equals its reference on every query of the GUS seed-41,
+    /// 48 and 55 scripts, with each query's own user edge costs, under
+    /// every scoring model, at caps of 1, 5 and the default 20.
+    #[test]
+    fn ranking_matches_reference_rank_on_gus_scripts() {
+        for seed in [41, 48, 55] {
+            let workload = qsys_workload::gus::generate(&qsys_workload::GusConfig::small(seed));
+            for model in MODELS {
+                for max_cqs in [1, 5, 20] {
+                    let config = CandidateConfig {
+                        max_cqs,
+                        model,
+                        ..CandidateConfig::default()
+                    };
+                    let generator =
+                        CandidateGenerator::new(&workload.catalog, &workload.index, config);
+                    for q in &workload.queries {
+                        let costs = q.edge_costs.as_ref();
+                        let ranked =
+                            rank_matches_reference(&generator, &q.keywords, q.user, 11, costs);
+                        assert_eq!(ranked, Ok(()), "seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Everything a generation decides, for comparing two of them exactly.
     fn fingerprint(uq: &UserQuery) -> impl PartialEq + std::fmt::Debug {
         let cqs: Vec<_> = uq
@@ -954,6 +1131,54 @@ mod tests {
         // Token order is part of the key: it orders the match combinations.
         pose(&mut memo, "protein gene", 4);
         assert_eq!(memo.entries.len(), 3);
+    }
+
+    #[test]
+    fn phrase_whitespace_is_one_keyword_and_one_memo_entry() {
+        let (catalog, idx) = setup();
+        let generator = CandidateGenerator::new(&catalog, &idx, CandidateConfig::default());
+        let mut memo = NetworkMemo::default();
+        let spellings = [
+            "'plasma membrane' gene",
+            "'plasma  membrane' gene",
+            "' plasma membrane' gene",
+            "'plasma membrane ' ' ' gene",
+        ];
+        let mut generated = Vec::new();
+        for keywords in spellings {
+            let (mut fresh_next, mut memo_next) = (0, 0);
+            let fresh = generator
+                .generate(
+                    keywords,
+                    UqId::new(0),
+                    UserId::new(0),
+                    &mut fresh_next,
+                    None,
+                )
+                .unwrap();
+            let hit = memo
+                .generate(
+                    &generator,
+                    keywords,
+                    UqId::new(0),
+                    UserId::new(0),
+                    &mut memo_next,
+                    None,
+                )
+                .unwrap();
+            assert_eq!(fingerprint(&hit), fingerprint(&fresh), "{keywords:?}");
+            assert_eq!(memo_next, fresh_next);
+            generated.push(hit);
+        }
+        assert_eq!(memo.entries.len(), 1, "one entry for every spelling");
+        for uq in &generated[1..] {
+            let cqs = |uq: &UserQuery| -> Vec<_> {
+                let cqs = uq.cqs.iter();
+                cqs.map(|(cq, f)| (cq.id, cq.atoms.clone(), cq.joins.clone(), f.exact_key()))
+                    .collect()
+            };
+            assert_eq!(cqs(uq), cqs(&generated[0]), "{:?}", uq.keywords);
+        }
     }
 
     #[test]

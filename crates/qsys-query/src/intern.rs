@@ -26,11 +26,15 @@
 //! The arena additionally caches each signature's sorted relation set, so
 //! the optimizer's overlap tests (`shares_relation`) run on slices without
 //! resolving — or allocating — anything.
+//!
+//! The deep map hashes with [`FxHashMap`]: it is probed for every
+//! subexpression a batch names, and its keys are signatures the engine
+//! assembles from its own catalog (a keyword only selects among the
+//! keyword index's values), so no outside party chooses them.
 
 use crate::cq::ConjunctiveQuery;
 use crate::subexpr::SubExprSig;
-use qsys_types::{JoinCond, RelId, Selection};
-use std::collections::HashMap;
+use qsys_types::{FxHashMap, JoinCond, RelId, Selection};
 use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -72,7 +76,7 @@ struct SigEntry {
 /// The hash-consing table: canonical [`SubExprSig`] → dense [`SigId`].
 #[derive(Debug, Default)]
 pub struct SigInterner {
-    map: HashMap<SubExprSig, SigId>,
+    map: FxHashMap<SubExprSig, SigId>,
     arena: Vec<SigEntry>,
 }
 

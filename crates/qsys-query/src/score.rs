@@ -37,6 +37,44 @@ pub enum ScoreModel {
     Banks,
 }
 
+impl ScoreModel {
+    /// The static factor of a candidate network of `size` relations whose
+    /// joins cost `edge_costs` (the posing user's, where it has learned
+    /// its own): `1/size` under DISCOVER, `2^-Σc` under the Q System, and
+    /// `∏ 1/(1 + c)` under BANKS. The only part of a network's score
+    /// function a user's edge costs reach.
+    pub(crate) fn static_factor(self, size: usize, edge_costs: impl Iterator<Item = f64>) -> f64 {
+        match self {
+            ScoreModel::Discover => 1.0 / size.max(1) as f64,
+            // 2^-cost becomes a multiplicative weight. Written `exp2`, not
+            // `2.0.powf(..)`: LLVM lowers the latter to `exp2` only under
+            // optimisation and the two differ by an ulp on some inputs, so
+            // answers would depend on the build profile.
+            ScoreModel::QSystem => (-edge_costs.sum::<f64>()).exp2(),
+            ScoreModel::Banks => edge_costs.map(|c| 1.0 / (1.0 + c)).product(),
+        }
+    }
+
+    /// The per-relation weights of a candidate network's score function,
+    /// relation-sorted: each relation's authority (`2^-node_cost` under the
+    /// Q System, none otherwise) times the keyword-match `similarity` of a
+    /// matched relation. No user's edge costs reach them.
+    pub(crate) fn weights(
+        self,
+        node_costs: impl Iterator<Item = (RelId, f64)>,
+        similarity: impl Iterator<Item = (RelId, f64)>,
+    ) -> Vec<(RelId, f64)> {
+        let mut weights = match self {
+            ScoreModel::QSystem => sorted_weights(node_costs.map(|(rel, c)| (rel, (-c).exp2()))),
+            ScoreModel::Discover | ScoreModel::Banks => Vec::new(),
+        };
+        for (rel, sim) in similarity {
+            *weight_slot(&mut weights, rel) *= sim;
+        }
+        weights
+    }
+}
+
 /// A monotone scoring function for one conjunctive query.
 #[derive(Clone, Debug)]
 pub struct ScoreFn {
@@ -59,28 +97,24 @@ impl ScoreFn {
     /// DISCOVER-style: `C(t) = (1/size) · ∏ s_i`. The `1/size` static factor
     /// penalizes larger candidate networks, as in [13].
     pub fn discover(user: UserId, cq_size: usize) -> ScoreFn {
-        ScoreFn {
-            model: ScoreModel::Discover,
-            static_factor: 1.0 / cq_size.max(1) as f64,
-            weights: Vec::new(),
-            user,
-        }
+        let static_factor = ScoreModel::Discover.static_factor(cq_size, std::iter::empty());
+        ScoreFn::from_parts(ScoreModel::Discover, static_factor, Vec::new(), user)
     }
 
     /// Q System-style: `C(t) = 2^-c`, `c = Σ_e c_e + Σ_i cost(t_i)` where
     /// the per-tuple cost is `node_cost_r - log2 s_r`. `edge_costs` are the
     /// (possibly user-specific) costs of the schema edges used by the CQ;
-    /// `node_costs` maps each relation to its authority cost.
+    /// `node_costs` maps each relation to its authority cost. The
+    /// construction candidate generation used before it split a network's
+    /// function into [`ScoreModel::weights`] and
+    /// [`ScoreModel::static_factor`], kept as the reference for that split.
+    #[cfg(test)]
     pub(crate) fn q_system(
         user: UserId,
         edge_costs: impl IntoIterator<Item = f64>,
         node_costs: impl IntoIterator<Item = (RelId, f64)>,
     ) -> ScoreFn {
         let edge_sum: f64 = edge_costs.into_iter().sum();
-        // 2^-cost becomes a multiplicative weight. Written `exp2`, not
-        // `2.0.powf(..)`: LLVM lowers the latter to `exp2` only under
-        // optimisation and the two differ by an ulp on some inputs, so
-        // answers would depend on the build profile.
         let weights = node_costs
             .into_iter()
             .map(|(rel, cost)| (rel, (-cost).exp2()));
@@ -88,6 +122,26 @@ impl ScoreFn {
             model: ScoreModel::QSystem,
             static_factor: (-edge_sum).exp2(),
             weights: sorted_weights(weights),
+            user,
+        }
+    }
+
+    /// A `model` function from its static factor and its relation-sorted
+    /// weights ([`ScoreModel::static_factor`], [`ScoreModel::weights`]).
+    pub(crate) fn from_parts(
+        model: ScoreModel,
+        static_factor: f64,
+        weights: Vec<(RelId, f64)>,
+        user: UserId,
+    ) -> ScoreFn {
+        debug_assert!(
+            weights.is_sorted_by_key(|w| w.0),
+            "weights must be relation-sorted"
+        );
+        ScoreFn {
+            model,
+            static_factor,
+            weights,
             user,
         }
     }
@@ -118,14 +172,12 @@ impl ScoreFn {
     /// The weight of relation `r` (1.0 if unspecified).
     #[inline]
     pub fn weight(&self, rel: RelId) -> f64 {
-        match self.weights.binary_search_by_key(&rel, |w| w.0) {
-            Ok(i) => self.weights[i].1,
-            Err(_) => 1.0,
-        }
+        weight_in(&self.weights, rel)
     }
 
     /// Multiply relation `rel`'s weight by `factor` (a keyword-match
     /// similarity folded into the score).
+    #[cfg(test)]
     pub(crate) fn scale_weight(&mut self, rel: RelId, factor: f64) {
         *weight_slot(&mut self.weights, rel) *= factor;
     }
@@ -166,12 +218,8 @@ impl ScoreFn {
     /// Upper bound `U(C_i)` on the score of *any* tuple the CQ can return
     /// (Section 3), from catalog max-score statistics.
     pub fn upper_bound(&self, cq: &ConjunctiveQuery, catalog: &Catalog) -> Score {
-        let mut s = self.static_factor;
-        for atom in &cq.atoms {
-            let max = catalog.relation(atom.rel).stats.max_score;
-            s *= self.weight(atom.rel) * max;
-        }
-        Score::new(s)
+        let rels = cq.atoms.iter().map(|a| a.rel);
+        upper_bound(self.static_factor, &self.weights, rels, catalog)
     }
 
     /// The weighted contribution bound for a set of relations whose
@@ -190,6 +238,33 @@ impl ScoreFn {
         rels.iter()
             .map(|r| self.weight(*r) * catalog.relation(*r).stats.max_score)
             .product()
+    }
+}
+
+/// [`ScoreFn::upper_bound`] of a function with `static_factor` and
+/// relation-sorted `weights` over a query of relations `rels`: the static
+/// factor times each relation's weight and catalog max score.
+pub(crate) fn upper_bound(
+    static_factor: f64,
+    weights: &[(RelId, f64)],
+    rels: impl Iterator<Item = RelId>,
+    catalog: &Catalog,
+) -> Score {
+    let mut s = static_factor;
+    for rel in rels {
+        let max = catalog.relation(rel).stats.max_score;
+        s *= weight_in(weights, rel) * max;
+    }
+    Score::new(s)
+}
+
+/// Relation `rel`'s weight in a relation-sorted weight list (1.0 if
+/// absent).
+#[inline]
+fn weight_in(weights: &[(RelId, f64)], rel: RelId) -> f64 {
+    match weights.binary_search_by_key(&rel, |w| w.0) {
+        Ok(i) => weights[i].1,
+        Err(_) => 1.0,
     }
 }
 

@@ -4,7 +4,10 @@
 //! per insert and per probe, millions of times a run, and the standard
 //! library's default (SipHash-1-3, keyed per map) costs more there than
 //! the lookup it guards; the optimizer's search probes its memo or its
-//! candidate arena for every state it names, a million a run. This is
+//! candidate arena for every state it names, a million a run; and the
+//! signature maps (the interner's deep map, the plan graph's reuse index,
+//! the optimizer's candidate pool) are probed for every subexpression a
+//! batch names, keyed on signatures the engine builds itself. This is
 //! the multiplicative "Fx" scheme rustc uses for its own tables: fold each
 //! word in with a rotate, an xor and one multiply (plus one folded multiply
 //! when the hash is read). It is not collision-resistant against chosen

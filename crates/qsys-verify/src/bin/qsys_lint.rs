@@ -30,9 +30,11 @@
 //!    the repro numbers must come from the virtual clock and seeded RNGs.
 //! 6. `hot-hash` — no default-hasher (SipHash) `HashMap`/`HashSet` in the
 //!    executor's per-tuple modules (`qsys-exec`'s `access`, `mjoin`,
-//!    `rank_merge`, `graph`) or in the source's per-row ones
-//!    (`qsys-source`'s `table` indexes and `pushdown` joins): maps there
-//!    are `qsys_types::FxHashMap` or not maps at all. A map that is only
+//!    `rank_merge`, `graph`), in the source's per-row ones
+//!    (`qsys-source`'s `table` indexes and `pushdown` joins), or in the
+//!    per-subexpression signature maps (`qsys-query`'s `intern`,
+//!    `qsys-opt`'s `heuristics` pool): maps there are
+//!    `qsys_types::FxHashMap` or not maps at all. A map that is only
 //!    touched per batch says so with `lint:allow(hot-hash)`.
 //! 7. `clock-literal` — no `.charge(…)` in non-test code whose amount is a
 //!    bare integer literal. Every simulated-time charge names its constant
@@ -169,8 +171,8 @@ struct FileScope {
     bench: bool,
     /// Integration-test code: panics are the assertion vocabulary there.
     test_file: bool,
-    /// One of the executor's per-tuple or the source's per-row modules
-    /// (rule `hot-hash`).
+    /// One of the executor's per-tuple, the source's per-row or the
+    /// per-subexpression signature modules (rule `hot-hash`).
     hot_path: bool,
     /// This lint's own source (its rule list would flag itself).
     lint_self: bool,
@@ -198,6 +200,8 @@ fn scope_of(rel: &str) -> FileScope {
             "qsys-exec/src/graph",
             "qsys-source/src/table",
             "qsys-source/src/pushdown",
+            "qsys-query/src/intern",
+            "qsys-opt/src/heuristics",
         ]
         .iter()
         .any(|m| rel == format!("crates/{m}.rs")),
@@ -526,6 +530,19 @@ mod tests {
             "crates/qsys-source/src/pushdown.rs",
         ] {
             assert_eq!(lint(rel, map), [("hot-hash", 1), ("hot-hash", 2)], "{rel}");
+        }
+        // The signature maps are in scope too: the interner's deep map and
+        // the optimizer's candidate pool are probed per subexpression.
+        let sig_map = "fn pool() -> HashMap<SigId, CqSet> {\n    HashMap::new()\n}\n";
+        for rel in [
+            "crates/qsys-query/src/intern.rs",
+            "crates/qsys-opt/src/heuristics.rs",
+        ] {
+            assert_eq!(
+                lint(rel, sig_map),
+                [("hot-hash", 1), ("hot-hash", 2)],
+                "{rel}"
+            );
         }
         // Elsewhere, under the Fx hasher, in tests, or allowed: no finding.
         assert!(lint("crates/qsys-source/src/registry.rs", map).is_empty());

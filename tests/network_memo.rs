@@ -125,3 +125,49 @@ fn a_query_that_matches_nothing_is_refused_alike_and_spends_a_uq_id() {
     let cqs: Vec<usize> = report.per_uq.iter().map(|u| u.cqs_generated).collect();
     assert_eq!(cqs[0], cqs[1]);
 }
+
+#[test]
+fn a_phrase_ranks_alike_however_its_whitespace_is_typed() {
+    // A quoted phrase is trimmed and reads each whitespace run as one
+    // space, so these spellings name one keyword query (GUS seed 54 once
+    // refused all but the first): the same CQs, fresh or from the memo.
+    let w = gus::generate(&GusConfig::small(54));
+    let generator = CandidateGenerator::new(&w.catalog, &w.index, CandidateConfig::default());
+    let mut memo = NetworkMemo::default();
+    let spellings = [
+        "'plasma membrane' metabolism",
+        "'plasma  membrane' metabolism",
+        "' plasma membrane' metabolism",
+        "\"plasma membrane \" ' ' metabolism",
+    ];
+    let cqs = |result: &QsysResult<UserQuery>| {
+        let uq = result.as_ref().expect("the phrase matches");
+        let cqs = uq.cqs.iter();
+        cqs.map(|(cq, f)| (cq.id, cq.atoms.clone(), cq.joins.clone(), f.exact_key()))
+            .collect::<Vec<_>>()
+    };
+    let mut first = None;
+    for keywords in spellings {
+        let (mut fresh_next, mut memo_next) = (0, 0);
+        let fresh = generator.generate(
+            keywords,
+            UqId::new(0),
+            UserId::new(0),
+            &mut fresh_next,
+            None,
+        );
+        let hit = memo.generate(
+            &generator,
+            keywords,
+            UqId::new(0),
+            UserId::new(0),
+            &mut memo_next,
+            None,
+        );
+        assert_eq!(fingerprint(&hit), fingerprint(&fresh), "{keywords:?}");
+        assert_eq!(memo_next, fresh_next);
+        let first = first.get_or_insert_with(|| cqs(&fresh));
+        assert!(!first.is_empty());
+        assert_eq!(&cqs(&fresh), first, "{keywords:?}");
+    }
+}
