@@ -1071,4 +1071,29 @@ mod tests {
         assert_eq!(answer_gate(&base, &arm, None), 0);
         assert_eq!(answer_gate(&base, &arm, Some(&readers)), 1);
     }
+
+    /// Figure 11's uncapped BestPlan search on GUS seed 41, as recorded:
+    /// the pool [`fig11_query`] picks, the states it names, its memo hits
+    /// and the bits of the winning cost. A search that prunes, orders or
+    /// prices differently moves one of them.
+    #[test]
+    fn fig11_uncapped_search_is_the_recorded_one() {
+        let workload = gus_workload(41, Scale::Small);
+        let (uq, sweep) = fig11_query(&workload);
+        let pool = sweep.last().map_or(0, |point| point.0);
+        let batch: Vec<_> = uq.cqs.iter().map(|(cq, f)| (cq, f)).collect();
+        let interner = qsys::query::SigCell::new(qsys::query::SigInterner::new());
+        let (_, stats) =
+            fig11_optimizer(&workload.catalog, pool).optimize(&batch, &NoReuse, None, &interner);
+        assert_eq!(
+            (
+                pool,
+                stats.explored,
+                stats.memo_hits,
+                stats.best_cost.to_bits()
+            ),
+            (11, 3_071, 2_015, 0x4186_09e8_1c8f_84e5),
+            "{stats:?}"
+        );
+    }
 }

@@ -214,7 +214,7 @@ impl QueryPlanGraph {
     }
 
     /// Add a rank-merge operator.
-    pub fn add_rank_merge(&mut self, rm: RankMerge) -> NodeId {
+    pub(crate) fn add_rank_merge(&mut self, rm: RankMerge) -> NodeId {
         self.add_node(NodeKind::RankMerge(rm), None)
     }
 
@@ -1323,6 +1323,56 @@ mod tests {
         );
         // Arrivals are stored whether or not they probe.
         assert_eq!(bounded_work.module_arrivals, unbounded_work.module_arrivals);
+    }
+
+    /// Score-bounded probing into a full queue, counted exactly. R0 and R1
+    /// hold 400 rows each over 16 join keys (25 R1 matches per R0 row),
+    /// scores falling with the row id; one k = 10 rank-merge takes R0 ⋈ R1.
+    /// R1 is read dry, then the first 10 R0 reads fill the queue. Of the
+    /// other 390 R0 reads, the first 7 still place results; the remaining
+    /// 383, scoring no better with R1's best row than the queue's tenth,
+    /// are bounded out before they probe.
+    #[test]
+    fn a_full_queue_bounds_out_the_weaker_reads_before_they_probe() {
+        let sources = Sources::new(SimClock::new(), 0);
+        let key = |v: u64| Value::Int((v % 16) as i64);
+        for rel in 0..2u32 {
+            let id = RelId::new(rel);
+            let rows = (0..400u64)
+                .map(|i| {
+                    Arc::new(BaseTuple::new(
+                        id,
+                        i,
+                        vec![key(i), key(i * 7)],
+                        1.0 - i as f64 / 401.0,
+                    ))
+                })
+                .collect();
+            sources.register(Table::new(id, rows));
+        }
+        let mut g = QueryPlanGraph::new();
+        let [s0, s1] = [0u32, 1].map(|rel| {
+            g.add_stream(
+                StreamBacking::Remote(sources.open_stream(RelId::new(rel), None)),
+                None,
+            )
+        });
+        let inputs = vec![leaf_input(&mut g, 0, s0), leaf_input(&mut g, 1, s1)];
+        let mj = MJoin::new(inputs, vec![join_on_col0(0, 1)], g.modules());
+        let mjn = g.add_mjoin(mj, None);
+        let rmn = g.add_rank_merge(top_k(0, 10, s0, s1));
+        g.connect(s0, mjn, 0);
+        g.connect(s1, mjn, 1);
+        g.connect(mjn, rmn, 0);
+        let governor = governor();
+        while g.read_stream_governed(s1, &sources, &governor) == StreamRead::Delivered {}
+        for _ in 0..10 {
+            g.read_stream_governed(s0, &sources, &governor);
+        }
+        assert_eq!(g.rank_merge(rmn).pending(), 10);
+        assert_eq!(g.work().partials_bounded_out, 0);
+        while g.read_stream_governed(s0, &sources, &governor) == StreamRead::Delivered {}
+        assert_eq!(g.work().partials_bounded_out, 383, "{:?}", g.work());
     }
 
     /// A result another m-join consumes is always built, whatever the

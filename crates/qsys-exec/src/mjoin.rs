@@ -242,7 +242,7 @@ pub(crate) trait JoinSink {
 }
 
 /// The sink that wants every result as a tuple: intermediate probe steps,
-/// tests, benches and the state manager's graft-time history replays.
+/// tests and the state manager's graft-time history replays.
 impl JoinSink for Vec<Tuple> {
     fn emit(&mut self, tuple: Tuple) {
         self.push(tuple);

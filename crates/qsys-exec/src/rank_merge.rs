@@ -48,12 +48,12 @@
 //! Per-CQ thresholds are a function of the graph's bound table and the
 //! registrations alone, so they are computed once per *generation* of that
 //! table (the graph bumps it whenever a bound's bit pattern changes) and
-//! read by emission, pruning, [`RankMerge::choose_read`] and
+//! read by emission, pruning, `RankMerge::choose_read` and
 //! `RankMerge::overall_threshold` alike. Besides them a maintenance
 //! cycle reads only the pending queue, the emitted results and the
 //! active/pruned flags, so three events can change its outcome and each
 //! marks the operator dirty: a [`RankMerge::register`], an
-//! [`Accepted::Enqueued`] accept (the other two verdicts leave the queue
+//! `Accepted::Enqueued` accept (the other two verdicts leave the queue
 //! alone), and a new bound-table generation. A cycle on a clean operator
 //! is a no-op and returns at once: the previous cycle's last iteration
 //! broke out without activating or emitting, pruning only marks CQs that
@@ -98,8 +98,6 @@ pub struct StreamingInput {
 /// One emitted top-k answer.
 #[derive(Debug, Clone)]
 pub struct TopKResult {
-    /// The user query answered.
-    pub uq: UqId,
     /// The conjunctive query that produced the answer.
     pub cq: CqId,
     /// The join result.
@@ -112,7 +110,7 @@ pub struct TopKResult {
 
 /// What [`RankMerge::accept`] did with a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Accepted {
+pub(crate) enum Accepted {
     /// Dropped unscored: the operator has already emitted its k.
     AfterK,
     /// Scored and dropped: enough better candidates are pending to fill
@@ -314,7 +312,7 @@ impl RankMerge {
     /// candidates to fill the remaining top-k and can never be output.
     /// This keeps `accept` O(k) instead of letting the queue (and the
     /// insertion cost) grow with every sub-threshold join result.
-    pub fn accept(&mut self, slot: usize, tuple: Tuple) -> Accepted {
+    pub(crate) fn accept(&mut self, slot: usize, tuple: Tuple) -> Accepted {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 {
             return Accepted::AfterK;
@@ -436,7 +434,12 @@ impl RankMerge {
     /// only while `bounds` is bit-for-bit what it was (the plan graph
     /// keeps the counter; a caller without one passes a fresh value per
     /// call).
-    pub fn maintain(&mut self, bounds: &[f64], generation: u64, now_us: u64) -> Option<usize> {
+    pub(crate) fn maintain(
+        &mut self,
+        bounds: &[f64],
+        generation: u64,
+        now_us: u64,
+    ) -> Option<usize> {
         self.refresh(bounds, generation);
         if !mem::take(&mut self.dirty) {
             return None;
@@ -470,7 +473,6 @@ impl RankMerge {
                 Some(c) if c.score.get() >= thr => {
                     let c = self.candidates.remove(0);
                     self.emitted.push(TopKResult {
-                        uq: self.uq,
                         cq: c.cq,
                         tuple: c.tuple,
                         score: c.score,
@@ -537,7 +539,7 @@ impl RankMerge {
     /// highest threshold, the streaming input defining that threshold
     /// (reading it drops the threshold the most). `generation` as in
     /// [`RankMerge::maintain`].
-    pub fn choose_read(&mut self, bounds: &[f64], generation: u64) -> Option<NodeId> {
+    pub(crate) fn choose_read(&mut self, bounds: &[f64], generation: u64) -> Option<NodeId> {
         self.refresh(bounds, generation);
         let mut best: Option<(f64, NodeId)> = None;
         for s in &self.cqs {
@@ -576,7 +578,8 @@ impl RankMerge {
     /// Pending (not yet provably top-k) candidates — cacheable state in the
     /// QS manager's sense ("contents of ranking queues that hold pending
     /// tuples").
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.candidates.len()
     }
 

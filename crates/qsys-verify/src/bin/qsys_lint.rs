@@ -95,7 +95,7 @@ fn main() {
             let name = entry.file_name();
             let name = name.to_string_lossy().into_owned();
             // Vendored third-party shims are not ours to lint.
-            if matches!(name.as_str(), "criterion" | "proptest" | "rand") {
+            if matches!(name.as_str(), "proptest" | "rand") {
                 continue;
             }
             collect_rs_files(&entry.path(), &mut files);

@@ -15,7 +15,7 @@ engine_crates=(crates/qsys-catalog crates/qsys-exec crates/qsys-opt crates/qsys-
 engine=$(rust_lines src "${engine_crates[@]}")
 checks=$(rust_lines tests examples crates/qsys-bench crates/qsys-verify)
 perf=$(rust_lines perf)
-shims=$(rust_lines crates/rand crates/proptest crates/criterion)
+shims=$(rust_lines crates/rand crates/proptest)
 echo "rust_lines.engine        $engine"
 echo "rust_lines.tests_bench_verify $checks"
 echo "rust_lines.perf          $perf"

@@ -6,8 +6,8 @@
 //! tuples consumed (Figure 10), and optimizer statistics (Figure 11).
 //!
 //! [`run_workload`] runs a scripted [`Workload`] to completion on a fresh
-//! [`Engine`] and returns its report: the one call every experiment, bench
-//! and golden goes through. Interactive callers use the
+//! [`Engine`] and returns its report: the one call every experiment and
+//! golden goes through. Interactive callers use the
 //! [`Engine`]/[`Session`](crate::Session) API directly.
 
 use crate::engine::EngineConfig;
@@ -268,7 +268,7 @@ impl RunReport {
 }
 
 /// Generate the user queries of a workload, with the ids a fresh engine
-/// would give them (shared by the benches and the tests). Queries whose keywords cannot be connected
+/// would give them (shared by the experiment drivers and the tests). Queries whose keywords cannot be connected
 /// into any candidate network are skipped (returned second) — a real system
 /// reports "no results" for them rather than failing the batch.
 pub fn generate_user_queries(
