@@ -22,14 +22,18 @@
 //! arm, and run the `qsys-verify` checker over every live engine. Exits 1
 //! on any violation.
 //!
+//! `all` prints every experiment of `qsys_bench::EXPERIMENTS` but `chaos`
+//! and `verify`, in table order, from one run matrix: a run two
+//! experiments read is built once.
+//!
 //! Every subcommand accepts `--seeds N` (instance seeds 41, 48, …; default
 //! 2) and `--lane-threads N` to cap how many ATC-CL lanes execute
 //! concurrently (default: the machine's parallelism,
 //! `EngineConfig::default().lane_threads`). An unknown subcommand or a
 //! malformed count exits 2. Nothing is read from the environment: each
-//! engine is configured by these flags and its driver's `EngineConfig`.
+//! engine is configured by these flags and its experiment's `EngineConfig`.
 
-use qsys_bench::*;
+use qsys_bench::{set_lane_threads, Matrix, Scale, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,111 +55,23 @@ fn main() {
 
     println!("# scale: {scale:?} | instance seeds: {seeds:?} | virtual-clock results\n");
     let t0 = std::time::Instant::now();
-    match what {
-        "chaos" => {
-            // Resilience sweep: fault-free baseline, 1% / 5% transient
-            // error rates, and a hard outage of one relation.
-            let sweep = chaos_sweep(seeds[0], scale);
-            print_chaos(&sweep);
-            if sweep.arms.iter().any(|a| a.gate_violations > 0) {
-                check_failed(
-                    "tuple loss on unfaulted relations (degradation must be strictly per-query: \
-                     Complete answers bit-identical to the fault-free run, non-readers of the \
-                     outaged relation untouched)",
-                );
-            }
-            eprintln!("gate ok: no tuple loss on unfaulted relations");
+    let chosen: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.name == what || (what == "all" && e.in_all))
+        .collect();
+    if chosen.is_empty() {
+        eprintln!("unknown experiment '{what}'");
+        let names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        usage_error(&format!("choose: all {}", names.join(" ")));
+    }
+    let matrix = Matrix::new(seeds, scale);
+    for (i, experiment) in chosen.into_iter().enumerate() {
+        if i > 0 {
+            println!();
         }
-        "verify" => {
-            // Invariant audit: every arm runs clean through the
-            // whole-system verifier.
-            let audit = verify_audit(&seeds, scale);
-            print_verify(&audit);
-            if !audit.is_clean() {
-                check_failed(&format!(
-                    "{} invariant violation(s) — every arm must verify clean",
-                    audit.total_violations()
-                ));
-            }
-            eprintln!("gate ok: {} arms verified clean", audit.arms.len());
-        }
-        "table4" => print_table4(&table4(&seeds, scale)),
-        "fig7" => print_fig7(&fig7_runs(&seeds, scale, None)),
-        "fig8" => print_fig8(&fig7_runs(&seeds, scale, None)),
-        "fig9" => {
-            let (s, b) = fig9(&seeds, scale);
-            print_fig9(&s, &b);
-        }
-        "fig10" => print_fig10(&fig10(&seeds, scale)),
-        "fig11" => print_fig11(&fig11(seeds[0], scale)),
-        "fig12" => print_fig12(&fig12(&seeds, scale)),
-        "ablation-atc" => {
-            println!("Ablation: ATC scheduling policy (mean response, virtual s)");
-            for (label, mean) in ablation_atc(seeds[0], scale) {
-                println!("{label:>16}: {mean:.3}");
-            }
-        }
-        "ablation-recovery" => {
-            let (warm, cold) = ablation_recovery(seeds[0], scale);
-            println!(
-                "Ablation: RecoverState vs re-execution (stream reads for a repeated query, \
-                 re-weighted by another user's edge costs)"
-            );
-            println!("  warm (recovered): {warm}");
-            println!("  cold (fresh)    : {cold}");
-        }
-        "ablation-eviction" => {
-            println!("Ablation: memory budget / eviction pressure (stream reads, 10 UQs)");
-            for (label, reads) in ablation_eviction(seeds[0], scale) {
-                println!("{label:>12}: {reads}");
-            }
-        }
-        "ablation-probe-cache" => {
-            println!("Ablation: probe-cache sharing (ATC-FULL, 10 UQs)");
-            for (label, probes, mean) in ablation_probe_cache(seeds[0], scale) {
-                println!("{label:>8}: {probes} remote probes, mean response {mean:.3}s");
-            }
-        }
-        "all" => {
-            print_table4(&table4(&seeds, scale));
-            println!();
-            let runs = fig7_runs(&seeds, scale, None);
-            print_fig7(&runs);
-            println!();
-            print_fig8(&runs);
-            println!();
-            let (s, b) = fig9(&seeds, scale);
-            print_fig9(&s, &b);
-            println!();
-            print_fig10(&fig10(&seeds, scale));
-            println!();
-            print_fig11(&fig11(seeds[0], scale));
-            println!();
-            print_fig12(&fig12(&seeds, scale));
-            println!();
-            println!("Ablation: ATC scheduling policy (mean response, virtual s)");
-            for (label, mean) in ablation_atc(seeds[0], scale) {
-                println!("{label:>16}: {mean:.3}");
-            }
-            println!();
-            let (warm, cold) = ablation_recovery(seeds[0], scale);
-            println!(
-                "Ablation: RecoverState — re-weighted repeated query stream reads: warm {warm} vs cold {cold}"
-            );
-            println!();
-            println!("Ablation: memory budget (stream reads, 10 UQs)");
-            for (label, reads) in ablation_eviction(seeds[0], scale) {
-                println!("{label:>12}: {reads}");
-            }
-            println!();
-            println!("Ablation: probe-cache sharing (ATC-FULL, 10 UQs)");
-            for (label, probes, mean) in ablation_probe_cache(seeds[0], scale) {
-                println!("{label:>8}: {probes} remote probes, mean response {mean:.3}s");
-            }
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            usage_error("choose: all chaos verify table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+        if let Err(why) = (experiment.print)(&matrix) {
+            eprintln!("CHECK FAILED: {why}");
+            std::process::exit(1);
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());
@@ -182,11 +98,6 @@ fn positive_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
-}
-
-fn check_failed(why: &str) -> ! {
-    eprintln!("CHECK FAILED: {why}");
-    std::process::exit(1);
 }
 
 #[cfg(test)]

@@ -1,24 +1,30 @@
-//! Experiment drivers regenerating every table and figure of the paper's
+//! The experiments regenerating every table and figure of the paper's
 //! evaluation (Section 7), plus what this reproduction adds beside them:
 //! ablations of its own choices (ATC scheduling, recovery, eviction,
 //! probe-cache sharing), the print-only, self-gated `chaos` sweep, and
 //! the `verify` invariant audit.
 //!
-//! Each `table4` / `fig7` / … function runs the experiment and returns
-//! printable data; the `reproduce` binary is a thin argument parser over
-//! them. All numbers are *simulated* (virtual-clock) quantities — the
-//! sources are in-process tables charged on a virtual clock, not MySQL
-//! over a WAN — so the claims under reproduction are about relative
-//! behaviour between configurations, not absolute seconds. Nothing here
-//! times the host for the record: host-clock measurement is `perf/run.sh`
-//! (`BENCHMARK.json`, `perf/README.md`), and the few host walls printed
-//! here (Figure 11's wall column) are observations of one run.
+//! Every engine run an experiment reads is a [`Run`] of one [`Matrix`]:
+//! what makes a run distinct (dataset, seed, how much of the script,
+//! sharing mode, batch size, the one setting an ablation varies) is its
+//! key, the first experiment to read it builds it, and every later reader
+//! shares its report — Table 4, Figure 7's ATC-FULL column and Figure 10's
+//! 15-UQ cell are one run per seed. [`EXPERIMENTS`] is the one ordered
+//! table of named experiments, each a printer over the matrix; the
+//! `reproduce` binary parses its flags and walks that table. All numbers
+//! are *simulated* (virtual-clock) quantities — the sources are
+//! in-process tables charged on a virtual clock, not MySQL over a WAN — so
+//! the claims under reproduction are about relative behaviour between
+//! configurations, not absolute seconds. Nothing here times the host for
+//! the record: host-clock measurement is `perf/run.sh` (`BENCHMARK.json`,
+//! `perf/README.md`), and the one host wall printed here (Figure 11's
+//! wall column) is an observation of one run.
 //!
-//! The chaos sweep and the audit share one shape: [`drive`] submits a
-//! script through `Engine::submit_script`, drains the engine and
-//! fingerprints every ticket; [`answer_gate`] compares an arm's answers
-//! with the baseline's. The sweep adds only its arm table and its column
-//! printer.
+//! The chaos sweep and the audit gate on answers and live engine state,
+//! which a run's report does not hold, so they drive their own engines:
+//! [`drive`] submits a script through `Engine::submit_script`, drains the
+//! engine and fingerprints every ticket; [`answer_gate`] compares an arm's
+//! answers with the baseline's.
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::opt::cost::NoReuse;
@@ -26,11 +32,13 @@ use qsys::opt::{HeuristicConfig, Optimizer, OptimizerConfig};
 use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
 use qsys::types::{SimClock, UqId};
-use qsys::{run_workload, Engine, EngineConfig, QueryOutcome, RunReport, SharingMode};
+use qsys::{run_workload, Engine, EngineConfig, QueryOutcome, RunReport, SharingMode, UqReport};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::pfam::{self, PfamConfig};
 use qsys_workload::{Workload, WorkloadQuery};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,22 +50,14 @@ pub enum Scale {
 }
 
 /// Process-wide lane-thread override, set once by the `--lane-threads`
-/// flag before any experiment runs; every engine the drivers build picks
-/// it up as `EngineConfig::lane_threads`.
+/// flag before any experiment runs; every engine the experiments build
+/// picks it up as `EngineConfig::lane_threads` (else the engine default,
+/// the machine's parallelism).
 static LANE_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// Install the `--lane-threads` override (first call wins).
 pub fn set_lane_threads(n: usize) {
     let _ = LANE_THREADS.set(n.max(1));
-}
-
-/// The lane-thread count experiments run under: the `--lane-threads`
-/// override if given, else the machine's parallelism (the engine default).
-pub fn lane_threads() -> usize {
-    LANE_THREADS
-        .get()
-        .copied()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The four configurations of Section 7.1, in the paper's order.
@@ -91,6 +91,7 @@ pub fn pfam_workload(seed: u64, scale: Scale) -> Workload {
 /// The engine configuration used by the synthetic experiments: k = 50,
 /// batches of 5, ≤ 20 CQs per user query — Section 7's setup.
 pub fn gus_engine(mode: SharingMode, batch_size: usize) -> EngineConfig {
+    let default = EngineConfig::default();
     EngineConfig {
         k: 50,
         batch_size,
@@ -101,183 +102,247 @@ pub fn gus_engine(mode: SharingMode, batch_size: usize) -> EngineConfig {
             matches_per_keyword: 3,
             ..CandidateConfig::default()
         },
-        lane_threads: lane_threads(),
-        ..EngineConfig::default()
+        lane_threads: LANE_THREADS.get().copied().unwrap_or(default.lane_threads),
+        ..default
     }
 }
 
 /// The engine configuration for the Pfam experiments: "each user query
 /// here resulted in 4 conjunctive queries" (Section 7.5).
 pub fn pfam_engine(mode: SharingMode) -> EngineConfig {
-    EngineConfig {
-        k: 50,
-        batch_size: 5,
-        sharing: mode,
-        candidate: CandidateConfig {
-            max_cqs: 4,
-            max_atoms: 6,
-            matches_per_keyword: 2,
-            ..CandidateConfig::default()
-        },
-        lane_threads: lane_threads(),
-        ..EngineConfig::default()
-    }
+    let mut config = gus_engine(mode, 5);
+    config.candidate.max_cqs = 4;
+    config.candidate.matches_per_keyword = 2;
+    config
 }
 
 // ---------------------------------------------------------------------------
-// Table 4: average number of conjunctive queries executed per user query.
+// The run matrix: every engine run the experiments read, each built once.
 // ---------------------------------------------------------------------------
 
-/// Average CQs executed to return top-50, per UQ, across instance seeds.
-pub fn table4(seeds: &[u64], scale: Scale) -> Vec<f64> {
-    let mut sums: Vec<f64> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    for &seed in seeds {
-        let w = gus_workload(seed, scale);
-        let report = run_workload(&w, &gus_engine(SharingMode::AtcFull, 5), None).expect("runs");
-        for u in &report.per_uq {
-            let i = u.uq.index();
-            if sums.len() <= i {
-                sums.resize(i + 1, 0.0);
-                counts.resize(i + 1, 0);
-            }
-            sums[i] += u.cqs_executed as f64;
-            counts[i] += 1;
+/// Which generator a run's instance comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dataset {
+    /// The synthetic GUS instances (Table 4, Figures 7–11, the ablations).
+    Gus,
+    /// The Pfam/InterPro instances (Figure 12).
+    Pfam,
+}
+
+/// What a run poses of its instance's script.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Script {
+    /// The script, stopped once `Some(n)` user queries have admitted.
+    Prefix(Option<usize>),
+    /// The recovery ablation's repeat: query 0's keywords posed by query
+    /// 1's user, whose learned edge costs re-weigh the score functions —
+    /// the same conjunctive queries over the same streams — after query 0
+    /// itself when `after_first`.
+    Repeat { after_first: bool },
+}
+
+/// One run of the matrix: an instance, what is posed of its script, and
+/// the engine it runs on. Two runs are one when every field is equal.
+#[derive(Clone, Debug)]
+pub struct Run {
+    /// The instance's generator.
+    pub dataset: Dataset,
+    /// The instance seed.
+    pub seed: u64,
+    /// What is posed.
+    pub script: Script,
+    /// The engine: the experiment's config ([`gus_engine`],
+    /// [`pfam_engine`]) with the one setting an ablation varies.
+    pub config: EngineConfig,
+}
+
+impl Run {
+    /// The whole GUS script of `seed` on Section 7's engine.
+    pub fn gus(seed: u64, mode: SharingMode, batch_size: usize) -> Run {
+        Run {
+            dataset: Dataset::Gus,
+            seed,
+            script: Script::Prefix(None),
+            config: gus_engine(mode, batch_size),
         }
     }
-    sums.iter()
-        .zip(counts.iter())
-        .map(|(s, c)| if *c == 0 { 0.0 } else { s / *c as f64 })
+
+    /// The whole Pfam script of `seed` on Section 7.5's engine.
+    pub fn pfam(seed: u64, mode: SharingMode) -> Run {
+        Run {
+            dataset: Dataset::Pfam,
+            seed,
+            script: Script::Prefix(None),
+            config: pfam_engine(mode),
+        }
+    }
+
+    /// This run stopped after `n` user queries.
+    pub fn first(self, n: usize) -> Run {
+        Run {
+            script: Script::Prefix(Some(n)),
+            ..self
+        }
+    }
+
+    fn build(&self, scale: Scale) -> RunReport {
+        let mut w = match self.dataset {
+            Dataset::Gus => gus_workload(self.seed, scale),
+            Dataset::Pfam => pfam_workload(self.seed, scale),
+        };
+        let limit = match self.script {
+            Script::Prefix(limit) => limit,
+            Script::Repeat { after_first } => {
+                let first = w.queries[0].clone();
+                let repeat = WorkloadQuery {
+                    keywords: first.keywords.clone(),
+                    ..w.queries[1].clone()
+                };
+                w.queries = if after_first {
+                    vec![first, repeat]
+                } else {
+                    vec![repeat]
+                };
+                None
+            }
+        };
+        run_workload(&w, &self.config, limit).expect("runs")
+    }
+}
+
+/// The runs of one `reproduce` invocation: the first experiment to read a
+/// run builds it, and every later reader gets the same report.
+pub struct Matrix {
+    /// Instance seeds the experiments average over.
+    pub seeds: Vec<u64>,
+    /// Instance scale.
+    pub scale: Scale,
+    /// Built runs, keyed by their `Debug` text: `EngineConfig` has no
+    /// `PartialEq`, and a run's text spells out every field of it.
+    runs: RefCell<Vec<(String, Rc<RunReport>)>>,
+    /// Every run built, in build order.
+    #[cfg(test)]
+    built: RefCell<Vec<Run>>,
+}
+
+impl Matrix {
+    pub fn new(seeds: Vec<u64>, scale: Scale) -> Matrix {
+        Matrix {
+            seeds,
+            scale,
+            runs: RefCell::default(),
+            #[cfg(test)]
+            built: RefCell::default(),
+        }
+    }
+
+    /// `run`'s report, built on its first read.
+    pub fn report(&self, run: &Run) -> Rc<RunReport> {
+        let key = format!("{run:?}");
+        if let Some((_, report)) = self.runs.borrow().iter().find(|(k, _)| *k == key) {
+            return Rc::clone(report);
+        }
+        let report = Rc::new(run.build(self.scale));
+        #[cfg(test)]
+        self.built.borrow_mut().push(run.clone());
+        self.runs.borrow_mut().push((key, Rc::clone(&report)));
+        report
+    }
+
+    /// `run(seed)`'s report for every seed, in seed order.
+    pub fn per_seed(&self, run: impl Fn(u64) -> Run) -> Vec<Rc<RunReport>> {
+        self.seeds.iter().map(|&s| self.report(&run(s))).collect()
+    }
+}
+
+/// One named experiment of `reproduce`: it reads its runs from the matrix
+/// and prints itself; `Err` is a failed gate.
+pub struct Experiment {
+    /// The subcommand.
+    pub name: &'static str,
+    /// Whether `reproduce all` prints it.
+    pub in_all: bool,
+    pub print: fn(&Matrix) -> Result<(), String>,
+}
+
+impl Experiment {
+    const fn in_all(name: &'static str, print: fn(&Matrix) -> Result<(), String>) -> Experiment {
+        Experiment {
+            name,
+            in_all: true,
+            print,
+        }
+    }
+
+    const fn alone(name: &'static str, print: fn(&Matrix) -> Result<(), String>) -> Experiment {
+        Experiment {
+            name,
+            in_all: false,
+            print,
+        }
+    }
+}
+
+/// Every experiment; `reproduce all` prints those `in_all`, in this order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::alone("chaos", chaos),
+    Experiment::alone("verify", verify),
+    Experiment::in_all("table4", table4),
+    Experiment::in_all("fig7", fig7),
+    Experiment::in_all("fig8", fig8),
+    Experiment::in_all("fig9", fig9),
+    Experiment::in_all("fig10", fig10),
+    Experiment::in_all("fig11", fig11),
+    Experiment::in_all("fig12", fig12),
+    Experiment::in_all("ablation-atc", ablation_atc),
+    Experiment::in_all("ablation-recovery", ablation_recovery),
+    Experiment::in_all("ablation-eviction", ablation_eviction),
+    Experiment::in_all("ablation-probe-cache", ablation_probe_cache),
+];
+
+/// Mean of `value` per user query over `reports`, indexed by UQ id.
+fn per_uq_mean(reports: &[Rc<RunReport>], value: impl Fn(&UqReport) -> f64) -> Vec<f64> {
+    let mut sums: Vec<(f64, u32)> = Vec::new();
+    for u in reports.iter().flat_map(|r| &r.per_uq) {
+        let i = u.uq.index();
+        if sums.len() <= i {
+            sums.resize(i + 1, (0.0, 0));
+        }
+        sums[i].0 += value(u);
+        sums[i].1 += 1;
+    }
+    sums.into_iter()
+        .map(|(s, c)| if c == 0 { 0.0 } else { s / c as f64 })
         .collect()
 }
 
-/// Pretty-print Table 4.
-pub fn print_table4(avgs: &[f64]) {
-    println!("Table 4: average # conjunctive queries executed per user query (top-50)");
-    print!("UQ     ");
-    for i in 0..avgs.len() {
-        print!(" {:>6}", i + 1);
-    }
-    println!();
-    print!("Queries");
-    for v in avgs {
-        print!(" {v:>6.2}");
-    }
-    println!();
+/// One configuration over the seeds: a column of Figures 7, 8, 9 and 12.
+struct Column {
+    label: &'static str,
+    reports: Vec<Rc<RunReport>>,
 }
 
-// ---------------------------------------------------------------------------
-// Figures 7 & 8: per-UQ running times and execution-time breakdown.
-// ---------------------------------------------------------------------------
-
-/// One configuration's outcome over the GUS workload, averaged over seeds.
-pub struct ConfigRun {
-    /// Configuration label.
-    pub label: String,
-    /// Per-UQ mean response times (seconds).
-    pub per_uq_secs: Vec<f64>,
-    /// Mean normalized (stream, probe, join) execution fractions.
-    pub fractions: (f64, f64, f64),
-    /// Total tuples consumed (summed over seeds).
-    pub tuples_consumed: u64,
-    /// Raw reports (one per seed).
-    pub reports: Vec<RunReport>,
-}
-
-/// Run the GUS workload under every configuration.
-pub fn fig7_runs(seeds: &[u64], scale: Scale, limit: Option<usize>) -> Vec<ConfigRun> {
-    all_modes()
-        .into_iter()
-        .map(|mode| {
-            let label = mode.label().to_string();
-            let mut reports = Vec::new();
-            for &seed in seeds {
-                let w = gus_workload(seed, scale);
-                reports.push(run_workload(&w, &gus_engine(mode.clone(), 5), limit).expect("runs"));
-            }
-            summarize(label, reports)
-        })
-        .collect()
-}
-
-fn summarize(label: String, reports: Vec<RunReport>) -> ConfigRun {
-    let n_uq = reports.iter().map(|r| r.per_uq.len()).max().unwrap_or(0);
-    let mut per_uq_secs = vec![0.0; n_uq];
-    let mut counts = vec![0u32; n_uq];
-    let mut fractions = (0.0, 0.0, 0.0);
-    let mut tuples = 0;
-    for r in &reports {
-        for u in &r.per_uq {
-            let i = u.uq.index();
-            if i < n_uq {
-                per_uq_secs[i] += u.response_us as f64 / 1e6;
-                counts[i] += 1;
-            }
-        }
-        let f = r.breakdown.exec_fractions();
-        fractions.0 += f.0;
-        fractions.1 += f.1;
-        fractions.2 += f.2;
-        tuples += r.tuples_consumed;
-    }
-    for (v, c) in per_uq_secs.iter_mut().zip(counts.iter()) {
-        if *c > 0 {
-            *v /= *c as f64;
+impl Column {
+    /// `mode`'s runs, `run(seed, mode)` for every seed.
+    fn over(m: &Matrix, mode: SharingMode, run: impl Fn(u64, SharingMode) -> Run) -> Column {
+        Column {
+            label: mode.label(),
+            reports: m.per_seed(|s| run(s, mode.clone())),
         }
     }
-    let n = reports.len().max(1) as f64;
-    ConfigRun {
-        label,
-        per_uq_secs,
-        fractions: (fractions.0 / n, fractions.1 / n, fractions.2 / n),
-        tuples_consumed: tuples,
-        reports,
-    }
-}
 
-/// Print Figure 7 (running time per UQ, per configuration).
-pub fn print_fig7(runs: &[ConfigRun]) {
-    println!("Figure 7: running times (virtual s) to return top-50 per user query");
-    print!("{:>4}", "UQ");
-    for r in runs {
-        print!(" {:>9}", r.label);
+    /// Per-UQ mean response times (virtual s).
+    fn per_uq_secs(&self) -> Vec<f64> {
+        per_uq_mean(&self.reports, |u| u.response_us as f64 / 1e6)
     }
-    println!();
-    let n = runs.iter().map(|r| r.per_uq_secs.len()).max().unwrap_or(0);
-    for i in 0..n {
-        print!("{:>4}", i + 1);
-        for r in runs {
-            match r.per_uq_secs.get(i) {
-                Some(v) => print!(" {v:>9.3}"),
-                None => print!(" {:>9}", "-"),
-            }
-        }
-        println!();
+
+    fn sum(&self, count: fn(&RunReport) -> u64) -> u64 {
+        self.reports.iter().map(|r| count(r)).sum()
     }
-    print!("mean");
-    for r in runs {
-        let m: f64 = r.per_uq_secs.iter().sum::<f64>() / r.per_uq_secs.len().max(1) as f64;
-        print!(" {m:>9.3}");
+
+    fn mean(&self, value: impl Fn(&RunReport) -> f64) -> f64 {
+        self.reports.iter().map(|r| value(r)).sum::<f64>() / self.reports.len().max(1) as f64
     }
-    println!();
-    // End-of-run source accounting: network rounds spent on stream reads
-    // (one per tuple streamed), then where the tuples consumed came from —
-    // stream reads, or the results of remote probes.
-    let footer = |label: &str, count: fn(&RunReport) -> u64| {
-        print!("{label}");
-        for r in runs {
-            print!(" {:>9}", r.reports.iter().map(count).sum::<u64>());
-        }
-        println!();
-    };
-    footer("rnds", |rep| rep.tuples_streamed);
-    footer("tups", |rep| rep.tuples_consumed);
-    footer("prbs", |rep| rep.probes);
-    footer("prbt", probe_tuples);
-    println!(
-        "(rnds stream-read rounds; tups input tuples consumed, = tuples streamed + prbt; \
-         prbs remote probes; prbt tuples those probes returned)"
-    );
 }
 
 /// Tuples returned by a run's remote probes: what it consumed beyond the
@@ -286,71 +351,117 @@ fn probe_tuples(report: &RunReport) -> u64 {
     report.tuples_consumed - report.tuples_streamed
 }
 
-/// Print Figure 8 (normalized execution-time breakdown).
-pub fn print_fig8(runs: &[ConfigRun]) {
+/// Section 7.1's four configurations over the GUS scripts, batches of 5.
+fn gus_columns(m: &Matrix) -> Vec<Column> {
+    all_modes()
+        .into_iter()
+        .map(|mode| Column::over(m, mode, |s, mode| Run::gus(s, mode, 5)))
+        .collect()
+}
+
+/// The per-UQ response table of Figures 7 and 12, one column per
+/// configuration; `note` ends the header line.
+fn print_per_uq(title: &str, columns: &[Column], note: &str) {
+    println!("{title}");
+    print!("{:>4}", "UQ");
+    for c in columns {
+        print!(" {:>9}", c.label);
+    }
+    println!("{note}");
+    let secs: Vec<Vec<f64>> = columns.iter().map(Column::per_uq_secs).collect();
+    for i in 0..secs.iter().map(Vec::len).max().unwrap_or(0) {
+        print!("{:>4}", i + 1);
+        for s in &secs {
+            match s.get(i) {
+                Some(v) => print!(" {v:>9.3}"),
+                None => print!(" {:>9}", "-"),
+            }
+        }
+        println!();
+    }
+    print!("mean");
+    for s in &secs {
+        print!(" {:>9.3}", s.iter().sum::<f64>() / s.len().max(1) as f64);
+    }
+    println!();
+}
+
+/// Table 4: average conjunctive queries executed to return top-50, per UQ.
+fn table4(m: &Matrix) -> Result<(), String> {
+    let reports = m.per_seed(|s| Run::gus(s, SharingMode::AtcFull, 5));
+    let avgs = per_uq_mean(&reports, |u| u.cqs_executed as f64);
+    println!("Table 4: average # conjunctive queries executed per user query (top-50)");
+    print!("UQ     ");
+    for i in 0..avgs.len() {
+        print!(" {:>6}", i + 1);
+    }
+    println!();
+    print!("Queries");
+    for v in &avgs {
+        print!(" {v:>6.2}");
+    }
+    println!();
+    Ok(())
+}
+
+/// Figure 7: running time per UQ, per configuration, with the runs'
+/// source accounting.
+fn fig7(m: &Matrix) -> Result<(), String> {
+    let columns = gus_columns(m);
+    print_per_uq(
+        "Figure 7: running times (virtual s) to return top-50 per user query",
+        &columns,
+        "",
+    );
+    // Network rounds spent on stream reads (one per tuple streamed), then
+    // where the tuples consumed came from — stream reads, or the results
+    // of remote probes.
+    let footer = |label: &str, count: fn(&RunReport) -> u64| {
+        print!("{label}");
+        for c in &columns {
+            print!(" {:>9}", c.sum(count));
+        }
+        println!();
+    };
+    footer("rnds", |r| r.tuples_streamed);
+    footer("tups", |r| r.tuples_consumed);
+    footer("prbs", |r| r.probes);
+    footer("prbt", probe_tuples);
+    println!(
+        "(rnds stream-read rounds; tups input tuples consumed, = tuples streamed + prbt; \
+         prbs remote probes; prbt tuples those probes returned)"
+    );
+    Ok(())
+}
+
+/// Figure 8: normalized execution-time breakdown of Figure 7's runs.
+fn fig8(m: &Matrix) -> Result<(), String> {
     println!("Figure 8: breakdown of execution time (fractions of total)");
     println!(
         "{:>10} {:>12} {:>14} {:>10}",
         "config", "stream read", "random access", "join"
     );
-    for r in runs {
+    for c in gus_columns(m) {
+        let f = |part: fn((f64, f64, f64)) -> f64| c.mean(|r| part(r.breakdown.exec_fractions()));
         println!(
             "{:>10} {:>12.3} {:>14.3} {:>10.3}",
-            r.label, r.fractions.0, r.fractions.1, r.fractions.2
+            c.label,
+            f(|f| f.0),
+            f(|f| f.1),
+            f(|f| f.2)
         );
     }
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Figure 9: SINGLE-OPT (batch = 1) vs BATCH-OPT (batch = 5), ATC-CL.
-// ---------------------------------------------------------------------------
-
-/// One arm of the Figure 9 comparison.
-pub struct Fig9Arm {
-    /// Per-UQ response times (s).
-    pub per_uq_secs: Vec<f64>,
-    /// Total execution time for the whole workload (s, summed over lanes).
-    pub total_exec_secs: f64,
-    /// Total input tuples consumed.
-    pub tuples_consumed: u64,
-    /// Remote probes issued.
-    pub probes: u64,
-    /// Tuples those probes returned (the rest of `tuples_consumed` was
-    /// streamed).
-    pub probe_tuples: u64,
-}
-
-/// SINGLE-OPT (batch = 1) vs BATCH-OPT (batch = 5), both under ATC-CL.
-pub fn fig9(seeds: &[u64], scale: Scale) -> (Fig9Arm, Fig9Arm) {
-    let mode = || SharingMode::AtcCl(ClusterConfig::default());
-    let run = |batch: usize| {
-        let mut reports = Vec::new();
-        for &seed in seeds {
-            let w = gus_workload(seed, scale);
-            reports.push(run_workload(&w, &gus_engine(mode(), batch), None).expect("runs"));
-        }
-        let total_exec_secs = reports
-            .iter()
-            .map(|r| r.breakdown.exec_us() as f64 / 1e6)
-            .sum::<f64>()
-            / reports.len().max(1) as f64;
-        let summary = summarize(format!("batch={batch}"), reports);
-        Fig9Arm {
-            per_uq_secs: summary.per_uq_secs,
-            total_exec_secs,
-            tuples_consumed: summary.tuples_consumed,
-            probes: summary.reports.iter().map(|r| r.probes).sum(),
-            probe_tuples: summary.reports.iter().map(probe_tuples).sum(),
-        }
-    };
-    (run(1), run(5))
-}
-
-/// Print Figure 9.
-pub fn print_fig9(single: &Fig9Arm, batch: &Fig9Arm) {
+/// Figure 9: SINGLE-OPT (batch = 1) vs BATCH-OPT (batch = 5), both ATC-CL.
+fn fig9(m: &Matrix) -> Result<(), String> {
+    let atc_cl = SharingMode::AtcCl(ClusterConfig::default());
+    let [single, batch] =
+        [1, 5].map(|b| Column::over(m, atc_cl.clone(), |s, mode| Run::gus(s, mode, b)));
     println!("Figure 9: individually (SINGLE-OPT) vs batch-optimized (BATCH-OPT) queries");
     println!("{:>4} {:>12} {:>12}", "UQ", "SINGLE-OPT", "BATCH-OPT");
-    let (s, b) = (&single.per_uq_secs, &batch.per_uq_secs);
+    let (s, b) = (single.per_uq_secs(), batch.per_uq_secs());
     for i in 0..s.len().max(b.len()) {
         println!(
             "{:>4} {:>12.3} {:>12.3}",
@@ -362,19 +473,23 @@ pub fn print_fig9(single: &Fig9Arm, batch: &Fig9Arm) {
     let ms: f64 = s.iter().sum::<f64>() / s.len().max(1) as f64;
     let mb: f64 = b.iter().sum::<f64>() / b.len().max(1) as f64;
     println!("mean {ms:>11.3} {mb:>12.3}");
+    let exec = |c: &Column| c.mean(|r| r.breakdown.exec_us() as f64 / 1e6);
     println!(
         "workload total exec time (s): SINGLE-OPT {:.1} vs BATCH-OPT {:.1}",
-        single.total_exec_secs, batch.total_exec_secs
+        exec(&single),
+        exec(&batch)
     );
-    println!(
-        "tuples consumed:              SINGLE-OPT {} vs BATCH-OPT {}",
-        single.tuples_consumed, batch.tuples_consumed
-    );
+    let tuples = |c: &Column| c.sum(|r| r.tuples_consumed);
+    let (ts, tb) = (tuples(&single), tuples(&batch));
+    println!("tuples consumed:              SINGLE-OPT {ts} vs BATCH-OPT {tb}");
     println!(
         "  of which probe results:     SINGLE-OPT {} vs BATCH-OPT {} ({} vs {} remote probes)",
-        single.probe_tuples, batch.probe_tuples, single.probes, batch.probes
+        single.sum(probe_tuples),
+        batch.sum(probe_tuples),
+        single.sum(|r| r.probes),
+        batch.sum(|r| r.probes)
     );
-    let change = batch.tuples_consumed as f64 / single.tuples_consumed.max(1) as f64 - 1.0;
+    let change = tb as f64 / ts.max(1) as f64 - 1.0;
     let (direction, verdict) = if change > 0.0 {
         ("more", "the paper's sharing gain runs the other way here")
     } else {
@@ -385,80 +500,39 @@ pub fn print_fig9(single: &Fig9Arm, batch: &Fig9Arm) {
          BATCH-OPT reads {:.0}% {direction} tuples than SINGLE-OPT: {verdict})",
         100.0 * change.abs()
     );
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Figure 10: total work (tuples consumed), 5 UQs vs 15 UQs.
-// ---------------------------------------------------------------------------
-
-/// One configuration's row of Figure 10, summed over seeds.
-pub struct Fig10Row {
-    /// Configuration label.
-    pub label: String,
-    /// Input tuples consumed after 5 UQs.
-    pub five: u64,
-    /// Input tuples consumed after 15 UQs.
-    pub fifteen: u64,
-    /// Remote probes issued by the 15-UQ runs.
-    pub probes: u64,
-    /// Tuples those probes returned (part of `fifteen`).
-    pub probe_tuples: u64,
-}
-
-/// Figure 10 under every configuration.
-pub fn fig10(seeds: &[u64], scale: Scale) -> Vec<Fig10Row> {
-    all_modes()
-        .into_iter()
-        .map(|mode| {
-            let mut row = Fig10Row {
-                label: mode.label().to_string(),
-                five: 0,
-                fifteen: 0,
-                probes: 0,
-                probe_tuples: 0,
-            };
-            for &seed in seeds {
-                let w = gus_workload(seed, scale);
-                row.five += run_workload(&w, &gus_engine(mode.clone(), 5), Some(5))
-                    .expect("runs")
-                    .tuples_consumed;
-                let all = run_workload(&w, &gus_engine(mode.clone(), 5), None).expect("runs");
-                row.fifteen += all.tuples_consumed;
-                row.probes += all.probes;
-                row.probe_tuples += probe_tuples(&all);
-            }
-            row
-        })
-        .collect()
-}
-
-/// Print Figure 10.
-pub fn print_fig10(rows: &[Fig10Row]) {
+/// Figure 10: total work (tuples consumed) after 5 and after 15 UQs.
+fn fig10(m: &Matrix) -> Result<(), String> {
     println!("Figure 10: total work done (input tuples consumed), 5 vs 15 UQs");
     println!(
         "{:>10} {:>12} {:>12} {:>8} {:>12} {:>12}",
         "config", "5-UQ", "15-UQ", "ratio", "15-UQ prbs", "15-UQ prbt"
     );
-    for r in rows {
+    for mode in all_modes() {
+        let five = Column::over(m, mode.clone(), |s, mode| Run::gus(s, mode, 5).first(5));
+        let all = Column::over(m, mode, |s, mode| Run::gus(s, mode, 5));
+        let (five, fifteen) = (
+            five.sum(|r| r.tuples_consumed),
+            all.sum(|r| r.tuples_consumed),
+        );
         println!(
             "{:>10} {:>12} {:>12} {:>8.2} {:>12} {:>12}",
-            r.label,
-            r.five,
-            r.fifteen,
-            r.fifteen as f64 / r.five.max(1) as f64,
-            r.probes,
-            r.probe_tuples
+            all.label,
+            five,
+            fifteen,
+            fifteen as f64 / five.max(1) as f64,
+            all.sum(|r| r.probes),
+            all.sum(probe_tuples)
         );
     }
     println!(
         "(prbs remote probes; prbt tuples they returned, part of the tuples consumed — \
          the rest were streamed)"
     );
+    Ok(())
 }
-
-// ---------------------------------------------------------------------------
-// Figure 11: optimization time vs number of candidate inputs.
-// ---------------------------------------------------------------------------
 
 /// One point of Figure 11: `(candidates, explored states, virtual µs,
 /// wall µs)` of one search.
@@ -528,13 +602,9 @@ pub fn fig11_query(w: &Workload) -> (qsys::query::UserQuery, Vec<Fig11Point>) {
         .expect("the script has a user query")
 }
 
-/// Figure 11 over the seed's script: [`fig11_query`]'s sweep.
-pub fn fig11(seed: u64, scale: Scale) -> Vec<Fig11Point> {
-    fig11_query(&gus_workload(seed, scale)).1
-}
-
-/// Print Figure 11.
-pub fn print_fig11(points: &[Fig11Point]) {
+/// Figure 11: optimization time vs candidate inputs, over one UQ.
+fn fig11(m: &Matrix) -> Result<(), String> {
+    let (_, points) = fig11_query(&gus_workload(m.seeds[0], m.scale));
     println!("Figure 11: optimization times vs candidate inputs (one UQ, the largest pool of 5)");
     println!(
         "{:>11} {:>10} {:>12} {:>10}",
@@ -545,179 +615,137 @@ pub fn print_fig11(points: &[Fig11Point]) {
             "{:>11} {:>10} {:>12.2} {:>10.2}",
             cands,
             explored,
-            *virt as f64 / 1e3,
-            *wall as f64 / 1e3
+            virt as f64 / 1e3,
+            wall as f64 / 1e3
         );
     }
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Figure 12: the Pfam/InterPro workload.
-// ---------------------------------------------------------------------------
-
-/// Per-configuration runs over the Pfam workload. The clustering
-/// thresholds are tightened (`T_m` = 2) so the denser per-UQ relation
-/// references of the 9-relation schema can still split into multiple plan
-/// graphs, as the paper's manual clustering did (3 graphs).
-pub fn fig12(seeds: &[u64], scale: Scale) -> Vec<ConfigRun> {
-    let modes = vec![
+/// Figure 12: per-UQ running times over the Pfam workload. ATC-CL's
+/// clustering thresholds are tightened (`T_m` = 3, `T_c` = 0.4) so the
+/// denser per-UQ relation references of the 9-relation schema can still
+/// split into several plan graphs, as the paper's manual clustering did
+/// (3 graphs).
+fn fig12(m: &Matrix) -> Result<(), String> {
+    let modes = [
         SharingMode::AtcCq,
         SharingMode::AtcUq,
         SharingMode::AtcFull,
         SharingMode::AtcCl(ClusterConfig { t_m: 3, t_c: 0.4 }),
     ];
-    modes
+    let columns: Vec<Column> = modes
         .into_iter()
-        .map(|mode| {
-            let label = mode.label().to_string();
-            let mut reports = Vec::new();
-            for &seed in seeds {
-                let w = pfam_workload(seed, scale);
-                reports.push(run_workload(&w, &pfam_engine(mode.clone()), None).expect("runs"));
-            }
-            summarize(label, reports)
-        })
-        .collect()
-}
-
-/// Print Figure 12.
-pub fn print_fig12(runs: &[ConfigRun]) {
-    println!("Figure 12: execution times over the Pfam/InterPro dataset (virtual s)");
-    print!("{:>4}", "UQ");
-    for r in runs {
-        print!(" {:>9}", r.label);
-    }
-    println!(
-        "  (lanes used by ATC-CL: {})",
-        runs.last().map(|r| r.reports[0].lanes).unwrap_or(1)
+        .map(|mode| Column::over(m, mode, Run::pfam))
+        .collect();
+    let lanes = columns.last().map_or(1, |c| c.reports[0].lanes);
+    print_per_uq(
+        "Figure 12: execution times over the Pfam/InterPro dataset (virtual s)",
+        &columns,
+        &format!("  (lanes used by ATC-CL: {lanes})"),
     );
-    let n = runs.iter().map(|r| r.per_uq_secs.len()).max().unwrap_or(0);
-    for i in 0..n {
-        print!("{:>4}", i + 1);
-        for r in runs {
-            match r.per_uq_secs.get(i) {
-                Some(v) => print!(" {v:>9.3}"),
-                None => print!(" {:>9}", "-"),
-            }
-        }
-        println!();
-    }
-    print!("mean");
-    for r in runs {
-        let m: f64 = r.per_uq_secs.iter().sum::<f64>() / r.per_uq_secs.len().max(1) as f64;
-        print!(" {m:>9.3}");
-    }
-    println!();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Ablations.
+// Ablations of this reproduction's own choices, on the first seed.
 // ---------------------------------------------------------------------------
 
-/// ATC scheduling ablation: round-robin vs greedy-threshold mean response.
-pub fn ablation_atc(seed: u64, scale: Scale) -> Vec<(String, f64)> {
+/// ATC scheduling: round-robin vs greedy-threshold mean response, 8 UQs.
+fn ablation_atc(m: &Matrix) -> Result<(), String> {
     use qsys::exec::SchedulingPolicy;
-    [
+    println!("Ablation: ATC scheduling policy (mean response, virtual s)");
+    for policy in [
         SchedulingPolicy::RoundRobin,
         SchedulingPolicy::GreedyThreshold,
-    ]
-    .into_iter()
-    .map(|policy| {
-        let w = gus_workload(seed, scale);
-        let mut engine = gus_engine(SharingMode::AtcFull, 5);
-        engine.scheduling = policy;
-        let r = run_workload(&w, &engine, Some(8)).expect("runs");
-        (format!("{policy:?}"), r.mean_response_us() / 1e6)
-    })
-    .collect()
+    ] {
+        let mut run = Run::gus(m.seeds[0], SharingMode::AtcFull, 5).first(8);
+        run.config.scheduling = policy;
+        let mean = m.report(&run).mean_response_us() / 1e6;
+        println!("{:>16}: {mean:.3}", format!("{policy:?}"));
+    }
+    Ok(())
 }
 
-/// Recovery ablation: a repeated query answered warm (RecoverState) vs
-/// cold (fresh engine). Returns (warm stream reads, cold stream reads).
-///
-/// The repeat is the first query's keywords posed by the second query's
-/// user, whose learned edge costs re-weigh the score functions: the same
-/// conjunctive queries over the same streams, so RecoverState replays
-/// them. (A repeat with identical scoring would publish the first pose's
-/// retained top-k and read nothing.)
-pub fn ablation_recovery(seed: u64, scale: Scale) -> (u64, u64) {
-    let mut w = gus_workload(seed, scale);
-    let engine = gus_engine(SharingMode::AtcFull, 1);
-    let first = w.queries[0].clone();
-    let repeat = WorkloadQuery {
-        keywords: first.keywords.clone(),
-        ..w.queries[1].clone()
+/// RecoverState: stream reads for a repeated query answered warm (after
+/// its first pose, on the same engine) vs cold (a fresh engine). The
+/// repeat is re-weighted ([`Script::Repeat`]): a repeat with identical
+/// scoring would publish the first pose's retained top-k and read nothing.
+fn ablation_recovery(m: &Matrix) -> Result<(), String> {
+    let streamed = |script| {
+        let run = Run {
+            script,
+            ..Run::gus(m.seeds[0], SharingMode::AtcFull, 1)
+        };
+        m.report(&run).tuples_streamed
     };
-    let mut pose = |queries: Vec<WorkloadQuery>| {
-        w.queries = queries;
-        run_workload(&w, &engine, None)
-            .expect("runs")
-            .tuples_streamed
-    };
-    let warm = pose(vec![first.clone(), repeat.clone()]).saturating_sub(pose(vec![first]));
-    (warm, pose(vec![repeat]))
+    let warm = streamed(Script::Repeat { after_first: true })
+        .saturating_sub(streamed(Script::Prefix(Some(1))));
+    let cold = streamed(Script::Repeat { after_first: false });
+    println!(
+        "Ablation: RecoverState vs re-execution (stream reads for a repeated query, \
+         re-weighted by another user's edge costs)"
+    );
+    println!("  warm (recovered): {warm}");
+    println!("  cold (fresh)    : {cold}");
+    Ok(())
 }
 
-/// Probe-cache-sharing ablation: total probes and mean response under
-/// ATC-FULL with shared vs private probe caches. Sharing probe results is
+/// Eviction: stream reads for a 10-query session, first across memory
+/// budgets (how much reuse a tight budget destroys), then across
+/// replacement policies at the tightest budget. (The paper found LRU with
+/// size tie-break best; differences are modest, Section 6.3.)
+fn ablation_eviction(m: &Matrix) -> Result<(), String> {
+    use qsys::state::EvictionPolicy::{self, Lru, SizeGreedy};
+    let (default, tight) = (EvictionPolicy::default(), 1 << 16);
+    println!("Ablation: memory budget / eviction pressure (stream reads, 10 UQs)");
+    for (budget, policy) in [
+        (usize::MAX, default),
+        (1 << 22, default),
+        (tight, default),
+        (tight, Lru),
+        (tight, SizeGreedy),
+    ] {
+        let mut label = match budget {
+            usize::MAX => "unlimited".to_string(),
+            b if b >= 1 << 20 => format!("{} MiB", b >> 20),
+            b => format!("{} KiB", b >> 10),
+        };
+        if policy != default {
+            label = format!("{policy:?}@{label}");
+        }
+        let mut run = Run::gus(m.seeds[0], SharingMode::AtcFull, 5).first(10);
+        run.config.memory_budget = budget;
+        run.config.eviction = policy;
+        println!("{label:>12}: {}", m.report(&run).tuples_streamed);
+    }
+    Ok(())
+}
+
+/// Probe-cache sharing: remote probes and mean response under ATC-FULL
+/// with shared vs private probe caches, 10 UQs. Sharing probe results is
 /// the load-bearing half of "we cache tuples from random probes" (§7.1);
 /// without it, a stream fanning out to N consumers re-probes every key N
 /// times.
-pub fn ablation_probe_cache(seed: u64, scale: Scale) -> Vec<(String, u64, f64)> {
-    [true, false]
-        .into_iter()
-        .map(|share| {
-            let w = gus_workload(seed, scale);
-            let mut engine = gus_engine(SharingMode::AtcFull, 5);
-            engine.share_probe_caches = share;
-            let r = run_workload(&w, &engine, Some(10)).expect("runs");
-            let label = if share { "shared" } else { "private" };
-            (label.to_string(), r.probes, r.mean_response_us() / 1e6)
-        })
-        .collect()
-}
-
-/// Eviction ablation: total stream reads for a 10-query session, first
-/// across memory budgets (how much reuse a tight budget destroys), then
-/// across replacement policies at the tightest budget — the policy is an
-/// [`EngineConfig`] knob wired through to every lane's QS manager. (The
-/// paper found LRU with size tie-break best; differences are modest,
-/// Section 6.3.)
-pub fn ablation_eviction(seed: u64, scale: Scale) -> Vec<(String, u64)> {
-    use qsys::state::EvictionPolicy;
-    let run = |budget: usize, policy: EvictionPolicy| {
-        let w = gus_workload(seed, scale);
-        let mut engine = gus_engine(SharingMode::AtcFull, 5);
-        engine.memory_budget = budget;
-        engine.eviction = policy;
-        run_workload(&w, &engine, Some(10))
-            .expect("runs")
-            .tuples_streamed
-    };
-    let fmt_budget = |budget: usize| {
-        if budget == usize::MAX {
-            "unlimited".to_string()
-        } else if budget >= 1 << 20 {
-            format!("{} MiB", budget >> 20)
-        } else {
-            format!("{} KiB", budget >> 10)
-        }
-    };
-    let mut out: Vec<(String, u64)> = [usize::MAX, 1 << 22, 1 << 16]
-        .into_iter()
-        .map(|budget| (fmt_budget(budget), run(budget, EvictionPolicy::default())))
-        .collect();
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::SizeGreedy] {
-        out.push((
-            format!("{policy:?}@{}", fmt_budget(1 << 16)),
-            run(1 << 16, policy),
-        ));
+fn ablation_probe_cache(m: &Matrix) -> Result<(), String> {
+    println!("Ablation: probe-cache sharing (ATC-FULL, 10 UQs)");
+    for (label, share) in [("shared", true), ("private", false)] {
+        let mut run = Run::gus(m.seeds[0], SharingMode::AtcFull, 5).first(10);
+        run.config.share_probe_caches = share;
+        let r = m.report(&run);
+        println!(
+            "{label:>8}: {} remote probes, mean response {:.3}s",
+            r.probes,
+            r.mean_response_us() / 1e6
+        );
     }
-    out
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// The session-driven run and the answer gate the chaos sweep and the audit share.
+// The self-gated experiments: the chaos sweep and the invariant audit. They
+// drive their own engines, because they gate on answers and on live engine
+// state, which a `RunReport` does not hold.
 // ---------------------------------------------------------------------------
 
 /// Per-query outcome + answer fingerprint (score bits, tuple text), in
@@ -772,70 +800,6 @@ pub fn answer_gate(
         .count()
 }
 
-/// One arm of a sweep: its run, and how many queries failed the sweep's
-/// answer gate against the baseline arm.
-pub struct SweepArm {
-    /// Arm name ("fault-free", "transient-5pct", …).
-    pub label: String,
-    /// Full run report.
-    pub report: RunReport,
-    /// [`answer_gate`] failures (0 for the baseline itself).
-    pub gate_violations: usize,
-}
-
-impl SweepArm {
-    /// The printed gate column.
-    fn gate(&self) -> &'static str {
-        if self.gate_violations == 0 {
-            "ok"
-        } else {
-            "FAIL"
-        }
-    }
-}
-
-/// The one sweep driver: [`drive`] every arm over `w`. The first arm is the
-/// baseline; each later arm's answers are gated against it with that arm's
-/// faulted readers. A sweep is its arm table plus a printer.
-fn run_arms<'a>(
-    w: &Workload,
-    arms: impl IntoIterator<Item = (String, EngineConfig, Option<&'a BTreeSet<UqId>>)>,
-) -> Vec<SweepArm> {
-    let mut base: Option<Answers> = None;
-    arms.into_iter()
-        .map(|(label, cfg, faulted_readers)| {
-            let (engine, answers) = drive(w, cfg);
-            let gate_violations = match &base {
-                Some(base) => answer_gate(base, &answers, faulted_readers),
-                None => {
-                    base = Some(answers);
-                    0
-                }
-            };
-            SweepArm {
-                label,
-                report: engine.report(),
-                gate_violations,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Chaos sweep: resilience under deterministic fault schedules.
-// ---------------------------------------------------------------------------
-
-/// One fault-free baseline plus transient-rate and hard-outage arms over the
-/// same workload.
-pub struct ChaosSweep {
-    /// The relation the outage arm takes dark at t = 0.
-    pub victim: u32,
-    /// How many of the workload's user queries read the victim.
-    pub victim_readers: usize,
-    /// Arms in sweep order (index 0 is the fault-free baseline).
-    pub arms: Vec<SweepArm>,
-}
-
 /// The outage victim: the most-read relation that still has non-readers,
 /// so the arm both bites and leaves bystanders to check.
 fn chaos_victim(w: &Workload) -> (u32, BTreeSet<UqId>) {
@@ -856,43 +820,27 @@ fn chaos_victim(w: &Workload) -> (u32, BTreeSet<UqId>) {
         .expect("some relation has a minority of readers")
 }
 
-/// Run the chaos sweep: fault-free baseline, 1% and 5% transient-error
-/// rates, and a hard outage of one relation from t = 0. All schedules are
-/// seeded, so the sweep replays identically.
-pub fn chaos_sweep(seed: u64, scale: Scale) -> ChaosSweep {
-    let w = gus_workload(seed, scale);
+/// The chaos sweep on the first seed: a fault-free baseline, 1% and 5%
+/// transient-error rates, and a hard outage of one relation from t = 0,
+/// every schedule seeded so the sweep replays identically. Each faulted
+/// arm's answers are gated against the baseline's ([`answer_gate`]).
+fn chaos(m: &Matrix) -> Result<(), String> {
+    let w = gus_workload(m.seeds[0], m.scale);
     let (victim, victim_readers) = chaos_victim(&w);
-    let arm = |label: &str, faults: Option<FaultSpec>, faulted_readers| {
-        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.faults = faults;
-        (label.to_string(), cfg, faulted_readers)
-    };
     let spec = || FaultSpec::new(1009);
-    let arms = run_arms(
-        &w,
-        [
-            arm("fault-free", None, None),
-            arm("transient-1pct", Some(spec().transient(0.01)), None),
-            arm("transient-5pct", Some(spec().transient(0.05)), None),
-            arm(
-                "hard-outage",
-                Some(spec().outage(victim, 0, None)),
-                Some(&victim_readers),
-            ),
-        ],
-    );
-    ChaosSweep {
-        victim,
-        victim_readers: victim_readers.len(),
-        arms,
-    }
-}
-
-/// Print the sweep as a table.
-pub fn print_chaos(sweep: &ChaosSweep) {
+    let arms = [
+        ("fault-free", None, None),
+        ("transient-1pct", Some(spec().transient(0.01)), None),
+        ("transient-5pct", Some(spec().transient(0.05)), None),
+        (
+            "hard-outage",
+            Some(spec().outage(victim, 0, None)),
+            Some(&victim_readers),
+        ),
+    ];
     println!(
-        "Chaos sweep: fault-rate vs resilience (GUS; outage victim R{}, {} readers)",
-        sweep.victim, sweep.victim_readers
+        "Chaos sweep: fault-rate vs resilience (GUS; outage victim R{victim}, {} readers)",
+        victim_readers.len()
     );
     println!(
         "{:>15} {:>9} {:>8} {:>7} {:>8} {:>7} {:>9} {:>10} {:>10} {:>5}",
@@ -907,115 +855,91 @@ pub fn print_chaos(sweep: &ChaosSweep) {
         "p99(ms)",
         "gate"
     );
-    for arm in &sweep.arms {
-        let f = &arm.report.faults;
-        let complete = arm.report.per_uq.len() - f.degraded - f.failed;
+    let (mut base, mut failed) = (None, false);
+    for (label, faults, faulted_readers) in arms {
+        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+        cfg.faults = faults;
+        let (engine, answers) = drive(&w, cfg);
+        let violations = match &base {
+            Some(base) => answer_gate(base, &answers, faulted_readers),
+            None => {
+                base = Some(answers);
+                0
+            }
+        };
+        failed |= violations > 0;
+        let report = engine.report();
+        let f = &report.faults;
         println!(
             "{:>15} {:>9} {:>8} {:>7} {:>8} {:>7} {:>9} {:>10.1} {:>10.1} {:>5}",
-            arm.label,
-            complete,
+            label,
+            report.per_uq.len() - f.degraded - f.failed,
             f.degraded,
             f.failed,
             f.source.retries,
             f.source.breaker_trips,
             f.source.exhausted_fetches,
-            arm.report.response_percentile_us(50.0) as f64 / 1e3,
-            arm.report.response_percentile_us(99.0) as f64 / 1e3,
-            arm.gate(),
+            report.response_percentile_us(50.0) as f64 / 1e3,
+            report.response_percentile_us(99.0) as f64 / 1e3,
+            if violations == 0 { "ok" } else { "FAIL" },
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Invariant audit: the `reproduce verify` subcommand.
-// ---------------------------------------------------------------------------
-
-/// One audited engine run: an (arm × seed × lane-thread) combination and
-/// the verifier's findings over the live engine.
-pub struct VerifyArm {
-    /// e.g. `"seed 41 / atc-cl / threads 4"`.
-    pub label: String,
-    /// Lanes the engine ended the run with.
-    pub lanes: usize,
-    /// Rendered violations from `Engine::verify` (empty = clean).
-    pub violations: Vec<String>,
-}
-
-/// The whole audit: every arm of `reproduce verify`.
-pub struct VerifyAudit {
-    pub arms: Vec<VerifyArm>,
-}
-
-impl VerifyAudit {
-    pub fn is_clean(&self) -> bool {
-        self.arms.iter().all(|a| a.violations.is_empty())
+    if failed {
+        return Err(
+            "tuple loss on unfaulted relations (degradation must be strictly per-query: \
+                    Complete answers bit-identical to the fault-free run, non-readers of the \
+                    outaged relation untouched)"
+                .into(),
+        );
     }
-
-    pub fn total_violations(&self) -> usize {
-        self.arms.iter().map(|a| a.violations.len()).sum()
-    }
+    eprintln!("gate ok: no tuple loss on unfaulted relations");
+    Ok(())
 }
 
-/// [`drive`] one engine over `w` under `cfg`, then audit its live
-/// structures via [`qsys::Engine::verify`].
-fn audited_run(label: String, w: &Workload, cfg: EngineConfig) -> VerifyArm {
-    let (engine, _) = drive(w, cfg);
-    VerifyArm {
-        label,
-        lanes: engine.lanes(),
-        violations: engine
-            .verify()
-            .violations
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
-    }
-}
-
-/// Run the invariant audit across the repo's standard arms: ATC-CL on each
-/// seed at 1 and 4 lane threads, clustered as the benchmark's `gus-cl-par`
-/// is so that every seed runs several lanes (the multi-lane coverage),
-/// plus one chaos arm (5% transient faults) — the configurations whose
-/// phase machinery (clustering, fault quarantine) exercises every
-/// invariant family the verifier checks.
-pub fn verify_audit(seeds: &[u64], scale: Scale) -> VerifyAudit {
-    let mut arms = Vec::new();
-    for &seed in seeds {
-        let w = gus_workload(seed, scale);
+/// The invariant audit: on each seed, ATC-CL at 1 and 4 lane threads,
+/// clustered as the benchmark's `gus-cl-par` is so that every seed runs
+/// several lanes, plus one chaos arm (5% transient faults) — the
+/// configurations whose phase machinery (clustering, fault quarantine)
+/// exercises every invariant family the verifier checks. Each drained
+/// engine is audited through [`Engine::verify`]; the gate is zero
+/// violations.
+fn verify(m: &Matrix) -> Result<(), String> {
+    let mut arms: Vec<(String, usize, Vec<String>)> = Vec::new();
+    for &seed in &m.seeds {
+        let w = gus_workload(seed, m.scale);
+        let mut audit = |label: String, cfg| {
+            let (engine, _) = drive(&w, cfg);
+            let violations = engine.verify().violations;
+            let violations = violations.iter().map(ToString::to_string).collect();
+            arms.push((label, engine.lanes(), violations));
+        };
         for threads in [1usize, 4] {
             let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig { t_m: 2, t_c: 0.9 }), 5);
             cfg.lane_threads = threads;
-            arms.push(audited_run(
-                format!("seed {seed} / atc-cl / threads {threads}"),
-                &w,
-                cfg,
-            ));
+            audit(format!("seed {seed} / atc-cl / threads {threads}"), cfg);
         }
-        // Chaos arm: 5% transient faults — quarantine/degradation paths.
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
         cfg.faults = Some(FaultSpec::new(1009).transient(0.05));
-        arms.push(audited_run(format!("seed {seed} / chaos-5pct"), &w, cfg));
+        audit(format!("seed {seed} / chaos-5pct"), cfg);
     }
-    VerifyAudit { arms }
-}
-
-/// Print the audit as a table.
-pub fn print_verify(audit: &VerifyAudit) {
     println!("Invariant audit: live engine state, per arm");
     println!("{:>34}  lanes  violations", "arm");
-    for arm in &audit.arms {
-        println!(
-            "{:>34}  {:>5}  {:>10}",
-            arm.label,
-            arm.lanes,
-            arm.violations.len(),
-        );
+    for (label, lanes, violations) in &arms {
+        println!("{label:>34}  {lanes:>5}  {:>10}", violations.len());
     }
-    for arm in &audit.arms {
-        for v in &arm.violations {
-            println!("  VIOLATION [{}] {v}", arm.label);
+    for (label, _, violations) in &arms {
+        for v in violations {
+            println!("  VIOLATION [{label}] {v}");
         }
     }
+    let total: usize = arms.iter().map(|(_, _, v)| v.len()).sum();
+    if total > 0 {
+        return Err(format!(
+            "{total} invariant violation(s) — every arm must verify clean"
+        ));
+    }
+    eprintln!("gate ok: {} arms verified clean", arms.len());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1070,6 +994,74 @@ mod tests {
         let arm = answers(&q0, degraded);
         assert_eq!(answer_gate(&base, &arm, None), 0);
         assert_eq!(answer_gate(&base, &arm, Some(&readers)), 1);
+    }
+
+    /// `reproduce all` on seeds 41 and 48 builds each distinct run once,
+    /// 37 engines. Table 4 and Figures 7, 9 and 10 read 10 whole-script
+    /// GUS runs where a run loop per figure built 22 (each printed alone,
+    /// on a fresh matrix, they still do): Table 4's ATC-FULL runs are
+    /// Figure 7's column and Figure 10's 15-UQ cell, Figure 7's ATC-CL
+    /// runs are Figure 9's BATCH-OPT arm, and the probe-cache ablation's
+    /// `shared` row is the eviction ablation's `unlimited` row.
+    #[test]
+    fn all_builds_each_run_once() {
+        let matrix = || Matrix::new(vec![41, 48], Scale::Small);
+        let whole_gus = |r: &Run| r.dataset == Dataset::Gus && r.script == Script::Prefix(None);
+        let m = matrix();
+        let mut built = Vec::new();
+        for e in EXPERIMENTS.iter().filter(|e| e.in_all) {
+            let before = m.built.borrow().len();
+            (e.print)(&m).expect("`all` has no gate");
+            built.push((e.name, m.built.borrow()[before..].to_vec()));
+        }
+        let counts: Vec<_> = built.iter().map(|(e, runs)| (*e, runs.len())).collect();
+        assert_eq!(
+            counts,
+            [
+                ("table4", 2),
+                ("fig7", 6),
+                ("fig8", 0),
+                ("fig9", 2),
+                ("fig10", 8),
+                ("fig11", 0),
+                ("fig12", 8),
+                ("ablation-atc", 2),
+                ("ablation-recovery", 3),
+                ("ablation-eviction", 5),
+                ("ablation-probe-cache", 1),
+            ]
+        );
+        assert_eq!(m.runs.borrow().len(), 37, "a run was built twice");
+        let runs = || built.iter().flat_map(|(_, runs)| runs);
+        assert_eq!(runs().filter(|r| whole_gus(r)).count(), 10);
+        let alone: usize = ["table4", "fig7", "fig9", "fig10"]
+            .map(|name| {
+                let m = matrix();
+                let e = EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+                (e.print)(&m).expect("no gate");
+                let whole = m.built.borrow().iter().filter(|r| whole_gus(r)).count();
+                whole
+            })
+            .iter()
+            .sum();
+        assert_eq!(alone, 22);
+
+        // Table 4 built ATC-FULL's batch-5 runs, one per seed, and no later
+        // experiment built them again. Figure 9 built only its SINGLE-OPT
+        // arm, and Figure 10 only its 5-UQ prefixes.
+        let atc_full = |r: &Run| {
+            whole_gus(r) && r.config.sharing == SharingMode::AtcFull && r.config.batch_size == 5
+        };
+        let table4 = built[0].1.iter().filter(|r| atc_full(r)).map(|r| r.seed);
+        assert_eq!(table4.collect::<Vec<_>>(), [41, 48]);
+        assert_eq!(runs().filter(|r| atc_full(r)).count(), 2);
+        assert!(built[3].1.iter().all(|r| r.config.batch_size == 1));
+        assert!(built[4]
+            .1
+            .iter()
+            .all(|r| r.script == Script::Prefix(Some(5))));
+        // The probe-cache ablation built only its `private` row.
+        assert!(matches!(&built[10].1[..], [r] if !r.config.share_probe_caches));
     }
 
     /// Figure 11's uncapped BestPlan search on GUS seed 41, as recorded:

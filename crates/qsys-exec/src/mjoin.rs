@@ -392,11 +392,11 @@ impl MJoin {
         self.state[input].cursor
     }
 
-    /// Handle a tuple arriving on `input_idx`: store it (unless the input is
-    /// a replay), then probe the other access modules following the
-    /// adaptive probe sequence. Returns complete join results covering
-    /// `Self::output_rels`. Remote probes go through `governor`.
-    pub fn insert(
+    /// [`MJoin::insert_governed`] with its results collected into a `Vec`
+    /// and its work uncounted: how tests drive an m-join outside any plan
+    /// graph.
+    #[cfg(test)]
+    pub(crate) fn insert(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
@@ -422,13 +422,15 @@ impl MJoin {
         out
     }
 
-    /// [`MJoin::insert`] for the routing loop: complete results are handed
-    /// to the caller's `out` (unbuilt, when they come out of a probe step),
-    /// probes and materialised joins are counted into `work`, and remote
-    /// probes go through `cx.governor`'s retry/breaker loop — a probe that
-    /// gives up contributes no matches (the loss is recorded against the
-    /// batch so affected queries resolve as degraded) instead of panicking
-    /// the lane.
+    /// Handle a tuple arriving on `input_idx`: store it (unless the input
+    /// is a replay), then probe the other access modules following the
+    /// adaptive probe sequence. Complete join results, covering
+    /// `Self::output_rels`, are handed to the caller's `out` (unbuilt, when
+    /// they come out of a probe step), probes and materialised joins are
+    /// counted into `work`, and remote probes go through `cx.governor`'s
+    /// retry/breaker loop — a probe that gives up contributes no matches
+    /// (the loss is recorded against the batch so affected queries resolve
+    /// as degraded) instead of panicking the lane.
     pub(crate) fn insert_governed(
         &mut self,
         input_idx: usize,
@@ -1000,6 +1002,51 @@ mod tests {
                 best = best.max(score);
             }
             prop_assert!(bound <= best * BOUND_MARGIN * (1.0 + 1e-12), "{bound} vs best {best}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The m-join emits exactly the batch join under any interleaving.
+        #[test]
+        fn mjoin_equals_batch_join(
+            a in prop::collection::vec((0i64..5, 0.0f64..=1.0), 1..=20),
+            b in prop::collection::vec((0i64..5, 0.0f64..=1.0), 1..=20),
+            seed in 0u64..1000,
+        ) {
+            let mut modules = AccessModuleArena::new();
+            let inputs = vec![stored_input(0, &mut modules), stored_input(1, &mut modules)];
+            let mut mj = MJoin::new(inputs, vec![pred(0, 0, 1, 0)], &modules);
+            let (s, g) = (sources(), SourceGovernor::new(RetryPolicy::default()));
+            // Deterministic interleaving from the seed.
+            let mut order: Vec<(usize, Tuple)> = Vec::new();
+            for (input, rows) in [&a, &b].into_iter().enumerate() {
+                for (i, (k, score)) in rows.iter().enumerate() {
+                    order.push((input, tup(input as u32, i as u64, &[*k], *score)));
+                }
+            }
+            // Fisher-Yates with a tiny LCG.
+            let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let j = (state >> 33) as usize % (i + 1);
+                order.swap(i, j);
+            }
+            let mut produced = Vec::new();
+            for (input, t) in order {
+                produced.extend(mj.insert(input, t, Epoch(0), &s, &g, &modules));
+            }
+            let expected: usize = a
+                .iter()
+                .map(|(ka, _)| b.iter().filter(|(kb, _)| ka == kb).count())
+                .sum();
+            prop_assert_eq!(produced.len(), expected);
+            // No duplicates by provenance.
+            let mut prov: Vec<_> = produced.iter().map(|t| t.provenance()).collect();
+            prov.sort();
+            prov.dedup();
+            prop_assert_eq!(prov.len(), expected);
         }
     }
 }

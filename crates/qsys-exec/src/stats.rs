@@ -184,15 +184,6 @@ impl ExecStats {
     pub(crate) fn all_complete(&self) -> bool {
         self.uqs.values().all(|s| s.completed_us.is_some())
     }
-
-    /// Merge another ledger (used when running multiple plan graphs /
-    /// clustered ATCs).
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: ExecStats) {
-        for (uq, s) in other.uqs {
-            self.uqs.insert(uq, s);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,17 +217,5 @@ mod tests {
         let s = st.uq(UqId::new(1)).unwrap();
         assert_eq!(s.completed_us, Some(100));
         assert_eq!(s.results, 5);
-    }
-
-    #[test]
-    fn merge_combines_ledgers() {
-        let mut a = ExecStats::new();
-        a.submit(UqId::new(1), 0);
-        let mut b = ExecStats::new();
-        b.submit(UqId::new(2), 10);
-        b.complete(UqId::new(2), 20, 1, vec![], vec![]);
-        a.merge(b);
-        assert!(a.uq(UqId::new(2)).is_some());
-        assert!(!a.all_complete());
     }
 }

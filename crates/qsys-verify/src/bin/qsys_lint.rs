@@ -88,7 +88,6 @@ fn main() {
     let mut files = Vec::new();
     collect_rs_files(&root.join("src"), &mut files);
     collect_rs_files(&root.join("tests"), &mut files);
-    collect_rs_files(&root.join("benches"), &mut files);
     let crates = root.join("crates");
     if let Ok(entries) = std::fs::read_dir(&crates) {
         for entry in entries.flatten() {
@@ -167,7 +166,7 @@ struct FileScope {
     /// Under `src/` of the root crate or of `qsys-exec`, the engine's drive
     /// path (operators, plan graph, ATC and the state manager).
     engine_path: bool,
-    /// Bench code: `benches/`, `crates/qsys-bench`, or `crates/qsys-workload`.
+    /// Bench code: `crates/qsys-bench` or `crates/qsys-workload`.
     bench: bool,
     /// Integration-test code: panics are the assertion vocabulary there.
     test_file: bool,
@@ -183,9 +182,7 @@ fn scope_of(rel: &str) -> FileScope {
         || rel.contains("/tests/")
         || rel.ends_with("_tests.rs")
         || rel.ends_with("build.rs");
-    let bench = rel.starts_with("benches/")
-        || rel.starts_with("crates/qsys-bench/")
-        || rel.starts_with("crates/qsys-workload/");
+    let bench = rel.starts_with("crates/qsys-bench/") || rel.starts_with("crates/qsys-workload/");
     let engine_path = !test_file
         && !bench
         && (rel.starts_with("src/") || rel.starts_with("crates/qsys-exec/src/"));

@@ -16,8 +16,8 @@
 //! Nothing here mutates anything, takes locks beyond the lane's own
 //! reader guards, or changes a decision: the verifier is a diagnostic
 //! layer the engine calls at phase boundaries (post-cluster, post-graft)
-//! when `debug_assertions` are on or `EngineConfig::verify` is set, and
-//! that `reproduce verify` runs over whole workloads.
+//! in every debug build, and that `Engine::verify` runs on demand in any
+//! build — `reproduce verify` audits whole release workloads with it.
 //!
 //! The companion `qsys-lint` binary (same crate) is the *source* half of
 //! the analysis: a self-contained text lint enforcing repo rules (no

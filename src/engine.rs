@@ -140,13 +140,13 @@ pub struct EngineConfig {
     /// nothing reads this field. It remains only because the benchmark's
     /// config literal names every field; ROADMAP item 1(b) removes it.
     pub snapshot_every: usize,
-    /// Run the `qsys-verify` invariant verifier at every phase boundary
-    /// (post-cluster, post-graft).
-    /// Always on in debug builds (`debug_assertions`); this knob turns it
-    /// on for release builds too. A violation panics the offending lane
-    /// with the full structured report: a broken sharing invariant means
-    /// later answers cannot be trusted, so the engine fails loudly at the
-    /// boundary that broke it.
+    /// Retired: debug builds run the `qsys-verify` invariant verifier at
+    /// every phase boundary (post-cluster, post-graft) and release builds
+    /// never do; a release audit calls [`Engine::verify`](crate::Engine::verify)
+    /// on a drained engine instead. So `false` is the only value
+    /// [`EngineConfig::validate`] accepts. The field remains only because
+    /// the benchmark's config literal names every field; ROADMAP item 1(b)
+    /// removes it.
     pub verify: bool,
     /// Retired with lane sharding: there is no shard plan to print, so
     /// [`EngineConfig::validate`] rejects `true`. The field remains only
@@ -185,9 +185,13 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Section 7's set-up with every feature beyond the paper off. A plain
-/// value: nothing here reads the process environment, so two engines built
-/// from `EngineConfig::default()` on one machine are configured alike.
+/// Section 7's k, batch size and sharing mode with every feature beyond
+/// the paper off. The candidate-network settings are
+/// `CandidateConfig::default()`'s, not the tighter ones every experiment
+/// runs (`qsys_bench::gus_engine`: at most 20 CQs, 6 atoms, 3 matches per
+/// keyword). A plain value: nothing here reads the process environment, so
+/// two engines built from `EngineConfig::default()` on one machine are
+/// configured alike.
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -299,6 +303,12 @@ impl EngineConfig {
             "warm-state snapshots were removed: there is nothing to persist or reload",
         );
         invariant(
+            !self.verify,
+            "verify",
+            "phase verification follows the build (every debug build, no release build); \
+             audit a release engine with Engine::verify",
+        );
+        invariant(
             !self.shard_debug,
             "shard_debug",
             "lane sharding was removed: there is no shard plan to print",
@@ -306,10 +316,10 @@ impl EngineConfig {
         errors
     }
 
-    /// Whether phase-boundary invariant verification is active: always in
-    /// debug builds, or per the `verify` knob.
+    /// Whether phase-boundary invariant verification is active: in every
+    /// debug build and no release build.
     pub(crate) fn verify_phases(&self) -> bool {
-        cfg!(debug_assertions) || self.verify
+        cfg!(debug_assertions)
     }
 }
 
@@ -873,14 +883,17 @@ mod tests {
     }
 
     #[test]
-    fn verify_phases_follows_build_and_flag() {
+    fn verify_is_retired_and_phases_follow_the_build() {
         let mut config = EngineConfig {
             verify: true,
             ..EngineConfig::default()
         };
-        assert!(config.verify_phases(), "explicit opt-in always verifies");
+        let err = config
+            .validate()
+            .expect_err("phase verification is not a setting");
+        assert_eq!(err.field, "verify");
         config.verify = false;
-        // Without the flag, phase hooks track the build profile.
+        config.validate().expect("a default config validates");
         assert_eq!(config.verify_phases(), cfg!(debug_assertions));
     }
 

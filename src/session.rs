@@ -575,10 +575,10 @@ impl Engine {
     }
 
     /// Run the full invariant verifier over every lane — its interner
-    /// arena and plan graph — regardless of
-    /// [`EngineConfig::verify`]. This is the audit entry point used by
-    /// `reproduce verify` and the mutation tests; the phase hooks use the
-    /// same checks but panic via [`VerifyReport::assert_clean`] instead of
+    /// arena and plan graph — in any build. This is how a release engine
+    /// is audited (`reproduce verify`, which CI runs) and what the mutation
+    /// tests call; debug builds also run the same checks at every phase
+    /// boundary, panicking via [`VerifyReport::assert_clean`] instead of
     /// returning.
     pub fn verify(&self) -> VerifyReport {
         let mut violations = Vec::new();

@@ -11,38 +11,10 @@
 //! batches of 1 and of 5, with Section 7's engine. The digests were
 //! recorded before the executor bounded anything, and hold unchanged.
 
-use qsys::opt::cluster::ClusterConfig;
-use qsys::query::CandidateConfig;
-use qsys::{EngineConfig, QueryOutcome, SharingMode};
+use qsys::{EngineConfig, QueryOutcome};
+use qsys_bench::{all_modes, gus_engine, gus_workload, Scale};
 
 mod common;
-
-/// Section 7's engine (`qsys_bench::gus_engine`) under `sharing`.
-fn engine(sharing: SharingMode, batch_size: usize) -> EngineConfig {
-    EngineConfig {
-        k: 50,
-        batch_size,
-        sharing,
-        candidate: CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..CandidateConfig::default()
-        },
-        lane_threads: 1,
-        ..EngineConfig::default()
-    }
-}
-
-fn mode(label: &str) -> SharingMode {
-    match label {
-        "ATC-CQ" => SharingMode::AtcCq,
-        "ATC-UQ" => SharingMode::AtcUq,
-        "ATC-FULL" => SharingMode::AtcFull,
-        "ATC-CL" => SharingMode::AtcCl(ClusterConfig::default()),
-        other => unreachable!("no sharing mode {other}"),
-    }
-}
 
 /// FNV-1a over each user query in id order: its id, its answer count and
 /// its ascending score bits.
@@ -77,11 +49,16 @@ const PROBES_41_FULL_5: u64 = 69_305;
 #[test]
 fn bounded_probing_keeps_every_answer() {
     for (seed, digest) in GOLDEN {
-        let w = qsys_workload::gus::generate(&qsys_workload::GusConfig::small(seed));
-        for label in ["ATC-CQ", "ATC-UQ", "ATC-FULL", "ATC-CL"] {
+        let w = gus_workload(seed, Scale::Small);
+        for mode in all_modes() {
+            let label = mode.label();
             for batch in [1, 5] {
                 let arm = format!("seed {seed} {label} batch {batch}");
-                let (report, outcomes) = common::run(&w, engine(mode(label), batch));
+                let engine = EngineConfig {
+                    lane_threads: 1,
+                    ..gus_engine(mode.clone(), batch)
+                };
+                let (report, outcomes) = common::run(&w, engine);
                 assert_eq!(score_digest(&outcomes), digest, "{arm}: answers moved");
                 let work = report.exec_work;
                 assert_eq!(

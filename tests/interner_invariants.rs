@@ -8,6 +8,7 @@ use qsys::opt::{NoReuse, Optimizer, OptimizerConfig};
 use qsys::query::{SigCell, SigInterner, SubExprSig};
 use qsys::types::{JoinCond, RelId, Selection, Value};
 use qsys::SharingMode;
+use qsys_bench::{gus_engine, gus_workload, Scale};
 
 /// Raw material for a random signature: atoms as `(rel, optional selection
 /// value)` and joins as index pairs into the atom list.
@@ -208,8 +209,8 @@ fn gus_batch_plan_shape_is_unchanged_by_interning() {
         best_cost,
     } in golden
     {
-        let workload = qsys_bench_like_workload(seed);
-        let engine = qsys_bench_like_engine();
+        let workload = gus_workload(seed, Scale::Small);
+        let engine = gus_engine(SharingMode::AtcFull, 5);
         let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
         let batch: Vec<_> = uqs
             .iter()
@@ -272,8 +273,8 @@ fn reposed_batch_replays_bit_identical_decisions() {
         (55, 527, 355, 209022876.362),
     ];
     for (seed, explored, memo_hits, best_cost) in pinned {
-        let workload = qsys_bench_like_workload(seed);
-        let engine = qsys_bench_like_engine();
+        let workload = gus_workload(seed, Scale::Small);
+        let engine = gus_engine(SharingMode::AtcFull, 5);
         let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
         let mut batches: Vec<Vec<_>> = uqs
             .chunks(5)
@@ -335,8 +336,8 @@ fn gus_candidate_networks_are_unchanged_by_the_path_table() {
         (55, 127, 0x4027_08e8_ba03_6538),
     ];
     for (seed, count, fnv) in golden {
-        let workload = qsys_bench_like_workload(seed);
-        let engine = qsys_bench_like_engine();
+        let workload = gus_workload(seed, Scale::Small);
+        let engine = gus_engine(SharingMode::AtcFull, 5);
         let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
         let mut seen = 0usize;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -374,8 +375,8 @@ fn gus_candidate_networks_are_unchanged_by_the_path_table() {
 #[test]
 fn gus_script_tuples_consumed_is_pinned() {
     let report = qsys::run_workload(
-        &qsys_bench_like_workload(41),
-        &qsys_bench_like_engine(),
+        &gus_workload(41, Scale::Small),
+        &gus_engine(SharingMode::AtcFull, 5),
         None,
     )
     .expect("runs");
@@ -387,25 +388,4 @@ fn gus_script_tuples_consumed_is_pinned() {
         report.pushdown_joined, 14_111,
         "seed 41: push-down results joined at the source changed"
     );
-}
-
-/// The GUS workload `qsys-bench` uses (duplicated here because the bench
-/// crate depends on `qsys`, not the other way around).
-fn qsys_bench_like_workload(seed: u64) -> qsys_workload::Workload {
-    qsys_workload::gus::generate(&qsys_workload::GusConfig::small(seed))
-}
-
-fn qsys_bench_like_engine() -> qsys::EngineConfig {
-    qsys::EngineConfig {
-        k: 50,
-        batch_size: 5,
-        sharing: SharingMode::AtcFull,
-        candidate: qsys::query::CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..qsys::query::CandidateConfig::default()
-        },
-        ..qsys::EngineConfig::default()
-    }
 }

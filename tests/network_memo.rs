@@ -35,22 +35,17 @@ fn score_keys(result: &QsysResult<UserQuery>) -> Option<Vec<impl PartialEq>> {
 
 #[test]
 fn a_memo_hit_ranks_like_a_fresh_generation() {
-    // The benchmark's candidate settings, and a cap of 3 that truncates
+    // Section 7's candidate settings, and a cap of 3 that truncates
     // nearly every query (the counter still advances past what it drops).
     let configs = [
-        CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..CandidateConfig::default()
-        },
+        qsys_bench::gus_engine(SharingMode::AtcFull, 5).candidate,
         CandidateConfig {
             max_cqs: 3,
             ..CandidateConfig::default()
         },
     ];
     for seed in [41, 48, 55] {
-        let w = gus::generate(&GusConfig::small(seed));
+        let w = qsys_bench::gus_workload(seed, qsys_bench::Scale::Small);
         for config in &configs {
             let generator = CandidateGenerator::new(&w.catalog, &w.index, config.clone());
             let mut memo = NetworkMemo::default();

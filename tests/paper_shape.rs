@@ -7,35 +7,19 @@
 //! holds only its title, "Sharing work in keyword search over databases".
 
 use qsys::opt::cluster::ClusterConfig;
-use qsys::{Engine, EngineConfig, SharingMode};
+use qsys::{Engine, SharingMode};
+use qsys_bench::{gus_engine, gus_workload, Scale};
 use qsys_workload::Workload;
 
 /// The GUS seed-41 script at test scale.
 fn script() -> Workload {
-    qsys_workload::gus::generate(&qsys_workload::GusConfig::small(41))
-}
-
-/// Section 7's engine (`qsys_bench::gus_engine`) under `sharing`, with
-/// batches of `batch_size`.
-fn config(sharing: SharingMode, batch_size: usize) -> EngineConfig {
-    EngineConfig {
-        k: 50,
-        batch_size,
-        sharing,
-        candidate: qsys::query::CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..qsys::query::CandidateConfig::default()
-        },
-        ..EngineConfig::default()
-    }
+    gus_workload(41, Scale::Small)
 }
 
 /// Input tuples the seed-41 script consumes under `sharing`, sealed into
 /// batches of `batch_size`.
 fn tuples_consumed(sharing: SharingMode, batch_size: usize) -> u64 {
-    qsys::run_workload(&script(), &config(sharing, batch_size), None)
+    qsys::run_workload(&script(), &gus_engine(sharing, batch_size), None)
         .expect("runs")
         .tuples_consumed
 }
@@ -73,7 +57,7 @@ fn atc_full_reads_no_more_than_atc_uq() {
 #[test]
 fn a_warm_repose_reads_nothing() {
     let workload = script();
-    let mut engine = Engine::for_workload(&workload, config(SharingMode::AtcFull, 5));
+    let mut engine = Engine::for_workload(&workload, gus_engine(SharingMode::AtcFull, 5));
     let pose = |engine: &mut Engine| {
         let tickets = engine.submit_script(&workload).expect("admits");
         engine.flush();

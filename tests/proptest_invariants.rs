@@ -2,22 +2,18 @@
 //!
 //! - the pipelined engine's top-k equals the brute-force top-k on random
 //!   database instances;
-//! - the m-join produces exactly the batch join, under any arrival
-//!   interleaving;
 //! - a warm (two-session) execution returns exactly what a cold execution
 //!   returns — RecoverState loses nothing and duplicates nothing;
 //! - score upper bounds really bound every emitted result.
 
 use proptest::prelude::*;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
-use qsys_exec::access::{AccessModule, AccessModuleArena, StoredModule};
-use qsys_exec::mjoin::{MJoin, MJoinInput};
 use qsys_exec::state::QsManager;
 use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
-use qsys_types::{BaseTuple, CqId, Epoch, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
+use qsys_types::{BaseTuple, CqId, JoinCond, RelId, SimClock, Tuple, UqId, UserId, Value};
 use std::sync::Arc;
 
 /// A randomly generated relation instance: (key, score) rows.
@@ -214,66 +210,6 @@ proptest! {
         for (g, w) in got.iter().zip(want.iter()) {
             prop_assert!((g - w).abs() < 1e-12, "got {} want {}", g, w);
         }
-    }
-
-    /// The m-join emits exactly the batch join under any interleaving.
-    #[test]
-    fn mjoin_equals_batch_join(
-        a in rel_data(20, 5),
-        b in rel_data(20, 5),
-        seed in 0u64..1000,
-    ) {
-        let mut modules = AccessModuleArena::new();
-        let stored = |rel: u32, modules: &mut AccessModuleArena| MJoinInput {
-            rels: vec![RelId::new(rel)],
-            module: modules.alloc(AccessModule::Stored(StoredModule::new([]))),
-            epoch_cap: None,
-            store_arrivals: true,
-            selection: None,
-        };
-        let inputs = vec![stored(0, &mut modules), stored(1, &mut modules)];
-        let mut mj = MJoin::new(
-            inputs,
-            vec![JoinCond {
-                left: RelId::new(0),
-                left_col: 0,
-                right: RelId::new(1),
-                right_col: 0,
-            }],
-            &modules,
-        );
-        let sources = Sources::new(SimClock::new(), 0);
-        let governor = SourceGovernor::new(RetryPolicy::default());
-        // Deterministic interleaving from the seed.
-        let mut order: Vec<(usize, Tuple)> = Vec::new();
-        for (i, (k, s)) in a.rows.iter().enumerate() {
-            order.push((0, Tuple::single(Arc::new(BaseTuple::new(
-                RelId::new(0), i as u64, vec![Value::Int(*k)], *s)))));
-        }
-        for (i, (k, s)) in b.rows.iter().enumerate() {
-            order.push((1, Tuple::single(Arc::new(BaseTuple::new(
-                RelId::new(1), i as u64, vec![Value::Int(*k)], *s)))));
-        }
-        // Fisher-Yates with a tiny LCG.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            order.swap(i, j);
-        }
-        let mut produced = Vec::new();
-        for (input, t) in order {
-            produced.extend(mj.insert(input, t, Epoch(0), &sources, &governor, &modules));
-        }
-        let expected: usize = a.rows.iter().map(|(ka, _)| {
-            b.rows.iter().filter(|(kb, _)| ka == kb).count()
-        }).sum();
-        prop_assert_eq!(produced.len(), expected);
-        // No duplicates by provenance.
-        let mut prov: Vec<_> = produced.iter().map(|t| t.provenance()).collect();
-        prov.sort();
-        prov.dedup();
-        prop_assert_eq!(prov.len(), expected);
     }
 
     /// `Tuple::join`'s one-pass merge equals the sort-based construction:

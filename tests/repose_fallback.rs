@@ -13,7 +13,6 @@
 
 use qsys::opt::Optimizer;
 use qsys::prelude::*;
-use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
 use qsys::types::clock::OPT_STEP_US;
 use qsys_workload::gus::{self, GusConfig};
@@ -30,20 +29,13 @@ fn workload() -> Workload {
     })
 }
 
-/// `tests/repose_identity.rs`'s engine: ATC-FULL, five queries a batch.
+/// `tests/repose_identity.rs`'s engine: Section 7's
+/// (`qsys_bench::gus_engine`), ATC-FULL, five queries a batch, one lane
+/// thread.
 fn config() -> EngineConfig {
     EngineConfig {
-        k: 50,
-        batch_size: 5,
-        sharing: SharingMode::AtcFull,
-        candidate: CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..CandidateConfig::default()
-        },
         lane_threads: 1,
-        ..EngineConfig::default()
+        ..qsys_bench::gus_engine(SharingMode::AtcFull, 5)
     }
 }
 

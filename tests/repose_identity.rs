@@ -55,25 +55,17 @@
 //! pose 0 and digests did not move.
 
 use qsys::prelude::*;
-use qsys::query::CandidateConfig;
 use qsys_workload::gus::{self, GusConfig};
 use std::fmt::Write;
 
 const POSES: usize = 4;
 
+/// Section 7's engine (`qsys_bench::gus_engine`): ATC-FULL, five queries a
+/// batch, one lane thread.
 fn engine_config() -> EngineConfig {
     EngineConfig {
-        k: 50,
-        batch_size: 5,
-        sharing: SharingMode::AtcFull,
-        candidate: CandidateConfig {
-            max_cqs: 20,
-            max_atoms: 6,
-            matches_per_keyword: 3,
-            ..CandidateConfig::default()
-        },
         lane_threads: 1,
-        ..EngineConfig::default()
+        ..qsys_bench::gus_engine(SharingMode::AtcFull, 5)
     }
 }
 

@@ -29,7 +29,7 @@ use qsys_exec::{NodeKind, SourceGovernor, StreamBacking, StreamRead};
 use qsys_opt::cluster::ClusterConfig;
 use qsys_query::SigId;
 use qsys_source::{Sources, Table};
-use qsys_types::{BaseTuple, Epoch, RelId, SimClock, Tuple};
+use qsys_types::{BaseTuple, RelId, SimClock};
 use qsys_workload::gus::{self, GusConfig};
 use std::sync::Arc;
 
@@ -143,10 +143,10 @@ proptest! {
     /// Corruption class 4: a stored module several m-join inputs share
     /// holds one producer's output, each tuple once, so every sharer is
     /// fed by that producer and, between routing passes, has seen every
-    /// entry. Two sharers of a stream leaf's module: one whose cursor lags
-    /// — `lag` arrivals reached only its sibling — or that another stream
-    /// feeds is reported as `GraphMalformed`; sharers kept in step stay
-    /// clean.
+    /// entry. Two sharers of a stream leaf's module, driven by the leaf's
+    /// reads: one whose cursor lags — `lag` reads reached only its sibling
+    /// — or that another stream feeds is reported as `GraphMalformed`;
+    /// sharers kept in step stay clean.
     #[test]
     fn shared_module_out_of_step_is_caught(reads in 0usize..5, lag in 0usize..3) {
         let rel = RelId::new(0);
@@ -154,7 +154,7 @@ proptest! {
         let rows: Vec<Arc<BaseTuple>> = (0..8)
             .map(|i| Arc::new(BaseTuple::new(rel, i, vec![], 1.0 - 0.1 * i as f64)))
             .collect();
-        sources.register(Table::new(rel, rows.clone()));
+        sources.register(Table::new(rel, rows));
         let governor = SourceGovernor::new(Default::default());
         let build = |stray: bool| {
             let mut graph = QueryPlanGraph::new();
@@ -162,7 +162,7 @@ proptest! {
                 graph.add_stream(StreamBacking::Remote(sources.open_stream(rel, None)), None)
             });
             let module = graph.stream_leaf(leaves[0]).module;
-            let [mut ahead, mut behind] = [0, 1].map(|_| {
+            let [ahead, behind] = [0, 1].map(|_| {
                 let input = MJoinInput {
                     rels: vec![rel],
                     module: graph.modules_mut().retain(module),
@@ -170,18 +170,26 @@ proptest! {
                     store_arrivals: true,
                     selection: None,
                 };
-                MJoin::new(vec![input], Vec::new(), graph.modules())
+                let mj = MJoin::new(vec![input], Vec::new(), graph.modules());
+                graph.add_mjoin(mj, None)
             });
-            for (i, row) in rows.iter().take(reads + lag).enumerate() {
-                let t = Tuple::single(Arc::clone(row));
-                ahead.insert(0, t.clone(), Epoch(0), &sources, &governor, graph.modules());
-                if i < reads {
-                    behind.insert(0, t, Epoch(0), &sources, &governor, graph.modules());
-                }
+            let read = |graph: &mut QueryPlanGraph| {
+                let read = graph.read_stream_governed(leaves[0], &sources, &governor);
+                assert_eq!(read, StreamRead::Delivered);
+            };
+            // The first leaf routes its first `reads` tuples to both
+            // sharers and the next `lag` to `ahead` alone; then `behind`
+            // is wired to its producer, that leaf or the stray one.
+            graph.connect(leaves[0], ahead, 0);
+            graph.node_mut(leaves[0]).children.push((behind, 0));
+            for _ in 0..reads {
+                read(&mut graph);
             }
-            let [a, b] = [ahead, behind].map(|mj| graph.add_mjoin(mj, None));
-            graph.connect(leaves[0], a, 0);
-            graph.connect(leaves[usize::from(stray)], b, 0);
+            graph.node_mut(leaves[0]).children.retain(|&(child, _)| child != behind);
+            for _ in 0..lag {
+                read(&mut graph);
+            }
+            graph.connect(leaves[usize::from(stray)], behind, 0);
             qv::verify_graph(&graph, &[], "t")
         };
         let one_producer = build(false);
