@@ -437,7 +437,7 @@ fn cq_plan(cq: &ConjunctiveQuery, sig: SigId, root: usize) -> CqPlan {
         cq: cq.id,
         uq: cq.uq,
         user: cq.user,
-        score_fn: ScoreFn::discover(cq.user, cq.atoms.len()),
+        score_fn: ScoreFn::discover(cq.user, cq.atoms().len()),
         sig,
         root,
         probed: Vec::new(),
@@ -446,7 +446,7 @@ fn cq_plan(cq: &ConjunctiveQuery, sig: SigId, root: usize) -> CqPlan {
 
 /// `cq`'s answers equal the exhaustive reference's.
 fn answers_brute_force(manager: &QsManager, src: &Sources, cq: &ConjunctiveQuery, k: usize) {
-    let f = ScoreFn::discover(cq.user, cq.atoms.len());
+    let f = ScoreFn::discover(cq.user, cq.atoms().len());
     assert_eq!(results_of(manager, cq.uq), brute_force(src, cq, &f, k));
 }
 

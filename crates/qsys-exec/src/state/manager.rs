@@ -47,7 +47,7 @@ use crate::{ExecWork, NodeId, NodeKind, QueryPlanGraph, StreamBacking};
 use qsys_opt::cost::ReuseOracle;
 use qsys_opt::plan::{PlanSpec, SpecNodeKind};
 use qsys_opt::retired::WarmCell;
-use qsys_query::{shared_interner, ScoreModel, SharedInterner, SigId, SubExprSig, UserQuery};
+use qsys_query::{shared_interner, ExactScore, SharedInterner, SigId, UserQuery};
 use qsys_source::Sources;
 use qsys_types::{CqId, Epoch, JoinCond, RelId, Score, Tuple, UqId, UserId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -81,12 +81,9 @@ pub struct GraftOutcome {
 /// identity ([`qsys_query::ScoreFn::exact_key`]), sorted, and `k`.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct AnswerKey {
-    cqs: Vec<(SigId, ScoreKey)>,
+    cqs: Vec<(SigId, ExactScore)>,
     k: usize,
 }
-
-/// [`qsys_query::ScoreFn::exact_key`].
-type ScoreKey = (ScoreModel, u64, Vec<(RelId, u64)>);
 
 /// One retained result: its score, the position in its answer's key of
 /// the CQ that produced it, and the tuple.
@@ -129,7 +126,7 @@ impl RetainedAnswer {
 
 /// A user query's [`AnswerKey`] and its CQ ids in the key's order, from
 /// each CQ's whole-query signature, score identity and id.
-fn answer_key(mut cqs: Vec<(SigId, ScoreKey, CqId)>, k: usize) -> (AnswerKey, Vec<CqId>) {
+fn answer_key(mut cqs: Vec<(SigId, ExactScore, CqId)>, k: usize) -> (AnswerKey, Vec<CqId>) {
     cqs.sort();
     let (pairs, ids) = cqs.into_iter().map(|(sig, f, cq)| ((sig, f), cq)).unzip();
     (AnswerKey { cqs: pairs, k }, ids)
@@ -486,7 +483,7 @@ impl QsManager {
             for uq in uqs {
                 let mut cqs = Vec::with_capacity(uq.cqs.len());
                 for (cq, f) in &uq.cqs {
-                    let sig = interner.get(&SubExprSig::of_cq(cq))?;
+                    let sig = interner.find_cq(cq)?;
                     // The optimizer's all-resident predicate, which makes
                     // `Optimizer::all_resident` this batch's search.
                     reuse.streamed(sig)?;

@@ -216,7 +216,7 @@ impl SearchSeed {
             let qi = table.idx(cq.id).index();
             whole_of[qi] = w;
             defaults_of[qi] = cq
-                .atoms
+                .atoms()
                 .iter()
                 .map(|a| (a.rel, interner.relation(a.rel, a.selection.clone())))
                 .collect();
@@ -843,7 +843,7 @@ pub(crate) fn is_valid_assignment(
 ) -> bool {
     for cq in queries {
         let qi = table.idx(cq.id);
-        for atom in &cq.atoms {
+        for atom in cq.atoms() {
             let covering = assignment
                 .iter()
                 .filter(|c| c.queries.contains(qi) && interner.rels(c.sig).contains(&atom.rel))
@@ -1363,7 +1363,7 @@ mod tests {
             path_cq(2, &cat, 1, 3),
             path_cq(3, &cat, 2, 2),
         ];
-        let atoms: Vec<usize> = queries.iter().map(|cq| cq.atoms.len()).collect();
+        let atoms: Vec<usize> = queries.iter().map(|cq| cq.atoms().len()).collect();
         let mut cards: Vec<f64> = queries
             .iter()
             .map(|cq| model.cardinality(&SubExprSig::of_cq(cq)))

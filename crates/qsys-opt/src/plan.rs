@@ -488,7 +488,7 @@ impl<'a> Optimizer<'a> {
         for cq_id in users {
             let (cq, _) = batch.iter().find(|(c, _)| c.id == *cq_id)?;
             let mut preds: Vec<JoinCond> = cq
-                .joins
+                .joins()
                 .iter()
                 .map(|j| j.on)
                 .filter(|j| {
@@ -520,7 +520,7 @@ fn charge(clock: Option<&SimClock>, stats: &OptStats) {
 
 /// Join predicates of `cq` not internal to any single covered term.
 fn residual_preds(cq: &ConjunctiveQuery, covered: &[&[RelId]]) -> Vec<JoinCond> {
-    cq.joins
+    cq.joins()
         .iter()
         .map(|j| j.on)
         .filter(|j| {
@@ -983,7 +983,7 @@ mod tests {
         let cqs = wide_batch(&cat);
         let f = ScoreFn::discover(UserId::new(0), 4);
         let batch: Vec<_> = cqs.iter().map(|cq| (cq, &f)).collect();
-        let atoms: usize = cqs.iter().map(|cq| cq.atoms.len()).sum();
+        let atoms: usize = cqs.iter().map(|cq| cq.atoms().len()).sum();
         let leaves = |spec: &PlanSpec| -> Vec<SigId> {
             let leaves = spec
                 .nodes

@@ -23,15 +23,22 @@
 //! - **The networks** depend on the keywords and the schema alone: tokenize,
 //!   look up each keyword, order the match combinations, merge each, connect
 //!   and realize its join trees, drop repeated signatures, and stop once
-//!   `2 × max_cqs` networks are in hand. Each network keeps its atoms, its
-//!   joins and its score function's weights: node authority times keyword
+//!   `2 × max_cqs` networks are in hand. Each network keeps its
+//!   conjunctive query's body — atoms, joins and the canonical whole-query
+//!   signature with its hash, built once here, where the dedupe needs it —
+//!   and its score function's weights: node authority times keyword
 //!   similarity, which no user's edge costs reach.
 //! - **The ranking** is the user's: number the networks from `next_cq` in
 //!   that order (so `next_cq` advances by every network, kept or not), give
 //!   each the static factor of the user's edge costs (Section 2.1's learned
 //!   costs enter here only), sort by `U` and keep the best `max_cqs`. A
 //!   network's `U` is its static factor and weights against the catalog's
-//!   max scores, so a conjunctive query is built only for each one kept.
+//!   max scores, so a conjunctive query is built only for each one kept,
+//!   and it shares its network's body and weights rather than copying
+//!   them. Every user's query ranked from one network therefore carries
+//!   one whole-query signature handle, which the lane's interner finds by
+//!   address (see the `intern` module docs): a re-posed query is matched to
+//!   its retained state without building or hashing a signature.
 //!
 //! A [`NetworkMemo`] keeps the first half per keyword query, so a service
 //! answering the same keywords for many users searches the schema graph
@@ -40,18 +47,22 @@
 //! `"Gene Protein"` and `"gene  protein"` share an entry, while each
 //! [`UserQuery::keywords`] keeps the text it was posed with. Only a
 //! generation that found networks is kept, and at most `MEMO_CAP` (256)
-//! keyword queries are. An entry is never stale: an engine's catalog,
+//! keyword queries are. The map hashes with the standard library's keyed
+//! SipHash, not the Fx hash of the engine's own maps: users type these
+//! keys, so a key is chosen outside the program and may be chosen to
+//! collide. An entry is never stale: an engine's catalog,
 //! keyword index and [`CandidateConfig`] are fixed once it is built, and
 //! the catalog statistics `U` reads are read by the ranking, which runs on
 //! every submit.
 
-use crate::cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
+use crate::cq::{ConjunctiveQuery, CqAtom, CqBody, CqJoin, UserQuery};
 use crate::score::{upper_bound, ScoreFn, ScoreModel};
-use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId, KeywordIndex, KeywordMatch, MatchKind};
 use qsys_types::{CqId, JoinCond, QsysError, QsysResult, RelId, Score, Selection, UqId, UserId};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Tuning knobs for candidate generation.
 #[derive(Clone, Debug)]
@@ -98,15 +109,16 @@ struct TreeCandidate {
 }
 
 /// One candidate network as the schema-graph search leaves it, before any
-/// user's scoring: atoms sorted by relation, the joins of its tree, and its
-/// score function's relation-sorted weights under the configured model
+/// user's scoring: its conjunctive query's body (atoms sorted by relation,
+/// the joins of its tree, the whole-query signature) and its score
+/// function's relation-sorted weights under the configured model
 /// ([`ScoreModel::weights`]: node authority times keyword similarity, which
-/// no user's edge costs reach).
+/// no user's edge costs reach). Every conjunctive query and score function
+/// ranked from it shares both.
 #[derive(Debug)]
 struct Network {
-    atoms: Vec<CqAtom>,
-    joins: Vec<CqJoin>,
-    weights: Vec<(RelId, f64)>,
+    body: Arc<CqBody>,
+    weights: Arc<[(RelId, f64)]>,
     /// Tests only: the keyword-match similarity of each matched relation,
     /// from which the reference ranking builds each score function afresh.
     #[cfg(test)]
@@ -180,7 +192,6 @@ impl<'a> CandidateGenerator<'a> {
             pb.total_cmp(&pa)
         });
 
-        let mut seen = BTreeSet::new();
         let mut out: Vec<Network> = Vec::new();
         for combo in &combos {
             if out.len() >= self.config.max_cqs * 2 {
@@ -195,23 +206,22 @@ impl<'a> CandidateGenerator<'a> {
                     continue;
                 }
                 let (atoms, joins) = self.realize(&tree, &selections);
-                let sig = SubExprSig::new(
-                    atoms.iter().map(|a| (a.rel, a.selection.clone())).collect(),
-                    joins.iter().map(|j| j.on).collect(),
-                );
-                if !seen.insert(sig) {
+                let body = CqBody::new(atoms, joins);
+                // At most `2 × max_cqs + 7` networks: a scan that compares
+                // cached hashes first.
+                if out.iter().any(|n| n.body.whole_sig() == body.whole_sig()) {
                     continue;
                 }
-                let node_costs = atoms
+                let node_costs = body
+                    .atoms()
                     .iter()
                     .map(|a| (a.rel, self.catalog.relation(a.rel).node_cost));
                 let sims = similarity.iter().map(|(&rel, &sim)| (rel, sim));
                 out.push(Network {
-                    weights: self.config.model.weights(node_costs, sims),
+                    weights: self.config.model.weights(node_costs, sims).into(),
                     #[cfg(test)]
                     similarity: similarity.iter().map(|(&rel, &sim)| (rel, sim)).collect(),
-                    atoms,
-                    joins,
+                    body: Arc::new(body),
                 });
             }
         }
@@ -245,13 +255,19 @@ impl<'a> CandidateGenerator<'a> {
         };
         let static_factors: Vec<f64> = networks
             .iter()
-            .map(|n| model.static_factor(n.atoms.len(), n.joins.iter().map(|j| edge_cost(j.edge))))
+            .map(|n| {
+                let joins = n.body.joins().iter();
+                model.static_factor(n.body.atoms().len(), joins.map(|j| edge_cost(j.edge)))
+            })
             .collect();
         // Stable: equal bounds keep network order, the index breaking ties.
         let mut order: Vec<(Reverse<Score>, usize)> = networks
             .iter()
             .zip(&static_factors)
-            .map(|(n, &s)| upper_bound(s, &n.weights, n.atoms.iter().map(|a| a.rel), self.catalog))
+            .map(|(n, &s)| {
+                let rels = n.body.atoms().iter().map(|a| a.rel);
+                upper_bound(s, &n.weights, rels, self.catalog)
+            })
             .map(Reverse)
             .zip(0..)
             .collect();
@@ -262,9 +278,12 @@ impl<'a> CandidateGenerator<'a> {
             .map(|(_, i)| {
                 let n = &networks[i];
                 let id = CqId::new(first + i as u32);
-                let cq = ConjunctiveQuery::new(id, uq, user, n.atoms.clone(), n.joins.clone());
-                let f = ScoreFn::from_parts(model, static_factors[i], n.weights.clone(), user);
-                (cq, f)
+                let cq = ConjunctiveQuery::of_body(id, uq, user, Arc::clone(&n.body));
+                let weights = Arc::clone(&n.weights);
+                (
+                    cq,
+                    ScoreFn::from_parts(model, static_factors[i], weights, user),
+                )
             })
             .collect();
         UserQuery {
@@ -389,17 +408,22 @@ impl<'a> CandidateGenerator<'a> {
 /// How many keyword queries a [`NetworkMemo`] keeps. An entry holds fewer
 /// than `2 × max_cqs` networks plus the trees of the combination that
 /// crossed that count (at most 8), so at most `2 × max_cqs + 7`. A network
-/// of `a` atoms takes at most `88·(a + 1)` bytes on a 64-bit target,
-/// allocator headers included: 72 inline, 40 an atom, 32 a join, 16 a
-/// score weight, at most one per atom (its selection values share the
-/// keyword index's strings). At the default `max_cqs` of 20 and
-/// `max_atoms` of 8, a full memo holds at most 256 × 47 × 792 B ≈ 9.5 MB;
-/// at the largest `max_cqs` the engine accepts (64), ≈ 27 MB.
+/// of `a` atoms takes at most `152·(a + 1)` bytes on a 64-bit target: 24
+/// inline; its body's 72 (two counts, two `Vec`s and the signature's
+/// handle) and its signature's 72 (two counts, two `Vec`s and the hash);
+/// 40 an atom and 32 a join in the body, 40 an atom and 24 a join in the
+/// signature; 16 for the weights' counts and 16 a weight, at most one per
+/// atom. Selection values share the keyword index's strings. At the
+/// default `max_cqs` of 20 and `max_atoms` of 8, a full memo holds at
+/// most 256 × 47 × 1,368 B ≈ 16.5 MB; at the largest `max_cqs` the engine
+/// accepts (64), ≈ 47 MB. A lane's interner keeps a signature it interned
+/// alive after the memo drops it, as it kept a copy of it before.
 const MEMO_CAP: usize = 256;
 
 /// The networks of keyword queries already generated, keyed by their
-/// lowercased tokens (see the module docs). It empties when full, before
-/// it stores the next entry.
+/// lowercased tokens and hashed with SipHash, since users type them (see
+/// the module docs). It empties when full, before it stores the next
+/// entry.
 #[derive(Debug, Default)]
 pub struct NetworkMemo {
     entries: HashMap<Vec<String>, Vec<Network>>,
@@ -420,23 +444,36 @@ impl NetworkMemo {
         next_cq: &mut u32,
         user_edge_costs: Option<&HashMap<EdgeId, f64>>,
     ) -> QsysResult<UserQuery> {
-        let key = memo_key(keywords);
-        if !self.entries.contains_key(&key) {
-            let networks = generator.networks(keywords)?;
-            if self.entries.len() == MEMO_CAP {
+        let full = self.entries.len() == MEMO_CAP;
+        let networks = match self.entries.entry(memo_key(keywords)) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(miss) if !full => miss.insert(generator.networks(keywords)?),
+            Entry::Vacant(miss) => {
+                let networks = generator.networks(keywords)?;
+                // Emptied before the next entry is stored: the one miss in
+                // `MEMO_CAP` that hashes its key twice.
+                let key = miss.into_key();
                 self.entries.clear();
+                self.entries.entry(key).or_insert(networks)
             }
-            self.entries.insert(key.clone(), networks);
-        }
-        let networks = &self.entries[&key];
+        };
         Ok(generator.rank(networks, keywords, uq, user, next_cq, user_edge_costs))
     }
 }
 
-/// A keyword query's terms as [`KeywordIndex::lookup`] reads them.
+/// A keyword query's terms as [`KeywordIndex::lookup`] reads them, each
+/// lowercased in place ([`str::to_lowercase`]; an ASCII term without a
+/// copy).
 fn memo_key(keywords: &str) -> Vec<String> {
-    let terms = KeywordIndex::tokenize(keywords);
-    terms.iter().map(|t| t.to_lowercase()).collect()
+    let mut terms = KeywordIndex::tokenize(keywords);
+    for term in &mut terms {
+        if term.is_ascii() {
+            term.make_ascii_lowercase();
+        } else {
+            *term = term.to_lowercase();
+        }
+    }
+    terms
 }
 
 /// The keyword selection on each matched relation (`None` for a metadata
@@ -921,7 +958,8 @@ mod tests {
             .map(|n| {
                 let id = CqId::new(*next_cq);
                 *next_cq += 1;
-                let cq = ConjunctiveQuery::new(id, uq, user, n.atoms.clone(), n.joins.clone());
+                let (atoms, joins) = (n.body.atoms().to_vec(), n.body.joins().to_vec());
+                let cq = ConjunctiveQuery::new(id, uq, user, atoms, joins);
                 let score_fn =
                     reference_score_for(generator, &cq, &n.similarity, user, user_edge_costs);
                 (cq, score_fn)
@@ -957,14 +995,14 @@ mod tests {
             ScoreModel::Discover => ScoreFn::discover(user, cq.size()),
             ScoreModel::QSystem => ScoreFn::q_system(
                 user,
-                cq.joins.iter().map(|j| edge_cost(j.edge)),
-                cq.atoms
+                cq.joins().iter().map(|j| edge_cost(j.edge)),
+                cq.atoms()
                     .iter()
                     .map(|a| (a.rel, catalog.relation(a.rel).node_cost)),
             ),
             ScoreModel::Banks => {
                 let edge_w: f64 = cq
-                    .joins
+                    .joins()
                     .iter()
                     .map(|j| 1.0 / (1.0 + edge_cost(j.edge)))
                     .product();
@@ -1091,7 +1129,7 @@ mod tests {
             .cqs
             .iter()
             .map(|(cq, f)| {
-                let (id, atoms, joins) = (cq.id, cq.atoms.clone(), cq.joins.clone());
+                let (id, atoms, joins) = (cq.id, cq.atoms().to_vec(), cq.joins().to_vec());
                 (id, cq.uq, cq.user, atoms, joins, f.exact_key())
             })
             .collect();
@@ -1122,7 +1160,7 @@ mod tests {
         assert_eq!(b.keywords, "gene  protein");
         assert_eq!(a.cqs.len(), b.cqs.len());
         for ((x, _), (y, _)) in a.cqs.iter().zip(&b.cqs) {
-            assert_eq!((&x.atoms, &x.joins), (&y.atoms, &y.joins));
+            assert_eq!((x.atoms(), x.joins()), (y.atoms(), y.joins()));
         }
         // A quoted phrase is one token, whichever quote and case it wears.
         pose(&mut memo, "'Plasma Membrane' gene", 2);
@@ -1174,8 +1212,15 @@ mod tests {
         for uq in &generated[1..] {
             let cqs = |uq: &UserQuery| -> Vec<_> {
                 let cqs = uq.cqs.iter();
-                cqs.map(|(cq, f)| (cq.id, cq.atoms.clone(), cq.joins.clone(), f.exact_key()))
-                    .collect()
+                cqs.map(|(cq, f)| {
+                    (
+                        cq.id,
+                        cq.atoms().to_vec(),
+                        cq.joins().to_vec(),
+                        f.exact_key(),
+                    )
+                })
+                .collect()
             };
             assert_eq!(cqs(uq), cqs(&generated[0]), "{:?}", uq.keywords);
         }

@@ -5,10 +5,13 @@
 //! selections induced by keyword content matches. A user query is the union
 //! of the conjunctive queries answering one keyword search.
 
+use crate::intern::{HashedSig, SharedSig};
 use crate::score::ScoreFn;
+use crate::subexpr::SubExprSig;
 use qsys_catalog::{Catalog, EdgeId};
 use qsys_types::{CqId, JoinCond, RelId, Selection, UqId, UserId};
 use std::fmt;
+use std::sync::Arc;
 
 /// One relation occurrence in a conjunctive query.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -34,7 +37,11 @@ pub struct CqJoin {
 /// Invariant: atoms reference distinct relations (candidate networks are
 /// trees of distinct schema nodes), are sorted by relation
 /// id, and `joins` form a spanning tree over them.
-#[derive(Clone, Debug)]
+///
+/// Everything but the ids is one shared [`CqBody`]: candidate generation
+/// builds a network's body once, and every conjunctive query ranked from
+/// the network holds it by reference, whole-query signature included.
+#[derive(Clone)]
 pub struct ConjunctiveQuery {
     /// Globally unique id.
     pub id: CqId,
@@ -42,21 +49,22 @@ pub struct ConjunctiveQuery {
     pub uq: UqId,
     /// The user who posed the keyword query.
     pub user: UserId,
-    /// Relation atoms, sorted by relation id.
-    pub atoms: Vec<CqAtom>,
-    /// Join conditions (a spanning tree over the atoms).
-    pub joins: Vec<CqJoin>,
+    body: Arc<CqBody>,
 }
 
-impl ConjunctiveQuery {
-    /// Construct, normalizing atom order and validating the tree invariant.
-    pub fn new(
-        id: CqId,
-        uq: UqId,
-        user: UserId,
-        mut atoms: Vec<CqAtom>,
-        joins: Vec<CqJoin>,
-    ) -> ConjunctiveQuery {
+/// A conjunctive query's atoms, joins and whole-query signature, checked
+/// once when built ([`ConjunctiveQuery`]'s invariant).
+#[derive(Debug)]
+pub(crate) struct CqBody {
+    atoms: Vec<CqAtom>,
+    joins: Vec<CqJoin>,
+    whole: SharedSig,
+}
+
+impl CqBody {
+    /// Normalize atom order, validate the tree invariant and build the
+    /// whole-query signature.
+    pub(crate) fn new(mut atoms: Vec<CqAtom>, joins: Vec<CqJoin>) -> CqBody {
         atoms.sort_by_key(|a| a.rel);
         assert!(
             atoms.windows(2).all(|w| w[0].rel < w[1].rel),
@@ -67,66 +75,138 @@ impl ConjunctiveQuery {
             atoms.len().max(1),
             "joins must form a spanning tree over the atoms"
         );
-        let cq = ConjunctiveQuery {
-            id,
-            uq,
-            user,
+        debug_assert!(
+            is_connected(&atoms, &joins),
+            "atoms must form a connected tree"
+        );
+        let whole = Arc::new(HashedSig::new(SubExprSig::of_parts(&atoms, &joins)));
+        CqBody {
             atoms,
             joins,
-        };
-        debug_assert!(cq.is_connected(), "atoms must form a connected tree");
-        cq
+            whole,
+        }
+    }
+
+    /// The atoms, sorted by relation id.
+    pub(crate) fn atoms(&self) -> &[CqAtom] {
+        &self.atoms
+    }
+
+    /// The joins.
+    pub(crate) fn joins(&self) -> &[CqJoin] {
+        &self.joins
+    }
+
+    /// The canonical whole-query signature.
+    pub(crate) fn whole_sig(&self) -> &SharedSig {
+        &self.whole
+    }
+}
+
+impl ConjunctiveQuery {
+    /// Construct, normalizing atom order and validating the tree invariant.
+    pub fn new(
+        id: CqId,
+        uq: UqId,
+        user: UserId,
+        atoms: Vec<CqAtom>,
+        joins: Vec<CqJoin>,
+    ) -> ConjunctiveQuery {
+        ConjunctiveQuery::of_body(id, uq, user, Arc::new(CqBody::new(atoms, joins)))
+    }
+
+    /// A query over an already-checked body, shared with its other holders.
+    pub(crate) fn of_body(id: CqId, uq: UqId, user: UserId, body: Arc<CqBody>) -> ConjunctiveQuery {
+        ConjunctiveQuery { id, uq, user, body }
     }
 
     /// Number of atoms (the "size" of the query in the DISCOVER scoring
     /// model).
     pub fn size(&self) -> usize {
-        self.atoms.len()
+        self.atoms().len()
+    }
+
+    /// Relation atoms, sorted by relation id.
+    pub fn atoms(&self) -> &[CqAtom] {
+        self.body.atoms()
+    }
+
+    /// Join conditions (a spanning tree over the atoms).
+    pub fn joins(&self) -> &[CqJoin] {
+        self.body.joins()
+    }
+
+    /// The canonical whole-query signature, built once per body and
+    /// shared by every conjunctive query ranked from the same candidate
+    /// network: [`SigInterner::of_cq`](crate::SigInterner::of_cq) and
+    /// [`SigInterner::find_cq`](crate::SigInterner::find_cq) read it by its
+    /// cached hash and its address instead of building one.
+    pub fn whole_sig(&self) -> &SharedSig {
+        self.body.whole_sig()
     }
 
     /// Relations referenced, sorted.
     pub fn rels(&self) -> Vec<RelId> {
-        self.atoms.iter().map(|a| a.rel).collect()
+        self.atoms().iter().map(|a| a.rel).collect()
     }
 
     /// The atom for `rel`, if present.
     pub fn atom(&self, rel: RelId) -> Option<&CqAtom> {
-        self.atoms
+        let atoms = self.atoms();
+        atoms
             .binary_search_by_key(&rel, |a| a.rel)
             .ok()
-            .map(|i| &self.atoms[i])
+            .map(|i| &atoms[i])
     }
 
     /// Whether the join graph connects all atoms.
+    #[cfg(test)]
     pub(crate) fn is_connected(&self) -> bool {
-        if self.atoms.is_empty() {
-            return true;
-        }
-        let mut seen = vec![self.atoms[0].rel];
-        let mut frontier = vec![self.atoms[0].rel];
-        while let Some(r) = frontier.pop() {
-            for j in &self.joins {
-                let next = if j.on.left == r {
-                    Some(j.on.right)
-                } else if j.on.right == r {
-                    Some(j.on.left)
-                } else {
-                    None
-                };
-                if let Some(n) = next {
-                    if !seen.contains(&n) {
-                        seen.push(n);
-                        frontier.push(n);
-                    }
-                }
-            }
-        }
-        seen.len() == self.atoms.len()
+        is_connected(self.atoms(), self.joins())
     }
 
     /// Pretty-print against a catalog (for logs and examples).
     pub fn display<'a>(&'a self, catalog: &'a Catalog) -> CqDisplay<'a> {
         CqDisplay { cq: self, catalog }
+    }
+}
+
+/// Whether `joins` connect all of `atoms`.
+fn is_connected(atoms: &[CqAtom], joins: &[CqJoin]) -> bool {
+    let Some(first) = atoms.first() else {
+        return true;
+    };
+    let mut seen = vec![first.rel];
+    let mut frontier = vec![first.rel];
+    while let Some(r) = frontier.pop() {
+        for j in joins {
+            let next = if j.on.left == r {
+                Some(j.on.right)
+            } else if j.on.right == r {
+                Some(j.on.left)
+            } else {
+                None
+            };
+            if let Some(n) = next {
+                if !seen.contains(&n) {
+                    seen.push(n);
+                    frontier.push(n);
+                }
+            }
+        }
+    }
+    seen.len() == atoms.len()
+}
+
+impl fmt::Debug for ConjunctiveQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConjunctiveQuery")
+            .field("id", &self.id)
+            .field("uq", &self.uq)
+            .field("user", &self.user)
+            .field("atoms", &self.atoms())
+            .field("joins", &self.joins())
+            .finish()
     }
 }
 
@@ -139,7 +219,7 @@ pub struct CqDisplay<'a> {
 impl fmt::Display for CqDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.cq.id)?;
-        for (i, a) in self.cq.atoms.iter().enumerate() {
+        for (i, a) in self.cq.atoms().iter().enumerate() {
             if i > 0 {
                 write!(f, " ⋈ ")?;
             }

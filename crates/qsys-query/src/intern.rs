@@ -27,15 +27,32 @@
 //! the optimizer's overlap tests (`shares_relation`) run on slices without
 //! resolving — or allocating — anything.
 //!
-//! The deep map hashes with [`FxHashMap`]: it is probed for every
-//! subexpression a batch names, and its keys are signatures the engine
-//! assembles from its own catalog (a keyword only selects among the
-//! keyword index's values), so no outside party chooses them.
+//! Each entry is a [`HashedSig`], a signature with its hash computed once
+//! when it is built, held by a shared handle ([`SharedSig`]) that the map
+//! and the arena both point to. A conjunctive query carries its
+//! whole-query signature as such a handle: candidate generation builds it
+//! once per network, and every query ranked from the network shares it
+//! ([`ConjunctiveQuery::whole_sig`]). [`SigInterner::of_cq`] stores that
+//! handle itself, and it and [`SigInterner::find_cq`] find the handle by
+//! its cached hash and then its address, so the optimizer's
+//! whole-query interning and the QS manager's seal build and hash no
+//! signature. Content is compared only when an equal signature is held
+//! under another handle — a subexpression interned first, another
+//! network with the same content, or a network the memo regenerated after
+//! emptying — and `of_cq` then keeps the newer handle. Which handle an
+//! entry holds never changes its id.
+//!
+//! The map hashes with [`FxHashMap`]: it is probed for every subexpression
+//! a batch names, and its keys are signatures the engine assembles from
+//! its own catalog (a keyword only selects among the keyword index's
+//! values), so no outside party chooses them.
 
 use crate::cq::ConjunctiveQuery;
 use crate::subexpr::SubExprSig;
+use qsys_types::hash::FxHasher;
 use qsys_types::{FxHashMap, JoinCond, RelId, Selection};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Dense identifier of an interned [`SubExprSig`].
@@ -62,12 +79,58 @@ impl fmt::Display for SigId {
     }
 }
 
+/// A canonical [`SubExprSig`] with its hash, computed once when it is
+/// built. Two are equal when they are one value (an address compare) or
+/// when their hashes and then their signatures are equal; a map over them
+/// hashes the cached `u64` only.
+#[derive(Debug)]
+pub struct HashedSig {
+    sig: SubExprSig,
+    hash: u64,
+}
+
+/// A shared [`HashedSig`]: a conjunctive query's whole-query signature
+/// ([`ConjunctiveQuery::whole_sig`]), and each [`SigInterner`] entry.
+pub type SharedSig = Arc<HashedSig>;
+
+impl HashedSig {
+    /// Hash a canonical signature (sorted atoms; normalized, sorted,
+    /// deduplicated joins, as [`SubExprSig::new`] leaves them).
+    pub(crate) fn new(sig: SubExprSig) -> HashedSig {
+        debug_assert!(sig.atoms.is_sorted() && sig.joins.is_sorted());
+        let mut hasher = FxHasher::default();
+        sig.hash(&mut hasher);
+        let hash = hasher.finish();
+        HashedSig { sig, hash }
+    }
+
+    /// The signature.
+    pub(crate) fn sig(&self) -> &SubExprSig {
+        &self.sig
+    }
+}
+
+impl PartialEq for HashedSig {
+    fn eq(&self, other: &HashedSig) -> bool {
+        std::ptr::eq(self, other) || (self.hash == other.hash && self.sig == other.sig)
+    }
+}
+
+impl Eq for HashedSig {}
+
+impl Hash for HashedSig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// One arena slot: the canonical signature plus derived data the hot paths
 /// keep asking for.
 #[derive(Debug)]
 struct SigEntry {
-    /// The canonical signature (stored exactly once).
-    sig: SubExprSig,
+    /// The canonical signature (stored exactly once, shared with the map's
+    /// key and with every conjunctive query whose handle it is).
+    sig: SharedSig,
     /// Sorted relations covered (mirror of `sig.atoms`, cached so overlap
     /// checks never allocate).
     rels: Box<[RelId]>,
@@ -76,7 +139,7 @@ struct SigEntry {
 /// The hash-consing table: canonical [`SubExprSig`] → dense [`SigId`].
 #[derive(Debug, Default)]
 pub struct SigInterner {
-    map: FxHashMap<SubExprSig, SigId>,
+    map: FxHashMap<SharedSig, SigId>,
     arena: Vec<SigEntry>,
 }
 
@@ -158,16 +221,34 @@ impl SigInterner {
         self.intern_canonical(SubExprSig::relation(rel, selection))
     }
 
-    /// Intern the whole-query signature of a conjunctive query.
+    /// Intern the whole-query signature of a conjunctive query, through
+    /// its shared handle: no signature is built or hashed. When an equal
+    /// signature is held under another handle, the query's handle replaces
+    /// it, so the next lookup through this handle is an address compare.
     pub fn of_cq(&mut self, cq: &ConjunctiveQuery) -> SigId {
-        self.intern_canonical(SubExprSig::of_cq(cq))
+        let handle = cq.whole_sig();
+        let Some((held, &id)) = self.map.get_key_value(&**handle) else {
+            return self.insert(Arc::clone(handle));
+        };
+        if !Arc::ptr_eq(held, handle) {
+            self.map.remove(&**handle);
+            self.map.insert(Arc::clone(handle), id);
+            self.arena[id.index()].sig = Arc::clone(handle);
+        }
+        id
+    }
+
+    /// Look up a conjunctive query's whole-query signature without
+    /// inserting, through its shared handle ([`SigInterner::of_cq`]).
+    pub fn find_cq(&self, cq: &ConjunctiveQuery) -> Option<SigId> {
+        self.map.get(&**cq.whole_sig()).copied()
     }
 
     /// Intern the join of two interned signatures under `preds`, in any
     /// orientation. The result is the canonical union signature, whichever
     /// pair of parts it was assembled from.
     pub fn combine(&mut self, a: SigId, b: SigId, preds: &[JoinCond]) -> SigId {
-        let (ea, eb) = (&self.arena[a.index()].sig, &self.arena[b.index()].sig);
+        let (ea, eb) = (self.resolve(a), self.resolve(b));
         let mut atoms = Vec::with_capacity(ea.atoms.len() + eb.atoms.len());
         atoms.extend(ea.atoms.iter().cloned());
         atoms.extend(eb.atoms.iter().cloned());
@@ -182,26 +263,31 @@ impl SigInterner {
     }
 
     fn intern_canonical(&mut self, sig: SubExprSig) -> SigId {
-        debug_assert!(sig.atoms.is_sorted() && sig.joins.is_sorted());
-        if let Some(&id) = self.map.get(&sig) {
-            return id;
+        let sig = HashedSig::new(sig);
+        match self.map.get(&sig) {
+            Some(&id) => id,
+            None => self.insert(Arc::new(sig)),
         }
+    }
+
+    /// Store a signature the map does not hold under the next id.
+    fn insert(&mut self, sig: SharedSig) -> SigId {
         let id = SigId(self.arena.len() as u32);
-        let rels: Box<[RelId]> = sig.atoms.iter().map(|(r, _)| *r).collect();
-        self.map.insert(sig.clone(), id);
+        let rels: Box<[RelId]> = sig.sig.atoms.iter().map(|(r, _)| *r).collect();
+        self.map.insert(Arc::clone(&sig), id);
         self.arena.push(SigEntry { sig, rels });
         id
     }
 
-    /// Look up an already-interned signature without inserting.
+    /// Look up an already-interned canonical signature without inserting.
     pub fn get(&self, sig: &SubExprSig) -> Option<SigId> {
-        self.map.get(sig).copied()
+        self.map.get(&HashedSig::new(sig.clone())).copied()
     }
 
     /// The canonical signature behind `id`.
     #[inline]
     pub fn resolve(&self, id: SigId) -> &SubExprSig {
-        &self.arena[id.index()].sig
+        &self.arena[id.index()].sig.sig
     }
 
     /// Sorted relations covered by `id` (cached; no allocation).
@@ -213,13 +299,13 @@ impl SigInterner {
     /// Atom count of `id`.
     #[inline]
     pub fn size(&self, id: SigId) -> usize {
-        self.arena[id.index()].sig.atoms.len()
+        self.arena[id.index()].sig.sig.atoms.len()
     }
 
     /// The arena in id order: each entry's canonical signature (what the
     /// invariant verifier checks for canonical form and duplicates).
     pub fn export_entries(&self) -> Vec<SubExprSig> {
-        self.arena.iter().map(|e| e.sig.clone()).collect()
+        self.arena.iter().map(|e| e.sig.sig.clone()).collect()
     }
 
     /// Whether two interned signatures cover at least one common relation
@@ -326,6 +412,66 @@ mod tests {
         let by_cq = interner.of_cq(&cq);
         let by_sig = interner.intern(SubExprSig::of_cq(&cq));
         assert_eq!(by_cq, by_sig);
+    }
+
+    /// Two conjunctive queries built apart: equal content, distinct
+    /// whole-query handles.
+    #[test]
+    fn equal_handles_intern_to_one_id_and_are_stored_once() {
+        let atoms = || {
+            vec![
+                CqAtom {
+                    rel: RelId::new(4),
+                    selection: Some(Selection::eq(2, Value::str("kinase"))),
+                },
+                CqAtom {
+                    rel: RelId::new(9),
+                    selection: None,
+                },
+            ]
+        };
+        let joins = || {
+            vec![CqJoin {
+                edge: EdgeId(3),
+                on: JoinCond {
+                    left: RelId::new(9),
+                    left_col: 0,
+                    right: RelId::new(4),
+                    right_col: 1,
+                },
+            }]
+        };
+        let cq = |id| {
+            ConjunctiveQuery::new(
+                CqId::new(id),
+                UqId::new(id),
+                UserId::new(0),
+                atoms(),
+                joins(),
+            )
+        };
+        let (a, b) = (cq(0), cq(1));
+        assert!(!Arc::ptr_eq(a.whole_sig(), b.whole_sig()));
+
+        let mut interner = SigInterner::new();
+        let id = interner.of_cq(&a);
+        // Stored once: the arena entry is `a`'s own signature, not a copy.
+        assert_eq!(interner.len(), 1);
+        assert!(std::ptr::eq(interner.resolve(id), a.whole_sig().sig()));
+        assert_eq!(interner.find_cq(&b), Some(id), "found by content");
+        // Interning `b` keeps the id and adopts `b`'s handle.
+        assert_eq!(interner.of_cq(&b), id);
+        assert_eq!(interner.len(), 1);
+        assert!(std::ptr::eq(interner.resolve(id), b.whole_sig().sig()));
+        assert_eq!(interner.find_cq(&a), Some(id));
+        // A fresh deep build names the same entry, and so does a join of
+        // its parts.
+        assert_eq!(interner.get(&SubExprSig::of_cq(&a)), Some(id));
+        assert_eq!(interner.intern(SubExprSig::of_cq(&b)), id);
+        let r4 = interner.relation(RelId::new(4), atoms()[0].selection.clone());
+        let r9 = interner.relation(RelId::new(9), None);
+        assert_eq!(interner.combine(r9, r4, &[joins()[0].on]), id);
+        assert_eq!(interner.len(), 3);
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub(crate) mod subexpr;
 pub use candidate::{CandidateConfig, CandidateGenerator, NetworkMemo};
 pub use cq::{ConjunctiveQuery, CqAtom, CqJoin, UserQuery};
 pub use cqset::{CqIdx, CqSet, CqTable};
-pub use intern::{shared_interner, SharedInterner, SigCell, SigId, SigInterner};
-pub use score::{ScoreFn, ScoreModel};
+pub use intern::{
+    shared_interner, HashedSig, SharedInterner, SharedSig, SigCell, SigId, SigInterner,
+};
+pub use score::{ExactScore, ScoreFn, ScoreModel};
 pub use subexpr::{enumerate_subexprs, SubExprSig};

@@ -24,6 +24,8 @@
 use crate::cq::ConjunctiveQuery;
 use qsys_catalog::Catalog;
 use qsys_types::{RelId, Score, Tuple, UserId};
+use std::fmt;
+use std::sync::Arc;
 
 /// Which published model a score function was built from (for reporting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -87,7 +89,9 @@ pub struct ScoreFn {
     /// CQ has at most a handful of relations, and [`ScoreFn::score`] runs
     /// once per join result reaching a rank-merge, so this is a sorted
     /// slice walked beside the tuple's (equally sorted) parts, not a map.
-    weights: Vec<(RelId, f64)>,
+    /// Shared: every function ranked from one candidate network holds its
+    /// network's weights.
+    weights: Arc<[(RelId, f64)]>,
     /// The owning user (different users may weigh the same relation
     /// differently).
     pub user: UserId,
@@ -98,7 +102,7 @@ impl ScoreFn {
     /// penalizes larger candidate networks, as in [13].
     pub fn discover(user: UserId, cq_size: usize) -> ScoreFn {
         let static_factor = ScoreModel::Discover.static_factor(cq_size, std::iter::empty());
-        ScoreFn::from_parts(ScoreModel::Discover, static_factor, Vec::new(), user)
+        ScoreFn::from_parts(ScoreModel::Discover, static_factor, Arc::from([]), user)
     }
 
     /// Q System-style: `C(t) = 2^-c`, `c = Σ_e c_e + Σ_i cost(t_i)` where
@@ -121,7 +125,7 @@ impl ScoreFn {
         ScoreFn {
             model: ScoreModel::QSystem,
             static_factor: (-edge_sum).exp2(),
-            weights: sorted_weights(weights),
+            weights: sorted_weights(weights).into(),
             user,
         }
     }
@@ -131,7 +135,7 @@ impl ScoreFn {
     pub(crate) fn from_parts(
         model: ScoreModel,
         static_factor: f64,
-        weights: Vec<(RelId, f64)>,
+        weights: Arc<[(RelId, f64)]>,
         user: UserId,
     ) -> ScoreFn {
         debug_assert!(
@@ -156,7 +160,7 @@ impl ScoreFn {
         ScoreFn {
             model: ScoreModel::Banks,
             static_factor: edge_weight_product,
-            weights: sorted_weights(node_weights),
+            weights: sorted_weights(node_weights).into(),
             user,
         }
     }
@@ -164,9 +168,13 @@ impl ScoreFn {
     /// The function's exact identity: its model, the bits of its static
     /// factor and of each relation's weight. Two functions with equal keys
     /// score every tuple bit-identically; the posing user is not part of it.
-    pub fn exact_key(&self) -> (ScoreModel, u64, Vec<(RelId, u64)>) {
-        let weights = self.weights.iter().map(|&(r, w)| (r, w.to_bits()));
-        (self.model, self.static_factor.to_bits(), weights.collect())
+    /// It shares the function's weights, so building one allocates nothing.
+    pub fn exact_key(&self) -> ExactScore {
+        ExactScore {
+            model: self.model,
+            static_bits: self.static_factor.to_bits(),
+            weights: Arc::clone(&self.weights),
+        }
     }
 
     /// The weight of relation `r` (1.0 if unspecified).
@@ -179,7 +187,9 @@ impl ScoreFn {
     /// similarity folded into the score).
     #[cfg(test)]
     pub(crate) fn scale_weight(&mut self, rel: RelId, factor: f64) {
-        *weight_slot(&mut self.weights, rel) *= factor;
+        let mut weights = self.weights.to_vec();
+        *weight_slot(&mut weights, rel) *= factor;
+        self.weights = weights.into();
     }
 
     /// Score a complete result tuple of the CQ: `static · ∏ (w_r · s_r)`
@@ -218,7 +228,7 @@ impl ScoreFn {
     /// Upper bound `U(C_i)` on the score of *any* tuple the CQ can return
     /// (Section 3), from catalog max-score statistics.
     pub fn upper_bound(&self, cq: &ConjunctiveQuery, catalog: &Catalog) -> Score {
-        let rels = cq.atoms.iter().map(|a| a.rel);
+        let rels = cq.atoms().iter().map(|a| a.rel);
         upper_bound(self.static_factor, &self.weights, rels, catalog)
     }
 
@@ -238,6 +248,52 @@ impl ScoreFn {
         rels.iter()
             .map(|r| self.weight(*r) * catalog.relation(*r).stats.max_score)
             .product()
+    }
+}
+
+/// [`ScoreFn::exact_key`]: a score function's model and the bits of its
+/// static factor and of each relation's weight, compared and ordered as
+/// those bits.
+#[derive(Clone)]
+pub struct ExactScore {
+    model: ScoreModel,
+    static_bits: u64,
+    weights: Arc<[(RelId, f64)]>,
+}
+
+impl ExactScore {
+    /// Each relation's weight as bits, relation-sorted.
+    fn weight_bits(&self) -> impl Iterator<Item = (RelId, u64)> + '_ {
+        self.weights.iter().map(|&(r, w)| (r, w.to_bits()))
+    }
+}
+
+impl PartialEq for ExactScore {
+    fn eq(&self, other: &ExactScore) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for ExactScore {}
+
+impl PartialOrd for ExactScore {
+    fn partial_cmp(&self, other: &ExactScore) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ExactScore {
+    fn cmp(&self, other: &ExactScore) -> std::cmp::Ordering {
+        (self.model, self.static_bits)
+            .cmp(&(other.model, other.static_bits))
+            .then_with(|| self.weight_bits().cmp(other.weight_bits()))
+    }
+}
+
+impl fmt::Debug for ExactScore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let weights: Vec<_> = self.weight_bits().collect();
+        write!(f, "({:?}, {}, {weights:?})", self.model, self.static_bits)
     }
 }
 
@@ -298,7 +354,6 @@ mod tests {
     use qsys_catalog::CatalogBuilder;
     use qsys_catalog::RelationStats;
     use qsys_types::{BaseTuple, SourceId};
-    use std::sync::Arc;
 
     fn catalog_with(max_scores: &[f64]) -> Catalog {
         let mut b = CatalogBuilder::default();

@@ -10,7 +10,7 @@
 //! equality is exactly logical equivalence. The same conditions, unchanged,
 //! are what a pushed-down subexpression is evaluated with at the source.
 
-use crate::cq::ConjunctiveQuery;
+use crate::cq::{ConjunctiveQuery, CqAtom, CqJoin};
 use qsys_types::{JoinCond, RelId, Selection};
 use std::fmt;
 
@@ -44,14 +44,17 @@ impl SubExprSig {
         SubExprSig { atoms, joins }
     }
 
-    /// The whole-query signature of a CQ.
+    /// The whole-query signature of a CQ, built afresh (a CQ keeps its
+    /// own, shared: [`ConjunctiveQuery::whole_sig`]).
     pub fn of_cq(cq: &ConjunctiveQuery) -> SubExprSig {
+        SubExprSig::of_parts(cq.atoms(), cq.joins())
+    }
+
+    /// The whole-query signature of a CQ's atoms and joins.
+    pub(crate) fn of_parts(atoms: &[CqAtom], joins: &[CqJoin]) -> SubExprSig {
         SubExprSig::new(
-            cq.atoms
-                .iter()
-                .map(|a| (a.rel, a.selection.clone()))
-                .collect(),
-            cq.joins.iter().map(|j| j.on).collect(),
+            atoms.iter().map(|a| (a.rel, a.selection.clone())).collect(),
+            joins.iter().map(|j| j.on).collect(),
         )
     }
 
@@ -70,8 +73,7 @@ impl SubExprSig {
     /// `cq` (Section 5.1's notion, used by the "do not consider overlapping
     /// pushed-down subexpressions" heuristic).
     pub(crate) fn is_subexpr_of(&self, cq: &ConjunctiveQuery) -> bool {
-        let cq_sig = SubExprSig::of_cq(cq);
-        self.is_contained_in(&cq_sig)
+        self.is_contained_in(cq.whole_sig().sig())
     }
 
     /// Structural containment in another signature.
@@ -120,7 +122,7 @@ pub fn enumerate_subexprs(
     min_size: usize,
     max_size: usize,
 ) -> Vec<SubExprSig> {
-    let n = cq.atoms.len();
+    let n = cq.atoms().len();
     let mut found: Vec<Vec<usize>> = Vec::new();
     // Grow connected sets from each seed atom; restrict growth to atoms with
     // an index ≥ seed to avoid duplicates (standard connected-subgraph
@@ -152,13 +154,13 @@ fn grow(
     // when they were already adjacent (simple dedup: require strictly
     // increasing insertion order among equals is complex; instead dedup at
     // the end).
-    let rels: Vec<RelId> = current.iter().map(|&i| cq.atoms[i].rel).collect();
-    for (idx, atom) in cq.atoms.iter().enumerate() {
+    let rels: Vec<RelId> = current.iter().map(|&i| cq.atoms()[i].rel).collect();
+    for (idx, atom) in cq.atoms().iter().enumerate() {
         if idx <= seed || current.contains(&idx) {
             continue;
         }
         // Must connect via some join to the current set.
-        let connected = cq.joins.iter().any(|j| {
+        let connected = cq.joins().iter().any(|j| {
             (j.on.left == atom.rel && rels.contains(&j.on.right))
                 || (j.on.right == atom.rel && rels.contains(&j.on.left))
         });
@@ -181,13 +183,13 @@ fn grow(
 }
 
 fn signature_of_subset(cq: &ConjunctiveQuery, atom_indices: &[usize]) -> SubExprSig {
-    let rels: Vec<RelId> = atom_indices.iter().map(|&i| cq.atoms[i].rel).collect();
+    let (cq_atoms, cq_joins) = (cq.atoms(), cq.joins());
+    let rels: Vec<RelId> = atom_indices.iter().map(|&i| cq_atoms[i].rel).collect();
     let atoms = atom_indices
         .iter()
-        .map(|&i| (cq.atoms[i].rel, cq.atoms[i].selection.clone()))
+        .map(|&i| (cq_atoms[i].rel, cq_atoms[i].selection.clone()))
         .collect();
-    let joins = cq
-        .joins
+    let joins = cq_joins
         .iter()
         .filter(|j| rels.contains(&j.on.left) && rels.contains(&j.on.right))
         .map(|j| j.on)
@@ -198,7 +200,6 @@ fn signature_of_subset(cq: &ConjunctiveQuery, atom_indices: &[usize]) -> SubExpr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cq::{CqAtom, CqJoin};
     use qsys_catalog::EdgeId;
     use qsys_types::{CqId, UqId, UserId, Value};
 
@@ -254,12 +255,12 @@ mod tests {
         let cq = path_cq(3);
         let s1 = SubExprSig::of_cq(&cq);
         let s2 = SubExprSig::new(
-            cq.atoms
+            cq.atoms()
                 .iter()
                 .rev()
                 .map(|a| (a.rel, a.selection.clone()))
                 .collect(),
-            cq.joins.iter().rev().map(|j| j.on).collect(),
+            cq.joins().iter().rev().map(|j| j.on).collect(),
         );
         assert_eq!(s1, s2);
     }

@@ -19,7 +19,7 @@ fn fingerprint(result: &QsysResult<UserQuery>) -> impl PartialEq + std::fmt::Deb
             .cqs
             .iter()
             .map(|(cq, f)| {
-                let (id, atoms, joins) = (cq.id, cq.atoms.clone(), cq.joins.clone());
+                let (id, atoms, joins) = (cq.id, cq.atoms().to_vec(), cq.joins().to_vec());
                 (id, cq.uq, cq.user, atoms, joins, f.exact_key())
             })
             .collect();
@@ -138,8 +138,15 @@ fn a_phrase_ranks_alike_however_its_whitespace_is_typed() {
     let cqs = |result: &QsysResult<UserQuery>| {
         let uq = result.as_ref().expect("the phrase matches");
         let cqs = uq.cqs.iter();
-        cqs.map(|(cq, f)| (cq.id, cq.atoms.clone(), cq.joins.clone(), f.exact_key()))
-            .collect::<Vec<_>>()
+        cqs.map(|(cq, f)| {
+            (
+                cq.id,
+                cq.atoms().to_vec(),
+                cq.joins().to_vec(),
+                f.exact_key(),
+            )
+        })
+        .collect::<Vec<_>>()
     };
     let mut first = None;
     for keywords in spellings {
